@@ -200,6 +200,30 @@ func BenchmarkConv3x3ForwardFMA(b *testing.B) {
 	benchConv3x3(b)
 }
 
+// BenchmarkConv3x3Backward measures the same layer's backward both ways:
+// frozen is what a BN-Opt step pays (dX only, on the forward kernel),
+// unfrozen what training pays (dX plus the strip-mined dW reduction).
+func BenchmarkConv3x3Backward(b *testing.B) {
+	for _, frozen := range []bool{true, false} {
+		name := "unfrozen"
+		if frozen {
+			name = "frozen"
+		}
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			conv := nn.NewConv2d("c", rng, 32, 32, 3, 1, 1, 1)
+			conv.Weight.Frozen = frozen
+			x := tensor.New(8, 32, 32, 32)
+			x.Randn(rng, 1)
+			grad := conv.Forward(x, true)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				conv.Backward(grad)
+			}
+		})
+	}
+}
+
 // BenchmarkConv1x1Forward covers the pointwise convs (shortcuts,
 // MobileNet expand/project), the other shape the packed path serves.
 func BenchmarkConv1x1Forward(b *testing.B) {

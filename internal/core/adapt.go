@@ -221,8 +221,11 @@ func (a *bnNormAdapter) bnLayers() ([]*nn.BatchNorm2d, *bnSnapshot) { return a.b
 // bnOptAdapter is TENT: batch-statistics normalization plus one Adam step
 // per batch on the BN affine parameters, minimizing prediction entropy.
 // Only γ/β receive updates (<1% of model parameters), but computing their
-// gradients requires a full backpropagation pass — the cost the paper
-// identifies as the key bottleneck on edge CPUs.
+// gradients requires a backpropagation pass through every layer — the
+// cost the paper identifies as the key bottleneck on edge CPUs. As in
+// TENT's PyTorch setting, every other parameter is frozen
+// (nn.FreezeExceptBN), so that pass computes input gradients only: no
+// conv/linear weight gradient is ever formed.
 type bnOptAdapter struct {
 	m     *models.Model
 	bns   []*nn.BatchNorm2d
@@ -239,6 +242,7 @@ func newBNOpt(m *models.Model, cfg Config) *bnOptAdapter {
 }
 
 func (a *bnOptAdapter) arm() {
+	nn.FreezeExceptBN(a.m.Net)
 	var params []*nn.Param
 	for _, bn := range a.bns {
 		bn.UseBatchStats = true
@@ -256,8 +260,7 @@ func (a *bnOptAdapter) Process(x *tensor.Tensor) *tensor.Tensor {
 		logits = a.m.Forward(x, false) // batch statistics via UseBatchStats
 		_, grad := nn.MeanEntropy(logits)
 		a.optim.ZeroGrad()
-		nn.ZeroGrads(a.m.Net) // conv/linear grads are discarded, as in TENT
-		a.m.Backward(grad)
+		a.m.Backward(grad) // γ/β grads only: everything else is frozen
 		a.optim.Step()
 	}
 	return logits

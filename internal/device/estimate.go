@@ -99,7 +99,9 @@ func Estimate(d *Device, kind EngineKind, p *profile.ModelProfile, algo core.Alg
 	ph := Phases{ConvFw: convFw, BNFw: bnFw, OtherFw: otherFw}
 
 	// --- Backward pass (BN-Opt only): entropy loss backprop through every
-	// layer to reach all BN affine parameters, then one Adam step. ---
+	// layer to reach all BN affine parameters, then one Adam step. Only
+	// input gradients are formed (see Engine.BwMult), which is also all
+	// core's BN-Opt executes now that it freezes every non-BN parameter. ---
 	if algo == core.BNOpt {
 		ph.ConvBw = convFw * eng.BwMult
 		ph.BNBw = bnElems / 1e9 / eng.BNBwRate

@@ -16,10 +16,17 @@ import (
 //     chain rooted at the receiver with slice or map type
 //     (RunningMean: b.RunningMean);
 //   - a whole-struct copy of the receiver (cp := *m) when the struct has
-//     slice or map fields, which aliases all of them at once.
+//     slice or map fields, which aliases all of them at once — or of one of
+//     its struct-valued fields (bw: c.bw, Conv2d's per-direction packed
+//     cache), which aliases that field's slices the same way;
+//   - an nn.Param literal that leaves a field unnamed: Param carries flags
+//     (Frozen) and a cache key (version) beside its buffers, and a clone
+//     that drops one by omission changes how the replica backpropagates or
+//     which packed weights it trusts. Naming every field makes carrying or
+//     resetting each one a visible decision.
 //
 // Sharing a pointer field is allowed: immutable shared state (the packed-
-// weight cache) is pointer-typed by design, and the analyzer's job is the
+// weight caches) is pointer-typed by design, and the analyzer's job is the
 // mutable-backing-array hazard, not pointer identity.
 var cloneSafe = &Analyzer{
 	Name: "clonesafe",
@@ -72,11 +79,23 @@ func runCloneSafe(p *Pass) {
 				p.Reportf(v.Pos(),
 					"clone aliases the receiver's %s (%s): copy the backing storage (append/maps.Clone) or justify the share",
 					types.ExprString(v), t)
+			case *types.Struct:
+				if fields := sliceOrMapFields(t); len(fields) > 0 {
+					p.Reportf(v.Pos(),
+						"shallow struct copy of the receiver's %s aliases its %s field(s): deep-copy them explicitly",
+						types.ExprString(v), strings.Join(fields, ", "))
+				}
 			}
 		}
 
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if missing := unnamedParamFields(info, n); len(missing) > 0 {
+					p.Reportf(n.Pos(),
+						"clone's nn.Param literal omits %s: name every field so each is visibly carried or reset",
+						strings.Join(missing, ", "))
+				}
 			case *ast.KeyValueExpr:
 				check(n.Value)
 			case *ast.AssignStmt:
@@ -87,6 +106,36 @@ func runCloneSafe(p *Pass) {
 			return true
 		})
 	})
+}
+
+// unnamedParamFields lists the fields a keyed nn.Param composite literal
+// leaves out (a positional literal names them all by construction).
+func unnamedParamFields(info *types.Info, lit *ast.CompositeLit) []string {
+	t := info.Types[lit].Type
+	if !namedIs(t, "nn", "Param") {
+		return nil
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return nil
+	}
+	named := map[string]bool{}
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			return nil
+		}
+		if id := identOf(kv.Key); id != nil {
+			named[id.Name] = true
+		}
+	}
+	var out []string
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); !named[f.Name()] {
+			out = append(out, f.Name())
+		}
+	}
+	return out
 }
 
 // sliceOrMapFields lists the struct fields with slice or map type.

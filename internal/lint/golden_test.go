@@ -101,8 +101,10 @@ func TestDeterminismTelemetryCarveout(t *testing.T) {
 	runGolden(t, "determinism", "./testdata/src/determinism/internal/telemetry")
 }
 
+// TestCloneSafeGolden covers, via the ... pattern, the stub nn package
+// whose Param clones must name every field.
 func TestCloneSafeGolden(t *testing.T) {
-	runGolden(t, "clonesafe", "./testdata/src/clonesafe")
+	runGolden(t, "clonesafe", "./testdata/src/clonesafe/...")
 }
 
 func TestNestedParGolden(t *testing.T) {

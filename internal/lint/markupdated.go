@@ -13,6 +13,12 @@ import (
 // packed-weight cache (and anything else keyed on Param.Version) serves
 // stale derived state the moment a mutation path forgets the call.
 //
+// The read side of the same contract is checked too: a function that turns
+// a Param's Data into a tensor.PackedWeights (the conv layer's forward pack
+// and its rotated input-gradient pack) must read Version() on that Param —
+// a pack built without looking at the version is either rebuilt every call
+// or cached with nothing to invalidate it.
+//
 // A parameter that is freshly constructed in the function (its base
 // variable is assigned a composite literal there) is exempt: nothing can
 // hold a cache derived from a value that has never escaped. Mutations
@@ -39,8 +45,9 @@ type paramWrite struct {
 func runMarkUpdated(p *Pass) {
 	info := p.Pkg.Info
 	forEachFuncDecl(p.Pkg, func(fd *ast.FuncDecl) {
-		var writes []paramWrite
+		var writes, packs []paramWrite
 		marks := map[string][]token.Pos{}
+		versionRead := map[string]bool{}
 		constructed := map[types.Object]bool{}
 
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -69,9 +76,15 @@ func runMarkUpdated(p *Pass) {
 				if sel, ok := mutatingCallTarget(info, n); ok {
 					writes = append(writes, paramWrite{rootString(sel), sel.X, n.Pos()})
 				}
-				if recv, ok := markUpdatedCall(info, n); ok {
+				if sel, ok := packedFromData(info, n); ok {
+					packs = append(packs, paramWrite{rootString(sel), sel.X, n.Pos()})
+				}
+				if recv, ok := paramMethodCall(info, n, "MarkUpdated"); ok {
 					key := types.ExprString(recv)
 					marks[key] = append(marks[key], n.Pos())
+				}
+				if recv, ok := paramMethodCall(info, n, "Version"); ok {
+					versionRead[types.ExprString(recv)] = true
 				}
 			}
 			return true
@@ -93,6 +106,13 @@ func runMarkUpdated(p *Pass) {
 			p.Reportf(w.pos,
 				"write to %s.Data is not followed by %s.MarkUpdated() in %s: caches keyed on the Param version (packed conv weights) would serve stale data",
 				w.root, w.root, fd.Name.Name)
+		}
+		for _, pk := range packs {
+			if !versionRead[pk.root] {
+				p.Reportf(pk.pos,
+					"%s.Data is packed into a tensor.PackedWeights without reading %s.Version() in %s: a cached pack would outlive the weights it was built from",
+					pk.root, pk.root, fd.Name.Name)
+			}
 		}
 	})
 }
@@ -149,11 +169,26 @@ func mutatingCallTarget(info *types.Info, call *ast.CallExpr) (*ast.SelectorExpr
 	return dataSelector(info, call.Args[argIdx])
 }
 
-// markUpdatedCall matches recv.MarkUpdated() on an nn.Param and returns
-// the receiver expression.
-func markUpdatedCall(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
+// packedFromData reports a call that takes a Param's Data and returns a
+// tensor.PackedWeights — by result type, so a pack function passed around
+// as a value counts like a direct tensor.PackConvWeights call.
+func packedFromData(info *types.Info, call *ast.CallExpr) (*ast.SelectorExpr, bool) {
+	if !namedIs(info.Types[call].Type, "tensor", "PackedWeights") {
+		return nil, false
+	}
+	for _, arg := range call.Args {
+		if sel, ok := dataSelector(info, arg); ok {
+			return sel, true
+		}
+	}
+	return nil, false
+}
+
+// paramMethodCall matches recv.<method>() on an nn.Param and returns the
+// receiver expression.
+func paramMethodCall(info *types.Info, call *ast.CallExpr, method string) (ast.Expr, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "MarkUpdated" {
+	if !ok || sel.Sel.Name != method {
 		return nil, false
 	}
 	if !namedIs(info.Types[sel.X].Type, "nn", "Param") {

@@ -42,6 +42,24 @@ func (l *layer) clone() *layer {
 	return cp
 }
 
+// offsets is a per-direction cache held by value, like Conv2d's packed
+// caches: an immutable shared pointer next to a table the owner rebuilds.
+type offsets struct {
+	weights *cache
+	table   []int32
+}
+
+type conv struct{ fw, bw offsets }
+
+// Clone copies one cache struct whole — its table now has two owners — and
+// shares only the immutable pointer of the other, which is fine.
+func (c *conv) Clone() *conv {
+	return &conv{
+		fw: c.fw, // want "shallow struct copy of the receiver's c.fw aliases its table"
+		bw: offsets{weights: c.bw.weights},
+	}
+}
+
 type scalars struct{ A, B float64 }
 
 // Clone of a struct with no slice or map fields may copy shallowly.
@@ -56,4 +74,4 @@ func (l *layer) borrow() (w []float32) {
 	return w
 }
 
-var _ = []any{(*layer).Clone, (*layer).CloneLayer, (*layer).clone, (*scalars).Clone, (*layer).borrow}
+var _ = []any{(*layer).Clone, (*layer).CloneLayer, (*layer).clone, (*scalars).Clone, (*layer).borrow, (*conv).Clone}

@@ -4,11 +4,16 @@
 // function.
 package markupdated
 
-import "edgetta/internal/lint/testdata/src/markupdated/nn"
+import (
+	"edgetta/internal/lint/testdata/src/markupdated/nn"
+	"edgetta/internal/lint/testdata/src/markupdated/tensor"
+)
 
 type layer struct {
 	Weight *nn.Param
 	Bias   *nn.Param
+
+	packed, rotated *tensor.PackedWeights
 }
 
 // forgotten writes and never marks.
@@ -94,4 +99,38 @@ func construct() *nn.Param {
 	p := &nn.Param{Data: make([]float32, 4)}
 	p.Data[0] = 1
 	return p
+}
+
+// forwardPack is the version-keyed cache done right: reuse while the
+// version matches, stamp the rebuilt pack with the version it came from.
+func (l *layer) forwardPack() *tensor.PackedWeights {
+	if p := l.packed; p != nil && p.Version == l.Weight.Version() {
+		return p
+	}
+	p := tensor.PackConvWeights(l.Weight.Data, 8, 8, 3)
+	p.Version = l.Weight.Version()
+	l.packed = p
+	return p
+}
+
+// rotatedPack caches the second pack and never looks at the version: after
+// an optimizer step, backward would run on the old weights.
+func (l *layer) rotatedPack() *tensor.PackedWeights {
+	if l.rotated == nil {
+		l.rotated = tensor.PackConvWeightsRotated(l.Weight.Data, 8, 8, 3) // want "without reading l.Weight.Version"
+	}
+	return l.rotated
+}
+
+// wrongVersion keys the pack on a different Param than the one it packs.
+func (l *layer) wrongVersion() *tensor.PackedWeights {
+	p := tensor.PackConvWeights(l.Weight.Data, 8, 8, 3) // want "without reading l.Weight.Version"
+	p.Version = l.Bias.Version()
+	return p
+}
+
+// packWith takes the pack function as a value, as the conv layer does for
+// its two directions; the result type still gives the pack away.
+func (l *layer) packWith(pack func([]float32, int, int, int) *tensor.PackedWeights) *tensor.PackedWeights {
+	return pack(l.Weight.Data, 8, 8, 3) // want "without reading l.Weight.Version"
 }

@@ -181,8 +181,12 @@ func (b *BatchNorm2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				sumDyXhat += dy * float64(b.xhat[base+i])
 			}
 		}
-		b.Beta.Grad[c] += float32(sumDy)
-		b.Gamma.Grad[c] += float32(sumDyXhat)
+		if !b.Beta.Frozen {
+			b.Beta.Grad[c] += float32(sumDy)
+		}
+		if !b.Gamma.Frozen {
+			b.Gamma.Grad[c] += float32(sumDyXhat)
+		}
 		g, inv := b.Gamma.Data[c], b.invStd[c]
 		if b.statsVary {
 			mDy, mDyXhat := float32(sumDy)/cnt, float32(sumDyXhat)/cnt

@@ -37,6 +37,9 @@ const bwStripRows = 32
 // the im2col + matmul path. The default packed path is bit-identical to
 // the im2col path (see tensor/conv_direct.go); the opt-in FMA variant
 // (tensor.SetFMA / EDGETTA_FMA=1) trades that parity for speed.
+//
+// Backward runs the input gradient of those same stride-1 ungrouped
+// shapes through that same dispatch (see Backward).
 type Conv2d struct {
 	name           string
 	InC, OutC      int
@@ -44,17 +47,28 @@ type Conv2d struct {
 	Groups         int
 	Weight         *Param // [OutC, InC/Groups * K * K] row-major
 
+	// noInputGrad marks a layer at the graph input whose dX nobody
+	// consumes (set by FreezeExceptBN, cleared by Unfreeze).
+	noInputGrad bool
+
 	input                *tensor.Tensor
 	lastSpec             Spec
 	outH, outW, inH, inW int
 
-	// Packed-path caches: packed is the weight tensor in kernel order,
-	// valid while packedVersion matches Weight.Version() (clones share it
-	// until either side's weights change); xoff is the offset table for
-	// the last-seen input geometry.
-	packed       *tensor.PackedWeights
-	xoff         []int32
-	xoffH, xoffW int
+	// fw caches the packed path's forward kernel, bw the input-gradient
+	// kernel (the same weights rotated, see tensor.RotateConvWeights).
+	fw, bw packedCache
+}
+
+// packedCache is what one direction of the packed path keeps across
+// calls: weights is the kernel in NC8HW8 order, valid while its Version
+// matches Weight.Version() — it is immutable, so clones share it until
+// either side's weights change; off is the offset table for the
+// last-seen input geometry.
+type packedCache struct {
+	weights    *tensor.PackedWeights
+	off        []int32
+	offH, offW int
 }
 
 // NewConv2d constructs a convolution layer with He-normal initialization.
@@ -84,19 +98,23 @@ func (c *Conv2d) Spec() Spec { return c.lastSpec }
 // strided convolutions fall back to im2col + matmul.
 func (c *Conv2d) PackedEligible() bool { return c.Groups == 1 && c.Stride == 1 }
 
-// packedWeights returns the cached packed weight tensor, repacking if the
+// packedWeights returns pc's cached kernel, repacking with pack if the
 // underlying Param has been mutated since (Param.MarkUpdated bumps the
 // version). The returned buffer is immutable; clones of an unadapted
 // layer share one copy.
-func (c *Conv2d) packedWeights() *tensor.PackedWeights {
-	if p := c.packed; p != nil && p.Version == c.Weight.Version() {
+func (c *Conv2d) packedWeights(pc *packedCache, pack packFunc) *tensor.PackedWeights {
+	if p := pc.weights; p != nil && p.Version == c.Weight.Version() {
 		return p
 	}
-	p := tensor.PackConvWeights(c.Weight.Data, c.OutC, c.InC, c.K)
+	p := pack(c.Weight.Data, c.OutC, c.InC, c.K)
 	p.Version = c.Weight.Version()
-	c.packed = p
+	pc.weights = p
 	return p
 }
+
+// packFunc is the shape tensor.PackConvWeights and
+// tensor.PackConvWeightsRotated share.
+type packFunc func(w []float32, outC, inC, k int) *tensor.PackedWeights
 
 // Forward implements Layer. The batch dimension is processed in parallel.
 func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -114,9 +132,9 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := tensor.New(n, c.OutC, outH, outW)
 
 	if tensor.PackedEnabled() && c.PackedEligible() {
-		c.forwardPacked(x, y, n, h, w, outH, outW)
+		c.convPacked(&c.fw, tensor.PackConvWeights, y.Data, x.Data, n, h, w, c.Pad, false)
 	} else {
-		c.forwardIm2Col(x, y, n, h, w, outH, outW)
+		convIm2Col(y.Data, x.Data, c.Weight.Data, n, c.InC, c.OutC, h, w, c.K, c.Stride, c.Pad, c.Groups)
 	}
 
 	c.lastSpec = Spec{
@@ -131,108 +149,164 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// forwardIm2Col is the general path: each image is lowered with im2col
-// and multiplied against the weight matrix one group at a time.
-// Grain 1: each image is heavy (an im2col plus a matmul per group), so
-// even a micro-batch of 2 should use 2 workers. The inner matmul calls
+// convIm2Col is the general path, src [n,inC,h,w] → dst [n,outC,·,·] under
+// the weight matrix wmat [outC, inC/groups*k*k]: each image is lowered
+// with im2col and multiplied against the weight matrix one group at a
+// time. Grain 1: each image is heavy (an im2col plus a matmul per group),
+// so even a micro-batch of 2 should use 2 workers. The inner matmul calls
 // degrade to inline execution while the pool is busy with this loop.
-func (c *Conv2d) forwardIm2Col(x, y *tensor.Tensor, n, h, w, outH, outW int) {
-	inCg, outCg := c.InC/c.Groups, c.OutC/c.Groups
-	rows := inCg * c.K * c.K
-	cols := outH * outW
+func convIm2Col(dst, src, wmat []float32, n, inC, outC, h, w, k, stride, pad, groups int) {
+	inCg, outCg := inC/groups, outC/groups
+	rows := inCg * k * k
+	cols := ((h+2*pad-k)/stride + 1) * ((w+2*pad-k)/stride + 1)
 	parallel.ForGrain(n, 1, func(lo, hi int) {
 		buf := tensor.GetScratch(rows * cols)
 		defer tensor.PutScratch(buf)
 		for img := lo; img < hi; img++ {
-			xImg := x.Data[img*c.InC*h*w : (img+1)*c.InC*h*w]
-			yImg := y.Data[img*c.OutC*cols : (img+1)*c.OutC*cols]
-			for g := 0; g < c.Groups; g++ {
-				tensor.Im2Col(buf, xImg[g*inCg*h*w:(g+1)*inCg*h*w], inCg, h, w, c.K, c.Stride, c.Pad)
-				wg := c.Weight.Data[g*outCg*rows : (g+1)*outCg*rows]
+			xImg := src[img*inC*h*w : (img+1)*inC*h*w]
+			yImg := dst[img*outC*cols : (img+1)*outC*cols]
+			for g := 0; g < groups; g++ {
+				tensor.Im2Col(buf, xImg[g*inCg*h*w:(g+1)*inCg*h*w], inCg, h, w, k, stride, pad)
+				wg := wmat[g*outCg*rows : (g+1)*outCg*rows]
 				tensor.MatMulInto(yImg[g*outCg*cols:(g+1)*outCg*cols], wg, buf, outCg, rows, cols, false)
 			}
 		}
 	})
 }
 
-// forwardPacked is the direct path: pack the image once (padding baked
-// in), run the NC8HW8 microkernel over it in place, unpack the result.
-// The packed weights are cached across calls; the offset table is cached
-// per input geometry. When the profiler is active, layout conversion time
-// is credited to KindPack (contained within this layer's KindConv
-// interval), so pack overhead stays attributable next to compute.
-func (c *Conv2d) forwardPacked(x, y *tensor.Tensor, n, h, w, outH, outW int) {
+// convPacked is the direct path for stride-1 ungrouped shapes, src
+// [n,·,h,w] → dst under the kernel pc caches (pack builds it): pack the
+// image once (padding baked in), run the NC8HW8 microkernel over it in
+// place, unpack the result. The packed weights are cached across calls;
+// the offset table is cached per input geometry. When the profiler is
+// active, layout conversion time is credited to KindPack in the calling
+// direction (contained within this layer's KindConv interval), so pack
+// overhead stays attributable next to compute.
+func (c *Conv2d) convPacked(pc *packedCache, pack packFunc, dst, src []float32, n, h, w, pad int, backward bool) {
 	prof := profActive()
 	var packNanos atomic.Int64
 	t0 := time.Time{}
 	if prof {
 		t0 = time.Now()
 	}
-	pw := c.packedWeights()
-	hp, wpad := h+2*c.Pad, w+2*c.Pad
-	if c.xoff == nil || c.xoffH != h || c.xoffW != w {
-		c.xoff = tensor.ConvOffsets(c.InC, hp, wpad, c.K)
-		c.xoffH, c.xoffW = h, w
+	pw := c.packedWeights(pc, pack)
+	hp, wpad := h+2*pad, w+2*pad
+	if pc.off == nil || pc.offH != h || pc.offW != w {
+		pc.off = tensor.ConvOffsets(pw.InC, hp, wpad, pw.K)
+		pc.offH, pc.offW = h, w
 	}
 	if prof {
 		packNanos.Add(int64(time.Since(t0)))
 	}
-	xoff := c.xoff
+	xoff := pc.off
+	outH, outW := hp-pw.K+1, wpad-pw.K+1
 	cols := outH * outW
-	xpLen := tensor.PackedImageLen(c.InC, h, w, c.Pad)
-	ypLen := tensor.PackedImageLen(c.OutC, outH, outW, 0)
+	xpLen := tensor.PackedImageLen(pw.InC, h, w, pad)
+	ypLen := tensor.PackedImageLen(pw.OutC, outH, outW, 0)
 	parallel.ForGrain(n, 1, func(lo, hi int) {
 		xp := tensor.GetScratch(xpLen)
 		defer tensor.PutScratch(xp)
 		yp := tensor.GetScratch(ypLen)
 		defer tensor.PutScratch(yp)
 		for img := lo; img < hi; img++ {
-			xImg := x.Data[img*c.InC*h*w : (img+1)*c.InC*h*w]
-			yImg := y.Data[img*c.OutC*cols : (img+1)*c.OutC*cols]
+			xImg := src[img*pw.InC*h*w : (img+1)*pw.InC*h*w]
+			yImg := dst[img*pw.OutC*cols : (img+1)*pw.OutC*cols]
 			var tp time.Time
 			if prof {
 				tp = time.Now()
 			}
-			tensor.PackImage(xp, xImg, c.InC, h, w, c.Pad)
+			tensor.PackImage(xp, xImg, pw.InC, h, w, pad)
 			if prof {
 				packNanos.Add(int64(time.Since(tp)))
 			}
-			tensor.ConvPackedForward(yp, xp, pw, xoff, outH, outW, hp, wpad, c.Stride)
+			tensor.ConvPackedForward(yp, xp, pw, xoff, outH, outW, hp, wpad, 1)
 			if prof {
 				tp = time.Now()
 			}
-			tensor.UnpackImage(yImg, yp, c.OutC, outH, outW)
+			tensor.UnpackImage(yImg, yp, pw.OutC, outH, outW)
 			if prof {
 				packNanos.Add(int64(time.Since(tp)))
 			}
 		}
 	})
 	if prof {
-		profAdd(KindPack, false, time.Duration(packNanos.Load()).Seconds())
+		profAdd(KindPack, backward, time.Duration(packNanos.Load()).Seconds())
 	}
 }
 
-// Backward implements Layer: accumulates dWeight and returns dInput.
-// The lowering is recomputed rather than cached, trading FLOPs for the
-// memory the paper shows is the binding constraint on edge devices — and
-// it is recomputed in strips of bwStripRows rows, so the transient
-// footprint per worker is two small strip buffers instead of two full
-// column matrices. Strip results are bit-identical to the full
-// materialization: each strip is the same lowering rows fed to the same
-// matmul kernels, and the column-to-image scatter runs in ascending row
-// order across strips.
+// Backward implements Layer. What it computes depends on who consumes it:
+//
+//   - dW is accumulated into Weight.Grad unless the weight is frozen, in
+//     which case nothing of it is computed (BN-Opt: only γ/β learn).
+//   - dX is returned unless the layer sits at the graph input with nobody
+//     to consume it (noInputGrad), in which case Backward returns nil.
+//   - For stride-1 ungrouped shapes with Pad < K, dX is a forward
+//     convolution of dY with the rotated kernel (tensor.RotateConvWeights)
+//     at pad K-1-Pad, run through Forward's own dispatch: the packed
+//     direct kernel, or im2col + matmul under EDGETTA_PACKED=0 — bit-
+//     identical to each other by the argument in tensor/conv_direct.go.
+//     It calls the kernels, never Forward, so the profiler sees one
+//     conv.bw span and no forward time. Every other shape gets dX from
+//     the strip path below, which is also the only dW implementation.
 func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.input
 	if x == nil {
 		panic("nn: " + c.name + ": Backward before Forward")
 	}
 	t0 := profStart()
-	n, h, w := x.Dim(0), c.inH, c.inW
-	inCg, outCg := c.InC/c.Groups, c.OutC/c.Groups
-	rows := inCg * c.K * c.K
-	cols := c.outH * c.outW
-	dx := tensor.New(x.Shape()...)
+	wantDW := !c.Weight.Frozen
+	var dx, stripDX *tensor.Tensor
+	if !c.noInputGrad {
+		dx = tensor.New(x.Shape()...)
+		if c.PackedEligible() && c.Pad < c.K {
+			c.inputGradConv(grad, dx)
+		} else {
+			stripDX = dx
+		}
+	}
+	if wantDW || stripDX != nil {
+		c.backwardStrips(grad, stripDX, wantDW)
+	}
+	profEnd(KindConv, c.name, true, t0)
+	return dx
+}
 
+// inputGradConv writes dX = conv(dY, rotated kernel) into dx. Only the
+// packed arm caches the rotated kernel; the im2col arm is the kill-switch,
+// not the hot path, and re-rotates the (small) weight matrix per call.
+func (c *Conv2d) inputGradConv(grad, dx *tensor.Tensor) {
+	n, pad := grad.Dim(0), c.K-1-c.Pad
+	if tensor.PackedEnabled() {
+		c.convPacked(&c.bw, tensor.PackConvWeightsRotated, dx.Data, grad.Data, n, c.outH, c.outW, pad, true)
+		return
+	}
+	rot := tensor.GetScratch(len(c.Weight.Data))
+	defer tensor.PutScratch(rot)
+	tensor.RotateConvWeights(rot, c.Weight.Data, c.OutC, c.InC, c.K)
+	convIm2Col(dx.Data, grad.Data, rot, n, c.OutC, c.InC, c.outH, c.outW, c.K, 1, pad, 1)
+}
+
+// backwardStrips is the lowering-based backward: it accumulates dW into
+// Weight.Grad when wantDW, and dX into dx (zeroed by the caller) when dx
+// is non-nil. The lowering is recomputed rather than cached, trading
+// FLOPs for the memory the paper shows is the binding constraint on edge
+// devices — and it is recomputed in strips of bwStripRows rows, so the
+// transient footprint per worker is two small strip buffers instead of
+// two full column matrices. Strip results are bit-identical to the full
+// materialization: each strip is the same lowering rows fed to the same
+// matmul kernels, and the column-to-image scatter runs in ascending row
+// order across strips.
+func (c *Conv2d) backwardStrips(grad, dx *tensor.Tensor, wantDW bool) {
+	n := grad.Dim(0)
+	if n == 0 {
+		return
+	}
+	if !wantDW {
+		// dX is per image, so nothing ties the loop to the dW reduction
+		// shape below.
+		parallel.ForGrain(n, 1, func(lo, hi int) { c.stripImages(grad, dx, nil, lo, hi) })
+		return
+	}
 	// The weight gradient sums contributions from every image, and float
 	// addition is not associative, so the reduction must not depend on how
 	// the scheduler happens to interleave chunks (the previous code merged
@@ -242,20 +316,9 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// alone, each group accumulates its partial in image order, and the
 	// partials are merged in group order afterwards — bit-identical results
 	// for every worker count.
-	groups := bwGroups
-	if n < groups {
-		groups = n
-	}
-	if groups == 0 {
-		profEnd(KindConv, c.name, true, t0)
-		return dx
-	}
+	groups := min(bwGroups, n)
 	span := (n + groups - 1) / groups
 	groups = (n + span - 1) / span // drop groups the ceiling left empty
-	strip := bwStripRows
-	if strip > rows {
-		strip = rows
-	}
 	// The per-group weight-gradient partials outlive the parallel loop (they
 	// are merged in group order below), so they are acquired here, in the
 	// scope whose defers bracket both the loop and the merge — the scratch-
@@ -268,47 +331,62 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		partials[gi] = dw
 	}
 	parallel.For(groups, func(gi int) {
-		lo, hi := gi*span, (gi+1)*span
-		if hi > n {
-			hi = n
+		clear(partials[gi])
+		c.stripImages(grad, dx, partials[gi], gi*span, min((gi+1)*span, n))
+	})
+	for _, dw := range partials {
+		for i, v := range dw {
+			c.Weight.Grad[i] += v
 		}
-		colBuf := tensor.GetScratch(strip * cols)
+	}
+}
+
+// stripImages runs the strip-mined backward over images [lo, hi): dW
+// contributions are added to the partial dw in image order when dw is
+// non-nil, each image's dX is scattered into dx when dx is non-nil.
+func (c *Conv2d) stripImages(grad, dx *tensor.Tensor, dw []float32, lo, hi int) {
+	x, h, w := c.input, c.inH, c.inW
+	inCg, outCg := c.InC/c.Groups, c.OutC/c.Groups
+	rows := inCg * c.K * c.K
+	cols := c.outH * c.outW
+	strip := min(bwStripRows, rows)
+	var colBuf, dwStrip, dcolBuf, wStrip []float32
+	if dw != nil {
+		colBuf = tensor.GetScratch(strip * cols)
 		defer tensor.PutScratch(colBuf)
-		dcolBuf := tensor.GetScratch(strip * cols)
-		defer tensor.PutScratch(dcolBuf)
-		wStrip := tensor.GetScratch(outCg * strip)
-		defer tensor.PutScratch(wStrip)
-		dwStrip := tensor.GetScratch(outCg * strip)
+		dwStrip = tensor.GetScratch(outCg * strip)
 		defer tensor.PutScratch(dwStrip)
-		dw := partials[gi]
-		clear(dw)
-		for img := lo; img < hi; img++ {
-			xImg := x.Data[img*c.InC*h*w : (img+1)*c.InC*h*w]
-			gImg := grad.Data[img*c.OutC*cols : (img+1)*c.OutC*cols]
-			dxImg := dx.Data[img*c.InC*h*w : (img+1)*c.InC*h*w]
-			for g := 0; g < c.Groups; g++ {
-				xg := xImg[g*inCg*h*w : (g+1)*inCg*h*w]
-				dxg := dxImg[g*inCg*h*w : (g+1)*inCg*h*w]
-				gSlice := gImg[g*outCg*cols : (g+1)*outCg*cols]
-				wg := c.Weight.Data[g*outCg*rows : (g+1)*outCg*rows]
-				dwg := dw[g*outCg*rows : (g+1)*outCg*rows]
-				for r0 := 0; r0 < rows; r0 += strip {
-					r1 := r0 + strip
-					if r1 > rows {
-						r1 = rows
-					}
-					sr := r1 - r0
-					tensor.Im2ColRows(colBuf, xg, inCg, h, w, c.K, c.Stride, c.Pad, r0, r1)
+	}
+	if dx != nil {
+		dcolBuf = tensor.GetScratch(strip * cols)
+		defer tensor.PutScratch(dcolBuf)
+		wStrip = tensor.GetScratch(outCg * strip)
+		defer tensor.PutScratch(wStrip)
+	}
+	for img := lo; img < hi; img++ {
+		gImg := grad.Data[img*c.OutC*cols : (img+1)*c.OutC*cols]
+		for g := 0; g < c.Groups; g++ {
+			gSlice := gImg[g*outCg*cols : (g+1)*outCg*cols]
+			plane := (img*c.Groups + g) * inCg * h * w // this group's slice of x and dx
+			wg := c.Weight.Data[g*outCg*rows : (g+1)*outCg*rows]
+			for r0 := 0; r0 < rows; r0 += strip {
+				r1 := min(r0+strip, rows)
+				sr := r1 - r0
+				if dw != nil {
 					// dW_g strip: each element is the same dY·colᵀ dot
 					// product as the full matmul, added once to the
 					// running partial.
+					tensor.Im2ColRows(colBuf, x.Data[plane:plane+inCg*h*w], inCg, h, w, c.K, c.Stride, c.Pad, r0, r1)
 					tensor.MatMulTransBInto(dwStrip, gSlice, colBuf, outCg, cols, sr, false)
+					dwg := dw[g*outCg*rows : (g+1)*outCg*rows]
 					for oc := 0; oc < outCg; oc++ {
 						dst := dwg[oc*rows+r0 : oc*rows+r1]
 						for j, v := range dwStrip[oc*sr : (oc+1)*sr] {
 							dst[j] += v
 						}
 					}
+				}
+				if dx != nil {
 					// dCols strip = W_gᵀ·dY_g over a column slice of W
 					// (copied contiguous so the kernel sees the same
 					// layout), scattered back in ascending row order.
@@ -316,16 +394,9 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 						copy(wStrip[oc*sr:(oc+1)*sr], wg[oc*rows+r0:oc*rows+r1])
 					}
 					tensor.MatMulTransAInto(dcolBuf, wStrip, gSlice, outCg, sr, cols, false)
-					tensor.Col2ImRows(dxg, dcolBuf, inCg, h, w, c.K, c.Stride, c.Pad, r0, r1)
+					tensor.Col2ImRows(dx.Data[plane:plane+inCg*h*w], dcolBuf, inCg, h, w, c.K, c.Stride, c.Pad, r0, r1)
 				}
 			}
 		}
-	})
-	for _, dw := range partials {
-		for i, v := range dw {
-			c.Weight.Grad[i] += v
-		}
 	}
-	profEnd(KindConv, c.name, true, t0)
-	return dx
 }

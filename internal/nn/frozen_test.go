@@ -1,0 +1,344 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"edgetta/internal/parallel"
+	"edgetta/internal/tensor"
+)
+
+func allZero(v []float32) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFrozenBackwardMatchesUnfrozen: freezing a layer's parameters must
+// change nothing a BN-Opt step reads — the returned input gradient and the
+// γ/β gradients of the BatchNorm upstream are bit-identical to the
+// unfrozen backward — while the frozen Grad is never written.
+func TestFrozenBackwardMatchesUnfrozen(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		shape []int // input
+		build func(rng *rand.Rand) []Layer
+	}{
+		{"conv3x3", []int{5, 16, 9, 9}, func(r *rand.Rand) []Layer { return []Layer{NewConv2d("c", r, 16, 24, 3, 1, 1, 1)} }},
+		{"conv3x3-stride2", []int{5, 8, 9, 9}, func(r *rand.Rand) []Layer { return []Layer{NewConv2d("c", r, 8, 12, 3, 2, 1, 1)} }},
+		{"conv3x3-grouped", []int{5, 8, 9, 9}, func(r *rand.Rand) []Layer { return []Layer{NewConv2d("c", r, 8, 12, 3, 1, 1, 4)} }},
+		{"conv1x1", []int{5, 16, 7, 7}, func(r *rand.Rand) []Layer { return []Layer{NewConv2d("c", r, 16, 32, 1, 1, 0, 1)} }},
+		{"conv1x1-stride2", []int{5, 16, 8, 8}, func(r *rand.Rand) []Layer { return []Layer{NewConv2d("c", r, 16, 32, 1, 2, 0, 1)} }},
+		{"conv-rgb", []int{5, 3, 9, 9}, func(r *rand.Rand) []Layer { return []Layer{NewConv2d("c", r, 3, 16, 3, 1, 1, 1)} }},
+		{"linear", []int{5, 12, 4, 4}, func(r *rand.Rand) []Layer {
+			return []Layer{NewGlobalAvgPool("gap"), NewLinear("fc", r, 12, 10)}
+		}},
+	} {
+		type result struct {
+			dx, gamma, beta []float32
+			own             [][]float32
+		}
+		run := func(frozen bool) result {
+			rng := rand.New(rand.NewSource(41))
+			bn := NewBatchNorm2d("bn", tc.shape[1])
+			layers := tc.build(rng)
+			net := NewSequential("net", append([]Layer{bn}, layers...)...)
+			var own []*Param
+			for _, l := range layers {
+				own = append(own, l.Params()...)
+			}
+			for _, p := range own {
+				p.Frozen = frozen
+			}
+			x := tensor.New(tc.shape...)
+			x.Randn(rng, 1)
+			y := net.Forward(x, true)
+			grad := tensor.New(y.Shape()...)
+			grad.Randn(rng, 1)
+			dx := net.Backward(grad)
+			r := result{dx: dx.Data, gamma: bn.Gamma.Grad, beta: bn.Beta.Grad}
+			for _, p := range own {
+				r.own = append(r.own, p.Grad)
+			}
+			return r
+		}
+		live, frozen := run(false), run(true)
+		if !float32BitsEqual(live.dx, frozen.dx) {
+			t.Errorf("%s: input gradient differs when frozen", tc.name)
+		}
+		if !float32BitsEqual(live.gamma, frozen.gamma) || !float32BitsEqual(live.beta, frozen.beta) {
+			t.Errorf("%s: upstream BN γ/β gradients differ when frozen", tc.name)
+		}
+		for i := range live.own {
+			if allZero(live.own[i]) {
+				t.Errorf("%s: unfrozen parameter %d received no gradient", tc.name, i)
+			}
+			if !allZero(frozen.own[i]) {
+				t.Errorf("%s: frozen parameter %d had its Grad written", tc.name, i)
+			}
+		}
+	}
+}
+
+// TestFrozenBatchNormGradUntouched: the invariant holds for BatchNorm too,
+// whose dX needs the γ/β sums either way.
+func TestFrozenBatchNormGradUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	bn := NewBatchNorm2d("bn", 6)
+	x := tensor.New(4, 6, 5, 5)
+	x.Randn(rng, 1)
+	grad := tensor.New(4, 6, 5, 5)
+	grad.Randn(rng, 1)
+	bn.Forward(x, true)
+	live := bn.Backward(grad)
+	bn.Gamma.ZeroGrad()
+	bn.Beta.ZeroGrad()
+	bn.Gamma.Frozen, bn.Beta.Frozen = true, true
+	bn.Forward(x, true)
+	frozen := bn.Backward(grad)
+	if !float32BitsEqual(live.Data, frozen.Data) {
+		t.Error("BN input gradient differs when γ/β are frozen")
+	}
+	if !allZero(bn.Gamma.Grad) || !allZero(bn.Beta.Grad) {
+		t.Error("frozen γ/β had their Grad written")
+	}
+}
+
+// TestFreezeExceptBNAndUnfreeze pins the two helpers: what gets frozen,
+// which layer stops producing an input gradient, and that Unfreeze undoes
+// both.
+func TestFreezeExceptBNAndUnfreeze(t *testing.T) {
+	net := buildParityNet(7)
+	x := parityInput(11)
+	backward := func() *tensor.Tensor {
+		y := net.Forward(x, true)
+		g := tensor.New(y.Shape()...)
+		g.Fill(0.01)
+		return net.Backward(g)
+	}
+	FreezeExceptBN(net)
+	Walk(net, func(l Layer) {
+		_, isBN := l.(*BatchNorm2d)
+		for _, p := range l.Params() {
+			if p.Frozen == isBN {
+				t.Errorf("%s: Frozen=%v", p.Name, p.Frozen)
+			}
+		}
+	})
+	if dx := backward(); dx != nil {
+		t.Error("armed net still returned an input gradient")
+	}
+	for _, p := range CollectParams(net) {
+		if p.Frozen && !allZero(p.Grad) {
+			t.Errorf("%s: frozen Grad written", p.Name)
+		}
+	}
+	clone := Clone(net).(*Sequential)
+	if !clone.layers[0].(*Conv2d).noInputGrad || !CollectParams(clone)[0].Frozen {
+		t.Error("clone dropped the frozen / no-input-gradient flags")
+	}
+
+	Unfreeze(net)
+	if dx := backward(); dx == nil || allZero(dx.Data) {
+		t.Error("Unfreeze did not restore the input gradient")
+	}
+	for _, p := range CollectParams(net) {
+		if p.Frozen || allZero(p.Grad) {
+			t.Errorf("%s: Frozen=%v or no gradient after Unfreeze", p.Name, p.Frozen)
+		}
+	}
+
+	// A block at the input may feed a shortcut too, so only a plain leaf
+	// at the head of nested Sequentials is ever marked.
+	rng := rand.New(rand.NewSource(3))
+	inner := NewConv2d("inner", rng, 3, 4, 3, 1, 1, 1)
+	FreezeExceptBN(NewSequential("outer", NewSequential("stem", inner), NewReLU("r")))
+	if !inner.noInputGrad {
+		t.Error("head of a nested Sequential not marked")
+	}
+	lin := NewLinear("fc", rng, 4, 2)
+	FreezeExceptBN(NewSequential("s", NewFlatten("f"), lin))
+	if lin.noInputGrad {
+		t.Error("a layer behind the input layer was marked")
+	}
+}
+
+// convGradCase builds a stride-1 ungrouped conv with a forward pass done,
+// plus a unit-scale output gradient.
+func convGradCase(seed int64, in, out, k, pad int) (*Conv2d, *tensor.Tensor, *tensor.Tensor) {
+	rng := rand.New(rand.NewSource(seed))
+	conv := NewConv2d("c", rng, in, out, k, 1, pad, 1)
+	x := tensor.New(3, in, 9, 11)
+	x.Randn(rng, 1)
+	y := conv.Forward(x, true)
+	grad := tensor.New(y.Shape()...)
+	grad.Randn(rng, 1)
+	return conv, x, grad
+}
+
+var rotatedShapes = []struct{ in, out, k, pad int }{
+	{3, 16, 3, 1},  // first layer: tail lanes on the dX output side
+	{16, 16, 3, 1}, // exact blocks
+	{16, 32, 1, 0}, // 1x1 shortcut
+	{10, 12, 3, 0}, // tails both sides, no pad: dX convolves at pad 2
+	{6, 9, 5, 2},   // 5x5
+	{8, 8, 3, 2},   // pad K-1: dX convolves at pad 0
+}
+
+// TestConvInputGradMatchesCol2ImOracle holds the rotated-kernel dX to the
+// lowering-based dX it replaced (kept as the strided/grouped path, and so
+// callable here as the oracle): the two sum the same products in a
+// different order, so they agree to rounding, and exactly for 1×1 where
+// the orders coincide.
+func TestConvInputGradMatchesCol2ImOracle(t *testing.T) {
+	wasFMA := tensor.FMAEnabled()
+	defer tensor.SetFMA(wasFMA)
+	tensor.SetFMA(false) // fused rounding would break the exact 1×1 case
+	for _, tc := range rotatedShapes {
+		conv, x, grad := convGradCase(47, tc.in, tc.out, tc.k, tc.pad)
+		dx := conv.Backward(grad)
+		oracle := tensor.New(x.Shape()...)
+		conv.backwardStrips(grad, oracle, false)
+		if tc.k == 1 {
+			if !float32BitsEqual(dx.Data, oracle.Data) {
+				t.Errorf("%+v: 1x1 input gradient not identical to the col2im oracle", tc)
+			}
+			continue
+		}
+		worst := 0.0
+		for i := range dx.Data {
+			worst = math.Max(worst, math.Abs(float64(dx.Data[i]-oracle.Data[i])))
+		}
+		if worst > 1e-5 {
+			t.Errorf("%+v: input gradient off the col2im oracle by %g", tc, worst)
+		}
+	}
+	// Pad ≥ K has no rotated form (its pad would be negative): strip path.
+	rng := rand.New(rand.NewSource(5))
+	wide := NewConv2d("c", rng, 2, 3, 1, 1, 1, 1)
+	x := tensor.New(2, 2, 4, 4)
+	x.Randn(rng, 1)
+	y := wide.Forward(x, true)
+	dx := wide.Backward(y)
+	oracle := tensor.New(x.Shape()...)
+	wide.backwardStrips(y, oracle, false)
+	if !float32BitsEqual(dx.Data, oracle.Data) {
+		t.Error("pad ≥ K conv did not fall back to the strip path")
+	}
+}
+
+// TestConvInputGradDispatchParity: like Forward, the dX convolution is
+// bit-identical through the packed kernel and through im2col + matmul, and
+// for every worker count; with the FMA opt-in it keeps the worker-count
+// half of that.
+func TestConvInputGradDispatchParity(t *testing.T) {
+	wasFMA := tensor.FMAEnabled()
+	defer tensor.SetFMA(wasFMA)
+	wasPacked := tensor.PackedEnabled()
+	defer tensor.SetPacked(wasPacked)
+	defer parallel.SetWorkers(0)
+
+	dx := func(tc struct{ in, out, k, pad int }, packed bool, workers int) []float32 {
+		tensor.SetPacked(packed)
+		parallel.SetWorkers(workers)
+		conv, _, grad := convGradCase(53, tc.in, tc.out, tc.k, tc.pad)
+		return conv.Backward(grad).Data
+	}
+	for _, tc := range rotatedShapes {
+		tensor.SetFMA(false)
+		ref := dx(tc, true, 1)
+		if !float32BitsEqual(ref, dx(tc, false, 1)) {
+			t.Errorf("%+v: packed and im2col input gradients differ", tc)
+		}
+		if !float32BitsEqual(ref, dx(tc, true, 8)) || !float32BitsEqual(ref, dx(tc, false, 8)) {
+			t.Errorf("%+v: input gradient differs between 1 and 8 workers", tc)
+		}
+		if tensor.SetFMA(true) && !float32BitsEqual(dx(tc, true, 1), dx(tc, true, 8)) {
+			t.Errorf("%+v: FMA input gradient differs between 1 and 8 workers", tc)
+		}
+	}
+}
+
+// TestConvRotatedPackCache mirrors TestConvPackedMatchesIm2ColAtLayerLevel
+// for the second version-keyed cache: the rotated pack is shared with
+// clones, and a weight update (MarkUpdated) repacks on that side only.
+func TestConvRotatedPackCache(t *testing.T) {
+	wasFMA := tensor.FMAEnabled()
+	defer tensor.SetFMA(wasFMA)
+	tensor.SetFMA(false)
+	wasPacked := tensor.PackedEnabled()
+	defer tensor.SetPacked(wasPacked)
+	tensor.SetPacked(true)
+
+	conv, x, grad := convGradCase(59, 16, 24, 3, 1)
+	conv.Backward(grad)
+	pack := conv.bw.weights
+	if pack == nil || pack.Version != conv.Weight.Version() {
+		t.Fatal("Backward did not cache the rotated pack under the weight version")
+	}
+	conv.Backward(grad)
+	if conv.bw.weights != pack {
+		t.Error("rotated pack rebuilt although the weights did not change")
+	}
+	clone := conv.CloneLayer().(*Conv2d)
+	clone.Forward(x, true)
+	clone.Backward(grad)
+	if clone.bw.weights != pack || clone.fw.weights != conv.fw.weights {
+		t.Error("clone does not share the packed kernels")
+	}
+
+	for i := range clone.Weight.Data {
+		clone.Weight.Data[i] *= 1.5
+	}
+	clone.Weight.MarkUpdated()
+	packed := clone.Backward(grad)
+	if clone.bw.weights == pack {
+		t.Fatal("rotated pack survived MarkUpdated")
+	}
+	if conv.bw.weights != pack {
+		t.Error("the clone's update repacked the original")
+	}
+	tensor.SetPacked(false)
+	if !float32BitsEqual(packed.Data, clone.Backward(grad).Data) {
+		t.Error("packed input gradient served stale weights after update")
+	}
+}
+
+// TestBackwardRecordsNoForwardTime: the dX convolution reuses the forward
+// kernels but not Forward, so a Backward leaves every forward total — the
+// layout-conversion one included — and the layer's forward caches alone,
+// and records one conv.bw interval per conv layer.
+func TestBackwardRecordsNoForwardTime(t *testing.T) {
+	wasPacked := tensor.PackedEnabled()
+	defer tensor.SetPacked(wasPacked)
+	tensor.SetPacked(true)
+
+	net := buildParityNet(7)
+	FreezeExceptBN(net)
+	y := net.Forward(parityInput(11), false)
+	conv2 := net.layers[3].(*Conv2d)
+	spec, input := conv2.Spec(), conv2.input
+	if !StartProfiling() {
+		t.Skip("another profiler is active")
+	}
+	net.Backward(y)
+	got := StopProfiling()
+	for k, n := range got.FwCalls {
+		t.Errorf("Backward recorded %d forward interval(s) of kind %v (%.3g s)", n, k, got.FwSeconds[k])
+	}
+	if got.BwCalls[KindConv] != 2 {
+		t.Errorf("conv.bw intervals = %d, want one per conv layer", got.BwCalls[KindConv])
+	}
+	// conv1 sits at the input and skips dX; conv2's conversion time is
+	// backward time.
+	if got.BwCalls[KindPack] != 1 || got.BwSeconds[KindPack] <= 0 {
+		t.Errorf("backward pack intervals = %d (%.3g s), want 1", got.BwCalls[KindPack], got.BwSeconds[KindPack])
+	}
+	if conv2.Spec() != spec || conv2.input != input {
+		t.Error("Backward overwrote the layer's forward caches")
+	}
+}

@@ -69,10 +69,14 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Linear is a fully connected layer y = x·Wᵀ + b over [N, in] inputs.
 type Linear struct {
-	name     string
-	In, Out  int
-	Weight   *Param // [Out, In]
-	Bias     *Param // [Out]
+	name    string
+	In, Out int
+	Weight  *Param // [Out, In]
+	Bias    *Param // [Out]
+
+	// noInputGrad: see Conv2d.noInputGrad.
+	noInputGrad bool
+
 	input    *tensor.Tensor
 	lastSpec Spec
 }
@@ -124,17 +128,25 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dW += dYᵀ · X ; dB += column sums of dY ;
+// dX = dY · W. Frozen parameters' gradients are skipped, and so is dX (nil
+// is returned) when the layer sits at the graph input with noInputGrad.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	t0 := profStart()
 	defer profEnd(KindLinear, l.name, true, t0)
 	n := grad.Dim(0)
-	// dW += dYᵀ · X ; dB += column sums of dY ; dX = dY · W
-	tensor.MatMulTransAInto(l.Weight.Grad, grad.Data, l.input.Data, n, l.Out, l.In, true)
-	for i := 0; i < n; i++ {
-		for j := 0; j < l.Out; j++ {
-			l.Bias.Grad[j] += grad.Data[i*l.Out+j]
+	if !l.Weight.Frozen {
+		tensor.MatMulTransAInto(l.Weight.Grad, grad.Data, l.input.Data, n, l.Out, l.In, true)
+	}
+	if !l.Bias.Frozen {
+		for i := 0; i < n; i++ {
+			for j := 0; j < l.Out; j++ {
+				l.Bias.Grad[j] += grad.Data[i*l.Out+j]
+			}
 		}
+	}
+	if l.noInputGrad {
+		return nil
 	}
 	dx := tensor.New(n, l.In)
 	tensor.MatMulInto(dx.Data, grad.Data, l.Weight.Data, n, l.Out, l.In, false)

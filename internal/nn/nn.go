@@ -24,6 +24,13 @@ type Param struct {
 	Data []float32
 	Grad []float32
 
+	// Frozen marks a parameter nobody wants a gradient for (PyTorch's
+	// requires_grad=false): a layer's Backward neither computes nor writes
+	// the Grad of a frozen Param. The flag is sticky, like
+	// BatchNorm2d.UseBatchStats — FreezeExceptBN sets it, Unfreeze clears
+	// it, and a caller that needs full gradients unfreezes first.
+	Frozen bool
+
 	// version counts in-place mutations of Data (see MarkUpdated).
 	version uint64
 }
@@ -43,11 +50,7 @@ func newParam(name string, n int) *Param {
 }
 
 // ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.Grad {
-		p.Grad[i] = 0
-	}
-}
+func (p *Param) ZeroGrad() { clear(p.Grad) }
 
 // Layer is the unit of forward/backward computation.
 //
@@ -55,7 +58,9 @@ func (p *Param) ZeroGrad() {
 // selects training behaviour (for BatchNorm: batch statistics and running-
 // stat updates). Backward consumes the gradient w.r.t. the layer's output
 // and returns the gradient w.r.t. its input, accumulating parameter
-// gradients into Params.
+// gradients into Params — except those of frozen Params, whose Grad a
+// layer never writes (see FreezeExceptBN, which also lets the layer at the
+// graph input return a nil input gradient).
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
@@ -97,6 +102,59 @@ func ZeroGrads(l Layer) {
 	for _, p := range CollectParams(l) {
 		p.ZeroGrad()
 	}
+}
+
+// inputGradSkipper is implemented by the leaf layers whose Backward can
+// skip dX when they sit at the graph input.
+type inputGradSkipper interface{ setNoInputGrad(skip bool) }
+
+func (c *Conv2d) setNoInputGrad(skip bool) { c.noInputGrad = skip }
+func (l *Linear) setNoInputGrad(skip bool) { l.noInputGrad = skip }
+
+// inputLayer returns the layer that consumes the network's input when the
+// tree says so unambiguously: the first layer of nested Sequentials. Any
+// other composite there is returned as is — a block at the input may also
+// feed a shortcut — and is no inputGradSkipper.
+func inputLayer(l Layer) Layer {
+	for {
+		s, ok := l.(*Sequential)
+		if !ok || len(s.layers) == 0 {
+			return l
+		}
+		l = s.layers[0]
+	}
+}
+
+// FreezeExceptBN prepares the tree rooted at l for a backward pass that
+// only BatchNorm γ/β learn from — BN-Opt's: every other parameter is
+// frozen, so conv/linear layers stop computing dW, and the layer at the
+// graph input stops computing a dX nobody reads (Backward on the tree then
+// returns nil). Unfreeze is the inverse.
+func FreezeExceptBN(l Layer) {
+	for _, p := range CollectParams(l) {
+		p.Frozen = true
+	}
+	for _, bn := range BatchNorms(l) {
+		bn.Gamma.Frozen, bn.Beta.Frozen = false, false
+	}
+	if in, ok := inputLayer(l).(inputGradSkipper); ok {
+		in.setNoInputGrad(true)
+	}
+}
+
+// Unfreeze restores full-gradient backward on the tree rooted at l: every
+// parameter learns and Backward returns the input gradient again. Callers
+// that need full gradients from a model an adapter may have armed
+// (train.Train) call it on entry.
+func Unfreeze(l Layer) {
+	for _, p := range CollectParams(l) {
+		p.Frozen = false
+	}
+	Walk(l, func(x Layer) {
+		if in, ok := x.(inputGradSkipper); ok {
+			in.setNoInputGrad(false)
+		}
+	})
 }
 
 // BatchNorms returns every BatchNorm2d in the tree rooted at l, in forward

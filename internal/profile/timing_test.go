@@ -55,18 +55,18 @@ func TestMeasureBreakdownNoAdaptHasNoBackward(t *testing.T) {
 	}
 }
 
-func TestMeasureBreakdownBNOptBackwardDominates(t *testing.T) {
+func TestMeasureBreakdownBNOptBackwardShare(t *testing.T) {
 	r, err := MeasureBreakdown(reproWRN(3), core.BNOpt, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ratio := r.ConvBwOverFw()
-	// The paper measures 2.2–2.5x on its Arm/Volta targets. On this
-	// host the ratio is larger since the packed direct path accelerated
-	// conv forward ~2x while backward still runs the (strip-mined)
-	// im2col kernels — the structural claim is simply that backward
-	// costs clearly more than forward in total.
-	if ratio < 1.0 || ratio > 12.0 {
+	// The paper measures 2.2–2.5x on its Arm/Volta targets. Here BN-Opt's
+	// conv backward is the input gradient alone, run on the forward kernel
+	// (and skipped at the stem), so the ratio sits a little under 1; the
+	// strip-mined lowering it replaced read 6–7. The bounds only reject a
+	// backward that vanished or went back to that.
+	if ratio < 0.3 || ratio > 4.0 {
 		t.Fatalf("conv bw/fw ratio %.2f implausible", ratio)
 	}
 	bwTotal := r.Totals.BwSeconds[nn.KindConv] + r.Totals.BwSeconds[nn.KindBN]

@@ -188,6 +188,38 @@ func PackConvWeights(w []float32, outC, inC, k int) *PackedWeights {
 	return &PackedWeights{Data: data, OutC: outC, InC: inC, K: k}
 }
 
+// RotateConvWeights writes into dst the kernel whose stride-1 forward
+// convolution over dY is the input gradient of the convolution w: each
+// K×K tap rotated by 180° and the in/out channel axes transposed,
+// dst[ic][oc*K*K + r] = w[oc][ic*K*K + (K*K-1-r)]. dst is [inC, outC*K*K]
+// row-major, the layout PackConvWeights and the im2col matmul both take;
+// convolving dY with it at pad K-1-pad yields dX (see Conv2d.Backward).
+func RotateConvWeights(dst, w []float32, outC, inC, k int) {
+	kk := k * k
+	if len(dst) < inC*outC*kk || len(w) < outC*inC*kk {
+		panic("tensor: RotateConvWeights slice too short")
+	}
+	for oc := 0; oc < outC; oc++ {
+		for ic := 0; ic < inC; ic++ {
+			src := w[(oc*inC+ic)*kk:][:kk:kk]
+			out := dst[(ic*outC+oc)*kk:][:kk:kk]
+			for r, v := range src {
+				out[kk-1-r] = v
+			}
+		}
+	}
+}
+
+// PackConvWeightsRotated packs the input-gradient kernel of a [outC,
+// inC*K*K] weight matrix (RotateConvWeights) for the direct kernel. The
+// result convolves outC channels into inC.
+func PackConvWeightsRotated(w []float32, outC, inC, k int) *PackedWeights {
+	rot := GetScratch(inC * outC * k * k)
+	defer PutScratch(rot)
+	RotateConvWeights(rot, w, outC, inC, k)
+	return PackConvWeights(rot, inC, outC, k)
+}
+
 // ConvOffsets builds the per-row input offset table for a packed input of
 // padded geometry [ICB][hp][wp][8]: entry r is the element offset from an
 // output pixel's origin to the input value that row r of the packed

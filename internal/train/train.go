@@ -80,9 +80,12 @@ type Result struct {
 	EpochAccuracy []float64 // training accuracy per epoch
 }
 
-// Train fits the model on SynCIFAR under the configured regime.
+// Train fits the model on SynCIFAR under the configured regime. A model
+// a BN-Opt adapter once armed still carries its frozen flags, so they are
+// cleared first: training needs every gradient, the input's included.
 func Train(m *models.Model, gen *data.Generator, cfg Config) Result {
 	cfg = cfg.withDefaults()
+	nn.Unfreeze(m.Net)
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	optim := opt.NewAdam(m.Params(), cfg.LR)
 	var res Result

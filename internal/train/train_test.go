@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"edgetta/internal/core"
 	"edgetta/internal/data"
 	"edgetta/internal/models"
 	"edgetta/internal/nn"
@@ -48,6 +49,42 @@ func TestRobustRegimeRuns(t *testing.T) {
 	res := Train(m, gen, Config{Regime: Robust, Epochs: 1, TrainSize: 128, BatchSize: 32, Seed: 2, Quiet: true})
 	if len(res.EpochLoss) != 1 || res.EpochLoss[0] <= 0 {
 		t.Fatalf("robust training produced no loss: %v", res.EpochLoss)
+	}
+}
+
+// TestFineTuneAfterBNOptUpdatesWeights: a BN-Opt adapter freezes every
+// non-BN parameter of the model it is handed, and examples hand it the
+// model itself, not a clone. Training that model afterwards must still
+// learn conv and linear weights — and, in the Robust regime, still get the
+// input gradient its adversarial step perturbs along.
+func TestFineTuneAfterBNOptUpdatesWeights(t *testing.T) {
+	m := tinyNet(4)
+	gen := data.NewGenerator(53)
+	a, err := core.New(core.BNOpt, m, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := gen.Batch(rand.New(rand.NewSource(5)), 16)
+	a.Process(x)
+	before := map[string][]float32{}
+	for _, p := range m.Params() {
+		if !p.Frozen && !strings.HasSuffix(p.Name, ".gamma") && !strings.HasSuffix(p.Name, ".beta") {
+			t.Fatalf("%s not frozen by the BN-Opt adapter: the test would prove nothing", p.Name)
+		}
+		before[p.Name] = append([]float32(nil), p.Data...)
+	}
+	Train(m, gen, Config{Regime: Robust, Epochs: 1, TrainSize: 64, BatchSize: 32, Seed: 4, Quiet: true})
+	for _, p := range m.Params() {
+		changed := false
+		for i, v := range p.Data {
+			if v != before[p.Name][i] {
+				changed = true
+				break
+			}
+		}
+		if !changed {
+			t.Errorf("%s did not move during fine-tuning after BN-Opt", p.Name)
+		}
 	}
 }
 
