@@ -2,8 +2,8 @@
 // stateless/stateful corruption traffic against the ttaserve wire API and
 // records a throughput-vs-stream-count curve — the serving-capacity
 // datapoint (how many concurrent adaptation streams a box sustains, and
-// at what latency) that rides next to the kernel benchmarks in the
-// BENCH_*.json baselines.
+// at what latency) for exploring a deployment; numbers of record come from
+// bench/run.sh.
 //
 // With -addr it targets a running server; without it, it self-hosts a
 // server in-process over a loopback listener (same wire path, zero setup)
@@ -18,7 +18,7 @@
 //
 //	ttaload -curve 1,2,4,8 -samples 64            # self-hosted
 //	ttaload -addr http://edge-box:8080 -curve 1,4  # remote ttaserve
-//	ttaload -curve 1,2,4 -out BENCH_9.json         # machine-readable curve
+//	ttaload -curve 1,2,4 -out curve.json           # machine-readable curve
 //	ttaload -chaos 1 -samples 16 -batch 4          # seeded fault-recovery scenario
 //
 // -chaos runs the seeded fault-recovery scenario instead of the curve: a

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -46,7 +47,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	x := tensor.New(2, m.InC, m.InHW, m.InHW)
 	process := func() {
 		t.Helper()
-		if _, err := st.Process(x); err != nil {
+		if _, err := st.ProcessCtx(context.Background(), x); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -68,7 +69,7 @@ func main() {
 			panic(err)
 		}
 		srvErr := make([]float64, nStreams)
-		srvStats := make([]serve.StreamStats, nStreams)
+		srvStats := make([]serve.StreamSnapshot, nStreams)
 		srvStart := time.Now()
 		var wg sync.WaitGroup
 		for i := 0; i < nStreams; i++ {
@@ -86,7 +87,7 @@ func main() {
 					if !ok {
 						break
 					}
-					logits, err := st.Process(x)
+					logits, err := st.ProcessCtx(context.Background(), x)
 					if err != nil {
 						panic(err)
 					}
@@ -98,7 +99,7 @@ func main() {
 					seen += len(labels)
 				}
 				srvErr[i] = 1 - float64(correct)/float64(seen)
-				srvStats[i] = st.Stats()
+				srvStats[i] = st.Snapshot()
 			}(i, st)
 		}
 		wg.Wait()
@@ -118,7 +119,7 @@ func main() {
 				srvStats[i].E2E.P50.Round(time.Microsecond),
 				srvStats[i].E2E.P99.Round(time.Microsecond), mark)
 		}
-		g, _ := srv.GroupStats(key)
+		g, _ := srv.GroupSnapshot(key)
 		total := nStreams * samples
 		fmt.Printf("\nsequential: %v (%.1f img/s)   served: %v (%.1f img/s)\n",
 			seqWall.Round(time.Millisecond), float64(total)/seqWall.Seconds(),

@@ -42,8 +42,11 @@ var determinism = &Analyzer{
 // internal/telemetry is included so its exposition stays deterministic
 // (no ranged-over maps, no shared rand) — but clock reads are sanctioned
 // there, and only there: telemetry owns the trace clock on behalf of the
-// instrumented packages.
-var determinismScope = []string{"internal/tensor", "internal/nn", "internal/parallel", "internal/data", "internal/telemetry"}
+// instrumented packages. internal/serve/lifecycle is included because the
+// stream cursor is a pure transition function — the reference model the
+// serving shell is checked against — so "no clocks, no goroutines, no map
+// order" is its contract too.
+var determinismScope = []string{"internal/tensor", "internal/nn", "internal/parallel", "internal/data", "internal/telemetry", "internal/serve/lifecycle"}
 
 func runDeterminism(p *Pass) {
 	path := p.Pkg.ImportPath

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestAdmitShedOverloadProperties(t *testing.T) {
 	x := tensor.New(batch, base.InC, base.InHW, base.InHW)
 	chans := make([]<-chan Response, 0, sent)
 	for i := 0; i < sent; i++ {
-		chans = append(chans, st.Submit(x))
+		chans = append(chans, st.SubmitCtx(context.Background(), x))
 	}
 
 	var served, shed int
@@ -109,7 +110,7 @@ func TestAdmitShedOutputsStayCorrect(t *testing.T) {
 
 	chans := make([]<-chan Response, len(inputs))
 	for i, x := range inputs {
-		chans[i] = st.Submit(x)
+		chans[i] = st.SubmitCtx(context.Background(), x)
 	}
 	var accepted []*tensor.Tensor
 	var got [][]float32

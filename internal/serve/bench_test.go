@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func BenchmarkServeMultiStream(b *testing.B) {
 						if !ok {
 							return
 						}
-						if _, err := st.Process(x); err != nil {
+						if _, err := st.ProcessCtx(context.Background(), x); err != nil {
 							b.Error(err)
 							return
 						}
@@ -125,7 +126,7 @@ func BenchmarkServeMultiStream(b *testing.B) {
 						if !ok {
 							return
 						}
-						if _, err := st.Process(x); err != nil {
+						if _, err := st.ProcessCtx(context.Background(), x); err != nil {
 							b.Error(err)
 							return
 						}
@@ -162,7 +163,7 @@ func BenchmarkServeMultiStream(b *testing.B) {
 						if !ok {
 							return
 						}
-						if _, err := st.Process(x); err != nil {
+						if _, err := st.ProcessCtx(context.Background(), x); err != nil {
 							b.Error(err)
 							return
 						}

@@ -204,52 +204,6 @@ func (g *group) resumeState(e *ckptEntry) (core.AdapterState, uint64, error) {
 	return state, h.Seq, nil
 }
 
-// openSession opens (or resumes) the named stream in the group.
-func (g *group) openSession(name string) (*Stream, bool, error) {
-	var resume *ckptEntry
-	if g.store != nil && g.stateful {
-		resume = g.store.get(name)
-	}
-	var state core.AdapterState
-	var seq uint64
-	if resume != nil {
-		var err error
-		state, seq, err = g.resumeState(resume)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return nil, false, ErrClosed
-	}
-	if _, dup := g.names[name]; dup {
-		return nil, false, errBadRequest("%s: session %q already open", g.key, name)
-	}
-	st := &streamState{id: g.nextStreamID, name: name}
-	g.nextStreamID++
-	if g.stateful {
-		st.state = g.initial
-		if state != nil {
-			// Resume: the stream continues exactly where the checkpoint
-			// left it — state and sequence position. Batches the client
-			// submitted after the checkpoint get CodeSequence/ExpectSeq
-			// telling it where to rewind to.
-			st.state = state
-			st.appliedSeq = seq
-			st.enqSeq = seq
-		}
-	}
-	g.streams[st.id] = st
-	g.names[name] = st
-	if g.met != nil {
-		g.met.openStreams.Set(int64(len(g.streams)))
-	}
-	return &Stream{g: g, st: st}, state != nil, nil
-}
-
 // OpenSession opens a named, recoverable stream in the group. If the
 // server's checkpoint store holds a checkpoint for the name (written by a
 // previous stream of this name, possibly in a previous process when
@@ -261,17 +215,11 @@ func (s *Server) OpenSession(key GroupKey, name string) (*Stream, bool, error) {
 	if name == "" {
 		return nil, false, errBadRequest("empty session name")
 	}
-	s.mu.Lock()
-	g, ok := s.groups[key]
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return nil, false, ErrClosed
+	g, err := s.group(key)
+	if err != nil {
+		return nil, false, err
 	}
-	if !ok {
-		return nil, false, errNoGroup(key)
-	}
-	return g.openSession(name)
+	return g.open(name)
 }
 
 // ResumeSession reopens a checkpointed session by name alone, deriving the
@@ -281,16 +229,15 @@ func (s *Server) OpenSession(key GroupKey, name string) (*Stream, bool, error) {
 // checkpoint exists or its group is not registered.
 func (s *Server) ResumeSession(name string) (*Stream, error) {
 	s.mu.Lock()
-	store := s.store
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
 		return nil, ErrClosed
 	}
-	if store == nil {
+	if s.store == nil {
 		return nil, &Error{Code: CodeNoGroup, Msg: "serve: checkpointing disabled, cannot resume sessions"}
 	}
-	e := store.get(name)
+	e := s.store.get(name)
 	if e == nil {
 		return nil, &Error{Code: CodeNoGroup, Msg: fmt.Sprintf("no checkpoint for session %q", name)}
 	}
@@ -315,11 +262,8 @@ func (s *Server) ResumeSession(name string) (*Stream, error) {
 // CheckpointedSessions lists the session names with a stored checkpoint —
 // operational introspection for the recovery path.
 func (s *Server) CheckpointedSessions() []string {
-	s.mu.Lock()
-	store := s.store
-	s.mu.Unlock()
-	if store == nil {
+	if s.store == nil {
 		return nil
 	}
-	return store.names()
+	return s.store.names()
 }

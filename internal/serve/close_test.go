@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -34,13 +35,13 @@ func TestStreamCloseUnderLoadDrains(t *testing.T) {
 	// racer's must either be served in full or rejected cleanly.
 	chans := make([]<-chan Response, len(inputs))
 	for i, x := range inputs {
-		chans[i] = st.Submit(x)
+		chans[i] = st.SubmitCtx(context.Background(), x)
 	}
 	racerDone := make(chan []<-chan Response, 1)
 	go func() {
 		var extra []<-chan Response
 		for i := 0; i < 20; i++ {
-			extra = append(extra, st.Submit(inputs[i%len(inputs)]))
+			extra = append(extra, st.SubmitCtx(context.Background(), inputs[i%len(inputs)]))
 		}
 		racerDone <- extra
 	}()
@@ -58,7 +59,7 @@ func TestStreamCloseUnderLoadDrains(t *testing.T) {
 	if s.QueueDepth != 0 || s.PendingImages != 0 {
 		t.Errorf("work left after Close: depth %d, images %d", s.QueueDepth, s.PendingImages)
 	}
-	if _, err := st.Process(inputs[0]); !errors.Is(err, ErrStreamClosed) {
+	if _, err := st.ProcessCtx(context.Background(), inputs[0]); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("submit after Close: err = %v, want ErrStreamClosed", err)
 	}
 
@@ -112,7 +113,7 @@ func TestStreamCloseConcurrentStreams(t *testing.T) {
 			defer wg.Done()
 			var chans []<-chan Response
 			for _, x := range inputs[i] {
-				chans = append(chans, st.Submit(x))
+				chans = append(chans, st.SubmitCtx(context.Background(), x))
 			}
 			st.Close() // while its pipeline is still in flight
 			for _, ch := range chans {

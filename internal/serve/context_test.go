@@ -56,7 +56,7 @@ func TestSubmitCtxCanceledWhileQueued(t *testing.T) {
 	stB, _ := srv.OpenStream(key)
 
 	slow := tensor.New(48, base.InC, base.InHW, base.InHW)
-	chA := stA.Submit(slow)
+	chA := stA.SubmitCtx(context.Background(), slow)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	chB := stB.SubmitCtx(ctx, tensor.New(2, base.InC, base.InHW, base.InHW))
@@ -100,8 +100,8 @@ func TestSubmitCtxDeadlineWhileBlocked(t *testing.T) {
 	// r1 occupies the replica for far longer than the deadline; r2 fills
 	// the queue (cap 1); the deadlined submit blocks on admission.
 	slow := tensor.New(48, base.InC, base.InHW, base.InHW)
-	chA1 := stA.Submit(slow)
-	chA2 := stA.Submit(slow)
+	chA1 := stA.SubmitCtx(context.Background(), slow)
+	chA2 := stA.SubmitCtx(context.Background(), slow)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()

@@ -103,7 +103,8 @@ type Error struct {
 	// at rejection time.
 	QueueDepth int
 	// ExpectSeq, for CodeSequence, is the sequence number the stream will
-	// accept next (last applied + 1); a recovering client rewinds to it.
+	// accept next (last admitted + 1: positions already queued or in flight
+	// are taken); a recovering client rewinds to it.
 	ExpectSeq uint64
 	// Cause, when non-nil, is the underlying error (the context error for
 	// CodeDeadline/CodeCanceled); Unwrap exposes it to errors.Is.
@@ -185,9 +186,11 @@ func errSequence(key GroupKey, got, expect uint64) *Error {
 	}
 }
 
-// errCtx converts a context error observed while a request was queued (or
-// blocked on admission) into the typed taxonomy, preserving the cause.
-func errCtx(cause error) *Error {
+// ctxErr converts the error of a request context that expired while the
+// request was queued (or blocked on admission) into the typed taxonomy,
+// preserving the cause.
+func ctxErr(ctx context.Context) *Error {
+	cause := context.Cause(ctx)
 	code := CodeCanceled
 	if errors.Is(cause, context.DeadlineExceeded) {
 		code = CodeDeadline

@@ -65,8 +65,10 @@ type computeResult struct {
 	// state is the stream's post-batch adaptation state (stateful groups);
 	// the worker commits it only on success, so a fault never half-applies.
 	state core.AdapterState
-	// resets counts numeric-guard source resets performed for this batch.
+	// resets counts numeric-guard source resets performed for this batch;
+	// images the batch's image total.
 	resets   int
+	images   int
 	panicked any
 }
 
@@ -153,7 +155,7 @@ func (g *group) compute(r *replica, reqs []*request, prev core.AdapterState, don
 		x = tensor.FromSlice(buf, n, g.inC, g.inHW, g.inHW)
 	}
 
-	res := computeResult{}
+	res := computeResult{images: n}
 	if g.stateful {
 		sa := r.adapter.(core.Stateful)
 		sa.RestoreState(prev)
@@ -162,7 +164,7 @@ func (g *group) compute(r *replica, reqs []*request, prev core.AdapterState, don
 		if fault.Kind == FaultPoison {
 			res.state = poisonState(res.state)
 		}
-		if !g.cfg.DisableNumericGuard && !core.StateFinite(res.state) {
+		if !core.StateFinite(res.state) {
 			// Numeric-health guard: adaptation diverged (NaN/Inf in the BN
 			// tensors or optimizer moments). Serving from a poisoned state
 			// would corrupt every later batch of the stream, so hard-reset
@@ -209,13 +211,13 @@ func poisonState(s core.AdapterState) core.AdapterState {
 // quarantine takes a faulted replica out of service: drop it from the pool,
 // fail its in-flight requests (and the stream's queued requests — see
 // below) with ErrReplicaFault, record the fault for health reporting and
-// recovery-latency tracking, and start a background respawn.
+// recovery-latency tracking, and start a background respawn. It is the one
+// fault path: the worker's last-resort barrier calls it with no requests.
 func (g *group) quarantine(r *replica, reqs []*request, reason string) {
 	now := time.Now()
 	g.mu.Lock()
 	g.dropReplicaLocked(r)
-	g.active--
-	g.faults++
+	g.met.faults.Inc()
 	g.quarantinedIDs = append(g.quarantinedIDs, r.id)
 	if len(g.quarantinedIDs) > 32 {
 		g.quarantinedIDs = g.quarantinedIDs[len(g.quarantinedIDs)-32:]
@@ -225,38 +227,30 @@ func (g *group) quarantine(r *replica, reqs []*request, reason string) {
 	err := errReplicaFault(g.key, r.id, reason, ra)
 
 	victims := append([]*request(nil), reqs...)
-	if g.stateful && len(reqs) > 0 {
-		// The faulted batch did not advance the stream's state, so every
-		// queued request of the stream was admitted against a protocol
-		// position that no longer exists. Fail them too (cascading keeps
-		// per-stream order exact) and roll the sequence reservation back to
-		// the last applied batch, so the client's retry is accepted.
-		st := reqs[0].st
-		st.inflight = false
-		victims = append(victims, g.cascadeLocked(st, 0, true)...)
-		st.enqSeq = st.appliedSeq
+	if len(reqs) > 0 { // the worker's barrier arrives holding no dispatch
+		g.active--
+	}
+	for _, q := range reqs {
+		if g.stateful {
+			// The faulted batch did not advance the stream's state, so every
+			// queued request of the stream was admitted against a protocol
+			// position that no longer exists. The cursor cuts them too
+			// (cascading keeps per-stream order exact) and rolls the
+			// sequence reservation back to the last applied batch, so the
+			// client's retry is accepted.
+			cut := q.st.cur.Fault()
+			victims = append(victims, g.removeQueuedLocked(func(o *request) bool { return o.st == q.st && cut.Kills(o.seq) })...)
+		} else {
+			q.st.cur.Drop()
+		}
 	}
 	// Fail-fast requests queued by streams that are closing: their Close is
-	// draining on st.pending, and with a replica down it must not wait out
+	// draining on the cursor, and with a replica down it must not wait out
 	// the respawn for a response the owner will never read.
-	victims = append(victims, g.closedStreamQueuedLocked()...)
-	for _, q := range victims {
-		q.st.pending--
-	}
+	victims = append(victims, g.removeQueuedLocked(func(q *request) bool { return q.st.cur.Closing() })...)
 
-	g.respawning++
-	if g.met != nil {
-		g.met.faults.Inc()
-		g.met.respawning.Set(int64(g.respawning))
-	}
-	g.updateQueueGauges()
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		defer g.recoverBarrier("respawn")
-		g.respawn()
-	}()
-	g.cond.Broadcast()
+	g.met.respawning.Add(1)
+	g.spawn("respawn", g.respawn)
 	g.mu.Unlock()
 
 	if tr := telemetry.ActiveTracer(); tr != nil {
@@ -269,69 +263,22 @@ func (g *group) quarantine(r *replica, reqs []*request, reason string) {
 	}
 }
 
-// cascadeLocked removes queued requests of st from the pending queue:
-// every one when all is set, otherwise those with sequence numbers above
-// minSeq. It returns the removed requests for the caller to fail outside
-// the lock; the caller settles st.pending and sequence accounting.
-func (g *group) cascadeLocked(st *streamState, minSeq uint64, all bool) []*request {
-	var victims []*request
-	keep := g.pending[:0]
-	for _, q := range g.pending {
-		if q.st == st && (all || q.seq > minSeq) {
-			g.dequeueLocked(q)
-			g.pendingImages -= q.n
-			victims = append(victims, q)
-		} else {
-			keep = append(keep, q)
-		}
-	}
-	g.pending = keep
-	return victims
-}
-
-// closedStreamQueuedLocked removes every queued request whose stream is
-// closing, for fail-fast delivery during a fault. The caller settles
-// st.pending for each.
-func (g *group) closedStreamQueuedLocked() []*request {
-	var victims []*request
-	keep := g.pending[:0]
-	for _, q := range g.pending {
-		if q.st.closed {
-			g.dequeueLocked(q)
-			g.pendingImages -= q.n
-			victims = append(victims, q)
-		} else {
-			keep = append(keep, q)
-		}
-	}
-	g.pending = keep
-	return victims
-}
-
 // respawn replaces a quarantined replica: clone the pristine template
 // (outside any lock — it is the expensive part), build a fresh adapter and
 // start its worker. Runs in the background so quarantine never blocks on a
 // model clone. A closed group skips the spawn unless requests are still
 // draining — then the fresh worker is what drains them.
 func (g *group) respawn() {
-	a, err := core.New(g.algo, g.template.Clone(), g.acfg)
+	a, err := g.newAdapter()
 	g.mu.Lock()
-	g.respawning--
-	if g.met != nil {
-		g.met.respawning.Set(int64(g.respawning))
-	}
+	g.met.respawning.Add(-1)
 	if err != nil || (g.closed && len(g.pending) == 0) {
 		g.mu.Unlock()
 		return
 	}
-	g.respawns++
-	if g.met != nil {
-		g.met.respawns.Inc()
-	}
-	r := &replica{id: g.nextReplicaID, adapter: a}
-	g.nextReplicaID++
+	g.met.respawns.Inc()
 	g.mu.Unlock()
-	g.startReplica(r)
+	g.startReplica(a)
 }
 
 // recoverBarrier is the last-resort recover path for the group's
@@ -352,34 +299,11 @@ func (g *group) recoverBarrier(op string) {
 
 // recoverWorker is the worker goroutine's last-resort barrier: a panic
 // outside the supervised compute path (take/commit — a bug, not a replica
-// fault) still removes the replica from the pool so the group keeps an
-// accurate view, and respawns a replacement. Best-effort: requests the
-// panicking frame held are not recoverable here.
+// fault) still quarantines the replica, so the group keeps an accurate view
+// and respawns a replacement. Best-effort: requests the panicking frame
+// held are not recoverable here.
 func (g *group) recoverWorker(r *replica) {
-	p := recover()
-	if p == nil {
-		return
-	}
-	g.mu.Lock()
-	g.dropReplicaLocked(r)
-	g.faults++
-	g.quarantinedIDs = append(g.quarantinedIDs, r.id)
-	g.respawning++
-	if g.met != nil {
-		g.met.faults.Inc()
-		g.met.respawning.Set(int64(g.respawning))
-	}
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		defer g.recoverBarrier("respawn")
-		g.respawn()
-	}()
-	g.cond.Broadcast()
-	g.mu.Unlock()
-	if tr := telemetry.ActiveTracer(); tr != nil {
-		tr.Instant("serve", "internal_panic:"+g.key.String(), r.id,
-			telemetry.Arg{Key: "op", Value: "worker"},
-			telemetry.Arg{Key: "panic", Value: fmt.Sprint(p)})
+	if p := recover(); p != nil {
+		g.quarantine(r, nil, fmt.Sprintf("worker panic: %v", p))
 	}
 }

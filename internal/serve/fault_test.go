@@ -209,7 +209,7 @@ func TestNumericGuardResetsPoisonedState(t *testing.T) {
 
 	var got [][]float32
 	for b, x := range inputs {
-		logits, err := st.Process(x)
+		logits, err := st.ProcessCtx(context.Background(), x)
 		if err != nil {
 			t.Fatalf("batch %d: %v (a numeric reset must not fail the request)", b, err)
 		}
@@ -457,9 +457,9 @@ func TestCloseDrainFailFastOnFault(t *testing.T) {
 
 	// A's request occupies the only replica (held at the injection gate);
 	// B's request queues behind it.
-	chA := stA.Submit(x)
+	chA := stA.SubmitCtx(context.Background(), x)
 	<-inj.entered
-	chB := stB.Submit(x)
+	chB := stB.SubmitCtx(context.Background(), x)
 
 	// B starts closing: drain-then-release blocks on its queued request.
 	closeDone := make(chan struct{})
@@ -471,7 +471,7 @@ func TestCloseDrainFailFastOnFault(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		g.mu.Lock()
-		closing := stB.st.closed
+		closing := stB.st.cur.Closing()
 		g.mu.Unlock()
 		if closing {
 			break
@@ -504,7 +504,7 @@ func TestCloseDrainFailFastOnFault(t *testing.T) {
 	}
 
 	// The respawned replica serves A's retry.
-	chA2 := stA.Submit(x)
+	chA2 := stA.SubmitCtx(context.Background(), x)
 	select {
 	case <-inj.entered:
 	case <-time.After(10 * time.Second):
@@ -513,6 +513,65 @@ func TestCloseDrainFailFastOnFault(t *testing.T) {
 	inj.release <- Fault{}
 	if r := <-chA2; r.Err != nil {
 		t.Fatalf("retry after respawn: %v", r.Err)
+	}
+}
+
+// TestWorkerBarrierRecoveryIsAQuarantine pins the one fault path: a panic
+// on the worker goroutine outside the supervised compute (here a queued
+// request whose context watcher panics when take deregisters it) is
+// recovered by the worker's last-resort barrier, and that recovery is a
+// quarantine like any other — counted, capped in the health history, and
+// starting the recovery clock. Each respawned worker is fed another
+// poisoned request: a flapping worker.
+func TestWorkerBarrierRecoveryIsAQuarantine(t *testing.T) {
+	base := testModel()
+	x := genBatches(29, 4, 4, data.Contrast, 3)[0]
+	srv := New(Config{})
+	defer srv.Close()
+	key, err := srv.AddGroup(base, core.NoAdapt, core.Config{}, 1)
+	if err != nil {
+		t.Fatalf("AddGroup: %v", err)
+	}
+	g := srvGroup(srv, key)
+	const recoveries = 40
+	for i := 1; i <= recoveries; i++ {
+		g.mu.Lock()
+		g.pending = append(g.pending, &request{st: &streamState{}, queued: true,
+			stopCancel: func() bool { panic("poisoned request") }})
+		g.cond.Broadcast()
+		g.mu.Unlock()
+		if s := pollSnapshot(t, srv, key, func(s GroupSnapshot) bool {
+			return s.Faults >= i && s.Respawning == 0 && s.Replicas == 1
+		}); s.Faults < i {
+			t.Fatalf("poisoned request %d: Faults = %d, the worker's barrier did not quarantine it", i, s.Faults)
+		}
+	}
+	g.mu.Lock()
+	g.pending = nil
+	started, live, faults := g.nextReplicaID, len(g.replicas), int(g.met.faults.Value())
+	g.mu.Unlock()
+	if faults < recoveries || faults != started-live {
+		t.Errorf("Faults = %d, want %d (>= %d): every started replica but the %d live ones was quarantined", faults, started-live, recoveries, live)
+	}
+	s, _ := srv.GroupSnapshot(key)
+	if len(s.QuarantinedIDs) > 32 {
+		t.Errorf("QuarantinedIDs holds %d entries, want the 32-entry cap", len(s.QuarantinedIDs))
+	}
+	if s.Recovery.Count != 0 {
+		t.Fatalf("Recovery.Count = %d before anything was served", s.Recovery.Count)
+	}
+
+	st, err := srv.OpenStream(key)
+	if err != nil {
+		t.Fatalf("OpenStream: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := st.ProcessCtx(ctx, x); err != nil {
+		t.Fatalf("first batch after the flapping stopped: %v", err)
+	}
+	if s, _ := srv.GroupSnapshot(key); s.Recovery.Count < 1 {
+		t.Errorf("Recovery.Count = %d after a served batch, want >= 1 (a worker-path fault must start the recovery clock)", s.Recovery.Count)
 	}
 }
 
@@ -603,7 +662,7 @@ func TestFaultChurnRaces(t *testing.T) {
 				// quarantines and the autoscaler.
 				if i < 2 && b == batches/2 {
 					st.Close()
-					if _, err := st.Process(x); !errors.Is(err, ErrStreamClosed) {
+					if _, err := st.ProcessCtx(context.Background(), x); !errors.Is(err, ErrStreamClosed) {
 						t.Errorf("stream %d: post-Close err = %v, want ErrStreamClosed", i, err)
 					}
 					return

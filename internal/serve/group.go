@@ -2,18 +2,22 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
 	"edgetta/internal/core"
 	"edgetta/internal/models"
+	"edgetta/internal/serve/lifecycle"
 	"edgetta/internal/telemetry"
 	"edgetta/internal/tensor"
 )
 
-// groupMetrics is a group's registered telemetry handles, nil when the
-// server was built without a Registry — every update site is a single nil
-// check in that case.
+// groupMetrics is a group's registered telemetry handles — the one store
+// of its lifetime counts: the dispatch path updates them under g.mu and
+// snapshot() reads them back under g.mu, so there is no second copy to keep
+// in step. A server built without Config.Registry registers them into a
+// private registry nobody scrapes.
 type groupMetrics struct {
 	queueDepth    *telemetry.Gauge   // current pending requests
 	pendingImages *telemetry.Gauge   // image total of the pending queue
@@ -70,39 +74,21 @@ type replica struct {
 // streamState is the server-side record of one open stream.
 type streamState struct {
 	id int
-	// state is the stream's adaptation state between requests (stateful
-	// groups only). It is accessed only by the worker currently holding
-	// the stream's single in-flight request, or — between requests — under
-	// the group mutex via the inflight gate, so it needs no lock of its own.
-	// Stream.Close nils it only after the stream's last admitted request
-	// has drained (pending == 0), never while a worker may still read it.
-	state core.AdapterState
-	// inflight marks that a worker is processing a request of this stream
-	// (stateful groups serialize per-stream requests through it).
-	inflight bool
-	// pending counts the stream's admitted-but-undelivered requests:
-	// queued plus dispatched. Close waits for it to reach zero before
-	// releasing state (drain-then-release).
-	pending int
-	closed  bool
-
 	// name is the session name for named (recoverable) streams, "" for
 	// anonymous ones. Named stateful streams are checkpointed every
 	// Checkpoint.Every applied batches.
 	name string
-
-	// Sequenced-submit accounting (guarded by the group mutex).
-	// appliedSeq is the highest sequence number whose batch has been
-	// applied to the stream's state; enqSeq the highest admitted one
-	// (reserved positions, rolled back on fault/cancel). cachedSeq/cached
-	// hold the last applied sequenced response for idempotent replay.
-	appliedSeq uint64
-	enqSeq     uint64
-	cachedSeq  uint64
-	cached     Response
-	// applied counts batches applied since the stream opened (or resumed),
-	// driving the checkpoint cadence.
-	applied int
+	// cur decides the stream's lifecycle: sequence gate, in-flight gate,
+	// close-drain, replay and checkpoint cadence. Guarded by the group
+	// mutex; the shell feeds it events and acts on its verdicts, and never
+	// does arithmetic of its own on what it holds.
+	cur lifecycle.Cursor[Response]
+	// state is the stream's adaptation state between requests (stateful
+	// groups only). It is accessed only by the worker whose dispatch holds
+	// the cursor's in-flight gate, or under the group mutex between
+	// requests, so it needs no lock of its own. Stream.Close nils it only
+	// after the cursor reports drained, never while a worker may read it.
+	state core.AdapterState
 
 	// per-stream metrics, guarded by the group mutex.
 	requests int
@@ -116,11 +102,14 @@ type request struct {
 	ctx context.Context
 	x   *tensor.Tensor
 	n   int // images
-	// seq is the request's sequence number (0 = unsequenced). A sequenced
-	// stateful request dispatches only at its protocol position
-	// (st.appliedSeq + 1), no matter where it sits in the queue.
+	// seq is the request's sequence number (0 = unsequenced); the stream's
+	// cursor dispatches a sequenced request only at its protocol position,
+	// no matter where it sits in the queue.
 	seq uint64
-	enq time.Time
+	// checkpoint is the cursor's dispatch-time answer: this batch, once
+	// applied, is on the stream's checkpoint cadence.
+	checkpoint bool
+	enq        time.Time
 	// queued is true while the request sits in g.pending (guarded by
 	// g.mu). Exactly one of the dispatcher and the cancellation watcher
 	// flips it, so exactly one of them delivers the response.
@@ -152,13 +141,13 @@ type group struct {
 	stateful bool
 	initial  core.AdapterState
 
-	// template is a pristine clone the autoscaler grows new replicas
-	// from; algo and acfg rebuild their adapters.
+	// template is the pristine clone every replica is built from; algo and
+	// acfg build their adapters.
 	template *models.Model
 	algo     core.Algorithm
 	acfg     core.Config
 
-	inC, inHW, classes int
+	inC, inHW int
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -186,28 +175,16 @@ type group struct {
 	store        *ckptStore
 	initialShape map[string]int
 
-	// aggregate metrics.
-	batches      int // Process calls
-	requests     int
-	images       int
-	coalesced    int // requests that shared a Process call with others
+	// met holds the lifetime counts and live gauges; the plain fields below
+	// are the figures that have no registered metric.
+	met          *groupMetrics
 	maxCoalesced int
-	shed         int // rejected at admission (AdmitShed)
-	canceled     int // canceled while queued
 	scaleUps     int
 	scaleDowns   int
-	// fault-domain accounting: faults counts replica quarantines,
-	// respawning the replacements still being cloned, respawns the
-	// completed ones; quarantinedIDs keeps the recent quarantined replica
-	// IDs for the health snapshot. numericResets counts numeric-guard
-	// source resets; ckptWrites/ckptFailures the checkpoint outcomes.
-	faults         int
-	respawning     int
-	respawns       int
+	ckptWrites   int
+	// quarantinedIDs keeps the recent quarantined replica IDs for the
+	// health snapshot.
 	quarantinedIDs []int
-	numericResets  int
-	ckptWrites     int
-	ckptFailures   int
 	// lastFaultAt, when set, starts the fault→first-served recovery clock;
 	// the next successful commit observes it into recoveryHist.
 	lastFaultAt  time.Time
@@ -223,25 +200,53 @@ type group struct {
 	upStreak, downStreak int
 	stopScale            chan struct{}
 	wg                   sync.WaitGroup
-
-	// met holds the group's registry handles; nil when the server was
-	// configured without a telemetry registry.
-	met *groupMetrics
 }
 
-func (g *group) openStream() *Stream {
+// open adds a stream to the group. An empty name opens an anonymous
+// stream; a named session must be unique among the open ones and, when the
+// checkpoint store holds its name, resumes from that checkpoint (reported
+// by the second result).
+func (g *group) open(name string) (*Stream, bool, error) {
+	var state core.AdapterState
+	var seq uint64
+	every := 0
+	if name != "" && g.stateful && g.store != nil {
+		every = g.cfg.Checkpoint.Every
+		if e := g.store.get(name); e != nil {
+			var err error
+			if state, seq, err = g.resumeState(e); err != nil {
+				return nil, false, err
+			}
+		}
+	}
+
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := &streamState{id: g.nextStreamID}
+	if g.closed {
+		return nil, false, ErrClosed
+	}
+	if _, dup := g.names[name]; dup {
+		return nil, false, errBadRequest("%s: session %q already open", g.key, name)
+	}
+	st := &streamState{id: g.nextStreamID, name: name, cur: lifecycle.Open[Response](every)}
 	g.nextStreamID++
 	if g.stateful {
 		st.state = g.initial
+		if state != nil {
+			// Resume: the stream continues exactly where the checkpoint
+			// left it — state and sequence position. Batches the client
+			// submitted after the checkpoint get CodeSequence/ExpectSeq
+			// telling it where to rewind to.
+			st.state = state
+			st.cur.Resume(seq)
+		}
 	}
 	g.streams[st.id] = st
-	if g.met != nil {
-		g.met.openStreams.Set(int64(len(g.streams)))
+	if name != "" {
+		g.names[name] = st
 	}
-	return &Stream{g: g, st: st}
+	g.met.openStreams.Set(int64(len(g.streams)))
+	return &Stream{g: g, st: st}, state != nil, nil
 }
 
 // close shuts the group down: new submissions fail, queued requests drain,
@@ -257,29 +262,24 @@ func (g *group) close() {
 }
 
 // closeStream implements Stream.Close's drain-then-release contract: mark
-// the stream closed (later submissions fail with ErrStreamClosed), wait
+// the stream closing (later submissions fail with ErrStreamClosed), wait
 // for every already-admitted request to finish — a queued or in-flight
 // request still references the stream's adaptation state — and only then
 // drop the stream record and release the state.
 func (g *group) closeStream(st *streamState) {
 	g.mu.Lock()
-	if st.closed {
+	if !st.cur.Close() {
 		g.mu.Unlock()
 		return
 	}
-	st.closed = true
 	g.cond.Broadcast() // wake submitters blocked on admission for this stream
-	for st.pending > 0 || st.inflight {
+	for !st.cur.Drained() {
 		g.cond.Wait()
 	}
 	delete(g.streams, st.id)
-	if st.name != "" {
-		delete(g.names, st.name)
-	}
+	delete(g.names, st.name) // no entry for an anonymous stream
 	st.state = nil
-	if g.met != nil {
-		g.met.openStreams.Set(int64(len(g.streams)))
-	}
+	g.met.openStreams.Set(int64(len(g.streams)))
 	g.cond.Broadcast()
 	g.mu.Unlock()
 	// An explicitly closed session ended its episode; its checkpoint is no
@@ -289,13 +289,22 @@ func (g *group) closeStream(st *streamState) {
 	}
 }
 
-// startReplica adds r to the pool and spawns its worker.
-func (g *group) startReplica(r *replica) {
+// newAdapter builds what a replica runs: a deep clone of the pristine
+// template — byte-identical to every other replica at its frozen weights,
+// so stream state restores cleanly onto it — wrapped in a fresh adapter.
+// The clone is the expensive part; callers hold no lock.
+func (g *group) newAdapter() (core.Adapter, error) {
+	return core.New(g.algo, g.template.Clone(), g.acfg)
+}
+
+// startReplica adds a replica running a to the pool under the next replica
+// id and spawns its worker.
+func (g *group) startReplica(a core.Adapter) {
 	g.mu.Lock()
+	r := &replica{id: g.nextReplicaID, adapter: a}
+	g.nextReplicaID++
 	g.replicas = append(g.replicas, r)
-	if g.met != nil {
-		g.met.replicas.Set(int64(len(g.replicas) - g.retire))
-	}
+	g.met.replicas.Set(int64(len(g.replicas) - g.retire))
 	g.mu.Unlock()
 	g.wg.Add(1)
 	go func() {
@@ -305,18 +314,22 @@ func (g *group) startReplica(r *replica) {
 	}()
 }
 
+// spawn runs fn on a housekeeping goroutine the group waits for at Close,
+// behind the last-resort recover barrier.
+func (g *group) spawn(op string, fn func()) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		defer g.recoverBarrier(op)
+		fn()
+	}()
+}
+
 // dropReplicaLocked removes r from the pool; the caller holds g.mu and r's
 // worker is about to exit.
 func (g *group) dropReplicaLocked(r *replica) {
-	for i, x := range g.replicas {
-		if x == r {
-			g.replicas = append(g.replicas[:i], g.replicas[i+1:]...)
-			break
-		}
-	}
-	if g.met != nil {
-		g.met.replicas.Set(int64(len(g.replicas) - g.retire))
-	}
+	g.replicas = slices.DeleteFunc(g.replicas, func(x *replica) bool { return x == r })
+	g.met.replicas.Set(int64(len(g.replicas) - g.retire))
 }
 
 // retryAfterLocked suggests a client backoff for a shed rejection: the
@@ -377,60 +390,72 @@ func (g *group) submit(ctx context.Context, st *streamState, x *tensor.Tensor, s
 	req := &request{st: st, ctx: ctx, x: x, n: x.Dim(0), seq: seq, enq: time.Now(), resp: resp}
 
 	g.mu.Lock()
-	if seq > 0 {
-		done, err := g.sequenceGateLocked(ctx, st, seq, resp)
-		if err != nil {
-			g.mu.Unlock()
-			return fail(err)
+	err := g.admitLocked(req)
+	g.mu.Unlock()
+	if err != nil {
+		return fail(err)
+	}
+	return resp
+}
+
+// admitLocked takes req through the stream's sequence gate and the group's
+// admission policy and, when both pass, onto the queue. A replayed
+// duplicate is answered here. On an error after the cursor reserved req's
+// position, the reservation is rolled back, failing the queued requests
+// that strands.
+func (g *group) admitLocked(req *request) error {
+	st, ctx := req.st, req.ctx
+	var verdict lifecycle.Verdict
+	var expect uint64
+	// A duplicate of an admitted position waits for the original to
+	// settle: committed, it replays; faulted, this submit takes over.
+	g.waitLocked(ctx, func() bool {
+		if g.closed {
+			return false
 		}
-		if done {
-			g.mu.Unlock()
-			return resp
+		verdict, expect = st.cur.Submit(req.seq)
+		return verdict == lifecycle.Wait
+	})
+	switch {
+	case st.cur.Closing():
+		return ErrStreamClosed
+	case g.closed:
+		return ErrClosed
+	case verdict == lifecycle.Wait: // only the context expired
+		return ctxErr(ctx)
+	case verdict == lifecycle.Gap:
+		return errSequence(g.key, req.seq, expect)
+	case verdict == lifecycle.Replay:
+		// The batch was applied but its response was lost (a connection
+		// can drop between apply and read): serve the cached response
+		// without re-adapting.
+		req.resp <- st.cur.Replayed()
+		return nil
+	}
+
+	full := func() bool { return len(g.pending) >= g.cfg.QueueCap && !g.closed && !st.cur.Closing() }
+	var err error
+	if full() && g.cfg.Admission == AdmitShed {
+		g.met.shed.Inc()
+		err = errOverloaded(g.key, len(g.pending), g.retryAfterLocked(len(g.pending)))
+	} else {
+		g.waitLocked(ctx, full) // AdmitBlock: wait for space
+		switch {
+		case st.cur.Closing():
+			err = ErrStreamClosed
+		case g.closed:
+			err = ErrClosed
+		case full(): // only the context expired
+			err = ctxErr(ctx)
 		}
 	}
-	if len(g.pending) >= g.cfg.QueueCap && !g.closed && !st.closed {
-		if g.cfg.Admission == AdmitShed {
-			depth := len(g.pending)
-			ra := g.retryAfterLocked(depth)
-			g.shed++
-			if g.met != nil {
-				g.met.shed.Inc()
-			}
-			victims := g.releaseSeqLocked(st, seq)
-			g.mu.Unlock()
-			g.failSequenceVictims(victims, seq)
-			return fail(errOverloaded(g.key, depth, ra))
-		}
-		// AdmitBlock: wait for space, waking on context expiry too. The
-		// watcher only broadcasts — the wait condition re-checks ctx.
-		stop := context.AfterFunc(ctx, func() {
-			g.mu.Lock()
-			g.cond.Broadcast()
-			g.mu.Unlock()
-		})
-		for len(g.pending) >= g.cfg.QueueCap && !g.closed && !st.closed && ctx.Err() == nil {
-			g.cond.Wait()
-		}
-		stop()
-		if len(g.pending) >= g.cfg.QueueCap && !g.closed && !st.closed {
-			// Only the context expired.
-			victims := g.releaseSeqLocked(st, seq)
-			g.mu.Unlock()
-			g.failSequenceVictims(victims, seq)
-			return fail(ctxErr(ctx))
-		}
+	if err != nil {
+		g.cutLocked(st, st.cur.AdmissionFailed(req.seq))
+		return err
 	}
-	if g.closed || st.closed {
-		victims := g.releaseSeqLocked(st, seq)
-		g.mu.Unlock()
-		g.failSequenceVictims(victims, seq)
-		if st.closed {
-			return fail(ErrStreamClosed)
-		}
-		return fail(ErrClosed)
-	}
+
 	req.queued = true
-	st.pending++
+	st.cur.Enqueued()
 	g.pending = append(g.pending, req)
 	g.pendingImages += req.n
 	if len(g.pending) > g.queueMax {
@@ -443,93 +468,30 @@ func (g *group) submit(ctx context.Context, st *streamState, x *tensor.Tensor, s
 		req.stopCancel = context.AfterFunc(ctx, func() { g.cancelQueued(req) })
 	}
 	g.cond.Broadcast()
-	g.mu.Unlock()
-	return resp
+	return nil
 }
 
-// sequenceGateLocked enforces the stream's submit protocol for a sequenced
-// request. It returns done=true when the response was already delivered
-// (idempotent replay of the last applied batch), a non-nil error for a
-// protocol violation, or (false, nil) after reserving the stream's next
-// protocol position — the caller proceeds to admission. The caller holds
-// g.mu throughout (the wait for an in-flight duplicate releases it inside
-// cond.Wait).
-func (g *group) sequenceGateLocked(ctx context.Context, st *streamState, seq uint64, resp chan Response) (done bool, err error) {
-	for {
-		if g.closed || st.closed {
-			// Fall through to the standard closed handling in submit.
-			return false, nil
+// waitLocked blocks on the group's condition while blocked() holds, waking
+// on ctx expiry too — the watcher only broadcasts, the loop re-checks ctx.
+// The caller holds g.mu (released inside cond.Wait) and tells "unblocked"
+// from "expired" by its own state afterwards. blocked is never called again
+// once it has returned false, so it may reserve on the way out.
+func (g *group) waitLocked(ctx context.Context, blocked func() bool) {
+	if !blocked() {
+		return
+	}
+	stop := context.AfterFunc(ctx, func() {
+		g.mu.Lock()
+		g.cond.Broadcast()
+		g.mu.Unlock()
+	})
+	for ctx.Err() == nil {
+		g.cond.Wait()
+		if !blocked() {
+			break
 		}
-		if seq <= st.appliedSeq {
-			if seq == st.cachedSeq {
-				// Idempotent replay: the batch was applied but the response
-				// was lost (replica fault after apply never happens, but a
-				// connection can drop between apply and read). Serve the
-				// cached response without re-adapting.
-				resp <- st.cached
-				return true, nil
-			}
-			return false, errSequence(g.key, seq, st.enqSeq+1)
-		}
-		if seq <= st.enqSeq {
-			// The same position is already admitted: an earlier identical
-			// submit is queued or in flight. Wait for it to settle — if it
-			// completes we replay its cached response; if its replica
-			// faults the reservation rolls back and this submit takes over
-			// as the retry.
-			stop := context.AfterFunc(ctx, func() {
-				g.mu.Lock()
-				g.cond.Broadcast()
-				g.mu.Unlock()
-			})
-			for seq > st.appliedSeq && seq <= st.enqSeq && !g.closed && !st.closed && ctx.Err() == nil {
-				g.cond.Wait()
-			}
-			stop()
-			if ctx.Err() != nil && seq > st.appliedSeq && seq <= st.enqSeq {
-				return false, ctxErr(ctx)
-			}
-			continue
-		}
-		if seq != st.enqSeq+1 {
-			return false, errSequence(g.key, seq, st.enqSeq+1)
-		}
-		// Reserve the position before any admission wait, so a concurrent
-		// duplicate of the same seq lands in the wait branch above instead
-		// of being admitted twice.
-		st.enqSeq = seq
-		return false, nil
 	}
-}
-
-// releaseSeqLocked rolls back a sequence reservation whose request never
-// made it into the queue (admission failed): later queued requests of the
-// stream can no longer reach their protocol position, so they are removed
-// for the caller to fail, and the reservation high-water mark returns to
-// just below the failed position — the stream accepts a retry of seq next.
-// No-op for unsequenced requests.
-func (g *group) releaseSeqLocked(st *streamState, seq uint64) []*request {
-	if seq == 0 {
-		return nil
-	}
-	victims := g.cascadeLocked(st, seq, false)
-	for _, q := range victims {
-		q.st.pending--
-	}
-	if st.enqSeq >= seq {
-		st.enqSeq = seq - 1
-	}
-	g.updateQueueGauges()
-	g.cond.Broadcast()
-	return victims
-}
-
-// failSequenceVictims delivers the cascade error to requests stranded by a
-// rolled-back reservation: the stream accepts expect next.
-func (g *group) failSequenceVictims(victims []*request, expect uint64) {
-	for _, q := range victims {
-		q.resp <- Response{Err: errSequence(g.key, q.seq, expect)}
-	}
+	stop()
 }
 
 // cancelQueued removes a still-queued request whose context expired and
@@ -541,36 +503,54 @@ func (g *group) cancelQueued(req *request) {
 		g.mu.Unlock()
 		return
 	}
-	for i, r := range g.pending {
-		if r == req {
-			g.pending = append(g.pending[:i], g.pending[i+1:]...)
-			break
-		}
-	}
+	g.pending = slices.DeleteFunc(g.pending, func(q *request) bool { return q == req })
 	req.queued = false
 	g.pendingImages -= req.n
-	req.st.pending--
-	g.canceled++
-	if g.met != nil {
-		g.met.canceled.Inc()
-	}
+	g.met.canceled.Inc()
 	// A canceled sequenced request leaves a hole in the protocol order;
 	// later queued positions of the stream can never dispatch, so they are
 	// failed too and the reservation rolls back to accept a resubmit.
-	victims := g.releaseSeqLocked(req.st, req.seq)
-	g.updateQueueGauges()
-	g.cond.Broadcast() // queue space freed; Close may be waiting on st.pending
+	g.cutLocked(req.st, req.st.cur.CancelQueued(req.seq))
 	g.mu.Unlock()
-	g.failSequenceVictims(victims, req.seq)
 	req.resp <- Response{Err: ctxErr(req.ctx)}
+}
+
+// cutLocked removes the queued requests of st that cut strands and fails
+// each with the sequence number the stream accepts next. The response
+// channels are buffered, so delivering under the lock never blocks.
+func (g *group) cutLocked(st *streamState, cut lifecycle.Cut) {
+	for _, q := range g.removeQueuedLocked(func(q *request) bool { return q.st == st && cut.Kills(q.seq) }) {
+		q.resp <- Response{Err: errSequence(g.key, q.seq, cut.ExpectSeq)}
+	}
+}
+
+// removeQueuedLocked takes every queued request kill selects off the queue
+// — flipping its queued flag, so a racing cancellation becomes a no-op, and
+// telling its cursor — and returns them for the caller to fail. It
+// publishes the queue's new shape and broadcasts even when nothing matched,
+// on behalf of the event that called it: queue space was freed, a Close may
+// be draining on the cursor, and a rolled-back position may be what a
+// waiting duplicate takes over.
+func (g *group) removeQueuedLocked(kill func(*request) bool) []*request {
+	var victims []*request
+	g.pending = slices.DeleteFunc(g.pending, func(q *request) bool {
+		if !kill(q) {
+			return false
+		}
+		g.dequeueLocked(q)
+		g.pendingImages -= q.n
+		q.st.cur.Drop()
+		victims = append(victims, q)
+		return true
+	})
+	g.updateQueueGauges()
+	g.cond.Broadcast()
+	return victims
 }
 
 // updateQueueGauges publishes the queue's current shape. Callers hold
 // g.mu; the gauge writes are two atomic stores.
 func (g *group) updateQueueGauges() {
-	if g.met == nil {
-		return
-	}
 	g.met.queueDepth.Set(int64(len(g.pending)))
 	g.met.pendingImages.Set(int64(g.pendingImages))
 }
@@ -628,62 +608,62 @@ func (g *group) take(r *replica) []*request {
 			g.cond.Wait()
 			continue
 		}
+		var batch []*request
 		if g.stateful {
-			// Dispatch the oldest request whose stream has nothing in
-			// flight; per-stream order is the adaptation protocol's order.
-			// A sequenced request additionally dispatches only at its
-			// protocol position — queue position is not trusted, since
-			// retries and cascades can reorder the queue.
+			// Dispatch the oldest request its stream's cursor lets go: one
+			// in flight per stream — per-stream order is the adaptation
+			// protocol's order — and a sequenced request only at its
+			// protocol position.
 			for i, req := range g.pending {
-				if !req.st.inflight && (req.seq == 0 || req.seq == req.st.appliedSeq+1) {
-					req.st.inflight = true
-					g.dequeueLocked(req)
+				if ok, ckpt := req.st.cur.Dispatch(req.seq); ok {
+					req.checkpoint = ckpt
+					batch = []*request{req}
 					g.pending = append(g.pending[:i], g.pending[i+1:]...)
-					g.pendingImages -= req.n
-					g.active++
-					g.updateQueueGauges()
-					g.cond.Broadcast() // queue space freed
-					return []*request{req}
+					break
 				}
 			}
-			// Every pending stream is busy on another replica.
-			g.cond.Wait()
-			continue
-		}
-		// Stateless: coalesce. Fire when the batch is full, when lingering
-		// is disabled or expired, or when draining at close.
-		if g.pendingImages < g.cfg.MaxBatch && g.cfg.MaxLinger > 0 && !g.closed {
-			wait := time.Until(g.pending[0].enq.Add(g.cfg.MaxLinger))
-			if wait > 0 {
-				if !g.timerArmed {
-					g.timerArmed = true
-					time.AfterFunc(wait, func() {
-						g.mu.Lock()
-						g.timerArmed = false
-						g.cond.Broadcast()
-						g.mu.Unlock()
-					})
-				}
+			if batch == nil {
+				// Every pending stream is busy on another replica.
 				g.cond.Wait()
 				continue
 			}
-		}
-		var batch []*request
-		taken := 0
-		for len(g.pending) > 0 {
-			req := g.pending[0]
-			if len(batch) > 0 && taken+req.n > g.cfg.MaxBatch {
-				break
+		} else {
+			// Stateless: coalesce. Fire when the batch is full, when lingering
+			// is disabled or expired, or when draining at close.
+			if g.pendingImages < g.cfg.MaxBatch && g.cfg.MaxLinger > 0 && !g.closed {
+				wait := time.Until(g.pending[0].enq.Add(g.cfg.MaxLinger))
+				if wait > 0 {
+					if !g.timerArmed {
+						g.timerArmed = true
+						time.AfterFunc(wait, func() {
+							g.mu.Lock()
+							g.timerArmed = false
+							g.cond.Broadcast()
+							g.mu.Unlock()
+						})
+					}
+					g.cond.Wait()
+					continue
+				}
 			}
+			taken := 0
+			for len(g.pending) > 0 {
+				req := g.pending[0]
+				if len(batch) > 0 && taken+req.n > g.cfg.MaxBatch {
+					break
+				}
+				batch = append(batch, req)
+				taken += req.n
+				g.pending = g.pending[1:]
+				if taken >= g.cfg.MaxBatch {
+					break
+				}
+			}
+		}
+		for _, req := range batch {
 			g.dequeueLocked(req)
-			batch = append(batch, req)
-			taken += req.n
-			g.pending = g.pending[1:]
-			if taken >= g.cfg.MaxBatch {
-				break
-			}
+			g.pendingImages -= req.n
 		}
-		g.pendingImages -= taken
 		g.active++
 		g.updateQueueGauges()
 		g.cond.Broadcast() // queue space freed
@@ -695,30 +675,15 @@ func (g *group) take(r *replica) []*request {
 // new state (and checkpoint it on cadence), update metrics, release the
 // stream's in-flight slot, and deliver the responses.
 func (g *group) commit(r *replica, reqs []*request, res computeResult, start time.Time) {
-	n := 0
-	for _, req := range reqs {
-		n += req.n
-	}
-	logits := res.logits
+	logits, n := res.logits, res.images
 	service := time.Since(start)
 
 	// Checkpoint before releasing the in-flight gate: the gate is what
 	// orders checkpoint writes of one stream, and the stream's next request
 	// must not dispatch until its state (below) is committed anyway.
-	var ckptWrote, ckptFailed bool
-	if g.stateful {
-		st := reqs[0].st
-		every := g.cfg.Checkpoint.Every
-		// st.applied is written only by the worker holding the in-flight
-		// gate — us — so reading it without g.mu is safe.
-		if g.store != nil && every > 0 && st.name != "" && (st.applied+1)%every == 0 {
-			seq := reqs[0].seq
-			if err := g.writeCheckpoint(st.name, res.state, seq); err != nil {
-				ckptFailed = true
-			} else {
-				ckptWrote = true
-			}
-		}
+	var ckptErr error
+	if reqs[0].checkpoint {
+		ckptErr = g.writeCheckpoint(reqs[0].st.name, res.state, reqs[0].seq)
 	}
 
 	// Trace the dispatch: one span per Process call on the replica's
@@ -736,17 +701,32 @@ func (g *group) commit(r *replica, reqs []*request, res computeResult, start tim
 		}
 	}
 
+	// Split the output rows back to per-request responses in queue order.
+	// The views share the Process call's freshly allocated logits tensor
+	// over disjoint row ranges, so no copying is needed.
+	classes := logits.Dim(1)
+	out := make([]Response, len(reqs))
+	row := 0
+	for i, req := range reqs {
+		rows := logits
+		if len(reqs) > 1 {
+			rows = tensor.FromSlice(logits.Data[row*classes:(row+req.n)*classes], req.n, classes)
+		}
+		row += req.n
+		out[i] = Response{Logits: rows, QueueWait: start.Sub(req.enq), Service: service, BatchImages: n}
+	}
+
 	// Update metrics (and release the stream's in-flight slot) before
-	// delivering responses, so a client that calls Stats right after
+	// delivering responses, so a client that takes a snapshot right after
 	// receiving its response always sees its own request counted.
 	done := time.Now()
 	g.mu.Lock()
-	g.batches++
-	g.requests += len(reqs)
-	g.images += n
 	g.active--
+	g.met.batches.Inc()
+	g.met.requests.Add(int64(len(reqs)))
+	g.met.images.Add(int64(n))
 	if len(reqs) > 1 {
-		g.coalesced += len(reqs)
+		g.met.coalesced.Add(int64(len(reqs)))
 	}
 	if n > g.maxCoalesced {
 		g.maxCoalesced = n
@@ -756,20 +736,11 @@ func (g *group) commit(r *replica, reqs []*request, res computeResult, start tim
 	} else {
 		g.serviceEMA += (service - g.serviceEMA) / 8
 	}
-	if res.resets > 0 {
-		g.numericResets += res.resets
-		if g.met != nil {
-			g.met.numericResets.Add(int64(res.resets))
-		}
-	}
-	if ckptWrote {
+	g.met.numericResets.Add(int64(res.resets))
+	if ckptErr != nil {
+		g.met.ckptFailures.Inc()
+	} else if reqs[0].checkpoint {
 		g.ckptWrites++
-	}
-	if ckptFailed {
-		g.ckptFailures++
-		if g.met != nil {
-			g.met.ckptFailures.Inc()
-		}
 	}
 	if !g.lastFaultAt.IsZero() {
 		// First successful serve since the last replica fault: the group's
@@ -777,70 +748,32 @@ func (g *group) commit(r *replica, reqs []*request, res computeResult, start tim
 		g.recoveryHist.Observe(done.Sub(g.lastFaultAt))
 		g.lastFaultAt = time.Time{}
 	}
-	if g.met != nil {
-		g.met.batches.Inc()
-		g.met.requests.Add(int64(len(reqs)))
-		g.met.images.Add(int64(n))
-		if len(reqs) > 1 {
-			g.met.coalesced.Add(int64(len(reqs)))
-		}
-	}
 	g.batchHist.Observe(service)
-	for _, req := range reqs {
+	if g.stateful {
+		// This is the only place a stream's state advances, so a faulted
+		// dispatch (which never gets here) leaves the stream exactly one
+		// retry away.
+		reqs[0].st.state = res.state
+	}
+	for i, req := range reqs {
 		e2e := done.Sub(req.enq)
 		g.e2eHist.Observe(e2e)
 		req.st.requests++
 		req.st.images += req.n
-		req.st.pending--
 		req.st.e2e.Observe(e2e)
-	}
-	if g.stateful {
-		// Commit the post-batch adaptation state: this is the only place a
-		// stream's state advances, so a faulted dispatch (which never gets
-		// here) leaves the stream exactly one retry away. Then release the
-		// in-flight slot — the stream's next request may dispatch (even to
-		// another replica) before these responses land.
-		st := reqs[0].st
-		st.state = res.state
-		st.applied++
-		if seq := reqs[0].seq; seq > 0 {
-			st.appliedSeq = seq
-			if st.enqSeq < seq {
-				st.enqSeq = seq
-			}
-			st.cachedSeq = seq
-			st.cached = Response{
-				Logits:      logits,
-				QueueWait:   start.Sub(reqs[0].enq),
-				Service:     service,
-				BatchImages: n,
-			}
-		}
-		st.inflight = false
+		// The cursor releases the in-flight slot and advances the watermark
+		// and replay slot with the state above — the stream's next request
+		// may dispatch (even to another replica) before the response lands.
+		req.st.cur.Commit(req.seq, out[i])
 	}
 	// The stream's next request became dispatchable; a drain-then-release
-	// Close may also be waiting on st.pending, and a duplicate sequenced
+	// Close may also be waiting on the cursor, and a duplicate sequenced
 	// submit on the applied position.
 	g.cond.Broadcast()
 	g.mu.Unlock()
 
-	// Split the output rows back to per-request responses in queue order.
-	// The views share the Process call's freshly allocated logits tensor
-	// over disjoint row ranges, so no copying is needed; the channels are
-	// buffered, so delivery never blocks the worker.
-	classes := logits.Dim(1)
-	row := 0
-	for _, req := range reqs {
-		out := logits
-		if len(reqs) > 1 {
-			out = tensor.FromSlice(logits.Data[row*classes:(row+req.n)*classes], req.n, classes)
-		}
-		row += req.n
-		req.resp <- Response{
-			Logits:      out,
-			QueueWait:   start.Sub(req.enq),
-			Service:     service,
-			BatchImages: n,
-		}
+	// The channels are buffered, so delivery never blocks the worker.
+	for i, req := range reqs {
+		req.resp <- out[i]
 	}
 }

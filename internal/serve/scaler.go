@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"time"
-
-	"edgetta/internal/core"
-)
+import "time"
 
 // Autoscale configures the per-group replica controller. The controller
 // consumes the same signals the group already publishes to the telemetry
@@ -82,18 +78,15 @@ func (g *group) scaleLoop() {
 
 // scaleTick runs one controller evaluation: observe queue depth, active
 // dispatches and (optionally) e2e p95, update the hysteresis streaks, and
-// grow or retire one replica when a streak completes. It returns the live
-// replica count after any action, so tests can assert on it directly.
+// grow or retire one replica when a streak completes.
 //
 // Ticks are expected from one caller at a time (the background loop, or a
 // test driving Server.ScaleTick); the streak counters are not guarded for
 // concurrent tickers. All pool mutations happen under the group lock.
-func (g *group) scaleTick() int {
+func (g *group) scaleTick() {
 	a := g.cfg.Autoscale
 	if !a.Enabled {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return len(g.replicas) - g.retire
+		return
 	}
 
 	g.mu.Lock()
@@ -103,7 +96,7 @@ func (g *group) scaleTick() int {
 	closed := g.closed
 	g.mu.Unlock()
 	if closed {
-		return live
+		return
 	}
 
 	up := live < a.Max && depth >= a.UpDepthPerReplica*live
@@ -128,38 +121,31 @@ func (g *group) scaleTick() int {
 	switch {
 	case g.upStreak >= a.UpAfter:
 		g.upStreak = 0
-		if err := g.grow(); err == nil {
-			live++
-		}
+		g.grow()
 	case g.downStreak >= a.DownAfter:
 		g.downStreak = 0
 		g.mu.Lock()
 		if len(g.replicas)-g.retire > a.Min {
 			g.retire++
 			g.scaleDowns++
-			live--
 			// Wake an idle worker so it can retire promptly.
 			g.cond.Broadcast()
 		}
 		g.mu.Unlock()
 	}
-	return live
 }
 
-// grow adds one replica to the pool: a fresh deep clone of the group's
-// pristine template wrapped in a new adapter — byte-identical to every
-// other replica at its frozen weights, so stateful state swapping restores
-// cleanly onto it and stateless outputs are unchanged. The clone happens
-// outside the group lock (it is the expensive part).
-func (g *group) grow() error {
-	a, err := core.New(g.algo, g.template.Clone(), g.acfg)
+// grow adds one replica to the pool, built by newAdapter outside the group
+// lock (the clone is the expensive part).
+func (g *group) grow() {
+	a, err := g.newAdapter()
 	if err != nil {
-		return err
+		return
 	}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		return ErrClosed
+		return
 	}
 	// A pending retirement cancels out against growth: un-retiring keeps
 	// the already-built worker instead of stacking an exit and a spawn.
@@ -167,12 +153,9 @@ func (g *group) grow() error {
 		g.retire--
 		g.scaleUps++
 		g.mu.Unlock()
-		return nil
+		return
 	}
-	r := &replica{id: g.nextReplicaID, adapter: a}
-	g.nextReplicaID++
 	g.scaleUps++
 	g.mu.Unlock()
-	g.startReplica(r)
-	return nil
+	g.startReplica(a)
 }

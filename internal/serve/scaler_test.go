@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -137,7 +138,7 @@ func TestAutoscaleHysteresis(t *testing.T) {
 
 	var chans []<-chan Response
 	for _, x := range inputs {
-		chans = append(chans, st.Submit(x))
+		chans = append(chans, st.SubmitCtx(context.Background(), x))
 	}
 	srv.ScaleTick()
 	srv.ScaleTick()

@@ -52,11 +52,25 @@
 // client would rather get a 429 within its deadline than block. A request
 // is cancelable until a replica dispatches it; once processing starts it
 // runs to completion (partial adaptation steps are never observable).
+//
+// # Stream lifecycle
+//
+// What a stream may do next — admit, replay, wait for a duplicate, report a
+// gap, dispatch, drain — is decided in one place, internal/serve/lifecycle:
+// a pure per-stream Cursor (applied and admitted sequence, in-flight gate,
+// outstanding count, closing flag, replay slot, checkpoint cadence) with
+// one method per event and a small verdict per method. This package is the
+// shell around it: group.go, fault.go, checkpoint.go and stream.go hold the
+// group mutex, move requests between the queue and the replicas, feed the
+// cursor events and deliver responses; they never do arithmetic on what
+// the cursor holds. A group's lifetime counts live in one store, its
+// telemetry handles (a server without Config.Registry registers them into
+// a private registry), which Snapshot reads back.
 package serve
 
 import (
-	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -113,8 +127,9 @@ type Config struct {
 	// Registry, when non-nil, receives each group's serving metrics
 	// (queue depth, pending images, open streams, replica count, lifetime
 	// request/image/batch/coalesced/shed/canceled counts, service and e2e
-	// latency histograms) labeled by group key. Nil disables metric
-	// publication entirely; every update site is then a single nil check.
+	// latency histograms) labeled by group key. Nil keeps them private to
+	// the server: the groups count into a registry nobody else sees, and
+	// Snapshot is the only view.
 	Registry *telemetry.Registry
 	// Watchdog bounds one adapter Process call. A replica that produces no
 	// result within the deadline is treated as wedged: it is quarantined
@@ -124,11 +139,6 @@ type Config struct {
 	// Checkpoint tunes per-session adaptation-state checkpointing (see
 	// CheckpointConfig). The zero value disables it.
 	Checkpoint CheckpointConfig
-	// DisableNumericGuard turns off the post-Process NaN/Inf scan of
-	// stateful adaptation state. The guard is on by default: a poisoned
-	// state is reset to the episode-start snapshot instead of being
-	// committed, counted as a numeric reset in the snapshot and telemetry.
-	DisableNumericGuard bool
 	// Injector, when non-nil, is consulted before every Process call and
 	// checkpoint write — the seeded chaos hook (see FaultInjector and
 	// internal/serve/chaos). Nil injects nothing. Production servers leave
@@ -163,6 +173,9 @@ type Server struct {
 // sessions (the ttaserve -recover path).
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg.withDefaults(), groups: make(map[GroupKey]*group)}
+	if s.cfg.Registry == nil {
+		s.cfg.Registry = telemetry.NewRegistry()
+	}
 	if s.cfg.Checkpoint.enabled() {
 		s.store = newCkptStore(s.cfg.Checkpoint.Dir)
 	}
@@ -193,19 +206,6 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		}
 	}
 
-	// Fail fast before paying for replica clones; the insert below
-	// re-checks under the same lock in case of a concurrent AddGroup.
-	s.mu.Lock()
-	closed := s.closed
-	_, dup := s.groups[key]
-	s.mu.Unlock()
-	if closed {
-		return GroupKey{}, ErrClosed
-	}
-	if dup {
-		return GroupKey{}, fmt.Errorf("serve: group %s already registered", key)
-	}
-
 	g := &group{
 		key:          key,
 		cfg:          s.cfg,
@@ -214,7 +214,6 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		template:     m.Clone(),
 		inC:          m.InC,
 		inHW:         m.InHW,
-		classes:      m.Classes,
 		streams:      make(map[int]*streamState),
 		names:        make(map[string]*streamState),
 		store:        s.store,
@@ -224,22 +223,20 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		recoveryHist: &core.LatencyHist{},
 	}
 	g.cond = sync.NewCond(&g.mu)
-	if reg := s.cfg.Registry; reg != nil {
-		g.met = newGroupMetrics(reg, key)
-		reg.RegisterHist("edgetta_serve_service_seconds", g.batchHist, "group", key.String())
-		reg.RegisterHist("edgetta_serve_e2e_seconds", g.e2eHist, "group", key.String())
-		reg.RegisterHist("edgetta_serve_recovery_seconds", g.recoveryHist, "group", key.String())
-	}
-	pool := make([]*replica, 0, replicas)
-	for i := 0; i < replicas; i++ {
-		a, err := core.New(algo, m.Clone(), acfg)
+	reg := s.cfg.Registry
+	g.met = newGroupMetrics(reg, key)
+	reg.RegisterHist("edgetta_serve_service_seconds", g.batchHist, "group", key.String())
+	reg.RegisterHist("edgetta_serve_e2e_seconds", g.e2eHist, "group", key.String())
+	reg.RegisterHist("edgetta_serve_recovery_seconds", g.recoveryHist, "group", key.String())
+	pool := make([]core.Adapter, replicas)
+	for i := range pool {
+		a, err := g.newAdapter()
 		if err != nil {
 			return GroupKey{}, err
 		}
-		pool = append(pool, &replica{id: i, adapter: a})
+		pool[i] = a
 	}
-	g.nextReplicaID = replicas
-	if st, ok := pool[0].adapter.(core.Stateful); ok {
+	if st, ok := pool[0].(core.Stateful); ok {
 		g.stateful = true
 		// The episode-start state every new stream begins from. All
 		// replicas are byte-identical clones, so replica 0's fresh state
@@ -265,16 +262,11 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		return GroupKey{}, fmt.Errorf("serve: group %s already registered", key)
 	}
 	s.groups[key] = g
-	for _, r := range pool {
-		g.startReplica(r)
+	for _, a := range pool {
+		g.startReplica(a)
 	}
 	if s.cfg.Autoscale.Enabled {
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			defer g.recoverBarrier("scale")
-			g.scaleLoop()
-		}()
+		g.spawn("scale", g.scaleLoop)
 	}
 	return key, nil
 }
@@ -283,17 +275,26 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 // For stateful groups the stream begins from the episode-start state, as
 // if it had a freshly Reset private adapter.
 func (s *Server) OpenStream(key GroupKey) (*Stream, error) {
+	g, err := s.group(key)
+	if err != nil {
+		return nil, err
+	}
+	st, _, err := g.open("")
+	return st, err
+}
+
+// group resolves a routing key on a server that is still open.
+func (s *Server) group(key GroupKey) (*group, error) {
 	s.mu.Lock()
-	g, ok := s.groups[key]
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	defer s.mu.Unlock()
+	if s.closed {
 		return nil, ErrClosed
 	}
+	g, ok := s.groups[key]
 	if !ok {
 		return nil, errNoGroup(key)
 	}
-	return g.openStream(), nil
+	return g, nil
 }
 
 // Close drains the server: requests already submitted are served, new
@@ -302,11 +303,8 @@ func (s *Server) OpenStream(key GroupKey) (*Stream, error) {
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
-	groups := make([]*group, 0, len(s.groups))
-	for _, g := range s.groups {
-		groups = append(groups, g)
-	}
 	s.mu.Unlock()
+	groups := s.allGroups()
 	for _, g := range groups {
 		g.close()
 	}
@@ -315,25 +313,27 @@ func (s *Server) Close() {
 	}
 }
 
-// ScaleTick runs one autoscale evaluation on every group immediately,
-// bypassing the periodic timer. It exists so tests (and operational
-// tooling) can drive the controller deterministically; it must not be
-// called concurrently with an enabled periodic ticker mid-run — use a
-// long Autoscale.Interval when driving scaling manually.
-func (s *Server) ScaleTick() {
+// allGroups lists the registered groups, sorted by key.
+func (s *Server) allGroups() []*group {
 	s.mu.Lock()
 	groups := make([]*group, 0, len(s.groups))
 	for _, g := range s.groups {
 		groups = append(groups, g)
 	}
 	s.mu.Unlock()
-	for _, g := range groups {
-		g.scaleTick()
-	}
+	sort.Slice(groups, func(i, j int) bool {
+		return groups[i].key.String() < groups[j].key.String()
+	})
+	return groups
 }
 
-// ctxErr translates a request context's error into the typed taxonomy;
-// helper shared by the submit paths.
-func ctxErr(ctx context.Context) *Error {
-	return errCtx(context.Cause(ctx))
+// ScaleTick runs one autoscale evaluation on every group immediately,
+// bypassing the periodic timer. It exists so tests (and operational
+// tooling) can drive the controller deterministically; it must not be
+// called concurrently with an enabled periodic ticker mid-run — use a
+// long Autoscale.Interval when driving scaling manually.
+func (s *Server) ScaleTick() {
+	for _, g := range s.allGroups() {
+		g.scaleTick()
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -103,7 +104,7 @@ func TestServeNoAdaptCoalescedMatchesSerial(t *testing.T) {
 			t.Fatalf("OpenStream: %v", err)
 		}
 		for _, x := range inputs[i] {
-			resps[i] = append(resps[i], streams[i].Submit(x))
+			resps[i] = append(resps[i], streams[i].SubmitCtx(context.Background(), x))
 		}
 	}
 	got := make([][][]float32, nStreams)
@@ -122,9 +123,9 @@ func TestServeNoAdaptCoalescedMatchesSerial(t *testing.T) {
 		compareLogits(t, i, want, got[i])
 	}
 
-	stats, err := srv.GroupStats(key)
+	stats, err := srv.GroupSnapshot(key)
 	if err != nil {
-		t.Fatalf("GroupStats: %v", err)
+		t.Fatalf("GroupSnapshot: %v", err)
 	}
 	if stats.MaxCoalesced <= batch {
 		t.Errorf("MaxCoalesced = %d, want > %d: no cross-request batching happened", stats.MaxCoalesced, batch)
@@ -164,7 +165,7 @@ func TestServeBNNormSharedReplicasMatchesSerial(t *testing.T) {
 		go func(i int, st *Stream) {
 			defer wg.Done()
 			for _, x := range inputs[i] {
-				logits, err := st.Process(x)
+				logits, err := st.ProcessCtx(context.Background(), x)
 				if err != nil {
 					errs[i] = err
 					return
@@ -185,7 +186,7 @@ func TestServeBNNormSharedReplicasMatchesSerial(t *testing.T) {
 		compareLogits(t, i, want, got[i])
 	}
 
-	stats, _ := srv.GroupStats(key)
+	stats, _ := srv.GroupSnapshot(key)
 	if !stats.Stateful {
 		t.Errorf("BN-Norm group should be stateful")
 	}
@@ -225,7 +226,7 @@ func TestServeBNOptMatchesSerial(t *testing.T) {
 		go func(i int, st *Stream) {
 			defer wg.Done()
 			for _, x := range inputs[i] {
-				logits, err := st.Process(x)
+				logits, err := st.ProcessCtx(context.Background(), x)
 				if err != nil {
 					t.Errorf("stream %d: %v", i, err)
 					return
@@ -261,7 +262,7 @@ func TestServeStatefulPipelining(t *testing.T) {
 	}
 	var chans []<-chan Response
 	for _, x := range inputs {
-		chans = append(chans, st.Submit(x))
+		chans = append(chans, st.SubmitCtx(context.Background(), x))
 	}
 	var got [][]float32
 	for b, ch := range chans {
@@ -290,14 +291,14 @@ func TestServeBackpressure(t *testing.T) {
 	st, _ := srv.OpenStream(key)
 	var chans []<-chan Response
 	for _, x := range inputs {
-		chans = append(chans, st.Submit(x)) // blocks when the queue is full
+		chans = append(chans, st.SubmitCtx(context.Background(), x)) // blocks when the queue is full
 	}
 	for b, ch := range chans {
 		if r := <-ch; r.Err != nil {
 			t.Fatalf("batch %d: %v", b, r.Err)
 		}
 	}
-	stats, _ := srv.GroupStats(key)
+	stats, _ := srv.GroupSnapshot(key)
 	if stats.MaxQueueDepth > 2 {
 		t.Errorf("MaxQueueDepth = %d, want <= 2", stats.MaxQueueDepth)
 	}
@@ -322,19 +323,19 @@ func TestServeErrors(t *testing.T) {
 	}
 
 	st, _ := srv.OpenStream(key)
-	if r := <-st.Submit(tensor.New(2, 2)); r.Err == nil {
+	if r := <-st.SubmitCtx(context.Background(), tensor.New(2, 2)); r.Err == nil {
 		t.Errorf("non-NCHW submit should fail")
 	}
-	if r := <-st.Submit(tensor.New(1, 5, 32, 32)); r.Err == nil {
+	if r := <-st.SubmitCtx(context.Background(), tensor.New(1, 5, 32, 32)); r.Err == nil {
 		t.Errorf("wrong-channel submit should fail")
 	}
 	good := tensor.New(1, base.InC, base.InHW, base.InHW)
-	if r := <-st.Submit(good); r.Err != nil {
+	if r := <-st.SubmitCtx(context.Background(), good); r.Err != nil {
 		t.Fatalf("valid submit failed: %v", r.Err)
 	}
 
 	st.Close()
-	if r := <-st.Submit(good); !errors.Is(r.Err, ErrStreamClosed) {
+	if r := <-st.SubmitCtx(context.Background(), good); !errors.Is(r.Err, ErrStreamClosed) {
 		t.Errorf("submit on closed stream: err = %v, want ErrStreamClosed", r.Err)
 	}
 
@@ -343,7 +344,7 @@ func TestServeErrors(t *testing.T) {
 		t.Errorf("OpenStream after Close: err = %v, want ErrClosed", err)
 	}
 	st2 := &Stream{g: srvGroup(srv, key), st: &streamState{id: -1}}
-	if r := <-st2.Submit(good); !errors.Is(r.Err, ErrClosed) {
+	if r := <-st2.SubmitCtx(context.Background(), good); !errors.Is(r.Err, ErrClosed) {
 		t.Errorf("submit after Close: err = %v, want ErrClosed", r.Err)
 	}
 }
@@ -422,7 +423,7 @@ func TestServeScheduledStreamMatchesSerial(t *testing.T) {
 		go func(j int, jb job, st *Stream) {
 			defer wg.Done()
 			for _, x := range jb.inputs {
-				logits, err := st.Process(x)
+				logits, err := st.ProcessCtx(context.Background(), x)
 				if err != nil {
 					errs[j] = err
 					return

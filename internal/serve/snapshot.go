@@ -2,9 +2,7 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
-	"time"
 
 	"edgetta/internal/core"
 )
@@ -12,8 +10,8 @@ import (
 // Snapshot is the server-wide stats payload: every group, sorted by key.
 // It is the one stable wire shape shared by the Go API (Server.Snapshot),
 // the HTTP front-end's /debug/streams handler and the load generator —
-// the former ad-hoc per-caller structs are aliases of its parts. Field
-// order is fixed by the struct, so the JSON encoding is deterministic.
+// there is no other stats shape. Field order is fixed by the struct, so the
+// JSON encoding is deterministic.
 type Snapshot struct {
 	Groups []GroupSnapshot `json:"groups"`
 }
@@ -94,33 +92,10 @@ type StreamSnapshot struct {
 	E2E LatencySnapshot `json:"e2e"`
 }
 
-// LatencySnapshot is a latency distribution in the stable wire shape.
-// Durations marshal as integer nanoseconds (the encoding/json rendering
-// of time.Duration), so the encoding is exact and deterministic.
-type LatencySnapshot struct {
-	Count int           `json:"count"`
-	Mean  time.Duration `json:"mean_ns"`
-	P50   time.Duration `json:"p50_ns"`
-	P95   time.Duration `json:"p95_ns"`
-	P99   time.Duration `json:"p99_ns"`
-	Max   time.Duration `json:"max_ns"`
-}
-
-// newLatencySnapshot copies a histogram summary into the wire shape.
-func newLatencySnapshot(s core.LatencySummary) LatencySnapshot {
-	return LatencySnapshot{Count: s.Count, Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max}
-}
-
-// String formats the snapshot's headline numbers the way the CLI prints
-// latency summaries.
-func (l LatencySnapshot) String() string {
-	if l.Count == 0 {
-		return "no samples"
-	}
-	return fmt.Sprintf("p50=%v p95=%v p99=%v max=%v (n=%d)",
-		l.P50.Round(time.Microsecond), l.P95.Round(time.Microsecond),
-		l.P99.Round(time.Microsecond), l.Max.Round(time.Microsecond), l.Count)
-}
+// LatencySnapshot is a latency distribution in the stable wire shape: the
+// histogram summary itself, whose JSON tags spell durations as integer
+// nanoseconds.
+type LatencySnapshot = core.LatencySummary
 
 // groupKeyJSON is GroupKey's wire form: both halves as strings, so the
 // payload never leaks the numeric Algorithm enum.
@@ -150,30 +125,10 @@ func (k *GroupKey) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Deprecated aliases: the pre-redesign names for the snapshot shapes.
-type (
-	// GroupStats is the old name of GroupSnapshot.
-	//
-	// Deprecated: use GroupSnapshot.
-	GroupStats = GroupSnapshot
-	// StreamStats is the old name of StreamSnapshot.
-	//
-	// Deprecated: use StreamSnapshot.
-	StreamStats = StreamSnapshot
-)
-
 // Snapshot snapshots every group, sorted by key — the payload behind the
 // HTTP front-end's /debug/streams endpoint.
 func (s *Server) Snapshot() Snapshot {
-	s.mu.Lock()
-	groups := make([]*group, 0, len(s.groups))
-	for _, g := range s.groups {
-		groups = append(groups, g)
-	}
-	s.mu.Unlock()
-	sort.Slice(groups, func(i, j int) bool {
-		return groups[i].key.String() < groups[j].key.String()
-	})
+	groups := s.allGroups()
 	out := Snapshot{Groups: make([]GroupSnapshot, 0, len(groups))}
 	for _, g := range groups {
 		out.Groups = append(out.Groups, g.snapshot())
@@ -192,20 +147,11 @@ func (s *Server) GroupSnapshot(key GroupKey) (GroupSnapshot, error) {
 	return g.snapshot(), nil
 }
 
-// GroupStats reports a group's aggregate serving metrics.
-//
-// Deprecated: use GroupSnapshot, which this aliases.
-func (s *Server) GroupStats(key GroupKey) (GroupSnapshot, error) { return s.GroupSnapshot(key) }
-
-// Stats snapshots every group, sorted by key.
-//
-// Deprecated: use Snapshot, which this wraps.
-func (s *Server) Stats() []GroupSnapshot { return s.Snapshot().Groups }
-
-// snapshot snapshots the group. The group lock covers only the plain-field
-// copy; percentile computation (which sorts up to a full histogram window)
-// runs after release, against the internally locked histograms, so a slow
-// scrape never stalls the dispatch path.
+// snapshot snapshots the group. The group lock covers only the copy of the
+// counts — plain fields and the group's metric handles, the one store of
+// its lifetime counts; percentile computation (which sorts up to a full
+// histogram window) runs after release, against the internally locked
+// histograms, so a slow scrape never stalls the dispatch path.
 func (g *group) snapshot() GroupSnapshot {
 	g.mu.Lock()
 	s := GroupSnapshot{
@@ -214,23 +160,23 @@ func (g *group) snapshot() GroupSnapshot {
 		Stateful:      g.stateful,
 		ScaleUps:      g.scaleUps,
 		ScaleDowns:    g.scaleDowns,
-		Batches:       g.batches,
-		Requests:      g.requests,
-		Images:        g.images,
-		Coalesced:     g.coalesced,
+		Batches:       int(g.met.batches.Value()),
+		Requests:      int(g.met.requests.Value()),
+		Images:        int(g.met.images.Value()),
+		Coalesced:     int(g.met.coalesced.Value()),
 		MaxCoalesced:  g.maxCoalesced,
-		Shed:          g.shed,
-		Canceled:      g.canceled,
+		Shed:          int(g.met.shed.Value()),
+		Canceled:      int(g.met.canceled.Value()),
 		QueueDepth:    len(g.pending),
 		PendingImages: g.pendingImages,
 		MaxQueueDepth: g.queueMax,
 
-		Faults:             g.faults,
-		Respawns:           g.respawns,
-		Respawning:         g.respawning,
-		NumericResets:      g.numericResets,
+		Faults:             int(g.met.faults.Value()),
+		Respawns:           int(g.met.respawns.Value()),
+		Respawning:         int(g.met.respawning.Value()),
+		NumericResets:      int(g.met.numericResets.Value()),
 		CheckpointWrites:   g.ckptWrites,
-		CheckpointFailures: g.ckptFailures,
+		CheckpointFailures: int(g.met.ckptFailures.Value()),
 	}
 	if len(g.quarantinedIDs) > 0 {
 		s.QuarantinedIDs = append([]int(nil), g.quarantinedIDs...)
@@ -238,33 +184,22 @@ func (g *group) snapshot() GroupSnapshot {
 	if a := g.cfg.Autoscale; a.Enabled {
 		s.MinReplicas, s.MaxReplicas = a.Min, a.Max
 	}
-	type streamRef struct {
-		ss  StreamSnapshot
-		e2e *core.LatencyHist
-	}
-	refs := make([]streamRef, 0, len(g.streams))
+	streams := make([]*streamState, 0, len(g.streams))
 	for _, st := range g.streams {
-		refs = append(refs, streamRef{
-			ss: StreamSnapshot{
-				ID: st.id, Name: st.name,
-				Requests: st.requests, Images: st.images,
-				AppliedSeq: st.appliedSeq,
-			},
-			e2e: &st.e2e,
-		})
+		streams = append(streams, st)
+		s.Streams = append(s.Streams, st.countsLocked())
 	}
 	g.mu.Unlock()
 
-	s.Service = newLatencySnapshot(g.batchHist.Summary())
-	s.E2E = newLatencySnapshot(g.e2eHist.Summary())
-	s.Recovery = newLatencySnapshot(g.recoveryHist.Summary())
+	s.Service = g.batchHist.Summary()
+	s.E2E = g.e2eHist.Summary()
+	s.Recovery = g.recoveryHist.Summary()
 	if s.Batches > 0 {
 		s.MeanCoalesced = float64(s.Images) / float64(s.Batches)
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].ss.ID < refs[j].ss.ID })
-	for _, r := range refs {
-		r.ss.E2E = newLatencySnapshot(r.e2e.Summary())
-		s.Streams = append(s.Streams, r.ss)
+	for i, st := range streams {
+		s.Streams[i].E2E = st.e2e.Summary()
 	}
+	sort.Slice(s.Streams, func(i, j int) bool { return s.Streams[i].ID < s.Streams[j].ID })
 	return s
 }

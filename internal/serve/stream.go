@@ -31,7 +31,7 @@ func (s *Stream) ID() int { return s.st.id }
 // pipeline submissions: stateful groups still process them one at a time
 // in order.
 func (s *Stream) SubmitCtx(ctx context.Context, x *tensor.Tensor) <-chan Response {
-	return s.g.submit(ctx, s.st, x, 0)
+	return s.SubmitSeq(ctx, x, 0)
 }
 
 // SubmitSeq is SubmitCtx with an idempotency sequence number. Sequence
@@ -79,29 +79,7 @@ func (s *Stream) Name() string { return s.st.name }
 // stream's adaptation state advances exactly as if the response had been
 // read.
 func (s *Stream) ProcessCtx(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	ch := s.SubmitCtx(ctx, x)
-	select {
-	case r := <-ch:
-		return r.Logits, r.Err
-	case <-ctx.Done():
-		return nil, ctxErr(ctx)
-	}
-}
-
-// Submit enqueues one batch with no cancellation or deadline.
-//
-// Deprecated: use SubmitCtx. Submit is SubmitCtx(context.Background(), x):
-// it blocks indefinitely on a full queue under AdmitBlock.
-func (s *Stream) Submit(x *tensor.Tensor) <-chan Response {
-	return s.SubmitCtx(context.Background(), x)
-}
-
-// Process is the synchronous form of Submit.
-//
-// Deprecated: use ProcessCtx.
-func (s *Stream) Process(x *tensor.Tensor) (*tensor.Tensor, error) {
-	r := <-s.Submit(x)
-	return r.Logits, r.Err
+	return s.ProcessSeq(ctx, x, 0)
 }
 
 // Snapshot reports the stream's serving metrics so far. The group lock
@@ -109,22 +87,21 @@ func (s *Stream) Process(x *tensor.Tensor) (*tensor.Tensor, error) {
 // against the internally locked histogram after release.
 func (s *Stream) Snapshot() StreamSnapshot {
 	s.g.mu.Lock()
-	ss := StreamSnapshot{
-		ID:         s.st.id,
-		Name:       s.st.name,
-		Requests:   s.st.requests,
-		Images:     s.st.images,
-		AppliedSeq: s.st.appliedSeq,
-	}
+	ss := s.st.countsLocked()
 	s.g.mu.Unlock()
-	ss.E2E = newLatencySnapshot(s.st.e2e.Summary())
+	ss.E2E = s.st.e2e.Summary()
 	return ss
 }
 
-// Stats reports the stream's serving metrics so far.
-//
-// Deprecated: use Snapshot, which this aliases.
-func (s *Stream) Stats() StreamSnapshot { return s.Snapshot() }
+// countsLocked copies the stream's plain counts; the caller holds g.mu and
+// fills in E2E after releasing it.
+func (st *streamState) countsLocked() StreamSnapshot {
+	return StreamSnapshot{
+		ID: st.id, Name: st.name,
+		Requests: st.requests, Images: st.images,
+		AppliedSeq: st.cur.Applied(),
+	}
+}
 
 // Close ends the episode with drain-then-release semantics: later submits
 // fail with ErrStreamClosed, requests already admitted are still served,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestServeRegistryMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := st.Process(tensor.New(2, m.InC, m.InHW, m.InHW)); err != nil {
+		if _, err := st.ProcessCtx(context.Background(), tensor.New(2, m.InC, m.InHW, m.InHW)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +81,7 @@ func TestGroupStatsSnapshotFields(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		var resps []<-chan Response
 		for _, st := range streams {
-			resps = append(resps, st.Submit(tensor.New(1, m.InC, m.InHW, m.InHW)))
+			resps = append(resps, st.SubmitCtx(context.Background(), tensor.New(1, m.InC, m.InHW, m.InHW)))
 		}
 		for _, ch := range resps {
 			if r := <-ch; r.Err != nil {
@@ -89,7 +90,7 @@ func TestGroupStatsSnapshotFields(t *testing.T) {
 		}
 	}
 
-	all := srv.Stats()
+	all := srv.Snapshot().Groups
 	if len(all) != 1 {
 		t.Fatalf("Stats returned %d groups, want 1", len(all))
 	}

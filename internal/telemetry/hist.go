@@ -114,11 +114,17 @@ func (h *Hist) Summary() Summary {
 }
 
 // Summary is the headline latency distribution of a stream or a serving
-// group: median and tail percentiles over per-batch wall time.
+// group: median and tail percentiles over per-batch wall time. The JSON
+// tags are the serving tier's stats wire shape (serve.LatencySnapshot is
+// this type): durations marshal as integer nanoseconds, the encoding/json
+// rendering of time.Duration, so the encoding is exact and deterministic.
 type Summary struct {
-	Count               int
-	Mean, P50, P95, P99 time.Duration
-	Max                 time.Duration
+	Count int           `json:"count"`
+	Mean  time.Duration `json:"mean_ns"`
+	P50   time.Duration `json:"p50_ns"`
+	P95   time.Duration `json:"p95_ns"`
+	P99   time.Duration `json:"p99_ns"`
+	Max   time.Duration `json:"max_ns"`
 }
 
 // String formats the summary's headline numbers.
