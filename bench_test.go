@@ -247,6 +247,46 @@ func BenchmarkBatchNormTrainForward(b *testing.B) {
 	}
 }
 
+// BenchmarkBNReLUForward times the fused BN(+ReLU) pass — statistics,
+// normalize and rectifier over one activation — at the shape of
+// BenchmarkBatchNormTrainForward, with batch statistics (BN-Norm, BN-Opt)
+// and with running statistics (No-Adapt).
+func BenchmarkBNReLUForward(b *testing.B) {
+	for _, mode := range []struct {
+		name       string
+		batchStats bool
+	}{{"batchstats", true}, {"running", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			bn, act := nn.NewBatchNorm2d("bn", 64), nn.NewReLU("relu")
+			bn.UseBatchStats = mode.batchStats
+			x := tensor.New(50, 64, 16, 16)
+			x.Randn(rand.New(rand.NewSource(1)), 1)
+			b.SetBytes(int64(4 * x.Numel()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bn.ForwardFused(x, nil, act, false)
+			}
+		})
+	}
+}
+
+// BenchmarkBNReLUBackward times the matching backward: the rectifier's
+// gate read from the saved output, Σdy and Σdy·x̂ with x̂ recomputed, dx.
+func BenchmarkBNReLUBackward(b *testing.B) {
+	bn, act := nn.NewBatchNorm2d("bn", 64), nn.NewReLU("relu")
+	rng := rand.New(rand.NewSource(1))
+	x := tensor.New(50, 64, 16, 16)
+	x.Randn(rng, 1)
+	grad := tensor.New(x.Shape()...)
+	grad.Randn(rng, 1)
+	bn.ForwardFused(x, nil, act, true)
+	b.SetBytes(int64(4 * x.Numel()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bn.BackwardFused(grad)
+	}
+}
+
 func BenchmarkMatMul256(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.New(256, 256)

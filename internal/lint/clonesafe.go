@@ -23,11 +23,16 @@ import (
 //     (Frozen) and a cache key (version) beside its buffers, and a clone
 //     that drops one by omission changes how the replica backpropagates or
 //     which packed weights it trusts. Naming every field makes carrying or
-//     resetting each one a visible decision.
+//     resetting each one a visible decision;
+//   - a *tensor.Tensor taken from the receiver (in: b.in): layers keep
+//     references to the activations their Backward reads — BatchNorm2d its
+//     input and fused output, ReLU its output, Conv2d and Linear their
+//     input — and a clone that carried one over would backpropagate through
+//     the original's forward. A clone's saved tensors start empty.
 //
-// Sharing a pointer field is allowed: immutable shared state (the packed-
-// weight caches) is pointer-typed by design, and the analyzer's job is the
-// mutable-backing-array hazard, not pointer identity.
+// Sharing any other pointer field is allowed: immutable shared state (the
+// packed-weight caches) is pointer-typed by design, and the analyzer's job
+// is the mutable-backing-array hazard, not pointer identity.
 var cloneSafe = &Analyzer{
 	Name: "clonesafe",
 	Doc:  "Clone/CloneLayer methods must not shallowly alias the receiver's slice/map fields",
@@ -72,6 +77,12 @@ func runCloneSafe(p *Pass) {
 			}
 			t := info.Types[v].Type
 			if t == nil {
+				return
+			}
+			if _, isPtr := t.(*types.Pointer); isPtr && namedIs(t, "tensor", "Tensor") {
+				p.Reportf(v.Pos(),
+					"clone carries over the receiver's saved tensor %s: a clone's saved activations start empty",
+					types.ExprString(v))
 				return
 			}
 			switch t.Underlying().(type) {

@@ -15,7 +15,8 @@
 //     clock outside profiler-gated code, use the global math/rand source,
 //     or start goroutines outside the worker pool.
 //   - clonesafe: Clone/CloneLayer methods must not shallowly alias the
-//     receiver's slice or map fields.
+//     receiver's slice or map fields, nor carry over a *tensor.Tensor it
+//     saved for backward.
 //   - nestedpar: parallel.For/ForChunked/ForGrain must not be called
 //     syntactically inside another parallel loop body literal.
 //   - panicsafe: every goroutine started in internal/serve must defer a

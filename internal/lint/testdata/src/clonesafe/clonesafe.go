@@ -3,6 +3,8 @@
 // fields.
 package clonesafe
 
+import "edgetta/internal/lint/testdata/src/clonesafe/tensor"
+
 type cache struct{ w []float32 }
 
 type layer struct {
@@ -60,6 +62,34 @@ func (c *conv) Clone() *conv {
 	}
 }
 
+// norm keeps references to the activations its backward reads, like
+// BatchNorm2d (input, fused output) and ReLU (output).
+type norm struct {
+	Gamma   []float32
+	in, out *tensor.Tensor
+}
+
+// Clone copies the parameters properly but carries the saved activations
+// over: the clone's first Backward would run through the original's forward.
+func (n *norm) Clone() *norm {
+	c := &norm{
+		Gamma: append([]float32(nil), n.Gamma...),
+		in:    n.in, // want "saved tensor n.in"
+	}
+	c.out = n.out // want "saved tensor n.out"
+	return c
+}
+
+// CloneLayer is the sanctioned shape: saved tensors left empty. Reading
+// through one (its length, say) is not carrying it over.
+func (n *norm) CloneLayer() *norm {
+	c := &norm{Gamma: append([]float32(nil), n.Gamma...)}
+	if n.in != nil {
+		_ = len(n.in.Data)
+	}
+	return c
+}
+
 type scalars struct{ A, B float64 }
 
 // Clone of a struct with no slice or map fields may copy shallowly.
@@ -74,4 +104,5 @@ func (l *layer) borrow() (w []float32) {
 	return w
 }
 
-var _ = []any{(*layer).Clone, (*layer).CloneLayer, (*layer).clone, (*scalars).Clone, (*layer).borrow, (*conv).Clone}
+var _ = []any{(*layer).Clone, (*layer).CloneLayer, (*layer).clone, (*scalars).Clone, (*layer).borrow, (*conv).Clone,
+	(*norm).Clone, (*norm).CloneLayer}

@@ -23,8 +23,6 @@ type PreActBlock struct {
 	relu1, relu2 *nn.ReLU
 	conv1, conv2 *nn.Conv2d
 	convSC       *nn.Conv2d // nil for identity shortcut
-
-	input *tensor.Tensor // saved for identity-shortcut backward
 }
 
 // NewPreActBlock constructs a pre-activation block in→out with the given
@@ -65,28 +63,25 @@ func (b *PreActBlock) Children() []nn.Layer {
 
 // Forward implements nn.Layer.
 func (b *PreActBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	b.input = x
-	a := b.relu1.Forward(b.bn1.Forward(x, train), train)
-	var sc *tensor.Tensor
+	a := b.bn1.ForwardFused(x, nil, b.relu1, train)
+	sc := x
 	if b.convSC != nil {
 		sc = b.convSC.Forward(a, train)
-	} else {
-		sc = x
 	}
 	h := b.conv1.Forward(a, train)
-	h = b.conv2.Forward(b.relu2.Forward(b.bn2.Forward(h, train), train), train)
+	h = b.conv2.Forward(b.bn2.ForwardFused(h, nil, b.relu2, train), train)
 	h.Add(sc)
 	return h
 }
 
 // Backward implements nn.Layer.
 func (b *PreActBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dh := b.conv1.Backward(b.bn2.Backward(b.relu2.Backward(b.conv2.Backward(grad))))
+	dh := b.conv1.Backward(b.bn2.Backward(b.conv2.Backward(grad)))
 	if b.convSC != nil {
 		dh.Add(b.convSC.Backward(grad))
-		return b.bn1.Backward(b.relu1.Backward(dh))
+		return b.bn1.Backward(dh)
 	}
-	dx := b.bn1.Backward(b.relu1.Backward(dh))
+	dx := b.bn1.Backward(dh)
 	dx.Add(grad) // identity shortcut
 	return dx
 }
@@ -101,8 +96,6 @@ type ResNeXtBlock struct {
 	relu1, relu2, reluOut *nn.ReLU
 	convSC                *nn.Conv2d
 	bnSC                  *nn.BatchNorm2d
-
-	input *tensor.Tensor
 }
 
 // NewResNeXtBlock constructs a block in→out with bottleneck width d and
@@ -147,24 +140,22 @@ func (b *ResNeXtBlock) Children() []nn.Layer {
 
 // Forward implements nn.Layer.
 func (b *ResNeXtBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	b.input = x
-	h := b.relu1.Forward(b.bn1.Forward(b.conv1.Forward(x, train), train), train)
-	h = b.relu2.Forward(b.bn2.Forward(b.conv2.Forward(h, train), train), train)
-	h = b.bn3.Forward(b.conv3.Forward(h, train), train)
+	h := b.bn1.ForwardFused(b.conv1.Forward(x, train), nil, b.relu1, train)
+	h = b.bn2.ForwardFused(b.conv2.Forward(h, train), nil, b.relu2, train)
+	h = b.conv3.Forward(h, train)
+	sc := x
 	if b.convSC != nil {
-		h.Add(b.bnSC.Forward(b.convSC.Forward(x, train), train))
-	} else {
-		h.Add(x)
+		sc = b.bnSC.Forward(b.convSC.Forward(x, train), train)
 	}
-	return b.reluOut.Forward(h, train)
+	return b.bn3.ForwardFused(h, sc, b.reluOut, train)
 }
 
 // Backward implements nn.Layer.
 func (b *ResNeXtBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dsum := b.reluOut.Backward(grad)
-	dx := b.conv1.Backward(b.bn1.Backward(b.relu1.Backward(
-		b.conv2.Backward(b.bn2.Backward(b.relu2.Backward(
-			b.conv3.Backward(b.bn3.Backward(dsum))))))))
+	dh, dsum := b.bn3.BackwardFused(grad)
+	dx := b.conv1.Backward(b.bn1.Backward(
+		b.conv2.Backward(b.bn2.Backward(
+			b.conv3.Backward(dh)))))
 	if b.convSC != nil {
 		dx.Add(b.convSC.Backward(b.bnSC.Backward(dsum)))
 	} else {
@@ -234,25 +225,24 @@ func (b *InvertedResidual) Children() []nn.Layer {
 func (b *InvertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	h := x
 	if b.expand != nil {
-		h = b.reluE.Forward(b.bnE.Forward(b.expand.Forward(h, train), train), train)
+		h = b.bnE.ForwardFused(b.expand.Forward(h, train), nil, b.reluE, train)
 	}
-	h = b.reluD.Forward(b.bnD.Forward(b.dw.Forward(h, train), train), train)
-	h = b.bnP.Forward(b.project.Forward(h, train), train)
+	h = b.bnD.ForwardFused(b.dw.Forward(h, train), nil, b.reluD, train)
+	var res *tensor.Tensor
 	if b.residual {
-		h.Add(x)
+		res = x
 	}
-	return h
+	return b.bnP.ForwardFused(b.project.Forward(h, train), res, nil, train)
 }
 
 // Backward implements nn.Layer.
 func (b *InvertedResidual) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dh := b.dw.Backward(b.bnD.Backward(b.reluD.Backward(
-		b.project.Backward(b.bnP.Backward(grad)))))
+	dh := b.dw.Backward(b.bnD.Backward(b.project.Backward(b.bnP.Backward(grad))))
 	if b.expand != nil {
-		dh = b.expand.Backward(b.bnE.Backward(b.reluE.Backward(dh)))
+		dh = b.expand.Backward(b.bnE.Backward(dh))
 	}
 	if b.residual {
-		dh.Add(grad)
+		dh.Add(grad) // the residual passes grad through unchanged
 	}
 	return dh
 }

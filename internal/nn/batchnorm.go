@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"edgetta/internal/parallel"
@@ -41,13 +42,16 @@ type BatchNorm2d struct {
 	// prior; SnapshotSource captures them from the running statistics.
 	SourceMean, SourceVar []float32
 
-	// cached for backward
-	xhat      []float32 // normalized activations
-	invStd    []float32 // per channel
-	batchMode bool      // whether the cached forward used batch statistics
-	statsVary bool      // whether those statistics depend on the input
-	n, h, w   int
-	lastSpec  Spec
+	// Saved by the last forward for Backward. BatchNorm owns no
+	// activation-sized buffer: x̂ is recomputed from the input it keeps a
+	// reference to and the per-channel μ, σ⁻¹; the sign of a fused
+	// rectifier is read back from the output.
+	in, out      *tensor.Tensor // out is kept only when act gates the gradient
+	act          *ReLU          // rectifier fused into that forward, nil if none
+	hasRes       bool           // that forward added a residual
+	mean, invStd []float32      // per channel, as normalized with
+	statsVary    bool           // whether those statistics depend on the input
+	lastSpec     Spec
 }
 
 // NewBatchNorm2d constructs a BatchNorm over c channels with PyTorch
@@ -76,50 +80,59 @@ func (b *BatchNorm2d) Spec() Spec { return b.lastSpec }
 
 // Forward implements Layer.
 func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return b.ForwardFused(x, nil, nil, train)
+}
+
+// ForwardFused is Forward with what follows the normalization in a block
+// folded into the same pass over the activation: y = act(bn(x) + res), in
+// that order per element, each step optional (res and act may be nil).
+// Given equal statistics the result is bit-identical to bn.Forward, then
+// Tensor.Add, then act.Forward. act is recorded as run — its Spec is
+// updated, and a tracer sees one bn.fw span naming it — but it saves
+// nothing of its own: Backward/BackwardFused on b undo the whole pass.
+func (b *BatchNorm2d) ForwardFused(x, res *tensor.Tensor, act *ReLU, train bool) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != b.C {
 		panic(shapeErr(b.name, x.Shape()))
 	}
-	t0 := profStart()
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	plane := h * w
-	cnt := n * plane
-	b.n, b.h, b.w = n, h, w
-	b.batchMode = train || b.UseBatchStats
-	b.statsVary = b.batchMode && !(b.SourcePrior > 0 && b.SourceMean != nil)
-
-	if cap(b.xhat) < len(x.Data) {
-		b.xhat = make([]float32, len(x.Data))
+	if res != nil && !res.SameShape(x) {
+		panic(fmt.Sprintf("nn: %s: residual shape %v does not match input %v", b.name, res.Shape(), x.Shape()))
 	}
-	b.xhat = b.xhat[:len(x.Data)]
-	if b.invStd == nil {
-		b.invStd = make([]float32, b.C)
+	t0 := profStart()
+	n, plane := x.Dim(0), x.Dim(2)*x.Dim(3)
+	cnt := n * plane
+	batchMode := train || b.UseBatchStats
+	b.statsVary = batchMode && !(b.SourcePrior > 0 && b.SourceMean != nil)
+	if b.mean == nil {
+		b.mean, b.invStd = make([]float32, b.C), make([]float32, b.C)
+	}
+	rect := act.rect()
+	var resData []float32
+	if res != nil {
+		resData = res.Data
 	}
 
 	y := tensor.New(x.Shape()...)
 	// parallel.For schedules at grain 1: each channel's statistics pass is
 	// heavy (two sweeps over n·plane values), so even a 16-channel layer
-	// spreads across the pool rather than serializing as it did when the
-	// worker count was derived from n/64.
+	// spreads across the pool. A channel is reduced by one task, in the
+	// kernels' fixed lane order, so the statistics do not depend on how
+	// many workers there are.
 	parallel.For(b.C, func(c int) {
 		var mean, varv float32
-		if b.batchMode {
+		if batchMode {
 			// Two-pass mean/variance over the batch for this channel.
-			s := float64(0)
+			var acc [tensor.StatLanes]float64
 			for img := 0; img < n; img++ {
 				base := (img*b.C + c) * plane
-				for i := 0; i < plane; i++ {
-					s += float64(x.Data[base+i])
-				}
+				tensor.PlaneSum(&acc, x.Data[base:base+plane])
 			}
-			mean = float32(s / float64(cnt))
-			s2 := float64(0)
+			mean = float32(tensor.MergeLanes(&acc) / float64(cnt))
+			acc = [tensor.StatLanes]float64{}
 			for img := 0; img < n; img++ {
 				base := (img*b.C + c) * plane
-				for i := 0; i < plane; i++ {
-					d := float64(x.Data[base+i] - mean)
-					s2 += d * d
-				}
+				tensor.PlaneSumSqDev(&acc, x.Data[base:base+plane], mean)
 			}
+			s2 := tensor.MergeLanes(&acc)
 			varv = float32(s2 / float64(cnt)) // biased, as PyTorch normalizes
 			// Running stats use the unbiased estimate, as PyTorch does.
 			unbiased := varv
@@ -137,77 +150,118 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			mean, varv = b.RunningMean[c], b.RunningVar[c]
 		}
 		inv := float32(1.0 / math.Sqrt(float64(varv)+float64(b.Eps)))
-		b.invStd[c] = inv
-		g, bt := b.Gamma.Data[c], b.Beta.Data[c]
+		b.mean[c], b.invStd[c] = mean, inv
+		a := tensor.Affine{Mean: mean, InvStd: inv, Gamma: b.Gamma.Data[c], Beta: b.Beta.Data[c]}
 		for img := 0; img < n; img++ {
 			base := (img*b.C + c) * plane
-			for i := 0; i < plane; i++ {
-				xh := (x.Data[base+i] - mean) * inv
-				b.xhat[base+i] = xh
-				y.Data[base+i] = g*xh + bt
-			}
+			tensor.NormalizePlane(y.Data[base:base+plane], x.Data[base:base+plane],
+				planeOf(resData, base, plane), &a, rect)
 		}
 	})
 
+	b.in, b.out, b.act, b.hasRes = x, nil, act, res != nil
+	if act != nil {
+		b.out = y
+		act.ran(y)
+		act.out = nil // the backward of both is b's now
+	}
 	b.lastSpec = Spec{
 		Kind: KindBN, LayerName: b.name,
 		ParamCount: int64(2 * b.C),
 		BNChannels: int64(b.C),
 		OutElems:   int64(y.Numel()),
-		SavedElems: int64(len(b.xhat)),
+		SavedElems: int64(x.Numel()),
 		Batch:      int64(n),
 	}
-	profEnd(KindBN, b.name, false, t0)
+	profEndFused(KindBN, b.name, act.fusedName(), false, t0)
 	return y
 }
 
 // Backward implements Layer. In batch-statistics mode it applies the full
 // BatchNorm gradient (statistics depend on the input); in running-stats
 // mode the statistics are constants and the gradient is a plain affine map.
+// After a ForwardFused it takes the gradient of the fused output and gates
+// it by the rectifier first.
 func (b *BatchNorm2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	dx, _ := b.BackwardFused(grad)
+	return dx
+}
+
+// BackwardFused is Backward for a block that fused a residual: beside dx
+// it returns the gradient that reaches the residual operand — grad gated
+// by the rectifier, or grad itself when there was none — and nil when the
+// forward had no residual.
+func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tensor) {
+	x := b.in
+	if x == nil {
+		panic("nn: " + b.name + ": Backward before Forward")
+	}
+	if !grad.SameShape(x) {
+		panic(shapeErr(b.name, grad.Shape()))
+	}
 	t0 := profStart()
-	n, h, w := b.n, b.h, b.w
-	plane := h * w
+	n, plane := x.Dim(0), x.Dim(2)*x.Dim(3)
 	cnt := float32(n * plane)
-	dx := tensor.New(n, b.C, h, w)
+	dx = tensor.New(x.Shape()...)
+	// gate says where the rectifier let the forward through, read from the
+	// saved output. With a residual the gated gradient is a result in its
+	// own right — it is what reaches the residual operand — so each channel
+	// writes it out first and the batch-norm arithmetic reads it ungated.
+	gate, dy := b.act.rect(), grad
+	var out []float32
+	if gate.On {
+		out = b.out.Data
+	}
+	if b.hasRes {
+		dres = grad
+		if gate.On {
+			dres = tensor.New(x.Shape()...)
+			dy = dres
+		}
+	}
 
 	parallel.For(b.C, func(c int) {
-		var sumDy, sumDyXhat float64
+		rect, out := gate, out
+		if dy != grad {
+			for img := 0; img < n; img++ {
+				base := (img*b.C + c) * plane
+				tensor.GradInputPlane(dy.Data[base:base+plane], grad.Data[base:base+plane],
+					nil, out[base:base+plane], nil, gate)
+			}
+			rect, out = tensor.Rect{}, nil
+		}
+		mean, inv := b.mean[c], b.invStd[c]
+		var sumDy, sumDyXhat [tensor.StatLanes]float64
 		for img := 0; img < n; img++ {
 			base := (img*b.C + c) * plane
-			for i := 0; i < plane; i++ {
-				dy := float64(grad.Data[base+i])
-				sumDy += dy
-				sumDyXhat += dy * float64(b.xhat[base+i])
-			}
+			tensor.GradSumsPlane(&sumDy, &sumDyXhat, dy.Data[base:base+plane],
+				x.Data[base:base+plane], planeOf(out, base, plane), mean, inv, rect)
 		}
+		sDy, sDyXhat := tensor.MergeLanes(&sumDy), tensor.MergeLanes(&sumDyXhat)
 		if !b.Beta.Frozen {
-			b.Beta.Grad[c] += float32(sumDy)
+			b.Beta.Grad[c] += float32(sDy)
 		}
 		if !b.Gamma.Frozen {
-			b.Gamma.Grad[c] += float32(sumDyXhat)
+			b.Gamma.Grad[c] += float32(sDyXhat)
 		}
-		g, inv := b.Gamma.Data[c], b.invStd[c]
-		if b.statsVary {
-			mDy, mDyXhat := float32(sumDy)/cnt, float32(sumDyXhat)/cnt
-			for img := 0; img < n; img++ {
-				base := (img*b.C + c) * plane
-				for i := 0; i < plane; i++ {
-					dy := grad.Data[base+i]
-					dx.Data[base+i] = g * inv * (dy - mDy - b.xhat[base+i]*mDyXhat)
-				}
-			}
-		} else {
-			for img := 0; img < n; img++ {
-				base := (img*b.C + c) * plane
-				for i := 0; i < plane; i++ {
-					dx.Data[base+i] = g * inv * grad.Data[base+i]
-				}
-			}
+		g := tensor.BNGrad{Mean: mean, InvStd: inv, Scale: b.Gamma.Data[c] * inv,
+			MeanDy: float32(sDy) / cnt, MeanDyXhat: float32(sDyXhat) / cnt, Vary: b.statsVary}
+		for img := 0; img < n; img++ {
+			base := (img*b.C + c) * plane
+			tensor.GradInputPlane(dx.Data[base:base+plane], dy.Data[base:base+plane],
+				x.Data[base:base+plane], planeOf(out, base, plane), &g, rect)
 		}
 	})
-	profEnd(KindBN, b.name, true, t0)
-	return dx
+	profEndFused(KindBN, b.name, b.act.fusedName(), true, t0)
+	return dx, dres
+}
+
+// planeOf returns the plane of an optional operand: nil when s is.
+func planeOf(s []float32, base, plane int) []float32 {
+	if s == nil {
+		return nil
+	}
+	return s[base : base+plane]
 }
 
 // SnapshotSource freezes the current running statistics as the source

@@ -1,0 +1,331 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"edgetta/internal/parallel"
+	"edgetta/internal/tensor"
+)
+
+// bnMode is one way BatchNorm2d picks its statistics.
+type bnMode struct {
+	name  string
+	train bool
+	setup func(*BatchNorm2d)
+}
+
+var bnModes = []bnMode{
+	{"train", true, func(*BatchNorm2d) {}},
+	{"UseBatchStats", false, func(b *BatchNorm2d) { b.UseBatchStats = true }},
+	{"running", false, func(*BatchNorm2d) {}},
+	{"SourcePrior", false, func(b *BatchNorm2d) {
+		b.UseBatchStats = true
+		b.SnapshotSource()
+		b.SourcePrior = 16
+	}},
+}
+
+// fusedCase builds a BatchNorm with non-trivial parameters and statistics
+// and the tensors of one forward/backward. 5×5 planes leave the kernels a
+// remainder after the vector part.
+func fusedCase(seed int64, mode bnMode) (bn *BatchNorm2d, x, res, grad *tensor.Tensor) {
+	rng := rand.New(rand.NewSource(seed))
+	bn = NewBatchNorm2d("bn", 6)
+	for c := 0; c < bn.C; c++ {
+		bn.Gamma.Data[c] = float32(1 + rng.NormFloat64())
+		bn.Beta.Data[c] = float32(rng.NormFloat64())
+		bn.RunningMean[c] = float32(rng.NormFloat64() * 0.3)
+		bn.RunningVar[c] = float32(0.5 + rng.Float64())
+	}
+	mode.setup(bn)
+	x, res, grad = tensor.New(5, 6, 5, 5), tensor.New(5, 6, 5, 5), tensor.New(5, 6, 5, 5)
+	x.Randn(rng, 2)
+	res.Randn(rng, 3) // wide enough that ReLU6 clamps some sums
+	grad.Randn(rng, 1)
+	return bn, x, res, grad
+}
+
+type fusedResult struct {
+	y, dx, dres, gamma, beta, runMean, runVar []float32
+}
+
+func (a fusedResult) diff(b fusedResult) string {
+	for _, f := range []struct {
+		name string
+		a, b []float32
+	}{{"output", a.y, b.y}, {"dx", a.dx, b.dx}, {"dres", a.dres, b.dres}, {"gamma grad", a.gamma, b.gamma},
+		{"beta grad", a.beta, b.beta}, {"running mean", a.runMean, b.runMean}, {"running var", a.runVar, b.runVar}} {
+		if !float32BitsEqual(f.a, f.b) {
+			return f.name
+		}
+	}
+	return ""
+}
+
+func snapshot(bn *BatchNorm2d, y, dx, dres *tensor.Tensor) fusedResult {
+	r := fusedResult{y: y.Data, dx: dx.Data, gamma: bn.Gamma.Grad, beta: bn.Beta.Grad,
+		runMean: bn.RunningMean, runVar: bn.RunningVar}
+	if dres != nil {
+		r.dres = dres.Data
+	}
+	return r
+}
+
+// TestFusedMatchesLayerSequenceBitwise is the fused pass's contract: for
+// every statistics mode, rectifier and residual, at 1 and 8 workers,
+// ForwardFused/BackwardFused produce the bits of bn.Forward → Tensor.Add →
+// act.Forward and act.Backward → bn.Backward run one layer at a time.
+func TestFusedMatchesLayerSequenceBitwise(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	acts := map[string]func() *ReLU{
+		"none":  func() *ReLU { return nil },
+		"relu":  func() *ReLU { return NewReLU("act") },
+		"relu6": func() *ReLU { return NewReLU6("act") },
+	}
+	for _, mode := range bnModes {
+		for actName, newAct := range acts {
+			for _, withRes := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/res=%v", mode.name, actName, withRes)
+				var byWorkers []fusedResult
+				for _, workers := range []int{1, 8} {
+					parallel.SetWorkers(workers)
+
+					bn, x, res, grad := fusedCase(41, mode)
+					act := newAct()
+					y := bn.Forward(x, mode.train)
+					if withRes {
+						y.Add(res)
+					}
+					dsum := grad
+					if act != nil {
+						y = act.Forward(y, mode.train)
+						dsum = act.Backward(grad)
+					}
+					var dres *tensor.Tensor
+					if withRes {
+						dres = dsum
+					}
+					want := snapshot(bn, y, bn.Backward(dsum), dres)
+
+					bn, x, res, grad = fusedCase(41, mode)
+					act = newAct()
+					if !withRes {
+						res = nil
+					}
+					y = bn.ForwardFused(x, res, act, mode.train)
+					dx, dres := bn.BackwardFused(grad)
+					got := snapshot(bn, y, dx, dres)
+
+					if d := got.diff(want); d != "" {
+						t.Errorf("%s, %d workers: fused %s differs from the layer sequence", name, workers, d)
+					}
+					if act != nil && (act.Spec().OutElems != int64(y.Numel()) || act.Spec().Kind != KindAct) {
+						t.Errorf("%s: fused rectifier's Spec not recorded: %+v", name, act.Spec())
+					}
+					byWorkers = append(byWorkers, got)
+				}
+				if d := byWorkers[0].diff(byWorkers[1]); d != "" {
+					t.Errorf("%s: fused %s differs between 1 and 8 workers", name, d)
+				}
+			}
+		}
+	}
+}
+
+// TestSequentialFusesBatchNormReLUPairs: a Sequential runs its adjacent
+// BatchNorm2d, ReLU pairs fused, and that is invisible in the numbers —
+// bit-equal to calling every layer of a clone one by one.
+func TestSequentialFusesBatchNormReLUPairs(t *testing.T) {
+	net := buildParityNet(7)
+	ref := net.CloneLayer().(*Sequential)
+	x := parityInput(11)
+
+	y := net.Forward(x, true)
+	h := x
+	for _, l := range ref.layers {
+		h = l.Forward(h, true)
+	}
+	if !float32BitsEqual(y.Data, h.Data) {
+		t.Fatal("Sequential forward differs from the layer-by-layer forward")
+	}
+	g := tensor.New(y.Shape()...)
+	g.Randn(rand.New(rand.NewSource(3)), 1)
+	dx := net.Backward(g)
+	d := g
+	for i := len(ref.layers) - 1; i >= 0; i-- {
+		d = ref.layers[i].Backward(d)
+	}
+	if !float32BitsEqual(dx.Data, d.Data) {
+		t.Fatal("Sequential backward differs from the layer-by-layer backward")
+	}
+	pr := CollectParams(ref)
+	for i, p := range CollectParams(net) {
+		if !float32BitsEqual(p.Grad, pr[i].Grad) {
+			t.Fatalf("%s gradient differs from the layer-by-layer backward", p.Name)
+		}
+	}
+	// The fused rectifiers ran: their Specs say so, and they hold nothing.
+	for _, i := range []int{2, 5} {
+		r := net.layers[i].(*ReLU)
+		if r.Spec().OutElems == 0 || r.out != nil {
+			t.Errorf("%s: Spec %+v, saved output %v after a fused forward", r.Name(), r.Spec(), r.out != nil)
+		}
+	}
+}
+
+// TestFusedGradientCheck runs the numeric-gradient check through the fused
+// path: γ, β, the input and the residual, with batch statistics, for both
+// rectifiers. The residual is nudged so that no pre-activation sits within
+// finite-difference reach of a kink.
+func TestFusedGradientCheck(t *testing.T) {
+	for _, act := range []*ReLU{NewReLU("relu"), NewReLU6("relu6")} {
+		rng := rand.New(rand.NewSource(17))
+		bn := NewBatchNorm2d("bn", 3)
+		bn.Gamma.Data[1], bn.Beta.Data[2] = 1.5, -0.5
+		x, res := tensor.New(4, 3, 2, 2), tensor.New(4, 3, 2, 2)
+		x.Randn(rng, 1)
+		res.Randn(rng, 2)
+		pre := bn.Forward(x, true)
+		pre.Add(res)
+		for i, v := range pre.Data {
+			for _, kink := range []float32{0, act.Cap} {
+				if d := v - kink; d > -0.4 && d < 0.4 {
+					res.Data[i] += 0.8
+				}
+			}
+		}
+		rm, rv := append([]float32(nil), bn.RunningMean...), append([]float32(nil), bn.RunningVar...)
+		restore := func() { copy(bn.RunningMean, rm); copy(bn.RunningVar, rv) }
+		restore()
+
+		y := bn.ForwardFused(x, res, act, true)
+		loss := newProjLoss(rng, y.Numel())
+		forward := func() float64 {
+			defer restore()
+			return loss.value(bn.ForwardFused(x, res, act, true))
+		}
+		bn.Gamma.ZeroGrad()
+		bn.Beta.ZeroGrad()
+		dx, dres := bn.BackwardFused(loss.grad(y.Shape()))
+		restore()
+		checkGrad(t, act.Name()+".gamma", forward, bn.Gamma.Data, bn.Gamma.Grad, 2e-2)
+		checkGrad(t, act.Name()+".beta", forward, bn.Beta.Data, bn.Beta.Grad, 2e-2)
+		checkGrad(t, act.Name()+".input", forward, x.Data, dx.Data, 3e-2)
+		checkGrad(t, act.Name()+".residual", forward, res.Data, dres.Data, 2e-2)
+	}
+}
+
+// TestNoLayerOwnsAnActivationSizedBuffer: after a forward and a backward,
+// no BatchNorm2d or ReLU holds a slice as large as an activation — x̂ is
+// recomputed, the rectifier's sign is read from the output, and what the
+// layers keep are references to tensors that exist anyway. (Before the
+// fused kernels BatchNorm2d owned xhat and ReLU a []bool mask.)
+func TestNoLayerOwnsAnActivationSizedBuffer(t *testing.T) {
+	net := buildParityNet(7)
+	x := parityInput(11)
+	net.Backward(net.Forward(x, true))
+	lone := NewReLU("lone") // a rectifier nobody fuses
+	lone.Backward(lone.Forward(x, true))
+
+	smallest := x.Numel() // every activation here has at least the input's elements
+	layers := []Layer{lone}
+	Walk(net, func(l Layer) { layers = append(layers, l) })
+	checked := 0
+	for _, l := range layers {
+		switch l.(type) {
+		case *BatchNorm2d, *ReLU:
+		default:
+			continue
+		}
+		checked++
+		v := reflect.ValueOf(l).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Slice && f.Cap() >= smallest {
+				t.Errorf("%s owns %s: a slice of capacity %d (activations start at %d elements)",
+					l.Name(), v.Type().Field(i).Name, f.Cap(), smallest)
+			}
+		}
+	}
+	if checked != 5 {
+		t.Fatalf("checked %d layers, want 2 BatchNorms and 3 ReLUs", checked)
+	}
+}
+
+func wantPanic(t *testing.T, what, substr string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Errorf("%s: no panic", what)
+		} else if !strings.Contains(fmt.Sprint(r), substr) {
+			t.Errorf("%s: panic %q does not name %q", what, r, substr)
+		}
+	}()
+	fn()
+}
+
+// TestBackwardBeforeForwardPanics: BatchNorm2d and ReLU used to return an
+// empty or stale gradient here; like Conv2d they now say which layer.
+func TestBackwardBeforeForwardPanics(t *testing.T) {
+	g := tensor.New(1, 2, 2, 2)
+	wantPanic(t, "BatchNorm2d", "bnX: Backward before Forward", func() { NewBatchNorm2d("bnX", 2).Backward(g) })
+	wantPanic(t, "ReLU", "reluX: Backward before Forward", func() { NewReLU("reluX").Backward(g) })
+
+	// A rectifier whose forward ran inside a BatchNorm has nothing to undo
+	// on its own, even if an earlier stand-alone forward left an output.
+	bn, act := NewBatchNorm2d("bn", 2), NewReLU("reluY")
+	act.Forward(g, false)
+	bn.ForwardFused(g, nil, act, false)
+	wantPanic(t, "fused ReLU", "reluY", func() { act.Backward(g) })
+	if dx := bn.Backward(g); !dx.SameShape(g) {
+		t.Errorf("fused backward returned shape %v", dx.Shape())
+	}
+}
+
+// TestPoolAndDropoutAreProfiled: AvgPool2d, MaxPool2d and Dropout used to
+// record no interval, so their time leaked out of the attributed share.
+func TestPoolAndDropoutAreProfiled(t *testing.T) {
+	x := tensor.New(2, 3, 4, 4)
+	x.Randn(rand.New(rand.NewSource(1)), 1)
+	layers := []Layer{NewAvgPool2d("avg", 2), NewMaxPool2d("max", 2),
+		NewDropout("drop", 0.5, rand.New(rand.NewSource(2)))}
+	if !StartProfiling() {
+		t.Skip("another profiler is active")
+	}
+	for _, l := range layers {
+		l.Backward(l.Forward(x, true))
+	}
+	got := StopProfiling()
+	for kind, want := range map[Kind]int{KindPool: 2, KindOther: 1} {
+		if got.FwCalls[kind] != want || got.BwCalls[kind] != want {
+			t.Errorf("kind %v: %d forward and %d backward intervals, want %d each",
+				kind, got.FwCalls[kind], got.BwCalls[kind], want)
+		}
+	}
+}
+
+// TestFusedPassIsOneProfilerInterval: the fused pass is credited to the
+// BatchNorm as one interval per direction, and the rectifier records none.
+func TestFusedPassIsOneProfilerInterval(t *testing.T) {
+	bn, x, res, grad := fusedCase(5, bnModes[0])
+	act := NewReLU("act")
+	if !StartProfiling() {
+		t.Skip("another profiler is active")
+	}
+	bn.ForwardFused(x, res, act, true)
+	bn.BackwardFused(grad)
+	got := StopProfiling()
+	if got.FwCalls[KindBN] != 1 || got.BwCalls[KindBN] != 1 || got.FwCalls[KindAct]+got.BwCalls[KindAct] != 0 {
+		t.Errorf("intervals: bn %d/%d, act %d/%d; want 1/1 and 0/0",
+			got.FwCalls[KindBN], got.BwCalls[KindBN], got.FwCalls[KindAct], got.BwCalls[KindAct])
+	}
+	if math.IsNaN(got.Total()) || got.Total() <= 0 {
+		t.Errorf("profiled total %v", got.Total())
+	}
+}

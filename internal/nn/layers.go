@@ -8,11 +8,15 @@ import (
 )
 
 // ReLU is max(0, x); with a positive Cap it becomes ReLU6-style clamping
-// (used by MobileNetV2).
+// (used by MobileNetV2). It keeps no mask: Backward reads the rectifier's
+// sign back from the output it returned.
 type ReLU struct {
-	name     string
-	Cap      float32 // 0 means uncapped
-	mask     []bool
+	name string
+	Cap  float32 // 0 means uncapped
+	// out is the output of the last stand-alone Forward. It is nil after a
+	// forward fused into a BatchNorm2d (ForwardFused), which then owns the
+	// backward of both.
+	out      *tensor.Tensor
 	lastSpec Spec
 }
 
@@ -31,39 +35,52 @@ func (r *ReLU) Params() []*Param { return nil }
 // Spec implements Layer.
 func (r *ReLU) Spec() Spec { return r.lastSpec }
 
+// rect is the layer as the elementwise kernels take it; a nil *ReLU is no
+// rectifier.
+func (r *ReLU) rect() tensor.Rect {
+	if r == nil {
+		return tensor.Rect{}
+	}
+	return tensor.Rect{On: true, Cap: r.Cap}
+}
+
+// ran records a forward that produced y, stand-alone or fused.
+func (r *ReLU) ran(y *tensor.Tensor) {
+	r.lastSpec = Spec{Kind: KindAct, LayerName: r.name, OutElems: int64(y.Numel()),
+		SavedElems: int64(y.Numel()), Batch: int64(y.Dim(0))}
+}
+
+// fusedName is what the span of a pass r was fused into calls it.
+func (r *ReLU) fusedName() string {
+	if r == nil {
+		return ""
+	}
+	return r.name
+}
+
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	t0 := profStart()
-	defer profEnd(KindAct, r.name, false, t0)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
 	y := tensor.New(x.Shape()...)
-	for i, v := range x.Data {
-		pass := v > 0 && (r.Cap == 0 || v < r.Cap)
-		r.mask[i] = pass
-		if pass {
-			y.Data[i] = v
-		} else if r.Cap != 0 && v >= r.Cap {
-			y.Data[i] = r.Cap
-		}
-	}
-	r.lastSpec = Spec{Kind: KindAct, LayerName: r.name, OutElems: int64(x.Numel()),
-		SavedElems: int64(x.Numel()), Batch: int64(x.Dim(0))}
+	tensor.NormalizePlane(y.Data, x.Data, nil, nil, r.rect())
+	r.ran(y)
+	r.out = y
+	profEnd(KindAct, r.name, false, t0)
 	return y
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	t0 := profStart()
-	defer profEnd(KindAct, r.name, true, t0)
-	dx := tensor.New(grad.Shape()...)
-	for i, g := range grad.Data {
-		if r.mask[i] {
-			dx.Data[i] = g
-		}
+	if r.out == nil {
+		panic("nn: " + r.name + ": Backward before Forward (a fused forward is undone by its BatchNorm2d)")
 	}
+	if !grad.SameShape(r.out) {
+		panic(shapeErr(r.name, grad.Shape()))
+	}
+	t0 := profStart()
+	dx := tensor.New(grad.Shape()...)
+	tensor.GradInputPlane(dx.Data, grad.Data, nil, r.out.Data, nil, r.rect())
+	profEnd(KindAct, r.name, true, t0)
 	return dx
 }
 
@@ -231,6 +248,8 @@ func (p *AvgPool2d) Spec() Spec { return p.lastSpec }
 
 // Forward implements Layer.
 func (p *AvgPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	t0 := profStart()
+	defer profEnd(KindPool, p.name, false, t0)
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	p.h, p.w = h, w
 	oh, ow := h/p.K, w/p.K
@@ -257,6 +276,8 @@ func (p *AvgPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (p *AvgPool2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	t0 := profStart()
+	defer profEnd(KindPool, p.name, true, t0)
 	n, c, oh, ow := grad.Dim(0), grad.Dim(1), grad.Dim(2), grad.Dim(3)
 	dx := tensor.New(n, c, p.h, p.w)
 	inv := 1 / float32(p.K*p.K)

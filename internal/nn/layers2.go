@@ -29,6 +29,8 @@ func (p *MaxPool2d) Spec() Spec { return p.lastSpec }
 
 // Forward implements Layer.
 func (p *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	t0 := profStart()
+	defer profEnd(KindPool, p.name, false, t0)
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	p.h, p.w = h, w
 	oh, ow := h/p.K, w/p.K
@@ -63,6 +65,8 @@ func (p *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer: the gradient routes to each window's argmax.
 func (p *MaxPool2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	t0 := profStart()
+	defer profEnd(KindPool, p.name, true, t0)
 	n, c := grad.Dim(0), grad.Dim(1)
 	dx := tensor.New(n, c, p.h, p.w)
 	for i, g := range grad.Data {
@@ -100,6 +104,8 @@ func (d *Dropout) Spec() Spec { return d.lastSpec }
 
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	t0 := profStart()
+	defer profEnd(KindOther, d.name, false, t0)
 	d.lastSpec = Spec{Kind: KindAct, LayerName: d.name, OutElems: int64(x.Numel()), Batch: int64(x.Dim(0))}
 	if !train || d.P <= 0 {
 		d.mask = d.mask[:0] // marks pass-through for Backward
@@ -123,6 +129,8 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	t0 := profStart()
+	defer profEnd(KindOther, d.name, true, t0)
 	if len(d.mask) == 0 {
 		return grad
 	}

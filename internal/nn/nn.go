@@ -4,10 +4,16 @@
 // activations, pooling, linear layers, and the cross-entropy / Shannon
 // entropy losses with analytic gradients.
 //
-// Autograd is layer-structured rather than tape-based: each layer caches the
-// activations its backward pass needs (mirroring PyTorch's dynamic graph,
-// whose memory footprint the paper profiles) and implements an explicit
-// Backward.
+// Autograd is layer-structured rather than tape-based: each layer implements
+// an explicit Backward and keeps from its Forward only what that needs.
+// That is less than PyTorch's dynamic graph saves (the footprint the paper
+// profiles, which Spec.SavedElems keeps describing): a layer holds
+// references to its input or output tensor rather than copies, BatchNorm
+// recomputes x̂ from its input and per-channel μ, σ⁻¹, and a rectifier's
+// sign is read back from its output. A BatchNorm directly followed by a
+// ReLU — in a Sequential or in the models' blocks — runs as one fused pass
+// (BatchNorm2d.ForwardFused) over the same elementwise kernels the layers
+// use on their own.
 package nn
 
 import (
@@ -184,10 +190,17 @@ func NewSequential(name string, layers ...Layer) *Sequential {
 // Append adds layers to the end of the chain.
 func (s *Sequential) Append(layers ...Layer) { s.layers = append(s.layers, layers...) }
 
-// Forward implements Layer.
+// Forward implements Layer. A BatchNorm2d directly followed by a ReLU runs
+// as one fused pass (BatchNorm2d.ForwardFused); which layers pair up is a
+// property of the chain alone, so Backward finds the same pairs.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.layers {
-		x = l.Forward(x, train)
+	for i := 0; i < len(s.layers); i++ {
+		if bn, act := s.fusedPair(i); bn != nil {
+			x = bn.ForwardFused(x, nil, act, train)
+			i++
+			continue
+		}
+		x = s.layers[i].Forward(x, train)
 	}
 	return x
 }
@@ -195,9 +208,31 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.layers) - 1; i >= 0; i-- {
+		if bn, _ := s.fusedPair(i - 1); bn != nil {
+			grad = bn.Backward(grad)
+			i--
+			continue
+		}
 		grad = s.layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// fusedPair returns layers i and i+1 when they are a BatchNorm2d and the
+// ReLU that follows it, else nils.
+func (s *Sequential) fusedPair(i int) (*BatchNorm2d, *ReLU) {
+	if i < 0 || i+1 >= len(s.layers) {
+		return nil, nil
+	}
+	bn, ok := s.layers[i].(*BatchNorm2d)
+	if !ok {
+		return nil, nil
+	}
+	act, ok := s.layers[i+1].(*ReLU)
+	if !ok {
+		return nil, nil
+	}
+	return bn, act
 }
 
 // Params implements Layer; composites report none of their own.

@@ -175,13 +175,23 @@ func profAdd(kind Kind, backward bool, dt float64) {
 // profEnd records a completed phase against the aggregate totals and, when
 // a tracer is active, as a trace span carrying the layer's name.
 func profEnd(kind Kind, name string, backward bool, t0 time.Time) {
+	profEndFused(kind, name, "", backward, t0)
+}
+
+// profEndFused is profEnd for a pass that also did the work of the layer
+// named fused (a batch-norm pass and the rectifier folded into it): one
+// interval, credited to kind, whose span names both layers.
+func profEndFused(kind Kind, name, fused string, backward bool, t0 time.Time) {
 	if t0.IsZero() {
 		return
 	}
 	dt := time.Since(t0)
 	if tr := telemetry.ActiveTracer(); tr != nil {
-		tr.Complete("nn", spanName(kind, backward), 0, t0, dt,
-			telemetry.Arg{Key: "layer", Value: name})
+		args := []telemetry.Arg{{Key: "layer", Value: name}}
+		if fused != "" {
+			args = append(args, telemetry.Arg{Key: "fused", Value: fused})
+		}
+		tr.Complete("nn", spanName(kind, backward), 0, t0, dt, args...)
 	}
 	profMu.Lock()
 	c := profCur

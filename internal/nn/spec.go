@@ -56,6 +56,10 @@ type Spec struct {
 	ParamCount int64 // learnable parameters
 	BNChannels int64 // channels, for KindBN only
 	OutElems   int64 // output tensor elements
-	SavedElems int64 // elements cached for backward ("dynamic graph" memory)
+	// SavedElems is the number of elements PyTorch's dynamic graph would
+	// save for this layer's backward — the quantity internal/device is
+	// calibrated on — not what this implementation retains (BatchNorm and
+	// ReLU own no activation-sized buffer; see the package doc).
+	SavedElems int64
 	Batch      int64 // batch size of the recorded forward
 }

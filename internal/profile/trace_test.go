@@ -46,10 +46,25 @@ func TestCaptureKernelTrace(t *testing.T) {
 		}
 	}
 	// BN-Opt runs forward and backward; WRN is conv/BN/ReLU-dominated.
-	for _, want := range []string{"conv.fw", "conv.bw", "bn.fw", "bn.bw", "act.fw", "pack.fw"} {
+	for _, want := range []string{"conv.fw", "conv.bw", "bn.fw", "bn.bw", "pack.fw"} {
 		if counts[want] == 0 {
 			t.Errorf("trace has no %q spans (got %v)", want, counts)
 		}
+	}
+	// Every ReLU in WRN follows a BatchNorm and runs inside that layer's
+	// fused pass: its time is in the bn spans, which name it, and there is
+	// no act span left to expect.
+	if counts["act.fw"]+counts["act.bw"] != 0 {
+		t.Errorf("trace has act spans although every rectifier is fused (got %v)", counts)
+	}
+	fused := 0
+	for _, e := range doc.TraceEvents {
+		if args, ok := e["args"].(map[string]any); ok && e["name"] == "bn.fw" && args["fused"] != nil {
+			fused++
+		}
+	}
+	if fused != counts["bn.fw"] {
+		t.Errorf("%d of %d bn.fw spans name a fused rectifier, want all", fused, counts["bn.fw"])
 	}
 	if doc.Metadata["model"] != m.Tag || doc.Metadata["algo"] != core.BNOpt.String() {
 		t.Errorf("metadata = %v", doc.Metadata)

@@ -90,3 +90,88 @@ func dot(x, y []float32) float32 {
 	}
 	return dotGeneric(x, y)
 }
+
+// The elementwise plane kernels (elementwise.go). Each AVX2 routine takes a
+// whole number of vectors — StatLanes elements for the reductions, 8 for
+// the maps — and reads an optional operand (res, x, out) only under the
+// mode bit that needs it; the remainder of the plane goes to the generic
+// twin, bit-identical by construction, which also keeps the element-to-lane
+// map intact because the vector part is a multiple of StatLanes long.
+
+//go:noescape
+func planeSumAVX2(acc *[StatLanes]float64, x []float32)
+
+//go:noescape
+func planeSumSqDevAVX2(acc *[StatLanes]float64, x []float32, mean float32)
+
+//go:noescape
+func normalizeAVX2(y, x, res []float32, mean, inv, gamma, beta, hi float32, mode int)
+
+//go:noescape
+func gradSumsAVX2(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, mean, inv, hi float32, mode int)
+
+//go:noescape
+func gradInputAVX2(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, hi float32, mode int)
+
+// vectorPart is how many leading elements of an n-element plane the AVX2
+// routines take when they work in blocks of width (a power of two).
+func vectorPart(n, width int) int {
+	if !hasAVX2 {
+		return 0
+	}
+	return n &^ (width - 1)
+}
+
+// rest returns s[n:], or nil for the nil slice an absent operand is.
+func rest(s []float32, n int) []float32 {
+	if s == nil {
+		return nil
+	}
+	return s[n:]
+}
+
+func planeSum(acc *[StatLanes]float64, x []float32) {
+	n := vectorPart(len(x), StatLanes)
+	if n > 0 {
+		planeSumAVX2(acc, x[:n])
+	}
+	planeSumGeneric(acc, x[n:])
+}
+
+func planeSumSqDev(acc *[StatLanes]float64, x []float32, mean float32) {
+	n := vectorPart(len(x), StatLanes)
+	if n > 0 {
+		planeSumSqDevAVX2(acc, x[:n], mean)
+	}
+	planeSumSqDevGeneric(acc, x[n:], mean)
+}
+
+func normalize(y, x, res []float32, mean, inv, g, b, hi float32, mode int) {
+	n := vectorPart(len(x), 8)
+	if n > 0 {
+		normalizeAVX2(y, x[:n], res, mean, inv, g, b, hi, mode)
+	}
+	if n < len(x) {
+		normalizeGeneric(y[n:], x[n:], rest(res, n), mean, inv, g, b, hi, mode)
+	}
+}
+
+func gradSums(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, mean, inv, hi float32, mode int) {
+	n := vectorPart(len(dy), StatLanes)
+	if n > 0 {
+		gradSumsAVX2(sumDy, sumDyXhat, dy[:n], x, out, mean, inv, hi, mode)
+	}
+	if n < len(dy) {
+		gradSumsGeneric(sumDy, sumDyXhat, dy[n:], x[n:], rest(out, n), mean, inv, hi, mode)
+	}
+}
+
+func gradInput(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
+	n := vectorPart(len(dy), 8)
+	if n > 0 {
+		gradInputAVX2(dx, dy[:n], x, out, mean, inv, scale, mDy, mDyXhat, hi, mode)
+	}
+	if n < len(dy) {
+		gradInputGeneric(dx[n:], dy[n:], rest(x, n), rest(out, n), mean, inv, scale, mDy, mDyXhat, hi, mode)
+	}
+}

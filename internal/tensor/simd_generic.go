@@ -20,3 +20,82 @@ func dotGeneric(x, y []float32) float32 {
 	}
 	return s
 }
+
+// Generic twins of the elementwise plane kernels (see elementwise.go). The
+// explicit float32(...)/float64(...) conversions around each product round
+// it on its own, so a compiler that may fuse x*y+z into one instruction
+// (arm64, ppc64, s390x, riscv64) produces the same bits as the AVX2
+// routines, which never fuse.
+
+func planeSumGeneric(acc *[StatLanes]float64, x []float32) {
+	for i, v := range x {
+		acc[i%StatLanes] += float64(v)
+	}
+}
+
+func planeSumSqDevGeneric(acc *[StatLanes]float64, x []float32, mean float32) {
+	for i, v := range x {
+		d := float64(v - mean)
+		acc[i%StatLanes] += float64(d * d)
+	}
+}
+
+// rectify is max(0, v) then the clamp to hi, written as the two selects
+// VMAXPS/VMINPS perform: anything not above zero (NaN, −0) becomes +0, and
+// hi replaces v only when hi < v (never for the NaN that encodes no cap).
+func rectify(v, hi float32) float32 {
+	if !(v > 0) {
+		return 0
+	}
+	if hi < v {
+		return hi
+	}
+	return v
+}
+
+// passed reports whether the rectifier let the value behind the saved
+// output y through unchanged — the old ReLU mask, read back from y.
+func passed(y, hi float32) bool { return y > 0 && !(hi <= y) }
+
+func normalizeGeneric(y, x, res []float32, mean, inv, g, b, hi float32, mode int) {
+	for i, v := range x {
+		if mode&opAffine != 0 {
+			xh := (v - mean) * inv
+			v = float32(g*xh) + b
+		}
+		if mode&opResidual != 0 {
+			v += res[i]
+		}
+		if mode&opRect != 0 {
+			v = rectify(v, hi)
+		}
+		y[i] = v
+	}
+}
+
+func gradSumsGeneric(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, mean, inv, hi float32, mode int) {
+	for i, d := range dy {
+		if mode&opRect != 0 && !passed(out[i], hi) {
+			d = 0
+		}
+		xh := (x[i] - mean) * inv
+		sumDy[i%StatLanes] += float64(d)
+		sumDyXhat[i%StatLanes] += float64(float64(d) * float64(xh))
+	}
+}
+
+func gradInputGeneric(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
+	for i, d := range dy {
+		if mode&opRect != 0 && !passed(out[i], hi) {
+			d = 0
+		}
+		if mode&opAffine != 0 {
+			if mode&opVary != 0 {
+				xh := (x[i] - mean) * inv
+				d = (d - mDy) - float32(xh*mDyXhat)
+			}
+			d = scale * d
+		}
+		dx[i] = d
+	}
+}

@@ -30,3 +30,21 @@ func convPackedSpan(y, x, w []float32, xoff []int32, rows, pixStride, npix int) 
 	}
 	convPackedSpanGeneric(y, x, w, xoff, rows, pixStride, npix)
 }
+
+func planeSum(acc *[StatLanes]float64, x []float32) { planeSumGeneric(acc, x) }
+
+func planeSumSqDev(acc *[StatLanes]float64, x []float32, mean float32) {
+	planeSumSqDevGeneric(acc, x, mean)
+}
+
+func normalize(y, x, res []float32, mean, inv, g, b, hi float32, mode int) {
+	normalizeGeneric(y, x, res, mean, inv, g, b, hi, mode)
+}
+
+func gradSums(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, mean, inv, hi float32, mode int) {
+	gradSumsGeneric(sumDy, sumDyXhat, dy, x, out, mean, inv, hi, mode)
+}
+
+func gradInput(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
+	gradInputGeneric(dx, dy, x, out, mean, inv, scale, mDy, mDyXhat, hi, mode)
+}

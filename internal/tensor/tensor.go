@@ -130,14 +130,14 @@ func (t *Tensor) Uniform(rng *rand.Rand, lo, hi float64) {
 	}
 }
 
-// AddScaled computes t += alpha*o elementwise. Shapes must match.
+// AddScaled computes t += alpha*o elementwise. Shapes must match. It runs
+// on the axpy kernel: one rounded multiply and one rounded add per element,
+// the same bits as the scalar loop.
 func (t *Tensor) AddScaled(o *Tensor, alpha float32) {
 	if !t.SameShape(o) {
 		panic(fmt.Sprintf("tensor: AddScaled shape mismatch %v vs %v", t.shape, o.shape))
 	}
-	for i, v := range o.Data {
-		t.Data[i] += alpha * v
-	}
+	axpy(alpha, o.Data, t.Data)
 }
 
 // Add computes t += o elementwise.
