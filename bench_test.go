@@ -84,38 +84,11 @@ func randBatch(n int) *tensor.Tensor {
 	return x
 }
 
-// BenchmarkInferenceRepro measures eval-mode forward of the repro-scale
-// WRN over a 50-image batch (the paper's No-Adapt workload, scaled down).
-func BenchmarkInferenceRepro(b *testing.B) {
-	m := reproModel(b)
-	x := randBatch(50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Forward(x, false)
-	}
-}
-
 // BenchmarkBNNormRepro measures the BN-Norm adaptation step: a forward
 // pass with batch-statistics BN.
 func BenchmarkBNNormRepro(b *testing.B) {
 	m := reproModel(b)
 	a, err := core.New(core.BNNorm, m, core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := randBatch(50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Process(x)
-	}
-}
-
-// BenchmarkBNOptRepro measures the BN-Opt (TENT) step: forward, entropy
-// backward through the whole network, and an Adam update of gamma/beta —
-// the paper's identified bottleneck.
-func BenchmarkBNOptRepro(b *testing.B) {
-	m := reproModel(b)
-	a, err := core.New(core.BNOpt, m, core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -163,44 +136,7 @@ func BenchmarkFullScaleWRNForwardTraced(b *testing.B) {
 	b.ReportMetric(float64(tr.Len()), "trace_events")
 }
 
-func benchConv3x3(b *testing.B) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	conv := nn.NewConv2d("c", rng, 32, 32, 3, 1, 1, 1)
-	x := tensor.New(8, 32, 32, 32)
-	x.Randn(rng, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.Forward(x, false)
-	}
-}
-
-// BenchmarkConv3x3Forward measures the default dispatch (the packed
-// NC8HW8 direct path for this stride-1 ungrouped shape).
-func BenchmarkConv3x3Forward(b *testing.B) { benchConv3x3(b) }
-
-// BenchmarkConv3x3ForwardIm2Col forces the im2col + matmul path the
-// packed kernel replaced, so the dispatch win stays measurable.
-func BenchmarkConv3x3ForwardIm2Col(b *testing.B) {
-	was := tensor.PackedEnabled()
-	tensor.SetPacked(false)
-	defer tensor.SetPacked(was)
-	benchConv3x3(b)
-}
-
-// BenchmarkConv3x3ForwardFMA measures the opt-in fused kernel (skipped
-// where the build or CPU has none).
-func BenchmarkConv3x3ForwardFMA(b *testing.B) {
-	if !tensor.FMASupported() {
-		b.Skip("no FMA kernel in this build")
-	}
-	was := tensor.FMAEnabled()
-	tensor.SetFMA(true)
-	defer tensor.SetFMA(was)
-	benchConv3x3(b)
-}
-
-// BenchmarkConv3x3Backward measures the same layer's backward both ways:
+// BenchmarkConv3x3Backward measures one 3×3 conv layer's backward both ways:
 // frozen is what a BN-Opt step pays (dX only, on the forward kernel),
 // unfrozen what training pays (dX plus the strip-mined dW reduction).
 func BenchmarkConv3x3Backward(b *testing.B) {
@@ -221,19 +157,6 @@ func BenchmarkConv3x3Backward(b *testing.B) {
 				conv.Backward(grad)
 			}
 		})
-	}
-}
-
-// BenchmarkConv1x1Forward covers the pointwise convs (shortcuts,
-// MobileNet expand/project), the other shape the packed path serves.
-func BenchmarkConv1x1Forward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	conv := nn.NewConv2d("c", rng, 64, 64, 1, 1, 0, 1)
-	x := tensor.New(8, 64, 16, 16)
-	x.Randn(rng, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.Forward(x, false)
 	}
 }
 
@@ -287,18 +210,6 @@ func BenchmarkBNReLUBackward(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMul256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.New(256, 256)
-	y := tensor.New(256, 256)
-	x.Randn(rng, 1)
-	y.Randn(rng, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
-	}
-}
-
 // BenchmarkCorruptions measures the full CIFAR-10-C corruption suite on
 // one image at severity 5.
 func BenchmarkCorruptions(b *testing.B) {
@@ -311,22 +222,6 @@ func BenchmarkCorruptions(b *testing.B) {
 			data.Apply(c, img, data.ImageSize, data.ImageSize, 5, rng)
 		}
 	}
-}
-
-// BenchmarkMeasuredBreakdownBNOpt reproduces the paper's profiling
-// methodology on this host's own kernels: one BN-Opt step under the layer
-// profiler, reporting the conv backward/forward wall-time ratio (the paper
-// measures 2.2–2.5× on its devices).
-func BenchmarkMeasuredBreakdownBNOpt(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r, err := profile.MeasureBreakdown(reproModel(b), core.BNOpt, 16, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = r.ConvBwOverFw()
-	}
-	b.ReportMetric(ratio, "conv_bw_over_fw")
 }
 
 // BenchmarkStreamAdaptation measures a short end-to-end online adaptation

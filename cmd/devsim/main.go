@@ -14,11 +14,8 @@ import (
 	"os"
 	"strings"
 
-	"math/rand"
-
 	"edgetta/internal/core"
 	"edgetta/internal/device"
-	"edgetta/internal/models"
 	"edgetta/internal/profile"
 )
 
@@ -29,7 +26,6 @@ func main() {
 	algoName := flag.String("algo", "BN-Norm", "algorithm: No-Adapt, BN-Norm, BN-Opt")
 	batch := flag.Int("batch", 50, "adaptation batch size")
 	list := flag.Bool("list", false, "list devices and exit")
-	real := flag.Bool("real", false, "also measure a real per-kind breakdown on this host (repro-scale model)")
 	flag.Parse()
 
 	if *list {
@@ -51,16 +47,9 @@ func main() {
 	if strings.EqualFold(*engine, "gpu") {
 		kind = device.GPU
 	}
-	var algo core.Algorithm
-	switch strings.ToLower(*algoName) {
-	case "no-adapt", "noadapt":
-		algo = core.NoAdapt
-	case "bn-norm", "bnnorm":
-		algo = core.BNNorm
-	case "bn-opt", "bnopt":
-		algo = core.BNOpt
-	default:
-		fatal("unknown algorithm %q", *algoName)
+	algo, err := core.ParseAlgorithm(*algoName)
+	if err != nil {
+		fatal("%v", err)
 	}
 
 	p, err := profile.Get(*model)
@@ -84,22 +73,6 @@ func main() {
 	}
 	if r.OOM {
 		fmt.Println("  NOTE: this configuration exceeds device memory (as the paper reports for some ResNeXt/BN-Opt cells)")
-	}
-	if *real {
-		m, err := models.ByTag(*model, rand.New(rand.NewSource(1)), models.ReproScale)
-		if err != nil {
-			fatal("%v", err)
-		}
-		rb, err := profile.MeasureBreakdown(m, algo, *batch, 2)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Println()
-		fmt.Print(rb)
-		if algo == core.BNOpt {
-			fmt.Printf("  measured conv bw/fw ratio on this host: %.2fx (paper: 2.2-2.5x on its devices)\n",
-				rb.ConvBwOverFw())
-		}
 	}
 }
 

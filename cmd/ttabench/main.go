@@ -6,7 +6,7 @@
 //	ttabench -figure fig2        # one artifact (fig2..fig12, table1)
 //	ttabench -figure all         # everything
 //	ttabench -anchors            # calibration anchors vs simulated values
-//	ttabench -kernels            # kernel dispatch report (packed/FMA/AVX2)
+//	ttabench -kernels            # which conv kernel each model's shapes select
 //	ttabench -trace out.json     # Chrome trace of one BN-Opt kernel run
 //	ttabench -scenario           # continual-TTA scenario study (trains a
 //	                             # repro-scale model; -ckpt caches weights)
@@ -25,7 +25,6 @@ import (
 	"edgetta/internal/nn"
 	"edgetta/internal/profile"
 	"edgetta/internal/study"
-	"edgetta/internal/tensor"
 )
 
 func main() {
@@ -139,14 +138,11 @@ func printScenarioStudy(tag, ckptDir string) error {
 	return nil
 }
 
-// printKernels reports which convolution path each model's layers will
-// dispatch to, plus the process-wide kernel switches — the ground truth
-// for interpreting benchmark numbers on this host.
+// printKernels reports which convolution path each model's layers
+// dispatch to. The choice is a function of the layer's shape (stride-1
+// ungrouped → packed direct, everything else → im2col), so this table is
+// the whole dispatch — the ground truth for interpreting benchmark numbers.
 func printKernels() {
-	fmt.Printf("packed direct conv: enabled=%v (EDGETTA_PACKED=0 disables)\n", tensor.PackedEnabled())
-	fmt.Printf("FMA kernels:        supported=%v enabled=%v (opt-in: EDGETTA_FMA=1; breaks bit-parity with the scalar path)\n",
-		tensor.FMASupported(), tensor.FMAEnabled())
-	fmt.Println()
 	fmt.Printf("%-10s %12s %14s %22s\n", "model", "packed convs", "im2col convs", "packed conv-MAC share")
 	for _, b := range append(models.Registry(), models.MobileNetV2) {
 		m := b(rand.New(rand.NewSource(1)), models.Full)

@@ -65,7 +65,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	case "bnopt":
 		return BNOpt, nil
 	}
-	return 0, fmt.Errorf("core: unknown algorithm %q (want noadapt, bnnorm or bnopt)", s)
+	return 0, fmt.Errorf("core: unknown algorithm %q (want No-Adapt, BN-Norm or BN-Opt; case and hyphens are ignored)", s)
 }
 
 // Config tunes the adaptation algorithms.

@@ -35,9 +35,6 @@ type Policy struct {
 	ResetThreshold float64
 	// BaselineMomentum is the entropy EMA coefficient (default 0.3).
 	BaselineMomentum float64
-	// MinBatches is how many batches must season the baseline before
-	// detection may fire (default 2).
-	MinBatches int
 	// SourceEMA, in (0, 1), pulls BN state toward the episode-start
 	// snapshot after every batch. 0 disables regularization.
 	SourceEMA float64
@@ -46,9 +43,6 @@ type Policy struct {
 func (p Policy) withDefaults() Policy {
 	if p.BaselineMomentum == 0 {
 		p.BaselineMomentum = 0.3
-	}
-	if p.MinBatches == 0 {
-		p.MinBatches = 2
 	}
 	return p
 }
@@ -88,12 +82,16 @@ func (p *PolicyAdapter) Algorithm() Algorithm { return p.inner.Algorithm() }
 // construction. Episodic Reset calls do not count.
 func (p *PolicyAdapter) Resets() int { return p.resets }
 
+// seasonBatches is how many batches of an episode must season the entropy
+// baseline before detection may fire: one seeds it, one moves the EMA.
+const seasonBatches = 2
+
 // Process implements Adapter: run the wrapped adapter, detect shifts from
 // the prediction entropy, and apply the configured recovery.
 func (p *PolicyAdapter) Process(x *tensor.Tensor) *tensor.Tensor {
 	logits := p.inner.Process(x)
 	h, _ := nn.MeanEntropy(logits)
-	if p.cfg.ResetThreshold > 0 && p.seen >= p.cfg.MinBatches && h > p.baseline*p.cfg.ResetThreshold {
+	if p.cfg.ResetThreshold > 0 && p.seen >= seasonBatches && h > p.baseline*p.cfg.ResetThreshold {
 		// Shift detected: restart the episode and re-serve the batch from
 		// fresh state, so the detecting batch itself gets the recovery.
 		// The trace marker attributes the reset to the entropy jump that

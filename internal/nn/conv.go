@@ -30,13 +30,13 @@ const bwStripRows = 32
 // Bias is omitted: every convolution in the paper's models feeds a
 // BatchNorm, which subsumes it.
 //
-// Forward dispatch: stride-1 ungrouped convolutions (nearly all of the
-// WRN workload) run on the packed NC8HW8 direct path — no im2col matrix
-// is materialized, and the packed weights are cached across calls and
-// shared with clones until the weights change. Other shapes fall back to
-// the im2col + matmul path. The default packed path is bit-identical to
-// the im2col path (see tensor/conv_direct.go); the opt-in FMA variant
-// (tensor.SetFMA / EDGETTA_FMA=1) trades that parity for speed.
+// Forward dispatch is a function of the layer's shape and nothing else:
+// stride-1 ungrouped convolutions (nearly all of the WRN workload) run on
+// the packed NC8HW8 direct path — no im2col matrix is materialized, and
+// the packed weights are cached across calls and shared with clones until
+// the weights change — and every other shape runs im2col + matmul. The two
+// are bit-identical (see tensor/conv_direct.go), which is why im2col also
+// serves as the parity tests' oracle (tensor.SetPacked).
 //
 // Backward runs the input gradient of those same stride-1 ungrouped
 // shapes through that same dispatch (see Backward).
@@ -243,8 +243,9 @@ func (c *Conv2d) convPacked(pc *packedCache, pack packFunc, dst, src []float32, 
 //   - For stride-1 ungrouped shapes with Pad < K, dX is a forward
 //     convolution of dY with the rotated kernel (tensor.RotateConvWeights)
 //     at pad K-1-Pad, run through Forward's own dispatch: the packed
-//     direct kernel, or im2col + matmul under EDGETTA_PACKED=0 — bit-
-//     identical to each other by the argument in tensor/conv_direct.go.
+//     direct kernel, or im2col + matmul when a test has the oracle
+//     selected (tensor.SetPacked) — bit-identical to each other by the
+//     argument in tensor/conv_direct.go.
 //     It calls the kernels, never Forward, so the profiler sees one
 //     conv.bw span and no forward time. Every other shape gets dX from
 //     the strip path below, which is also the only dW implementation.
@@ -272,7 +273,7 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // inputGradConv writes dX = conv(dY, rotated kernel) into dx. Only the
-// packed arm caches the rotated kernel; the im2col arm is the kill-switch,
+// packed arm caches the rotated kernel; the im2col arm is the test oracle,
 // not the hot path, and re-rotates the (small) weight matrix per call.
 func (c *Conv2d) inputGradConv(grad, dx *tensor.Tensor) {
 	n, pad := grad.Dim(0), c.K-1-c.Pad

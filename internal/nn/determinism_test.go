@@ -59,14 +59,11 @@ func TestConvDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestConvPackedMatchesIm2ColAtLayerLevel pins the dispatch contract end
-// to end: with FMA off (the default), a stride-1 ungrouped Conv2d must
-// produce bit-identical forward output through the packed direct path and
-// the im2col path, including after a weight update (which must invalidate
-// the packed cache via the Param version).
+// to end: a stride-1 ungrouped Conv2d must produce bit-identical forward
+// output through the packed direct path and the im2col path, including
+// after a weight update (which must invalidate the packed cache via the
+// Param version).
 func TestConvPackedMatchesIm2ColAtLayerLevel(t *testing.T) {
-	wasFMA := tensor.FMAEnabled()
-	defer tensor.SetFMA(wasFMA)
-	tensor.SetFMA(false)
 	wasPacked := tensor.PackedEnabled()
 	defer tensor.SetPacked(wasPacked)
 
@@ -104,31 +101,6 @@ func TestConvPackedMatchesIm2ColAtLayerLevel(t *testing.T) {
 		if !float32BitsEqual(packed.Data, im2col.Data) {
 			t.Errorf("%+v: packed path served stale weights after update", tc)
 		}
-	}
-}
-
-// TestConvPackedFMADeterministicAcrossWorkerCounts: the FMA opt-in gives
-// up bit-parity with the im2col path but must keep the worker-count
-// determinism contract (its accumulation order is unchanged).
-func TestConvPackedFMADeterministicAcrossWorkerCounts(t *testing.T) {
-	if !tensor.FMASupported() {
-		t.Skip("no FMA kernel in this build")
-	}
-	wasFMA := tensor.FMAEnabled()
-	defer tensor.SetFMA(wasFMA)
-	tensor.SetFMA(true)
-	run := func(workers int) []float32 {
-		parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(0)
-		rng := rand.New(rand.NewSource(37))
-		conv := NewConv2d("c", rng, 16, 24, 3, 1, 1, 1)
-		x := tensor.New(6, 16, 10, 10)
-		x.Randn(rng, 1)
-		y := conv.Forward(x, false)
-		return append([]float32(nil), y.Data...)
-	}
-	if !float32BitsEqual(run(1), run(8)) {
-		t.Error("FMA conv forward differs between 1 and 8 workers")
 	}
 }
 

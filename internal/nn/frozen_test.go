@@ -195,9 +195,6 @@ var rotatedShapes = []struct{ in, out, k, pad int }{
 // different order, so they agree to rounding, and exactly for 1×1 where
 // the orders coincide.
 func TestConvInputGradMatchesCol2ImOracle(t *testing.T) {
-	wasFMA := tensor.FMAEnabled()
-	defer tensor.SetFMA(wasFMA)
-	tensor.SetFMA(false) // fused rounding would break the exact 1×1 case
 	for _, tc := range rotatedShapes {
 		conv, x, grad := convGradCase(47, tc.in, tc.out, tc.k, tc.pad)
 		dx := conv.Backward(grad)
@@ -233,11 +230,8 @@ func TestConvInputGradMatchesCol2ImOracle(t *testing.T) {
 
 // TestConvInputGradDispatchParity: like Forward, the dX convolution is
 // bit-identical through the packed kernel and through im2col + matmul, and
-// for every worker count; with the FMA opt-in it keeps the worker-count
-// half of that.
+// for every worker count.
 func TestConvInputGradDispatchParity(t *testing.T) {
-	wasFMA := tensor.FMAEnabled()
-	defer tensor.SetFMA(wasFMA)
 	wasPacked := tensor.PackedEnabled()
 	defer tensor.SetPacked(wasPacked)
 	defer parallel.SetWorkers(0)
@@ -249,16 +243,12 @@ func TestConvInputGradDispatchParity(t *testing.T) {
 		return conv.Backward(grad).Data
 	}
 	for _, tc := range rotatedShapes {
-		tensor.SetFMA(false)
 		ref := dx(tc, true, 1)
 		if !float32BitsEqual(ref, dx(tc, false, 1)) {
 			t.Errorf("%+v: packed and im2col input gradients differ", tc)
 		}
 		if !float32BitsEqual(ref, dx(tc, true, 8)) || !float32BitsEqual(ref, dx(tc, false, 8)) {
 			t.Errorf("%+v: input gradient differs between 1 and 8 workers", tc)
-		}
-		if tensor.SetFMA(true) && !float32BitsEqual(dx(tc, true, 1), dx(tc, true, 8)) {
-			t.Errorf("%+v: FMA input gradient differs between 1 and 8 workers", tc)
 		}
 	}
 }
@@ -267,9 +257,6 @@ func TestConvInputGradDispatchParity(t *testing.T) {
 // for the second version-keyed cache: the rotated pack is shared with
 // clones, and a weight update (MarkUpdated) repacks on that side only.
 func TestConvRotatedPackCache(t *testing.T) {
-	wasFMA := tensor.FMAEnabled()
-	defer tensor.SetFMA(wasFMA)
-	tensor.SetFMA(false)
 	wasPacked := tensor.PackedEnabled()
 	defer tensor.SetPacked(wasPacked)
 	tensor.SetPacked(true)

@@ -14,6 +14,31 @@ func reproWRN(seed int64) *models.Model {
 	return models.WideResNet402(rand.New(rand.NewSource(seed)), models.ReproScale)
 }
 
+// measure runs the algorithm for real on the model under the layer
+// profiler — the paper's Autograd-profiler methodology on this host's own
+// kernels — and returns wall time by layer kind and direction. One warm-up
+// Process populates the caches outside the measurement. (The table with a
+// variance is `bash bench/run.sh --workload <w> --trace 1`.)
+func measure(t *testing.T, m *models.Model, algo core.Algorithm, batch, repeats int) nn.PhaseTotals {
+	t.Helper()
+	adapter, err := core.New(algo, m, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(batch, m.InC, m.InHW, m.InHW)
+	for i := range x.Data {
+		x.Data[i] = float32(i%97) / 97
+	}
+	adapter.Process(x)
+	if !nn.StartProfiling() {
+		t.Fatal("another profiler collection is active")
+	}
+	for i := 0; i < repeats; i++ {
+		adapter.Process(x)
+	}
+	return nn.StopProfiling()
+}
+
 func TestProfilerDisabledRecordsNothing(t *testing.T) {
 	m := reproWRN(1)
 	x := tensor.New(4, 3, 32, 32)
@@ -36,31 +61,26 @@ func TestProfilerSingleCollection(t *testing.T) {
 }
 
 func TestMeasureBreakdownNoAdaptHasNoBackward(t *testing.T) {
-	r, err := MeasureBreakdown(reproWRN(2), core.NoAdapt, 8, 1)
-	if err != nil {
-		t.Fatal(err)
+	one, two := measure(t, reproWRN(2), core.NoAdapt, 8, 1), measure(t, reproWRN(2), core.NoAdapt, 8, 2)
+	if one.FwSeconds[nn.KindConv] <= 0 || one.FwSeconds[nn.KindBN] <= 0 {
+		t.Fatalf("missing forward phases: %+v", one.FwSeconds)
 	}
-	if r.Totals.FwSeconds[nn.KindConv] <= 0 || r.Totals.FwSeconds[nn.KindBN] <= 0 {
-		t.Fatalf("missing forward phases: %+v", r.Totals.FwSeconds)
-	}
-	for kind, s := range r.Totals.BwSeconds {
+	for kind, s := range one.BwSeconds {
 		if s != 0 {
 			t.Fatalf("NoAdapt recorded backward time for %v: %v", kind, s)
 		}
 	}
-	// WRN repro: 7 blocks × 2 conv + stem = 13 convs... count from spec:
-	// just require the call counts to be consistent across repeats.
-	if r.Totals.FwCalls[nn.KindConv] == 0 || r.Totals.FwCalls[nn.KindBN] == 0 {
-		t.Fatal("no forward calls recorded")
+	// Call counts are per Process: twice the repeats, twice the calls.
+	for _, kind := range []nn.Kind{nn.KindConv, nn.KindBN} {
+		if one.FwCalls[kind] == 0 || two.FwCalls[kind] != 2*one.FwCalls[kind] {
+			t.Fatalf("%v forward calls: %d for one repeat, %d for two", kind, one.FwCalls[kind], two.FwCalls[kind])
+		}
 	}
 }
 
 func TestMeasureBreakdownBNOptBackwardShare(t *testing.T) {
-	r, err := MeasureBreakdown(reproWRN(3), core.BNOpt, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := r.ConvBwOverFw()
+	r := measure(t, reproWRN(3), core.BNOpt, 16, 2)
+	ratio := r.BwSeconds[nn.KindConv] / r.FwSeconds[nn.KindConv]
 	// The paper measures 2.2–2.5x on its Arm/Volta targets. Here BN-Opt's
 	// conv backward is the input gradient alone, run on the forward kernel
 	// (and skipped at the stem), so the ratio sits a little under 1; the
@@ -69,28 +89,21 @@ func TestMeasureBreakdownBNOptBackwardShare(t *testing.T) {
 	if ratio < 0.3 || ratio > 4.0 {
 		t.Fatalf("conv bw/fw ratio %.2f implausible", ratio)
 	}
-	bwTotal := r.Totals.BwSeconds[nn.KindConv] + r.Totals.BwSeconds[nn.KindBN]
-	fwTotal := r.Totals.FwSeconds[nn.KindConv] + r.Totals.FwSeconds[nn.KindBN]
+	bwTotal := r.BwSeconds[nn.KindConv] + r.BwSeconds[nn.KindBN]
+	fwTotal := r.FwSeconds[nn.KindConv] + r.FwSeconds[nn.KindBN]
 	if bwTotal <= 0.5*fwTotal {
 		t.Fatalf("BN-Opt backward (%.4fs) should be a significant share of forward (%.4fs)", bwTotal, fwTotal)
 	}
-	if r.Totals.BwCalls[nn.KindConv] == 0 || r.Totals.BwCalls[nn.KindBN] == 0 {
+	if r.BwCalls[nn.KindConv] == 0 || r.BwCalls[nn.KindBN] == 0 {
 		t.Fatal("backward calls not recorded")
-	}
-	if s := r.String(); len(s) < 50 {
-		t.Fatal("breakdown rendering too short")
 	}
 }
 
-// TestRealBNNormCostBetweenNoAdaptAndBNOpt: the measured wall-clock per
-// batch must satisfy the paper's cost ordering on this host too.
+// TestRealAlgorithmCostOrdering: the measured wall-clock per batch must
+// satisfy the paper's cost ordering on this host too.
 func TestRealAlgorithmCostOrdering(t *testing.T) {
 	cost := func(algo core.Algorithm) float64 {
-		r, err := MeasureBreakdown(reproWRN(4), algo, 16, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Totals.Total()
+		return measure(t, reproWRN(4), algo, 16, 2).Total()
 	}
 	na, bn, bo := cost(core.NoAdapt), cost(core.BNNorm), cost(core.BNOpt)
 	t.Logf("measured: no-adapt %.4fs, bn-norm %.4fs, bn-opt %.4fs", na, bn, bo)

@@ -12,10 +12,11 @@ import (
 
 // CaptureKernelTrace runs the adaptation algorithm on the model with the
 // span tracer enabled and returns the finished tracer, ready for
-// WriteJSON. It is the single-run counterpart of MeasureBreakdown: where
-// that aggregates wall time by layer kind, this preserves every layer
-// span on the timeline, which is what the trace viewer needs to show
-// where a batch's milliseconds actually go. The warm-up Process runs
+// WriteJSON. It is the single-run counterpart of the benchmark's per-kind
+// table (`bash bench/run.sh --workload <w> --trace 1`): where that
+// aggregates wall time by layer kind, this preserves every layer span on
+// the timeline, which is what the trace viewer needs to show where a
+// batch's milliseconds actually go. The warm-up Process runs
 // before tracing starts, so the trace shows steady-state kernels, not
 // cache population.
 func CaptureKernelTrace(m *models.Model, algo core.Algorithm, batch, repeats int) (*telemetry.Tracer, error) {

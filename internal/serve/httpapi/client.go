@@ -151,6 +151,51 @@ func (c *Client) do(fn func() error) error {
 	return err
 }
 
+// call is the one round trip every client method makes: send body (nil for
+// none) under the headers h, turn any status but 200 into the typed error,
+// and hand the response to read — which must bound what it takes (readBody,
+// readBatch).
+func (c *Client) call(method, path string, h http.Header, body []byte, read func(*http.Response) error) error {
+	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header = h
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return decodeError(resp)
+	}
+	return read(resp)
+}
+
+// callJSON is call for the endpoints that answer JSON; in, when non-nil,
+// is the JSON request payload.
+func (c *Client) callJSON(method, path string, in, out any) error {
+	var body []byte
+	h := http.Header{}
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
+		}
+		h.Set("Content-Type", "application/json")
+	}
+	return c.call(method, path, h, body, func(resp *http.Response) error {
+		raw, err := readBody(resp.Body, resp.ContentLength)
+		if err != nil {
+			return err
+		}
+		if err := json.Unmarshal(raw, out); err != nil {
+			return fmt.Errorf("decode %s %s response: %w", method, path, err)
+		}
+		return nil
+	})
+}
+
 // ClientStream is the remote counterpart of serve.Stream: one session.
 type ClientStream struct {
 	c       *Client
@@ -161,40 +206,20 @@ type ClientStream struct {
 // Open starts a stream on the group serving (model, algo) and returns the
 // session handle. The algo spelling is anything core.ParseAlgorithm takes.
 func (c *Client) Open(model, algo string) (*ClientStream, error) {
-	body, _ := json.Marshal(openRequest{Model: model, Algo: algo})
-	resp, err := c.http.Post(c.base+"/v1/streams", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var or openResponse
-	if err := json.NewDecoder(resp.Body).Decode(&or); err != nil {
-		return nil, fmt.Errorf("decode open response: %w", err)
-	}
-	return &ClientStream{c: c, Session: or.Session, ID: or.StreamID}, nil
+	st, _, err := c.OpenSession(model, algo, "")
+	return st, err
 }
 
-// OpenSession opens (or resumes) a named recoverable session. resumeSeq is
-// the last sequence number the server already applied: 0 for a fresh
-// session, and the resubmission point minus one after a resume (the client
-// continues with SubmitSeq from resumeSeq+1). Unlike anonymous streams the
-// session survives server restarts when the server checkpoints to disk.
+// OpenSession opens (or resumes) a named recoverable session; the empty
+// name opens an anonymous stream. resumeSeq is the last sequence number the
+// server already applied: 0 for a fresh session, and the resubmission point
+// minus one after a resume (the client continues with SubmitSeq from
+// resumeSeq+1). Unlike anonymous streams the session survives server
+// restarts when the server checkpoints to disk.
 func (c *Client) OpenSession(model, algo, name string) (st *ClientStream, resumeSeq uint64, err error) {
-	body, _ := json.Marshal(openRequest{Model: model, Algo: algo, Session: name})
-	resp, err := c.http.Post(c.base+"/v1/streams", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, decodeError(resp)
-	}
 	var or openResponse
-	if err := json.NewDecoder(resp.Body).Decode(&or); err != nil {
-		return nil, 0, fmt.Errorf("decode open response: %w", err)
+	if err := c.callJSON(http.MethodPost, "/v1/streams", openRequest{Model: model, Algo: algo, Session: name}, &or); err != nil {
+		return nil, 0, err
 	}
 	return &ClientStream{c: c, Session: or.Session, ID: or.StreamID}, or.AppliedSeq, nil
 }
@@ -202,15 +227,7 @@ func (c *Client) OpenSession(model, algo, name string) (st *ClientStream, resume
 // Snapshot fetches the server-wide stats payload.
 func (c *Client) Snapshot() (serve.Snapshot, error) {
 	var snap serve.Snapshot
-	resp, err := c.http.Get(c.base + "/v1/stats")
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return snap, decodeError(resp)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&snap)
+	err := c.callJSON(http.MethodGet, "/v1/stats", nil, &snap)
 	return snap, err
 }
 
@@ -230,83 +247,31 @@ func (s *ClientStream) Process(x *tensor.Tensor) (*tensor.Tensor, error) {
 // twice. A sequence conflict surfaces as a *serve.Error with
 // Code=CodeSequence whose ExpectSeq says where to rewind.
 func (s *ClientStream) ProcessSeq(x *tensor.Tensor, seq uint64) (*tensor.Tensor, error) {
+	h := http.Header{}
+	body, err := encodeBatch(h, x, s.c.Binary)
+	if err != nil {
+		return nil, err
+	}
+	if seq > 0 {
+		h.Set("X-Edgetta-Seq", strconv.FormatUint(seq, 10))
+	}
 	var out *tensor.Tensor
-	err := s.c.do(func() error {
-		var err error
-		out, err = s.processOnce(x, seq)
-		return err
+	err = s.c.do(func() error {
+		return s.c.call(http.MethodPost, s.path()+"/submit", h, body, func(resp *http.Response) error {
+			var err error
+			out, err = readBatch(resp.Header, resp.Body, resp.ContentLength)
+			return err
+		})
 	})
 	return out, err
 }
 
-// processOnce performs one submit round trip.
-func (s *ClientStream) processOnce(x *tensor.Tensor, seq uint64) (*tensor.Tensor, error) {
-	url := s.c.base + "/v1/streams/" + s.Session + "/submit"
-	var req *http.Request
-	var err error
-	if s.c.Binary {
-		req, err = http.NewRequest(http.MethodPost, url, bytes.NewReader(encodeF32(x.Data)))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set("X-Edgetta-Shape", shapeHeader(x.Shape()))
-	} else {
-		body, merr := json.Marshal(batchJSON{Shape: x.Shape(), Data: x.Data})
-		if merr != nil {
-			return nil, merr
-		}
-		req, err = http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if seq > 0 {
-		req.Header.Set("X-Edgetta-Seq", strconv.FormatUint(seq, 10))
-	}
-	resp, err := s.c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	if s.c.Binary {
-		shape, err := parseShapeHeader(resp.Header.Get("X-Edgetta-Shape"))
-		if err != nil {
-			return nil, err
-		}
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		data, err := decodeF32(raw)
-		if err != nil {
-			return nil, err
-		}
-		return tensorFrom(data, shape)
-	}
-	var b batchJSON
-	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
-		return nil, fmt.Errorf("decode logits: %w", err)
-	}
-	return tensorFrom(b.Data, b.Shape)
-}
+func (s *ClientStream) path() string { return "/v1/streams/" + s.Session }
 
 // Snapshot fetches the stream's serving metrics.
 func (s *ClientStream) Snapshot() (serve.StreamSnapshot, error) {
 	var ss serve.StreamSnapshot
-	resp, err := s.c.http.Get(s.c.base + "/v1/streams/" + s.Session)
-	if err != nil {
-		return ss, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return ss, decodeError(resp)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&ss)
+	err := s.c.callJSON(http.MethodGet, s.path(), nil, &ss)
 	return ss, err
 }
 
@@ -314,19 +279,7 @@ func (s *ClientStream) Snapshot() (serve.StreamSnapshot, error) {
 // releases its adaptation state, and returns the final snapshot.
 func (s *ClientStream) Close() (serve.StreamSnapshot, error) {
 	var ss serve.StreamSnapshot
-	req, err := http.NewRequest(http.MethodDelete, s.c.base+"/v1/streams/"+s.Session, nil)
-	if err != nil {
-		return ss, err
-	}
-	resp, err := s.c.http.Do(req)
-	if err != nil {
-		return ss, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return ss, decodeError(resp)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&ss)
+	err := s.c.callJSON(http.MethodDelete, s.path(), nil, &ss)
 	return ss, err
 }
 

@@ -81,16 +81,11 @@ type Config struct {
 	// means 30s; negative disables the server-side deadline (the client
 	// disconnecting still cancels the request).
 	Timeout time.Duration
-	// MaxBodyBytes bounds a submit body. Zero means 64 MiB.
-	MaxBodyBytes int64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Timeout == 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	return c
 }
@@ -318,8 +313,7 @@ func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	binaryCodec := strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream")
-	x, err := h.readBatch(r, binaryCodec)
+	x, err := readBatch(r.Header, r.Body, r.ContentLength)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -336,30 +330,68 @@ func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if binaryCodec {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Edgetta-Shape", shapeHeader(logits.Shape()))
-		w.WriteHeader(http.StatusOK)
-		w.Write(encodeF32(logits.Data))
+	body, err := encodeBatch(w.Header(), logits, isBinary(r.Header))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, batchJSON{Shape: logits.Shape(), Data: logits.Data})
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
-// readBatch decodes a submit body in the request's codec into a tensor.
-func (h *Handler) readBatch(r *http.Request, binaryCodec bool) (*tensor.Tensor, error) {
-	body := io.LimitReader(r.Body, h.cfg.MaxBodyBytes+1)
+// maxBodyBytes bounds every body either end of the wire reads: a submit on
+// the server, a success response on the client.
+const maxBodyBytes = 64 << 20
+
+// readBody reads a body of at most maxBodyBytes. declared is the peer's
+// Content-Length (-1 when unknown): one past the bound is refused before a
+// byte is read, an undeclared one after maxBodyBytes+1 of them.
+func readBody(body io.Reader, declared int64) ([]byte, error) {
+	if declared > maxBodyBytes {
+		return nil, fmt.Errorf("body of %d bytes exceeds %d", declared, maxBodyBytes)
+	}
+	raw, err := io.ReadAll(io.LimitReader(body, maxBodyBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("read body: %w", err)
+	}
+	if len(raw) > maxBodyBytes {
+		return nil, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
+	}
+	return raw, nil
+}
+
+// The batch codecs, one encode/decode pair for both ends of the wire: the
+// client encodes a submit and decodes its response, the server the reverse,
+// and the headers written by encodeBatch are what readBatch reads the codec
+// and shape back from.
+
+func isBinary(h http.Header) bool {
+	return strings.HasPrefix(h.Get("Content-Type"), "application/octet-stream")
+}
+
+// encodeBatch renders x in the chosen codec and sets the headers that
+// describe the body.
+func encodeBatch(h http.Header, x *tensor.Tensor, binaryCodec bool) ([]byte, error) {
 	if binaryCodec {
-		shape, err := parseShapeHeader(r.Header.Get("X-Edgetta-Shape"))
+		h.Set("Content-Type", "application/octet-stream")
+		h.Set("X-Edgetta-Shape", shapeHeader(x.Shape()))
+		return encodeF32(x.Data), nil
+	}
+	h.Set("Content-Type", "application/json")
+	return json.Marshal(batchJSON{Shape: x.Shape(), Data: x.Data})
+}
+
+// readBatch reads a bounded body and decodes it, in the codec its headers
+// name, into a tensor.
+func readBatch(h http.Header, body io.Reader, declared int64) (*tensor.Tensor, error) {
+	raw, err := readBody(body, declared)
+	if err != nil {
+		return nil, err
+	}
+	if isBinary(h) {
+		shape, err := parseShapeHeader(h.Get("X-Edgetta-Shape"))
 		if err != nil {
 			return nil, err
-		}
-		raw, err := io.ReadAll(body)
-		if err != nil {
-			return nil, fmt.Errorf("read body: %w", err)
-		}
-		if int64(len(raw)) > h.cfg.MaxBodyBytes {
-			return nil, fmt.Errorf("body exceeds %d bytes", h.cfg.MaxBodyBytes)
 		}
 		data, err := decodeF32(raw)
 		if err != nil {
@@ -368,7 +400,7 @@ func (h *Handler) readBatch(r *http.Request, binaryCodec bool) (*tensor.Tensor, 
 		return tensorFrom(data, shape)
 	}
 	var b batchJSON
-	if err := json.NewDecoder(body).Decode(&b); err != nil {
+	if err := json.Unmarshal(raw, &b); err != nil {
 		return nil, fmt.Errorf("decode batch: %w", err)
 	}
 	return tensorFrom(b.Data, b.Shape)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -384,5 +385,48 @@ func TestHTTPServerSideTimeout(t *testing.T) {
 		if !errors.As(err, &se) || se.Code != serve.CodeDeadline {
 			t.Fatalf("slow request: err = %v, want nil or CodeDeadline", err)
 		}
+	}
+}
+
+// TestClientBoundsSuccessBodies: the server bounds what it reads of a
+// submit; the client must hold a 200 response to the same bound. A peer
+// answering every call with a body one byte past maxBodyBytes fails each
+// client method, and almost none of that body crosses the wire.
+func TestClientBoundsSuccessBodies(t *testing.T) {
+	var sent atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("X-Edgetta-Shape", strconv.Itoa((maxBodyBytes+1)/4))
+		w.Header().Set("Content-Length", strconv.Itoa(maxBodyBytes+1))
+		chunk := make([]byte, 64<<10)
+		for sent.Load() <= maxBodyBytes {
+			n, err := w.Write(chunk)
+			sent.Add(int64(n))
+			if err != nil {
+				return
+			}
+		}
+	}))
+	c := NewClient(ts.URL, nil)
+	c.Binary = true
+	cs := &ClientStream{c: c, Session: "s"}
+	if _, err := cs.Process(tensor.New(1, 1)); err == nil {
+		t.Error("Process accepted an oversized response")
+	}
+	if _, err := cs.Snapshot(); err == nil {
+		t.Error("ClientStream.Snapshot accepted an oversized response")
+	}
+	if _, err := cs.Close(); err == nil {
+		t.Error("Close accepted an oversized response")
+	}
+	if _, err := c.Snapshot(); err == nil {
+		t.Error("Client.Snapshot accepted an oversized response")
+	}
+	if _, err := c.Open("m", "noadapt"); err == nil {
+		t.Error("Open accepted an oversized response")
+	}
+	ts.Close() // waits for the handlers, so sent is final
+	if n := sent.Load(); n > maxBodyBytes/2 {
+		t.Errorf("server got %d bytes out across five refused calls; the client drained them", n)
 	}
 }

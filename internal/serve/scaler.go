@@ -3,12 +3,11 @@ package serve
 import "time"
 
 // Autoscale configures the per-group replica controller. The controller
-// consumes the same signals the group already publishes to the telemetry
-// registry — the pending-queue depth gauge and the e2e latency histogram's
-// p95 — and applies hysteresis so transient spikes and lulls do not churn
-// replicas: a scale decision needs its condition to hold for UpAfter
-// (resp. DownAfter) consecutive evaluation ticks, and the pool size is
-// always clamped to [Min, Max].
+// consumes the signal the group already publishes to the telemetry
+// registry — the pending-queue depth gauge — and applies hysteresis so
+// transient spikes and lulls do not churn replicas: a scale decision needs
+// its condition to hold for UpAfter (resp. DownAfter) consecutive
+// evaluation ticks, and the pool size is always clamped to [Min, Max].
 //
 // Growth is one replica per decision (a deep model clone plus adapter —
 // deliberate: doubling strategies overshoot on pools this small), shrink
@@ -23,9 +22,6 @@ type Autoscale struct {
 	// queue holds at least this many requests per live replica.
 	// Default 2.
 	UpDepthPerReplica int
-	// UpP95, when positive, is an additional growth trigger: scale up
-	// when the group's e2e p95 exceeds it while requests are queued.
-	UpP95 time.Duration
 	// UpAfter and DownAfter are the hysteresis windows: consecutive ticks
 	// the up (resp. down) condition must hold before acting.
 	// Defaults 2 and 5.
@@ -76,9 +72,9 @@ func (g *group) scaleLoop() {
 	}
 }
 
-// scaleTick runs one controller evaluation: observe queue depth, active
-// dispatches and (optionally) e2e p95, update the hysteresis streaks, and
-// grow or retire one replica when a streak completes.
+// scaleTick runs one controller evaluation: observe queue depth and active
+// dispatches, update the hysteresis streaks, and grow or retire one replica
+// when a streak completes.
 //
 // Ticks are expected from one caller at a time (the background loop, or a
 // test driving Server.ScaleTick); the streak counters are not guarded for
@@ -100,12 +96,6 @@ func (g *group) scaleTick() {
 	}
 
 	up := live < a.Max && depth >= a.UpDepthPerReplica*live
-	if !up && live < a.Max && a.UpP95 > 0 && depth > 0 {
-		// Histogram summaries are memoized and internally locked; never
-		// read them under g.mu (see CONTRIBUTING "Never hold a hot lock
-		// across exposition").
-		up = g.e2eHist.Summary().P95 > a.UpP95
-	}
 	down := live > a.Min && depth == 0 && active < live
 
 	if up {

@@ -121,8 +121,8 @@ type Config struct {
 	// blocks the submitter, AdmitShed rejects with ErrOverloaded.
 	Admission AdmissionPolicy
 	// Autoscale, when Enabled, lets each group grow and shrink its
-	// replica pool between Min and Max driven by queue depth and e2e p95
-	// latency, with hysteresis (see Autoscale's field docs).
+	// replica pool between Min and Max driven by queue depth, with
+	// hysteresis (see Autoscale's field docs).
 	Autoscale Autoscale
 	// Registry, when non-nil, receives each group's serving metrics
 	// (queue depth, pending images, open streams, replica count, lifetime

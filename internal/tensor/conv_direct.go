@@ -19,10 +19,11 @@ import "edgetta/internal/parallel"
 // accumulator is a bitwise no-op, because an accumulator that starts at
 // +0 can never become -0 (x+(-x) = +0 and (+0)+(-0) = +0 in
 // round-to-nearest). The packed lanes past C behave the same way: their
-// weights and inputs are both zero. Hence for finite inputs the default
-// (non-FMA) packed path is bit-identical to the im2col path, on every
-// architecture and worker count. The FMA variant fuses the multiply and
-// add into one rounding and breaks this parity; it is opt-in via SetFMA.
+// weights and inputs are both zero. Hence for finite inputs the packed path
+// is bit-identical to the im2col path, on every architecture and worker
+// count — which is what lets the layer's shape alone pick the kernel
+// (Conv2d.PackedEligible) and keeps im2col as the oracle the parity tests
+// compare against (SetPacked).
 
 // convSpanGrainFlops is the target work per scheduled (ocb, oy) unit,
 // mirroring matmul's rowGrain sizing.

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // This file implements the NC8HW8 channel-blocked ("packed") layout the
 // direct convolution kernels run on. Channels are grouped into blocks of
@@ -23,55 +20,22 @@ const packLanes = 8
 // PackLanes returns the channel-block width of the packed layout.
 func PackLanes() int { return packLanes }
 
-// packedDisabled flips the conv dispatch back to the im2col path
-// (EDGETTA_PACKED=0, or SetPacked(false)); the default is enabled.
+// packedDisabled sends every convolution to the im2col path. Nothing in
+// the program sets it: the kernel a layer runs is a function of the layer's
+// shape alone (nn.Conv2d.PackedEligible).
 var packedDisabled atomic.Bool
 
-// SetPacked enables or disables the packed direct-convolution path
-// process-wide. It exists for benchmarking the im2col path and as a
-// kill-switch; the packed path is on by default.
+// SetPacked is the oracle hook: SetPacked(false) makes every convolution
+// take the im2col+matmul path, which the direct kernel must match bit for
+// bit. Its callers are the parity tests and bench/micro.go (which times the
+// im2col lowering at a packed-eligible shape); no binary, flag or
+// environment variable reaches it, and a test pins that
+// (TestProcessSwitchesArePinned).
 func SetPacked(on bool) { packedDisabled.Store(!on) }
 
-// PackedEnabled reports whether the packed direct-convolution path is
-// active.
+// PackedEnabled reports whether SetPacked(false) is in effect; the conv
+// dispatch reads it next to the layer's shape.
 func PackedEnabled() bool { return !packedDisabled.Load() }
-
-// fmaActive holds the FMA opt-in. It is only ever true when the CPU
-// supports the fused kernels (fmaHW); SetFMA on unsupported hardware is a
-// no-op that reports false.
-var fmaActive atomic.Bool
-
-// SetFMA opts the packed conv kernels into (or out of) fused
-// multiply-add. FMA skips the intermediate rounding of the separate
-// multiply-and-add kernels, so it is faster but NOT bit-identical to the
-// scalar/im2col paths — hence opt-in only, never default. It returns the
-// resulting state: false means the request was refused because the CPU
-// (or build) has no FMA kernel.
-func SetFMA(on bool) bool {
-	if on && !fmaHW() {
-		fmaActive.Store(false)
-		return false
-	}
-	fmaActive.Store(on)
-	return fmaActive.Load()
-}
-
-// FMAEnabled reports whether the packed conv kernels are currently using
-// fused multiply-add.
-func FMAEnabled() bool { return fmaActive.Load() }
-
-// FMASupported reports whether this build and CPU have an FMA kernel at
-// all (amd64 with AVX2+FMA).
-func FMASupported() bool { return fmaHW() }
-
-func init() {
-	if v := os.Getenv("EDGETTA_PACKED"); v == "0" || v == "false" {
-		packedDisabled.Store(true)
-	}
-	if v := os.Getenv("EDGETTA_FMA"); v == "1" || v == "true" {
-		SetFMA(true)
-	}
-}
 
 // packedBlocks returns the number of channel blocks covering c channels.
 func packedBlocks(c int) int { return (c + packLanes - 1) / packLanes }

@@ -8,14 +8,6 @@ import (
 	"edgetta/internal/parallel"
 )
 
-// restoreFMA saves the FMA opt-in state and restores it when the test
-// ends, so tests can flip it freely.
-func restoreFMA(t *testing.T) {
-	t.Helper()
-	was := FMAEnabled()
-	t.Cleanup(func() { SetFMA(was) })
-}
-
 func TestPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, c := range []int{1, 3, 7, 8, 9, 16, 17} {
@@ -108,13 +100,10 @@ var packedParityCases = []struct{ inC, h, w, outC, k, stride, pad int }{
 	{8, 6, 6, 8, 3, 2, 1},    // stride 2 (kernel supports it even if nn gates on 1)
 }
 
-// TestConvPackedMatchesIm2ColBitwise pins the tentpole contract: with FMA
-// off (the default), the packed direct path must reproduce the
-// im2col+matmul path bit for bit, including shapes with tail channel
-// lanes, tail pixels, and exact zero weights.
+// TestConvPackedMatchesIm2ColBitwise pins the dispatch contract: the packed
+// direct path must reproduce the im2col+matmul path bit for bit, including
+// shapes with tail channel lanes, tail pixels, and exact zero weights.
 func TestConvPackedMatchesIm2ColBitwise(t *testing.T) {
-	restoreFMA(t)
-	SetFMA(false)
 	rng := rand.New(rand.NewSource(43))
 	for _, tc := range packedParityCases {
 		x := make([]float32, tc.inC*tc.h*tc.w)
@@ -145,10 +134,8 @@ func TestConvPackedMatchesIm2ColBitwise(t *testing.T) {
 
 // TestConvPackedGenericMatchesSIMD pins the portable span kernel against
 // whatever vector kernel the build dispatches to (AVX2 mul+add must be
-// bit-identical; with FMA explicitly disabled this holds on every CPU).
+// bit-identical on every CPU).
 func TestConvPackedGenericMatchesSIMD(t *testing.T) {
-	restoreFMA(t)
-	SetFMA(false)
 	rng := rand.New(rand.NewSource(47))
 	for _, npix := range []int{1, 2, 3, 4, 5, 7, 8, 13} {
 		rows, pixStride := 72, packLanes
@@ -176,74 +163,27 @@ func TestConvPackedGenericMatchesSIMD(t *testing.T) {
 }
 
 // TestConvPackedDeterministicAcrossWorkerCounts: the packed forward must
-// be bit-identical whether the pool runs one worker or eight — in the
-// default mode and, when the build has the kernel, under the FMA opt-in
-// (FMA changes rounding but not the accumulation order).
+// be bit-identical whether the pool runs one worker or eight.
 func TestConvPackedDeterministicAcrossWorkerCounts(t *testing.T) {
-	restoreFMA(t)
-	modes := []bool{false}
-	if FMASupported() {
-		modes = append(modes, true)
-	}
-	for _, fma := range modes {
-		SetFMA(fma)
-		run := func(workers int) []float32 {
-			parallel.SetWorkers(workers)
-			defer parallel.SetWorkers(0)
-			rng := rand.New(rand.NewSource(53))
-			inC, h, w, outC, k, pad := 16, 12, 12, 32, 3, 1
-			x := make([]float32, inC*h*w)
-			wt := make([]float32, outC*inC*k*k)
-			for i := range x {
-				x[i] = float32(rng.NormFloat64())
-			}
-			for i := range wt {
-				wt[i] = float32(rng.NormFloat64())
-			}
-			y := make([]float32, outC*h*w)
-			convPackedRun(y, x, wt, inC, h, w, outC, k, 1, pad)
-			return y
+	run := func(workers int) []float32 {
+		parallel.SetWorkers(workers)
+		defer parallel.SetWorkers(0)
+		rng := rand.New(rand.NewSource(53))
+		inC, h, w, outC, k, pad := 16, 12, 12, 32, 3, 1
+		x := make([]float32, inC*h*w)
+		wt := make([]float32, outC*inC*k*k)
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
 		}
-		one := run(1)
-		eight := run(8)
-		if !bitsEqual(one, eight) {
-			t.Errorf("fma=%v: packed conv differs between 1 and 8 workers", fma)
+		for i := range wt {
+			wt[i] = float32(rng.NormFloat64())
 		}
+		y := make([]float32, outC*h*w)
+		convPackedRun(y, x, wt, inC, h, w, outC, k, 1, pad)
+		return y
 	}
-}
-
-// TestConvPackedFMACloseToDefault: the FMA variant is allowed to differ
-// from the default path bit-wise (that is the whole point of the opt-in)
-// but must stay within float32 accumulation tolerance of it.
-func TestConvPackedFMACloseToDefault(t *testing.T) {
-	if !FMASupported() {
-		t.Skip("no FMA kernel in this build")
-	}
-	restoreFMA(t)
-	rng := rand.New(rand.NewSource(59))
-	inC, h, w, outC, k, pad := 16, 10, 10, 16, 3, 1
-	x := make([]float32, inC*h*w)
-	wt := make([]float32, outC*inC*k*k)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
-	for i := range wt {
-		wt[i] = float32(rng.NormFloat64())
-	}
-	def := make([]float32, outC*h*w)
-	fused := make([]float32, outC*h*w)
-	SetFMA(false)
-	convPackedRun(def, x, wt, inC, h, w, outC, k, 1, pad)
-	if !SetFMA(true) {
-		t.Fatal("SetFMA(true) refused despite FMASupported")
-	}
-	convPackedRun(fused, x, wt, inC, h, w, outC, k, 1, pad)
-	for i := range def {
-		diff := math.Abs(float64(def[i]) - float64(fused[i]))
-		tol := 1e-4 * (1 + math.Abs(float64(def[i])))
-		if diff > tol {
-			t.Fatalf("element %d: default %v vs FMA %v", i, def[i], fused[i])
-		}
+	if !bitsEqual(run(1), run(8)) {
+		t.Error("packed conv differs between 1 and 8 workers")
 	}
 }
 
@@ -299,8 +239,6 @@ func TestIm2ColRowsMatchFullLowering(t *testing.T) {
 // pool hands recycled buffers across differently-shaped calls, so this
 // pins the "callers must fully define pooled buffers" contract.
 func TestScratchReuseNoStaleDataAcrossShapes(t *testing.T) {
-	restoreFMA(t)
-	SetFMA(false)
 	nan := float32(math.NaN())
 	poison := func() {
 		for _, n := range []int{256, 1 << 10, 1 << 12, 1 << 14, 1 << 16} {

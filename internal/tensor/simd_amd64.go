@@ -18,45 +18,33 @@ func dotAVX2(x, y []float32) float32
 //go:noescape
 func convPackedSpanAVX2(y, x, w []float32, xoff []int32, rows, pixStride, npix int)
 
-//go:noescape
-func convPackedSpanFMA(y, x, w []float32, xoff []int32, rows, pixStride, npix int)
-
-var hasAVX2, hasFMA = func() (bool, bool) {
+var hasAVX2 = func() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false, false
+		return false
 	}
 	_, _, c1, _ := cpuid(1, 0)
-	const osxsave, avx, fma = 1 << 27, 1 << 28, 1 << 12
+	const osxsave, avx = 1 << 27, 1 << 28
 	if c1&osxsave == 0 || c1&avx == 0 {
-		return false, false
+		return false
 	}
 	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false, false
+		return false
 	}
 	_, b7, _, _ := cpuid(7, 0)
 	const avx2 = 1 << 5
-	return b7&avx2 != 0, b7&avx2 != 0 && c1&fma != 0
+	return b7&avx2 != 0
 }()
 
-// fmaHW reports whether this build has a fused-multiply-add conv kernel
-// the FMA opt-in can dispatch to.
-func fmaHW() bool { return hasFMA }
-
 // convPackedSpan computes npix packed output pixels (8 output-channel
-// lanes each) of one conv output row. The AVX2 variant uses separate
-// VMULPS/VADDPS and is bit-identical to the generic kernel; the FMA
-// variant (opt-in via SetFMA) fuses the two roundings into one.
+// lanes each) of one conv output row. The AVX2 kernel uses separate
+// VMULPS/VADDPS and is bit-identical to the generic kernel.
 func convPackedSpan(y, x, w []float32, xoff []int32, rows, pixStride, npix int) {
 	if npix == 0 || rows == 0 {
 		return
 	}
 	_ = y[npix*8-1]
 	if hasAVX2 {
-		if fmaActive.Load() {
-			convPackedSpanFMA(y, x, w, xoff, rows, pixStride, npix)
-			return
-		}
 		convPackedSpanAVX2(y, x, w, xoff, rows, pixStride, npix)
 		return
 	}

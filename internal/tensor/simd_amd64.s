@@ -162,7 +162,7 @@ dot_done:
 	MOVSS	X0, ret+48(FP)
 	RET
 
-// Direct-convolution span kernels on the packed NC8HW8 layout (see
+// Direct-convolution span kernel on the packed NC8HW8 layout (see
 // packed.go / conv_direct.go). One call computes npix output pixels of
 // one conv output row across the 8 output-channel lanes of one block:
 // for each pixel p, acc[0..7] = sum over rows r of x[p*pixStride+xoff[r]]
@@ -173,12 +173,7 @@ dot_done:
 // in ascending-row order — bit-identical to convPackedSpanGeneric and
 // (by the argument in conv_direct.go) to the im2col+matmul path.
 //
-// convPackedSpanFMA is the opt-in variant (SetFMA): VFMADD231PS fuses
-// the multiply and add into a single rounding, which is faster but not
-// bit-identical to the scalar path. Its accumulation order is unchanged,
-// so it remains deterministic across worker counts.
-//
-// Register plan (both variants):
+// Register plan:
 //   DI  y cursor              SI  x base for current pixel block
 //   R8  w base                R9  xoff base
 //   AX  rows                  CX  npix remaining
@@ -264,81 +259,6 @@ cps_rows1:
 	JMP	cps_tail
 
 cps_done:
-	VZEROUPPER
-	RET
-
-// func convPackedSpanFMA(y, x, w []float32, xoff []int32, rows, pixStride, npix int)
-TEXT ·convPackedSpanFMA(SB), NOSPLIT, $0-120
-	MOVQ	y_base+0(FP), DI
-	MOVQ	x_base+24(FP), SI
-	MOVQ	w_base+48(FP), R8
-	MOVQ	xoff_base+72(FP), R9
-	MOVQ	rows+96(FP), AX
-	MOVQ	pixStride+104(FP), R13
-	SHLQ	$2, R13
-	LEAQ	(R13)(R13*2), R14
-	MOVQ	npix+112(FP), CX
-
-cpf_block4:
-	CMPQ	CX, $4
-	JL	cpf_tail
-	VXORPS	Y0, Y0, Y0
-	VXORPS	Y1, Y1, Y1
-	VXORPS	Y2, Y2, Y2
-	VXORPS	Y3, Y3, Y3
-	MOVQ	R8, R11
-	MOVQ	R9, R12
-	MOVQ	AX, R10
-
-cpf_rows4:
-	MOVLQSX	(R12), DX
-	LEAQ	(SI)(DX*4), BX
-	VBROADCASTSS	(BX), Y4
-	VBROADCASTSS	(BX)(R13*1), Y5
-	VBROADCASTSS	(BX)(R13*2), Y6
-	VBROADCASTSS	(BX)(R14*1), Y7
-	VMOVUPS	(R11), Y8
-	VFMADD231PS	Y8, Y4, Y0
-	VFMADD231PS	Y8, Y5, Y1
-	VFMADD231PS	Y8, Y6, Y2
-	VFMADD231PS	Y8, Y7, Y3
-	ADDQ	$32, R11
-	ADDQ	$4, R12
-	DECQ	R10
-	JNZ	cpf_rows4
-	VMOVUPS	Y0, (DI)
-	VMOVUPS	Y1, 32(DI)
-	VMOVUPS	Y2, 64(DI)
-	VMOVUPS	Y3, 96(DI)
-	ADDQ	$128, DI
-	LEAQ	(SI)(R13*4), SI
-	SUBQ	$4, CX
-	JMP	cpf_block4
-
-cpf_tail:
-	TESTQ	CX, CX
-	JZ	cpf_done
-	VXORPS	Y0, Y0, Y0
-	MOVQ	R8, R11
-	MOVQ	R9, R12
-	MOVQ	AX, R10
-
-cpf_rows1:
-	MOVLQSX	(R12), DX
-	VBROADCASTSS	(SI)(DX*4), Y4
-	VMOVUPS	(R11), Y8
-	VFMADD231PS	Y8, Y4, Y0
-	ADDQ	$32, R11
-	ADDQ	$4, R12
-	DECQ	R10
-	JNZ	cpf_rows1
-	VMOVUPS	Y0, (DI)
-	ADDQ	$32, DI
-	ADDQ	R13, SI
-	DECQ	CX
-	JMP	cpf_tail
-
-cpf_done:
 	VZEROUPPER
 	RET
 

@@ -20,10 +20,6 @@ func dot(x, y []float32) float32 {
 	return dotGeneric(x, y)
 }
 
-// fmaHW reports whether this build has a fused-multiply-add conv kernel;
-// only amd64 does.
-func fmaHW() bool { return false }
-
 func convPackedSpan(y, x, w []float32, xoff []int32, rows, pixStride, npix int) {
 	if npix == 0 || rows == 0 {
 		return
