@@ -10,6 +10,7 @@ package edgetta_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"edgetta/internal/core"
@@ -155,6 +156,53 @@ func BenchmarkConv3x3Backward(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				conv.Backward(grad)
+			}
+		})
+	}
+}
+
+// BenchmarkConvForward times one conv layer's forward at batch 8, one
+// shape per class the kernel serves: read in place (1×1 stride 1) or staged
+// (padded, strided), ungrouped, grouped and depthwise.
+func BenchmarkConvForward(b *testing.B) {
+	for _, s := range []struct {
+		name                             string
+		inC, outC, hw, k, stride, groups int
+	}{
+		{"3x3s1", 32, 32, 32, 3, 1, 1},
+		{"3x3s2", 32, 64, 32, 3, 2, 1},
+		{"1x1s1", 64, 64, 16, 1, 1, 1},
+		{"1x1s2", 32, 64, 32, 1, 2, 1},
+		{"grouped", 32, 32, 16, 3, 1, 2},
+		{"depthwise", 48, 48, 16, 3, 1, 48},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			conv := nn.NewConv2d("c", rng, s.inC, s.outC, s.k, s.stride, s.k/2, s.groups)
+			x := tensor.New(8, s.inC, s.hw, s.hw)
+			x.Randn(rng, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				conv.Forward(x, false)
+			}
+		})
+	}
+}
+
+// BenchmarkForwardEval is the eval-mode forward of each repro-scale model at
+// batch 50 — R18 and MobileNetV2 are in no workload of the repository's
+// benchmark, so this is where a conv change shows on them.
+func BenchmarkForwardEval(b *testing.B) {
+	for _, tag := range []string{"RXT-AM", "WRN-AM", "R18-AM-AT", "MBV2"} {
+		m, err := models.ByTag(tag, rand.New(rand.NewSource(1)), models.ReproScale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := randBatch(50)
+		name, _, _ := strings.Cut(tag, "-")
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.Forward(x, false)
 			}
 		})
 	}

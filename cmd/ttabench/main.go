@@ -6,7 +6,7 @@
 //	ttabench -figure fig2        # one artifact (fig2..fig12, table1)
 //	ttabench -figure all         # everything
 //	ttabench -anchors            # calibration anchors vs simulated values
-//	ttabench -kernels            # which conv kernel each model's shapes select
+//	ttabench -kernels            # which convs read their input in place, which stage it
 //	ttabench -trace out.json     # Chrome trace of one BN-Opt kernel run
 //	ttabench -scenario           # continual-TTA scenario study (trains a
 //	                             # repro-scale model; -ckpt caches weights)
@@ -25,13 +25,14 @@ import (
 	"edgetta/internal/nn"
 	"edgetta/internal/profile"
 	"edgetta/internal/study"
+	"edgetta/internal/tensor"
 )
 
 func main() {
 	figure := flag.String("figure", "all", "figure/table id (fig2..fig12, table1) or 'all'")
 	anchors := flag.Bool("anchors", false, "print paper anchors vs simulated values")
 	insights := flag.Bool("insights", false, "print the recomputed Sec. IV-G architecture-algorithm insights")
-	kernels := flag.Bool("kernels", false, "print kernel dispatch configuration and per-model conv coverage")
+	kernels := flag.Bool("kernels", false, "print per model how many convs the direct kernel reads in place, how many it stages, and the staged bytes per image")
 	scenario := flag.Bool("scenario", false, "run the continual-TTA scenario study on a trained repro-scale model")
 	tag := flag.String("model", "WRN-AM", "model tag for -scenario")
 	ckpt := flag.String("ckpt", "", "checkpoint cache directory for -scenario")
@@ -90,7 +91,7 @@ func main() {
 
 // writeKernelTrace captures a single-run BN-Opt kernel trace on the
 // repro-scale model and writes it as Chrome trace-event JSON — every
-// layer's fw/bw span plus the packed conv path's pack sub-spans, viewable
+// layer's fw/bw span plus the staged convs' pack (staging copy) sub-spans, viewable
 // at chrome://tracing or https://ui.perfetto.dev.
 func writeKernelTrace(path, tag string) error {
 	m, err := models.ByTag(tag, rand.New(rand.NewSource(1)), models.ReproScale)
@@ -138,35 +139,30 @@ func printScenarioStudy(tag, ckptDir string) error {
 	return nil
 }
 
-// printKernels reports which convolution path each model's layers
-// dispatch to. The choice is a function of the layer's shape (stride-1
-// ungrouped → packed direct, everything else → im2col), so this table is
-// the whole dispatch — the ground truth for interpreting benchmark numbers.
+// printKernels reports how each model's convolutions reach the direct
+// kernel: read in place or staged first is a function of the layer's pad
+// and stride, so this table is the whole dispatch — the ground truth for
+// interpreting benchmark numbers. Staged KB is what the staging copies
+// write per image, over all staged layers.
 func printKernels() {
-	fmt.Printf("%-10s %12s %14s %22s\n", "model", "packed convs", "im2col convs", "packed conv-MAC share")
+	fmt.Printf("%-10s %15s %13s %16s\n", "model", "in-place convs", "staged convs", "staged KB/image")
 	for _, b := range append(models.Registry(), models.MobileNetV2) {
 		m := b(rand.New(rand.NewSource(1)), models.Full)
-		packed, fallback := 0, 0
-		var packedMACs, totalMACs int64
-		profile.Capture(m) // populate per-layer specs with a real forward
+		inPlace, staged, stagedFloats := 0, 0, 0
+		profile.Capture(m) // a real forward, so every conv has seen its input geometry
 		nn.Walk(m.Net, func(l nn.Layer) {
 			c, ok := l.(*nn.Conv2d)
 			if !ok {
 				return
 			}
-			if c.PackedEligible() {
-				packed++
-				packedMACs += c.Spec().MACs
+			if shape := c.ConvShape(); shape.InPlace() {
+				inPlace++
 			} else {
-				fallback++
+				staged++
+				stagedFloats += tensor.NewConvPlan(shape).StagedLen()
 			}
-			totalMACs += c.Spec().MACs
 		})
-		share := 0.0
-		if totalMACs > 0 {
-			share = 100 * float64(packedMACs) / float64(totalMACs)
-		}
-		fmt.Printf("%-10s %12d %14d %21.1f%%\n", m.Tag, packed, fallback, share)
+		fmt.Printf("%-10s %15d %13d %16.1f\n", m.Tag, inPlace, staged, float64(4*stagedFloats)/1024)
 	}
 }
 

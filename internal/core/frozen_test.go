@@ -61,7 +61,8 @@ func TestBNOptFrozenMatchesFullBackward(t *testing.T) {
 // TestBNOptStepSpansOncePerConv guards the profiler's attribution now that
 // the input gradient runs on the forward kernels: one BN-Opt step is one
 // conv.fw and one conv.bw span per conv layer — no forward span from inside
-// backward — and backward layout conversion shows up as pack.bw only.
+// backward — and the staging copy of a dX convolution shows up as pack.bw
+// only.
 func TestBNOptStepSpansOncePerConv(t *testing.T) {
 	m := tinyModel(21)
 	a, err := New(BNOpt, m, Config{})
@@ -70,7 +71,7 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 	}
 	x := tensor.New(4, 3, 32, 32)
 	x.Uniform(rand.New(rand.NewSource(23)), 0, 1)
-	a.Process(x) // warm the pack caches: their one-off build is not the subject
+	a.Process(x) // warm the rotated-kernel caches: their one-off build is not the subject
 
 	prior := telemetry.StopTracing()
 	defer func() {
@@ -109,25 +110,27 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 			fused[e.Name][e.Args.Fused]++
 		}
 	}
-	convs, packedDX := 0, 0
+	convs, stagedDX := 0, 0
 	nn.Walk(m.Net, func(l nn.Layer) {
 		c, ok := l.(*nn.Conv2d)
 		if !ok {
 			return
 		}
 		convs++
-		if c.PackedEligible() && c.Name() != "conv1" { // conv1 is the graph input: no dX
-			packedDX++
+		// A stride-1 ungrouped conv gets dX from the direct kernel at pad
+		// K-1-Pad, staged unless that is 0; conv1 is the graph input: no dX.
+		if c.Groups == 1 && c.Stride == 1 && c.K-1-c.Pad > 0 && c.Name() != "conv1" {
+			stagedDX++
 		}
 		if fw, bw := spans["conv.fw"][c.Name()], spans["conv.bw"][c.Name()]; fw != 1 || bw != 1 {
 			t.Errorf("%s: %d conv.fw and %d conv.bw spans in one step, want 1 and 1", c.Name(), fw, bw)
 		}
 	})
-	if convs == 0 || packedDX == 0 {
-		t.Fatal("model has no conv on the packed input-gradient path")
+	if convs == 0 || stagedDX == 0 {
+		t.Fatal("model has no conv with a staged input-gradient convolution")
 	}
-	if tensor.PackedEnabled() && spans["pack.bw"][""] != packedDX {
-		t.Errorf("pack.bw spans = %d, want one per packed input-gradient conv (%d)", spans["pack.bw"][""], packedDX)
+	if tensor.PackedEnabled() && spans["pack.bw"][""] != stagedDX {
+		t.Errorf("pack.bw spans = %d, want one per staged input-gradient conv (%d)", spans["pack.bw"][""], stagedDX)
 	}
 	// Every ReLU of this model follows a BatchNorm and runs inside its
 	// fused pass, so the step is one bn.fw and one bn.bw span per BN, each

@@ -5,8 +5,8 @@
 // can only spot-check:
 //
 //   - markupdated: every in-place write to an nn.Param's Data must be
-//     followed by MarkUpdated() on the same receiver, or the packed-weight
-//     cache keyed on the Param version serves stale weights.
+//     followed by MarkUpdated() on the same receiver, or the rotated conv
+//     kernel cached under the Param version serves stale weights.
 //   - scratchpair: every tensor.GetScratch must reach tensor.PutScratch
 //     on all paths of the acquiring function — normalized on the defer
 //     idiom — flagging leaks and double-puts.

@@ -9,15 +9,16 @@ import (
 // markUpdated enforces the Param-version contract: any in-place mutation
 // of an nn.Param's Data — indexed assignment, copy/clear into it, or
 // passing it to a known-mutating function — must be followed, later in the
-// same function, by MarkUpdated() on the same receiver expression. The
-// packed-weight cache (and anything else keyed on Param.Version) serves
-// stale derived state the moment a mutation path forgets the call.
+// same function, by MarkUpdated() on the same receiver expression. The conv
+// layer's rotated input-gradient kernel (and anything else keyed on
+// Param.Version) serves stale derived state the moment a mutation path
+// forgets the call.
 //
 // The read side of the same contract is checked too: a function that turns
-// a Param's Data into a tensor.PackedWeights (the conv layer's forward pack
-// and its rotated input-gradient pack) must read Version() on that Param —
-// a pack built without looking at the version is either rebuilt every call
-// or cached with nothing to invalidate it.
+// a Param's Data into a tensor.RotatedWeights — the one derived weight copy
+// that outlives a call; the forward convolution reads Data itself — must
+// read Version() on that Param: a copy built without looking at the version
+// is either rebuilt every call or cached with nothing to invalidate it.
 //
 // A parameter that is freshly constructed in the function (its base
 // variable is assigned a composite literal there) is exempt: nothing can
@@ -45,7 +46,7 @@ type paramWrite struct {
 func runMarkUpdated(p *Pass) {
 	info := p.Pkg.Info
 	forEachFuncDecl(p.Pkg, func(fd *ast.FuncDecl) {
-		var writes, packs []paramWrite
+		var writes, derived []paramWrite
 		marks := map[string][]token.Pos{}
 		versionRead := map[string]bool{}
 		constructed := map[types.Object]bool{}
@@ -76,8 +77,8 @@ func runMarkUpdated(p *Pass) {
 				if sel, ok := mutatingCallTarget(info, n); ok {
 					writes = append(writes, paramWrite{rootString(sel), sel.X, n.Pos()})
 				}
-				if sel, ok := packedFromData(info, n); ok {
-					packs = append(packs, paramWrite{rootString(sel), sel.X, n.Pos()})
+				if sel, ok := derivedFromData(info, n); ok {
+					derived = append(derived, paramWrite{rootString(sel), sel.X, n.Pos()})
 				}
 				if recv, ok := paramMethodCall(info, n, "MarkUpdated"); ok {
 					key := types.ExprString(recv)
@@ -104,14 +105,14 @@ func runMarkUpdated(p *Pass) {
 				}
 			}
 			p.Reportf(w.pos,
-				"write to %s.Data is not followed by %s.MarkUpdated() in %s: caches keyed on the Param version (packed conv weights) would serve stale data",
+				"write to %s.Data is not followed by %s.MarkUpdated() in %s: caches keyed on the Param version (rotated conv kernels) would serve stale data",
 				w.root, w.root, fd.Name.Name)
 		}
-		for _, pk := range packs {
-			if !versionRead[pk.root] {
-				p.Reportf(pk.pos,
-					"%s.Data is packed into a tensor.PackedWeights without reading %s.Version() in %s: a cached pack would outlive the weights it was built from",
-					pk.root, pk.root, fd.Name.Name)
+		for _, d := range derived {
+			if !versionRead[d.root] {
+				p.Reportf(d.pos,
+					"%s.Data is rotated into a tensor.RotatedWeights without reading %s.Version() in %s: a cached copy would outlive the weights it was built from",
+					d.root, d.root, fd.Name.Name)
 			}
 		}
 	})
@@ -169,11 +170,10 @@ func mutatingCallTarget(info *types.Info, call *ast.CallExpr) (*ast.SelectorExpr
 	return dataSelector(info, call.Args[argIdx])
 }
 
-// packedFromData reports a call that takes a Param's Data and returns a
-// tensor.PackedWeights — by result type, so a pack function passed around
-// as a value counts like a direct tensor.PackConvWeights call.
-func packedFromData(info *types.Info, call *ast.CallExpr) (*ast.SelectorExpr, bool) {
-	if !namedIs(info.Types[call].Type, "tensor", "PackedWeights") {
+// derivedFromData reports a call that takes a Param's Data and returns a
+// tensor.RotatedWeights.
+func derivedFromData(info *types.Info, call *ast.CallExpr) (*ast.SelectorExpr, bool) {
+	if !namedIs(info.Types[call].Type, "tensor", "RotatedWeights") {
 		return nil, false
 	}
 	for _, arg := range call.Args {

@@ -44,8 +44,8 @@ func (l *layer) clone() *layer {
 	return cp
 }
 
-// offsets is a per-direction cache held by value, like Conv2d's packed
-// caches: an immutable shared pointer next to a table the owner rebuilds.
+// offsets is a per-direction cache held by value: an immutable shared
+// pointer next to a table the owner rebuilds.
 type offsets struct {
 	weights *cache
 	table   []int32

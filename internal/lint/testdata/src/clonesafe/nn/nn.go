@@ -26,7 +26,8 @@ func (p *Param) clone() *Param {
 }
 
 // Clone predates the Frozen flag and the version: the replica would
-// compute gradients the original skips, and distrust every shared pack.
+// compute gradients the original skips, and distrust every shared rotated
+// kernel.
 func (p *Param) Clone() *Param {
 	return &Param{ // want "omits Frozen, version"
 		Name: p.Name,

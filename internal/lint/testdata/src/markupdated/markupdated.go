@@ -13,7 +13,7 @@ type layer struct {
 	Weight *nn.Param
 	Bias   *nn.Param
 
-	packed, rotated *tensor.PackedWeights
+	rot, stale *tensor.RotatedWeights
 }
 
 // forgotten writes and never marks.
@@ -101,36 +101,30 @@ func construct() *nn.Param {
 	return p
 }
 
-// forwardPack is the version-keyed cache done right: reuse while the
-// version matches, stamp the rebuilt pack with the version it came from.
-func (l *layer) forwardPack() *tensor.PackedWeights {
-	if p := l.packed; p != nil && p.Version == l.Weight.Version() {
-		return p
+// rotated is the version-keyed cache done right: reuse while the version
+// matches, stamp the rebuilt copy with the version it came from.
+func (l *layer) rotated() *tensor.RotatedWeights {
+	if r := l.rot; r != nil && r.Version == l.Weight.Version() {
+		return r
 	}
-	p := tensor.PackConvWeights(l.Weight.Data, 8, 8, 3)
-	p.Version = l.Weight.Version()
-	l.packed = p
-	return p
+	r := tensor.NewRotatedWeights(l.Weight.Data, 8, 8, 3)
+	r.Version = l.Weight.Version()
+	l.rot = r
+	return r
 }
 
-// rotatedPack caches the second pack and never looks at the version: after
-// an optimizer step, backward would run on the old weights.
-func (l *layer) rotatedPack() *tensor.PackedWeights {
-	if l.rotated == nil {
-		l.rotated = tensor.PackConvWeightsRotated(l.Weight.Data, 8, 8, 3) // want "without reading l.Weight.Version"
+// rotatedOnce caches the copy and never looks at the version: after an
+// optimizer step, backward would run on the old weights.
+func (l *layer) rotatedOnce() *tensor.RotatedWeights {
+	if l.stale == nil {
+		l.stale = tensor.NewRotatedWeights(l.Weight.Data, 8, 8, 3) // want "without reading l.Weight.Version"
 	}
-	return l.rotated
+	return l.stale
 }
 
-// wrongVersion keys the pack on a different Param than the one it packs.
-func (l *layer) wrongVersion() *tensor.PackedWeights {
-	p := tensor.PackConvWeights(l.Weight.Data, 8, 8, 3) // want "without reading l.Weight.Version"
-	p.Version = l.Bias.Version()
-	return p
-}
-
-// packWith takes the pack function as a value, as the conv layer does for
-// its two directions; the result type still gives the pack away.
-func (l *layer) packWith(pack func([]float32, int, int, int) *tensor.PackedWeights) *tensor.PackedWeights {
-	return pack(l.Weight.Data, 8, 8, 3) // want "without reading l.Weight.Version"
+// wrongVersion keys the copy on a different Param than the one it rotates.
+func (l *layer) wrongVersion() *tensor.RotatedWeights {
+	r := tensor.NewRotatedWeights(l.Weight.Data, 8, 8, 3) // want "without reading l.Weight.Version"
+	r.Version = l.Bias.Version()
+	return r
 }

@@ -114,57 +114,62 @@ func TestCloneParamNamesAndStructure(t *testing.T) {
 }
 
 // TestClonePackedWeightCacheSharedUntilUpdate: replicas of an unadapted
-// model must serve from one shared packed-weight buffer per conv (the
-// cache is immutable and keyed on the Param version), and a weight update
-// on one side must repack locally without corrupting the other — clone
-// outputs stay bit-identical to the original's until then.
+// model share each conv's one derived weight copy — the rotated
+// input-gradient kernel, immutable and keyed on the Param version — and a
+// weight update on one side must rotate again locally without corrupting
+// the other: clone outputs and input gradients stay bit-identical to the
+// original's until then. (The forward reads the weights themselves.)
 func TestClonePackedWeightCacheSharedUntilUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	m := WideResNet402(rng, ReproScale)
 	x := tensor.New(2, m.InC, m.InHW, m.InHW)
 	x.Uniform(rand.New(rand.NewSource(72)), 0, 1)
-	m.Forward(x, false) // warm the packed caches
+	// One forward and backward; the first on m also warms the rotated-kernel
+	// caches the clone then shares.
+	pass := func(m *Model) (y, dx []float32) {
+		out := m.Forward(x, false)
+		return out.Data, m.Backward(out).Data
+	}
+	pass(m)
 	c := m.Clone()
 
-	y0 := m.Forward(x, false)
-	y1 := c.Forward(x, false)
-	for i := range y0.Data {
-		if y0.Data[i] != y1.Data[i] {
-			t.Fatalf("clone forward differs at %d before any update", i)
-		}
+	y0, dx0 := pass(m)
+	y1, dx1 := pass(c)
+	if !bitsEqual(y0, y1) || !bitsEqual(dx0, dx1) {
+		t.Fatal("clone forward or input gradient differs before any update")
 	}
 
 	// Scale one conv weight on the clone (with MarkUpdated, per the Param
-	// contract). The clone must diverge; the original must not move.
+	// contract) — a conv whose input gradient runs on the cached rotated
+	// kernel. The clone must diverge; the original must not move.
 	var conv *nn.Conv2d
 	nn.Walk(c.Net, func(l nn.Layer) {
-		if cv, ok := l.(*nn.Conv2d); ok && conv == nil && cv.PackedEligible() {
+		if cv, ok := l.(*nn.Conv2d); ok && conv == nil && cv.Groups == 1 && cv.Stride == 1 && cv.Name() != "conv1" {
 			conv = cv
 		}
 	})
 	if conv == nil {
-		t.Fatal("no packed-eligible conv found")
+		t.Fatal("no stride-1 ungrouped conv found")
 	}
 	for i := range conv.Weight.Data {
 		conv.Weight.Data[i] *= 2
 	}
 	conv.Weight.MarkUpdated()
 
-	y0b := m.Forward(x, false)
-	y1b := c.Forward(x, false)
-	for i := range y0.Data {
-		if y0b.Data[i] != y0.Data[i] {
-			t.Fatalf("original forward moved at %d after clone-side update", i)
-		}
+	y0b, dx0b := pass(m)
+	y1b, dx1b := pass(c)
+	if !bitsEqual(y0b, y0) || !bitsEqual(dx0b, dx0) {
+		t.Fatal("original moved after clone-side update")
 	}
-	same := true
-	for i := range y1b.Data {
-		if y1b.Data[i] != y1.Data[i] {
-			same = false
-			break
-		}
+	if bitsEqual(y1b, y1) {
+		t.Fatal("clone forward unchanged despite weight update")
 	}
-	if same {
-		t.Fatal("clone forward unchanged despite weight update (stale shared cache)")
+	// The same gradient through the updated clone, on the kernel and on the
+	// oracle (which rotates afresh): a rotated kernel that outlived the
+	// update would separate them.
+	defer tensor.SetPacked(tensor.PackedEnabled())
+	tensor.SetPacked(false)
+	if _, oracle := pass(c); !bitsEqual(dx1b, oracle) {
+		t.Fatal("clone input gradient served a stale rotated kernel after the update")
 	}
 }

@@ -23,8 +23,8 @@ func Clone(l Layer) Layer {
 }
 
 // clone returns a Param with copied data and a fresh zero gradient. The
-// mutation version is preserved so caches keyed on it (packed conv
-// weights) stay valid for the clone, and so is Frozen: like the BatchNorm
+// mutation version is preserved so caches keyed on it (the conv layer's
+// rotated input-gradient kernel) stay valid for the clone, and so is Frozen: like the BatchNorm
 // adaptation switches, a clone of an armed model backpropagates exactly as
 // the original would (core.New re-arms its own model either way). Every
 // field is named here so a new one cannot be dropped silently — ttalint's
@@ -75,17 +75,15 @@ func (f *Flatten) CloneLayer() Layer { return &Flatten{name: f.name} }
 // is never touched. None of the study's models include Dropout.
 func (d *Dropout) CloneLayer() Layer { return &Dropout{name: d.name, P: d.P, rng: d.rng} }
 
-// CloneLayer implements Cloner. The immutable packed-weight caches —
-// forward and input-gradient kernel — are shared with the clone (their
-// version still matches the cloned Param), so serving replicas of an
-// unadapted model pay for one packed copy instead of one per replica; the
-// first weight update on either side repacks locally without affecting
-// the other. The offset tables are per-layer and start empty.
+// CloneLayer implements Cloner. The immutable rotated input-gradient
+// kernel is shared with the clone (its version still matches the cloned
+// Param), so serving replicas of an unadapted model pay for one copy instead
+// of one per replica; the first weight update on either side rotates
+// locally without affecting the other.
 func (c *Conv2d) CloneLayer() Layer {
 	return &Conv2d{name: c.name, InC: c.InC, OutC: c.OutC,
 		K: c.K, Stride: c.Stride, Pad: c.Pad, Groups: c.Groups,
-		Weight: c.Weight.clone(), noInputGrad: c.noInputGrad,
-		fw: packedCache{weights: c.fw.weights}, bw: packedCache{weights: c.bw.weights}}
+		Weight: c.Weight.clone(), noInputGrad: c.noInputGrad, rot: c.rot}
 }
 
 // CloneLayer implements Cloner. All statistics buffers — running, source —

@@ -30,16 +30,16 @@ const bwStripRows = 32
 // Bias is omitted: every convolution in the paper's models feeds a
 // BatchNorm, which subsumes it.
 //
-// Forward dispatch is a function of the layer's shape and nothing else:
-// stride-1 ungrouped convolutions (nearly all of the WRN workload) run on
-// the packed NC8HW8 direct path — no im2col matrix is materialized, and
-// the packed weights are cached across calls and shared with clones until
-// the weights change — and every other shape runs im2col + matmul. The two
-// are bit-identical (see tensor/conv_direct.go), which is why im2col also
-// serves as the parity tests' oracle (tensor.SetPacked).
+// Every forward convolution runs the direct NCHW kernel
+// (tensor/conv_direct.go): the weights are read from Weight.Data where they
+// lie and the output is written straight into the result; whether the
+// input is read in place (Pad == 0 && Stride == 1) or staged once per image
+// with its zero border — and, when strided, split by residue — is a
+// function of pad and stride. im2col + matmul computes the same bits and
+// survives as the parity tests' oracle (tensor.SetPacked).
 //
-// Backward runs the input gradient of those same stride-1 ungrouped
-// shapes through that same dispatch (see Backward).
+// Backward runs the input gradient of stride-1 ungrouped shapes through
+// that same kernel (see Backward).
 type Conv2d struct {
 	name           string
 	InC, OutC      int
@@ -55,24 +55,18 @@ type Conv2d struct {
 	lastSpec             Spec
 	outH, outW, inH, inW int
 
-	// fw caches the packed path's forward kernel, bw the input-gradient
-	// kernel (the same weights rotated, see tensor.RotateConvWeights).
-	fw, bw packedCache
-}
-
-// packedCache is what one direction of the packed path keeps across
-// calls: weights is the kernel in NC8HW8 order, valid while its Version
-// matches Weight.Version() — it is immutable, so clones share it until
-// either side's weights change; off is the offset table for the
-// last-seen input geometry.
-type packedCache struct {
-	weights    *tensor.PackedWeights
-	off        []int32
-	offH, offW int
+	// rot caches the input-gradient kernel (the weights rotated, see
+	// tensor.RotateConvWeights), valid while its Version matches
+	// Weight.Version() — it is immutable, so clones share it until either
+	// side's weights change. The forward has no derived copy to go stale.
+	rot *tensor.RotatedWeights
 }
 
 // NewConv2d constructs a convolution layer with He-normal initialization.
 func NewConv2d(name string, rng *rand.Rand, inC, outC, k, stride, pad, groups int) *Conv2d {
+	if k < 1 || stride < 1 || pad < 0 || groups < 1 {
+		panic(fmt.Sprintf("nn: %s: kernel %d, stride %d, pad %d, groups %d: want k ≥ 1, stride ≥ 1, pad ≥ 0, groups ≥ 1", name, k, stride, pad, groups))
+	}
 	if inC%groups != 0 || outC%groups != 0 {
 		panic(fmt.Sprintf("nn: %s: channels (%d→%d) not divisible by groups %d", name, inC, outC, groups))
 	}
@@ -93,53 +87,45 @@ func (c *Conv2d) Params() []*Param { return []*Param{c.Weight} }
 // Spec implements Layer.
 func (c *Conv2d) Spec() Spec { return c.lastSpec }
 
-// PackedEligible reports whether this layer's shape is served by the
-// packed direct-convolution path: stride-1 and ungrouped. Grouped or
-// strided convolutions fall back to im2col + matmul.
-func (c *Conv2d) PackedEligible() bool { return c.Groups == 1 && c.Stride == 1 }
-
-// packedWeights returns pc's cached kernel, repacking with pack if the
-// underlying Param has been mutated since (Param.MarkUpdated bumps the
-// version). The returned buffer is immutable; clones of an unadapted
-// layer share one copy.
-func (c *Conv2d) packedWeights(pc *packedCache, pack packFunc) *tensor.PackedWeights {
-	if p := pc.weights; p != nil && p.Version == c.Weight.Version() {
-		return p
-	}
-	p := pack(c.Weight.Data, c.OutC, c.InC, c.K)
-	p.Version = c.Weight.Version()
-	pc.weights = p
-	return p
+// ConvShape returns the geometry of the last Forward — what decides whether
+// the kernel reads the input in place or staged (tensor.ConvShape.InPlace).
+func (c *Conv2d) ConvShape() tensor.ConvShape {
+	return tensor.ConvShape{InC: c.InC, OutC: c.OutC, H: c.inH, W: c.inW, K: c.K, Stride: c.Stride, Pad: c.Pad, Groups: c.Groups}
 }
 
-// packFunc is the shape tensor.PackConvWeights and
-// tensor.PackConvWeightsRotated share.
-type packFunc func(w []float32, outC, inC, k int) *tensor.PackedWeights
+// rotated returns the cached input-gradient kernel, rotating again if the
+// underlying Param has been mutated since (Param.MarkUpdated bumps the
+// version). The returned buffer is immutable; clones of an unadapted layer
+// share one copy.
+func (c *Conv2d) rotated() *tensor.RotatedWeights {
+	if r := c.rot; r != nil && r.Version == c.Weight.Version() {
+		return r
+	}
+	r := tensor.NewRotatedWeights(c.Weight.Data, c.OutC, c.InC, c.K)
+	r.Version = c.Weight.Version()
+	c.rot = r
+	return r
+}
 
 // Forward implements Layer. The batch dimension is processed in parallel.
 func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != c.InC {
 		panic(shapeErr(c.name, x.Shape()))
 	}
-	t0 := profStart()
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	outH := (h+2*c.Pad-c.K)/c.Stride + 1
-	outW := (w+2*c.Pad-c.K)/c.Stride + 1
-	c.input, c.inH, c.inW, c.outH, c.outW = x, h, w, outH, outW
-
-	rows := (c.InC / c.Groups) * c.K * c.K
-	cols := outH * outW
-	y := tensor.New(n, c.OutC, outH, outW)
-
-	if tensor.PackedEnabled() && c.PackedEligible() {
-		c.convPacked(&c.fw, tensor.PackConvWeights, y.Data, x.Data, n, h, w, c.Pad, false)
-	} else {
-		convIm2Col(y.Data, x.Data, c.Weight.Data, n, c.InC, c.OutC, h, w, c.K, c.Stride, c.Pad, c.Groups)
+	if h+2*c.Pad < c.K || w+2*c.Pad < c.K {
+		panic(fmt.Sprintf("nn: %s: %d×%d input padded by %d is smaller than the %d×%d kernel", c.name, h, w, c.Pad, c.K, c.K))
 	}
+	t0 := profStart()
+	c.input, c.inH, c.inW = x, h, w
+	shape := c.ConvShape()
+	c.outH, c.outW = shape.OutH(), shape.OutW()
+	y := tensor.New(n, c.OutC, c.outH, c.outW)
+	conv(y.Data, x.Data, c.Weight.Data, n, shape, false)
 
 	c.lastSpec = Spec{
 		Kind: KindConv, LayerName: c.name,
-		MACs:       int64(n) * int64(c.OutC) * int64(rows) * int64(cols),
+		MACs:       int64(y.Numel()) * int64(len(c.Weight.Data)/c.OutC), // one reduction row per weight of an output channel
 		ParamCount: int64(len(c.Weight.Data)),
 		OutElems:   int64(y.Numel()),
 		SavedElems: int64(x.Numel()),
@@ -149,7 +135,7 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// convIm2Col is the general path, src [n,inC,h,w] → dst [n,outC,·,·] under
+// convIm2Col is the oracle, src [n,inC,h,w] → dst [n,outC,·,·] under
 // the weight matrix wmat [outC, inC/groups*k*k]: each image is lowered
 // with im2col and multiplied against the weight matrix one group at a
 // time. Grain 1: each image is heavy (an im2col plus a matmul per group),
@@ -174,63 +160,43 @@ func convIm2Col(dst, src, wmat []float32, n, inC, outC, h, w, k, stride, pad, gr
 	})
 }
 
-// convPacked is the direct path for stride-1 ungrouped shapes, src
-// [n,·,h,w] → dst under the kernel pc caches (pack builds it): pack the
-// image once (padding baked in), run the NC8HW8 microkernel over it in
-// place, unpack the result. The packed weights are cached across calls;
-// the offset table is cached per input geometry. When the profiler is
-// active, layout conversion time is credited to KindPack in the calling
-// direction (contained within this layer's KindConv interval), so pack
-// overhead stays attributable next to compute.
-func (c *Conv2d) convPacked(pc *packedCache, pack packFunc, dst, src []float32, n, h, w, pad int, backward bool) {
-	prof := profActive()
-	var packNanos atomic.Int64
-	t0 := time.Time{}
-	if prof {
-		t0 = time.Now()
+// conv runs n images src [n,InC,H,W] → dst through the direct kernel under
+// the weight matrix wmat (or through the oracle when a test has selected
+// it): stage the image if the shape needs it, then convolve it where it
+// lies, straight into dst. When the profiler is active, staging time is
+// credited to KindPack in the calling direction (contained within the
+// layer's KindConv interval), so the copy stays attributable next to
+// compute.
+func conv(dst, src, wmat []float32, n int, s tensor.ConvShape, backward bool) {
+	if !tensor.PackedEnabled() {
+		convIm2Col(dst, src, wmat, n, s.InC, s.OutC, s.H, s.W, s.K, s.Stride, s.Pad, s.Groups)
+		return
 	}
-	pw := c.packedWeights(pc, pack)
-	hp, wpad := h+2*pad, w+2*pad
-	if pc.off == nil || pc.offH != h || pc.offW != w {
-		pc.off = tensor.ConvOffsets(pw.InC, hp, wpad, pw.K)
-		pc.offH, pc.offW = h, w
-	}
-	if prof {
-		packNanos.Add(int64(time.Since(t0)))
-	}
-	xoff := pc.off
-	outH, outW := hp-pw.K+1, wpad-pw.K+1
-	cols := outH * outW
-	xpLen := tensor.PackedImageLen(pw.InC, h, w, pad)
-	ypLen := tensor.PackedImageLen(pw.OutC, outH, outW, 0)
+	plan := tensor.NewConvPlan(s)
+	prof := profActive() && !s.InPlace()
+	var stageNanos atomic.Int64
+	inLen, outLen := s.InC*s.H*s.W, s.OutC*s.OutH()*s.OutW()
 	parallel.ForGrain(n, 1, func(lo, hi int) {
-		xp := tensor.GetScratch(xpLen)
-		defer tensor.PutScratch(xp)
-		yp := tensor.GetScratch(ypLen)
-		defer tensor.PutScratch(yp)
+		staged := tensor.GetScratch(plan.StagedLen())
+		defer tensor.PutScratch(staged)
 		for img := lo; img < hi; img++ {
-			xImg := src[img*pw.InC*h*w : (img+1)*pw.InC*h*w]
-			yImg := dst[img*pw.OutC*cols : (img+1)*pw.OutC*cols]
-			var tp time.Time
-			if prof {
-				tp = time.Now()
+			xImg := src[img*inLen : (img+1)*inLen]
+			if staged != nil {
+				var t0 time.Time
+				if prof {
+					t0 = time.Now()
+				}
+				plan.Stage(staged, xImg)
+				if prof {
+					stageNanos.Add(int64(time.Since(t0)))
+				}
+				xImg = staged
 			}
-			tensor.PackImage(xp, xImg, pw.InC, h, w, pad)
-			if prof {
-				packNanos.Add(int64(time.Since(tp)))
-			}
-			tensor.ConvPackedForward(yp, xp, pw, xoff, outH, outW, hp, wpad, 1)
-			if prof {
-				tp = time.Now()
-			}
-			tensor.UnpackImage(yImg, yp, pw.OutC, outH, outW)
-			if prof {
-				packNanos.Add(int64(time.Since(tp)))
-			}
+			plan.Run(dst[img*outLen:(img+1)*outLen], xImg, wmat)
 		}
 	})
 	if prof {
-		profAdd(KindPack, backward, time.Duration(packNanos.Load()).Seconds())
+		profAdd(KindPack, backward, time.Duration(stageNanos.Load()).Seconds())
 	}
 }
 
@@ -242,10 +208,10 @@ func (c *Conv2d) convPacked(pc *packedCache, pack packFunc, dst, src []float32, 
 //     to consume it (noInputGrad), in which case Backward returns nil.
 //   - For stride-1 ungrouped shapes with Pad < K, dX is a forward
 //     convolution of dY with the rotated kernel (tensor.RotateConvWeights)
-//     at pad K-1-Pad, run through Forward's own dispatch: the packed
-//     direct kernel, or im2col + matmul when a test has the oracle
-//     selected (tensor.SetPacked) — bit-identical to each other by the
-//     argument in tensor/conv_direct.go.
+//     at pad K-1-Pad, run through Forward's own kernel (or im2col +
+//     matmul when a test has the oracle selected, tensor.SetPacked —
+//     bit-identical to each other by the argument in
+//     tensor/conv_direct.go).
 //     It calls the kernels, never Forward, so the profiler sees one
 //     conv.bw span and no forward time. Every other shape gets dX from
 //     the strip path below, which is also the only dW implementation.
@@ -259,7 +225,7 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	var dx, stripDX *tensor.Tensor
 	if !c.noInputGrad {
 		dx = tensor.New(x.Shape()...)
-		if c.PackedEligible() && c.Pad < c.K {
+		if c.Groups == 1 && c.Stride == 1 && c.Pad < c.K {
 			c.inputGradConv(grad, dx)
 		} else {
 			stripDX = dx
@@ -273,18 +239,18 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // inputGradConv writes dX = conv(dY, rotated kernel) into dx. Only the
-// packed arm caches the rotated kernel; the im2col arm is the test oracle,
+// direct arm caches the rotated kernel; the im2col arm is the test oracle,
 // not the hot path, and re-rotates the (small) weight matrix per call.
 func (c *Conv2d) inputGradConv(grad, dx *tensor.Tensor) {
-	n, pad := grad.Dim(0), c.K-1-c.Pad
+	s := tensor.ConvShape{InC: c.OutC, OutC: c.InC, H: c.outH, W: c.outW, K: c.K, Stride: 1, Pad: c.K - 1 - c.Pad, Groups: 1}
 	if tensor.PackedEnabled() {
-		c.convPacked(&c.bw, tensor.PackConvWeightsRotated, dx.Data, grad.Data, n, c.outH, c.outW, pad, true)
+		conv(dx.Data, grad.Data, c.rotated().Data, grad.Dim(0), s, true)
 		return
 	}
 	rot := tensor.GetScratch(len(c.Weight.Data))
 	defer tensor.PutScratch(rot)
 	tensor.RotateConvWeights(rot, c.Weight.Data, c.OutC, c.InC, c.K)
-	convIm2Col(dx.Data, grad.Data, rot, n, c.OutC, c.InC, c.outH, c.outW, c.K, 1, pad, 1)
+	conv(dx.Data, grad.Data, rot, grad.Dim(0), s, true)
 }
 
 // backwardStrips is the lowering-based backward: it accumulates dW into

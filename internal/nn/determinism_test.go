@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"edgetta/internal/parallel"
@@ -59,48 +60,76 @@ func TestConvDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestConvPackedMatchesIm2ColAtLayerLevel pins the dispatch contract end
-// to end: a stride-1 ungrouped Conv2d must produce bit-identical forward
-// output through the packed direct path and the im2col path, including
-// after a weight update (which must invalidate the packed cache via the
-// Param version).
+// to end: a Conv2d of any shape — in place or staged, strided, grouped,
+// depthwise — must produce bit-identical forward output through the direct
+// kernel and the im2col oracle, including after a weight update (the
+// forward reads Weight.Data itself, so there is nothing to go stale).
 func TestConvPackedMatchesIm2ColAtLayerLevel(t *testing.T) {
 	wasPacked := tensor.PackedEnabled()
 	defer tensor.SetPacked(wasPacked)
 
-	for _, tc := range []struct{ in, out, k, pad int }{
-		{3, 16, 3, 1},  // first layer: tail input lanes
-		{16, 16, 3, 1}, // exact blocks
-		{16, 32, 1, 0}, // 1x1 shortcut
-		{10, 12, 3, 0}, // tails both sides, no pad
+	for _, tc := range []struct{ in, out, k, stride, pad, groups int }{
+		{3, 16, 3, 1, 1, 1},  // first layer
+		{16, 16, 3, 1, 1, 1}, // whole tiles
+		{16, 32, 1, 1, 0, 1}, // 1x1 shortcut, read in place
+		{10, 12, 3, 1, 0, 1}, // 3x3 read in place
+		{16, 32, 1, 2, 0, 1}, // strided shortcut
+		{8, 12, 3, 2, 1, 1},  // strided 3x3
+		{8, 12, 3, 1, 1, 4},  // grouped, a three-channel tile per group
+		{6, 6, 3, 2, 1, 6},   // depthwise, strided
 	} {
 		rng := rand.New(rand.NewSource(31))
-		conv := NewConv2d("c", rng, tc.in, tc.out, tc.k, 1, tc.pad, 1)
-		if !conv.PackedEligible() {
-			t.Fatalf("%+v: expected packed eligibility", tc)
-		}
+		conv := NewConv2d("c", rng, tc.in, tc.out, tc.k, tc.stride, tc.pad, tc.groups)
 		x := tensor.New(3, tc.in, 9, 11)
 		x.Randn(rng, 1)
 		tensor.SetPacked(true)
-		packed := conv.Forward(x, false)
+		direct := conv.Forward(x, false)
 		tensor.SetPacked(false)
 		im2col := conv.Forward(x, false)
-		if !float32BitsEqual(packed.Data, im2col.Data) {
-			t.Errorf("%+v: packed and im2col forward differ", tc)
+		if !float32BitsEqual(direct.Data, im2col.Data) {
+			t.Errorf("%+v: direct and im2col forward differ", tc)
 		}
 
 		// Mutate the weights (with MarkUpdated, per the Param contract)
-		// and re-check: a stale packed cache would show up immediately.
+		// and re-check: a stale derived copy would show up immediately.
 		for i := range conv.Weight.Data {
 			conv.Weight.Data[i] *= 1.5
 		}
 		conv.Weight.MarkUpdated()
 		tensor.SetPacked(true)
-		packed = conv.Forward(x, false)
+		updated := conv.Forward(x, false)
 		tensor.SetPacked(false)
 		im2col = conv.Forward(x, false)
-		if !float32BitsEqual(packed.Data, im2col.Data) {
-			t.Errorf("%+v: packed path served stale weights after update", tc)
+		if !float32BitsEqual(updated.Data, im2col.Data) || float32BitsEqual(updated.Data, direct.Data) {
+			t.Errorf("%+v: direct path served stale weights after update", tc)
 		}
+	}
+}
+
+// TestConvRejectsGeometryItCannotCompute: a kernel larger than the padded
+// input has no output (the old size formula truncated (4−5)/2+1 to a 1×1
+// plane of garbage), and a non-positive kernel or stride or a negative pad
+// is no convolution at all; each is a panic naming the layer.
+func TestConvRejectsGeometryItCannotCompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	panics := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "nn: bad") {
+				t.Errorf("%s: recovered %q, want a panic naming the layer", name, msg)
+			}
+		}()
+		fn()
+	}
+	panics("k=0", func() { NewConv2d("bad", rng, 2, 2, 0, 1, 0, 1) })
+	panics("stride=0", func() { NewConv2d("bad", rng, 2, 2, 3, 0, 1, 1) })
+	panics("pad=-1", func() { NewConv2d("bad", rng, 2, 2, 3, 1, -1, 1) })
+	panics("groups=0", func() { NewConv2d("bad", rng, 2, 2, 3, 1, 1, 0) })
+	conv := NewConv2d("bad", rng, 2, 2, 5, 2, 0, 1)
+	panics("4x4 under k=5", func() { conv.Forward(tensor.New(1, 2, 4, 4), false) })
+	panics("5x4 under k=5", func() { conv.Forward(tensor.New(1, 2, 5, 4), false) })
+	if y := conv.Forward(tensor.New(1, 2, 5, 6), false); y.Dim(2) != 1 || y.Dim(3) != 1 {
+		t.Errorf("5x6 under k=5 stride 2: output %v, want 1x1", y.Shape())
 	}
 }
 

@@ -181,12 +181,12 @@ func convGradCase(seed int64, in, out, k, pad int) (*Conv2d, *tensor.Tensor, *te
 }
 
 var rotatedShapes = []struct{ in, out, k, pad int }{
-	{3, 16, 3, 1},  // first layer: tail lanes on the dX output side
-	{16, 16, 3, 1}, // exact blocks
-	{16, 32, 1, 0}, // 1x1 shortcut
-	{10, 12, 3, 0}, // tails both sides, no pad: dX convolves at pad 2
+	{3, 16, 3, 1},  // first layer: a three-channel tile on the dX output side
+	{16, 16, 3, 1}, // whole tiles
+	{16, 32, 1, 0}, // 1x1 shortcut: dX read in place
+	{10, 12, 3, 0}, // no pad: dX convolves at pad 2
 	{6, 9, 5, 2},   // 5x5
-	{8, 8, 3, 2},   // pad K-1: dX convolves at pad 0
+	{8, 8, 3, 2},   // pad K-1: dX convolves at pad 0, in place
 }
 
 // TestConvInputGradMatchesCol2ImOracle holds the rotated-kernel dX to the
@@ -229,15 +229,15 @@ func TestConvInputGradMatchesCol2ImOracle(t *testing.T) {
 }
 
 // TestConvInputGradDispatchParity: like Forward, the dX convolution is
-// bit-identical through the packed kernel and through im2col + matmul, and
+// bit-identical through the direct kernel and through im2col + matmul, and
 // for every worker count.
 func TestConvInputGradDispatchParity(t *testing.T) {
 	wasPacked := tensor.PackedEnabled()
 	defer tensor.SetPacked(wasPacked)
 	defer parallel.SetWorkers(0)
 
-	dx := func(tc struct{ in, out, k, pad int }, packed bool, workers int) []float32 {
-		tensor.SetPacked(packed)
+	dx := func(tc struct{ in, out, k, pad int }, direct bool, workers int) []float32 {
+		tensor.SetPacked(direct)
 		parallel.SetWorkers(workers)
 		conv, _, grad := convGradCase(53, tc.in, tc.out, tc.k, tc.pad)
 		return conv.Backward(grad).Data
@@ -245,7 +245,7 @@ func TestConvInputGradDispatchParity(t *testing.T) {
 	for _, tc := range rotatedShapes {
 		ref := dx(tc, true, 1)
 		if !float32BitsEqual(ref, dx(tc, false, 1)) {
-			t.Errorf("%+v: packed and im2col input gradients differ", tc)
+			t.Errorf("%+v: direct and im2col input gradients differ", tc)
 		}
 		if !float32BitsEqual(ref, dx(tc, true, 8)) || !float32BitsEqual(ref, dx(tc, false, 8)) {
 			t.Errorf("%+v: input gradient differs between 1 and 8 workers", tc)
@@ -253,9 +253,9 @@ func TestConvInputGradDispatchParity(t *testing.T) {
 	}
 }
 
-// TestConvRotatedPackCache mirrors TestConvPackedMatchesIm2ColAtLayerLevel
-// for the second version-keyed cache: the rotated pack is shared with
-// clones, and a weight update (MarkUpdated) repacks on that side only.
+// TestConvRotatedPackCache pins the layer's one version-keyed cache: the
+// rotated input-gradient kernel is built once, shared with clones, and a
+// weight update (MarkUpdated) rotates again on that side only.
 func TestConvRotatedPackCache(t *testing.T) {
 	wasPacked := tensor.PackedEnabled()
 	defer tensor.SetPacked(wasPacked)
@@ -263,42 +263,42 @@ func TestConvRotatedPackCache(t *testing.T) {
 
 	conv, x, grad := convGradCase(59, 16, 24, 3, 1)
 	conv.Backward(grad)
-	pack := conv.bw.weights
-	if pack == nil || pack.Version != conv.Weight.Version() {
-		t.Fatal("Backward did not cache the rotated pack under the weight version")
+	rot := conv.rot
+	if rot == nil || rot.Version != conv.Weight.Version() {
+		t.Fatal("Backward did not cache the rotated kernel under the weight version")
 	}
 	conv.Backward(grad)
-	if conv.bw.weights != pack {
-		t.Error("rotated pack rebuilt although the weights did not change")
+	if conv.rot != rot {
+		t.Error("rotated kernel rebuilt although the weights did not change")
 	}
 	clone := conv.CloneLayer().(*Conv2d)
 	clone.Forward(x, true)
 	clone.Backward(grad)
-	if clone.bw.weights != pack || clone.fw.weights != conv.fw.weights {
-		t.Error("clone does not share the packed kernels")
+	if clone.rot != rot {
+		t.Error("clone does not share the rotated kernel")
 	}
 
 	for i := range clone.Weight.Data {
 		clone.Weight.Data[i] *= 1.5
 	}
 	clone.Weight.MarkUpdated()
-	packed := clone.Backward(grad)
-	if clone.bw.weights == pack {
-		t.Fatal("rotated pack survived MarkUpdated")
+	direct := clone.Backward(grad)
+	if clone.rot == rot {
+		t.Fatal("rotated kernel survived MarkUpdated")
 	}
-	if conv.bw.weights != pack {
-		t.Error("the clone's update repacked the original")
+	if conv.rot != rot {
+		t.Error("the clone's update rotated the original's kernel again")
 	}
 	tensor.SetPacked(false)
-	if !float32BitsEqual(packed.Data, clone.Backward(grad).Data) {
-		t.Error("packed input gradient served stale weights after update")
+	if !float32BitsEqual(direct.Data, clone.Backward(grad).Data) {
+		t.Error("direct input gradient served stale weights after update")
 	}
 }
 
 // TestBackwardRecordsNoForwardTime: the dX convolution reuses the forward
-// kernels but not Forward, so a Backward leaves every forward total — the
-// layout-conversion one included — and the layer's forward caches alone,
-// and records one conv.bw interval per conv layer.
+// kernel but not Forward, so a Backward leaves every forward total — the
+// staging one included — and the layer's forward caches alone, and records
+// one conv.bw interval per conv layer.
 func TestBackwardRecordsNoForwardTime(t *testing.T) {
 	wasPacked := tensor.PackedEnabled()
 	defer tensor.SetPacked(wasPacked)
@@ -320,8 +320,8 @@ func TestBackwardRecordsNoForwardTime(t *testing.T) {
 	if got.BwCalls[KindConv] != 2 {
 		t.Errorf("conv.bw intervals = %d, want one per conv layer", got.BwCalls[KindConv])
 	}
-	// conv1 sits at the input and skips dX; conv2's conversion time is
-	// backward time.
+	// conv1 sits at the input and skips dX; conv2's dX convolves at pad 1,
+	// so it is staged, and that copy is backward time.
 	if got.BwCalls[KindPack] != 1 || got.BwSeconds[KindPack] <= 0 {
 		t.Errorf("backward pack intervals = %d (%.3g s), want 1", got.BwCalls[KindPack], got.BwSeconds[KindPack])
 	}

@@ -42,8 +42,8 @@ type Param struct {
 }
 
 // MarkUpdated records an in-place mutation of Data. Layers that cache
-// derived forms of a parameter — the convolution layer's packed weights —
-// compare versions to invalidate, so every code path that writes Data
+// derived forms of a parameter — the convolution layer's rotated
+// input-gradient kernel — compare versions to invalidate, so every code path that writes Data
 // after construction (optimizer steps, pruning, quantization, checkpoint
 // loading) must call it.
 func (p *Param) MarkUpdated() { p.version++ }

@@ -18,8 +18,9 @@ import (
 // The same hooks feed the telemetry span tracer: while a tracer is active
 // (telemetry.StartTracing / EDGETTA_TRACE=1), every layer Forward/Backward
 // becomes a Chrome trace-event span named "<kind>.fw"/"<kind>.bw" with the
-// layer name attached, and the packed conv path's layout-conversion time
-// appears as contained "pack" spans annotated with the pool width. Either
+// layer name attached, and the time a conv spends staging its input (the
+// padded, stride-split copy) appears as contained "pack" spans annotated
+// with the pool width. Either
 // consumer — aggregate profiler or tracer — turns the hooks on; both read
 // the clock only in this file (exempt from ttalint's determinism scope by
 // the *profiler* filename carve-out) and in internal/telemetry.
@@ -120,7 +121,7 @@ func profStart() time.Time {
 }
 
 // profActive reports whether any timing consumer is listening. Layers use
-// it to skip fine-grained sub-measurements (pack vs compute attribution)
+// it to skip fine-grained sub-measurements (staging vs compute attribution)
 // when nobody is.
 func profActive() bool {
 	if telemetry.ActiveTracer() != nil {
@@ -141,7 +142,7 @@ func spanName(kind Kind, backward bool) string {
 }
 
 // profAdd credits dt seconds to a kind directly, without a surrounding
-// interval. The conv layer uses it to attribute layout pack/unpack time
+// interval. The conv layer uses it to attribute input staging time
 // (KindPack) separately from kernel compute; the seconds are summed
 // across pool workers, so the split is exact at one worker and
 // CPU-time-like above. With a tracer active it also emits a span ending

@@ -14,9 +14,10 @@ const (
 	KindAct
 	KindPool
 	KindComposite
-	// KindPack is a profiler-only kind: the time the packed-layout conv
-	// path spends packing/unpacking tensors (layout conversion, not
-	// arithmetic). It is recorded inside a conv layer's KindConv wall-time
+	// KindPack is a profiler-only kind: the time a conv spends staging its
+	// input for the direct kernel (a copy with the zero border baked in,
+	// not arithmetic; the name dates from the layout pack it replaced and
+	// is a metric name of the repository's benchmark). It is recorded inside a conv layer's KindConv wall-time
 	// interval, so it is a contained sub-measurement, never added to
 	// KindConv when summing phase totals. No layer reports it as its Spec
 	// kind, so the device cost model never sees it.

@@ -74,9 +74,9 @@ func TestTracingDoesNotPerturbOutputs(t *testing.T) {
 	// One forward and one backward span per layer as it ran: two convs,
 	// and two BatchNorms that each ran their ReLU inside their own fused
 	// pass — 8 spans where the unfused chain emitted 12 — plus the convs'
-	// contained pack spans on the packed dispatch.
+	// contained pack (staging) spans on the direct kernel.
 	if n, want := tr.Len(), 8; n < want || (!tensor.PackedEnabled() && n != want) {
-		t.Fatalf("traced pass emitted %d spans, want %d layer spans (plus pack spans when packed)", n, want)
+		t.Fatalf("traced pass emitted %d spans, want %d layer spans (plus staging spans on the direct kernel)", n, want)
 	}
 
 	cmp := func(name string, a, b []float32) {

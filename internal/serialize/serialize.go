@@ -131,7 +131,7 @@ func Load(r io.Reader, m *models.Model) error {
 		}
 	}
 	// Loading overwrote parameter data in place; bump versions so layers
-	// drop caches derived from the old values (packed conv weights).
+	// drop caches derived from the old values (rotated conv kernels).
 	for _, p := range m.Params() {
 		p.MarkUpdated()
 	}

@@ -49,7 +49,7 @@ func ScenarioSuite(perPhase int) []data.Scenario {
 
 // ScenarioStudyConfig sizes a scenario study run.
 type ScenarioStudyConfig struct {
-	Seed     int64
+	Seed int64
 	// PerPhase is samples per scenario phase (default 200 — four batches
 	// at the default batch size, the minimum dwell time that lets the
 	// entropy-jump detector season its baseline inside a phase; at two

@@ -1,96 +1,269 @@
 package tensor
 
-import "edgetta/internal/parallel"
+import (
+	"math"
+	"sync/atomic"
 
-// Direct convolution on the packed NC8HW8 layout: the kernel walks the
-// packed input in place — no im2col matrix is ever materialized.
+	"edgetta/internal/parallel"
+)
+
+// Direct convolution on NCHW, in place: the SIMD lanes of the kernel are 8
+// consecutive output pixels of one channel plane, a register tile is a few
+// output channels × a few pixel vectors, and every reduction row
+// r = (ic, ky, kx) is one unaligned vector load from the input plane at a
+// precomputed offset plus one weight broadcast per output channel, read
+// straight from the layer's [OutC, InC/Groups·K·K] weight matrix. No layout
+// conversion, no im2col matrix, no derived copy of the weights; the output
+// is written where the next layer reads it. A stride-1 unpadded convolution
+// reads the input where it lies; every other shape is staged once per image
+// (ConvPlan.Stage). A group restricts the reduction rows and the
+// output-channel tile to that group's channels; depthwise is the
+// one-channel case.
 //
 // # Bit-parity with the im2col path
 //
 // The im2col path computes, for each output element (oc, p), the sum over
-// reduction rows r = (ic, ky, kx) in ascending order of w[oc][r]*col[r][p],
-// where col[r][p] is the input value under the window (or 0 in padding).
+// reduction rows r in ascending order of w[oc][r]*col[r][p], where
+// col[r][p] is the input value under the window (or 0 in padding).
 // MatMulInto's cache tiling never reorders a given element's accumulation
 // (always ascending r), and its one quirk is skipping rows whose weight is
-// exactly zero. The direct kernel below accumulates in the very same
-// ascending-row order with one rounded multiply and one rounded add per
+// exactly zero. The kernel here accumulates in the very same ascending-row
+// order from a +0 accumulator, one rounded multiply and one rounded add per
 // step, and does not skip zero weights. The two differ therefore only in
-// adding w*0 (= ±0) products the matmul skips — and adding ±0 to the
-// accumulator is a bitwise no-op, because an accumulator that starts at
-// +0 can never become -0 (x+(-x) = +0 and (+0)+(-0) = +0 in
-// round-to-nearest). The packed lanes past C behave the same way: their
-// weights and inputs are both zero. Hence for finite inputs the packed path
-// is bit-identical to the im2col path, on every architecture and worker
-// count — which is what lets the layer's shape alone pick the kernel
-// (Conv2d.PackedEligible) and keeps im2col as the oracle the parity tests
-// compare against (SetPacked).
+// adding w*0 (= ±0) products the matmul skips — in the staged zero border
+// too — and adding ±0 to the accumulator is a bitwise no-op, because an
+// accumulator that starts at +0 can never become -0 (x+(-x) = +0 and
+// (+0)+(-0) = +0 in round-to-nearest). There are no padded lanes: a vector
+// shorter than 8 pixels is loaded and stored under a mask. Hence for finite
+// inputs the kernel is bit-identical to the im2col path, on every
+// architecture and worker count, which keeps im2col as the oracle the
+// parity tests compare against (SetPacked).
 
-// convSpanGrainFlops is the target work per scheduled (ocb, oy) unit,
+// oracleOnly sends every convolution to the im2col path; see SetPacked.
+var oracleOnly atomic.Bool
+
+// SetPacked is the oracle hook: SetPacked(false) makes every convolution
+// take the im2col+matmul path, which the direct kernel must match bit for
+// bit. Its callers are the parity tests and bench/micro.go (which times the
+// im2col lowering); no binary, flag or environment variable reaches it, and
+// a test pins that (TestProcessSwitchesArePinned). The name dates from the
+// channel-packed layout the direct path used to run on.
+func SetPacked(on bool) { oracleOnly.Store(!on) }
+
+// PackedEnabled reports whether SetPacked(false) is not in effect.
+func PackedEnabled() bool { return !oracleOnly.Load() }
+
+// ConvShape is one convolution's geometry over a single [InC, H, W] image.
+type ConvShape struct {
+	InC, OutC, H, W        int
+	K, Stride, Pad, Groups int
+}
+
+// OutH returns the output height.
+func (s ConvShape) OutH() int { return (s.H+2*s.Pad-s.K)/s.Stride + 1 }
+
+// OutW returns the output width.
+func (s ConvShape) OutW() int { return (s.W+2*s.Pad-s.K)/s.Stride + 1 }
+
+// InPlace reports whether the kernel reads the NCHW input where it lies;
+// every other shape is staged first (ConvPlan.Stage).
+func (s ConvShape) InPlace() bool { return s.Pad == 0 && s.Stride == 1 }
+
+// ConvPlan is a ConvShape with the kernel's addressing worked out. The
+// kernel sees each input channel as res×res sub-planes of subH×subW values,
+// sub-plane (py, px) holding the zero-padded input at rows ≡ py and columns
+// ≡ px modulo the stride: output pixel (oy, ox) under tap (ky, kx) reads
+// sub-plane (ky%s, kx%s) at (oy+ky/s, ox+kx/s), so an output row is a
+// contiguous run in every tap. In place there is one sub-plane per
+// channel, the input plane itself.
+type ConvPlan struct {
+	ConvShape
+	res        int     // residues per axis that a tap can have: min(K, Stride)
+	subH, subW int     // sub-plane geometry
+	off        []int32 // reduction row → offset from a group's span origin
+	maxOff     int
+	// An output plane is spans runs of spanPix pixels: its rows, or the
+	// whole plane when sub-plane and output rows are equally long (K ≤
+	// Stride), which keeps the vectors full on small planes.
+	spans, spanPix int
+}
+
+// convTile is the output-channel height of the kernel's register tile.
+const convTile = 4
+
+// convSpanGrainFlops is the target work per scheduled (tile, span) unit,
 // mirroring matmul's rowGrain sizing.
 const convSpanGrainFlops = 32 * 1024
 
-// ConvPackedForward computes one image's convolution directly on packed
-// buffers: xp is the padded packed input [ICB][hp][wp][8] (see PackImage),
-// wp holds the packed weights, xoff the offset table from ConvOffsets for
-// the same geometry, and the result is written (not accumulated) into the
-// packed output yp [OCB][hout][wout][8]. Output rows are computed in
-// parallel; the per-element accumulation order is fixed by the kernel, so
-// results are bit-identical for every worker count.
-func ConvPackedForward(yp, xp []float32, w *PackedWeights, xoff []int32, hout, wout, hp, wpW, stride int) {
-	icb, ocb := packedBlocks(w.InC), packedBlocks(w.OutC)
-	rows := w.Rows()
-	if len(xoff) != rows {
-		panic("tensor: ConvPackedForward offset table does not match weights")
+// NewConvPlan works out the addressing for s. It depends on the geometry
+// alone, so one plan serves every image of a batch.
+func NewConvPlan(s ConvShape) *ConvPlan {
+	if s.K < 1 || s.Stride < 1 || s.Pad < 0 || s.Groups < 1 || s.InC%s.Groups != 0 || s.OutC%s.Groups != 0 ||
+		s.H+2*s.Pad < s.K || s.W+2*s.Pad < s.K {
+		panic("tensor: NewConvPlan geometry invalid")
 	}
-	if len(xp) < icb*hp*wpW*packLanes {
-		panic("tensor: ConvPackedForward packed input too short")
+	p := &ConvPlan{ConvShape: s, res: min(s.K, s.Stride), spans: s.OutH(), spanPix: s.OutW()}
+	q := (s.K - 1) / s.Stride
+	p.subH, p.subW = s.OutH()+q, s.OutW()+q
+	if q == 0 {
+		p.spans, p.spanPix = 1, s.OutH()*s.OutW()
 	}
-	if len(yp) < ocb*hout*wout*packLanes {
-		panic("tensor: ConvPackedForward packed output too short")
+	inCg := s.InC / s.Groups
+	if inCg*p.chanLen() > math.MaxInt32 {
+		panic("tensor: NewConvPlan input too large for 32-bit offsets")
 	}
-	if (hout-1)*stride+w.K > hp || (wout-1)*stride+w.K > wpW {
-		panic("tensor: ConvPackedForward geometry mismatch")
+	p.off = make([]int32, 0, inCg*s.K*s.K)
+	for ic := 0; ic < inCg; ic++ {
+		for ky := 0; ky < s.K; ky++ {
+			for kx := 0; kx < s.K; kx++ {
+				sub := (ic*p.res+ky%s.Stride)*p.res + kx%s.Stride
+				o := (sub*p.subH+ky/s.Stride)*p.subW + kx/s.Stride
+				p.off = append(p.off, int32(o))
+				p.maxOff = max(p.maxOff, o)
+			}
+		}
 	}
-	pixStride := stride * packLanes
-	grain := convSpanGrainFlops / (2 * wout * rows * packLanes)
-	if grain < 1 {
-		grain = 1
+	return p
+}
+
+// chanLen is the number of values the kernel addresses per input channel.
+func (p *ConvPlan) chanLen() int { return p.res * p.res * p.subH * p.subW }
+
+// StagedLen returns the buffer length Stage needs, 0 for a shape that is
+// read in place.
+func (p *ConvPlan) StagedLen() int {
+	if p.InPlace() {
+		return 0
 	}
-	parallel.ForGrain(ocb*hout, grain, func(lo, hi int) {
+	return p.InC * p.chanLen()
+}
+
+// Stage copies one image src [InC, H, W] into dst in the layout the kernel
+// addresses: zero border baked in, rows and columns split by residue
+// modulo the stride. Every element of dst[:StagedLen()] is written, so dst
+// may come from the scratch pool with arbitrary contents. A sub-plane is
+// laid out like one row of the im2col lowering, so lowerRows fills both.
+func (p *ConvPlan) Stage(dst, src []float32) {
+	if len(dst) < p.StagedLen() || len(src) < p.InC*p.H*p.W {
+		panic("tensor: ConvPlan.Stage slice too short")
+	}
+	sub := p.subH * p.subW
+	for ic := 0; ic < p.InC; ic++ {
+		plane := src[ic*p.H*p.W : (ic+1)*p.H*p.W]
+		for py := 0; py < p.res; py++ {
+			for px := 0; px < p.res; px++ {
+				lowerRows(dst[:sub], p.subW, plane, py-p.Pad, px-p.Pad, p.Stride, p.H, p.W)
+				dst = dst[sub:]
+			}
+		}
+	}
+}
+
+// Run computes one image's convolution y [OutC, OutH, OutW] = w ⊛ x, where
+// w is the [OutC, InC/Groups·K·K] row-major weight matrix and x is the
+// image itself for an in-place shape and the Stage'd copy otherwise. Every
+// element of y is written (not accumulated) by exactly one tile, with an
+// accumulation order fixed by the kernel, so results are bit-identical
+// for every worker count.
+//
+// Memory safety: the lengths checked here bound every address the plan can
+// form, each span call below slices its operands to exactly the extent
+// that span touches (a slice expression is a bounds check), and the span
+// kernels move partial vectors under a mask, so no load or store falls
+// outside the slices handed in.
+func (p *ConvPlan) Run(y, x, w []float32) {
+	inCg, outCg := p.InC/p.Groups, p.OutC/p.Groups
+	rows, cols := len(p.off), p.spans*p.spanPix
+	// In place a channel's one sub-plane is its H×W plane, so chanLen sizes x
+	// either way.
+	if len(x) < p.InC*p.chanLen() || len(y) < p.OutC*cols || len(w) < p.OutC*rows {
+		panic("tensor: ConvPlan.Run slice too short")
+	}
+	tiles := (outCg + convTile - 1) / convTile
+	grain := max(1, convSpanGrainFlops/(2*p.spanPix*rows*convTile))
+	parallel.ForGrain(p.Groups*tiles*p.spans, grain, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			ob, oy := u/hout, u%hout
-			wSlab := w.Data[ob*rows*packLanes : (ob+1)*rows*packLanes]
-			xRow := xp[oy*stride*wpW*packLanes:]
-			yBase := (ob*hout + oy) * wout * packLanes
-			convPackedSpan(yp[yBase:yBase+wout*packLanes], xRow, wSlab, xoff, rows, pixStride, wout)
+			tile, span := u/p.spans, u%p.spans
+			g, oc := tile/tiles, tile%tiles*convTile
+			noc := min(convTile, outCg-oc)
+			oc += g * outCg
+			xb := g*inCg*p.chanLen() + span*p.subW
+			yb := oc*cols + span*p.spanPix
+			convSpan(y[yb:yb+(noc-1)*cols+p.spanPix], cols, x[xb:xb+p.maxOff+p.spanPix],
+				w[oc*rows:(oc+noc)*rows], rows, p.off, noc, p.spanPix)
 		}
 	})
 }
 
-// convPackedSpanGeneric is the portable span kernel: npix output pixels of
-// one row, all 8 output-channel lanes of one block. It is the reference
-// the assembly kernels must match bit for bit (same ascending-row order,
-// one rounded multiply plus one rounded add per step).
-func convPackedSpanGeneric(y, x, w []float32, xoff []int32, rows, pixStride, npix int) {
-	for p := 0; p < npix; p++ {
-		var a0, a1, a2, a3, a4, a5, a6, a7 float32
-		base := p * pixStride
-		wi := 0
-		for _, off := range xoff[:rows] {
-			xv := x[base+int(off)]
-			w8 := w[wi : wi+8 : wi+8]
-			a0 += xv * w8[0]
-			a1 += xv * w8[1]
-			a2 += xv * w8[2]
-			a3 += xv * w8[3]
-			a4 += xv * w8[4]
-			a5 += xv * w8[5]
-			a6 += xv * w8[6]
-			a7 += xv * w8[7]
-			wi += 8
+// convSpanGeneric is the portable span kernel and the reference the
+// assembly kernels must match bit for bit: for each of noc output channels
+// j and npix pixels p, y[j*yStride+p] = Σ_r w[j*wStride+r]·x[off[r]+p] in
+// ascending r from +0, one rounded multiply and one rounded add per step —
+// the expression axpyGeneric uses, so that a compiler that fuses one fuses
+// both and the im2col oracle stays bit-equal on every architecture.
+func convSpanGeneric(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix int) {
+	for j := 0; j < noc; j++ {
+		wj := w[j*wStride:][:len(off)]
+		yj := y[j*yStride:][:npix]
+		p := 0
+		for ; p+4 <= npix; p += 4 {
+			var a0, a1, a2, a3 float32
+			for r, o := range off {
+				wv := wj[r]
+				xs := x[int(o)+p:][:4]
+				a0 += wv * xs[0]
+				a1 += wv * xs[1]
+				a2 += wv * xs[2]
+				a3 += wv * xs[3]
+			}
+			yj[p], yj[p+1], yj[p+2], yj[p+3] = a0, a1, a2, a3
 		}
-		out := y[p*8 : p*8+8 : p*8+8]
-		out[0], out[1], out[2], out[3] = a0, a1, a2, a3
-		out[4], out[5], out[6], out[7] = a4, a5, a6, a7
+		for ; p < npix; p++ {
+			var a float32
+			for r, o := range off {
+				a += wj[r] * x[int(o)+p]
+			}
+			yj[p] = a
+		}
 	}
+}
+
+// RotateConvWeights writes into dst the kernel whose stride-1 forward
+// convolution over dY is the input gradient of the convolution w: each
+// K×K tap rotated by 180° and the in/out channel axes transposed,
+// dst[ic][oc*K*K + r] = w[oc][ic*K*K + (K*K-1-r)]. dst is [inC, outC*K*K]
+// row-major, the layout ConvPlan.Run and the im2col matmul both take;
+// convolving dY with it at pad K-1-pad yields dX (see Conv2d.Backward).
+func RotateConvWeights(dst, w []float32, outC, inC, k int) {
+	kk := k * k
+	if len(dst) < inC*outC*kk || len(w) < outC*inC*kk {
+		panic("tensor: RotateConvWeights slice too short")
+	}
+	for oc := 0; oc < outC; oc++ {
+		for ic := 0; ic < inC; ic++ {
+			src := w[(oc*inC+ic)*kk:][:kk:kk]
+			out := dst[(ic*outC+oc)*kk:][:kk:kk]
+			for r, v := range src {
+				out[kk-1-r] = v
+			}
+		}
+	}
+}
+
+// RotatedWeights is the one derived copy of a convolution's weights that
+// outlives a call: the input-gradient kernel (RotateConvWeights). The
+// buffer is immutable once built; Version records the source Param version
+// it was rotated from so callers can cache and share it (clones of an
+// unadapted model share one copy).
+type RotatedWeights struct {
+	Data    []float32
+	Version uint64
+}
+
+// NewRotatedWeights rotates a [outC, inC*K*K] weight matrix into a fresh
+// RotatedWeights; the caller stamps Version.
+func NewRotatedWeights(w []float32, outC, inC, k int) *RotatedWeights {
+	r := &RotatedWeights{Data: make([]float32, inC*outC*k*k)}
+	RotateConvWeights(r.Data, w, outC, inC, k)
+	return r
 }

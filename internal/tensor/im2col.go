@@ -39,7 +39,7 @@ func Im2Col(dst, x []float32, c, h, w, k, stride, pad int) (hout, wout int) {
 // is shared with Im2Col, so strips are bit-identical to the full matrix.
 // Each output row decomposes into a zeroed padding prefix/suffix and an
 // in-bounds middle that is a contiguous copy at stride 1 (the common
-// case) or a strided gather otherwise.
+// case) or a strided gather otherwise (lowerRows).
 func Im2ColRows(dst, x []float32, c, h, w, k, stride, pad, r0, r1 int) (hout, wout int) {
 	hout = (h+2*pad-k)/stride + 1
 	wout = (w+2*pad-k)/stride + 1
@@ -54,36 +54,41 @@ func Im2ColRows(dst, x []float32, c, h, w, k, stride, pad, r0, r1 int) (hout, wo
 		ky, kx := rem/k, rem%k
 		plane := x[ch*h*w : (ch+1)*h*w]
 		out := dst[(r-r0)*cols : (r-r0+1)*cols]
-		off := kx - pad
-		lo, hi := clipX(wout, stride, off, w)
-		for oy := 0; oy < hout; oy++ {
-			iy := oy*stride - pad + ky
-			seg := out[oy*wout : (oy+1)*wout]
-			if iy < 0 || iy >= h {
-				clear(seg)
-				continue
-			}
-			clear(seg[:lo])
-			clear(seg[hi:])
-			if lo == hi {
-				// Every column of this row hits padding (kernel
-				// wider than the padded image): nothing to copy,
-				// and base+lo could point outside the plane.
-				continue
-			}
-			base := iy*w + off
-			if stride == 1 {
-				copy(seg[lo:hi], plane[base+lo:base+hi])
-			} else {
-				ix := base + lo*stride
-				for ox := lo; ox < hi; ox++ {
-					seg[ox] = plane[ix]
-					ix += stride
-				}
-			}
-		}
+		lowerRows(out, wout, plane, ky-pad, kx-pad, stride, h, w)
 	}
 	return hout, wout
+}
+
+// lowerRows fills dst, a block of rows wout long, with row i holding
+// dst[i][ox] = plane[iy0+i*stride][ox*stride+off] for every ox, positions
+// outside the h×w plane read as zero: a zeroed prefix and suffix around a
+// contiguous copy (stride 1) or a strided gather.
+func lowerRows(dst []float32, wout int, plane []float32, iy0, off, stride, h, w int) {
+	lo, hi := clipX(wout, stride, off, w)
+	for iy := iy0; len(dst) >= wout; iy, dst = iy+stride, dst[wout:] {
+		seg := dst[:wout]
+		if iy < 0 || iy >= h || lo == hi {
+			// lo == hi: every column hits padding (kernel wider than the
+			// padded image), and the source index could point outside the
+			// plane.
+			clear(seg)
+			continue
+		}
+		clear(seg[:lo])
+		clear(seg[hi:])
+		seg, src := seg[lo:hi], plane[iy*w+off+lo*stride:]
+		if stride == 1 {
+			copy(seg, src)
+			continue
+		}
+		j := 0
+		if stride == 2 {
+			j = deinterleave(seg, src)
+		}
+		for ; j < len(seg); j++ {
+			seg[j] = src[j*stride]
+		}
+	}
 }
 
 // Col2Im scatters a column matrix back into an image, accumulating

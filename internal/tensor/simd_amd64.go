@@ -16,7 +16,10 @@ func axpyAVX2(a float32, x, y []float32)
 func dotAVX2(x, y []float32) float32
 
 //go:noescape
-func convPackedSpanAVX2(y, x, w []float32, xoff []int32, rows, pixStride, npix int)
+func convSpan4AVX2(y []float32, yStride int, x, w []float32, wStride int, off []int32, npix int)
+
+//go:noescape
+func convSpan1AVX2(y, x, w []float32, off []int32, npix int)
 
 var hasAVX2 = func() bool {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -36,19 +39,43 @@ var hasAVX2 = func() bool {
 	return b7&avx2 != 0
 }()
 
-// convPackedSpan computes npix packed output pixels (8 output-channel
-// lanes each) of one conv output row. The AVX2 kernel uses separate
-// VMULPS/VADDPS and is bit-identical to the generic kernel.
-func convPackedSpan(y, x, w []float32, xoff []int32, rows, pixStride, npix int) {
-	if npix == 0 || rows == 0 {
+// convSpan computes noc output channels × npix pixels of one conv span (see
+// convSpanGeneric for the arithmetic, ConvPlan.Run for the operands). The
+// AVX2 routines take four channels or one, use separate VMULPS/VADDPS and
+// are bit-identical to the generic kernel. They check no lengths, so the
+// extents they touch are checked here: the caller has cut x to
+// max(off)+npix.
+func convSpan(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix int) {
+	if noc <= 0 || npix <= 0 || len(off) == 0 {
 		return
 	}
-	_ = y[npix*8-1]
-	if hasAVX2 {
-		convPackedSpanAVX2(y, x, w, xoff, rows, pixStride, npix)
+	_ = y[(noc-1)*yStride+npix-1]
+	_ = w[(noc-1)*wStride+len(off)-1]
+	if !hasAVX2 {
+		convSpanGeneric(y, yStride, x, w, wStride, off, noc, npix)
 		return
 	}
-	convPackedSpanGeneric(y, x, w, xoff, rows, pixStride, npix)
+	j := 0
+	for ; j+convTile <= noc; j += convTile {
+		convSpan4AVX2(y[j*yStride:], yStride, x, w[j*wStride:], wStride, off, npix)
+	}
+	for ; j < noc; j++ {
+		convSpan1AVX2(y[j*yStride:], x, w[j*wStride:], off, npix)
+	}
+}
+
+//go:noescape
+func deinterleaveAVX2(dst, src []float32)
+
+// deinterleave writes dst[j] = src[2*j] for as many leading j as whole
+// vectors inside both slices cover, and returns that count; the caller
+// copies the rest.
+func deinterleave(dst, src []float32) int {
+	n := min(vectorPart(len(dst), 8), len(src)/16*8)
+	if n > 0 {
+		deinterleaveAVX2(dst[:n], src[:2*n])
+	}
+	return n
 }
 
 // axpy computes y[i] += a*x[i] over len(x) elements. The AVX2 path uses

@@ -162,103 +162,240 @@ dot_done:
 	MOVSS	X0, ret+48(FP)
 	RET
 
-// Direct-convolution span kernel on the packed NC8HW8 layout (see
-// packed.go / conv_direct.go). One call computes npix output pixels of
-// one conv output row across the 8 output-channel lanes of one block:
-// for each pixel p, acc[0..7] = sum over rows r of x[p*pixStride+xoff[r]]
-// broadcast against the 8-float weight vector w[r*8..r*8+7].
-//
-// convPackedSpanAVX2 uses separate VMULPS/VADDPS, so every accumulation
-// step is one correctly-rounded multiply plus one correctly-rounded add
-// in ascending-row order — bit-identical to convPackedSpanGeneric and
-// (by the argument in conv_direct.go) to the im2col+matmul path.
-//
-// Register plan:
-//   DI  y cursor              SI  x base for current pixel block
-//   R8  w base                R9  xoff base
-//   AX  rows                  CX  npix remaining
-//   R13 pixStride*4 (bytes)   R14 3*pixStride*4
-//   R10 row counter           R11 w cursor   R12 xoff cursor
-//   DX  offset temp           BX  x address temp
-//   Y0-Y3 accumulators        Y4-Y7 broadcasts   Y8 weight vector
+// func deinterleaveAVX2(dst, src []float32)
+// dst[j] = src[2*j]; len(dst) a positive multiple of 8, len(src) >= 2*len(dst).
+TEXT ·deinterleaveAVX2(SB), NOSPLIT, $0-48
+	MOVQ	dst_base+0(FP), DI
+	MOVQ	dst_len+8(FP), CX
+	MOVQ	src_base+24(FP), SI
 
-// func convPackedSpanAVX2(y, x, w []float32, xoff []int32, rows, pixStride, npix int)
-TEXT ·convPackedSpanAVX2(SB), NOSPLIT, $0-120
+deint_loop8:
+	VMOVUPS	(SI), Y0
+	VMOVUPS	32(SI), Y1
+	VSHUFPS	$0x88, Y1, Y0, Y0 // s0 s2 s8 s10 | s4 s6 s12 s14
+	VPERMPD	$0xD8, Y0, Y0
+	VMOVUPS	Y0, (DI)
+	ADDQ	$64, SI
+	ADDQ	$32, DI
+	SUBQ	$8, CX
+	JNZ	deint_loop8
+	VZEROUPPER
+	RET
+
+// Direct-convolution span kernels on NCHW (see conv_direct.go). The lanes
+// of a vector are 8 consecutive output pixels of one channel plane. For
+// each output channel j of the tile and pixel p of the span,
+//
+//	y[j*yStride+p] = sum over rows r of w[j*wStride+r] * x[off[r]+p]
+//
+// in ascending r from a +0 accumulator with separate VMULPS/VADDPS — one
+// correctly-rounded multiply plus one correctly-rounded add per step,
+// bit-identical to convSpanGeneric and (by the argument in conv_direct.go)
+// to the im2col+matmul path. Each routine walks the span in full blocks,
+// then in vectors of up to 8 pixels loaded and stored under a mask
+// (VMASKMOVPS touches no masked-out lane), so no access falls outside
+// x[:max(off)+npix] or y[:(tile-1)*yStride+npix].
+//
+// Registers: DI y cursor, SI x cursor, R9 off, AX rows, CX npix remaining,
+// DX row counter, BX x address / tail width, R10-R13 weight rows, R8
+// yStride in bytes, R14 temp; Y0-Y7 accumulators, Y8-Y9 input vectors, Y10
+// weight broadcast, Y11-Y14 products, Y15 tail mask.
+
+// convMask+32-4*n is a mask of n leading lanes, 0 <= n <= 8.
+DATA convMask<>+0(SB)/8, $0xffffffffffffffff
+DATA convMask<>+8(SB)/8, $0xffffffffffffffff
+DATA convMask<>+16(SB)/8, $0xffffffffffffffff
+DATA convMask<>+24(SB)/8, $0xffffffffffffffff
+DATA convMask<>+32(SB)/8, $0
+DATA convMask<>+40(SB)/8, $0
+DATA convMask<>+48(SB)/8, $0
+DATA convMask<>+56(SB)/8, $0
+GLOBL convMask<>(SB), RODATA|NOPTR, $64
+
+// TAILMASK leaves min(CX, 8) in BX and that many leading lanes set in Y15.
+#define TAILMASK \
+	MOVQ	$8, BX; \
+	CMPQ	CX, BX; \
+	CMOVQLT	CX, BX; \
+	LEAQ	convMask<>+32(SB), R14; \
+	SHLQ	$2, BX; \
+	SUBQ	BX, R14; \
+	SHRQ	$2, BX; \
+	VMOVUPS	(R14), Y15
+
+// ROW1 adds row DX of the weight row at wr into one accumulator, ROW2 into
+// two; the input vectors are in Y8 (and Y9).
+#define ROW1(wr, a0) \
+	VBROADCASTSS	(wr)(DX*4), Y10; \
+	VMULPS	Y8, Y10, Y11; \
+	VADDPS	Y11, a0, a0
+
+#define ROW2(wr, a0, a1) \
+	ROW1(wr, a0); \
+	VMULPS	Y9, Y10, Y12; \
+	VADDPS	Y12, a1, a1
+
+// func convSpan4AVX2(y []float32, yStride int, x, w []float32, wStride int, off []int32, npix int)
+// Four output channels; blocks of 16 pixels, then masked vectors.
+TEXT ·convSpan4AVX2(SB), NOSPLIT, $0-120
 	MOVQ	y_base+0(FP), DI
-	MOVQ	x_base+24(FP), SI
-	MOVQ	w_base+48(FP), R8
-	MOVQ	xoff_base+72(FP), R9
-	MOVQ	rows+96(FP), AX
-	MOVQ	pixStride+104(FP), R13
-	SHLQ	$2, R13
-	LEAQ	(R13)(R13*2), R14
+	MOVQ	yStride+24(FP), R8
+	SHLQ	$2, R8
+	MOVQ	x_base+32(FP), SI
+	MOVQ	w_base+56(FP), R10
+	MOVQ	wStride+80(FP), R11
+	SHLQ	$2, R11
+	LEAQ	(R10)(R11*2), R12
+	LEAQ	(R12)(R11*1), R13
+	ADDQ	R10, R11
+	MOVQ	off_base+88(FP), R9
+	MOVQ	off_len+96(FP), AX
 	MOVQ	npix+112(FP), CX
 
-cps_block4:
-	CMPQ	CX, $4
-	JL	cps_tail
+cs4_block16:
+	CMPQ	CX, $16
+	JLT	cs4_tail
 	VXORPS	Y0, Y0, Y0
 	VXORPS	Y1, Y1, Y1
 	VXORPS	Y2, Y2, Y2
 	VXORPS	Y3, Y3, Y3
-	MOVQ	R8, R11
-	MOVQ	R9, R12
-	MOVQ	AX, R10
+	VXORPS	Y4, Y4, Y4
+	VXORPS	Y5, Y5, Y5
+	VXORPS	Y6, Y6, Y6
+	VXORPS	Y7, Y7, Y7
+	XORQ	DX, DX
 
-cps_rows4:
-	MOVLQSX	(R12), DX
-	LEAQ	(SI)(DX*4), BX
-	VBROADCASTSS	(BX), Y4
-	VBROADCASTSS	(BX)(R13*1), Y5
-	VBROADCASTSS	(BX)(R13*2), Y6
-	VBROADCASTSS	(BX)(R14*1), Y7
-	VMOVUPS	(R11), Y8
-	VMULPS	Y8, Y4, Y4
-	VMULPS	Y8, Y5, Y5
-	VMULPS	Y8, Y6, Y6
-	VMULPS	Y8, Y7, Y7
-	VADDPS	Y4, Y0, Y0
-	VADDPS	Y5, Y1, Y1
-	VADDPS	Y6, Y2, Y2
-	VADDPS	Y7, Y3, Y3
-	ADDQ	$32, R11
-	ADDQ	$4, R12
-	DECQ	R10
-	JNZ	cps_rows4
+cs4_rows16:
+	MOVLQSX	(R9)(DX*4), BX
+	LEAQ	(SI)(BX*4), BX
+	VMOVUPS	(BX), Y8
+	VMOVUPS	32(BX), Y9
+	ROW2(R10, Y0, Y1)
+	ROW2(R11, Y2, Y3)
+	ROW2(R12, Y4, Y5)
+	ROW2(R13, Y6, Y7)
+	INCQ	DX
+	CMPQ	DX, AX
+	JLT	cs4_rows16
+	MOVQ	DI, R14
+	VMOVUPS	Y0, (R14)
+	VMOVUPS	Y1, 32(R14)
+	ADDQ	R8, R14
+	VMOVUPS	Y2, (R14)
+	VMOVUPS	Y3, 32(R14)
+	ADDQ	R8, R14
+	VMOVUPS	Y4, (R14)
+	VMOVUPS	Y5, 32(R14)
+	ADDQ	R8, R14
+	VMOVUPS	Y6, (R14)
+	VMOVUPS	Y7, 32(R14)
+	ADDQ	$64, DI
+	ADDQ	$64, SI
+	SUBQ	$16, CX
+	JMP	cs4_block16
+
+cs4_tail:
+	TESTQ	CX, CX
+	JZ	cs4_done
+	TAILMASK
+	VXORPS	Y0, Y0, Y0
+	VXORPS	Y2, Y2, Y2
+	VXORPS	Y4, Y4, Y4
+	VXORPS	Y6, Y6, Y6
+	XORQ	DX, DX
+
+cs4_rows8:
+	MOVLQSX	(R9)(DX*4), R14
+	VMASKMOVPS	(SI)(R14*4), Y15, Y8
+	ROW1(R10, Y0)
+	ROW1(R11, Y2)
+	ROW1(R12, Y4)
+	ROW1(R13, Y6)
+	INCQ	DX
+	CMPQ	DX, AX
+	JLT	cs4_rows8
+	MOVQ	DI, R14
+	VMASKMOVPS	Y0, Y15, (R14)
+	ADDQ	R8, R14
+	VMASKMOVPS	Y2, Y15, (R14)
+	ADDQ	R8, R14
+	VMASKMOVPS	Y4, Y15, (R14)
+	ADDQ	R8, R14
+	VMASKMOVPS	Y6, Y15, (R14)
+	ADDQ	$32, DI
+	ADDQ	$32, SI
+	SUBQ	BX, CX
+	JMP	cs4_tail
+
+cs4_done:
+	VZEROUPPER
+	RET
+
+// func convSpan1AVX2(y, x, w []float32, off []int32, npix int)
+// One output channel (a depthwise group, or the channels a tile of four
+// leaves over); blocks of 32 pixels, then masked vectors.
+TEXT ·convSpan1AVX2(SB), NOSPLIT, $0-104
+	MOVQ	y_base+0(FP), DI
+	MOVQ	x_base+24(FP), SI
+	MOVQ	w_base+48(FP), R10
+	MOVQ	off_base+72(FP), R9
+	MOVQ	off_len+80(FP), AX
+	MOVQ	npix+96(FP), CX
+
+cs1_block32:
+	CMPQ	CX, $32
+	JLT	cs1_tail
+	VXORPS	Y0, Y0, Y0
+	VXORPS	Y1, Y1, Y1
+	VXORPS	Y2, Y2, Y2
+	VXORPS	Y3, Y3, Y3
+	XORQ	DX, DX
+
+cs1_rows32:
+	MOVLQSX	(R9)(DX*4), BX
+	LEAQ	(SI)(BX*4), BX
+	VBROADCASTSS	(R10)(DX*4), Y10
+	VMULPS	(BX), Y10, Y11
+	VMULPS	32(BX), Y10, Y12
+	VMULPS	64(BX), Y10, Y13
+	VMULPS	96(BX), Y10, Y14
+	VADDPS	Y11, Y0, Y0
+	VADDPS	Y12, Y1, Y1
+	VADDPS	Y13, Y2, Y2
+	VADDPS	Y14, Y3, Y3
+	INCQ	DX
+	CMPQ	DX, AX
+	JLT	cs1_rows32
 	VMOVUPS	Y0, (DI)
 	VMOVUPS	Y1, 32(DI)
 	VMOVUPS	Y2, 64(DI)
 	VMOVUPS	Y3, 96(DI)
 	ADDQ	$128, DI
-	LEAQ	(SI)(R13*4), SI
-	SUBQ	$4, CX
-	JMP	cps_block4
+	ADDQ	$128, SI
+	SUBQ	$32, CX
+	JMP	cs1_block32
 
-cps_tail:
+cs1_tail:
 	TESTQ	CX, CX
-	JZ	cps_done
+	JZ	cs1_done
+	TAILMASK
 	VXORPS	Y0, Y0, Y0
-	MOVQ	R8, R11
-	MOVQ	R9, R12
-	MOVQ	AX, R10
+	XORQ	DX, DX
 
-cps_rows1:
-	MOVLQSX	(R12), DX
-	VBROADCASTSS	(SI)(DX*4), Y4
-	VMOVUPS	(R11), Y8
-	VMULPS	Y8, Y4, Y4
-	VADDPS	Y4, Y0, Y0
-	ADDQ	$32, R11
-	ADDQ	$4, R12
-	DECQ	R10
-	JNZ	cps_rows1
-	VMOVUPS	Y0, (DI)
+cs1_rows8:
+	MOVLQSX	(R9)(DX*4), R14
+	VMASKMOVPS	(SI)(R14*4), Y15, Y8
+	ROW1(R10, Y0)
+	INCQ	DX
+	CMPQ	DX, AX
+	JLT	cs1_rows8
+	VMASKMOVPS	Y0, Y15, (DI)
 	ADDQ	$32, DI
-	ADDQ	R13, SI
-	DECQ	CX
-	JMP	cps_tail
+	ADDQ	$32, SI
+	SUBQ	BX, CX
+	JMP	cs1_tail
 
-cps_done:
+cs1_done:
 	VZEROUPPER
 	RET
 

@@ -20,11 +20,10 @@ func dot(x, y []float32) float32 {
 	return dotGeneric(x, y)
 }
 
-func convPackedSpan(y, x, w []float32, xoff []int32, rows, pixStride, npix int) {
-	if npix == 0 || rows == 0 {
-		return
-	}
-	convPackedSpanGeneric(y, x, w, xoff, rows, pixStride, npix)
+func deinterleave(dst, src []float32) int { return 0 }
+
+func convSpan(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix int) {
+	convSpanGeneric(y, yStride, x, w, wStride, off, noc, npix)
 }
 
 func planeSum(acc *[StatLanes]float64, x []float32) { planeSumGeneric(acc, x) }
