@@ -102,27 +102,6 @@ func BenchmarkAblationBNOptSteps(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSourcePrior measures the real runtime cost of
-// Schneider-style statistics blending (it should be negligible — the win
-// is robustness at small batches, not speed).
-func BenchmarkAblationSourcePrior(b *testing.B) {
-	for _, prior := range []float64{0, 16, 256} {
-		b.Run(fmt.Sprintf("prior%g", prior), func(b *testing.B) {
-			m := reproModel(b)
-			a, err := core.New(core.BNNorm, m, core.Config{SourcePrior: prior})
-			if err != nil {
-				b.Fatal(err)
-			}
-			x := tensor.New(50, 3, 32, 32)
-			x.Uniform(rand.New(rand.NewSource(1)), 0, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.Process(x)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationWhatIfAccelerators prices the paper's co-design
 // proposals (Sec. IV-G) against the calibrated baseline.
 func BenchmarkAblationWhatIfAccelerators(b *testing.B) {

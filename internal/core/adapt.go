@@ -12,6 +12,13 @@
 // can treat them uniformly, and a streaming driver runs the paper's online
 // protocol: inference followed by adaptation at every batch of a corrupted
 // test stream.
+//
+// What BN-Norm and BN-Opt mutate is defined once, as a layout (state.go):
+// the BatchNorm statistics and affine parameters and, for BN-Opt, Adam's
+// moments and step count — under 1 % of the parameters. An AdapterState is
+// one vector over that layout; capturing, restoring, resetting, the
+// source-EMA regularizer, the numeric-health scan and the checkpoint's
+// named tensors (stateblob.go) are all walks of it.
 package core
 
 import (
@@ -75,11 +82,6 @@ type Config struct {
 	// Steps is the number of optimization steps BN-Opt takes per batch
 	// (the paper uses a single backpropagation pass; default 1).
 	Steps int
-	// SourcePrior, when positive, makes BN-Norm blend the re-estimated
-	// batch statistics with the source statistics using Schneider et al.'s
-	// prior-strength rule (μ = n/(n+N)·μ_batch + N/(n+N)·μ_source). The
-	// paper's BN-Norm corresponds to 0 (pure batch statistics).
-	SourcePrior float64
 }
 
 func (c Config) withDefaults() Config {
@@ -113,46 +115,11 @@ func New(algo Algorithm, m *models.Model, cfg Config) (Adapter, error) {
 	case NoAdapt:
 		return newNoAdapt(m), nil
 	case BNNorm:
-		return newBNNorm(m, cfg), nil
+		return newBNNorm(m), nil
 	case BNOpt:
 		return newBNOpt(m, cfg), nil
 	}
 	return nil, fmt.Errorf("core: unknown algorithm %d", algo)
-}
-
-// bnSnapshot captures the adaptable state of every BN layer.
-type bnSnapshot struct {
-	gamma, beta [][]float32
-	rmean, rvar [][]float32
-	useBatchWas []bool
-}
-
-func snapshotBN(bns []*nn.BatchNorm2d) *bnSnapshot {
-	s := &bnSnapshot{}
-	for _, bn := range bns {
-		s.gamma = append(s.gamma, append([]float32(nil), bn.Gamma.Data...))
-		s.beta = append(s.beta, append([]float32(nil), bn.Beta.Data...))
-		s.rmean = append(s.rmean, append([]float32(nil), bn.RunningMean...))
-		s.rvar = append(s.rvar, append([]float32(nil), bn.RunningVar...))
-		s.useBatchWas = append(s.useBatchWas, bn.UseBatchStats)
-	}
-	return s
-}
-
-func (s *bnSnapshot) restore(bns []*nn.BatchNorm2d) {
-	for i, bn := range bns {
-		copy(bn.Gamma.Data, s.gamma[i])
-		copy(bn.Beta.Data, s.beta[i])
-		copy(bn.RunningMean, s.rmean[i])
-		copy(bn.RunningVar, s.rvar[i])
-		// Per the Param contract, in-place Data writes must bump the
-		// version so any cache keyed on it is dropped (today only conv
-		// weights carry such a cache, but serve's per-stream restore
-		// must not be the path that breaks a future BN-keyed one).
-		bn.Gamma.MarkUpdated()
-		bn.Beta.MarkUpdated()
-		bn.UseBatchStats = s.useBatchWas[i]
-	}
 }
 
 // noAdaptAdapter is the paper's baseline: eval-mode inference only.
@@ -163,7 +130,6 @@ type noAdaptAdapter struct {
 func newNoAdapt(m *models.Model) *noAdaptAdapter {
 	for _, bn := range m.BatchNorms() {
 		bn.UseBatchStats = false
-		bn.SourcePrior = 0
 	}
 	return &noAdaptAdapter{m: m}
 }
@@ -180,28 +146,10 @@ func (a *noAdaptAdapter) Reset() {}
 // runs with batch statistics (PyTorch train()-mode BN), so normalization
 // instantly tracks the corrupted input distribution. Running statistics
 // also accumulate across the stream.
-type bnNormAdapter struct {
-	m    *models.Model
-	bns  []*nn.BatchNorm2d
-	snap *bnSnapshot
-	cfg  Config
-}
+type bnNormAdapter struct{ tracked }
 
-func newBNNorm(m *models.Model, cfg Config) *bnNormAdapter {
-	bns := m.BatchNorms()
-	a := &bnNormAdapter{m: m, bns: bns, snap: snapshotBN(bns), cfg: cfg}
-	a.arm()
-	return a
-}
-
-func (a *bnNormAdapter) arm() {
-	for _, bn := range a.bns {
-		bn.UseBatchStats = true
-		bn.SourcePrior = float32(a.cfg.SourcePrior)
-		if a.cfg.SourcePrior > 0 {
-			bn.SnapshotSource()
-		}
-	}
+func newBNNorm(m *models.Model) *bnNormAdapter {
+	return &bnNormAdapter{track(m, nil)}
 }
 
 func (a *bnNormAdapter) Algorithm() Algorithm { return BNNorm }
@@ -209,14 +157,6 @@ func (a *bnNormAdapter) Algorithm() Algorithm { return BNNorm }
 func (a *bnNormAdapter) Process(x *tensor.Tensor) *tensor.Tensor {
 	return a.m.Forward(x, false) // UseBatchStats makes BN re-estimate
 }
-
-func (a *bnNormAdapter) Reset() {
-	a.snap.restore(a.bns)
-	a.arm()
-}
-
-// bnLayers exposes the BN state to the lifecycle policy's regularizer.
-func (a *bnNormAdapter) bnLayers() ([]*nn.BatchNorm2d, *bnSnapshot) { return a.bns, a.snap }
 
 // bnOptAdapter is TENT: batch-statistics normalization plus one Adam step
 // per batch on the BN affine parameters, minimizing prediction entropy.
@@ -227,36 +167,24 @@ func (a *bnNormAdapter) bnLayers() ([]*nn.BatchNorm2d, *bnSnapshot) { return a.b
 // (nn.FreezeExceptBN), so that pass computes input gradients only: no
 // conv/linear weight gradient is ever formed.
 type bnOptAdapter struct {
-	m     *models.Model
-	bns   []*nn.BatchNorm2d
-	snap  *bnSnapshot
-	cfg   Config
-	optim *opt.Adam
+	tracked
+	steps int
 }
 
 func newBNOpt(m *models.Model, cfg Config) *bnOptAdapter {
-	bns := m.BatchNorms()
-	a := &bnOptAdapter{m: m, bns: bns, snap: snapshotBN(bns), cfg: cfg}
-	a.arm()
-	return a
-}
-
-func (a *bnOptAdapter) arm() {
-	nn.FreezeExceptBN(a.m.Net)
+	nn.FreezeExceptBN(m.Net)
 	var params []*nn.Param
-	for _, bn := range a.bns {
-		bn.UseBatchStats = true
-		bn.SourcePrior = 0 // BN-Opt backpropagates through pure batch stats
+	for _, bn := range m.BatchNorms() {
 		params = append(params, bn.Gamma, bn.Beta)
 	}
-	a.optim = opt.NewAdam(params, a.cfg.LR)
+	return &bnOptAdapter{tracked: track(m, opt.NewAdam(params, cfg.LR)), steps: cfg.Steps}
 }
 
 func (a *bnOptAdapter) Algorithm() Algorithm { return BNOpt }
 
 func (a *bnOptAdapter) Process(x *tensor.Tensor) *tensor.Tensor {
 	var logits *tensor.Tensor
-	for step := 0; step < a.cfg.Steps; step++ {
+	for step := 0; step < a.steps; step++ {
 		logits = a.m.Forward(x, false) // batch statistics via UseBatchStats
 		_, grad := nn.MeanEntropy(logits)
 		a.optim.ZeroGrad()
@@ -265,11 +193,3 @@ func (a *bnOptAdapter) Process(x *tensor.Tensor) *tensor.Tensor {
 	}
 	return logits
 }
-
-func (a *bnOptAdapter) Reset() {
-	a.snap.restore(a.bns)
-	a.arm()
-}
-
-// bnLayers exposes the BN state to the lifecycle policy's regularizer.
-func (a *bnOptAdapter) bnLayers() ([]*nn.BatchNorm2d, *bnSnapshot) { return a.bns, a.snap }

@@ -24,7 +24,7 @@ func TestAdaptersBitEqualOnIm2ColOracle(t *testing.T) {
 	type outcome struct {
 		tag    string
 		logits [][]float32
-		state  AdapterState // nil for No-Adapt, which has none
+		state  *AdapterState // nil for No-Adapt, which has none
 	}
 	run := func(build models.Builder, algo Algorithm, direct bool) outcome {
 		tensor.SetPacked(direct)

@@ -47,12 +47,11 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// bnAdapted is implemented by adapters that expose their BatchNorm layers
-// and episode-start snapshot, giving the lifecycle policy something to
-// regularize toward. No-Adapt has no adaptable state and does not
-// implement it; the policy degrades to detection-only there.
-type bnAdapted interface {
-	bnLayers() ([]*nn.BatchNorm2d, *bnSnapshot)
+// sourceRegularized is implemented by the adapters that have BatchNorm
+// state to pull back toward its episode-start values. No-Adapt has none and
+// does not implement it; the policy degrades to detection-only there.
+type sourceRegularized interface {
+	pullTowardSource(lambda float32)
 }
 
 // PolicyAdapter wraps an Adapter with a lifecycle Policy. It is itself an
@@ -116,9 +115,8 @@ func (p *PolicyAdapter) Process(x *tensor.Tensor) *tensor.Tensor {
 	}
 	p.seen++
 	if p.cfg.SourceEMA > 0 {
-		if ba, ok := p.inner.(bnAdapted); ok {
-			bns, snap := ba.bnLayers()
-			regularizeTowardSource(bns, snap, float32(p.cfg.SourceEMA))
+		if r, ok := p.inner.(sourceRegularized); ok {
+			r.pullTowardSource(float32(p.cfg.SourceEMA))
 		}
 	}
 	return logits
@@ -131,19 +129,4 @@ func (p *PolicyAdapter) Reset() {
 	p.inner.Reset()
 	p.baseline = 0
 	p.seen = 0
-}
-
-// regularizeTowardSource pulls every BN layer's adaptable state a step of
-// size lambda toward the episode-start snapshot.
-func regularizeTowardSource(bns []*nn.BatchNorm2d, snap *bnSnapshot, lambda float32) {
-	for i, bn := range bns {
-		for c := range bn.Gamma.Data {
-			bn.Gamma.Data[c] += lambda * (snap.gamma[i][c] - bn.Gamma.Data[c])
-			bn.Beta.Data[c] += lambda * (snap.beta[i][c] - bn.Beta.Data[c])
-			bn.RunningMean[c] += lambda * (snap.rmean[i][c] - bn.RunningMean[c])
-			bn.RunningVar[c] += lambda * (snap.rvar[i][c] - bn.RunningVar[c])
-		}
-		bn.Gamma.MarkUpdated()
-		bn.Beta.MarkUpdated()
-	}
 }

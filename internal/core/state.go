@@ -3,18 +3,48 @@ package core
 import (
 	"fmt"
 
+	"edgetta/internal/models"
+	"edgetta/internal/nn"
 	"edgetta/internal/opt"
 )
 
-// AdapterState is an opaque, self-contained deep copy of an adapter's
-// mutable per-stream adaptation state. The adaptation algorithms only ever
-// mutate BatchNorm state (statistics, affine parameters) and — for BN-Opt —
-// optimizer moments, so the state is small (kilobytes) next to the model it
+// segment names one run of an adapter's state vector.
+type segment struct {
+	name string
+	n    int
+}
+
+// layout is the one definition of what an adapter mutates: per BatchNorm
+// layer γ, β, running mean and running variance, then — for BN-Opt — Adam's
+// two moment estimates per parameter and its step count (opt.Adam's
+// AppendState order). It is built once per adapter and never changes, so
+// every state captured from the adapter shares it.
+type layout struct {
+	kind  string
+	segs  []segment
+	bnLen int // length of the BatchNorm prefix; whatever follows is Adam's
+	size  int
+}
+
+func (l *layout) add(name string, n int) {
+	l.segs = append(l.segs, segment{name, n})
+	l.size += n
+}
+
+// AdapterState is one stream's adaptation state: a single vector of
+// float32 over the layout of the adapter it was captured from. The
+// adaptation algorithms only ever mutate BatchNorm state and — for BN-Opt —
+// optimizer moments, so it is small (kilobytes) next to the model it
 // adapts (megabytes). That asymmetry is what lets the serving layer share a
 // few model replicas among many streams: each stream keeps only its state,
 // and a replica swaps stream states in and out between Process calls.
-type AdapterState interface {
-	isAdapterState()
+//
+// A state is immutable once captured: nothing writes the vector again, so
+// one value may be held by any number of streams (every stream of a serving
+// group starts from the same episode-start state).
+type AdapterState struct {
+	layout *layout
+	vec    []float32
 }
 
 // Stateful is implemented by adapters whose Process mutates adaptation
@@ -30,67 +60,110 @@ type AdapterState interface {
 // different streams may share — or even be coalesced into — Process calls.
 type Stateful interface {
 	Adapter
-	// CaptureState deep-copies the current mutable adaptation state.
-	CaptureState() AdapterState
+	// CaptureState copies the current adaptation state out.
+	CaptureState() *AdapterState
 	// RestoreState installs a previously captured state. The state must
 	// have been captured from an adapter of the same algorithm over a
-	// replica of the same model; it panics otherwise.
-	RestoreState(AdapterState)
+	// replica of the same model: a state of any other length panics, and
+	// the panic comes before the first write, so the adapter is untouched.
+	RestoreState(*AdapterState)
 }
 
-// bnState is BN-Norm's per-stream state: the adaptable BatchNorm tensors.
-type bnState struct{ snap *bnSnapshot }
-
-func (*bnState) isAdapterState() {}
-
-// bnOptState adds BN-Opt's Adam moments to the BatchNorm state.
-type bnOptState struct {
-	snap *bnSnapshot
-	adam *opt.AdamState
+// liveRun is one BatchNorm run of the vector in the adapter's own memory: an
+// affine parameter — held as the Param, so a restore writes through it and
+// bumps its version — or a running statistic.
+type liveRun struct {
+	param *nn.Param
+	stat  []float32
 }
 
-func (*bnOptState) isAdapterState() {}
+// tracked is the state half of BN-Norm and BN-Opt: the model armed for
+// batch statistics, the layout of what adapting it mutates, and the
+// episode-start state Reset returns to.
+type tracked struct {
+	m      *models.Model
+	layout *layout
+	live   []liveRun
+	optim  *opt.Adam // BN-Opt only: its state is the vector's tail
+	source *AdapterState
+}
+
+// track switches every BatchNorm layer of m to batch statistics and lays
+// out the state that adapting it will mutate.
+func track(m *models.Model, optim *opt.Adam) tracked {
+	t := tracked{m: m, layout: &layout{kind: StateKindBN}, optim: optim}
+	l := t.layout
+	for i, bn := range m.BatchNorms() {
+		bn.UseBatchStats = true
+		t.live = append(t.live, liveRun{param: bn.Gamma}, liveRun{param: bn.Beta},
+			liveRun{stat: bn.RunningMean}, liveRun{stat: bn.RunningVar})
+		for _, part := range []string{"gamma", "beta", "rmean", "rvar"} {
+			l.add(fmt.Sprintf("bn.%d.%s", i, part), bn.C)
+		}
+	}
+	l.bnLen = l.size
+	if optim != nil {
+		l.kind = StateKindBNOpt
+		for i, p := range optim.Params() {
+			l.add(fmt.Sprintf("adam.m.%d", i), len(p.Data))
+			l.add(fmt.Sprintf("adam.v.%d", i), len(p.Data))
+		}
+		l.add("adam.t", 1)
+	}
+	t.source = t.CaptureState()
+	return t
+}
 
 // CaptureState implements Stateful.
-func (a *bnNormAdapter) CaptureState() AdapterState {
-	return &bnState{snap: snapshotBN(a.bns)}
+func (t *tracked) CaptureState() *AdapterState {
+	v := make([]float32, 0, t.layout.size)
+	for _, seg := range t.live {
+		if seg.param != nil {
+			v = append(v, seg.param.Data...)
+		} else {
+			v = append(v, seg.stat...)
+		}
+	}
+	if t.optim != nil {
+		v = t.optim.AppendState(v)
+	}
+	return &AdapterState{t.layout, v}
 }
 
 // RestoreState implements Stateful.
-func (a *bnNormAdapter) RestoreState(s AdapterState) {
-	st, ok := s.(*bnState)
-	if !ok {
-		panic(fmt.Sprintf("core: BN-Norm cannot restore %T", s))
+func (t *tracked) RestoreState(s *AdapterState) {
+	if s == nil || len(s.vec) != t.layout.size {
+		panic(fmt.Sprintf("core: the %s state of %s is %d values long, the state to restore is not",
+			t.layout.kind, t.m.Tag, t.layout.size))
 	}
-	st.snap.restore(a.bns)
-}
-
-// CaptureState implements Stateful.
-func (a *bnOptAdapter) CaptureState() AdapterState {
-	return &bnOptState{snap: snapshotBN(a.bns), adam: a.optim.CaptureState()}
-}
-
-// RestoreState implements Stateful.
-func (a *bnOptAdapter) RestoreState(s AdapterState) {
-	st, ok := s.(*bnOptState)
-	if !ok {
-		panic(fmt.Sprintf("core: BN-Opt cannot restore %T", s))
+	v := s.vec
+	for _, seg := range t.live {
+		if seg.param != nil {
+			v = v[copy(seg.param.Data, v):]
+			// Per the Param contract, in-place Data writes must bump the
+			// version so any cache keyed on it is dropped (today only conv
+			// weights carry such a cache, but serve's per-stream restore
+			// must not be the path that breaks a future BN-keyed one).
+			seg.param.MarkUpdated()
+		} else {
+			v = v[copy(seg.stat, v):]
+		}
 	}
-	st.snap.restore(a.bns)
-	a.optim.RestoreState(st.adam)
-}
-
-// CaptureState implements Stateful for the streamed driver, which mutates
-// the same BatchNorm state as BN-Norm (via running-statistics updates).
-func (a *StreamedBNNorm) CaptureState() AdapterState {
-	return &bnState{snap: snapshotBN(a.bns)}
-}
-
-// RestoreState implements Stateful.
-func (a *StreamedBNNorm) RestoreState(s AdapterState) {
-	st, ok := s.(*bnState)
-	if !ok {
-		panic(fmt.Sprintf("core: streamed BN-Norm cannot restore %T", s))
+	if t.optim != nil {
+		t.optim.LoadState(v)
 	}
-	st.snap.restore(a.bns)
+}
+
+// Reset implements Adapter: back to the state captured at construction.
+func (t *tracked) Reset() { t.RestoreState(t.source) }
+
+// pullTowardSource moves the BatchNorm state (γ, β, running statistics) a
+// step of size lambda toward the episode-start state — Policy.SourceEMA's
+// regularizer. Optimizer state is left as it is.
+func (t *tracked) pullTowardSource(lambda float32) {
+	cur := t.CaptureState()
+	for i, src := range t.source.vec[:t.layout.bnLen] {
+		cur.vec[i] += lambda * (src - cur.vec[i])
+	}
+	t.RestoreState(cur)
 }

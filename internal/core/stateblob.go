@@ -4,141 +4,71 @@ import (
 	"fmt"
 	"math"
 
-	"edgetta/internal/opt"
+	"edgetta/internal/serialize"
 )
 
-// This file converts the opaque AdapterState into (and back from) a flat,
-// exactly-representable tensor form, so the serving layer can checkpoint a
-// stream's adaptation state through internal/serialize without this package
-// growing an I/O dependency. The conversion is lossless: every float32 is
-// carried bit-for-bit, and the two integer-ish ingredients (per-layer
-// UseBatchStats flags, Adam's step count) are encoded as float32 payloads
-// exactly — flags as 0/1, the step count via its raw uint32 bit pattern —
-// so unflatten(flatten(s)) reproduces s byte-identically. That exactness is
+// This file presents an AdapterState as (and rebuilds it from) the named
+// tensors of the serialize state container, so the serving layer can
+// checkpoint a stream's adaptation state; core names the tensors and does
+// no I/O. The tensor names and their order are generated by the layout, and
+// every tensor is a run of the state vector carried bit for bit — Adam's
+// step count rides as its raw uint32 bit pattern — so
+// unflatten(flatten(s)) reproduces s byte-identically. That exactness is
 // what lets a recovered stream replay to bitwise parity with an
 // uninterrupted run (the serving tier's recovery contract).
 
-// StateTensor is one named float32 tensor of a flattened AdapterState.
-type StateTensor struct {
-	Name string
-	Data []float32
-}
-
-// State kinds, the tag FlattenState returns and UnflattenState dispatches
-// on. They name the concrete AdapterState shape, not the algorithm: BN-Norm
-// and the streamed driver share StateKindBN.
+// State kinds, the tag FlattenState returns and UnflattenState checks. They
+// name the layout's shape: BatchNorm runs only, or BatchNorm runs followed
+// by Adam's.
 const (
-	StateKindBN    = "bn"    // bnState: BatchNorm tensors only
-	StateKindBNOpt = "bnopt" // bnOptState: BatchNorm tensors + Adam moments
+	StateKindBN    = "bn"
+	StateKindBNOpt = "bnopt"
 )
 
-// FlattenState explodes a captured AdapterState into named float32 tensors
-// plus a kind tag. The tensor order is fixed (per-layer gamma/beta/
-// rmean/rvar, the flags vector, then for BN-Opt the Adam moments and step
-// count), so the flattened form is deterministic and UnflattenState can
-// parse it strictly.
-func FlattenState(s AdapterState) (kind string, tensors []StateTensor, err error) {
-	switch st := s.(type) {
-	case *bnState:
-		return StateKindBN, flattenBN(st.snap), nil
-	case *bnOptState:
-		ts := flattenBN(st.snap)
-		for i := range st.adam.M {
-			ts = append(ts, StateTensor{fmt.Sprintf("adam.m.%d", i), append([]float32(nil), st.adam.M[i]...)})
-			ts = append(ts, StateTensor{fmt.Sprintf("adam.v.%d", i), append([]float32(nil), st.adam.V[i]...)})
-		}
-		// The step count rides in a float32 slot via its bit pattern, not a
-		// value conversion: float32(t) would round above 2^24 steps.
-		ts = append(ts, StateTensor{"adam.t", []float32{math.Float32frombits(uint32(st.adam.T))}})
-		return StateKindBNOpt, ts, nil
-	default:
-		return "", nil, fmt.Errorf("core: cannot flatten adapter state %T", s)
+// FlattenState presents a captured state as the layout's named tensors, in
+// layout order, plus its kind tag. The tensors are views of the state's
+// vector, not copies: read them, never write them.
+func FlattenState(s *AdapterState) (kind string, tensors []serialize.Tensor, err error) {
+	if s == nil {
+		return "", nil, fmt.Errorf("core: no adapter state to flatten")
 	}
+	tensors = make([]serialize.Tensor, len(s.layout.segs))
+	off := 0
+	for i, seg := range s.layout.segs {
+		tensors[i] = serialize.Tensor{Name: seg.name, Data: s.vec[off : off+seg.n : off+seg.n]}
+		off += seg.n
+	}
+	return s.layout.kind, tensors, nil
 }
 
-func flattenBN(snap *bnSnapshot) []StateTensor {
-	var ts []StateTensor
-	for i := range snap.gamma {
-		ts = append(ts, StateTensor{fmt.Sprintf("bn.%d.gamma", i), append([]float32(nil), snap.gamma[i]...)})
-		ts = append(ts, StateTensor{fmt.Sprintf("bn.%d.beta", i), append([]float32(nil), snap.beta[i]...)})
-		ts = append(ts, StateTensor{fmt.Sprintf("bn.%d.rmean", i), append([]float32(nil), snap.rmean[i]...)})
-		ts = append(ts, StateTensor{fmt.Sprintf("bn.%d.rvar", i), append([]float32(nil), snap.rvar[i]...)})
+// UnflattenState rebuilds a state from its flattened form over the layout
+// of like (any state of the adapter the result is meant for — a serving
+// group passes its episode-start state). It parses strictly: the kind, the
+// tensor names, their order and their lengths must be exactly what
+// FlattenState writes for that layout, so a truncated, reordered, foreign
+// or older-format checkpoint fails loudly, naming the tensor, instead of
+// silently mis-assigning layers.
+func UnflattenState(like *AdapterState, kind string, tensors []serialize.Tensor) (*AdapterState, error) {
+	l := like.layout
+	if kind != l.kind {
+		return nil, fmt.Errorf("core: state kind %q does not fit this adapter", kind)
 	}
-	flags := make([]float32, len(snap.useBatchWas))
-	for i, b := range snap.useBatchWas {
-		if b {
-			flags[i] = 1
+	v := make([]float32, 0, l.size)
+	for i, seg := range l.segs {
+		if i >= len(tensors) {
+			return nil, fmt.Errorf("core: %s state ends before tensor %q", kind, seg.name)
 		}
+		t := tensors[i]
+		if t.Name != seg.name || len(t.Data) != seg.n {
+			return nil, fmt.Errorf("core: expected tensor %q of %d values, got %q of %d",
+				seg.name, seg.n, t.Name, len(t.Data))
+		}
+		v = append(v, t.Data...)
 	}
-	ts = append(ts, StateTensor{"bn.usebatch", flags})
-	return ts
-}
-
-// UnflattenState rebuilds an AdapterState from its flattened form. It
-// parses strictly — tensors must appear in exactly the order FlattenState
-// wrote them — so a truncated or reordered checkpoint fails loudly instead
-// of silently mis-assigning layers.
-func UnflattenState(kind string, tensors []StateTensor) (AdapterState, error) {
-	switch kind {
-	case StateKindBN:
-		snap, rest, err := unflattenBN(tensors)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("core: %d trailing tensors after %s state", len(rest), kind)
-		}
-		return &bnState{snap: snap}, nil
-	case StateKindBNOpt:
-		snap, rest, err := unflattenBN(tensors)
-		if err != nil {
-			return nil, err
-		}
-		adam := &opt.AdamState{}
-		for len(rest) >= 2 && rest[0].Name == fmt.Sprintf("adam.m.%d", len(adam.M)) {
-			if want := fmt.Sprintf("adam.v.%d", len(adam.V)); rest[1].Name != want {
-				return nil, fmt.Errorf("core: expected tensor %q, got %q", want, rest[1].Name)
-			}
-			adam.M = append(adam.M, append([]float32(nil), rest[0].Data...))
-			adam.V = append(adam.V, append([]float32(nil), rest[1].Data...))
-			rest = rest[2:]
-		}
-		if len(rest) != 1 || rest[0].Name != "adam.t" || len(rest[0].Data) != 1 {
-			return nil, fmt.Errorf("core: malformed %s state tail", kind)
-		}
-		adam.T = int(math.Float32bits(rest[0].Data[0]))
-		return &bnOptState{snap: snap, adam: adam}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown state kind %q", kind)
+	if len(tensors) > len(l.segs) {
+		return nil, fmt.Errorf("core: unexpected tensor %q after %s state", tensors[len(l.segs)].Name, kind)
 	}
-}
-
-func unflattenBN(tensors []StateTensor) (*bnSnapshot, []StateTensor, error) {
-	snap := &bnSnapshot{}
-	for len(tensors) >= 4 && tensors[0].Name == fmt.Sprintf("bn.%d.gamma", len(snap.gamma)) {
-		layer := len(snap.gamma)
-		for j, part := range []string{"gamma", "beta", "rmean", "rvar"} {
-			if want := fmt.Sprintf("bn.%d.%s", layer, part); tensors[j].Name != want {
-				return nil, nil, fmt.Errorf("core: expected tensor %q, got %q", want, tensors[j].Name)
-			}
-		}
-		snap.gamma = append(snap.gamma, append([]float32(nil), tensors[0].Data...))
-		snap.beta = append(snap.beta, append([]float32(nil), tensors[1].Data...))
-		snap.rmean = append(snap.rmean, append([]float32(nil), tensors[2].Data...))
-		snap.rvar = append(snap.rvar, append([]float32(nil), tensors[3].Data...))
-		tensors = tensors[4:]
-	}
-	if len(tensors) == 0 || tensors[0].Name != "bn.usebatch" {
-		return nil, nil, fmt.Errorf("core: missing bn.usebatch tensor")
-	}
-	flags := tensors[0]
-	if len(flags.Data) != len(snap.gamma) {
-		return nil, nil, fmt.Errorf("core: bn.usebatch has %d flags for %d layers", len(flags.Data), len(snap.gamma))
-	}
-	for _, v := range flags.Data {
-		snap.useBatchWas = append(snap.useBatchWas, v != 0)
-	}
-	return snap, tensors[1:], nil
+	return &AdapterState{l, v}, nil
 }
 
 // StateFinite reports whether every float in the state is finite — the
@@ -147,43 +77,25 @@ func unflattenBN(tensors []StateTensor) (*bnSnapshot, []StateTensor, error) {
 // adaptation diverged: normalizing with a poisoned state spreads NaNs into
 // every subsequent output, so the serving tier resets the stream to its
 // source snapshot instead of serving from it.
-func StateFinite(s AdapterState) bool {
-	switch st := s.(type) {
-	case *bnState:
-		return bnFinite(st.snap)
-	case *bnOptState:
-		if !bnFinite(st.snap) {
-			return false
-		}
-		for i := range st.adam.M {
-			if !allFinite(st.adam.M[i]) || !allFinite(st.adam.V[i]) {
-				return false
-			}
-		}
-		return true
-	default:
-		// Unknown state shapes (future adapters) are not scanned; treating
-		// them as healthy keeps the guard opt-in per state kind.
-		return true
+func StateFinite(s *AdapterState) bool {
+	v := s.vec
+	if s.layout.bnLen < s.layout.size {
+		v = v[:len(v)-1] // Adam's step count is a bit pattern, not a value
 	}
-}
-
-func bnFinite(snap *bnSnapshot) bool {
-	for i := range snap.gamma {
-		if !allFinite(snap.gamma[i]) || !allFinite(snap.beta[i]) ||
-			!allFinite(snap.rmean[i]) || !allFinite(snap.rvar[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func allFinite(xs []float32) bool {
-	for _, v := range xs {
-		f := float64(v)
+	for _, x := range v {
+		f := float64(x)
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return false
 		}
 	}
 	return true
+}
+
+// Poisoned returns a copy of s whose first value is NaN, as numerically
+// diverged adaptation would leave it — what the serving tier's fault
+// injector hands the numeric guard. s itself is not written.
+func (s *AdapterState) Poisoned() *AdapterState {
+	v := append([]float32(nil), s.vec...)
+	v[0] = float32(math.NaN())
+	return &AdapterState{s.layout, v}
 }

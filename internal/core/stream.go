@@ -4,7 +4,6 @@ import (
 	"strings"
 	"time"
 
-	"edgetta/internal/data"
 	"edgetta/internal/nn"
 	"edgetta/internal/tensor"
 )
@@ -61,19 +60,6 @@ func RunStream(a Adapter, s Streamer, batchSize int) StreamResult {
 	}
 	res.Latency = hist.Summary()
 	return res
-}
-
-// AverageErrorOverCorruptions runs one stream per corruption family at the
-// given severity and returns the mean error rate — the quantity Fig. 2
-// plots ("average prediction errors for CIFAR-10-C").
-func AverageErrorOverCorruptions(a Adapter, gen *data.Generator, seed int64,
-	samplesPerCorruption, batchSize, severity int) float64 {
-	total := 0.0
-	for i, c := range data.AllCorruptions {
-		s := gen.NewStream(seed+int64(i), samplesPerCorruption, c, severity)
-		total += RunStream(a, s, batchSize).ErrorRate
-	}
-	return total / float64(len(data.AllCorruptions))
 }
 
 // VerifyOnlyBNAdapted reports whether every non-BN parameter of the model

@@ -74,6 +74,29 @@ func rebind(p *nn.Param, n int) {
 	p.Data = make([]float32, n) // want "not followed by"
 }
 
+// segment is one run of an adapter's state vector and the Param it was
+// captured from: the layout holds the Param, not an alias of its Data, so
+// a restore is a write the analyzer can see.
+type segment struct {
+	param *nn.Param
+}
+
+// restoreUnmarked copies a state vector back into γ/β and never bumps
+// their versions.
+func restoreUnmarked(segs []segment, vec []float32) {
+	for _, s := range segs {
+		vec = vec[copy(s.param.Data, vec):] // want "not followed by"
+	}
+}
+
+// restoreMarked is the same restore, marked per Param.
+func restoreMarked(segs []segment, vec []float32) {
+	for _, s := range segs {
+		vec = vec[copy(s.param.Data, vec):]
+		s.param.MarkUpdated()
+	}
+}
+
 // kaimingConv matches the analyzer's known-mutator table by name: it
 // writes in place through its second argument.
 func kaimingConv(fanIn int, w []float32) {

@@ -30,18 +30,6 @@ type BatchNorm2d struct {
 	// the switch internal/core flips to run BN-Norm / BN-Opt adaptation.
 	UseBatchStats bool
 
-	// SourcePrior blends re-estimated batch statistics with the source
-	// (pre-adaptation) statistics following Schneider et al.'s
-	// prior-strength rule: with batch size n and prior strength N,
-	// μ = n/(n+N)·μ_batch + N/(n+N)·μ_source (and likewise for variance).
-	// 0 disables blending (pure batch statistics, the paper's BN-Norm).
-	// When blending is active the statistics are treated as constants by
-	// Backward (the standard approximation; BN-Norm never backpropagates).
-	SourcePrior float32
-	// SourceMean/SourceVar hold the frozen source statistics used by the
-	// prior; SnapshotSource captures them from the running statistics.
-	SourceMean, SourceVar []float32
-
 	// Saved by the last forward for Backward. BatchNorm owns no
 	// activation-sized buffer: x̂ is recomputed from the input it keeps a
 	// reference to and the per-channel μ, σ⁻¹; the sign of a fused
@@ -50,7 +38,7 @@ type BatchNorm2d struct {
 	act          *ReLU          // rectifier fused into that forward, nil if none
 	hasRes       bool           // that forward added a residual
 	mean, invStd []float32      // per channel, as normalized with
-	statsVary    bool           // whether those statistics depend on the input
+	batchMode    bool           // those are batch statistics, so they depend on the input
 	lastSpec     Spec
 }
 
@@ -101,7 +89,7 @@ func (b *BatchNorm2d) ForwardFused(x, res *tensor.Tensor, act *ReLU, train bool)
 	n, plane := x.Dim(0), x.Dim(2)*x.Dim(3)
 	cnt := n * plane
 	batchMode := train || b.UseBatchStats
-	b.statsVary = batchMode && !(b.SourcePrior > 0 && b.SourceMean != nil)
+	b.batchMode = batchMode
 	if b.mean == nil {
 		b.mean, b.invStd = make([]float32, b.C), make([]float32, b.C)
 	}
@@ -141,11 +129,6 @@ func (b *BatchNorm2d) ForwardFused(x, res *tensor.Tensor, act *ReLU, train bool)
 			}
 			b.RunningMean[c] += b.Momentum * (mean - b.RunningMean[c])
 			b.RunningVar[c] += b.Momentum * (unbiased - b.RunningVar[c])
-			if b.SourcePrior > 0 && b.SourceMean != nil {
-				w := float32(n) / (float32(n) + b.SourcePrior)
-				mean = w*mean + (1-w)*b.SourceMean[c]
-				varv = w*varv + (1-w)*b.SourceVar[c]
-			}
 		} else {
 			mean, varv = b.RunningMean[c], b.RunningVar[c]
 		}
@@ -245,7 +228,7 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 			b.Gamma.Grad[c] += float32(sDyXhat)
 		}
 		g := tensor.BNGrad{Mean: mean, InvStd: inv, Scale: b.Gamma.Data[c] * inv,
-			MeanDy: float32(sDy) / cnt, MeanDyXhat: float32(sDyXhat) / cnt, Vary: b.statsVary}
+			MeanDy: float32(sDy) / cnt, MeanDyXhat: float32(sDyXhat) / cnt, Vary: b.batchMode}
 		for img := 0; img < n; img++ {
 			base := (img*b.C + c) * plane
 			tensor.GradInputPlane(dx.Data[base:base+plane], dy.Data[base:base+plane],
@@ -262,13 +245,6 @@ func planeOf(s []float32, base, plane int) []float32 {
 		return nil
 	}
 	return s[base : base+plane]
-}
-
-// SnapshotSource freezes the current running statistics as the source
-// prior used when SourcePrior > 0.
-func (b *BatchNorm2d) SnapshotSource() {
-	b.SourceMean = append(b.SourceMean[:0], b.RunningMean...)
-	b.SourceVar = append(b.SourceVar[:0], b.RunningVar...)
 }
 
 // ResetRunning restores the running statistics to their initial state

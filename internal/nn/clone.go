@@ -64,16 +64,7 @@ func (p *GlobalAvgPool) CloneLayer() Layer { return &GlobalAvgPool{name: p.name}
 func (p *AvgPool2d) CloneLayer() Layer { return &AvgPool2d{name: p.name, K: p.K} }
 
 // CloneLayer implements Cloner.
-func (p *MaxPool2d) CloneLayer() Layer { return &MaxPool2d{name: p.name, K: p.K} }
-
-// CloneLayer implements Cloner.
 func (f *Flatten) CloneLayer() Layer { return &Flatten{name: f.name} }
-
-// CloneLayer implements Cloner. The clone shares the original's RNG (a
-// rand.Rand source cannot be duplicated), so clones must not run training
-// forwards concurrently; at inference dropout is the identity and the RNG
-// is never touched. None of the study's models include Dropout.
-func (d *Dropout) CloneLayer() Layer { return &Dropout{name: d.name, P: d.P, rng: d.rng} }
 
 // CloneLayer implements Cloner. The immutable rotated input-gradient
 // kernel is shared with the clone (its version still matches the cloned
@@ -86,23 +77,15 @@ func (c *Conv2d) CloneLayer() Layer {
 		Weight: c.Weight.clone(), noInputGrad: c.noInputGrad, rot: c.rot}
 }
 
-// CloneLayer implements Cloner. All statistics buffers — running, source —
-// are copied, along with the adaptation switches internal/core flips, so a
-// clone taken mid-adaptation continues from exactly the captured state.
+// CloneLayer implements Cloner. The running statistics are copied, along
+// with the adaptation switch internal/core flips, so a clone taken
+// mid-adaptation continues from exactly the captured state.
 func (b *BatchNorm2d) CloneLayer() Layer {
-	c := &BatchNorm2d{
+	return &BatchNorm2d{
 		name: b.name, C: b.C, Eps: b.Eps, Momentum: b.Momentum,
 		Gamma: b.Gamma.clone(), Beta: b.Beta.clone(),
 		RunningMean:   append([]float32(nil), b.RunningMean...),
 		RunningVar:    append([]float32(nil), b.RunningVar...),
 		UseBatchStats: b.UseBatchStats,
-		SourcePrior:   b.SourcePrior,
 	}
-	if b.SourceMean != nil {
-		c.SourceMean = append([]float32(nil), b.SourceMean...)
-	}
-	if b.SourceVar != nil {
-		c.SourceVar = append([]float32(nil), b.SourceVar...)
-	}
-	return c
 }

@@ -23,11 +23,6 @@ var bnModes = []bnMode{
 	{"train", true, func(*BatchNorm2d) {}},
 	{"UseBatchStats", false, func(b *BatchNorm2d) { b.UseBatchStats = true }},
 	{"running", false, func(*BatchNorm2d) {}},
-	{"SourcePrior", false, func(b *BatchNorm2d) {
-		b.UseBatchStats = true
-		b.SnapshotSource()
-		b.SourcePrior = 16
-	}},
 }
 
 // fusedCase builds a BatchNorm with non-trivial parameters and statistics
@@ -288,25 +283,21 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 	}
 }
 
-// TestPoolAndDropoutAreProfiled: AvgPool2d, MaxPool2d and Dropout used to
-// record no interval, so their time leaked out of the attributed share.
+// TestPoolAndDropoutAreProfiled: AvgPool2d used to record no interval, so
+// its time leaked out of the attributed share. (The name is from when nn
+// also had a max-pool and a dropout layer; no model built either.)
 func TestPoolAndDropoutAreProfiled(t *testing.T) {
 	x := tensor.New(2, 3, 4, 4)
 	x.Randn(rand.New(rand.NewSource(1)), 1)
-	layers := []Layer{NewAvgPool2d("avg", 2), NewMaxPool2d("max", 2),
-		NewDropout("drop", 0.5, rand.New(rand.NewSource(2)))}
+	l := NewAvgPool2d("avg", 2)
 	if !StartProfiling() {
 		t.Skip("another profiler is active")
 	}
-	for _, l := range layers {
-		l.Backward(l.Forward(x, true))
-	}
+	l.Backward(l.Forward(x, true))
 	got := StopProfiling()
-	for kind, want := range map[Kind]int{KindPool: 2, KindOther: 1} {
-		if got.FwCalls[kind] != want || got.BwCalls[kind] != want {
-			t.Errorf("kind %v: %d forward and %d backward intervals, want %d each",
-				kind, got.FwCalls[kind], got.BwCalls[kind], want)
-		}
+	if got.FwCalls[KindPool] != 1 || got.BwCalls[KindPool] != 1 {
+		t.Errorf("%d forward and %d backward pool intervals, want 1 each",
+			got.FwCalls[KindPool], got.BwCalls[KindPool])
 	}
 }
 

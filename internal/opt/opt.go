@@ -1,10 +1,13 @@
 // Package opt implements the optimizers the study needs: Adam (used by
 // BN-Opt's single adaptation step, following the paper and TENT) and
 // SGD with momentum (used for offline robust training of the repro-scale
-// models).
+// models). Adam's mutable state — moments and step count — travels as a
+// run of float32 values (AppendState, LoadState) at the end of an adapter's
+// state vector; the optimizer has no snapshot type of its own.
 package opt
 
 import (
+	"fmt"
 	"math"
 
 	"edgetta/internal/nn"
@@ -72,45 +75,40 @@ func (a *Adam) Step() {
 	}
 }
 
-// AdamState is a deep copy of Adam's mutable state: the per-parameter
-// moment estimates and the step count. The serving layer captures and
-// restores it to multiplex many independent adaptation streams over one
-// shared optimizer-plus-model replica.
-type AdamState struct {
-	M, V [][]float32
-	T    int
+// StateLen is the length of the optimizer's mutable state as float32
+// values: both moment estimates of every parameter plus the step count.
+func (a *Adam) StateLen() int {
+	n := 1
+	for _, m := range a.m {
+		n += 2 * len(m)
+	}
+	return n
 }
 
-// CaptureState deep-copies the optimizer's mutable state.
-func (a *Adam) CaptureState() *AdamState {
-	s := &AdamState{T: a.t,
-		M: make([][]float32, len(a.m)), V: make([][]float32, len(a.v))}
+// AppendState appends the optimizer's mutable state to dst: per parameter
+// the first then the second moment estimate, and last the step count,
+// carried as its uint32 bit pattern (float32(t) would round above 2^24
+// steps). An adapter's state vector ends in these StateLen values.
+func (a *Adam) AppendState(dst []float32) []float32 {
 	for i := range a.m {
-		s.M[i] = append([]float32(nil), a.m[i]...)
-		s.V[i] = append([]float32(nil), a.v[i]...)
+		dst = append(dst, a.m[i]...)
+		dst = append(dst, a.v[i]...)
 	}
-	return s
+	return append(dst, math.Float32frombits(uint32(a.t)))
 }
 
-// RestoreState installs a previously captured state. The state must come
-// from an Adam over the same parameter shapes (e.g. a replica of the same
-// model); it panics otherwise.
-func (a *Adam) RestoreState(s *AdamState) {
-	// Validate everything before mutating anything, so a panic cannot
-	// leave the optimizer half-restored.
-	if len(s.M) != len(a.m) || len(s.V) != len(a.v) {
-		panic("opt: AdamState parameter count mismatch")
+// LoadState installs a state written by AppendState on an Adam over the
+// same parameter shapes (e.g. a replica of the same model). It panics, with
+// nothing written, when src is not StateLen values long.
+func (a *Adam) LoadState(src []float32) {
+	if len(src) != a.StateLen() {
+		panic(fmt.Sprintf("opt: Adam state has %d values, want %d", len(src), a.StateLen()))
 	}
 	for i := range a.m {
-		if len(s.M[i]) != len(a.m[i]) || len(s.V[i]) != len(a.v[i]) {
-			panic("opt: AdamState moment length mismatch")
-		}
+		src = src[copy(a.m[i], src):]
+		src = src[copy(a.v[i], src):]
 	}
-	a.t = s.T
-	for i := range a.m {
-		copy(a.m[i], s.M[i])
-		copy(a.v[i], s.V[i])
-	}
+	a.t = int(math.Float32bits(src[0]))
 }
 
 // SGD implements stochastic gradient descent with classical momentum and

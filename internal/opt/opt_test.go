@@ -130,30 +130,49 @@ func TestAdamCaptureRestoreRoundTrip(t *testing.T) {
 	// value is part of each stream's state here, saved alongside.
 	p := quadParam(1, 2)
 	o := NewAdam([]*nn.Param{p}, 0.1)
-	stA, stB := o.CaptureState(), o.CaptureState()
+	stA, stB := o.AppendState(nil), o.AppendState(nil)
 	valA, valB := p.Data[0], p.Data[0]
 	for i := range gradsA {
-		o.RestoreState(stA)
+		o.LoadState(stA)
 		p.Data[0] = valA
 		step(o, p, gradsA[i])
-		stA, valA = o.CaptureState(), p.Data[0]
+		stA, valA = o.AppendState(nil), p.Data[0]
 
-		o.RestoreState(stB)
+		o.LoadState(stB)
 		p.Data[0] = valB
 		step(o, p, gradsB[i])
-		stB, valB = o.CaptureState(), p.Data[0]
+		stB, valB = o.AppendState(nil), p.Data[0]
 	}
 	if valA != pA.Data[0] || valB != pB.Data[0] {
 		t.Fatalf("multiplexed Adam diverged: stream A %v vs %v, stream B %v vs %v",
 			valA, pA.Data[0], valB, pB.Data[0])
 	}
 
-	// Captured state must be a deep copy: stepping after capture must not
-	// mutate the snapshot.
-	snap := o.CaptureState()
-	m0 := snap.M[0][0]
+	// The appended state is a copy (m, v, step count): stepping afterwards
+	// must not reach it.
+	snap := o.AppendState(nil)
+	if len(snap) != o.StateLen() || len(snap) != 3 {
+		t.Fatalf("state of one scalar parameter is %d values, StateLen %d, want 3", len(snap), o.StateLen())
+	}
+	m0 := snap[0]
 	step(o, p, 3)
-	if snap.M[0][0] != m0 {
-		t.Fatalf("CaptureState aliases live moments")
+	if snap[0] != m0 {
+		t.Fatalf("AppendState aliases live moments")
+	}
+
+	// A state of any other length is refused before anything is written.
+	before := o.AppendState(nil)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("LoadState accepted a short state")
+			}
+		}()
+		o.LoadState(snap[:2])
+	}()
+	for i, v := range o.AppendState(nil) {
+		if math.Float32bits(v) != math.Float32bits(before[i]) {
+			t.Fatalf("refused LoadState still wrote value %d", i)
+		}
 	}
 }

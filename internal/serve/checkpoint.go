@@ -146,7 +146,7 @@ func (s *ckptStore) names() []string {
 // checkpoint. Called by the committing worker while it still holds the
 // stream's in-flight gate (never the group lock), so writes for one
 // session are naturally ordered.
-func (g *group) writeCheckpoint(name string, state core.AdapterState, seq uint64) error {
+func (g *group) writeCheckpoint(name string, state *core.AdapterState, seq uint64) error {
 	if inj := g.cfg.Injector; inj != nil {
 		if err := inj.CheckpointFault(name, seq); err != nil {
 			return err
@@ -157,22 +157,18 @@ func (g *group) writeCheckpoint(name string, state core.AdapterState, seq uint64
 		return err
 	}
 	h := serialize.StateHeader{Model: g.key.ModelTag, Algo: g.key.Algo.String(), Kind: kind, Seq: seq}
-	ts := make([]serialize.Tensor, len(tensors))
-	for i, t := range tensors {
-		ts[i] = serialize.Tensor{Name: t.Name, Data: t.Data}
-	}
 	var buf bytes.Buffer
-	if err := serialize.SaveState(&buf, h, ts); err != nil {
+	if err := serialize.SaveState(&buf, h, tensors); err != nil {
 		return err
 	}
 	return g.store.put(name, h, buf.Bytes())
 }
 
 // resumeState decodes and validates a checkpoint against the group: the
-// routing must match and the flattened shape must equal the episode-start
-// state's (same architecture), so a stale or foreign checkpoint fails
-// loudly instead of mis-restoring.
-func (g *group) resumeState(e *ckptEntry) (core.AdapterState, uint64, error) {
+// routing must match and the tensors must be exactly the ones the group's
+// state layout generates (same architecture, same algorithm, same format),
+// so a stale or foreign checkpoint fails loudly instead of mis-restoring.
+func (g *group) resumeState(e *ckptEntry) (*core.AdapterState, uint64, error) {
 	if e.header.Model != g.key.ModelTag || e.header.Algo != g.key.Algo.String() {
 		return nil, 0, errBadRequest("%s: checkpoint belongs to %s/%s",
 			g.key, e.header.Model, e.header.Algo)
@@ -181,23 +177,7 @@ func (g *group) resumeState(e *ckptEntry) (core.AdapterState, uint64, error) {
 	if err != nil {
 		return nil, 0, errBadRequest("%s: corrupt checkpoint: %v", g.key, err)
 	}
-	if len(g.initialShape) > 0 {
-		if len(tensors) != len(g.initialShape) {
-			return nil, 0, errBadRequest("%s: checkpoint has %d tensors, group expects %d",
-				g.key, len(tensors), len(g.initialShape))
-		}
-		for _, t := range tensors {
-			if want, ok := g.initialShape[t.Name]; !ok || want != len(t.Data) {
-				return nil, 0, errBadRequest("%s: checkpoint tensor %q does not match the group's state shape",
-					g.key, t.Name)
-			}
-		}
-	}
-	cts := make([]core.StateTensor, len(tensors))
-	for i, t := range tensors {
-		cts[i] = core.StateTensor{Name: t.Name, Data: t.Data}
-	}
-	state, err := core.UnflattenState(h.Kind, cts)
+	state, err := core.UnflattenState(g.initial, h.Kind, tensors)
 	if err != nil {
 		return nil, 0, errBadRequest("%s: checkpoint: %v", g.key, err)
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"edgetta/internal/core"
@@ -64,7 +63,7 @@ type computeResult struct {
 	logits *tensor.Tensor
 	// state is the stream's post-batch adaptation state (stateful groups);
 	// the worker commits it only on success, so a fault never half-applies.
-	state core.AdapterState
+	state *core.AdapterState
 	// resets counts numeric-guard source resets performed for this batch;
 	// images the batch's image total.
 	resets   int
@@ -76,7 +75,7 @@ type computeResult struct {
 // when the replica was quarantined (the worker must exit).
 func (g *group) runSupervised(r *replica, reqs []*request) bool {
 	start := time.Now()
-	var prev core.AdapterState
+	var prev *core.AdapterState
 	if g.stateful {
 		// Safe without g.mu: only the worker holding the stream's in-flight
 		// request commits st.state, and that worker is us.
@@ -114,7 +113,7 @@ func (g *group) runSupervised(r *replica, reqs []*request) bool {
 // no locks, so a panic or wedge here can never poison shared state: the
 // recover barrier converts panics into a result, and everything it mutates
 // besides the replica is delivered through the buffered channel.
-func (g *group) compute(r *replica, reqs []*request, prev core.AdapterState, done chan<- computeResult) {
+func (g *group) compute(r *replica, reqs []*request, prev *core.AdapterState, done chan<- computeResult) {
 	defer func() {
 		if p := recover(); p != nil {
 			done <- computeResult{panicked: p}
@@ -162,7 +161,7 @@ func (g *group) compute(r *replica, reqs []*request, prev core.AdapterState, don
 		res.logits = r.adapter.Process(x)
 		res.state = sa.CaptureState()
 		if fault.Kind == FaultPoison {
-			res.state = poisonState(res.state)
+			res.state = res.state.Poisoned()
 		}
 		if !core.StateFinite(res.state) {
 			// Numeric-health guard: adaptation diverged (NaN/Inf in the BN
@@ -186,26 +185,6 @@ func (g *group) compute(r *replica, reqs []*request, prev core.AdapterState, don
 		res.logits = r.adapter.Process(x)
 	}
 	done <- res
-}
-
-// poisonState corrupts one value of a flattened copy of s with a NaN —
-// the FaultPoison injection. The original state is never mutated.
-func poisonState(s core.AdapterState) core.AdapterState {
-	kind, tensors, err := core.FlattenState(s)
-	if err != nil {
-		return s
-	}
-	for i := range tensors {
-		if len(tensors[i].Data) > 0 {
-			tensors[i].Data[0] = float32(math.NaN())
-			break
-		}
-	}
-	bad, err := core.UnflattenState(kind, tensors)
-	if err != nil {
-		return s
-	}
-	return bad
 }
 
 // quarantine takes a faulted replica out of service: drop it from the pool,

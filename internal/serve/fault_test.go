@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +14,7 @@ import (
 
 	"edgetta/internal/core"
 	"edgetta/internal/data"
+	"edgetta/internal/serialize"
 	"edgetta/internal/tensor"
 )
 
@@ -298,16 +303,23 @@ func TestSequenceProtocol(t *testing.T) {
 // TestCheckpointResumeParity is the recovery parity contract across a full
 // server restart: a session resumed from its on-disk checkpoint must replay
 // byte-identically to the original run truncated at the checkpoint — the
-// acceptance pin for the checkpoint/recovery subsystem.
+// acceptance pin for the checkpoint/recovery subsystem. BN-Opt's checkpoint
+// is BN-Norm's plus Adam's moments and step count, so both go through disk.
 func TestCheckpointResumeParity(t *testing.T) {
+	for _, algo := range []core.Algorithm{core.BNNorm, core.BNOpt} {
+		t.Run(algo.String(), func(t *testing.T) { checkpointResumeParity(t, algo) })
+	}
+}
+
+func checkpointResumeParity(t *testing.T, algo core.Algorithm) {
 	base := testModel()
 	inputs := genBatches(17, 28, 4, data.GaussianNoise, 3)
-	want := serialLogits(t, base, core.BNNorm, core.Config{}, inputs)
+	want := serialLogits(t, base, algo, core.Config{}, inputs)
 	ctx := context.Background()
 
 	cfg := Config{QueueCap: 8, Checkpoint: CheckpointConfig{Every: 2, Dir: t.TempDir()}}
 	srvA := New(cfg)
-	keyA, err := srvA.AddGroup(base, core.BNNorm, core.Config{}, 1)
+	keyA, err := srvA.AddGroup(base, algo, core.Config{}, 1)
 	if err != nil {
 		t.Fatalf("AddGroup: %v", err)
 	}
@@ -340,7 +352,7 @@ func TestCheckpointResumeParity(t *testing.T) {
 	// name alone (the checkpoint header carries the routing).
 	srvB := New(cfg)
 	defer srvB.Close()
-	if _, err := srvB.AddGroup(base, core.BNNorm, core.Config{}, 1); err != nil {
+	if _, err := srvB.AddGroup(base, algo, core.Config{}, 1); err != nil {
 		t.Fatalf("AddGroup: %v", err)
 	}
 	stB, err := srvB.ResumeSession("sess")
@@ -434,6 +446,66 @@ func TestCheckpointWriteFailureKeepsPrevious(t *testing.T) {
 			t.Fatalf("replay batch %d: %v", b, err)
 		}
 		compareLogits(t, b, want[b:b+1], [][]float32{logits.Data})
+	}
+}
+
+// TestResumeRefusesForeignCheckpoint: a checkpoint whose tensors are not
+// exactly the ones the group's state layout generates — here one written
+// before the state was one vector, which carries the per-layer bn.usebatch
+// flags — is refused at resume, and the error names the tensor.
+func TestResumeRefusesForeignCheckpoint(t *testing.T) {
+	base := testModel()
+	inputs := genBatches(29, 8, 4, data.Fog, 3)
+	dir := t.TempDir()
+	cfg := Config{QueueCap: 8, Checkpoint: CheckpointConfig{Every: 2, Dir: dir}}
+	srvA := New(cfg)
+	key, err := srvA.AddGroup(base, core.BNOpt, core.Config{}, 1)
+	if err != nil {
+		t.Fatalf("AddGroup: %v", err)
+	}
+	stA, _, err := srvA.OpenSession(key, "sess")
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	for b := range inputs {
+		if _, err := stA.ProcessSeq(context.Background(), inputs[b], uint64(b+1)); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+	}
+	srvA.Close()
+
+	path := filepath.Join(dir, hex.EncodeToString([]byte("sess"))+".ckpt")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading the checkpoint: %v", err)
+	}
+	h, tensors, err := serialize.LoadState(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("LoadState: %v", err)
+	}
+	at := 0
+	for at < len(tensors) && strings.HasPrefix(tensors[at].Name, "bn.") {
+		at++
+	}
+	old := append(append(append([]serialize.Tensor(nil), tensors[:at]...),
+		serialize.Tensor{Name: "bn.usebatch", Data: make([]float32, at/4)}), tensors[at:]...)
+	var buf bytes.Buffer
+	if err := serialize.SaveState(&buf, h, old); err != nil {
+		t.Fatalf("SaveState: %v", err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB := New(cfg)
+	defer srvB.Close()
+	if _, err := srvB.AddGroup(base, core.BNOpt, core.Config{}, 1); err != nil {
+		t.Fatalf("AddGroup: %v", err)
+	}
+	_, err = srvB.ResumeSession("sess")
+	var se *Error
+	if !errors.As(err, &se) || se.Code != CodeBadRequest || !strings.Contains(err.Error(), `"bn.usebatch"`) {
+		t.Fatalf("ResumeSession on an older-format checkpoint: err = %v, want CodeBadRequest naming bn.usebatch", err)
 	}
 }
 

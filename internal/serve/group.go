@@ -88,7 +88,7 @@ type streamState struct {
 	// the cursor's in-flight gate, or under the group mutex between
 	// requests, so it needs no lock of its own. Stream.Close nils it only
 	// after the cursor reports drained, never while a worker may read it.
-	state core.AdapterState
+	state *core.AdapterState
 
 	// per-stream metrics, guarded by the group mutex.
 	requests int
@@ -139,7 +139,7 @@ type group struct {
 	key      GroupKey
 	cfg      Config
 	stateful bool
-	initial  core.AdapterState
+	initial  *core.AdapterState
 
 	// template is the pristine clone every replica is built from; algo and
 	// acfg build their adapters.
@@ -168,12 +168,9 @@ type group struct {
 	nextStreamID  int
 	streams       map[int]*streamState
 	// names indexes the open named sessions; store is the server-wide
-	// checkpoint store (nil when checkpointing is disabled) and
-	// initialShape the flattened shape of the episode-start state, used to
-	// validate checkpoints before restoring them.
-	names        map[string]*streamState
-	store        *ckptStore
-	initialShape map[string]int
+	// checkpoint store (nil when checkpointing is disabled).
+	names map[string]*streamState
+	store *ckptStore
 
 	// met holds the lifetime counts and live gauges; the plain fields below
 	// are the figures that have no registered metric.
@@ -207,7 +204,7 @@ type group struct {
 // checkpoint store holds its name, resumes from that checkpoint (reported
 // by the second result).
 func (g *group) open(name string) (*Stream, bool, error) {
-	var state core.AdapterState
+	var state *core.AdapterState
 	var seq uint64
 	every := 0
 	if name != "" && g.stateful && g.store != nil {

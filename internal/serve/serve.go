@@ -242,15 +242,6 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		// replicas are byte-identical clones, so replica 0's fresh state
 		// restores cleanly onto any of them.
 		g.initial = st.CaptureState()
-		// Flattened shape of the episode-start state, used to validate
-		// resumed checkpoints against the group's architecture. Algorithms
-		// with non-flattenable state simply skip the shape check.
-		if _, tensors, err := core.FlattenState(g.initial); err == nil {
-			g.initialShape = make(map[string]int, len(tensors))
-			for _, t := range tensors {
-				g.initialShape[t.Name] = len(t.Data)
-			}
-		}
 	}
 
 	s.mu.Lock()
