@@ -2,7 +2,7 @@
 // contract analyzers in internal/lint — over the packages matching the
 // given go-list patterns (default ./...).
 //
-//	ttalint [-json] [-run markupdated,scratchpair,...] [patterns...]
+//	ttalint [-json] [-run scratchpair,clonesafe,...] [patterns...]
 //
 // It exits 0 when the tree is clean, 1 when there are findings, and 2 on
 // usage or load errors. Findings are suppressible inline with

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"edgetta/internal/models"
-	"edgetta/internal/nn"
 	"edgetta/internal/opt"
 )
 
@@ -69,21 +68,14 @@ type Stateful interface {
 	RestoreState(*AdapterState)
 }
 
-// liveRun is one BatchNorm run of the vector in the adapter's own memory: an
-// affine parameter — held as the Param, so a restore writes through it and
-// bumps its version — or a running statistic.
-type liveRun struct {
-	param *nn.Param
-	stat  []float32
-}
-
 // tracked is the state half of BN-Norm and BN-Opt: the model armed for
 // batch statistics, the layout of what adapting it mutates, and the
-// episode-start state Reset returns to.
+// episode-start state Reset returns to. live is the BatchNorm prefix of the
+// vector in the model's own memory, one slice per segment in layout order.
 type tracked struct {
 	m      *models.Model
 	layout *layout
-	live   []liveRun
+	live   [][]float32
 	optim  *opt.Adam // BN-Opt only: its state is the vector's tail
 	source *AdapterState
 }
@@ -95,8 +87,7 @@ func track(m *models.Model, optim *opt.Adam) tracked {
 	l := t.layout
 	for i, bn := range m.BatchNorms() {
 		bn.UseBatchStats = true
-		t.live = append(t.live, liveRun{param: bn.Gamma}, liveRun{param: bn.Beta},
-			liveRun{stat: bn.RunningMean}, liveRun{stat: bn.RunningVar})
+		t.live = append(t.live, bn.Gamma.Data, bn.Beta.Data, bn.RunningMean, bn.RunningVar)
 		for _, part := range []string{"gamma", "beta", "rmean", "rvar"} {
 			l.add(fmt.Sprintf("bn.%d.%s", i, part), bn.C)
 		}
@@ -117,12 +108,8 @@ func track(m *models.Model, optim *opt.Adam) tracked {
 // CaptureState implements Stateful.
 func (t *tracked) CaptureState() *AdapterState {
 	v := make([]float32, 0, t.layout.size)
-	for _, seg := range t.live {
-		if seg.param != nil {
-			v = append(v, seg.param.Data...)
-		} else {
-			v = append(v, seg.stat...)
-		}
+	for _, run := range t.live {
+		v = append(v, run...)
 	}
 	if t.optim != nil {
 		v = t.optim.AppendState(v)
@@ -137,17 +124,8 @@ func (t *tracked) RestoreState(s *AdapterState) {
 			t.layout.kind, t.m.Tag, t.layout.size))
 	}
 	v := s.vec
-	for _, seg := range t.live {
-		if seg.param != nil {
-			v = v[copy(seg.param.Data, v):]
-			// Per the Param contract, in-place Data writes must bump the
-			// version so any cache keyed on it is dropped (today only conv
-			// weights carry such a cache, but serve's per-stream restore
-			// must not be the path that breaks a future BN-keyed one).
-			seg.param.MarkUpdated()
-		} else {
-			v = v[copy(seg.stat, v):]
-		}
+	for _, run := range t.live {
+		v = v[copy(run, v):]
 	}
 	if t.optim != nil {
 		t.optim.LoadState(v)

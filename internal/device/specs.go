@@ -3,8 +3,8 @@
 // Nvidia Jetson Xavier NX). Latency, energy and peak memory are predicted
 // from real per-layer model traces (internal/profile); the handful of rate
 // constants below are calibrated against the paper's reported anchor
-// measurements and then *predict* every other cell of the study. See
-// EXPERIMENTS.md for the anchor-vs-simulated table.
+// measurements and then *predict* every other cell of the study;
+// `ttabench -anchors` prints the anchor-vs-simulated table.
 //
 // Reading the prediction against this repository's own kernels: the
 // benchmark prints the simulator's backward share of a BN-Opt batch

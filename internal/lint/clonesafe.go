@@ -17,24 +17,20 @@ import (
 //     (RunningMean: b.RunningMean);
 //   - a whole-struct copy of the receiver (cp := *m) when the struct has
 //     slice or map fields, which aliases all of them at once — or of one of
-//     its struct-valued fields (a cache held by value: an immutable shared
-//     pointer next to a table the owner rebuilds), which aliases that
+//     its struct-valued fields (a table held by value), which aliases that
 //     field's slices the same way;
-//   - an nn.Param literal that leaves a field unnamed: Param carries flags
-//     (Frozen) and a cache key (version) beside its buffers, and a clone
-//     that drops one by omission changes how the replica backpropagates or
-//     which rotated kernel it trusts. Naming every field makes carrying or
-//     resetting each one a visible decision;
+//   - an nn.Param literal that leaves a field unnamed: Param carries a flag
+//     (Frozen) beside its buffers, and a clone that drops it by omission
+//     changes how the replica backpropagates. Naming every field makes
+//     carrying or resetting each one a visible decision;
 //   - a *tensor.Tensor taken from the receiver (in: b.in): layers keep
 //     references to the activations their Backward reads — BatchNorm2d its
 //     input and fused output, ReLU its output, Conv2d and Linear their
 //     input — and a clone that carried one over would backpropagate through
 //     the original's forward. A clone's saved tensors start empty.
 //
-// Sharing any other pointer field is allowed: immutable shared state
-// (Conv2d's rotated input-gradient kernel) is pointer-typed by design, and
-// the analyzer's job is the mutable-backing-array hazard, not pointer
-// identity.
+// Other pointer fields are not flagged: the analyzer's job is the
+// mutable-backing-array hazard, not pointer identity.
 var cloneSafe = &Analyzer{
 	Name: "clonesafe",
 	Doc:  "Clone/CloneLayer methods must not shallowly alias the receiver's slice/map fields",

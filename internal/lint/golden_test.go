@@ -82,10 +82,8 @@ func runGolden(t *testing.T, analyzer, pattern string) {
 	}
 }
 
-func TestMarkUpdatedGolden(t *testing.T) {
-	runGolden(t, "markupdated", "./testdata/src/markupdated")
-}
-
+// TestScratchPairGolden also carries the suppression-hygiene cases
+// (testdata suppress.go), which are the framework's, not the analyzer's.
 func TestScratchPairGolden(t *testing.T) {
 	runGolden(t, "scratchpair", "./testdata/src/scratchpair")
 }

@@ -1,12 +1,9 @@
 // Package lint is the repository's static-analysis framework: a small,
 // dependency-free analyzer harness (go/parser + go/types; package
-// discovery via `go list -json`) plus the six repo-specific analyzers
+// discovery via `go list -json`) plus the five repo-specific analyzers
 // that mechanically enforce the correctness contracts the test suites
 // can only spot-check:
 //
-//   - markupdated: every in-place write to an nn.Param's Data must be
-//     followed by MarkUpdated() on the same receiver, or the rotated conv
-//     kernel cached under the Param version serves stale weights.
 //   - scratchpair: every tensor.GetScratch must reach tensor.PutScratch
 //     on all paths of the acquiring function — normalized on the defer
 //     idiom — flagging leaks and double-puts.
@@ -24,10 +21,9 @@
 //     killing the serving process.
 //
 // The analyzers are syntactic-plus-types: they prove the idioms the
-// repository standardizes on, not arbitrary dataflow. Mutations routed
-// through an alias (d := p.Data; d[0] = 1) or releases delegated to a
-// callee are outside their reach — code that needs such a shape carries
-// an inline-justified suppression instead:
+// repository standardizes on, not arbitrary dataflow. A release delegated
+// to a callee, say, is outside their reach — code that needs such a shape
+// carries an inline-justified suppression instead:
 //
 //	//ttalint:ok <analyzer> <justification>
 //
@@ -81,7 +77,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All lists every analyzer in the suite, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{markUpdated, scratchPair, determinism, cloneSafe, nestedPar, panicSafe}
+	return []*Analyzer{scratchPair, determinism, cloneSafe, nestedPar, panicSafe}
 }
 
 // ByName resolves a comma-separated analyzer selection against All.

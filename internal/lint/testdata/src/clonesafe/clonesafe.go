@@ -5,23 +5,18 @@ package clonesafe
 
 import "edgetta/internal/lint/testdata/src/clonesafe/tensor"
 
-type cache struct{ w []float32 }
-
 type layer struct {
 	Weights []float32
 	Stats   map[string]float64
 	Name    string
-	packed  *cache
 }
 
-// Clone aliases both mutable containers; the string and the pointer-typed
-// cache share are fine.
+// Clone aliases both mutable containers; the string is fine.
 func (l *layer) Clone() *layer {
 	return &layer{
 		Weights: l.Weights, // want "aliases the receiver"
 		Stats:   l.Stats,   // want "aliases the receiver"
 		Name:    l.Name,
-		packed:  l.packed,
 	}
 }
 
@@ -33,9 +28,9 @@ func (l *layer) CloneLayer() *layer {
 }
 
 // clone is the sanctioned deep copy: fresh backing storage for the slice
-// and map, shared pointer for the immutable cache.
+// and map.
 func (l *layer) clone() *layer {
-	cp := &layer{Name: l.Name, packed: l.packed}
+	cp := &layer{Name: l.Name}
 	cp.Weights = append([]float32(nil), l.Weights...)
 	cp.Stats = make(map[string]float64, len(l.Stats))
 	for k, v := range l.Stats {
@@ -44,21 +39,21 @@ func (l *layer) clone() *layer {
 	return cp
 }
 
-// offsets is a per-direction cache held by value: an immutable shared
-// pointer next to a table the owner rebuilds.
+// offsets is a per-direction table held by value, next to the scalar it was
+// built for.
 type offsets struct {
-	weights *cache
-	table   []int32
+	stride int
+	table  []int32
 }
 
 type conv struct{ fw, bw offsets }
 
-// Clone copies one cache struct whole — its table now has two owners — and
-// shares only the immutable pointer of the other, which is fine.
+// Clone copies one struct whole — its table now has two owners — and
+// carries only the scalar of the other, which is fine.
 func (c *conv) Clone() *conv {
 	return &conv{
 		fw: c.fw, // want "shallow struct copy of the receiver's c.fw aliases its table"
-		bw: offsets{weights: c.bw.weights},
+		bw: offsets{stride: c.bw.stride},
 	}
 }
 

@@ -100,11 +100,3 @@ func deferExprArg(n int) {
 	bufs := [][]float32{tensor.GetScratch(n)} // want "must be bound"
 	defer tensor.PutScratch(bufs[0])          // want "must be the variable"
 }
-
-// transfer hands ownership to the caller — a real leak by this scope's
-// accounting, justified inline.
-func transfer(n int) []float32 {
-	//ttalint:ok scratchpair caller owns the buffer and must PutScratch it
-	buf := tensor.GetScratch(n)
-	return buf
-}

@@ -105,19 +105,16 @@ func TestCloneParamNamesAndStructure(t *testing.T) {
 	}
 }
 
-// TestClonePackedWeightCacheSharedUntilUpdate: replicas of an unadapted
-// model share each conv's one derived weight copy — the rotated
-// input-gradient kernel, immutable and keyed on the Param version — and a
-// weight update on one side must rotate again locally without corrupting
-// the other: clone outputs and input gradients stay bit-identical to the
-// original's until then. (The forward reads the weights themselves.)
+// TestClonePackedWeightCacheSharedUntilUpdate: a clone's outputs and input
+// gradients are bit-identical to the original's until one side's weights
+// are written, and a write on one side — nobody is told — moves that side
+// only. (No layer keeps a copy derived from its weights, so there is
+// nothing to share or invalidate; the name is kept for the test ledger.)
 func TestClonePackedWeightCacheSharedUntilUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	m := WideResNet402(rng, ReproScale)
 	x := tensor.New(2, m.InC, m.InHW, m.InHW)
 	x.Uniform(rand.New(rand.NewSource(72)), 0, 1)
-	// One forward and backward; the first on m also warms the rotated-kernel
-	// caches the clone then shares.
 	pass := func(m *Model) (y, dx []float32) {
 		out := m.Forward(x, false)
 		return out.Data, m.Backward(out).Data
@@ -131,9 +128,9 @@ func TestClonePackedWeightCacheSharedUntilUpdate(t *testing.T) {
 		t.Fatal("clone forward or input gradient differs before any update")
 	}
 
-	// Scale one conv weight on the clone (with MarkUpdated, per the Param
-	// contract) — a conv whose input gradient runs on the cached rotated
-	// kernel. The clone must diverge; the original must not move.
+	// Scale one conv weight on the clone — a conv whose input gradient runs
+	// on the rotated kernel. The clone must diverge; the original must not
+	// move.
 	var conv *nn.Conv2d
 	nn.Walk(c.Net, func(l nn.Layer) {
 		if cv, ok := l.(*nn.Conv2d); ok && conv == nil && cv.Groups == 1 && cv.Stride == 1 && cv.Name() != "conv1" {
@@ -146,7 +143,6 @@ func TestClonePackedWeightCacheSharedUntilUpdate(t *testing.T) {
 	for i := range conv.Weight.Data {
 		conv.Weight.Data[i] *= 2
 	}
-	conv.Weight.MarkUpdated()
 
 	y0b, dx0b := pass(m)
 	y1b, dx1b := pass(c)
@@ -157,8 +153,7 @@ func TestClonePackedWeightCacheSharedUntilUpdate(t *testing.T) {
 		t.Fatal("clone forward unchanged despite weight update")
 	}
 	// The same gradient through the updated clone, on the kernel and on the
-	// oracle (which rotates afresh): a rotated kernel that outlived the
-	// update would separate them.
+	// oracle: a rotated kernel that outlived the update would separate them.
 	defer tensor.SetPacked(tensor.PackedEnabled())
 	tensor.SetPacked(false)
 	if _, oracle := pass(c); !bitsEqual(dx1b, oracle) {

@@ -22,20 +22,17 @@ func Clone(l Layer) Layer {
 	return c.CloneLayer()
 }
 
-// clone returns a Param with copied data and a fresh zero gradient. The
-// mutation version is preserved so caches keyed on it (the conv layer's
-// rotated input-gradient kernel) stay valid for the clone, and so is Frozen: like the BatchNorm
-// adaptation switches, a clone of an armed model backpropagates exactly as
-// the original would (core.New re-arms its own model either way). Every
-// field is named here so a new one cannot be dropped silently — ttalint's
-// clonesafe holds this literal to that.
+// clone returns a Param with copied data and a fresh zero gradient. Frozen
+// is preserved: like the BatchNorm adaptation switches, a clone of an armed
+// model backpropagates exactly as the original would (core.New re-arms its
+// own model either way). Every field is named here so a new one cannot be
+// dropped silently — ttalint's clonesafe holds this literal to that.
 func (p *Param) clone() *Param {
 	return &Param{
-		Name:    p.Name,
-		Data:    append([]float32(nil), p.Data...),
-		Grad:    make([]float32, len(p.Grad)),
-		Frozen:  p.Frozen,
-		version: p.version,
+		Name:   p.Name,
+		Data:   append([]float32(nil), p.Data...),
+		Grad:   make([]float32, len(p.Grad)),
+		Frozen: p.Frozen,
 	}
 }
 
@@ -66,15 +63,11 @@ func (p *AvgPool2d) CloneLayer() Layer { return &AvgPool2d{name: p.name, K: p.K}
 // CloneLayer implements Cloner.
 func (f *Flatten) CloneLayer() Layer { return &Flatten{name: f.name} }
 
-// CloneLayer implements Cloner. The immutable rotated input-gradient
-// kernel is shared with the clone (its version still matches the cloned
-// Param), so serving replicas of an unadapted model pay for one copy instead
-// of one per replica; the first weight update on either side rotates
-// locally without affecting the other.
+// CloneLayer implements Cloner.
 func (c *Conv2d) CloneLayer() Layer {
 	return &Conv2d{name: c.name, InC: c.InC, OutC: c.OutC,
 		K: c.K, Stride: c.Stride, Pad: c.Pad, Groups: c.Groups,
-		Weight: c.Weight.clone(), noInputGrad: c.noInputGrad, rot: c.rot}
+		Weight: c.Weight.clone(), noInputGrad: c.noInputGrad}
 }
 
 // CloneLayer implements Cloner. The running statistics are copied, along

@@ -39,7 +39,8 @@ const bwStripRows = 32
 // survives as the parity tests' oracle (tensor.SetPacked).
 //
 // Backward runs the input gradient of stride-1 ungrouped shapes through
-// that same kernel (see Backward).
+// that same kernel (see Backward). The layer holds nothing derived from
+// Weight, so Weight.Data may be written at any time between calls.
 type Conv2d struct {
 	name           string
 	InC, OutC      int
@@ -54,12 +55,6 @@ type Conv2d struct {
 	input                *tensor.Tensor
 	lastSpec             Spec
 	outH, outW, inH, inW int
-
-	// rot caches the input-gradient kernel (the weights rotated, see
-	// tensor.RotateConvWeights), valid while its Version matches
-	// Weight.Version() — it is immutable, so clones share it until either
-	// side's weights change. The forward has no derived copy to go stale.
-	rot *tensor.RotatedWeights
 }
 
 // NewConv2d constructs a convolution layer with He-normal initialization.
@@ -91,20 +86,6 @@ func (c *Conv2d) Spec() Spec { return c.lastSpec }
 // the kernel reads the input in place or staged (tensor.ConvShape.InPlace).
 func (c *Conv2d) ConvShape() tensor.ConvShape {
 	return tensor.ConvShape{InC: c.InC, OutC: c.OutC, H: c.inH, W: c.inW, K: c.K, Stride: c.Stride, Pad: c.Pad, Groups: c.Groups}
-}
-
-// rotated returns the cached input-gradient kernel, rotating again if the
-// underlying Param has been mutated since (Param.MarkUpdated bumps the
-// version). The returned buffer is immutable; clones of an unadapted layer
-// share one copy.
-func (c *Conv2d) rotated() *tensor.RotatedWeights {
-	if r := c.rot; r != nil && r.Version == c.Weight.Version() {
-		return r
-	}
-	r := tensor.NewRotatedWeights(c.Weight.Data, c.OutC, c.InC, c.K)
-	r.Version = c.Weight.Version()
-	c.rot = r
-	return r
 }
 
 // Forward implements Layer. The batch dimension is processed in parallel.
@@ -207,10 +188,10 @@ func conv(dst, src, wmat []float32, n int, s tensor.ConvShape, backward bool) {
 //   - dX is returned unless the layer sits at the graph input with nobody
 //     to consume it (noInputGrad), in which case Backward returns nil.
 //   - For stride-1 ungrouped shapes with Pad < K, dX is a forward
-//     convolution of dY with the rotated kernel (tensor.RotateConvWeights)
-//     at pad K-1-Pad, run through Forward's own kernel (or im2col +
-//     matmul when a test has the oracle selected, tensor.SetPacked —
-//     bit-identical to each other by the argument in
+//     convolution of dY with the kernel rotated afresh out of Weight.Data
+//     (tensor.RotateConvWeights) at pad K-1-Pad, run through Forward's own
+//     kernel (or im2col + matmul when a test has the oracle selected,
+//     tensor.SetPacked — bit-identical to each other by the argument in
 //     tensor/conv_direct.go).
 //     It calls the kernels, never Forward, so the profiler sees one
 //     conv.bw span and no forward time. Every other shape gets dX from
@@ -238,15 +219,12 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// inputGradConv writes dX = conv(dY, rotated kernel) into dx. Only the
-// direct arm caches the rotated kernel; the im2col arm is the test oracle,
-// not the hot path, and re-rotates the (small) weight matrix per call.
+// inputGradConv writes dX = conv(dY, rotated kernel) into dx. The kernel is
+// rotated out of Weight.Data on every call — one move per weight against
+// N·H·W MACs per weight in the convolution it feeds — so no copy of the
+// weights outlives a call.
 func (c *Conv2d) inputGradConv(grad, dx *tensor.Tensor) {
 	s := tensor.ConvShape{InC: c.OutC, OutC: c.InC, H: c.outH, W: c.outW, K: c.K, Stride: 1, Pad: c.K - 1 - c.Pad, Groups: 1}
-	if tensor.PackedEnabled() {
-		conv(dx.Data, grad.Data, c.rotated().Data, grad.Dim(0), s, true)
-		return
-	}
 	rot := tensor.GetScratch(len(c.Weight.Data))
 	defer tensor.PutScratch(rot)
 	tensor.RotateConvWeights(rot, c.Weight.Data, c.OutC, c.InC, c.K)

@@ -90,12 +90,11 @@ func TestConvPackedMatchesIm2ColAtLayerLevel(t *testing.T) {
 			t.Errorf("%+v: direct and im2col forward differ", tc)
 		}
 
-		// Mutate the weights (with MarkUpdated, per the Param contract)
-		// and re-check: a stale derived copy would show up immediately.
+		// Mutate the weights and re-check: a stale derived copy would show
+		// up immediately.
 		for i := range conv.Weight.Data {
 			conv.Weight.Data[i] *= 1.5
 		}
-		conv.Weight.MarkUpdated()
 		tensor.SetPacked(true)
 		updated := conv.Forward(x, false)
 		tensor.SetPacked(false)

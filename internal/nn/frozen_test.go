@@ -253,45 +253,81 @@ func TestConvInputGradDispatchParity(t *testing.T) {
 	}
 }
 
-// TestConvRotatedPackCache pins the layer's one version-keyed cache: the
-// rotated input-gradient kernel is built once, shared with clones, and a
-// weight update (MarkUpdated) rotates again on that side only.
-func TestConvRotatedPackCache(t *testing.T) {
+// TestConvSeesUnannouncedWeightWrite: the layer keeps nothing derived from
+// Weight, so writing Weight.Data directly after a Backward — no notification
+// of any kind — is seen by the next Forward and Backward, bit for bit what
+// the im2col oracle computes from the same weights, for the layer and for a
+// clone updated independently of it.
+func TestConvSeesUnannouncedWeightWrite(t *testing.T) {
 	wasPacked := tensor.PackedEnabled()
 	defer tensor.SetPacked(wasPacked)
 	tensor.SetPacked(true)
 
 	conv, x, grad := convGradCase(59, 16, 24, 3, 1)
-	conv.Backward(grad)
-	rot := conv.rot
-	if rot == nil || rot.Version != conv.Weight.Version() {
-		t.Fatal("Backward did not cache the rotated kernel under the weight version")
-	}
-	conv.Backward(grad)
-	if conv.rot != rot {
-		t.Error("rotated kernel rebuilt although the weights did not change")
-	}
+	before := conv.Backward(grad)
 	clone := conv.CloneLayer().(*Conv2d)
 	clone.Forward(x, true)
-	clone.Backward(grad)
-	if clone.rot != rot {
-		t.Error("clone does not share the rotated kernel")
+	if !float32BitsEqual(before.Data, clone.Backward(grad).Data) {
+		t.Fatal("clone's input gradient differs from the original's before either was written")
 	}
 
-	for i := range clone.Weight.Data {
-		clone.Weight.Data[i] *= 1.5
+	scale := func(c *Conv2d, by float32) {
+		for i := range c.Weight.Data {
+			c.Weight.Data[i] *= by
+		}
 	}
-	clone.Weight.MarkUpdated()
-	direct := clone.Backward(grad)
-	if clone.rot == rot {
-		t.Fatal("rotated kernel survived MarkUpdated")
+	run := func(c *Conv2d, direct bool) (y, dx *tensor.Tensor) {
+		tensor.SetPacked(direct)
+		y = c.Forward(x, true)
+		return y, c.Backward(grad)
 	}
-	if conv.rot != rot {
-		t.Error("the clone's update rotated the original's kernel again")
+	scale(clone, 1.5)
+	cloneY, cloneDX := run(clone, true)
+	if y, dx := run(conv, true); !float32BitsEqual(dx.Data, before.Data) || float32BitsEqual(y.Data, cloneY.Data) {
+		t.Error("writing the clone's weights moved the original")
 	}
-	tensor.SetPacked(false)
-	if !float32BitsEqual(direct.Data, clone.Backward(grad).Data) {
-		t.Error("direct input gradient served stale weights after update")
+	scale(conv, -0.5)
+	for _, tc := range []struct {
+		name    string
+		c       *Conv2d
+		y0, dx0 *tensor.Tensor // direct results computed before the other side was written
+	}{{"layer", conv, nil, nil}, {"clone", clone, cloneY, cloneDX}} {
+		y, dx := run(tc.c, true)
+		oy, odx := run(tc.c, false)
+		if !float32BitsEqual(y.Data, oy.Data) {
+			t.Errorf("%s: Forward after a direct weight write differs from the im2col oracle", tc.name)
+		}
+		if !float32BitsEqual(dx.Data, odx.Data) {
+			t.Errorf("%s: Backward after a direct weight write differs from the im2col oracle (stale kernel)", tc.name)
+		}
+		if float32BitsEqual(dx.Data, before.Data) {
+			t.Errorf("%s: input gradient did not move with the weights", tc.name)
+		}
+		if tc.y0 != nil && !(float32BitsEqual(y.Data, tc.y0.Data) && float32BitsEqual(dx.Data, tc.dx0.Data)) {
+			t.Errorf("%s: writing the original's weights moved it", tc.name)
+		}
+	}
+}
+
+// TestFrozenConvBackwardAllocs: rotating the dX kernel into a pooled scratch
+// buffer per call costs no more allocations than the warm cached-kernel
+// path it replaced did (11 for the 3×3, 10 for the 1×1 at one worker).
+func TestFrozenConvBackwardAllocs(t *testing.T) {
+	if profActive() {
+		t.Skip("a tracer is active: every span allocates")
+	}
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	for _, tc := range []struct {
+		k, pad int
+		max    float64
+	}{{3, 1, 11}, {1, 0, 10}} {
+		conv, _, grad := convGradCase(59, 16, 24, tc.k, tc.pad)
+		conv.Weight.Frozen = true
+		conv.Backward(grad) // warm the scratch pool
+		if got := testing.AllocsPerRun(200, func() { conv.Backward(grad) }); got > tc.max {
+			t.Errorf("k=%d: frozen Backward allocates %v times per call, want ≤ %v", tc.k, got, tc.max)
+		}
 	}
 }
 

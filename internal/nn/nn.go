@@ -24,7 +24,9 @@ import (
 	"edgetta/internal/tensor"
 )
 
-// Param is a learnable parameter with its gradient accumulator.
+// Param is a learnable parameter with its gradient accumulator. Nothing is
+// derived from Data and kept, so any code may write it between calls
+// without telling anyone.
 type Param struct {
 	Name string
 	Data []float32
@@ -36,20 +38,7 @@ type Param struct {
 	// BatchNorm2d.UseBatchStats — FreezeExceptBN sets it, Unfreeze clears
 	// it, and a caller that needs full gradients unfreezes first.
 	Frozen bool
-
-	// version counts in-place mutations of Data (see MarkUpdated).
-	version uint64
 }
-
-// MarkUpdated records an in-place mutation of Data. Layers that cache
-// derived forms of a parameter — the convolution layer's rotated
-// input-gradient kernel — compare versions to invalidate, so every code path that writes Data
-// after construction (optimizer steps, pruning, quantization, checkpoint
-// loading) must call it.
-func (p *Param) MarkUpdated() { p.version++ }
-
-// Version returns the mutation counter MarkUpdated advances.
-func (p *Param) Version() uint64 { return p.version }
 
 func newParam(name string, n int) *Param {
 	return &Param{Name: name, Data: make([]float32, n), Grad: make([]float32, n)}

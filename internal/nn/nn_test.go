@@ -109,13 +109,7 @@ func TestConv2dGradients(t *testing.T) {
 		x.Randn(rng, 1)
 		y := conv.Forward(x, true)
 		loss := newProjLoss(rng, y.Numel())
-		// checkGrad perturbs Weight.Data in place; per the Param contract
-		// that requires MarkUpdated, or the packed-weight cache would
-		// serve the unperturbed weights.
-		forward := func() float64 {
-			conv.Weight.MarkUpdated()
-			return loss.value(conv.Forward(x, true))
-		}
+		forward := func() float64 { return loss.value(conv.Forward(x, true)) }
 
 		conv.Weight.ZeroGrad()
 		dx := conv.Backward(loss.grad(y.Shape()))

@@ -71,7 +71,6 @@ func (a *Adam) Step() {
 			m[j], v[j] = float32(mj), float32(vj)
 			p.Data[j] -= float32(a.LR * (mj / bc1) / (math.Sqrt(vj/bc2) + a.Eps))
 		}
-		p.MarkUpdated()
 	}
 }
 
@@ -150,6 +149,5 @@ func (s *SGD) Step() {
 			vel[j] = float32(vj)
 			p.Data[j] -= float32(s.LR * vj)
 		}
-		p.MarkUpdated()
 	}
 }

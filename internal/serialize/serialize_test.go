@@ -2,8 +2,10 @@ package serialize
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"edgetta/internal/models"
@@ -84,6 +86,45 @@ func TestLoadRejectsTruncated(t *testing.T) {
 	data := buf.Bytes()
 	if err := Load(bytes.NewReader(data[:len(data)/2]), model(2)); err == nil {
 		t.Fatal("truncated checkpoint must be rejected")
+	}
+}
+
+// TestLoadRejectsRepeatedTensor: a checkpoint that names one tensor twice
+// and omits another has the right count and only known names, and must
+// still be refused — with the model left as it was, not half loaded. The
+// file is spelt out byte by byte here, so the test also pins the format.
+func TestLoadRejectsRepeatedTensor(t *testing.T) {
+	src := model(1)
+	tensors := tensorsOf(src)
+	tensors[1] = tensors[0]
+
+	var buf bytes.Buffer
+	le := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
+	str := func(s string) { le(uint32(len(s))); buf.WriteString(s) }
+	buf.WriteString("EDGETTA1")
+	str(src.Tag)
+	le(uint32(len(tensors)))
+	for _, ts := range tensors {
+		str(ts.Name)
+		le(uint32(len(ts.Data)))
+		le(ts.Data)
+	}
+
+	dst := model(2)
+	var before bytes.Buffer
+	if err := Save(&before, dst); err != nil {
+		t.Fatal(err)
+	}
+	err := Load(&buf, dst)
+	if err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("Load of a checkpoint naming %q twice: err = %v, want a repeated-name refusal", tensors[0].Name, err)
+	}
+	var after bytes.Buffer
+	if err := Save(&after, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("the refused checkpoint was partly loaded")
 	}
 }
 

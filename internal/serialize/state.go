@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Adapter-state container: the on-disk shape of one stream's adaptation
@@ -37,12 +36,6 @@ type StateHeader struct {
 	Seq   uint64
 }
 
-// Tensor is one named float32 payload of a state container.
-type Tensor struct {
-	Name string
-	Data []float32
-}
-
 // SaveState writes one adaptation-state checkpoint to w.
 func SaveState(w io.Writer, h StateHeader, tensors []Tensor) error {
 	bw := bufio.NewWriter(w)
@@ -57,23 +50,8 @@ func SaveState(w io.Writer, h StateHeader, tensors []Tensor) error {
 	if err := binary.Write(bw, binary.LittleEndian, h.Seq); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(tensors))); err != nil {
+	if err := writeTensors(bw, tensors); err != nil {
 		return err
-	}
-	for _, t := range tensors {
-		if err := writeString(bw, t.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(t.Data))); err != nil {
-			return err
-		}
-		buf := make([]byte, 4*len(t.Data))
-		for i, v := range t.Data {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
 	}
 	return bw.Flush()
 }
@@ -99,35 +77,9 @@ func LoadState(r io.Reader) (StateHeader, []Tensor, error) {
 	if err := binary.Read(br, binary.LittleEndian, &h.Seq); err != nil {
 		return h, nil, err
 	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+	tensors, err := readTensors(br)
+	if err != nil {
 		return h, nil, err
-	}
-	if count > 1<<16 {
-		return h, nil, fmt.Errorf("serialize: unreasonable state tensor count %d", count)
-	}
-	tensors := make([]Tensor, 0, count)
-	for i := uint32(0); i < count; i++ {
-		name, err := readString(br)
-		if err != nil {
-			return h, nil, err
-		}
-		var n uint32
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return h, nil, err
-		}
-		if n > 1<<24 {
-			return h, nil, fmt.Errorf("serialize: unreasonable tensor length %d for %q", n, name)
-		}
-		buf := make([]byte, 4*n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return h, nil, fmt.Errorf("serialize: reading state tensor %q: %w", name, err)
-		}
-		data := make([]float32, n)
-		for j := range data {
-			data[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
-		}
-		tensors = append(tensors, Tensor{Name: name, Data: data})
 	}
 	return h, tensors, nil
 }

@@ -60,6 +60,24 @@ func (in *gateInjector) ProcessFault(string, int) Fault {
 
 func (in *gateInjector) CheckpointFault(string, uint64) error { return nil }
 
+// open lets every held and future dispatch through with no fault until the
+// returned function is called.
+func (in *gateInjector) open() (shut func()) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-in.entered:
+			case in.release <- Fault{}:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	return func() { close(stop); <-done }
+}
+
 // processRetry drives one sequenced batch to completion, retrying on the
 // retryable replica-fault class the way a real client would.
 func processRetry(t *testing.T, st *Stream, x *tensor.Tensor, seq uint64) []float32 {
@@ -669,7 +687,6 @@ func TestFaultChurnRaces(t *testing.T) {
 		Injector: inj,
 		Autoscale: Autoscale{
 			Enabled: true, Min: 2, Max: 4,
-			UpDepthPerReplica: 2, UpAfter: 1, DownAfter: 2,
 			Interval: time.Hour, // ticks driven by the test goroutine only
 		},
 	})

@@ -6,7 +6,7 @@ import "time"
 // consumes the signal the group already publishes to the telemetry
 // registry — the pending-queue depth gauge — and applies hysteresis so
 // transient spikes and lulls do not churn replicas: a scale decision needs
-// its condition to hold for UpAfter (resp. DownAfter) consecutive
+// its condition to hold for upAfter (resp. downAfter) consecutive
 // evaluation ticks, and the pool size is always clamped to [Min, Max].
 //
 // Growth is one replica per decision (a deep model clone plus adapter —
@@ -18,14 +18,6 @@ type Autoscale struct {
 	Enabled bool
 	// Min and Max clamp the pool size. Defaults: Min 1, Max Min+3.
 	Min, Max int
-	// UpDepthPerReplica is the growth trigger: scale up when the pending
-	// queue holds at least this many requests per live replica.
-	// Default 2.
-	UpDepthPerReplica int
-	// UpAfter and DownAfter are the hysteresis windows: consecutive ticks
-	// the up (resp. down) condition must hold before acting.
-	// Defaults 2 and 5.
-	UpAfter, DownAfter int
 	// Interval is the evaluation period of the background controller.
 	// Default 250ms. Tests drive ticks explicitly via Server.ScaleTick
 	// with a long Interval.
@@ -41,15 +33,6 @@ func (a Autoscale) withDefaults() Autoscale {
 	}
 	if a.Max < a.Min {
 		a.Max = a.Min + 3
-	}
-	if a.UpDepthPerReplica <= 0 {
-		a.UpDepthPerReplica = 2
-	}
-	if a.UpAfter <= 0 {
-		a.UpAfter = 2
-	}
-	if a.DownAfter <= 0 {
-		a.DownAfter = 5
 	}
 	if a.Interval <= 0 {
 		a.Interval = 250 * time.Millisecond
@@ -71,6 +54,15 @@ func (g *group) scaleLoop() {
 		}
 	}
 }
+
+const (
+	// upDepthPerReplica is the growth trigger: scale up when the pending
+	// queue holds at least this many requests per live replica.
+	upDepthPerReplica = 2
+	// upAfter and downAfter are the hysteresis windows: consecutive ticks
+	// the up (resp. down) condition must hold before acting.
+	upAfter, downAfter = 2, 5
+)
 
 // scaleTick runs one controller evaluation: observe queue depth and active
 // dispatches, update the hysteresis streaks, and grow or retire one replica
@@ -95,7 +87,7 @@ func (g *group) scaleTick() {
 		return
 	}
 
-	up := live < a.Max && depth >= a.UpDepthPerReplica*live
+	up := live < a.Max && depth >= upDepthPerReplica*live
 	down := live > a.Min && depth == 0 && active < live
 
 	if up {
@@ -109,10 +101,10 @@ func (g *group) scaleTick() {
 	}
 
 	switch {
-	case g.upStreak >= a.UpAfter:
+	case g.upStreak >= upAfter:
 		g.upStreak = 0
 		g.grow()
-	case g.downStreak >= a.DownAfter:
+	case g.downStreak >= downAfter:
 		g.downStreak = 0
 		g.mu.Lock()
 		if len(g.replicas)-g.retire > a.Min {

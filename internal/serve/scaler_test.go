@@ -6,7 +6,18 @@ import (
 	"time"
 
 	"edgetta/internal/core"
+	"edgetta/internal/tensor"
 )
+
+// scaleTicks runs n controller evaluations and returns the group's
+// snapshot after the last.
+func scaleTicks(srv *Server, key GroupKey, n int) GroupSnapshot {
+	for i := 0; i < n; i++ {
+		srv.ScaleTick()
+	}
+	s, _ := srv.GroupSnapshot(key)
+	return s
+}
 
 // TestAutoscaleGrowsUnderPressureAndShrinksWhenIdle drives the scale
 // controller by hand (Interval is set far beyond the test's lifetime, so
@@ -19,16 +30,15 @@ func TestAutoscaleGrowsUnderPressureAndShrinksWhenIdle(t *testing.T) {
 	base := testModel()
 	inputs := streamInputs(nStreams, 4, 4, 3)
 
+	inj := &gateInjector{entered: make(chan struct{}), release: make(chan Fault)}
 	srv := New(Config{
 		QueueCap: 64,
+		Injector: inj,
 		Autoscale: Autoscale{
-			Enabled:           true,
-			Min:               1,
-			Max:               3,
-			UpDepthPerReplica: 2,
-			UpAfter:           1,
-			DownAfter:         2,
-			Interval:          time.Hour, // ticks are driven manually below
+			Enabled:  true,
+			Min:      1,
+			Max:      3,
+			Interval: time.Hour, // ticks are driven manually below
 		},
 	})
 	defer srv.Close()
@@ -37,8 +47,10 @@ func TestAutoscaleGrowsUnderPressureAndShrinksWhenIdle(t *testing.T) {
 		t.Fatalf("AddGroup: %v", err)
 	}
 
-	// Pipeline every stream's episode at once: 24 queued requests against
-	// one replica is deep past the up-threshold.
+	// Pipeline every stream's batch at once: six requests against one
+	// replica is past the up-threshold, and stays past it at two replicas
+	// because every dispatch is held at the injection gate while the pool
+	// grows — the queue only shortens by the one request each replica holds.
 	streams := make([]*Stream, nStreams)
 	resps := make([][]<-chan Response, nStreams)
 	for i := range streams {
@@ -49,13 +61,12 @@ func TestAutoscaleGrowsUnderPressureAndShrinksWhenIdle(t *testing.T) {
 			resps[i] = append(resps[i], streams[i].SubmitCtx(t.Context(), x))
 		}
 	}
+	<-inj.entered
 
-	// Two pressured ticks with UpAfter=1 must add a replica each.
-	srv.ScaleTick()
-	srv.ScaleTick()
-	s, _ := srv.GroupSnapshot(key)
+	// Each streak of upAfter pressured ticks must add one replica.
+	s := scaleTicks(srv, key, 2*upAfter)
 	if s.Replicas != 3 {
-		t.Fatalf("after 2 pressured ticks: Replicas = %d, want 3", s.Replicas)
+		t.Fatalf("after %d pressured ticks: Replicas = %d, want 3", 2*upAfter, s.Replicas)
 	}
 	if s.ScaleUps != 2 {
 		t.Errorf("ScaleUps = %d, want 2", s.ScaleUps)
@@ -64,14 +75,14 @@ func TestAutoscaleGrowsUnderPressureAndShrinksWhenIdle(t *testing.T) {
 		t.Errorf("snapshot clamp = [%d, %d], want [1, 3]", s.MinReplicas, s.MaxReplicas)
 	}
 
-	// A third pressured tick must respect the Max clamp.
-	srv.ScaleTick()
-	if s, _ = srv.GroupSnapshot(key); s.Replicas != 3 {
+	// A third pressured streak must respect the Max clamp.
+	if s = scaleTicks(srv, key, upAfter); s.Replicas != 3 {
 		t.Fatalf("Max clamp violated: Replicas = %d, want 3", s.Replicas)
 	}
 
 	// Drain everything; grown replicas served part of the work, and the
 	// determinism contract must have survived the membership changes.
+	defer inj.open()()
 	for i := range resps {
 		var got [][]float32
 		for b, ch := range resps[i] {
@@ -85,21 +96,15 @@ func TestAutoscaleGrowsUnderPressureAndShrinksWhenIdle(t *testing.T) {
 		compareLogits(t, i, want, got)
 	}
 
-	// Idle now. DownAfter=2: each pair of idle ticks retires one replica,
+	// Idle now: each streak of downAfter idle ticks retires one replica,
 	// and the pool must stop at Min.
-	for tick := 0; tick < 4; tick++ {
-		srv.ScaleTick()
-	}
-	if s, _ = srv.GroupSnapshot(key); s.Replicas != 1 {
-		t.Fatalf("after 4 idle ticks: Replicas = %d, want 1 (3 → 2 → 1 with DownAfter=2)", s.Replicas)
+	if s = scaleTicks(srv, key, 2*downAfter); s.Replicas != 1 {
+		t.Fatalf("after %d idle ticks: Replicas = %d, want 1 (3 → 2 → 1)", 2*downAfter, s.Replicas)
 	}
 	if s.ScaleDowns != 2 {
 		t.Errorf("ScaleDowns = %d, want 2", s.ScaleDowns)
 	}
-	for tick := 0; tick < 4; tick++ {
-		srv.ScaleTick()
-	}
-	if s, _ = srv.GroupSnapshot(key); s.Replicas != 1 {
+	if s = scaleTicks(srv, key, downAfter); s.Replicas != 1 {
 		t.Fatalf("Min clamp violated: Replicas = %d, want 1", s.Replicas)
 	}
 
@@ -110,23 +115,23 @@ func TestAutoscaleGrowsUnderPressureAndShrinksWhenIdle(t *testing.T) {
 	}
 }
 
-// TestAutoscaleHysteresis checks a single pressured tick does not grow the
-// pool when UpAfter demands a streak, and that an intervening idle tick
-// resets the streak.
+// TestAutoscaleHysteresis checks a pressured streak shorter than upAfter
+// does not grow the pool, and that an intervening idle tick resets the
+// streak.
 func TestAutoscaleHysteresis(t *testing.T) {
 	base := testModel()
-	inputs := streamInputs(1, 8, 4, 3)[0]
+	const burst = 1 + upDepthPerReplica // one request held by the replica, the rest queued
+	inputs := streamInputs(1, 2*burst*4, 4, 3)[0]
 
+	inj := &gateInjector{entered: make(chan struct{}), release: make(chan Fault)}
 	srv := New(Config{
 		QueueCap: 64,
+		Injector: inj,
 		Autoscale: Autoscale{
-			Enabled:           true,
-			Min:               1,
-			Max:               3,
-			UpDepthPerReplica: 1,
-			UpAfter:           3,
-			DownAfter:         100, // never down in this test
-			Interval:          time.Hour,
+			Enabled:  true,
+			Min:      1,
+			Max:      3,
+			Interval: time.Hour,
 		},
 	})
 	defer srv.Close()
@@ -136,20 +141,42 @@ func TestAutoscaleHysteresis(t *testing.T) {
 	}
 	st, _ := srv.OpenStream(key)
 
-	var chans []<-chan Response
-	for _, x := range inputs {
-		chans = append(chans, st.SubmitCtx(context.Background(), x))
+	// submit puts the pool under pressure: the replica holds the first
+	// request at the injection gate, upDepthPerReplica wait behind it.
+	submit := func(xs []*tensor.Tensor) (chans []<-chan Response) {
+		for _, x := range xs {
+			chans = append(chans, st.SubmitCtx(context.Background(), x))
+		}
+		<-inj.entered
+		return chans
 	}
-	srv.ScaleTick()
-	srv.ScaleTick()
-	if s, _ := srv.GroupSnapshot(key); s.Replicas != 1 {
-		t.Fatalf("grew after %d of %d required pressured ticks: Replicas = %d", 2, 3, s.Replicas)
+
+	first := submit(inputs[:burst])
+	if s := scaleTicks(srv, key, upAfter-1); s.Replicas != 1 {
+		t.Fatalf("grew after %d of %d required pressured ticks: Replicas = %d", upAfter-1, upAfter, s.Replicas)
 	}
-	srv.ScaleTick()
-	if s, _ := srv.GroupSnapshot(key); s.Replicas != 2 {
-		t.Fatalf("after 3 pressured ticks: Replicas = %d, want 2", s.Replicas)
+	// Serve the burst one dispatch at a time, then tick once on the idle
+	// pool: the streak starts over.
+	for i, ch := range first {
+		if i > 0 {
+			<-inj.entered
+		}
+		inj.release <- Fault{}
+		if r := <-ch; r.Err != nil {
+			t.Fatalf("request failed: %v", r.Err)
+		}
 	}
-	for _, ch := range chans {
+	scaleTicks(srv, key, 1)
+
+	second := submit(inputs[burst:])
+	if s := scaleTicks(srv, key, upAfter-1); s.Replicas != 1 {
+		t.Fatalf("an idle tick did not reset the streak: Replicas = %d after %d + %d pressured ticks around it", s.Replicas, upAfter-1, upAfter-1)
+	}
+	if s := scaleTicks(srv, key, 1); s.Replicas != 2 {
+		t.Fatalf("after %d consecutive pressured ticks: Replicas = %d, want 2", upAfter, s.Replicas)
+	}
+	defer inj.open()()
+	for _, ch := range second {
 		if r := <-ch; r.Err != nil {
 			t.Fatalf("request failed: %v", r.Err)
 		}

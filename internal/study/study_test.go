@@ -83,7 +83,8 @@ func TestReferenceErrorsConsistent(t *testing.T) {
 // paper's reported optima on each device (Secs. IV-B/C/D/E). The one
 // documented deviation: for RPi with performance weight 0.8 the paper
 // reports BN-Norm while a raw weighted sum of the paper's own numbers
-// picks No-Adapt (see EXPERIMENTS.md).
+// picks No-Adapt (`ttabench -anchors` prints those numbers beside the
+// simulated ones).
 func TestPaperSelections(t *testing.T) {
 	sel := func(deviceTag string, kinds []device.EngineKind, w Weights) Point {
 		t.Helper()

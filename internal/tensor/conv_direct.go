@@ -233,7 +233,8 @@ func convSpanGeneric(y []float32, yStride int, x, w []float32, wStride int, off 
 // K×K tap rotated by 180° and the in/out channel axes transposed,
 // dst[ic][oc*K*K + r] = w[oc][ic*K*K + (K*K-1-r)]. dst is [inC, outC*K*K]
 // row-major, the layout ConvPlan.Run and the im2col matmul both take;
-// convolving dY with it at pad K-1-pad yields dX (see Conv2d.Backward).
+// convolving dY with it at pad K-1-pad yields dX (see Conv2d.Backward,
+// which rotates into a scratch buffer per call and keeps no copy).
 func RotateConvWeights(dst, w []float32, outC, inC, k int) {
 	kk := k * k
 	if len(dst) < inC*outC*kk || len(w) < outC*inC*kk {
@@ -248,22 +249,4 @@ func RotateConvWeights(dst, w []float32, outC, inC, k int) {
 			}
 		}
 	}
-}
-
-// RotatedWeights is the one derived copy of a convolution's weights that
-// outlives a call: the input-gradient kernel (RotateConvWeights). The
-// buffer is immutable once built; Version records the source Param version
-// it was rotated from so callers can cache and share it (clones of an
-// unadapted model share one copy).
-type RotatedWeights struct {
-	Data    []float32
-	Version uint64
-}
-
-// NewRotatedWeights rotates a [outC, inC*K*K] weight matrix into a fresh
-// RotatedWeights; the caller stamps Version.
-func NewRotatedWeights(w []float32, outC, inC, k int) *RotatedWeights {
-	r := &RotatedWeights{Data: make([]float32, inC*outC*k*k)}
-	RotateConvWeights(r.Data, w, outC, inC, k)
-	return r
 }

@@ -17,7 +17,14 @@ const (
 	scratchClasses = 24 // largest class: 2^31 floats; bigger asks bypass pooling
 )
 
-var scratchPools [scratchClasses]sync.Pool
+// scratchPools hold *[]float32 boxes, and scratchHeaders the boxes emptied
+// by a Get until the next Put refills one: putting the slice itself would
+// allocate its header on every Put, so a warm Get/Put pair allocates
+// nothing.
+var (
+	scratchPools   [scratchClasses]sync.Pool
+	scratchHeaders sync.Pool
+)
 
 // scratchClass returns the index of the smallest class with capacity >= n.
 func scratchClass(n int) int {
@@ -38,8 +45,11 @@ func GetScratch(n int) []float32 {
 	if c >= scratchClasses {
 		return make([]float32, n)
 	}
-	if v := scratchPools[c].Get(); v != nil {
-		return v.([]float32)[:n] // class invariant: cap is 2^(minBits+c) >= n
+	if p, _ := scratchPools[c].Get().(*[]float32); p != nil {
+		buf := (*p)[:n] // class invariant: cap is 2^(minBits+c) >= n
+		*p = nil
+		scratchHeaders.Put(p)
+		return buf
 	}
 	return make([]float32, n, 1<<(scratchMinBits+c))
 }
@@ -56,5 +66,10 @@ func PutScratch(buf []float32) {
 	if cl >= scratchClasses || 1<<(scratchMinBits+cl) != c {
 		return
 	}
-	scratchPools[cl].Put(buf[:0])
+	p, _ := scratchHeaders.Get().(*[]float32)
+	if p == nil {
+		p = new([]float32)
+	}
+	*p = buf[:0]
+	scratchPools[cl].Put(p)
 }
