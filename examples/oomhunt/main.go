@@ -9,10 +9,13 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 
 	"edgetta/internal/core"
 	"edgetta/internal/device"
+	"edgetta/internal/models"
 	"edgetta/internal/profile"
+	"edgetta/internal/tensor"
 )
 
 func main() {
@@ -46,9 +49,38 @@ func main() {
 					fmt.Println()
 				}
 			}
-			_ = batches
 		}
 	}
 	fmt.Println("\nPaper cross-check: Ultra96 kills RXT-AM/BN-Opt at batch 100 and 200;")
 	fmt.Println("the NX GPU kills it at 200 only (extra cuDNN residency); the RPi (8 GB) runs everything.")
+	measured()
+}
+
+// measured prints the table's measured twin at the scale this process can
+// run: what a repro model's activation arena holds after a batch of 50 under
+// BN-Norm (no backward: a few buffers) and BN-Opt (the saved graph plus the
+// gradients in flight), beside the simulator's graph footprint for the same
+// model and batch.
+func measured() {
+	const batch = 50
+	fmt.Printf("\nMeasured here, repro scale, batch %d: Model.ActivationBytes() vs device.GraphBytes\n", batch)
+	for _, tag := range []string{"WRN-AM", "RXT-AM"} {
+		fmt.Printf("%-7s", tag)
+		var m *models.Model
+		for _, algo := range []core.Algorithm{core.BNNorm, core.BNOpt} {
+			var err error
+			if m, err = models.ByTag(tag, rand.New(rand.NewSource(1)), models.ReproScale); err != nil {
+				panic(err)
+			}
+			a, err := core.New(algo, m, core.Config{})
+			if err != nil {
+				panic(err)
+			}
+			a.Process(tensor.New(batch, m.InC, m.InHW, m.InHW))
+			fmt.Printf("  %s %.1f MB", algo, float64(m.ActivationBytes())/(1<<20))
+		}
+		tr := profile.Capture(m)
+		graph := device.GraphBytes(&profile.ModelProfile{Tag: tag, Trace: tr, Summary: tr.Summarize()}, batch, false)
+		fmt.Printf("  predicted graph %.1f MB\n", float64(graph)/(1<<20))
+	}
 }

@@ -137,7 +137,7 @@ func newNoAdapt(m *models.Model) *noAdaptAdapter {
 func (a *noAdaptAdapter) Algorithm() Algorithm { return NoAdapt }
 
 func (a *noAdaptAdapter) Process(x *tensor.Tensor) *tensor.Tensor {
-	return a.m.Forward(x, false)
+	return a.m.Infer(x)
 }
 
 func (a *noAdaptAdapter) Reset() {}
@@ -155,7 +155,7 @@ func newBNNorm(m *models.Model) *bnNormAdapter {
 func (a *bnNormAdapter) Algorithm() Algorithm { return BNNorm }
 
 func (a *bnNormAdapter) Process(x *tensor.Tensor) *tensor.Tensor {
-	return a.m.Forward(x, false) // UseBatchStats makes BN re-estimate
+	return a.m.Infer(x) // UseBatchStats makes BN re-estimate
 }
 
 // bnOptAdapter is TENT: batch-statistics normalization plus one Adam step

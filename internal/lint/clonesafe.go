@@ -27,7 +27,13 @@ import (
 //     references to the activations their Backward reads — BatchNorm2d its
 //     input and fused output, ReLU its output, Conv2d and Linear their
 //     input — and a clone that carried one over would backpropagate through
-//     the original's forward. A clone's saved tensors start empty.
+//     the original's forward. A clone's saved tensors start empty;
+//   - a *tensor.Arena reached from the receiver (arena: m.arena, or a struct
+//     field holding one): an arena hands one model's activations out on one
+//     goroutine, and two replicas drawing from it would write each other's
+//     buffers. A whole-struct copy of a receiver that has such a field
+//     (cp := *m) must set the field on the copy, by name, in the same
+//     method — the clone's first pass makes its own.
 //
 // Other pointer fields are not flagged: the analyzer's job is the
 // mutable-backing-array hazard, not pointer identity.
@@ -53,7 +59,9 @@ func runCloneSafe(p *Pass) {
 			return
 		}
 
-		check := func(v ast.Expr) {
+		// check examines a value the clone is built from; lhs is what it
+		// is assigned to, nil inside a composite literal.
+		check := func(v, lhs ast.Expr) {
 			v = ast.Unparen(v)
 			if star, ok := v.(*ast.StarExpr); ok {
 				if id := identOf(star.X); id != nil && info.Uses[id] == recvObj {
@@ -61,6 +69,11 @@ func runCloneSafe(p *Pass) {
 						p.Reportf(v.Pos(),
 							"shallow struct copy of receiver %s aliases its %s field(s): deep-copy them explicitly",
 							recvID.Name, strings.Join(fields, ", "))
+					}
+					if kept := unsetFields(info, fd.Body, lhs, arenaFields(info.Types[v].Type)); len(kept) > 0 {
+						p.Reportf(v.Pos(),
+							"shallow struct copy of receiver %s shares its arena (%s) with the clone: set it on the copy by name",
+							recvID.Name, strings.Join(kept, ", "))
 					}
 				}
 				return
@@ -80,6 +93,12 @@ func runCloneSafe(p *Pass) {
 			if _, isPtr := t.(*types.Pointer); isPtr && namedIs(t, "tensor", "Tensor") {
 				p.Reportf(v.Pos(),
 					"clone carries over the receiver's saved tensor %s: a clone's saved activations start empty",
+					types.ExprString(v))
+				return
+			}
+			if isArenaPtr(t) || len(arenaFields(t)) > 0 {
+				p.Reportf(v.Pos(),
+					"clone shares the receiver's arena through %s: an arena serves one model, a clone starts without one",
 					types.ExprString(v))
 				return
 			}
@@ -106,10 +125,14 @@ func runCloneSafe(p *Pass) {
 						strings.Join(missing, ", "))
 				}
 			case *ast.KeyValueExpr:
-				check(n.Value)
+				check(n.Value, nil)
 			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					check(rhs)
+				for i, rhs := range n.Rhs {
+					var lhs ast.Expr
+					if len(n.Lhs) == len(n.Rhs) {
+						lhs = n.Lhs[i]
+					}
+					check(rhs, lhs)
 				}
 			}
 			return true
@@ -162,6 +185,65 @@ func sliceOrMapFields(t types.Type) []string {
 		switch f.Type().Underlying().(type) {
 		case *types.Slice, *types.Map:
 			out = append(out, f.Name())
+		}
+	}
+	return out
+}
+
+// isArenaPtr reports whether t is *tensor.Arena.
+func isArenaPtr(t types.Type) bool {
+	_, isPtr := t.(*types.Pointer)
+	return isPtr && namedIs(t, "tensor", "Arena")
+}
+
+// arenaFields lists the fields of struct t through which a copy of it
+// reaches the original's arena: a *tensor.Arena, or a struct held by value
+// that has one.
+func arenaFields(t types.Type) []string {
+	if t == nil {
+		return nil
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return nil
+	}
+	var out []string
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); isArenaPtr(f.Type()) || len(arenaFields(f.Type())) > 0 {
+			out = append(out, f.Name())
+		}
+	}
+	return out
+}
+
+// unsetFields returns those of fields that body never assigns on the
+// variable lhs names (cp.field = …).
+func unsetFields(info *types.Info, body *ast.BlockStmt, lhs ast.Expr, fields []string) []string {
+	if len(fields) == 0 {
+		return nil
+	}
+	set := map[string]bool{}
+	if id := identOf(lhs); id != nil {
+		obj := info.ObjectOf(id)
+		ast.Inspect(body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok {
+				return true
+			}
+			for _, l := range as.Lhs {
+				if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok {
+					if x := identOf(sel.X); x != nil && info.ObjectOf(x) == obj {
+						set[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	var out []string
+	for _, f := range fields {
+		if !set[f] {
+			out = append(out, f)
 		}
 	}
 	return out

@@ -85,6 +85,55 @@ func (n *norm) CloneLayer() *norm {
 	return c
 }
 
+// scope is what a layer knows of the model it runs in, held by value.
+type scope struct{ arena *tensor.Arena }
+
+// model draws its activations from an arena, like models.Model; block
+// reaches the same arena through an embedded scope, like the layers.
+type model struct {
+	Name  string
+	arena *tensor.Arena
+}
+
+type block struct {
+	scope
+	stride int
+}
+
+// Clone copies the struct whole and keeps the arena: two replicas would
+// hand each other's activations out.
+func (m *model) Clone() *model {
+	cp := *m // want "shares its arena .arena. with the clone"
+	return &cp
+}
+
+// CloneLayer is the sanctioned shape of that shortcut: the field is set on
+// the copy by name.
+func (m *model) CloneLayer() *model {
+	cp := *m
+	cp.arena = nil
+	return &cp
+}
+
+// clone names the arena in a literal instead.
+func (m *model) clone() *model {
+	return &model{Name: m.Name, arena: m.arena} // want "shares the receiver's arena through m.arena"
+}
+
+// Clone carries the scope, and the arena inside it, over; a block built
+// from its scalars alone is fine.
+func (b *block) Clone() *block {
+	return &block{scope: b.scope, stride: b.stride} // want "shares the receiver's arena through b.scope"
+}
+
+// CloneLayer copies the struct whole; resetting the scope resets the arena
+// in it.
+func (b *block) CloneLayer() *block {
+	cp := *b
+	cp.scope = scope{}
+	return &cp
+}
+
 type scalars struct{ A, B float64 }
 
 // Clone of a struct with no slice or map fields may copy shallowly.
@@ -100,4 +149,4 @@ func (l *layer) borrow() (w []float32) {
 }
 
 var _ = []any{(*layer).Clone, (*layer).CloneLayer, (*layer).clone, (*scalars).Clone, (*layer).borrow, (*conv).Clone,
-	(*norm).Clone, (*norm).CloneLayer}
+	(*norm).Clone, (*norm).CloneLayer, (*model).Clone, (*model).CloneLayer, (*model).clone, (*block).Clone, (*block).CloneLayer}

@@ -12,12 +12,46 @@ import (
 	"edgetta/internal/tensor"
 )
 
+// scope is what a block knows of the model it runs in, as nn's layers do
+// (nn.Attach): arena takes a gradient back once its consumer has run, and
+// early — the arena during a Model.Infer pass, else nil — does the same for
+// an activation after its last forward reader. A block releases only what
+// its own layers made, never its input or its result; in a block built
+// outside a Model both are nil and Free does nothing.
+type scope struct{ arena, early *tensor.Arena }
+
+func (s *scope) attach(a *tensor.Arena, infer bool) {
+	s.arena, s.early = a, nil
+	if infer {
+		s.early = a
+	}
+}
+
+// convBN runs conv→bn(+res)(→act) on x; the convolution's output has that
+// one reader.
+func (s *scope) convBN(conv *nn.Conv2d, bn *nn.BatchNorm2d, act *nn.ReLU, x, res *tensor.Tensor, train bool) *tensor.Tensor {
+	c := conv.Forward(x, train)
+	y := bn.ForwardFused(c, res, act, train)
+	s.early.Free(c)
+	return y
+}
+
+// convBNBackward takes grad back through a convBN to its x (what reaches
+// a res is BatchNorm2d.BackwardFused's to give).
+func (s *scope) convBNBackward(conv *nn.Conv2d, bn *nn.BatchNorm2d, grad *tensor.Tensor) *tensor.Tensor {
+	d := bn.Backward(grad)
+	dx := conv.Backward(d)
+	s.arena.Free(d)
+	return dx
+}
+
 // PreActBlock is the pre-activation residual block used by both
 // PreActResNet-18 and WideResNet: bn→relu→conv3×3→bn→relu→conv3×3 plus a
 // shortcut. When the shape changes, the shortcut is a 1×1 convolution of
 // the *activated* input (so the shortcut has no BatchNorm — this is what
 // makes the paper's 7808 BN-parameter count for ResNet-18 come out).
 type PreActBlock struct {
+	scope
 	name         string
 	bn1, bn2     *nn.BatchNorm2d
 	relu1, relu2 *nn.ReLU
@@ -68,21 +102,37 @@ func (b *PreActBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if b.convSC != nil {
 		sc = b.convSC.Forward(a, train)
 	}
-	h := b.conv1.Forward(a, train)
-	h = b.conv2.Forward(b.bn2.ForwardFused(h, nil, b.relu2, train), train)
+	h1 := b.conv1.Forward(a, train)
+	b.early.Free(a)
+	a2 := b.bn2.ForwardFused(h1, nil, b.relu2, train)
+	b.early.Free(h1)
+	h := b.conv2.Forward(a2, train)
+	b.early.Free(a2)
 	h.Add(sc)
+	if b.convSC != nil {
+		b.early.Free(sc)
+	}
 	return h
 }
 
-// Backward implements nn.Layer.
+// Backward implements nn.Layer. grad has two readers, the residual branch
+// and the shortcut, and stays the caller's.
 func (b *PreActBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dh := b.conv1.Backward(b.bn2.Backward(b.conv2.Backward(grad)))
+	d2 := b.conv2.Backward(grad)
+	d1 := b.bn2.Backward(d2)
+	b.arena.Free(d2)
+	dh := b.conv1.Backward(d1)
+	b.arena.Free(d1)
 	if b.convSC != nil {
-		dh.Add(b.convSC.Backward(grad))
-		return b.bn1.Backward(dh)
+		dsc := b.convSC.Backward(grad)
+		dh.Add(dsc)
+		b.arena.Free(dsc)
 	}
 	dx := b.bn1.Backward(dh)
-	dx.Add(grad) // identity shortcut
+	b.arena.Free(dh)
+	if b.convSC == nil {
+		dx.Add(grad) // identity shortcut
+	}
 	return dx
 }
 
@@ -90,6 +140,7 @@ func (b *PreActBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // conv1×1→bn→relu→conv3×3(grouped)→bn→relu→conv1×1→bn, plus a projection
 // shortcut (conv1×1+bn) when the shape changes, with ReLU after the sum.
 type ResNeXtBlock struct {
+	scope
 	name                  string
 	conv1, conv2, conv3   *nn.Conv2d
 	bn1, bn2, bn3         *nn.BatchNorm2d
@@ -140,26 +191,40 @@ func (b *ResNeXtBlock) Children() []nn.Layer {
 
 // Forward implements nn.Layer.
 func (b *ResNeXtBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	h := b.bn1.ForwardFused(b.conv1.Forward(x, train), nil, b.relu1, train)
-	h = b.bn2.ForwardFused(b.conv2.Forward(h, train), nil, b.relu2, train)
-	h = b.conv3.Forward(h, train)
+	h1 := b.convBN(b.conv1, b.bn1, b.relu1, x, nil, train)
+	h2 := b.convBN(b.conv2, b.bn2, b.relu2, h1, nil, train)
+	b.early.Free(h1)
 	sc := x
 	if b.convSC != nil {
-		sc = b.bnSC.Forward(b.convSC.Forward(x, train), train)
+		sc = b.convBN(b.convSC, b.bnSC, nil, x, nil, train)
 	}
-	return b.bn3.ForwardFused(h, sc, b.reluOut, train)
+	y := b.convBN(b.conv3, b.bn3, b.reluOut, h2, sc, train)
+	b.early.Free(h2)
+	if b.convSC != nil {
+		b.early.Free(sc)
+	}
+	return y
 }
 
-// Backward implements nn.Layer.
+// Backward implements nn.Layer. The gradient of the sum has two readers,
+// the residual branch (through bn3) and the shortcut.
 func (b *ResNeXtBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dh, dsum := b.bn3.BackwardFused(grad)
-	dx := b.conv1.Backward(b.bn1.Backward(
-		b.conv2.Backward(b.bn2.Backward(
-			b.conv3.Backward(dh)))))
+	d3, dsum := b.bn3.BackwardFused(grad)
+	d2 := b.conv3.Backward(d3)
+	b.arena.Free(d3)
+	d1 := b.convBNBackward(b.conv2, b.bn2, d2)
+	b.arena.Free(d2)
+	dx := b.convBNBackward(b.conv1, b.bn1, d1)
+	b.arena.Free(d1)
 	if b.convSC != nil {
-		dx.Add(b.convSC.Backward(b.bnSC.Backward(dsum)))
+		dsc := b.convBNBackward(b.convSC, b.bnSC, dsum)
+		dx.Add(dsc)
+		b.arena.Free(dsc)
 	} else {
 		dx.Add(dsum)
+	}
+	if dsum != grad { // bn3 made it (a rectifier gated grad); otherwise it is the caller's
+		b.arena.Free(dsum)
 	}
 	return dx
 }
@@ -168,6 +233,7 @@ func (b *ResNeXtBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // (bn+relu6), 3×3 depthwise convolution (bn+relu6), and a linear 1×1
 // projection (bn), with a residual connection when the shape is preserved.
 type InvertedResidual struct {
+	scope
 	name     string
 	expand   *nn.Conv2d // nil when expansion factor is 1
 	bnE      *nn.BatchNorm2d
@@ -225,24 +291,33 @@ func (b *InvertedResidual) Children() []nn.Layer {
 func (b *InvertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	h := x
 	if b.expand != nil {
-		h = b.bnE.ForwardFused(b.expand.Forward(h, train), nil, b.reluE, train)
+		h = b.convBN(b.expand, b.bnE, b.reluE, x, nil, train)
 	}
-	h = b.bnD.ForwardFused(b.dw.Forward(h, train), nil, b.reluD, train)
+	h2 := b.convBN(b.dw, b.bnD, b.reluD, h, nil, train)
+	if b.expand != nil {
+		b.early.Free(h)
+	}
 	var res *tensor.Tensor
 	if b.residual {
 		res = x
 	}
-	return b.bnP.ForwardFused(b.project.Forward(h, train), res, nil, train)
+	y := b.convBN(b.project, b.bnP, nil, h2, res, train)
+	b.early.Free(h2)
+	return y
 }
 
 // Backward implements nn.Layer.
 func (b *InvertedResidual) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dh := b.dw.Backward(b.bnD.Backward(b.project.Backward(b.bnP.Backward(grad))))
+	dp := b.convBNBackward(b.project, b.bnP, grad)
+	dx := b.convBNBackward(b.dw, b.bnD, dp)
+	b.arena.Free(dp)
 	if b.expand != nil {
-		dh = b.expand.Backward(b.bnE.Backward(dh))
+		dh := dx
+		dx = b.convBNBackward(b.expand, b.bnE, dh)
+		b.arena.Free(dh)
 	}
 	if b.residual {
-		dh.Add(grad) // the residual passes grad through unchanged
+		dx.Add(grad) // the residual passes grad through unchanged
 	}
-	return dh
+	return dx
 }

@@ -9,6 +9,7 @@ import "edgetta/internal/nn"
 func (m *Model) Clone() *Model {
 	cp := *m
 	cp.Net = nn.Clone(m.Net)
+	cp.arena = nil // the clone's first pass makes and attaches its own
 	return &cp
 }
 

@@ -9,6 +9,10 @@ import (
 )
 
 // Model wraps a network with the metadata the study harness needs.
+//
+// The activations and gradients of a pass live in the model's arena and are
+// valid until the model's next Forward or Infer; nothing a caller is handed
+// — the logits, the input gradient — is among them.
 type Model struct {
 	Name    string // human-readable architecture name
 	Tag     string // the paper's short tag, e.g. "WRN-AM"
@@ -16,15 +20,65 @@ type Model struct {
 	Classes int
 	InC     int // input channels
 	InHW    int // input spatial size
+
+	// arena is created and attached to Net by the first pass, and attached
+	// again whenever the kind of pass changes; a clone starts without one.
+	arena *tensor.Arena
+	infer bool // how the arena is attached: the last pass was an Infer
 }
 
-// Forward runs the network.
+// Forward runs the network, keeping what Backward will read.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return m.pass(x, train, false)
+}
+
+// Infer is Forward(x, false) for a pass nobody will backpropagate: every
+// activation goes back to the arena after its last reader, so the pass
+// works in a few buffers instead of holding the whole graph. Backward
+// after Infer panics.
+func (m *Model) Infer(x *tensor.Tensor) *tensor.Tensor { return m.pass(x, false, true) }
+
+func (m *Model) pass(x *tensor.Tensor, train, infer bool) *tensor.Tensor {
+	if m.arena == nil || m.infer != infer {
+		m.attach(infer)
+	}
+	m.arena.Reset()
 	return m.Net.Forward(x, train)
 }
 
-// Backward backpropagates the loss gradient.
-func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor { return m.Net.Backward(grad) }
+// attach binds every layer of Net — nn's through its hook, this package's
+// blocks directly — to the model's arena for passes of the given kind.
+func (m *Model) attach(infer bool) {
+	if m.arena == nil {
+		m.arena = new(tensor.Arena)
+	}
+	m.infer = infer
+	nn.Attach(m.Net, m.arena, infer)
+	nn.Walk(m.Net, func(l nn.Layer) {
+		if b, ok := l.(interface{ attach(*tensor.Arena, bool) }); ok {
+			b.attach(m.arena, infer)
+		}
+	})
+}
+
+// Backward backpropagates the loss gradient through the last Forward and
+// returns the input gradient (nil when the layer at the input skips it, see
+// nn.FreezeExceptBN) as a heap tensor.
+func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if m.infer {
+		panic("models: " + m.Name + ": Backward after Infer: the pass released its activations; use Forward")
+	}
+	dx := m.Net.Backward(grad)
+	if dx == nil {
+		return nil
+	}
+	return dx.Clone()
+}
+
+// ActivationBytes returns what the model's arena holds: the activations
+// and gradients of the last pass, plus whatever the pass before it used
+// that this one did not (tensor.Arena drops that at the next pass).
+func (m *Model) ActivationBytes() int { return m.arena.Bytes() }
 
 // Params returns all learnable parameters.
 func (m *Model) Params() []*nn.Param { return nn.CollectParams(m.Net) }

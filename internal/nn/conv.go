@@ -42,6 +42,7 @@ const bwStripRows = 32
 // that same kernel (see Backward). The layer holds nothing derived from
 // Weight, so Weight.Data may be written at any time between calls.
 type Conv2d struct {
+	scope
 	name           string
 	InC, OutC      int
 	K, Stride, Pad int
@@ -101,7 +102,7 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.input, c.inH, c.inW = x, h, w
 	shape := c.ConvShape()
 	c.outH, c.outW = shape.OutH(), shape.OutW()
-	y := tensor.New(n, c.OutC, c.outH, c.outW)
+	y := c.arena.New(n, c.OutC, c.outH, c.outW)
 	conv(y.Data, x.Data, c.Weight.Data, n, shape, false)
 
 	c.lastSpec = Spec{
@@ -205,10 +206,11 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	wantDW := !c.Weight.Frozen
 	var dx, stripDX *tensor.Tensor
 	if !c.noInputGrad {
-		dx = tensor.New(x.Shape()...)
+		dx = c.arena.New(x.Shape()...)
 		if c.Groups == 1 && c.Stride == 1 && c.Pad < c.K {
 			c.inputGradConv(grad, dx)
 		} else {
+			clear(dx.Data) // the strips scatter-add into it
 			stripDX = dx
 		}
 	}
@@ -232,8 +234,8 @@ func (c *Conv2d) inputGradConv(grad, dx *tensor.Tensor) {
 }
 
 // backwardStrips is the lowering-based backward: it accumulates dW into
-// Weight.Grad when wantDW, and dX into dx (zeroed by the caller) when dx
-// is non-nil. The lowering is recomputed rather than cached, trading
+// Weight.Grad when wantDW, and dX into dx (cleared by the caller: Col2ImRows
+// adds) when dx is non-nil. The lowering is recomputed rather than cached, trading
 // FLOPs for the memory the paper shows is the binding constraint on edge
 // devices — and it is recomputed in strips of bwStripRows rows, so the
 // transient footprint per worker is two small strip buffers instead of

@@ -14,6 +14,15 @@
 // ReLU — in a Sequential or in the models' blocks — runs as one fused pass
 // (BatchNorm2d.ForwardFused) over the same elementwise kernels the layers
 // use on their own.
+//
+// Those references are only as good as the memory behind them. A layer
+// built on its own allocates every activation and gradient, and what it
+// holds stays readable until its next Forward. A layer inside a
+// models.Model draws them from the model's tensor.Arena (Attach): they are
+// valid until the model's next pass, gradients go back to the arena as
+// Backward consumes them, and after a pass nobody will backpropagate
+// (Model.Infer) the activations have gone back too — the references then
+// point at recycled memory and Backward must not be called.
 package nn
 
 import (
@@ -164,9 +173,47 @@ func BatchNorms(l Layer) []*BatchNorm2d {
 	return out
 }
 
+// scope is what a layer knows of the model it runs in: the arena its
+// activations and gradients come from, and — for the composites that see
+// the dataflow — whether the running pass may release an activation after
+// its last forward reader. Both are nil in a layer built outside a model,
+// and a nil arena allocates (tensor.Arena), so no site asks which it has.
+type scope struct {
+	arena *tensor.Arena
+	early *tensor.Arena // arena under Attach(…, infer), else nil
+}
+
+func (s *scope) attach(a *tensor.Arena, infer bool) {
+	s.arena, s.early = a, nil
+	if infer {
+		s.early = a
+	}
+}
+
+// Attach makes every layer of this package in the tree rooted at l draw
+// its activations and gradients from a, for the passes that follow. An
+// activation or gradient inside the tree is then valid until a is Reset:
+// Backward hands each gradient back as soon as its consumer has run, and
+// under infer — nobody will call Backward — Forward does the same with
+// each activation, so Backward after such a pass reads recycled memory.
+// Composites defined elsewhere (the models' blocks) are walked through but
+// release what they own themselves.
+func Attach(l Layer, a *tensor.Arena, infer bool) {
+	Walk(l, func(x Layer) {
+		if s, ok := x.(interface{ attach(*tensor.Arena, bool) }); ok {
+			s.attach(a, infer)
+		}
+	})
+}
+
+// views reports whether y is x seen under another shape (Flatten), which
+// makes y no new owner of the memory.
+func views(y, x *tensor.Tensor) bool { return &y.Data[0] == &x.Data[0] }
+
 // Sequential chains layers; Forward threads the activation through each in
 // order and Backward replays them in reverse.
 type Sequential struct {
+	scope
 	name   string
 	layers []Layer
 }
@@ -182,27 +229,45 @@ func (s *Sequential) Append(layers ...Layer) { s.layers = append(s.layers, layer
 // Forward implements Layer. A BatchNorm2d directly followed by a ReLU runs
 // as one fused pass (BatchNorm2d.ForwardFused); which layers pair up is a
 // property of the chain alone, so Backward finds the same pairs.
+//
+// The chain releases what it made once the next layer has read it — never
+// its input, which is its caller's, nor its result.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	var made *tensor.Tensor // the chain's own tensor that x is, or views
 	for i := 0; i < len(s.layers); i++ {
+		var y *tensor.Tensor
 		if bn, act := s.fusedPair(i); bn != nil {
-			x = bn.ForwardFused(x, nil, act, train)
+			y = bn.ForwardFused(x, nil, act, train)
 			i++
-			continue
+		} else {
+			y = s.layers[i].Forward(x, train)
 		}
-		x = s.layers[i].Forward(x, train)
+		if !views(y, x) {
+			s.early.Free(made)
+			made = y
+		}
+		x = y
 	}
 	return x
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Each gradient goes back to the arena once the
+// layer before has consumed it; grad itself is the caller's.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	var made *tensor.Tensor
 	for i := len(s.layers) - 1; i >= 0; i-- {
+		var dx *tensor.Tensor
 		if bn, _ := s.fusedPair(i - 1); bn != nil {
-			grad = bn.Backward(grad)
+			dx = bn.Backward(grad)
 			i--
-			continue
+		} else {
+			dx = s.layers[i].Backward(grad)
 		}
-		grad = s.layers[i].Backward(grad)
+		if dx == nil || !views(dx, grad) {
+			s.arena.Free(made)
+			made = dx
+		}
+		grad = dx
 	}
 	return grad
 }

@@ -65,10 +65,12 @@ type computeResult struct {
 	// the worker commits it only on success, so a fault never half-applies.
 	state *core.AdapterState
 	// resets counts numeric-guard source resets performed for this batch;
-	// images the batch's image total.
-	resets   int
-	images   int
-	panicked any
+	// images the batch's image total; activation what the replica's arena
+	// held when Process returned.
+	resets     int
+	images     int
+	activation int
+	panicked   any
 }
 
 // runSupervised executes one dispatch under supervision and returns false
@@ -184,6 +186,7 @@ func (g *group) compute(r *replica, reqs []*request, prev *core.AdapterState, do
 	} else {
 		res.logits = r.adapter.Process(x)
 	}
+	res.activation = r.model.ActivationBytes()
 	done <- res
 }
 
@@ -246,9 +249,12 @@ func (g *group) quarantine(r *replica, reqs []*request, reason string) {
 // (outside any lock — it is the expensive part), build a fresh adapter and
 // start its worker. Runs in the background so quarantine never blocks on a
 // model clone. A closed group skips the spawn unless requests are still
-// draining — then the fresh worker is what drains them.
+// draining — then the fresh worker is what drains them. Nothing of the
+// quarantined replica is reused: its activation arena dies with its model
+// (an abandoned compute goroutine may still be writing into it), and the
+// replacement's first batch fills a new one.
 func (g *group) respawn() {
-	a, err := g.newAdapter()
+	r, err := g.newReplica()
 	g.mu.Lock()
 	g.met.respawning.Add(-1)
 	if err != nil || (g.closed && len(g.pending) == 0) {
@@ -257,7 +263,7 @@ func (g *group) respawn() {
 	}
 	g.met.respawns.Inc()
 	g.mu.Unlock()
-	g.startReplica(a)
+	g.startReplica(r)
 }
 
 // recoverBarrier is the last-resort recover path for the group's

@@ -34,6 +34,7 @@ type groupMetrics struct {
 	respawns      *telemetry.Counter // lifetime completed replica respawns
 	numericResets *telemetry.Counter // lifetime numeric-guard source resets
 	ckptFailures  *telemetry.Counter // lifetime failed checkpoint writes
+	activation    *telemetry.Gauge   // bytes the live replicas' activation arenas hold
 }
 
 // newGroupMetrics registers the group's metrics under its key label.
@@ -55,6 +56,7 @@ func newGroupMetrics(reg *telemetry.Registry, key GroupKey) *groupMetrics {
 		respawns:      reg.Counter("edgetta_serve_respawns_total", l...),
 		numericResets: reg.Counter("edgetta_serve_numeric_resets_total", l...),
 		ckptFailures:  reg.Counter("edgetta_serve_checkpoint_failures_total", l...),
+		activation:    reg.Gauge("edgetta_serve_activation_bytes", l...),
 	}
 }
 
@@ -63,7 +65,12 @@ func newGroupMetrics(reg *telemetry.Registry, key GroupKey) *groupMetrics {
 // owning worker goroutine is the only one that touches the adapter.
 type replica struct {
 	id      int
+	model   *models.Model
 	adapter core.Adapter
+	// activation is model.ActivationBytes() as of the replica's last
+	// committed dispatch, guarded by the group mutex (the model itself is
+	// the compute goroutine's).
+	activation int
 	// concat is the replica's reusable coalescing buffer. Reuse is safe:
 	// only stateless adapters coalesce, their Process never reads the
 	// input again after returning, and the next coalesced call fully
@@ -286,19 +293,24 @@ func (g *group) closeStream(st *streamState) {
 	}
 }
 
-// newAdapter builds what a replica runs: a deep clone of the pristine
-// template — byte-identical to every other replica at its frozen weights,
-// so stream state restores cleanly onto it — wrapped in a fresh adapter.
-// The clone is the expensive part; callers hold no lock.
-func (g *group) newAdapter() (core.Adapter, error) {
-	return core.New(g.algo, g.template.Clone(), g.acfg)
+// newReplica builds a replica not yet in the pool: a deep clone of the
+// pristine template — byte-identical to every other replica at its frozen
+// weights, so stream state restores cleanly onto it — wrapped in a fresh
+// adapter. The clone is the expensive part; callers hold no lock.
+func (g *group) newReplica() (*replica, error) {
+	m := g.template.Clone()
+	a, err := core.New(g.algo, m, g.acfg)
+	if err != nil {
+		return nil, err
+	}
+	return &replica{model: m, adapter: a}, nil
 }
 
-// startReplica adds a replica running a to the pool under the next replica
-// id and spawns its worker.
-func (g *group) startReplica(a core.Adapter) {
+// startReplica adds r to the pool under the next replica id and spawns its
+// worker.
+func (g *group) startReplica(r *replica) {
 	g.mu.Lock()
-	r := &replica{id: g.nextReplicaID, adapter: a}
+	r.id = g.nextReplicaID
 	g.nextReplicaID++
 	g.replicas = append(g.replicas, r)
 	g.met.replicas.Set(int64(len(g.replicas) - g.retire))
@@ -327,6 +339,16 @@ func (g *group) spawn(op string, fn func()) {
 func (g *group) dropReplicaLocked(r *replica) {
 	g.replicas = slices.DeleteFunc(g.replicas, func(x *replica) bool { return x == r })
 	g.met.replicas.Set(int64(len(g.replicas) - g.retire))
+	g.updateActivationLocked()
+}
+
+// updateActivationLocked publishes what the live replicas' arenas hold.
+func (g *group) updateActivationLocked() {
+	sum := 0
+	for _, r := range g.replicas {
+		sum += r.activation
+	}
+	g.met.activation.Set(int64(sum))
 }
 
 // retryAfterLocked suggests a client backoff for a shed rejection: the
@@ -734,6 +756,8 @@ func (g *group) commit(r *replica, reqs []*request, res computeResult, start tim
 		g.serviceEMA += (service - g.serviceEMA) / 8
 	}
 	g.met.numericResets.Add(int64(res.resets))
+	r.activation = res.activation
+	g.updateActivationLocked()
 	if ckptErr != nil {
 		g.met.ckptFailures.Inc()
 	} else if reqs[0].checkpoint {

@@ -117,10 +117,10 @@ func (g *group) scaleTick() {
 	}
 }
 
-// grow adds one replica to the pool, built by newAdapter outside the group
+// grow adds one replica to the pool, built by newReplica outside the group
 // lock (the clone is the expensive part).
 func (g *group) grow() {
-	a, err := g.newAdapter()
+	r, err := g.newReplica()
 	if err != nil {
 		return
 	}
@@ -139,5 +139,5 @@ func (g *group) grow() {
 	}
 	g.scaleUps++
 	g.mu.Unlock()
-	g.startReplica(a)
+	g.startReplica(r)
 }

@@ -228,15 +228,15 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 	reg.RegisterHist("edgetta_serve_service_seconds", g.batchHist, "group", key.String())
 	reg.RegisterHist("edgetta_serve_e2e_seconds", g.e2eHist, "group", key.String())
 	reg.RegisterHist("edgetta_serve_recovery_seconds", g.recoveryHist, "group", key.String())
-	pool := make([]core.Adapter, replicas)
+	pool := make([]*replica, replicas)
 	for i := range pool {
-		a, err := g.newAdapter()
+		r, err := g.newReplica()
 		if err != nil {
 			return GroupKey{}, err
 		}
-		pool[i] = a
+		pool[i] = r
 	}
-	if st, ok := pool[0].(core.Stateful); ok {
+	if st, ok := pool[0].adapter.(core.Stateful); ok {
 		g.stateful = true
 		// The episode-start state every new stream begins from. All
 		// replicas are byte-identical clones, so replica 0's fresh state
@@ -253,8 +253,8 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		return GroupKey{}, fmt.Errorf("serve: group %s already registered", key)
 	}
 	s.groups[key] = g
-	for _, a := range pool {
-		g.startReplica(a)
+	for _, r := range pool {
+		g.startReplica(r)
 	}
 	if s.cfg.Autoscale.Enabled {
 		g.spawn("scale", g.scaleLoop)

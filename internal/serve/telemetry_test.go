@@ -50,6 +50,13 @@ func TestServeRegistryMetrics(t *testing.T) {
 		}
 	}
 
+	// The memory axis: what the replica's activation arena holds after its
+	// last dispatch — a No-Adapt pass at batch 2, a few buffers' worth.
+	if strings.Contains(out, "edgetta_serve_activation_bytes"+label+" 0\n") ||
+		!strings.Contains(out, "edgetta_serve_activation_bytes"+label+" ") {
+		t.Errorf("activation_bytes gauge missing or zero after three dispatches\n%s", out)
+	}
+
 	st.Close()
 	b.Reset()
 	if err := reg.WritePrometheus(&b); err != nil {

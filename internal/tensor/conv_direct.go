@@ -172,7 +172,7 @@ func (p *ConvPlan) Stage(dst, src []float32) {
 // kernels move partial vectors under a mask, so no load or store falls
 // outside the slices handed in.
 func (p *ConvPlan) Run(y, x, w []float32) {
-	inCg, outCg := p.InC/p.Groups, p.OutC/p.Groups
+	outCg := p.OutC / p.Groups
 	rows, cols := len(p.off), p.spans*p.spanPix
 	// In place a channel's one sub-plane is its H×W plane, so chanLen sizes x
 	// either way.
@@ -180,19 +180,29 @@ func (p *ConvPlan) Run(y, x, w []float32) {
 		panic("tensor: ConvPlan.Run slice too short")
 	}
 	tiles := (outCg + convTile - 1) / convTile
-	grain := max(1, convSpanGrainFlops/(2*p.spanPix*rows*convTile))
-	parallel.ForGrain(p.Groups*tiles*p.spans, grain, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			tile, span := u/p.spans, u%p.spans
-			g, oc := tile/tiles, tile%tiles*convTile
-			noc := min(convTile, outCg-oc)
-			oc += g * outCg
-			xb := g*inCg*p.chanLen() + span*p.subW
-			yb := oc*cols + span*p.spanPix
-			convSpan(y[yb:yb+(noc-1)*cols+p.spanPix], cols, x[xb:xb+p.maxOff+p.spanPix],
-				w[oc*rows:(oc+noc)*rows], rows, p.off, noc, p.spanPix)
-		}
-	})
+	units, grain := p.Groups*tiles*p.spans, max(1, convSpanGrainFlops/(2*p.spanPix*rows*convTile))
+	if runsInline(units, grain) {
+		p.runUnits(y, x, w, 0, units)
+		return
+	}
+	parallel.ForGrain(units, grain, func(lo, hi int) { p.runUnits(y, x, w, lo, hi) })
+}
+
+// runUnits computes the (output-channel tile, span) units [lo, hi) of Run.
+func (p *ConvPlan) runUnits(y, x, w []float32, lo, hi int) {
+	inCg, outCg := p.InC/p.Groups, p.OutC/p.Groups
+	rows, cols := len(p.off), p.spans*p.spanPix
+	tiles := (outCg + convTile - 1) / convTile
+	for u := lo; u < hi; u++ {
+		tile, span := u/p.spans, u%p.spans
+		g, oc := tile/tiles, tile%tiles*convTile
+		noc := min(convTile, outCg-oc)
+		oc += g * outCg
+		xb := g*inCg*p.chanLen() + span*p.subW
+		yb := oc*cols + span*p.spanPix
+		convSpan(y[yb:yb+(noc-1)*cols+p.spanPix], cols, x[xb:xb+p.maxOff+p.spanPix],
+			w[oc*rows:(oc+noc)*rows], rows, p.off, noc, p.spanPix)
+	}
 }
 
 // convSpanGeneric is the portable span kernel and the reference the

@@ -92,27 +92,42 @@ func MatMulTransAInto(dst, a, b []float32, k, m, n int, accumulate bool) {
 	if len(dst) < m*n || len(a) < k*m || len(b) < k*n {
 		panic("tensor: MatMulTransAInto slice too short")
 	}
-	parallel.ForGrain(m, rowGrain(k, n), func(lo, hi int) {
-		if !accumulate {
-			clear(dst[lo*n : hi*n])
+	if grain := rowGrain(k, n); runsInline(m, grain) {
+		matMulTransARows(dst, a, b, m, n, k, accumulate, 0, m)
+	} else {
+		parallel.ForGrain(m, grain, func(lo, hi int) { matMulTransARows(dst, a, b, m, n, k, accumulate, lo, hi) })
+	}
+}
+
+// matMulTransARows computes rows [lo, hi) of MatMulTransAInto's dst.
+func matMulTransARows(dst, a, b []float32, m, n, k int, accumulate bool, lo, hi int) {
+	if !accumulate {
+		clear(dst[lo*n : hi*n])
+	}
+	for jb := 0; jb < n; jb += mmBlockN {
+		jn := n - jb
+		if jn > mmBlockN {
+			jn = mmBlockN
 		}
-		for jb := 0; jb < n; jb += mmBlockN {
-			jn := n - jb
-			if jn > mmBlockN {
-				jn = mmBlockN
-			}
-			for p := 0; p < k; p++ {
-				ap := a[p*m : p*m+m]
-				bp := b[p*n+jb : p*n+jb+jn]
-				for i := lo; i < hi; i++ {
-					if av := ap[i]; av != 0 {
-						axpy(av, bp, dst[i*n+jb:i*n+jb+jn])
-					}
+		for p := 0; p < k; p++ {
+			ap := a[p*m : p*m+m]
+			bp := b[p*n+jb : p*n+jb+jn]
+			for i := lo; i < hi; i++ {
+				if av := ap[i]; av != 0 {
+					axpy(av, bp, dst[i*n+jb:i*n+jb+jn])
 				}
 			}
 		}
-	})
+	}
 }
+
+// runsInline reports whether parallel.ForGrain(n, grain, …) would run its
+// whole range on the calling goroutine. The two kernels that a layer calls
+// once per image (ConvPlan.Run, MatMulTransAInto) ask first and then call
+// their body directly: a closure handed to the scheduler is a heap object
+// per call whether or not it is ever sent to a worker, and at one call per
+// image per layer those were what a steady-state batch still allocated.
+func runsInline(n, grain int) bool { return n <= grain || parallel.Workers() == 1 }
 
 // MatMulTransBInto computes dst = A·Bᵀ (or += when accumulate) for A
 // [m,k], B [n,k], dst [m,n]. Used for input gradients and fully connected

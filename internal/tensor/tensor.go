@@ -14,6 +14,11 @@ import (
 type Tensor struct {
 	Data  []float32
 	shape []int
+
+	// arena is the Arena that owns Data, nil for a heap tensor and for a
+	// view; state is where the arena has it (see Arena).
+	arena *Arena
+	state uint8
 }
 
 // New returns a zero-filled tensor with the given shape.
@@ -36,7 +41,9 @@ func checkedNumel(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: invalid dimension %d in shape %v", d, shape))
+			// A copy is formatted so that shape itself does not escape: a
+			// caller's variadic dimensions stay on its stack.
+			panic(fmt.Sprintf("tensor: invalid dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
