@@ -82,12 +82,6 @@ func runGolden(t *testing.T, analyzer, pattern string) {
 	}
 }
 
-// TestScratchPairGolden also carries the suppression-hygiene cases
-// (testdata suppress.go), which are the framework's, not the analyzer's.
-func TestScratchPairGolden(t *testing.T) {
-	runGolden(t, "scratchpair", "./testdata/src/scratchpair")
-}
-
 func TestDeterminismGolden(t *testing.T) {
 	runGolden(t, "determinism", "./testdata/src/determinism/internal/tensor")
 }
@@ -105,6 +99,8 @@ func TestCloneSafeGolden(t *testing.T) {
 	runGolden(t, "clonesafe", "./testdata/src/clonesafe/...")
 }
 
+// TestNestedParGolden also carries the suppression-hygiene cases (testdata
+// suppress.go), which are the framework's, not the analyzer's.
 func TestNestedParGolden(t *testing.T) {
 	runGolden(t, "nestedpar", "./testdata/src/nestedpar")
 }

@@ -95,33 +95,6 @@ func identOf(e ast.Expr) *ast.Ident {
 	return id
 }
 
-// funcScopes walks the lexical function scopes of a declaration: the
-// declaration body itself and every function literal within it, each as
-// its own scope (defer and return are scoped to them). visit receives the
-// scope's body and is expected not to descend into nested literals itself;
-// funcScopes queues those.
-func funcScopes(fd *ast.FuncDecl, visit func(body *ast.BlockStmt)) {
-	queue := []*ast.BlockStmt{fd.Body}
-	for len(queue) > 0 {
-		body := queue[0]
-		queue = queue[1:]
-		visit(body)
-		scanForLits(body, &queue)
-	}
-}
-
-// scanForLits collects the bodies of function literals directly inside
-// body (not nested in further literals) into queue.
-func scanForLits(body *ast.BlockStmt, queue *[]*ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			*queue = append(*queue, lit.Body)
-			return false
-		}
-		return true
-	})
-}
-
 // inspectScope walks body without descending into nested function
 // literals, so statements are attributed to their owning function scope.
 func inspectScope(body *ast.BlockStmt, fn func(ast.Node) bool) {

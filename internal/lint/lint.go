@@ -1,12 +1,9 @@
 // Package lint is the repository's static-analysis framework: a small,
 // dependency-free analyzer harness (go/parser + go/types; package
-// discovery via `go list -json`) plus the five repo-specific analyzers
+// discovery via `go list -json`) plus the four repo-specific analyzers
 // that mechanically enforce the correctness contracts the test suites
 // can only spot-check:
 //
-//   - scratchpair: every tensor.GetScratch must reach tensor.PutScratch
-//     on all paths of the acquiring function — normalized on the defer
-//     idiom — flagging leaks and double-puts.
 //   - determinism: internal/tensor, internal/nn and internal/parallel must
 //     not iterate maps (except to collect keys for sorting), read the
 //     clock outside profiler-gated code, use the global math/rand source,
@@ -21,9 +18,9 @@
 //     killing the serving process.
 //
 // The analyzers are syntactic-plus-types: they prove the idioms the
-// repository standardizes on, not arbitrary dataflow. A release delegated
-// to a callee, say, is outside their reach — code that needs such a shape
-// carries an inline-justified suppression instead:
+// repository standardizes on, not arbitrary dataflow. A parallel loop
+// nested through a callee, say, is outside their reach, and code that
+// trips one for a reason carries an inline-justified suppression:
 //
 //	//ttalint:ok <analyzer> <justification>
 //
@@ -77,7 +74,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All lists every analyzer in the suite, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{scratchPair, determinism, cloneSafe, nestedPar, panicSafe}
+	return []*Analyzer{determinism, cloneSafe, nestedPar, panicSafe}
 }
 
 // ByName resolves a comma-separated analyzer selection against All.

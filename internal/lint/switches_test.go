@@ -19,7 +19,7 @@ import (
 // tensor.SetPacked — the im2col oracle hook — is called from nowhere but
 // tests and the benchmark.
 func TestProcessSwitchesArePinned(t *testing.T) {
-	wantEnv := []string{"EDGETTA_TRACE", "EDGETTA_WORKERS"}
+	wantEnv := []string{"EDGETTA_TRACE"}
 
 	env := map[string]bool{}
 	fset := token.NewFileSet()

@@ -42,8 +42,13 @@ var arenaModels = append(Registry(), MobileNetV2)
 // never attached to one and so allocate zeroed tensors, with every arena
 // buffer filled with NaN between passes: nothing reads memory it did not
 // write in the same pass, nothing is released before its last reader, and a
-// change of batch size finds no stale buffer. Covered: unfrozen and
-// BN-only backward, the no-backward pass, one and eight workers.
+// change of batch size finds no stale buffer. The convs' transient buffers
+// are arena memory like any other — the staged image, the rotated dX
+// kernel, the strips of the grouped and strided dX (ResNeXt, MobileNetV2,
+// every downsampling block), the dW partials of the unfrozen backward — one
+// per range of the loop that uses them; nine images on eight workers make
+// ranges of two, so a body must find its own. Covered: unfrozen and BN-only
+// backward, the no-backward pass, one and eight workers.
 func TestArenaPoisonParity(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	modes := []struct {
@@ -67,7 +72,7 @@ func TestArenaPoisonParity(t *testing.T) {
 					nn.FreezeExceptBN(m.Net)
 				}
 				ref := m.Clone()
-				for pass, n := range []int{2, 5, 2} {
+				for pass, n := range []int{2, 9, 2} {
 					at := fmt.Sprintf("%s %s workers=%d pass %d (batch %d)", m.Tag, mode.name, workers, pass, n)
 					x := tensor.New(n, m.InC, m.InHW, m.InHW)
 					x.Uniform(rng, 0, 1)
@@ -166,8 +171,10 @@ func TestArenaRetention(t *testing.T) {
 			return m.ActivationBytes()
 		}
 		need := map[int]int{4: pass(build(), 4), 32: pass(build(), 32)}
-		if need[4] == 0 || need[32] < 7*need[4] {
-			t.Fatalf("infer=%v: a pass holds %d bytes at batch 4 and %d at 32, want nonzero and ≈ 8× apart", infer, need[4], need[32])
+		// Activations grow with the batch, a conv's dW partials with
+		// min(batch, 16), its other transients not at all.
+		if need[4] == 0 || need[32] < 4*need[4] {
+			t.Fatalf("infer=%v: a pass holds %d bytes at batch 4 and %d at 32, want nonzero and well over 4× apart", infer, need[4], need[32])
 		}
 		m, prev := build(), 0
 		for i, n := range []int{4, 32, 4, 32, 32, 4, 4} {

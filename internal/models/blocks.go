@@ -12,36 +12,21 @@ import (
 	"edgetta/internal/tensor"
 )
 
-// scope is what a block knows of the model it runs in, as nn's layers do
-// (nn.Attach): arena takes a gradient back once its consumer has run, and
-// early — the arena during a Model.Infer pass, else nil — does the same for
-// an activation after its last forward reader. A block releases only what
-// its own layers made, never its input or its result; in a block built
-// outside a Model both are nil and Free does nothing.
-type scope struct{ arena, early *tensor.Arena }
-
-func (s *scope) attach(a *tensor.Arena, infer bool) {
-	s.arena, s.early = a, nil
-	if infer {
-		s.early = a
-	}
-}
-
-// convBN runs conv→bn(+res)(→act) on x; the convolution's output has that
-// one reader.
-func (s *scope) convBN(conv *nn.Conv2d, bn *nn.BatchNorm2d, act *nn.ReLU, x, res *tensor.Tensor, train bool) *tensor.Tensor {
+// convBN runs conv→bn(+res)(→act) on x for a block with scope s (what
+// nn.Attach bound it to); the convolution's output has that one reader.
+func convBN(s *nn.Scope, conv *nn.Conv2d, bn *nn.BatchNorm2d, act *nn.ReLU, x, res *tensor.Tensor, train bool) *tensor.Tensor {
 	c := conv.Forward(x, train)
 	y := bn.ForwardFused(c, res, act, train)
-	s.early.Free(c)
+	s.Early.Free(c)
 	return y
 }
 
 // convBNBackward takes grad back through a convBN to its x (what reaches
 // a res is BatchNorm2d.BackwardFused's to give).
-func (s *scope) convBNBackward(conv *nn.Conv2d, bn *nn.BatchNorm2d, grad *tensor.Tensor) *tensor.Tensor {
+func convBNBackward(s *nn.Scope, conv *nn.Conv2d, bn *nn.BatchNorm2d, grad *tensor.Tensor) *tensor.Tensor {
 	d := bn.Backward(grad)
 	dx := conv.Backward(d)
-	s.arena.Free(d)
+	s.Arena.Free(d)
 	return dx
 }
 
@@ -51,7 +36,7 @@ func (s *scope) convBNBackward(conv *nn.Conv2d, bn *nn.BatchNorm2d, grad *tensor
 // the *activated* input (so the shortcut has no BatchNorm — this is what
 // makes the paper's 7808 BN-parameter count for ResNet-18 come out).
 type PreActBlock struct {
-	scope
+	nn.Scope
 	name         string
 	bn1, bn2     *nn.BatchNorm2d
 	relu1, relu2 *nn.ReLU
@@ -103,14 +88,14 @@ func (b *PreActBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		sc = b.convSC.Forward(a, train)
 	}
 	h1 := b.conv1.Forward(a, train)
-	b.early.Free(a)
+	b.Early.Free(a)
 	a2 := b.bn2.ForwardFused(h1, nil, b.relu2, train)
-	b.early.Free(h1)
+	b.Early.Free(h1)
 	h := b.conv2.Forward(a2, train)
-	b.early.Free(a2)
+	b.Early.Free(a2)
 	h.Add(sc)
 	if b.convSC != nil {
-		b.early.Free(sc)
+		b.Early.Free(sc)
 	}
 	return h
 }
@@ -120,16 +105,16 @@ func (b *PreActBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (b *PreActBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d2 := b.conv2.Backward(grad)
 	d1 := b.bn2.Backward(d2)
-	b.arena.Free(d2)
+	b.Arena.Free(d2)
 	dh := b.conv1.Backward(d1)
-	b.arena.Free(d1)
+	b.Arena.Free(d1)
 	if b.convSC != nil {
 		dsc := b.convSC.Backward(grad)
 		dh.Add(dsc)
-		b.arena.Free(dsc)
+		b.Arena.Free(dsc)
 	}
 	dx := b.bn1.Backward(dh)
-	b.arena.Free(dh)
+	b.Arena.Free(dh)
 	if b.convSC == nil {
 		dx.Add(grad) // identity shortcut
 	}
@@ -140,7 +125,7 @@ func (b *PreActBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // conv1×1→bn→relu→conv3×3(grouped)→bn→relu→conv1×1→bn, plus a projection
 // shortcut (conv1×1+bn) when the shape changes, with ReLU after the sum.
 type ResNeXtBlock struct {
-	scope
+	nn.Scope
 	name                  string
 	conv1, conv2, conv3   *nn.Conv2d
 	bn1, bn2, bn3         *nn.BatchNorm2d
@@ -191,17 +176,17 @@ func (b *ResNeXtBlock) Children() []nn.Layer {
 
 // Forward implements nn.Layer.
 func (b *ResNeXtBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	h1 := b.convBN(b.conv1, b.bn1, b.relu1, x, nil, train)
-	h2 := b.convBN(b.conv2, b.bn2, b.relu2, h1, nil, train)
-	b.early.Free(h1)
+	h1 := convBN(&b.Scope, b.conv1, b.bn1, b.relu1, x, nil, train)
+	h2 := convBN(&b.Scope, b.conv2, b.bn2, b.relu2, h1, nil, train)
+	b.Early.Free(h1)
 	sc := x
 	if b.convSC != nil {
-		sc = b.convBN(b.convSC, b.bnSC, nil, x, nil, train)
+		sc = convBN(&b.Scope, b.convSC, b.bnSC, nil, x, nil, train)
 	}
-	y := b.convBN(b.conv3, b.bn3, b.reluOut, h2, sc, train)
-	b.early.Free(h2)
+	y := convBN(&b.Scope, b.conv3, b.bn3, b.reluOut, h2, sc, train)
+	b.Early.Free(h2)
 	if b.convSC != nil {
-		b.early.Free(sc)
+		b.Early.Free(sc)
 	}
 	return y
 }
@@ -211,20 +196,20 @@ func (b *ResNeXtBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (b *ResNeXtBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d3, dsum := b.bn3.BackwardFused(grad)
 	d2 := b.conv3.Backward(d3)
-	b.arena.Free(d3)
-	d1 := b.convBNBackward(b.conv2, b.bn2, d2)
-	b.arena.Free(d2)
-	dx := b.convBNBackward(b.conv1, b.bn1, d1)
-	b.arena.Free(d1)
+	b.Arena.Free(d3)
+	d1 := convBNBackward(&b.Scope, b.conv2, b.bn2, d2)
+	b.Arena.Free(d2)
+	dx := convBNBackward(&b.Scope, b.conv1, b.bn1, d1)
+	b.Arena.Free(d1)
 	if b.convSC != nil {
-		dsc := b.convBNBackward(b.convSC, b.bnSC, dsum)
+		dsc := convBNBackward(&b.Scope, b.convSC, b.bnSC, dsum)
 		dx.Add(dsc)
-		b.arena.Free(dsc)
+		b.Arena.Free(dsc)
 	} else {
 		dx.Add(dsum)
 	}
 	if dsum != grad { // bn3 made it (a rectifier gated grad); otherwise it is the caller's
-		b.arena.Free(dsum)
+		b.Arena.Free(dsum)
 	}
 	return dx
 }
@@ -233,7 +218,7 @@ func (b *ResNeXtBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // (bn+relu6), 3×3 depthwise convolution (bn+relu6), and a linear 1×1
 // projection (bn), with a residual connection when the shape is preserved.
 type InvertedResidual struct {
-	scope
+	nn.Scope
 	name     string
 	expand   *nn.Conv2d // nil when expansion factor is 1
 	bnE      *nn.BatchNorm2d
@@ -291,30 +276,30 @@ func (b *InvertedResidual) Children() []nn.Layer {
 func (b *InvertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	h := x
 	if b.expand != nil {
-		h = b.convBN(b.expand, b.bnE, b.reluE, x, nil, train)
+		h = convBN(&b.Scope, b.expand, b.bnE, b.reluE, x, nil, train)
 	}
-	h2 := b.convBN(b.dw, b.bnD, b.reluD, h, nil, train)
+	h2 := convBN(&b.Scope, b.dw, b.bnD, b.reluD, h, nil, train)
 	if b.expand != nil {
-		b.early.Free(h)
+		b.Early.Free(h)
 	}
 	var res *tensor.Tensor
 	if b.residual {
 		res = x
 	}
-	y := b.convBN(b.project, b.bnP, nil, h2, res, train)
-	b.early.Free(h2)
+	y := convBN(&b.Scope, b.project, b.bnP, nil, h2, res, train)
+	b.Early.Free(h2)
 	return y
 }
 
 // Backward implements nn.Layer.
 func (b *InvertedResidual) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dp := b.convBNBackward(b.project, b.bnP, grad)
-	dx := b.convBNBackward(b.dw, b.bnD, dp)
-	b.arena.Free(dp)
+	dp := convBNBackward(&b.Scope, b.project, b.bnP, grad)
+	dx := convBNBackward(&b.Scope, b.dw, b.bnD, dp)
+	b.Arena.Free(dp)
 	if b.expand != nil {
 		dh := dx
-		dx = b.convBNBackward(b.expand, b.bnE, dh)
-		b.arena.Free(dh)
+		dx = convBNBackward(&b.Scope, b.expand, b.bnE, dh)
+		b.Arena.Free(dh)
 	}
 	if b.residual {
 		dx.Add(grad) // the residual passes grad through unchanged

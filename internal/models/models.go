@@ -46,19 +46,14 @@ func (m *Model) pass(x *tensor.Tensor, train, infer bool) *tensor.Tensor {
 	return m.Net.Forward(x, train)
 }
 
-// attach binds every layer of Net — nn's through its hook, this package's
-// blocks directly — to the model's arena for passes of the given kind.
+// attach binds every layer and block of Net to the model's arena for passes
+// of the given kind.
 func (m *Model) attach(infer bool) {
 	if m.arena == nil {
 		m.arena = new(tensor.Arena)
 	}
 	m.infer = infer
 	nn.Attach(m.Net, m.arena, infer)
-	nn.Walk(m.Net, func(l nn.Layer) {
-		if b, ok := l.(interface{ attach(*tensor.Arena, bool) }); ok {
-			b.attach(m.arena, infer)
-		}
-	})
 }
 
 // Backward backpropagates the loss gradient through the last Forward and

@@ -100,15 +100,33 @@ func TestSequentialReleasesOnlyWhatItMade(t *testing.T) {
 		return x
 	}
 
+	// What a conv draws for the length of a call — staging, the rotated
+	// kernel, dW partials, strips — measured on one of the chain's two alike
+	// convs alone; it is back in the arena when the call returns, so the
+	// second conv recycles the first's.
+	var convFw, convBw int
+	{
+		a := new(tensor.Arena)
+		c := NewConv2d("c", rng, 4, 4, 3, 1, 1, 1)
+		Attach(c, a, false)
+		y := c.Forward(input(a), false)
+		convFw = a.Bytes() - 2*plane
+		c.Backward(y)
+		convBw = a.Bytes() - 3*plane - convFw
+	}
+	if convFw <= 0 || convBw <= 0 {
+		t.Fatalf("a padded conv draws %d transient bytes forward and %d more backward, want both positive", convFw, convBw)
+	}
+
 	keep := new(tensor.Arena)
 	Attach(net, keep, false)
 	y := net.Forward(input(keep), false)
-	if got, want := keep.Bytes(), 4*plane+row; got != want {
-		t.Fatalf("a forward that keeps its activations holds %d bytes, want %d: the input, two convs, the norm and the pool", got, want)
+	if got, want := keep.Bytes(), 4*plane+row+convFw; got != want {
+		t.Fatalf("a forward that keeps its activations holds %d bytes, want %d: the input, two convs, the norm, the pool and one conv's transients", got, want)
 	}
 	net.Backward(y)
-	if got, want := keep.Bytes()-(4*plane+row), 2*plane+row; got != want {
-		t.Fatalf("Backward drew %d bytes of gradients, want %d: four plane-sized gradients recycled through two buffers", got, want)
+	if got, want := keep.Bytes()-(4*plane+row+convFw), 2*plane+row+convBw; got != want {
+		t.Fatalf("Backward drew %d bytes, want %d: four plane-sized gradients recycled through two buffers and one conv's transients", got, want)
 	}
 
 	early := new(tensor.Arena)
@@ -122,7 +140,49 @@ func TestSequentialReleasesOnlyWhatItMade(t *testing.T) {
 	if !float32BitsEqual(x.Data, x0) {
 		t.Fatal("the chain released its input and something overwrote it")
 	}
-	if got, want := early.Bytes(), 3*plane+row; got != want {
+	if got, want := early.Bytes(), 3*plane+row+convFw; got != want {
 		t.Fatalf("the releasing forward holds %d bytes, want %d: the second conv writes where the first did", got, want)
+	}
+}
+
+// TestConvReplansWhenTheInputShapeChanges: a conv keeps its plans for the
+// last input shape and no longer, so 32×32 → 16×16 → 32×32 through one
+// layer — strided, grouped and ungrouped, on an arena whose buffers of the
+// other size are still around — is bit-equal at every step to a clone that
+// never saw another shape, and a repeated shape builds nothing.
+func TestConvReplansWhenTheInputShapeChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, conv := range []*Conv2d{
+		NewConv2d("3x3", rng, 4, 6, 3, 1, 1, 1),
+		NewConv2d("3x3 stride 2", rng, 4, 6, 3, 2, 1, 1),
+		NewConv2d("3x3 grouped", rng, 4, 6, 3, 1, 1, 2),
+	} {
+		a := new(tensor.Arena)
+		Attach(conv, a, false)
+		for _, hw := range []int{32, 16, 32, 32} {
+			x := tensor.New(3, 4, hw, hw)
+			x.Randn(rng, 1)
+			ref := Clone(conv)
+			yRef := ref.Forward(x, false)
+			g := tensor.New(yRef.Shape()...)
+			g.Randn(rng, 1)
+			dxRef := ref.Backward(g)
+
+			a.Reset()
+			ZeroGrads(conv)
+			fw, dxPlan := conv.fw, conv.dx
+			y := conv.Forward(x, false)
+			dx := conv.Backward(g)
+			if conv.ConvShape().H != hw || !float32BitsEqual(y.Data, yRef.Data) {
+				t.Fatalf("%s at %d×%d: output differs from a layer that never saw another shape", conv.name, hw, hw)
+			}
+			if !float32BitsEqual(dx.Data, dxRef.Data) || !float32BitsEqual(conv.Weight.Grad, ref.Params()[0].Grad) {
+				t.Fatalf("%s at %d×%d: gradients differ from a layer that never saw another shape", conv.name, hw, hw)
+			}
+			kept := conv.fw == fw && conv.dx == dxPlan
+			if want := fw != nil && fw.H == hw; kept != want {
+				t.Fatalf("%s at %d×%d: plans kept = %v, want %v: exactly when the shape repeats", conv.name, hw, hw, kept, want)
+			}
+		}
 	}
 }

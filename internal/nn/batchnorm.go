@@ -18,7 +18,7 @@ import (
 //     with running stats updated by Momentum (PyTorch train() semantics,
 //     which the paper's BN-Norm and BN-Opt both require).
 type BatchNorm2d struct {
-	scope
+	Scope
 	name     string
 	C        int
 	Eps      float32
@@ -100,7 +100,7 @@ func (b *BatchNorm2d) ForwardFused(x, res *tensor.Tensor, act *ReLU, train bool)
 		resData = res.Data
 	}
 
-	y := b.arena.New(x.Shape()...)
+	y := b.Arena.New(x.Shape()...)
 	// parallel.For schedules at grain 1: each channel's statistics pass is
 	// heavy (two sweeps over n·plane values), so even a 16-channel layer
 	// spreads across the pool. A channel is reduced by one task, in the
@@ -186,7 +186,7 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 	t0 := profStart()
 	n, plane := x.Dim(0), x.Dim(2)*x.Dim(3)
 	cnt := float32(n * plane)
-	dx = b.arena.New(x.Shape()...)
+	dx = b.Arena.New(x.Shape()...)
 	// gate says where the rectifier let the forward through, read from the
 	// saved output. With a residual the gated gradient is a result in its
 	// own right — it is what reaches the residual operand — so each channel
@@ -199,7 +199,7 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 	if b.hasRes {
 		dres = grad
 		if gate.On {
-			dres = b.arena.New(x.Shape()...)
+			dres = b.Arena.New(x.Shape()...)
 			dy = dres
 		}
 	}

@@ -40,9 +40,17 @@ const bwStripRows = 32
 //
 // Backward runs the input gradient of stride-1 ungrouped shapes through
 // that same kernel (see Backward). The layer holds nothing derived from
-// Weight, so Weight.Data may be written at any time between calls.
+// Weight, so Weight.Data may be written at any time between calls; what it
+// does keep is the kernel's addressing for the last input shape, which
+// depends on the geometry alone.
+//
+// A call's transient buffers — the staged image, the rotated dX kernel, the
+// dW partials, the lowering strips — come from Arena like its output: one
+// per range of the loop that uses them (parallel.Split), drawn before the
+// loop forks and freed after it joins, because an arena serves one
+// goroutine. They arrive with unspecified contents.
 type Conv2d struct {
-	scope
+	Scope
 	name           string
 	InC, OutC      int
 	K, Stride, Pad int
@@ -53,9 +61,13 @@ type Conv2d struct {
 	// consumes (set by FreezeExceptBN, cleared by Unfreeze).
 	noInputGrad bool
 
-	input                *tensor.Tensor
-	lastSpec             Spec
-	outH, outW, inH, inW int
+	input    *tensor.Tensor
+	lastSpec Spec
+	// fw and dx are the plans of the forward and of the input-gradient
+	// convolution for the last input shape (planFor), nil until first
+	// needed. A plan is read-only once built, so one serves every image and
+	// every worker.
+	fw, dx *tensor.ConvPlan
 }
 
 // NewConv2d constructs a convolution layer with He-normal initialization.
@@ -84,9 +96,31 @@ func (c *Conv2d) Params() []*Param { return []*Param{c.Weight} }
 func (c *Conv2d) Spec() Spec { return c.lastSpec }
 
 // ConvShape returns the geometry of the last Forward — what decides whether
-// the kernel reads the input in place or staged (tensor.ConvShape.InPlace).
+// the kernel reads the input in place or staged (tensor.ConvShape.InPlace) —
+// and the zero shape before the first.
 func (c *Conv2d) ConvShape() tensor.ConvShape {
-	return tensor.ConvShape{InC: c.InC, OutC: c.OutC, H: c.inH, W: c.inW, K: c.K, Stride: c.Stride, Pad: c.Pad, Groups: c.Groups}
+	if c.fw == nil {
+		return tensor.ConvShape{}
+	}
+	return c.fw.ConvShape
+}
+
+// planFor returns *p when it was built for s and replaces it otherwise.
+func planFor(p **tensor.ConvPlan, s tensor.ConvShape) *tensor.ConvPlan {
+	if *p == nil || (*p).ConvShape != s {
+		*p = tensor.NewConvPlan(s)
+	}
+	return *p
+}
+
+// rangeBuf returns row i of t [rows, size] — the share of a loop's range i
+// when t was drawn with a row per range — and nil when the loop drew none.
+func rangeBuf(t *tensor.Tensor, i int) []float32 {
+	if t == nil {
+		return nil
+	}
+	size := t.Dim(1)
+	return t.Data[i*size : (i+1)*size]
 }
 
 // Forward implements Layer. The batch dimension is processed in parallel.
@@ -99,11 +133,10 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: %d×%d input padded by %d is smaller than the %d×%d kernel", c.name, h, w, c.Pad, c.K, c.K))
 	}
 	t0 := profStart()
-	c.input, c.inH, c.inW = x, h, w
-	shape := c.ConvShape()
-	c.outH, c.outW = shape.OutH(), shape.OutW()
-	y := c.arena.New(n, c.OutC, c.outH, c.outW)
-	conv(y.Data, x.Data, c.Weight.Data, n, shape, false)
+	c.input = x
+	plan := planFor(&c.fw, tensor.ConvShape{InC: c.InC, OutC: c.OutC, H: h, W: w, K: c.K, Stride: c.Stride, Pad: c.Pad, Groups: c.Groups})
+	y := c.Arena.New(n, c.OutC, plan.OutH(), plan.OutW())
+	c.conv(y.Data, x.Data, c.Weight.Data, n, plan, false)
 
 	c.lastSpec = Spec{
 		Kind: KindConv, LayerName: c.name,
@@ -117,66 +150,70 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// convIm2Col is the oracle, src [n,inC,h,w] → dst [n,outC,·,·] under
-// the weight matrix wmat [outC, inC/groups*k*k]: each image is lowered
+// convIm2Col is the oracle, src [n,InC,H,W] → dst [n,OutC,·,·] under
+// the weight matrix wmat [OutC, InC/Groups*K*K]: each image is lowered
 // with im2col and multiplied against the weight matrix one group at a
 // time. Grain 1: each image is heavy (an im2col plus a matmul per group),
 // so even a micro-batch of 2 should use 2 workers. The inner matmul calls
 // degrade to inline execution while the pool is busy with this loop.
-func convIm2Col(dst, src, wmat []float32, n, inC, outC, h, w, k, stride, pad, groups int) {
-	inCg, outCg := inC/groups, outC/groups
-	rows := inCg * k * k
-	cols := ((h+2*pad-k)/stride + 1) * ((w+2*pad-k)/stride + 1)
+func (c *Conv2d) convIm2Col(dst, src, wmat []float32, n int, s tensor.ConvShape) {
+	inCg, outCg := s.InC/s.Groups, s.OutC/s.Groups
+	rows, cols := inCg*s.K*s.K, s.OutH()*s.OutW()
+	inLen, outLen := s.InC*s.H*s.W, s.OutC*cols
+	ranges, span := parallel.Split(n, 1)
+	lowered := c.Arena.New(ranges, rows*cols)
 	parallel.ForGrain(n, 1, func(lo, hi int) {
-		buf := tensor.GetScratch(rows * cols)
-		defer tensor.PutScratch(buf)
+		buf := rangeBuf(lowered, lo/span)
 		for img := lo; img < hi; img++ {
-			xImg := src[img*inC*h*w : (img+1)*inC*h*w]
-			yImg := dst[img*outC*cols : (img+1)*outC*cols]
-			for g := 0; g < groups; g++ {
-				tensor.Im2Col(buf, xImg[g*inCg*h*w:(g+1)*inCg*h*w], inCg, h, w, k, stride, pad)
+			xImg, yImg := src[img*inLen:(img+1)*inLen], dst[img*outLen:(img+1)*outLen]
+			for g := 0; g < s.Groups; g++ {
+				tensor.Im2Col(buf, xImg[g*inCg*s.H*s.W:(g+1)*inCg*s.H*s.W], inCg, s.H, s.W, s.K, s.Stride, s.Pad)
 				wg := wmat[g*outCg*rows : (g+1)*outCg*rows]
 				tensor.MatMulInto(yImg[g*outCg*cols:(g+1)*outCg*cols], wg, buf, outCg, rows, cols, false)
 			}
 		}
 	})
+	c.Arena.Free(lowered)
 }
 
-// conv runs n images src [n,InC,H,W] → dst through the direct kernel under
-// the weight matrix wmat (or through the oracle when a test has selected
-// it): stage the image if the shape needs it, then convolve it where it
-// lies, straight into dst. When the profiler is active, staging time is
-// credited to KindPack in the calling direction (contained within the
-// layer's KindConv interval), so the copy stays attributable next to
-// compute.
-func conv(dst, src, wmat []float32, n int, s tensor.ConvShape, backward bool) {
+// conv runs n images src → dst through the direct kernel under plan and the
+// weight matrix wmat (or through the oracle when a test has selected it):
+// stage the image if the shape needs it, then convolve it where it lies,
+// straight into dst. When the profiler is active, staging time is credited
+// to KindPack in the calling direction (contained within the layer's
+// KindConv interval), so the copy stays attributable next to compute.
+func (c *Conv2d) conv(dst, src, wmat []float32, n int, plan *tensor.ConvPlan, backward bool) {
 	if !tensor.PackedEnabled() {
-		convIm2Col(dst, src, wmat, n, s.InC, s.OutC, s.H, s.W, s.K, s.Stride, s.Pad, s.Groups)
+		c.convIm2Col(dst, src, wmat, n, plan.ConvShape)
 		return
 	}
-	plan := tensor.NewConvPlan(s)
-	prof := profActive() && !s.InPlace()
+	ranges, span := parallel.Split(n, 1)
+	var staged *tensor.Tensor // stays nil for a shape read in place
+	if size := plan.StagedLen(); size > 0 {
+		staged = c.Arena.New(ranges, size)
+	}
+	prof := profActive() && staged != nil
 	var stageNanos atomic.Int64
-	inLen, outLen := s.InC*s.H*s.W, s.OutC*s.OutH()*s.OutW()
+	inLen, outLen := plan.InC*plan.H*plan.W, plan.OutC*plan.OutH()*plan.OutW()
 	parallel.ForGrain(n, 1, func(lo, hi int) {
-		staged := tensor.GetScratch(plan.StagedLen())
-		defer tensor.PutScratch(staged)
+		buf := rangeBuf(staged, lo/span)
 		for img := lo; img < hi; img++ {
 			xImg := src[img*inLen : (img+1)*inLen]
-			if staged != nil {
+			if buf != nil {
 				var t0 time.Time
 				if prof {
 					t0 = time.Now()
 				}
-				plan.Stage(staged, xImg)
+				plan.Stage(buf, xImg)
 				if prof {
 					stageNanos.Add(int64(time.Since(t0)))
 				}
-				xImg = staged
+				xImg = buf
 			}
 			plan.Run(dst[img*outLen:(img+1)*outLen], xImg, wmat)
 		}
 	})
+	c.Arena.Free(staged)
 	if prof {
 		profAdd(KindPack, backward, time.Duration(stageNanos.Load()).Seconds())
 	}
@@ -202,11 +239,17 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if x == nil {
 		panic("nn: " + c.name + ": Backward before Forward")
 	}
+	// dx is drawn with unspecified contents and sized by the forward: a
+	// shorter batch would leave its tail unwritten, another plane would be
+	// sliced as if it were the forward's.
+	if grad.NDim() != 4 || grad.Dim(0) != x.Dim(0) || grad.Dim(1) != c.OutC || grad.Dim(2) != c.fw.OutH() || grad.Dim(3) != c.fw.OutW() {
+		panic(shapeErr(c.name, grad.Shape()))
+	}
 	t0 := profStart()
 	wantDW := !c.Weight.Frozen
 	var dx, stripDX *tensor.Tensor
 	if !c.noInputGrad {
-		dx = c.arena.New(x.Shape()...)
+		dx = c.Arena.New(x.Shape()...)
 		if c.Groups == 1 && c.Stride == 1 && c.Pad < c.K {
 			c.inputGradConv(grad, dx)
 		} else {
@@ -226,90 +269,81 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // N·H·W MACs per weight in the convolution it feeds — so no copy of the
 // weights outlives a call.
 func (c *Conv2d) inputGradConv(grad, dx *tensor.Tensor) {
-	s := tensor.ConvShape{InC: c.OutC, OutC: c.InC, H: c.outH, W: c.outW, K: c.K, Stride: 1, Pad: c.K - 1 - c.Pad, Groups: 1}
-	rot := tensor.GetScratch(len(c.Weight.Data))
-	defer tensor.PutScratch(rot)
-	tensor.RotateConvWeights(rot, c.Weight.Data, c.OutC, c.InC, c.K)
-	conv(dx.Data, grad.Data, rot, grad.Dim(0), s, true)
+	plan := planFor(&c.dx, tensor.ConvShape{InC: c.OutC, OutC: c.InC, H: c.fw.OutH(), W: c.fw.OutW(), K: c.K, Stride: 1, Pad: c.K - 1 - c.Pad, Groups: 1})
+	rot := c.Arena.New(len(c.Weight.Data))
+	tensor.RotateConvWeights(rot.Data, c.Weight.Data, c.OutC, c.InC, c.K)
+	c.conv(dx.Data, grad.Data, rot.Data, grad.Dim(0), plan, true)
+	c.Arena.Free(rot)
 }
 
 // backwardStrips is the lowering-based backward: it accumulates dW into
 // Weight.Grad when wantDW, and dX into dx (cleared by the caller: Col2ImRows
-// adds) when dx is non-nil. The lowering is recomputed rather than cached, trading
-// FLOPs for the memory the paper shows is the binding constraint on edge
+// adds) when dx is non-nil. The lowering is recomputed rather than cached,
+// trading FLOPs for the memory the paper shows is the binding constraint on edge
 // devices — and it is recomputed in strips of bwStripRows rows, so the
-// transient footprint per worker is two small strip buffers instead of
+// transient footprint per worker is four small strip buffers instead of
 // two full column matrices. Strip results are bit-identical to the full
 // materialization: each strip is the same lowering rows fed to the same
 // matmul kernels, and the column-to-image scatter runs in ascending row
 // order across strips.
 func (c *Conv2d) backwardStrips(grad, dx *tensor.Tensor, wantDW bool) {
 	n := grad.Dim(0)
-	if n == 0 {
-		return
+	// The loop runs over units of per images. dX is per image, so without
+	// dW a unit is one image. The weight gradient sums contributions from
+	// every image, and float addition is not associative, so the reduction
+	// must not depend on how the scheduler happens to interleave chunks:
+	// with dW the units are a fixed number of image groups derived from the
+	// batch size alone, each accumulates its partial in image order, and
+	// the partials are merged in unit order afterwards — bit-identical
+	// results for every worker count.
+	units, per := n, 1
+	var partials *tensor.Tensor
+	if wantDW {
+		groups := min(bwGroups, n)
+		per = (n + groups - 1) / groups
+		units = (n + per - 1) / per // drop groups the ceiling left empty
+		partials = c.Arena.New(units, len(c.Weight.Data))
 	}
-	if !wantDW {
-		// dX is per image, so nothing ties the loop to the dW reduction
-		// shape below.
-		parallel.ForGrain(n, 1, func(lo, hi int) { c.stripImages(grad, dx, nil, lo, hi) })
-		return
-	}
-	// The weight gradient sums contributions from every image, and float
-	// addition is not associative, so the reduction must not depend on how
-	// the scheduler happens to interleave chunks (the previous code merged
-	// per-chunk partials under a mutex in completion order, which is only
-	// deterministic when a single worker runs). Images are therefore
-	// partitioned into a fixed number of groups derived from the batch size
-	// alone, each group accumulates its partial in image order, and the
-	// partials are merged in group order afterwards — bit-identical results
-	// for every worker count.
-	groups := min(bwGroups, n)
-	span := (n + groups - 1) / groups
-	groups = (n + span - 1) / span // drop groups the ceiling left empty
-	// The per-group weight-gradient partials outlive the parallel loop (they
-	// are merged in group order below), so they are acquired here, in the
-	// scope whose defers bracket both the loop and the merge — the scratch-
-	// pool protocol ttalint enforces: every GetScratch owns a defer in its
-	// own scope.
-	partials := make([][]float32, groups)
-	for gi := range partials {
-		dw := tensor.GetScratch(len(c.Weight.Data))
-		defer tensor.PutScratch(dw)
-		partials[gi] = dw
-	}
-	parallel.For(groups, func(gi int) {
-		clear(partials[gi])
-		c.stripImages(grad, dx, partials[gi], gi*span, min((gi+1)*span, n))
-	})
-	for _, dw := range partials {
-		for i, v := range dw {
-			c.Weight.Grad[i] += v
+	ranges, span := parallel.Split(units, 1)
+	_, colLen, matLen := c.stripDims()
+	strips := c.Arena.New(ranges, 2*(colLen+matLen))
+	parallel.ForGrain(units, 1, func(lo, hi int) {
+		buf := rangeBuf(strips, lo/span)
+		for u := lo; u < hi; u++ {
+			dw := rangeBuf(partials, u)
+			clear(dw)
+			c.stripImages(grad, dx, dw, buf, u*per, min((u+1)*per, n))
 		}
+	})
+	c.Arena.Free(strips)
+	if wantDW {
+		for u := 0; u < units; u++ {
+			for i, v := range rangeBuf(partials, u) {
+				c.Weight.Grad[i] += v
+			}
+		}
+		c.Arena.Free(partials)
 	}
 }
 
-// stripImages runs the strip-mined backward over images [lo, hi): dW
-// contributions are added to the partial dw in image order when dw is
-// non-nil, each image's dX is scattered into dx when dx is non-nil.
-func (c *Conv2d) stripImages(grad, dx *tensor.Tensor, dw []float32, lo, hi int) {
-	x, h, w := c.input, c.inH, c.inW
+// stripDims returns the strip height of the backward's lowering and the
+// lengths of one strip of the lowering and of the weight matrix.
+func (c *Conv2d) stripDims() (strip, colLen, matLen int) {
+	strip = min(bwStripRows, c.InC/c.Groups*c.K*c.K)
+	return strip, strip * c.fw.OutH() * c.fw.OutW(), c.OutC / c.Groups * strip
+}
+
+// stripImages runs the strip-mined backward over images [lo, hi), with two
+// strips of each kind in buf: dW contributions are added to the partial dw in
+// image order when dw is non-nil, each image's dX is scattered into dx when
+// dx is non-nil.
+func (c *Conv2d) stripImages(grad, dx *tensor.Tensor, dw, buf []float32, lo, hi int) {
+	x, h, w := c.input, c.fw.H, c.fw.W
 	inCg, outCg := c.InC/c.Groups, c.OutC/c.Groups
-	rows := inCg * c.K * c.K
-	cols := c.outH * c.outW
-	strip := min(bwStripRows, rows)
-	var colBuf, dwStrip, dcolBuf, wStrip []float32
-	if dw != nil {
-		colBuf = tensor.GetScratch(strip * cols)
-		defer tensor.PutScratch(colBuf)
-		dwStrip = tensor.GetScratch(outCg * strip)
-		defer tensor.PutScratch(dwStrip)
-	}
-	if dx != nil {
-		dcolBuf = tensor.GetScratch(strip * cols)
-		defer tensor.PutScratch(dcolBuf)
-		wStrip = tensor.GetScratch(outCg * strip)
-		defer tensor.PutScratch(wStrip)
-	}
+	rows, cols := inCg*c.K*c.K, c.fw.OutH()*c.fw.OutW()
+	strip, colLen, matLen := c.stripDims()
+	colBuf, dcolBuf := buf[:colLen], buf[colLen:2*colLen]
+	dwStrip, wStrip := buf[2*colLen:][:matLen], buf[2*colLen+matLen:][:matLen]
 	for img := lo; img < hi; img++ {
 		gImg := grad.Data[img*c.OutC*cols : (img+1)*c.OutC*cols]
 		for g := 0; g < c.Groups; g++ {

@@ -320,3 +320,36 @@ func TestFusedPassIsOneProfilerInterval(t *testing.T) {
 		t.Errorf("profiled total %v", got.Total())
 	}
 }
+
+// TestBackwardRejectsAGradientOfAnotherShape: Conv2d and Linear size what
+// they write by the forward's batch and slice grad by the forward's
+// geometry, so a gradient with fewer images would leave the tail of an
+// arena-drawn dx holding the previous pass's data and one with another
+// plane would be read across image boundaries; both say which layer.
+func TestBackwardRejectsAGradientOfAnotherShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	conv := NewConv2d("convX", rng, 3, 4, 3, 2, 1, 1)
+	conv.Forward(tensor.New(2, 3, 8, 8), false) // → [2, 4, 4, 4]
+	fc := NewLinear("fcX", rng, 5, 3)
+	fc.Forward(tensor.New(2, 5), false)
+	for _, tc := range []struct {
+		what  string
+		layer Layer
+		grad  []int
+	}{
+		{"conv, short batch", conv, []int{1, 4, 4, 4}},
+		{"conv, wrong plane", conv, []int{2, 4, 8, 2}},
+		{"conv, wrong channels", conv, []int{2, 3, 4, 4}},
+		{"conv, flattened", conv, []int{2, 64}},
+		{"linear, short batch", fc, []int{1, 3}},
+		{"linear, wrong width", fc, []int{2, 5}},
+	} {
+		wantPanic(t, tc.what, tc.layer.Name()+": unexpected input shape", func() { tc.layer.Backward(tensor.New(tc.grad...)) })
+	}
+	if dx := conv.Backward(tensor.New(2, 4, 4, 4)); dx.Dim(0) != 2 || dx.Dim(2) != 8 {
+		t.Errorf("conv Backward over the forward's output shape returned %v", dx.Shape())
+	}
+	if dx := fc.Backward(tensor.New(2, 3)); dx.Dim(0) != 2 || dx.Dim(1) != 5 {
+		t.Errorf("linear Backward over the forward's output shape returned %v", dx.Shape())
+	}
+}

@@ -11,7 +11,7 @@ import (
 // (used by MobileNetV2). It keeps no mask: Backward reads the rectifier's
 // sign back from the output it returned.
 type ReLU struct {
-	scope
+	Scope
 	name string
 	Cap  float32 // 0 means uncapped
 	// out is the output of the last stand-alone Forward. It is nil after a
@@ -62,7 +62,7 @@ func (r *ReLU) fusedName() string {
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	t0 := profStart()
-	y := r.arena.New(x.Shape()...)
+	y := r.Arena.New(x.Shape()...)
 	tensor.NormalizePlane(y.Data, x.Data, nil, nil, r.rect())
 	r.ran(y)
 	r.out = y
@@ -79,7 +79,7 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(shapeErr(r.name, grad.Shape()))
 	}
 	t0 := profStart()
-	dx := r.arena.New(grad.Shape()...)
+	dx := r.Arena.New(grad.Shape()...)
 	tensor.GradInputPlane(dx.Data, grad.Data, nil, r.out.Data, nil, r.rect())
 	profEnd(KindAct, r.name, true, t0)
 	return dx
@@ -87,7 +87,7 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Linear is a fully connected layer y = x·Wᵀ + b over [N, in] inputs.
 type Linear struct {
-	scope
+	Scope
 	name    string
 	In, Out int
 	Weight  *Param // [Out, In]
@@ -153,6 +153,9 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // dX = dY · W. Frozen parameters' gradients are skipped, and so is dX (nil
 // is returned) when the layer sits at the graph input with noInputGrad.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if grad.NDim() != 2 || grad.Dim(0) != l.input.Dim(0) || grad.Dim(1) != l.Out {
+		panic(shapeErr(l.name, grad.Shape()))
+	}
 	t0 := profStart()
 	defer profEnd(KindLinear, l.name, true, t0)
 	n := grad.Dim(0)
@@ -169,14 +172,14 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.noInputGrad {
 		return nil
 	}
-	dx := l.arena.New(n, l.In)
+	dx := l.Arena.New(n, l.In)
 	tensor.MatMulInto(dx.Data, grad.Data, l.Weight.Data, n, l.Out, l.In, false)
 	return dx
 }
 
 // GlobalAvgPool reduces [N,C,H,W] to [N,C] by spatial averaging.
 type GlobalAvgPool struct {
-	scope
+	Scope
 	name     string
 	h, w     int
 	lastSpec Spec
@@ -200,7 +203,7 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	defer profEnd(KindPool, p.name, false, t0)
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	p.h, p.w = h, w
-	y := p.arena.New(n, c)
+	y := p.Arena.New(n, c)
 	plane := h * w
 	inv := 1 / float32(plane)
 	for i := 0; i < n*c; i++ {
@@ -221,7 +224,7 @@ func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c := grad.Dim(0), grad.Dim(1)
 	plane := p.h * p.w
 	inv := 1 / float32(plane)
-	dx := p.arena.New(n, c, p.h, p.w)
+	dx := p.Arena.New(n, c, p.h, p.w)
 	for i := 0; i < n*c; i++ {
 		g := grad.Data[i] * inv
 		for j := 0; j < plane; j++ {
@@ -233,7 +236,7 @@ func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // AvgPool2d performs non-overlapping k×k average pooling (stride = k).
 type AvgPool2d struct {
-	scope
+	Scope
 	name     string
 	K        int
 	h, w     int
@@ -259,7 +262,7 @@ func (p *AvgPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	p.h, p.w = h, w
 	oh, ow := h/p.K, w/p.K
-	y := p.arena.New(n, c, oh, ow)
+	y := p.Arena.New(n, c, oh, ow)
 	inv := 1 / float32(p.K*p.K)
 	for i := 0; i < n*c; i++ {
 		src := x.Data[i*h*w : (i+1)*h*w]
@@ -285,7 +288,7 @@ func (p *AvgPool2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	t0 := profStart()
 	defer profEnd(KindPool, p.name, true, t0)
 	n, c, oh, ow := grad.Dim(0), grad.Dim(1), grad.Dim(2), grad.Dim(3)
-	dx := p.arena.New(n, c, p.h, p.w)
+	dx := p.Arena.New(n, c, p.h, p.w)
 	if oh*p.K != p.h || ow*p.K != p.w {
 		clear(dx.Data) // the rows and columns past the last whole window get no gradient
 	}

@@ -173,31 +173,32 @@ func BatchNorms(l Layer) []*BatchNorm2d {
 	return out
 }
 
-// scope is what a layer knows of the model it runs in: the arena its
-// activations and gradients come from, and — for the composites that see
-// the dataflow — whether the running pass may release an activation after
-// its last forward reader. Both are nil in a layer built outside a model,
-// and a nil arena allocates (tensor.Arena), so no site asks which it has.
-type scope struct {
-	arena *tensor.Arena
-	early *tensor.Arena // arena under Attach(…, infer), else nil
+// Scope is what a layer knows of the model it runs in: Arena, where its
+// activations, gradients and transient buffers come from, and — for the
+// composites that see the dataflow — Early, which is Arena when the running
+// pass may release an activation after its last forward reader
+// (Attach(…, infer)) and nil otherwise. Both are nil in a layer built
+// outside a model, and a nil arena allocates (tensor.Arena), so no site
+// asks which it has. Every layer of this package embeds it, and so does a
+// composite defined elsewhere that wants Attach to reach it; such a block
+// releases only what its own layers made, never its input or its result.
+type Scope struct {
+	Arena, Early *tensor.Arena
 }
 
-func (s *scope) attach(a *tensor.Arena, infer bool) {
-	s.arena, s.early = a, nil
+func (s *Scope) attach(a *tensor.Arena, infer bool) {
+	s.Arena, s.Early = a, nil
 	if infer {
-		s.early = a
+		s.Early = a
 	}
 }
 
-// Attach makes every layer of this package in the tree rooted at l draw
+// Attach makes every layer in the tree rooted at l that embeds a Scope draw
 // its activations and gradients from a, for the passes that follow. An
 // activation or gradient inside the tree is then valid until a is Reset:
 // Backward hands each gradient back as soon as its consumer has run, and
 // under infer — nobody will call Backward — Forward does the same with
 // each activation, so Backward after such a pass reads recycled memory.
-// Composites defined elsewhere (the models' blocks) are walked through but
-// release what they own themselves.
 func Attach(l Layer, a *tensor.Arena, infer bool) {
 	Walk(l, func(x Layer) {
 		if s, ok := x.(interface{ attach(*tensor.Arena, bool) }); ok {
@@ -213,7 +214,7 @@ func views(y, x *tensor.Tensor) bool { return &y.Data[0] == &x.Data[0] }
 // Sequential chains layers; Forward threads the activation through each in
 // order and Backward replays them in reverse.
 type Sequential struct {
-	scope
+	Scope
 	name   string
 	layers []Layer
 }
@@ -243,7 +244,7 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			y = s.layers[i].Forward(x, train)
 		}
 		if !views(y, x) {
-			s.early.Free(made)
+			s.Early.Free(made)
 			made = y
 		}
 		x = y
@@ -264,7 +265,7 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			dx = s.layers[i].Backward(grad)
 		}
 		if dx == nil || !views(dx, grad) {
-			s.arena.Free(made)
+			s.Arena.Free(made)
 			made = dx
 		}
 		grad = dx

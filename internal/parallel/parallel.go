@@ -27,22 +27,18 @@
 // itself heavy — one image of a convolution, one channel of a BatchNorm —
 // use grain 1 so that even a batch of 2 uses 2 workers. Fine element-wise
 // loops keep a large grain (DefaultGrain) so scheduling overhead cannot
-// dominate. The previous implementation derived the worker count as
-// n/minChunk, which truncates to zero for n < 64 and silently serialized
-// every coarse per-image loop; ForGrain fixes that at the root.
+// dominate. Split is the one definition of that division; ForGrain runs
+// what it returns.
 //
 // # Sizing
 //
-// The pool is sized from, in order of precedence: SetWorkers, the
-// EDGETTA_WORKERS environment variable, and GOMAXPROCS at first use.
+// The pool is sized by SetWorkers, else from GOMAXPROCS at first use.
 // Sizing is sticky: later GOMAXPROCS changes are ignored (use SetWorkers,
 // which exists for tests and device-simulation fidelity, to resize).
 package parallel
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -99,15 +95,6 @@ var (
 	override int                  // 0 means auto-size
 )
 
-func defaultWorkers() int {
-	if s := os.Getenv("EDGETTA_WORKERS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // get returns the current pool, starting it on first use. The loaded
 // pointer is the fast path: every kernel launch — including the nested
 // ones issued concurrently by pool workers — goes through here, so it
@@ -127,7 +114,7 @@ func getSlow() *pool {
 	}
 	size := override
 	if size == 0 {
-		size = defaultWorkers()
+		size = runtime.GOMAXPROCS(0)
 	}
 	p := &pool{size: size}
 	if size > 1 {
@@ -160,7 +147,7 @@ func Width() int {
 	if override != 0 {
 		return override
 	}
-	return defaultWorkers()
+	return runtime.GOMAXPROCS(0)
 }
 
 // SetWorkers resizes the pool to exactly n workers (n <= 0 restores
@@ -200,32 +187,43 @@ func ForChunked(n int, fn func(lo, hi int)) {
 	ForGrain(n, DefaultGrain, fn)
 }
 
-// ForGrain splits [0, n) into at most ceil(n/grain) contiguous ranges
-// (and at most Workers() of them) and runs fn(lo, hi) for each range
-// concurrently, the caller executing the ranges no idle worker accepts.
+// Split returns how ForGrain(n, grain, …) divides [0, n): into ranges
+// contiguous ranges — at most ceil(n/grain) and at most Workers() — of span
+// indices each, the last possibly shorter, range i starting at i*span. A
+// loop that needs a buffer per range draws that many before it forks, and
+// the body handed [lo, hi) owns buffer lo/span. One range is run by the
+// caller as fn(0, n), so a kernel that wants to spare the closure asks
+// first and calls its body directly; an empty loop has none.
+func Split(n, grain int) (ranges, span int) {
+	if n <= 0 {
+		return 0, 0
+	}
+	grain = max(grain, 1)
+	w := min(get().size, (n+grain-1)/grain)
+	if w <= 1 {
+		return 1, n
+	}
+	span = (n + w - 1) / w
+	return (n + span - 1) / span, span
+}
+
+// ForGrain runs fn(lo, hi) for each range of Split(n, grain) concurrently,
+// the caller executing the ranges no idle worker accepts.
 // fn must be safe to call concurrently for non-overlapping ranges, and its
 // writes for a given index must not depend on the range boundaries — the
 // package promises bit-identical results for every worker count.
 func ForGrain(n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
+	ranges, span := Split(n, grain)
+	if ranges <= 1 {
+		if ranges == 1 {
+			fn(0, n)
+		}
 		return
-	}
-	if grain < 1 {
-		grain = 1
 	}
 	p := get()
-	w := p.size
-	if maxSplit := (n + grain - 1) / grain; w > maxSplit {
-		w = maxSplit
-	}
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
+	for lo := 0; lo < n; lo += span {
+		hi := lo + span
 		if hi >= n {
 			// The caller keeps the final range for itself so it works
 			// instead of idling while the pool drains.

@@ -18,10 +18,9 @@ func gid() int64 {
 	return id
 }
 
-// Regression test for the serialization bug this package's rewrite fixes:
-// the old ForChunked computed workers = n/minChunk, which truncated to 0
-// for n < 64, so a coarse per-image loop over a batch of 8 ran on exactly
-// one goroutine. ForGrain(8, 1, ...) must engage more than one worker.
+// A coarse per-image loop over a batch of 8 must engage more than one
+// worker: a split computed as n/minChunk truncates to 0 for n < 64 and
+// runs it on exactly one goroutine.
 func TestForGrainUsesMultipleWorkersForSmallN(t *testing.T) {
 	SetWorkers(8)
 	defer SetWorkers(0)
@@ -124,14 +123,39 @@ func TestSetWorkersAndWorkers(t *testing.T) {
 	}
 }
 
-func TestEnvOverridesPoolSize(t *testing.T) {
-	t.Setenv("EDGETTA_WORKERS", "5")
-	SetWorkers(0) // drop the current pool so the next use re-reads the env
-	// t.Setenv restores the variable on cleanup; drop the pool again so
-	// later tests size from the restored environment.
+// TestSplitIsForGrainsSplit: Split answers for ForGrain — how many ranges,
+// which per-range buffer lo/span a body owns, and whether the one range is
+// run by the caller — so what it returns must be what ForGrain does.
+func TestSplitIsForGrainsSplit(t *testing.T) {
 	defer SetWorkers(0)
-	if w := Workers(); w != 5 {
-		t.Fatalf("Workers() = %d with EDGETTA_WORKERS=5", w)
+	for _, workers := range []int{1, 2, 8} {
+		SetWorkers(workers)
+		for _, n := range []int{-1, 0, 1, 2, 5, 7, 9, 64, 100} {
+			for _, grain := range []int{0, 1, 4, 64, 100} {
+				ranges, span := Split(n, grain)
+				owned := make([]atomic.Int32, ranges)
+				caller := gid()
+				var left atomic.Bool
+				ForGrain(n, grain, func(lo, hi int) {
+					if lo%span != 0 || hi != min(lo+span, n) {
+						t.Errorf("workers=%d n=%d grain=%d: range [%d, %d) is not one of span %d", workers, n, grain, lo, hi, span)
+						return
+					}
+					owned[lo/span].Add(1)
+					if gid() != caller {
+						left.Store(true)
+					}
+				})
+				for i := range owned {
+					if c := owned[i].Load(); c != 1 {
+						t.Errorf("workers=%d n=%d grain=%d: buffer %d of %d had %d owners", workers, n, grain, i, ranges, c)
+					}
+				}
+				if ranges == 1 && left.Load() {
+					t.Errorf("workers=%d n=%d grain=%d: the one range left the caller's goroutine", workers, n, grain)
+				}
+			}
+		}
 	}
 }
 

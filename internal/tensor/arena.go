@@ -33,9 +33,9 @@ const (
 	arenaLive        // handed out
 )
 
-// New returns a tensor of the given shape whose contents are unspecified,
-// like GetScratch's: a caller that accumulates into it clears it first, one
-// that writes every element need not. On a nil arena it is tensor.New.
+// New returns a tensor of the given shape whose contents are unspecified:
+// a caller that accumulates into it clears it first, one that writes every
+// element need not. On a nil arena it is tensor.New.
 func (a *Arena) New(shape ...int) *Tensor {
 	if a == nil {
 		return New(shape...)

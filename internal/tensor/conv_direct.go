@@ -141,7 +141,7 @@ func (p *ConvPlan) StagedLen() int {
 // Stage copies one image src [InC, H, W] into dst in the layout the kernel
 // addresses: zero border baked in, rows and columns split by residue
 // modulo the stride. Every element of dst[:StagedLen()] is written, so dst
-// may come from the scratch pool with arbitrary contents. A sub-plane is
+// may arrive with arbitrary contents. A sub-plane is
 // laid out like one row of the im2col lowering, so lowerRows fills both.
 func (p *ConvPlan) Stage(dst, src []float32) {
 	if len(dst) < p.StagedLen() || len(src) < p.InC*p.H*p.W {
@@ -181,7 +181,8 @@ func (p *ConvPlan) Run(y, x, w []float32) {
 	}
 	tiles := (outCg + convTile - 1) / convTile
 	units, grain := p.Groups*tiles*p.spans, max(1, convSpanGrainFlops/(2*p.spanPix*rows*convTile))
-	if runsInline(units, grain) {
+	// Once per image, so no closure unless the loop forks (MatMulTransAInto).
+	if ranges, _ := parallel.Split(units, grain); ranges == 1 {
 		p.runUnits(y, x, w, 0, units)
 		return
 	}
@@ -244,7 +245,7 @@ func convSpanGeneric(y []float32, yStride int, x, w []float32, wStride int, off 
 // dst[ic][oc*K*K + r] = w[oc][ic*K*K + (K*K-1-r)]. dst is [inC, outC*K*K]
 // row-major, the layout ConvPlan.Run and the im2col matmul both take;
 // convolving dY with it at pad K-1-pad yields dX (see Conv2d.Backward,
-// which rotates into a scratch buffer per call and keeps no copy).
+// which rotates into a buffer per call and keeps no copy).
 func RotateConvWeights(dst, w []float32, outC, inC, k int) {
 	kk := k * k
 	if len(dst) < inC*outC*kk || len(w) < outC*inC*kk {

@@ -285,26 +285,20 @@ func TestIm2ColRowsMatchFullLowering(t *testing.T) {
 	}
 }
 
-// TestScratchReuseNoStaleDataAcrossShapes poisons the scratch pool's size
-// classes with NaN and then runs a conv whose buffers come from those
-// classes: any element the stage/compute path fails to overwrite or clear
-// would surface as NaN (NaN propagates through every accumulation). The
-// pool hands recycled buffers across differently-shaped calls, so this
-// pins the "callers must fully define pooled buffers" contract.
+// TestScratchReuseNoStaleDataAcrossShapes hands the stage and lowering
+// passes buffers full of NaN, which is what a recycled arena buffer may
+// hold: any element they fail to overwrite would surface as NaN (NaN
+// propagates through every accumulation). This pins the "callers must
+// fully define the buffers they draw" contract.
 func TestScratchReuseNoStaleDataAcrossShapes(t *testing.T) {
-	nan := float32(math.NaN())
-	poison := func() {
-		for _, n := range []int{256, 1 << 10, 1 << 12, 1 << 14, 1 << 16} {
-			buf := GetScratch(n)
-			for i := range buf {
-				buf[i] = nan
-			}
-			PutScratch(buf)
+	poisoned := func(n int) []float32 {
+		buf := make([]float32, n)
+		for i := range buf {
+			buf[i] = float32(math.NaN())
 		}
+		return buf
 	}
 	rng := rand.New(rand.NewSource(67))
-	// Two deliberately different geometries, run back to back so the
-	// second recycles the first's buffers.
 	for _, s := range []ConvShape{
 		{InC: 16, OutC: 16, H: 12, W: 12, K: 3, Stride: 1, Pad: 1, Groups: 1},
 		{InC: 3, OutC: 8, H: 30, W: 30, K: 3, Stride: 2, Pad: 1, Groups: 1},
@@ -314,27 +308,23 @@ func TestScratchReuseNoStaleDataAcrossShapes(t *testing.T) {
 		want := make([]float32, s.OutC*cols)
 		convIm2ColRef(want, x, w, s)
 
-		poison()
 		p := NewConvPlan(s)
-		staged := GetScratch(p.StagedLen())
+		staged := poisoned(p.StagedLen())
 		p.Stage(staged, x)
-		got := make([]float32, s.OutC*cols)
+		got := poisoned(s.OutC * cols)
 		p.Run(got, staged, w)
-		PutScratch(staged)
 		if !bitsEqual(got, want) {
-			t.Errorf("%+v: pooled-buffer conv differs from fresh-buffer reference", s)
+			t.Errorf("%+v: conv over a recycled buffer differs from fresh-buffer reference", s)
 		}
 
-		// The im2col path shares the same pool; it must be equally immune.
-		poison()
+		// The im2col path draws its lowering the same way.
 		rows := s.InC * s.K * s.K
-		buf := GetScratch(rows * cols)
+		buf := poisoned(rows * cols)
 		Im2Col(buf, x, s.InC, s.H, s.W, s.K, s.Stride, s.Pad)
-		got2 := make([]float32, s.OutC*cols)
+		got2 := poisoned(s.OutC * cols)
 		MatMulInto(got2, w, buf, s.OutC, rows, cols, false)
-		PutScratch(buf)
 		if !bitsEqual(got2, want) {
-			t.Errorf("%+v: pooled-buffer im2col conv differs from reference", s)
+			t.Errorf("%+v: im2col conv over a recycled buffer differs from reference", s)
 		}
 	}
 }

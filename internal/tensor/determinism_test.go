@@ -232,20 +232,3 @@ func TestIm2ColCol2ImMatchReferenceAcrossGeometries(t *testing.T) {
 		}
 	}
 }
-
-func TestScratchRoundTrip(t *testing.T) {
-	buf := GetScratch(1024)
-	if len(buf) != 1024 {
-		t.Fatalf("GetScratch(1024) returned len %d", len(buf))
-	}
-	for i := range buf {
-		buf[i] = 1
-	}
-	PutScratch(buf)
-	again := GetScratch(512)
-	if len(again) != 512 {
-		t.Fatalf("GetScratch(512) returned len %d", len(again))
-	}
-	PutScratch(again)
-	PutScratch(nil) // must not panic
-}

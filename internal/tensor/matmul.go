@@ -92,7 +92,10 @@ func MatMulTransAInto(dst, a, b []float32, k, m, n int, accumulate bool) {
 	if len(dst) < m*n || len(a) < k*m || len(b) < k*n {
 		panic("tensor: MatMulTransAInto slice too short")
 	}
-	if grain := rowGrain(k, n); runsInline(m, grain) {
+	// Called once per image and strip by the conv backward: a closure handed
+	// to the scheduler is a heap object whether or not it reaches a worker.
+	grain := rowGrain(k, n)
+	if ranges, _ := parallel.Split(m, grain); ranges == 1 {
 		matMulTransARows(dst, a, b, m, n, k, accumulate, 0, m)
 	} else {
 		parallel.ForGrain(m, grain, func(lo, hi int) { matMulTransARows(dst, a, b, m, n, k, accumulate, lo, hi) })
@@ -120,14 +123,6 @@ func matMulTransARows(dst, a, b []float32, m, n, k int, accumulate bool, lo, hi 
 		}
 	}
 }
-
-// runsInline reports whether parallel.ForGrain(n, grain, …) would run its
-// whole range on the calling goroutine. The two kernels that a layer calls
-// once per image (ConvPlan.Run, MatMulTransAInto) ask first and then call
-// their body directly: a closure handed to the scheduler is a heap object
-// per call whether or not it is ever sent to a worker, and at one call per
-// image per layer those were what a steady-state batch still allocated.
-func runsInline(n, grain int) bool { return n <= grain || parallel.Workers() == 1 }
 
 // MatMulTransBInto computes dst = A·Bᵀ (or += when accumulate) for A
 // [m,k], B [n,k], dst [m,n]. Used for input gradients and fully connected

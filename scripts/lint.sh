@@ -2,7 +2,7 @@
 # Run the repository's static-analysis suite (cmd/ttalint) over the tree.
 #
 #   scripts/lint.sh                 # all analyzers, whole module
-#   scripts/lint.sh -run scratchpair ./internal/nn/
+#   scripts/lint.sh -run determinism ./internal/nn/
 #   scripts/lint.sh -json           # machine-readable findings
 #
 # Arguments are passed through to ttalint; with none, it analyzes ./...
