@@ -139,7 +139,7 @@ func BenchmarkFullScaleWRNForwardTraced(b *testing.B) {
 
 // BenchmarkConv3x3Backward measures one 3×3 conv layer's backward both ways:
 // frozen is what a BN-Opt step pays (dX only, on the forward kernel),
-// unfrozen what training pays (dX plus the strip-mined dW reduction).
+// unfrozen what training pays (dX plus the row-by-row dW reduction).
 func BenchmarkConv3x3Backward(b *testing.B) {
 	for _, frozen := range []bool{true, false} {
 		name := "unfrozen"

@@ -61,8 +61,8 @@ func TestBNOptFrozenMatchesFullBackward(t *testing.T) {
 // TestBNOptStepSpansOncePerConv guards the profiler's attribution now that
 // the input gradient runs on the forward kernels: one BN-Opt step is one
 // conv.fw and one conv.bw span per conv layer — no forward span from inside
-// backward — and the staging copy of a dX convolution shows up as pack.bw
-// only.
+// backward — and the copies of a dX (staging dY, interleaving residues)
+// show up as one pack.bw per conv only.
 func TestBNOptStepSpansOncePerConv(t *testing.T) {
 	m := tinyModel(21)
 	a, err := New(BNOpt, m, Config{})
@@ -71,7 +71,7 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 	}
 	x := tensor.New(4, 3, 32, 32)
 	x.Uniform(rand.New(rand.NewSource(23)), 0, 1)
-	a.Process(x) // warm the rotated-kernel caches: their one-off build is not the subject
+	a.Process(x) // build the plans and fill the arena: their one-off cost is not the subject
 
 	prior := telemetry.StopTracing()
 	defer func() {
@@ -117,9 +117,9 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 			return
 		}
 		convs++
-		// A stride-1 ungrouped conv gets dX from the direct kernel at pad
-		// K-1-Pad, staged unless that is 0; conv1 is the graph input: no dX.
-		if c.Groups == 1 && c.Stride == 1 && c.K-1-c.Pad > 0 && c.Name() != "conv1" {
+		// A dX copies when its plan stages dY or interleaves residues;
+		// conv1 is the graph input: no dX.
+		if p := tensor.NewConvGradPlan(c.ConvShape()); p.StagedLen()+p.SplitLen() > 0 && c.Name() != "conv1" {
 			stagedDX++
 		}
 		if fw, bw := spans["conv.fw"][c.Name()], spans["conv.bw"][c.Name()]; fw != 1 || bw != 1 {

@@ -12,9 +12,9 @@
 // share the nn profiler measures on this host (nn.bw_share_meas). Both
 // now describe the same computation — a backward that forms input
 // gradients only, as in the paper's PyTorch setting — but not the same
-// kernels: here dX runs on the forward direct-convolution kernel at about
-// 0.9× the conv forward, where the paper's Arm CPUs paid 2.5×, so the
-// measured share sits near 0.45 (it was 0.78–0.80 while the backward also
+// kernels: here every dX runs on the forward direct-convolution kernel at
+// about 1× the conv forward, where the paper's Arm CPUs paid 2.5×, so the
+// measured share sits near 0.5 (it was 0.78–0.80 while the backward also
 // computed, and discarded, every dW). The gap that remains is a kernel
 // ratio, not an accounting difference.
 package device

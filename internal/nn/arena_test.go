@@ -14,9 +14,10 @@ import (
 // an arena, its outputs are filled with NaN and handed back, and the second
 // run over those same buffers must be bit-equal to a clone that allocates
 // zeroed tensors. The cases are the ones that used to lean on zeroed
-// memory or could: the strided and grouped conv backward (Col2ImRows
-// adds), the im2col oracle, an average pool whose windows do not tile its
-// input, a Sequential that releases gradients as it goes.
+// memory or could: the strided and grouped conv backward (a 1×1 stride-2
+// dX is three quarters zeros no tap writes; the dW partials accumulate),
+// the im2col oracle, an average pool whose windows do not tile its input, a
+// Sequential that releases gradients as it goes.
 func TestLayersWriteEveryArenaElement(t *testing.T) {
 	defer tensor.SetPacked(tensor.PackedEnabled())
 	rng := rand.New(rand.NewSource(41))
@@ -35,6 +36,10 @@ func TestLayersWriteEveryArenaElement(t *testing.T) {
 		{"conv stride 1", NewConv2d("c", rng, 3, 5, 3, 1, 1, 1), []int{2, 3, 7, 7}, false},
 		{"conv stride 2", NewConv2d("c", rng, 3, 5, 3, 2, 1, 1), []int{2, 3, 7, 7}, false},
 		{"conv grouped", NewConv2d("c", rng, 4, 6, 3, 1, 1, 2), []int{2, 4, 5, 5}, false},
+		{"conv 1×1 stride 2", NewConv2d("c", rng, 3, 5, 1, 2, 0, 1), []int{2, 3, 8, 8}, false},
+		{"conv 3×3 stride 3 pad 0", NewConv2d("c", rng, 3, 5, 3, 3, 0, 1), []int{2, 3, 8, 7}, false},
+		{"conv 1×1 pad 1", NewConv2d("c", rng, 3, 5, 1, 1, 1, 1), []int{2, 3, 6, 6}, false},
+		{"conv depthwise stride 2", NewConv2d("c", rng, 4, 4, 3, 2, 1, 4), []int{2, 4, 7, 7}, false},
 		{"conv on the im2col oracle", NewConv2d("c", rng, 3, 5, 3, 1, 1, 1), []int{2, 3, 7, 7}, true},
 		{"batchnorm", NewBatchNorm2d("bn", 3), []int{2, 3, 5, 5}, false},
 		{"relu", NewReLU("r"), []int{2, 3, 5, 5}, false},
@@ -100,10 +105,10 @@ func TestSequentialReleasesOnlyWhatItMade(t *testing.T) {
 		return x
 	}
 
-	// What a conv draws for the length of a call — staging, the rotated
-	// kernel, dW partials, strips — measured on one of the chain's two alike
-	// convs alone; it is back in the arena when the call returns, so the
-	// second conv recycles the first's.
+	// What a conv draws for the length of a call — staging, the gathered
+	// taps, dW partials, the lowered row — measured on one of the chain's
+	// two alike convs alone; it is back in the arena when the call returns,
+	// so the second conv recycles the first's.
 	var convFw, convBw int
 	{
 		a := new(tensor.Arena)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -189,17 +190,44 @@ var rotatedShapes = []struct{ in, out, k, pad int }{
 	{8, 8, 3, 2},   // pad K-1: dX convolves at pad 0, in place
 }
 
-// TestConvInputGradMatchesCol2ImOracle holds the rotated-kernel dX to the
-// lowering-based dX it replaced (kept as the strided/grouped path, and so
-// callable here as the oracle): the two sum the same products in a
-// different order, so they agree to rounding, and exactly for 1×1 where
-// the orders coincide.
+// goldenRotatedDX is the FNV-1a hash of the input gradients over
+// rotatedShapes, recorded when they ran as the forward convolution of dY
+// with the rotated kernel at pad K-1-Pad: the residue plan's one residue
+// must reproduce them bit for bit.
+const goldenRotatedDX = 0x9cbd143692ae853c
+
+// col2imInputGrad is the lowering-based input gradient of an ungrouped
+// conv: per image, the columns Wᵀ·dY scatter-added back over the windows
+// they came from.
+func col2imInputGrad(c *Conv2d, xShape []int, dy *tensor.Tensor) *tensor.Tensor {
+	n, h, w := xShape[0], xShape[2], xShape[3]
+	oh, ow := dy.Shape()[2], dy.Shape()[3]
+	rows, cols := c.InC*c.K*c.K, oh*ow
+	dx := tensor.New(xShape...)
+	dcol := make([]float32, rows*cols)
+	for img := 0; img < n; img++ {
+		tensor.MatMulTransAInto(dcol, c.Weight.Data, dy.Data[img*c.OutC*cols:][:c.OutC*cols], c.OutC, rows, cols, false)
+		for r := 0; r < rows; r++ {
+			ic, ky, kx := r/(c.K*c.K), r/c.K%c.K, r%c.K
+			for p := 0; p < cols; p++ {
+				iy, ix := p/ow*c.Stride-c.Pad+ky, p%ow*c.Stride-c.Pad+kx
+				if iy >= 0 && iy < h && ix >= 0 && ix < w {
+					dx.Data[((img*c.InC+ic)*h+iy)*w+ix] += dcol[r*cols+p]
+				}
+			}
+		}
+	}
+	return dx
+}
+
+// TestConvInputGradMatchesCol2ImOracle holds the residue plan's dX to the
+// lowering-based dX: the two sum the same products in a different order, so
+// they agree to rounding, and exactly for 1×1 where the orders coincide.
 func TestConvInputGradMatchesCol2ImOracle(t *testing.T) {
 	for _, tc := range rotatedShapes {
 		conv, x, grad := convGradCase(47, tc.in, tc.out, tc.k, tc.pad)
 		dx := conv.Backward(grad)
-		oracle := tensor.New(x.Shape()...)
-		conv.backwardStrips(grad, oracle, false)
+		oracle := col2imInputGrad(conv, x.Shape(), grad)
 		if tc.k == 1 {
 			if !float32BitsEqual(dx.Data, oracle.Data) {
 				t.Errorf("%+v: 1x1 input gradient not identical to the col2im oracle", tc)
@@ -214,23 +242,22 @@ func TestConvInputGradMatchesCol2ImOracle(t *testing.T) {
 			t.Errorf("%+v: input gradient off the col2im oracle by %g", tc, worst)
 		}
 	}
-	// Pad ≥ K has no rotated form (its pad would be negative): strip path.
+	// Pad ≥ K: the padding ring receives nothing, the rest is the 1×1 sum.
 	rng := rand.New(rand.NewSource(5))
 	wide := NewConv2d("c", rng, 2, 3, 1, 1, 1, 1)
 	x := tensor.New(2, 2, 4, 4)
 	x.Randn(rng, 1)
 	y := wide.Forward(x, true)
 	dx := wide.Backward(y)
-	oracle := tensor.New(x.Shape()...)
-	wide.backwardStrips(y, oracle, false)
-	if !float32BitsEqual(dx.Data, oracle.Data) {
-		t.Error("pad ≥ K conv did not fall back to the strip path")
+	if !float32BitsEqual(dx.Data, col2imInputGrad(wide, x.Shape(), y).Data) {
+		t.Error("pad ≥ K input gradient not identical to the col2im oracle")
 	}
 }
 
-// TestConvInputGradDispatchParity: like Forward, the dX convolution is
-// bit-identical through the direct kernel and through im2col + matmul, and
-// for every worker count.
+// TestConvInputGradDispatchParity: the input gradient of the stride-1
+// ungrouped shapes is bit for bit goldenRotatedDX, for every worker count
+// and whichever forward path a test selects (the im2col oracle is the
+// forward's; dX has one path).
 func TestConvInputGradDispatchParity(t *testing.T) {
 	wasPacked := tensor.PackedEnabled()
 	defer tensor.SetPacked(wasPacked)
@@ -242,22 +269,27 @@ func TestConvInputGradDispatchParity(t *testing.T) {
 		conv, _, grad := convGradCase(53, tc.in, tc.out, tc.k, tc.pad)
 		return conv.Backward(grad).Data
 	}
+	h := fnv.New64a()
 	for _, tc := range rotatedShapes {
 		ref := dx(tc, true, 1)
+		hashFloats(h, ref)
 		if !float32BitsEqual(ref, dx(tc, false, 1)) {
-			t.Errorf("%+v: direct and im2col input gradients differ", tc)
+			t.Errorf("%+v: input gradient moves with the forward's dispatch", tc)
 		}
 		if !float32BitsEqual(ref, dx(tc, true, 8)) || !float32BitsEqual(ref, dx(tc, false, 8)) {
 			t.Errorf("%+v: input gradient differs between 1 and 8 workers", tc)
 		}
 	}
+	if got := h.Sum64(); got != goldenRotatedDX {
+		t.Errorf("stride-1 input gradients hash to %#x, want %#x", got, uint64(goldenRotatedDX))
+	}
 }
 
 // TestConvSeesUnannouncedWeightWrite: the layer keeps nothing derived from
 // Weight, so writing Weight.Data directly after a Backward — no notification
-// of any kind — is seen by the next Forward and Backward, bit for bit what
-// the im2col oracle computes from the same weights, for the layer and for a
-// clone updated independently of it.
+// of any kind — is seen by the next Forward, bit for bit what the im2col
+// oracle computes from the same weights, and by the next Backward, for the
+// layer and for a clone updated independently of it.
 func TestConvSeesUnannouncedWeightWrite(t *testing.T) {
 	wasPacked := tensor.PackedEnabled()
 	defer tensor.SetPacked(wasPacked)
@@ -310,10 +342,10 @@ func TestConvSeesUnannouncedWeightWrite(t *testing.T) {
 }
 
 // TestFrozenConvBackwardAllocs: inside a model a frozen conv's Backward —
-// dx, the rotated kernel and the staged image drawn from the arena, both
-// plans kept from the last call — allocates only what the scheduler's
-// loop costs, its closure and the staging-time counter it captures (2 as
-// measured at one worker, for the 3×3 and the 1×1 alike).
+// dx, the gathered taps, the staged dY and the residue outputs drawn from
+// the arena, both plans kept from the last call — allocates only what the
+// scheduler's loop costs, its closure and the copy-time counter it
+// captures (2 as measured at one worker, for every shape here).
 func TestFrozenConvBackwardAllocs(t *testing.T) {
 	if profActive() {
 		t.Skip("a tracer is active: every span allocates")
@@ -321,19 +353,23 @@ func TestFrozenConvBackwardAllocs(t *testing.T) {
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(0)
 	const maxAllocs = 3
-	for _, tc := range []struct{ k, pad int }{{3, 1}, {1, 0}} {
-		conv, x, grad := convGradCase(59, 16, 24, tc.k, tc.pad)
+	for _, tc := range []struct{ k, stride, pad, groups int }{{3, 1, 1, 1}, {1, 1, 0, 1}, {3, 2, 1, 1}, {1, 2, 0, 1}, {3, 1, 1, 4}} {
+		rng := rand.New(rand.NewSource(59))
+		conv := NewConv2d("c", rng, 16, 24, tc.k, tc.stride, tc.pad, tc.groups)
 		conv.Weight.Frozen = true
 		a := new(tensor.Arena)
 		Attach(conv, a, false)
-		conv.Forward(x, true)
+		x := tensor.New(3, 16, 9, 11)
+		x.Randn(rng, 1)
+		grad := tensor.New(conv.Forward(x, true).Shape()...)
+		grad.Randn(rng, 1)
 		conv.Backward(grad) // the arena has seen every shape
 		got := testing.AllocsPerRun(200, func() {
 			a.Reset()
 			conv.Backward(grad)
 		})
 		if got > maxAllocs {
-			t.Errorf("k=%d: frozen Backward allocates %v times per call, want ≤ %v", tc.k, got, maxAllocs)
+			t.Errorf("%+v: frozen Backward allocates %v times per call, want ≤ %v", tc, got, maxAllocs)
 		}
 	}
 }

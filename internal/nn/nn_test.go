@@ -1,10 +1,16 @@
 package nn
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"edgetta/internal/parallel"
 	"edgetta/internal/tensor"
 )
 
@@ -53,47 +59,171 @@ func checkGrad(t *testing.T, name string, forward func() float64, vals, analytic
 	}
 }
 
-func TestConv2dMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, tc := range []struct{ in, out, k, stride, pad, groups int }{
-		{3, 8, 3, 1, 1, 1},
-		{4, 6, 3, 2, 1, 2},
-		{8, 8, 3, 1, 1, 8}, // depthwise
-		{6, 4, 1, 1, 0, 2},
-	} {
-		conv := NewConv2d("c", rng, tc.in, tc.out, tc.k, tc.stride, tc.pad, tc.groups)
-		x := tensor.New(2, tc.in, 6, 6)
-		x.Randn(rng, 1)
-		y := conv.Forward(x, false)
-		// Naive direct convolution.
-		inCg, outCg := tc.in/tc.groups, tc.out/tc.groups
-		oh, ow := y.Dim(2), y.Dim(3)
-		for img := 0; img < 2; img++ {
-			for oc := 0; oc < tc.out; oc++ {
-				g := oc / outCg
-				for oy := 0; oy < oh; oy++ {
-					for ox := 0; ox < ow; ox++ {
-						s := float64(0)
-						for ic := 0; ic < inCg; ic++ {
-							for ky := 0; ky < tc.k; ky++ {
-								for kx := 0; kx < tc.k; kx++ {
-									iy, ix := oy*tc.stride-tc.pad+ky, ox*tc.stride-tc.pad+kx
-									if iy < 0 || iy >= 6 || ix < 0 || ix >= 6 {
-										continue
-									}
-									xv := x.At(img, g*inCg+ic, iy, ix)
-									wv := conv.Weight.Data[((oc-g*outCg)+g*outCg)*inCg*tc.k*tc.k+ic*tc.k*tc.k+ky*tc.k+kx]
-									s += float64(xv) * float64(wv)
-								}
-							}
+// convGeom is one convolution of the reference table, on images of h×w.
+type convGeom struct{ in, out, groups, h, w, k, stride, pad int }
+
+// convGeometries is the reference table: stride {1, 2, 3} × K {1, 3, 5} ×
+// pad {0, 1, K−1, K, K+1} × {ungrouped, two groups, depthwise}, on a 7×9
+// plane and, under K = 5, a 4×4 one. K = 1 at stride 2 and 3 is K < stride,
+// where some positions of dX are reached by no tap.
+func convGeometries() []convGeom {
+	pads := map[int][]int{1: {0, 1, 2}, 3: {0, 1, 2, 3, 4}, 5: {0, 1, 4, 5, 6}}
+	var gs []convGeom
+	for _, stride := range []int{1, 2, 3} {
+		for _, k := range []int{1, 3, 5} {
+			for _, pad := range pads[k] {
+				for _, ch := range [][3]int{{3, 5, 1}, {4, 6, 2}, {4, 4, 4}} {
+					for _, hw := range [][2]int{{7, 9}, {4, 4}} {
+						if hw[0] == 4 && k != 5 || hw[0]+2*pad < k {
+							continue
 						}
-						if got := float64(y.At(img, oc, oy, ox)); math.Abs(got-s) > 1e-3 {
-							t.Fatalf("%+v: y[%d,%d,%d,%d] = %v, want %v", tc, img, oc, oy, ox, got, s)
+						gs = append(gs, convGeom{ch[0], ch[1], ch[2], hw[0], hw[1], k, stride, pad})
+					}
+				}
+			}
+		}
+	}
+	return gs
+}
+
+// naiveConv computes in float64, from the definition, conv's output on x
+// and, for the output gradient g, its input and weight gradients.
+func naiveConv(c *Conv2d, x, g *tensor.Tensor) (y, dx, dw []float64) {
+	n, h, w, oh, ow := x.Dim(0), x.Dim(2), x.Dim(3), g.Dim(2), g.Dim(3)
+	inCg, outCg := c.InC/c.Groups, c.OutC/c.Groups
+	y, dx, dw = make([]float64, g.Numel()), make([]float64, x.Numel()), make([]float64, len(c.Weight.Data))
+	for img := 0; img < n; img++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					yi := ((img*c.OutC+oc)*oh+oy)*ow + ox
+					for ic := 0; ic < inCg; ic++ {
+						for ky := 0; ky < c.K; ky++ {
+							for kx := 0; kx < c.K; kx++ {
+								iy, ix := oy*c.Stride-c.Pad+ky, ox*c.Stride-c.Pad+kx
+								if iy < 0 || iy >= h || ix < 0 || ix >= w {
+									continue
+								}
+								xi := ((img*c.InC+oc/outCg*inCg+ic)*h+iy)*w + ix
+								wi := ((oc*inCg+ic)*c.K+ky)*c.K + kx
+								xv, wv, gv := float64(x.Data[xi]), float64(c.Weight.Data[wi]), float64(g.Data[yi])
+								y[yi] += xv * wv
+								dx[xi] += gv * wv
+								dw[wi] += gv * xv
+							}
 						}
 					}
 				}
 			}
 		}
+	}
+	return y, dx, dw
+}
+
+// offReference returns the index of the first element of got farther than
+// 1e-5·(1+|ref|) from ref, -1 when there is none.
+func offReference(got []float32, ref []float64) int {
+	for i, v := range got {
+		if math.Abs(float64(v)-ref[i]) > 1e-5*(1+math.Abs(ref[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkConvAgainstNaive runs conv forward and backward on x under the
+// output gradient g at each worker count, and reports a result that
+// differs between worker counts or from naiveConv. It returns the weight
+// gradient.
+func checkConvAgainstNaive(t *testing.T, conv *Conv2d, x, g *tensor.Tensor, workers ...int) []float32 {
+	t.Helper()
+	defer parallel.SetWorkers(0)
+	names := [3]string{"output", "input gradient", "weight gradient"}
+	var first [3][]float32
+	for i, n := range workers {
+		parallel.SetWorkers(n)
+		conv.Weight.ZeroGrad()
+		y := conv.Forward(x, true)
+		got := [3][]float32{y.Data, conv.Backward(g).Data, append([]float32(nil), conv.Weight.Grad...)}
+		if i == 0 {
+			first = got
+			continue
+		}
+		for j := range got {
+			if !float32BitsEqual(got[j], first[j]) {
+				t.Errorf("%s: %s differs between %d and %d workers", conv.Name(), names[j], workers[0], n)
+			}
+		}
+	}
+	y, dx, dw := naiveConv(conv, x, g)
+	for j, ref := range [][]float64{y, dx, dw} {
+		if i := offReference(first[j], ref); i >= 0 {
+			t.Errorf("%s: %s[%d] = %v, naive reference %v", conv.Name(), names[j], i, first[j][i], ref[i])
+		}
+	}
+	return first[2]
+}
+
+// goldenConvDW is the FNV-1a hash of the weight gradients over
+// convGeometries, recorded on amd64 when dW still ran as im2col strips
+// multiplied by dY: lowering one row at a time must not move one bit.
+const goldenConvDW = 0xc4c622414e2485ca
+
+// TestConv2dMatchesNaive holds every shape of the reference table — its
+// forward, input gradient and weight gradient — to the float64 definition,
+// bit-identical at one and eight workers, with the weight gradients pinned
+// to goldenConvDW.
+func TestConv2dMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	h := fnv.New64a()
+	for _, gm := range convGeometries() {
+		conv := NewConv2d(fmt.Sprintf("%+v", gm), rng, gm.in, gm.out, gm.k, gm.stride, gm.pad, gm.groups)
+		x := tensor.New(2, gm.in, gm.h, gm.w)
+		x.Randn(rng, 1)
+		g := tensor.New(2, gm.out, (gm.h+2*gm.pad-gm.k)/gm.stride+1, (gm.w+2*gm.pad-gm.k)/gm.stride+1)
+		g.Randn(rng, 1)
+		hashFloats(h, checkConvAgainstNaive(t, conv, x, g, 1, 8))
+	}
+	if got := h.Sum64(); runtime.GOARCH == "amd64" && got != goldenConvDW {
+		t.Errorf("weight gradients hash to %#x, want %#x", got, uint64(goldenConvDW))
+	}
+}
+
+// FuzzConvGrad draws a bounded geometry from the fuzz input — groups
+// dividing both channel counts of at most 8, planes up to 12×12, K ≤ 5,
+// stride ≤ 3, pad ≤ K+1 — and holds the forward, input gradient and weight
+// gradient to the naive reference. A kernel wider than the padded plane
+// must be refused. The seed corpus is testdata/fuzz/FuzzConvGrad.
+func FuzzConvGrad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, groups, inCg, outCg, h, w, k, stride, pad uint8) {
+		gm := convGeom{groups: 1 + int(groups)%8, h: 1 + int(h)%12, w: 1 + int(w)%12, k: 1 + int(k)%5, stride: 1 + int(stride)%3}
+		gm.in, gm.out = gm.groups*(1+int(inCg)%(8/gm.groups)), gm.groups*(1+int(outCg)%(8/gm.groups))
+		gm.pad = int(pad) % (gm.k + 2)
+		rng := rand.New(rand.NewSource(int64(gm.h*13 + gm.w)))
+		conv := NewConv2d(fmt.Sprintf("%+v", gm), rng, gm.in, gm.out, gm.k, gm.stride, gm.pad, gm.groups)
+		x := tensor.New(2, gm.in, gm.h, gm.w)
+		x.Randn(rng, 1)
+		if gm.h+2*gm.pad < gm.k || gm.w+2*gm.pad < gm.k {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%+v: a kernel wider than the padded plane was not refused", gm)
+				}
+			}()
+			conv.Forward(x, true)
+			return
+		}
+		g := tensor.New(2, gm.out, (gm.h+2*gm.pad-gm.k)/gm.stride+1, (gm.w+2*gm.pad-gm.k)/gm.stride+1)
+		g.Randn(rng, 1)
+		checkConvAgainstNaive(t, conv, x, g, 1, 8)
+	})
+}
+
+// hashFloats feeds the bits of vs to h.
+func hashFloats(h hash.Hash64, vs []float32) {
+	var b [4]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+		h.Write(b[:])
 	}
 }
 
@@ -103,6 +233,8 @@ func TestConv2dGradients(t *testing.T) {
 		{2, 4, 3, 1, 1, 1},
 		{4, 4, 3, 2, 1, 2},
 		{4, 4, 3, 1, 1, 4},
+		{2, 3, 1, 2, 0, 1}, // K < stride
+		{2, 2, 3, 3, 4, 2}, // pad > K
 	} {
 		conv := NewConv2d("c", rng, tc.in, tc.out, tc.k, tc.stride, tc.pad, tc.groups)
 		x := tensor.New(2, tc.in, 5, 5)

@@ -3,6 +3,7 @@ package nn
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgetta/internal/parallel"
@@ -171,6 +172,18 @@ func profAdd(kind Kind, backward bool, dt float64) {
 		c.totals.FwSeconds[kind] += dt
 		c.totals.FwCalls[kind]++
 	}
+}
+
+// timed runs f and, when prof, adds its duration to sum: a sub-measurement
+// summed across pool workers, credited with profAdd after the loop joins.
+func timed(prof bool, sum *atomic.Int64, f func()) {
+	if prof {
+		t0 := time.Now()
+		f()
+		sum.Add(int64(time.Since(t0)))
+		return
+	}
+	f()
 }
 
 // profEnd records a completed phase against the aggregate totals and, when

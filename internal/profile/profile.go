@@ -105,9 +105,9 @@ func (t Trace) Summarize() Summary {
 	return s
 }
 
-// GroupedConvMACs must be computed at capture time because Spec does not
-// record the group count; Capture2 (below) annotates it via the layer tree.
-// To keep Trace serializable-simple we recompute it here from the model.
+// GroupedConvMACs returns the MACs of a batch's grouped convolutions, read
+// off the model's layer tree after a forward: Spec records no group count,
+// which keeps Trace serializable-simple.
 func GroupedConvMACs(m *models.Model, batch int) int64 {
 	var total int64
 	nn.Walk(m.Net, func(l nn.Layer) {

@@ -83,8 +83,8 @@ func TestMeasureBreakdownBNOptBackwardShare(t *testing.T) {
 	ratio := r.BwSeconds[nn.KindConv] / r.FwSeconds[nn.KindConv]
 	// The paper measures 2.2–2.5x on its Arm/Volta targets. Here BN-Opt's
 	// conv backward is the input gradient alone, run on the forward kernel
-	// (and skipped at the stem), so the ratio sits a little under 1; the
-	// strip-mined lowering it replaced read 6–7. The bounds only reject a
+	// (and skipped at the stem), so the ratio sits near 1; the strip-mined
+	// lowering the strided dX once ran read 6–7. The bounds only reject a
 	// backward that vanished or went back to that.
 	if ratio < 0.3 || ratio > 4.0 {
 		t.Fatalf("conv bw/fw ratio %.2f implausible", ratio)

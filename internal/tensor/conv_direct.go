@@ -39,15 +39,16 @@ import (
 // architecture and worker count, which keeps im2col as the oracle the
 // parity tests compare against (SetPacked).
 
-// oracleOnly sends every convolution to the im2col path; see SetPacked.
+// oracleOnly sends every forward to the im2col path; see SetPacked.
 var oracleOnly atomic.Bool
 
-// SetPacked is the oracle hook: SetPacked(false) makes every convolution
-// take the im2col+matmul path, which the direct kernel must match bit for
-// bit. Its callers are the parity tests and bench/micro.go (which times the
-// im2col lowering); no binary, flag or environment variable reaches it, and
-// a test pins that (TestProcessSwitchesArePinned). The name dates from the
-// channel-packed layout the direct path used to run on.
+// SetPacked is the oracle hook: SetPacked(false) makes every forward
+// convolution take the im2col+matmul path, which the direct kernel must
+// match bit for bit. Its callers are the parity tests and bench/micro.go
+// (which times the im2col lowering); no binary, flag or environment
+// variable reaches it, and a test pins that (TestProcessSwitchesArePinned).
+// The name dates from the channel-packed layout the direct path used to
+// run on.
 func SetPacked(on bool) { oracleOnly.Store(!on) }
 
 // PackedEnabled reports whether SetPacked(false) is not in effect.
@@ -68,6 +69,12 @@ func (s ConvShape) OutW() int { return (s.W+2*s.Pad-s.K)/s.Stride + 1 }
 // InPlace reports whether the kernel reads the NCHW input where it lies;
 // every other shape is staged first (ConvPlan.Stage).
 func (s ConvShape) InPlace() bool { return s.Pad == 0 && s.Stride == 1 }
+
+// valid reports whether s is a convolution with at least one output pixel.
+func (s ConvShape) valid() bool {
+	return s.K >= 1 && s.Stride >= 1 && s.Pad >= 0 && s.Groups >= 1 && s.InC%s.Groups == 0 && s.OutC%s.Groups == 0 &&
+		s.H+2*s.Pad >= s.K && s.W+2*s.Pad >= s.K
+}
 
 // ConvPlan is a ConvShape with the kernel's addressing worked out. The
 // kernel sees each input channel as res×res sub-planes of subH×subW values,
@@ -98,8 +105,7 @@ const convSpanGrainFlops = 32 * 1024
 // NewConvPlan works out the addressing for s. It depends on the geometry
 // alone, so one plan serves every image of a batch.
 func NewConvPlan(s ConvShape) *ConvPlan {
-	if s.K < 1 || s.Stride < 1 || s.Pad < 0 || s.Groups < 1 || s.InC%s.Groups != 0 || s.OutC%s.Groups != 0 ||
-		s.H+2*s.Pad < s.K || s.W+2*s.Pad < s.K {
+	if !s.valid() {
 		panic("tensor: NewConvPlan geometry invalid")
 	}
 	p := &ConvPlan{ConvShape: s, res: min(s.K, s.Stride), spans: s.OutH(), spanPix: s.OutW()}
@@ -181,7 +187,7 @@ func (p *ConvPlan) Run(y, x, w []float32) {
 	}
 	tiles := (outCg + convTile - 1) / convTile
 	units, grain := p.Groups*tiles*p.spans, max(1, convSpanGrainFlops/(2*p.spanPix*rows*convTile))
-	// Once per image, so no closure unless the loop forks (MatMulTransAInto).
+	// Once per image and residue, so no closure unless the loop forks.
 	if ranges, _ := parallel.Split(units, grain); ranges == 1 {
 		p.runUnits(y, x, w, 0, units)
 		return
@@ -235,29 +241,6 @@ func convSpanGeneric(y []float32, yStride int, x, w []float32, wStride int, off 
 				a += wj[r] * x[int(o)+p]
 			}
 			yj[p] = a
-		}
-	}
-}
-
-// RotateConvWeights writes into dst the kernel whose stride-1 forward
-// convolution over dY is the input gradient of the convolution w: each
-// K×K tap rotated by 180° and the in/out channel axes transposed,
-// dst[ic][oc*K*K + r] = w[oc][ic*K*K + (K*K-1-r)]. dst is [inC, outC*K*K]
-// row-major, the layout ConvPlan.Run and the im2col matmul both take;
-// convolving dY with it at pad K-1-pad yields dX (see Conv2d.Backward,
-// which rotates into a buffer per call and keeps no copy).
-func RotateConvWeights(dst, w []float32, outC, inC, k int) {
-	kk := k * k
-	if len(dst) < inC*outC*kk || len(w) < outC*inC*kk {
-		panic("tensor: RotateConvWeights slice too short")
-	}
-	for oc := 0; oc < outC; oc++ {
-		for ic := 0; ic < inC; ic++ {
-			src := w[(oc*inC+ic)*kk:][:kk:kk]
-			out := dst[(ic*outC+oc)*kk:][:kk:kk]
-			for r, v := range src {
-				out[kk-1-r] = v
-			}
 		}
 	}
 }

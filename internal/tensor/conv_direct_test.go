@@ -240,48 +240,78 @@ func TestStageBakesBorderAndSplitsResidues(t *testing.T) {
 	}
 }
 
-// TestIm2ColRowsMatchFullLowering: strips of the lowering must equal the
-// corresponding rows of the full matrix bit for bit (the strip-mined
-// backward depends on this).
-func TestIm2ColRowsMatchFullLowering(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	c, h, w, k, stride, pad := 3, 7, 6, 3, 2, 1
-	hout := (h+2*pad-k)/stride + 1
-	wout := (w+2*pad-k)/stride + 1
-	cols := hout * wout
-	rows := c * k * k
-	x := make([]float32, c*h*w)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
+// convGradRun computes one image's input gradient dy → dX through the
+// gradient plan, with every buffer it is handed bracketed by canaries and
+// arriving full of NaN: an element left unwritten surfaces as NaN.
+func convGradRun(t *testing.T, dy, w []float32, s ConvShape) []float32 {
+	t.Helper()
+	p := NewConvGradPlan(s)
+	in, inOK := guarded(len(dy))
+	copy(in, dy)
+	taps, tapsOK := guarded(len(w))
+	p.Weights(taps, w)
+	dx, dxOK := guarded(s.InC * s.H * s.W)
+	intact := []func() bool{inOK, tapsOK, dxOK}
+	if n := p.StagedLen(); n > 0 {
+		staged, ok := guarded(n)
+		p.Stage(staged, in)
+		in, intact = staged, append(intact, ok)
 	}
-	full := make([]float32, rows*cols)
-	Im2Col(full, x, c, h, w, k, stride, pad)
-	for _, strip := range [][2]int{{0, 5}, {5, 11}, {11, rows}, {0, rows}} {
-		r0, r1 := strip[0], strip[1]
-		got := make([]float32, (r1-r0)*cols)
-		Im2ColRows(got, x, c, h, w, k, stride, pad, r0, r1)
-		if !bitsEqual(got, full[r0*cols:r1*cols]) {
-			t.Errorf("Im2ColRows(%d,%d) differs from full lowering", r0, r1)
+	if n := p.SplitLen(); n > 0 {
+		split, ok := guarded(n)
+		p.Run(split, in, taps)
+		p.Unstage(dx, split)
+		intact = append(intact, ok)
+	} else {
+		p.Run(dx, in, taps)
+	}
+	for _, ok := range intact {
+		if !ok() {
+			t.Errorf("%+v: the gradient plan wrote outside a buffer it was handed", s)
 		}
 	}
+	return dx
+}
 
-	// Col2Im scattered as ascending strips must equal one full scatter.
-	colsIn := make([]float32, rows*cols)
-	for i := range colsIn {
-		colsIn[i] = float32(rng.NormFloat64())
-	}
-	want := make([]float32, c*h*w)
-	Col2Im(want, colsIn, c, h, w, k, stride, pad)
-	got := make([]float32, c*h*w)
-	for r0 := 0; r0 < rows; r0 += 4 {
-		r1 := r0 + 4
-		if r1 > rows {
-			r1 = rows
+// TestConvGradIsAdjointOfConv: the input gradient is the adjoint of the
+// convolution, ⟨conv(x), g⟩ = ⟨x, dX(g)⟩ to rounding, over strides 1–3 —
+// dY read in place and staged, one residue and many, residues no tap
+// reaches (K < stride), pad beyond K, grouped and depthwise — on every
+// parity plane, through buffers bracketed by canaries.
+func TestConvGradIsAdjointOfConv(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cases := 0
+	for _, k := range []int{1, 2, 3, 5} {
+		for _, stride := range []int{1, 2, 3} {
+			for _, pad := range []int{0, 1, k - 1, k + 1} {
+				for _, groups := range []int{1, 3} {
+					for _, hw := range parityPlanes {
+						s := ConvShape{InC: 3, OutC: 2 * groups, H: hw[0], W: hw[1], K: k, Stride: stride, Pad: pad, Groups: groups}
+						if !s.valid() {
+							continue
+						}
+						x, g := randSlice(rng, s.InC*s.H*s.W), randSlice(rng, s.OutC*s.OutH()*s.OutW())
+						w := randSlice(rng, s.OutC*s.InC/groups*k*k)
+						lhs, rhs, mag := 0.0, 0.0, 0.0
+						for i, v := range convDirectRun(t, x, w, s) {
+							lhs += float64(v) * float64(g[i])
+							mag += math.Abs(float64(v) * float64(g[i]))
+						}
+						for i, v := range convGradRun(t, g, w, s) {
+							rhs += float64(v) * float64(x[i])
+							mag += math.Abs(float64(v) * float64(x[i]))
+						}
+						if !(math.Abs(lhs-rhs) <= 1e-5*(1+mag)) {
+							t.Errorf("%+v: ⟨conv(x), g⟩ = %v but ⟨x, dX(g)⟩ = %v", s, lhs, rhs)
+						}
+						cases++
+					}
+				}
+			}
 		}
-		Col2ImRows(got, colsIn[r0*cols:r1*cols], c, h, w, k, stride, pad, r0, r1)
 	}
-	if !bitsEqual(got, want) {
-		t.Error("strip-wise Col2ImRows differs from full Col2Im")
+	if cases < 1000 {
+		t.Errorf("only %d geometries ran", cases)
 	}
 }
 

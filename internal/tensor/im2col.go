@@ -24,37 +24,24 @@ func clipX(wout, stride, off, w int) (lo, hi int) {
 }
 
 // Im2Col lowers one image's patch windows into a column matrix for
-// convolution-as-matmul. Input x is a single image [C,H,W] given as a raw
-// slice; the result written into dst is [C*K*K, Hout*Wout] row-major.
-// dst must be pre-sized; entries outside the padded image are zeroed.
+// convolution-as-matmul, the forward's oracle. Input x is a single image
+// [C,H,W] given as a raw slice; the result written into dst is [C*K*K,
+// Hout*Wout] row-major, row r being (channel, ky, kx) = (r/(K*K),
+// (r%(K*K))/K, r%K). dst must be pre-sized; entries outside the padded image
+// are zeroed. A geometry with no output pixel panics, as NewConvPlan does.
 func Im2Col(dst, x []float32, c, h, w, k, stride, pad int) (hout, wout int) {
-	return Im2ColRows(dst, x, c, h, w, k, stride, pad, 0, c*k*k)
-}
-
-// Im2ColRows lowers only rows [r0, r1) of the column matrix, written
-// densely into dst (row r lands at dst[(r-r0)*Hout*Wout:]). Row r
-// corresponds to (channel, ky, kx) = (r/(K*K), (r%(K*K))/K, r%K). The
-// strip-mined conv backward uses this to stream small row blocks through
-// the cache instead of materializing the full lowering; the per-row code
-// is shared with Im2Col, so strips are bit-identical to the full matrix.
-// Each output row decomposes into a zeroed padding prefix/suffix and an
-// in-bounds middle that is a contiguous copy at stride 1 (the common
-// case) or a strided gather otherwise (lowerRows).
-func Im2ColRows(dst, x []float32, c, h, w, k, stride, pad, r0, r1 int) (hout, wout int) {
-	hout = (h+2*pad-k)/stride + 1
-	wout = (w+2*pad-k)/stride + 1
-	cols := hout * wout
-	if len(dst) < (r1-r0)*cols {
-		panic("tensor: Im2ColRows dst too short")
+	s := ConvShape{InC: c, OutC: c, H: h, W: w, K: k, Stride: stride, Pad: pad, Groups: 1}
+	if !s.valid() {
+		panic("tensor: Im2Col geometry invalid")
 	}
-	kk := k * k
-	for r := r0; r < r1; r++ {
-		ch := r / kk
-		rem := r % kk
-		ky, kx := rem/k, rem%k
-		plane := x[ch*h*w : (ch+1)*h*w]
-		out := dst[(r-r0)*cols : (r-r0+1)*cols]
-		lowerRows(out, wout, plane, ky-pad, kx-pad, stride, h, w)
+	hout, wout = s.OutH(), s.OutW()
+	cols, kk := hout*wout, k*k
+	if len(dst) < c*kk*cols {
+		panic("tensor: Im2Col dst too short")
+	}
+	for r := 0; r < c*kk; r++ {
+		ch, ky, kx := r/kk, r%kk/k, r%k
+		lowerRows(dst[r*cols:(r+1)*cols], wout, x[ch*h*w:(ch+1)*h*w], ky-pad, kx-pad, stride, h, w)
 	}
 	return hout, wout
 }
@@ -87,55 +74,6 @@ func lowerRows(dst []float32, wout int, plane []float32, iy0, off, stride, h, w 
 		}
 		for ; j < len(seg); j++ {
 			seg[j] = src[j*stride]
-		}
-	}
-}
-
-// Col2Im scatters a column matrix back into an image, accumulating
-// overlapping contributions. cols is [C*K*K, Hout*Wout]; the result is
-// accumulated into dst, a [C,H,W] image slice (caller zeroes it first).
-func Col2Im(dst, cols []float32, c, h, w, k, stride, pad int) {
-	Col2ImRows(dst, cols, c, h, w, k, stride, pad, 0, c*k*k)
-}
-
-// Col2ImRows scatters only rows [r0, r1) of a column matrix, read densely
-// from cols (row r at cols[(r-r0)*Hout*Wout:]). Scattering strips in
-// ascending row order reproduces the full Col2Im bit for bit: the
-// accumulation order per image element is rows ascending, exactly as in
-// the scalar formulation. The in-bounds middle of each row is a
-// vectorized add at stride 1.
-func Col2ImRows(dst, cols []float32, c, h, w, k, stride, pad, r0, r1 int) {
-	hout := (h+2*pad-k)/stride + 1
-	wout := (w+2*pad-k)/stride + 1
-	n := hout * wout
-	kk := k * k
-	for r := r0; r < r1; r++ {
-		ch := r / kk
-		rem := r % kk
-		ky, kx := rem/k, rem%k
-		plane := dst[ch*h*w : (ch+1)*h*w]
-		src := cols[(r-r0)*n : (r-r0+1)*n]
-		off := kx - pad
-		lo, hi := clipX(wout, stride, off, w)
-		for oy := 0; oy < hout; oy++ {
-			iy := oy*stride - pad + ky
-			if iy < 0 || iy >= h || lo == hi {
-				continue
-			}
-			base := iy*w + off
-			seg := src[oy*wout:]
-			if stride == 1 {
-				// plane[base+ox] += seg[ox]: a unit axpy (1*x
-				// rounds to x, so this matches the scalar loop
-				// bit for bit).
-				axpy(1, seg[lo:hi], plane[base+lo:base+hi])
-			} else {
-				ix := base + lo*stride
-				for ox := lo; ox < hi; ox++ {
-					plane[ix] += seg[ox]
-					ix += stride
-				}
-			}
 		}
 	}
 }

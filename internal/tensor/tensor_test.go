@@ -271,32 +271,6 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 	}
 }
 
-// Col2Im is the adjoint of Im2Col: <Im2Col(x), y> == <x, Col2Im(y)>.
-func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c, h, w, k, stride, pad := 3, 8, 8, 3, 2, 1
-	hout := (h+2*pad-k)/stride + 1
-	wout := (w+2*pad-k)/stride + 1
-	rows, n := c*k*k, hout*wout
-	x := randTensor(rng, c, h, w)
-	y := randTensor(rng, rows, n)
-	cols := make([]float32, rows*n)
-	Im2Col(cols, x.Data, c, h, w, k, stride, pad)
-	lhs := float64(0)
-	for i := range cols {
-		lhs += float64(cols[i]) * float64(y.Data[i])
-	}
-	back := make([]float32, c*h*w)
-	Col2Im(back, y.Data, c, h, w, k, stride, pad)
-	rhs := float64(0)
-	for i := range back {
-		rhs += float64(back[i]) * float64(x.Data[i])
-	}
-	if math.Abs(lhs-rhs) > 1e-2*(1+math.Abs(lhs)) {
-		t.Fatalf("adjoint mismatch: %v vs %v", lhs, rhs)
-	}
-}
-
 func TestRandnDeterministic(t *testing.T) {
 	a, b := New(16), New(16)
 	a.Randn(rand.New(rand.NewSource(42)), 1)
