@@ -62,7 +62,7 @@ func TestBNOptFrozenMatchesFullBackward(t *testing.T) {
 // the input gradient runs on the forward kernels: one BN-Opt step is one
 // conv.fw and one conv.bw span per conv layer — no forward span from inside
 // backward — and the copies of a dX (staging dY, interleaving residues)
-// show up as one pack.bw per conv only.
+// show up as one pack.bw per conv that makes them, naming it.
 func TestBNOptStepSpansOncePerConv(t *testing.T) {
 	m := tinyModel(21)
 	a, err := New(BNOpt, m, Config{})
@@ -119,8 +119,12 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 		convs++
 		// A dX copies when its plan stages dY or interleaves residues;
 		// conv1 is the graph input: no dX.
+		copies := 0
 		if p := tensor.NewConvGradPlan(c.ConvShape()); p.StagedLen()+p.SplitLen() > 0 && c.Name() != "conv1" {
-			stagedDX++
+			stagedDX, copies = stagedDX+1, 1
+		}
+		if n := spans["pack.bw"][c.Name()]; tensor.PackedEnabled() && n != copies {
+			t.Errorf("%s: %d pack.bw spans in one step, want %d", c.Name(), n, copies)
 		}
 		if fw, bw := spans["conv.fw"][c.Name()], spans["conv.bw"][c.Name()]; fw != 1 || bw != 1 {
 			t.Errorf("%s: %d conv.fw and %d conv.bw spans in one step, want 1 and 1", c.Name(), fw, bw)
@@ -129,8 +133,12 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 	if convs == 0 || stagedDX == 0 {
 		t.Fatal("model has no conv with a staged input-gradient convolution")
 	}
-	if tensor.PackedEnabled() && spans["pack.bw"][""] != stagedDX {
-		t.Errorf("pack.bw spans = %d, want one per staged input-gradient conv (%d)", spans["pack.bw"][""], stagedDX)
+	packs := 0
+	for _, n := range spans["pack.bw"] {
+		packs += n
+	}
+	if tensor.PackedEnabled() && packs != stagedDX {
+		t.Errorf("pack.bw spans = %d, want one per staged input-gradient conv (%d)", packs, stagedDX)
 	}
 	// Every ReLU of this model follows a BatchNorm and runs inside its
 	// fused pass, so the step is one bn.fw and one bn.bw span per BN, each

@@ -202,7 +202,7 @@ func (c *Conv2d) conv(dst, src, w []float32, n int, k kernel, backward bool) {
 	c.Arena.Free(split)
 	c.Arena.Free(staged)
 	if prof {
-		profAdd(KindPack, backward, time.Duration(copyNanos.Load()).Seconds())
+		profAdd(KindPack, c.name, backward, time.Duration(copyNanos.Load()))
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 // (telemetry.StartTracing / EDGETTA_TRACE=1), every layer Forward/Backward
 // becomes a Chrome trace-event span named "<kind>.fw"/"<kind>.bw" with the
 // layer name attached, and the time a conv spends staging its input (the
-// padded, stride-split copy) appears as contained "pack" spans annotated
-// with the pool width. Either
+// padded, stride-split copy) appears as contained "pack" spans carrying
+// the conv's name and the pool width. Either
 // consumer — aggregate profiler or tracer — turns the hooks on; both read
 // the clock only in this file (exempt from ttalint's determinism scope by
 // the *profiler* filename carve-out) and in internal/telemetry.
@@ -142,20 +142,19 @@ func spanName(kind Kind, backward bool) string {
 	return kind.String() + ".fw"
 }
 
-// profAdd credits dt seconds to a kind directly, without a surrounding
-// interval. The conv layer uses it to attribute input staging time
-// (KindPack) separately from kernel compute; the seconds are summed
-// across pool workers, so the split is exact at one worker and
-// CPU-time-like above. With a tracer active it also emits a span ending
-// now, annotated with the pool width the sum ran across.
-func profAdd(kind Kind, backward bool, dt float64) {
+// profAdd credits dt to a kind directly, without a surrounding interval.
+// The conv layer named name uses it to attribute its staging copies
+// (KindPack) separately from kernel compute; dt is summed across pool
+// workers, so the split is exact at one worker and CPU-time-like above.
+// With a tracer active it also emits a span ending now that carries the
+// layer's name and the pool width the sum ran across.
+func profAdd(kind Kind, name string, backward bool, dt time.Duration) {
 	if dt == 0 {
 		return
 	}
 	if tr := telemetry.ActiveTracer(); tr != nil {
-		d := time.Duration(dt * float64(time.Second))
-		tr.Complete("nn", spanName(kind, backward), 0, time.Now().Add(-d), d,
-			telemetry.Arg{Key: "workers", Value: parallel.Workers()})
+		tr.Complete("nn", spanName(kind, backward), 0, time.Now().Add(-dt), dt,
+			telemetry.Arg{Key: "layer", Value: name}, telemetry.Arg{Key: "workers", Value: parallel.Workers()})
 	}
 	profMu.Lock()
 	c := profCur
@@ -163,13 +162,14 @@ func profAdd(kind Kind, backward bool, dt float64) {
 	if c == nil {
 		return
 	}
+	sec := dt.Seconds()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if backward {
-		c.totals.BwSeconds[kind] += dt
+		c.totals.BwSeconds[kind] += sec
 		c.totals.BwCalls[kind]++
 	} else {
-		c.totals.FwSeconds[kind] += dt
+		c.totals.FwSeconds[kind] += sec
 		c.totals.FwCalls[kind]++
 	}
 }

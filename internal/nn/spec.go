@@ -14,10 +14,12 @@ const (
 	KindAct
 	KindPool
 	KindComposite
-	// KindPack is a profiler-only kind: the time a conv spends staging its
-	// input for the direct kernel (a copy with the zero border baked in,
-	// not arithmetic; the name dates from the layout pack it replaced and
-	// is a metric name of the repository's benchmark). It is recorded inside a conv layer's KindConv wall-time
+	// KindPack is a profiler-only kind: the time a conv spends on its
+	// staging copies — the input staged for the direct kernel with the
+	// zero border baked in, and in backward dY staged and the residues
+	// interleaved into dX; copies, not arithmetic. The name dates from the
+	// layout pack it replaced and is a metric name of the repository's
+	// benchmark. It is recorded inside a conv layer's KindConv wall-time
 	// interval, so it is a contained sub-measurement, never added to
 	// KindConv when summing phase totals. No layer reports it as its Spec
 	// kind, so the device cost model never sees it.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -348,8 +349,11 @@ func TestHTTPOverloadSheds(t *testing.T) {
 // deadline error instead of hanging.
 func TestHTTPServerSideTimeout(t *testing.T) {
 	base := testModel()
-	srv := serve.New(serve.Config{QueueCap: 32})
+	gate := &holdInjector{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	srv := serve.New(serve.Config{QueueCap: 32, Injector: gate})
 	defer srv.Close()
+	release := sync.OnceFunc(func() { close(gate.release) })
+	defer release()
 	if _, err := srv.AddGroup(base, core.BNOpt, core.Config{Steps: 4}, 1); err != nil {
 		t.Fatalf("AddGroup: %v", err)
 	}
@@ -357,8 +361,9 @@ func TestHTTPServerSideTimeout(t *testing.T) {
 	defer ts.Close()
 
 	c := NewClient(ts.URL, nil)
-	// Two sessions: the first's big batch occupies the only replica far
-	// past the second's 5ms server-side deadline.
+	// Two sessions: the first's batch holds the only replica at the
+	// injection gate until the second has queued past its 5ms server-side
+	// deadline, however fast the kernels run.
 	csA, err := c.Open(base.Tag, "bnopt")
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -369,17 +374,17 @@ func TestHTTPServerSideTimeout(t *testing.T) {
 	}
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := csA.Process(tensor.New(48, base.InC, base.InHW, base.InHW))
+		_, err := csA.Process(tensor.New(2, base.InC, base.InHW, base.InHW))
 		slowDone <- err
 	}()
-	// Give the slow request a moment to be dispatched.
-	time.Sleep(50 * time.Millisecond)
+	<-gate.entered
 	_, err = csB.Process(tensor.New(2, base.InC, base.InHW, base.InHW))
 	var se *serve.Error
 	if !errors.As(err, &se) || se.Code != serve.CodeDeadline {
 		t.Fatalf("queued submit past server deadline: err = %v, want CodeDeadline", err)
 	}
-	// The slow request itself exceeds 5ms too — it was dispatched, but the
+	release()
+	// The held request exceeds 5ms too — it was dispatched, but the
 	// handler stops waiting at the deadline; either way it must be typed.
 	if err := <-slowDone; err != nil {
 		if !errors.As(err, &se) || se.Code != serve.CodeDeadline {
@@ -387,6 +392,24 @@ func TestHTTPServerSideTimeout(t *testing.T) {
 		}
 	}
 }
+
+// holdInjector holds every dispatch until release is closed, announcing
+// the first on entered.
+type holdInjector struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *holdInjector) ProcessFault(string, int) serve.Fault {
+	select {
+	case h.entered <- struct{}{}:
+	default:
+	}
+	<-h.release
+	return serve.Fault{}
+}
+
+func (h *holdInjector) CheckpointFault(string, uint64) error { return nil }
 
 // TestClientBoundsSuccessBodies: the server bounds what it reads of a
 // submit; the client must hold a 200 response to the same bound. A peer

@@ -147,8 +147,9 @@ func (p *ConvPlan) StagedLen() int {
 // Stage copies one image src [InC, H, W] into dst in the layout the kernel
 // addresses: zero border baked in, rows and columns split by residue
 // modulo the stride. Every element of dst[:StagedLen()] is written, so dst
-// may arrive with arbitrary contents. A sub-plane is
-// laid out like one row of the im2col lowering, so lowerRows fills both.
+// may arrive with arbitrary contents. A sub-plane is laid out like one row
+// of the im2col lowering, so lowerRows fills both, one block move per
+// (channel, residue) sub-plane.
 func (p *ConvPlan) Stage(dst, src []float32) {
 	if len(dst) < p.StagedLen() || len(src) < p.InC*p.H*p.W {
 		panic("tensor: ConvPlan.Stage slice too short")

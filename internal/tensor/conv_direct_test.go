@@ -195,51 +195,6 @@ func TestConvPackedDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestStageBakesBorderAndSplitsResidues holds Stage to its definition:
-// sub-plane (py, px) of a channel is the zero-padded input at rows ≡ py and
-// columns ≡ px modulo the stride, and every element of a dirty buffer is
-// written.
-func TestStageBakesBorderAndSplitsResidues(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, s := range []ConvShape{
-		{InC: 3, OutC: 3, H: 4, W: 5, K: 3, Stride: 1, Pad: 2, Groups: 1},
-		{InC: 2, OutC: 2, H: 7, W: 6, K: 3, Stride: 2, Pad: 1, Groups: 1},
-		{InC: 2, OutC: 2, H: 8, W: 8, K: 1, Stride: 2, Pad: 0, Groups: 1},
-		{InC: 1, OutC: 1, H: 9, W: 11, K: 5, Stride: 3, Pad: 2, Groups: 1},
-	} {
-		p := NewConvPlan(s)
-		src := randSlice(rng, s.InC*s.H*s.W)
-		dst, dstOK := guarded(p.StagedLen())
-		for i := range dst {
-			dst[i] = 999 // dirty, as from the scratch pool
-		}
-		p.Stage(dst, src)
-		if !dstOK() {
-			t.Errorf("%+v: Stage wrote outside its buffer", s)
-		}
-		i := 0
-		for ic := 0; ic < s.InC; ic++ {
-			for py := 0; py < p.res; py++ {
-				for px := 0; px < p.res; px++ {
-					for r := 0; r < p.subH; r++ {
-						for c := 0; c < p.subW; c++ {
-							iy, ix := r*s.Stride+py-s.Pad, c*s.Stride+px-s.Pad
-							want := float32(0)
-							if iy >= 0 && iy < s.H && ix >= 0 && ix < s.W {
-								want = src[(ic*s.H+iy)*s.W+ix]
-							}
-							if dst[i] != want {
-								t.Fatalf("%+v: channel %d sub-plane (%d,%d) at (%d,%d) = %v, want %v", s, ic, py, px, r, c, dst[i], want)
-							}
-							i++
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // convGradRun computes one image's input gradient dy → dX through the
 // gradient plan, with every buffer it is handed bracketed by canaries and
 // arriving full of NaN: an element left unwritten surfaces as NaN.

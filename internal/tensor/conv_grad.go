@@ -36,6 +36,9 @@ type residue struct {
 // the cnt positions j·Stride+t−Pad from j = j0.
 type gradAxis struct{ t, n, j0, cnt int }
 
+// first returns the residue's first position.
+func (a gradAxis) first(stride, pad int) int { return a.j0*stride + a.t - pad }
+
 // gradAxes returns the residues of an axis of in positions and out outputs
 // that have a tap and a position, and the border around dY their windows
 // need: position j reads dY j−n+1 … j.
@@ -140,8 +143,12 @@ func (p *ConvGradPlan) Run(out, dy, w []float32) {
 }
 
 // Unstage interleaves one image's residue outputs split into dx [InC, H, W],
-// the inverse of Stage's residue split. Every element of dx is written:
-// those no tap reaches (K < Stride) are zeroed.
+// the inverse of Stage's residue split, one block of rows per call. At
+// stride 2 a row residue's rows are zipped in one pass from the column
+// residue holding column 0 and the one holding column 1 — zero where there
+// is none (K = 1) — so each element is written once; any other residue is
+// scattered on its own. Every element of dx is written: those no tap
+// reaches (K < Stride) are zeroed first.
 func (p *ConvGradPlan) Unstage(dx, split []float32) {
 	plane := p.H * p.W
 	if len(dx) < p.InC*plane || len(split) < p.splitLen {
@@ -150,15 +157,28 @@ func (p *ConvGradPlan) Unstage(dx, split []float32) {
 	if p.K < p.Stride {
 		clear(dx[:p.InC*plane])
 	}
-	for _, r := range p.subs {
-		n, y0, x0 := r.y.cnt*r.x.cnt, r.y.j0*p.Stride+r.y.t-p.Pad, r.x.j0*p.Stride+r.x.t-p.Pad
-		for ic := 0; ic < p.InC; ic++ {
-			src, dst := split[r.at+ic*n:][:n], dx[ic*plane+y0*p.W+x0:]
-			for j := 0; j < r.y.cnt; j++ {
-				for i, v := range src[j*r.x.cnt : (j+1)*r.x.cnt] {
-					dst[(j*p.W+i)*p.Stride] = v
-				}
+	for i := 0; i < len(p.subs); i++ {
+		a, b := &p.subs[i], (*residue)(nil)
+		if p.Stride == 2 && i+1 < len(p.subs) && p.subs[i+1].y == a.y {
+			i++
+			if b = &p.subs[i]; a.x.first(2, p.Pad) != 0 {
+				a, b = b, a
 			}
+		}
+		n, y0, x0 := a.y.cnt*a.x.cnt, a.y.first(p.Stride, p.Pad), a.x.first(p.Stride, p.Pad)
+		for ic := 0; ic < p.InC; ic++ {
+			src := split[a.at+ic*n:][:n]
+			if p.Stride != 2 || x0 != 0 {
+				scatterRows(dx[ic*plane+y0*p.W+x0:], p.Stride*p.W, src, a.x.cnt, a.y.cnt, a.x.cnt, p.Stride)
+				continue
+			}
+			var odd []float32 // none: zero
+			oddStride := 0
+			if b != nil {
+				nb := b.y.cnt * b.x.cnt
+				odd, oddStride = split[b.at+ic*nb:][:nb], b.x.cnt
+			}
+			interleaveRows(dx[ic*plane+y0*p.W:], 2*p.W, src, a.x.cnt, odd, oddStride, a.y.cnt, p.W)
 		}
 	}
 }

@@ -1,20 +1,20 @@
 package tensor
 
-// clipX returns the [lo, hi) range of output columns whose sampled input
-// column ox*stride+off lands inside [0, w); columns outside the range hit
+// clip returns the [lo, hi) range of the n outputs i whose sampled input
+// i*stride+off lands inside [0, size); outputs outside the range hit
 // padding.
-func clipX(wout, stride, off, w int) (lo, hi int) {
+func clip(n, stride, off, size int) (lo, hi int) {
 	lo = 0
 	if off < 0 {
 		lo = (-off + stride - 1) / stride
-		if lo > wout {
-			lo = wout
+		if lo > n {
+			lo = n
 		}
 	}
-	hi = wout
-	if maxIx := w - 1 - off; maxIx < 0 {
+	hi = n
+	if maxIx := size - 1 - off; maxIx < 0 {
 		hi = 0
-	} else if m := maxIx/stride + 1; m < wout {
+	} else if m := maxIx/stride + 1; m < n {
 		hi = m
 	}
 	if hi < lo {
@@ -48,32 +48,22 @@ func Im2Col(dst, x []float32, c, h, w, k, stride, pad int) (hout, wout int) {
 
 // lowerRows fills dst, a block of rows wout long, with row i holding
 // dst[i][ox] = plane[iy0+i*stride][ox*stride+off] for every ox, positions
-// outside the h×w plane read as zero: a zeroed prefix and suffix around a
-// contiguous copy (stride 1) or a strided gather.
+// outside the h×w plane read as zero. The block is clipped once on each
+// axis: if any of it is padding the whole block is cleared, and then the
+// rectangle inside the plane moves in one gatherRows call — a copy at
+// stride 1, a strided gather above.
 func lowerRows(dst []float32, wout int, plane []float32, iy0, off, stride, h, w int) {
-	lo, hi := clipX(wout, stride, off, w)
-	for iy := iy0; len(dst) >= wout; iy, dst = iy+stride, dst[wout:] {
-		seg := dst[:wout]
-		if iy < 0 || iy >= h || lo == hi {
-			// lo == hi: every column hits padding (kernel wider than the
-			// padded image), and the source index could point outside the
-			// plane.
-			clear(seg)
-			continue
-		}
-		clear(seg[:lo])
-		clear(seg[hi:])
-		seg, src := seg[lo:hi], plane[iy*w+off+lo*stride:]
-		if stride == 1 {
-			copy(seg, src)
-			continue
-		}
-		j := 0
-		if stride == 2 {
-			j = deinterleave(seg, src)
-		}
-		for ; j < len(seg); j++ {
-			seg[j] = src[j*stride]
-		}
+	n := len(dst) / wout
+	r0, r1 := clip(n, stride, iy0, h)
+	c0, c1 := clip(wout, stride, off, w)
+	if r0 > 0 || r1 < n || c0 > 0 || c1 < wout {
+		clear(dst[:n*wout])
 	}
+	if r0 == r1 || c0 == c1 {
+		// Every row or every column hits padding (kernel wider than the
+		// padded image), and the source index could point outside the
+		// plane.
+		return
+	}
+	gatherRows(dst[r0*wout+c0:], wout, plane[(iy0+r0*stride)*w+off+c0*stride:], stride*w, r1-r0, c1-c0, stride)
 }

@@ -65,17 +65,57 @@ func convSpan(y []float32, yStride int, x, w []float32, wStride int, off []int32
 }
 
 //go:noescape
-func deinterleaveAVX2(dst, src []float32)
+func gatherRowsAVX2(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int)
 
-// deinterleave writes dst[j] = src[2*j] for as many leading j as whole
-// vectors inside both slices cover, and returns that count; the caller
-// copies the rest.
-func deinterleave(dst, src []float32) int {
-	n := min(vectorPart(len(dst), 8), len(src)/16*8)
-	if n > 0 {
-		deinterleaveAVX2(dst[:n], src[:2*n])
+//go:noescape
+func interleaveRowsAVX2(dst []float32, dstStride int, a []float32, aStride int, b []float32, bStride, rows, n int)
+
+// gatherRows sets dst[r*dstStride+c] = src[r*srcStride+c*step] for every
+// row r < rows and column c < cols: a block copy at step 1, a gather above.
+// The AVX2 routine takes steps 1 and 2 and checks no lengths, so the
+// extent of each operand is checked here.
+func gatherRows(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int) {
+	if rows <= 0 || cols <= 0 {
+		return
 	}
-	return n
+	checkRows(len(dst), dstStride, rows, cols)
+	checkRows(len(src), srcStride, rows, (cols-1)*step+1)
+	if hasAVX2 && (step == 1 || step == 2) {
+		gatherRowsAVX2(dst, dstStride, src, srcStride, rows, cols, step)
+		return
+	}
+	gatherRowsGeneric(dst, dstStride, src, srcStride, rows, cols, step)
+}
+
+// checkRows panics unless rows ≥ 1 rows of span elements, stride apart,
+// fit in an operand of n elements: the extent the assembly may touch.
+func checkRows(n, stride, rows, span int) {
+	if stride < 0 || (rows-1)*stride+span > n {
+		panic("tensor: row block outside its operand")
+	}
+}
+
+// interleaveRows fills rows rows of n elements of dst, row r starting at
+// r*dstStride, from a and b alternately: its even elements are row r of a
+// (at r*aStride) and its odd ones row r of b, or zero when b is empty. The
+// extents are checked here, as for gatherRows.
+func interleaveRows(dst []float32, dstStride int, a []float32, aStride int, b []float32, bStride, rows, n int) {
+	if rows <= 0 || n <= 0 {
+		return
+	}
+	checkRows(len(dst), dstStride, rows, n)
+	checkRows(len(a), aStride, rows, (n+1)/2)
+	if len(b) > 0 && n > 1 {
+		checkRows(len(b), bStride, rows, n/2)
+	}
+	if hasAVX2 {
+		if len(b) == 0 {
+			b = a[:0] // never read, but an address inside a mapped slice
+		}
+		interleaveRowsAVX2(dst, dstStride, a, aStride, b, bStride, rows, n)
+		return
+	}
+	interleaveRowsGeneric(dst, dstStride, a, aStride, b, bStride, rows, n)
 }
 
 // axpy computes y[i] += a*x[i] over len(x) elements. The AVX2 path uses

@@ -162,26 +162,6 @@ dot_done:
 	MOVSS	X0, ret+48(FP)
 	RET
 
-// func deinterleaveAVX2(dst, src []float32)
-// dst[j] = src[2*j]; len(dst) a positive multiple of 8, len(src) >= 2*len(dst).
-TEXT ·deinterleaveAVX2(SB), NOSPLIT, $0-48
-	MOVQ	dst_base+0(FP), DI
-	MOVQ	dst_len+8(FP), CX
-	MOVQ	src_base+24(FP), SI
-
-deint_loop8:
-	VMOVUPS	(SI), Y0
-	VMOVUPS	32(SI), Y1
-	VSHUFPS	$0x88, Y1, Y0, Y0 // s0 s2 s8 s10 | s4 s6 s12 s14
-	VPERMPD	$0xD8, Y0, Y0
-	VMOVUPS	Y0, (DI)
-	ADDQ	$64, SI
-	ADDQ	$32, DI
-	SUBQ	$8, CX
-	JNZ	deint_loop8
-	VZEROUPPER
-	RET
-
 // Direct-convolution span kernels on NCHW (see conv_direct.go). The lanes
 // of a vector are 8 consecutive output pixels of one channel plane. For
 // each output channel j of the tile and pixel p of the span,
@@ -201,23 +181,32 @@ deint_loop8:
 // yStride in bytes, R14 temp; Y0-Y7 accumulators, Y8-Y9 input vectors, Y10
 // weight broadcast, Y11-Y14 products, Y15 tail mask.
 
-// convMask+32-4*n is a mask of n leading lanes, 0 <= n <= 8.
+// convMask+64-4*n is a mask of n leading lanes, clamped to [0, 8], for
+// -8 <= n <= 16: sixteen set lanes, then sixteen clear.
 DATA convMask<>+0(SB)/8, $0xffffffffffffffff
 DATA convMask<>+8(SB)/8, $0xffffffffffffffff
 DATA convMask<>+16(SB)/8, $0xffffffffffffffff
 DATA convMask<>+24(SB)/8, $0xffffffffffffffff
-DATA convMask<>+32(SB)/8, $0
-DATA convMask<>+40(SB)/8, $0
-DATA convMask<>+48(SB)/8, $0
-DATA convMask<>+56(SB)/8, $0
-GLOBL convMask<>(SB), RODATA|NOPTR, $64
+DATA convMask<>+32(SB)/8, $0xffffffffffffffff
+DATA convMask<>+40(SB)/8, $0xffffffffffffffff
+DATA convMask<>+48(SB)/8, $0xffffffffffffffff
+DATA convMask<>+56(SB)/8, $0xffffffffffffffff
+DATA convMask<>+64(SB)/8, $0
+DATA convMask<>+72(SB)/8, $0
+DATA convMask<>+80(SB)/8, $0
+DATA convMask<>+88(SB)/8, $0
+DATA convMask<>+96(SB)/8, $0
+DATA convMask<>+104(SB)/8, $0
+DATA convMask<>+112(SB)/8, $0
+DATA convMask<>+120(SB)/8, $0
+GLOBL convMask<>(SB), RODATA|NOPTR, $128
 
 // TAILMASK leaves min(CX, 8) in BX and that many leading lanes set in Y15.
 #define TAILMASK \
 	MOVQ	$8, BX; \
 	CMPQ	CX, BX; \
 	CMOVQLT	CX, BX; \
-	LEAQ	convMask<>+32(SB), R14; \
+	LEAQ	convMask<>+64(SB), R14; \
 	SHLQ	$2, BX; \
 	SUBQ	BX, R14; \
 	SHRQ	$2, BX; \
@@ -396,6 +385,175 @@ cs1_rows8:
 	JMP	cs1_tail
 
 cs1_done:
+	VZEROUPPER
+	RET
+
+// Row-block moves for staging (im2col.go, conv_grad.go): one call moves a
+// whole block of rows, row r of an operand starting r·stride elements past
+// its first. The last vector of a row is loaded and stored under a mask, so
+// no access leaves the extent (rows−1)·stride + row length the Go wrapper
+// checked for each operand.
+//
+// Registers: DI dst row, SI source row, R8/R9/R11 row strides in bytes, DX
+// rows left, AX row length, CX elements of the row left, R10 cursor, R12-R13
+// lane counts, R14 convMask+64; Y12-Y15 masks.
+
+// LANES loads into y the mask of n leading lanes (clamped, see convMask),
+// leaving n as it was; R14 holds convMask<>+64.
+#define LANES(n, y) \
+	NEGQ	n; \
+	VMOVUPS	(R14)(n*4), y; \
+	NEGQ	n
+
+// EVENS packs the even elements of Y0:Y1 into Y0.
+#define EVENS \
+	VSHUFPS	$0x88, Y1, Y0, Y0; \
+	VPERMPD	$0xD8, Y0, Y0
+
+// ZIP interleaves Y0 (a) and Y1 (b) into a0 b0 … a3 b3 in Y0, a4 b4 … a7 b7
+// in Y1.
+#define ZIP \
+	VUNPCKLPS	Y1, Y0, Y2; \
+	VUNPCKHPS	Y1, Y0, Y3; \
+	VPERM2F128	$0x20, Y3, Y2, Y0; \
+	VPERM2F128	$0x31, Y3, Y2, Y1
+
+// func gatherRowsAVX2(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int)
+// dst[r*dstStride+c] = src[r*srcStride+c*step] for r < rows, c < cols;
+// rows, cols >= 1, step 1 (a copy) or 2.
+TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-88
+	MOVQ	dst_base+0(FP), DI
+	MOVQ	dstStride+24(FP), R8
+	SHLQ	$2, R8
+	MOVQ	src_base+32(FP), SI
+	MOVQ	srcStride+56(FP), R9
+	SHLQ	$2, R9
+	MOVQ	rows+64(FP), DX
+	MOVQ	cols+72(FP), AX
+	LEAQ	convMask<>+64(SB), R14
+
+gr_row:
+	MOVQ	SI, R11
+	MOVQ	DI, R10
+	MOVQ	AX, CX
+	CMPQ	step+80(FP), $2
+	JEQ	gr_step2
+
+gr_copy8:
+	CMPQ	CX, $8
+	JLT	gr_copytail
+	VMOVUPS	(R11), Y0
+	VMOVUPS	Y0, (R10)
+	ADDQ	$32, R11
+	ADDQ	$32, R10
+	SUBQ	$8, CX
+	JMP	gr_copy8
+
+gr_copytail:
+	TESTQ	CX, CX
+	JZ	gr_next
+	LANES(CX, Y15)
+	VMASKMOVPS	(R11), Y15, Y0
+	VMASKMOVPS	Y0, Y15, (R10)
+	JMP	gr_next
+
+gr_step2:
+	CMPQ	CX, $8
+	JLE	gr_step2tail
+	VMOVUPS	(R11), Y0
+	VMOVUPS	32(R11), Y1
+	EVENS
+	VMOVUPS	Y0, (R10)
+	ADDQ	$64, R11
+	ADDQ	$32, R10
+	SUBQ	$8, CX
+	JMP	gr_step2
+
+gr_step2tail:
+	// The last 1 <= CX <= 8 outputs read 2*CX-1 sources.
+	LEAQ	-1(CX)(CX*1), R12
+	LEAQ	-8(R12), R13
+	LANES(R12, Y13)
+	LANES(R13, Y14)
+	LANES(CX, Y15)
+	VMASKMOVPS	(R11), Y13, Y0
+	VMASKMOVPS	32(R11), Y14, Y1
+	EVENS
+	VMASKMOVPS	Y0, Y15, (R10)
+
+gr_next:
+	ADDQ	R8, DI
+	ADDQ	R9, SI
+	DECQ	DX
+	JNZ	gr_row
+	VZEROUPPER
+	RET
+
+// func interleaveRowsAVX2(dst []float32, dstStride int, a []float32, aStride int, b []float32, bStride, rows, n int)
+// dst[r*dstStride+2i] = a[r*aStride+i] and dst[r*dstStride+2i+1] =
+// b[r*bStride+i] for the n elements of each of rows >= 1 rows, or 0 where
+// b is empty: b is read only under Y11, set when it is not. a and b
+// advance by R10, dst by twice that.
+TEXT ·interleaveRowsAVX2(SB), NOSPLIT, $0-112
+	MOVQ	dst_base+0(FP), DI
+	MOVQ	dstStride+24(FP), R8
+	SHLQ	$2, R8
+	MOVQ	a_base+32(FP), SI
+	MOVQ	aStride+56(FP), R9
+	SHLQ	$2, R9
+	MOVQ	b_base+64(FP), BX
+	MOVQ	bStride+88(FP), R11
+	SHLQ	$2, R11
+	MOVQ	rows+96(FP), DX
+	MOVQ	n+104(FP), AX
+	LEAQ	convMask<>+64(SB), R14
+	MOVQ	$8, R12
+	CMPQ	b_len+72(FP), $0
+	CMOVQEQ	b_len+72(FP), R12
+	LANES(R12, Y11)
+
+il_row:
+	XORQ	R10, R10
+	MOVQ	AX, CX
+
+il_pairs8:
+	CMPQ	CX, $16
+	JLT	il_tail
+	VMOVUPS	(SI)(R10*1), Y0
+	VMASKMOVPS	(BX)(R10*1), Y11, Y1
+	ZIP
+	VMOVUPS	Y0, (DI)(R10*2)
+	VMOVUPS	Y1, 32(DI)(R10*2)
+	ADDQ	$32, R10
+	SUBQ	$16, CX
+	JMP	il_pairs8
+
+il_tail:
+	// The last 0 <= CX < 16 outputs: (CX+1)/2 from a, CX/2 from b.
+	TESTQ	CX, CX
+	JZ	il_next
+	LEAQ	1(CX), R12
+	SHRQ	$1, R12
+	MOVQ	CX, R13
+	SHRQ	$1, R13
+	LANES(R12, Y12)
+	LANES(R13, Y13)
+	VANDPS	Y11, Y13, Y13
+	VMASKMOVPS	(SI)(R10*1), Y12, Y0
+	VMASKMOVPS	(BX)(R10*1), Y13, Y1
+	ZIP
+	LEAQ	-8(CX), R13
+	LANES(CX, Y14)
+	LANES(R13, Y15)
+	VMASKMOVPS	Y0, Y14, (DI)(R10*2)
+	VMASKMOVPS	Y1, Y15, 32(DI)(R10*2)
+
+il_next:
+	ADDQ	R8, DI
+	ADDQ	R9, SI
+	ADDQ	R11, BX
+	DECQ	DX
+	JNZ	il_row
 	VZEROUPPER
 	RET
 

@@ -99,3 +99,48 @@ func gradInputGeneric(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, 
 		dx[i] = d
 	}
 }
+
+// Row-block moves (im2col.go, conv_grad.go): one call moves rows rows, row
+// r of an operand starting r·stride elements past its first. The generic
+// twins of the AVX2 routines are plain indexed moves, so every path writes
+// the same bits.
+
+func gatherRowsGeneric(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int) {
+	for r := 0; r < rows; r++ {
+		d, s := dst[r*dstStride:][:cols], src[r*srcStride:]
+		if step == 1 {
+			copy(d, s[:cols])
+			continue
+		}
+		for c := range d {
+			d[c] = s[c*step]
+		}
+	}
+}
+
+func interleaveRowsGeneric(dst []float32, dstStride int, a []float32, aStride int, b []float32, bStride, rows, n int) {
+	for r := 0; r < rows; r++ {
+		d := dst[r*dstStride:][:n]
+		for i := range d {
+			switch {
+			case i%2 == 0:
+				d[i] = a[r*aStride+i/2]
+			case len(b) == 0:
+				d[i] = 0
+			default:
+				d[i] = b[r*bStride+i/2]
+			}
+		}
+	}
+}
+
+// scatterRows is gatherRows' inverse, dst[r*dstStride+c*step] =
+// src[r*srcStride+c], for the shapes interleaveRows does not cover; it has
+// no vector twin.
+func scatterRows(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*srcStride:][:cols] {
+			dst[r*dstStride+c*step] = v
+		}
+	}
+}

@@ -20,7 +20,13 @@ func dot(x, y []float32) float32 {
 	return dotGeneric(x, y)
 }
 
-func deinterleave(dst, src []float32) int { return 0 }
+func gatherRows(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int) {
+	gatherRowsGeneric(dst, dstStride, src, srcStride, rows, cols, step)
+}
+
+func interleaveRows(dst []float32, dstStride int, a []float32, aStride int, b []float32, bStride, rows, n int) {
+	interleaveRowsGeneric(dst, dstStride, a, aStride, b, bStride, rows, n)
+}
 
 func convSpan(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix int) {
 	convSpanGeneric(y, yStride, x, w, wStride, off, noc, npix)
