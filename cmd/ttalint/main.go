@@ -1,8 +1,8 @@
-// Command ttalint runs the repository's static-analysis suite — the four
+// Command ttalint runs the repository's static-analysis suite — the three
 // contract analyzers in internal/lint — over the packages matching the
 // given go-list patterns (default ./...).
 //
-//	ttalint [-json] [-run determinism,clonesafe,...] [patterns...]
+//	ttalint [-json] [-run determinism,nestedpar,panicsafe] [patterns...]
 //
 // It exits 0 when the tree is clean, 1 when there are findings, and 2 on
 // usage or load errors. Findings are suppressible inline with

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"edgetta/internal/data"
+	"edgetta/internal/telemetry"
 )
 
 // PhaseResult aggregates prediction error over one scenario phase.
@@ -48,7 +49,7 @@ func RunScenario(a Adapter, s *data.ScheduledStream, batchSize int) ScenarioResu
 	if pol != nil {
 		prevResets = pol.Resets()
 	}
-	var hist LatencyHist
+	var hist telemetry.Hist
 	for {
 		pos := s.Pos()
 		x, labels, ok := s.Next(batchSize)

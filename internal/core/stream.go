@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"edgetta/internal/nn"
+	"edgetta/internal/telemetry"
 	"edgetta/internal/tensor"
 )
 
@@ -27,7 +28,7 @@ type StreamResult struct {
 	// Latency is the distribution of per-batch Process wall time
 	// (inference plus adaptation), reported in the same shape as the
 	// serving front-end's metrics so batch and served runs are comparable.
-	Latency LatencySummary
+	Latency telemetry.Summary
 }
 
 // RunStream executes the paper's online protocol: the adapter processes
@@ -37,7 +38,7 @@ type StreamResult struct {
 func RunStream(a Adapter, s Streamer, batchSize int) StreamResult {
 	a.Reset()
 	var res StreamResult
-	var hist LatencyHist
+	var hist telemetry.Hist
 	for {
 		x, labels, ok := s.Next(batchSize)
 		if !ok {

@@ -93,12 +93,6 @@ func TestDeterminismTelemetryCarveout(t *testing.T) {
 	runGolden(t, "determinism", "./testdata/src/determinism/internal/telemetry")
 }
 
-// TestCloneSafeGolden covers, via the ... pattern, the stub nn package
-// whose Param clones must name every field.
-func TestCloneSafeGolden(t *testing.T) {
-	runGolden(t, "clonesafe", "./testdata/src/clonesafe/...")
-}
-
 // TestNestedParGolden also carries the suppression-hygiene cases (testdata
 // suppress.go), which are the framework's, not the analyzer's.
 func TestNestedParGolden(t *testing.T) {

@@ -5,25 +5,6 @@ import (
 	"go/types"
 )
 
-// namedIs reports whether t (after stripping pointers) is the named type
-// pkgName.typeName. Matching is by package *name*, not import path, so the
-// analyzers apply equally to the real tree and to the stub packages the
-// golden tests type-check under testdata.
-func namedIs(t types.Type, pkgName, typeName string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == typeName && obj.Pkg() != nil && obj.Pkg().Name() == pkgName
-}
-
 // calleeFunc resolves the statically-known function or method a call
 // invokes, or nil (builtins, function-typed variables, type conversions).
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -66,27 +47,6 @@ func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	}
 	_, ok = info.Uses[id].(*types.Builtin)
 	return ok
-}
-
-// baseIdent returns the leftmost identifier of a selector/index chain
-// (the x of x.a.b[i].c), or nil.
-func baseIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return v
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.SliceExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
 }
 
 // identOf returns e as a plain identifier, or nil.

@@ -1,6 +1,6 @@
 // Package lint is the repository's static-analysis framework: a small,
 // dependency-free analyzer harness (go/parser + go/types; package
-// discovery via `go list -json`) plus the four repo-specific analyzers
+// discovery via `go list -json`) plus the three repo-specific analyzers
 // that mechanically enforce the correctness contracts the test suites
 // can only spot-check:
 //
@@ -8,9 +8,6 @@
 //     not iterate maps (except to collect keys for sorting), read the
 //     clock outside profiler-gated code, use the global math/rand source,
 //     or start goroutines outside the worker pool.
-//   - clonesafe: Clone/CloneLayer methods must not shallowly alias the
-//     receiver's slice or map fields, nor carry over a *tensor.Tensor it
-//     saved for backward.
 //   - nestedpar: parallel.For/ForChunked/ForGrain must not be called
 //     syntactically inside another parallel loop body literal.
 //   - panicsafe: every goroutine started in internal/serve must defer a
@@ -74,7 +71,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All lists every analyzer in the suite, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{determinism, cloneSafe, nestedPar, panicSafe}
+	return []*Analyzer{determinism, nestedPar, panicSafe}
 }
 
 // ByName resolves a comma-separated analyzer selection against All.

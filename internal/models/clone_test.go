@@ -160,3 +160,23 @@ func TestClonePackedWeightCacheSharedUntilUpdate(t *testing.T) {
 		t.Fatal("clone input gradient served a stale rotated kernel after the update")
 	}
 }
+
+// BenchmarkModelClone times Model.Clone — what a replica respawn and every
+// serving group's template copy cost — for the two ledger models at both
+// scales.
+func BenchmarkModelClone(b *testing.B) {
+	for _, build := range []Builder{WideResNet402, ResNeXt29} {
+		for _, scale := range []struct {
+			name  string
+			scale Scale
+		}{{"repro", ReproScale}, {"full", Full}} {
+			m := build(rand.New(rand.NewSource(1)), scale.scale)
+			b.Run(m.Tag+"/"+scale.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					m.Clone()
+				}
+			})
+		}
+	}
+}

@@ -21,6 +21,8 @@ type Model struct {
 	InC     int // input channels
 	InHW    int // input spatial size
 
+	scale Scale // what the builder was asked for; Clone builds it again
+
 	// arena is created and attached to Net by the first pass, and attached
 	// again whenever the kind of pass changes; a clone starts without one.
 	arena *tensor.Arena
@@ -75,6 +77,19 @@ func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // that this one did not (tensor.Arena drops that at the next pass).
 func (m *Model) ActivationBytes() int { return m.arena.Bytes() }
 
+// Clone deep-copies the model for a serving replica: its builder runs again
+// without random initialisation and the original's state is copied in
+// (nn.CopyState), so the copy shares no memory with the original and its
+// gradients start at zero. Clone panics on a model no builder made.
+func (m *Model) Clone() *Model {
+	c, err := ByTag(m.Tag, nil, m.scale)
+	if err != nil {
+		panic(fmt.Sprintf("models: cannot clone %q: no builder has that tag", m.Tag))
+	}
+	nn.CopyState(c.Net, m.Net)
+	return c
+}
+
 // Params returns all learnable parameters.
 func (m *Model) Params() []*nn.Param { return nn.CollectParams(m.Net) }
 
@@ -122,7 +137,8 @@ const (
 	ReproScale
 )
 
-// Builder constructs one of the study's models.
+// Builder constructs one of the study's models. A nil rng leaves every
+// weight zero, for a model whose state is about to be copied in (Clone).
 type Builder func(rng *rand.Rand, scale Scale) *Model
 
 // PreActResNet18 builds the paper's "R18-AM-AT": a pre-activation
@@ -157,7 +173,7 @@ func PreActResNet18(rng *rand.Rand, scale Scale) *Model {
 		nn.NewGlobalAvgPool("gap"),
 		nn.NewLinear("fc", rng, in, 10),
 	)
-	return &Model{Name: "PreActResNet-18", Tag: "R18-AM-AT", Net: seq, Classes: 10, InC: 3, InHW: 32}
+	return &Model{Name: "PreActResNet-18", Tag: "R18-AM-AT", Net: seq, Classes: 10, InC: 3, InHW: 32, scale: scale}
 }
 
 // WideResNet402 builds the paper's "WRN-AM": WideResNet-40-2 (2.24M
@@ -192,7 +208,7 @@ func WideResNet402(rng *rand.Rand, scale Scale) *Model {
 		nn.NewGlobalAvgPool("gap"),
 		nn.NewLinear("fc", rng, in, 10),
 	)
-	return &Model{Name: "WideResNet-40-2", Tag: "WRN-AM", Net: seq, Classes: 10, InC: 3, InHW: 32}
+	return &Model{Name: "WideResNet-40-2", Tag: "WRN-AM", Net: seq, Classes: 10, InC: 3, InHW: 32, scale: scale}
 }
 
 // ResNeXt29 builds the paper's "RXT-AM": ResNeXt-29 with cardinality 4 and
@@ -228,7 +244,7 @@ func ResNeXt29(rng *rand.Rand, scale Scale) *Model {
 		}
 	}
 	seq.Append(nn.NewGlobalAvgPool("gap"), nn.NewLinear("fc", rng, in, 10))
-	return &Model{Name: "ResNeXt-29 (4x32d)", Tag: "RXT-AM", Net: seq, Classes: 10, InC: 3, InHW: 32}
+	return &Model{Name: "ResNeXt-29 (4x32d)", Tag: "RXT-AM", Net: seq, Classes: 10, InC: 3, InHW: 32, scale: scale}
 }
 
 // mbv2Cfg is one inverted-residual group: expansion t, output channels c,
@@ -282,7 +298,7 @@ func MobileNetV2(rng *rand.Rand, scale Scale) *Model {
 		nn.NewGlobalAvgPool("gap"),
 		nn.NewLinear("fc", rng, head, 10),
 	)
-	return &Model{Name: "MobileNetV2", Tag: "MBV2", Net: seq, Classes: 10, InC: 3, InHW: 32}
+	return &Model{Name: "MobileNetV2", Tag: "MBV2", Net: seq, Classes: 10, InC: 3, InHW: 32, scale: scale}
 }
 
 // Registry lists the study's three robust models in the paper's order.

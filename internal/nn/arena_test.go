@@ -12,8 +12,8 @@ import (
 // its last user left, so every layer must write each element of what it
 // draws — or clear it first where it accumulates. Each layer runs once on
 // an arena, its outputs are filled with NaN and handed back, and the second
-// run over those same buffers must be bit-equal to a clone that allocates
-// zeroed tensors. The cases are the ones that used to lean on zeroed
+// run over those same buffers must be bit-equal to a twin (the same
+// constructor, CopyState) that allocates zeroed tensors. The cases are the ones that used to lean on zeroed
 // memory or could: the strided and grouped conv backward (a 1×1 stride-2
 // dX is three quarters zeros no tap writes; the dW partials accumulate),
 // the im2col oracle, an average pool whose windows do not tile its input, a
@@ -21,7 +21,10 @@ import (
 func TestLayersWriteEveryArenaElement(t *testing.T) {
 	defer tensor.SetPacked(tensor.PackedEnabled())
 	rng := rand.New(rand.NewSource(41))
-	chain := func() Layer {
+	conv := func(in, out, k, stride, pad, groups int) func(*rand.Rand) Layer {
+		return func(rng *rand.Rand) Layer { return NewConv2d("c", rng, in, out, k, stride, pad, groups) }
+	}
+	chain := func(rng *rand.Rand) Layer {
 		return NewSequential("chain",
 			NewConv2d("c1", rng, 3, 4, 3, 2, 1, 1), NewBatchNorm2d("bn1", 4), NewReLU("r1"),
 			NewConv2d("c2", rng, 4, 4, 3, 1, 1, 2), NewReLU("r2"),
@@ -29,45 +32,46 @@ func TestLayersWriteEveryArenaElement(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		layer  Layer
+		build  func(*rand.Rand) Layer
 		in     []int
 		oracle bool
 	}{
-		{"conv stride 1", NewConv2d("c", rng, 3, 5, 3, 1, 1, 1), []int{2, 3, 7, 7}, false},
-		{"conv stride 2", NewConv2d("c", rng, 3, 5, 3, 2, 1, 1), []int{2, 3, 7, 7}, false},
-		{"conv grouped", NewConv2d("c", rng, 4, 6, 3, 1, 1, 2), []int{2, 4, 5, 5}, false},
-		{"conv 1×1 stride 2", NewConv2d("c", rng, 3, 5, 1, 2, 0, 1), []int{2, 3, 8, 8}, false},
-		{"conv 3×3 stride 3 pad 0", NewConv2d("c", rng, 3, 5, 3, 3, 0, 1), []int{2, 3, 8, 7}, false},
-		{"conv 1×1 pad 1", NewConv2d("c", rng, 3, 5, 1, 1, 1, 1), []int{2, 3, 6, 6}, false},
-		{"conv depthwise stride 2", NewConv2d("c", rng, 4, 4, 3, 2, 1, 4), []int{2, 4, 7, 7}, false},
-		{"conv on the im2col oracle", NewConv2d("c", rng, 3, 5, 3, 1, 1, 1), []int{2, 3, 7, 7}, true},
-		{"batchnorm", NewBatchNorm2d("bn", 3), []int{2, 3, 5, 5}, false},
-		{"relu", NewReLU("r"), []int{2, 3, 5, 5}, false},
-		{"avgpool over 5×5", NewAvgPool2d("ap", 2), []int{2, 3, 5, 5}, false},
-		{"global avgpool", NewGlobalAvgPool("gap"), []int{2, 3, 5, 5}, false},
-		{"sequential", chain(), []int{2, 3, 9, 9}, false},
+		{"conv stride 1", conv(3, 5, 3, 1, 1, 1), []int{2, 3, 7, 7}, false},
+		{"conv stride 2", conv(3, 5, 3, 2, 1, 1), []int{2, 3, 7, 7}, false},
+		{"conv grouped", conv(4, 6, 3, 1, 1, 2), []int{2, 4, 5, 5}, false},
+		{"conv 1×1 stride 2", conv(3, 5, 1, 2, 0, 1), []int{2, 3, 8, 8}, false},
+		{"conv 3×3 stride 3 pad 0", conv(3, 5, 3, 3, 0, 1), []int{2, 3, 8, 7}, false},
+		{"conv 1×1 pad 1", conv(3, 5, 1, 1, 1, 1), []int{2, 3, 6, 6}, false},
+		{"conv depthwise stride 2", conv(4, 4, 3, 2, 1, 4), []int{2, 4, 7, 7}, false},
+		{"conv on the im2col oracle", conv(3, 5, 3, 1, 1, 1), []int{2, 3, 7, 7}, true},
+		{"batchnorm", func(*rand.Rand) Layer { return NewBatchNorm2d("bn", 3) }, []int{2, 3, 5, 5}, false},
+		{"relu", func(*rand.Rand) Layer { return NewReLU("r") }, []int{2, 3, 5, 5}, false},
+		{"avgpool over 5×5", func(*rand.Rand) Layer { return NewAvgPool2d("ap", 2) }, []int{2, 3, 5, 5}, false},
+		{"global avgpool", func(*rand.Rand) Layer { return NewGlobalAvgPool("gap") }, []int{2, 3, 5, 5}, false},
+		{"sequential", chain, []int{2, 3, 9, 9}, false},
 	} {
 		tensor.SetPacked(!tc.oracle)
+		layer, ref := tc.build(rng), tc.build(nil)
+		CopyState(ref, layer)
 		x := tensor.New(tc.in...)
 		x.Randn(rng, 1)
-		ref := Clone(tc.layer)
 		yRef := ref.Forward(x, true)
 		g := tensor.New(yRef.Shape()...)
 		g.Randn(rng, 1)
 		dxRef := ref.Backward(g)
 
 		a := new(tensor.Arena)
-		Attach(tc.layer, a, false)
+		Attach(layer, a, false)
 		nan := float32(math.NaN())
-		y := tc.layer.Forward(x, true)
-		dx := tc.layer.Backward(g)
+		y := layer.Forward(x, true)
+		dx := layer.Backward(g)
 		y.Fill(nan) // a Linear's output is a heap tensor: harmless
 		dx.Fill(nan)
 		a.Reset()
-		ZeroGrads(tc.layer)
+		ZeroGrads(layer)
 		before := a.Bytes()
-		y = tc.layer.Forward(x, true)
-		dx = tc.layer.Backward(g)
+		y = layer.Forward(x, true)
+		dx = layer.Backward(g)
 		if a.Bytes() != before {
 			t.Errorf("%s: the second pass grew the arena from %d to %d bytes", tc.name, before, a.Bytes())
 		}
@@ -78,7 +82,7 @@ func TestLayersWriteEveryArenaElement(t *testing.T) {
 			t.Errorf("%s: input gradient over a recycled buffer differs from the one over a zeroed tensor", tc.name)
 		}
 		pr := CollectParams(ref)
-		for i, p := range CollectParams(tc.layer) {
+		for i, p := range CollectParams(layer) {
 			if !float32BitsEqual(p.Grad, pr[i].Grad) {
 				t.Errorf("%s: %s gradient differs from the one computed over zeroed tensors", tc.name, p.Name)
 			}
@@ -153,7 +157,7 @@ func TestSequentialReleasesOnlyWhatItMade(t *testing.T) {
 // TestConvReplansWhenTheInputShapeChanges: a conv keeps its plans for the
 // last input shape and no longer, so 32×32 → 16×16 → 32×32 through one
 // layer — strided, grouped and ungrouped, on an arena whose buffers of the
-// other size are still around — is bit-equal at every step to a clone that
+// other size are still around — is bit-equal at every step to a twin that
 // never saw another shape, and a repeated shape builds nothing.
 func TestConvReplansWhenTheInputShapeChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -167,7 +171,8 @@ func TestConvReplansWhenTheInputShapeChanges(t *testing.T) {
 		for _, hw := range []int{32, 16, 32, 32} {
 			x := tensor.New(3, 4, hw, hw)
 			x.Randn(rng, 1)
-			ref := Clone(conv)
+			ref := NewConv2d(conv.name, nil, conv.InC, conv.OutC, conv.K, conv.Stride, conv.Pad, conv.Groups)
+			CopyState(ref, conv)
 			yRef := ref.Forward(x, false)
 			g := tensor.New(yRef.Shape()...)
 			g.Randn(rng, 1)

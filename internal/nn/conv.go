@@ -58,7 +58,9 @@ type Conv2d struct {
 	dx *tensor.ConvGradPlan
 }
 
-// NewConv2d constructs a convolution layer with He-normal initialization.
+// NewConv2d constructs a convolution layer with He-normal initialization, or
+// with zero weights when rng is nil — for a layer whose weights are about to
+// be copied in (CopyState).
 func NewConv2d(name string, rng *rand.Rand, inC, outC, k, stride, pad, groups int) *Conv2d {
 	if k < 1 || stride < 1 || pad < 0 || groups < 1 {
 		panic(fmt.Sprintf("nn: %s: kernel %d, stride %d, pad %d, groups %d: want k ≥ 1, stride ≥ 1, pad ≥ 0, groups ≥ 1", name, k, stride, pad, groups))

@@ -138,9 +138,10 @@ func TestFreezeExceptBNAndUnfreeze(t *testing.T) {
 			t.Errorf("%s: frozen Grad written", p.Name)
 		}
 	}
-	clone := Clone(net).(*Sequential)
-	if !clone.layers[0].(*Conv2d).noInputGrad || !CollectParams(clone)[0].Frozen {
-		t.Error("clone dropped the frozen / no-input-gradient flags")
+	twin := buildParityNet(8)
+	CopyState(twin, net)
+	if !twin.layers[0].(*Conv2d).noInputGrad || !CollectParams(twin)[0].Frozen || CollectParams(twin)[1].Frozen {
+		t.Error("CopyState dropped the frozen / no-input-gradient flags")
 	}
 
 	Unfreeze(net)
@@ -297,7 +298,8 @@ func TestConvSeesUnannouncedWeightWrite(t *testing.T) {
 
 	conv, x, grad := convGradCase(59, 16, 24, 3, 1)
 	before := conv.Backward(grad)
-	clone := conv.CloneLayer().(*Conv2d)
+	clone := NewConv2d("c", nil, 16, 24, 3, 1, 1, 1)
+	CopyState(clone, conv)
 	clone.Forward(x, true)
 	if !float32BitsEqual(before.Data, clone.Backward(grad).Data) {
 		t.Fatal("clone's input gradient differs from the original's before either was written")

@@ -134,10 +134,9 @@ func TestFusedMatchesLayerSequenceBitwise(t *testing.T) {
 
 // TestSequentialFusesBatchNormReLUPairs: a Sequential runs its adjacent
 // BatchNorm2d, ReLU pairs fused, and that is invisible in the numbers —
-// bit-equal to calling every layer of a clone one by one.
+// bit-equal to calling every layer of the same net, rebuilt, one by one.
 func TestSequentialFusesBatchNormReLUPairs(t *testing.T) {
-	net := buildParityNet(7)
-	ref := net.CloneLayer().(*Sequential)
+	net, ref := buildParityNet(7), buildParityNet(7)
 	x := parityInput(11)
 
 	y := net.Forward(x, true)

@@ -100,10 +100,15 @@ type Linear struct {
 	lastSpec Spec
 }
 
-// NewLinear constructs a fully connected layer with uniform fan-in init.
+// NewLinear constructs a fully connected layer with uniform fan-in init, or
+// with zero weights and bias when rng is nil — for a layer whose parameters
+// are about to be copied in (CopyState).
 func NewLinear(name string, rng *rand.Rand, in, out int) *Linear {
 	l := &Linear{name: name, In: in, Out: out,
 		Weight: newParam(name+".weight", out*in), Bias: newParam(name+".bias", out)}
+	if rng == nil {
+		return l
+	}
 	bound := 1.0 / math.Sqrt(float64(in))
 	for i := range l.Weight.Data {
 		l.Weight.Data[i] = float32((rng.Float64()*2 - 1) * bound)

@@ -109,11 +109,11 @@ func ZeroGrads(l Layer) {
 }
 
 // inputGradSkipper is implemented by the leaf layers whose Backward can
-// skip dX when they sit at the graph input.
-type inputGradSkipper interface{ setNoInputGrad(skip bool) }
+// skip dX when they sit at the graph input; the flag says whether it does.
+type inputGradSkipper interface{ skipsInputGrad() *bool }
 
-func (c *Conv2d) setNoInputGrad(skip bool) { c.noInputGrad = skip }
-func (l *Linear) setNoInputGrad(skip bool) { l.noInputGrad = skip }
+func (c *Conv2d) skipsInputGrad() *bool { return &c.noInputGrad }
+func (l *Linear) skipsInputGrad() *bool { return &l.noInputGrad }
 
 // inputLayer returns the layer that consumes the network's input when the
 // tree says so unambiguously: the first layer of nested Sequentials. Any
@@ -142,7 +142,7 @@ func FreezeExceptBN(l Layer) {
 		bn.Gamma.Frozen, bn.Beta.Frozen = false, false
 	}
 	if in, ok := inputLayer(l).(inputGradSkipper); ok {
-		in.setNoInputGrad(true)
+		*in.skipsInputGrad() = true
 	}
 }
 
@@ -156,9 +156,47 @@ func Unfreeze(l Layer) {
 	}
 	Walk(l, func(x Layer) {
 		if in, ok := x.(inputGradSkipper); ok {
-			in.setNoInputGrad(false)
+			*in.skipsInputGrad() = false
 		}
 	})
+}
+
+// CopyState makes dst, a tree built by the same constructor calls as src,
+// continue from src's state: every parameter's Data and Frozen, every
+// BatchNorm's running statistics, UseBatchStats, Eps and Momentum, and
+// whether the layer at the input skips dX. That is everything of a layer
+// that changes between passes; the rest is its constructor's, and what a
+// pass caches the next pass rebuilds. Gradients are not copied. CopyState
+// panics, before it writes anything, when the trees' parameters or
+// BatchNorms differ in name or length.
+func CopyState(dst, src Layer) {
+	dp, sp := CollectParams(dst), CollectParams(src)
+	db, sb := BatchNorms(dst), BatchNorms(src)
+	dIn, _ := inputLayer(dst).(inputGradSkipper)
+	sIn, _ := inputLayer(src).(inputGradSkipper)
+	same := len(dp) == len(sp) && len(db) == len(sb) && (dIn == nil) == (sIn == nil)
+	for i := 0; same && i < len(sp); i++ {
+		same = dp[i].Name == sp[i].Name && len(dp[i].Data) == len(sp[i].Data)
+	}
+	for i := 0; same && i < len(sb); i++ {
+		same = db[i].name == sb[i].name && len(db[i].RunningMean) == len(sb[i].RunningMean)
+	}
+	if !same {
+		panic(fmt.Sprintf("nn: CopyState from %s into %s: their parameters or BatchNorms differ", src.Name(), dst.Name()))
+	}
+	for i, p := range sp {
+		copy(dp[i].Data, p.Data)
+		dp[i].Frozen = p.Frozen
+	}
+	for i, b := range sb {
+		d := db[i]
+		copy(d.RunningMean, b.RunningMean)
+		copy(d.RunningVar, b.RunningVar)
+		d.UseBatchStats, d.Eps, d.Momentum = b.UseBatchStats, b.Eps, b.Momentum
+	}
+	if sIn != nil {
+		*dIn.skipsInputGrad() = *sIn.skipsInputGrad()
+	}
 }
 
 // BatchNorms returns every BatchNorm2d in the tree rooted at l, in forward
@@ -303,8 +341,12 @@ func (s *Sequential) Name() string { return s.name }
 func (s *Sequential) Children() []Layer { return s.layers }
 
 // kaimingConv initializes a conv weight [cout, cinPerGroup*k*k] with
-// He-normal fan-out scaling, matching the reference PyTorch models.
+// He-normal fan-out scaling, matching the reference PyTorch models. A nil
+// rng leaves w as it is.
 func kaimingConv(rng *rand.Rand, w []float32, fanOut int) {
+	if rng == nil {
+		return
+	}
 	std := math.Sqrt(2.0 / float64(fanOut))
 	for i := range w {
 		w[i] = float32(rng.NormFloat64() * std)

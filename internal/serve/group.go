@@ -100,7 +100,7 @@ type streamState struct {
 	// per-stream metrics, guarded by the group mutex.
 	requests int
 	images   int
-	e2e      core.LatencyHist
+	e2e      telemetry.Hist
 }
 
 // request is one pending SubmitCtx.
@@ -192,13 +192,13 @@ type group struct {
 	// lastFaultAt, when set, starts the fault→first-served recovery clock;
 	// the next successful commit observes it into recoveryHist.
 	lastFaultAt  time.Time
-	recoveryHist *core.LatencyHist
+	recoveryHist *telemetry.Hist
 	// serviceEMA is a cheap running estimate of per-Process wall time,
 	// feeding the retry-after suggestion on shed (reading the histogram's
 	// Summary would sort the window under pressure).
 	serviceEMA time.Duration
-	batchHist  *core.LatencyHist // service time per Process call
-	e2eHist    *core.LatencyHist // submit-to-response time per request
+	batchHist  *telemetry.Hist // service time per Process call
+	e2eHist    *telemetry.Hist // submit-to-response time per request
 
 	// autoscale controller state (single ticker, see scaler.go).
 	upStreak, downStreak int

@@ -218,9 +218,9 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		names:        make(map[string]*streamState),
 		store:        s.store,
 		stopScale:    make(chan struct{}),
-		batchHist:    &core.LatencyHist{},
-		e2eHist:      &core.LatencyHist{},
-		recoveryHist: &core.LatencyHist{},
+		batchHist:    &telemetry.Hist{},
+		e2eHist:      &telemetry.Hist{},
+		recoveryHist: &telemetry.Hist{},
 	}
 	g.cond = sync.NewCond(&g.mu)
 	reg := s.cfg.Registry

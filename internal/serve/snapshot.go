@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"edgetta/internal/core"
+	"edgetta/internal/telemetry"
 )
 
 // Snapshot is the server-wide stats payload: every group, sorted by key.
@@ -68,11 +69,11 @@ type GroupSnapshot struct {
 	CheckpointFailures int `json:"checkpoint_failures,omitempty"`
 	// Recovery is the fault-to-first-served distribution: the time from a
 	// replica quarantine to the group's next successfully served batch.
-	Recovery LatencySnapshot `json:"recovery"`
+	Recovery telemetry.Summary `json:"recovery"`
 	// Service is per-Process wall time; E2E is per-request submit-to-
 	// response time (queue wait + service).
-	Service LatencySnapshot `json:"service"`
-	E2E     LatencySnapshot `json:"e2e"`
+	Service telemetry.Summary `json:"service"`
+	E2E     telemetry.Summary `json:"e2e"`
 	// Streams snapshots every open stream, ascending by ID.
 	Streams []StreamSnapshot `json:"streams"`
 }
@@ -89,13 +90,8 @@ type StreamSnapshot struct {
 	// the SubmitSeq idempotency protocol; 0 otherwise.
 	AppliedSeq uint64 `json:"applied_seq,omitempty"`
 	// E2E is the submit-to-response latency distribution.
-	E2E LatencySnapshot `json:"e2e"`
+	E2E telemetry.Summary `json:"e2e"`
 }
-
-// LatencySnapshot is a latency distribution in the stable wire shape: the
-// histogram summary itself, whose JSON tags spell durations as integer
-// nanoseconds.
-type LatencySnapshot = core.LatencySummary
 
 // groupKeyJSON is GroupKey's wire form: both halves as strings, so the
 // payload never leaks the numeric Algorithm enum.

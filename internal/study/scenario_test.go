@@ -1,11 +1,13 @@
 package study
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"edgetta/internal/core"
 	"edgetta/internal/data"
+	"edgetta/internal/models"
 )
 
 func TestScenarioSuiteCoversAllGenerators(t *testing.T) {
@@ -41,7 +43,7 @@ func TestScenarioSuiteCoversAllGenerators(t *testing.T) {
 
 func TestRunScenarioStudyGrid(t *testing.T) {
 	gen := data.NewGenerator(42)
-	m := microForSweep(7)
+	m := models.WideResNet402(rand.New(rand.NewSource(7)), models.ReproScale)
 	cfg := ScenarioStudyConfig{
 		Seed:  5,
 		Batch: 20,

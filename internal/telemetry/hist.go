@@ -115,9 +115,10 @@ func (h *Hist) Summary() Summary {
 
 // Summary is the headline latency distribution of a stream or a serving
 // group: median and tail percentiles over per-batch wall time. The JSON
-// tags are the serving tier's stats wire shape (serve.LatencySnapshot is
-// this type): durations marshal as integer nanoseconds, the encoding/json
-// rendering of time.Duration, so the encoding is exact and deterministic.
+// tags are the serving tier's stats wire shape (serve.GroupSnapshot and
+// serve.StreamSnapshot carry it): durations marshal as integer nanoseconds,
+// the encoding/json rendering of time.Duration, so the encoding is exact
+// and deterministic.
 type Summary struct {
 	Count int           `json:"count"`
 	Mean  time.Duration `json:"mean_ns"`
