@@ -142,9 +142,11 @@ func printScenarioStudy(tag, ckptDir string) error {
 // printKernels reports how each model's convolutions reach the direct
 // kernel: read in place or staged first is a function of the layer's pad
 // and stride, so this table is the whole dispatch — the ground truth for
-// interpreting benchmark numbers. Staged KB is what the staging copies
-// write per image, over all staged layers.
+// interpreting benchmark numbers, together with the span kernel the CPU
+// runs. Staged KB is what the staging copies write per image, over all
+// staged layers.
 func printKernels() {
+	fmt.Printf("span kernel: %s\n", tensor.SpanKernel())
 	fmt.Printf("%-10s %15s %13s %16s\n", "model", "in-place convs", "staged convs", "staged KB/image")
 	for _, b := range append(models.Registry(), models.MobileNetV2) {
 		m := b(rand.New(rand.NewSource(1)), models.Full)

@@ -39,6 +39,7 @@ func CaptureKernelTrace(m *models.Model, algo core.Algorithm, batch, repeats int
 	tr.SetMeta("batch", batch)
 	tr.SetMeta("repeats", repeats)
 	tr.SetMeta("pool_workers", parallel.Workers())
+	tr.SetMeta("span_kernel", tensor.SpanKernel())
 	for i := 0; i < repeats; i++ {
 		adapter.Process(x)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"edgetta/internal/core"
 	"edgetta/internal/telemetry"
+	"edgetta/internal/tensor"
 )
 
 // TestCaptureKernelTrace checks the single-run trace: layer spans for the
@@ -71,5 +72,8 @@ func TestCaptureKernelTrace(t *testing.T) {
 	}
 	if _, ok := doc.Metadata["pool_workers"]; !ok {
 		t.Error("metadata missing pool_workers")
+	}
+	if got := doc.Metadata["span_kernel"]; got != tensor.SpanKernel() {
+		t.Errorf("metadata span_kernel = %v, want %q", got, tensor.SpanKernel())
 	}
 }

@@ -8,17 +8,20 @@ import (
 )
 
 // Direct convolution on NCHW, in place: the SIMD lanes of the kernel are 8
-// consecutive output pixels of one channel plane, a register tile is a few
-// output channels × a few pixel vectors, and every reduction row
-// r = (ic, ky, kx) is one unaligned vector load from the input plane at a
-// precomputed offset plus one weight broadcast per output channel, read
-// straight from the layer's [OutC, InC/Groups·K·K] weight matrix. No layout
-// conversion, no im2col matrix, no derived copy of the weights; the output
-// is written where the next layer reads it. A stride-1 unpadded convolution
-// reads the input where it lies; every other shape is staged once per image
-// (ConvPlan.Stage). A group restricts the reduction rows and the
-// output-channel tile to that group's channels; depthwise is the
-// one-channel case.
+// (AVX2) or 16 (AVX-512) output pixels of one channel plane, a register
+// tile is a few output channels × a few pixel vectors, and every reduction
+// row r = (ic, ky, kx) is one unaligned vector load from the input plane at
+// a precomputed offset plus one weight broadcast per output channel, read
+// straight from the layer's [OutC, InC/Groups·K·K] weight matrix. An output
+// plane is a run of spans (its rows, or the whole plane); one kernel call
+// takes several consecutive short spans (spanRun), and the AVX-512 kernel
+// packs them side by side into its vectors, so 8- and 16-pixel rows fill
+// its lanes as well as long ones. No layout conversion, no im2col matrix,
+// no derived copy of the weights; the output is written where the next
+// layer reads it. A stride-1 unpadded convolution reads the input where it
+// lies; every other shape is staged once per image (ConvPlan.Stage). A
+// group restricts the reduction rows and the output-channel tile to that
+// group's channels; depthwise is the one-channel case.
 //
 // # Bit-parity with the im2col path
 //
@@ -33,11 +36,12 @@ import (
 // adding w*0 (= ±0) products the matmul skips — in the staged zero border
 // too — and adding ±0 to the accumulator is a bitwise no-op, because an
 // accumulator that starts at +0 can never become -0 (x+(-x) = +0 and
-// (+0)+(-0) = +0 in round-to-nearest). There are no padded lanes: a vector
-// shorter than 8 pixels is loaded and stored under a mask. Hence for finite
-// inputs the kernel is bit-identical to the im2col path, on every
-// architecture and worker count, which keeps im2col as the oracle the
-// parity tests compare against (SetPacked).
+// (+0)+(-0) = +0 in round-to-nearest). There are no padded lanes: lanes a
+// vector's spans do not fill are loaded and stored under a mask, and every
+// lane of a 16-lane multiply or add rounds as an 8-lane or scalar one
+// does. Hence for finite inputs the kernel is bit-identical to the im2col
+// path, on every architecture and worker count, which keeps im2col as the
+// oracle the parity tests compare against (SetPacked).
 
 // oracleOnly sends every forward to the im2col path; see SetPacked.
 var oracleOnly atomic.Bool
@@ -85,21 +89,42 @@ func (s ConvShape) valid() bool {
 // channel, the input plane itself.
 type ConvPlan struct {
 	ConvShape
-	res        int     // residues per axis that a tap can have: min(K, Stride)
-	subH, subW int     // sub-plane geometry
-	off        []int32 // reduction row → offset from a group's span origin
-	maxOff     int
+	res        int // residues per axis that a tap can have: min(K, Stride)
+	subH, subW int // sub-plane geometry
+	offsets        // reduction row → offset from a group's span origin
 	// An output plane is spans runs of spanPix pixels: its rows, or the
 	// whole plane when sub-plane and output rows are equally long (K ≤
-	// Stride), which keeps the vectors full on small planes.
-	spans, spanPix int
+	// Stride), which keeps the vectors full on small planes. One kernel
+	// call takes run consecutive spans.
+	spans, spanPix, run int
+}
+
+// offsets is a reduction row → input offset table and its largest entry,
+// which bounds the input a span reads. newOffsets is the only way to make
+// one, so convSpan can check the input's extent from max alone.
+type offsets struct {
+	off []int32
+	max int
+}
+
+// newOffsets wraps the offset table off, which it refuses if an entry is
+// negative.
+func newOffsets(off []int32) offsets {
+	o := offsets{off: off}
+	for _, v := range off {
+		if v < 0 {
+			panic("tensor: negative kernel offset")
+		}
+		o.max = max(o.max, int(v))
+	}
+	return o
 }
 
 // convTile is the output-channel height of the kernel's register tile.
 const convTile = 4
 
-// convSpanGrainFlops is the target work per scheduled (tile, span) unit,
-// mirroring matmul's rowGrain sizing.
+// convSpanGrainFlops is the target work per scheduled (tile, span run)
+// unit, mirroring matmul's rowGrain sizing.
 const convSpanGrainFlops = 32 * 1024
 
 // NewConvPlan works out the addressing for s. It depends on the geometry
@@ -114,21 +139,21 @@ func NewConvPlan(s ConvShape) *ConvPlan {
 	if q == 0 {
 		p.spans, p.spanPix = 1, s.OutH()*s.OutW()
 	}
+	p.run = spanRun(p.spanPix)
 	inCg := s.InC / s.Groups
 	if inCg*p.chanLen() > math.MaxInt32 {
 		panic("tensor: NewConvPlan input too large for 32-bit offsets")
 	}
-	p.off = make([]int32, 0, inCg*s.K*s.K)
+	off := make([]int32, 0, inCg*s.K*s.K)
 	for ic := 0; ic < inCg; ic++ {
 		for ky := 0; ky < s.K; ky++ {
 			for kx := 0; kx < s.K; kx++ {
 				sub := (ic*p.res+ky%s.Stride)*p.res + kx%s.Stride
-				o := (sub*p.subH+ky/s.Stride)*p.subW + kx/s.Stride
-				p.off = append(p.off, int32(o))
-				p.maxOff = max(p.maxOff, o)
+				off = append(off, int32((sub*p.subH+ky/s.Stride)*p.subW+kx/s.Stride))
 			}
 		}
 	}
+	p.offsets = newOffsets(off)
 	return p
 }
 
@@ -173,11 +198,10 @@ func (p *ConvPlan) Stage(dst, src []float32) {
 // accumulation order fixed by the kernel, so results are bit-identical
 // for every worker count.
 //
-// Memory safety: the lengths checked here bound every address the plan can
-// form, each span call below slices its operands to exactly the extent
-// that span touches (a slice expression is a bounds check), and the span
-// kernels move partial vectors under a mask, so no load or store falls
-// outside the slices handed in.
+// Memory safety: convSpan checks every operand extent a kernel call can
+// touch against the slice it is handed, and the span kernels move partial
+// vectors under a mask, so no load or store falls outside the slices
+// handed in.
 func (p *ConvPlan) Run(y, x, w []float32) {
 	outCg := p.OutC / p.Groups
 	rows, cols := len(p.off), p.spans*p.spanPix
@@ -187,7 +211,8 @@ func (p *ConvPlan) Run(y, x, w []float32) {
 		panic("tensor: ConvPlan.Run slice too short")
 	}
 	tiles := (outCg + convTile - 1) / convTile
-	units, grain := p.Groups*tiles*p.spans, max(1, convSpanGrainFlops/(2*p.spanPix*rows*convTile))
+	runs := (p.spans + p.run - 1) / p.run
+	units, grain := p.Groups*tiles*runs, max(1, convSpanGrainFlops/(2*p.run*p.spanPix*rows*convTile))
 	// Once per image and residue, so no closure unless the loop forks.
 	if ranges, _ := parallel.Split(units, grain); ranges == 1 {
 		p.runUnits(y, x, w, 0, units)
@@ -196,52 +221,61 @@ func (p *ConvPlan) Run(y, x, w []float32) {
 	parallel.ForGrain(units, grain, func(lo, hi int) { p.runUnits(y, x, w, lo, hi) })
 }
 
-// runUnits computes the (output-channel tile, span) units [lo, hi) of Run.
+// runUnits computes the (output-channel tile, span run) units [lo, hi) of
+// Run.
 func (p *ConvPlan) runUnits(y, x, w []float32, lo, hi int) {
 	inCg, outCg := p.InC/p.Groups, p.OutC/p.Groups
 	rows, cols := len(p.off), p.spans*p.spanPix
 	tiles := (outCg + convTile - 1) / convTile
+	runs := (p.spans + p.run - 1) / p.run
 	for u := lo; u < hi; u++ {
-		tile, span := u/p.spans, u%p.spans
+		tile, span := u/runs, u%runs*p.run
 		g, oc := tile/tiles, tile%tiles*convTile
 		noc := min(convTile, outCg-oc)
 		oc += g * outCg
 		xb := g*inCg*p.chanLen() + span*p.subW
 		yb := oc*cols + span*p.spanPix
-		convSpan(y[yb:yb+(noc-1)*cols+p.spanPix], cols, x[xb:xb+p.maxOff+p.spanPix],
-			w[oc*rows:(oc+noc)*rows], rows, p.off, noc, p.spanPix)
+		convSpan(y[yb:], cols, x[xb:], w[oc*rows:], rows, p.offsets, noc, p.spanPix, min(p.run, p.spans-span), p.subW)
 	}
 }
 
 // convSpanGeneric is the portable span kernel and the reference the
 // assembly kernels must match bit for bit: for each of noc output channels
-// j and npix pixels p, y[j*yStride+p] = Σ_r w[j*wStride+r]·x[off[r]+p] in
-// ascending r from +0, one rounded multiply and one rounded add per step —
-// the expression axpyGeneric uses, so that a compiler that fuses one fuses
-// both and the im2col oracle stays bit-equal on every architecture.
-func convSpanGeneric(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix int) {
-	for j := 0; j < noc; j++ {
-		wj := w[j*wStride:][:len(off)]
-		yj := y[j*yStride:][:npix]
-		p := 0
-		for ; p+4 <= npix; p += 4 {
-			var a0, a1, a2, a3 float32
-			for r, o := range off {
-				wv := wj[r]
-				xs := x[int(o)+p:][:4]
-				a0 += wv * xs[0]
-				a1 += wv * xs[1]
-				a2 += wv * xs[2]
-				a3 += wv * xs[3]
+// j, nspan spans k and npix pixels p,
+//
+//	y[j*yStride+k*npix+p] = Σ_r w[j*wStride+r]·x[k*xStep+off[r]+p]
+//
+// in ascending r from +0, one rounded multiply and one rounded add per step
+// — the expression axpyGeneric uses, so that a compiler that fuses one
+// fuses both and the im2col oracle stays bit-equal on every architecture.
+// A plan's consecutive spans are consecutive output rows (or the whole
+// plane), so their outputs lie back to back.
+func convSpanGeneric(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix, nspan, xStep int) {
+	for k := 0; k < nspan; k++ {
+		xk := x[k*xStep:]
+		for j := 0; j < noc; j++ {
+			wj := w[j*wStride:][:len(off)]
+			yj := y[j*yStride+k*npix:][:npix]
+			p := 0
+			for ; p+4 <= npix; p += 4 {
+				var a0, a1, a2, a3 float32
+				for r, o := range off {
+					wv := wj[r]
+					xs := xk[int(o)+p:][:4]
+					a0 += wv * xs[0]
+					a1 += wv * xs[1]
+					a2 += wv * xs[2]
+					a3 += wv * xs[3]
+				}
+				yj[p], yj[p+1], yj[p+2], yj[p+3] = a0, a1, a2, a3
 			}
-			yj[p], yj[p+1], yj[p+2], yj[p+3] = a0, a1, a2, a3
-		}
-		for ; p < npix; p++ {
-			var a float32
-			for r, o := range off {
-				a += wj[r] * x[int(o)+p]
+			for ; p < npix; p++ {
+				var a float32
+				for r, o := range off {
+					a += wj[r] * xk[int(o)+p]
+				}
+				yj[p] = a
 			}
-			yj[p] = a
 		}
 	}
 }

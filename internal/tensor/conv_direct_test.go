@@ -134,47 +134,103 @@ func TestConvPackedMatchesIm2ColBitwise(t *testing.T) {
 	}
 }
 
-// TestConvPackedGenericMatchesSIMD pins the portable span kernel against
-// whatever vector kernel the build dispatches to (AVX2 mul+add must be
-// bit-identical on every CPU), over every tile height and tail width, with
-// the destination bracketed by canaries.
-func TestConvPackedGenericMatchesSIMD(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	const rows, reach = 37, 90
-	for noc := 1; noc <= 9; noc++ {
-		for _, npix := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 24, 31, 32, 33, 47, 71} {
-			off := make([]int32, rows)
-			maxOff := 0
-			for i := range off {
-				off[i] = int32(rng.Intn(reach))
-				maxOff = max(maxOff, int(off[i]))
+// spanRoutine is one span routine called the way convSpan calls it, on
+// channels [0, noc) rounded down to a multiple of tile. needs names the
+// CPU feature it runs on, and has says whether this CPU has it.
+type spanRoutine struct {
+	name, needs string
+	has         bool
+	tile        int
+	run         func(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix, nspan, xStep int)
+}
+
+// allSpanRoutines is the dispatching wrapper and every vector routine of
+// this architecture (spanRoutines).
+func allSpanRoutines() []spanRoutine {
+	wrapper := spanRoutine{name: "convSpan", has: true, tile: 1,
+		run: func(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix, nspan, xStep int) {
+			convSpan(y, yStride, x, w, wStride, newOffsets(off), noc, npix, nspan, xStep)
+		}}
+	return append([]spanRoutine{wrapper}, spanRoutines()...)
+}
+
+// spanCase is one span-kernel call with its operands: x and w random, y a
+// guarded NaN-filled buffer whose channels lie yStride apart with a
+// canary gap between them.
+type spanCase struct {
+	noc, npix, nspan, xStep, yStride, wStride int
+	off                                       []int32
+	x, w                                      []float32
+}
+
+// yLen and xLen are the extents convSpan admits for the case.
+func (c spanCase) yLen() int { return (c.noc-1)*c.yStride + c.nspan*c.npix }
+func (c spanCase) xLen() int { return newOffsets(c.off).max + (c.nspan-1)*c.xStep + c.npix }
+
+// check compares y, written by a routine that covers the first covered
+// channels, with the generic kernel bit for bit, and requires every other
+// element to be still NaN: the gaps between channels and the channels the
+// routine does not take.
+func (c spanCase) check(t *testing.T, what string, y []float32, covered int) {
+	t.Helper()
+	want := make([]float32, len(y))
+	convSpanGeneric(want, c.yStride, c.x, c.w, c.wStride, c.off, c.noc, c.npix, c.nspan, c.xStep)
+	n := c.nspan * c.npix
+	for i, v := range y {
+		j, p := i/c.yStride, i%c.yStride
+		switch {
+		case j < covered && p < n:
+			if math.Float32bits(v) != math.Float32bits(want[i]) {
+				t.Errorf("%s %+v: channel %d pixel %d = %v, the generic kernel %v", what, c.dims(), j, p, v, want[i])
+				return
 			}
-			x, xOK := guarded(maxOff + npix)
-			copy(x, randSlice(rng, len(x)))
-			wStride, yStride := rows+3, npix+5
-			w := randSlice(rng, noc*wStride)
-			got, gotOK := guarded((noc-1)*yStride + npix)
-			want := make([]float32, len(got))
-			convSpan(got, yStride, x, w, wStride, off, noc, npix)
-			convSpanGeneric(want, yStride, x, w, wStride, off, noc, npix)
-			for j := 0; j < noc; j++ {
-				if !bitsEqual(got[j*yStride:][:npix], want[j*yStride:][:npix]) {
-					t.Errorf("noc=%d npix=%d: channel %d differs from the generic kernel", noc, npix, j)
-				}
-				if j > 0 {
-					// The gap between two channels' spans belongs to
-					// neither: still the canary value.
-					for _, v := range got[(j-1)*yStride+npix : j*yStride] {
-						if v == v {
-							t.Errorf("noc=%d npix=%d: store between the spans of channels %d and %d", noc, npix, j-1, j)
+		case v == v:
+			t.Errorf("%s %+v: store at channel %d element %d, outside the spans it computes", what, c.dims(), j, p)
+			return
+		}
+	}
+}
+
+// dims is the case without its operands, for messages.
+func (c spanCase) dims() [5]int { return [5]int{c.noc, c.npix, c.nspan, c.xStep, len(c.off)} }
+
+// TestConvPackedGenericMatchesSIMD holds every span routine this CPU has
+// — called directly, not only through the dispatch — to the portable
+// kernel bit for bit: mul+add at 8 or 16 lanes must round as the scalar
+// loop does. It covers every tile height, tail width and run of packed
+// spans, spans read further apart than they are long, and destinations
+// bracketed by canaries.
+func TestConvPackedGenericMatchesSIMD(t *testing.T) {
+	const rows, reach = 37, 90
+	for _, r := range allSpanRoutines() {
+		t.Run(r.name, func(t *testing.T) {
+			if !r.has {
+				t.Skipf("the CPU lacks %s", r.needs)
+			}
+			rng := rand.New(rand.NewSource(47))
+			for noc := 1; noc <= 9; noc++ {
+				for _, npix := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 24, 31, 32, 33, 47, 71} {
+					for nspan := 1; nspan <= 5; nspan++ {
+						for _, xStep := range []int{npix, npix + 2, npix + 5} {
+							c := spanCase{noc: noc, npix: npix, nspan: nspan, xStep: xStep,
+								yStride: nspan*npix + 5, wStride: rows + 3, off: make([]int32, rows)}
+							for i := range c.off {
+								c.off[i] = int32(rng.Intn(reach))
+							}
+							x, xOK := guarded(c.xLen())
+							copy(x, randSlice(rng, len(x)))
+							c.x, c.w = x, randSlice(rng, noc*c.wStride)
+							y, yOK := guarded(c.yLen())
+							r.run(y, c.yStride, c.x, c.w, c.wStride, c.off, noc, npix, nspan, xStep)
+							c.check(t, r.name, y, noc/r.tile*r.tile)
+							if !xOK() || !yOK() {
+								t.Errorf("%s %+v: store outside the operands", r.name, c.dims())
+							}
 						}
 					}
 				}
 			}
-			if !xOK() || !gotOK() {
-				t.Errorf("noc=%d npix=%d: store outside the span", noc, npix)
-			}
-		}
+		})
 	}
 }
 
@@ -267,6 +323,82 @@ func TestConvGradIsAdjointOfConv(t *testing.T) {
 	}
 	if cases < 1000 {
 		t.Errorf("only %d geometries ran", cases)
+	}
+}
+
+// convRunShapes are the distinct conv geometries of the WRN-AM and RXT-AM
+// repro models on a 32×32 input, named after a layer that runs them.
+var convRunShapes = []struct {
+	name string
+	s    ConvShape
+}{
+	{"stem_3to8_32_k3s1", ConvShape{InC: 3, OutC: 8, H: 32, W: 32, K: 3, Stride: 1, Pad: 1, Groups: 1}},
+	{"wrn_group1.conv_8to8_32_k3s1", ConvShape{InC: 8, OutC: 8, H: 32, W: 32, K: 3, Stride: 1, Pad: 1, Groups: 1}},
+	{"wrn_group2.conv1_8to16_32_k3s2", ConvShape{InC: 8, OutC: 16, H: 32, W: 32, K: 3, Stride: 2, Pad: 1, Groups: 1}},
+	{"wrn_group2.conv2_16to16_16_k3s1", ConvShape{InC: 16, OutC: 16, H: 16, W: 16, K: 3, Stride: 1, Pad: 1, Groups: 1}},
+	{"wrn_group2.shortcut_8to16_32_k1s2", ConvShape{InC: 8, OutC: 16, H: 32, W: 32, K: 1, Stride: 2, Pad: 0, Groups: 1}},
+	{"wrn_group3.conv1_16to32_16_k3s2", ConvShape{InC: 16, OutC: 32, H: 16, W: 16, K: 3, Stride: 2, Pad: 1, Groups: 1}},
+	{"wrn_group3.conv2_32to32_8_k3s1", ConvShape{InC: 32, OutC: 32, H: 8, W: 8, K: 3, Stride: 1, Pad: 1, Groups: 1}},
+	{"wrn_group3.shortcut_16to32_16_k1s2", ConvShape{InC: 16, OutC: 32, H: 16, W: 16, K: 1, Stride: 2, Pad: 0, Groups: 1}},
+	{"rxt_stage1.conv1_8to8_32_k1s1", ConvShape{InC: 8, OutC: 8, H: 32, W: 32, K: 1, Stride: 1, Pad: 0, Groups: 1}},
+	{"rxt_stage1.conv2_8to8_32_k3s1g2", ConvShape{InC: 8, OutC: 8, H: 32, W: 32, K: 3, Stride: 1, Pad: 1, Groups: 2}},
+	{"rxt_stage1.conv3_8to16_32_k1s1", ConvShape{InC: 8, OutC: 16, H: 32, W: 32, K: 1, Stride: 1, Pad: 0, Groups: 1}},
+	{"rxt_stage2.conv1_16to16_32_k1s1", ConvShape{InC: 16, OutC: 16, H: 32, W: 32, K: 1, Stride: 1, Pad: 0, Groups: 1}},
+	{"rxt_stage2.conv2_16to16_32_k3s2g2", ConvShape{InC: 16, OutC: 16, H: 32, W: 32, K: 3, Stride: 2, Pad: 1, Groups: 2}},
+	{"rxt_stage2.conv3_16to32_16_k1s1", ConvShape{InC: 16, OutC: 32, H: 16, W: 16, K: 1, Stride: 1, Pad: 0, Groups: 1}},
+	{"rxt_stage2.shortcut_16to32_32_k1s2", ConvShape{InC: 16, OutC: 32, H: 32, W: 32, K: 1, Stride: 2, Pad: 0, Groups: 1}},
+	{"rxt_stage3.conv1_32to32_16_k1s1", ConvShape{InC: 32, OutC: 32, H: 16, W: 16, K: 1, Stride: 1, Pad: 0, Groups: 1}},
+	{"rxt_stage3.conv2_32to32_16_k3s2g2", ConvShape{InC: 32, OutC: 32, H: 16, W: 16, K: 3, Stride: 2, Pad: 1, Groups: 2}},
+	{"rxt_stage3.conv3_32to64_8_k1s1", ConvShape{InC: 32, OutC: 64, H: 8, W: 8, K: 1, Stride: 1, Pad: 0, Groups: 1}},
+	{"rxt_stage3.shortcut_32to64_16_k1s2", ConvShape{InC: 32, OutC: 64, H: 16, W: 16, K: 1, Stride: 2, Pad: 0, Groups: 1}},
+}
+
+// BenchmarkConvRun measures the span kernel's rate on one worker, in
+// GMAC/s: one image's ConvPlan.Run (fw) and ConvGradPlan.Run over the
+// input gradient's residues (dx) per repro-model geometry, the input
+// staged beforehand.
+func BenchmarkConvRun(b *testing.B) {
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	run := func(b *testing.B, macs int, f func()) {
+		b.ReportAllocs()
+		for b.Loop() {
+			f()
+		}
+		b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+	}
+	for _, c := range convRunShapes {
+		s := c.s
+		rng := rand.New(rand.NewSource(1))
+		w := randSlice(rng, s.OutC*s.InC/s.Groups*s.K*s.K)
+		b.Run(c.name+"/fw", func(b *testing.B) {
+			p := NewConvPlan(s)
+			x := randSlice(rng, s.InC*s.H*s.W)
+			if n := p.StagedLen(); n > 0 {
+				staged := make([]float32, n)
+				p.Stage(staged, x)
+				x = staged
+			}
+			y := make([]float32, s.OutC*s.OutH()*s.OutW())
+			run(b, len(y)*len(p.off), func() { p.Run(y, x, w) })
+		})
+		b.Run(c.name+"/dx", func(b *testing.B) {
+			p := NewConvGradPlan(s)
+			dy := randSlice(rng, s.OutC*s.OutH()*s.OutW())
+			if n := p.StagedLen(); n > 0 {
+				staged := make([]float32, n)
+				p.Stage(staged, dy)
+				dy = staged
+			}
+			taps := make([]float32, len(w))
+			p.Weights(taps, w)
+			out := make([]float32, max(p.SplitLen(), s.InC*s.H*s.W))
+			macs := 0
+			for _, r := range p.subs {
+				macs += r.OutC * r.spans * r.spanPix * len(r.off)
+			}
+			run(b, macs, func() { p.Run(out, dy, taps) })
+		})
 	}
 }
 

@@ -75,19 +75,20 @@ func NewConvGradPlan(s ConvShape) *ConvGradPlan {
 	for _, y := range rows {
 		for _, x := range cols {
 			r := residue{ConvPlan: p.ConvPlan, y: y, x: x, wAt: wAt, at: p.splitLen}
+			off := make([]int32, 0, outCg*y.n*x.n)
 			for oc := 0; oc < outCg; oc++ {
 				for my := 0; my < y.n; my++ {
 					for mx := 0; mx < x.n; mx++ {
-						o := (oc*r.subH+y.j0-y.n+1+b+my)*r.subW + x.j0 - x.n + 1 + b + mx
-						r.off = append(r.off, int32(o))
-						r.maxOff = max(r.maxOff, o)
+						off = append(off, int32((oc*r.subH+y.j0-y.n+1+b+my)*r.subW+x.j0-x.n+1+b+mx))
 					}
 				}
 			}
+			r.offsets = newOffsets(off)
 			r.spans, r.spanPix = y.cnt, x.cnt
 			if x.cnt == r.subW { // whole staged rows: the output plane is one run
 				r.spans, r.spanPix = 1, y.cnt*x.cnt
 			}
+			r.run = spanRun(r.spanPix)
 			p.subs = append(p.subs, r)
 			wAt += s.InC * len(r.off)
 			p.splitLen += s.InC * y.cnt * x.cnt

@@ -4,6 +4,8 @@ package tensor
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -47,6 +49,89 @@ func TestRowKernelsStayInsideTheirOperands(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSpanKernelsStayInsideTheirOperands places x, y and w of every span
+// routine flush against a guard page — all at their front, then all at
+// their back — sized to exactly the extent convSpan admits, over generated
+// offset tables, npix 1…40, nspan 1…4, noc 1…8 and spans read 0, npix and
+// npix+3 apart: a load or store one element outside an operand faults.
+// With spans read 0 apart, the masked lanes below a packed span's start lie
+// in front of x, so a packed load that touched them would fault too.
+func TestSpanKernelsStayInsideTheirOperands(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2: the wrappers run the generic twin")
+	}
+	rng := rand.New(rand.NewSource(59))
+	for _, back := range []bool{false, true} {
+		for npix := 1; npix <= 40; npix++ {
+			t.Run(fmt.Sprintf("back=%v/npix=%d", back, npix), func(t *testing.T) {
+				for nspan := 1; nspan <= 4; nspan++ {
+					for noc := 1; noc <= 8; noc++ {
+						for _, xStep := range []int{0, npix, npix + 3} {
+							off := make([]int32, 1+rng.Intn(12))
+							for i := range off {
+								off[i] = int32(rng.Intn(50))
+							}
+							off[rng.Intn(len(off))] = 0 // x's first element is read
+							c := spanCase{noc: noc, npix: npix, nspan: nspan, xStep: xStep, off: off,
+								yStride: nspan*npix + rng.Intn(3), wStride: len(off) + rng.Intn(3)}
+							runGuardedSpan(t, rng, c, back)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// runGuardedSpan fills x and w of the case with random values, lays them
+// and y flush against a guard page (at their back when back is set), and
+// runs every span routine this CPU has on them, each into a NaN-filled y
+// and held to the generic kernel bit for bit.
+func runGuardedSpan(t *testing.T, rng *rand.Rand, c spanCase, back bool) {
+	t.Helper()
+	c.x, c.w = guardPaged(t, c.xLen(), back), guardPaged(t, (c.noc-1)*c.wStride+len(c.off), back)
+	copy(c.x, randSlice(rng, len(c.x)))
+	copy(c.w, randSlice(rng, len(c.w)))
+	y := guardPaged(t, c.yLen(), back)
+	for _, r := range allSpanRoutines() {
+		if !r.has {
+			continue
+		}
+		for i := range y {
+			y[i] = float32(math.NaN())
+		}
+		what := fmt.Sprintf("%s back=%v %+v", r.name, back, c.dims())
+		noFault(t, what, func() { r.run(y, c.yStride, c.x, c.w, c.wStride, c.off, c.noc, c.npix, c.nspan, c.xStep) })
+		c.check(t, what, y, c.noc/r.tile*r.tile)
+	}
+}
+
+// FuzzConvSpan decodes a span-kernel call from the fuzz bytes — npix,
+// noc, nspan, the distance between spans and an offset table — and holds
+// every span routine this CPU has to the generic kernel, bit for bit, on
+// guard-paged operands, laid against the page at their front and at their
+// back.
+func FuzzConvSpan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		npix := 1 + int(data[0])%64
+		c := spanCase{npix: npix, noc: 1 + int(data[1])%9, nspan: 1 + int(data[2])%6, xStep: int(data[3]) % (npix + 8)}
+		for _, b := range data[4:min(len(data), 68)] {
+			c.off = append(c.off, int32(b%64))
+		}
+		if len(c.off) == 0 {
+			c.off = []int32{0}
+		}
+		c.yStride, c.wStride = c.nspan*c.npix, len(c.off)
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		for _, back := range []bool{false, true} {
+			runGuardedSpan(t, rng, c, back)
+		}
+	})
 }
 
 // noFault reports a fault in f as a failure of the case named what.

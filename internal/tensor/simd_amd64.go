@@ -2,9 +2,12 @@
 
 package tensor
 
-// CPUID-based feature detection for the AVX2 kernels in simd_amd64.s.
+// CPUID-based feature detection for the kernels in simd_amd64.s.
 // AVX2 requires CPU support (leaf 7 EBX bit 5), AVX+OSXSAVE (leaf 1 ECX
 // bits 28/27), and the OS saving XMM+YMM state (XCR0 bits 1 and 2).
+// AVX-512 (the span kernel convSpan4AVX512, AVX512F instructions only)
+// further requires leaf 7 EBX bit 16 and the OS saving the opmask,
+// ZMM_Hi256 and Hi16_ZMM state (XCR0 bits 5, 6 and 7).
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -20,6 +23,9 @@ func convSpan4AVX2(y []float32, yStride int, x, w []float32, wStride int, off []
 
 //go:noescape
 func convSpan1AVX2(y, x, w []float32, off []int32, npix int)
+
+//go:noescape
+func convSpan4AVX512(y []float32, yStride int, x, w []float32, wStride int, off []int32, npix, nspan, xStep int)
 
 var hasAVX2 = func() bool {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -39,28 +45,89 @@ var hasAVX2 = func() bool {
 	return b7&avx2 != 0
 }()
 
-// convSpan computes noc output channels × npix pixels of one conv span (see
+var hasAVX512 = hasAVX2 && func() bool {
+	_, b7, _, _ := cpuid(7, 0)
+	const avx512f = 1 << 16
+	if b7&avx512f == 0 {
+		return false
+	}
+	const state = 0xE6 // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
+	xcr0, _ := xgetbv()
+	return xcr0&state == state
+}()
+
+// SpanKernel names the conv span kernel this process dispatches to:
+// "avx512", "avx2" or "generic".
+func SpanKernel() string {
+	switch {
+	case hasAVX512:
+		return "avx512"
+	case hasAVX2:
+		return "avx2"
+	}
+	return "generic"
+}
+
+// spanRun returns how many consecutive spans of npix pixels one kernel call
+// takes: as many as fill the AVX-512 kernel's 32-lane tile, 4 of up to 8
+// pixels or 2 of up to 16, and 1 on the other paths, which run one span per
+// vector routine call anyway.
+func spanRun(npix int) int {
+	switch {
+	case !hasAVX512 || npix > 16:
+		return 1
+	case npix > 8:
+		return 2
+	}
+	return 4
+}
+
+// convSpan computes noc output channels × nspan spans of npix pixels (see
 // convSpanGeneric for the arithmetic, ConvPlan.Run for the operands). The
-// AVX2 routines take four channels or one, use separate VMULPS/VADDPS and
-// are bit-identical to the generic kernel. They check no lengths, so the
-// extents they touch are checked here: the caller has cut x to
-// max(off)+npix.
-func convSpan(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix int) {
-	if noc <= 0 || npix <= 0 || len(off) == 0 {
+// vector routines use separate multiplies and adds and are bit-identical to
+// the generic kernel; they check no lengths, so every extent they may touch
+// is checked here, x's from the largest offset its table admits.
+func convSpan(y []float32, yStride int, x, w []float32, wStride int, o offsets, noc, npix, nspan, xStep int) {
+	if noc <= 0 || npix <= 0 || nspan <= 0 || len(o.off) == 0 {
 		return
 	}
-	_ = y[(noc-1)*yStride+npix-1]
-	_ = w[(noc-1)*wStride+len(off)-1]
-	if !hasAVX2 {
-		convSpanGeneric(y, yStride, x, w, wStride, off, noc, npix)
-		return
+	checkRows(len(y), yStride, noc, nspan*npix)
+	checkRows(len(w), wStride, noc, len(o.off))
+	checkRows(len(x), xStep, nspan, o.max+npix)
+	switch {
+	case hasAVX512:
+		convSpanAVX512(y, yStride, x, w, wStride, o.off, noc, npix, nspan, xStep)
+	case hasAVX2:
+		convSpanAVX2(y, yStride, x, w, wStride, o.off, noc, npix, nspan, xStep)
+	default:
+		convSpanGeneric(y, yStride, x, w, wStride, o.off, noc, npix, nspan, xStep)
 	}
+}
+
+// convSpanAVX2 runs the AVX2 routines one span at a time: four channels
+// per call, then one.
+func convSpanAVX2(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix, nspan, xStep int) {
+	for k := 0; k < nspan; k++ {
+		yk, xk := y[k*npix:], x[k*xStep:]
+		j := 0
+		for ; j+convTile <= noc; j += convTile {
+			convSpan4AVX2(yk[j*yStride:], yStride, xk, w[j*wStride:], wStride, off, npix)
+		}
+		for ; j < noc; j++ {
+			convSpan1AVX2(yk[j*yStride:], xk, w[j*wStride:], off, npix)
+		}
+	}
+}
+
+// convSpanAVX512 runs every span of four channels in one AVX-512 call and
+// leaves the channels a tile of four does not cover to the AVX2 routines.
+func convSpanAVX512(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix, nspan, xStep int) {
 	j := 0
 	for ; j+convTile <= noc; j += convTile {
-		convSpan4AVX2(y[j*yStride:], yStride, x, w[j*wStride:], wStride, off, npix)
+		convSpan4AVX512(y[j*yStride:], yStride, x, w[j*wStride:], wStride, off, npix, nspan, xStep)
 	}
-	for ; j < noc; j++ {
-		convSpan1AVX2(y[j*yStride:], x, w[j*wStride:], off, npix)
+	if j < noc {
+		convSpanAVX2(y[j*yStride:], yStride, x, w[j*wStride:], wStride, off, noc-j, npix, nspan, xStep)
 	}
 }
 

@@ -1,4 +1,5 @@
-// AVX2 kernels for the two inner loops every figure benchmark sits on.
+// AVX2 kernels for the inner loops every figure benchmark sits on, and an
+// AVX-512 body for the conv span kernel.
 //
 // axpyAVX2 uses separate VMULPS/VADDPS (never FMA): each y[i] += a*x[i] is
 // two correctly-rounded float32 operations, exactly like the scalar
@@ -162,19 +163,21 @@ dot_done:
 	MOVSS	X0, ret+48(FP)
 	RET
 
-// Direct-convolution span kernels on NCHW (see conv_direct.go). The lanes
-// of a vector are 8 consecutive output pixels of one channel plane. For
-// each output channel j of the tile and pixel p of the span,
+// Direct-convolution span kernels on NCHW (see conv_direct.go). For each
+// output channel j of the tile and pixel p of a span,
 //
 //	y[j*yStride+p] = sum over rows r of w[j*wStride+r] * x[off[r]+p]
 //
 // in ascending r from a +0 accumulator with separate VMULPS/VADDPS — one
 // correctly-rounded multiply plus one correctly-rounded add per step,
 // bit-identical to convSpanGeneric and (by the argument in conv_direct.go)
-// to the im2col+matmul path. Each routine walks the span in full blocks,
-// then in vectors of up to 8 pixels loaded and stored under a mask
-// (VMASKMOVPS touches no masked-out lane), so no access falls outside
-// x[:max(off)+npix] or y[:(tile-1)*yStride+npix].
+// to the im2col+matmul path. The AVX2 routines here take one span, their
+// lanes 8 consecutive output pixels of one channel plane; convSpan4AVX512
+// below takes a run of spans at 16 lanes. Each AVX2 routine walks the span
+// in full blocks, then in vectors of up to 8 pixels loaded and stored under
+// a mask (VMASKMOVPS touches no masked-out lane), so no access falls
+// outside x[:max(off)+npix] or y[:(tile-1)*yStride+npix], the extents
+// convSpan checks.
 //
 // Registers: DI y cursor, SI x cursor, R9 off, AX rows, CX npix remaining,
 // DX row counter, BX x address / tail width, R10-R13 weight rows, R8
@@ -385,6 +388,249 @@ cs1_rows8:
 	JMP	cs1_tail
 
 cs1_done:
+	VZEROUPPER
+	RET
+
+// The AVX-512 span kernel: the same arithmetic at 16 lanes, over nspan
+// consecutive spans of npix pixels — span k reads x at k*xStep and writes
+// y at k*npix — in one call. Its register tile is 4 output channels × 2
+// zmm vectors (Z0-Z7), filled three ways:
+//
+//   - npix <= 8: 4 spans per group, 2 in each vector. A zero-masked load
+//     fills a span's npix lanes, and one merge-masked load, addressed npix
+//     lanes below the next span's start, fills the next npix lanes; the
+//     lanes below that start are masked, so they are neither read nor
+//     able to fault. The vector's lanes are then 2*npix consecutive
+//     outputs, stored under one mask.
+//   - 8 < npix <= 16: 2 spans per group, one in each vector.
+//   - npix > 16: one span at a time, in blocks of 32 pixels.
+//
+// A group short of spans, or a block past the span's end, masks the lanes
+// it lacks off its loads and stores, so no access leaves the extents
+// convSpan checks: x[:max(off)+(nspan-1)*xStep+npix] and
+// y[:3*yStride+nspan*npix]. Only AVX512F instructions are used. BP is left
+// alone, so frame-pointer unwinding sees this frame.
+//
+// Registers: DI y cursor, SI x cursor, R8 yStride in bytes, R9 off, AX
+// rows, DX row counter / store cursor, BX x address / temp, R10-R13 weight
+// rows, CX npix / pixels left / second-vector offset, R14 lane masks /
+// second-load offset; K1-K4 load masks, K5-K6 store masks; Z8-Z9 input
+// vectors, Z10 weight broadcast, Z11-Z12 products. Locals: the spans left
+// and, with one span per vector, where the second vector is stored.
+
+// ZROW2 adds row DX of the weight row at wr times Z8 and Z9 into a0 and a1.
+#define ZROW2(wr, a0, a1) \
+	VBROADCASTSS	(wr)(DX*4), Z10; \
+	VMULPS	Z8, Z10, Z11; \
+	VMULPS	Z9, Z10, Z12; \
+	VADDPS	Z11, a0, a0; \
+	VADDPS	Z12, a1, a1
+
+#define ZROWS \
+	ZROW2(R10, Z0, Z1); \
+	ZROW2(R11, Z2, Z3); \
+	ZROW2(R12, Z4, Z5); \
+	ZROW2(R13, Z6, Z7)
+
+// ZZERO clears the accumulators to +0 and the row counter DX.
+#define ZZERO \
+	VPXORD	Z0, Z0, Z0; \
+	VPXORD	Z1, Z1, Z1; \
+	VPXORD	Z2, Z2, Z2; \
+	VPXORD	Z3, Z3, Z3; \
+	VPXORD	Z4, Z4, Z4; \
+	VPXORD	Z5, Z5, Z5; \
+	VPXORD	Z6, Z6, Z6; \
+	VPXORD	Z7, Z7, Z7; \
+	XORQ	DX, DX
+
+// ZSTORE stores each channel's first vector at DX under m0 and its second
+// at BX under m1, a channel apart.
+#define ZSTORE(m0, m1) \
+	VMOVUPS	Z0, m0, (DX); \
+	VMOVUPS	Z1, m1, (BX); \
+	ADDQ	R8, DX; \
+	ADDQ	R8, BX; \
+	VMOVUPS	Z2, m0, (DX); \
+	VMOVUPS	Z3, m1, (BX); \
+	ADDQ	R8, DX; \
+	ADDQ	R8, BX; \
+	VMOVUPS	Z4, m0, (DX); \
+	VMOVUPS	Z5, m1, (BX); \
+	ADDQ	R8, DX; \
+	ADDQ	R8, BX; \
+	VMOVUPS	Z6, m0, (DX); \
+	VMOVUPS	Z7, m1, (BX)
+
+// func convSpan4AVX512(y []float32, yStride int, x, w []float32, wStride int, off []int32, npix, nspan, xStep int)
+TEXT ·convSpan4AVX512(SB), NOSPLIT, $16-136
+	MOVQ	y_base+0(FP), DI
+	MOVQ	yStride+24(FP), R8
+	SHLQ	$2, R8
+	MOVQ	x_base+32(FP), SI
+	MOVQ	w_base+56(FP), R10
+	MOVQ	wStride+80(FP), R11
+	SHLQ	$2, R11
+	LEAQ	(R10)(R11*2), R12
+	LEAQ	(R12)(R11*1), R13
+	ADDQ	R10, R11
+	MOVQ	off_base+88(FP), R9
+	MOVQ	off_len+96(FP), AX
+	MOVQ	nspan+120(FP), BX
+	MOVQ	BX, left-8(SP)
+	MOVQ	npix+112(FP), CX
+	CMPQ	CX, $16
+	JGT	cz_long
+	MOVL	$1, R14
+	SHLL	CX, R14
+	DECL	R14
+	CMPQ	CX, $8
+	JGT	cz_pair
+
+	// Two spans per vector: K1/K3 the first span's lanes, K2/K4 the
+	// second's; R14 the second load's offset from the first, CX the second
+	// vector's from the first.
+	KMOVW	R14, K1
+	KMOVW	R14, K3
+	SHLL	CX, R14
+	KMOVW	R14, K2
+	KMOVW	R14, K4
+	MOVQ	xStep+128(FP), R14
+	SHLQ	$2, R14
+	LEAQ	(R14)(R14*1), BX
+	SHLQ	$2, CX
+	SUBQ	CX, R14
+	MOVQ	BX, CX
+
+cz_quad:
+	MOVQ	left-8(SP), BX
+	CMPQ	BX, $4
+	JGE	cz_quadmasks
+	KXORW	K4, K4, K4
+	CMPQ	BX, $3
+	JGE	cz_quadmasks
+	KXORW	K3, K3, K3
+	CMPQ	BX, $2
+	JGE	cz_quadmasks
+	KXORW	K2, K2, K2
+
+cz_quadmasks:
+	KORW	K2, K1, K5
+	KORW	K4, K3, K6
+	ZZERO
+
+cz_quadrows:
+	MOVLQSX	(R9)(DX*4), BX
+	LEAQ	(SI)(BX*4), BX
+	VMOVUPS.Z	(BX), K1, Z8
+	VMOVUPS	(BX)(R14*1), K2, Z8
+	ADDQ	CX, BX
+	VMOVUPS.Z	(BX), K3, Z9
+	VMOVUPS	(BX)(R14*1), K4, Z9
+	ZROWS
+	INCQ	DX
+	CMPQ	DX, AX
+	JLT	cz_quadrows
+	MOVQ	npix+112(FP), BX
+	SHLQ	$3, BX
+	ADDQ	DI, BX
+	MOVQ	DI, DX
+	ZSTORE(K5, K6)
+	LEAQ	(SI)(CX*2), SI
+	MOVQ	npix+112(FP), BX
+	SHLQ	$4, BX
+	ADDQ	BX, DI
+	SUBQ	$4, left-8(SP)
+	JGT	cz_quad
+	JMP	cz_done
+
+	// One span per vector: K1 its lanes, K3 the second span's or none; R14
+	// the second vector's input offset, ydisp its output offset.
+cz_pair:
+	KMOVW	R14, K1
+	MOVQ	xStep+128(FP), R14
+	SHLQ	$2, R14
+	SHLQ	$2, CX
+	MOVQ	CX, ydisp-16(SP)
+
+cz_pairnext:
+	KMOVW	K1, K3
+	CMPQ	left-8(SP), $2
+	JGE	cz_body
+	KXORW	K3, K3, K3
+	JMP	cz_body
+
+cz_pairdone:
+	LEAQ	(SI)(R14*2), SI
+	MOVQ	ydisp-16(SP), BX
+	LEAQ	(DI)(BX*2), DI
+	SUBQ	$2, left-8(SP)
+	JGT	cz_pairnext
+	JMP	cz_done
+
+	// A long span in blocks of 32 pixels, the second vector 16 pixels
+	// after the first; CX the span's pixels left.
+cz_long:
+	MOVQ	$64, R14
+	MOVQ	R14, ydisp-16(SP)
+
+cz_span:
+	MOVQ	npix+112(FP), CX
+
+cz_block:
+	MOVL	$0xffff, BX
+	KMOVW	BX, K1
+	KMOVW	BX, K3
+	CMPQ	CX, $32
+	JGE	cz_body
+	MOVL	$1, BX
+	SHLL	CX, BX
+	DECL	BX
+	KMOVW	BX, K1
+	SHRL	$16, BX
+	KMOVW	BX, K3
+	JMP	cz_body
+
+cz_blockdone:
+	MOVQ	$32, BX
+	CMPQ	CX, BX
+	CMOVQLT	CX, BX
+	SUBQ	BX, CX
+	SHLQ	$2, BX
+	ADDQ	BX, SI
+	ADDQ	BX, DI
+	TESTQ	CX, CX
+	JNZ	cz_block
+	MOVQ	xStep+128(FP), BX
+	SUBQ	npix+112(FP), BX
+	LEAQ	(SI)(BX*4), SI
+	DECQ	left-8(SP)
+	JNZ	cz_span
+	JMP	cz_done
+
+	// Both vectors, one load each: the first at SI under K1, the second at
+	// SI+R14 under K3, stored at DI and DI+ydisp.
+cz_body:
+	ZZERO
+
+cz_bodyrows:
+	MOVLQSX	(R9)(DX*4), BX
+	LEAQ	(SI)(BX*4), BX
+	VMOVUPS.Z	(BX), K1, Z8
+	VMOVUPS.Z	(BX)(R14*1), K3, Z9
+	ZROWS
+	INCQ	DX
+	CMPQ	DX, AX
+	JLT	cz_bodyrows
+	MOVQ	ydisp-16(SP), BX
+	ADDQ	DI, BX
+	MOVQ	DI, DX
+	ZSTORE(K1, K3)
+	CMPQ	npix+112(FP), $16
+	JGT	cz_blockdone
+	JMP	cz_pairdone
+
+cz_done:
 	VZEROUPPER
 	RET
 

@@ -28,8 +28,13 @@ func interleaveRows(dst []float32, dstStride int, a []float32, aStride int, b []
 	interleaveRowsGeneric(dst, dstStride, a, aStride, b, bStride, rows, n)
 }
 
-func convSpan(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix int) {
-	convSpanGeneric(y, yStride, x, w, wStride, off, noc, npix)
+// SpanKernel names the conv span kernel this process dispatches to.
+func SpanKernel() string { return "generic" }
+
+func spanRun(npix int) int { return 1 }
+
+func convSpan(y []float32, yStride int, x, w []float32, wStride int, o offsets, noc, npix, nspan, xStep int) {
+	convSpanGeneric(y, yStride, x, w, wStride, o.off, noc, npix, nspan, xStep)
 }
 
 func planeSum(acc *[StatLanes]float64, x []float32) { planeSumGeneric(acc, x) }
