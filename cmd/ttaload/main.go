@@ -38,7 +38,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,6 +49,7 @@ import (
 	"edgetta/internal/parallel"
 	"edgetta/internal/serve"
 	"edgetta/internal/serve/httpapi"
+	"edgetta/internal/telemetry"
 	"edgetta/internal/tensor"
 )
 
@@ -174,15 +174,16 @@ type runCfg struct {
 
 // runPoint drives one curve point: n concurrent sessions, each replaying
 // its own corruption stream to completion, with 429s retried after the
-// server's hint. Latencies are client-side (submit to logits in hand).
+// server's hint. Latencies are client-side (submit to logits in hand), with
+// nearest-rank percentiles as /v1/stats reports them.
 func runPoint(cfg runCfg, n int) (point, error) {
 	type result struct {
-		images    int
-		latencies []time.Duration
-		retried   int
-		err       error
+		images  int
+		retried int
+		err     error
 	}
 	results := make([]result, n)
+	var lat telemetry.Hist
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < n; i++ {
@@ -215,7 +216,7 @@ func runPoint(cfg runCfg, n int) (point, error) {
 					r.err = fmt.Errorf("session %d: %w", i, err)
 					return
 				}
-				r.latencies = append(r.latencies, time.Since(t0))
+				lat.Observe(time.Since(t0))
 				r.images += x.Dim(0)
 			}
 		}(i)
@@ -224,21 +225,17 @@ func runPoint(cfg runCfg, n int) (point, error) {
 	wall := time.Since(start)
 
 	p := point{Streams: n, WallMS: float64(wall.Microseconds()) / 1e3}
-	var all []time.Duration
 	for i := range results {
 		if results[i].err != nil {
 			return p, results[i].err
 		}
 		p.Images += results[i].images
 		p.Retried429 += results[i].retried
-		all = append(all, results[i].latencies...)
 	}
 	p.ImagesPerSec = float64(p.Images) / wall.Seconds()
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if len(all) > 0 {
-		p.P50MS = float64(all[len(all)/2].Microseconds()) / 1e3
-		p.P95MS = float64(all[len(all)*95/100].Microseconds()) / 1e3
-	}
+	s := lat.Summary()
+	p.P50MS = float64(s.P50.Microseconds()) / 1e3
+	p.P95MS = float64(s.P95.Microseconds()) / 1e3
 	return p, nil
 }
 

@@ -1,8 +1,7 @@
 package nn
 
 import (
-	"sort"
-	"sync"
+	"cmp"
 	"sync/atomic"
 	"time"
 
@@ -11,20 +10,18 @@ import (
 )
 
 // This file implements the runtime profiler the study's methodology is
-// built on (the paper uses PyTorch's Autograd profiler the same way):
-// when enabled, every layer records the wall time of its Forward and
-// Backward calls, aggregated by layer kind. Disabled, the instrumentation
-// is a nil check per layer call.
-//
-// The same hooks feed the telemetry span tracer: while a tracer is active
-// (telemetry.StartTracing / EDGETTA_TRACE=1), every layer Forward/Backward
-// becomes a Chrome trace-event span named "<kind>.fw"/"<kind>.bw" with the
-// layer name attached, and the time a conv spends staging its input (the
-// padded, stride-split copy) appears as contained "pack" spans carrying
-// the conv's name and the pool width. Either
-// consumer — aggregate profiler or tracer — turns the hooks on; both read
+// built on (the paper uses PyTorch's Autograd profiler the same way). Its
+// hooks have one consumer, the telemetry span tracer: while a tracer is
+// active (telemetry.StartTracing / EDGETTA_TRACE=1), every layer
+// Forward/Backward becomes a span named "<kind>.fw"/"<kind>.bw" carrying
+// the layer's name, and a conv's staging copies (the padded, stride-split
+// input) become contained "pack" spans carrying the conv's name and the
+// pool width. With no tracer the hooks cost one atomic load per layer call.
+// The per-kind totals are the tracer's: it keeps a running total per span
+// name that its event bound never drops, and PhaseTotals is the difference
+// of those totals between StartProfiling and StopProfiling. The hooks read
 // the clock only in this file (exempt from ttalint's determinism scope by
-// the *profiler* filename carve-out) and in internal/telemetry.
+// the *profiler* filename carve-out).
 //
 // Attribution with the pooled scheduler: layers execute their parallel
 // loops fork-join through internal/parallel, and the join happens before
@@ -41,79 +38,89 @@ type PhaseTotals struct {
 	BwCalls   map[Kind]int
 }
 
-// Total returns the summed forward+backward seconds. KindPack is
-// excluded: it is a contained sub-measurement of conv time (see
-// KindPack), so adding it would double-count. The sum runs in ascending
-// kind order: float32/64 addition is not associative, so summing in map
-// iteration order would make the total vary run to run over identical
-// measurements.
+// Total returns the summed forward+backward seconds. KindPack, the last
+// kind, is excluded: it is a contained sub-measurement of conv time, so
+// adding it would double-count. The sum runs in ascending kind order, so
+// identical measurements give an identical total.
 func (p PhaseTotals) Total() float64 {
 	t := 0.0
-	for _, k := range sortedKinds(p.FwSeconds) {
-		if k != KindPack {
-			t += p.FwSeconds[k]
-		}
+	for k := range KindPack {
+		t += p.FwSeconds[k] + p.BwSeconds[k]
 	}
-	for _, k := range sortedKinds(p.BwSeconds) {
-		if k != KindPack {
-			t += p.BwSeconds[k]
+	return t
+}
+
+// profiling is a collection under way: the tracer whose totals it reads,
+// that tracer again if StartProfiling installed it, and the totals at the
+// start, by kind and direction (forward, backward).
+type profiling struct {
+	tr, owned *telemetry.Tracer
+	mark      [KindPack + 1][2]telemetry.SpanTotal
+}
+
+var profCur atomic.Pointer[profiling]
+
+// kindTotals reads tr's running totals of every kind's fw and bw spans.
+func kindTotals(tr *telemetry.Tracer) (t [KindPack + 1][2]telemetry.SpanTotal) {
+	for k := range t {
+		for dir := range t[k] {
+			t[k][dir] = tr.Total("nn", spanName(Kind(k), dir == 1))
 		}
 	}
 	return t
 }
 
-// sortedKinds returns m's keys in ascending order, the determinism-safe
-// way to iterate a kind-keyed map.
-func sortedKinds(m map[Kind]float64) []Kind {
-	kinds := make([]Kind, 0, len(m))
-	for k := range m {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	return kinds
-}
-
-type phaseCollector struct {
-	mu     sync.Mutex
-	totals PhaseTotals
-}
-
-var (
-	profMu  sync.Mutex
-	profCur *phaseCollector
-)
-
-// StartProfiling begins collecting per-layer timings process-wide. It
-// returns false if a collection is already active.
+// StartProfiling begins collecting per-layer timings process-wide, over the
+// active tracer or, if none is active, over one it installs until
+// StopProfiling. It returns false if a collection is already active.
 func StartProfiling() bool {
-	profMu.Lock()
-	defer profMu.Unlock()
-	if profCur != nil {
+	p := new(profiling)
+	for p.tr == nil { // nil only if a tracer stopped between the two calls
+		p.owned = telemetry.StartTracing()
+		p.tr = cmp.Or(p.owned, telemetry.ActiveTracer())
+	}
+	p.mark = kindTotals(p.tr)
+	if !profCur.CompareAndSwap(nil, p) {
+		p.stop()
 		return false
 	}
-	profCur = &phaseCollector{totals: PhaseTotals{
-		FwSeconds: map[Kind]float64{}, BwSeconds: map[Kind]float64{},
-		FwCalls: map[Kind]int{}, BwCalls: map[Kind]int{},
-	}}
 	return true
 }
 
-// StopProfiling ends collection and returns the totals. Calling it with no
-// active collection returns empty totals.
+// stop removes the tracer StartProfiling installed, if it is still active.
+func (p *profiling) stop() {
+	if p.owned != nil && telemetry.ActiveTracer() == p.owned {
+		telemetry.StopTracing()
+	}
+}
+
+// StopProfiling ends collection and returns the totals of the spans
+// recorded since StartProfiling, with entries only for the kinds that ran.
+// Calling it with no active collection returns empty totals.
 func StopProfiling() PhaseTotals {
-	profMu.Lock()
-	defer profMu.Unlock()
-	if profCur == nil {
+	p := profCur.Swap(nil)
+	if p == nil {
 		return PhaseTotals{}
 	}
-	t := profCur.totals
-	profCur = nil
+	p.stop()
+	t := PhaseTotals{
+		FwSeconds: map[Kind]float64{}, BwSeconds: map[Kind]float64{},
+		FwCalls: map[Kind]int{}, BwCalls: map[Kind]int{},
+	}
+	for k, now := range kindTotals(p.tr) {
+		kind, mark := Kind(k), p.mark[k]
+		if n := now[0].Count - mark[0].Count; n > 0 {
+			t.FwCalls[kind], t.FwSeconds[kind] = n, (now[0].Dur - mark[0].Dur).Seconds()
+		}
+		if n := now[1].Count - mark[1].Count; n > 0 {
+			t.BwCalls[kind], t.BwSeconds[kind] = n, (now[1].Dur - mark[1].Dur).Seconds()
+		}
+	}
 	return t
 }
 
-// profStart returns the start time when any timing consumer (aggregate
-// profiler or span tracer) is active, else the zero time. Layers call it
-// at the top of Forward/Backward.
+// profStart returns the start time when a tracer is active, else the zero
+// time. Layers call it at the top of Forward/Backward.
 func profStart() time.Time {
 	if !profActive() {
 		return time.Time{}
@@ -121,18 +128,10 @@ func profStart() time.Time {
 	return time.Now()
 }
 
-// profActive reports whether any timing consumer is listening. Layers use
-// it to skip fine-grained sub-measurements (staging vs compute attribution)
-// when nobody is.
-func profActive() bool {
-	if telemetry.ActiveTracer() != nil {
-		return true
-	}
-	profMu.Lock()
-	active := profCur != nil
-	profMu.Unlock()
-	return active
-}
+// profActive reports whether a tracer is listening. Layers use it to skip
+// fine-grained sub-measurements (staging vs compute attribution) when
+// nobody is.
+func profActive() bool { return telemetry.ActiveTracer() != nil }
 
 // spanName renders a kind and direction as a trace span name.
 func spanName(kind Kind, backward bool) string {
@@ -142,35 +141,16 @@ func spanName(kind Kind, backward bool) string {
 	return kind.String() + ".fw"
 }
 
-// profAdd credits dt to a kind directly, without a surrounding interval.
-// The conv layer named name uses it to attribute its staging copies
-// (KindPack) separately from kernel compute; dt is summed across pool
-// workers, so the split is exact at one worker and CPU-time-like above.
-// With a tracer active it also emits a span ending now that carries the
-// layer's name and the pool width the sum ran across.
+// profAdd records dt against a kind as a span ending now, without a
+// surrounding interval. The conv layer named name uses it to attribute its
+// staging copies (KindPack) separately from kernel compute; dt is summed
+// across pool workers, so the split is exact at one worker and
+// CPU-time-like above. The span carries the layer's name and the pool
+// width the sum ran across.
 func profAdd(kind Kind, name string, backward bool, dt time.Duration) {
-	if dt == 0 {
-		return
-	}
-	if tr := telemetry.ActiveTracer(); tr != nil {
+	if tr := telemetry.ActiveTracer(); tr != nil && dt != 0 {
 		tr.Complete("nn", spanName(kind, backward), 0, time.Now().Add(-dt), dt,
 			telemetry.Arg{Key: "layer", Value: name}, telemetry.Arg{Key: "workers", Value: parallel.Workers()})
-	}
-	profMu.Lock()
-	c := profCur
-	profMu.Unlock()
-	if c == nil {
-		return
-	}
-	sec := dt.Seconds()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if backward {
-		c.totals.BwSeconds[kind] += sec
-		c.totals.BwCalls[kind]++
-	} else {
-		c.totals.FwSeconds[kind] += sec
-		c.totals.FwCalls[kind]++
 	}
 }
 
@@ -186,8 +166,8 @@ func timed(prof bool, sum *atomic.Int64, f func()) {
 	f()
 }
 
-// profEnd records a completed phase against the aggregate totals and, when
-// a tracer is active, as a trace span carrying the layer's name.
+// profEnd records a completed phase as a trace span carrying the layer's
+// name.
 func profEnd(kind Kind, name string, backward bool, t0 time.Time) {
 	profEndFused(kind, name, "", backward, t0)
 }
@@ -196,31 +176,13 @@ func profEnd(kind Kind, name string, backward bool, t0 time.Time) {
 // named fused (a batch-norm pass and the rectifier folded into it): one
 // interval, credited to kind, whose span names both layers.
 func profEndFused(kind Kind, name, fused string, backward bool, t0 time.Time) {
-	if t0.IsZero() {
+	tr := telemetry.ActiveTracer()
+	if tr == nil || t0.IsZero() {
 		return
 	}
-	dt := time.Since(t0)
-	if tr := telemetry.ActiveTracer(); tr != nil {
-		args := []telemetry.Arg{{Key: "layer", Value: name}}
-		if fused != "" {
-			args = append(args, telemetry.Arg{Key: "fused", Value: fused})
-		}
-		tr.Complete("nn", spanName(kind, backward), 0, t0, dt, args...)
+	args := []telemetry.Arg{{Key: "layer", Value: name}}
+	if fused != "" {
+		args = append(args, telemetry.Arg{Key: "fused", Value: fused})
 	}
-	profMu.Lock()
-	c := profCur
-	profMu.Unlock()
-	if c == nil {
-		return
-	}
-	sec := dt.Seconds()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if backward {
-		c.totals.BwSeconds[kind] += sec
-		c.totals.BwCalls[kind]++
-	} else {
-		c.totals.FwSeconds[kind] += sec
-		c.totals.FwCalls[kind]++
-	}
+	tr.Complete("nn", spanName(kind, backward), 0, t0, time.Since(t0), args...)
 }

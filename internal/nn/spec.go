@@ -22,7 +22,8 @@ const (
 	// benchmark. It is recorded inside a conv layer's KindConv wall-time
 	// interval, so it is a contained sub-measurement, never added to
 	// KindConv when summing phase totals. No layer reports it as its Spec
-	// kind, so the device cost model never sees it.
+	// kind, so the device cost model never sees it. It stays the last
+	// kind: the profiler's tables end at it.
 	KindPack
 )
 

@@ -1,12 +1,17 @@
 package profile
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"edgetta/internal/core"
 	"edgetta/internal/models"
 	"edgetta/internal/nn"
+	"edgetta/internal/telemetry"
 	"edgetta/internal/tensor"
 )
 
@@ -58,6 +63,104 @@ func TestProfilerSingleCollection(t *testing.T) {
 		t.Fatal("second StartProfiling must fail while active")
 	}
 	nn.StopProfiling()
+}
+
+// TestPhaseTotalsAreAViewOfTheSpans: the profiler's totals are the
+// tracer's running span totals, so they equal the nn spans a trace writes,
+// to the nanosecond; an event bound that drops spans drops no calls; and
+// StopProfiling removes only a tracer that StartProfiling installed.
+func TestPhaseTotalsAreAViewOfTheSpans(t *testing.T) {
+	prior := telemetry.StopTracing()
+	defer func() {
+		if prior != nil {
+			telemetry.StartTracing()
+		}
+	}()
+	adapter, err := core.New(core.BNOpt, reproWRN(5), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(2, 3, 32, 32)
+	for i := range x.Data {
+		x.Data[i] = float32(i%89) / 89
+	}
+	adapter.Process(x) // warm-up, untraced
+	// profiled runs one BN-Opt pass under the caller's tracer tr.
+	profiled := func(tr *telemetry.Tracer) nn.PhaseTotals {
+		t.Helper()
+		if !nn.StartProfiling() {
+			t.Fatal("another profiler collection is active")
+		}
+		adapter.Process(x)
+		got := nn.StopProfiling()
+		if telemetry.StopTracing() != tr {
+			t.Fatal("StopProfiling removed the caller's tracer")
+		}
+		return got
+	}
+	tr := telemetry.StartTracingLimit(math.MaxInt)
+	full := profiled(tr)
+
+	var b bytes.Buffer
+	if err := tr.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name, Cat string
+			Dur       float64 // µs to the nanosecond
+		}
+	}
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	type sum struct {
+		calls int
+		dur   time.Duration
+	}
+	spans := map[string]sum{}
+	for _, e := range doc.TraceEvents {
+		if e.Cat == "nn" {
+			s := spans[e.Name]
+			spans[e.Name] = sum{s.calls + 1, s.dur + time.Duration(math.Round(e.Dur*1e3))}
+		}
+	}
+	for k := nn.KindOther; k <= nn.KindPack; k++ {
+		for _, dir := range []struct {
+			name  string
+			sec   map[nn.Kind]float64
+			calls map[nn.Kind]int
+		}{{k.String() + ".fw", full.FwSeconds, full.FwCalls}, {k.String() + ".bw", full.BwSeconds, full.BwCalls}} {
+			sec, ran := dir.sec[k]
+			got, want := sum{dir.calls[k], time.Duration(math.Round(sec * 1e9))}, spans[dir.name]
+			if got != want || ran != (want.calls > 0) {
+				t.Errorf("%s: profiled %d calls, %v (entry %v); spans %d, %v", dir.name, got.calls, got.dur, ran, want.calls, want.dur)
+			}
+		}
+	}
+	if full.BwCalls[nn.KindConv] == 0 || full.BwCalls[nn.KindBN] == 0 {
+		t.Fatalf("a BN-Opt pass recorded no backward: %v", full.BwCalls)
+	}
+
+	bounded := telemetry.StartTracingLimit(1)
+	few := profiled(bounded)
+	if bounded.Dropped() == 0 {
+		t.Error("a one-event bound dropped nothing")
+	}
+	for k := nn.KindOther; k <= nn.KindPack; k++ {
+		if few.FwCalls[k] != full.FwCalls[k] || few.BwCalls[k] != full.BwCalls[k] {
+			t.Errorf("%v calls under a one-event bound: %d/%d, unbounded %d/%d",
+				k, few.FwCalls[k], few.BwCalls[k], full.FwCalls[k], full.BwCalls[k])
+		}
+	}
+
+	if !nn.StartProfiling() || telemetry.ActiveTracer() == nil {
+		t.Fatal("StartProfiling with no tracer installed none")
+	}
+	nn.StopProfiling()
+	if telemetry.ActiveTracer() != nil {
+		t.Error("StopProfiling left the tracer it installed")
+	}
 }
 
 func TestMeasureBreakdownNoAdaptHasNoBackward(t *testing.T) {

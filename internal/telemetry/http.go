@@ -22,15 +22,15 @@ func MetricsHandler(r *Registry) http.Handler {
 }
 
 // TraceHandler records a trace for ?sec= seconds (default 1, max 60) and
-// streams the Chrome trace-event JSON back. Responds 409 Conflict if a
-// trace is already being collected (only one tracer may be active per
-// process).
+// streams the Chrome trace-event JSON back. Responds 400 if sec is not a
+// positive number (NaN included), 409 Conflict if a trace is already being
+// collected (only one tracer may be active per process).
 func TraceHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		sec := 1.0
 		if q := req.URL.Query().Get("sec"); q != "" {
 			v, err := strconv.ParseFloat(q, 64)
-			if err != nil || v <= 0 {
+			if err != nil || !(v > 0) { // NaN fails v > 0 too
 				http.Error(w, "trace: bad sec parameter", http.StatusBadRequest)
 				return
 			}

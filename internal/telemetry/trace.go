@@ -14,9 +14,9 @@ import (
 // The span tracer records timed events into an in-memory buffer and writes
 // them as Chrome trace-event JSON (the "trace event format" consumed by
 // chrome://tracing and Perfetto). One tracer is active per process at a
-// time, installed by StartTracing and read through ActiveTracer — the same
-// shape as the nn layer profiler, because the nn profiler hooks are the
-// tracer's main event source.
+// time, installed by StartTracing and read through ActiveTracer. The nn
+// layer hooks are its main event source, and nn's per-kind phase totals are
+// a view of its running span totals (Total).
 //
 // The disabled path is a single atomic pointer load: instrumentation
 // sites write
@@ -54,6 +54,13 @@ type event struct {
 	args      []Arg
 }
 
+// SpanTotal is the running count and summed duration of the complete
+// spans recorded under one (cat, name), stored or dropped.
+type SpanTotal struct {
+	Count int
+	Dur   time.Duration
+}
+
 // Tracer collects trace events. Safe for concurrent use.
 type Tracer struct {
 	mu      sync.Mutex
@@ -62,6 +69,7 @@ type Tracer struct {
 	events  []event
 	dropped int
 	meta    []Arg
+	totals  map[[2]string]SpanTotal // keyed by {cat, name}
 }
 
 // active is the process-wide tracer instrumentation sites consult.
@@ -86,7 +94,7 @@ func StartTracingLimit(maxEvents int) *Tracer {
 	if maxEvents <= 0 {
 		maxEvents = DefaultTraceEvents
 	}
-	t := &Tracer{epoch: time.Now(), max: maxEvents}
+	t := &Tracer{epoch: time.Now(), max: maxEvents, totals: map[[2]string]SpanTotal{}}
 	if !active.CompareAndSwap(nil, t) {
 		return nil
 	}
@@ -110,16 +118,20 @@ func (t *Tracer) SetMeta(key string, value any) {
 	t.mu.Unlock()
 }
 
-// add appends one event, honoring the bound.
+// add appends one event, honoring the bound; a complete span counts into
+// its running total either way.
 func (t *Tracer) add(e event) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e.ph == 'X' {
+		k := [2]string{e.cat, e.name}
+		t.totals[k] = SpanTotal{t.totals[k].Count + 1, t.totals[k].Dur + time.Duration(e.durNs)}
+	}
 	if len(t.events) >= t.max {
 		t.dropped++
-		t.mu.Unlock()
 		return
 	}
 	t.events = append(t.events, e)
-	t.mu.Unlock()
 }
 
 // Complete records a finished span: start is a wall-clock time taken while
@@ -159,6 +171,14 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.events)
+}
+
+// Total returns the running count and duration of the complete spans
+// recorded under cat and name, those the bound dropped included.
+func (t *Tracer) Total(cat, name string) SpanTotal {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.totals[[2]string{cat, name}]
 }
 
 // Dropped returns how many events the bound discarded.

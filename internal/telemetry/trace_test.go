@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -114,6 +115,44 @@ func TestTracerBounded(t *testing.T) {
 	}
 	if doc.Metadata["dropped_events"].(float64) != 12 {
 		t.Fatalf("metadata dropped_events = %v, want 12", doc.Metadata["dropped_events"])
+	}
+}
+
+// TestTracerTotalsSurviveTheBound: a complete span the bound drops still
+// counts into its (cat, name) running total, from any number of goroutines
+// while another reads the total; instants count into none.
+func TestTracerTotalsSurviveTheBound(t *testing.T) {
+	clearTracer()
+	tr := StartTracingLimit(2)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= 5; i++ {
+				tr.Complete("nn", "conv.fw", 0, time.Now(), time.Duration(i)*time.Microsecond)
+				tr.Total("nn", "conv.fw")
+			}
+		}()
+	}
+	wg.Wait()
+	tr.CompleteAt("nn", "bn.fw", 0, 0, 7)
+	tr.Instant("nn", "conv.fw", 0)
+	StopTracing()
+	if tr.Dropped() != 20 {
+		t.Fatalf("Dropped = %d, want 20", tr.Dropped())
+	}
+	for _, tc := range []struct {
+		cat, name string
+		want      SpanTotal
+	}{
+		{"nn", "conv.fw", SpanTotal{20, 60 * time.Microsecond}},
+		{"nn", "bn.fw", SpanTotal{1, 7 * time.Microsecond}},
+		{"sim", "conv.fw", SpanTotal{}},
+	} {
+		if got := tr.Total(tc.cat, tc.name); got != tc.want {
+			t.Errorf("Total(%q, %q) = %+v, want %+v", tc.cat, tc.name, got, tc.want)
+		}
 	}
 }
 
