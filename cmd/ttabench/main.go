@@ -1,5 +1,7 @@
 // Command ttabench regenerates the paper's figures and tables from the
-// calibrated device simulator and the reference error table.
+// calibrated device simulator and the reference error table, and reports
+// how the conv kernels run. Every measured accuracy experiment (trained
+// models) is ttatrain's.
 //
 // Usage:
 //
@@ -8,8 +10,6 @@
 //	ttabench -anchors            # calibration anchors vs simulated values
 //	ttabench -kernels            # which convs read their input in place, which stage it
 //	ttabench -trace out.json     # Chrome trace of one BN-Opt kernel run
-//	ttabench -scenario           # continual-TTA scenario study (trains a
-//	                             # repro-scale model; -ckpt caches weights)
 package main
 
 import (
@@ -33,59 +33,39 @@ func main() {
 	anchors := flag.Bool("anchors", false, "print paper anchors vs simulated values")
 	insights := flag.Bool("insights", false, "print the recomputed Sec. IV-G architecture-algorithm insights")
 	kernels := flag.Bool("kernels", false, "print per model how many convs the direct kernel reads in place, how many it stages, and the staged bytes per image")
-	scenario := flag.Bool("scenario", false, "run the continual-TTA scenario study on a trained repro-scale model")
-	tag := flag.String("model", "WRN-AM", "model tag for -scenario")
-	ckpt := flag.String("ckpt", "", "checkpoint cache directory for -scenario")
+	tag := flag.String("model", "WRN-AM", "model tag for -trace")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of one kernel run to this file")
 	flag.Parse()
 
-	if *traceOut != "" {
-		if err := writeKernelTrace(*traceOut, *tag); err != nil {
-			fmt.Fprintln(os.Stderr, "ttabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *kernels {
+	var err error
+	switch {
+	case *traceOut != "":
+		err = writeKernelTrace(*traceOut, *tag)
+	case *kernels:
 		printKernels()
-		return
-	}
-	if *scenario {
-		if err := printScenarioStudy(*tag, *ckpt); err != nil {
-			fmt.Fprintln(os.Stderr, "ttabench:", err)
-			os.Exit(1)
+	case *anchors:
+		err = printAnchors()
+	case *insights:
+		var out string
+		if out, err = study.Insights(); err == nil {
+			fmt.Println(out)
 		}
-		return
-	}
-	if *anchors {
-		if err := printAnchors(); err != nil {
-			fmt.Fprintln(os.Stderr, "ttabench:", err)
-			os.Exit(1)
+	default:
+		ids := []string{*figure}
+		if *figure == "all" {
+			ids = study.FigureIDs()
 		}
-		return
-	}
-	if *insights {
-		out, err := study.Insights()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ttabench:", err)
-			os.Exit(1)
+		for _, id := range ids {
+			var out string
+			if out, err = study.Figure(id); err != nil {
+				break
+			}
+			fmt.Println(out)
 		}
-		fmt.Println(out)
-		return
 	}
-
-	ids := []string{*figure}
-	if *figure == "all" {
-		ids = study.FigureIDs()
-	}
-	for _, id := range ids {
-		out, err := study.Figure(id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ttabench:", err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ttabench:", err)
+		os.Exit(1)
 	}
 }
 
@@ -114,28 +94,6 @@ func writeKernelTrace(path, tag string) error {
 		return err
 	}
 	fmt.Printf("wrote %s: %d events (%d dropped)\n", path, tr.Len(), tr.Dropped())
-	return nil
-}
-
-// printScenarioStudy trains (or loads) a repro-scale model and renders the
-// continual-TTA scenario grid: every standard shifting-stream case ×
-// BN-Norm/BN-Opt × lifecycle policy (none / hard reset / source EMA).
-func printScenarioStudy(tag, ckptDir string) error {
-	cfg := study.MeasuredConfig{
-		CheckpointDir: ckptDir,
-		LogF: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}
-	m, gen, err := study.TrainedModel(tag, cfg)
-	if err != nil {
-		return err
-	}
-	st, err := study.RunScenarioStudy(m, gen, study.ScenarioStudyConfig{Seed: 1})
-	if err != nil {
-		return err
-	}
-	fmt.Println(st)
 	return nil
 }
 

@@ -1,15 +1,18 @@
-// Command ttatrain runs the real (repro-scale) accuracy experiment behind
-// Fig. 2: it trains reduced-width versions of the paper's models on the
-// synthetic SynCIFAR dataset — robust (AugMix-lite + adversarial step)
-// for the ResNet family, plain for MobileNetV2 — and measures average
-// prediction error on corrupted test streams under No-Adapt, BN-Norm and
-// BN-Opt at each adaptation batch size.
+// Command ttatrain runs the real (repro-scale) accuracy experiments. It
+// trains reduced-width versions of the paper's models on the synthetic
+// SynCIFAR dataset — robust (AugMix-lite + adversarial step) for the ResNet
+// family, plain for MobileNetV2 — once per model, then measures Fig. 2
+// (prediction error on corrupted test streams under No-Adapt, BN-Norm and
+// BN-Opt at each adaptation batch size) and prints the RobustBench-style
+// ranking of footnote 1 over its batch-50 cells. -severities adds the
+// BN-Norm severity sweep, -scenarios the continual-TTA scenario grid.
 //
 // Usage:
 //
 //	ttatrain                       # WRN-AM only, 5 corruptions (quick)
 //	ttatrain -models all           # all four models
 //	ttatrain -corruptions 15 -stream 1000 -epochs 6   # closer to the paper
+//	ttatrain -scenarios -ckpt /tmp/ckpts   # add the scenario grid, cache weights
 package main
 
 import (
@@ -19,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"edgetta/internal/core"
 	"edgetta/internal/data"
 	"edgetta/internal/study"
 	"edgetta/internal/telemetry"
@@ -32,8 +34,9 @@ func main() {
 	epochs := flag.Int("epochs", 4, "training epochs")
 	trainSize := flag.Int("train", 1536, "training samples per epoch")
 	seed := flag.Int64("seed", 7, "experiment seed")
-	ckptDir := flag.String("ckpt", "", "directory for cached checkpoints (reused across runs)")
+	ckptDir := flag.String("ckpt", "", "directory for cached checkpoints (reused by runs with the same model, seed, epochs and train size)")
 	severities := flag.Bool("severities", false, "after Fig 2, sweep all 5 severities with BN-Norm (extension: the paper fixes severity 5)")
+	scenarios := flag.Bool("scenarios", false, "after Fig 2, run the continual-TTA scenario grid (shifting streams × BN-Norm/BN-Opt × lifecycle policy)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the whole run to this file (bounded buffer; drops past the cap)")
 	flag.Parse()
 
@@ -43,8 +46,7 @@ func main() {
 		// kernel trace; raise the buffer bound and report drops instead of
 		// growing without limit.
 		if runTrace = telemetry.StartTracingLimit(1 << 20); runTrace == nil {
-			fmt.Fprintln(os.Stderr, "ttatrain: a trace is already being collected (EDGETTA_TRACE=1?)")
-			os.Exit(1)
+			fatal(fmt.Errorf("a trace is already being collected (EDGETTA_TRACE=1?)"))
 		}
 	}
 
@@ -52,13 +54,7 @@ func main() {
 	if *modelsFlag == "all" {
 		tags = []string{"RXT-AM", "WRN-AM", "R18-AM-AT", "MBV2"}
 	}
-	n := *corruptions
-	if n < 1 {
-		n = 1
-	}
-	if n > len(data.AllCorruptions) {
-		n = len(data.AllCorruptions)
-	}
+	n := min(max(*corruptions, 1), len(data.AllCorruptions))
 	cfg := study.MeasuredConfig{
 		Seed: *seed, Epochs: *epochs, TrainSize: *trainSize, StreamSize: *stream,
 		CheckpointDir: *ckptDir,
@@ -67,37 +63,64 @@ func main() {
 			fmt.Printf("  "+format+"\n", args...)
 		},
 	}
-	var results []*study.MeasuredResult
-	for _, tag := range tags {
-		start := time.Now()
-		r, err := study.RunMeasured(strings.TrimSpace(tag), cfg)
+	// Extensions beyond the paper: same models, printed after the ranking.
+	type extension struct {
+		title  string
+		cells  []study.Cell
+		render func([]study.Result) string
+		out    strings.Builder
+	}
+	var exts []*extension
+	if *severities {
+		cells, err := study.SeverityCells(*seed, *stream/2, cfg.Corruptions)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ttatrain:", err)
-			os.Exit(1)
+			fatal(err)
+		}
+		exts = append(exts, &extension{title: "severity sweep (BN-Norm, extension beyond the paper's fixed severity 5)",
+			cells: cells, render: study.FormatSeverities})
+	}
+	if *scenarios {
+		exts = append(exts, &extension{title: "scenario grid (continual TTA, extension beyond the paper)",
+			cells:  study.ScenarioCells(*seed, study.ScenarioSuite()),
+			render: study.FormatScenarios})
+	}
+
+	var results []*study.MeasuredResult
+	var entries []study.Entry
+	for _, tag := range tags {
+		tag = strings.TrimSpace(tag)
+		start := time.Now()
+		m, gen, err := study.TrainedModel(tag, cfg)
+		if err != nil {
+			fatal(err)
+		}
+		r, err := study.RunMeasured(m, gen, cfg)
+		if err != nil {
+			fatal(err)
+		}
+		results = append(results, r)
+		entries = append(entries, r.Entries()...)
+		for _, x := range exts {
+			rs, err := study.Run(m, gen, x.cells)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Fprintf(&x.out, "\n%s:\n%s", tag, x.render(rs))
 		}
 		fmt.Printf("  (%s done in %v)\n", tag, time.Since(start).Round(time.Second))
-		results = append(results, r)
 	}
 	fmt.Println()
 	fmt.Print(study.FormatMeasured(results, cfg))
 	fmt.Println("\nExpected shape (paper Fig. 2): BN-Opt < BN-Norm < No-Adapt;")
 	fmt.Println("gains shrink as batch grows; MBV2 (plain training) collapses without adaptation.")
 
-	if *severities {
-		fmt.Println("\n--- severity sweep (BN-Norm, extension beyond the paper's fixed severity 5) ---")
-		for _, tag := range tags {
-			adapter, gen, err := study.TrainedAdapter(strings.TrimSpace(tag), core.BNNorm, cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ttatrain:", err)
-				os.Exit(1)
-			}
-			sw, err := study.RunSeveritySweep(adapter, gen, *seed, *stream/2, 50, cfg.Corruptions)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ttatrain:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("\n%s:\n%s", tag, sw)
-		}
+	board, err := study.Leaderboard(entries)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("\n--- ranking (batch 50, severity %d; adapted clean error) ---\n%s", study.Severity, board)
+	for _, x := range exts {
+		fmt.Printf("\n--- %s ---\n%s", x.title, x.out.String())
 	}
 
 	if runTrace != nil {
@@ -110,9 +133,13 @@ func main() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ttatrain:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("\ntrace: %s (%d events, %d dropped)\n", *traceOut, runTrace.Len(), runTrace.Dropped())
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "ttatrain:", err)
+	os.Exit(1)
 }

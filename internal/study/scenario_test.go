@@ -1,17 +1,15 @@
 package study
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
 	"edgetta/internal/core"
 	"edgetta/internal/data"
-	"edgetta/internal/models"
 )
 
 func TestScenarioSuiteCoversAllGenerators(t *testing.T) {
-	suite := ScenarioSuite(40)
+	suite := ScenarioSuite()
 	if len(suite) != 4 {
 		t.Fatalf("suite has %d scenarios, want 4", len(suite))
 	}
@@ -43,41 +41,39 @@ func TestScenarioSuiteCoversAllGenerators(t *testing.T) {
 
 func TestRunScenarioStudyGrid(t *testing.T) {
 	gen := data.NewGenerator(42)
-	m := models.WideResNet402(rand.New(rand.NewSource(7)), models.ReproScale)
-	cfg := ScenarioStudyConfig{
-		Seed:  5,
-		Batch: 20,
-		Scenarios: []data.Scenario{
-			data.AbruptSwitch("mini-switch", []data.Corruption{data.Fog, data.GaussianNoise}, 3, 40),
-		},
+	scenarios := []data.Scenario{
+		data.AbruptSwitch("mini-switch", []data.Corruption{data.Fog, data.GaussianNoise}, 3, 50),
 	}
-	st, err := RunScenarioStudy(m, gen, cfg)
+	cells := ScenarioCells(5, scenarios)
+	// The grid: 2 algorithms × 3 policies over the 1 scenario.
+	if want := 2 * 3; len(cells) != want {
+		t.Fatalf("got %d cells, want %d", len(cells), want)
+	}
+	rs, err := Run(reproModel(7), gen, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Default grid: 2 algorithms × 3 policies over the 1 scenario.
-	if want := 2 * 3; len(st.Cells) != want {
-		t.Fatalf("got %d cells, want %d", len(st.Cells), want)
-	}
-	for _, cell := range st.Cells {
-		r := cell.Result
-		if r.Samples != 80 {
-			t.Errorf("%s/%s/%s: %d samples, want 80", cell.Scenario, cell.Algo, cell.Policy, r.Samples)
+	for _, r := range rs {
+		if r.Adapt != (core.Config{LR: 0.1, Steps: 2}) || r.Seed != 5 || r.Batch != 50 {
+			t.Errorf("%s/%s: cell %+v", r.Algo, r.Policy.Name, r.Cell)
 		}
-		if len(r.Phases) != 2 {
-			t.Errorf("%s: %d phases, want 2", cell.Scenario, len(r.Phases))
+		if r.Run.Samples != 100 {
+			t.Errorf("%s/%s: %d samples, want 100", r.Algo, r.Policy.Name, r.Run.Samples)
 		}
-		for _, p := range r.Phases {
-			if p.Samples != 40 {
-				t.Errorf("%s/%s: phase %s has %d samples, want 40",
-					cell.Algo, cell.Policy, p.Phase.Label(), p.Samples)
+		if len(r.Run.Phases) != 2 {
+			t.Errorf("%s: %d phases, want 2", r.Run.Scenario.Name, len(r.Run.Phases))
+		}
+		for _, p := range r.Run.Phases {
+			if p.Samples != 50 {
+				t.Errorf("%s/%s: phase %s has %d samples, want 50",
+					r.Algo, r.Policy.Name, p.Phase.Label(), p.Samples)
 			}
 		}
-		if cell.Policy == "none" && r.Resets != 0 {
-			t.Errorf("bare adapter reported %d resets", r.Resets)
+		if r.Policy.Policy == nil && r.Run.Resets != 0 {
+			t.Errorf("bare adapter reported %d resets", r.Run.Resets)
 		}
 	}
-	out := st.String()
+	out := FormatScenarios(rs)
 	for _, want := range []string{"mini-switch", "BN-Norm", "BN-Opt", "reset", "ema", "worst phase"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering lacks %q:\n%s", want, out)
@@ -93,7 +89,7 @@ func TestScenarioPoliciesDistinct(t *testing.T) {
 	var bare, reset, ema bool
 	for _, p := range pols {
 		switch {
-		case p.Bare:
+		case p.Policy == nil:
 			bare = true
 		case p.Policy.ResetThreshold > 0:
 			reset = true
@@ -106,11 +102,11 @@ func TestScenarioPoliciesDistinct(t *testing.T) {
 	}
 	// The wrapper must report the wrapped algorithm so tables label rows
 	// by algorithm, not by the wrapper type.
-	a, err := core.New(core.BNNorm, microForSweep(9), core.Config{})
+	a, err := core.New(core.BNNorm, reproModel(9), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := core.WithPolicy(a, pols[1].Policy).Algorithm(); got != core.BNNorm {
+	if got := core.WithPolicy(a, *pols[1].Policy).Algorithm(); got != core.BNNorm {
 		t.Fatalf("wrapped algorithm = %v, want BN-Norm", got)
 	}
 }

@@ -8,63 +8,51 @@ import (
 	"edgetta/internal/data"
 )
 
-// SeveritySweep extends the paper's protocol (which fixes severity 5)
-// across all five CIFAR-10-C severity levels: it runs one adaptation
-// stream per (corruption, severity) cell and returns the error rates.
-type SeveritySweep struct {
-	Corruptions []data.Corruption
-	// Err[i][s-1] is the error rate for Corruptions[i] at severity s.
-	Err [][data.MaxSeverity]float64
-}
-
-// RunSeveritySweep evaluates the adapter across severities. Each cell is
-// an independent episode (the adapter is Reset by RunStream).
-func RunSeveritySweep(a core.Adapter, gen *data.Generator, seed int64,
-	samples, batch int, corruptions []data.Corruption) (SeveritySweep, error) {
+// SeverityCells lists the severity sweep, which extends the paper's
+// protocol (it fixes severity 5) across all five CIFAR-10-C severity
+// levels: one BN-Norm stream of the given length at batch 50 per
+// (corruption, severity) cell, corruption i at severity s drawing stream
+// seed seed+100i+s.
+func SeverityCells(seed int64, samples int, corruptions []data.Corruption) ([]Cell, error) {
 	if len(corruptions) == 0 {
-		return SeveritySweep{}, fmt.Errorf("study: severity sweep needs at least one corruption")
+		return nil, fmt.Errorf("study: severity sweep needs at least one corruption")
 	}
-	if samples < batch {
-		return SeveritySweep{}, fmt.Errorf("study: need at least one batch (%d < %d)", samples, batch)
+	if samples < Batches[0] {
+		return nil, fmt.Errorf("study: need at least one batch (%d < %d)", samples, Batches[0])
 	}
-	sw := SeveritySweep{Corruptions: corruptions, Err: make([][data.MaxSeverity]float64, len(corruptions))}
+	var cells []Cell
 	for i, c := range corruptions {
 		for s := 1; s <= data.MaxSeverity; s++ {
-			stream := gen.NewStream(seed+int64(100*i+s), samples, c, s)
-			sw.Err[i][s-1] = core.RunStream(a, stream, batch).ErrorRate
+			cells = append(cells, Cell{Algo: core.BNNorm, Batch: Batches[0], Seed: seed + int64(100*i+s),
+				Corruption: c, Severity: s, Samples: samples})
 		}
 	}
-	return sw, nil
+	return cells, nil
 }
 
-// MeanAtSeverity averages the error across corruption families at one
-// severity level.
-func (s SeveritySweep) MeanAtSeverity(severity int) float64 {
-	total := 0.0
-	for i := range s.Err {
-		total += s.Err[i][severity-1]
-	}
-	return total / float64(len(s.Err))
-}
-
-// String renders the sweep as a severity × corruption table.
-func (s SeveritySweep) String() string {
+// FormatSeverities renders a sweep's results, in SeverityCells order, as a
+// corruption × severity table with the mean over corruptions below.
+func FormatSeverities(rs []Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s", "corruption")
 	for sev := 1; sev <= data.MaxSeverity; sev++ {
 		fmt.Fprintf(&b, "  sev%d ", sev)
 	}
 	fmt.Fprintln(&b)
-	for i, c := range s.Corruptions {
-		fmt.Fprintf(&b, "%-18s", c)
-		for sev := 1; sev <= data.MaxSeverity; sev++ {
-			fmt.Fprintf(&b, " %5.1f%%", 100*s.Err[i][sev-1])
+	var total [data.MaxSeverity]float64
+	for _, r := range rs {
+		if r.Severity == 1 {
+			fmt.Fprintf(&b, "%-18s", r.Corruption)
 		}
-		fmt.Fprintln(&b)
+		fmt.Fprintf(&b, " %5.1f%%", 100*r.Run.ErrorRate)
+		total[r.Severity-1] += r.Run.ErrorRate
+		if r.Severity == data.MaxSeverity {
+			fmt.Fprintln(&b)
+		}
 	}
 	fmt.Fprintf(&b, "%-18s", "mean")
-	for sev := 1; sev <= data.MaxSeverity; sev++ {
-		fmt.Fprintf(&b, " %5.1f%%", 100*s.MeanAtSeverity(sev))
+	for _, t := range total {
+		fmt.Fprintf(&b, " %5.1f%%", 100*(t/float64(len(rs)/data.MaxSeverity)))
 	}
 	fmt.Fprintln(&b)
 	return b.String()

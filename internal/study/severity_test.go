@@ -8,57 +8,52 @@ import (
 	"edgetta/internal/core"
 	"edgetta/internal/data"
 	"edgetta/internal/models"
-	"edgetta/internal/nn"
 )
 
-func microForSweep(seed int64) *models.Model {
-	rng := rand.New(rand.NewSource(seed))
-	net := nn.NewSequential("micro",
-		nn.NewConv2d("c1", rng, 3, 8, 3, 2, 1, 1),
-		nn.NewBatchNorm2d("bn1", 8),
-		nn.NewReLU("r1"),
-		nn.NewGlobalAvgPool("gap"),
-		nn.NewLinear("fc", rng, 8, 10),
-	)
-	return &models.Model{Name: "micro", Tag: "MICRO", Net: net, Classes: 10, InC: 3, InHW: 32}
+// reproModel is an untrained repro-scale model: the runner clones every
+// cell's model by rebuilding it, so a test model must come from a builder.
+func reproModel(seed int64) *models.Model {
+	return models.WideResNet402(rand.New(rand.NewSource(seed)), models.ReproScale)
 }
 
 func TestSeveritySweepStructure(t *testing.T) {
 	gen := data.NewGenerator(30)
-	a, _ := core.New(core.BNNorm, microForSweep(1), core.Config{})
 	cs := []data.Corruption{data.GaussianNoise, data.Fog}
-	sw, err := RunSeveritySweep(a, gen, 1, 60, 20, cs)
+	cells, err := SeverityCells(1, 60, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sw.Err) != 2 {
-		t.Fatalf("expected 2 corruption rows, got %d", len(sw.Err))
+	if len(cells) != 2*data.MaxSeverity {
+		t.Fatalf("expected %d cells, got %d", 2*data.MaxSeverity, len(cells))
 	}
-	for i := range sw.Err {
-		for s := 0; s < data.MaxSeverity; s++ {
-			if sw.Err[i][s] < 0 || sw.Err[i][s] > 1 {
-				t.Fatalf("error[%d][%d] = %v out of range", i, s, sw.Err[i][s])
-			}
+	for i, c := range cells {
+		s := i%data.MaxSeverity + 1
+		if c.Algo != core.BNNorm || c.Batch != 50 || c.Severity != s || c.Corruption != cs[i/data.MaxSeverity] ||
+			c.Seed != 1+int64(100*(i/data.MaxSeverity)+s) || c.Samples != 60 {
+			t.Fatalf("cell %d = %+v", i, c)
 		}
 	}
-	out := sw.String()
-	if !strings.Contains(out, "gaussian_noise") || !strings.Contains(out, "mean") {
+	rs, err := Run(reproModel(1), gen, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		if e := r.Run.ErrorRate; e < 0 || e > 1 || r.Run.Samples != 60 {
+			t.Fatalf("%s/%d: error %v over %d samples", r.Corruption, r.Severity, e, r.Run.Samples)
+		}
+	}
+	out := FormatSeverities(rs)
+	if !strings.Contains(out, "gaussian_noise") || !strings.Contains(out, "mean") ||
+		strings.Count(out, "\n") != 4 {
 		t.Fatalf("rendering incomplete:\n%s", out)
-	}
-	for s := 1; s <= data.MaxSeverity; s++ {
-		if m := sw.MeanAtSeverity(s); m < 0 || m > 1 {
-			t.Fatalf("mean at severity %d = %v", s, m)
-		}
 	}
 }
 
 func TestSeveritySweepValidation(t *testing.T) {
-	gen := data.NewGenerator(31)
-	a, _ := core.New(core.NoAdapt, microForSweep(2), core.Config{})
-	if _, err := RunSeveritySweep(a, gen, 1, 60, 20, nil); err == nil {
+	if _, err := SeverityCells(1, 60, nil); err == nil {
 		t.Fatal("empty corruption list must error")
 	}
-	if _, err := RunSeveritySweep(a, gen, 1, 10, 20, []data.Corruption{data.Fog}); err == nil {
+	if _, err := SeverityCells(1, 10, []data.Corruption{data.Fog}); err == nil {
 		t.Fatal("samples < batch must error")
 	}
 }
