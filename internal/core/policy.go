@@ -55,10 +55,10 @@ type sourceRegularized interface {
 }
 
 // PolicyAdapter wraps an Adapter with a lifecycle Policy. It is itself an
-// Adapter, so every driver (RunStream, RunScenario, robustbench) can score
-// a policy like any algorithm. The wrapper is for the serial drivers;
-// internal/serve keeps serving bare adapters (its per-stream state swap
-// already provides episode isolation).
+// Adapter, so every driver (RunStream, RunScenario, and study.Run over
+// them) can score a policy like any algorithm. The wrapper is for the
+// serial drivers; internal/serve keeps serving bare adapters (its
+// per-stream state swap already provides episode isolation).
 type PolicyAdapter struct {
 	inner Adapter
 	cfg   Policy

@@ -12,7 +12,7 @@ import (
 // Streamer is the batch-iterator contract the online protocol consumes:
 // data.Stream (fixed corruption) and data.ScheduledStream (temporally-
 // shifting scenarios) both satisfy it, so the same drivers — and everything
-// built on them, robustbench and internal/serve included — run either.
+// built on them, study.Run and internal/serve included — run either.
 type Streamer interface {
 	// Next returns the next batch of up to n samples, or ok=false when the
 	// stream is exhausted.

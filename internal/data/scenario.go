@@ -6,8 +6,8 @@
 // under them. A Scenario is an explicit schedule of phases — each a run of
 // samples drawn from one corruption setting or a weighted mixture — and a
 // ScheduledStream plays the schedule back with the same Next(n) contract as
-// Stream, so core.RunStream, robustbench and internal/serve consume shifting
-// traffic unchanged.
+// Stream, so core.RunStream, core.RunScenario and internal/serve consume
+// shifting traffic unchanged.
 //
 // Determinism contract: a ScheduledStream generates images strictly one at a
 // time from a single seeded rng, corrupting each image immediately after
@@ -250,7 +250,7 @@ func MixFromWeights(weights map[Corruption]float64, severity int) []MixEntry {
 
 // ScheduledStream plays a Scenario back as a test stream. It satisfies the
 // same Next(n) contract as Stream, so every consumer of corruption streams
-// (core.RunStream, robustbench, internal/serve) handles shifting traffic
+// (core.RunStream, core.RunScenario, internal/serve) handles shifting traffic
 // unchanged. Batches returned by Next may straddle phase boundaries, as
 // real traffic does; use Scenario().PhaseAt to attribute samples to phases.
 type ScheduledStream struct {

@@ -6,8 +6,8 @@
 //
 // Work is always split into contiguous index ranges, so a loop's writes
 // are disjoint and its results are bit-identical regardless of how many
-// workers execute it — the determinism contract the study and leaderboard
-// harnesses rely on. The split is computed from the loop bounds and the
+// workers execute it — the determinism contract the measured experiments
+// (study.Run) rely on. The split is computed from the loop bounds and the
 // configured worker count only; which goroutine runs which range is
 // irrelevant to the result.
 //

@@ -3,8 +3,8 @@
 // drops connections, both driven by one RNG seed. The same seed always
 // produces the same fault schedule — replica panics at the same dispatch
 // indices, the same checkpoint write failing, the same wire request
-// dropped — so a chaos run that finds a bug is replayable, in tests and
-// under ttaload -chaos alike.
+// dropped — so a chaos run that finds a bug is replayable from its seed
+// (TestChaosExactlyOnce in internal/serve/httpapi runs seeds 1–4).
 //
 // Faults are scheduled by global dispatch index (the Nth Process call
 // across the whole server, 1-based), not wall clock: index schedules stay
@@ -60,8 +60,8 @@ type Plan struct {
 // Seeded builds a deterministic Plan from a seed: n replica panics, one
 // slow-replica delay, one state poisoning, and one checkpoint-write
 // failure, spread over the first horizon Process calls. It is the stock
-// schedule behind ttaload -chaos; tests needing a precise scenario build a
-// Plan literal instead.
+// schedule behind TestChaosExactlyOnce; tests needing a precise scenario
+// build a Plan literal instead.
 func Seeded(seed int64, n, horizon int) Plan {
 	if horizon < 1 {
 		horizon = 1
@@ -172,7 +172,7 @@ func (in *Injector) record(kind, format string, args ...any) {
 }
 
 // Injected returns the faults fired so far, in firing order — the chaos
-// run's audit trail (ttaload -chaos prints it).
+// run's audit trail.
 func (in *Injector) Injected() []string {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -452,4 +453,54 @@ func TestClientBoundsSuccessBodies(t *testing.T) {
 	if n := sent.Load(); n > maxBodyBytes/2 {
 		t.Errorf("server got %d bytes out across five refused calls; the client drained them", n)
 	}
+}
+
+// FuzzReadBatch feeds the wire decoder hostile bytes in either codec: a
+// Content-Type, an X-Edgetta-Shape value and a body. readBatch must never
+// panic; a tensor it accepts holds exactly as many values as its shape;
+// and that tensor survives encodeBatch then readBatch bit for bit, in the
+// binary codec always and in JSON whenever its values are finite (JSON
+// has no spelling for NaN or Inf). The seed corpus is in
+// testdata/fuzz/FuzzReadBatch.
+func FuzzReadBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, binary bool, shape string, body []byte) {
+		h := http.Header{}
+		h.Set("Content-Type", "application/json")
+		if binary {
+			h.Set("Content-Type", "application/octet-stream")
+		}
+		h.Set("X-Edgetta-Shape", shape)
+		x, err := readBatch(h, bytes.NewReader(body), int64(len(body)))
+		if err != nil {
+			return
+		}
+		n := 1
+		for _, d := range x.Shape() {
+			n *= d
+		}
+		if n != len(x.Data) {
+			t.Fatalf("accepted shape %v with %d values", x.Shape(), len(x.Data))
+		}
+		finite := true
+		for _, v := range x.Data {
+			finite = finite && !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0)
+		}
+		for _, codec := range []bool{true, false} {
+			if !codec && !finite {
+				continue
+			}
+			h := http.Header{}
+			raw, err := encodeBatch(h, x, codec)
+			if err != nil {
+				t.Fatalf("encode (binary=%v): %v", codec, err)
+			}
+			y, err := readBatch(h, bytes.NewReader(raw), int64(len(raw)))
+			if err != nil {
+				t.Fatalf("decode own encoding (binary=%v): %v", codec, err)
+			}
+			if shapeHeader(y.Shape()) != shapeHeader(x.Shape()) || !bitEqual(y.Data, x.Data) {
+				t.Fatalf("round trip (binary=%v) changed the batch: shape %v -> %v", codec, x.Shape(), y.Shape())
+			}
+		}
+	})
 }

@@ -2,15 +2,23 @@ package httpapi
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"edgetta/internal/core"
 	"edgetta/internal/data"
+	"edgetta/internal/models"
 	"edgetta/internal/serve"
 	"edgetta/internal/serve/chaos"
+	"edgetta/internal/tensor"
 )
 
 // TestRetryBackoffDeterministic pins the retry policy's arithmetic: the
@@ -239,4 +247,221 @@ func TestHTTPRestartAutoResume(t *testing.T) {
 			t.Fatalf("post-resume logit %d: %v, serial %v", i, logits.Data[i], want[2][i])
 		}
 	}
+}
+
+// TestChaosExactlyOnce is the serving tier's end-to-end exactly-once check.
+// Per seed, a BN-Opt group on 2 replicas takes the seeded fault schedule
+// (replica panics, a slow replica, a failed checkpoint write) while named
+// sequenced sessions replay corruption streams through seeded-backoff
+// retries, and halfway through the workload the whole server is torn down
+// and a fresh one comes up on the same checkpoint directory.
+//
+// Every response is checked bitwise against a serial reference run of the
+// same stream. Adaptation state advances deterministically batch by batch,
+// so one lost or double-adapted batch on a session's trajectory shifts its
+// state and breaks parity for every later batch: zero mismatches proves
+// exactly-once adaptation across panics, retries and the restart. What the
+// fresh server re-applies between a session's last checkpoint and its last
+// applied batch is replay, bounded by the checkpoint lag rather than zero.
+func TestChaosExactlyOnce(t *testing.T) {
+	const sessions, samples, batch = 3, 16, 4
+	m, err := models.ByTag("WRN-AM", rand.New(rand.NewSource(1)), models.ReproScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := make([]chaosSession, sessions)
+	for i := range work {
+		xs := genBatches(int64(1000+i), samples, batch, data.AllCorruptions[i%len(data.AllCorruptions)], 3)
+		work[i] = chaosSession{xs: xs, ref: serialLogits(t, m, core.BNOpt, core.Config{}, xs)}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runChaos(t, seed, m, work, batch) })
+	}
+}
+
+// chaosSession is one named stream's batches and their serial logits.
+type chaosSession struct {
+	xs  []*tensor.Tensor
+	ref [][]float32
+}
+
+// chaosCkptEvery is the checkpoint cadence of both server incarnations;
+// the replay bound is derived from it.
+const chaosCkptEvery = 2
+
+// runChaos runs the scenario for one seed and checks its invariants.
+func runChaos(t *testing.T, seed int64, m *models.Model, work []chaosSession, batch int) {
+	total := 0
+	for _, w := range work {
+		total += len(w.xs)
+	}
+	restartAt := total / 2
+	// State poisoning is left out of the stock schedule: a numeric-guard
+	// reset changes the adaptation trajectory by design, which would
+	// (correctly) break the parity checked here.
+	sp := chaos.Seeded(seed, 3, restartAt)
+	inj := chaos.NewInjector(chaos.Plan{PanicAt: sp.PanicAt, DelayAt: sp.DelayAt, Delay: sp.Delay, CheckpointFailAt: sp.CheckpointFailAt})
+	dir := t.TempDir()
+	host := func() (*serve.Server, *httptest.Server, error) {
+		srv := serve.New(serve.Config{
+			QueueCap:   64,
+			Watchdog:   30 * time.Second,
+			Checkpoint: serve.CheckpointConfig{Every: chaosCkptEvery, Dir: dir},
+			Injector:   inj,
+		})
+		if _, err := srv.AddGroup(m, core.BNOpt, core.Config{}, 2); err != nil {
+			srv.Close()
+			return nil, nil, err
+		}
+		return srv, httptest.NewServer(New(srv, Config{})), nil
+	}
+	srvA, tsA, err := host()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tsA.Close(); srvA.Close() })
+	var base atomic.Value
+	base.Store(tsA.URL)
+
+	// The session that serves the restartAt-th batch kills server A —
+	// listener first, so no new connection reaches it, while requests on
+	// open connections meet the closed server — and brings up B on the same
+	// checkpoint directory; clients find it through base.
+	key := serve.GroupKey{Algo: core.BNOpt, ModelTag: m.Tag}
+	var progress atomic.Int64
+	var snapA serve.GroupSnapshot
+	var srvB *serve.Server
+	var tsB *httptest.Server
+	var restartErr error
+	restart := func() {
+		tsA.Listener.Close()
+		srvA.Close()
+		snapA, _ = srvA.GroupSnapshot(key) // key is A's one group
+		if srvB, tsB, restartErr = host(); restartErr == nil {
+			base.Store(tsB.URL)
+		}
+	}
+
+	type result struct {
+		served, mismatched int
+		err                error
+	}
+	results := make([]result, len(work))
+	var wg sync.WaitGroup
+	deadline := time.Now().Add(2 * time.Minute)
+	for i := range work {
+		wg.Add(1)
+		go func(i int, w chaosSession) {
+			defer wg.Done()
+			r := &results[i]
+			name := fmt.Sprintf("chaos-%d-%d", seed, i)
+			seq := uint64(0) // last sequence number confirmed applied
+			seen := make([]bool, len(w.xs))
+			for seq < uint64(len(w.xs)) {
+				if time.Now().After(deadline) {
+					r.err = fmt.Errorf("session %s: deadline exceeded at seq %d", name, seq)
+					return
+				}
+				c := NewClient(base.Load().(string), nil).WithRetry(RetryPolicy{
+					MaxAttempts: 8, Base: 5 * time.Millisecond, Cap: 500 * time.Millisecond,
+					Seed: seed*1000 + int64(i),
+				})
+				c.Binary = true
+				stream, resumeSeq, err := c.OpenSession(m.Tag, "bnopt", name)
+				if err != nil {
+					// Server down mid-restart, or the session is still
+					// registered on the dying incarnation: back off.
+					time.Sleep(20 * time.Millisecond)
+					continue
+				}
+				// A checkpoint trailing what was seen applied means
+				// resubmitting from it; the replays must match too.
+				seq = min(seq, resumeSeq)
+				for seq < uint64(len(w.xs)) {
+					logits, err := stream.ProcessSeq(w.xs[seq], seq+1)
+					if err != nil {
+						var se *serve.Error
+						if errors.As(err, &se) && se.Code == serve.CodeSequence && se.ExpectSeq > 0 {
+							seq = se.ExpectSeq - 1
+							continue
+						}
+						break // reopen against the current host
+					}
+					if !bitEqual(logits.Data, w.ref[seq]) {
+						r.mismatched++
+					}
+					if !seen[seq] {
+						seen[seq] = true
+						r.served++
+						if progress.Add(1) == int64(restartAt) {
+							restart()
+						}
+					}
+					seq++
+				}
+			}
+		}(i, work[i])
+	}
+	wg.Wait()
+	if tsB != nil {
+		t.Cleanup(func() { tsB.Close(); srvB.Close() })
+	}
+	served, mismatched := 0, 0
+	for _, r := range results {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		served += r.served
+		mismatched += r.mismatched
+	}
+	if restartErr != nil || srvB == nil {
+		t.Fatalf("the server did not restart: %v", restartErr)
+	}
+	snapB, _ := srvB.GroupSnapshot(key)
+
+	if served != total || mismatched != 0 {
+		t.Errorf("served %d of %d batches, %d diverged from the serial reference", served, total, mismatched)
+	}
+	injected := inj.Injected()
+	panics, ckptFails := 0, 0
+	for _, line := range injected {
+		if strings.HasPrefix(line, "panic:") {
+			panics++
+		}
+		if strings.HasPrefix(line, "ckptfail:") {
+			ckptFails++
+		}
+	}
+	if panics < 3 || ckptFails < 1 {
+		t.Errorf("%d panics and %d checkpoint failures fired, want >= 3 and >= 1: %q", panics, ckptFails, injected)
+	}
+	if snapB.Requests == 0 {
+		t.Errorf("the restarted server served nothing")
+	}
+	recoveries := snapA.Recovery.Count + snapB.Recovery.Count
+	if recoveries == 0 {
+		t.Errorf("no fault-to-served recovery was recorded")
+	}
+	images, expected := snapA.Images+snapB.Images, total*batch
+	t.Logf("injected %q; %d/%d batches served, %d images for %d expected, %d recoveries",
+		injected, served, total, images, expected, recoveries)
+	// The checkpoint can trail the applied position by up to 2*Every-1
+	// batches: the cadence lag plus one failed write keeping the previous
+	// checkpoint.
+	if limit := len(work) * (2*chaosCkptEvery - 1) * batch; images < expected || images-expected > limit {
+		t.Errorf("server adapted %d images for %d expected: want none lost and at most %d replayed", images, expected, limit)
+	}
+}
+
+// bitEqual compares float32 slices bit for bit: NaN-safe, and -0 != +0.
+func bitEqual(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

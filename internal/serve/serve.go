@@ -142,7 +142,7 @@ type Config struct {
 	// Injector, when non-nil, is consulted before every Process call and
 	// checkpoint write — the seeded chaos hook (see FaultInjector and
 	// internal/serve/chaos). Nil injects nothing. Production servers leave
-	// it nil; tests and ttaload -chaos wire a seeded plan.
+	// it nil; tests (TestChaosExactlyOnce among them) wire a seeded plan.
 	Injector FaultInjector
 }
 
