@@ -303,7 +303,7 @@ func TestAdaptOverheadAverages(t *testing.T) {
 	// model cannot reach: the paper's 0.86 s average is *below* a
 	// ResNeXt-weighted mean of its own per-model numbers (WRN-50 alone is
 	// 0.55 s and ResNeXt has 5× WRN's BN elements). We bound it instead;
-	// `ttabench -anchors` prints the per-model anchors next to it.
+	// EXPERIMENTS.md's calibration anchors list the per-model anchors.
 	if o := avgOverhead(RPi4(), core.BNNorm); o < 0.4 || o > 3.5 {
 		t.Errorf("rpi avg BN-Norm overhead %.2f outside [0.4, 3.5]", o)
 	}

@@ -4,7 +4,7 @@
 // from real per-layer model traces (internal/profile); the handful of rate
 // constants below are calibrated against the paper's reported anchor
 // measurements and then *predict* every other cell of the study;
-// `ttabench -anchors` prints the anchor-vs-simulated table.
+// EXPERIMENTS.md's calibration-anchors table prints the anchor-vs-simulated values.
 //
 // Reading the prediction against this repository's own kernels: the
 // benchmark prints the simulator's backward share of a BN-Opt batch

@@ -13,7 +13,7 @@ import (
 // the paper reports in Sec III-B and IV-F. The BN-parameter counts are
 // exact; total parameters and GMACs are within rounding of the paper's
 // figures (the paper's RXT GMAC figure of 1.08 appears to use a different
-// op-counting convention; `ttabench -anchors` prints the anchors the
+// op-counting convention; EXPERIMENTS.md's calibration anchors are those the
 // simulator is held to).
 func TestArchitectureFidelity(t *testing.T) {
 	cases := []struct {

@@ -10,10 +10,10 @@ import (
 	"edgetta/internal/tensor"
 )
 
-// TestCaptureKernelTrace checks the single-run trace: layer spans for the
-// forward and backward passes, pack sub-spans from the packed conv path,
-// and the run's metadata annotations.
-func TestCaptureKernelTrace(t *testing.T) {
+// TestBNOptTraceSpans checks what a traced BN-Opt batch leaves on the
+// timeline: layer spans for the forward and backward passes, pack sub-spans
+// from the packed conv path, and fused rectifiers named on their BN spans.
+func TestBNOptTraceSpans(t *testing.T) {
 	prior := telemetry.StopTracing()
 	defer func() {
 		if prior != nil {
@@ -22,20 +22,27 @@ func TestCaptureKernelTrace(t *testing.T) {
 	}()
 
 	m := reproWRN(3)
-	tr, err := CaptureKernelTrace(m, core.BNOpt, 4, 1)
+	adapter, err := core.New(core.BNOpt, m, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if telemetry.ActiveTracer() != nil {
-		t.Fatal("CaptureKernelTrace left a tracer installed")
+	x := tensor.New(4, m.InC, m.InHW, m.InHW)
+	for i := range x.Data {
+		x.Data[i] = float32(i%97) / 97
 	}
+	adapter.Process(x) // warm caches outside the trace
+	tr := telemetry.StartTracing()
+	if tr == nil {
+		t.Fatal("another trace is being collected")
+	}
+	adapter.Process(x)
+	telemetry.StopTracing()
 	var b strings.Builder
 	if err := tr.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
-		Metadata    map[string]any   `json:"metadata"`
 	}
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
 		t.Fatal(err)
@@ -66,14 +73,5 @@ func TestCaptureKernelTrace(t *testing.T) {
 	}
 	if fused != counts["bn.fw"] {
 		t.Errorf("%d of %d bn.fw spans name a fused rectifier, want all", fused, counts["bn.fw"])
-	}
-	if doc.Metadata["model"] != m.Tag || doc.Metadata["algo"] != core.BNOpt.String() {
-		t.Errorf("metadata = %v", doc.Metadata)
-	}
-	if _, ok := doc.Metadata["pool_workers"]; !ok {
-		t.Error("metadata missing pool_workers")
-	}
-	if got := doc.Metadata["span_kernel"]; got != tensor.SpanKernel() {
-		t.Errorf("metadata span_kernel = %v, want %q", got, tensor.SpanKernel())
 	}
 }

@@ -69,26 +69,22 @@ type Result struct {
 	// FramesProcessed / FramesDropped account for every ingested frame:
 	// frames of processed batches land in the first bucket, frames of
 	// batches dropped at a full queue in the second. Their sum equals the
-	// ingested frame count — the conservation invariant phased arrivals
-	// (short batches at phase boundaries) must also uphold.
+	// ingested frame count.
 	FramesProcessed int
 	FramesDropped   int
 }
 
-// arrival is one complete batch entering the processor queue: ready time,
-// frame count, and the (possibly frame-scaled) service demand.
-type arrival struct {
-	ready   float64
-	frames  int
-	service float64
-}
-
-// simulate runs the FIFO single-processor event loop over an arrival
-// sequence (which must be sorted by ready time). simEnd is the nominal end
-// of the ingest window; the clock extends past it if the processor is still
-// draining.
-func simulate(c Config, arrivals []arrival, simEnd float64) Result {
+// Simulate runs the event loop. Batches become ready every
+// BatchSize/FPS seconds; a single processor serves them FIFO in
+// ServiceSeconds each. The simulated clock extends past the ingest window
+// while the processor drains its queue.
+func Simulate(c Config) (Result, error) {
+	if err := c.Validate(); err != nil {
+		return Result{}, err
+	}
 	var res Result
+	batchPeriod := float64(c.BatchSize) / c.FPS
+	nBatches := c.TotalFrames / c.BatchSize
 
 	// With a tracer active, each served batch becomes a span on the
 	// simulated timeline (CompleteAt with simulated microseconds — the
@@ -99,21 +95,20 @@ func simulate(c Config, arrivals []arrival, simEnd float64) Result {
 
 	procFree := 0.0 // time the processor becomes free
 	busy := 0.0
-	queueDepth := 0
-	var queue []arrival
+	var queue []float64 // ready times of complete batches waiting
 
 	totalLatency := 0.0
-	serve := func(b arrival, start float64) {
-		if start < b.ready {
-			start = b.ready
+	serve := func(ready, start float64) {
+		if start < ready {
+			start = ready
 		}
-		done := start + b.service
+		done := start + c.ServiceSeconds
 		procFree = done
-		busy += b.service
-		lat := done - b.ready
+		busy += c.ServiceSeconds
+		lat := done - ready
 		totalLatency += lat
 		res.Batches++
-		res.FramesProcessed += b.frames
+		res.FramesProcessed += c.BatchSize
 		if lat > res.WorstLatency {
 			res.WorstLatency = lat
 		}
@@ -121,50 +116,44 @@ func simulate(c Config, arrivals []arrival, simEnd float64) Result {
 			res.DeadlineMisses++
 		}
 		if tr != nil {
-			tr.CompleteAt("simstream", "batch", 0, int64(start*1e6), int64(b.service*1e6),
-				telemetry.Arg{Key: "frames", Value: b.frames},
+			tr.CompleteAt("simstream", "batch", 0, int64(start*1e6), int64(c.ServiceSeconds*1e6),
+				telemetry.Arg{Key: "frames", Value: c.BatchSize},
 				telemetry.Arg{Key: "latency_s", Value: lat},
 				telemetry.Arg{Key: "miss", Value: lat > c.DeadlineSeconds})
 		}
 	}
-	for _, a := range arrivals {
+	for i := range nBatches {
+		ready := float64(i+1) * batchPeriod
 		// Drain any queued batches that start before this one is ready.
-		for len(queue) > 0 && procFree <= a.ready {
+		for len(queue) > 0 && procFree <= ready {
 			b := queue[0]
 			queue = queue[1:]
-			queueDepth--
 			serve(b, procFree)
 		}
-		if procFree <= a.ready {
+		if procFree <= ready {
 			// Processor idle when the batch arrives: serve immediately.
-			serve(a, a.ready)
+			serve(ready, ready)
 			continue
 		}
 		// Processor busy: enqueue or drop.
-		if c.QueueCap > 0 && queueDepth >= c.QueueCap {
+		if c.QueueCap > 0 && len(queue) >= c.QueueCap {
 			res.Dropped++
-			res.FramesDropped += a.frames
+			res.FramesDropped += c.BatchSize
 			if tr != nil {
-				tr.InstantAt("simstream", "drop", 0, int64(a.ready*1e6),
-					telemetry.Arg{Key: "frames", Value: a.frames})
+				tr.InstantAt("simstream", "drop", 0, int64(ready*1e6),
+					telemetry.Arg{Key: "frames", Value: c.BatchSize})
 			}
 			continue
 		}
-		queue = append(queue, a)
-		queueDepth++
-		if queueDepth > res.MaxQueueDepth {
-			res.MaxQueueDepth = queueDepth
-		}
+		queue = append(queue, ready)
+		res.MaxQueueDepth = max(res.MaxQueueDepth, len(queue))
 	}
 	// Drain the tail of the queue.
 	for _, b := range queue {
 		serve(b, procFree)
 	}
 
-	res.SimSeconds = simEnd
-	if procFree > res.SimSeconds {
-		res.SimSeconds = procFree
-	}
+	res.SimSeconds = max(float64(nBatches)*batchPeriod, procFree)
 	if res.Batches > 0 {
 		res.MeanLatency = totalLatency / float64(res.Batches)
 		res.MissRate = float64(res.DeadlineMisses) / float64(res.Batches)
@@ -173,75 +162,6 @@ func simulate(c Config, arrivals []arrival, simEnd float64) Result {
 		res.Utilization = busy / res.SimSeconds
 	}
 	res.EnergyJ = busy*c.PowerBusyW + (res.SimSeconds-busy)*c.PowerIdleW
-	return res
-}
-
-// Simulate runs the event loop. Batches become ready every
-// BatchSize/FPS seconds; a single processor serves them FIFO in
-// ServiceSeconds each.
-func Simulate(c Config) (Result, error) {
-	if err := c.Validate(); err != nil {
-		return Result{}, err
-	}
-	batchPeriod := float64(c.BatchSize) / c.FPS
-	nBatches := c.TotalFrames / c.BatchSize
-	arrivals := make([]arrival, nBatches)
-	for i := range arrivals {
-		arrivals[i] = arrival{
-			ready:   float64(i+1) * batchPeriod,
-			frames:  c.BatchSize,
-			service: c.ServiceSeconds,
-		}
-	}
-	res := simulate(c, arrivals, float64(nBatches)*batchPeriod)
 	res.Stable = c.ServiceSeconds <= batchPeriod
-	return res, nil
-}
-
-// SimulatePhased runs the event loop over phased arrivals: frames stream at
-// FPS as usual, but batch accumulation restarts at every phase boundary (a
-// deployment that cuts its adaptation batch when the scenario shifts, so no
-// batch mixes two phases). Each phase yields full BatchSize batches plus a
-// short remainder batch at the boundary; service time scales linearly with
-// the batch's frame count. phaseFrames typically comes from
-// data.Scenario.PhaseLengths(); Config.TotalFrames is ignored and derived
-// from the phases instead.
-func SimulatePhased(c Config, phaseFrames []int) (Result, error) {
-	if len(phaseFrames) == 0 {
-		return Result{}, fmt.Errorf("stream: no phases")
-	}
-	total := 0
-	for i, n := range phaseFrames {
-		if n <= 0 {
-			return Result{}, fmt.Errorf("stream: phase %d has %d frames", i, n)
-		}
-		total += n
-	}
-	c.TotalFrames = total
-	if err := c.Validate(); err != nil {
-		return Result{}, err
-	}
-
-	var arrivals []arrival
-	ingested := 0
-	for _, n := range phaseFrames {
-		for done := 0; done < n; {
-			frames := c.BatchSize
-			if rest := n - done; rest < frames {
-				frames = rest // short batch cut at the phase boundary
-			}
-			done += frames
-			ingested += frames
-			arrivals = append(arrivals, arrival{
-				// Ready when the batch's last frame arrives.
-				ready:   float64(ingested) / c.FPS,
-				frames:  frames,
-				service: c.ServiceSeconds * float64(frames) / float64(c.BatchSize),
-			})
-		}
-	}
-	res := simulate(c, arrivals, float64(total)/c.FPS)
-	// Stability is against the worst case: back-to-back full batches.
-	res.Stable = c.ServiceSeconds <= float64(c.BatchSize)/c.FPS
 	return res, nil
 }

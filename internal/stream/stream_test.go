@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"edgetta/internal/data"
 )
 
 func base() Config {
@@ -143,145 +141,6 @@ func TestConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPhasedSinglePhaseMatchesSimulate pins the refactor: one phase whose
-// length is a whole number of batches is the same arrival pattern Simulate
-// generates, so every metric must agree.
-func TestPhasedSinglePhaseMatchesSimulate(t *testing.T) {
-	c := base()
-	want, err := Simulate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SimulatePhased(c, []int{c.TotalFrames})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("phased single phase diverged:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestPhasedShortBoundaryBatches checks the phase-boundary cut: phases not
-// divisible by BatchSize produce short batches with proportionally shorter
-// service, and no frame is lost or double-counted.
-func TestPhasedShortBoundaryBatches(t *testing.T) {
-	c := base() // BatchSize 50
-	phases := []int{120, 75, 130}
-	r, err := SimulatePhased(c, phases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 120 → 50+50+20, 75 → 50+25, 130 → 50+50+30: 8 batches.
-	if r.Batches != 8 {
-		t.Fatalf("processed %d batches, want 8", r.Batches)
-	}
-	if r.FramesProcessed != 325 || r.FramesDropped != 0 {
-		t.Fatalf("frames processed %d dropped %d, want 325/0", r.FramesProcessed, r.FramesDropped)
-	}
-	// Stable config: every batch served on arrival, so the mean latency is
-	// the frame-weighted mean service time, strictly below the full-batch
-	// service time because short batches cost less.
-	if !(r.MeanLatency < c.ServiceSeconds) {
-		t.Fatalf("mean latency %v not reduced by short batches (full-batch service %v)",
-			r.MeanLatency, c.ServiceSeconds)
-	}
-	if math.Abs(r.WorstLatency-c.ServiceSeconds) > 1e-9 {
-		t.Fatalf("worst latency %v, want the full-batch service %v", r.WorstLatency, c.ServiceSeconds)
-	}
-}
-
-func TestPhasedValidation(t *testing.T) {
-	c := base()
-	if _, err := SimulatePhased(c, nil); err == nil {
-		t.Error("no phases should be invalid")
-	}
-	if _, err := SimulatePhased(c, []int{100, 0}); err == nil {
-		t.Error("empty phase should be invalid")
-	}
-	c.FPS = 0
-	if _, err := SimulatePhased(c, []int{100}); err == nil {
-		t.Error("invalid config should be rejected")
-	}
-}
-
-// Property: phased conservation — frames are conserved across arbitrary
-// phase splits (every ingested frame is processed or dropped exactly once),
-// and short boundary batches never inflate the batch count beyond one extra
-// batch per phase.
-func TestPhasedConservationProperty(t *testing.T) {
-	f := func(svc10ms uint8, batch uint8, cap8 uint8, split [4]uint8) bool {
-		c := base()
-		c.ServiceSeconds = float64(svc10ms%200) * 0.01
-		c.BatchSize = int(batch%100) + 10
-		c.QueueCap = int(cap8 % 4)
-		var phases []int
-		total := 0
-		for _, s := range split {
-			n := int(s)%(3*c.BatchSize) + 1
-			phases = append(phases, n)
-			total += n
-		}
-		if total < c.BatchSize {
-			phases[0] += c.BatchSize // keep the config valid
-			total += c.BatchSize
-		}
-		r, err := SimulatePhased(c, phases)
-		if err != nil {
-			return false
-		}
-		if r.FramesProcessed+r.FramesDropped != total {
-			return false
-		}
-		maxBatches := 0
-		for _, n := range phases {
-			maxBatches += (n + c.BatchSize - 1) / c.BatchSize
-		}
-		if r.Batches+r.Dropped > maxBatches {
-			return false
-		}
-		return r.MissRate >= 0 && r.MissRate <= 1 &&
-			r.Utilization >= 0 && r.Utilization <= 1.0001 &&
-			r.MeanLatency >= 0 && r.EnergyJ >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestScenarioDerivedArrivals drives the simulator with phase lengths taken
-// from real scenario schedules — the deployment question "can this device
-// keep up with this shifting stream" — and checks the conservation
-// invariants hold for every generator family.
-func TestScenarioDerivedArrivals(t *testing.T) {
-	c := base()
-	c.BatchSize = 32 // not a divisor of the 100-sample phases: short batches
-	scenarios := []data.Scenario{
-		data.SeverityRamp("ramp", data.Fog, 1, 5, 100),
-		data.AbruptSwitch("switch", []data.Corruption{data.GaussianNoise, data.Snow}, 5, 100),
-		data.RecurringCycle("cycle", []data.Corruption{data.Fog, data.Contrast}, 3, 100, 2),
-		data.MixedTraffic("mixed", 3, 3, 100, 4),
-	}
-	for _, sc := range scenarios {
-		phases := sc.PhaseLengths()
-		r, err := SimulatePhased(c, phases)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		if r.FramesProcessed+r.FramesDropped != sc.Total() {
-			t.Errorf("%s: %d frames processed + %d dropped != scenario total %d",
-				sc.Name, r.FramesProcessed, r.FramesDropped, sc.Total())
-		}
-		if r.Dropped != 0 {
-			t.Errorf("%s: unbounded queue dropped %d batches", sc.Name, r.Dropped)
-		}
-		// Each 100-frame phase cuts into 32+32+32+4.
-		wantBatches := 4 * len(phases)
-		if r.Batches != wantBatches {
-			t.Errorf("%s: %d batches, want %d", sc.Name, r.Batches, wantBatches)
-		}
 	}
 }
 

@@ -30,8 +30,12 @@ type ErrorTable struct {
 // Batches are the paper's three online adaptation batch sizes.
 var Batches = []int{50, 100, 200}
 
+// ModelTags lists the paper's four models in its order: the three robust
+// models, then MobileNetV2 (plain training).
+var ModelTags = []string{"RXT-AM", "WRN-AM", "R18-AM-AT", "MBV2"}
+
 // RobustModelTags lists the three robust models in the paper's order.
-var RobustModelTags = []string{"RXT-AM", "WRN-AM", "R18-AM-AT"}
+var RobustModelTags = ModelTags[:3:3]
 
 // ReferenceErrors returns the paper-anchored error table.
 func ReferenceErrors() *ErrorTable {

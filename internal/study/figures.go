@@ -1,8 +1,9 @@
 package study
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"edgetta/internal/core"
@@ -17,23 +18,25 @@ func Figure(id string) (string, error) {
 	case "fig2":
 		return Fig2()
 	case "fig3":
-		return ForwardTimesFigure("fig3", "ultra96", device.CPU)
+		return ForwardTimesFigure(3, "ultra96", device.CPU)
 	case "fig4":
-		return BreakdownFigure("fig4", "ultra96", device.CPU, []string{"WRN-AM", "R18-AM-AT"})
+		return BreakdownFigure(4, "ultra96", device.CPU, []string{"WRN-AM", "R18-AM-AT"})
 	case "fig5":
-		return TradeoffFigure("fig5", "ultra96", []device.EngineKind{device.CPU})
+		return TradeoffFigure(5, "ultra96", []device.EngineKind{device.CPU})
 	case "fig6":
-		return ForwardTimesFigure("fig6", "rpi4", device.CPU)
+		return ForwardTimesFigure(6, "rpi4", device.CPU)
 	case "fig7":
-		return BreakdownFigure("fig7", "rpi4", device.CPU, RobustModelTags)
+		return BreakdownFigure(7, "rpi4", device.CPU, RobustModelTags)
 	case "fig8":
-		return TradeoffFigure("fig8", "rpi4", []device.EngineKind{device.CPU})
+		return TradeoffFigure(8, "rpi4", []device.EngineKind{device.CPU})
 	case "fig9":
-		return Fig9()
+		return nxEngines(func(k device.EngineKind) (string, error) { return ForwardTimesFigure(9, "xaviernx", k) })
 	case "fig10":
-		return Fig10()
+		return nxEngines(func(k device.EngineKind) (string, error) {
+			return BreakdownFigure(10, "xaviernx", k, RobustModelTags)
+		})
 	case "fig11":
-		return TradeoffFigure("fig11", "xaviernx", []device.EngineKind{device.CPU, device.GPU})
+		return TradeoffFigure(11, "xaviernx", []device.EngineKind{device.CPU, device.GPU})
 	case "fig12":
 		return Fig12()
 	case "table1":
@@ -49,13 +52,13 @@ func FigureIDs() []string {
 }
 
 // Fig2 renders the average CIFAR-10-C prediction errors (reference table;
-// for measured repro-scale numbers see cmd/ttatrain).
+// for measured repro-scale numbers see Measured).
 func Fig2() (string, error) {
 	t := ReferenceErrors()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 2: average prediction error (%%) on CIFAR-10-C (severity 5), reference table\n")
 	fmt.Fprintf(&b, "%-12s %-9s %8s %8s %8s\n", "model", "algo", "b=50", "b=100", "b=200")
-	for _, model := range append(append([]string{}, RobustModelTags...), "MBV2") {
+	for _, model := range ModelTags {
 		for _, algo := range core.Algorithms {
 			row := make([]float64, len(Batches))
 			for i, batch := range Batches {
@@ -75,14 +78,14 @@ func Fig2() (string, error) {
 
 // ForwardTimesFigure renders the per-batch forward time (inference + any
 // adaptation) for all 9 model/batch cases × 3 algorithms on one engine —
-// the format of Figs. 3 and 6.
-func ForwardTimesFigure(id, deviceTag string, kind device.EngineKind) (string, error) {
+// the format of Figs. 3, 6 and 9.
+func ForwardTimesFigure(fig int, deviceTag string, kind device.EngineKind) (string, error) {
 	pts, err := EvaluateAll(EngineCases(deviceTag, kind), ReferenceErrors())
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: forward times per batch on %s (%s), seconds\n", strings.ToUpper(id[:1])+id[1:], deviceTag, kind)
+	fmt.Fprintf(&b, "Fig %d: forward times per batch on %s (%s), seconds\n", fig, deviceTag, kind)
 	fmt.Fprintf(&b, "%-16s %12s %12s %12s\n", "case", "No-Adapt", "BN-Norm", "BN-Opt")
 	for _, model := range RobustModelTags {
 		for _, batch := range Batches {
@@ -105,10 +108,10 @@ func ForwardTimesFigure(id, deviceTag string, kind device.EngineKind) (string, e
 }
 
 // BreakdownFigure renders the forward/backward conv-vs-BN time breakdown
-// at batch 50 — the format of Figs. 4 and 7.
-func BreakdownFigure(id, deviceTag string, kind device.EngineKind, modelTags []string) (string, error) {
+// at batch 50 — the format of Figs. 4, 7 and 10.
+func BreakdownFigure(fig int, deviceTag string, kind device.EngineKind, modelTags []string) (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: fw/bw breakdown on %s (%s), batch 50, seconds\n", id, deviceTag, kind)
+	fmt.Fprintf(&b, "Fig %d: fw/bw breakdown on %s (%s), batch 50, seconds\n", fig, deviceTag, kind)
 	fmt.Fprintf(&b, "%-12s %-9s %9s %9s %9s %9s %9s\n",
 		"model", "algo", "conv fw", "bn fw", "other fw", "conv bw", "bn bw")
 	errs := ReferenceErrors()
@@ -131,8 +134,9 @@ func BreakdownFigure(id, deviceTag string, kind device.EngineKind, modelTags []s
 }
 
 // TradeoffFigure renders the three cost metrics for every case on a device
-// plus the paper's four weighted-selection scenarios — Figs. 5, 8, 11.
-func TradeoffFigure(id, deviceTag string, kinds []device.EngineKind) (string, error) {
+// plus the paper's four weighted-selection scenarios — Figs. 5, 8, 11. Rows
+// go by model, then batch, then algorithm, as in ForwardTimesFigure.
+func TradeoffFigure(fig int, deviceTag string, kinds []device.EngineKind) (string, error) {
 	var cases []Case
 	for _, k := range kinds {
 		cases = append(cases, EngineCases(deviceTag, k)...)
@@ -142,9 +146,12 @@ func TradeoffFigure(id, deviceTag string, kinds []device.EngineKind) (string, er
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: performance-energy-accuracy trade-offs on %s\n", id, deviceTag)
+	fmt.Fprintf(&b, "Fig %d: performance-energy-accuracy trade-offs on %s\n", fig, deviceTag)
 	fmt.Fprintf(&b, "%-42s %10s %10s %8s\n", "case", "time (s)", "energy (J)", "err (%)")
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Label() < pts[j].Label() })
+	slices.SortStableFunc(pts, func(p, q Point) int {
+		return cmp.Or(cmp.Compare(slices.Index(ModelTags, p.ModelTag), slices.Index(ModelTags, q.ModelTag)),
+			cmp.Compare(p.Batch, q.Batch), cmp.Compare(p.Algo, q.Algo))
+	})
 	for _, p := range pts {
 		if p.OOM {
 			fmt.Fprintf(&b, "%-42s %10s %10s %8.2f\n", p.Label(), "OOM", "OOM", p.ErrPct)
@@ -163,30 +170,14 @@ func TradeoffFigure(id, deviceTag string, kinds []device.EngineKind) (string, er
 	return b.String(), nil
 }
 
-// Fig9 renders the NX forward times for both engines.
-func Fig9() (string, error) {
-	cpu, err := ForwardTimesFigure("fig9-cpu", "xaviernx", device.CPU)
+// nxEngines renders a figure for the NX's CPU, then for its GPU.
+func nxEngines(render func(device.EngineKind) (string, error)) (string, error) {
+	cpu, err := render(device.CPU)
 	if err != nil {
 		return "", err
 	}
-	gpu, err := ForwardTimesFigure("fig9-gpu", "xaviernx", device.GPU)
-	if err != nil {
-		return "", err
-	}
-	return cpu + gpu, nil
-}
-
-// Fig10 renders the NX per-model breakdowns on both engines.
-func Fig10() (string, error) {
-	cpu, err := BreakdownFigure("fig10-cpu", "xaviernx", device.CPU, RobustModelTags)
-	if err != nil {
-		return "", err
-	}
-	gpu, err := BreakdownFigure("fig10-gpu", "xaviernx", device.GPU, RobustModelTags)
-	if err != nil {
-		return "", err
-	}
-	return cpu + gpu, nil
+	gpu, err := render(device.GPU)
+	return cpu + gpu, err
 }
 
 // Fig12 renders the global scatter with the paper's A1/A2/A3 points.

@@ -270,3 +270,34 @@ func TestTrainedModelCacheKeysOnWhatTrainedIt(t *testing.T) {
 		t.Fatal("the loaded seed-1 weights differ from the trained ones")
 	}
 }
+
+// TestMeasuredCellsSeeds: a corruption's stream is the same images at every
+// batch size, and no two corruptions — nor a corruption and the clean
+// stream — share a stream.
+func TestMeasuredCellsSeeds(t *testing.T) {
+	cfg := MeasuredConfig{Seed: 7, Corruptions: data.AllCorruptions}
+	for _, algo := range core.Algorithms {
+		seeds := map[data.Corruption]int64{}
+		owner := map[int64]string{}
+		for _, c := range MeasuredCells(cfg) {
+			if c.Algo != algo {
+				continue
+			}
+			name := "clean"
+			if c.Severity > 0 {
+				name = c.Corruption.String()
+				if s, ok := seeds[c.Corruption]; ok && s != c.Seed {
+					t.Fatalf("%s %s: seed %d at batch %d, %d at another batch", algo, name, c.Seed, c.Batch, s)
+				}
+				seeds[c.Corruption] = c.Seed
+			}
+			if o, ok := owner[c.Seed]; ok && o != name {
+				t.Fatalf("%s: %s and %s share stream seed %d", algo, o, name, c.Seed)
+			}
+			owner[c.Seed] = name
+		}
+		if len(seeds) != len(data.AllCorruptions) {
+			t.Fatalf("%s: %d corruptions seeded, want %d", algo, len(seeds), len(data.AllCorruptions))
+		}
+	}
+}

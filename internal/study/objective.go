@@ -1,9 +1,6 @@
 package study
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Weights are the objective weights of Sec. III-F: the study minimizes
 // w1·time(s) + w2·energy(J) + w3·error(%) as a raw weighted sum. The
@@ -57,18 +54,6 @@ func Select(points []Point, w Weights) (Point, error) {
 		return Point{}, fmt.Errorf("study: no feasible point among %d", len(points))
 	}
 	return best, nil
-}
-
-// Rank returns the feasible points sorted by ascending weighted objective.
-func Rank(points []Point, w Weights) []Point {
-	var out []Point
-	for _, p := range points {
-		if !p.OOM {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return w.Objective(out[i]) < w.Objective(out[j]) })
-	return out
 }
 
 // ParetoFront returns the feasible points not dominated in

@@ -31,6 +31,9 @@ type Cell struct {
 type Result struct {
 	Cell
 	Run core.ScenarioResult
+	// ArenaBytes is what the cell's model held in its activation arena
+	// after the episode's last batch (models.Model.ActivationBytes).
+	ArenaBytes int
 }
 
 // Run scores every cell in order, each on a fresh clone of m, so no cell
@@ -39,7 +42,8 @@ type Result struct {
 func Run(m *models.Model, gen *data.Generator, cells []Cell) ([]Result, error) {
 	out := make([]Result, len(cells))
 	for i, c := range cells {
-		a, err := core.New(c.Algo, m.Clone(), c.Adapt)
+		mc := m.Clone()
+		a, err := core.New(c.Algo, mc, c.Adapt)
 		if err != nil {
 			return nil, err
 		}
@@ -53,13 +57,14 @@ func Run(m *models.Model, gen *data.Generator, cells []Cell) ([]Result, error) {
 				return nil, err
 			}
 			out[i].Run = core.RunScenario(a, s, c.Batch)
-			continue
+		} else {
+			s := gen.NewCleanStream(c.Seed, c.Samples)
+			if c.Severity > 0 {
+				s = gen.NewStream(c.Seed, c.Samples, c.Corruption, c.Severity)
+			}
+			out[i].Run.StreamResult = core.RunStream(a, s, c.Batch)
 		}
-		s := gen.NewCleanStream(c.Seed, c.Samples)
-		if c.Severity > 0 {
-			s = gen.NewStream(c.Seed, c.Samples, c.Corruption, c.Severity)
-		}
-		out[i].Run.StreamResult = core.RunStream(a, s, c.Batch)
+		out[i].ArenaBytes = mc.ActivationBytes()
 	}
 	return out, nil
 }
