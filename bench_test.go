@@ -218,43 +218,71 @@ func BenchmarkBatchNormTrainForward(b *testing.B) {
 	}
 }
 
+// bnShapes are the batch-50 activations a repro ResNeXt-29's BatchNorms
+// see, one per resolution, with that resolution's channel count: 16 at
+// 32×32, 32 at 16×16, 64 at 8×8. One channel is 50 planes, one kernel
+// call per sweep.
+var bnShapes = []struct {
+	name     string
+	channels int
+	hw       int
+}{{"32x32", 16, 32}, {"16x16", 32, 16}, {"8x8", 64, 8}}
+
+// newBNReLU returns a BatchNorm over c channels fused with a ReLU, drawing
+// its outputs from an arena as a model's layers do, and a random batch-50
+// input of c channels of hw×hw.
+func newBNReLU(c, hw int) (*nn.BatchNorm2d, *nn.ReLU, *tensor.Arena, *tensor.Tensor) {
+	bn, act, arena := nn.NewBatchNorm2d("bn", c), nn.NewReLU("relu"), new(tensor.Arena)
+	nn.Attach(bn, arena, false)
+	x := tensor.New(50, c, hw, hw)
+	x.Randn(rand.New(rand.NewSource(1)), 1)
+	return bn, act, arena, x
+}
+
 // BenchmarkBNReLUForward times the fused BN(+ReLU) pass — statistics,
-// normalize and rectifier over one activation — at the shape of
-// BenchmarkBatchNormTrainForward, with batch statistics (BN-Norm, BN-Opt)
-// and with running statistics (No-Adapt).
+// normalize and rectifier over one activation — at each of bnShapes, with
+// batch statistics (BN-Norm, BN-Opt) and with running statistics
+// (No-Adapt). Its output goes back to the arena after each pass, so a
+// timed pass reuses one buffer and the kernels are what is timed.
 func BenchmarkBNReLUForward(b *testing.B) {
 	for _, mode := range []struct {
 		name       string
 		batchStats bool
 	}{{"batchstats", true}, {"running", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			bn, act := nn.NewBatchNorm2d("bn", 64), nn.NewReLU("relu")
-			bn.UseBatchStats = mode.batchStats
-			x := tensor.New(50, 64, 16, 16)
-			x.Randn(rand.New(rand.NewSource(1)), 1)
-			b.SetBytes(int64(4 * x.Numel()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bn.ForwardFused(x, nil, act, false)
-			}
-		})
+		for _, sh := range bnShapes {
+			b.Run(mode.name+"/"+sh.name, func(b *testing.B) {
+				bn, act, arena, x := newBNReLU(sh.channels, sh.hw)
+				bn.UseBatchStats = mode.batchStats
+				arena.Free(bn.ForwardFused(x, nil, act, false)) // the arena's one allocation
+				b.SetBytes(int64(4 * x.Numel()))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					arena.Free(bn.ForwardFused(x, nil, act, false))
+				}
+			})
+		}
 	}
 }
 
-// BenchmarkBNReLUBackward times the matching backward: the rectifier's
-// gate read from the saved output, Σdy and Σdy·x̂ with x̂ recomputed, dx.
+// BenchmarkBNReLUBackward times the matching backward at each of bnShapes:
+// the rectifier's gate read from the saved output, Σdy and Σdy·x̂ with x̂
+// recomputed, dx — which goes back to the arena after each pass.
 func BenchmarkBNReLUBackward(b *testing.B) {
-	bn, act := nn.NewBatchNorm2d("bn", 64), nn.NewReLU("relu")
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.New(50, 64, 16, 16)
-	x.Randn(rng, 1)
-	grad := tensor.New(x.Shape()...)
-	grad.Randn(rng, 1)
-	bn.ForwardFused(x, nil, act, true)
-	b.SetBytes(int64(4 * x.Numel()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bn.BackwardFused(grad)
+	for _, sh := range bnShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			bn, act, arena, x := newBNReLU(sh.channels, sh.hw)
+			grad := tensor.New(x.Shape()...)
+			grad.Randn(rand.New(rand.NewSource(2)), 1)
+			bn.ForwardFused(x, nil, act, true)
+			dx, _ := bn.BackwardFused(grad) // the arena's one allocation
+			arena.Free(dx)
+			b.SetBytes(int64(4 * x.Numel()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dx, _ := bn.BackwardFused(grad)
+				arena.Free(dx)
+			}
+		})
 	}
 }
 

@@ -153,6 +153,41 @@ func TestBackwardAfterInferPanics(t *testing.T) {
 	}
 }
 
+// TestInferNormalizesInPlace: under Infer every BatchNorm whose input has
+// no other reader writes its output over that input — each conv→BN pair of
+// a block (convBN, PreActBlock's bn2) and each BN+ReLU pair of a Sequential
+// whose input the chain made — and only a PreActBlock's bn1, whose input is
+// also the block's shortcut, keeps it. Under Forward none does: Backward
+// reads the input.
+func TestInferNormalizesInPlace(t *testing.T) {
+	for _, tag := range []string{"RXT-AM", "WRN-AM", "MBV2"} {
+		m, err := ByTag(tag, rand.New(rand.NewSource(1)), ReproScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keeps := map[*nn.BatchNorm2d]bool{}
+		nn.Walk(m.Net, func(l nn.Layer) {
+			if b, ok := l.(*PreActBlock); ok {
+				keeps[b.bn1] = true
+			}
+		})
+		x := tensor.New(2, m.InC, m.InHW, m.InHW)
+		x.Randn(rand.New(rand.NewSource(2)), 1)
+		m.Infer(x)
+		for _, bn := range m.BatchNorms() {
+			if bn.InPlace() == keeps[bn] {
+				t.Errorf("%s: %s under Infer: in place %v, want %v", tag, bn.Name(), bn.InPlace(), !keeps[bn])
+			}
+		}
+		m.Forward(x, false)
+		for _, bn := range m.BatchNorms() {
+			if bn.InPlace() {
+				t.Errorf("%s: %s wrote over its input under Forward", tag, bn.Name())
+			}
+		}
+	}
+}
+
 // TestArenaRetention drives batch sizes 4 → 32 → 4 → 32 through one model
 // and holds ActivationBytes to the bound tensor.Arena documents: never
 // more than the pass in progress and the one before it need, and exactly

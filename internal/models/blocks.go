@@ -13,12 +13,14 @@ import (
 )
 
 // convBN runs conv→bn(+res)(→act) on x for a block with scope s (what
-// nn.Attach bound it to); the convolution's output has that one reader.
+// nn.Attach bound it to). The convolution's output has that one reader, so
+// in a pass that releases early (Model.Infer) the normalize writes over it.
 func convBN(s *nn.Scope, conv *nn.Conv2d, bn *nn.BatchNorm2d, act *nn.ReLU, x, res *tensor.Tensor, train bool) *tensor.Tensor {
 	c := conv.Forward(x, train)
-	y := bn.ForwardFused(c, res, act, train)
-	s.Early.Free(c)
-	return y
+	if s.Early != nil {
+		return bn.ForwardFusedInPlace(c, res, act, train)
+	}
+	return bn.ForwardFused(c, res, act, train)
 }
 
 // convBNBackward takes grad back through a convBN to its x (what reaches
@@ -87,10 +89,8 @@ func (b *PreActBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if b.convSC != nil {
 		sc = b.convSC.Forward(a, train)
 	}
-	h1 := b.conv1.Forward(a, train)
+	a2 := convBN(&b.Scope, b.conv1, b.bn2, b.relu2, a, nil, train)
 	b.Early.Free(a)
-	a2 := b.bn2.ForwardFused(h1, nil, b.relu2, train)
-	b.Early.Free(h1)
 	h := b.conv2.Forward(a2, train)
 	b.Early.Free(a2)
 	h.Add(sc)

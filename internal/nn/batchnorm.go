@@ -38,6 +38,7 @@ type BatchNorm2d struct {
 	in, out      *tensor.Tensor // out is kept only when act gates the gradient
 	act          *ReLU          // rectifier fused into that forward, nil if none
 	hasRes       bool           // that forward added a residual
+	inPlace      bool           // that forward wrote over in, so Backward refuses
 	mean, invStd []float32      // per channel, as normalized with
 	batchMode    bool           // those are batch statistics, so they depend on the input
 	lastSpec     Spec
@@ -80,6 +81,24 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // updated, and a tracer sees one bn.fw span naming it — but it saves
 // nothing of its own: Backward/BackwardFused on b undo the whole pass.
 func (b *BatchNorm2d) ForwardFused(x, res *tensor.Tensor, act *ReLU, train bool) *tensor.Tensor {
+	return b.forward(x, res, act, train, false)
+}
+
+// ForwardFusedInPlace is ForwardFused writing its result over x, for a
+// caller that hands x over: nothing reads x after this layer, and res does
+// not share its memory. Each channel is normalized only after its
+// statistics are taken, so the result is bit-identical to ForwardFused's.
+// The layer's saved input then holds its output, so Backward panics until
+// its next forward that is not in place.
+func (b *BatchNorm2d) ForwardFusedInPlace(x, res *tensor.Tensor, act *ReLU, train bool) *tensor.Tensor {
+	return b.forward(x, res, act, train, true)
+}
+
+// InPlace reports whether the layer's last forward wrote its result over
+// its input (ForwardFusedInPlace).
+func (b *BatchNorm2d) InPlace() bool { return b.inPlace }
+
+func (b *BatchNorm2d) forward(x, res *tensor.Tensor, act *ReLU, train, inPlace bool) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != b.C {
 		panic(shapeErr(b.name, x.Shape()))
 	}
@@ -100,27 +119,29 @@ func (b *BatchNorm2d) ForwardFused(x, res *tensor.Tensor, act *ReLU, train bool)
 		resData = res.Data
 	}
 
-	y := b.Arena.New(x.Shape()...)
-	// parallel.For schedules at grain 1: each channel's statistics pass is
-	// heavy (two sweeps over n·plane values), so even a 16-channel layer
-	// spreads across the pool. A channel is reduced by one task, in the
-	// kernels' fixed lane order, so the statistics do not depend on how
-	// many workers there are.
+	y := x
+	if !inPlace {
+		y = b.Arena.New(x.Shape()...)
+	}
+	// Channel c is the n planes at c·plane, C·plane apart: one kernel call
+	// per sweep. parallel.For schedules at grain 1: each channel's
+	// statistics pass is heavy (two sweeps over n·plane values), so even a
+	// 16-channel layer spreads across the pool. A channel is reduced by one
+	// task, in the kernels' fixed lane order, so the statistics do not
+	// depend on how many workers there are — and channels are disjoint, so
+	// a normalize in place overwrites only what its own task has read.
+	ch := tensor.Planes{N: n, Len: plane, Stride: b.C * plane}
 	parallel.For(b.C, func(c int) {
+		o := c * plane
+		xc := x.Data[o:]
 		var mean, varv float32
 		if batchMode {
 			// Two-pass mean/variance over the batch for this channel.
 			var acc [tensor.StatLanes]float64
-			for img := 0; img < n; img++ {
-				base := (img*b.C + c) * plane
-				tensor.PlaneSum(&acc, x.Data[base:base+plane])
-			}
+			tensor.SumPlanes(&acc, xc, ch)
 			mean = float32(tensor.MergeLanes(&acc) / float64(cnt))
 			acc = [tensor.StatLanes]float64{}
-			for img := 0; img < n; img++ {
-				base := (img*b.C + c) * plane
-				tensor.PlaneSumSqDev(&acc, x.Data[base:base+plane], mean)
-			}
+			tensor.SumSqDevPlanes(&acc, xc, ch, mean)
 			s2 := tensor.MergeLanes(&acc)
 			varv = float32(s2 / float64(cnt)) // biased, as PyTorch normalizes
 			// Running stats use the unbiased estimate, as PyTorch does.
@@ -136,14 +157,10 @@ func (b *BatchNorm2d) ForwardFused(x, res *tensor.Tensor, act *ReLU, train bool)
 		inv := float32(1.0 / math.Sqrt(float64(varv)+float64(b.Eps)))
 		b.mean[c], b.invStd[c] = mean, inv
 		a := tensor.Affine{Mean: mean, InvStd: inv, Gamma: b.Gamma.Data[c], Beta: b.Beta.Data[c]}
-		for img := 0; img < n; img++ {
-			base := (img*b.C + c) * plane
-			tensor.NormalizePlane(y.Data[base:base+plane], x.Data[base:base+plane],
-				planeOf(resData, base, plane), &a, rect)
-		}
+		tensor.NormalizePlanes(y.Data[o:], xc, from(resData, o), ch, &a, rect)
 	})
 
-	b.in, b.out, b.act, b.hasRes = x, nil, act, res != nil
+	b.in, b.out, b.act, b.hasRes, b.inPlace = x, nil, act, res != nil, inPlace
 	if act != nil {
 		b.out = y
 		act.ran(y)
@@ -180,6 +197,9 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 	if x == nil {
 		panic("nn: " + b.name + ": Backward before Forward")
 	}
+	if b.inPlace {
+		panic("nn: " + b.name + ": Backward after an in-place forward: the saved input holds the output")
+	}
 	if !grad.SameShape(x) {
 		panic(shapeErr(b.name, grad.Shape()))
 	}
@@ -204,23 +224,18 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 		}
 	}
 
+	ch := tensor.Planes{N: n, Len: plane, Stride: b.C * plane}
 	parallel.For(b.C, func(c int) {
-		rect, out := gate, out
+		o := c * plane
+		rect, out := gate, from(out, o)
+		xc, gc, dyc := x.Data[o:], grad.Data[o:], dy.Data[o:]
 		if dy != grad {
-			for img := 0; img < n; img++ {
-				base := (img*b.C + c) * plane
-				tensor.GradInputPlane(dy.Data[base:base+plane], grad.Data[base:base+plane],
-					nil, out[base:base+plane], nil, gate)
-			}
+			tensor.GradInputPlanes(dyc, gc, nil, out, ch, nil, gate)
 			rect, out = tensor.Rect{}, nil
 		}
 		mean, inv := b.mean[c], b.invStd[c]
 		var sumDy, sumDyXhat [tensor.StatLanes]float64
-		for img := 0; img < n; img++ {
-			base := (img*b.C + c) * plane
-			tensor.GradSumsPlane(&sumDy, &sumDyXhat, dy.Data[base:base+plane],
-				x.Data[base:base+plane], planeOf(out, base, plane), mean, inv, rect)
-		}
+		tensor.GradSumsPlanes(&sumDy, &sumDyXhat, dyc, xc, out, ch, mean, inv, rect)
 		sDy, sDyXhat := tensor.MergeLanes(&sumDy), tensor.MergeLanes(&sumDyXhat)
 		if !b.Beta.Frozen {
 			b.Beta.Grad[c] += float32(sDy)
@@ -230,22 +245,18 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 		}
 		g := tensor.BNGrad{Mean: mean, InvStd: inv, Scale: b.Gamma.Data[c] * inv,
 			MeanDy: float32(sDy) / cnt, MeanDyXhat: float32(sDyXhat) / cnt, Vary: b.batchMode}
-		for img := 0; img < n; img++ {
-			base := (img*b.C + c) * plane
-			tensor.GradInputPlane(dx.Data[base:base+plane], dy.Data[base:base+plane],
-				x.Data[base:base+plane], planeOf(out, base, plane), &g, rect)
-		}
+		tensor.GradInputPlanes(dx.Data[o:], dyc, xc, out, ch, &g, rect)
 	})
 	profEndFused(KindBN, b.name, b.act.fusedName(), true, t0)
 	return dx, dres
 }
 
-// planeOf returns the plane of an optional operand: nil when s is.
-func planeOf(s []float32, base, plane int) []float32 {
+// from returns s[o:], or nil when s is: an absent operand stays absent.
+func from(s []float32, o int) []float32 {
 	if s == nil {
 		return nil
 	}
-	return s[base : base+plane]
+	return s[o:]
 }
 
 // ResetRunning restores the running statistics to their initial state

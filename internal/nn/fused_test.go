@@ -282,6 +282,53 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 	}
 }
 
+// TestForwardInPlaceMatchesAndRefusesBackward: ForwardFusedInPlace writes
+// ForwardFused's bits over its input, in every statistics mode, with and
+// without a rectifier and a residual, at 1 and 8 workers; Backward then
+// refuses by name, since the saved input holds the output, until a forward
+// that is not in place.
+func TestForwardInPlaceMatchesAndRefusesBackward(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	for _, mode := range bnModes {
+		for _, withAct := range []bool{false, true} {
+			for _, withRes := range []bool{false, true} {
+				for _, workers := range []int{1, 8} {
+					parallel.SetWorkers(workers)
+					name := fmt.Sprintf("%s/act=%v/res=%v/workers=%d", mode.name, withAct, withRes, workers)
+					var act *ReLU
+					if withAct {
+						act = NewReLU6("act")
+					}
+					bn, x, res, grad := fusedCase(43, mode)
+					if !withRes {
+						res = nil
+					}
+					want := bn.ForwardFused(x, res, act, mode.train)
+					wantMean := append([]float32(nil), bn.RunningMean...)
+
+					bn, x, res, _ = fusedCase(43, mode)
+					if !withRes {
+						res = nil
+					}
+					y := bn.ForwardFusedInPlace(x, res, act, mode.train)
+					if &y.Data[0] != &x.Data[0] || !bn.InPlace() {
+						t.Fatalf("%s: the result does not share the input's memory", name)
+					}
+					if !float32BitsEqual(y.Data, want.Data) || !float32BitsEqual(bn.RunningMean, wantMean) {
+						t.Errorf("%s: in place differs from ForwardFused", name)
+					}
+					wantPanic(t, name, "bn: Backward after an in-place forward", func() { bn.Backward(grad) })
+					bn.ForwardFused(x, res, act, mode.train)
+					if bn.InPlace() {
+						t.Fatalf("%s: a forward that is not in place left the layer marked in place", name)
+					}
+					bn.Backward(grad)
+				}
+			}
+		}
+	}
+}
+
 // TestPoolAndDropoutAreProfiled: AvgPool2d used to record no interval, so
 // its time leaked out of the attributed share. (The name is from when nn
 // also had a max-pool and a dropout layer; no model built either.)

@@ -63,7 +63,7 @@ func (r *ReLU) fusedName() string {
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	t0 := profStart()
 	y := r.Arena.New(x.Shape()...)
-	tensor.NormalizePlane(y.Data, x.Data, nil, nil, r.rect())
+	tensor.NormalizePlanes(y.Data, x.Data, nil, tensor.OnePlane(x.Numel()), nil, r.rect())
 	r.ran(y)
 	r.out = y
 	profEnd(KindAct, r.name, false, t0)
@@ -80,7 +80,7 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	t0 := profStart()
 	dx := r.Arena.New(grad.Shape()...)
-	tensor.GradInputPlane(dx.Data, grad.Data, nil, r.out.Data, nil, r.rect())
+	tensor.GradInputPlanes(dx.Data, grad.Data, nil, r.out.Data, tensor.OnePlane(grad.Numel()), nil, r.rect())
 	profEnd(KindAct, r.name, true, t0)
 	return dx
 }

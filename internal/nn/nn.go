@@ -270,13 +270,19 @@ func (s *Sequential) Append(layers ...Layer) { s.layers = append(s.layers, layer
 // property of the chain alone, so Backward finds the same pairs.
 //
 // The chain releases what it made once the next layer has read it — never
-// its input, which is its caller's, nor its result.
+// its input, which is its caller's, nor its result. In a pass that
+// releases early, a fused pair whose input the chain made writes its
+// result over that input, which has no other reader.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	var made *tensor.Tensor // the chain's own tensor that x is, or views
 	for i := 0; i < len(s.layers); i++ {
 		var y *tensor.Tensor
 		if bn, act := s.fusedPair(i); bn != nil {
-			y = bn.ForwardFused(x, nil, act, train)
+			if s.Early != nil && made != nil && views(x, made) {
+				y = bn.ForwardFusedInPlace(x, nil, act, train)
+			} else {
+				y = bn.ForwardFused(x, nil, act, train)
+			}
 			i++
 		} else {
 			y = s.layers[i].Forward(x, train)

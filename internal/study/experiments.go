@@ -139,7 +139,7 @@ func Measured(tags []string, cfg MeasuredConfig, scenarios []data.Scenario) (str
 		names[i] = c.String()
 	}
 	section(&b, "Host and configuration", fmt.Sprintf(
-		"%s %s/%s, CPU %s, %d vCPUs, GOMAXPROCS %d, span kernel %s\n"+
+		"%s %s/%s, CPU %s, %d vCPUs, GOMAXPROCS %d, span and plane kernels %s\n"+
 			"seed %d; %d epochs of %d training samples; %d samples per stream; corruptions %s",
 		runtime.Version(), runtime.GOOS, runtime.GOARCH, cpuName(), runtime.NumCPU(), runtime.GOMAXPROCS(0),
 		tensor.SpanKernel(), cfg.Seed, cfg.Epochs, cfg.TrainSize, cfg.StreamSize, strings.Join(names, ", ")))

@@ -2,28 +2,34 @@ package tensor
 
 import "math"
 
-// Per-plane elementwise kernels: the memory-bound half of a forward or
+// Per-channel elementwise kernels: the memory-bound half of a forward or
 // backward pass (batch-norm statistics, the normalize epilogue with its
 // optional residual add and rectifier, and the matching gradient pair).
-// Each works on one contiguous channel plane of an NCHW tensor, so the
-// caller decides the partition (internal/nn: one channel per parallel
-// task) and these kernels decide only the per-element arithmetic and the
-// shape of the reductions.
+// Each call takes one channel of an NCHW tensor — its N planes, placed by
+// a Planes — so the caller decides the partition (internal/nn: one channel
+// per parallel task) and these kernels decide only the per-element
+// arithmetic and the shape of the reductions. The maps may write over
+// their input (y = x, dx = dy): each element is read before its result is
+// written, and nothing else of the channel is read after.
 //
 // Reduction shape. The sums are float64 and run in StatLanes independent
 // lanes: element i of a plane is added to lane i mod StatLanes, in
-// ascending i; the caller carries the lanes across the planes of a channel
-// and folds them once with MergeLanes. Lane count, element-to-lane map and
-// merge order are constants of this file — not of the worker count, the
-// pool width, the conv dispatch switches or tracing — so a statistic is a
-// function of the data alone.
+// ascending i, plane after plane, and the lanes are carried across the
+// planes of a channel (and across calls, for a caller that sums one plane
+// at a time) and folded once with MergeLanes. Lane count, element-to-lane
+// map and merge order are constants of this file — not of the worker
+// count, the pool width, the vector width, the plane length, the conv
+// dispatch switches or tracing — so a statistic is a function of the data
+// alone.
 //
-// Every kernel has an AVX2 routine (simd_amd64.s) and a generic Go twin
-// (simd_generic.go) that agree bit for bit: same lanes, same order, one
-// rounding per operation, no fused multiply-add on either side. The AVX2
-// routines take whole vectors only; the dispatchers below hand any
-// remainder to the generic twin, which is the same function of the same
-// elements.
+// Every kernel has a generic Go twin (simd_generic.go) and vector routines
+// (simd_amd64.s) that agree with it bit for bit: same lanes, same order,
+// one rounding per operation, no fused multiply-add on either side. The
+// AVX-512 routines take a whole channel in one call, the remainder of each
+// plane under a mask; the AVX2 routines take a whole channel when its
+// planes are whole vectors, and one plane's vector part otherwise, its
+// remainder going to the generic twin. StatLanes = 16 float64 is two zmm
+// or four ymm, so both widths keep the one lane map.
 
 // StatLanes is the number of float64 partial sums a plane reduction keeps.
 const StatLanes = 16
@@ -67,13 +73,45 @@ func (r Rect) mode() int {
 	return 0
 }
 
-// PlaneSum adds the elements of x, widened to float64, into acc.
-func PlaneSum(acc *[StatLanes]float64, x []float32) { planeSum(acc, x) }
+// Planes places one channel of an NCHW tensor in a slice: N planes of Len
+// elements, the first at the slice's start and each Stride elements after
+// the one before (C·H·W for a channel of an N×C×H×W tensor). Every operand
+// of a call shares the one placement.
+type Planes struct{ N, Len, Stride int }
 
-// PlaneSumSqDev adds float64(x[i]−mean)², the difference taken in float32,
-// into acc.
-func PlaneSumSqDev(acc *[StatLanes]float64, x []float32, mean float32) {
-	planeSumSqDev(acc, x, mean)
+// OnePlane is n contiguous elements taken as a single plane.
+func OnePlane(n int) Planes { return Planes{N: 1, Len: n, Stride: n} }
+
+func (p Planes) empty() bool { return p.N <= 0 || p.Len <= 0 }
+
+// check panics unless the planes lie inside an operand of n elements: the
+// extent the vector routines, which check no lengths, may touch.
+func (p Planes) check(n int) { checkRows(n, p.Stride, p.N, p.Len) }
+
+// at returns plane k of s, or nil for the nil slice an absent operand is.
+func (p Planes) at(s []float32, k int) []float32 {
+	if s == nil {
+		return nil
+	}
+	return s[k*p.Stride:][:p.Len]
+}
+
+// checkRows panics unless rows ≥ 1 rows of span elements, stride apart,
+// fit in an operand of n elements.
+func checkRows(n, stride, rows, span int) {
+	if stride < 0 || (rows-1)*stride+span > n {
+		panic("tensor: row block outside its operand")
+	}
+}
+
+// SumPlanes adds the elements of the planes of x, widened to float64, into
+// acc.
+func SumPlanes(acc *[StatLanes]float64, x []float32, p Planes) { sumPlanes(acc, x, p) }
+
+// SumSqDevPlanes adds float64(x[i]−mean)², the difference taken in
+// float32, over the planes of x into acc.
+func SumSqDevPlanes(acc *[StatLanes]float64, x []float32, p Planes, mean float32) {
+	sumSqDevPlanes(acc, x, p, mean)
 }
 
 // MergeLanes folds the lanes pairwise — lane i with lane i+8, then i+4,
@@ -87,14 +125,11 @@ func MergeLanes(acc *[StatLanes]float64) float64 {
 	return acc[0]
 }
 
-// NormalizePlane writes y = rect(a(x) + res): the affine map when a is
-// non-nil, then the residual when res is non-nil, then the rectifier —
-// always in that order, each step one float32 rounding. y may alias x.
-func NormalizePlane(y, x, res []float32, a *Affine, rect Rect) {
-	if len(x) == 0 {
-		return
-	}
-	_ = y[len(x)-1]
+// NormalizePlanes writes y = rect(a(x) + res) over the planes: the affine
+// map when a is non-nil, then the residual when res is non-nil, then the
+// rectifier — always in that order, each step one float32 rounding. y may
+// be x: each element is read once, before its result is written.
+func NormalizePlanes(y, x, res []float32, p Planes, a *Affine, rect Rect) {
 	mode := rect.mode()
 	var k Affine
 	if a != nil {
@@ -103,27 +138,19 @@ func NormalizePlane(y, x, res []float32, a *Affine, rect Rect) {
 	}
 	if res != nil {
 		mode |= opResidual
-		_ = res[len(x)-1]
 	}
-	normalize(y[:len(x)], x, res, k.Mean, k.InvStd, k.Gamma, k.Beta, rect.hi(), mode)
+	normalizePlanes(y, x, res, p, k.Mean, k.InvStd, k.Gamma, k.Beta, rect.hi(), mode)
 }
 
-// GradSumsPlane adds the plane's Σdy and Σdy·x̂ into the two lane sets,
-// with x̂ = (x−mean)·invStd recomputed from the layer input. With a
+// GradSumsPlanes adds Σdy and Σdy·x̂ over the planes into the two lane
+// sets, with x̂ = (x−mean)·invStd recomputed from the layer input. With a
 // rectifier, dy counts only where the saved output out passed it
 // (0 < out, and out < Cap when capped) and as +0 elsewhere.
-func GradSumsPlane(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, mean, invStd float32, rect Rect) {
-	if len(dy) == 0 {
-		return
-	}
-	_ = x[len(dy)-1]
-	if rect.On {
-		_ = out[len(dy)-1]
-	}
-	gradSums(sumDy, sumDyXhat, dy, x, out, mean, invStd, rect.hi(), rect.mode())
+func GradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, p Planes, mean, invStd float32, rect Rect) {
+	gradSumsPlanes(sumDy, sumDyXhat, dy, x, out, p, mean, invStd, rect.hi(), rect.mode())
 }
 
-// BNGrad holds one channel's constants for GradInputPlane: the forward
+// BNGrad holds one channel's constants for GradInputPlanes: the forward
 // statistics, Scale = γ·σ⁻¹, and — when the statistics depended on the
 // input (Vary) — the batch means of dy and dy·x̂.
 type BNGrad struct {
@@ -132,27 +159,20 @@ type BNGrad struct {
 	Vary                bool
 }
 
-// GradInputPlane writes the input gradient of NormalizePlane's affine and
-// rectifier steps: dy gated by the rectifier as in GradSumsPlane, then, when
-// g is non-nil, dx = Scale·(dy − MeanDy − x̂·MeanDyXhat) (Vary) or Scale·dy.
-// With g nil it is the rectifier's own backward. dx may alias dy.
-func GradInputPlane(dx, dy, x, out []float32, g *BNGrad, rect Rect) {
-	if len(dy) == 0 {
-		return
-	}
-	_ = dx[len(dy)-1]
+// GradInputPlanes writes the input gradient of NormalizePlanes' affine and
+// rectifier steps over the planes: dy gated by the rectifier as in
+// GradSumsPlanes, then, when g is non-nil, dx = Scale·(dy − MeanDy −
+// x̂·MeanDyXhat) (Vary) or Scale·dy. With g nil it is the rectifier's own
+// backward. dx may be dy.
+func GradInputPlanes(dx, dy, x, out []float32, p Planes, g *BNGrad, rect Rect) {
 	mode := rect.mode()
-	if rect.On {
-		_ = out[len(dy)-1]
-	}
 	var k BNGrad
 	if g != nil {
 		mode |= opAffine
 		k = *g
 		if k.Vary {
 			mode |= opVary
-			_ = x[len(dy)-1]
 		}
 	}
-	gradInput(dx[:len(dy)], dy, x, out, k.Mean, k.InvStd, k.Scale, k.MeanDy, k.MeanDyXhat, rect.hi(), mode)
+	gradInputPlanes(dx, dy, x, out, p, k.Mean, k.InvStd, k.Scale, k.MeanDy, k.MeanDyXhat, rect.hi(), mode)
 }

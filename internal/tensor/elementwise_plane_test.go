@@ -1,0 +1,23 @@
+package tensor
+
+// One-plane forms of the channel dispatchers, the shape the twin tests
+// compare against the generic twins: each is its dispatcher over a single
+// plane, so it runs whichever routine the dispatcher picks on this CPU.
+
+func planeSum(acc *[StatLanes]float64, x []float32) { sumPlanes(acc, x, OnePlane(len(x))) }
+
+func planeSumSqDev(acc *[StatLanes]float64, x []float32, mean float32) {
+	sumSqDevPlanes(acc, x, OnePlane(len(x)), mean)
+}
+
+func normalize(y, x, res []float32, mean, inv, g, b, hi float32, mode int) {
+	normalizePlanes(y, x, res, OnePlane(len(x)), mean, inv, g, b, hi, mode)
+}
+
+func gradSums(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, mean, inv, hi float32, mode int) {
+	gradSumsPlanes(sumDy, sumDyXhat, dy, x, out, OnePlane(len(dy)), mean, inv, hi, mode)
+}
+
+func gradInput(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
+	gradInputPlanes(dx, dy, x, out, OnePlane(len(dy)), mean, inv, scale, mDy, mDyXhat, hi, mode)
+}

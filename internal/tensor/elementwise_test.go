@@ -191,7 +191,7 @@ func TestEpilogueMatchesThreePassOracle(t *testing.T) {
 						if withRes {
 							r = res
 						}
-						NormalizePlane(got, x, r, ap, rect)
+						NormalizePlanes(got, x, r, OnePlane(n), ap, rect)
 						for i := range got {
 							if !sameF32(got[i], want[i]) {
 								t.Fatalf("cap=%v affine=%v res=%v rect=%v: x=%v res=%v → %v (%#x), three-pass oracle %v (%#x)",
@@ -221,9 +221,9 @@ func TestRectifierGateReadsTheSavedOutput(t *testing.T) {
 				dy[i] = float32(i) - 14.5
 			}
 			dy[rot] = negZero
-			NormalizePlane(out, v, nil, nil, rect)
+			NormalizePlanes(out, v, nil, OnePlane(n), nil, rect)
 			dx := make([]float32, n)
-			GradInputPlane(dx, dy, nil, out, nil, rect)
+			GradInputPlanes(dx, dy, nil, out, OnePlane(n), nil, rect)
 			for i := range dx {
 				_, pass := oldReLU(v[i], cap)
 				want := float32(0)
@@ -248,7 +248,7 @@ func TestPlaneStatisticsShape(t *testing.T) {
 	naive := 0.0
 	for p := 0; p < 3; p++ {
 		x := finitePlane(rng, 70+p, p)
-		PlaneSum(&acc, x)
+		SumPlanes(&acc, x, OnePlane(len(x)))
 		for i, v := range x {
 			want[i%StatLanes] += float64(v)
 			naive += float64(v)
@@ -273,7 +273,7 @@ func TestPlaneStatisticsShape(t *testing.T) {
 
 	x := finitePlane(rng, 64, 1)
 	var sq [StatLanes]float64
-	PlaneSumSqDev(&sq, x, 0.5)
+	SumSqDevPlanes(&sq, x, OnePlane(len(x)), 0.5)
 	ss := 0.0
 	for _, v := range x {
 		d := float64(v - 0.5)

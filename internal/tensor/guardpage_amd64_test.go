@@ -141,3 +141,62 @@ func noFault(t *testing.T, what string, f func()) {
 		t.Errorf("%s: touched memory outside its operands", what)
 	}
 }
+
+// TestPlaneKernelsStayInsideTheirOperands lays every operand of the plane
+// kernels flush against a guard page — all at their front, then all at
+// their back — sized to exactly the extent of their planes, and runs every
+// plane routine (planeRoutines: the dispatch, each vector routine called
+// directly) over plane lengths 1…40, one to three planes, with and without
+// gaps between them, in a mode drawn per case: a load or store one element
+// outside an operand faults. It also covers axpyAVX2 and dotAVX2, over
+// lengths 1…40.
+func TestPlaneKernelsStayInsideTheirOperands(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2: the wrappers run the generic twins")
+	}
+	rng := rand.New(rand.NewSource(38))
+	for _, back := range []bool{false, true} {
+		alloc := func(n int) []float32 { return guardPaged(t, n, back) }
+		for plen := 1; plen <= 40; plen++ {
+			for n := 1; n <= 3; n++ {
+				for _, gap := range []int{0, 5} {
+					mode, rect := rng.Intn(16)&^opRect, rects[rng.Intn(len(rects))]
+					c := newPlaneCall(rng, Planes{N: n, Len: plen, Stride: plen + gap}, mode, rect, alloc)
+					c.check(t, alloc, func(what string, f func()) { noFault(t, fmt.Sprintf("back=%v %s", back, what), f) })
+				}
+			}
+			x, y := guardPaged(t, plen, back), guardPaged(t, plen, back)
+			copy(x, randSlice(rng, plen))
+			noFault(t, fmt.Sprintf("axpyAVX2/dotAVX2 back=%v n=%d", back, plen), func() {
+				axpyAVX2(0.5, x, y)
+				dotAVX2(x, y)
+			})
+		}
+	}
+}
+
+// FuzzPlaneKernels decodes a channel from the fuzz bytes — plane length,
+// plane count, the gap between planes, an offset of the first plane into
+// its operand, the mode bits and the rectifier's cap — and holds every
+// plane routine this CPU has to the generic twins, bit for bit, on
+// guard-paged operands laid against the page at their front and at their
+// back.
+func FuzzPlaneKernels(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		plen, n, gap, off := 1+int(data[0])%80, 1+int(data[1])%5, int(data[2])%20, int(data[3])%16
+		mode := int(data[4]) & (opAffine | opResidual | opVary)
+		var rect Rect
+		if data[4]&opRect != 0 {
+			rect = Rect{On: true, Cap: float32(data[5] % 8)}
+		}
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		for _, back := range []bool{false, true} {
+			alloc := func(n int) []float32 { return guardPaged(t, off+n, back)[off:] }
+			c := newPlaneCall(rng, Planes{N: n, Len: plen, Stride: plen + gap}, mode, rect, alloc)
+			c.check(t, alloc, func(what string, f func()) { noFault(t, fmt.Sprintf("back=%v off=%d %s", back, off, what), f) })
+		}
+	})
+}

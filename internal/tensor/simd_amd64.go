@@ -5,9 +5,10 @@ package tensor
 // CPUID-based feature detection for the kernels in simd_amd64.s.
 // AVX2 requires CPU support (leaf 7 EBX bit 5), AVX+OSXSAVE (leaf 1 ECX
 // bits 28/27), and the OS saving XMM+YMM state (XCR0 bits 1 and 2).
-// AVX-512 (the span kernel convSpan4AVX512, AVX512F instructions only)
-// further requires leaf 7 EBX bit 16 and the OS saving the opmask,
-// ZMM_Hi256 and Hi16_ZMM state (XCR0 bits 5, 6 and 7).
+// AVX-512 (the span kernel convSpan4AVX512 and the plane kernels'
+// *PlanesAVX512 routines, AVX512F instructions only) further requires
+// leaf 7 EBX bit 16 and the OS saving the opmask, ZMM_Hi256 and Hi16_ZMM
+// state (XCR0 bits 5, 6 and 7).
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -56,8 +57,11 @@ var hasAVX512 = hasAVX2 && func() bool {
 	return xcr0&state == state
 }()
 
-// SpanKernel names the conv span kernel this process dispatches to:
-// "avx512", "avx2" or "generic".
+// SpanKernel names the vector kernels this process dispatches to —
+// "avx512", "avx2" or "generic" — for the conv span kernel and the
+// elementwise plane kernels alike: both are chosen by the same CPUID
+// flags. On "avx512" the leftover channels of a conv tile and planeSum
+// still run their AVX2 routines.
 func SpanKernel() string {
 	switch {
 	case hasAVX512:
@@ -154,14 +158,6 @@ func gatherRows(dst []float32, dstStride int, src []float32, srcStride, rows, co
 	gatherRowsGeneric(dst, dstStride, src, srcStride, rows, cols, step)
 }
 
-// checkRows panics unless rows ≥ 1 rows of span elements, stride apart,
-// fit in an operand of n elements: the extent the assembly may touch.
-func checkRows(n, stride, rows, span int) {
-	if stride < 0 || (rows-1)*stride+span > n {
-		panic("tensor: row block outside its operand")
-	}
-}
-
 // interleaveRows fills rows rows of n elements of dst, row r starting at
 // r*dstStride, from a and b alternately: its even elements are row r of a
 // (at r*aStride) and its odd ones row r of b, or zero when b is empty. The
@@ -213,27 +209,47 @@ func dot(x, y []float32) float32 {
 	return dotGeneric(x, y)
 }
 
-// The elementwise plane kernels (elementwise.go). Each AVX2 routine takes a
-// whole number of vectors — StatLanes elements for the reductions, 8 for
-// the maps — and reads an optional operand (res, x, out) only under the
-// mode bit that needs it; the remainder of the plane goes to the generic
-// twin, bit-identical by construction, which also keeps the element-to-lane
-// map intact because the vector part is a multiple of StatLanes long.
+// The elementwise plane kernels (elementwise.go). Each routine takes a
+// channel's planes in one call. An AVX-512 routine takes any plane length,
+// the remainder of each plane under a mask. An AVX2 routine takes planes
+// of a whole number of vectors — StatLanes elements for the reductions, 8
+// for the maps — so a channel whose planes are not goes to it one plane at
+// a time, the remainder of each to the generic twin: bit-identical by
+// construction, and the element-to-lane map stays intact because the
+// vector part is a multiple of StatLanes long. planeSum has no AVX-512
+// routine: its lanes are chains of float64 additions, which run no faster
+// at 16 lanes than at 8 (slower on a core whose 256-bit adder is the
+// quicker one). Either routine reads an optional operand (res, x, out)
+// only under the mode bit that needs it; an AVX-512 one is handed another
+// operand of the call in place of an absent one, so every address it forms
+// lies inside a checked extent.
 
 //go:noescape
-func planeSumAVX2(acc *[StatLanes]float64, x []float32)
+func planeSumAVX2(acc *[StatLanes]float64, x []float32, plen, n, stride int)
 
 //go:noescape
-func planeSumSqDevAVX2(acc *[StatLanes]float64, x []float32, mean float32)
+func planeSumSqDevAVX2(acc *[StatLanes]float64, x []float32, plen, n, stride int, mean float32)
 
 //go:noescape
-func normalizeAVX2(y, x, res []float32, mean, inv, gamma, beta, hi float32, mode int)
+func normalizeAVX2(y, x, res []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
 
 //go:noescape
-func gradSumsAVX2(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, mean, inv, hi float32, mode int)
+func gradSumsAVX2(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, plen, n, stride int, mean, inv, hi float32, mode int)
 
 //go:noescape
-func gradInputAVX2(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, hi float32, mode int)
+func gradInputAVX2(dx, dy, x, out []float32, plen, n, stride int, mean, inv, scale, mDy, mDyXhat, hi float32, mode int)
+
+//go:noescape
+func sumSqDevPlanesAVX512(acc *[StatLanes]float64, x []float32, plen, n, stride int, mean float32)
+
+//go:noescape
+func normalizePlanesAVX512(y, x, res []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
+
+//go:noescape
+func gradSumsPlanesAVX512(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, plen, n, stride int, mean, inv, hi float32, mode int)
+
+//go:noescape
+func gradInputPlanesAVX512(dx, dy, x, out []float32, plen, n, stride int, mean, inv, scale, mDy, mDyXhat, hi float32, mode int)
 
 // vectorPart is how many leading elements of an n-element plane the AVX2
 // routines take when they work in blocks of width (a power of two).
@@ -252,48 +268,146 @@ func rest(s []float32, n int) []float32 {
 	return s[n:]
 }
 
-func planeSum(acc *[StatLanes]float64, x []float32) {
-	n := vectorPart(len(x), StatLanes)
-	if n > 0 {
-		planeSumAVX2(acc, x[:n])
-	}
-	planeSumGeneric(acc, x[n:])
-}
+// Each dispatcher below checks the extents, then makes one call for the
+// channel (the AVX-512 routine, or the AVX2 one when every plane is whole
+// vectors) or, failing that, two per plane: the AVX2 routine on the
+// plane's vector part, the generic twin on the rest.
 
-func planeSumSqDev(acc *[StatLanes]float64, x []float32, mean float32) {
-	n := vectorPart(len(x), StatLanes)
-	if n > 0 {
-		planeSumSqDevAVX2(acc, x[:n], mean)
+func sumPlanes(acc *[StatLanes]float64, x []float32, p Planes) {
+	if p.empty() {
+		return
 	}
-	planeSumSqDevGeneric(acc, x[n:], mean)
-}
-
-func normalize(y, x, res []float32, mean, inv, g, b, hi float32, mode int) {
-	n := vectorPart(len(x), 8)
-	if n > 0 {
-		normalizeAVX2(y, x[:n], res, mean, inv, g, b, hi, mode)
+	p.check(len(x))
+	if hasAVX2 && p.Len%StatLanes == 0 {
+		planeSumAVX2(acc, x, p.Len, p.N, p.Stride)
+		return
 	}
-	if n < len(x) {
-		normalizeGeneric(y[n:], x[n:], rest(res, n), mean, inv, g, b, hi, mode)
-	}
-}
-
-func gradSums(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, mean, inv, hi float32, mode int) {
-	n := vectorPart(len(dy), StatLanes)
-	if n > 0 {
-		gradSumsAVX2(sumDy, sumDyXhat, dy[:n], x, out, mean, inv, hi, mode)
-	}
-	if n < len(dy) {
-		gradSumsGeneric(sumDy, sumDyXhat, dy[n:], x[n:], rest(out, n), mean, inv, hi, mode)
+	for k := 0; k < p.N; k++ {
+		xk := p.at(x, k)
+		n := vectorPart(len(xk), StatLanes)
+		if n > 0 {
+			planeSumAVX2(acc, xk, n, 1, n)
+		}
+		planeSumGeneric(acc, xk[n:])
 	}
 }
 
-func gradInput(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
-	n := vectorPart(len(dy), 8)
-	if n > 0 {
-		gradInputAVX2(dx, dy[:n], x, out, mean, inv, scale, mDy, mDyXhat, hi, mode)
+func sumSqDevPlanes(acc *[StatLanes]float64, x []float32, p Planes, mean float32) {
+	if p.empty() {
+		return
 	}
-	if n < len(dy) {
-		gradInputGeneric(dx[n:], dy[n:], rest(x, n), rest(out, n), mean, inv, scale, mDy, mDyXhat, hi, mode)
+	p.check(len(x))
+	switch {
+	case hasAVX512:
+		sumSqDevPlanesAVX512(acc, x, p.Len, p.N, p.Stride, mean)
+		return
+	case hasAVX2 && p.Len%StatLanes == 0:
+		planeSumSqDevAVX2(acc, x, p.Len, p.N, p.Stride, mean)
+		return
+	}
+	for k := 0; k < p.N; k++ {
+		xk := p.at(x, k)
+		n := vectorPart(len(xk), StatLanes)
+		if n > 0 {
+			planeSumSqDevAVX2(acc, xk, n, 1, n, mean)
+		}
+		planeSumSqDevGeneric(acc, xk[n:], mean)
+	}
+}
+
+func normalizePlanes(y, x, res []float32, p Planes, mean, inv, g, b, hi float32, mode int) {
+	if p.empty() {
+		return
+	}
+	p.check(len(y))
+	p.check(len(x))
+	if mode&opResidual != 0 {
+		p.check(len(res))
+	}
+	switch {
+	case hasAVX512:
+		if mode&opResidual == 0 {
+			res = x
+		}
+		normalizePlanesAVX512(y, x, res, p.Len, p.N, p.Stride, mean, inv, g, b, hi, mode)
+		return
+	case hasAVX2 && p.Len%8 == 0:
+		normalizeAVX2(y, x, res, p.Len, p.N, p.Stride, mean, inv, g, b, hi, mode)
+		return
+	}
+	for k := 0; k < p.N; k++ {
+		yk, xk, rk := p.at(y, k), p.at(x, k), p.at(res, k)
+		n := vectorPart(len(xk), 8)
+		if n > 0 {
+			normalizeAVX2(yk, xk, rk, n, 1, n, mean, inv, g, b, hi, mode)
+		}
+		normalizeGeneric(yk[n:], xk[n:], rest(rk, n), mean, inv, g, b, hi, mode)
+	}
+}
+
+func gradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, p Planes, mean, inv, hi float32, mode int) {
+	if p.empty() {
+		return
+	}
+	p.check(len(dy))
+	p.check(len(x))
+	if mode&opRect != 0 {
+		p.check(len(out))
+	}
+	switch {
+	case hasAVX512:
+		if mode&opRect == 0 {
+			out = dy
+		}
+		gradSumsPlanesAVX512(sumDy, sumDyXhat, dy, x, out, p.Len, p.N, p.Stride, mean, inv, hi, mode)
+		return
+	case hasAVX2 && p.Len%StatLanes == 0:
+		gradSumsAVX2(sumDy, sumDyXhat, dy, x, out, p.Len, p.N, p.Stride, mean, inv, hi, mode)
+		return
+	}
+	for k := 0; k < p.N; k++ {
+		dyk, xk, ok := p.at(dy, k), p.at(x, k), p.at(out, k)
+		n := vectorPart(len(dyk), StatLanes)
+		if n > 0 {
+			gradSumsAVX2(sumDy, sumDyXhat, dyk, xk, ok, n, 1, n, mean, inv, hi, mode)
+		}
+		gradSumsGeneric(sumDy, sumDyXhat, dyk[n:], xk[n:], rest(ok, n), mean, inv, hi, mode)
+	}
+}
+
+func gradInputPlanes(dx, dy, x, out []float32, p Planes, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
+	if p.empty() {
+		return
+	}
+	p.check(len(dx))
+	p.check(len(dy))
+	vary := opAffine | opVary
+	if mode&vary == vary {
+		p.check(len(x))
+	}
+	if mode&opRect != 0 {
+		p.check(len(out))
+	}
+	switch {
+	case hasAVX512:
+		if mode&vary != vary {
+			x = dy
+		}
+		if mode&opRect == 0 {
+			out = dy
+		}
+		gradInputPlanesAVX512(dx, dy, x, out, p.Len, p.N, p.Stride, mean, inv, scale, mDy, mDyXhat, hi, mode)
+		return
+	case hasAVX2 && p.Len%8 == 0:
+		gradInputAVX2(dx, dy, x, out, p.Len, p.N, p.Stride, mean, inv, scale, mDy, mDyXhat, hi, mode)
+		return
+	}
+	for k := 0; k < p.N; k++ {
+		dxk, dyk, xk, ok := p.at(dx, k), p.at(dy, k), p.at(x, k), p.at(out, k)
+		n := vectorPart(len(dyk), 8)
+		if n > 0 {
+			gradInputAVX2(dxk, dyk, xk, ok, n, 1, n, mean, inv, scale, mDy, mDyXhat, hi, mode)
+		}
+		gradInputGeneric(dxk[n:], dyk[n:], rest(xk, n), rest(ok, n), mean, inv, scale, mDy, mDyXhat, hi, mode)
 	}
 }

@@ -1,5 +1,5 @@
-// AVX2 kernels for the inner loops every figure benchmark sits on, and an
-// AVX-512 body for the conv span kernel.
+// AVX2 kernels for the inner loops every figure benchmark sits on, and
+// AVX-512 bodies for the conv span kernel and four of the plane kernels.
 //
 // axpyAVX2 uses separate VMULPS/VADDPS (never FMA): each y[i] += a*x[i] is
 // two correctly-rounded float32 operations, exactly like the scalar
@@ -805,10 +805,12 @@ il_next:
 
 // Elementwise plane kernels (elementwise.go): batch-norm statistics, the
 // normalize(+residual)(+rectifier) epilogue and its gradient pair. Every
-// routine here takes a whole number of vectors — the Go dispatcher sends
-// the remainder of a plane to the generic twin — and, like axpyAVX2, uses
-// only separately rounded VMUL/VADD/VSUB (never FMA), so each is
-// bit-identical to its twin in simd_generic.go.
+// routine here takes n planes of plen elements, plane k starting at
+// k*stride in each operand, with plen a whole number of vectors — the Go
+// dispatcher sends a channel whose planes are not one plane at a time, the
+// remainder of each to the generic twin — and, like axpyAVX2, uses only
+// separately rounded VMUL/VADD/VSUB (never FMA), so each is bit-identical
+// to its twin in simd_generic.go. R10 holds the stride in bytes.
 //
 // The reductions keep StatLanes = 16 float64 lanes in four registers;
 // element i of the plane goes to lane i mod 16, so the lane a value lands
@@ -820,29 +822,38 @@ il_next:
 // none: VMINPS(hi, v) and the hi <= out compare are both written so that a
 // NaN hi never clamps and never gates.
 
-// func planeSumAVX2(acc *[16]float64, x []float32)
-// len(x) must be a positive multiple of 16.
-TEXT ·planeSumAVX2(SB), NOSPLIT, $0-32
+// func planeSumAVX2(acc *[16]float64, x []float32, plen, n, stride int)
+// plen must be a positive multiple of 16, n positive.
+TEXT ·planeSumAVX2(SB), NOSPLIT, $0-56
 	MOVQ	acc+0(FP), DI
 	MOVQ	x_base+8(FP), SI
-	MOVQ	x_len+16(FP), CX
+	MOVQ	n+40(FP), R9
+	MOVQ	stride+48(FP), R10
+	SHLQ	$2, R10
 	VMOVUPD	(DI), Y0
 	VMOVUPD	32(DI), Y1
 	VMOVUPD	64(DI), Y2
 	VMOVUPD	96(DI), Y3
 
+psum_plane:
+	MOVQ	SI, BX
+	MOVQ	plen+32(FP), CX
+
 psum_loop16:
-	VCVTPS2PD	(SI), Y4
-	VCVTPS2PD	16(SI), Y5
-	VCVTPS2PD	32(SI), Y6
-	VCVTPS2PD	48(SI), Y7
+	VCVTPS2PD	(BX), Y4
+	VCVTPS2PD	16(BX), Y5
+	VCVTPS2PD	32(BX), Y6
+	VCVTPS2PD	48(BX), Y7
 	VADDPD	Y4, Y0, Y0
 	VADDPD	Y5, Y1, Y1
 	VADDPD	Y6, Y2, Y2
 	VADDPD	Y7, Y3, Y3
-	ADDQ	$64, SI
+	ADDQ	$64, BX
 	SUBQ	$16, CX
 	JNZ	psum_loop16
+	ADDQ	R10, SI
+	DECQ	R9
+	JNZ	psum_plane
 
 	VMOVUPD	Y0, (DI)
 	VMOVUPD	Y1, 32(DI)
@@ -851,21 +862,28 @@ psum_loop16:
 	VZEROUPPER
 	RET
 
-// func planeSumSqDevAVX2(acc *[16]float64, x []float32, mean float32)
-// acc[i mod 16] += float64(x[i] - mean)^2; len(x) a positive multiple of 16.
-TEXT ·planeSumSqDevAVX2(SB), NOSPLIT, $0-36
+// func planeSumSqDevAVX2(acc *[16]float64, x []float32, plen, n, stride int, mean float32)
+// acc[i mod 16] += float64(x[i] - mean)^2 over the planes; plen a positive
+// multiple of 16.
+TEXT ·planeSumSqDevAVX2(SB), NOSPLIT, $0-60
 	MOVQ	acc+0(FP), DI
 	MOVQ	x_base+8(FP), SI
-	MOVQ	x_len+16(FP), CX
-	VBROADCASTSS	mean+32(FP), Y8
+	MOVQ	n+40(FP), R9
+	MOVQ	stride+48(FP), R10
+	SHLQ	$2, R10
+	VBROADCASTSS	mean+56(FP), Y8
 	VMOVUPD	(DI), Y0
 	VMOVUPD	32(DI), Y1
 	VMOVUPD	64(DI), Y2
 	VMOVUPD	96(DI), Y3
 
+psq_plane:
+	MOVQ	SI, BX
+	MOVQ	plen+32(FP), CX
+
 psq_loop16:
-	VMOVUPS	(SI), Y4
-	VMOVUPS	32(SI), Y6
+	VMOVUPS	(BX), Y4
+	VMOVUPS	32(BX), Y6
 	VSUBPS	Y8, Y4, Y4
 	VSUBPS	Y8, Y6, Y6
 	VEXTRACTF128	$1, Y4, X5
@@ -882,9 +900,12 @@ psq_loop16:
 	VADDPD	Y5, Y1, Y1
 	VADDPD	Y6, Y2, Y2
 	VADDPD	Y7, Y3, Y3
-	ADDQ	$64, SI
+	ADDQ	$64, BX
 	SUBQ	$16, CX
 	JNZ	psq_loop16
+	ADDQ	R10, SI
+	DECQ	R9
+	JNZ	psq_plane
 
 	VMOVUPD	Y0, (DI)
 	VMOVUPD	Y1, 32(DI)
@@ -893,26 +914,32 @@ psq_loop16:
 	VZEROUPPER
 	RET
 
-// func normalizeAVX2(y, x, res []float32, mean, inv, gamma, beta, hi float32, mode int)
+// func normalizeAVX2(y, x, res []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
 // y = rect(gamma*((x-mean)*inv) + beta + res), each step under its mode bit;
-// len(x) a positive multiple of 8. The mode tests are loop-invariant
+// plen a positive multiple of 8. The mode tests are loop-invariant
 // branches: perfectly predicted, and cheaper than one loop per mode.
-//   DI y   SI x   DX res   BX byte offset   CX byte length   AX mode
+//   DI y   SI x   DX res (plane starts)   BX byte offset   CX byte length
+//   AX mode   R9 planes left
 //   Y8 mean  Y9 inv  Y10 gamma  Y11 beta  Y12 hi  Y13 zero
-TEXT ·normalizeAVX2(SB), NOSPLIT, $0-104
+TEXT ·normalizeAVX2(SB), NOSPLIT, $0-128
 	MOVQ	y_base+0(FP), DI
 	MOVQ	x_base+24(FP), SI
-	MOVQ	x_len+32(FP), CX
 	MOVQ	res_base+48(FP), DX
-	MOVQ	mode+96(FP), AX
-	VBROADCASTSS	mean+72(FP), Y8
-	VBROADCASTSS	inv+76(FP), Y9
-	VBROADCASTSS	gamma+80(FP), Y10
-	VBROADCASTSS	beta+84(FP), Y11
-	VBROADCASTSS	hi+88(FP), Y12
+	MOVQ	plen+72(FP), CX
+	MOVQ	n+80(FP), R9
+	MOVQ	stride+88(FP), R10
+	SHLQ	$2, R10
+	MOVQ	mode+120(FP), AX
+	VBROADCASTSS	mean+96(FP), Y8
+	VBROADCASTSS	inv+100(FP), Y9
+	VBROADCASTSS	gamma+104(FP), Y10
+	VBROADCASTSS	beta+108(FP), Y11
+	VBROADCASTSS	hi+112(FP), Y12
 	VXORPS	Y13, Y13, Y13
-	XORQ	BX, BX
 	SHLQ	$2, CX
+
+norm_plane:
+	XORQ	BX, BX
 
 norm_loop8:
 	VMOVUPS	(SI)(BX*1), Y0
@@ -941,6 +968,11 @@ norm_store:
 	ADDQ	$32, BX
 	CMPQ	BX, CX
 	JL	norm_loop8
+	ADDQ	R10, DI
+	ADDQ	R10, SI
+	ADDQ	R10, DX
+	DECQ	R9
+	JNZ	norm_plane
 	VZEROUPPER
 	RET
 
@@ -974,21 +1006,24 @@ norm_store:
 	VADDPD	Y9, P0, P0; \
 	VADDPD	Y11, P1, P1
 
-// func gradSumsAVX2(sumDy, sumDyXhat *[16]float64, dy, x, out []float32, mean, inv, hi float32, mode int)
-// len(dy) a positive multiple of 16; out is read only under the rectifier bit.
-//   R8 dy   SI x   R9 out   CX remaining   AX mode   DI, DX lane sets
+// func gradSumsAVX2(sumDy, sumDyXhat *[16]float64, dy, x, out []float32, plen, n, stride int, mean, inv, hi float32, mode int)
+// plen a positive multiple of 16; out is read only under the rectifier bit.
+//   R8 dy   SI x   R9 out (cursors)   R11-R13 their plane starts
+//   CX remaining   R14 planes left   AX mode   DI, DX lane sets
 //   Y0-Y3 sum dy   Y4-Y7 sum dy*xhat   Y12 mean  Y13 inv  Y14 hi  Y15 zero
-TEXT ·gradSumsAVX2(SB), NOSPLIT, $0-112
+TEXT ·gradSumsAVX2(SB), NOSPLIT, $0-136
 	MOVQ	sumDy+0(FP), DI
 	MOVQ	sumDyXhat+8(FP), DX
-	MOVQ	dy_base+16(FP), R8
-	MOVQ	dy_len+24(FP), CX
-	MOVQ	x_base+40(FP), SI
-	MOVQ	out_base+64(FP), R9
-	MOVQ	mode+104(FP), AX
-	VBROADCASTSS	mean+88(FP), Y12
-	VBROADCASTSS	inv+92(FP), Y13
-	VBROADCASTSS	hi+96(FP), Y14
+	MOVQ	dy_base+16(FP), R11
+	MOVQ	x_base+40(FP), R12
+	MOVQ	out_base+64(FP), R13
+	MOVQ	n+96(FP), R14
+	MOVQ	stride+104(FP), R10
+	SHLQ	$2, R10
+	MOVQ	mode+128(FP), AX
+	VBROADCASTSS	mean+112(FP), Y12
+	VBROADCASTSS	inv+116(FP), Y13
+	VBROADCASTSS	hi+120(FP), Y14
 	VXORPS	Y15, Y15, Y15
 	VMOVUPD	(DI), Y0
 	VMOVUPD	32(DI), Y1
@@ -998,6 +1033,12 @@ TEXT ·gradSumsAVX2(SB), NOSPLIT, $0-112
 	VMOVUPD	32(DX), Y5
 	VMOVUPD	64(DX), Y6
 	VMOVUPD	96(DX), Y7
+
+gsum_plane:
+	MOVQ	R11, R8
+	MOVQ	R12, SI
+	MOVQ	R13, R9
+	MOVQ	plen+88(FP), CX
 
 gsum_loop16:
 	VMOVUPS	(R8), Y8
@@ -1019,6 +1060,11 @@ gsum_hi:
 	ADDQ	$64, R9
 	SUBQ	$16, CX
 	JNZ	gsum_loop16
+	ADDQ	R10, R11
+	ADDQ	R10, R12
+	ADDQ	R10, R13
+	DECQ	R14
+	JNZ	gsum_plane
 
 	VMOVUPD	Y0, (DI)
 	VMOVUPD	Y1, 32(DI)
@@ -1031,25 +1077,35 @@ gsum_hi:
 	VZEROUPPER
 	RET
 
-// func gradInputAVX2(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, hi float32, mode int)
+// func gradInputAVX2(dx, dy, x, out []float32, plen, n, stride int, mean, inv, scale, mDy, mDyXhat, hi float32, mode int)
 // dx = scale*((gate(dy) - mDy) - ((x-mean)*inv)*mDyXhat), each step under
-// its mode bit; len(dy) a positive multiple of 8.
-//   DI dx   R8 dy   SI x   R9 out   BX byte offset   CX byte length   AX mode
+// its mode bit; plen a positive multiple of 8.
+//   DI dx   R8 dy   SI x   R9 out (cursors)   R11-R13, BX their plane starts
+//   CX end of the dy plane   R14 planes left   AX mode
 //   Y2 mean  Y3 inv  Y4 scale  Y5 mDy  Y6 mDyXhat  Y14 hi  Y15 zero
-TEXT ·gradInputAVX2(SB), NOSPLIT, $0-128
-	MOVQ	dx_base+0(FP), DI
-	MOVQ	dy_base+24(FP), R8
-	MOVQ	dy_len+32(FP), CX
-	MOVQ	x_base+48(FP), SI
-	MOVQ	out_base+72(FP), R9
-	MOVQ	mode+120(FP), AX
-	VBROADCASTSS	mean+96(FP), Y2
-	VBROADCASTSS	inv+100(FP), Y3
-	VBROADCASTSS	scale+104(FP), Y4
-	VBROADCASTSS	mDy+108(FP), Y5
-	VBROADCASTSS	mDyXhat+112(FP), Y6
-	VBROADCASTSS	hi+116(FP), Y14
+TEXT ·gradInputAVX2(SB), NOSPLIT, $0-152
+	MOVQ	dx_base+0(FP), R11
+	MOVQ	dy_base+24(FP), R12
+	MOVQ	x_base+48(FP), R13
+	MOVQ	out_base+72(FP), BX
+	MOVQ	n+104(FP), R14
+	MOVQ	stride+112(FP), R10
+	SHLQ	$2, R10
+	MOVQ	mode+144(FP), AX
+	VBROADCASTSS	mean+120(FP), Y2
+	VBROADCASTSS	inv+124(FP), Y3
+	VBROADCASTSS	scale+128(FP), Y4
+	VBROADCASTSS	mDy+132(FP), Y5
+	VBROADCASTSS	mDyXhat+136(FP), Y6
+	VBROADCASTSS	hi+140(FP), Y14
 	VXORPS	Y15, Y15, Y15
+
+gin_plane:
+	MOVQ	R11, DI
+	MOVQ	R12, R8
+	MOVQ	R13, SI
+	MOVQ	BX, R9
+	MOVQ	plen+96(FP), CX
 	SHLQ	$2, CX
 	ADDQ	R8, CX
 
@@ -1082,5 +1138,353 @@ gin_store:
 	ADDQ	$32, DI
 	CMPQ	R8, CX
 	JL	gin_loop8
+	ADDQ	R10, R11
+	ADDQ	R10, R12
+	ADDQ	R10, R13
+	ADDQ	R10, BX
+	DECQ	R14
+	JNZ	gin_plane
+	VZEROUPPER
+	RET
+
+// The plane kernels at AVX-512 width, one call per channel: x (and every
+// other operand) holds n planes of plen elements, plane k starting at
+// k*stride, and a call walks them all in ascending order. StatLanes = 16
+// float64 lanes are exactly two zmm, so lane i mod 16 of a plane's element
+// i is lane i mod 8 of Z0 (i mod 16 < 8) or of Z1, as the AVX2 bodies'
+// four ymm hold them, and every lane receives the same additions in the
+// same order. A plane is walked in blocks of 16 elements, then a tail of
+// plen mod 16 under a mask: its loads are zero-masked, its stores and its
+// lane additions merge-masked, so no access leaves a plane and no lane
+// outside the tail changes (not even a -0 to +0). Mode bits become opmasks
+// of all or no lanes, so the map kernels test no mode inside the loop: a
+// step whose bit is off runs merge-masked to nothing, and an optional
+// operand that is absent is another operand of the call (the Go wrapper
+// passes one), read under a zero mask. Only AVX512F instructions are used.
+//
+// Shared registers: R9 planes left, R10 stride in bytes, R11 blocks per
+// plane, BX byte offset in the plane, K7 the tail's lanes (empty when
+// plen is a multiple of 16), K5/K6 its low and high eight as float64
+// lanes.
+
+// TAILMASKS sets R11 = plen/16 and the tail masks K5-K7 from plen in CX.
+#define TAILMASKS \
+	MOVQ	CX, R11; \
+	SHRQ	$4, R11; \
+	ANDQ	$15, CX; \
+	MOVL	$1, BX; \
+	SHLL	CX, BX; \
+	DECL	BX; \
+	KMOVW	BX, K7; \
+	KMOVW	BX, K5; \
+	SHRL	$8, BX; \
+	KMOVW	BX, K6
+
+// MODEMASK sets k to all lanes when bit number b of AX is set, else to
+// none; clobbers BX.
+#define MODEMASK(b, k) \
+	MOVQ	AX, BX; \
+	SHRQ	$b, BX; \
+	ANDQ	$1, BX; \
+	NEGQ	BX; \
+	KMOVW	BX, k
+
+// WIDEN converts the 16 float32 in zs to float64 in zlo (elements 0-7) and
+// zhi (8-15); yhi is zhi's low half.
+#define WIDEN(zs, ys, zlo, zhi, yhi) \
+	VCVTPS2PD	ys, zlo; \
+	VEXTRACTF64X4	$1, zs, yhi; \
+	VCVTPS2PD	yhi, zhi
+
+// SQDEV16 adds float64(v-mean)^2 of the 16 float32 in Z4 into Z0:Z1 under
+// masks k0, k1; Z8 = mean.
+#define SQDEV16(k0, k1) \
+	VSUBPS	Z8, Z4, Z4; \
+	WIDEN(Z4, Y4, Z2, Z3, Y3); \
+	VMULPD	Z2, Z2, Z2; \
+	VMULPD	Z3, Z3, Z3; \
+	VADDPD	Z2, Z0, k0, Z0; \
+	VADDPD	Z3, Z1, k1, Z1
+
+// func sumSqDevPlanesAVX512(acc *[16]float64, x []float32, plen, n, stride int, mean float32)
+// acc[i mod 16] += float64(x[k*stride+i] - mean)^2 for each plane k < n,
+// i < plen; n, plen >= 1. K4 is all lanes.
+//   SI plane   Z0, Z1 lanes   Z2-Z4 temps   Z8 mean
+TEXT ·sumSqDevPlanesAVX512(SB), NOSPLIT, $0-60
+	MOVQ	acc+0(FP), DI
+	MOVQ	x_base+8(FP), SI
+	MOVQ	plen+32(FP), CX
+	MOVQ	n+40(FP), R9
+	MOVQ	stride+48(FP), R10
+	SHLQ	$2, R10
+	VBROADCASTSS	mean+56(FP), Z8
+	TAILMASKS
+	KXNORW	K4, K4, K4
+	VMOVUPD	(DI), Z0
+	VMOVUPD	64(DI), Z1
+
+zsq_plane:
+	XORQ	BX, BX
+	MOVQ	R11, CX
+	TESTQ	CX, CX
+	JZ	zsq_tail
+
+zsq_block:
+	VMOVUPS	(SI)(BX*1), Z4
+	SQDEV16(K4, K4)
+	ADDQ	$64, BX
+	DECQ	CX
+	JNZ	zsq_block
+
+zsq_tail:
+	KORTESTW	K7, K7
+	JZ	zsq_next
+	VMOVUPS.Z	(SI)(BX*1), K7, Z4
+	SQDEV16(K5, K6)
+
+zsq_next:
+	ADDQ	R10, SI
+	DECQ	R9
+	JNZ	zsq_plane
+	VMOVUPD	Z0, (DI)
+	VMOVUPD	Z1, 64(DI)
+	VZEROUPPER
+	RET
+
+// NORM16 maps the 16 inputs in Z0 as normalizeAVX2 does, each step under
+// its mode mask (K1 affine, K3 rectifier), the residual added from
+// (DX)(BX*1) under kr (K2, or K2 and the tail).
+#define NORM16(kr) \
+	VSUBPS	Z8, Z0, K1, Z0; \
+	VMULPS	Z9, Z0, K1, Z0; \
+	VMULPS	Z10, Z0, K1, Z0; \
+	VADDPS	Z11, Z0, K1, Z0; \
+	VADDPS	(DX)(BX*1), Z0, kr, Z0; \
+	VMAXPS	Z13, Z0, K3, Z0; \
+	VMINPS	Z0, Z12, K3, Z0
+
+// func normalizePlanesAVX512(y, x, res []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
+// y = rect(gamma*((x-mean)*inv) + beta + res) over the planes, each step
+// under its mode bit; y may be x. res is read only under its bit.
+//   DI y   SI x   DX res (plane starts)   K4 residual lanes of the tail
+//   Z8 mean  Z9 inv  Z10 gamma  Z11 beta  Z12 hi  Z13 zero
+TEXT ·normalizePlanesAVX512(SB), NOSPLIT, $0-128
+	MOVQ	y_base+0(FP), DI
+	MOVQ	x_base+24(FP), SI
+	MOVQ	res_base+48(FP), DX
+	MOVQ	n+80(FP), R9
+	MOVQ	stride+88(FP), R10
+	SHLQ	$2, R10
+	VBROADCASTSS	mean+96(FP), Z8
+	VBROADCASTSS	inv+100(FP), Z9
+	VBROADCASTSS	gamma+104(FP), Z10
+	VBROADCASTSS	beta+108(FP), Z11
+	VBROADCASTSS	hi+112(FP), Z12
+	VPXORD	Z13, Z13, Z13
+	MOVQ	mode+120(FP), AX
+	MODEMASK(0, K1)
+	MODEMASK(1, K2)
+	MODEMASK(2, K3)
+	MOVQ	plen+72(FP), CX
+	TAILMASKS
+	KANDW	K2, K7, K4
+
+znorm_plane:
+	XORQ	BX, BX
+	MOVQ	R11, CX
+	TESTQ	CX, CX
+	JZ	znorm_tail
+
+znorm_block:
+	VMOVUPS	(SI)(BX*1), Z0
+	NORM16(K2)
+	VMOVUPS	Z0, (DI)(BX*1)
+	ADDQ	$64, BX
+	DECQ	CX
+	JNZ	znorm_block
+
+znorm_tail:
+	KORTESTW	K7, K7
+	JZ	znorm_next
+	VMOVUPS.Z	(SI)(BX*1), K7, Z0
+	NORM16(K4)
+	VMOVUPS	Z0, K7, (DI)(BX*1)
+
+znorm_next:
+	ADDQ	R10, DI
+	ADDQ	R10, SI
+	ADDQ	R10, DX
+	DECQ	R9
+	JNZ	znorm_plane
+	VZEROUPPER
+	RET
+
+// GATE16 zeroes (to +0) the lanes of dy in zd whose saved output, loaded
+// from (R12)(BX*1) under kl, did not pass the rectifier: pass = out > 0 &&
+// !(hi <= out), or every lane when K3 (no rectifier) is set. Clobbers Z7,
+// K1, K2; expects Z14 = hi, Z15 = zero.
+#define GATE16(kl, zd) \
+	VMOVUPS.Z	(R12)(BX*1), kl, Z7; \
+	VCMPPS	$0x1E, Z15, Z7, K1; \
+	VCMPPS	$0x12, Z7, Z14, K2; \
+	KANDNW	K1, K2, K1; \
+	KORW	K3, K1, K1; \
+	VMOVUPS.Z	zd, K1, zd
+
+// GSUMS16 folds the 16 gated gradients in Z8 and the inputs loaded from
+// (SI)(BX*1) under kl into Z0:Z1 (sum dy) and Z2:Z3 (sum dy*xhat) under
+// masks k0, k1. Clobbers Z4-Z7, Z9.
+#define GSUMS16(kl, k0, k1) \
+	VMOVUPS.Z	(SI)(BX*1), kl, Z9; \
+	VSUBPS	Z12, Z9, Z9; \
+	VMULPS	Z13, Z9, Z9; \
+	WIDEN(Z8, Y8, Z4, Z5, Y5); \
+	WIDEN(Z9, Y9, Z6, Z7, Y7); \
+	VADDPD	Z4, Z0, k0, Z0; \
+	VADDPD	Z5, Z1, k1, Z1; \
+	VMULPD	Z4, Z6, Z6; \
+	VMULPD	Z5, Z7, Z7; \
+	VADDPD	Z6, Z2, k0, Z2; \
+	VADDPD	Z7, Z3, k1, Z3
+
+// func gradSumsPlanesAVX512(sumDy, sumDyXhat *[16]float64, dy, x, out []float32, plen, n, stride int, mean, inv, hi float32, mode int)
+// The sums of gradSumsAVX2 over the planes; out is read only under the
+// rectifier bit. K4 is all lanes.
+//   R8 dy   SI x   R12 out (plane starts)   DI, DX lane sets
+//   Z0:Z1 sum dy   Z2:Z3 sum dy*xhat   Z12 mean  Z13 inv  Z14 hi  Z15 zero
+TEXT ·gradSumsPlanesAVX512(SB), NOSPLIT, $0-136
+	MOVQ	sumDy+0(FP), DI
+	MOVQ	sumDyXhat+8(FP), DX
+	MOVQ	dy_base+16(FP), R8
+	MOVQ	x_base+40(FP), SI
+	MOVQ	out_base+64(FP), R12
+	MOVQ	n+96(FP), R9
+	MOVQ	stride+104(FP), R10
+	SHLQ	$2, R10
+	VBROADCASTSS	mean+112(FP), Z12
+	VBROADCASTSS	inv+116(FP), Z13
+	VBROADCASTSS	hi+120(FP), Z14
+	VPXORD	Z15, Z15, Z15
+	MOVQ	mode+128(FP), AX
+	XORQ	$4, AX
+	MODEMASK(2, K3)
+	MOVQ	plen+88(FP), CX
+	TAILMASKS
+	KXNORW	K4, K4, K4
+	VMOVUPD	(DI), Z0
+	VMOVUPD	64(DI), Z1
+	VMOVUPD	(DX), Z2
+	VMOVUPD	64(DX), Z3
+
+zgs_plane:
+	XORQ	BX, BX
+	MOVQ	R11, CX
+	TESTQ	CX, CX
+	JZ	zgs_tail
+
+zgs_block:
+	VMOVUPS	(R8)(BX*1), Z8
+	GATE16(K4, Z8)
+	GSUMS16(K4, K4, K4)
+	ADDQ	$64, BX
+	DECQ	CX
+	JNZ	zgs_block
+
+zgs_tail:
+	KORTESTW	K7, K7
+	JZ	zgs_next
+	VMOVUPS.Z	(R8)(BX*1), K7, Z8
+	GATE16(K7, Z8)
+	GSUMS16(K7, K5, K6)
+
+zgs_next:
+	ADDQ	R10, R8
+	ADDQ	R10, SI
+	ADDQ	R10, R12
+	DECQ	R9
+	JNZ	zgs_plane
+	VMOVUPD	Z0, (DI)
+	VMOVUPD	Z1, 64(DI)
+	VMOVUPD	Z2, (DX)
+	VMOVUPD	Z3, 64(DX)
+	VZEROUPPER
+	RET
+
+// GIN16 maps the 16 gradients in Z0 as gradInputAVX2 does: gated, then
+// under K5 (affine) scaled, after the two subtractions under K6 (affine
+// and vary) with the inputs loaded from (SI)(BX*1) under kl.
+#define GIN16(kl) \
+	GATE16(kl, Z0); \
+	VMOVUPS.Z	(SI)(BX*1), kl, Z1; \
+	VSUBPS	Z8, Z1, Z1; \
+	VMULPS	Z9, Z1, Z1; \
+	VMULPS	Z12, Z1, Z1; \
+	VSUBPS	Z11, Z0, K6, Z0; \
+	VSUBPS	Z1, Z0, K6, Z0; \
+	VMULPS	Z10, Z0, K5, Z0
+
+// func gradInputPlanesAVX512(dx, dy, x, out []float32, plen, n, stride int, mean, inv, scale, mDy, mDyXhat, hi float32, mode int)
+// dx = scale*((gate(dy) - mDy) - ((x-mean)*inv)*mDyXhat) over the planes,
+// each step under its mode bit; dx may be dy. x and out are read only
+// under their bits. The tail's lanes are in K4 here (K5/K6 hold modes).
+//   DI dx   R8 dy   SI x   R12 out (plane starts)
+//   Z8 mean  Z9 inv  Z10 scale  Z11 mDy  Z12 mDyXhat  Z14 hi  Z15 zero
+TEXT ·gradInputPlanesAVX512(SB), NOSPLIT, $0-152
+	MOVQ	dx_base+0(FP), DI
+	MOVQ	dy_base+24(FP), R8
+	MOVQ	x_base+48(FP), SI
+	MOVQ	out_base+72(FP), R12
+	MOVQ	n+104(FP), R9
+	MOVQ	stride+112(FP), R10
+	SHLQ	$2, R10
+	VBROADCASTSS	mean+120(FP), Z8
+	VBROADCASTSS	inv+124(FP), Z9
+	VBROADCASTSS	scale+128(FP), Z10
+	VBROADCASTSS	mDy+132(FP), Z11
+	VBROADCASTSS	mDyXhat+136(FP), Z12
+	VBROADCASTSS	hi+140(FP), Z14
+	VPXORD	Z15, Z15, Z15
+	MOVQ	plen+96(FP), CX
+	TAILMASKS
+	KMOVW	K7, K4
+	MOVQ	mode+144(FP), AX
+	MODEMASK(0, K5)
+	MOVQ	AX, CX
+	SHRQ	$3, CX
+	ANDQ	CX, AX
+	MODEMASK(0, K6)
+	MOVQ	mode+144(FP), AX
+	XORQ	$4, AX
+	MODEMASK(2, K3)
+	KXNORW	K7, K7, K7
+
+zgi_plane:
+	XORQ	BX, BX
+	MOVQ	R11, CX
+	TESTQ	CX, CX
+	JZ	zgi_tail
+
+zgi_block:
+	VMOVUPS	(R8)(BX*1), Z0
+	GIN16(K7)
+	VMOVUPS	Z0, (DI)(BX*1)
+	ADDQ	$64, BX
+	DECQ	CX
+	JNZ	zgi_block
+
+zgi_tail:
+	KORTESTW	K4, K4
+	JZ	zgi_next
+	VMOVUPS.Z	(R8)(BX*1), K4, Z0
+	GIN16(K4)
+	VMOVUPS	Z0, K4, (DI)(BX*1)
+
+zgi_next:
+	ADDQ	R10, DI
+	ADDQ	R10, R8
+	ADDQ	R10, SI
+	ADDQ	R10, R12
+	DECQ	R9
+	JNZ	zgi_plane
 	VZEROUPPER
 	RET

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -38,11 +40,15 @@ func spanRoutines() []spanRoutine {
 	}
 }
 
-// TestSpanKernelDispatch logs which span kernel this CPU runs, so a test
-// log says which path was tested, and checks the name against the feature
-// flags the dispatch reads.
+// TestSpanKernelDispatch logs which span and plane kernels this CPU runs,
+// so a test log says which path was tested, and checks the name against
+// the feature flags the dispatch reads.
 func TestSpanKernelDispatch(t *testing.T) {
-	t.Logf("span kernel: %s (AVX2 %v, AVX-512 %v)", SpanKernel(), hasAVX2, hasAVX512)
+	plane := SpanKernel()
+	if hasAVX512 {
+		plane += " (planeSum avx2)"
+	}
+	t.Logf("span kernel: %s, plane kernels: %s (AVX2 %v, AVX-512 %v)", SpanKernel(), plane, hasAVX2, hasAVX512)
 	want := "generic"
 	switch {
 	case hasAVX512:
@@ -96,6 +102,351 @@ func TestConvParityWithoutAVX512(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// planeCall is one call of each of the five plane kernels over the same
+// channel: its placement, its operands — x and dy finite, xs, res and out
+// with specials, res absent (nil) without the residual step and out
+// without the rectifier — the lanes every reduction starts from, and the
+// mode: opAffine, opResidual and opVary as drawn, plus the rectifier's bit.
+type planeCall struct {
+	p                   Planes
+	x, xs, res, dy, out []float32
+	acc                 [StatLanes]float64
+	rect                Rect
+	mode                int
+}
+
+// The channel constants of every planeCall.
+const (
+	pcMean, pcInv, pcGamma, pcBeta  = 0.3, 1.7, -0.8, 0.1
+	pcScale, pcMeanDy, pcMeanDyXhat = 0.9, 0.02, -0.04
+)
+
+// newPlaneCall fills a call over p whose operands alloc lays out, each of
+// p's extent. Odd lanes of acc start at −0, so a lane addition outside a
+// plane's tail (which would make it +0) shows.
+func newPlaneCall(rng *rand.Rand, p Planes, mode int, rect Rect, alloc func(n int) []float32) *planeCall {
+	n := (p.N-1)*p.Stride + p.Len
+	fill := func(src []float32) []float32 {
+		dst := alloc(n)
+		copy(dst, src)
+		return dst
+	}
+	c := &planeCall{p: p, rect: rect, mode: mode | rect.mode(),
+		x: fill(finitePlane(rng, n, 0)), xs: fill(plane(rng, n, 0, rect.Cap)), dy: fill(finitePlane(rng, n, 0))}
+	if mode&opResidual != 0 {
+		c.res = fill(plane(rng, n, 0, rect.Cap))
+	}
+	if rect.On {
+		c.out = fill(plane(rng, n, 0, rect.Cap))
+	}
+	for i := range c.acc {
+		c.acc[i] = rng.NormFloat64()
+		if i%2 == 1 {
+			c.acc[i] = math.Copysign(0, -1)
+		}
+	}
+	return c
+}
+
+// planeResult is what the five kernels of a planeCall wrote: four lane
+// sets, and the normalize output y and input gradient dx, laid out as the
+// operands are and NaN outside the planes.
+type planeResult struct {
+	sum, sq, sDy, sDyXhat [StatLanes]float64
+	y, dx                 []float32
+}
+
+func (c *planeCall) newResult(alloc func(n int) []float32) *planeResult {
+	r := &planeResult{sum: c.acc, sq: c.acc, sDy: c.acc, sDyXhat: c.acc}
+	for _, s := range []*[]float32{&r.y, &r.dx} {
+		*s = alloc((c.p.N-1)*c.p.Stride + c.p.Len)
+		for i := range *s {
+			(*s)[i] = nan32
+		}
+	}
+	return r
+}
+
+// planeRoutine runs the five kernels of a call one way.
+type planeRoutine struct {
+	name string
+	has  bool
+	run  func(c *planeCall, r *planeResult)
+}
+
+// planeRoutines lists every way this CPU can run the plane kernels: the
+// dispatch, the dispatch with the AVX-512 routines off (the AVX2 path),
+// the dispatch writing over its input, and each vector routine called
+// directly.
+func planeRoutines() []planeRoutine {
+	return []planeRoutine{
+		{"dispatch", true, runPlanesDispatch},
+		{"dispatch without AVX-512", hasAVX512, func(c *planeCall, r *planeResult) {
+			defer func() { hasAVX512 = true }()
+			hasAVX512 = false
+			runPlanesDispatch(c, r)
+		}},
+		{"dispatch in place", true, func(c *planeCall, r *planeResult) {
+			for k := 0; k < c.p.N; k++ { // the planes only: the gaps stay NaN
+				copy(c.p.at(r.y, k), c.p.at(c.xs, k))
+				copy(c.p.at(r.dx, k), c.p.at(c.dy, k))
+			}
+			sumPlanes(&r.sum, c.x, c.p)
+			sumSqDevPlanes(&r.sq, c.x, c.p, pcMean)
+			normalizePlanes(r.y, r.y, c.res, c.p, pcMean, pcInv, pcGamma, pcBeta, c.rect.hi(), c.mode)
+			gradSumsPlanes(&r.sDy, &r.sDyXhat, c.dy, c.x, c.out, c.p, pcMean, pcInv, c.rect.hi(), c.mode)
+			gradInputPlanes(r.dx, r.dx, c.x, c.out, c.p, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, c.rect.hi(), c.mode)
+		}},
+		{"AVX2 routines", hasAVX2, runPlanesAVX2},
+		{"AVX-512 routines", hasAVX512, runPlanesAVX512},
+	}
+}
+
+func runPlanesGeneric(c *planeCall, r *planeResult) {
+	hi := c.rect.hi()
+	for k := 0; k < c.p.N; k++ {
+		x, dy, out := c.p.at(c.x, k), c.p.at(c.dy, k), c.p.at(c.out, k)
+		planeSumGeneric(&r.sum, x)
+		planeSumSqDevGeneric(&r.sq, x, pcMean)
+		normalizeGeneric(c.p.at(r.y, k), c.p.at(c.xs, k), c.p.at(c.res, k), pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
+		gradSumsGeneric(&r.sDy, &r.sDyXhat, dy, x, out, pcMean, pcInv, hi, c.mode)
+		gradInputGeneric(c.p.at(r.dx, k), dy, x, out, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+	}
+}
+
+func runPlanesDispatch(c *planeCall, r *planeResult) {
+	hi := c.rect.hi()
+	sumPlanes(&r.sum, c.x, c.p)
+	sumSqDevPlanes(&r.sq, c.x, c.p, pcMean)
+	normalizePlanes(r.y, c.xs, c.res, c.p, pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
+	gradSumsPlanes(&r.sDy, &r.sDyXhat, c.dy, c.x, c.out, c.p, pcMean, pcInv, hi, c.mode)
+	gradInputPlanes(r.dx, c.dy, c.x, c.out, c.p, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+}
+
+// runPlanesAVX2 calls the AVX2 routines on the whole channel when its
+// planes are whole vectors of 16, else plane by plane on each vector part,
+// the rest of the plane to the generic twin.
+func runPlanesAVX2(c *planeCall, r *planeResult) {
+	hi, p := c.rect.hi(), c.p
+	if p.Len%StatLanes == 0 {
+		planeSumAVX2(&r.sum, c.x, p.Len, p.N, p.Stride)
+		planeSumSqDevAVX2(&r.sq, c.x, p.Len, p.N, p.Stride, pcMean)
+		normalizeAVX2(r.y, c.xs, c.res, p.Len, p.N, p.Stride, pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
+		gradSumsAVX2(&r.sDy, &r.sDyXhat, c.dy, c.x, c.out, p.Len, p.N, p.Stride, pcMean, pcInv, hi, c.mode)
+		gradInputAVX2(r.dx, c.dy, c.x, c.out, p.Len, p.N, p.Stride, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+		return
+	}
+	for k := 0; k < p.N; k++ {
+		x, xs, res, dy, out := p.at(c.x, k), p.at(c.xs, k), p.at(c.res, k), p.at(c.dy, k), p.at(c.out, k)
+		y, dx := p.at(r.y, k), p.at(r.dx, k)
+		n := len(x) &^ (StatLanes - 1)
+		if n > 0 {
+			planeSumAVX2(&r.sum, x, n, 1, n)
+			planeSumSqDevAVX2(&r.sq, x, n, 1, n, pcMean)
+			gradSumsAVX2(&r.sDy, &r.sDyXhat, dy, x, out, n, 1, n, pcMean, pcInv, hi, c.mode)
+		}
+		planeSumGeneric(&r.sum, x[n:])
+		planeSumSqDevGeneric(&r.sq, x[n:], pcMean)
+		gradSumsGeneric(&r.sDy, &r.sDyXhat, dy[n:], x[n:], rest(out, n), pcMean, pcInv, hi, c.mode)
+		if n = len(x) &^ 7; n > 0 {
+			normalizeAVX2(y, xs, res, n, 1, n, pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
+			gradInputAVX2(dx, dy, x, out, n, 1, n, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+		}
+		normalizeGeneric(y[n:], xs[n:], rest(res, n), pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
+		gradInputGeneric(dx[n:], dy[n:], x[n:], rest(out, n), pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+	}
+}
+
+// runPlanesAVX512 calls the AVX-512 routines as their dispatch does — an
+// absent operand is replaced by another operand of the call — and the
+// AVX2 planeSum, which has no AVX-512 twin, the same way.
+func runPlanesAVX512(c *planeCall, r *planeResult) {
+	hi, p := c.rect.hi(), c.p
+	res, out := c.res, c.out
+	if res == nil {
+		res = c.xs
+	}
+	if out == nil {
+		out = c.dy
+	}
+	sumPlanes(&r.sum, c.x, p)
+	sumSqDevPlanesAVX512(&r.sq, c.x, p.Len, p.N, p.Stride, pcMean)
+	normalizePlanesAVX512(r.y, c.xs, res, p.Len, p.N, p.Stride, pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
+	gradSumsPlanesAVX512(&r.sDy, &r.sDyXhat, c.dy, c.x, out, p.Len, p.N, p.Stride, pcMean, pcInv, hi, c.mode)
+	gradInputPlanesAVX512(r.dx, c.dy, c.x, out, p.Len, p.N, p.Stride, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+}
+
+// check runs every plane routine this CPU has on the call, each into a
+// result alloc lays out, and holds it to the generic twins bit for bit.
+// wrap runs each routine (under a fault check, for the guard-page tests).
+func (c *planeCall) check(t *testing.T, alloc func(n int) []float32, wrap func(what string, f func())) {
+	t.Helper()
+	want := c.newResult(alloc)
+	runPlanesGeneric(c, want)
+	for _, rt := range planeRoutines() {
+		if !rt.has {
+			continue
+		}
+		got := c.newResult(alloc)
+		what := fmt.Sprintf("%s %+v mode %#x rect %+v", rt.name, c.p, c.mode, c.rect)
+		wrap(what, func() { rt.run(c, got) })
+		for name, lanes := range map[string][2]*[StatLanes]float64{
+			"sum": {&got.sum, &want.sum}, "sum of squared deviations": {&got.sq, &want.sq},
+			"sum dy": {&got.sDy, &want.sDy}, "sum dy·x̂": {&got.sDyXhat, &want.sDyXhat}} {
+			for i := range lanes[0] {
+				if !sameF64(lanes[0][i], lanes[1][i]) {
+					t.Fatalf("%s: %s lane %d = %v, generic %v", what, name, i, lanes[0][i], lanes[1][i])
+				}
+			}
+		}
+		for name, v := range map[string][2][]float32{"normalize": {got.y, want.y}, "input gradient": {got.dx, want.dx}} {
+			for i := range v[0] {
+				if !sameF32(v[0][i], v[1][i]) {
+					t.Fatalf("%s: %s at %d = %v, generic %v", what, name, i, v[0][i], v[1][i])
+				}
+			}
+		}
+	}
+}
+
+// TestPlaneChannelsMatchGenericTwins holds every plane routine, over
+// several planes of one channel, to the generic twins bit for bit: plane
+// lengths with and without a remainder, strides with gaps between the
+// planes (which must stay unwritten), every mode and rectifier.
+func TestPlaneChannelsMatchGenericTwins(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	alloc := func(n int) []float32 { return make([]float32, n) }
+	run := func(_ string, f func()) { f() }
+	for _, plen := range []int{1, 7, 15, 16, 17, 33, 64, 70} {
+		for _, n := range []int{1, 2, 5} {
+			for _, gap := range []int{0, 3, 16} {
+				for mode := 0; mode < 8; mode++ { // opAffine, opResidual, opVary as 1, 2, 4
+					m := mode&3 | (mode&4)<<1
+					for _, rect := range rects {
+						newPlaneCall(rng, Planes{N: n, Len: plen, Stride: plen + gap}, m, rect, alloc).check(t, alloc, run)
+					}
+				}
+			}
+		}
+	}
+}
+
+// bnChannels runs a batch-norm forward and backward over an NCHW tensor
+// with the plane kernels, one channel at a time as internal/nn does:
+// statistics, the normalize with a residual and a rectifier, the gradient
+// sums and the input gradient.
+func bnChannels(x, res, grad []float32, n, ch, plane int, rect Rect) (y, dx []float32, sums []float64) {
+	y, dx = make([]float32, len(x)), make([]float32, len(x))
+	cnt := float64(n * plane)
+	for c := 0; c < ch; c++ {
+		p, o := Planes{N: n, Len: plane, Stride: ch * plane}, c*plane
+		var acc [StatLanes]float64
+		SumPlanes(&acc, x[o:], p)
+		mean := float32(MergeLanes(&acc) / cnt)
+		acc = [StatLanes]float64{}
+		SumSqDevPlanes(&acc, x[o:], p, mean)
+		inv := float32(1 / math.Sqrt(MergeLanes(&acc)/cnt+1e-5))
+		NormalizePlanes(y[o:], x[o:], res[o:], p, &Affine{Mean: mean, InvStd: inv, Gamma: 1.1, Beta: -0.2}, rect)
+		var s1, s2 [StatLanes]float64
+		GradSumsPlanes(&s1, &s2, grad[o:], x[o:], y[o:], p, mean, inv, rect)
+		sDy, sDyXhat := MergeLanes(&s1), MergeLanes(&s2)
+		GradInputPlanes(dx[o:], grad[o:], x[o:], y[o:], p, &BNGrad{Mean: mean, InvStd: inv, Scale: 1.1 * inv,
+			MeanDy: float32(sDy / cnt), MeanDyXhat: float32(sDyXhat / cnt), Vary: true}, rect)
+		sums = append(sums, sDy, sDyXhat)
+	}
+	return y, dx, sums
+}
+
+// TestPlaneParityWithoutAVX512 runs the plane twin test again with the
+// AVX-512 routines off, which is the path an AVX2-only CPU runs, and holds
+// a batch-norm forward and backward over whole channels bit-equal across
+// the two paths.
+func TestPlaneParityWithoutAVX512(t *testing.T) {
+	if !hasAVX512 {
+		t.Skip("the CPU lacks AVX-512: every other test already runs the AVX2 path")
+	}
+	defer func() { hasAVX512 = true }()
+	hasAVX512 = false
+	t.Run("TestPlaneKernelsMatchGenericTwins", TestPlaneKernelsMatchGenericTwins)
+
+	rng := rand.New(rand.NewSource(11))
+	for _, shape := range [][3]int{{5, 3, 8 * 8}, {3, 4, 7 * 9}, {2, 6, 3 * 3}, {4, 2, 32 * 32}} {
+		n, ch, plane := shape[0], shape[1], shape[2]
+		x, res, grad := randSlice(rng, n*ch*plane), randSlice(rng, n*ch*plane), randSlice(rng, n*ch*plane)
+		for _, rect := range rects {
+			var y, dx [2][]float32
+			var sums [2][]float64
+			for i, on := range []bool{false, true} {
+				hasAVX512 = on
+				y[i], dx[i], sums[i] = bnChannels(x, res, grad, n, ch, plane, rect)
+			}
+			same := bitsEqual(y[0], y[1]) && bitsEqual(dx[0], dx[1])
+			for i := range sums[0] {
+				same = same && math.Float64bits(sums[0][i]) == math.Float64bits(sums[1][i])
+			}
+			if !same {
+				t.Errorf("shape %v rect %+v: the AVX-512 and AVX2 paths differ", shape, rect)
+			}
+		}
+	}
+}
+
+// BenchmarkPlaneKernels times each plane kernel on one hot channel through
+// its dispatch, on the AVX-512 and the AVX2 path: one plane of 1,024
+// elements, and batch-50 channels of the repro models' 32×32, 16×16 and
+// 8×8 planes (RXT's 64 channels apart), where the AVX2 path makes one call
+// per plane and the AVX-512 one per channel.
+func BenchmarkPlaneKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	shapes := []struct {
+		name string
+		p    Planes
+	}{
+		{"1x1024", OnePlane(1024)},
+		{"50x32x32", Planes{N: 50, Len: 1024, Stride: 64 * 1024}},
+		{"50x16x16", Planes{N: 50, Len: 256, Stride: 64 * 256}},
+		{"50x8x8", Planes{N: 50, Len: 64, Stride: 64 * 64}},
+	}
+	for _, sh := range shapes {
+		p := sh.p
+		n := (p.N-1)*p.Stride + p.Len
+		x, res, dy, out, y := randSlice(rng, n), randSlice(rng, n), randSlice(rng, n), randSlice(rng, n), make([]float32, n)
+		hi, rect := Rect{On: true}.hi(), Rect{On: true}.mode()
+		kernels := []struct {
+			name string
+			run  func()
+		}{
+			{"sum", func() { var acc [StatLanes]float64; sumPlanes(&acc, x, p) }},
+			{"sumsqdev", func() { var acc [StatLanes]float64; sumSqDevPlanes(&acc, x, p, 0.1) }},
+			{"normalize", func() {
+				normalizePlanes(y, x, res, p, 0.1, 1.2, 0.9, 0.05, hi, opAffine|opResidual|rect)
+			}},
+			{"gradsums", func() {
+				var s1, s2 [StatLanes]float64
+				gradSumsPlanes(&s1, &s2, dy, x, out, p, 0.1, 1.2, hi, rect)
+			}},
+			{"gradinput", func() {
+				gradInputPlanes(y, dy, x, out, p, 0.1, 1.2, 0.9, 0.01, 0.02, hi, opAffine|opVary|rect)
+			}},
+		}
+		for _, k := range kernels {
+			for _, path := range []string{"avx512", "avx2"} {
+				b.Run(sh.name+"/"+k.name+"/"+path, func(b *testing.B) {
+					if path == "avx512" && !hasAVX512 || !hasAVX2 {
+						b.Skip("the CPU lacks the path")
+					}
+					defer func(on bool) { hasAVX512 = on }(hasAVX512)
+					hasAVX512 = path == "avx512"
+					b.SetBytes(int64(4 * p.N * p.Len))
+					for i := 0; i < b.N; i++ {
+						k.run()
+					}
+				})
 			}
 		}
 	}

@@ -24,8 +24,8 @@ func dotGeneric(x, y []float32) float32 {
 // Generic twins of the elementwise plane kernels (see elementwise.go). The
 // explicit float32(...)/float64(...) conversions around each product round
 // it on its own, so a compiler that may fuse x*y+z into one instruction
-// (arm64, ppc64, s390x, riscv64) produces the same bits as the AVX2
-// routines, which never fuse.
+// (arm64, ppc64, s390x, riscv64) produces the same bits as the AVX2 and
+// AVX-512 routines, which never fuse.
 
 func planeSumGeneric(acc *[StatLanes]float64, x []float32) {
 	for i, v := range x {

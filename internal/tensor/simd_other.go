@@ -28,7 +28,8 @@ func interleaveRows(dst []float32, dstStride int, a []float32, aStride int, b []
 	interleaveRowsGeneric(dst, dstStride, a, aStride, b, bStride, rows, n)
 }
 
-// SpanKernel names the conv span kernel this process dispatches to.
+// SpanKernel names the vector kernels this process dispatches to: the
+// conv span kernel and the plane kernels run their generic twins here.
 func SpanKernel() string { return "generic" }
 
 func spanRun(npix int) int { return 1 }
@@ -37,20 +38,32 @@ func convSpan(y []float32, yStride int, x, w []float32, wStride int, o offsets, 
 	convSpanGeneric(y, yStride, x, w, wStride, o.off, noc, npix, nspan, xStep)
 }
 
-func planeSum(acc *[StatLanes]float64, x []float32) { planeSumGeneric(acc, x) }
-
-func planeSumSqDev(acc *[StatLanes]float64, x []float32, mean float32) {
-	planeSumSqDevGeneric(acc, x, mean)
+func sumPlanes(acc *[StatLanes]float64, x []float32, p Planes) {
+	for k := 0; k < p.N; k++ {
+		planeSumGeneric(acc, p.at(x, k))
+	}
 }
 
-func normalize(y, x, res []float32, mean, inv, g, b, hi float32, mode int) {
-	normalizeGeneric(y, x, res, mean, inv, g, b, hi, mode)
+func sumSqDevPlanes(acc *[StatLanes]float64, x []float32, p Planes, mean float32) {
+	for k := 0; k < p.N; k++ {
+		planeSumSqDevGeneric(acc, p.at(x, k), mean)
+	}
 }
 
-func gradSums(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, mean, inv, hi float32, mode int) {
-	gradSumsGeneric(sumDy, sumDyXhat, dy, x, out, mean, inv, hi, mode)
+func normalizePlanes(y, x, res []float32, p Planes, mean, inv, g, b, hi float32, mode int) {
+	for k := 0; k < p.N; k++ {
+		normalizeGeneric(p.at(y, k), p.at(x, k), p.at(res, k), mean, inv, g, b, hi, mode)
+	}
 }
 
-func gradInput(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
-	gradInputGeneric(dx, dy, x, out, mean, inv, scale, mDy, mDyXhat, hi, mode)
+func gradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, p Planes, mean, inv, hi float32, mode int) {
+	for k := 0; k < p.N; k++ {
+		gradSumsGeneric(sumDy, sumDyXhat, p.at(dy, k), p.at(x, k), p.at(out, k), mean, inv, hi, mode)
+	}
+}
+
+func gradInputPlanes(dx, dy, x, out []float32, p Planes, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
+	for k := 0; k < p.N; k++ {
+		gradInputGeneric(p.at(dx, k), p.at(dy, k), p.at(x, k), p.at(out, k), mean, inv, scale, mDy, mDyXhat, hi, mode)
+	}
 }
