@@ -9,7 +9,7 @@
 //	ttaserve -algo noadapt,bnnorm                        # one group per algorithm
 //	ttaserve -algo noadapt -maxbatch 128 -linger 2ms     # coalescing path
 //	ttaserve -train                                      # robust-train first
-//	ttaserve -http :8080 -scale 1:8 -admission shed
+//	ttaserve -http :8080 -replicas 2 -admission shed
 //	ttaserve -http :8080 -watchdog 5s \
 //	         -checkpoint-every 4 -recover /var/lib/edgetta/ckpt
 //
@@ -28,7 +28,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -50,8 +49,6 @@ func main() {
 	linger := flag.Duration("linger", 2*time.Millisecond, "max wait to gather an under-full batch")
 	queueCap := flag.Int("queuecap", 64, "pending request bound (backpressure)")
 	admission := flag.String("admission", "block", "full-queue policy: block (wait) or shed (reject with 429/ErrOverloaded)")
-	scaleRange := flag.String("scale", "", "autoscale the replica pool within min:max (e.g. 1:8; empty = fixed pool)")
-	scaleEvery := flag.Duration("scale-interval", 250*time.Millisecond, "autoscale evaluation period")
 	timeout := flag.Duration("timeout", 30*time.Second, "server-side deadline per wire-API submit")
 	workers := flag.Int("workers", 0, "parallel pool width (0 = GOMAXPROCS)")
 	doTrain := flag.Bool("train", false, "robust-train the repro-scale model first (slower, meaningful error rates)")
@@ -90,13 +87,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -admission %q (want block or shed)", *admission))
 	}
-	if *scaleRange != "" {
-		min, max, err := parseScaleRange(*scaleRange)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Autoscale = serve.Autoscale{Enabled: true, Min: min, Max: max, Interval: *scaleEvery}
-	}
 
 	if *doTrain {
 		// Seed 2024 is the dataset ttaload draws its streams from.
@@ -115,11 +105,7 @@ func main() {
 			fatal(err)
 		}
 		snap, _ := srv.GroupSnapshot(key)
-		fmt.Printf("serving %s: %d replicas (stateful=%v)", key, snap.Replicas, snap.Stateful)
-		if snap.MaxReplicas > 0 {
-			fmt.Printf(", autoscale %d:%d", snap.MinReplicas, snap.MaxReplicas)
-		}
-		fmt.Println()
+		fmt.Printf("serving %s: %d replicas (stateful=%v)\n", key, snap.Replicas, snap.Stateful)
 	}
 	fmt.Printf("pool width %d, maxbatch %d, linger %v, admission %s", parallel.Workers(), *maxBatch, *linger, *admission)
 	if *watchdog > 0 {
@@ -150,21 +136,6 @@ func parseAlgos(s string) ([]core.Algorithm, error) {
 		out = append(out, algo)
 	}
 	return out, nil
-}
-
-// parseScaleRange parses the -scale "min:max" form: two integers and
-// nothing else, with 1 <= min <= max.
-func parseScaleRange(s string) (min, max int, err error) {
-	lo, hi, ok := strings.Cut(s, ":")
-	min, errLo := strconv.Atoi(lo)
-	max, errHi := strconv.Atoi(hi)
-	if !ok || errLo != nil || errHi != nil {
-		return 0, 0, fmt.Errorf("parse -scale %q (want min:max, e.g. 1:8)", s)
-	}
-	if min < 1 || max < min {
-		return 0, 0, fmt.Errorf("-scale %q: want 1 <= min <= max", s)
-	}
-	return min, max, nil
 }
 
 // buildMux wires the serving wire API and the observability endpoints

@@ -148,25 +148,3 @@ func TestObservabilityEndpoints(t *testing.T) {
 		t.Errorf("trace has no serve process spans (%d events)", len(doc.TraceEvents))
 	}
 }
-
-// TestParseScaleRange: -scale takes exactly two integers with
-// 1 <= min <= max; trailing input is an error, not ignored.
-func TestParseScaleRange(t *testing.T) {
-	for _, c := range []struct {
-		in       string
-		min, max int
-		ok       bool
-	}{
-		{"1:8", 1, 8, true},
-		{"2:3.5", 0, 0, false},
-		{"1:8:9", 0, 0, false},
-		{"0:4", 0, 0, false},
-		{"3:2", 0, 0, false},
-		{"abc", 0, 0, false},
-	} {
-		min, max, err := parseScaleRange(c.in)
-		if (err == nil) != c.ok || min != c.min || max != c.max {
-			t.Errorf("parseScaleRange(%q) = %d, %d, %v; want %d, %d, ok=%v", c.in, min, max, err, c.min, c.max, c.ok)
-		}
-	}
-}

@@ -21,7 +21,6 @@ package data
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"edgetta/internal/telemetry"
@@ -80,16 +79,6 @@ func (sc Scenario) Total() int {
 		total += p.Length
 	}
 	return total
-}
-
-// PhaseLengths returns the per-phase sample counts, the arrival-pattern
-// input internal/stream's phased simulator consumes.
-func (sc Scenario) PhaseLengths() []int {
-	out := make([]int, len(sc.Phases))
-	for i, p := range sc.Phases {
-		out[i] = p.Length
-	}
-	return out
 }
 
 // PhaseAt maps a global sample position (0-based) to the index of the phase
@@ -228,22 +217,6 @@ func MixedTraffic(name string, seed int64, nPhases, perPhase, severity int) Scen
 		sc.Phases = append(sc.Phases, Phase{Length: perPhase, Mix: mix})
 	}
 	return sc
-}
-
-// MixFromWeights builds a mixture phase's entries from a corruption→weight
-// map at one severity. The entries are ordered by corruption index, so the
-// resulting schedule is independent of map iteration order.
-func MixFromWeights(weights map[Corruption]float64, severity int) []MixEntry {
-	var keys []Corruption
-	for c := range weights {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]MixEntry, 0, len(keys))
-	for _, c := range keys {
-		out = append(out, MixEntry{Corruption: c, Severity: severity, Weight: weights[c]})
-	}
-	return out
 }
 
 // --- Scheduled stream ---

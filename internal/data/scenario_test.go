@@ -126,31 +126,6 @@ func TestScheduledStreamConservation(t *testing.T) {
 	}
 }
 
-// TestMixFromWeightsMapOrderIndependent: the schedule must not depend on Go
-// map iteration order (the sanctioned sorted-keys shape).
-func TestMixFromWeightsMapOrderIndependent(t *testing.T) {
-	weights := map[Corruption]float64{
-		Snow: 1, Fog: 2, GaussianNoise: 0.5, Contrast: 3, Brightness: 0.25,
-	}
-	ref := MixFromWeights(weights, 3)
-	for trial := 0; trial < 20; trial++ {
-		// Rebuild the map each trial; Go randomizes iteration order, so 20
-		// trials would expose order-dependent output.
-		w := map[Corruption]float64{}
-		for c, v := range weights {
-			w[c] = v
-		}
-		if got := MixFromWeights(w, 3); !reflect.DeepEqual(ref, got) {
-			t.Fatalf("trial %d: mix entries depend on map order:\n%v\n%v", trial, ref, got)
-		}
-	}
-	for i := 1; i < len(ref); i++ {
-		if ref[i-1].Corruption >= ref[i].Corruption {
-			t.Fatal("mix entries not sorted by corruption index")
-		}
-	}
-}
-
 // TestGeneratorsProduceValidSchedules exercises every generator and checks
 // structure: lengths, totals, phase ordering and seed determinism.
 func TestGeneratorsProduceValidSchedules(t *testing.T) {

@@ -258,13 +258,3 @@ func from(s []float32, o int) []float32 {
 	}
 	return s[o:]
 }
-
-// ResetRunning restores the running statistics to their initial state
-// (mean 0, var 1). BN-Norm episodic adaptation uses this between corruption
-// streams.
-func (b *BatchNorm2d) ResetRunning() {
-	for i := 0; i < b.C; i++ {
-		b.RunningMean[i] = 0
-		b.RunningVar[i] = 1
-	}
-}

@@ -85,16 +85,3 @@ func MeanEntropy(logits *tensor.Tensor) (float64, *tensor.Tensor) {
 	}
 	return total / float64(n), grad
 }
-
-// Accuracy returns the fraction of rows of logits whose argmax equals the
-// label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	pred := logits.ArgmaxRows()
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
-}

@@ -512,16 +512,6 @@ func TestEntropyBounds(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float32{1, 0, 0, 1}, 2, 2)
-	if a := Accuracy(logits, []int{0, 1}); a != 1 {
-		t.Fatalf("accuracy = %v", a)
-	}
-	if a := Accuracy(logits, []int{1, 1}); a != 0.5 {
-		t.Fatalf("accuracy = %v", a)
-	}
-}
-
 func TestSequentialBackwardThroughStack(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	seq := NewSequential("net",

@@ -1,9 +1,9 @@
-// Package opt implements the optimizers the study needs: Adam (used by
-// BN-Opt's single adaptation step, following the paper and TENT) and
-// SGD with momentum (used for offline robust training of the repro-scale
-// models). Adam's mutable state — moments and step count — travels as a
-// run of float32 values (AppendState, LoadState) at the end of an adapter's
-// state vector; the optimizer has no snapshot type of its own.
+// Package opt implements Adam, the one optimizer the study needs: BN-Opt's
+// single adaptation step (following the paper and TENT) and the offline
+// robust training of the repro-scale models both use it. Adam's mutable
+// state — moments and step count — travels as a run of float32 values
+// (AppendState, LoadState) at the end of an adapter's state vector; the
+// optimizer has no snapshot type of its own.
 package opt
 
 import (
@@ -12,14 +12,6 @@ import (
 
 	"edgetta/internal/nn"
 )
-
-// Optimizer updates a fixed set of parameters from their accumulated
-// gradients.
-type Optimizer interface {
-	Step()
-	ZeroGrad()
-	Params() []*nn.Param
-}
 
 // Adam implements Kingma & Ba's Adam with PyTorch-default hyperparameters.
 type Adam struct {
@@ -108,46 +100,4 @@ func (a *Adam) LoadState(src []float32) {
 		src = src[copy(a.v[i], src):]
 	}
 	a.t = int(math.Float32bits(src[0]))
-}
-
-// SGD implements stochastic gradient descent with classical momentum and
-// optional L2 weight decay.
-type SGD struct {
-	LR, Momentum, WeightDecay float64
-
-	params []*nn.Param
-	vel    [][]float32
-}
-
-// NewSGD constructs SGD over params.
-func NewSGD(params []*nn.Param, lr, momentum, weightDecay float64) *SGD {
-	s := &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay, params: params}
-	s.vel = make([][]float32, len(params))
-	for i, p := range params {
-		s.vel[i] = make([]float32, len(p.Data))
-	}
-	return s
-}
-
-// Params returns the parameter set.
-func (s *SGD) Params() []*nn.Param { return s.params }
-
-// ZeroGrad clears all gradients.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.params {
-		p.ZeroGrad()
-	}
-}
-
-// Step applies one SGD-with-momentum update.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		vel := s.vel[i]
-		for j := range p.Data {
-			g := float64(p.Grad[j]) + s.WeightDecay*float64(p.Data[j])
-			vj := s.Momentum*float64(vel[j]) + g
-			vel[j] = float32(vj)
-			p.Data[j] -= float32(s.LR * vj)
-		}
-	}
 }

@@ -52,33 +52,6 @@ func TestAdamFirstStepMagnitude(t *testing.T) {
 	}
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := quadParam(4, -3)
-	s := NewSGD([]*nn.Param{p}, 0.1, 0.9, 0)
-	for i := 0; i < 300; i++ {
-		s.ZeroGrad()
-		fillQuadGrad(p, 1)
-		s.Step()
-	}
-	for i, v := range p.Data {
-		if math.Abs(float64(v)-1) > 1e-3 {
-			t.Fatalf("sgd did not converge: p[%d] = %v", i, v)
-		}
-	}
-}
-
-func TestSGDWeightDecayShrinks(t *testing.T) {
-	p := quadParam(1, 10)
-	s := NewSGD([]*nn.Param{p}, 0.1, 0, 0.5)
-	for i := 0; i < 100; i++ {
-		s.ZeroGrad() // zero task gradient: only decay acts
-		s.Step()
-	}
-	if math.Abs(float64(p.Data[0])) > 0.1 {
-		t.Fatalf("weight decay did not shrink param: %v", p.Data[0])
-	}
-}
-
 func TestZeroGradClears(t *testing.T) {
 	p := quadParam(3, 1)
 	p.Grad[0], p.Grad[1], p.Grad[2] = 1, 2, 3

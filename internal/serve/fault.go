@@ -248,28 +248,29 @@ func (g *group) quarantine(r *replica, reqs []*request, reason string) {
 // respawn replaces a quarantined replica: clone the pristine template
 // (outside any lock — it is the expensive part), build a fresh adapter and
 // start its worker. Runs in the background so quarantine never blocks on a
-// model clone. A closed group skips the spawn unless requests are still
-// draining — then the fresh worker is what drains them. Nothing of the
-// quarantined replica is reused: its activation arena dies with its model
-// (an abandoned compute goroutine may still be writing into it), and the
-// replacement's first batch fills a new one.
+// model clone. The respawning mark is cleared and the replacement joined
+// in one critical section, so no snapshot sees the pool short of its size.
+// A closed group skips the spawn unless requests are still draining — then
+// the fresh worker is what drains them. Nothing of the quarantined replica
+// is reused: its activation arena dies with its model (an abandoned compute
+// goroutine may still be writing into it), and the replacement's first
+// batch fills a new one.
 func (g *group) respawn() {
 	r, err := g.newReplica()
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.met.respawning.Add(-1)
 	if err != nil || (g.closed && len(g.pending) == 0) {
-		g.mu.Unlock()
 		return
 	}
 	g.met.respawns.Inc()
-	g.mu.Unlock()
-	g.startReplica(r)
+	g.startReplicaLocked(r)
 }
 
-// recoverBarrier is the last-resort recover path for the group's
-// housekeeping goroutines (worker loop, respawner, scale controller): a
-// panic there is a bug, but it must take down one goroutine, not the
-// process serving every other stream.
+// recoverBarrier is the last-resort recover path for the goroutines
+// group.spawn starts (the respawner; a worker has recoverWorker): a panic
+// there is a bug, but it must take down one goroutine, not the process
+// serving every other stream.
 func (g *group) recoverBarrier(op string) {
 	p := recover()
 	if p == nil {

@@ -665,52 +665,35 @@ func TestWorkerBarrierRecoveryIsAQuarantine(t *testing.T) {
 	}
 }
 
-// TestFaultChurnRaces exercises Submit/Close/ScaleTick/Snapshot against a
-// steady drip of replica panics, quarantines and respawns — the lock-order
-// and invariant check for the fault domain, aimed at the race arm. Every
+// TestFaultChurnRaces exercises Submit/Close/Snapshot against a steady
+// drip of replica panics, quarantines and respawns — the lock-order and
+// invariant check for the fault domain, aimed at the race arm. Every
 // snapshot taken mid-churn (including mid-respawn) must be internally
-// consistent.
+// consistent, and the pool size is fixed: a quarantined replica counts as
+// respawning until its replacement is live.
 func TestFaultChurnRaces(t *testing.T) {
 	base := testModel()
 	const nStreams, batches = 6, 6
 	inputs := streamInputs(nStreams, batches*4, 4, 3)
 
 	// Panic every 9th dispatch: enough churn to overlap quarantines with
-	// scaling and closes, rare enough that retries converge.
+	// closes, rare enough that retries converge.
 	faults := map[uint64]Fault{}
 	for n := uint64(9); n < 500; n += 9 {
 		faults[n] = Fault{Kind: FaultPanic}
 	}
 	inj := &scriptInjector{faults: faults}
-	srv := New(Config{
-		QueueCap: 32,
-		Injector: inj,
-		Autoscale: Autoscale{
-			Enabled: true, Min: 2, Max: 4,
-			Interval: time.Hour, // ticks driven by the test goroutine only
-		},
-	})
+	srv := New(Config{QueueCap: 32, Injector: inj})
 	defer srv.Close()
-	key, err := srv.AddGroup(base, core.BNNorm, core.Config{}, 2)
+	const pool = 2
+	key, err := srv.AddGroup(base, core.BNNorm, core.Config{}, pool)
 	if err != nil {
 		t.Fatalf("AddGroup: %v", err)
 	}
 
 	stop := make(chan struct{})
 	var aux sync.WaitGroup
-	aux.Add(2)
-	go func() { // single ticker: scaleTick's streaks are single-caller by contract
-		defer aux.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				srv.ScaleTick()
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
+	aux.Add(1)
 	go func() { // snapshot poller: mid-respawn consistency
 		defer aux.Done()
 		for {
@@ -726,6 +709,9 @@ func TestFaultChurnRaces(t *testing.T) {
 			}
 			if s.Respawning < 0 || s.Replicas < 0 {
 				t.Errorf("negative pool counts: replicas %d respawning %d", s.Replicas, s.Respawning)
+			}
+			if s.Replicas+s.Respawning != pool {
+				t.Errorf("Replicas %d + Respawning %d != pool size %d", s.Replicas, s.Respawning, pool)
 			}
 			if s.Respawns > s.Faults {
 				t.Errorf("Respawns %d > Faults %d: a respawn without a quarantine", s.Respawns, s.Faults)
@@ -747,8 +733,8 @@ func TestFaultChurnRaces(t *testing.T) {
 		go func(i int, st *Stream) {
 			defer wg.Done()
 			for b, x := range inputs[i] {
-				// Two streams abandon mid-run: Close racing live dispatches,
-				// quarantines and the autoscaler.
+				// Two streams abandon mid-run: Close racing live dispatches
+				// and quarantines.
 				if i < 2 && b == batches/2 {
 					st.Close()
 					if _, err := st.ProcessCtx(context.Background(), x); !errors.Is(err, ErrStreamClosed) {
@@ -780,7 +766,7 @@ func TestFaultChurnRaces(t *testing.T) {
 	if s.Faults == 0 {
 		t.Fatalf("no faults fired; the churn schedule did not exercise quarantine")
 	}
-	if s.Replicas < 1 {
-		t.Errorf("Replicas = %d after churn, want >= 1", s.Replicas)
+	if s.Replicas != pool {
+		t.Errorf("Replicas = %d after churn, want %d", s.Replicas, pool)
 	}
 }

@@ -22,7 +22,7 @@ type groupMetrics struct {
 	queueDepth    *telemetry.Gauge   // current pending requests
 	pendingImages *telemetry.Gauge   // image total of the pending queue
 	openStreams   *telemetry.Gauge   // streams currently open
-	replicas      *telemetry.Gauge   // live replica count (autoscaled)
+	replicas      *telemetry.Gauge   // live replica count (quarantined replicas excluded)
 	requests      *telemetry.Counter // lifetime requests served
 	images        *telemetry.Counter // lifetime images served
 	batches       *telemetry.Counter // lifetime Process calls
@@ -158,11 +158,10 @@ type group struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// replicas is the live pool (including workers marked for retirement
-	// that have not yet exited); retire counts pending retirements.
+	// replicas is the live pool: AddGroup's count, less the quarantined
+	// replicas whose respawn has not yet come up.
 	replicas      []*replica
 	nextReplicaID int
-	retire        int
 	// active counts dispatched-but-unfinished Process calls.
 	active int
 	// pending is the FIFO request queue; pendingImages tracks its image
@@ -183,8 +182,6 @@ type group struct {
 	// are the figures that have no registered metric.
 	met          *groupMetrics
 	maxCoalesced int
-	scaleUps     int
-	scaleDowns   int
 	ckptWrites   int
 	// quarantinedIDs keeps the recent quarantined replica IDs for the
 	// health snapshot.
@@ -200,10 +197,7 @@ type group struct {
 	batchHist  *telemetry.Hist // service time per Process call
 	e2eHist    *telemetry.Hist // submit-to-response time per request
 
-	// autoscale controller state (single ticker, see scaler.go).
-	upStreak, downStreak int
-	stopScale            chan struct{}
-	wg                   sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // open adds a stream to the group. An empty name opens an anonymous
@@ -253,14 +247,11 @@ func (g *group) open(name string) (*Stream, bool, error) {
 	return &Stream{g: g, st: st}, state != nil, nil
 }
 
-// close shuts the group down: new submissions fail, queued requests drain,
-// workers and the scale controller exit.
+// close shuts the group down: new submissions fail, queued requests drain
+// and the workers exit.
 func (g *group) close() {
 	g.mu.Lock()
-	if !g.closed {
-		g.closed = true
-		close(g.stopScale)
-	}
+	g.closed = true
 	g.cond.Broadcast()
 	g.mu.Unlock()
 }
@@ -306,15 +297,13 @@ func (g *group) newReplica() (*replica, error) {
 	return &replica{model: m, adapter: a}, nil
 }
 
-// startReplica adds r to the pool under the next replica id and spawns its
-// worker.
-func (g *group) startReplica(r *replica) {
-	g.mu.Lock()
+// startReplicaLocked adds r to the pool under the next replica id and
+// spawns its worker. The caller holds g.mu.
+func (g *group) startReplicaLocked(r *replica) {
 	r.id = g.nextReplicaID
 	g.nextReplicaID++
 	g.replicas = append(g.replicas, r)
-	g.met.replicas.Set(int64(len(g.replicas) - g.retire))
-	g.mu.Unlock()
+	g.met.replicas.Set(int64(len(g.replicas)))
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
@@ -338,7 +327,7 @@ func (g *group) spawn(op string, fn func()) {
 // worker is about to exit.
 func (g *group) dropReplicaLocked(r *replica) {
 	g.replicas = slices.DeleteFunc(g.replicas, func(x *replica) bool { return x == r })
-	g.met.replicas.Set(int64(len(g.replicas) - g.retire))
+	g.met.replicas.Set(int64(len(g.replicas)))
 	g.updateActivationLocked()
 }
 
@@ -355,7 +344,7 @@ func (g *group) updateActivationLocked() {
 // time for the live pool to work off the current queue, estimated from the
 // service-time EMA. Clamped to [1ms, 2s]; 25ms before any call completed.
 func (g *group) retryAfterLocked(depth int) time.Duration {
-	live := len(g.replicas) - g.retire
+	live := len(g.replicas)
 	if live < 1 {
 		live = 1
 	}
@@ -582,8 +571,8 @@ func shapeOf(x *tensor.Tensor) []int {
 }
 
 // serveLoop is one replica worker: take a dispatchable batch, run it under
-// supervision, repeat until the group is closed and drained, the autoscaler
-// retires this worker, or the replica faults and is quarantined.
+// supervision, repeat until the group is closed and drained or the replica
+// faults and is quarantined.
 func (g *group) serveLoop(r *replica) {
 	for {
 		reqs := g.take(r)
@@ -609,16 +598,11 @@ func (g *group) dequeueLocked(req *request) {
 
 // take blocks until it can dispatch work, honoring the batching policy.
 // It returns nil when the worker should exit: the group is closed and the
-// queue drained, or the autoscaler retired this worker.
+// queue drained.
 func (g *group) take(r *replica) []*request {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for {
-		if g.retire > 0 && !g.closed {
-			g.retire--
-			g.dropReplicaLocked(r)
-			return nil
-		}
 		if len(g.pending) == 0 {
 			if g.closed {
 				g.dropReplicaLocked(r)

@@ -10,10 +10,9 @@
 // (algorithm, model tag). Each group owns a replica pool: deep clones of
 // the group's model (models.Model.Clone), each wrapped in its own adapter.
 // Replicas never share mutable memory, so Process calls on different
-// replicas run concurrently without interference. With Config.Autoscale
-// enabled the pool is elastic: a per-group controller grows it under
-// sustained queue pressure and shrinks it when idle, between a min/max
-// clamp (see scaler.go).
+// replicas run concurrently without interference. The pool size is fixed
+// when the group is added: a quarantined replica is replaced by a fresh
+// clone (see fault.go), and nothing else grows or shrinks the pool.
 //
 // # Stateless vs. stateful serving
 //
@@ -104,7 +103,7 @@ const (
 	AdmitShed
 )
 
-// Config tunes the server's batching, backpressure and scaling policy.
+// Config tunes the server's batching, backpressure and fault policy.
 // The zero value gets sensible defaults from withDefaults.
 type Config struct {
 	// MaxBatch caps the images coalesced into one Process call of a
@@ -120,10 +119,6 @@ type Config struct {
 	// Admission selects the full-queue behavior: AdmitBlock (default)
 	// blocks the submitter, AdmitShed rejects with ErrOverloaded.
 	Admission AdmissionPolicy
-	// Autoscale, when Enabled, lets each group grow and shrink its
-	// replica pool between Min and Max driven by queue depth, with
-	// hysteresis (see Autoscale's field docs).
-	Autoscale Autoscale
 	// Registry, when non-nil, receives each group's serving metrics
 	// (queue depth, pending images, open streams, replica count, lifetime
 	// request/image/batch/coalesced/shed/canceled counts, service and e2e
@@ -153,7 +148,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
-	c.Autoscale = c.Autoscale.withDefaults()
 	return c
 }
 
@@ -184,25 +178,18 @@ func New(cfg Config) *Server {
 
 // AddGroup registers a replica group serving algo over m with acfg. The
 // model is deep-cloned once per replica (plus one pristine template clone
-// kept for autoscale growth), so the caller's model is never mutated.
-// replicas <= 0 defaults to half the parallel pool width (at least 1):
-// replicas trade per-call kernel parallelism for batch-level concurrency,
-// and beyond the pool width extra replicas only add memory. When
-// autoscaling is enabled the initial count is clamped into [Min, Max].
+// kept for respawns), so the caller's model is never mutated. The replica
+// count is fixed for the group's lifetime; only a quarantine and its
+// respawn change it, and only for the respawn's duration. replicas <= 0
+// defaults to half the parallel pool width (at least 1): replicas trade
+// per-call kernel parallelism for batch-level concurrency, and beyond the
+// pool width extra replicas only add memory.
 func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config, replicas int) (GroupKey, error) {
 	key := GroupKey{Algo: algo, ModelTag: m.Tag}
 	if replicas <= 0 {
 		replicas = parallel.Workers() / 2
 		if replicas < 1 {
 			replicas = 1
-		}
-	}
-	if a := s.cfg.Autoscale; a.Enabled {
-		if replicas < a.Min {
-			replicas = a.Min
-		}
-		if replicas > a.Max {
-			replicas = a.Max
 		}
 	}
 
@@ -217,7 +204,6 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		streams:      make(map[int]*streamState),
 		names:        make(map[string]*streamState),
 		store:        s.store,
-		stopScale:    make(chan struct{}),
 		batchHist:    &telemetry.Hist{},
 		e2eHist:      &telemetry.Hist{},
 		recoveryHist: &telemetry.Hist{},
@@ -253,12 +239,11 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		return GroupKey{}, fmt.Errorf("serve: group %s already registered", key)
 	}
 	s.groups[key] = g
+	g.mu.Lock()
 	for _, r := range pool {
-		g.startReplica(r)
+		g.startReplicaLocked(r)
 	}
-	if s.cfg.Autoscale.Enabled {
-		g.spawn("scale", g.scaleLoop)
-	}
+	g.mu.Unlock()
 	return key, nil
 }
 
@@ -290,7 +275,7 @@ func (s *Server) group(key GroupKey) (*group, error) {
 
 // Close drains the server: requests already submitted are served, new
 // submissions fail with ErrClosed, and Close returns once every replica
-// worker (and autoscale controller) has exited.
+// worker (and respawner) has exited.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -316,15 +301,4 @@ func (s *Server) allGroups() []*group {
 		return groups[i].key.String() < groups[j].key.String()
 	})
 	return groups
-}
-
-// ScaleTick runs one autoscale evaluation on every group immediately,
-// bypassing the periodic timer. It exists so tests (and operational
-// tooling) can drive the controller deterministically; it must not be
-// called concurrently with an enabled periodic ticker mid-run — use a
-// long Autoscale.Interval when driving scaling manually.
-func (s *Server) ScaleTick() {
-	for _, g := range s.allGroups() {
-		g.scaleTick()
-	}
 }

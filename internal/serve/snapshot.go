@@ -22,12 +22,6 @@ type GroupSnapshot struct {
 	Key      GroupKey `json:"key"`
 	Replicas int      `json:"replicas"`
 	Stateful bool     `json:"stateful"`
-	// MinReplicas/MaxReplicas are the autoscaler clamp (zero when
-	// autoscaling is disabled); ScaleUps/ScaleDowns count its decisions.
-	MinReplicas int `json:"min_replicas,omitempty"`
-	MaxReplicas int `json:"max_replicas,omitempty"`
-	ScaleUps    int `json:"scale_ups,omitempty"`
-	ScaleDowns  int `json:"scale_downs,omitempty"`
 	// Batches counts adapter Process calls; Requests and Images count the
 	// submissions they served. MeanCoalesced = Images/Batches is the
 	// effective batching factor.
@@ -53,7 +47,8 @@ type GroupSnapshot struct {
 	// watchdog kills) over the group's lifetime; Respawns counts the
 	// replacements that came up; Respawning is how many replacements are
 	// being constructed right now. Replicas already excludes quarantined
-	// members, so Replicas+Respawning is the target pool size mid-recovery.
+	// members, so while the group is open Replicas+Respawning is the pool
+	// size AddGroup set.
 	Faults     int `json:"faults,omitempty"`
 	Respawns   int `json:"respawns,omitempty"`
 	Respawning int `json:"respawning,omitempty"`
@@ -152,10 +147,8 @@ func (g *group) snapshot() GroupSnapshot {
 	g.mu.Lock()
 	s := GroupSnapshot{
 		Key:           g.key,
-		Replicas:      len(g.replicas) - g.retire,
+		Replicas:      len(g.replicas),
 		Stateful:      g.stateful,
-		ScaleUps:      g.scaleUps,
-		ScaleDowns:    g.scaleDowns,
 		Batches:       int(g.met.batches.Value()),
 		Requests:      int(g.met.requests.Value()),
 		Images:        int(g.met.images.Value()),
@@ -176,9 +169,6 @@ func (g *group) snapshot() GroupSnapshot {
 	}
 	if len(g.quarantinedIDs) > 0 {
 		s.QuarantinedIDs = append([]int(nil), g.quarantinedIDs...)
-	}
-	if a := g.cfg.Autoscale; a.Enabled {
-		s.MinReplicas, s.MaxReplicas = a.Min, a.Max
 	}
 	streams := make([]*streamState, 0, len(g.streams))
 	for _, st := range g.streams {
