@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"edgetta/internal/data"
-	"edgetta/internal/telemetry"
 )
 
 // PhaseResult aggregates prediction error over one scenario phase.
@@ -38,7 +36,6 @@ type ScenarioResult struct {
 // boundaries (real traffic does not pause at a shift), and straddling
 // samples count toward their own phases.
 func RunScenario(a Adapter, s *data.ScheduledStream, batchSize int) ScenarioResult {
-	a.Reset()
 	sc := s.Scenario()
 	res := ScenarioResult{Scenario: sc, Phases: make([]PhaseResult, len(sc.Phases))}
 	for i := range res.Phases {
@@ -47,29 +44,17 @@ func RunScenario(a Adapter, s *data.ScheduledStream, batchSize int) ScenarioResu
 	pol, _ := a.(*PolicyAdapter)
 	prevResets := 0
 	if pol != nil {
-		prevResets = pol.Resets()
+		prevResets = pol.Resets() // Reset leaves the count alone
 	}
-	var hist telemetry.Hist
-	for {
-		pos := s.Pos()
-		x, labels, ok := s.Next(batchSize)
-		if !ok {
-			break
-		}
-		t0 := time.Now()
-		logits := a.Process(x)
-		hist.Observe(time.Since(t0))
-		preds := logits.ArgmaxRows()
+	res.StreamResult = runOnline(a, s, batchSize, func(preds, labels []int) {
+		pos := s.Pos() - len(labels) // the batch's first sample
 		for i, p := range preds {
 			ph := &res.Phases[sc.PhaseAt(pos+i)]
 			ph.Samples++
 			if p == labels[i] {
 				ph.Correct++
-				res.Correct++
 			}
 		}
-		res.Samples += len(labels)
-		res.Batches++
 		if pol != nil {
 			if r := pol.Resets(); r != prevResets {
 				res.Phases[sc.PhaseAt(pos)].Resets += r - prevResets
@@ -77,16 +62,12 @@ func RunScenario(a Adapter, s *data.ScheduledStream, batchSize int) ScenarioResu
 				prevResets = r
 			}
 		}
-	}
-	if res.Samples > 0 {
-		res.ErrorRate = 1 - float64(res.Correct)/float64(res.Samples)
-	}
+	})
 	for i := range res.Phases {
 		if n := res.Phases[i].Samples; n > 0 {
 			res.Phases[i].ErrorRate = 1 - float64(res.Phases[i].Correct)/float64(n)
 		}
 	}
-	res.Latency = hist.Summary()
 	return res
 }
 

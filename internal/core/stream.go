@@ -36,6 +36,13 @@ type StreamResult struct {
 // prediction error is accumulated over the whole stream. The adapter is
 // Reset first so each stream is an independent episode.
 func RunStream(a Adapter, s Streamer, batchSize int) StreamResult {
+	return runOnline(a, s, batchSize, nil)
+}
+
+// runOnline is the loop behind RunStream and RunScenario. After each
+// batch's Process it hands the batch's predictions and labels to score,
+// when score is non-nil, outside the timed region.
+func runOnline(a Adapter, s Streamer, batchSize int, score func(preds, labels []int)) StreamResult {
 	a.Reset()
 	var res StreamResult
 	var hist telemetry.Hist
@@ -55,6 +62,9 @@ func RunStream(a Adapter, s Streamer, batchSize int) StreamResult {
 		}
 		res.Samples += len(labels)
 		res.Batches++
+		if score != nil {
+			score(preds, labels)
+		}
 	}
 	if res.Samples > 0 {
 		res.ErrorRate = 1 - float64(res.Correct)/float64(res.Samples)

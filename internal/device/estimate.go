@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"edgetta/internal/core"
-	"edgetta/internal/parallel"
 	"edgetta/internal/profile"
 )
 
@@ -41,17 +40,6 @@ type Report struct {
 
 	PeakMemBytes int64
 	OOM          bool
-
-	// PoolWorkers records the internal/parallel pool width that was active
-	// when the estimate was produced. CALIBRATION GAP (ROADMAP item 4):
-	// the engine rates behind this estimate were fitted against the
-	// paper's measurements, not against this host at this width, and the
-	// estimate does not yet scale with PoolWorkers — two estimates that
-	// differ only in recorded width report identical Seconds. The field
-	// makes that gap visible in every report (and in what-if comparisons)
-	// until the estimator is calibrated per worker count (measure once per
-	// width, interpolate).
-	PoolWorkers int
 }
 
 // String formats the headline numbers.
@@ -132,7 +120,6 @@ func Estimate(d *Device, kind EngineKind, p *profile.ModelProfile, algo core.Alg
 		ModelTag: p.Tag, Algo: algo, Batch: batch,
 		Seconds: sec, EnergyJ: sec * eng.PowerBusy, Phases: ph,
 		PeakMemBytes: peak, OOM: oom,
-		PoolWorkers: parallel.Width(),
 	}, nil
 }
 

@@ -8,12 +8,6 @@ import "fmt"
 // FPGA PL offload, bigger memory — expressed as transformations of the
 // calibrated engine models, so the simulator can price the paper's
 // proposed co-design directions.
-//
-// Every what-if Report carries the internal/parallel pool width that was
-// active when it was estimated (Report.PoolWorkers), so hypothetical
-// comparisons are at least attributable to a schedule. The estimates do
-// not yet vary with that width — see the calibration-gap note on
-// Report.PoolWorkers and ROADMAP item 4 (per-worker-count calibration).
 
 // Variant transforms a device into a hypothetical one.
 type Variant func(*Device)

@@ -133,27 +133,10 @@ func getSlow() *pool {
 // Calling it starts the pool if it is not running yet.
 func Workers() int { return get().size }
 
-// Width reports the pool's parallelism width without starting it: the
-// running pool's size, or the size the pool would get on first use.
-// Purely analytical callers (e.g. device estimates recording the width
-// they were produced under) use this to avoid spawning workers they will
-// never schedule on.
-func Width() int {
-	if p := cur.Load(); p != nil {
-		return p.size
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if override != 0 {
-		return override
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // SetWorkers resizes the pool to exactly n workers (n <= 0 restores
-// auto-sizing). It exists for tests and for device-simulation fidelity —
-// pinning the schedule of a simulated device regardless of the host.
-// It must not be called concurrently with active loops.
+// auto-sizing). Tests, benchmarks and ttaserve's -workers flag pin the
+// kernel width with it regardless of the host. It must not be called
+// concurrently with active loops.
 func SetWorkers(n int) {
 	mu.Lock()
 	defer mu.Unlock()

@@ -21,8 +21,9 @@ type Trace struct {
 }
 
 // Capture runs a real single-image forward through the model and collects
-// every leaf layer's spec. Use Scaled to extrapolate to a batch size (all
-// recorded quantities are linear in the batch).
+// every leaf layer's spec. Every recorded quantity but the parameter and
+// channel counts is linear in the batch, so internal/device scales the
+// per-image summary by the batch it prices.
 func Capture(m *models.Model) Trace {
 	x := tensor.New(1, m.InC, m.InHW, m.InHW)
 	m.Forward(x, false)
@@ -35,20 +36,6 @@ func Capture(m *models.Model) Trace {
 		tr.Layers = append(tr.Layers, sp)
 	})
 	return tr
-}
-
-// Scaled returns a copy of the trace extrapolated to the given batch size.
-func (t Trace) Scaled(batch int) Trace {
-	k := int64(batch) / int64(t.Batch)
-	out := Trace{ModelTag: t.ModelTag, Batch: batch, Layers: make([]nn.Spec, len(t.Layers))}
-	for i, l := range t.Layers {
-		l.MACs *= k
-		l.OutElems *= k
-		l.SavedElems *= k
-		l.Batch = int64(batch)
-		out.Layers[i] = l
-	}
-	return out
 }
 
 // Summary aggregates a trace into the totals the device model consumes.

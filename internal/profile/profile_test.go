@@ -25,26 +25,6 @@ func TestCaptureRecordsAllLeafLayers(t *testing.T) {
 	}
 }
 
-func TestScaledIsLinear(t *testing.T) {
-	m := models.PreActResNet18(rand.New(rand.NewSource(2)), models.ReproScale)
-	tr := Capture(m)
-	s1 := tr.Summarize()
-	s50 := tr.Scaled(50).Summarize()
-	if s50.ConvMACs != 50*s1.ConvMACs {
-		t.Errorf("MACs not linear: %d vs 50×%d", s50.ConvMACs, s1.ConvMACs)
-	}
-	if s50.BNElems != 50*s1.BNElems {
-		t.Errorf("BN elems not linear: %d vs 50×%d", s50.BNElems, s1.BNElems)
-	}
-	if s50.SavedElems != 50*s1.SavedElems {
-		t.Errorf("saved elems not linear")
-	}
-	// Parameters and channel counts must NOT scale with batch.
-	if s50.Params != s1.Params || s50.BNChannels != s1.BNChannels {
-		t.Error("static quantities must not scale with batch")
-	}
-}
-
 func TestSummaryMatchesModelStats(t *testing.T) {
 	for _, tag := range []string{"WRN-AM", "R18-AM-AT"} {
 		p, err := Get(tag)

@@ -10,7 +10,6 @@ import (
 	"edgetta/internal/models"
 	"edgetta/internal/nn"
 	"edgetta/internal/profile"
-	"edgetta/internal/stream"
 	"edgetta/internal/tensor"
 )
 
@@ -119,9 +118,8 @@ func Grid() (string, error) {
 // Deadlines asks the question behind the paper's Sec. IV-E warning (the
 // extra adaptation time "can be a bottleneck for tight deadlines"): at what
 // frame rates can each engine sustain online adaptation of WRN-AM? The
-// simulator prices one batch; the discrete-event stream simulator queues
-// the batches of a fixed-rate stream and reports misses and duty-cycled
-// energy.
+// simulator prices one batch; fifo queues the batches of a fixed-rate
+// stream and reports misses and duty-cycled energy.
 func Deadlines() (string, error) {
 	const (
 		batch    = 50
@@ -146,20 +144,13 @@ func Deadlines() (string, error) {
 				var verdicts [2]string
 				var energy30 float64
 				for i, fps := range []float64{30, 120} {
-					r, err := stream.Simulate(stream.Config{
-						FPS: fps, BatchSize: batch, ServiceSeconds: cost.Seconds,
-						DeadlineSeconds: deadline, TotalFrames: frames,
-						PowerBusyW: e.PowerBusy, PowerIdleW: e.PowerIdle,
-					})
-					if err != nil {
-						return "", err
-					}
+					miss, energy := fifo(batch/fps, cost.Seconds, deadline, frames/batch, e.PowerBusy, e.PowerIdle)
 					verdicts[i] = "ok"
-					if r.MissRate > 0 {
-						verdicts[i] = fmt.Sprintf("%.0f%% miss", 100*r.MissRate)
+					if miss > 0 {
+						verdicts[i] = fmt.Sprintf("%.0f%% miss", 100*miss)
 					}
 					if i == 0 {
-						energy30 = r.EnergyJ
+						energy30 = energy
 					}
 				}
 				// The highest sustainable rate: one batch of service per
@@ -173,6 +164,28 @@ func Deadlines() (string, error) {
 	fmt.Fprintln(&b, "\nOnly the NX GPU sustains video-rate streams with adaptation on;")
 	fmt.Fprintln(&b, "the Arm-only boards need batch accumulation windows of several seconds.")
 	return b.String(), nil
+}
+
+// fifo serves n batches, ready one every period seconds, in arrival order
+// on one processor that takes svc seconds per batch, with no queue bound.
+// A batch misses when its result is ready more than deadline seconds after
+// the batch is. Energy is busyW while serving and idleW otherwise, until
+// the later of the last arrival and the last completion.
+func fifo(period, svc, deadline float64, n int, busyW, idleW float64) (missRate, energyJ float64) {
+	free, busy, misses := 0.0, 0.0, 0
+	for i := range n {
+		ready := float64(i+1) * period
+		free = max(free, ready) + svc
+		busy += svc
+		if free-ready > deadline {
+			misses++
+		}
+	}
+	if n > 0 {
+		missRate = float64(misses) / float64(n)
+	}
+	wall := max(float64(n)*period, free)
+	return missRate, busy*busyW + (wall-busy)*idleW
 }
 
 // Kernels reports how each full-size model's convolutions reach the direct

@@ -24,10 +24,8 @@ import (
 //	if tr := telemetry.ActiveTracer(); tr != nil { tr.Instant(...) }
 //
 // and pay nothing else when no trace is being collected. Packages under
-// the kernel determinism contract (internal/data, internal/stream's
-// simulated timeline) never read the wall clock themselves: Instant stamps
-// events inside this package, and simulated-time spans are emitted through
-// CompleteAt with caller-supplied timestamps.
+// the kernel determinism contract (internal/data) never read the wall
+// clock themselves: Instant stamps events inside this package.
 
 // DefaultTraceEvents bounds an in-memory trace. Past the bound new events
 // are counted as dropped rather than stored, so leaving a trace active
@@ -68,7 +66,6 @@ type Tracer struct {
 	max     int
 	events  []event
 	dropped int
-	meta    []Arg
 	totals  map[[2]string]SpanTotal // keyed by {cat, name}
 }
 
@@ -109,15 +106,6 @@ func StopTracing() *Tracer { return active.Swap(nil) }
 // disabled. This is the per-site fast path: one atomic load.
 func ActiveTracer() *Tracer { return active.Load() }
 
-// SetMeta attaches a key/value annotation to the trace as a whole (pool
-// width, model tag, host) — rendered into the trace file's metadata
-// object.
-func (t *Tracer) SetMeta(key string, value any) {
-	t.mu.Lock()
-	t.meta = append(t.meta, Arg{key, value})
-	t.mu.Unlock()
-}
-
 // add appends one event, honoring the bound; a complete span counts into
 // its running total either way.
 func (t *Tracer) add(e event) {
@@ -142,28 +130,12 @@ func (t *Tracer) Complete(cat, name string, tid int, start time.Time, dur time.D
 		tid: int64(tid), args: args})
 }
 
-// CompleteAt records a span on a caller-supplied timeline (microseconds
-// since the trace origin) — how the deterministic discrete-event simulator
-// exports its simulated schedule without ever reading the wall clock.
-func (t *Tracer) CompleteAt(cat, name string, tid int, tsMicros, durMicros int64, args ...Arg) {
-	t.add(event{name: name, cat: cat, ph: 'X',
-		tsNs: tsMicros * 1e3, durNs: durMicros * 1e3,
-		tid: int64(tid), args: args})
-}
-
 // Instant records a point-in-time marker, stamped with the tracer's own
 // clock — callers under the kernel determinism contract use this so the
 // clock read stays inside the telemetry carve-out.
 func (t *Tracer) Instant(cat, name string, tid int, args ...Arg) {
 	t.add(event{name: name, cat: cat, ph: 'i',
 		tsNs: time.Since(t.epoch).Nanoseconds(), tid: int64(tid), args: args})
-}
-
-// InstantAt is Instant on a caller-supplied timeline (microseconds since
-// the trace origin).
-func (t *Tracer) InstantAt(cat, name string, tid int, tsMicros int64, args ...Arg) {
-	t.add(event{name: name, cat: cat, ph: 'i',
-		tsNs: tsMicros * 1e3, tid: int64(tid), args: args})
 }
 
 // Len returns the number of stored events.
@@ -213,7 +185,6 @@ func writeArgs(b *strings.Builder, args []Arg) {
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	t.mu.Lock()
 	events := t.events
-	meta := t.meta
 	dropped := t.dropped
 	t.mu.Unlock()
 
@@ -237,8 +208,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		b.WriteByte('}')
 	}
 	b.WriteString("\n],\"displayTimeUnit\":\"ms\",\"metadata\":")
-	meta = append(append([]Arg(nil), meta...), Arg{"dropped_events", dropped})
-	writeArgs(&b, meta)
+	writeArgs(&b, []Arg{{"dropped_events", dropped}})
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -41,9 +41,8 @@ func TestTracerWriteJSONValid(t *testing.T) {
 	tr := StartTracing()
 	start := time.Now()
 	tr.Complete("nn", "conv.fw", 0, start, 3*time.Millisecond, Arg{"layer", "conv1"}, Arg{"macs", 1234})
-	tr.CompleteAt("simstream", "batch", 2, 1500, 250, Arg{"frames", 16})
+	tr.Complete("serve", "batch", 2, tr.epoch.Add(1500*time.Microsecond), 250*time.Microsecond, Arg{"frames", 16})
 	tr.Instant("policy", "reset", 0, Arg{"entropy", 2.31})
-	tr.SetMeta("model", "WRN-AM")
 	StopTracing()
 
 	var b strings.Builder
@@ -76,14 +75,11 @@ func TestTracerWriteJSONValid(t *testing.T) {
 	}
 	batch := byName["batch"]
 	if batch["ts"].(float64) != 1500 || batch["dur"].(float64) != 250 || batch["tid"].(float64) != 2 {
-		t.Errorf("simulated-time event malformed: %v", batch)
+		t.Errorf("epoch-relative event malformed: %v", batch)
 	}
 	reset := byName["reset"]
 	if reset["ph"] != "i" || reset["s"] != "g" {
 		t.Errorf("instant event malformed: %v", reset)
-	}
-	if doc.Metadata["model"] != "WRN-AM" {
-		t.Errorf("metadata missing model: %v", doc.Metadata)
 	}
 	if doc.Metadata["dropped_events"].(float64) != 0 {
 		t.Errorf("dropped_events = %v, want 0", doc.Metadata["dropped_events"])
@@ -136,7 +132,7 @@ func TestTracerTotalsSurviveTheBound(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	tr.CompleteAt("nn", "bn.fw", 0, 0, 7)
+	tr.Complete("nn", "bn.fw", 0, tr.epoch, 7*time.Microsecond)
 	tr.Instant("nn", "conv.fw", 0)
 	StopTracing()
 	if tr.Dropped() != 20 {

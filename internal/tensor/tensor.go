@@ -120,9 +120,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Zero sets every element to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
-
 // Randn fills the tensor with N(0, std) samples from rng.
 func (t *Tensor) Randn(rng *rand.Rand, std float64) {
 	for i := range t.Data {
