@@ -1,7 +1,6 @@
-// Package edgetta_test holds the repository-level benchmark harness: one
-// benchmark per paper figure/table (regenerating it through the calibrated
-// device simulator and study harness) plus real-execution benchmarks of
-// the underlying kernels, models and adaptation algorithms.
+// Package edgetta_test holds the repository-level Go benchmarks:
+// real-execution timings of the underlying kernels, models and adaptation
+// algorithms.
 //
 // Run everything with:
 //
@@ -15,64 +14,11 @@ import (
 
 	"edgetta/internal/core"
 	"edgetta/internal/data"
-	"edgetta/internal/device"
 	"edgetta/internal/models"
 	"edgetta/internal/nn"
-	"edgetta/internal/profile"
-	"edgetta/internal/study"
 	"edgetta/internal/telemetry"
 	"edgetta/internal/tensor"
 )
-
-// benchFigure regenerates one paper artifact per iteration and reports the
-// output size, failing the benchmark on any error.
-func benchFigure(b *testing.B, id string) {
-	b.Helper()
-	var n int
-	for i := 0; i < b.N; i++ {
-		out, err := study.Figure(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n = len(out)
-	}
-	b.ReportMetric(float64(n), "output_bytes")
-}
-
-func BenchmarkFig2PredictionErrors(b *testing.B)    { benchFigure(b, "fig2") }
-func BenchmarkFig3Ultra96ForwardTimes(b *testing.B) { benchFigure(b, "fig3") }
-func BenchmarkFig4Ultra96Breakdown(b *testing.B)    { benchFigure(b, "fig4") }
-func BenchmarkFig5Ultra96Tradeoffs(b *testing.B)    { benchFigure(b, "fig5") }
-func BenchmarkFig6RPiForwardTimes(b *testing.B)     { benchFigure(b, "fig6") }
-func BenchmarkFig7RPiBreakdown(b *testing.B)        { benchFigure(b, "fig7") }
-func BenchmarkFig8RPiTradeoffs(b *testing.B)        { benchFigure(b, "fig8") }
-func BenchmarkFig9XavierForwardTimes(b *testing.B)  { benchFigure(b, "fig9") }
-func BenchmarkFig10XavierBreakdown(b *testing.B)    { benchFigure(b, "fig10") }
-func BenchmarkFig11XavierTradeoffs(b *testing.B)    { benchFigure(b, "fig11") }
-func BenchmarkFig12OverallResults(b *testing.B)     { benchFigure(b, "fig12") }
-func BenchmarkTable1MobileNetForward(b *testing.B)  { benchFigure(b, "table1") }
-
-// BenchmarkAnchorWRN50NXGPU reports the paper's headline configuration
-// (WRN-AM-50 + BN-Norm on the Xavier NX GPU) as custom metrics, so bench
-// output records the simulated values next to the paper's 0.315 s / 2.96 J.
-func BenchmarkAnchorWRN50NXGPU(b *testing.B) {
-	d, _ := device.ByTag("xaviernx")
-	p, err := profile.Get("WRN-AM")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var r device.Report
-	for i := 0; i < b.N; i++ {
-		r, err = device.Estimate(d, device.GPU, p, core.BNNorm, 50)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.Seconds, "sim_s")
-	b.ReportMetric(r.EnergyJ, "sim_J")
-}
-
-// --- Real-execution benchmarks of the substrates ---
 
 func reproModel(b *testing.B) *models.Model {
 	b.Helper()
@@ -317,17 +263,16 @@ func BenchmarkStreamAdaptation(b *testing.B) {
 }
 
 // BenchmarkScenarioStream measures continual adaptation over a shifting
-// stream: BN-Norm under a reset policy on an abrupt corruption switch, via
-// the scenario driver with per-phase attribution. Compared to
-// BenchmarkStreamAdaptation, the extra cost is scenario scheduling,
-// per-image corruption dispatch and the policy's entropy bookkeeping.
+// stream: BN-Norm on an abrupt corruption switch, via the scenario driver
+// with per-phase attribution. Compared to BenchmarkStreamAdaptation, the
+// extra cost is scenario scheduling, per-image corruption dispatch and the
+// per-phase bookkeeping.
 func BenchmarkScenarioStream(b *testing.B) {
 	m := reproModel(b)
-	base, err := core.New(core.BNNorm, m, core.Config{})
+	a, err := core.New(core.BNNorm, m, core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := core.WithPolicy(base, core.Policy{ResetThreshold: 1.35, BaselineMomentum: 0.8})
 	gen := data.NewGenerator(6)
 	sc := data.AbruptSwitch("bench", []data.Corruption{data.GaussianNoise, data.Fog}, 5, 100)
 	b.ResetTimer()

@@ -17,8 +17,8 @@
 // the BatchNorm statistics and affine parameters and, for BN-Opt, Adam's
 // moments and step count — under 1 % of the parameters. An AdapterState is
 // one vector over that layout; capturing, restoring, resetting, the
-// source-EMA regularizer, the numeric-health scan and the checkpoint's
-// named tensors (stateblob.go) are all walks of it.
+// numeric-health scan and the checkpoint's named tensors (stateblob.go) are
+// all walks of it.
 package core
 
 import (
@@ -145,7 +145,7 @@ func (a *noAdaptAdapter) Reset() {}
 // bnNormAdapter recomputes BN statistics from each test batch: the model
 // runs with batch statistics (PyTorch train()-mode BN), so normalization
 // instantly tracks the corrupted input distribution. Running statistics
-// also accumulate across the stream.
+// also accumulate across the stream, and no prediction reads them.
 type bnNormAdapter struct{ tracked }
 
 func newBNNorm(m *models.Model) *bnNormAdapter {

@@ -106,6 +106,47 @@ func TestBNNormShiftsWithDistribution(t *testing.T) {
 	}
 }
 
+// TestBNNormLogitsIgnoreHistory: BN-Norm normalizes with each batch's own
+// statistics, so a batch's logits are the same bits from a fresh adapter,
+// after the adapter has seen other corrupted batches, and after a Reset,
+// although those batches moved the running statistics. It fails if the
+// normalize ever reads the running statistics.
+func TestBNNormLogitsIgnoreHistory(t *testing.T) {
+	m := tinyModel(13)
+	gen := data.NewGenerator(23)
+	b, _, _ := gen.NewStream(1, 16, data.Fog, 3).Next(16)
+	a, err := New(BNNorm, m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := a.Process(b).Clone()
+	bn := m.BatchNorms()[0]
+	before := append([]float32(nil), bn.RunningMean...)
+	s := gen.NewStream(2, 64, data.GaussianNoise, 5)
+	for {
+		x, _, ok := s.Next(16)
+		if !ok {
+			break
+		}
+		a.Process(x)
+	}
+	moved := false
+	for i, v := range bn.RunningMean {
+		moved = moved || v != before[i]
+	}
+	if !moved {
+		t.Fatal("the corrupted batches left the running statistics alone; the comparison is vacuous")
+	}
+	after := a.Process(b).Clone()
+	a.Reset()
+	reset := a.Process(b)
+	for i, v := range fresh.Data {
+		if after.Data[i] != v || reset.Data[i] != v {
+			t.Fatalf("logit %d: fresh %v, after history %v, after Reset %v", i, v, after.Data[i], reset.Data[i])
+		}
+	}
+}
+
 func TestBNOptUpdatesOnlyBNParams(t *testing.T) {
 	m := tinyModel(5)
 	ref := tinyModel(5) // identical clone by construction seed

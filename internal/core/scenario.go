@@ -13,9 +13,6 @@ type PhaseResult struct {
 	Samples   int
 	Correct   int
 	ErrorRate float64
-	// Resets counts lifecycle-policy hard resets fired on batches whose
-	// first sample fell in this phase.
-	Resets int
 }
 
 // ScenarioResult extends StreamResult with per-phase attribution, the
@@ -26,8 +23,6 @@ type ScenarioResult struct {
 	StreamResult
 	Scenario data.Scenario
 	Phases   []PhaseResult
-	// Resets is the total number of lifecycle-policy hard resets.
-	Resets int
 }
 
 // RunScenario executes the online protocol over a shifting stream and
@@ -41,11 +36,6 @@ func RunScenario(a Adapter, s *data.ScheduledStream, batchSize int) ScenarioResu
 	for i := range res.Phases {
 		res.Phases[i].Phase = sc.Phases[i]
 	}
-	pol, _ := a.(*PolicyAdapter)
-	prevResets := 0
-	if pol != nil {
-		prevResets = pol.Resets() // Reset leaves the count alone
-	}
 	res.StreamResult = runOnline(a, s, batchSize, func(preds, labels []int) {
 		pos := s.Pos() - len(labels) // the batch's first sample
 		for i, p := range preds {
@@ -53,13 +43,6 @@ func RunScenario(a Adapter, s *data.ScheduledStream, batchSize int) ScenarioResu
 			ph.Samples++
 			if p == labels[i] {
 				ph.Correct++
-			}
-		}
-		if pol != nil {
-			if r := pol.Resets(); r != prevResets {
-				res.Phases[sc.PhaseAt(pos)].Resets += r - prevResets
-				res.Resets += r - prevResets
-				prevResets = r
 			}
 		}
 	})
@@ -84,7 +67,7 @@ func (r ScenarioResult) WorstPhase() float64 {
 }
 
 // String renders the per-phase breakdown on one line, e.g.
-// "switch: fog/5 38.0% → snow/5 61.5% (2 resets, mean 49.8%)".
+// "switch: fog/5 38.0% → snow/5 61.5% (mean 49.8%)".
 func (r ScenarioResult) String() string {
 	var b strings.Builder
 	b.WriteString(r.Scenario.Name)
@@ -95,6 +78,6 @@ func (r ScenarioResult) String() string {
 		}
 		fmt.Fprintf(&b, " %s %.1f%%", p.Phase.Label(), 100*p.ErrorRate)
 	}
-	fmt.Fprintf(&b, " (%d resets, mean %.1f%%)", r.Resets, 100*r.ErrorRate)
+	fmt.Fprintf(&b, " (mean %.1f%%)", 100*r.ErrorRate)
 	return b.String()
 }

@@ -6,41 +6,7 @@ import (
 	"testing"
 
 	"edgetta/internal/data"
-	"edgetta/internal/tensor"
 )
-
-// scriptedAdapter emits batches of logits with a scripted per-batch
-// entropy level, so policy detection can be tested exactly: "low" batches
-// are confident one-class logits, "high" batches are uniform.
-type scriptedAdapter struct {
-	script   []string // "low" or "high", consumed per Process call
-	calls    int
-	resets   int
-	reserved int // Process calls beyond the script (re-serves)
-}
-
-func (a *scriptedAdapter) Algorithm() Algorithm { return NoAdapt }
-
-func (a *scriptedAdapter) Process(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
-	out := tensor.New(n, 10)
-	kind := "low"
-	if a.calls < len(a.script) {
-		kind = a.script[a.calls]
-	} else {
-		a.reserved++
-	}
-	a.calls++
-	if kind == "low" {
-		for i := 0; i < n; i++ {
-			out.Data[i*10] = 20 // ~zero entropy
-		}
-	}
-	// "high": all-zero logits = uniform softmax = ln(10) entropy
-	return out
-}
-
-func (a *scriptedAdapter) Reset() { a.resets++ }
 
 func TestRunScenarioBookkeeping(t *testing.T) {
 	m := tinyModel(11)
@@ -78,184 +44,10 @@ func TestRunScenarioBookkeeping(t *testing.T) {
 	if correct != res.Correct {
 		t.Fatalf("phase corrects sum to %d, stream says %d", correct, res.Correct)
 	}
-	if res.Resets != 0 {
-		t.Fatalf("bare adapter cannot reset, got %d", res.Resets)
-	}
 	out := res.String()
-	for _, want := range []string{"book", "fog/2", "gaussian_noise/4", "clean", "resets"} {
+	for _, want := range []string{"book", "fog/2", "gaussian_noise/4", "clean"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendering lacks %q: %s", want, out)
 		}
-	}
-}
-
-// TestPolicyDetectsEntropyJump drives the detector with scripted entropies:
-// a jump above threshold×baseline must hard-reset the inner adapter and
-// re-serve the detecting batch, exactly once.
-func TestPolicyDetectsEntropyJump(t *testing.T) {
-	inner := &scriptedAdapter{script: []string{"low", "low", "high"}}
-	p := WithPolicy(inner, Policy{ResetThreshold: 1.35})
-	x := tensor.New(4, 3, 2, 2)
-	p.Process(x)
-	p.Process(x)
-	if inner.resets != 0 || p.Resets() != 0 {
-		t.Fatalf("reset fired while the baseline was seasoning (%d/%d)", inner.resets, p.Resets())
-	}
-	p.Process(x) // scripted entropy jump
-	if inner.resets != 1 {
-		t.Fatalf("inner reset %d times, want 1", inner.resets)
-	}
-	if p.Resets() != 1 {
-		t.Fatalf("policy counted %d resets, want 1", p.Resets())
-	}
-	if inner.reserved != 1 {
-		t.Fatalf("detecting batch re-served %d times, want 1", inner.reserved)
-	}
-	// Episodic Reset restarts the detector but keeps the firing count.
-	p.Reset()
-	if inner.resets != 2 || p.Resets() != 1 {
-		t.Fatalf("episodic reset miscounted: inner %d, policy %d", inner.resets, p.Resets())
-	}
-}
-
-// TestPolicyBelowThresholdIsTransparent: without a jump, the wrapper changes
-// nothing and never resets.
-func TestPolicyBelowThresholdIsTransparent(t *testing.T) {
-	inner := &scriptedAdapter{script: []string{"low", "low", "low", "low"}}
-	p := WithPolicy(inner, Policy{ResetThreshold: 1.35})
-	x := tensor.New(4, 3, 2, 2)
-	for i := 0; i < 4; i++ {
-		p.Process(x)
-	}
-	if inner.resets != 0 || p.Resets() != 0 || inner.reserved != 0 {
-		t.Fatalf("steady stream triggered the policy: %+v", inner)
-	}
-	if p.Algorithm() != NoAdapt {
-		t.Fatalf("wrapper must report the wrapped algorithm")
-	}
-}
-
-// TestPolicySourceEMAPullsTowardSnapshot: with regularization on, adapted
-// BN affine parameters stay closer to the episode-start snapshot than a
-// bare adapter's after the same batch.
-func TestPolicySourceEMAPullsTowardSnapshot(t *testing.T) {
-	gen := data.NewGenerator(31)
-	sc := data.AbruptSwitch("one", []data.Corruption{data.GaussianNoise}, 5, 16)
-	dist := func(ema float64) float64 {
-		m := tinyModel(12)
-		var ref [][]float32
-		for _, bn := range m.BatchNorms() {
-			ref = append(ref, append([]float32(nil), bn.Gamma.Data...))
-		}
-		base, err := New(BNOpt, m, Config{LR: 0.05})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a Adapter = base
-		if ema > 0 {
-			a = WithPolicy(base, Policy{SourceEMA: ema})
-		}
-		s, err := gen.NewScheduledStream(3, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		RunScenario(a, s, 8)
-		total := 0.0
-		for i, bn := range m.BatchNorms() {
-			for c := range bn.Gamma.Data {
-				total += math.Abs(float64(bn.Gamma.Data[c] - ref[i][c]))
-			}
-		}
-		return total
-	}
-	bare, reg := dist(0), dist(0.5)
-	if bare <= 0 {
-		t.Fatal("BN-Opt moved no parameters; the comparison is vacuous")
-	}
-	if reg >= bare {
-		t.Fatalf("source EMA did not reduce drift: %.6f regularized vs %.6f bare", reg, bare)
-	}
-}
-
-// TestBNOptContinualDriftRegression pins the continual-TTA failure mode the
-// scenario engine exists to expose, on a really trained model: BN-Opt run
-// aggressively (high LR, two entropy steps per batch) across abrupt
-// corruption switches accumulates drift — its error keeps climbing even
-// after the stream returns to the easy distribution — while the same
-// adapter under the reset policy detects the shifts, restarts from source
-// state, and ends up measurably better. Guards both directions: the policy
-// must actually fire (not a no-op) and must beat the bare adapter.
-func TestBNOptContinualDriftRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training integration skipped in -short")
-	}
-	m, gen := getTrained(t)
-	sc := data.Scenario{Name: "drift", Phases: []data.Phase{
-		{Corruption: data.Brightness, Severity: 1, Length: 300},
-		{Corruption: data.ImpulseNoise, Severity: 5, Length: 200},
-		{Corruption: data.Brightness, Severity: 1, Length: 100},
-	}}
-	run := func(policy bool) ScenarioResult {
-		a, err := New(BNOpt, m, Config{LR: 0.2, Steps: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		adapter := a
-		if policy {
-			// TENT at this LR collapses entropy fast, so the baseline must
-			// track fast too: with a slow EMA the stale high baseline
-			// swallows the entropy jump at the switch.
-			adapter = WithPolicy(a, Policy{ResetThreshold: 1.35, BaselineMomentum: 0.8})
-		}
-		s, err := gen.NewScheduledStream(55, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := RunScenario(adapter, s, 50)
-		// Restore the shared trained model: the next New() must snapshot
-		// the clean source state, not this run's drift.
-		a.Reset()
-		return res
-	}
-	bare, pol := run(false), run(true)
-	t.Logf("bare:   %s", bare)
-	t.Logf("policy: %s", pol)
-	if bare.Resets != 0 {
-		t.Fatalf("bare adapter reported %d resets", bare.Resets)
-	}
-	if pol.Resets == 0 {
-		t.Fatal("reset policy never fired — the regression guard is a no-op")
-	}
-	if pol.ErrorRate >= bare.ErrorRate-0.03 {
-		t.Fatalf("reset policy (%.1f%%) should measurably beat bare BN-Opt (%.1f%%) under continual drift",
-			100*pol.ErrorRate, 100*bare.ErrorRate)
-	}
-	// The recovery shows up most clearly after the stream returns to the
-	// easy distribution: the bare adapter is still carrying the damage.
-	last := len(sc.Phases) - 1
-	if pol.Phases[last].ErrorRate >= bare.Phases[last].ErrorRate {
-		t.Fatalf("return-to-source phase: policy %.1f%% should beat bare %.1f%%",
-			100*pol.Phases[last].ErrorRate, 100*bare.Phases[last].ErrorRate)
-	}
-}
-
-// TestRunScenarioAttributesResets: a policy firing on phase 2's first batch
-// must be attributed to phase 2 (batch-aligned phases).
-func TestRunScenarioAttributesResets(t *testing.T) {
-	gen := data.NewGenerator(41)
-	sc := data.AbruptSwitch("attr", []data.Corruption{data.Fog, data.Snow}, 3, 32)
-	s, err := gen.NewScheduledStream(9, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 8 batches of 8; phase 2 starts at batch 4. Low entropy through phase
-	// 1, a jump on phase 2's first batch.
-	inner := &scriptedAdapter{script: []string{"low", "low", "low", "low", "high", "low", "low", "low"}}
-	res := RunScenario(WithPolicy(inner, Policy{ResetThreshold: 1.35}), s, 8)
-	if res.Resets != 1 {
-		t.Fatalf("total resets %d, want 1", res.Resets)
-	}
-	if res.Phases[0].Resets != 0 || res.Phases[1].Resets != 1 {
-		t.Fatalf("reset attribution wrong: %+v", res.Phases)
 	}
 }

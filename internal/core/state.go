@@ -134,14 +134,3 @@ func (t *tracked) RestoreState(s *AdapterState) {
 
 // Reset implements Adapter: back to the state captured at construction.
 func (t *tracked) Reset() { t.RestoreState(t.source) }
-
-// pullTowardSource moves the BatchNorm state (γ, β, running statistics) a
-// step of size lambda toward the episode-start state — Policy.SourceEMA's
-// regularizer. Optimizer state is left as it is.
-func (t *tracked) pullTowardSource(lambda float32) {
-	cur := t.CaptureState()
-	for i, src := range t.source.vec[:t.layout.bnLen] {
-		cur.vec[i] += lambda * (src - cur.vec[i])
-	}
-	t.RestoreState(cur)
-}

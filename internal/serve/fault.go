@@ -170,8 +170,7 @@ func (g *group) compute(r *replica, reqs []*request, prev *core.AdapterState, do
 			// tensors or optimizer moments). Serving from a poisoned state
 			// would corrupt every later batch of the stream, so hard-reset
 			// to the episode-start snapshot and re-serve this batch from
-			// source — the same reset-and-reprocess move core.Policy makes
-			// on an entropy jump.
+			// source.
 			res.resets++
 			sa.RestoreState(g.initial)
 			res.logits = r.adapter.Process(x)

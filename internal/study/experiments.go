@@ -143,9 +143,7 @@ func Measured(tags []string, cfg MeasuredConfig, scenarios []data.Scenario) (str
 			"seed %d; %d epochs of %d training samples; %d samples per stream; corruptions %s",
 		runtime.Version(), runtime.GOOS, runtime.GOARCH, cpuName(), runtime.NumCPU(), runtime.GOMAXPROCS(0),
 		tensor.SpanKernel(), cfg.Seed, cfg.Epochs, cfg.TrainSize, cfg.StreamSize, strings.Join(names, ", ")))
-	section(&b, "Fig 2, measured", FormatMeasured(results, cfg)+
-		"\nExpected shape (paper Fig. 2): BN-Opt < BN-Norm < No-Adapt;\n"+
-		"gains shrink as batch grows; MBV2 (plain training) collapses without adaptation.")
+	section(&b, "Fig 2, measured", FormatMeasured(results, cfg)+"\n"+fig2Verdict(results))
 	section(&b, "Fig 2 latency: per-batch Process p50 (ms), median over the corruption streams", formatLatency(results))
 	section(&b, fmt.Sprintf("Arena after the last batch of %d beside the simulator's BN-Opt graph (repro scale)", Batches[0]),
 		arena.String())

@@ -165,6 +165,25 @@ func FormatMeasured(results []*MeasuredResult, cfg MeasuredConfig) string {
 	return b.String()
 }
 
+// fig2Verdict counts, per model, the batch sizes at which the exact mean
+// errors keep the paper's Fig.-2 ordering, BN-Opt < BN-Norm < No-Adapt.
+// The ordering is strict: a tie does not keep it.
+func fig2Verdict(results []*MeasuredResult) string {
+	var held []string
+	for _, r := range results {
+		n := 0
+		for _, batch := range Batches {
+			opt, norm := meanErr(r.corrupted(core.BNOpt, batch)), meanErr(r.corrupted(core.BNNorm, batch))
+			if opt < norm && norm < meanErr(r.corrupted(core.NoAdapt, batch)) {
+				n++
+			}
+		}
+		held = append(held, fmt.Sprintf("%s %d/%d", r.ModelTag, n, len(Batches)))
+	}
+	return fmt.Sprintf("Paper's Fig. 2 ordering BN-Opt < BN-Norm < No-Adapt holds at %s batch sizes; "+
+		"one seed, no intervals (ROADMAP item 14)\n", strings.Join(held, ", "))
+}
+
 // meanErr averages the cells' error rates in cell order.
 func meanErr(rs []Result) float64 {
 	total := 0.0

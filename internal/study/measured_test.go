@@ -170,17 +170,58 @@ func TestAdaptationClimbsLeaderboard(t *testing.T) {
 	}
 }
 
+// TestFig2Verdict counts, on hand-built mean errors, the batch sizes that
+// keep the paper's ordering BN-Opt < BN-Norm < No-Adapt: a tie or a
+// reversal does not keep it.
+func TestFig2Verdict(t *testing.T) {
+	// errs[algo][i] is every corruption cell's error at batch Batches[i].
+	model := func(tag string, errs [3][3]float64) *MeasuredResult {
+		r := &MeasuredResult{ModelTag: tag}
+		for _, algo := range core.Algorithms {
+			for i, batch := range Batches {
+				for _, c := range []data.Corruption{data.GaussianNoise, data.Fog} {
+					x := cell(c, errs[algo][i])
+					x.Algo, x.Batch = algo, batch
+					r.Results = append(r.Results, x)
+				}
+			}
+		}
+		return r
+	}
+	var all []*MeasuredResult
+	for _, tc := range []struct {
+		tag  string
+		errs [3][3]float64 // No-Adapt, BN-Norm, BN-Opt
+		want string
+	}{
+		{"ordered", [3][3]float64{{0.3, 0.3, 0.3}, {0.2, 0.2, 0.1}, {0.1, 0.15, 0.05}}, "3/3"},
+		// BN-Opt ties BN-Norm at batch 100, BN-Norm ties No-Adapt at 200.
+		{"tied", [3][3]float64{{0.3, 0.3, 0.2}, {0.2, 0.2, 0.2}, {0.1, 0.2, 0.1}}, "1/3"},
+		{"reversed", [3][3]float64{{0.1, 0.1, 0.1}, {0.2, 0.2, 0.2}, {0.3, 0.3, 0.3}}, "0/3"},
+	} {
+		r := model(tc.tag, tc.errs)
+		all = append(all, r)
+		if got, want := fig2Verdict([]*MeasuredResult{r}), " at "+tc.tag+" "+tc.want+" batch sizes;"; !strings.Contains(got, want) {
+			t.Errorf("%s: verdict %q lacks %q", tc.tag, got, want)
+		}
+	}
+	want := "Paper's Fig. 2 ordering BN-Opt < BN-Norm < No-Adapt holds at ordered 3/3, tied 1/3, reversed 0/3 batch sizes; " +
+		"one seed, no intervals (ROADMAP item 14)\n"
+	if got := fig2Verdict(all); got != want {
+		t.Errorf("verdict\n%q\nwant\n%q", got, want)
+	}
+}
+
 // TestRunKeepsCellOrderAndLeaksNoState mixes fixed-corruption, clean and
 // scenario cells over every algorithm: results come back in cell order,
 // only scenario cells carry phases, and a second run — or a cell run on its
 // own — gives the same bits, so no cell sees another's adaptation.
 func TestRunKeepsCellOrderAndLeaksNoState(t *testing.T) {
 	sc := data.AbruptSwitch("switch", []data.Corruption{data.Fog, data.GaussianNoise}, 5, 40)
-	reset := ScenarioPolicies()[1]
 	cells := []Cell{
 		{Algo: core.BNOpt, Batch: 20, Seed: 1, Corruption: data.Fog, Severity: 5, Samples: 40},
 		{Algo: core.BNNorm, Batch: 20, Seed: 2, Samples: 40},
-		{Algo: core.BNOpt, Adapt: core.Config{LR: 0.1, Steps: 2}, Policy: reset, Batch: 20, Seed: 3, Scenario: &sc},
+		{Algo: core.BNOpt, Adapt: core.Config{LR: 0.1, Steps: 2}, Batch: 20, Seed: 3, Scenario: &sc},
 		{Algo: core.NoAdapt, Batch: 40, Seed: 4, Corruption: data.Contrast, Severity: 3, Samples: 40},
 		{Algo: core.BNOpt, Batch: 20, Seed: 1, Corruption: data.Fog, Severity: 5, Samples: 40},
 	}

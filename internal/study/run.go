@@ -11,11 +11,10 @@ import (
 // leaderboard, the severity sweep and the scenario grid — is a list of
 // cells and a renderer over their results.
 type Cell struct {
-	Algo   core.Algorithm
-	Adapt  core.Config    // zero value: the core defaults
-	Policy ScenarioPolicy // zero value: the bare adapter
-	Batch  int
-	Seed   int64 // the stream's seed
+	Algo  core.Algorithm
+	Adapt core.Config // zero value: the core defaults
+	Batch int
+	Seed  int64 // the stream's seed
 	// A fixed-corruption cell draws Samples images of Corruption at
 	// Severity; Severity 0 draws them clean.
 	Corruption data.Corruption
@@ -26,8 +25,8 @@ type Cell struct {
 	Scenario *data.Scenario
 }
 
-// Result is a cell and how its episode went. Run.Phases and Run.Resets are
-// set for scenario cells only.
+// Result is a cell and how its episode went. Run.Phases is set for scenario
+// cells only.
 type Result struct {
 	Cell
 	Run core.ScenarioResult
@@ -46,9 +45,6 @@ func Run(m *models.Model, gen *data.Generator, cells []Cell) ([]Result, error) {
 		a, err := core.New(c.Algo, mc, c.Adapt)
 		if err != nil {
 			return nil, err
-		}
-		if c.Policy.Policy != nil {
-			a = core.WithPolicy(a, *c.Policy.Policy)
 		}
 		out[i].Cell = c
 		if c.Scenario != nil {

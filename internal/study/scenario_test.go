@@ -45,8 +45,8 @@ func TestRunScenarioStudyGrid(t *testing.T) {
 		data.AbruptSwitch("mini-switch", []data.Corruption{data.Fog, data.GaussianNoise}, 3, 50),
 	}
 	cells := ScenarioCells(5, scenarios)
-	// The grid: 2 algorithms × 3 policies over the 1 scenario.
-	if want := 2 * 3; len(cells) != want {
+	// The grid: 3 algorithms over the 1 scenario.
+	if want := 3; len(cells) != want {
 		t.Fatalf("got %d cells, want %d", len(cells), want)
 	}
 	rs, err := Run(reproModel(7), gen, cells)
@@ -54,59 +54,25 @@ func TestRunScenarioStudyGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rs {
-		if r.Adapt != (core.Config{LR: 0.1, Steps: 2}) || r.Seed != 5 || r.Batch != 50 {
-			t.Errorf("%s/%s: cell %+v", r.Algo, r.Policy.Name, r.Cell)
+		if r.Adapt != (core.Config{}) || r.Seed != 5 || r.Batch != 50 {
+			t.Errorf("%s: cell %+v", r.Algo, r.Cell)
 		}
 		if r.Run.Samples != 100 {
-			t.Errorf("%s/%s: %d samples, want 100", r.Algo, r.Policy.Name, r.Run.Samples)
+			t.Errorf("%s: %d samples, want 100", r.Algo, r.Run.Samples)
 		}
 		if len(r.Run.Phases) != 2 {
 			t.Errorf("%s: %d phases, want 2", r.Run.Scenario.Name, len(r.Run.Phases))
 		}
 		for _, p := range r.Run.Phases {
 			if p.Samples != 50 {
-				t.Errorf("%s/%s: phase %s has %d samples, want 50",
-					r.Algo, r.Policy.Name, p.Phase.Label(), p.Samples)
+				t.Errorf("%s: phase %s has %d samples, want 50", r.Algo, p.Phase.Label(), p.Samples)
 			}
-		}
-		if r.Policy.Policy == nil && r.Run.Resets != 0 {
-			t.Errorf("bare adapter reported %d resets", r.Run.Resets)
 		}
 	}
 	out := FormatScenarios(rs)
-	for _, want := range []string{"mini-switch", "BN-Norm", "BN-Opt", "reset", "ema", "worst phase"} {
+	for _, want := range []string{"mini-switch", "No-Adapt", "BN-Norm", "BN-Opt", "worst phase"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering lacks %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestScenarioPoliciesDistinct(t *testing.T) {
-	pols := ScenarioPolicies()
-	if len(pols) != 3 {
-		t.Fatalf("got %d policies, want 3", len(pols))
-	}
-	var bare, reset, ema bool
-	for _, p := range pols {
-		switch {
-		case p.Policy == nil:
-			bare = true
-		case p.Policy.ResetThreshold > 0:
-			reset = true
-		case p.Policy.SourceEMA > 0:
-			ema = true
-		}
-	}
-	if !bare || !reset || !ema {
-		t.Fatalf("policy suite must cover bare/reset/ema, got %+v", pols)
-	}
-	// The wrapper must report the wrapped algorithm so tables label rows
-	// by algorithm, not by the wrapper type.
-	a, err := core.New(core.BNNorm, reproModel(9), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := core.WithPolicy(a, *pols[1].Policy).Algorithm(); got != core.BNNorm {
-		t.Fatalf("wrapped algorithm = %v, want BN-Norm", got)
 	}
 }
