@@ -12,14 +12,15 @@ import (
 
 // goldenLogits are FNV-1a hashes of the eval-mode and batch-statistics
 // (train-mode) logits of every repro-scale model on one fixed batch,
-// recorded on amd64 at the commit before the NCHW direct kernel replaced
-// the packed path. A conv kernel change must not move one bit of them; a
-// change that re-pins arithmetic on purpose re-records them and says so.
+// recorded on amd64 with one fused multiply-add per conv step (acc = fma(w,
+// x, acc), rounded once). A conv kernel change must not move one bit of
+// them; a change that re-pins arithmetic on purpose re-records them and
+// says so.
 var goldenLogits = map[string][2]uint64{
-	"RXT-AM":    {0x9096cd8af4d14ffd, 0x60f1c4b8ed923b6c},
-	"WRN-AM":    {0x52bb6552122a7d3a, 0x0e94c56e1eac8964},
-	"R18-AM-AT": {0x7ac8f9cdce0641f2, 0x1eecd6c509395aa2},
-	"MBV2":      {0x5b83d92798d62892, 0x0cdeb6d279889db2},
+	"RXT-AM":    {0xa1078befe2ffc5ce, 0x48f351fa150cb139},
+	"WRN-AM":    {0xe3411aa3362f26c4, 0xb5b4df2da5671313},
+	"R18-AM-AT": {0xfddd14754109c7bc, 0xdeb4d16625fc80d6},
+	"MBV2":      {0x852835cc7d53da57, 0x3401079832fcd34d},
 }
 
 func logitsHash(x *tensor.Tensor) uint64 {

@@ -189,6 +189,66 @@ func TestConv2dMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestConvErrorModel holds the forward and the input gradient of every
+// shape of the reference table to the error bound of n products summed in
+// float32 (Higham, Accuracy and Stability of Numerical Algorithms, §3.1):
+// |ŷ − y| ≤ γₙ·Σᵣ|wᵣxᵣ|, γₙ = nu/(1−nu), u = 2⁻²⁴, where y is the float64
+// definition (naiveConv) and n the reduction length, InC/Groups·K² for an
+// output and OutC/Groups·⌈K/Stride⌉² for an input-gradient element. It logs
+// the worst and the mean ratio |ŷ − y| / γₙΣ|wx| of each, so a change of
+// the kernels' arithmetic can be judged against float64 truth, not only
+// against itself. (One product rounded once, n = 1, can come within a
+// hair of its bound on any kernel, so the worst is close to 1.)
+func TestConvErrorModel(t *testing.T) {
+	const u = 0x1p-24
+	gamma := func(n int) float64 { return float64(n) * u / (1 - float64(n)*u) }
+	abs := func(v []float32) []float32 {
+		a := make([]float32, len(v))
+		for i, x := range v {
+			a[i] = float32(math.Abs(float64(x)))
+		}
+		return a
+	}
+	rng := rand.New(rand.NewSource(1))
+	var worst, sum [2]float64
+	var count [2]int
+	for _, gm := range convGeometries() {
+		conv := NewConv2d(fmt.Sprintf("%+v", gm), rng, gm.in, gm.out, gm.k, gm.stride, gm.pad, gm.groups)
+		x := tensor.New(2, gm.in, gm.h, gm.w)
+		x.Randn(rng, 1)
+		g := tensor.New(2, gm.out, (gm.h+2*gm.pad-gm.k)/gm.stride+1, (gm.w+2*gm.pad-gm.k)/gm.stride+1)
+		g.Randn(rng, 1)
+		y := append([]float32(nil), conv.Forward(x, true).Data...)
+		dx := conv.Backward(g).Data
+		yRef, dxRef, _ := naiveConv(conv, x, g)
+		w := conv.Weight.Data
+		conv.Weight.Data = abs(w)
+		yMag, dxMag, _ := naiveConv(conv, tensor.FromSlice(abs(x.Data), x.Shape()...), tensor.FromSlice(abs(g.Data), g.Shape()...))
+		conv.Weight.Data = w
+		taps := (gm.k + gm.stride - 1) / gm.stride
+		n := [2]int{gm.in / gm.groups * gm.k * gm.k, gm.out / gm.groups * taps * taps}
+		for j, c := range []struct {
+			got      []float32
+			ref, mag []float64
+		}{{y, yRef, yMag}, {dx, dxRef, dxMag}} {
+			for i, v := range c.got {
+				diff, bound := math.Abs(float64(v)-c.ref[i]), gamma(n[j])*c.mag[i]
+				if !(diff <= bound) {
+					t.Errorf("%+v: %s[%d] = %v is %g off the float64 definition, beyond γₙΣ|wx| = %g",
+						gm, [2]string{"output", "input gradient"}[j], i, v, diff, bound)
+				}
+				if bound > 0 {
+					worst[j] = max(worst[j], diff/bound)
+					sum[j] += diff / bound
+					count[j]++
+				}
+			}
+		}
+	}
+	t.Logf("|ŷ − y| / γₙΣ|wx|: output worst %.4f mean %.4f, input gradient worst %.4f mean %.4f",
+		worst[0], sum[0]/float64(count[0]), worst[1], sum[1]/float64(count[1]))
+}
+
 // FuzzConvGrad draws a bounded geometry from the fuzz input — groups
 // dividing both channel counts of at most 8, planes up to 12×12, K ≤ 5,
 // stride ≤ 3, pad ≤ K+1 — and holds the forward, input gradient and weight

@@ -30,18 +30,22 @@ import (
 // col[r][p] is the input value under the window (or 0 in padding).
 // MatMulInto's cache tiling never reorders a given element's accumulation
 // (always ascending r), and its one quirk is skipping rows whose weight is
-// exactly zero. The kernel here accumulates in the very same ascending-row
-// order from a +0 accumulator, one rounded multiply and one rounded add per
-// step, and does not skip zero weights. The two differ therefore only in
-// adding w*0 (= ±0) products the matmul skips — in the staged zero border
-// too — and adding ±0 to the accumulator is a bitwise no-op, because an
-// accumulator that starts at +0 can never become -0 (x+(-x) = +0 and
-// (+0)+(-0) = +0 in round-to-nearest). There are no padded lanes: lanes a
-// vector's spans do not fill are loaded and stored under a mask, and every
-// lane of a 16-lane multiply or add rounds as an 8-lane or scalar one
-// does. Hence for finite inputs the kernel is bit-identical to the im2col
-// path, on every architecture and worker count, which keeps im2col as the
-// oracle the parity tests compare against (SetPacked).
+// exactly zero. Both paths take one fused multiply-add per step, acc =
+// fma(w, x, acc) rounded once (axpy under the matmul, the span kernels
+// here, fma32 off the vector paths), and the kernel here accumulates in
+// the very same ascending-row order from a +0 accumulator and does not
+// skip zero weights. The two differ therefore only in the steps whose
+// product w*x is ±0, which the matmul skips — zero weights, and the staged
+// zero border — and such a step is a bitwise no-op: fma(w, x, acc) with an
+// exactly zero product is acc + (±0) rounded once, which is acc itself, and
+// an accumulator that starts at +0 can never become -0 (an exact zero sum
+// is +0 in round-to-nearest unless both addends are -0). There are no
+// padded lanes: lanes a vector's spans do not fill are loaded and stored
+// under a mask, and every lane of a 16-lane fused multiply-add rounds as an
+// 8-lane or scalar one does. Hence for finite inputs the kernel is
+// bit-identical to the im2col path, on every architecture and worker
+// count, which keeps im2col as the oracle the parity tests compare against
+// (SetPacked).
 
 // oracleOnly sends every forward to the im2col path; see SetPacked.
 var oracleOnly atomic.Bool
@@ -245,10 +249,11 @@ func (p *ConvPlan) runUnits(y, x, w []float32, lo, hi int) {
 //
 //	y[j*yStride+k*npix+p] = Σ_r w[j*wStride+r]·x[k*xStep+off[r]+p]
 //
-// in ascending r from +0, one rounded multiply and one rounded add per step
-// — the expression axpyGeneric uses, so that a compiler that fuses one
-// fuses both and the im2col oracle stays bit-equal on every architecture.
-// A plan's consecutive spans are consecutive output rows (or the whole
+// in ascending r from +0, one fma32 per step — the product and the sum
+// rounded once together, as the vector routines' fused multiply-add and
+// axpyGeneric round them, so the im2col oracle stays bit-equal on every
+// architecture whether or not the compiler fuses float arithmetic. A
+// plan's consecutive spans are consecutive output rows (or the whole
 // plane), so their outputs lie back to back.
 func convSpanGeneric(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix, nspan, xStep int) {
 	for k := 0; k < nspan; k++ {
@@ -260,21 +265,25 @@ func convSpanGeneric(y []float32, yStride int, x, w []float32, wStride int, off 
 			for ; p+4 <= npix; p += 4 {
 				var a0, a1, a2, a3 float32
 				for r, o := range off {
-					wv := wj[r]
-					xs := xk[int(o)+p:][:4]
-					a0 += wv * xs[0]
-					a1 += wv * xs[1]
-					a2 += wv * xs[2]
-					a3 += wv * xs[3]
+					wv, xs := wj[r], xk[int(o)+p:][:4]
+					// fma32 four times, its common case written out (see
+					// axpyGeneric).
+					w64 := float64(wv)
+					s0, s1 := w64*float64(xs[0])+float64(a0), w64*float64(xs[1])+float64(a1)
+					s2, s3 := w64*float64(xs[2])+float64(a2), w64*float64(xs[3])+float64(a3)
+					if tie32(s0) || tie32(s1) || tie32(s2) || tie32(s3) {
+						a0, a1, a2, a3 = fma32(wv, xs[0], a0), fma32(wv, xs[1], a1), fma32(wv, xs[2], a2), fma32(wv, xs[3], a3)
+						continue
+					}
+					a0, a1, a2, a3 = float32(s0), float32(s1), float32(s2), float32(s3)
 				}
 				yj[p], yj[p+1], yj[p+2], yj[p+3] = a0, a1, a2, a3
 			}
-			for ; p < npix; p++ {
-				var a float32
+			if p < npix {
+				clear(yj[p:])
 				for r, o := range off {
-					a += wj[r] * xk[int(o)+p]
+					axpyGeneric(wj[r], xk[int(o)+p:][:npix-p], yj[p:])
 				}
-				yj[p] = a
 			}
 		}
 	}

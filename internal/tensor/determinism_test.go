@@ -72,8 +72,8 @@ func TestMatMulBitIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestAxpyMatchesGenericBitwise: the vector axpy must agree with the
-// scalar fallback on every bit (both are one rounded multiply plus one
-// rounded add per element), across lengths that cover every unroll tail.
+// scalar fallback on every bit (both are one fused multiply-add per
+// element, rounded once), across lengths that cover every unroll tail.
 func TestAxpyMatchesGenericBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 7, 8, 9, 15, 31, 32, 33, 63, 64, 100, 1023} {

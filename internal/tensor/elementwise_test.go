@@ -284,8 +284,8 @@ func TestPlaneStatisticsShape(t *testing.T) {
 	}
 }
 
-// TestAddScaledMatchesScalarLoop holds Tensor.AddScaled, now on the axpy
-// kernel, to the scalar loop it replaced.
+// TestAddScaledMatchesScalarLoop holds Tensor.AddScaled, on the axpy
+// kernel, to a scalar loop of fma32: one rounding per element.
 func TestAddScaledMatchesScalarLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for n := 1; n <= 67; n++ {
@@ -293,8 +293,7 @@ func TestAddScaledMatchesScalarLoop(t *testing.T) {
 			a, b := FromSlice(plane(rng, n, n%4, 6), n), FromSlice(plane(rng, n, (n+1)%4, 6), n)
 			want := make([]float32, n)
 			for i, v := range b.Data {
-				want[i] = a.Data[i]
-				want[i] += alpha * v
+				want[i] = fma32(alpha, v, a.Data[i])
 			}
 			a.AddScaled(b, alpha)
 			for i := range want {

@@ -4,7 +4,9 @@ package tensor
 
 // CPUID-based feature detection for the kernels in simd_amd64.s.
 // AVX2 requires CPU support (leaf 7 EBX bit 5), AVX+OSXSAVE (leaf 1 ECX
-// bits 28/27), and the OS saving XMM+YMM state (XCR0 bits 1 and 2).
+// bits 28/27), FMA (leaf 1 ECX bit 12: axpy and the span kernels fuse every
+// multiply-add, so no AVX2 path runs without it), and the OS saving
+// XMM+YMM state (XCR0 bits 1 and 2).
 // AVX-512 (the span kernel convSpan4AVX512 and the plane kernels'
 // *PlanesAVX512 routines, AVX512F instructions only) further requires
 // leaf 7 EBX bit 16 and the OS saving the opmask, ZMM_Hi256 and Hi16_ZMM
@@ -28,6 +30,9 @@ func convSpan1AVX2(y, x, w []float32, off []int32, npix int)
 //go:noescape
 func convSpan4AVX512(y []float32, yStride int, x, w []float32, wStride int, off []int32, npix, nspan, xStep int)
 
+// cpuidFMA is the FMA bit of CPUID leaf 1's ECX.
+const cpuidFMA = 1 << 12
+
 var hasAVX2 = func() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
@@ -35,7 +40,7 @@ var hasAVX2 = func() bool {
 	}
 	_, _, c1, _ := cpuid(1, 0)
 	const osxsave, avx = 1 << 27, 1 << 28
-	if c1&osxsave == 0 || c1&avx == 0 {
+	if c1&osxsave == 0 || c1&avx == 0 || c1&cpuidFMA == 0 {
 		return false
 	}
 	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
@@ -88,9 +93,10 @@ func spanRun(npix int) int {
 
 // convSpan computes noc output channels × nspan spans of npix pixels (see
 // convSpanGeneric for the arithmetic, ConvPlan.Run for the operands). The
-// vector routines use separate multiplies and adds and are bit-identical to
-// the generic kernel; they check no lengths, so every extent they may touch
-// is checked here, x's from the largest offset its table admits.
+// vector routines fuse each multiply-add, as the generic kernel's fma32
+// does, and are bit-identical to it; they check no lengths, so every
+// extent they may touch is checked here, x's from the largest offset its
+// table admits.
 func convSpan(y []float32, yStride int, x, w []float32, wStride int, o offsets, noc, npix, nspan, xStep int) {
 	if noc <= 0 || npix <= 0 || nspan <= 0 || len(o.off) == 0 {
 		return
@@ -181,9 +187,9 @@ func interleaveRows(dst []float32, dstStride int, a []float32, aStride int, b []
 	interleaveRowsGeneric(dst, dstStride, a, aStride, b, bStride, rows, n)
 }
 
-// axpy computes y[i] += a*x[i] over len(x) elements. The AVX2 path uses
-// separate multiply and add instructions, so its results are bit-identical
-// to the scalar fallback.
+// axpy computes y[i] = fma(a, x[i], y[i]) over len(x) elements, rounded
+// once per element: the AVX2 path's fused multiply-add and the scalar
+// fallback's fma32 give the same bits.
 func axpy(a float32, x, y []float32) {
 	if len(x) == 0 {
 		return

@@ -1,11 +1,12 @@
 // AVX2 kernels for the inner loops every figure benchmark sits on, and
 // AVX-512 bodies for the conv span kernel and four of the plane kernels.
 //
-// axpyAVX2 uses separate VMULPS/VADDPS (never FMA): each y[i] += a*x[i] is
-// two correctly-rounded float32 operations, exactly like the scalar
-// fallback, so vectorization cannot change a single output bit and the
-// package's determinism contract holds across architectures and worker
-// counts alike.
+// axpyAVX2 and the conv span kernels take one fused multiply-add per step
+// (VFMADD213PS / VFMADD231PS): each y[i] += a*x[i] is a*x[i]+y[i] rounded
+// once to float32, exactly what the generic twins compute through fma32,
+// so vectorization cannot change a single output bit and the package's
+// determinism contract holds across architectures and worker counts alike.
+// The plane kernels and dotAVX2 never fuse.
 //
 // dotAVX2 accumulates in four independent 8-lane registers and reduces at
 // the end; the reduction order is fixed by the kernel, so results are
@@ -50,14 +51,10 @@ axpy_loop32:
 	VMOVUPS	32(SI), Y2
 	VMOVUPS	64(SI), Y3
 	VMOVUPS	96(SI), Y4
-	VMULPS	Y0, Y1, Y1
-	VMULPS	Y0, Y2, Y2
-	VMULPS	Y0, Y3, Y3
-	VMULPS	Y0, Y4, Y4
-	VADDPS	(DI), Y1, Y1
-	VADDPS	32(DI), Y2, Y2
-	VADDPS	64(DI), Y3, Y3
-	VADDPS	96(DI), Y4, Y4
+	VFMADD213PS	(DI), Y0, Y1
+	VFMADD213PS	32(DI), Y0, Y2
+	VFMADD213PS	64(DI), Y0, Y3
+	VFMADD213PS	96(DI), Y0, Y4
 	VMOVUPS	Y1, (DI)
 	VMOVUPS	Y2, 32(DI)
 	VMOVUPS	Y3, 64(DI)
@@ -71,8 +68,7 @@ axpy_tail8:
 	CMPQ	CX, $8
 	JL	axpy_tail1
 	VMOVUPS	(SI), Y1
-	VMULPS	Y0, Y1, Y1
-	VADDPS	(DI), Y1, Y1
+	VFMADD213PS	(DI), Y0, Y1
 	VMOVUPS	Y1, (DI)
 	ADDQ	$32, SI
 	ADDQ	$32, DI
@@ -82,10 +78,9 @@ axpy_tail8:
 axpy_tail1:
 	TESTQ	CX, CX
 	JZ	axpy_done
-	MOVSS	(SI), X1
-	MULSS	X0, X1
-	ADDSS	(DI), X1
-	MOVSS	X1, (DI)
+	VMOVSS	(SI), X1
+	VFMADD213SS	(DI), X0, X1
+	VMOVSS	X1, (DI)
 	ADDQ	$4, SI
 	ADDQ	$4, DI
 	DECQ	CX
@@ -168,8 +163,8 @@ dot_done:
 //
 //	y[j*yStride+p] = sum over rows r of w[j*wStride+r] * x[off[r]+p]
 //
-// in ascending r from a +0 accumulator with separate VMULPS/VADDPS — one
-// correctly-rounded multiply plus one correctly-rounded add per step,
+// in ascending r from a +0 accumulator with one VFMADD231PS per step — the
+// product and the sum rounded once together, acc = fma(w, x, acc) —
 // bit-identical to convSpanGeneric and (by the argument in conv_direct.go)
 // to the im2col+matmul path. The AVX2 routines here take one span, their
 // lanes 8 consecutive output pixels of one channel plane; convSpan4AVX512
@@ -182,7 +177,7 @@ dot_done:
 // Registers: DI y cursor, SI x cursor, R9 off, AX rows, CX npix remaining,
 // DX row counter, BX x address / tail width, R10-R13 weight rows, R8
 // yStride in bytes, R14 temp; Y0-Y7 accumulators, Y8-Y9 input vectors, Y10
-// weight broadcast, Y11-Y14 products, Y15 tail mask.
+// weight broadcast, Y15 tail mask.
 
 // convMask+64-4*n is a mask of n leading lanes, clamped to [0, 8], for
 // -8 <= n <= 16: sixteen set lanes, then sixteen clear.
@@ -215,17 +210,15 @@ GLOBL convMask<>(SB), RODATA|NOPTR, $128
 	SHRQ	$2, BX; \
 	VMOVUPS	(R14), Y15
 
-// ROW1 adds row DX of the weight row at wr into one accumulator, ROW2 into
+// ROW1 fuses row DX of the weight row at wr into one accumulator, ROW2 into
 // two; the input vectors are in Y8 (and Y9).
 #define ROW1(wr, a0) \
 	VBROADCASTSS	(wr)(DX*4), Y10; \
-	VMULPS	Y8, Y10, Y11; \
-	VADDPS	Y11, a0, a0
+	VFMADD231PS	Y8, Y10, a0
 
 #define ROW2(wr, a0, a1) \
 	ROW1(wr, a0); \
-	VMULPS	Y9, Y10, Y12; \
-	VADDPS	Y12, a1, a1
+	VFMADD231PS	Y9, Y10, a1
 
 // func convSpan4AVX2(y []float32, yStride int, x, w []float32, wStride int, off []int32, npix int)
 // Four output channels; blocks of 16 pixels, then masked vectors.
@@ -347,14 +340,10 @@ cs1_rows32:
 	MOVLQSX	(R9)(DX*4), BX
 	LEAQ	(SI)(BX*4), BX
 	VBROADCASTSS	(R10)(DX*4), Y10
-	VMULPS	(BX), Y10, Y11
-	VMULPS	32(BX), Y10, Y12
-	VMULPS	64(BX), Y10, Y13
-	VMULPS	96(BX), Y10, Y14
-	VADDPS	Y11, Y0, Y0
-	VADDPS	Y12, Y1, Y1
-	VADDPS	Y13, Y2, Y2
-	VADDPS	Y14, Y3, Y3
+	VFMADD231PS	(BX), Y10, Y0
+	VFMADD231PS	32(BX), Y10, Y1
+	VFMADD231PS	64(BX), Y10, Y2
+	VFMADD231PS	96(BX), Y10, Y3
 	INCQ	DX
 	CMPQ	DX, AX
 	JLT	cs1_rows32
@@ -415,16 +404,14 @@ cs1_done:
 // rows, DX row counter / store cursor, BX x address / temp, R10-R13 weight
 // rows, CX npix / pixels left / second-vector offset, R14 lane masks /
 // second-load offset; K1-K4 load masks, K5-K6 store masks; Z8-Z9 input
-// vectors, Z10 weight broadcast, Z11-Z12 products. Locals: the spans left
-// and, with one span per vector, where the second vector is stored.
+// vectors, Z10 weight broadcast. Locals: the spans left and, with one span
+// per vector, where the second vector is stored.
 
-// ZROW2 adds row DX of the weight row at wr times Z8 and Z9 into a0 and a1.
+// ZROW2 fuses row DX of the weight row at wr times Z8 and Z9 into a0 and a1.
 #define ZROW2(wr, a0, a1) \
 	VBROADCASTSS	(wr)(DX*4), Z10; \
-	VMULPS	Z8, Z10, Z11; \
-	VMULPS	Z9, Z10, Z12; \
-	VADDPS	Z11, a0, a0; \
-	VADDPS	Z12, a1, a1
+	VFMADD231PS	Z8, Z10, a0; \
+	VFMADD231PS	Z9, Z10, a1
 
 #define ZROWS \
 	ZROW2(R10, Z0, Z1); \

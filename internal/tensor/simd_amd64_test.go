@@ -42,13 +42,16 @@ func spanRoutines() []spanRoutine {
 
 // TestSpanKernelDispatch logs which span and plane kernels this CPU runs,
 // so a test log says which path was tested, and checks the name against
-// the feature flags the dispatch reads.
+// the feature flags the dispatch reads, and those flags against each
+// other: no AVX2 path runs without the FMA bit.
 func TestSpanKernelDispatch(t *testing.T) {
 	plane := SpanKernel()
 	if hasAVX512 {
 		plane += " (planeSum avx2)"
 	}
-	t.Logf("span kernel: %s, plane kernels: %s (AVX2 %v, AVX-512 %v)", SpanKernel(), plane, hasAVX2, hasAVX512)
+	_, _, c1, _ := cpuid(1, 0)
+	fma := c1&cpuidFMA != 0
+	t.Logf("span kernel: %s, plane kernels: %s (AVX2 %v, AVX-512 %v, FMA bit %v)", SpanKernel(), plane, hasAVX2, hasAVX512, fma)
 	want := "generic"
 	switch {
 	case hasAVX512:
@@ -62,8 +65,49 @@ func TestSpanKernelDispatch(t *testing.T) {
 	if hasAVX512 && !hasAVX2 {
 		t.Error("AVX-512 dispatch without AVX2, which its leftover channels run on")
 	}
+	if hasAVX2 && !fma {
+		t.Error("AVX2 dispatch without FMA, which axpy and every span routine use")
+	}
 	if got := spanRun(8); hasAVX512 != (got == 4) {
 		t.Errorf("spanRun(8) = %d with AVX-512 %v", got, hasAVX512)
+	}
+}
+
+// TestFMA32MatchesHardware holds fma32 to the FMA instruction bit for bit
+// — axpyAVX2 over one element is one VFMADD213SS — over a million
+// generated triples (subnormals, ±0, ±Inf and NaN among them; any NaN
+// matches any NaN) and the pinned double-rounding case. It also counts the
+// triples float32(math.FMA(...)) gets wrong, which must not be none: the
+// draw has to reach the ties where rounding twice fails.
+func TestFMA32MatchesHardware(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("the CPU has no FMA dispatch")
+	}
+	hw := func(a, b, c float32) float32 {
+		y := []float32{c}
+		axpyAVX2(a, []float32{b}, y)
+		return y[0]
+	}
+	a, b, c := doubleRounding[0], doubleRounding[1], doubleRounding[2]
+	if got := math.Float32bits(hw(a, b, c)); got != 0x3F801001 {
+		t.Errorf("VFMADD213SS of the double-rounding case = %#x, want 0x3F801001", got)
+	}
+	rng := rand.New(rand.NewSource(23))
+	const n = 1 << 20
+	naive := 0
+	for i := 0; i < n; i++ {
+		a, b, c := fmaTriple(rng)
+		want := hw(a, b, c)
+		if got := fma32(a, b, c); !sameF32(got, want) {
+			t.Fatalf("fma32(%g, %g, %g) = %#x, hardware %#x", a, b, c, math.Float32bits(got), math.Float32bits(want))
+		}
+		if !sameF32(fma32Naive(a, b, c), want) {
+			naive++
+		}
+	}
+	t.Logf("%d triples, %d of them rounded wrongly by float32(math.FMA)", n, naive)
+	if naive == 0 {
+		t.Error("no triple reached a double-rounding tie")
 	}
 }
 

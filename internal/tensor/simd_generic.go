@@ -1,15 +1,77 @@
 package tensor
 
+import "math"
+
 // Scalar reference kernels. axpyGeneric is bit-identical to the AVX2 path
-// (both perform one rounded multiply and one rounded add per element);
+// (both perform one fused multiply-add per element, rounded once);
 // dotGeneric accumulates left-to-right, which the vector path does not,
 // so dot results are deterministic per build rather than per architecture.
 
+// fma32 returns a·b+c rounded once to float32: the bits of one
+// VFMADD231SS on finite operands, and its Inf or NaN otherwise. It is the
+// arithmetic of axpy and of the conv span kernels off the vector paths.
+//
+// The float64 product of two float32 values is exact, so s = p+c is the
+// exact sum rounded once, to float64. Rounding s once more, to float32, is
+// wrong only where s lands on a float32 tie that the exact sum is not on
+// (float32(math.FMA(a, b, c)) has this double-rounding fault); tie32
+// picks those out, with the sums below float32's normal range, and
+// roundOdd resolves them. A compiler that fuses p+c with the product
+// computes the same s, since the rounding it skips is exact.
+func fma32(a, b, c float32) float32 {
+	p := float64(a) * float64(b)
+	s := p + float64(c)
+	if tie32(s) {
+		s = roundOdd(p, float64(c), s)
+	}
+	return float32(s)
+}
+
+// axpyGeneric sets y[i] = fma32(a, x[i], y[i]). fma32's common case is
+// written out in the loop, and only a tie calls it: the compiler inlines
+// no function that makes a call, and a call per element would cost more
+// than the element.
 func axpyGeneric(a float32, x, y []float32) {
 	_ = y[len(x)-1]
 	for i, xv := range x {
-		y[i] += a * xv
+		if s := float64(a)*float64(xv) + float64(y[i]); !tie32(s) {
+			y[i] = float32(s)
+		} else {
+			y[i] = fma32(a, xv, y[i])
+		}
 	}
+}
+
+// tie32 reports whether rounding the float64 s to float32 may round twice
+// wrongly: s is a float32 tie — the midpoint of two neighbours, bit 28 of
+// its mantissa set and the bits below clear — or a nonzero value below
+// float32's normal range, where the ties sit at coarser bits. An Inf or a
+// NaN made from float32 operands is neither. It reads s as two 32-bit
+// words, so a 386 build tests it without 64-bit integer arithmetic.
+func tie32(s float64) bool {
+	bits := math.Float64bits(s)
+	lo, hi := uint32(bits), uint32(bits>>32)
+	return lo&(1<<29-1) == 1<<28 || hi&0x7ff00000 < 897<<20 && s != 0
+}
+
+// roundOdd rounds the exact sum p+c to odd, given s, its float64 rounding
+// to nearest: s itself when the sum is exact, else whichever float64
+// neighbour of the sum has an odd last bit. Rounding that to float32, 24
+// bits against 53, is the sum correctly rounded (Boldo and Melquiond,
+// "Emulation of FMA and correctly rounded sums: proved algorithms using
+// rounding to odd", IEEE Trans. Computers 57(4), 2008). e is the rounding
+// error of s, exact by Knuth's TwoSum; s is finite (see tie32).
+func roundOdd(p, c, s float64) float64 {
+	pp := s - c
+	e := (p - pp) + (c - (s - pp))
+	bits := math.Float64bits(s)
+	if e == 0 || bits&1 != 0 {
+		return s
+	}
+	if (e > 0) == (s > 0) {
+		return math.Float64frombits(bits + 1)
+	}
+	return math.Float64frombits(bits - 1)
 }
 
 func dotGeneric(x, y []float32) float32 {
@@ -24,8 +86,8 @@ func dotGeneric(x, y []float32) float32 {
 // Generic twins of the elementwise plane kernels (see elementwise.go). The
 // explicit float32(...)/float64(...) conversions around each product round
 // it on its own, so a compiler that may fuse x*y+z into one instruction
-// (arm64, ppc64, s390x, riscv64) produces the same bits as the AVX2 and
-// AVX-512 routines, which never fuse.
+// (arm64, ppc64, s390x, riscv64, amd64 at GOAMD64=v3) produces the same
+// bits as the AVX2 and AVX-512 plane routines, which never fuse.
 
 func planeSumGeneric(acc *[StatLanes]float64, x []float32) {
 	for i, v := range x {

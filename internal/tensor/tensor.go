@@ -135,8 +135,8 @@ func (t *Tensor) Uniform(rng *rand.Rand, lo, hi float64) {
 }
 
 // AddScaled computes t += alpha*o elementwise. Shapes must match. It runs
-// on the axpy kernel: one rounded multiply and one rounded add per element,
-// the same bits as the scalar loop.
+// on the axpy kernel: one fused multiply-add per element, alpha*o+t rounded
+// once, the same bits on every path (at alpha = 1, a plain rounded add).
 func (t *Tensor) AddScaled(o *Tensor, alpha float32) {
 	if !t.SameShape(o) {
 		panic(fmt.Sprintf("tensor: AddScaled shape mismatch %v vs %v", t.shape, o.shape))
