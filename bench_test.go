@@ -211,8 +211,8 @@ func BenchmarkBNReLUForward(b *testing.B) {
 }
 
 // BenchmarkBNReLUBackward times the matching backward at each of bnShapes:
-// the rectifier's gate read from the saved output, Σdy and Σdy·x̂ with x̂
-// recomputed, dx — which goes back to the arena after each pass.
+// Σdy and Σdy·x̂ with x̂ and the rectifier's gate recomputed from the
+// input, dx — which goes back to the arena after each pass.
 func BenchmarkBNReLUBackward(b *testing.B) {
 	for _, sh := range bnShapes {
 		b.Run(sh.name, func(b *testing.B) {

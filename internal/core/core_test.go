@@ -147,6 +147,64 @@ func TestBNNormLogitsIgnoreHistory(t *testing.T) {
 	}
 }
 
+// TestBNOptPredictsBeforeItsStep pins the first point of TENT's protocol
+// (Wang et al., ICLR'21; ROADMAP item 14): BN-Opt predicts each batch
+// before it adapts on it. Process's logits are bitwise those of a plain
+// batch-statistics Forward of a clone that holds the pre-step γ/β, batch
+// after batch — and the step did move γ/β, so the same Forward after it
+// gives other logits.
+func TestBNOptPredictsBeforeItsStep(t *testing.T) {
+	m := tinyModel(11)
+	a, _ := New(BNOpt, m, Config{})
+	rng := rand.New(rand.NewSource(12))
+	for batch := 0; batch < 3; batch++ {
+		x := tensor.New(8, 3, 32, 32)
+		x.Uniform(rng, 0, 1)
+		want := m.Clone().Forward(x, false) // UseBatchStats is part of the copied state
+		got := a.Process(x)
+		if !bitsEqual(got.Data, want.Data) {
+			t.Fatalf("batch %d: Process's logits are not those of the pre-step γ/β", batch)
+		}
+		if after := m.Clone().Forward(x, false); bitsEqual(after.Data, got.Data) {
+			t.Fatalf("batch %d: the step left the logits where they were: nothing was adapted", batch)
+		}
+	}
+}
+
+// TestBNOptNeverReadsRunningStats pins the third point of TENT's protocol
+// (ROADMAP item 14): BN-Opt normalizes with the statistics of the batch
+// in hand and never with running statistics. With every running mean and
+// variance NaN, its logits and γ/β are bitwise those of the same adapter
+// over the finite ones, batch after batch.
+func TestBNOptNeverReadsRunningStats(t *testing.T) {
+	m := tinyModel(13)
+	ref := m.Clone()
+	for _, bn := range m.BatchNorms() {
+		for c := range bn.RunningMean {
+			bn.RunningMean[c], bn.RunningVar[c] = float32(math.NaN()), float32(math.NaN())
+		}
+	}
+	a, _ := New(BNOpt, m, Config{})
+	b, _ := New(BNOpt, ref, Config{})
+	rng := rand.New(rand.NewSource(14))
+	for batch := 0; batch < 3; batch++ {
+		x := tensor.New(8, 3, 32, 32)
+		x.Uniform(rng, 0, 1)
+		if got, want := a.Process(x), b.Process(x); !bitsEqual(got.Data, want.Data) {
+			t.Fatalf("batch %d: NaN running statistics moved the logits", batch)
+		}
+		bns, refs := m.BatchNorms(), ref.BatchNorms()
+		for i, bn := range bns {
+			if !bitsEqual(bn.Gamma.Data, refs[i].Gamma.Data) || !bitsEqual(bn.Beta.Data, refs[i].Beta.Data) {
+				t.Fatalf("batch %d: NaN running statistics moved %s's γ/β", batch, bn.Name())
+			}
+		}
+	}
+}
+
+// TestBNOptUpdatesOnlyBNParams pins the second point of TENT's protocol
+// (ROADMAP item 14): γ/β are BN-Opt's only parameters. A Process leaves
+// every other parameter as it was, and does move some γ.
 func TestBNOptUpdatesOnlyBNParams(t *testing.T) {
 	m := tinyModel(5)
 	ref := tinyModel(5) // identical clone by construction seed

@@ -14,23 +14,46 @@ import (
 	"edgetta/internal/tensor"
 )
 
-// poison fills every buffer the arena holds, handed out or not, with NaN.
-// The arena keeps no walk of its own for this; the test reads its one list
-// by name and fails loudly if that is renamed.
+// poison fills every buffer the arena holds, handed out or not, with NaN,
+// and arms the arena to do the same to each buffer the moment it is
+// released during the passes that follow: a layer that reads an
+// activation after it went back — one it should have held — reads NaN at
+// once, not only after the buffer is handed out again. The arena keeps no
+// walk of its own for this; the test reads its one list and sets its one
+// hook by name and fails loudly if either is renamed.
 func poison(a *tensor.Arena) (buffers int) {
 	if a == nil { // before the model's first pass
 		return 0
 	}
-	bufs := reflect.ValueOf(a).Elem().FieldByName("bufs")
-	nan := float32(math.NaN())
+	arena := reflect.ValueOf(a).Elem()
+	hook := arena.FieldByName("onRelease")
+	reflect.NewAt(hook.Type(), unsafe.Pointer(hook.UnsafeAddr())).Elem().Set(reflect.ValueOf(fillNaN))
+	bufs := arena.FieldByName("bufs")
 	for i := 0; i < bufs.Len(); i++ {
 		data := bufs.Index(i).Elem().FieldByName("Data")
-		s := unsafe.Slice((*float32)(data.UnsafePointer()), data.Len())
-		for j := range s {
-			s[j] = nan
-		}
+		fillNaN(unsafe.Slice((*float32)(data.UnsafePointer()), data.Len()))
 	}
 	return bufs.Len()
+}
+
+func fillNaN(s []float32) {
+	nan := float32(math.NaN())
+	for j := range s {
+		s[j] = nan
+	}
+}
+
+// held returns the arena's buffers that some layer holds, by address, with
+// their hold counts, read by name as poison reads the buffers.
+func held(a *tensor.Arena) map[uintptr]int {
+	out := map[uintptr]int{}
+	bufs := reflect.ValueOf(a).Elem().FieldByName("bufs")
+	for i := 0; i < bufs.Len(); i++ {
+		if n := bufs.Index(i).Elem().FieldByName("holds").Int(); n > 0 {
+			out[bufs.Index(i).Pointer()] = int(n)
+		}
+	}
+	return out
 }
 
 // arenaModels is every block type and both shortcut kinds: the registry
@@ -111,6 +134,64 @@ func TestArenaPoisonParity(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBNOptHoldsOnlyWhatBackwardReads: after a BN-Opt forward — every
+// parameter but γ/β frozen — the arena holds exactly what that backward
+// reads, each once: every BatchNorm's input (x̂, and the gate of a fused
+// rectifier, are recomputed from it), plus the output of each BatchNorm
+// that fused a residual before its rectifier (ResNeXt's bn3: the residual
+// moved what the rectifier saw, so only the output knows the gate). The
+// frozen convs and the linear layer hold nothing, nor does any block. The
+// set is read off the model's own layers, not written down; after
+// Backward nothing is held.
+func TestBNOptHoldsOnlyWhatBackwardReads(t *testing.T) {
+	saved := func(bn *nn.BatchNorm2d, field string) uintptr {
+		return reflect.ValueOf(bn).Elem().FieldByName(field).Pointer()
+	}
+	for _, build := range arenaModels {
+		m := build(rand.New(rand.NewSource(7)), ReproScale)
+		nn.FreezeExceptBN(m.Net)
+		for _, bn := range m.BatchNorms() {
+			bn.UseBatchStats = true
+		}
+		rng := rand.New(rand.NewSource(8))
+		x := tensor.New(3, m.InC, m.InHW, m.InHW)
+		x.Uniform(rng, 0, 1)
+		y := m.Forward(x, false)
+
+		want, names := map[uintptr]int{}, map[uintptr]string{}
+		for _, bn := range m.BatchNorms() {
+			want[saved(bn, "in")]++
+			names[saved(bn, "in")] = bn.Name() + "'s input"
+		}
+		nn.Walk(m.Net, func(l nn.Layer) {
+			if b, ok := l.(*ResNeXtBlock); ok {
+				want[saved(b.bn3, "out")]++
+				names[saved(b.bn3, "out")] = b.bn3.Name() + "'s output"
+			}
+		})
+		got := held(m.arena)
+		for p, n := range want {
+			if got[p] != n {
+				t.Errorf("%s: %s (%#x) held %d times, want %d", m.Tag, names[p], p, got[p], n)
+			}
+		}
+		for p, n := range got {
+			if _, ok := want[p]; !ok {
+				t.Errorf("%s: a buffer no BatchNorm reads back (%#x) is held %d times", m.Tag, p, n)
+			}
+		}
+
+		g := tensor.New(y.Shape()...)
+		g.Randn(rng, 1)
+		if m.Backward(g) != nil {
+			t.Fatalf("%s: a BN-Opt backward returned an input gradient", m.Tag)
+		}
+		if h := held(m.arena); len(h) != 0 {
+			t.Errorf("%s: %d buffers still held after Backward", m.Tag, len(h))
 		}
 	}
 }

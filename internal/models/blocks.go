@@ -14,13 +14,16 @@ import (
 
 // convBN runs conv→bn(+res)(→act) on x for a block with scope s (what
 // nn.Attach bound it to). The convolution's output has that one reader, so
-// in a pass that releases early (Model.Infer) the normalize writes over it.
+// it is freed once the normalize has read it — and under Infer, where
+// nobody holds it for a Backward, the normalize writes over it.
 func convBN(s *nn.Scope, conv *nn.Conv2d, bn *nn.BatchNorm2d, act *nn.ReLU, x, res *tensor.Tensor, train bool) *tensor.Tensor {
 	c := conv.Forward(x, train)
-	if s.Early != nil {
+	if s.Infer {
 		return bn.ForwardFusedInPlace(c, res, act, train)
 	}
-	return bn.ForwardFused(c, res, act, train)
+	y := bn.ForwardFused(c, res, act, train)
+	s.Arena.Free(c)
+	return y
 }
 
 // convBNBackward takes grad back through a convBN to its x (what reaches
@@ -90,12 +93,12 @@ func (b *PreActBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		sc = b.convSC.Forward(a, train)
 	}
 	a2 := convBN(&b.Scope, b.conv1, b.bn2, b.relu2, a, nil, train)
-	b.Early.Free(a)
+	b.Arena.Free(a)
 	h := b.conv2.Forward(a2, train)
-	b.Early.Free(a2)
+	b.Arena.Free(a2)
 	h.Add(sc)
 	if b.convSC != nil {
-		b.Early.Free(sc)
+		b.Arena.Free(sc)
 	}
 	return h
 }
@@ -178,15 +181,15 @@ func (b *ResNeXtBlock) Children() []nn.Layer {
 func (b *ResNeXtBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	h1 := convBN(&b.Scope, b.conv1, b.bn1, b.relu1, x, nil, train)
 	h2 := convBN(&b.Scope, b.conv2, b.bn2, b.relu2, h1, nil, train)
-	b.Early.Free(h1)
+	b.Arena.Free(h1)
 	sc := x
 	if b.convSC != nil {
 		sc = convBN(&b.Scope, b.convSC, b.bnSC, nil, x, nil, train)
 	}
 	y := convBN(&b.Scope, b.conv3, b.bn3, b.reluOut, h2, sc, train)
-	b.Early.Free(h2)
+	b.Arena.Free(h2)
 	if b.convSC != nil {
-		b.Early.Free(sc)
+		b.Arena.Free(sc)
 	}
 	return y
 }
@@ -280,14 +283,14 @@ func (b *InvertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor 
 	}
 	h2 := convBN(&b.Scope, b.dw, b.bnD, b.reluD, h, nil, train)
 	if b.expand != nil {
-		b.Early.Free(h)
+		b.Arena.Free(h)
 	}
 	var res *tensor.Tensor
 	if b.residual {
 		res = x
 	}
 	y := convBN(&b.Scope, b.project, b.bnP, nil, h2, res, train)
-	b.Early.Free(h2)
+	b.Arena.Free(h2)
 	return y
 }
 

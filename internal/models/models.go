@@ -11,8 +11,10 @@ import (
 // Model wraps a network with the metadata the study harness needs.
 //
 // The activations and gradients of a pass live in the model's arena and are
-// valid until the model's next Forward or Infer; nothing a caller is handed
-// — the logits, the input gradient — is among them.
+// valid until the model's next Forward or Infer at the latest: Backward
+// hands each activation back once the layers that read it have run, so a
+// Forward supports one Backward. Nothing a caller is handed — the logits,
+// the input gradient — is among them.
 type Model struct {
 	Name    string // human-readable architecture name
 	Tag     string // the paper's short tag, e.g. "WRN-AM"
@@ -60,7 +62,9 @@ func (m *Model) attach(infer bool) {
 
 // Backward backpropagates the loss gradient through the last Forward and
 // returns the input gradient (nil when the layer at the input skips it, see
-// nn.FreezeExceptBN) as a heap tensor.
+// nn.FreezeExceptBN) as a heap tensor. It releases the activations it
+// reads as it goes: a second Backward over the same Forward reads recycled
+// memory.
 func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if m.infer {
 		panic("models: " + m.Name + ": Backward after Infer: the pass released its activations; use Forward")

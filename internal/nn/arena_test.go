@@ -90,10 +90,12 @@ func TestLayersWriteEveryArenaElement(t *testing.T) {
 	}
 }
 
-// TestSequentialReleasesOnlyWhatItMade: under Attach(…, infer) a chain
-// gives each activation back after the next layer has read it — a Flatten
-// view keeps what it views alive — and never its input or its result;
-// Backward does the same with gradients in either mode.
+// TestSequentialReleasesOnlyWhatItMade: a chain frees each activation
+// after the next layer has read it — a Flatten view keeps what it views
+// alive — and never its input or its result; what a layer holds for its
+// Backward goes back when that Backward has run, and under Attach(…,
+// infer), where nobody holds, at the Free. Backward frees gradients the
+// same way in either mode.
 func TestSequentialReleasesOnlyWhatItMade(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	net := NewSequential("net",
@@ -134,8 +136,8 @@ func TestSequentialReleasesOnlyWhatItMade(t *testing.T) {
 		t.Fatalf("a forward that keeps its activations holds %d bytes, want %d: the input, two convs, the norm, the pool and one conv's transients", got, want)
 	}
 	net.Backward(y)
-	if got, want := keep.Bytes()-(4*plane+row+convFw), 2*plane+row+convBw; got != want {
-		t.Fatalf("Backward drew %d bytes, want %d: four plane-sized gradients recycled through two buffers and one conv's transients", got, want)
+	if got, want := keep.Bytes()-(4*plane+row+convFw), plane+convBw; got != want {
+		t.Fatalf("Backward drew %d bytes, want %d: one plane-sized buffer and one conv's transients — every other gradient reuses an activation whose readers are done (the linear layer's dX the pool output, the pool's the second conv's)", got, want)
 	}
 
 	early := new(tensor.Arena)

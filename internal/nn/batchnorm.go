@@ -17,6 +17,15 @@ import (
 //   - train=true or UseBatchStats=true: statistics of the current batch,
 //     with running stats updated by Momentum (PyTorch train() semantics,
 //     which the paper's BN-Norm and BN-Opt both require).
+//
+// Backward reads the layer input and nothing else the forward made: x̂,
+// and the value z = γ·x̂ + β a fused rectifier gated, are recomputed from
+// it in the forward's own rounding, with the γ and β that forward used.
+// So the input is all the layer holds for Backward (Scope) — and the
+// output, only after a forward that added a residual before the
+// rectifier, whose gate depends on the residual. γ and β must therefore
+// not change between a Forward and its Backward; an optimizer steps after
+// the Backward.
 type BatchNorm2d struct {
 	Scope
 	name     string
@@ -31,11 +40,10 @@ type BatchNorm2d struct {
 	// the switch internal/core flips to run BN-Norm / BN-Opt adaptation.
 	UseBatchStats bool
 
-	// Saved by the last forward for Backward. BatchNorm owns no
-	// activation-sized buffer: x̂ is recomputed from the input it keeps a
-	// reference to and the per-channel μ, σ⁻¹; the sign of a fused
-	// rectifier is read back from the output.
-	in, out      *tensor.Tensor // out is kept only when act gates the gradient
+	// Saved by the last forward for Backward; the layer holds in and out
+	// (Scope) until its Backward has run.
+	in, out      *tensor.Tensor // out is kept only when act gates a residual sum
+	shape        []int          // in's shape
 	act          *ReLU          // rectifier fused into that forward, nil if none
 	hasRes       bool           // that forward added a residual
 	inPlace      bool           // that forward wrote over in, so Backward refuses
@@ -161,8 +169,13 @@ func (b *BatchNorm2d) forward(x, res *tensor.Tensor, act *ReLU, train, inPlace b
 	})
 
 	b.in, b.out, b.act, b.hasRes, b.inPlace = x, nil, act, res != nil, inPlace
+	b.shape = append(b.shape[:0], x.Shape()...)
+	b.hold(x)
 	if act != nil {
-		b.out = y
+		if res != nil {
+			b.out = y
+			b.hold(y)
+		}
 		act.ran(y)
 		act.out = nil // the backward of both is b's now
 	}
@@ -200,26 +213,23 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 	if b.inPlace {
 		panic("nn: " + b.name + ": Backward after an in-place forward: the saved input holds the output")
 	}
-	if !grad.SameShape(x) {
+	if !sameShape(grad, b.shape) {
 		panic(shapeErr(b.name, grad.Shape()))
 	}
 	t0 := profStart()
-	n, plane := x.Dim(0), x.Dim(2)*x.Dim(3)
+	n, plane := b.shape[0], b.shape[2]*b.shape[3]
 	cnt := float32(n * plane)
-	dx = b.Arena.New(x.Shape()...)
-	// gate says where the rectifier let the forward through, read from the
-	// saved output. With a residual the gated gradient is a result in its
-	// own right — it is what reaches the residual operand — so each channel
-	// writes it out first and the batch-norm arithmetic reads it ungated.
+	dx = b.Arena.New(b.shape...)
+	// gate is the rectifier that let the forward through. Without a
+	// residual the kernels recompute what it saw from x, γ and β. With one
+	// the gated gradient is a result in its own right — it is what reaches
+	// the residual operand — so each channel writes it out first, gated by
+	// the saved output, and the batch-norm arithmetic reads it ungated.
 	gate, dy := b.act.rect(), grad
-	var out []float32
-	if gate.On {
-		out = b.out.Data
-	}
 	if b.hasRes {
 		dres = grad
 		if gate.On {
-			dres = b.Arena.New(x.Shape()...)
+			dres = b.Arena.New(b.shape...)
 			dy = dres
 		}
 	}
@@ -227,15 +237,15 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 	ch := tensor.Planes{N: n, Len: plane, Stride: b.C * plane}
 	parallel.For(b.C, func(c int) {
 		o := c * plane
-		rect, out := gate, from(out, o)
+		rect := gate
 		xc, gc, dyc := x.Data[o:], grad.Data[o:], dy.Data[o:]
 		if dy != grad {
-			tensor.GradInputPlanes(dyc, gc, nil, out, ch, nil, gate)
-			rect, out = tensor.Rect{}, nil
+			tensor.RectGradPlanes(dyc, gc, b.out.Data[o:], ch, gate)
+			rect = tensor.Rect{}
 		}
-		mean, inv := b.mean[c], b.invStd[c]
+		a := tensor.Affine{Mean: b.mean[c], InvStd: b.invStd[c], Gamma: b.Gamma.Data[c], Beta: b.Beta.Data[c]}
 		var sumDy, sumDyXhat [tensor.StatLanes]float64
-		tensor.GradSumsPlanes(&sumDy, &sumDyXhat, dyc, xc, out, ch, mean, inv, rect)
+		tensor.GradSumsPlanes(&sumDy, &sumDyXhat, dyc, xc, ch, a, rect)
 		sDy, sDyXhat := tensor.MergeLanes(&sumDy), tensor.MergeLanes(&sumDyXhat)
 		if !b.Beta.Frozen {
 			b.Beta.Grad[c] += float32(sDy)
@@ -243,10 +253,12 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 		if !b.Gamma.Frozen {
 			b.Gamma.Grad[c] += float32(sDyXhat)
 		}
-		g := tensor.BNGrad{Mean: mean, InvStd: inv, Scale: b.Gamma.Data[c] * inv,
+		g := tensor.BNGrad{Affine: a, Scale: a.Gamma * a.InvStd,
 			MeanDy: float32(sDy) / cnt, MeanDyXhat: float32(sDyXhat) / cnt, Vary: b.batchMode}
-		tensor.GradInputPlanes(dx.Data[o:], dyc, xc, out, ch, &g, rect)
+		tensor.GradInputPlanes(dx.Data[o:], dyc, xc, ch, g, rect)
 	})
+	b.Arena.Unhold(b.in)
+	b.Arena.Unhold(b.out)
 	profEndFused(KindBN, b.name, b.act.fusedName(), true, t0)
 	return dx, dres
 }

@@ -49,7 +49,11 @@ type Conv2d struct {
 	// consumes (set by FreezeExceptBN, cleared by Unfreeze).
 	noInputGrad bool
 
+	// input is the last forward's input, held for the weight gradient and
+	// nil when the weight was frozen: dX needs the weights alone, and the
+	// input's shape, which inShape records.
 	input    *tensor.Tensor
+	inShape  []int
 	lastSpec Spec
 	// fw and dx are the plans of the forward and of its gradient for the
 	// last input shape, nil until first needed. A plan is read-only once
@@ -115,7 +119,12 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: %d×%d input padded by %d is smaller than the %d×%d kernel", c.name, h, w, c.Pad, c.K, c.K))
 	}
 	t0 := profStart()
-	c.input = x
+	c.inShape = append(c.inShape[:0], x.Shape()...)
+	c.input = nil
+	if !c.Weight.Frozen {
+		c.input = x
+		c.hold(x)
+	}
 	if s := (tensor.ConvShape{InC: c.InC, OutC: c.OutC, H: h, W: w, K: c.K, Stride: c.Stride, Pad: c.Pad, Groups: c.Groups}); c.fw == nil || c.fw.ConvShape != s {
 		c.fw = tensor.NewConvPlan(s)
 	}
@@ -215,19 +224,23 @@ func (c *Conv2d) conv(dst, src, w []float32, n int, k kernel, backward bool) {
 //     taps are gathered out of Weight.Data on every call, one move per
 //     weight against N·H·W MACs per weight.
 //   - dW is accumulated into Weight.Grad unless the weight is frozen, in
-//     which case nothing of it is computed (BN-Opt: only γ/β learn).
+//     which case nothing of it is computed (BN-Opt: only γ/β learn) and the
+//     forward kept no input to compute it from.
 //
 // It calls the kernels, never Forward, so the profiler sees one conv.bw
 // span and no forward time.
 func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	x := c.input
-	if x == nil {
+	if c.fw == nil {
 		panic("nn: " + c.name + ": Backward before Forward")
+	}
+	if c.input == nil && !c.Weight.Frozen {
+		panic("nn: " + c.name + ": the weight was unfrozen after the Forward, which kept no input for its gradient")
 	}
 	// dx is drawn with unspecified contents and sized by the forward: a
 	// shorter batch would leave its tail unwritten, another plane would be
 	// sliced as if it were the forward's.
-	if grad.NDim() != 4 || grad.Dim(0) != x.Dim(0) || grad.Dim(1) != c.OutC || grad.Dim(2) != c.fw.OutH() || grad.Dim(3) != c.fw.OutW() {
+	n := c.inShape[0]
+	if grad.NDim() != 4 || grad.Dim(0) != n || grad.Dim(1) != c.OutC || grad.Dim(2) != c.fw.OutH() || grad.Dim(3) != c.fw.OutW() {
 		panic(shapeErr(c.name, grad.Shape()))
 	}
 	t0 := profStart()
@@ -236,15 +249,16 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	var dx *tensor.Tensor
 	if !c.noInputGrad {
-		dx = c.Arena.New(x.Shape()...)
+		dx = c.Arena.New(c.inShape...)
 		taps := c.Arena.New(len(c.Weight.Data))
 		c.dx.Weights(taps.Data, c.Weight.Data)
-		c.conv(dx.Data, grad.Data, taps.Data, x.Dim(0), c.dx, true)
+		c.conv(dx.Data, grad.Data, taps.Data, n, c.dx, true)
 		c.Arena.Free(taps)
 	}
 	if !c.Weight.Frozen {
-		c.weightGrad(grad.Data, x.Dim(0))
+		c.weightGrad(grad.Data, n)
 	}
+	c.Arena.Unhold(c.input)
 	profEnd(KindConv, c.name, true, t0)
 	return dx
 }

@@ -9,15 +9,16 @@ import (
 
 // ReLU is max(0, x); with a positive Cap it becomes ReLU6-style clamping
 // (used by MobileNetV2). It keeps no mask: Backward reads the rectifier's
-// sign back from the output it returned.
+// sign back from the output it returned, which it holds.
 type ReLU struct {
 	Scope
 	name string
 	Cap  float32 // 0 means uncapped
-	// out is the output of the last stand-alone Forward. It is nil after a
-	// forward fused into a BatchNorm2d (ForwardFused), which then owns the
-	// backward of both.
+	// out is the output of the last stand-alone Forward, and shape its
+	// shape. out is nil after a forward fused into a BatchNorm2d
+	// (ForwardFused), which then owns the backward of both.
 	out      *tensor.Tensor
+	shape    []int
 	lastSpec Spec
 }
 
@@ -65,7 +66,8 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := r.Arena.New(x.Shape()...)
 	tensor.NormalizePlanes(y.Data, x.Data, nil, tensor.OnePlane(x.Numel()), nil, r.rect())
 	r.ran(y)
-	r.out = y
+	r.out, r.shape = y, append(r.shape[:0], y.Shape()...)
+	r.hold(y)
 	profEnd(KindAct, r.name, false, t0)
 	return y
 }
@@ -75,12 +77,13 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.out == nil {
 		panic("nn: " + r.name + ": Backward before Forward (a fused forward is undone by its BatchNorm2d)")
 	}
-	if !grad.SameShape(r.out) {
+	if !sameShape(grad, r.shape) {
 		panic(shapeErr(r.name, grad.Shape()))
 	}
 	t0 := profStart()
-	dx := r.Arena.New(grad.Shape()...)
-	tensor.GradInputPlanes(dx.Data, grad.Data, nil, r.out.Data, tensor.OnePlane(grad.Numel()), nil, r.rect())
+	dx := r.Arena.New(r.shape...)
+	tensor.RectGradPlanes(dx.Data, grad.Data, r.out.Data, tensor.OnePlane(grad.Numel()), r.rect())
+	r.Arena.Unhold(r.out)
 	profEnd(KindAct, r.name, true, t0)
 	return dx
 }
@@ -96,7 +99,10 @@ type Linear struct {
 	// noInputGrad: see Conv2d.noInputGrad.
 	noInputGrad bool
 
+	// input is the last forward's input, held for the weight gradient and
+	// nil when the weight was frozen; n is its batch.
 	input    *tensor.Tensor
+	n        int
 	lastSpec Spec
 }
 
@@ -136,7 +142,11 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	t0 := profStart()
 	defer profEnd(KindLinear, l.name, false, t0)
 	n := x.Dim(0)
-	l.input = x
+	l.n, l.input = n, nil
+	if !l.Weight.Frozen {
+		l.input = x
+		l.hold(x)
+	}
 	// The logits are a heap tensor, not the arena's: they are what a model
 	// returns, and its caller may keep them past the next pass.
 	y := tensor.New(n, l.Out)
@@ -158,14 +168,18 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // dX = dY · W. Frozen parameters' gradients are skipped, and so is dX (nil
 // is returned) when the layer sits at the graph input with noInputGrad.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if grad.NDim() != 2 || grad.Dim(0) != l.input.Dim(0) || grad.Dim(1) != l.Out {
+	if grad.NDim() != 2 || grad.Dim(0) != l.n || grad.Dim(1) != l.Out {
 		panic(shapeErr(l.name, grad.Shape()))
+	}
+	if l.input == nil && !l.Weight.Frozen {
+		panic("nn: " + l.name + ": the weight was unfrozen after the Forward, which kept no input for its gradient")
 	}
 	t0 := profStart()
 	defer profEnd(KindLinear, l.name, true, t0)
 	n := grad.Dim(0)
 	if !l.Weight.Frozen {
 		tensor.MatMulTransAInto(l.Weight.Grad, grad.Data, l.input.Data, n, l.Out, l.In, true)
+		l.Arena.Unhold(l.input)
 	}
 	if !l.Bias.Frozen {
 		for i := 0; i < n; i++ {

@@ -5,23 +5,26 @@
 // entropy losses with analytic gradients.
 //
 // Autograd is layer-structured rather than tape-based: each layer implements
-// an explicit Backward and keeps from its Forward only what that needs.
+// an explicit Backward and keeps from its Forward only what that reads.
 // That is less than PyTorch's dynamic graph saves (the footprint the paper
 // profiles, which Spec.SavedElems keeps describing): a layer holds
-// references to its input or output tensor rather than copies, BatchNorm
-// recomputes x̂ from its input and per-channel μ, σ⁻¹, and a rectifier's
-// sign is read back from its output. A BatchNorm directly followed by a
-// ReLU — in a Sequential or in the models' blocks — runs as one fused pass
-// (BatchNorm2d.ForwardFused) over the same elementwise kernels the layers
-// use on their own.
+// references to its input or output tensor rather than copies, a conv or
+// linear layer whose weight is frozen keeps no input at all (its dX needs
+// the weights alone), BatchNorm recomputes x̂ — and the value a fused
+// rectifier saw — from its input and per-channel μ, σ⁻¹, γ, β, and a
+// stand-alone rectifier's sign is read back from its output. A BatchNorm
+// directly followed by a ReLU — in a Sequential or in the models' blocks —
+// runs as one fused pass (BatchNorm2d.ForwardFused) over the same
+// elementwise kernels the layers use on their own.
 //
 // Those references are only as good as the memory behind them. A layer
 // built on its own allocates every activation and gradient, and what it
 // holds stays readable until its next Forward. A layer inside a
-// models.Model draws them from the model's tensor.Arena (Attach): they are
-// valid until the model's next pass, gradients go back to the arena as
-// Backward consumes them, and after a pass nobody will backpropagate
-// (Model.Infer) the activations have gone back too — the references then
+// models.Model draws them from the model's tensor.Arena (Attach) and holds
+// there what its Backward reads (Scope): an activation goes back to the
+// arena once its maker is done with it and its holders have run their
+// Backward, a gradient once its consumer has run, and after a pass nobody
+// will backpropagate (Model.Infer) nothing was held — the references then
 // point at recycled memory and Backward must not be called.
 package nn
 
@@ -212,31 +215,41 @@ func BatchNorms(l Layer) []*BatchNorm2d {
 }
 
 // Scope is what a layer knows of the model it runs in: Arena, where its
-// activations, gradients and transient buffers come from, and — for the
-// composites that see the dataflow — Early, which is Arena when the running
-// pass may release an activation after its last forward reader
-// (Attach(…, infer)) and nil otherwise. Both are nil in a layer built
-// outside a model, and a nil arena allocates (tensor.Arena), so no site
-// asks which it has. Every layer of this package embeds it, and so does a
-// composite defined elsewhere that wants Attach to reach it; such a block
-// releases only what its own layers made, never its input or its result.
+// activations, gradients and transient buffers come from, and Infer, set
+// for passes nobody will backpropagate (Attach(…, true)). Both are zero in
+// a layer built outside a model, and a nil arena allocates
+// (tensor.Arena), so no site asks which it has. Every layer of this
+// package embeds it, and so does a composite defined elsewhere that wants
+// Attach to reach it.
+//
+// One rule governs the arena in every pass. A composite frees what it made
+// after its last forward reader — never its input, nor its result. A leaf
+// layer holds (tensor.Arena.Hold) only what its own Backward reads, and
+// unholds it at the end of that Backward, so the gradients of the layers
+// below reuse the buffers of those already passed. Under Infer nobody
+// holds anything, so every activation goes back at its maker's Free.
 type Scope struct {
-	Arena, Early *tensor.Arena
+	Arena *tensor.Arena
+	Infer bool
 }
 
-func (s *Scope) attach(a *tensor.Arena, infer bool) {
-	s.Arena, s.Early = a, nil
-	if infer {
-		s.Early = a
+func (s *Scope) attach(a *tensor.Arena, infer bool) { s.Arena, s.Infer = a, infer }
+
+// hold keeps t for the layer's Backward, unless the pass is an Infer.
+func (s *Scope) hold(t *tensor.Tensor) {
+	if !s.Infer {
+		s.Arena.Hold(t)
 	}
 }
 
 // Attach makes every layer in the tree rooted at l that embeds a Scope draw
 // its activations and gradients from a, for the passes that follow. An
-// activation or gradient inside the tree is then valid until a is Reset:
-// Backward hands each gradient back as soon as its consumer has run, and
-// under infer — nobody will call Backward — Forward does the same with
-// each activation, so Backward after such a pass reads recycled memory.
+// activation or gradient inside the tree is then valid until a is Reset or
+// until its last reader has run: Backward hands each gradient back as soon
+// as its consumer has run and each activation once the Backward that reads
+// it has, and under infer — nobody will call Backward, so nobody holds —
+// each activation goes back after its last forward reader, so Backward
+// after such a pass reads recycled memory.
 func Attach(l Layer, a *tensor.Arena, infer bool) {
 	Walk(l, func(x Layer) {
 		if s, ok := x.(interface{ attach(*tensor.Arena, bool) }); ok {
@@ -248,6 +261,21 @@ func Attach(l Layer, a *tensor.Arena, infer bool) {
 // views reports whether y is x seen under another shape (Flatten), which
 // makes y no new owner of the memory.
 func views(y, x *tensor.Tensor) bool { return &y.Data[0] == &x.Data[0] }
+
+// sameShape reports whether t has the given shape: the one a layer's
+// forward recorded, since a tensor it read may since have been released
+// and handed out again under another.
+func sameShape(t *tensor.Tensor, shape []int) bool {
+	if t.NDim() != len(shape) {
+		return false
+	}
+	for i, d := range shape {
+		if t.Dim(i) != d {
+			return false
+		}
+	}
+	return true
+}
 
 // Sequential chains layers; Forward threads the activation through each in
 // order and Backward replays them in reverse.
@@ -269,16 +297,16 @@ func (s *Sequential) Append(layers ...Layer) { s.layers = append(s.layers, layer
 // as one fused pass (BatchNorm2d.ForwardFused); which layers pair up is a
 // property of the chain alone, so Backward finds the same pairs.
 //
-// The chain releases what it made once the next layer has read it — never
-// its input, which is its caller's, nor its result. In a pass that
-// releases early, a fused pair whose input the chain made writes its
-// result over that input, which has no other reader.
+// The chain frees what it made once the next layer has read it — never
+// its input, which is its caller's, nor its result. Under Infer, a fused
+// pair whose input the chain made writes its result over that input, which
+// has no other reader.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	var made *tensor.Tensor // the chain's own tensor that x is, or views
 	for i := 0; i < len(s.layers); i++ {
 		var y *tensor.Tensor
 		if bn, act := s.fusedPair(i); bn != nil {
-			if s.Early != nil && made != nil && views(x, made) {
+			if s.Infer && made != nil && views(x, made) {
 				y = bn.ForwardFusedInPlace(x, nil, act, train)
 			} else {
 				y = bn.ForwardFused(x, nil, act, train)
@@ -288,7 +316,7 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			y = s.layers[i].Forward(x, train)
 		}
 		if !views(y, x) {
-			s.Early.Free(made)
+			s.Arena.Free(made)
 			made = y
 		}
 		x = y

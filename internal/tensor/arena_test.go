@@ -134,3 +134,49 @@ func TestArenaSteadyStateAllocatesNothing(t *testing.T) {
 		t.Fatalf("a steady-state pass allocates %v times, want 0", got)
 	}
 }
+
+// TestArenaHoldDefersRelease: a held tensor that its maker frees goes back
+// at the last Unhold, not before; holding a Reshape view holds the buffer
+// it views; Unhold without a Hold, and of what the arena does not own,
+// changes nothing; Reset takes back held tensors too; and the release hook
+// sees a buffer exactly when it is released.
+func TestArenaHoldDefersRelease(t *testing.T) {
+	a := new(Arena)
+	var released []*float32
+	a.onRelease = func(d []float32) { released = append(released, &d[0]) }
+	x := a.New(2, 3)
+	a.Hold(x)
+	a.Hold(x.Reshape(6)) // a second holder, through a view
+	a.Free(x)
+	if y := a.New(6); y == x || len(released) != 0 {
+		t.Fatal("a held tensor was released at its maker's Free")
+	}
+	a.Unhold(x)
+	a.Unhold(New(6)) // not the arena's
+	if y := a.New(6); y == x || len(released) != 0 {
+		t.Fatal("a tensor with a Hold left was released")
+	}
+	a.Unhold(x.Reshape(3, 2))
+	if len(released) != 1 || released[0] != &x.Data[0] {
+		t.Fatalf("the last Unhold released %d buffers, want x's alone", len(released))
+	}
+	if y := a.New(2, 3); y != x {
+		t.Fatal("the released tensor did not serve the next request of its size")
+	}
+	a.Unhold(x) // no Hold left: ignored, x stays live
+	if y := a.New(6); y == x {
+		t.Fatal("an Unhold without a Hold released a live tensor")
+	}
+
+	z := a.New(5)
+	a.Hold(z)
+	a.Unhold(z) // held and unheld before the maker is done: still live
+	if w := a.New(5); w == z {
+		t.Fatal("an Unhold released a tensor its maker had not freed")
+	}
+	a.Hold(z)
+	a.Reset()
+	if z.holds != 0 || z.state != arenaIdle {
+		t.Fatal("Reset did not take back a held tensor")
+	}
+}

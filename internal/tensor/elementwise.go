@@ -12,6 +12,13 @@ import "math"
 // their input (y = x, dx = dy): each element is read before its result is
 // written, and nothing else of the channel is read after.
 //
+// The rectifier's backward gate. The gradient pair recomputes the value a
+// forward rectified, z = γ·x̂ + β, from the layer input in the forward's
+// own rounding, so a batch norm's backward reads dy and x and no saved
+// output. Only the rectifier's own backward (RectGradPlanes: a stand-alone
+// ReLU, and the gate behind a residual add, whose z the residual moved)
+// reads the output it gates by.
+//
 // Reduction shape. The sums are float64 and run in StatLanes independent
 // lanes: element i of a plane is added to lane i mod StatLanes, in
 // ascending i, plane after plane, and the lanes are carried across the
@@ -143,36 +150,43 @@ func NormalizePlanes(y, x, res []float32, p Planes, a *Affine, rect Rect) {
 }
 
 // GradSumsPlanes adds Σdy and Σdy·x̂ over the planes into the two lane
-// sets, with x̂ = (x−mean)·invStd recomputed from the layer input. With a
-// rectifier, dy counts only where the saved output out passed it
-// (0 < out, and out < Cap when capped) and as +0 elsewhere.
-func GradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, p Planes, mean, invStd float32, rect Rect) {
-	gradSumsPlanes(sumDy, sumDyXhat, dy, x, out, p, mean, invStd, rect.hi(), rect.mode())
+// sets, with x̂ = (x−Mean)·InvStd recomputed from the layer input. With a
+// rectifier, dy counts only where the value the forward rectified passed
+// it (0 < z, and z < Cap when capped) and as +0 elsewhere: z = Gamma·x̂ +
+// Beta is recomputed from x in the forward's own rounding, so the gate
+// needs no saved output. It is the gate of a forward that added no
+// residual; after one that did, gate the gradient with RectGradPlanes
+// first and pass no rectifier here.
+func GradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, p Planes, a Affine, rect Rect) {
+	gradSumsPlanes(sumDy, sumDyXhat, dy, x, p, a.Mean, a.InvStd, a.Gamma, a.Beta, rect.hi(), rect.mode())
 }
 
-// BNGrad holds one channel's constants for GradInputPlanes: the forward
-// statistics, Scale = γ·σ⁻¹, and — when the statistics depended on the
-// input (Vary) — the batch means of dy and dy·x̂.
+// BNGrad holds one channel's constants for GradInputPlanes: the forward's
+// normalize constants (which the rectifier's gate is recomputed from),
+// Scale = γ·σ⁻¹, and — when the statistics depended on the input (Vary) —
+// the batch means of dy and dy·x̂.
 type BNGrad struct {
-	Mean, InvStd, Scale float32
-	MeanDy, MeanDyXhat  float32
-	Vary                bool
+	Affine
+	Scale              float32
+	MeanDy, MeanDyXhat float32
+	Vary               bool
 }
 
 // GradInputPlanes writes the input gradient of NormalizePlanes' affine and
 // rectifier steps over the planes: dy gated by the rectifier as in
-// GradSumsPlanes, then, when g is non-nil, dx = Scale·(dy − MeanDy −
-// x̂·MeanDyXhat) (Vary) or Scale·dy. With g nil it is the rectifier's own
-// backward. dx may be dy.
-func GradInputPlanes(dx, dy, x, out []float32, p Planes, g *BNGrad, rect Rect) {
-	mode := rect.mode()
-	var k BNGrad
-	if g != nil {
-		mode |= opAffine
-		k = *g
-		if k.Vary {
-			mode |= opVary
-		}
+// GradSumsPlanes, then dx = Scale·(dy − MeanDy − x̂·MeanDyXhat) (Vary) or
+// Scale·dy. x is read for the gate and for Vary. dx may be dy.
+func GradInputPlanes(dx, dy, x []float32, p Planes, g BNGrad, rect Rect) {
+	mode := opAffine | rect.mode()
+	if g.Vary {
+		mode |= opVary
 	}
-	gradInputPlanes(dx, dy, x, out, p, k.Mean, k.InvStd, k.Scale, k.MeanDy, k.MeanDyXhat, rect.hi(), mode)
+	gradInputPlanes(dx, dy, x, p, g.Mean, g.InvStd, g.Gamma, g.Beta, g.Scale, g.MeanDy, g.MeanDyXhat, rect.hi(), mode)
+}
+
+// RectGradPlanes is the rectifier's own backward over the planes: dx is dy
+// where the saved output out passed the rectifier and +0 elsewhere. dx may
+// be dy.
+func RectGradPlanes(dx, dy, out []float32, p Planes, rect Rect) {
+	gradInputPlanes(dx, dy, out, p, 0, 0, 0, 0, 0, 0, 0, rect.hi(), rect.mode())
 }

@@ -14,10 +14,10 @@ func normalize(y, x, res []float32, mean, inv, g, b, hi float32, mode int) {
 	normalizePlanes(y, x, res, OnePlane(len(x)), mean, inv, g, b, hi, mode)
 }
 
-func gradSums(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, mean, inv, hi float32, mode int) {
-	gradSumsPlanes(sumDy, sumDyXhat, dy, x, out, OnePlane(len(dy)), mean, inv, hi, mode)
+func gradSums(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, mean, inv, g, b, hi float32, mode int) {
+	gradSumsPlanes(sumDy, sumDyXhat, dy, x, OnePlane(len(dy)), mean, inv, g, b, hi, mode)
 }
 
-func gradInput(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
-	gradInputPlanes(dx, dy, x, out, OnePlane(len(dy)), mean, inv, scale, mDy, mDyXhat, hi, mode)
+func gradInput(dx, dy, x []float32, mean, inv, g, b, scale, mDy, mDyXhat, hi float32, mode int) {
+	gradInputPlanes(dx, dy, x, OnePlane(len(dy)), mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
 }

@@ -121,22 +121,26 @@ func TestPlaneKernelsMatchGenericTwins(t *testing.T) {
 					}
 				}
 
+				// src is the gradient's second operand, with specials: the
+				// layer input under opAffine, the saved output without.
 				dy := finitePlane(rng, n, (off+2)%4)
-				out := plane(rng, n, (off+3)%4, rect.Cap)
-				var s1, p1, s2, p2 [StatLanes]float64
-				gradSums(&s1, &p1, dy, x, out, 0.3, 1.7, rect.hi(), rect.mode())
-				gradSumsGeneric(&s2, &p2, dy, x, out, 0.3, 1.7, rect.hi(), rect.mode())
-				for i := range s1 {
-					if !sameF64(s1[i], s2[i]) || !sameF64(p1[i], p2[i]) {
-						t.Fatalf("gradSums n=%d off=%d rect=%+v lane %d: (%v, %v) vs generic (%v, %v)",
-							n, off, rect, i, s1[i], p1[i], s2[i], p2[i])
+				src := plane(rng, n, (off+3)%4, rect.Cap)
+				for _, gx := range [][]float32{x, src} {
+					var s1, p1, s2, p2 [StatLanes]float64
+					gradSums(&s1, &p1, dy, gx, 0.3, 1.7, -0.8, 0.1, rect.hi(), rect.mode())
+					gradSumsGeneric(&s2, &p2, dy, gx, 0.3, 1.7, -0.8, 0.1, rect.hi(), rect.mode())
+					for i := range s1 {
+						if !sameF64(s1[i], s2[i]) || !sameF64(p1[i], p2[i]) {
+							t.Fatalf("gradSums n=%d off=%d rect=%+v lane %d: (%v, %v) vs generic (%v, %v)",
+								n, off, rect, i, s1[i], p1[i], s2[i], p2[i])
+						}
 					}
 				}
 				for _, mode := range []int{0, opAffine, opAffine | opVary} {
 					m := mode | rect.mode()
 					got, want := make([]float32, n), make([]float32, n)
-					gradInput(got, dy, x, out, 0.3, 1.7, 0.9, 0.02, -0.04, rect.hi(), m)
-					gradInputGeneric(want, dy, x, out, 0.3, 1.7, 0.9, 0.02, -0.04, rect.hi(), m)
+					gradInput(got, dy, src, 0.3, 1.7, -0.8, 0.1, 0.9, 0.02, -0.04, rect.hi(), m)
+					gradInputGeneric(want, dy, src, 0.3, 1.7, -0.8, 0.1, 0.9, 0.02, -0.04, rect.hi(), m)
 					for i := range got {
 						if !sameF32(got[i], want[i]) {
 							t.Fatalf("gradInput n=%d off=%d mode=%d at %d: %v vs generic %v", n, off, m, i, got[i], want[i])
@@ -223,7 +227,7 @@ func TestRectifierGateReadsTheSavedOutput(t *testing.T) {
 			dy[rot] = negZero
 			NormalizePlanes(out, v, nil, OnePlane(n), nil, rect)
 			dx := make([]float32, n)
-			GradInputPlanes(dx, dy, nil, out, OnePlane(n), nil, rect)
+			RectGradPlanes(dx, dy, out, OnePlane(n), rect)
 			for i := range dx {
 				_, pass := oldReLU(v[i], cap)
 				want := float32(0)
@@ -233,6 +237,70 @@ func TestRectifierGateReadsTheSavedOutput(t *testing.T) {
 				if math.Float32bits(dx[i]) != math.Float32bits(want) {
 					t.Fatalf("cap=%v v=%v (out %v): dx %v (%#x), old mask gives %v", cap, v[i], out[i],
 						dx[i], math.Float32bits(dx[i]), want)
+				}
+			}
+		}
+	}
+}
+
+// TestRecomputedGateMatchesSavedOutput: the gate a batch norm's backward
+// recomputes from its input, z = γ·x̂ + β, lets through exactly what the
+// gate read back from the forward's output lets through, element by
+// element — at the edges where the two could part: z = +0 and −0, a NaN
+// input, z at ReLU6's cap and one ulp either side, subnormal z, γ = 0 (z
+// is β, or NaN for an infinite input) and γ < 0. Each case is a channel
+// of its own constants; its inputs repeat over a plane long enough for
+// the vector routines and a remainder. GradSumsPlanes' gate is held to
+// the sums over the gradient RectGradPlanes gated.
+func TestRecomputedGateMatchesSavedOutput(t *testing.T) {
+	big := math.Nextafter32(6, inf(1))
+	for _, tc := range []struct {
+		name        string
+		gamma, beta float32
+		x           []float32 // mean 0 and σ⁻¹ 1: x̂ is x
+	}{
+		{"z = ±0", 1, 0, []float32{0, negZero, 0.5, -0.5}},
+		{"z = −0 from −0 + −0", 1, negZero, []float32{negZero, 0, 1}},
+		{"z = +0 from x − β", 1, -0.5, []float32{0.5, 0.25, 0.75}},
+		{"NaN input", 1, 0.5, []float32{nan32, 1, -1, nan32}},
+		{"z at the cap", 1, 0, []float32{6, math.Nextafter32(6, 0), big, 7, inf(1)}},
+		{"z at the cap through γ and β", 2, 1, []float32{2.5, math.Nextafter32(2.5, 0), math.Nextafter32(2.5, 3)}},
+		{"subnormal z", 1, 0, []float32{denormal, -denormal, 2 * denormal, math.SmallestNonzeroFloat32}},
+		{"subnormal z from γ", 0x1p-100, 0, []float32{0x1p-30, -0x1p-30, 1}},
+		{"γ = 0", 0, 0.25, []float32{1, -1, 0, nan32, inf(1), inf(-1)}},
+		{"γ = 0 and β = 0", 0, 0, []float32{1, -1, negZero}},
+		{"γ < 0", -2, 0.5, []float32{1, -1, 0, 0.25, -3, inf(-1), inf(1)}},
+		{"γ < 0 at the cap", -1, 0, []float32{-6, -big, math.Nextafter32(-6, 0), negZero}},
+	} {
+		for _, rect := range []Rect{{On: true}, {On: true, Cap: 6}} {
+			const n = 37 // two vectors of 16, and a remainder
+			x, dy := make([]float32, n), make([]float32, n)
+			for i := range x {
+				x[i] = tc.x[i%len(tc.x)]
+				dy[i] = float32(i) - 18.5
+			}
+			p := OnePlane(n)
+			a := Affine{Mean: 0, InvStd: 1, Gamma: tc.gamma, Beta: tc.beta}
+			out := make([]float32, n)
+			NormalizePlanes(out, x, nil, p, &a, rect)
+			want := make([]float32, n)
+			RectGradPlanes(want, dy, out, p, rect)
+			got, twin := make([]float32, n), make([]float32, n)
+			GradInputPlanes(got, dy, x, p, BNGrad{Affine: a, Scale: 1}, rect)
+			gradInputGeneric(twin, dy, x, 0, 1, tc.gamma, tc.beta, 1, 0, 0, rect.hi(), opAffine|rect.mode())
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) || math.Float32bits(twin[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s cap=%v: x=%v → out %v: recomputed gate gives %v (generic %v), saved output %v",
+						tc.name, rect.Cap, x[i], out[i], got[i], twin[i], want[i])
+				}
+			}
+			var s1, p1, s2, p2 [StatLanes]float64
+			GradSumsPlanes(&s1, &p1, dy, x, p, a, rect)
+			GradSumsPlanes(&s2, &p2, want, x, p, a, Rect{})
+			for i := range s1 {
+				if !sameF64(s1[i], s2[i]) || !sameF64(p1[i], p2[i]) {
+					t.Fatalf("%s cap=%v: lane %d: GradSumsPlanes' gate gives (%v, %v), the saved output's (%v, %v)",
+						tc.name, rect.Cap, i, s1[i], p1[i], s2[i], p2[i])
 				}
 			}
 		}

@@ -225,10 +225,10 @@ func dot(x, y []float32) float32 {
 // vector part is a multiple of StatLanes long. planeSum has no AVX-512
 // routine: its lanes are chains of float64 additions, which run no faster
 // at 16 lanes than at 8 (slower on a core whose 256-bit adder is the
-// quicker one). Either routine reads an optional operand (res, x, out)
-// only under the mode bit that needs it; an AVX-512 one is handed another
-// operand of the call in place of an absent one, so every address it forms
-// lies inside a checked extent.
+// quicker one). Either routine reads an optional operand (res, or the
+// gradient's x) only under the mode bits that need it; an AVX-512 one is
+// handed another operand of the call in place of an absent one, so every
+// address it forms lies inside a checked extent.
 
 //go:noescape
 func planeSumAVX2(acc *[StatLanes]float64, x []float32, plen, n, stride int)
@@ -240,10 +240,10 @@ func planeSumSqDevAVX2(acc *[StatLanes]float64, x []float32, plen, n, stride int
 func normalizeAVX2(y, x, res []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
 
 //go:noescape
-func gradSumsAVX2(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, plen, n, stride int, mean, inv, hi float32, mode int)
+func gradSumsAVX2(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
 
 //go:noescape
-func gradInputAVX2(dx, dy, x, out []float32, plen, n, stride int, mean, inv, scale, mDy, mDyXhat, hi float32, mode int)
+func gradInputAVX2(dx, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, scale, mDy, mDyXhat, hi float32, mode int)
 
 //go:noescape
 func sumSqDevPlanesAVX512(acc *[StatLanes]float64, x []float32, plen, n, stride int, mean float32)
@@ -252,10 +252,10 @@ func sumSqDevPlanesAVX512(acc *[StatLanes]float64, x []float32, plen, n, stride 
 func normalizePlanesAVX512(y, x, res []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
 
 //go:noescape
-func gradSumsPlanesAVX512(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, plen, n, stride int, mean, inv, hi float32, mode int)
+func gradSumsPlanesAVX512(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
 
 //go:noescape
-func gradInputPlanesAVX512(dx, dy, x, out []float32, plen, n, stride int, mean, inv, scale, mDy, mDyXhat, hi float32, mode int)
+func gradInputPlanesAVX512(dx, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, scale, mDy, mDyXhat, hi float32, mode int)
 
 // vectorPart is how many leading elements of an n-element plane the AVX2
 // routines take when they work in blocks of width (a power of two).
@@ -351,69 +351,57 @@ func normalizePlanes(y, x, res []float32, p Planes, mean, inv, g, b, hi float32,
 	}
 }
 
-func gradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, p Planes, mean, inv, hi float32, mode int) {
+func gradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, p Planes, mean, inv, g, b, hi float32, mode int) {
 	if p.empty() {
 		return
 	}
 	p.check(len(dy))
 	p.check(len(x))
-	if mode&opRect != 0 {
-		p.check(len(out))
-	}
 	switch {
 	case hasAVX512:
-		if mode&opRect == 0 {
-			out = dy
-		}
-		gradSumsPlanesAVX512(sumDy, sumDyXhat, dy, x, out, p.Len, p.N, p.Stride, mean, inv, hi, mode)
+		gradSumsPlanesAVX512(sumDy, sumDyXhat, dy, x, p.Len, p.N, p.Stride, mean, inv, g, b, hi, mode)
 		return
 	case hasAVX2 && p.Len%StatLanes == 0:
-		gradSumsAVX2(sumDy, sumDyXhat, dy, x, out, p.Len, p.N, p.Stride, mean, inv, hi, mode)
+		gradSumsAVX2(sumDy, sumDyXhat, dy, x, p.Len, p.N, p.Stride, mean, inv, g, b, hi, mode)
 		return
 	}
 	for k := 0; k < p.N; k++ {
-		dyk, xk, ok := p.at(dy, k), p.at(x, k), p.at(out, k)
+		dyk, xk := p.at(dy, k), p.at(x, k)
 		n := vectorPart(len(dyk), StatLanes)
 		if n > 0 {
-			gradSumsAVX2(sumDy, sumDyXhat, dyk, xk, ok, n, 1, n, mean, inv, hi, mode)
+			gradSumsAVX2(sumDy, sumDyXhat, dyk, xk, n, 1, n, mean, inv, g, b, hi, mode)
 		}
-		gradSumsGeneric(sumDy, sumDyXhat, dyk[n:], xk[n:], rest(ok, n), mean, inv, hi, mode)
+		gradSumsGeneric(sumDy, sumDyXhat, dyk[n:], xk[n:], mean, inv, g, b, hi, mode)
 	}
 }
 
-func gradInputPlanes(dx, dy, x, out []float32, p Planes, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
+func gradInputPlanes(dx, dy, x []float32, p Planes, mean, inv, g, b, scale, mDy, mDyXhat, hi float32, mode int) {
 	if p.empty() {
 		return
 	}
 	p.check(len(dx))
 	p.check(len(dy))
-	vary := opAffine | opVary
-	if mode&vary == vary {
+	readsX := mode&(opRect|opVary) != 0
+	if readsX {
 		p.check(len(x))
-	}
-	if mode&opRect != 0 {
-		p.check(len(out))
 	}
 	switch {
 	case hasAVX512:
-		if mode&vary != vary {
+		if !readsX {
 			x = dy
 		}
-		if mode&opRect == 0 {
-			out = dy
-		}
-		gradInputPlanesAVX512(dx, dy, x, out, p.Len, p.N, p.Stride, mean, inv, scale, mDy, mDyXhat, hi, mode)
+		gradInputPlanesAVX512(dx, dy, x, p.Len, p.N, p.Stride, mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
 		return
 	case hasAVX2 && p.Len%8 == 0:
-		gradInputAVX2(dx, dy, x, out, p.Len, p.N, p.Stride, mean, inv, scale, mDy, mDyXhat, hi, mode)
+		gradInputAVX2(dx, dy, x, p.Len, p.N, p.Stride, mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
 		return
 	}
 	for k := 0; k < p.N; k++ {
-		dxk, dyk, xk, ok := p.at(dx, k), p.at(dy, k), p.at(x, k), p.at(out, k)
+		dxk, dyk, xk := p.at(dx, k), p.at(dy, k), p.at(x, k)
 		n := vectorPart(len(dyk), 8)
 		if n > 0 {
-			gradInputAVX2(dxk, dyk, xk, ok, n, 1, n, mean, inv, scale, mDy, mDyXhat, hi, mode)
+			gradInputAVX2(dxk, dyk, xk, n, 1, n, mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
 		}
-		gradInputGeneric(dxk[n:], dyk[n:], rest(xk, n), rest(ok, n), mean, inv, scale, mDy, mDyXhat, hi, mode)
+		gradInputGeneric(dxk[n:], dyk[n:], rest(xk, n), mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
 	}
 }

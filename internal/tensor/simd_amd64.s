@@ -806,8 +806,11 @@ il_next:
 //
 // Mode bits (elementwise.go): 1 affine, 2 residual, 4 rectifier, 8 the
 // statistics varied with the input. hi is the rectifier's cap, or NaN for
-// none: VMINPS(hi, v) and the hi <= out compare are both written so that a
-// NaN hi never clamps and never gates.
+// none: VMINPS(hi, v) and the gate's hi <= v compare are both written so
+// that a NaN hi never clamps and never gates. The gradient pair takes the
+// forward's gamma and beta and recomputes the rectified z = gamma*xhat +
+// beta with the forward's instruction sequence (VSUBPS, VMULPS, VMULPS,
+// VADDPS), so its gate is the forward's bit for bit.
 
 // func planeSumAVX2(acc *[16]float64, x []float32, plen, n, stride int)
 // plen must be a positive multiple of 16, n positive.
@@ -963,23 +966,33 @@ norm_store:
 	VZEROUPPER
 	RET
 
-// GATE8 loads 8 saved outputs at OFF(R9) and zeroes (to +0) the lanes of
-// DY whose output did not pass the rectifier: pass = out > 0 && !(hi <= out).
-// Clobbers Y10, Y11; expects Y14 = hi, Y15 = zero.
-#define GATE8(OFF, DY) \
-	VMOVUPS	OFF(R9), Y10; \
-	VCMPPS	$0x12, Y10, Y14, Y11; \
-	VCMPPS	$0x1E, Y15, Y10, Y10; \
-	VANDNPS	Y10, Y11, Y10; \
-	VANDPS	Y10, DY, DY
+// GATE8 zeroes (to +0) the lanes of DY whose value in V did not pass the
+// rectifier: pass = v > 0 && !(hi <= v), v being the recomputed z or the
+// saved output. Clobbers V and T; expects Y14 = hi, Y15 = zero.
+#define GATE8(V, T, DY) \
+	VCMPPS	$0x12, V, Y14, T; \
+	VCMPPS	$0x1E, Y15, V, V; \
+	VANDNPS	V, T, V; \
+	VANDPS	V, DY, DY
 
-// SUMS8 folds 8 gradients (already in Y8) and the 8 inputs at OFF(SI)
-// into the lanes S0:S1 (sum dy) and P0:P1 (sum dy*xhat), in float64.
-// Clobbers Y8-Y11; expects Y12 = mean, Y13 = inv.
-#define SUMS8(OFF, S0, S1, P0, P1) \
+// XHAT8 sets Y9 to the 8 inputs at OFF(SI) as xhat = (x-mean)*inv;
+// expects Y12 = mean, Y13 = inv.
+#define XHAT8(OFF) \
 	VMOVUPS	OFF(SI), Y9; \
 	VSUBPS	Y12, Y9, Y9; \
-	VMULPS	Y13, Y9, Y9; \
+	VMULPS	Y13, Y9, Y9
+
+// ZGATE8 recomputes z = gamma*xhat + beta from the xhat in Y9, gamma and
+// beta broadcast in the frame's locals, and gates the gradients in Y8 by
+// it. Clobbers Y10, Y11.
+#define ZGATE8 \
+	VMULPS	gamma-64(SP), Y9, Y10; \
+	VADDPS	beta-32(SP), Y10, Y10; \
+	GATE8(Y10, Y11, Y8)
+
+// SUMS8 folds 8 gradients (in Y8) and their xhat (in Y9) into the lanes
+// S0:S1 (sum dy) and P0:P1 (sum dy*xhat), in float64. Clobbers Y8-Y11.
+#define SUMS8(S0, S1, P0, P1) \
 	VEXTRACTF128	$1, Y8, X10; \
 	VEXTRACTF128	$1, Y9, X11; \
 	VCVTPS2PD	X8, Y8; \
@@ -993,24 +1006,30 @@ norm_store:
 	VADDPD	Y9, P0, P0; \
 	VADDPD	Y11, P1, P1
 
-// func gradSumsAVX2(sumDy, sumDyXhat *[16]float64, dy, x, out []float32, plen, n, stride int, mean, inv, hi float32, mode int)
-// plen a positive multiple of 16; out is read only under the rectifier bit.
-//   R8 dy   SI x   R9 out (cursors)   R11-R13 their plane starts
+// func gradSumsAVX2(sumDy, sumDyXhat *[16]float64, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
+// plen a positive multiple of 16. Under the rectifier bit dy is gated by
+// z = gamma*xhat + beta, the value the forward rectified, recomputed in
+// the forward's rounding. Every ymm register is taken, so gamma and beta
+// are broadcast into the frame and read from there.
+//   R8 dy   SI x (cursors)   R11-R12 their plane starts
 //   CX remaining   R14 planes left   AX mode   DI, DX lane sets
 //   Y0-Y3 sum dy   Y4-Y7 sum dy*xhat   Y12 mean  Y13 inv  Y14 hi  Y15 zero
-TEXT ·gradSumsAVX2(SB), NOSPLIT, $0-136
+TEXT ·gradSumsAVX2(SB), NOSPLIT, $64-120
 	MOVQ	sumDy+0(FP), DI
 	MOVQ	sumDyXhat+8(FP), DX
 	MOVQ	dy_base+16(FP), R11
 	MOVQ	x_base+40(FP), R12
-	MOVQ	out_base+64(FP), R13
-	MOVQ	n+96(FP), R14
-	MOVQ	stride+104(FP), R10
+	MOVQ	n+72(FP), R14
+	MOVQ	stride+80(FP), R10
 	SHLQ	$2, R10
-	MOVQ	mode+128(FP), AX
-	VBROADCASTSS	mean+112(FP), Y12
-	VBROADCASTSS	inv+116(FP), Y13
-	VBROADCASTSS	hi+120(FP), Y14
+	MOVQ	mode+112(FP), AX
+	VBROADCASTSS	gamma+96(FP), Y8
+	VMOVUPS	Y8, gamma-64(SP)
+	VBROADCASTSS	beta+100(FP), Y8
+	VMOVUPS	Y8, beta-32(SP)
+	VBROADCASTSS	mean+88(FP), Y12
+	VBROADCASTSS	inv+92(FP), Y13
+	VBROADCASTSS	hi+104(FP), Y14
 	VXORPS	Y15, Y15, Y15
 	VMOVUPD	(DI), Y0
 	VMOVUPD	32(DI), Y1
@@ -1024,32 +1043,31 @@ TEXT ·gradSumsAVX2(SB), NOSPLIT, $0-136
 gsum_plane:
 	MOVQ	R11, R8
 	MOVQ	R12, SI
-	MOVQ	R13, R9
-	MOVQ	plen+88(FP), CX
+	MOVQ	plen+64(FP), CX
 
 gsum_loop16:
 	VMOVUPS	(R8), Y8
+	XHAT8(0)
 	TESTQ	$4, AX
 	JZ	gsum_lo
-	GATE8(0, Y8)
+	ZGATE8
 
 gsum_lo:
-	SUMS8(0, Y0, Y1, Y4, Y5)
+	SUMS8(Y0, Y1, Y4, Y5)
 	VMOVUPS	32(R8), Y8
+	XHAT8(32)
 	TESTQ	$4, AX
 	JZ	gsum_hi
-	GATE8(32, Y8)
+	ZGATE8
 
 gsum_hi:
-	SUMS8(32, Y2, Y3, Y6, Y7)
+	SUMS8(Y2, Y3, Y6, Y7)
 	ADDQ	$64, R8
 	ADDQ	$64, SI
-	ADDQ	$64, R9
 	SUBQ	$16, CX
 	JNZ	gsum_loop16
 	ADDQ	R10, R11
 	ADDQ	R10, R12
-	ADDQ	R10, R13
 	DECQ	R14
 	JNZ	gsum_plane
 
@@ -1064,52 +1082,65 @@ gsum_hi:
 	VZEROUPPER
 	RET
 
-// func gradInputAVX2(dx, dy, x, out []float32, plen, n, stride int, mean, inv, scale, mDy, mDyXhat, hi float32, mode int)
+// func gradInputAVX2(dx, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, scale, mDy, mDyXhat, hi float32, mode int)
 // dx = scale*((gate(dy) - mDy) - ((x-mean)*inv)*mDyXhat), each step under
-// its mode bit; plen a positive multiple of 8.
-//   DI dx   R8 dy   SI x   R9 out (cursors)   R11-R13, BX their plane starts
+// its mode bit; plen a positive multiple of 8. x is loaded under the
+// rectifier or the vary bit. With the affine bit the gate is z =
+// gamma*xhat + beta, recomputed; without, x is the rectifier's saved
+// output and gates by itself.
+//   DI dx   R8 dy   SI x (cursors)   R11-R13 their plane starts
 //   CX end of the dy plane   R14 planes left   AX mode
-//   Y2 mean  Y3 inv  Y4 scale  Y5 mDy  Y6 mDyXhat  Y14 hi  Y15 zero
-TEXT ·gradInputAVX2(SB), NOSPLIT, $0-152
+//   Y2 mean  Y3 inv  Y4 scale  Y5 mDy  Y6 mDyXhat  Y12 gamma  Y13 beta
+//   Y14 hi  Y15 zero
+TEXT ·gradInputAVX2(SB), NOSPLIT, $0-136
 	MOVQ	dx_base+0(FP), R11
 	MOVQ	dy_base+24(FP), R12
 	MOVQ	x_base+48(FP), R13
-	MOVQ	out_base+72(FP), BX
-	MOVQ	n+104(FP), R14
-	MOVQ	stride+112(FP), R10
+	MOVQ	n+80(FP), R14
+	MOVQ	stride+88(FP), R10
 	SHLQ	$2, R10
-	MOVQ	mode+144(FP), AX
-	VBROADCASTSS	mean+120(FP), Y2
-	VBROADCASTSS	inv+124(FP), Y3
-	VBROADCASTSS	scale+128(FP), Y4
-	VBROADCASTSS	mDy+132(FP), Y5
-	VBROADCASTSS	mDyXhat+136(FP), Y6
-	VBROADCASTSS	hi+140(FP), Y14
+	MOVQ	mode+128(FP), AX
+	VBROADCASTSS	mean+96(FP), Y2
+	VBROADCASTSS	inv+100(FP), Y3
+	VBROADCASTSS	gamma+104(FP), Y12
+	VBROADCASTSS	beta+108(FP), Y13
+	VBROADCASTSS	scale+112(FP), Y4
+	VBROADCASTSS	mDy+116(FP), Y5
+	VBROADCASTSS	mDyXhat+120(FP), Y6
+	VBROADCASTSS	hi+124(FP), Y14
 	VXORPS	Y15, Y15, Y15
 
 gin_plane:
 	MOVQ	R11, DI
 	MOVQ	R12, R8
 	MOVQ	R13, SI
-	MOVQ	BX, R9
-	MOVQ	plen+96(FP), CX
+	MOVQ	plen+72(FP), CX
 	SHLQ	$2, CX
 	ADDQ	R8, CX
 
 gin_loop8:
 	VMOVUPS	(R8), Y0
+	TESTQ	$12, AX
+	JZ	gin_affine
+	VMOVUPS	(SI), Y1
+	VMOVAPS	Y1, Y7
+	TESTQ	$1, AX
+	JZ	gin_gate
+	VSUBPS	Y2, Y1, Y1
+	VMULPS	Y3, Y1, Y1
+	VMULPS	Y12, Y1, Y7
+	VADDPS	Y13, Y7, Y7
+
+gin_gate:
 	TESTQ	$4, AX
 	JZ	gin_affine
-	GATE8(0, Y0)
+	GATE8(Y7, Y10, Y0)
 
 gin_affine:
 	TESTQ	$1, AX
 	JZ	gin_store
 	TESTQ	$8, AX
 	JZ	gin_scale
-	VMOVUPS	(SI), Y1
-	VSUBPS	Y2, Y1, Y1
-	VMULPS	Y3, Y1, Y1
 	VMULPS	Y6, Y1, Y1
 	VSUBPS	Y5, Y0, Y0
 	VSUBPS	Y1, Y0, Y0
@@ -1121,14 +1152,12 @@ gin_store:
 	VMOVUPS	Y0, (DI)
 	ADDQ	$32, R8
 	ADDQ	$32, SI
-	ADDQ	$32, R9
 	ADDQ	$32, DI
 	CMPQ	R8, CX
 	JL	gin_loop8
 	ADDQ	R10, R11
 	ADDQ	R10, R12
 	ADDQ	R10, R13
-	ADDQ	R10, BX
 	DECQ	R14
 	JNZ	gin_plane
 	VZEROUPPER
@@ -1306,25 +1335,27 @@ znorm_next:
 	VZEROUPPER
 	RET
 
-// GATE16 zeroes (to +0) the lanes of dy in zd whose saved output, loaded
-// from (R12)(BX*1) under kl, did not pass the rectifier: pass = out > 0 &&
-// !(hi <= out), or every lane when K3 (no rectifier) is set. Clobbers Z7,
-// K1, K2; expects Z14 = hi, Z15 = zero.
-#define GATE16(kl, zd) \
-	VMOVUPS.Z	(R12)(BX*1), kl, Z7; \
-	VCMPPS	$0x1E, Z15, Z7, K1; \
-	VCMPPS	$0x12, Z7, Z14, K2; \
+// ZGATE16 zeroes (to +0) the lanes of dy in zd whose value in zv did not
+// pass the rectifier: pass = v > 0 && !(hi <= v), or every lane when K3
+// (no rectifier) is set. Clobbers K1, K2; expects Z14 = hi, Z15 = zero.
+#define ZGATE16(zv, zd) \
+	VCMPPS	$0x1E, Z15, zv, K1; \
+	VCMPPS	$0x12, zv, Z14, K2; \
 	KANDNW	K1, K2, K1; \
 	KORW	K3, K1, K1; \
 	VMOVUPS.Z	zd, K1, zd
 
-// GSUMS16 folds the 16 gated gradients in Z8 and the inputs loaded from
-// (SI)(BX*1) under kl into Z0:Z1 (sum dy) and Z2:Z3 (sum dy*xhat) under
+// GSUMS16 loads the inputs from (SI)(BX*1) under kl, gates the 16
+// gradients in Z8 by z = gamma*xhat + beta recomputed from them, and folds
+// gradients and xhat into Z0:Z1 (sum dy) and Z2:Z3 (sum dy*xhat) under
 // masks k0, k1. Clobbers Z4-Z7, Z9.
 #define GSUMS16(kl, k0, k1) \
 	VMOVUPS.Z	(SI)(BX*1), kl, Z9; \
 	VSUBPS	Z12, Z9, Z9; \
 	VMULPS	Z13, Z9, Z9; \
+	VMULPS	Z16, Z9, Z7; \
+	VADDPS	Z17, Z7, Z7; \
+	ZGATE16(Z7, Z8); \
 	WIDEN(Z8, Y8, Z4, Z5, Y5); \
 	WIDEN(Z9, Y9, Z6, Z7, Y7); \
 	VADDPD	Z4, Z0, k0, Z0; \
@@ -1334,28 +1365,29 @@ znorm_next:
 	VADDPD	Z6, Z2, k0, Z2; \
 	VADDPD	Z7, Z3, k1, Z3
 
-// func gradSumsPlanesAVX512(sumDy, sumDyXhat *[16]float64, dy, x, out []float32, plen, n, stride int, mean, inv, hi float32, mode int)
-// The sums of gradSumsAVX2 over the planes; out is read only under the
-// rectifier bit. K4 is all lanes.
-//   R8 dy   SI x   R12 out (plane starts)   DI, DX lane sets
+// func gradSumsPlanesAVX512(sumDy, sumDyXhat *[16]float64, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
+// The sums of gradSumsAVX2 over the planes. K4 is all lanes.
+//   R8 dy   SI x (plane starts)   DI, DX lane sets
 //   Z0:Z1 sum dy   Z2:Z3 sum dy*xhat   Z12 mean  Z13 inv  Z14 hi  Z15 zero
-TEXT ·gradSumsPlanesAVX512(SB), NOSPLIT, $0-136
+//   Z16 gamma  Z17 beta
+TEXT ·gradSumsPlanesAVX512(SB), NOSPLIT, $0-120
 	MOVQ	sumDy+0(FP), DI
 	MOVQ	sumDyXhat+8(FP), DX
 	MOVQ	dy_base+16(FP), R8
 	MOVQ	x_base+40(FP), SI
-	MOVQ	out_base+64(FP), R12
-	MOVQ	n+96(FP), R9
-	MOVQ	stride+104(FP), R10
+	MOVQ	n+72(FP), R9
+	MOVQ	stride+80(FP), R10
 	SHLQ	$2, R10
-	VBROADCASTSS	mean+112(FP), Z12
-	VBROADCASTSS	inv+116(FP), Z13
-	VBROADCASTSS	hi+120(FP), Z14
+	VBROADCASTSS	mean+88(FP), Z12
+	VBROADCASTSS	inv+92(FP), Z13
+	VBROADCASTSS	gamma+96(FP), Z16
+	VBROADCASTSS	beta+100(FP), Z17
+	VBROADCASTSS	hi+104(FP), Z14
 	VPXORD	Z15, Z15, Z15
-	MOVQ	mode+128(FP), AX
+	MOVQ	mode+112(FP), AX
 	XORQ	$4, AX
 	MODEMASK(2, K3)
-	MOVQ	plen+88(FP), CX
+	MOVQ	plen+64(FP), CX
 	TAILMASKS
 	KXNORW	K4, K4, K4
 	VMOVUPD	(DI), Z0
@@ -1371,7 +1403,6 @@ zgs_plane:
 
 zgs_block:
 	VMOVUPS	(R8)(BX*1), Z8
-	GATE16(K4, Z8)
 	GSUMS16(K4, K4, K4)
 	ADDQ	$64, BX
 	DECQ	CX
@@ -1381,13 +1412,11 @@ zgs_tail:
 	KORTESTW	K7, K7
 	JZ	zgs_next
 	VMOVUPS.Z	(R8)(BX*1), K7, Z8
-	GATE16(K7, Z8)
 	GSUMS16(K7, K5, K6)
 
 zgs_next:
 	ADDQ	R10, R8
 	ADDQ	R10, SI
-	ADDQ	R10, R12
 	DECQ	R9
 	JNZ	zgs_plane
 	VMOVUPD	Z0, (DI)
@@ -1397,50 +1426,59 @@ zgs_next:
 	VZEROUPPER
 	RET
 
-// GIN16 maps the 16 gradients in Z0 as gradInputAVX2 does: gated, then
-// under K5 (affine) scaled, after the two subtractions under K6 (affine
-// and vary) with the inputs loaded from (SI)(BX*1) under kl.
+// GIN16 maps the 16 gradients in Z0 as gradInputAVX2 does. The inputs,
+// loaded from (SI)(BX*1) under kl, become xhat and then z under K5
+// (affine) — without it they are the saved output the gate reads — the
+// gradients are gated, and then under K5 scaled, after the two
+// subtractions under K6 (affine and vary). Clobbers Z1, Z7.
 #define GIN16(kl) \
-	GATE16(kl, Z0); \
 	VMOVUPS.Z	(SI)(BX*1), kl, Z1; \
-	VSUBPS	Z8, Z1, Z1; \
-	VMULPS	Z9, Z1, Z1; \
+	VSUBPS	Z8, Z1, K5, Z1; \
+	VMULPS	Z9, Z1, K5, Z1; \
+	VMOVUPS	Z1, Z7; \
+	VMULPS	Z16, Z1, K5, Z7; \
+	VADDPS	Z17, Z7, K5, Z7; \
+	ZGATE16(Z7, Z0); \
 	VMULPS	Z12, Z1, Z1; \
 	VSUBPS	Z11, Z0, K6, Z0; \
 	VSUBPS	Z1, Z0, K6, Z0; \
 	VMULPS	Z10, Z0, K5, Z0
 
-// func gradInputPlanesAVX512(dx, dy, x, out []float32, plen, n, stride int, mean, inv, scale, mDy, mDyXhat, hi float32, mode int)
+// func gradInputPlanesAVX512(dx, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, scale, mDy, mDyXhat, hi float32, mode int)
 // dx = scale*((gate(dy) - mDy) - ((x-mean)*inv)*mDyXhat) over the planes,
-// each step under its mode bit; dx may be dy. x and out are read only
-// under their bits. The tail's lanes are in K4 here (K5/K6 hold modes).
-//   DI dx   R8 dy   SI x   R12 out (plane starts)
+// each step under its mode bit; dx may be dy. x is read as
+// gradInputAVX2 reads it; the Go wrapper passes dy in its place when
+// neither bit that reads it is set. The tail's lanes are in K4 here (K5/K6
+// hold modes).
+//   DI dx   R8 dy   SI x (plane starts)
 //   Z8 mean  Z9 inv  Z10 scale  Z11 mDy  Z12 mDyXhat  Z14 hi  Z15 zero
-TEXT ·gradInputPlanesAVX512(SB), NOSPLIT, $0-152
+//   Z16 gamma  Z17 beta
+TEXT ·gradInputPlanesAVX512(SB), NOSPLIT, $0-136
 	MOVQ	dx_base+0(FP), DI
 	MOVQ	dy_base+24(FP), R8
 	MOVQ	x_base+48(FP), SI
-	MOVQ	out_base+72(FP), R12
-	MOVQ	n+104(FP), R9
-	MOVQ	stride+112(FP), R10
+	MOVQ	n+80(FP), R9
+	MOVQ	stride+88(FP), R10
 	SHLQ	$2, R10
-	VBROADCASTSS	mean+120(FP), Z8
-	VBROADCASTSS	inv+124(FP), Z9
-	VBROADCASTSS	scale+128(FP), Z10
-	VBROADCASTSS	mDy+132(FP), Z11
-	VBROADCASTSS	mDyXhat+136(FP), Z12
-	VBROADCASTSS	hi+140(FP), Z14
+	VBROADCASTSS	mean+96(FP), Z8
+	VBROADCASTSS	inv+100(FP), Z9
+	VBROADCASTSS	gamma+104(FP), Z16
+	VBROADCASTSS	beta+108(FP), Z17
+	VBROADCASTSS	scale+112(FP), Z10
+	VBROADCASTSS	mDy+116(FP), Z11
+	VBROADCASTSS	mDyXhat+120(FP), Z12
+	VBROADCASTSS	hi+124(FP), Z14
 	VPXORD	Z15, Z15, Z15
-	MOVQ	plen+96(FP), CX
+	MOVQ	plen+72(FP), CX
 	TAILMASKS
 	KMOVW	K7, K4
-	MOVQ	mode+144(FP), AX
+	MOVQ	mode+128(FP), AX
 	MODEMASK(0, K5)
 	MOVQ	AX, CX
 	SHRQ	$3, CX
 	ANDQ	CX, AX
 	MODEMASK(0, K6)
-	MOVQ	mode+144(FP), AX
+	MOVQ	mode+128(FP), AX
 	XORQ	$4, AX
 	MODEMASK(2, K3)
 	KXNORW	K7, K7, K7
@@ -1470,7 +1508,6 @@ zgi_next:
 	ADDQ	R10, DI
 	ADDQ	R10, R8
 	ADDQ	R10, SI
-	ADDQ	R10, R12
 	DECQ	R9
 	JNZ	zgi_plane
 	VZEROUPPER

@@ -152,22 +152,34 @@ func TestConvParityWithoutAVX512(t *testing.T) {
 }
 
 // planeCall is one call of each of the five plane kernels over the same
-// channel: its placement, its operands — x and dy finite, xs, res and out
-// with specials, res absent (nil) without the residual step and out
-// without the rectifier — the lanes every reduction starts from, and the
-// mode: opAffine, opResidual and opVary as drawn, plus the rectifier's bit.
+// channel: its placement, its operands — x and dy finite, xs, res and src
+// with specials, res absent (nil) without the residual step — the lanes
+// every reduction starts from, the affine map's γ and β, and the mode:
+// opAffine, opResidual and opVary as drawn, plus the rectifier's bit. The
+// reductions read x; src is the input gradient's second operand: the layer
+// input its gate is recomputed from under opAffine, the rectifier's saved
+// output without.
 type planeCall struct {
 	p                   Planes
-	x, xs, res, dy, out []float32
+	x, xs, res, dy, src []float32
 	acc                 [StatLanes]float64
+	gamma, beta         float32
 	rect                Rect
 	mode                int
 }
 
-// The channel constants of every planeCall.
+// The channel constants every planeCall shares.
 const (
-	pcMean, pcInv, pcGamma, pcBeta  = 0.3, 1.7, -0.8, 0.1
+	pcMean, pcInv                   = 0.3, 1.7
 	pcScale, pcMeanDy, pcMeanDyXhat = 0.9, 0.02, -0.04
+)
+
+// The γ and β a planeCall draws from: the sign of γ flips what the gate
+// passes, γ = 0 makes every z the constant β, and a −0 β lets a z of −0
+// through the sum.
+var (
+	pcGammas = []float32{-0.8, 1.1, 0, 2.5}
+	pcBetas  = []float32{0.1, 0, negZero, -0.25}
 )
 
 // newPlaneCall fills a call over p whose operands alloc lays out, each of
@@ -181,12 +193,11 @@ func newPlaneCall(rng *rand.Rand, p Planes, mode int, rect Rect, alloc func(n in
 		return dst
 	}
 	c := &planeCall{p: p, rect: rect, mode: mode | rect.mode(),
-		x: fill(finitePlane(rng, n, 0)), xs: fill(plane(rng, n, 0, rect.Cap)), dy: fill(finitePlane(rng, n, 0))}
+		gamma: pcGammas[rng.Intn(len(pcGammas))], beta: pcBetas[rng.Intn(len(pcBetas))],
+		x: fill(finitePlane(rng, n, 0)), xs: fill(plane(rng, n, 0, rect.Cap)), dy: fill(finitePlane(rng, n, 0)),
+		src: fill(plane(rng, n, 0, rect.Cap))}
 	if mode&opResidual != 0 {
 		c.res = fill(plane(rng, n, 0, rect.Cap))
-	}
-	if rect.On {
-		c.out = fill(plane(rng, n, 0, rect.Cap))
 	}
 	for i := range c.acc {
 		c.acc[i] = rng.NormFloat64()
@@ -242,9 +253,9 @@ func planeRoutines() []planeRoutine {
 			}
 			sumPlanes(&r.sum, c.x, c.p)
 			sumSqDevPlanes(&r.sq, c.x, c.p, pcMean)
-			normalizePlanes(r.y, r.y, c.res, c.p, pcMean, pcInv, pcGamma, pcBeta, c.rect.hi(), c.mode)
-			gradSumsPlanes(&r.sDy, &r.sDyXhat, c.dy, c.x, c.out, c.p, pcMean, pcInv, c.rect.hi(), c.mode)
-			gradInputPlanes(r.dx, r.dx, c.x, c.out, c.p, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, c.rect.hi(), c.mode)
+			normalizePlanes(r.y, r.y, c.res, c.p, pcMean, pcInv, c.gamma, c.beta, c.rect.hi(), c.mode)
+			gradSumsPlanes(&r.sDy, &r.sDyXhat, c.dy, c.x, c.p, pcMean, pcInv, c.gamma, c.beta, c.rect.hi(), c.mode)
+			gradInputPlanes(r.dx, r.dx, c.src, c.p, pcMean, pcInv, c.gamma, c.beta, pcScale, pcMeanDy, pcMeanDyXhat, c.rect.hi(), c.mode)
 		}},
 		{"AVX2 routines", hasAVX2, runPlanesAVX2},
 		{"AVX-512 routines", hasAVX512, runPlanesAVX512},
@@ -254,12 +265,12 @@ func planeRoutines() []planeRoutine {
 func runPlanesGeneric(c *planeCall, r *planeResult) {
 	hi := c.rect.hi()
 	for k := 0; k < c.p.N; k++ {
-		x, dy, out := c.p.at(c.x, k), c.p.at(c.dy, k), c.p.at(c.out, k)
+		x, dy, src := c.p.at(c.x, k), c.p.at(c.dy, k), c.p.at(c.src, k)
 		planeSumGeneric(&r.sum, x)
 		planeSumSqDevGeneric(&r.sq, x, pcMean)
-		normalizeGeneric(c.p.at(r.y, k), c.p.at(c.xs, k), c.p.at(c.res, k), pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
-		gradSumsGeneric(&r.sDy, &r.sDyXhat, dy, x, out, pcMean, pcInv, hi, c.mode)
-		gradInputGeneric(c.p.at(r.dx, k), dy, x, out, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+		normalizeGeneric(c.p.at(r.y, k), c.p.at(c.xs, k), c.p.at(c.res, k), pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+		gradSumsGeneric(&r.sDy, &r.sDyXhat, dy, x, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+		gradInputGeneric(c.p.at(r.dx, k), dy, src, pcMean, pcInv, c.gamma, c.beta, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
 	}
 }
 
@@ -267,9 +278,9 @@ func runPlanesDispatch(c *planeCall, r *planeResult) {
 	hi := c.rect.hi()
 	sumPlanes(&r.sum, c.x, c.p)
 	sumSqDevPlanes(&r.sq, c.x, c.p, pcMean)
-	normalizePlanes(r.y, c.xs, c.res, c.p, pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
-	gradSumsPlanes(&r.sDy, &r.sDyXhat, c.dy, c.x, c.out, c.p, pcMean, pcInv, hi, c.mode)
-	gradInputPlanes(r.dx, c.dy, c.x, c.out, c.p, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+	normalizePlanes(r.y, c.xs, c.res, c.p, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+	gradSumsPlanes(&r.sDy, &r.sDyXhat, c.dy, c.x, c.p, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+	gradInputPlanes(r.dx, c.dy, c.src, c.p, pcMean, pcInv, c.gamma, c.beta, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
 }
 
 // runPlanesAVX2 calls the AVX2 routines on the whole channel when its
@@ -280,29 +291,29 @@ func runPlanesAVX2(c *planeCall, r *planeResult) {
 	if p.Len%StatLanes == 0 {
 		planeSumAVX2(&r.sum, c.x, p.Len, p.N, p.Stride)
 		planeSumSqDevAVX2(&r.sq, c.x, p.Len, p.N, p.Stride, pcMean)
-		normalizeAVX2(r.y, c.xs, c.res, p.Len, p.N, p.Stride, pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
-		gradSumsAVX2(&r.sDy, &r.sDyXhat, c.dy, c.x, c.out, p.Len, p.N, p.Stride, pcMean, pcInv, hi, c.mode)
-		gradInputAVX2(r.dx, c.dy, c.x, c.out, p.Len, p.N, p.Stride, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+		normalizeAVX2(r.y, c.xs, c.res, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+		gradSumsAVX2(&r.sDy, &r.sDyXhat, c.dy, c.x, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+		gradInputAVX2(r.dx, c.dy, c.src, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
 		return
 	}
 	for k := 0; k < p.N; k++ {
-		x, xs, res, dy, out := p.at(c.x, k), p.at(c.xs, k), p.at(c.res, k), p.at(c.dy, k), p.at(c.out, k)
+		x, xs, res, dy, src := p.at(c.x, k), p.at(c.xs, k), p.at(c.res, k), p.at(c.dy, k), p.at(c.src, k)
 		y, dx := p.at(r.y, k), p.at(r.dx, k)
 		n := len(x) &^ (StatLanes - 1)
 		if n > 0 {
 			planeSumAVX2(&r.sum, x, n, 1, n)
 			planeSumSqDevAVX2(&r.sq, x, n, 1, n, pcMean)
-			gradSumsAVX2(&r.sDy, &r.sDyXhat, dy, x, out, n, 1, n, pcMean, pcInv, hi, c.mode)
+			gradSumsAVX2(&r.sDy, &r.sDyXhat, dy, x, n, 1, n, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
 		}
 		planeSumGeneric(&r.sum, x[n:])
 		planeSumSqDevGeneric(&r.sq, x[n:], pcMean)
-		gradSumsGeneric(&r.sDy, &r.sDyXhat, dy[n:], x[n:], rest(out, n), pcMean, pcInv, hi, c.mode)
+		gradSumsGeneric(&r.sDy, &r.sDyXhat, dy[n:], x[n:], pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
 		if n = len(x) &^ 7; n > 0 {
-			normalizeAVX2(y, xs, res, n, 1, n, pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
-			gradInputAVX2(dx, dy, x, out, n, 1, n, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+			normalizeAVX2(y, xs, res, n, 1, n, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+			gradInputAVX2(dx, dy, src, n, 1, n, pcMean, pcInv, c.gamma, c.beta, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
 		}
-		normalizeGeneric(y[n:], xs[n:], rest(res, n), pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
-		gradInputGeneric(dx[n:], dy[n:], x[n:], rest(out, n), pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+		normalizeGeneric(y[n:], xs[n:], rest(res, n), pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+		gradInputGeneric(dx[n:], dy[n:], src[n:], pcMean, pcInv, c.gamma, c.beta, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
 	}
 }
 
@@ -311,18 +322,18 @@ func runPlanesAVX2(c *planeCall, r *planeResult) {
 // AVX2 planeSum, which has no AVX-512 twin, the same way.
 func runPlanesAVX512(c *planeCall, r *planeResult) {
 	hi, p := c.rect.hi(), c.p
-	res, out := c.res, c.out
+	res, src := c.res, c.src
 	if res == nil {
 		res = c.xs
 	}
-	if out == nil {
-		out = c.dy
+	if c.mode&(opRect|opVary) == 0 {
+		src = c.dy
 	}
 	sumPlanes(&r.sum, c.x, p)
 	sumSqDevPlanesAVX512(&r.sq, c.x, p.Len, p.N, p.Stride, pcMean)
-	normalizePlanesAVX512(r.y, c.xs, res, p.Len, p.N, p.Stride, pcMean, pcInv, pcGamma, pcBeta, hi, c.mode)
-	gradSumsPlanesAVX512(&r.sDy, &r.sDyXhat, c.dy, c.x, out, p.Len, p.N, p.Stride, pcMean, pcInv, hi, c.mode)
-	gradInputPlanesAVX512(r.dx, c.dy, c.x, out, p.Len, p.N, p.Stride, pcMean, pcInv, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
+	normalizePlanesAVX512(r.y, c.xs, res, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+	gradSumsPlanesAVX512(&r.sDy, &r.sDyXhat, c.dy, c.x, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+	gradInputPlanesAVX512(r.dx, c.dy, src, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
 }
 
 // check runs every plane routine this CPU has on the call, each into a
@@ -382,10 +393,16 @@ func TestPlaneChannelsMatchGenericTwins(t *testing.T) {
 
 // bnChannels runs a batch-norm forward and backward over an NCHW tensor
 // with the plane kernels, one channel at a time as internal/nn does:
-// statistics, the normalize with a residual and a rectifier, the gradient
-// sums and the input gradient.
+// statistics, the normalize with a rectifier (and a residual when res is
+// not nil), the gradient sums and the input gradient. Without a residual
+// the backward recomputes the rectifier's gate from x; with one it reads
+// the gate back from y first, as the residual moved what the rectifier saw.
 func bnChannels(x, res, grad []float32, n, ch, plane int, rect Rect) (y, dx []float32, sums []float64) {
 	y, dx = make([]float32, len(x)), make([]float32, len(x))
+	dy := grad
+	if res != nil && rect.On {
+		dy = make([]float32, len(x))
+	}
 	cnt := float64(n * plane)
 	for c := 0; c < ch; c++ {
 		p, o := Planes{N: n, Len: plane, Stride: ch * plane}, c*plane
@@ -395,12 +412,22 @@ func bnChannels(x, res, grad []float32, n, ch, plane int, rect Rect) (y, dx []fl
 		acc = [StatLanes]float64{}
 		SumSqDevPlanes(&acc, x[o:], p, mean)
 		inv := float32(1 / math.Sqrt(MergeLanes(&acc)/cnt+1e-5))
-		NormalizePlanes(y[o:], x[o:], res[o:], p, &Affine{Mean: mean, InvStd: inv, Gamma: 1.1, Beta: -0.2}, rect)
+		a := Affine{Mean: mean, InvStd: inv, Gamma: 1.1, Beta: -0.2}
+		gate := rect
+		if res != nil {
+			NormalizePlanes(y[o:], x[o:], res[o:], p, &a, rect)
+			if rect.On {
+				RectGradPlanes(dy[o:], grad[o:], y[o:], p, rect)
+			}
+			gate = Rect{}
+		} else {
+			NormalizePlanes(y[o:], x[o:], nil, p, &a, rect)
+		}
 		var s1, s2 [StatLanes]float64
-		GradSumsPlanes(&s1, &s2, grad[o:], x[o:], y[o:], p, mean, inv, rect)
+		GradSumsPlanes(&s1, &s2, dy[o:], x[o:], p, a, gate)
 		sDy, sDyXhat := MergeLanes(&s1), MergeLanes(&s2)
-		GradInputPlanes(dx[o:], grad[o:], x[o:], y[o:], p, &BNGrad{Mean: mean, InvStd: inv, Scale: 1.1 * inv,
-			MeanDy: float32(sDy / cnt), MeanDyXhat: float32(sDyXhat / cnt), Vary: true}, rect)
+		GradInputPlanes(dx[o:], dy[o:], x[o:], p, BNGrad{Affine: a, Scale: 1.1 * inv,
+			MeanDy: float32(sDy / cnt), MeanDyXhat: float32(sDyXhat / cnt), Vary: true}, gate)
 		sums = append(sums, sDy, sDyXhat)
 	}
 	return y, dx, sums
@@ -423,18 +450,20 @@ func TestPlaneParityWithoutAVX512(t *testing.T) {
 		n, ch, plane := shape[0], shape[1], shape[2]
 		x, res, grad := randSlice(rng, n*ch*plane), randSlice(rng, n*ch*plane), randSlice(rng, n*ch*plane)
 		for _, rect := range rects {
-			var y, dx [2][]float32
-			var sums [2][]float64
-			for i, on := range []bool{false, true} {
-				hasAVX512 = on
-				y[i], dx[i], sums[i] = bnChannels(x, res, grad, n, ch, plane, rect)
-			}
-			same := bitsEqual(y[0], y[1]) && bitsEqual(dx[0], dx[1])
-			for i := range sums[0] {
-				same = same && math.Float64bits(sums[0][i]) == math.Float64bits(sums[1][i])
-			}
-			if !same {
-				t.Errorf("shape %v rect %+v: the AVX-512 and AVX2 paths differ", shape, rect)
+			for _, r := range [][]float32{res, nil} {
+				var y, dx [2][]float32
+				var sums [2][]float64
+				for i, on := range []bool{false, true} {
+					hasAVX512 = on
+					y[i], dx[i], sums[i] = bnChannels(x, r, grad, n, ch, plane, rect)
+				}
+				same := bitsEqual(y[0], y[1]) && bitsEqual(dx[0], dx[1])
+				for i := range sums[0] {
+					same = same && math.Float64bits(sums[0][i]) == math.Float64bits(sums[1][i])
+				}
+				if !same {
+					t.Errorf("shape %v rect %+v residual %v: the AVX-512 and AVX2 paths differ", shape, rect, r != nil)
+				}
 			}
 		}
 	}
@@ -459,7 +488,7 @@ func BenchmarkPlaneKernels(b *testing.B) {
 	for _, sh := range shapes {
 		p := sh.p
 		n := (p.N-1)*p.Stride + p.Len
-		x, res, dy, out, y := randSlice(rng, n), randSlice(rng, n), randSlice(rng, n), randSlice(rng, n), make([]float32, n)
+		x, res, dy, y := randSlice(rng, n), randSlice(rng, n), randSlice(rng, n), make([]float32, n)
 		hi, rect := Rect{On: true}.hi(), Rect{On: true}.mode()
 		kernels := []struct {
 			name string
@@ -472,10 +501,10 @@ func BenchmarkPlaneKernels(b *testing.B) {
 			}},
 			{"gradsums", func() {
 				var s1, s2 [StatLanes]float64
-				gradSumsPlanes(&s1, &s2, dy, x, out, p, 0.1, 1.2, hi, rect)
+				gradSumsPlanes(&s1, &s2, dy, x, p, 0.1, 1.2, 0.9, 0.05, hi, rect)
 			}},
 			{"gradinput", func() {
-				gradInputPlanes(y, dy, x, out, p, 0.1, 1.2, 0.9, 0.01, 0.02, hi, opAffine|opVary|rect)
+				gradInputPlanes(y, dy, x, p, 0.1, 1.2, 0.9, 0.05, 0.9, 0.01, 0.02, hi, opAffine|opVary|rect)
 			}},
 		}
 		for _, k := range kernels {

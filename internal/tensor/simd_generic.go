@@ -115,15 +115,23 @@ func rectify(v, hi float32) float32 {
 	return v
 }
 
-// passed reports whether the rectifier let the value behind the saved
-// output y through unchanged — the old ReLU mask, read back from y.
-func passed(y, hi float32) bool { return y > 0 && !(hi <= y) }
+// passed reports whether the rectifier let v through unchanged, v being
+// the value it rectified (affine's z) or its saved output — the same test
+// on either: the old ReLU mask.
+func passed(v, hi float32) bool { return v > 0 && !(hi <= v) }
+
+// affine is the normalize step's arithmetic, shared by the forward and the
+// gate its backward recomputes: x̂ = (v−mean)·inv, then z = γ·x̂ + β, each
+// operation rounded on its own.
+func affine(v, mean, inv, g, b float32) (xh, z float32) {
+	xh = (v - mean) * inv
+	return xh, float32(g*xh) + b
+}
 
 func normalizeGeneric(y, x, res []float32, mean, inv, g, b, hi float32, mode int) {
 	for i, v := range x {
 		if mode&opAffine != 0 {
-			xh := (v - mean) * inv
-			v = float32(g*xh) + b
+			_, v = affine(v, mean, inv, g, b)
 		}
 		if mode&opResidual != 0 {
 			v += res[i]
@@ -135,25 +143,36 @@ func normalizeGeneric(y, x, res []float32, mean, inv, g, b, hi float32, mode int
 	}
 }
 
-func gradSumsGeneric(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, mean, inv, hi float32, mode int) {
+// gradSumsGeneric gates dy, under opRect, by the z that the forward
+// rectified, recomputed from x; the sums are always of the affine map.
+func gradSumsGeneric(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, mean, inv, g, b, hi float32, mode int) {
 	for i, d := range dy {
-		if mode&opRect != 0 && !passed(out[i], hi) {
+		xh, z := affine(x[i], mean, inv, g, b)
+		if mode&opRect != 0 && !passed(z, hi) {
 			d = 0
 		}
-		xh := (x[i] - mean) * inv
 		sumDy[i%StatLanes] += float64(d)
 		sumDyXhat[i%StatLanes] += float64(float64(d) * float64(xh))
 	}
 }
 
-func gradInputGeneric(dx, dy, x, out []float32, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
+// gradInputGeneric reads x under opRect or opVary. With opAffine x is the
+// layer input and the gate is recomputed from it; without, x is the
+// rectifier's saved output and the gate is read from it.
+func gradInputGeneric(dx, dy, x []float32, mean, inv, g, b, scale, mDy, mDyXhat, hi float32, mode int) {
 	for i, d := range dy {
-		if mode&opRect != 0 && !passed(out[i], hi) {
+		var xh, z float32
+		if mode&(opRect|opVary) != 0 {
+			xh, z = x[i], x[i]
+			if mode&opAffine != 0 {
+				xh, z = affine(x[i], mean, inv, g, b)
+			}
+		}
+		if mode&opRect != 0 && !passed(z, hi) {
 			d = 0
 		}
 		if mode&opAffine != 0 {
 			if mode&opVary != 0 {
-				xh := (x[i] - mean) * inv
 				d = (d - mDy) - float32(xh*mDyXhat)
 			}
 			d = scale * d

@@ -56,14 +56,14 @@ func normalizePlanes(y, x, res []float32, p Planes, mean, inv, g, b, hi float32,
 	}
 }
 
-func gradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x, out []float32, p Planes, mean, inv, hi float32, mode int) {
+func gradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, p Planes, mean, inv, g, b, hi float32, mode int) {
 	for k := 0; k < p.N; k++ {
-		gradSumsGeneric(sumDy, sumDyXhat, p.at(dy, k), p.at(x, k), p.at(out, k), mean, inv, hi, mode)
+		gradSumsGeneric(sumDy, sumDyXhat, p.at(dy, k), p.at(x, k), mean, inv, g, b, hi, mode)
 	}
 }
 
-func gradInputPlanes(dx, dy, x, out []float32, p Planes, mean, inv, scale, mDy, mDyXhat, hi float32, mode int) {
+func gradInputPlanes(dx, dy, x []float32, p Planes, mean, inv, g, b, scale, mDy, mDyXhat, hi float32, mode int) {
 	for k := 0; k < p.N; k++ {
-		gradInputGeneric(p.at(dx, k), p.at(dy, k), p.at(x, k), p.at(out, k), mean, inv, scale, mDy, mDyXhat, hi, mode)
+		gradInputGeneric(p.at(dx, k), p.at(dy, k), p.at(x, k), mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
 	}
 }

@@ -16,9 +16,12 @@ type Tensor struct {
 	shape []int
 
 	// arena is the Arena that owns Data, nil for a heap tensor and for a
-	// view; state is where the arena has it (see Arena).
+	// view; state is where the arena has it and holds how many Holds it
+	// has (see Arena). base is the arena tensor a view shares Data with.
 	arena *Arena
+	base  *Tensor
 	state uint8
+	holds int32
 }
 
 // New returns a zero-filled tensor with the given shape.
@@ -77,7 +80,11 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if n != len(t.Data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
 	}
-	return &Tensor{Data: t.Data, shape: append([]int(nil), shape...)}
+	base := t.base
+	if base == nil && t.arena != nil {
+		base = t
+	}
+	return &Tensor{Data: t.Data, shape: append([]int(nil), shape...), base: base}
 }
 
 // SameShape reports whether t and o have identical shapes.
