@@ -203,13 +203,25 @@ func TestMeasureBreakdownBNOptBackwardShare(t *testing.T) {
 }
 
 // TestRealAlgorithmCostOrdering: the measured wall-clock per batch must
-// satisfy the paper's cost ordering on this host too.
+// satisfy the paper's cost ordering on this host too. A measurement is a
+// few milliseconds, so one descheduling on a busy host can outweigh the
+// gap between two algorithms: the three are measured in interleaved
+// rounds and each keeps its fastest round, the cost with the least
+// outside time in it.
 func TestRealAlgorithmCostOrdering(t *testing.T) {
-	cost := func(algo core.Algorithm) float64 {
-		return measure(t, reproWRN(4), algo, 16, 2).Total()
+	const rounds = 5
+	algos := []core.Algorithm{core.NoAdapt, core.BNNorm, core.BNOpt}
+	best := make([]float64, len(algos))
+	for r := 0; r < rounds; r++ {
+		for i, algo := range algos {
+			c := measure(t, reproWRN(4), algo, 16, 2).Total()
+			if r == 0 || c < best[i] {
+				best[i] = c
+			}
+		}
 	}
-	na, bn, bo := cost(core.NoAdapt), cost(core.BNNorm), cost(core.BNOpt)
-	t.Logf("measured: no-adapt %.4fs, bn-norm %.4fs, bn-opt %.4fs", na, bn, bo)
+	na, bn, bo := best[0], best[1], best[2]
+	t.Logf("measured (fastest of %d rounds): no-adapt %.4fs, bn-norm %.4fs, bn-opt %.4fs", rounds, na, bn, bo)
 	if !(bo > bn) {
 		t.Fatalf("BN-Opt (%.4f) must cost more than BN-Norm (%.4f)", bo, bn)
 	}

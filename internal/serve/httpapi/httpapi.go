@@ -305,13 +305,10 @@ func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		unknownSession(w)
 		return
 	}
-	var seq uint64
-	if s := r.Header.Get("X-Edgetta-Seq"); s != "" {
-		var err error
-		if seq, err = strconv.ParseUint(s, 10, 64); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parse X-Edgetta-Seq %q: %w", s, err))
-			return
-		}
+	seq, err := seqHeader(r.Header)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	x, err := readBatch(r.Header, r.Body, r.ContentLength)
 	if err != nil {
@@ -337,6 +334,22 @@ func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
+}
+
+// seqHeader reads a submit's X-Edgetta-Seq header: absent or empty is 0,
+// unsequenced (serve.Stream.SubmitSeq), and any other value must be a
+// decimal uint64 exactly as strconv.ParseUint reads it — no sign, no
+// space, no overflow.
+func seqHeader(h http.Header) (uint64, error) {
+	s := h.Get("X-Edgetta-Seq")
+	if s == "" {
+		return 0, nil
+	}
+	seq, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("parse X-Edgetta-Seq %q: %w", s, err)
+	}
+	return seq, nil
 }
 
 // maxBodyBytes bounds every body either end of the wire reads: a submit on

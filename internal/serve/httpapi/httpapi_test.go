@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -501,6 +502,65 @@ func FuzzReadBatch(f *testing.F) {
 			if shapeHeader(y.Shape()) != shapeHeader(x.Shape()) || !bitEqual(y.Data, x.Data) {
 				t.Fatalf("round trip (binary=%v) changed the batch: shape %v -> %v", codec, x.Shape(), y.Shape())
 			}
+		}
+	})
+}
+
+// FuzzSeqHeader holds the X-Edgetta-Seq parse to strconv.ParseUint: it
+// never panics, an absent or empty header is 0 (unsequenced), an accepted
+// value is the number ParseUint reads, and a refused one — a sign, a space
+// inside, overflow — is a 400 from the submit handler before the batch
+// reaches the stream, whose request count stays 0.
+func FuzzSeqHeader(f *testing.F) {
+	srv := serve.New(serve.Config{})
+	f.Cleanup(srv.Close)
+	base := testModel()
+	key := serve.GroupKey{ModelTag: base.Tag, Algo: core.BNNorm}
+	if _, err := srv.AddGroup(base, key.Algo, core.Config{}, 1); err != nil {
+		f.Fatal(err)
+	}
+	st, err := srv.OpenStream(key)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := New(srv, Config{})
+	h.sessions["s"] = st
+	batch := http.Header{}
+	body, err := encodeBatch(batch, genBatches(1, 1, 1, data.GaussianNoise, 1)[0], true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		hdr := http.Header{}
+		hdr.Set("X-Edgetta-Seq", v)
+		seq, err := seqHeader(hdr)
+		want, wantErr := strconv.ParseUint(v, 10, 64)
+		switch {
+		case v == "":
+			if seq != 0 || err != nil {
+				t.Fatalf("empty header: seq %d, err %v; want unsequenced", seq, err)
+			}
+			return
+		case err == nil:
+			if wantErr != nil || seq != want {
+				t.Fatalf("accepted %q as %d; ParseUint gives %d, %v", v, seq, want, wantErr)
+			}
+			return
+		case wantErr == nil:
+			t.Fatalf("refused %q (%v), which ParseUint reads as %d", v, err, want)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/streams/s/submit", bytes.NewReader(body))
+		for k, vs := range batch {
+			req.Header[k] = vs
+		}
+		req.Header.Set("X-Edgetta-Seq", v)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "X-Edgetta-Seq") {
+			t.Fatalf("submit with X-Edgetta-Seq %q: %d %s; want 400 naming the header", v, rec.Code, rec.Body)
+		}
+		if n := st.Snapshot().Requests; n != 0 {
+			t.Fatalf("submit with X-Edgetta-Seq %q reached the stream: %d requests", v, n)
 		}
 	})
 }

@@ -13,10 +13,12 @@ import (
 // row r = (ic, ky, kx) is one unaligned vector load from the input plane at
 // a precomputed offset plus one weight broadcast per output channel, read
 // straight from the layer's [OutC, InC/Groups·K·K] weight matrix. An output
-// plane is a run of spans (its rows, or the whole plane); one kernel call
-// takes several consecutive short spans (spanRun), and the AVX-512 kernel
-// packs them side by side into its vectors, so 8- and 16-pixel rows fill
-// its lanes as well as long ones. No layout conversion, no im2col matrix,
+// plane is a run of spans (its rows, or the whole plane). One kernel call
+// takes a tile of 8 output channels over every span of the plane; the
+// AVX-512 kernel holds that tile as 8 channels × 32 pixels, so each input
+// load feeds 8 fused multiply-adds, and packs short spans side by side
+// into its vectors, so 8- and 16-pixel rows fill its lanes as well as long
+// ones. No layout conversion, no im2col matrix,
 // no derived copy of the weights; the output is written where the next
 // layer reads it. A stride-1 unpadded convolution reads the input where it
 // lies; every other shape is staged once per image (ConvPlan.Stage). A
@@ -99,8 +101,8 @@ type ConvPlan struct {
 	// An output plane is spans runs of spanPix pixels: its rows, or the
 	// whole plane when sub-plane and output rows are equally long (K ≤
 	// Stride), which keeps the vectors full on small planes. One kernel
-	// call takes run consecutive spans.
-	spans, spanPix, run int
+	// call takes every span.
+	spans, spanPix int
 }
 
 // offsets is a reduction row → input offset table and its largest entry,
@@ -124,11 +126,12 @@ func newOffsets(off []int32) offsets {
 	return o
 }
 
-// convTile is the output-channel height of the kernel's register tile.
-const convTile = 4
+// convTile is the output-channel height of a scheduled unit and of the
+// AVX-512 kernel's register tile.
+const convTile = 8
 
-// convSpanGrainFlops is the target work per scheduled (tile, span run)
-// unit, mirroring matmul's rowGrain sizing.
+// convSpanGrainFlops is the target work per scheduled (group, tile) unit,
+// mirroring matmul's rowGrain sizing.
 const convSpanGrainFlops = 32 * 1024
 
 // NewConvPlan works out the addressing for s. It depends on the geometry
@@ -143,7 +146,6 @@ func NewConvPlan(s ConvShape) *ConvPlan {
 	if q == 0 {
 		p.spans, p.spanPix = 1, s.OutH()*s.OutW()
 	}
-	p.run = spanRun(p.spanPix)
 	inCg := s.InC / s.Groups
 	if inCg*p.chanLen() > math.MaxInt32 {
 		panic("tensor: NewConvPlan input too large for 32-bit offsets")
@@ -207,16 +209,13 @@ func (p *ConvPlan) Stage(dst, src []float32) {
 // vectors under a mask, so no load or store falls outside the slices
 // handed in.
 func (p *ConvPlan) Run(y, x, w []float32) {
-	outCg := p.OutC / p.Groups
 	rows, cols := len(p.off), p.spans*p.spanPix
 	// In place a channel's one sub-plane is its H×W plane, so chanLen sizes x
 	// either way.
 	if len(x) < p.InC*p.chanLen() || len(y) < p.OutC*cols || len(w) < p.OutC*rows {
 		panic("tensor: ConvPlan.Run slice too short")
 	}
-	tiles := (outCg + convTile - 1) / convTile
-	runs := (p.spans + p.run - 1) / p.run
-	units, grain := p.Groups*tiles*runs, max(1, convSpanGrainFlops/(2*p.run*p.spanPix*rows*convTile))
+	units, grain := p.units(), max(1, convSpanGrainFlops/(2*cols*rows*convTile))
 	// Once per image and residue, so no closure unless the loop forks.
 	if ranges, _ := parallel.Split(units, grain); ranges == 1 {
 		p.runUnits(y, x, w, 0, units)
@@ -225,21 +224,27 @@ func (p *ConvPlan) Run(y, x, w []float32) {
 	parallel.ForGrain(units, grain, func(lo, hi int) { p.runUnits(y, x, w, lo, hi) })
 }
 
-// runUnits computes the (output-channel tile, span run) units [lo, hi) of
+// units returns the number of units Run schedules per image, each one
+// convSpan call: a tile of convTile output channels of one group over the
+// whole output plane.
+func (p *ConvPlan) units() int {
+	outCg := p.OutC / p.Groups
+	return p.Groups * ((outCg + convTile - 1) / convTile)
+}
+
+// runUnits computes the (group, output-channel tile) units [lo, hi) of
 // Run.
 func (p *ConvPlan) runUnits(y, x, w []float32, lo, hi int) {
 	inCg, outCg := p.InC/p.Groups, p.OutC/p.Groups
-	rows, cols := len(p.off), p.spans*p.spanPix
+	rows, cols, xg := len(p.off), p.spans*p.spanPix, inCg*p.chanLen()
 	tiles := (outCg + convTile - 1) / convTile
-	runs := (p.spans + p.run - 1) / p.run
+	g, oc := lo/tiles, lo%tiles*convTile
 	for u := lo; u < hi; u++ {
-		tile, span := u/runs, u%runs*p.run
-		g, oc := tile/tiles, tile%tiles*convTile
-		noc := min(convTile, outCg-oc)
-		oc += g * outCg
-		xb := g*inCg*p.chanLen() + span*p.subW
-		yb := oc*cols + span*p.spanPix
-		convSpan(y[yb:], cols, x[xb:], w[oc*rows:], rows, p.offsets, noc, p.spanPix, min(p.run, p.spans-span), p.subW)
+		c := g*outCg + oc
+		convSpan(y[c*cols:], cols, x[g*xg:], w[c*rows:], rows, p.offsets, min(convTile, outCg-oc), p.spanPix, p.spans, p.subW)
+		if oc += convTile; oc >= outCg {
+			g, oc = g+1, 0
+		}
 	}
 }
 

@@ -167,14 +167,19 @@ type spanCase struct {
 func (c spanCase) yLen() int { return (c.noc-1)*c.yStride + c.nspan*c.npix }
 func (c spanCase) xLen() int { return newOffsets(c.off).max + (c.nspan-1)*c.xStep + c.npix }
 
-// check compares y, written by a routine that covers the first covered
-// channels, with the generic kernel bit for bit, and requires every other
-// element to be still NaN: the gaps between channels and the channels the
-// routine does not take.
-func (c spanCase) check(t *testing.T, what string, y []float32, covered int) {
-	t.Helper()
-	want := make([]float32, len(y))
+// want is the generic kernel's output for the case.
+func (c spanCase) want() []float32 {
+	want := make([]float32, c.yLen())
 	convSpanGeneric(want, c.yStride, c.x, c.w, c.wStride, c.off, c.noc, c.npix, c.nspan, c.xStep)
+	return want
+}
+
+// check compares y, written by a routine that covers the first covered
+// channels, with the generic kernel's output want bit for bit, and
+// requires every other element to be still NaN: the gaps between channels
+// and the channels the routine does not take.
+func (c spanCase) check(t *testing.T, what string, y, want []float32, covered int) {
+	t.Helper()
 	n := c.nspan * c.npix
 	for i, v := range y {
 		j, p := i/c.yStride, i%c.yStride
@@ -222,7 +227,7 @@ func TestConvPackedGenericMatchesSIMD(t *testing.T) {
 							c.x, c.w = x, randSlice(rng, noc*c.wStride)
 							y, yOK := guarded(c.yLen())
 							r.run(y, c.yStride, c.x, c.w, c.wStride, c.off, noc, npix, nspan, xStep)
-							c.check(t, r.name, y, noc/r.tile*r.tile)
+							c.check(t, r.name, y, c.want(), noc/r.tile*r.tile)
 							if !xOK() || !yOK() {
 								t.Errorf("%s %+v: store outside the operands", r.name, c.dims())
 							}
@@ -351,6 +356,48 @@ var convRunShapes = []struct {
 	{"rxt_stage3.conv2_32to32_16_k3s2g2", ConvShape{InC: 32, OutC: 32, H: 16, W: 16, K: 3, Stride: 2, Pad: 1, Groups: 2}},
 	{"rxt_stage3.conv3_32to64_8_k1s1", ConvShape{InC: 32, OutC: 64, H: 8, W: 8, K: 1, Stride: 1, Pad: 0, Groups: 1}},
 	{"rxt_stage3.shortcut_32to64_16_k1s2", ConvShape{InC: 32, OutC: 64, H: 16, W: 16, K: 1, Stride: 2, Pad: 0, Groups: 1}},
+}
+
+// TestConvUnitsPerImage pins the work Run schedules per image — its units,
+// each one span-kernel call over a tile of 8 output channels and the whole
+// output plane — for every convRunShapes forward and the sum over its
+// input gradient's residues. A call per output row, or per tile of 4,
+// would multiply these: the 8→8 32×32 conv took 64 calls before its tile
+// grew to 8 channels × 32 pixels.
+func TestConvUnitsPerImage(t *testing.T) {
+	want := map[string][2]int{ // forward, dX
+		"stem_3to8_32_k3s1":                  {1, 1},
+		"wrn_group1.conv_8to8_32_k3s1":       {1, 1},
+		"wrn_group2.conv1_8to16_32_k3s2":     {2, 4},
+		"wrn_group2.conv2_16to16_16_k3s1":    {2, 2},
+		"wrn_group2.shortcut_8to16_32_k1s2":  {2, 1},
+		"wrn_group3.conv1_16to32_16_k3s2":    {4, 8},
+		"wrn_group3.conv2_32to32_8_k3s1":     {4, 4},
+		"wrn_group3.shortcut_16to32_16_k1s2": {4, 2},
+		"rxt_stage1.conv1_8to8_32_k1s1":      {1, 1},
+		"rxt_stage1.conv2_8to8_32_k3s1g2":    {2, 2},
+		"rxt_stage1.conv3_8to16_32_k1s1":     {2, 1},
+		"rxt_stage2.conv1_16to16_32_k1s1":    {2, 2},
+		"rxt_stage2.conv2_16to16_32_k3s2g2":  {2, 8},
+		"rxt_stage2.conv3_16to32_16_k1s1":    {4, 2},
+		"rxt_stage2.shortcut_16to32_32_k1s2": {4, 2},
+		"rxt_stage3.conv1_32to32_16_k1s1":    {4, 4},
+		"rxt_stage3.conv2_32to32_16_k3s2g2":  {4, 16},
+		"rxt_stage3.conv3_32to64_8_k1s1":     {8, 4},
+		"rxt_stage3.shortcut_32to64_16_k1s2": {8, 4},
+	}
+	if len(want) != len(convRunShapes) {
+		t.Fatalf("%d pinned shapes, %d in convRunShapes", len(want), len(convRunShapes))
+	}
+	for _, c := range convRunShapes {
+		got := [2]int{NewConvPlan(c.s).units(), 0}
+		for _, r := range NewConvGradPlan(c.s).subs {
+			got[1] += r.units()
+		}
+		if got != want[c.name] {
+			t.Errorf("%s: %v span-kernel calls per image (forward, dX), want %v", c.name, got, want[c.name])
+		}
+	}
 }
 
 // BenchmarkConvRun measures the span kernel's rate on one worker, in

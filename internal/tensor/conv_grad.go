@@ -88,7 +88,6 @@ func NewConvGradPlan(s ConvShape) *ConvGradPlan {
 			if x.cnt == r.subW { // whole staged rows: the output plane is one run
 				r.spans, r.spanPix = 1, y.cnt*x.cnt
 			}
-			r.run = spanRun(r.spanPix)
 			p.subs = append(p.subs, r)
 			wAt += s.InC * len(r.off)
 			p.splitLen += s.InC * y.cnt * x.cnt

@@ -54,32 +54,41 @@ func TestRowKernelsStayInsideTheirOperands(t *testing.T) {
 // TestSpanKernelsStayInsideTheirOperands places x, y and w of every span
 // routine flush against a guard page — all at their front, then all at
 // their back — sized to exactly the extent convSpan admits, over generated
-// offset tables, npix 1…40, nspan 1…4, noc 1…8 and spans read 0, npix and
-// npix+3 apart: a load or store one element outside an operand faults.
-// With spans read 0 apart, the masked lanes below a packed span's start lie
-// in front of x, so a packed load that touched them would fault too.
+// offset tables, npix 1…40, nspan 1…9, noc 1…17 and spans read 0, npix and
+// npix+3 apart, and over one whole plane per layout of the AVX-512 kernel
+// (32 spans of 32 pixels, 16 of 16, 8 of 8): a load or store one element
+// outside an operand faults. With spans read 0 apart, the masked lanes
+// below a packed span's start lie in front of x, so a packed load that
+// touched them would fault too.
 func TestSpanKernelsStayInsideTheirOperands(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("no AVX2: the wrappers run the generic twin")
 	}
 	rng := rand.New(rand.NewSource(59))
+	newCase := func(noc, npix, nspan, xStep int) spanCase {
+		off := make([]int32, 1+rng.Intn(12))
+		for i := range off {
+			off[i] = int32(rng.Intn(50))
+		}
+		off[rng.Intn(len(off))] = 0 // x's first element is read
+		return spanCase{noc: noc, npix: npix, nspan: nspan, xStep: xStep, off: off,
+			yStride: nspan*npix + rng.Intn(3), wStride: len(off) + rng.Intn(3)}
+	}
 	for _, back := range []bool{false, true} {
 		for npix := 1; npix <= 40; npix++ {
 			t.Run(fmt.Sprintf("back=%v/npix=%d", back, npix), func(t *testing.T) {
-				for nspan := 1; nspan <= 4; nspan++ {
-					for noc := 1; noc <= 8; noc++ {
+				for nspan := 1; nspan <= 9; nspan++ {
+					for noc := 1; noc <= 17; noc++ {
 						for _, xStep := range []int{0, npix, npix + 3} {
-							off := make([]int32, 1+rng.Intn(12))
-							for i := range off {
-								off[i] = int32(rng.Intn(50))
-							}
-							off[rng.Intn(len(off))] = 0 // x's first element is read
-							c := spanCase{noc: noc, npix: npix, nspan: nspan, xStep: xStep, off: off,
-								yStride: nspan*npix + rng.Intn(3), wStride: len(off) + rng.Intn(3)}
-							runGuardedSpan(t, rng, c, back)
+							runGuardedSpan(t, rng, newCase(noc, npix, nspan, xStep), back)
 						}
 					}
 				}
+			})
+		}
+		for _, n := range []int{32, 16, 8} {
+			t.Run(fmt.Sprintf("back=%v/plane=%d", back, n), func(t *testing.T) {
+				runGuardedSpan(t, rng, newCase(12, n, n, n+2), back)
 			})
 		}
 	}
@@ -94,7 +103,7 @@ func runGuardedSpan(t *testing.T, rng *rand.Rand, c spanCase, back bool) {
 	c.x, c.w = guardPaged(t, c.xLen(), back), guardPaged(t, (c.noc-1)*c.wStride+len(c.off), back)
 	copy(c.x, randSlice(rng, len(c.x)))
 	copy(c.w, randSlice(rng, len(c.w)))
-	y := guardPaged(t, c.yLen(), back)
+	y, want := guardPaged(t, c.yLen(), back), c.want()
 	for _, r := range allSpanRoutines() {
 		if !r.has {
 			continue
@@ -104,7 +113,7 @@ func runGuardedSpan(t *testing.T, rng *rand.Rand, c spanCase, back bool) {
 		}
 		what := fmt.Sprintf("%s back=%v %+v", r.name, back, c.dims())
 		noFault(t, what, func() { r.run(y, c.yStride, c.x, c.w, c.wStride, c.off, c.noc, c.npix, c.nspan, c.xStep) })
-		c.check(t, what, y, c.noc/r.tile*r.tile)
+		c.check(t, what, y, want, c.noc/r.tile*r.tile)
 	}
 }
 
@@ -119,7 +128,7 @@ func FuzzConvSpan(f *testing.F) {
 			return
 		}
 		npix := 1 + int(data[0])%64
-		c := spanCase{npix: npix, noc: 1 + int(data[1])%9, nspan: 1 + int(data[2])%6, xStep: int(data[3]) % (npix + 8)}
+		c := spanCase{npix: npix, noc: 1 + int(data[1])%17, nspan: 1 + int(data[2])%40, xStep: int(data[3]) % (npix + 8)}
 		for _, b := range data[4:min(len(data), 68)] {
 			c.off = append(c.off, int32(b%64))
 		}

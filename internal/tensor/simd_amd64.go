@@ -7,7 +7,7 @@ package tensor
 // bits 28/27), FMA (leaf 1 ECX bit 12: axpy and the span kernels fuse every
 // multiply-add, so no AVX2 path runs without it), and the OS saving
 // XMM+YMM state (XCR0 bits 1 and 2).
-// AVX-512 (the span kernel convSpan4AVX512 and the plane kernels'
+// AVX-512 (the span kernel convTileAVX512 and the plane kernels'
 // *PlanesAVX512 routines, AVX512F instructions only) further requires
 // leaf 7 EBX bit 16 and the OS saving the opmask, ZMM_Hi256 and Hi16_ZMM
 // state (XCR0 bits 5, 6 and 7).
@@ -28,7 +28,7 @@ func convSpan4AVX2(y []float32, yStride int, x, w []float32, wStride int, off []
 func convSpan1AVX2(y, x, w []float32, off []int32, npix int)
 
 //go:noescape
-func convSpan4AVX512(y []float32, yStride int, x, w []float32, wStride int, off []int32, npix, nspan, xStep int)
+func convTileAVX512(y []float32, yStride int, x, w []float32, wStride int, off []int32, tile, npix, nspan, xStep int)
 
 // cpuidFMA is the FMA bit of CPUID leaf 1's ECX.
 const cpuidFMA = 1 << 12
@@ -77,20 +77,6 @@ func SpanKernel() string {
 	return "generic"
 }
 
-// spanRun returns how many consecutive spans of npix pixels one kernel call
-// takes: as many as fill the AVX-512 kernel's 32-lane tile, 4 of up to 8
-// pixels or 2 of up to 16, and 1 on the other paths, which run one span per
-// vector routine call anyway.
-func spanRun(npix int) int {
-	switch {
-	case !hasAVX512 || npix > 16:
-		return 1
-	case npix > 8:
-		return 2
-	}
-	return 4
-}
-
 // convSpan computes noc output channels × nspan spans of npix pixels (see
 // convSpanGeneric for the arithmetic, ConvPlan.Run for the operands). The
 // vector routines fuse each multiply-add, as the generic kernel's fma32
@@ -120,7 +106,7 @@ func convSpanAVX2(y []float32, yStride int, x, w []float32, wStride int, off []i
 	for k := 0; k < nspan; k++ {
 		yk, xk := y[k*npix:], x[k*xStep:]
 		j := 0
-		for ; j+convTile <= noc; j += convTile {
+		for ; j+4 <= noc; j += 4 {
 			convSpan4AVX2(yk[j*yStride:], yStride, xk, w[j*wStride:], wStride, off, npix)
 		}
 		for ; j < noc; j++ {
@@ -129,12 +115,17 @@ func convSpanAVX2(y []float32, yStride int, x, w []float32, wStride int, off []i
 	}
 }
 
-// convSpanAVX512 runs every span of four channels in one AVX-512 call and
-// leaves the channels a tile of four does not cover to the AVX2 routines.
+// convSpanAVX512 runs every span of eight channels in one AVX-512 call, a
+// remainder of four to seven in one call of the four-channel body, and
+// leaves fewer than four channels to the AVX2 routines.
 func convSpanAVX512(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix, nspan, xStep int) {
 	j := 0
-	for ; j+convTile <= noc; j += convTile {
-		convSpan4AVX512(y[j*yStride:], yStride, x, w[j*wStride:], wStride, off, npix, nspan, xStep)
+	for ; j+8 <= noc; j += 8 {
+		convTileAVX512(y[j*yStride:], yStride, x, w[j*wStride:], wStride, off, 8, npix, nspan, xStep)
+	}
+	if j+4 <= noc {
+		convTileAVX512(y[j*yStride:], yStride, x, w[j*wStride:], wStride, off, 4, npix, nspan, xStep)
+		j += 4
 	}
 	if j < noc {
 		convSpanAVX2(y[j*yStride:], yStride, x, w[j*wStride:], wStride, off, noc-j, npix, nspan, xStep)

@@ -167,8 +167,9 @@ dot_done:
 // product and the sum rounded once together, acc = fma(w, x, acc) —
 // bit-identical to convSpanGeneric and (by the argument in conv_direct.go)
 // to the im2col+matmul path. The AVX2 routines here take one span, their
-// lanes 8 consecutive output pixels of one channel plane; convSpan4AVX512
-// below takes a run of spans at 16 lanes. Each AVX2 routine walks the span
+// lanes 8 consecutive output pixels of one channel plane; convTileAVX512
+// below takes a tile of 8 (or 4) channels over a whole output plane at 16
+// lanes. Each AVX2 routine walks the span
 // in full blocks, then in vectors of up to 8 pixels loaded and stored under
 // a mask (VMASKMOVPS touches no masked-out lane), so no access falls
 // outside x[:max(off)+npix] or y[:(tile-1)*yStride+npix], the extents
@@ -382,8 +383,13 @@ cs1_done:
 
 // The AVX-512 span kernel: the same arithmetic at 16 lanes, over nspan
 // consecutive spans of npix pixels — span k reads x at k*xStep and writes
-// y at k*npix — in one call. Its register tile is 4 output channels × 2
-// zmm vectors (Z0-Z7), filled three ways:
+// y at k*npix — in one call, which the plan makes over a tile's whole
+// output plane. Its register tile is tile output channels × 2 zmm vectors,
+// channel j in Z(2j) and Z(2j+1): 8 channels (Z0-Z15), or 4 (Z0-Z7) for a
+// group or remainder of 4 to 7. Each reduction row is one offset load, two
+// input vectors loaded once and fed to tile weight broadcasts and 2·tile
+// fused multiply-adds; the row loops take two rows per turn, and an odd
+// last row on its own. The vectors are filled three ways:
 //
 //   - npix <= 8: 4 spans per group, 2 in each vector. A zero-masked load
 //     fills a span's npix lanes, and one merge-masked load, addressed npix
@@ -397,27 +403,60 @@ cs1_done:
 // A group short of spans, or a block past the span's end, masks the lanes
 // it lacks off its loads and stores, so no access leaves the extents
 // convSpan checks: x[:max(off)+(nspan-1)*xStep+npix] and
-// y[:3*yStride+nspan*npix]. Only AVX512F instructions are used. BP is left
-// alone, so frame-pointer unwinding sees this frame.
+// y[:(tile-1)*yStride+nspan*npix]. Only AVX512F instructions are used. BP
+// is left alone, so frame-pointer unwinding sees this frame.
 //
-// Registers: DI y cursor, SI x cursor, R8 yStride in bytes, R9 off, AX
-// rows, DX row counter / store cursor, BX x address / temp, R10-R13 weight
-// rows, CX npix / pixels left / second-vector offset, R14 lane masks /
-// second-load offset; K1-K4 load masks, K5-K6 store masks; Z8-Z9 input
-// vectors, Z10 weight broadcast. Locals: the spans left and, with one span
-// per vector, where the second vector is stored.
+// Registers: SI x cursor, and in the row loops R14 (and with 4 spans per
+// group CX and DI) the x cursor of the other loads; DI y cursor outside
+// them; R8 yStride in bytes, R9 off, AX rows rounded down to even, DX row
+// counter / store cursor, BX row offset / temp, R10 channel 0's weight of
+// the current row, R11, R12, R13 and R15 one, three, five and seven weight
+// rows in bytes (channel j's weight is R10 plus j rows, one index away),
+// CX npix / pixels left; K1-K4 load masks, K5-K6 store masks; Z16-Z17 and
+// Z19-Z20 the two rows' input vectors, Z18 weight broadcast. Locals: the
+// spans left, where the second vector is stored, the other loads' offsets
+// from SI and, with 4 spans per group, the y cursor.
 
-// ZROW2 fuses row DX of the weight row at wr times Z8 and Z9 into a0 and a1.
-#define ZROW2(wr, a0, a1) \
-	VBROADCASTSS	(wr)(DX*4), Z10; \
-	VFMADD231PS	Z8, Z10, a0; \
-	VFMADD231PS	Z9, Z10, a1
+// ZFMA fuses the weight at wa times i0 and i1 into a0 and a1.
+#define ZFMA(wa, i0, i1, a0, a1) \
+	VBROADCASTSS	wa, Z18; \
+	VFMADD231PS	i0, Z18, a0; \
+	VFMADD231PS	i1, Z18, a1
 
-#define ZROWS \
-	ZROW2(R10, Z0, Z1); \
-	ZROW2(R11, Z2, Z3); \
-	ZROW2(R12, Z4, Z5); \
-	ZROW2(R13, Z6, Z7)
+// ZROWS4 fuses the row d bytes past R10's, loaded in i0 and i1, into
+// channels 0-3, ZROWS8 into 0-7.
+#define ZROWS4(d, i0, i1) \
+	ZFMA(d(R10), i0, i1, Z0, Z1); \
+	ZFMA(d(R10)(R11*1), i0, i1, Z2, Z3); \
+	ZFMA(d(R10)(R11*2), i0, i1, Z4, Z5); \
+	ZFMA(d(R10)(R12*1), i0, i1, Z6, Z7)
+
+#define ZROWS8(d, i0, i1) \
+	ZROWS4(d, i0, i1); \
+	ZFMA(d(R10)(R11*4), i0, i1, Z8, Z9); \
+	ZFMA(d(R10)(R13*1), i0, i1, Z10, Z11); \
+	ZFMA(d(R10)(R12*2), i0, i1, Z12, Z13); \
+	ZFMA(d(R10)(R15*1), i0, i1, Z14, Z15)
+
+// ZQUAD loads the row d bytes past DX's of four packed spans into i0 and
+// i1; ZPAIR loads it at SI under K1 and at R14 under K3.
+#define ZQUAD(d, i0, i1) \
+	MOVLQSX	d(R9)(DX*4), BX; \
+	VMOVUPS.Z	(SI)(BX*4), K1, i0; \
+	VMOVUPS	(R14)(BX*4), K2, i0; \
+	VMOVUPS.Z	(CX)(BX*4), K3, i1; \
+	VMOVUPS	(DI)(BX*4), K4, i1
+
+#define ZPAIR(d, i0, i1) \
+	MOVLQSX	d(R9)(DX*4), BX; \
+	VMOVUPS.Z	(SI)(BX*4), K1, i0; \
+	VMOVUPS.Z	(R14)(BX*4), K3, i1
+
+// ZTWO steps past two rows.
+#define ZTWO \
+	ADDQ	$8, R10; \
+	ADDQ	$2, DX; \
+	CMPQ	DX, AX
 
 // ZZERO clears the accumulators to +0 and the row counter DX.
 #define ZZERO \
@@ -429,43 +468,48 @@ cs1_done:
 	VPXORD	Z5, Z5, Z5; \
 	VPXORD	Z6, Z6, Z6; \
 	VPXORD	Z7, Z7, Z7; \
+	VPXORD	Z8, Z8, Z8; \
+	VPXORD	Z9, Z9, Z9; \
+	VPXORD	Z10, Z10, Z10; \
+	VPXORD	Z11, Z11, Z11; \
+	VPXORD	Z12, Z12, Z12; \
+	VPXORD	Z13, Z13, Z13; \
+	VPXORD	Z14, Z14, Z14; \
+	VPXORD	Z15, Z15, Z15; \
 	XORQ	DX, DX
 
-// ZSTORE stores each channel's first vector at DX under m0 and its second
-// at BX under m1, a channel apart.
-#define ZSTORE(m0, m1) \
-	VMOVUPS	Z0, m0, (DX); \
-	VMOVUPS	Z1, m1, (BX); \
+// ZST stores one channel, its first vector at DX under m0 and its second
+// at BX under m1, and moves DX and BX on to the next channel; ZSTORE4
+// stores four.
+#define ZST(a0, a1, m0, m1) \
+	VMOVUPS	a0, m0, (DX); \
+	VMOVUPS	a1, m1, (BX); \
 	ADDQ	R8, DX; \
-	ADDQ	R8, BX; \
-	VMOVUPS	Z2, m0, (DX); \
-	VMOVUPS	Z3, m1, (BX); \
-	ADDQ	R8, DX; \
-	ADDQ	R8, BX; \
-	VMOVUPS	Z4, m0, (DX); \
-	VMOVUPS	Z5, m1, (BX); \
-	ADDQ	R8, DX; \
-	ADDQ	R8, BX; \
-	VMOVUPS	Z6, m0, (DX); \
-	VMOVUPS	Z7, m1, (BX)
+	ADDQ	R8, BX
 
-// func convSpan4AVX512(y []float32, yStride int, x, w []float32, wStride int, off []int32, npix, nspan, xStep int)
-TEXT ·convSpan4AVX512(SB), NOSPLIT, $16-136
+#define ZSTORE4(a0, a1, a2, a3, a4, a5, a6, a7, m0, m1) \
+	ZST(a0, a1, m0, m1); \
+	ZST(a2, a3, m0, m1); \
+	ZST(a4, a5, m0, m1); \
+	ZST(a6, a7, m0, m1)
+
+// func convTileAVX512(y []float32, yStride int, x, w []float32, wStride int, off []int32, tile, npix, nspan, xStep int)
+TEXT ·convTileAVX512(SB), NOSPLIT, $40-144
 	MOVQ	y_base+0(FP), DI
 	MOVQ	yStride+24(FP), R8
 	SHLQ	$2, R8
 	MOVQ	x_base+32(FP), SI
-	MOVQ	w_base+56(FP), R10
 	MOVQ	wStride+80(FP), R11
 	SHLQ	$2, R11
-	LEAQ	(R10)(R11*2), R12
-	LEAQ	(R12)(R11*1), R13
-	ADDQ	R10, R11
+	LEAQ	(R11)(R11*2), R12
+	LEAQ	(R11)(R11*4), R13
+	LEAQ	(R12)(R11*4), R15
 	MOVQ	off_base+88(FP), R9
 	MOVQ	off_len+96(FP), AX
-	MOVQ	nspan+120(FP), BX
+	ANDQ	$-2, AX
+	MOVQ	nspan+128(FP), BX
 	MOVQ	BX, left-8(SP)
-	MOVQ	npix+112(FP), CX
+	MOVQ	npix+120(FP), CX
 	CMPQ	CX, $16
 	JGT	cz_long
 	MOVL	$1, R14
@@ -475,19 +519,20 @@ TEXT ·convSpan4AVX512(SB), NOSPLIT, $16-136
 	JGT	cz_pair
 
 	// Two spans per vector: K1/K3 the first span's lanes, K2/K4 the
-	// second's; R14 the second load's offset from the first, CX the second
-	// vector's from the first.
+	// second's; the second load npix lanes below the next span, the second
+	// vector two spans on.
 	KMOVW	R14, K1
 	KMOVW	R14, K3
 	SHLL	CX, R14
 	KMOVW	R14, K2
 	KMOVW	R14, K4
-	MOVQ	xStep+128(FP), R14
+	MOVQ	xStep+136(FP), R14
 	SHLQ	$2, R14
 	LEAQ	(R14)(R14*1), BX
+	MOVQ	BX, xv-32(SP)
 	SHLQ	$2, CX
 	SUBQ	CX, R14
-	MOVQ	BX, CX
+	MOVQ	R14, x2-24(SP)
 
 cz_quad:
 	MOVQ	left-8(SP), BX
@@ -505,38 +550,80 @@ cz_quadmasks:
 	KORW	K2, K1, K5
 	KORW	K4, K3, K6
 	ZZERO
+	MOVQ	w_base+56(FP), R10
+	MOVQ	DI, ycur-40(SP)
+	MOVQ	x2-24(SP), R14
+	ADDQ	SI, R14
+	MOVQ	xv-32(SP), CX
+	ADDQ	SI, CX
+	MOVQ	x2-24(SP), DI
+	ADDQ	CX, DI
+	CMPQ	tile+112(FP), $8
+	JLT	cz_quad4
+	TESTQ	AX, AX
+	JZ	cz_quad8odd
 
-cz_quadrows:
-	MOVLQSX	(R9)(DX*4), BX
-	LEAQ	(SI)(BX*4), BX
-	VMOVUPS.Z	(BX), K1, Z8
-	VMOVUPS	(BX)(R14*1), K2, Z8
-	ADDQ	CX, BX
-	VMOVUPS.Z	(BX), K3, Z9
-	VMOVUPS	(BX)(R14*1), K4, Z9
-	ZROWS
-	INCQ	DX
-	CMPQ	DX, AX
-	JLT	cz_quadrows
-	MOVQ	npix+112(FP), BX
+cz_quad8:
+	ZQUAD(0, Z16, Z17)
+	ZQUAD(4, Z19, Z20)
+	ZROWS8(0, Z16, Z17)
+	ZROWS8(4, Z19, Z20)
+	ZTWO
+	JLT	cz_quad8
+
+cz_quad8odd:
+	CMPQ	DX, off_len+96(FP)
+	JGE	cz_quadstore
+	ZQUAD(0, Z16, Z17)
+	ZROWS8(0, Z16, Z17)
+	JMP	cz_quadstore
+
+cz_quad4:
+	TESTQ	AX, AX
+	JZ	cz_quad4odd
+
+cz_quad4rows:
+	ZQUAD(0, Z16, Z17)
+	ZQUAD(4, Z19, Z20)
+	ZROWS4(0, Z16, Z17)
+	ZROWS4(4, Z19, Z20)
+	ZTWO
+	JLT	cz_quad4rows
+
+cz_quad4odd:
+	CMPQ	DX, off_len+96(FP)
+	JGE	cz_quadstore
+	ZQUAD(0, Z16, Z17)
+	ZROWS4(0, Z16, Z17)
+
+cz_quadstore:
+	MOVQ	ycur-40(SP), DI
+	MOVQ	npix+120(FP), BX
 	SHLQ	$3, BX
 	ADDQ	DI, BX
 	MOVQ	DI, DX
-	ZSTORE(K5, K6)
-	LEAQ	(SI)(CX*2), SI
-	MOVQ	npix+112(FP), BX
+	ZSTORE4(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, K5, K6)
+	CMPQ	tile+112(FP), $8
+	JLT	cz_quadnext
+	ZSTORE4(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, K5, K6)
+
+cz_quadnext:
+	MOVQ	xv-32(SP), BX
+	LEAQ	(SI)(BX*2), SI
+	MOVQ	npix+120(FP), BX
 	SHLQ	$4, BX
 	ADDQ	BX, DI
 	SUBQ	$4, left-8(SP)
 	JGT	cz_quad
 	JMP	cz_done
 
-	// One span per vector: K1 its lanes, K3 the second span's or none; R14
-	// the second vector's input offset, ydisp its output offset.
+	// One span per vector: K1 its lanes, K3 the second span's or none; the
+	// second vector one span on, in x and in y.
 cz_pair:
 	KMOVW	R14, K1
-	MOVQ	xStep+128(FP), R14
+	MOVQ	xStep+136(FP), R14
 	SHLQ	$2, R14
+	MOVQ	R14, x2-24(SP)
 	SHLQ	$2, CX
 	MOVQ	CX, ydisp-16(SP)
 
@@ -548,7 +635,8 @@ cz_pairnext:
 	JMP	cz_body
 
 cz_pairdone:
-	LEAQ	(SI)(R14*2), SI
+	MOVQ	x2-24(SP), BX
+	LEAQ	(SI)(BX*2), SI
 	MOVQ	ydisp-16(SP), BX
 	LEAQ	(DI)(BX*2), DI
 	SUBQ	$2, left-8(SP)
@@ -560,9 +648,10 @@ cz_pairdone:
 cz_long:
 	MOVQ	$64, R14
 	MOVQ	R14, ydisp-16(SP)
+	MOVQ	R14, x2-24(SP)
 
 cz_span:
-	MOVQ	npix+112(FP), CX
+	MOVQ	npix+120(FP), CX
 
 cz_block:
 	MOVL	$0xffff, BX
@@ -588,32 +677,69 @@ cz_blockdone:
 	ADDQ	BX, DI
 	TESTQ	CX, CX
 	JNZ	cz_block
-	MOVQ	xStep+128(FP), BX
-	SUBQ	npix+112(FP), BX
+	MOVQ	xStep+136(FP), BX
+	SUBQ	npix+120(FP), BX
 	LEAQ	(SI)(BX*4), SI
 	DECQ	left-8(SP)
 	JNZ	cz_span
 	JMP	cz_done
 
 	// Both vectors, one load each: the first at SI under K1, the second at
-	// SI+R14 under K3, stored at DI and DI+ydisp.
+	// SI+x2 under K3, stored at DI and DI+ydisp.
 cz_body:
 	ZZERO
+	MOVQ	w_base+56(FP), R10
+	MOVQ	x2-24(SP), R14
+	ADDQ	SI, R14
+	CMPQ	tile+112(FP), $8
+	JLT	cz_body4
+	TESTQ	AX, AX
+	JZ	cz_body8odd
 
-cz_bodyrows:
-	MOVLQSX	(R9)(DX*4), BX
-	LEAQ	(SI)(BX*4), BX
-	VMOVUPS.Z	(BX), K1, Z8
-	VMOVUPS.Z	(BX)(R14*1), K3, Z9
-	ZROWS
-	INCQ	DX
-	CMPQ	DX, AX
-	JLT	cz_bodyrows
+cz_body8:
+	ZPAIR(0, Z16, Z17)
+	ZPAIR(4, Z19, Z20)
+	ZROWS8(0, Z16, Z17)
+	ZROWS8(4, Z19, Z20)
+	ZTWO
+	JLT	cz_body8
+
+cz_body8odd:
+	CMPQ	DX, off_len+96(FP)
+	JGE	cz_bodystore
+	ZPAIR(0, Z16, Z17)
+	ZROWS8(0, Z16, Z17)
+	JMP	cz_bodystore
+
+cz_body4:
+	TESTQ	AX, AX
+	JZ	cz_body4odd
+
+cz_body4rows:
+	ZPAIR(0, Z16, Z17)
+	ZPAIR(4, Z19, Z20)
+	ZROWS4(0, Z16, Z17)
+	ZROWS4(4, Z19, Z20)
+	ZTWO
+	JLT	cz_body4rows
+
+cz_body4odd:
+	CMPQ	DX, off_len+96(FP)
+	JGE	cz_bodystore
+	ZPAIR(0, Z16, Z17)
+	ZROWS4(0, Z16, Z17)
+
+cz_bodystore:
 	MOVQ	ydisp-16(SP), BX
 	ADDQ	DI, BX
 	MOVQ	DI, DX
-	ZSTORE(K1, K3)
-	CMPQ	npix+112(FP), $16
+	ZSTORE4(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, K1, K3)
+	CMPQ	tile+112(FP), $8
+	JLT	cz_bodynext
+	ZSTORE4(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, K1, K3)
+
+cz_bodynext:
+	CMPQ	npix+120(FP), $16
 	JGT	cz_blockdone
 	JMP	cz_pairdone
 

@@ -13,10 +13,10 @@ import (
 // per tile the way its dispatcher calls it, and the two dispatchers.
 func spanRoutines() []spanRoutine {
 	return []spanRoutine{
-		{"convSpan4AVX2", "AVX2", hasAVX2, convTile,
+		{"convSpan4AVX2", "AVX2", hasAVX2, 4,
 			func(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix, nspan, xStep int) {
 				for k := 0; k < nspan; k++ {
-					for j := 0; j+convTile <= noc; j += convTile {
+					for j := 0; j+4 <= noc; j += 4 {
 						convSpan4AVX2(y[j*yStride+k*npix:], yStride, x[k*xStep:], w[j*wStride:], wStride, off, npix)
 					}
 				}
@@ -29,15 +29,23 @@ func spanRoutines() []spanRoutine {
 					}
 				}
 			}},
-		{"convSpan4AVX512", "AVX-512", hasAVX512, convTile,
-			func(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix, nspan, xStep int) {
-				for j := 0; j+convTile <= noc; j += convTile {
-					convSpan4AVX512(y[j*yStride:], yStride, x, w[j*wStride:], wStride, off, npix, nspan, xStep)
-				}
-			}},
+		convTileRoutine(8),
+		convTileRoutine(4),
 		{"convSpanAVX2", "AVX2", hasAVX2, 1, convSpanAVX2},
 		{"convSpanAVX512", "AVX-512", hasAVX512, 1, convSpanAVX512},
 	}
+}
+
+// convTileRoutine calls convTileAVX512's body of tile channels directly,
+// once per whole tile of noc. It is named as the AVX2 routines are, by
+// tile height: convSpan8AVX512 and convSpan4AVX512.
+func convTileRoutine(tile int) spanRoutine {
+	return spanRoutine{fmt.Sprintf("convSpan%dAVX512", tile), "AVX-512", hasAVX512, tile,
+		func(y []float32, yStride int, x, w []float32, wStride int, off []int32, noc, npix, nspan, xStep int) {
+			for j := 0; j+tile <= noc; j += tile {
+				convTileAVX512(y[j*yStride:], yStride, x, w[j*wStride:], wStride, off, tile, npix, nspan, xStep)
+			}
+		}}
 }
 
 // TestSpanKernelDispatch logs which span and plane kernels this CPU runs,
@@ -68,8 +76,9 @@ func TestSpanKernelDispatch(t *testing.T) {
 	if hasAVX2 && !fma {
 		t.Error("AVX2 dispatch without FMA, which axpy and every span routine use")
 	}
-	if got := spanRun(8); hasAVX512 != (got == 4) {
-		t.Errorf("spanRun(8) = %d with AVX-512 %v", got, hasAVX512)
+	// One call takes a tile of 8 channels over the whole plane, on every path.
+	if got := NewConvPlan(ConvShape{InC: 8, OutC: 8, H: 32, W: 32, K: 3, Stride: 1, Pad: 1, Groups: 1}).units(); got != 1 {
+		t.Errorf("an 8→8 32×32 conv makes %d span-kernel calls per image, want 1", got)
 	}
 }
 

@@ -32,8 +32,6 @@ func interleaveRows(dst []float32, dstStride int, a []float32, aStride int, b []
 // conv span kernel and the plane kernels run their generic twins here.
 func SpanKernel() string { return "generic" }
 
-func spanRun(npix int) int { return 1 }
-
 func convSpan(y []float32, yStride int, x, w []float32, wStride int, o offsets, noc, npix, nspan, xStep int) {
 	convSpanGeneric(y, yStride, x, w, wStride, o.off, noc, npix, nspan, xStep)
 }
