@@ -47,7 +47,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	x := tensor.New(2, m.InC, m.InHW, m.InHW)
 	process := func() {
 		t.Helper()
-		if _, err := st.ProcessCtx(context.Background(), x); err != nil {
+		if _, err := st.ProcessSeq(context.Background(), x, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

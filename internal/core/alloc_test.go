@@ -15,7 +15,7 @@ import (
 // once an adapter has seen a batch shape, Process on the next batch of that
 // shape allocates the logits, the loss gradient and a bounded handful of
 // small objects — a scheduler closure per loop that forks, the staging-time
-// counter a conv's closure captures, a Reshape header — and no activation,
+// counter a conv's closure captures — and no activation,
 // no conv plan and no transient buffer: 4–17 KB in 36–171 objects as
 // measured (BN-Opt on the repro ResNeXt the largest), with or without the
 // race detector, against ≈ 44 MB for a BN-Norm batch of 50 there before the

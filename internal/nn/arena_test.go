@@ -16,8 +16,7 @@ import (
 // constructor, CopyState) that allocates zeroed tensors. The cases are the ones that used to lean on zeroed
 // memory or could: the strided and grouped conv backward (a 1×1 stride-2
 // dX is three quarters zeros no tap writes; the dW partials accumulate),
-// the im2col oracle, an average pool whose windows do not tile its input, a
-// Sequential that releases gradients as it goes.
+// the im2col oracle, a Sequential that releases gradients as it goes.
 func TestLayersWriteEveryArenaElement(t *testing.T) {
 	defer tensor.SetPacked(tensor.PackedEnabled())
 	rng := rand.New(rand.NewSource(41))
@@ -28,7 +27,7 @@ func TestLayersWriteEveryArenaElement(t *testing.T) {
 		return NewSequential("chain",
 			NewConv2d("c1", rng, 3, 4, 3, 2, 1, 1), NewBatchNorm2d("bn1", 4), NewReLU("r1"),
 			NewConv2d("c2", rng, 4, 4, 3, 1, 1, 2), NewReLU("r2"),
-			NewAvgPool2d("ap", 2), NewGlobalAvgPool("gap"), NewFlatten("fl"), NewLinear("fc", rng, 4, 3))
+			NewGlobalAvgPool("gap"), NewLinear("fc", rng, 4, 3))
 	}
 	for _, tc := range []struct {
 		name   string
@@ -46,7 +45,6 @@ func TestLayersWriteEveryArenaElement(t *testing.T) {
 		{"conv on the im2col oracle", conv(3, 5, 3, 1, 1, 1), []int{2, 3, 7, 7}, true},
 		{"batchnorm", func(*rand.Rand) Layer { return NewBatchNorm2d("bn", 3) }, []int{2, 3, 5, 5}, false},
 		{"relu", func(*rand.Rand) Layer { return NewReLU("r") }, []int{2, 3, 5, 5}, false},
-		{"avgpool over 5×5", func(*rand.Rand) Layer { return NewAvgPool2d("ap", 2) }, []int{2, 3, 5, 5}, false},
 		{"global avgpool", func(*rand.Rand) Layer { return NewGlobalAvgPool("gap") }, []int{2, 3, 5, 5}, false},
 		{"sequential", chain, []int{2, 3, 9, 9}, false},
 	} {
@@ -91,8 +89,7 @@ func TestLayersWriteEveryArenaElement(t *testing.T) {
 }
 
 // TestSequentialReleasesOnlyWhatItMade: a chain frees each activation
-// after the next layer has read it — a Flatten view keeps what it views
-// alive — and never its input or its result; what a layer holds for its
+// after the next layer has read it, and never its input or its result; what a layer holds for its
 // Backward goes back when that Backward has run, and under Attach(…,
 // infer), where nobody holds, at the Free. Backward frees gradients the
 // same way in either mode.
@@ -100,7 +97,7 @@ func TestSequentialReleasesOnlyWhatItMade(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	net := NewSequential("net",
 		NewConv2d("c1", rng, 4, 4, 3, 1, 1, 1), NewBatchNorm2d("bn", 4), NewReLU("r"),
-		NewConv2d("c2", rng, 4, 4, 3, 1, 1, 1), NewGlobalAvgPool("gap"), NewFlatten("fl"), NewLinear("fc", rng, 4, 3))
+		NewConv2d("c2", rng, 4, 4, 3, 1, 1, 1), NewGlobalAvgPool("gap"), NewLinear("fc", rng, 4, 3))
 	// The input is the caller's even when it is the arena's; it has the
 	// size of every activation here, so a chain that released it would see
 	// it handed out again and overwritten.

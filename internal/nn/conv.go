@@ -45,8 +45,8 @@ type Conv2d struct {
 	Groups         int
 	Weight         *Param // [OutC, InC/Groups * K * K] row-major
 
-	// noInputGrad marks a layer at the graph input whose dX nobody
-	// consumes (set by FreezeExceptBN, cleared by Unfreeze).
+	// noInputGrad is set by FreezeExceptBN on the conv at the graph input,
+	// whose dX nobody consumes, and cleared by Unfreeze.
 	noInputGrad bool
 
 	// input is the last forward's input, held for the weight gradient and

@@ -162,9 +162,9 @@ func TestFreezeExceptBNAndUnfreeze(t *testing.T) {
 	if !inner.noInputGrad {
 		t.Error("head of a nested Sequential not marked")
 	}
-	lin := NewLinear("fc", rng, 4, 2)
-	FreezeExceptBN(NewSequential("s", NewFlatten("f"), lin))
-	if lin.noInputGrad {
+	behind := NewConv2d("behind", rng, 3, 4, 3, 1, 1, 1)
+	FreezeExceptBN(NewSequential("s", NewReLU("r"), behind))
+	if behind.noInputGrad {
 		t.Error("a layer behind the input layer was marked")
 	}
 }

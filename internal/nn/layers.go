@@ -96,9 +96,6 @@ type Linear struct {
 	Weight  *Param // [Out, In]
 	Bias    *Param // [Out]
 
-	// noInputGrad: see Conv2d.noInputGrad.
-	noInputGrad bool
-
 	// input is the last forward's input, held for the weight gradient and
 	// nil when the weight was frozen; n is its batch.
 	input    *tensor.Tensor
@@ -165,8 +162,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer: dW += dYᵀ · X ; dB += column sums of dY ;
-// dX = dY · W. Frozen parameters' gradients are skipped, and so is dX (nil
-// is returned) when the layer sits at the graph input with noInputGrad.
+// dX = dY · W. Frozen parameters' gradients are skipped.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if grad.NDim() != 2 || grad.Dim(0) != l.n || grad.Dim(1) != l.Out {
 		panic(shapeErr(l.name, grad.Shape()))
@@ -187,9 +183,6 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				l.Bias.Grad[j] += grad.Data[i*l.Out+j]
 			}
 		}
-	}
-	if l.noInputGrad {
-		return nil
 	}
 	dx := l.Arena.New(n, l.In)
 	tensor.MatMulInto(dx.Data, grad.Data, l.Weight.Data, n, l.Out, l.In, false)
@@ -251,112 +244,4 @@ func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return dx
-}
-
-// AvgPool2d performs non-overlapping k×k average pooling (stride = k).
-type AvgPool2d struct {
-	Scope
-	name     string
-	K        int
-	h, w     int
-	lastSpec Spec
-}
-
-// NewAvgPool2d constructs a k×k average pool.
-func NewAvgPool2d(name string, k int) *AvgPool2d { return &AvgPool2d{name: name, K: k} }
-
-// Name implements Layer.
-func (p *AvgPool2d) Name() string { return p.name }
-
-// Params implements Layer.
-func (p *AvgPool2d) Params() []*Param { return nil }
-
-// Spec implements Layer.
-func (p *AvgPool2d) Spec() Spec { return p.lastSpec }
-
-// Forward implements Layer.
-func (p *AvgPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	t0 := profStart()
-	defer profEnd(KindPool, p.name, false, t0)
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	p.h, p.w = h, w
-	oh, ow := h/p.K, w/p.K
-	y := p.Arena.New(n, c, oh, ow)
-	inv := 1 / float32(p.K*p.K)
-	for i := 0; i < n*c; i++ {
-		src := x.Data[i*h*w : (i+1)*h*w]
-		dst := y.Data[i*oh*ow : (i+1)*oh*ow]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				s := float32(0)
-				for ky := 0; ky < p.K; ky++ {
-					for kx := 0; kx < p.K; kx++ {
-						s += src[(oy*p.K+ky)*w+ox*p.K+kx]
-					}
-				}
-				dst[oy*ow+ox] = s * inv
-			}
-		}
-	}
-	p.lastSpec = Spec{Kind: KindPool, LayerName: p.name, OutElems: int64(y.Numel()), Batch: int64(n)}
-	return y
-}
-
-// Backward implements Layer.
-func (p *AvgPool2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	t0 := profStart()
-	defer profEnd(KindPool, p.name, true, t0)
-	n, c, oh, ow := grad.Dim(0), grad.Dim(1), grad.Dim(2), grad.Dim(3)
-	dx := p.Arena.New(n, c, p.h, p.w)
-	if oh*p.K != p.h || ow*p.K != p.w {
-		clear(dx.Data) // the rows and columns past the last whole window get no gradient
-	}
-	inv := 1 / float32(p.K*p.K)
-	for i := 0; i < n*c; i++ {
-		src := grad.Data[i*oh*ow : (i+1)*oh*ow]
-		dst := dx.Data[i*p.h*p.w : (i+1)*p.h*p.w]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				g := src[oy*ow+ox] * inv
-				for ky := 0; ky < p.K; ky++ {
-					for kx := 0; kx < p.K; kx++ {
-						dst[(oy*p.K+ky)*p.w+ox*p.K+kx] = g
-					}
-				}
-			}
-		}
-	}
-	return dx
-}
-
-// Flatten reshapes [N, ...] to [N, prod(...)].
-type Flatten struct {
-	name     string
-	shape    []int
-	lastSpec Spec
-}
-
-// NewFlatten constructs a flattening layer.
-func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
-
-// Name implements Layer.
-func (f *Flatten) Name() string { return f.name }
-
-// Params implements Layer.
-func (f *Flatten) Params() []*Param { return nil }
-
-// Spec implements Layer.
-func (f *Flatten) Spec() Spec { return f.lastSpec }
-
-// Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.shape = append(f.shape[:0], x.Shape()...)
-	n := x.Dim(0)
-	f.lastSpec = Spec{Kind: KindOther, LayerName: f.name, OutElems: int64(x.Numel()), Batch: int64(n)}
-	return x.Reshape(n, x.Numel()/n)
-}
-
-// Backward implements Layer.
-func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.shape...)
 }

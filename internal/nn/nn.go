@@ -66,7 +66,7 @@ func (p *Param) ZeroGrad() { clear(p.Grad) }
 // stat updates). Backward consumes the gradient w.r.t. the layer's output
 // and returns the gradient w.r.t. its input, accumulating parameter
 // gradients into Params — except those of frozen Params, whose Grad a
-// layer never writes (see FreezeExceptBN, which also lets the layer at the
+// layer never writes (see FreezeExceptBN, which also lets a conv at the
 // graph input return a nil input gradient).
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
@@ -111,17 +111,10 @@ func ZeroGrads(l Layer) {
 	}
 }
 
-// inputGradSkipper is implemented by the leaf layers whose Backward can
-// skip dX when they sit at the graph input; the flag says whether it does.
-type inputGradSkipper interface{ skipsInputGrad() *bool }
-
-func (c *Conv2d) skipsInputGrad() *bool { return &c.noInputGrad }
-func (l *Linear) skipsInputGrad() *bool { return &l.noInputGrad }
-
 // inputLayer returns the layer that consumes the network's input when the
 // tree says so unambiguously: the first layer of nested Sequentials. Any
 // other composite there is returned as is — a block at the input may also
-// feed a shortcut — and is no inputGradSkipper.
+// feed a shortcut — and is no *Conv2d.
 func inputLayer(l Layer) Layer {
 	for {
 		s, ok := l.(*Sequential)
@@ -134,8 +127,8 @@ func inputLayer(l Layer) Layer {
 
 // FreezeExceptBN prepares the tree rooted at l for a backward pass that
 // only BatchNorm γ/β learn from — BN-Opt's: every other parameter is
-// frozen, so conv/linear layers stop computing dW, and the layer at the
-// graph input stops computing a dX nobody reads (Backward on the tree then
+// frozen, so conv/linear layers stop computing dW, and a conv at the graph
+// input stops computing a dX nobody reads (Backward on the tree then
 // returns nil). Unfreeze is the inverse.
 func FreezeExceptBN(l Layer) {
 	for _, p := range CollectParams(l) {
@@ -144,8 +137,8 @@ func FreezeExceptBN(l Layer) {
 	for _, bn := range BatchNorms(l) {
 		bn.Gamma.Frozen, bn.Beta.Frozen = false, false
 	}
-	if in, ok := inputLayer(l).(inputGradSkipper); ok {
-		*in.skipsInputGrad() = true
+	if in, ok := inputLayer(l).(*Conv2d); ok {
+		in.noInputGrad = true
 	}
 }
 
@@ -157,17 +150,15 @@ func Unfreeze(l Layer) {
 	for _, p := range CollectParams(l) {
 		p.Frozen = false
 	}
-	Walk(l, func(x Layer) {
-		if in, ok := x.(inputGradSkipper); ok {
-			*in.skipsInputGrad() = false
-		}
-	})
+	if in, ok := inputLayer(l).(*Conv2d); ok {
+		in.noInputGrad = false
+	}
 }
 
 // CopyState makes dst, a tree built by the same constructor calls as src,
 // continue from src's state: every parameter's Data and Frozen, every
 // BatchNorm's running statistics, UseBatchStats, Eps and Momentum, and
-// whether the layer at the input skips dX. That is everything of a layer
+// whether the conv at the input skips dX. That is everything of a layer
 // that changes between passes; the rest is its constructor's, and what a
 // pass caches the next pass rebuilds. Gradients are not copied. CopyState
 // panics, before it writes anything, when the trees' parameters or
@@ -175,8 +166,8 @@ func Unfreeze(l Layer) {
 func CopyState(dst, src Layer) {
 	dp, sp := CollectParams(dst), CollectParams(src)
 	db, sb := BatchNorms(dst), BatchNorms(src)
-	dIn, _ := inputLayer(dst).(inputGradSkipper)
-	sIn, _ := inputLayer(src).(inputGradSkipper)
+	dIn, _ := inputLayer(dst).(*Conv2d)
+	sIn, _ := inputLayer(src).(*Conv2d)
 	same := len(dp) == len(sp) && len(db) == len(sb) && (dIn == nil) == (sIn == nil)
 	for i := 0; same && i < len(sp); i++ {
 		same = dp[i].Name == sp[i].Name && len(dp[i].Data) == len(sp[i].Data)
@@ -198,7 +189,7 @@ func CopyState(dst, src Layer) {
 		d.UseBatchStats, d.Eps, d.Momentum = b.UseBatchStats, b.Eps, b.Momentum
 	}
 	if sIn != nil {
-		*dIn.skipsInputGrad() = *sIn.skipsInputGrad()
+		dIn.noInputGrad = sIn.noInputGrad
 	}
 }
 
@@ -258,10 +249,6 @@ func Attach(l Layer, a *tensor.Arena, infer bool) {
 	})
 }
 
-// views reports whether y is x seen under another shape (Flatten), which
-// makes y no new owner of the memory.
-func views(y, x *tensor.Tensor) bool { return &y.Data[0] == &x.Data[0] }
-
 // sameShape reports whether t has the given shape: the one a layer's
 // forward recorded, since a tensor it read may since have been released
 // and handed out again under another.
@@ -302,11 +289,11 @@ func (s *Sequential) Append(layers ...Layer) { s.layers = append(s.layers, layer
 // pair whose input the chain made writes its result over that input, which
 // has no other reader.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	var made *tensor.Tensor // the chain's own tensor that x is, or views
+	var made *tensor.Tensor // the chain's own tensor, once x is one
 	for i := 0; i < len(s.layers); i++ {
 		var y *tensor.Tensor
 		if bn, act := s.fusedPair(i); bn != nil {
-			if s.Infer && made != nil && views(x, made) {
+			if s.Infer && x == made {
 				y = bn.ForwardFusedInPlace(x, nil, act, train)
 			} else {
 				y = bn.ForwardFused(x, nil, act, train)
@@ -315,7 +302,7 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		} else {
 			y = s.layers[i].Forward(x, train)
 		}
-		if !views(y, x) {
+		if y != x { // an in-place pair returns its input
 			s.Arena.Free(made)
 			made = y
 		}
@@ -336,10 +323,8 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		} else {
 			dx = s.layers[i].Backward(grad)
 		}
-		if dx == nil || !views(dx, grad) {
-			s.Arena.Free(made)
-			made = dx
-		}
+		s.Arena.Free(made)
+		made = dx
 		grad = dx
 	}
 	return grad

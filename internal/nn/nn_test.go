@@ -476,44 +476,6 @@ func TestGlobalAvgPool(t *testing.T) {
 	}
 }
 
-func TestAvgPool2d(t *testing.T) {
-	x := tensor.FromSlice([]float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 1, 4, 4)
-	p := NewAvgPool2d("ap", 2)
-	y := p.Forward(x, false)
-	want := []float32{3.5, 5.5, 11.5, 13.5}
-	for i := range want {
-		if y.Data[i] != want[i] {
-			t.Fatalf("avgpool[%d] = %v, want %v", i, y.Data[i], want[i])
-		}
-	}
-	dx := p.Backward(tensor.FromSlice([]float32{4, 4, 4, 4}, 1, 1, 2, 2))
-	for _, v := range dx.Data {
-		if v != 1 {
-			t.Fatalf("avgpool backward = %v", dx.Data)
-		}
-	}
-}
-
-func TestFlattenRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	f := NewFlatten("flat")
-	x := tensor.New(2, 3, 4, 4)
-	x.Randn(rng, 1)
-	y := f.Forward(x, false)
-	if y.NDim() != 2 || y.Dim(1) != 48 {
-		t.Fatalf("flatten shape %v", y.Shape())
-	}
-	back := f.Backward(y)
-	if !back.SameShape(x) {
-		t.Fatalf("flatten backward shape %v", back.Shape())
-	}
-}
-
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := tensor.New(5, 7)

@@ -76,7 +76,7 @@ func BenchmarkServeMultiStream(b *testing.B) {
 						if !ok {
 							return
 						}
-						if _, err := st.ProcessCtx(context.Background(), x); err != nil {
+						if _, err := st.ProcessSeq(context.Background(), x, 0); err != nil {
 							b.Error(err)
 							return
 						}
@@ -126,7 +126,7 @@ func BenchmarkServeMultiStream(b *testing.B) {
 						if !ok {
 							return
 						}
-						if _, err := st.ProcessCtx(context.Background(), x); err != nil {
+						if _, err := st.ProcessSeq(context.Background(), x, 0); err != nil {
 							b.Error(err)
 							return
 						}
@@ -163,7 +163,7 @@ func BenchmarkServeMultiStream(b *testing.B) {
 						if !ok {
 							return
 						}
-						if _, err := st.ProcessCtx(context.Background(), x); err != nil {
+						if _, err := st.ProcessSeq(context.Background(), x, 0); err != nil {
 							b.Error(err)
 							return
 						}

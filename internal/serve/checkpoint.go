@@ -100,18 +100,39 @@ func (s *ckptStore) put(name string, h serialize.StateHeader, blob []byte) error
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dir != "" {
-		path := filepath.Join(s.dir, hex.EncodeToString([]byte(name))+".ckpt")
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
+		if err := replaceFile(filepath.Join(s.dir, hex.EncodeToString([]byte(name))+".ckpt"), blob); err != nil {
 			return err
 		}
 	}
 	s.mem[name] = &ckptEntry{header: h, blob: blob}
 	return nil
+}
+
+// replaceFile writes blob to path + ".tmp", syncs it and renames it over
+// path. The sync comes before the rename: without it a power loss can
+// leave the rename on disk and the data not, an empty checkpoint that
+// recovery skips. On failure the temp file is removed and path is as it
+// was.
+func replaceFile(path string, blob []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(blob)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // get returns the session's latest checkpoint, or nil.

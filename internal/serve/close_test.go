@@ -59,7 +59,7 @@ func TestStreamCloseUnderLoadDrains(t *testing.T) {
 	if s.QueueDepth != 0 || s.PendingImages != 0 {
 		t.Errorf("work left after Close: depth %d, images %d", s.QueueDepth, s.PendingImages)
 	}
-	if _, err := st.ProcessCtx(context.Background(), inputs[0]); !errors.Is(err, ErrStreamClosed) {
+	if _, err := st.ProcessSeq(context.Background(), inputs[0], 0); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("submit after Close: err = %v, want ErrStreamClosed", err)
 	}
 

@@ -24,7 +24,7 @@ func TestSubmitCtxPreCanceled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = st.ProcessCtx(ctx, tensor.New(1, base.InC, base.InHW, base.InHW))
+	_, err = st.ProcessSeq(ctx, tensor.New(1, base.InC, base.InHW, base.InHW), 0)
 	var se *Error
 	if !errors.As(err, &se) || se.Code != CodeCanceled {
 		t.Fatalf("pre-canceled submit: err = %v, want CodeCanceled", err)
@@ -106,7 +106,7 @@ func TestSubmitCtxDeadlineWhileBlocked(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = stB.ProcessCtx(ctx, tensor.New(2, base.InC, base.InHW, base.InHW))
+	_, err = stB.ProcessSeq(ctx, tensor.New(2, base.InC, base.InHW, base.InHW), 0)
 	var se *Error
 	if !errors.As(err, &se) || se.Code != CodeDeadline {
 		t.Fatalf("blocked submit past deadline: err = %v, want CodeDeadline", err)

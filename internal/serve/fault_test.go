@@ -232,7 +232,7 @@ func TestNumericGuardResetsPoisonedState(t *testing.T) {
 
 	var got [][]float32
 	for b, x := range inputs {
-		logits, err := st.ProcessCtx(context.Background(), x)
+		logits, err := st.ProcessSeq(context.Background(), x, 0)
 		if err != nil {
 			t.Fatalf("batch %d: %v (a numeric reset must not fail the request)", b, err)
 		}
@@ -657,7 +657,7 @@ func TestWorkerBarrierRecoveryIsAQuarantine(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := st.ProcessCtx(ctx, x); err != nil {
+	if _, err := st.ProcessSeq(ctx, x, 0); err != nil {
 		t.Fatalf("first batch after the flapping stopped: %v", err)
 	}
 	if s, _ := srv.GroupSnapshot(key); s.Recovery.Count < 1 {
@@ -737,7 +737,7 @@ func TestFaultChurnRaces(t *testing.T) {
 				// and quarantines.
 				if i < 2 && b == batches/2 {
 					st.Close()
-					if _, err := st.ProcessCtx(context.Background(), x); !errors.Is(err, ErrStreamClosed) {
+					if _, err := st.ProcessSeq(context.Background(), x, 0); !errors.Is(err, ErrStreamClosed) {
 						t.Errorf("stream %d: post-Close err = %v, want ErrStreamClosed", i, err)
 					}
 					return

@@ -165,7 +165,7 @@ func TestServeBNNormSharedReplicasMatchesSerial(t *testing.T) {
 		go func(i int, st *Stream) {
 			defer wg.Done()
 			for _, x := range inputs[i] {
-				logits, err := st.ProcessCtx(context.Background(), x)
+				logits, err := st.ProcessSeq(context.Background(), x, 0)
 				if err != nil {
 					errs[i] = err
 					return
@@ -226,7 +226,7 @@ func TestServeBNOptMatchesSerial(t *testing.T) {
 		go func(i int, st *Stream) {
 			defer wg.Done()
 			for _, x := range inputs[i] {
-				logits, err := st.ProcessCtx(context.Background(), x)
+				logits, err := st.ProcessSeq(context.Background(), x, 0)
 				if err != nil {
 					t.Errorf("stream %d: %v", i, err)
 					return
@@ -423,7 +423,7 @@ func TestServeScheduledStreamMatchesSerial(t *testing.T) {
 		go func(j int, jb job, st *Stream) {
 			defer wg.Done()
 			for _, x := range jb.inputs {
-				logits, err := st.ProcessCtx(context.Background(), x)
+				logits, err := st.ProcessSeq(context.Background(), x, 0)
 				if err != nil {
 					errs[j] = err
 					return

@@ -55,8 +55,12 @@ func (s *Stream) SubmitSeq(ctx context.Context, x *tensor.Tensor, seq uint64) <-
 	return s.g.submit(ctx, s.st, x, seq)
 }
 
-// ProcessSeq is the synchronous form of SubmitSeq, with the same
-// post-dispatch context semantics as ProcessCtx.
+// ProcessSeq is the synchronous form of SubmitSeq: it returns the logits
+// for the batch, one row per image. If the context expires after dispatch
+// (while a replica is computing), ProcessSeq returns the typed context
+// error without waiting; the work still completes server-side and the
+// stream's adaptation state advances exactly as if the response had been
+// read.
 func (s *Stream) ProcessSeq(ctx context.Context, x *tensor.Tensor, seq uint64) (*tensor.Tensor, error) {
 	ch := s.SubmitSeq(ctx, x, seq)
 	select {
@@ -71,16 +75,6 @@ func (s *Stream) ProcessSeq(ctx context.Context, x *tensor.Tensor, seq uint64) (
 // opened with OpenStream). Named streams are the recoverable ones: their
 // state is checkpointed and they can be reopened with OpenSession.
 func (s *Stream) Name() string { return s.st.name }
-
-// ProcessCtx is the synchronous form of SubmitCtx: it returns the logits
-// for the batch, one row per image. If the context expires after dispatch
-// (while a replica is computing), ProcessCtx returns the typed context
-// error without waiting; the work still completes server-side and the
-// stream's adaptation state advances exactly as if the response had been
-// read.
-func (s *Stream) ProcessCtx(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	return s.ProcessSeq(ctx, x, 0)
-}
 
 // Snapshot reports the stream's serving metrics so far. The group lock
 // covers only the counter copy; the percentile summary is computed

@@ -26,7 +26,7 @@ func TestServeRegistryMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := st.ProcessCtx(context.Background(), tensor.New(2, m.InC, m.InHW, m.InHW)); err != nil {
+		if _, err := st.ProcessSeq(context.Background(), tensor.New(2, m.InC, m.InHW, m.InHW), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

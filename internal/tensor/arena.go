@@ -74,8 +74,8 @@ func (a *Arena) New(shape ...int) *Tensor {
 
 // Free is the maker's release of t: its last forward reader has run. While
 // t is held the release waits for the last Unhold. A nil tensor, a tensor
-// the arena does not own — a caller's input, a Reshape view — and one it
-// already has back are ignored.
+// the arena does not own — a caller's input — and one it already has back
+// are ignored.
 func (a *Arena) Free(t *Tensor) {
 	if a == nil || t == nil || t.arena != a || t.state != arenaLive {
 		return
@@ -88,9 +88,8 @@ func (a *Arena) Free(t *Tensor) {
 }
 
 // Hold keeps t from being released until a matching Unhold: its holder
-// reads it again later in the pass. Holding a Reshape view holds the
-// tensor it views. A tensor the arena does not own or no longer has out is
-// ignored.
+// reads it again later in the pass. A tensor the arena does not own or no
+// longer has out is ignored.
 func (a *Arena) Hold(t *Tensor) {
 	if t = a.owned(t); t != nil && t.state >= arenaLive {
 		t.holds++
@@ -109,11 +108,8 @@ func (a *Arena) Unhold(t *Tensor) {
 	}
 }
 
-// owned returns the buffer of a's that t is or views, else nil.
+// owned returns t when it is a buffer of a's, else nil.
 func (a *Arena) owned(t *Tensor) *Tensor {
-	if t != nil && t.base != nil {
-		t = t.base
-	}
 	if a == nil || t == nil || t.arena != a {
 		return nil
 	}

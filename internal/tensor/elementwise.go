@@ -34,9 +34,9 @@ import "math"
 // one rounding per operation, no fused multiply-add on either side. The
 // AVX-512 routines take a whole channel in one call, the remainder of each
 // plane under a mask; the AVX2 routines take a whole channel when its
-// planes are whole vectors, and one plane's vector part otherwise, its
-// remainder going to the generic twin. StatLanes = 16 float64 is two zmm
-// or four ymm, so both widths keep the one lane map.
+// planes are whole vectors, and the generic twins take it otherwise, one
+// plane at a time. StatLanes = 16 float64 is two zmm or four ymm, so both
+// widths keep the one lane map.
 
 // StatLanes is the number of float64 partial sums a plane reduction keeps.
 const StatLanes = 16

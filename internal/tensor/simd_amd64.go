@@ -210,16 +210,14 @@ func dot(x, y []float32) float32 {
 // channel's planes in one call. An AVX-512 routine takes any plane length,
 // the remainder of each plane under a mask. An AVX2 routine takes planes
 // of a whole number of vectors — StatLanes elements for the reductions, 8
-// for the maps — so a channel whose planes are not goes to it one plane at
-// a time, the remainder of each to the generic twin: bit-identical by
-// construction, and the element-to-lane map stays intact because the
-// vector part is a multiple of StatLanes long. planeSum has no AVX-512
-// routine: its lanes are chains of float64 additions, which run no faster
-// at 16 lanes than at 8 (slower on a core whose 256-bit adder is the
-// quicker one). Either routine reads an optional operand (res, or the
-// gradient's x) only under the mode bits that need it; an AVX-512 one is
-// handed another operand of the call in place of an absent one, so every
-// address it forms lies inside a checked extent.
+// for the maps — so a channel whose planes are not goes to the generic
+// twins, bit-identical by construction. planeSum has no AVX-512 routine:
+// its lanes are chains of float64 additions, which run no faster at 16
+// lanes than at 8 (slower on a core whose 256-bit adder is the quicker
+// one). Either routine reads an optional operand (res, or the gradient's
+// x) only under the mode bits that need it; an AVX-512 one is handed
+// another operand of the call in place of an absent one, so every address
+// it forms lies inside a checked extent.
 
 //go:noescape
 func planeSumAVX2(acc *[StatLanes]float64, x []float32, plen, n, stride int)
@@ -248,27 +246,9 @@ func gradSumsPlanesAVX512(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32,
 //go:noescape
 func gradInputPlanesAVX512(dx, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, scale, mDy, mDyXhat, hi float32, mode int)
 
-// vectorPart is how many leading elements of an n-element plane the AVX2
-// routines take when they work in blocks of width (a power of two).
-func vectorPart(n, width int) int {
-	if !hasAVX2 {
-		return 0
-	}
-	return n &^ (width - 1)
-}
-
-// rest returns s[n:], or nil for the nil slice an absent operand is.
-func rest(s []float32, n int) []float32 {
-	if s == nil {
-		return nil
-	}
-	return s[n:]
-}
-
 // Each dispatcher below checks the extents, then makes one call for the
-// channel (the AVX-512 routine, or the AVX2 one when every plane is whole
-// vectors) or, failing that, two per plane: the AVX2 routine on the
-// plane's vector part, the generic twin on the rest.
+// channel: the AVX-512 routine, or the AVX2 one when every plane is whole
+// vectors, or else the generic twins, one call per plane.
 
 func sumPlanes(acc *[StatLanes]float64, x []float32, p Planes) {
 	if p.empty() {
@@ -279,14 +259,7 @@ func sumPlanes(acc *[StatLanes]float64, x []float32, p Planes) {
 		planeSumAVX2(acc, x, p.Len, p.N, p.Stride)
 		return
 	}
-	for k := 0; k < p.N; k++ {
-		xk := p.at(x, k)
-		n := vectorPart(len(xk), StatLanes)
-		if n > 0 {
-			planeSumAVX2(acc, xk, n, 1, n)
-		}
-		planeSumGeneric(acc, xk[n:])
-	}
+	sumPlanesGeneric(acc, x, p)
 }
 
 func sumSqDevPlanes(acc *[StatLanes]float64, x []float32, p Planes, mean float32) {
@@ -302,14 +275,7 @@ func sumSqDevPlanes(acc *[StatLanes]float64, x []float32, p Planes, mean float32
 		planeSumSqDevAVX2(acc, x, p.Len, p.N, p.Stride, mean)
 		return
 	}
-	for k := 0; k < p.N; k++ {
-		xk := p.at(x, k)
-		n := vectorPart(len(xk), StatLanes)
-		if n > 0 {
-			planeSumSqDevAVX2(acc, xk, n, 1, n, mean)
-		}
-		planeSumSqDevGeneric(acc, xk[n:], mean)
-	}
+	sumSqDevPlanesGeneric(acc, x, p, mean)
 }
 
 func normalizePlanes(y, x, res []float32, p Planes, mean, inv, g, b, hi float32, mode int) {
@@ -332,14 +298,7 @@ func normalizePlanes(y, x, res []float32, p Planes, mean, inv, g, b, hi float32,
 		normalizeAVX2(y, x, res, p.Len, p.N, p.Stride, mean, inv, g, b, hi, mode)
 		return
 	}
-	for k := 0; k < p.N; k++ {
-		yk, xk, rk := p.at(y, k), p.at(x, k), p.at(res, k)
-		n := vectorPart(len(xk), 8)
-		if n > 0 {
-			normalizeAVX2(yk, xk, rk, n, 1, n, mean, inv, g, b, hi, mode)
-		}
-		normalizeGeneric(yk[n:], xk[n:], rest(rk, n), mean, inv, g, b, hi, mode)
-	}
+	normalizePlanesGeneric(y, x, res, p, mean, inv, g, b, hi, mode)
 }
 
 func gradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, p Planes, mean, inv, g, b, hi float32, mode int) {
@@ -356,14 +315,7 @@ func gradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, p Pla
 		gradSumsAVX2(sumDy, sumDyXhat, dy, x, p.Len, p.N, p.Stride, mean, inv, g, b, hi, mode)
 		return
 	}
-	for k := 0; k < p.N; k++ {
-		dyk, xk := p.at(dy, k), p.at(x, k)
-		n := vectorPart(len(dyk), StatLanes)
-		if n > 0 {
-			gradSumsAVX2(sumDy, sumDyXhat, dyk, xk, n, 1, n, mean, inv, g, b, hi, mode)
-		}
-		gradSumsGeneric(sumDy, sumDyXhat, dyk[n:], xk[n:], mean, inv, g, b, hi, mode)
-	}
+	gradSumsPlanesGeneric(sumDy, sumDyXhat, dy, x, p, mean, inv, g, b, hi, mode)
 }
 
 func gradInputPlanes(dx, dy, x []float32, p Planes, mean, inv, g, b, scale, mDy, mDyXhat, hi float32, mode int) {
@@ -387,12 +339,5 @@ func gradInputPlanes(dx, dy, x []float32, p Planes, mean, inv, g, b, scale, mDy,
 		gradInputAVX2(dx, dy, x, p.Len, p.N, p.Stride, mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
 		return
 	}
-	for k := 0; k < p.N; k++ {
-		dxk, dyk, xk := p.at(dx, k), p.at(dy, k), p.at(x, k)
-		n := vectorPart(len(dyk), 8)
-		if n > 0 {
-			gradInputAVX2(dxk, dyk, xk, n, 1, n, mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
-		}
-		gradInputGeneric(dxk[n:], dyk[n:], rest(xk, n), mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
-	}
+	gradInputPlanesGeneric(dx, dy, x, p, mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
 }

@@ -292,36 +292,49 @@ func runPlanesDispatch(c *planeCall, r *planeResult) {
 	gradInputPlanes(r.dx, c.dy, c.src, c.p, pcMean, pcInv, c.gamma, c.beta, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
 }
 
-// runPlanesAVX2 calls the AVX2 routines on the whole channel when its
-// planes are whole vectors of 16, else plane by plane on each vector part,
-// the rest of the plane to the generic twin.
+// runPlanesAVX2 calls the AVX2 routines as the dispatch does on an
+// AVX2-only CPU, one call per channel when its planes are whole vectors —
+// of StatLanes for the reductions, of 8 for the maps. The dispatch hands
+// any other channel to the generic twins alone; here each routine still
+// takes every plane's vector part, the generic twin the rest, so the
+// routines stay checked on partial planes.
 func runPlanesAVX2(c *planeCall, r *planeResult) {
 	hi, p := c.rect.hi(), c.p
 	if p.Len%StatLanes == 0 {
 		planeSumAVX2(&r.sum, c.x, p.Len, p.N, p.Stride)
 		planeSumSqDevAVX2(&r.sq, c.x, p.Len, p.N, p.Stride, pcMean)
-		normalizeAVX2(r.y, c.xs, c.res, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
 		gradSumsAVX2(&r.sDy, &r.sDyXhat, c.dy, c.x, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+	} else {
+		n := p.Len &^ (StatLanes - 1)
+		for k := 0; k < p.N; k++ {
+			x, dy := p.at(c.x, k), p.at(c.dy, k)
+			if n > 0 {
+				planeSumAVX2(&r.sum, x, n, 1, n)
+				planeSumSqDevAVX2(&r.sq, x, n, 1, n, pcMean)
+				gradSumsAVX2(&r.sDy, &r.sDyXhat, dy, x, n, 1, n, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+			}
+			planeSumGeneric(&r.sum, x[n:])
+			planeSumSqDevGeneric(&r.sq, x[n:], pcMean)
+			gradSumsGeneric(&r.sDy, &r.sDyXhat, dy[n:], x[n:], pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+		}
+	}
+	if p.Len%8 == 0 {
+		normalizeAVX2(r.y, c.xs, c.res, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
 		gradInputAVX2(r.dx, c.dy, c.src, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
 		return
 	}
+	n := p.Len &^ 7
 	for k := 0; k < p.N; k++ {
-		x, xs, res, dy, src := p.at(c.x, k), p.at(c.xs, k), p.at(c.res, k), p.at(c.dy, k), p.at(c.src, k)
+		xs, res, dy, src := p.at(c.xs, k), p.at(c.res, k), p.at(c.dy, k), p.at(c.src, k)
 		y, dx := p.at(r.y, k), p.at(r.dx, k)
-		n := len(x) &^ (StatLanes - 1)
 		if n > 0 {
-			planeSumAVX2(&r.sum, x, n, 1, n)
-			planeSumSqDevAVX2(&r.sq, x, n, 1, n, pcMean)
-			gradSumsAVX2(&r.sDy, &r.sDyXhat, dy, x, n, 1, n, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
-		}
-		planeSumGeneric(&r.sum, x[n:])
-		planeSumSqDevGeneric(&r.sq, x[n:], pcMean)
-		gradSumsGeneric(&r.sDy, &r.sDyXhat, dy[n:], x[n:], pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
-		if n = len(x) &^ 7; n > 0 {
 			normalizeAVX2(y, xs, res, n, 1, n, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
 			gradInputAVX2(dx, dy, src, n, 1, n, pcMean, pcInv, c.gamma, c.beta, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
 		}
-		normalizeGeneric(y[n:], xs[n:], rest(res, n), pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
+		if res != nil {
+			res = res[n:]
+		}
+		normalizeGeneric(y[n:], xs[n:], res, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
 		gradInputGeneric(dx[n:], dy[n:], src[n:], pcMean, pcInv, c.gamma, c.beta, pcScale, pcMeanDy, pcMeanDyXhat, hi, c.mode)
 	}
 }

@@ -181,6 +181,40 @@ func gradInputGeneric(dx, dy, x []float32, mean, inv, g, b, scale, mDy, mDyXhat,
 	}
 }
 
+// The channel loops over the generic twins, one call per plane: all a CPU
+// without vector routines runs, and what an AVX2-only one runs on a channel
+// whose planes are not whole vectors.
+
+func sumPlanesGeneric(acc *[StatLanes]float64, x []float32, p Planes) {
+	for k := 0; k < p.N; k++ {
+		planeSumGeneric(acc, p.at(x, k))
+	}
+}
+
+func sumSqDevPlanesGeneric(acc *[StatLanes]float64, x []float32, p Planes, mean float32) {
+	for k := 0; k < p.N; k++ {
+		planeSumSqDevGeneric(acc, p.at(x, k), mean)
+	}
+}
+
+func normalizePlanesGeneric(y, x, res []float32, p Planes, mean, inv, g, b, hi float32, mode int) {
+	for k := 0; k < p.N; k++ {
+		normalizeGeneric(p.at(y, k), p.at(x, k), p.at(res, k), mean, inv, g, b, hi, mode)
+	}
+}
+
+func gradSumsPlanesGeneric(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, p Planes, mean, inv, g, b, hi float32, mode int) {
+	for k := 0; k < p.N; k++ {
+		gradSumsGeneric(sumDy, sumDyXhat, p.at(dy, k), p.at(x, k), mean, inv, g, b, hi, mode)
+	}
+}
+
+func gradInputPlanesGeneric(dx, dy, x []float32, p Planes, mean, inv, g, b, scale, mDy, mDyXhat, hi float32, mode int) {
+	for k := 0; k < p.N; k++ {
+		gradInputGeneric(p.at(dx, k), p.at(dy, k), p.at(x, k), mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
+	}
+}
+
 // Row-block moves (im2col.go, conv_grad.go): one call moves rows rows, row
 // r of an operand starting r·stride elements past its first. The generic
 // twins of the AVX2 routines are plain indexed moves, so every path writes

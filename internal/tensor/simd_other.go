@@ -36,32 +36,20 @@ func convSpan(y []float32, yStride int, x, w []float32, wStride int, o offsets, 
 	convSpanGeneric(y, yStride, x, w, wStride, o.off, noc, npix, nspan, xStep)
 }
 
-func sumPlanes(acc *[StatLanes]float64, x []float32, p Planes) {
-	for k := 0; k < p.N; k++ {
-		planeSumGeneric(acc, p.at(x, k))
-	}
-}
+func sumPlanes(acc *[StatLanes]float64, x []float32, p Planes) { sumPlanesGeneric(acc, x, p) }
 
 func sumSqDevPlanes(acc *[StatLanes]float64, x []float32, p Planes, mean float32) {
-	for k := 0; k < p.N; k++ {
-		planeSumSqDevGeneric(acc, p.at(x, k), mean)
-	}
+	sumSqDevPlanesGeneric(acc, x, p, mean)
 }
 
 func normalizePlanes(y, x, res []float32, p Planes, mean, inv, g, b, hi float32, mode int) {
-	for k := 0; k < p.N; k++ {
-		normalizeGeneric(p.at(y, k), p.at(x, k), p.at(res, k), mean, inv, g, b, hi, mode)
-	}
+	normalizePlanesGeneric(y, x, res, p, mean, inv, g, b, hi, mode)
 }
 
 func gradSumsPlanes(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, p Planes, mean, inv, g, b, hi float32, mode int) {
-	for k := 0; k < p.N; k++ {
-		gradSumsGeneric(sumDy, sumDyXhat, p.at(dy, k), p.at(x, k), mean, inv, g, b, hi, mode)
-	}
+	gradSumsPlanesGeneric(sumDy, sumDyXhat, dy, x, p, mean, inv, g, b, hi, mode)
 }
 
 func gradInputPlanes(dx, dy, x []float32, p Planes, mean, inv, g, b, scale, mDy, mDyXhat, hi float32, mode int) {
-	for k := 0; k < p.N; k++ {
-		gradInputGeneric(p.at(dx, k), p.at(dy, k), p.at(x, k), mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
-	}
+	gradInputPlanesGeneric(dx, dy, x, p, mean, inv, g, b, scale, mDy, mDyXhat, hi, mode)
 }

@@ -15,11 +15,9 @@ type Tensor struct {
 	Data  []float32
 	shape []int
 
-	// arena is the Arena that owns Data, nil for a heap tensor and for a
-	// view; state is where the arena has it and holds how many Holds it
-	// has (see Arena). base is the arena tensor a view shares Data with.
+	// arena is the Arena that owns Data, nil for a heap tensor; state is
+	// where the arena has it and holds how many Holds it has (see Arena).
 	arena *Arena
-	base  *Tensor
 	state uint8
 	holds int32
 }
@@ -71,20 +69,6 @@ func (t *Tensor) Clone() *Tensor {
 	c := New(t.shape...)
 	copy(c.Data, t.Data)
 	return c
-}
-
-// Reshape returns a view of the same data with a new shape. It panics if the
-// element counts differ.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := checkedNumel(shape)
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
-	}
-	base := t.base
-	if base == nil && t.arena != nil {
-		base = t
-	}
-	return &Tensor{Data: t.Data, shape: append([]int(nil), shape...), base: base}
 }
 
 // SameShape reports whether t and o have identical shapes.

@@ -46,21 +46,6 @@ func TestAtOutOfRangePanics(t *testing.T) {
 	New(2, 2).At(2, 0)
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	x := New(2, 6)
-	y := x.Reshape(3, 4)
-	y.Data[0] = 5
-	if x.Data[0] != 5 {
-		t.Fatal("Reshape must share backing data")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad reshape")
-		}
-	}()
-	x.Reshape(5, 5)
-}
-
 func TestCloneIndependent(t *testing.T) {
 	x := New(3)
 	x.Fill(1)
