@@ -66,7 +66,7 @@ func Estimate(d *Device, kind EngineKind, p *profile.ModelProfile, algo core.Alg
 	b := float64(batch)
 
 	// --- Forward compute ---
-	groupExtra := float64(p.GroupMACs) * (eng.GroupPenalty - 1)
+	groupExtra := float64(s.GroupMACs) * (eng.GroupPenalty - 1)
 	convMACs := (float64(s.ConvMACs+s.LinearMACs) + groupExtra) * b
 	convFw := convMACs / 1e9 / eng.MACRate
 
@@ -104,7 +104,7 @@ func Estimate(d *Device, kind EngineKind, p *profile.ModelProfile, algo core.Alg
 	if kind == GPU {
 		runtime += d.GPUExtraBytes
 	}
-	weights := p.Stats.Bytes * 2 // parameters + gradient/workspace buffers
+	weights := 4 * s.Params * 2 // float32 parameters + gradient/workspace buffers of the same size
 	savedBytes := float64(s.SavedElems) * 4 * b
 	var peak int64
 	if algo == core.BNOpt {

@@ -100,33 +100,6 @@ func (m *Model) Params() []*nn.Param { return nn.CollectParams(m.Net) }
 // BatchNorms returns every BatchNorm layer in forward order.
 func (m *Model) BatchNorms() []*nn.BatchNorm2d { return nn.BatchNorms(m.Net) }
 
-// Stats summarizes a model's size and compute cost.
-type Stats struct {
-	Params   int64 // total learnable parameters
-	BNParams int64 // batch-norm gamma+beta count (the adaptation target)
-	MACs     int64 // forward multiply-accumulates for a single image
-	Bytes    int64 // float32 parameter bytes
-}
-
-// Stats runs one dummy single-image forward to populate layer specs and
-// aggregates them.
-func (m *Model) Stats() Stats {
-	x := tensor.New(1, m.InC, m.InHW, m.InHW)
-	m.Forward(x, false)
-	var s Stats
-	nn.Walk(m.Net, func(l nn.Layer) {
-		sp := l.Spec()
-		if sp.Kind == nn.KindComposite {
-			return
-		}
-		s.Params += sp.ParamCount
-		s.BNParams += 2 * sp.BNChannels
-		s.MACs += sp.MACs
-	})
-	s.Bytes = 4 * s.Params
-	return s
-}
-
 // Scale selects between the paper-exact architecture and a reduced variant
 // that can be trained in-process.
 type Scale int

@@ -139,6 +139,7 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		Kind: KindConv, LayerName: c.name,
 		MACs:       int64(y.Numel()) * int64(len(c.Weight.Data)/c.OutC), // one reduction row per weight of an output channel
 		ParamCount: int64(len(c.Weight.Data)),
+		Groups:     c.Groups,
 		OutElems:   int64(y.Numel()),
 		SavedElems: int64(x.Numel()),
 		Batch:      int64(n),

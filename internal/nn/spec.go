@@ -59,6 +59,7 @@ type Spec struct {
 	MACs       int64 // forward multiply-accumulate count
 	ParamCount int64 // learnable parameters
 	BNChannels int64 // channels, for KindBN only
+	Groups     int   // channel groups, for KindConv only: 1 dense, >1 grouped
 	OutElems   int64 // output tensor elements
 	// SavedElems is the number of elements PyTorch's dynamic graph would
 	// save for this layer's backward — the quantity internal/device is

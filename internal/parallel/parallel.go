@@ -43,9 +43,8 @@ import (
 	"sync/atomic"
 )
 
-// DefaultGrain is the grain used by ForChunked: the smallest number of
-// consecutive indices of a fine element-wise loop worth scheduling as one
-// unit.
+// DefaultGrain is the grain a fine element-wise loop passes to ForGrain:
+// the smallest number of consecutive indices worth scheduling as one unit.
 const DefaultGrain = 64
 
 type task struct {
@@ -159,15 +158,6 @@ func For(n int, fn func(i int)) {
 			fn(i)
 		}
 	})
-}
-
-// ForChunked splits [0, n) into at most ceil(n/DefaultGrain) contiguous
-// ranges (the grain bounds the number of splits, not the minimum range
-// size) and runs fn(lo, hi) for each range concurrently. It is the fine
-// element-wise entry point. fn must be safe to call concurrently for
-// non-overlapping ranges.
-func ForChunked(n int, fn func(lo, hi int)) {
-	ForGrain(n, DefaultGrain, fn)
 }
 
 // Split returns how ForGrain(n, grain, …) divides [0, n): into ranges

@@ -18,10 +18,10 @@ func TestForVisitsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForChunkedCoversRangeExactly(t *testing.T) {
+func TestForGrainCoversRangeExactly(t *testing.T) {
 	f := func(n uint16) bool {
 		total := int64(0)
-		ForChunked(int(n), func(lo, hi int) {
+		ForGrain(int(n), DefaultGrain, func(lo, hi int) {
 			if lo < 0 || hi > int(n) || lo > hi {
 				t.Fatalf("bad chunk [%d, %d) for n=%d", lo, hi, n)
 			}
@@ -34,10 +34,10 @@ func TestForChunkedCoversRangeExactly(t *testing.T) {
 	}
 }
 
-func TestForChunkedNonOverlapping(t *testing.T) {
+func TestForGrainNonOverlapping(t *testing.T) {
 	n := 10000
 	seen := make([]int32, n)
-	ForChunked(n, func(lo, hi int) {
+	ForGrain(n, DefaultGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&seen[i], 1)
 		}
@@ -51,8 +51,8 @@ func TestForChunkedNonOverlapping(t *testing.T) {
 
 func TestNegativeAndZeroAreNoOps(t *testing.T) {
 	called := false
-	ForChunked(0, func(lo, hi int) { called = true })
-	ForChunked(-5, func(lo, hi int) { called = true })
+	ForGrain(0, DefaultGrain, func(lo, hi int) { called = true })
+	ForGrain(-5, DefaultGrain, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("callback invoked for empty range")
 	}

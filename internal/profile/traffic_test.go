@@ -78,10 +78,10 @@ func TestModelsRunOnlyWhatTheKernelsServe(t *testing.T) {
 // first, and BatchNorm planes of whole StatLanes.
 func checkTraffic(t *testing.T, what string, tr Trace) {
 	t.Helper()
-	if len(tr.Layers) == 0 || tr.Layers[0].Kind != nn.KindConv {
+	if len(tr) == 0 || tr[0].Kind != nn.KindConv {
 		t.Errorf("%s: the trace does not start with a conv", what)
 	}
-	for _, l := range tr.Layers {
+	for _, l := range tr {
 		switch l.Kind {
 		case nn.KindConv, nn.KindAct, nn.KindPool, nn.KindLinear:
 		case nn.KindBN:

@@ -15,6 +15,7 @@ import (
 	"edgetta/internal/core"
 	"edgetta/internal/data"
 	"edgetta/internal/serialize"
+	"edgetta/internal/telemetry"
 	"edgetta/internal/tensor"
 )
 
@@ -424,7 +425,8 @@ func TestCheckpointWriteFailureKeepsPrevious(t *testing.T) {
 	ctx := context.Background()
 
 	inj := &scriptInjector{ckptFails: map[uint64]bool{2: true}}
-	cfg := Config{QueueCap: 8, Checkpoint: CheckpointConfig{Every: 2, Dir: t.TempDir()}, Injector: inj}
+	reg := telemetry.NewRegistry()
+	cfg := Config{QueueCap: 8, Checkpoint: CheckpointConfig{Every: 2, Dir: t.TempDir()}, Injector: inj, Registry: reg}
 	srvA := New(cfg)
 	key, err := srvA.AddGroup(base, core.BNNorm, core.Config{}, 1)
 	if err != nil {
@@ -443,9 +445,15 @@ func TestCheckpointWriteFailureKeepsPrevious(t *testing.T) {
 	if s.CheckpointWrites != 1 || s.CheckpointFailures != 1 {
 		t.Errorf("checkpoint writes/failures = %d/%d, want 1/1", s.CheckpointWrites, s.CheckpointFailures)
 	}
+	// The snapshot reads the same store /metrics exports.
+	w := reg.Counter("edgetta_serve_checkpoint_writes_total", "group", key.String()).Value()
+	f := reg.Counter("edgetta_serve_checkpoint_failures_total", "group", key.String()).Value()
+	if w != int64(s.CheckpointWrites) || f != int64(s.CheckpointFailures) {
+		t.Errorf("registry checkpoint writes/failures = %d/%d, snapshot %d/%d", w, f, s.CheckpointWrites, s.CheckpointFailures)
+	}
 	srvA.Close()
 
-	cfg.Injector = nil
+	cfg.Injector, cfg.Registry = nil, nil
 	srvB := New(cfg)
 	defer srvB.Close()
 	if _, err := srvB.AddGroup(base, core.BNNorm, core.Config{}, 1); err != nil {

@@ -33,6 +33,7 @@ type groupMetrics struct {
 	faults        *telemetry.Counter // lifetime replica quarantines (panic/watchdog)
 	respawns      *telemetry.Counter // lifetime completed replica respawns
 	numericResets *telemetry.Counter // lifetime numeric-guard source resets
+	ckptWrites    *telemetry.Counter // lifetime successful checkpoint writes
 	ckptFailures  *telemetry.Counter // lifetime failed checkpoint writes
 	activation    *telemetry.Gauge   // bytes the live replicas' activation arenas hold
 }
@@ -55,6 +56,7 @@ func newGroupMetrics(reg *telemetry.Registry, key GroupKey) *groupMetrics {
 		faults:        reg.Counter("edgetta_serve_replica_faults_total", l...),
 		respawns:      reg.Counter("edgetta_serve_respawns_total", l...),
 		numericResets: reg.Counter("edgetta_serve_numeric_resets_total", l...),
+		ckptWrites:    reg.Counter("edgetta_serve_checkpoint_writes_total", l...),
 		ckptFailures:  reg.Counter("edgetta_serve_checkpoint_failures_total", l...),
 		activation:    reg.Gauge("edgetta_serve_activation_bytes", l...),
 	}
@@ -182,7 +184,6 @@ type group struct {
 	// are the figures that have no registered metric.
 	met          *groupMetrics
 	maxCoalesced int
-	ckptWrites   int
 	// quarantinedIDs keeps the recent quarantined replica IDs for the
 	// health snapshot.
 	quarantinedIDs []int
@@ -745,7 +746,7 @@ func (g *group) commit(r *replica, reqs []*request, res computeResult, start tim
 	if ckptErr != nil {
 		g.met.ckptFailures.Inc()
 	} else if reqs[0].checkpoint {
-		g.ckptWrites++
+		g.met.ckptWrites.Inc()
 	}
 	if !g.lastFaultAt.IsZero() {
 		// First successful serve since the last replica fault: the group's

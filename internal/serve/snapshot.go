@@ -164,7 +164,7 @@ func (g *group) snapshot() GroupSnapshot {
 		Respawns:           int(g.met.respawns.Value()),
 		Respawning:         int(g.met.respawning.Value()),
 		NumericResets:      int(g.met.numericResets.Value()),
-		CheckpointWrites:   g.ckptWrites,
+		CheckpointWrites:   int(g.met.ckptWrites.Value()),
 		CheckpointFailures: int(g.met.ckptFailures.Value()),
 	}
 	if len(g.quarantinedIDs) > 0 {

@@ -55,17 +55,32 @@ it reads the same on every host. The second half is measured: repro-scale
 models trained on SynCIFAR and adapted online on corrupted streams.
 `)
 	section(&b, "Devices", Devices())
-	for _, id := range FigureIDs() {
-		out, err := Figure(id)
-		if err != nil {
-			return "", err
-		}
-		section(&b, id, out)
-	}
 	parts := []struct {
 		title  string
 		render func() (string, error)
 	}{
+		{"fig2", Fig2},
+		{"fig3", func() (string, error) { return ForwardTimesFigure(3, "ultra96", device.CPU) }},
+		{"fig4", func() (string, error) {
+			return BreakdownFigure(4, "ultra96", device.CPU, []string{"WRN-AM", "R18-AM-AT"})
+		}},
+		{"fig5", func() (string, error) { return TradeoffFigure(5, "ultra96", []device.EngineKind{device.CPU}) }},
+		{"fig6", func() (string, error) { return ForwardTimesFigure(6, "rpi4", device.CPU) }},
+		{"fig7", func() (string, error) { return BreakdownFigure(7, "rpi4", device.CPU, RobustModelTags) }},
+		{"fig8", func() (string, error) { return TradeoffFigure(8, "rpi4", []device.EngineKind{device.CPU}) }},
+		{"fig9", func() (string, error) {
+			return nxEngines(func(k device.EngineKind) (string, error) { return ForwardTimesFigure(9, "xaviernx", k) })
+		}},
+		{"fig10", func() (string, error) {
+			return nxEngines(func(k device.EngineKind) (string, error) {
+				return BreakdownFigure(10, "xaviernx", k, RobustModelTags)
+			})
+		}},
+		{"fig11", func() (string, error) {
+			return TradeoffFigure(11, "xaviernx", []device.EngineKind{device.CPU, device.GPU})
+		}},
+		{"fig12", Fig12},
+		{"table1", Table1},
 		{"Calibration anchors", Anchors},
 		{"Architecture-algorithm insights (Sec. IV-G)", Insights},
 		{"Predicted grid: every device engine × model × algorithm × batch", Grid},
@@ -121,8 +136,7 @@ func Measured(tags []string, cfg MeasuredConfig, scenarios []data.Scenario) (str
 			}
 			fmt.Fprintf(&scen, "\n%s:\n%s", tag, FormatScenarios(rs))
 		}
-		tr := profile.Capture(m)
-		graph := device.GraphBytes(&profile.ModelProfile{Tag: tag, Trace: tr, Summary: tr.Summarize()}, Batches[0], false)
+		graph := device.GraphBytes(profile.New(m), Batches[0], false)
 		fmt.Fprintf(&arena, "%-12s %11.1f %11.1f %19.1f\n", tag,
 			mb(r.corrupted(core.BNNorm, Batches[0])[0].ArenaBytes),
 			mb(r.corrupted(core.BNOpt, Batches[0])[0].ArenaBytes), mb(int(graph)))

@@ -10,47 +10,6 @@ import (
 	"edgetta/internal/device"
 )
 
-// Figure regenerates the named paper figure or table as formatted text.
-// Valid ids: fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10,
-// fig11, fig12, table1.
-func Figure(id string) (string, error) {
-	switch id {
-	case "fig2":
-		return Fig2()
-	case "fig3":
-		return ForwardTimesFigure(3, "ultra96", device.CPU)
-	case "fig4":
-		return BreakdownFigure(4, "ultra96", device.CPU, []string{"WRN-AM", "R18-AM-AT"})
-	case "fig5":
-		return TradeoffFigure(5, "ultra96", []device.EngineKind{device.CPU})
-	case "fig6":
-		return ForwardTimesFigure(6, "rpi4", device.CPU)
-	case "fig7":
-		return BreakdownFigure(7, "rpi4", device.CPU, RobustModelTags)
-	case "fig8":
-		return TradeoffFigure(8, "rpi4", []device.EngineKind{device.CPU})
-	case "fig9":
-		return nxEngines(func(k device.EngineKind) (string, error) { return ForwardTimesFigure(9, "xaviernx", k) })
-	case "fig10":
-		return nxEngines(func(k device.EngineKind) (string, error) {
-			return BreakdownFigure(10, "xaviernx", k, RobustModelTags)
-		})
-	case "fig11":
-		return TradeoffFigure(11, "xaviernx", []device.EngineKind{device.CPU, device.GPU})
-	case "fig12":
-		return Fig12()
-	case "table1":
-		return Table1()
-	}
-	return "", fmt.Errorf("study: unknown figure id %q", id)
-}
-
-// FigureIDs lists every regenerable artifact.
-func FigureIDs() []string {
-	return []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-		"fig9", "fig10", "fig11", "fig12", "table1"}
-}
-
 // Fig2 renders the average CIFAR-10-C prediction errors (reference table;
 // for measured repro-scale numbers see Measured).
 func Fig2() (string, error) {

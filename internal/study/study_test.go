@@ -184,30 +184,40 @@ func TestFig12Points(t *testing.T) {
 	}
 }
 
+// TestAllFiguresRender calls each figure renderer once; the golden test
+// holds every figure Predicted renders byte for byte.
 func TestAllFiguresRender(t *testing.T) {
-	for _, id := range FigureIDs() {
-		out, err := Figure(id)
+	for name, render := range map[string]func() (string, error){
+		"Fig2":               Fig2,
+		"ForwardTimesFigure": func() (string, error) { return ForwardTimesFigure(9, "xaviernx", device.GPU) },
+		"BreakdownFigure": func() (string, error) {
+			return BreakdownFigure(4, "ultra96", device.CPU, []string{"WRN-AM", "R18-AM-AT"})
+		},
+		"TradeoffFigure": func() (string, error) {
+			return TradeoffFigure(11, "xaviernx", []device.EngineKind{device.CPU, device.GPU})
+		},
+		"Fig12":  Fig12,
+		"Table1": Table1,
+	} {
+		out, err := render()
 		if err != nil {
-			t.Fatalf("Figure(%s): %v", id, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if len(out) < 50 {
-			t.Errorf("Figure(%s): suspiciously short output", id)
+			t.Errorf("%s: suspiciously short output", name)
 		}
-	}
-	if _, err := Figure("fig99"); err == nil {
-		t.Error("expected error for unknown figure")
 	}
 }
 
 func TestForwardTimesMarkOOM(t *testing.T) {
-	out, err := Figure("fig3")
+	out, err := ForwardTimesFigure(3, "ultra96", device.CPU)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "OOM") {
 		t.Error("fig3 (Ultra96) should mark ResNeXt BN-Opt OOM cells")
 	}
-	out, err = Figure("fig6")
+	out, err = ForwardTimesFigure(6, "rpi4", device.CPU)
 	if err != nil {
 		t.Fatal(err)
 	}
