@@ -155,7 +155,7 @@ func BenchmarkForwardEval(b *testing.B) {
 }
 
 func BenchmarkBatchNormTrainForward(b *testing.B) {
-	bn := nn.NewBatchNorm2d("bn", 64)
+	bn := nn.NewBatchNorm2d("bn", 64, tensor.Rect{})
 	x := tensor.New(50, 64, 16, 16)
 	x.Randn(rand.New(rand.NewSource(1)), 1)
 	b.ResetTimer()
@@ -174,18 +174,18 @@ var bnShapes = []struct {
 	hw       int
 }{{"32x32", 16, 32}, {"16x16", 32, 16}, {"8x8", 64, 8}}
 
-// newBNReLU returns a BatchNorm over c channels fused with a ReLU, drawing
+// newBNReLU returns a BatchNorm over c channels ending in a ReLU, drawing
 // its outputs from an arena as a model's layers do, and a random batch-50
 // input of c channels of hw×hw.
-func newBNReLU(c, hw int) (*nn.BatchNorm2d, *nn.ReLU, *tensor.Arena, *tensor.Tensor) {
-	bn, act, arena := nn.NewBatchNorm2d("bn", c), nn.NewReLU("relu"), new(tensor.Arena)
+func newBNReLU(c, hw int) (*nn.BatchNorm2d, *tensor.Arena, *tensor.Tensor) {
+	bn, arena := nn.NewBatchNorm2d("bn", c, tensor.Rect{On: true}), new(tensor.Arena)
 	nn.Attach(bn, arena, false)
 	x := tensor.New(50, c, hw, hw)
 	x.Randn(rand.New(rand.NewSource(1)), 1)
-	return bn, act, arena, x
+	return bn, arena, x
 }
 
-// BenchmarkBNReLUForward times the fused BN(+ReLU) pass — statistics,
+// BenchmarkBNReLUForward times the BN+ReLU pass — statistics,
 // normalize and rectifier over one activation — at each of bnShapes, with
 // batch statistics (BN-Norm, BN-Opt) and with running statistics
 // (No-Adapt). Its output goes back to the arena after each pass, so a
@@ -197,13 +197,13 @@ func BenchmarkBNReLUForward(b *testing.B) {
 	}{{"batchstats", true}, {"running", false}} {
 		for _, sh := range bnShapes {
 			b.Run(mode.name+"/"+sh.name, func(b *testing.B) {
-				bn, act, arena, x := newBNReLU(sh.channels, sh.hw)
+				bn, arena, x := newBNReLU(sh.channels, sh.hw)
 				bn.UseBatchStats = mode.batchStats
-				arena.Free(bn.ForwardFused(x, nil, act, false)) // the arena's one allocation
+				arena.Free(bn.Forward(x, false)) // the arena's one allocation
 				b.SetBytes(int64(4 * x.Numel()))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					arena.Free(bn.ForwardFused(x, nil, act, false))
+					arena.Free(bn.Forward(x, false))
 				}
 			})
 		}
@@ -216,17 +216,15 @@ func BenchmarkBNReLUForward(b *testing.B) {
 func BenchmarkBNReLUBackward(b *testing.B) {
 	for _, sh := range bnShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			bn, act, arena, x := newBNReLU(sh.channels, sh.hw)
+			bn, arena, x := newBNReLU(sh.channels, sh.hw)
 			grad := tensor.New(x.Shape()...)
 			grad.Randn(rand.New(rand.NewSource(2)), 1)
-			bn.ForwardFused(x, nil, act, true)
-			dx, _ := bn.BackwardFused(grad) // the arena's one allocation
-			arena.Free(dx)
+			bn.Forward(x, true)
+			arena.Free(bn.Backward(grad)) // the arena's one allocation
 			b.SetBytes(int64(4 * x.Numel()))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dx, _ := bn.BackwardFused(grad)
-				arena.Free(dx)
+				arena.Free(bn.Backward(grad))
 			}
 		})
 	}

@@ -93,22 +93,18 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 	var trace struct {
 		TraceEvents []struct {
 			Name string
-			Args struct{ Layer, Fused string }
+			Args struct{ Layer string }
 		}
 	}
 	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
 		t.Fatal(err)
 	}
 	spans := map[string]map[string]int{}
-	fused := map[string]map[string]int{} // span name → rectifier named by the fused arg
 	for _, e := range trace.TraceEvents {
 		if spans[e.Name] == nil {
-			spans[e.Name], fused[e.Name] = map[string]int{}, map[string]int{}
+			spans[e.Name] = map[string]int{}
 		}
 		spans[e.Name][e.Args.Layer]++
-		if e.Args.Fused != "" {
-			fused[e.Name][e.Args.Fused]++
-		}
 	}
 	convs, stagedDX := 0, 0
 	nn.Walk(m.Net, func(l nn.Layer) {
@@ -120,7 +116,7 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 		// A dX copies when its plan stages dY or interleaves residues;
 		// conv1 is the graph input: no dX.
 		copies := 0
-		if p := tensor.NewConvGradPlan(c.ConvShape()); p.StagedLen()+p.SplitLen() > 0 && c.Name() != "conv1" {
+		if p := tensor.NewConvGradPlan(c.Spec().Conv); p.StagedLen()+p.SplitLen() > 0 && c.Name() != "conv1" {
 			stagedDX, copies = stagedDX+1, 1
 		}
 		if n := spans["pack.bw"][c.Name()]; tensor.PackedEnabled() && n != copies {
@@ -140,23 +136,15 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 	if tensor.PackedEnabled() && packs != stagedDX {
 		t.Errorf("pack.bw spans = %d, want one per staged input-gradient conv (%d)", packs, stagedDX)
 	}
-	// Every ReLU of this model follows a BatchNorm and runs inside its
-	// fused pass, so the step is one bn.fw and one bn.bw span per BN, each
-	// naming its rectifier, and no act span at all: the rectifier's time is
-	// inside the bn interval, not lost.
-	nn.Walk(m.Net, func(l nn.Layer) {
-		switch l := l.(type) {
-		case *nn.BatchNorm2d:
-			if fw, bw := spans["bn.fw"][l.Name()], spans["bn.bw"][l.Name()]; fw != 1 || bw != 1 {
-				t.Errorf("%s: %d bn.fw and %d bn.bw spans in one step, want 1 and 1", l.Name(), fw, bw)
-			}
-		case *nn.ReLU:
-			if fw, bw := fused["bn.fw"][l.Name()], fused["bn.bw"][l.Name()]; fw != 1 || bw != 1 {
-				t.Errorf("%s: named by %d bn.fw and %d bn.bw spans, want 1 and 1", l.Name(), fw, bw)
-			}
+	// Every rectifier of this model is the epilogue of a BatchNorm, so the
+	// step is one bn.fw and one bn.bw span per BN and no act span at all:
+	// the rectifier's time is inside the bn interval, not lost.
+	for _, bn := range m.BatchNorms() {
+		if fw, bw := spans["bn.fw"][bn.Name()], spans["bn.bw"][bn.Name()]; fw != 1 || bw != 1 {
+			t.Errorf("%s: %d bn.fw and %d bn.bw spans in one step, want 1 and 1", bn.Name(), fw, bw)
 		}
-	})
+	}
 	if n := len(spans["act.fw"]) + len(spans["act.bw"]); n != 0 {
-		t.Errorf("%d layers emitted act spans; every rectifier here is fused into a bn span", n)
+		t.Errorf("%d layers emitted act spans; every rectifier here runs in a bn span", n)
 	}
 }

@@ -236,7 +236,7 @@ func TestBackwardAfterInferPanics(t *testing.T) {
 
 // TestInferNormalizesInPlace: under Infer every BatchNorm whose input has
 // no other reader writes its output over that input — each conv→BN pair of
-// a block (convBN, PreActBlock's bn2) and each BN+ReLU pair of a Sequential
+// a block (convBN, PreActBlock's bn2) and each BatchNorm of a Sequential
 // whose input the chain made — and only a PreActBlock's bn1, whose input is
 // also the block's shortcut, keeps it. Under Forward none does: Backward
 // reads the input.

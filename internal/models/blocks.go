@@ -12,16 +12,24 @@ import (
 	"edgetta/internal/tensor"
 )
 
-// convBN runs conv→bn(+res)(→act) on x for a block with scope s (what
-// nn.Attach bound it to). The convolution's output has that one reader, so
-// it is freed once the normalize has read it — and under Infer, where
-// nobody holds it for a Backward, the normalize writes over it.
-func convBN(s *nn.Scope, conv *nn.Conv2d, bn *nn.BatchNorm2d, act *nn.ReLU, x, res *tensor.Tensor, train bool) *tensor.Tensor {
+// The rectifiers a BatchNorm may end in.
+var (
+	linear = tensor.Rect{}
+	relu   = tensor.Rect{On: true}
+	relu6  = tensor.Rect{On: true, Cap: 6}
+)
+
+// convBN runs conv→bn(+res), bn's rectifier last, on x for a block with
+// scope s (what nn.Attach bound it to). The convolution's output has that
+// one reader, so it is freed once the normalize has read it — and under
+// Infer, where nobody holds it for a Backward, the normalize writes over
+// it.
+func convBN(s *nn.Scope, conv *nn.Conv2d, bn *nn.BatchNorm2d, x, res *tensor.Tensor, train bool) *tensor.Tensor {
 	c := conv.Forward(x, train)
 	if s.Infer {
-		return bn.ForwardFusedInPlace(c, res, act, train)
+		return bn.ForwardFusedInPlace(c, res, train)
 	}
-	y := bn.ForwardFused(c, res, act, train)
+	y := bn.ForwardFused(c, res, train)
 	s.Arena.Free(c)
 	return y
 }
@@ -43,8 +51,7 @@ func convBNBackward(s *nn.Scope, conv *nn.Conv2d, bn *nn.BatchNorm2d, grad *tens
 type PreActBlock struct {
 	nn.Scope
 	name         string
-	bn1, bn2     *nn.BatchNorm2d
-	relu1, relu2 *nn.ReLU
+	bn1, bn2     *nn.BatchNorm2d // each ends in a ReLU
 	conv1, conv2 *nn.Conv2d
 	convSC       *nn.Conv2d // nil for identity shortcut
 }
@@ -54,11 +61,9 @@ type PreActBlock struct {
 func NewPreActBlock(name string, rng *rand.Rand, in, out, stride int) *PreActBlock {
 	b := &PreActBlock{
 		name:  name,
-		bn1:   nn.NewBatchNorm2d(name+".bn1", in),
-		relu1: nn.NewReLU(name + ".relu1"),
+		bn1:   nn.NewBatchNorm2d(name+".bn1", in, relu),
 		conv1: nn.NewConv2d(name+".conv1", rng, in, out, 3, stride, 1, 1),
-		bn2:   nn.NewBatchNorm2d(name+".bn2", out),
-		relu2: nn.NewReLU(name + ".relu2"),
+		bn2:   nn.NewBatchNorm2d(name+".bn2", out, relu),
 		conv2: nn.NewConv2d(name+".conv2", rng, out, out, 3, 1, 1, 1),
 	}
 	if stride != 1 || in != out {
@@ -78,7 +83,7 @@ func (b *PreActBlock) Spec() nn.Spec { return nn.Spec{Kind: nn.KindComposite, La
 
 // Children implements nn.Container.
 func (b *PreActBlock) Children() []nn.Layer {
-	ch := []nn.Layer{b.bn1, b.relu1, b.conv1, b.bn2, b.relu2, b.conv2}
+	ch := []nn.Layer{b.bn1, b.conv1, b.bn2, b.conv2}
 	if b.convSC != nil {
 		ch = append(ch, b.convSC)
 	}
@@ -87,12 +92,12 @@ func (b *PreActBlock) Children() []nn.Layer {
 
 // Forward implements nn.Layer.
 func (b *PreActBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	a := b.bn1.ForwardFused(x, nil, b.relu1, train)
+	a := b.bn1.Forward(x, train)
 	sc := x
 	if b.convSC != nil {
 		sc = b.convSC.Forward(a, train)
 	}
-	a2 := convBN(&b.Scope, b.conv1, b.bn2, b.relu2, a, nil, train)
+	a2 := convBN(&b.Scope, b.conv1, b.bn2, a, nil, train)
 	b.Arena.Free(a)
 	h := b.conv2.Forward(a2, train)
 	b.Arena.Free(a2)
@@ -129,32 +134,28 @@ func (b *PreActBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // shortcut (conv1×1+bn) when the shape changes, with ReLU after the sum.
 type ResNeXtBlock struct {
 	nn.Scope
-	name                  string
-	conv1, conv2, conv3   *nn.Conv2d
-	bn1, bn2, bn3         *nn.BatchNorm2d
-	relu1, relu2, reluOut *nn.ReLU
-	convSC                *nn.Conv2d
-	bnSC                  *nn.BatchNorm2d
+	name                string
+	conv1, conv2, conv3 *nn.Conv2d
+	bn1, bn2, bn3       *nn.BatchNorm2d // each ends in a ReLU, bn3's after the sum
+	convSC              *nn.Conv2d
+	bnSC                *nn.BatchNorm2d
 }
 
 // NewResNeXtBlock constructs a block in→out with bottleneck width d and
 // the given cardinality (groups of the 3×3 convolution).
 func NewResNeXtBlock(name string, rng *rand.Rand, in, d, out, cardinality, stride int) *ResNeXtBlock {
 	b := &ResNeXtBlock{
-		name:    name,
-		conv1:   nn.NewConv2d(name+".conv1", rng, in, d, 1, 1, 0, 1),
-		bn1:     nn.NewBatchNorm2d(name+".bn1", d),
-		relu1:   nn.NewReLU(name + ".relu1"),
-		conv2:   nn.NewConv2d(name+".conv2", rng, d, d, 3, stride, 1, cardinality),
-		bn2:     nn.NewBatchNorm2d(name+".bn2", d),
-		relu2:   nn.NewReLU(name + ".relu2"),
-		conv3:   nn.NewConv2d(name+".conv3", rng, d, out, 1, 1, 0, 1),
-		bn3:     nn.NewBatchNorm2d(name+".bn3", out),
-		reluOut: nn.NewReLU(name + ".reluOut"),
+		name:  name,
+		conv1: nn.NewConv2d(name+".conv1", rng, in, d, 1, 1, 0, 1),
+		bn1:   nn.NewBatchNorm2d(name+".bn1", d, relu),
+		conv2: nn.NewConv2d(name+".conv2", rng, d, d, 3, stride, 1, cardinality),
+		bn2:   nn.NewBatchNorm2d(name+".bn2", d, relu),
+		conv3: nn.NewConv2d(name+".conv3", rng, d, out, 1, 1, 0, 1),
+		bn3:   nn.NewBatchNorm2d(name+".bn3", out, relu),
 	}
 	if stride != 1 || in != out {
 		b.convSC = nn.NewConv2d(name+".shortcut.conv", rng, in, out, 1, stride, 0, 1)
-		b.bnSC = nn.NewBatchNorm2d(name+".shortcut.bn", out)
+		b.bnSC = nn.NewBatchNorm2d(name+".shortcut.bn", out, linear)
 	}
 	return b
 }
@@ -170,7 +171,7 @@ func (b *ResNeXtBlock) Spec() nn.Spec { return nn.Spec{Kind: nn.KindComposite, L
 
 // Children implements nn.Container.
 func (b *ResNeXtBlock) Children() []nn.Layer {
-	ch := []nn.Layer{b.conv1, b.bn1, b.relu1, b.conv2, b.bn2, b.relu2, b.conv3, b.bn3, b.reluOut}
+	ch := []nn.Layer{b.conv1, b.bn1, b.conv2, b.bn2, b.conv3, b.bn3}
 	if b.convSC != nil {
 		ch = append(ch, b.convSC, b.bnSC)
 	}
@@ -179,14 +180,14 @@ func (b *ResNeXtBlock) Children() []nn.Layer {
 
 // Forward implements nn.Layer.
 func (b *ResNeXtBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	h1 := convBN(&b.Scope, b.conv1, b.bn1, b.relu1, x, nil, train)
-	h2 := convBN(&b.Scope, b.conv2, b.bn2, b.relu2, h1, nil, train)
+	h1 := convBN(&b.Scope, b.conv1, b.bn1, x, nil, train)
+	h2 := convBN(&b.Scope, b.conv2, b.bn2, h1, nil, train)
 	b.Arena.Free(h1)
 	sc := x
 	if b.convSC != nil {
-		sc = convBN(&b.Scope, b.convSC, b.bnSC, nil, x, nil, train)
+		sc = convBN(&b.Scope, b.convSC, b.bnSC, x, nil, train)
 	}
-	y := convBN(&b.Scope, b.conv3, b.bn3, b.reluOut, h2, sc, train)
+	y := convBN(&b.Scope, b.conv3, b.bn3, h2, sc, train)
 	b.Arena.Free(h2)
 	if b.convSC != nil {
 		b.Arena.Free(sc)
@@ -225,12 +226,10 @@ type InvertedResidual struct {
 	name     string
 	expand   *nn.Conv2d // nil when expansion factor is 1
 	bnE      *nn.BatchNorm2d
-	reluE    *nn.ReLU
 	dw       *nn.Conv2d
 	bnD      *nn.BatchNorm2d
-	reluD    *nn.ReLU
 	project  *nn.Conv2d
-	bnP      *nn.BatchNorm2d
+	bnP      *nn.BatchNorm2d // the one without a rectifier
 	residual bool
 }
 
@@ -241,16 +240,14 @@ func NewInvertedResidual(name string, rng *rand.Rand, in, out, stride, t int) *I
 	b := &InvertedResidual{
 		name:     name,
 		dw:       nn.NewConv2d(name+".dw", rng, hidden, hidden, 3, stride, 1, hidden),
-		bnD:      nn.NewBatchNorm2d(name+".bnD", hidden),
-		reluD:    nn.NewReLU6(name + ".reluD"),
+		bnD:      nn.NewBatchNorm2d(name+".bnD", hidden, relu6),
 		project:  nn.NewConv2d(name+".project", rng, hidden, out, 1, 1, 0, 1),
-		bnP:      nn.NewBatchNorm2d(name+".bnP", out),
+		bnP:      nn.NewBatchNorm2d(name+".bnP", out, linear),
 		residual: stride == 1 && in == out,
 	}
 	if t != 1 {
 		b.expand = nn.NewConv2d(name+".expand", rng, in, hidden, 1, 1, 0, 1)
-		b.bnE = nn.NewBatchNorm2d(name+".bnE", hidden)
-		b.reluE = nn.NewReLU6(name + ".reluE")
+		b.bnE = nn.NewBatchNorm2d(name+".bnE", hidden, relu6)
 	}
 	return b
 }
@@ -270,18 +267,18 @@ func (b *InvertedResidual) Spec() nn.Spec {
 func (b *InvertedResidual) Children() []nn.Layer {
 	var ch []nn.Layer
 	if b.expand != nil {
-		ch = append(ch, b.expand, b.bnE, b.reluE)
+		ch = append(ch, b.expand, b.bnE)
 	}
-	return append(ch, b.dw, b.bnD, b.reluD, b.project, b.bnP)
+	return append(ch, b.dw, b.bnD, b.project, b.bnP)
 }
 
 // Forward implements nn.Layer.
 func (b *InvertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	h := x
 	if b.expand != nil {
-		h = convBN(&b.Scope, b.expand, b.bnE, b.reluE, x, nil, train)
+		h = convBN(&b.Scope, b.expand, b.bnE, x, nil, train)
 	}
-	h2 := convBN(&b.Scope, b.dw, b.bnD, b.reluD, h, nil, train)
+	h2 := convBN(&b.Scope, b.dw, b.bnD, h, nil, train)
 	if b.expand != nil {
 		b.Arena.Free(h)
 	}
@@ -289,7 +286,7 @@ func (b *InvertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor 
 	if b.residual {
 		res = x
 	}
-	y := convBN(&b.Scope, b.project, b.bnP, nil, h2, res, train)
+	y := convBN(&b.Scope, b.project, b.bnP, h2, res, train)
 	b.Arena.Free(h2)
 	return y
 }

@@ -3,7 +3,6 @@ package models
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"edgetta/internal/nn"
@@ -11,76 +10,155 @@ import (
 )
 
 // The reference: every block as the chain of its child layers, one Forward
-// and one Backward call per layer, residual adds as Tensor.Add — what the
-// blocks ran before BatchNorm2d.ForwardFused. refForward/refBackward walk a
-// model's top-level Sequential the same way.
+// and one Backward call per layer, residual adds as Tensor.Add, and each
+// BatchNorm's rectifier a scalar pass of its own after the add. A
+// reference runs a clone of the model whose BatchNorms stand in for
+// twins built without a rectifier; refForward/refBackward walk its
+// top-level Sequential the same way.
 
-func (b *PreActBlock) refForward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	a := b.relu1.Forward(b.bn1.Forward(x, train), train)
+// rectRef is the rectifier as tensor.Rect documents it: max(0, v),
+// clamped to Cap when there is one, NaN → 0 and −0 → +0.
+func rectRef(v float32, r tensor.Rect) float32 {
+	switch {
+	case !r.On:
+		return v
+	case !(v > 0):
+		return 0
+	case r.Cap != 0 && v > r.Cap:
+		return r.Cap
+	}
+	return v
+}
+
+// refNorm is a BatchNorm of the reference: its twin without a rectifier,
+// the rectifier, and the rectified output of the last forward, which the
+// backward gates by.
+type refNorm struct {
+	bn  *nn.BatchNorm2d
+	act tensor.Rect
+	out *tensor.Tensor
+}
+
+type reference struct {
+	m     *Model
+	top   tensor.Rect // the rectifier of the top-level Sequential's BatchNorms
+	norms map[*nn.BatchNorm2d]*refNorm
+}
+
+func newReference(m *Model) *reference {
+	r := &reference{m: m.Clone(), top: relu, norms: map[*nn.BatchNorm2d]*refNorm{}}
+	if m.Tag == "MBV2" {
+		r.top = relu6
+	}
+	return r
+}
+
+// fw runs bn's twin on x, adds res, and rectifies by act.
+func (r *reference) fw(bn *nn.BatchNorm2d, act tensor.Rect, x, res *tensor.Tensor, train bool) *tensor.Tensor {
+	n := r.norms[bn]
+	if n == nil {
+		n = &refNorm{bn: nn.NewBatchNorm2d(bn.Name(), bn.C, tensor.Rect{}), act: act}
+		nn.CopyState(n.bn, bn)
+		r.norms[bn] = n
+	}
+	y := n.bn.Forward(x, train)
+	if res != nil {
+		y.Add(res)
+	}
+	for i, v := range y.Data {
+		y.Data[i] = rectRef(v, act)
+	}
+	n.out = y
+	return y
+}
+
+// gate is grad through bn's rectifier, read from the output: grad where
+// the output lies strictly inside (0, Cap), +0 elsewhere.
+func (r *reference) gate(bn *nn.BatchNorm2d, grad *tensor.Tensor) *tensor.Tensor {
+	n := r.norms[bn]
+	d := grad.Clone()
+	for i, o := range n.out.Data {
+		if n.act.On && !(o > 0 && (n.act.Cap == 0 || o < n.act.Cap)) {
+			d.Data[i] = 0
+		}
+	}
+	return d
+}
+
+func (r *reference) bw(bn *nn.BatchNorm2d, grad *tensor.Tensor) *tensor.Tensor {
+	return r.norms[bn].bn.Backward(r.gate(bn, grad))
+}
+
+// leaf is what l is in the reference: its twin, for a BatchNorm.
+func (r *reference) leaf(l nn.Layer) nn.Layer {
+	if bn, ok := l.(*nn.BatchNorm2d); ok {
+		return r.norms[bn].bn
+	}
+	return l
+}
+
+func (b *PreActBlock) refForward(r *reference, x *tensor.Tensor, train bool) *tensor.Tensor {
+	a := r.fw(b.bn1, relu, x, nil, train)
 	sc := x
 	if b.convSC != nil {
 		sc = b.convSC.Forward(a, train)
 	}
 	h := b.conv1.Forward(a, train)
-	h = b.conv2.Forward(b.relu2.Forward(b.bn2.Forward(h, train), train), train)
+	h = b.conv2.Forward(r.fw(b.bn2, relu, h, nil, train), train)
 	h.Add(sc)
 	return h
 }
 
-func (b *PreActBlock) refBackward(grad *tensor.Tensor) *tensor.Tensor {
-	dh := b.conv1.Backward(b.bn2.Backward(b.relu2.Backward(b.conv2.Backward(grad))))
+func (b *PreActBlock) refBackward(r *reference, grad *tensor.Tensor) *tensor.Tensor {
+	dh := b.conv1.Backward(r.bw(b.bn2, b.conv2.Backward(grad)))
 	if b.convSC != nil {
 		dh.Add(b.convSC.Backward(grad))
-		return b.bn1.Backward(b.relu1.Backward(dh))
+		return r.bw(b.bn1, dh)
 	}
-	dx := b.bn1.Backward(b.relu1.Backward(dh))
+	dx := r.bw(b.bn1, dh)
 	dx.Add(grad)
 	return dx
 }
 
-func (b *ResNeXtBlock) refForward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	h := b.relu1.Forward(b.bn1.Forward(b.conv1.Forward(x, train), train), train)
-	h = b.relu2.Forward(b.bn2.Forward(b.conv2.Forward(h, train), train), train)
-	h = b.bn3.Forward(b.conv3.Forward(h, train), train)
+func (b *ResNeXtBlock) refForward(r *reference, x *tensor.Tensor, train bool) *tensor.Tensor {
+	h := r.fw(b.bn1, relu, b.conv1.Forward(x, train), nil, train)
+	h = r.fw(b.bn2, relu, b.conv2.Forward(h, train), nil, train)
+	sc := x
 	if b.convSC != nil {
-		h.Add(b.bnSC.Forward(b.convSC.Forward(x, train), train))
-	} else {
-		h.Add(x)
+		sc = r.fw(b.bnSC, linear, b.convSC.Forward(x, train), nil, train)
 	}
-	return b.reluOut.Forward(h, train)
+	return r.fw(b.bn3, relu, b.conv3.Forward(h, train), sc, train)
 }
 
-func (b *ResNeXtBlock) refBackward(grad *tensor.Tensor) *tensor.Tensor {
-	dsum := b.reluOut.Backward(grad)
-	dx := b.conv1.Backward(b.bn1.Backward(b.relu1.Backward(
-		b.conv2.Backward(b.bn2.Backward(b.relu2.Backward(
-			b.conv3.Backward(b.bn3.Backward(dsum))))))))
+func (b *ResNeXtBlock) refBackward(r *reference, grad *tensor.Tensor) *tensor.Tensor {
+	dsum := r.gate(b.bn3, grad)
+	dx := b.conv1.Backward(r.bw(b.bn1, b.conv2.Backward(r.bw(b.bn2,
+		b.conv3.Backward(r.norms[b.bn3].bn.Backward(dsum))))))
 	if b.convSC != nil {
-		dx.Add(b.convSC.Backward(b.bnSC.Backward(dsum)))
+		dx.Add(b.convSC.Backward(r.bw(b.bnSC, dsum)))
 	} else {
 		dx.Add(dsum)
 	}
 	return dx
 }
 
-func (b *InvertedResidual) refForward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (b *InvertedResidual) refForward(r *reference, x *tensor.Tensor, train bool) *tensor.Tensor {
 	h := x
 	if b.expand != nil {
-		h = b.reluE.Forward(b.bnE.Forward(b.expand.Forward(h, train), train), train)
+		h = r.fw(b.bnE, relu6, b.expand.Forward(h, train), nil, train)
 	}
-	h = b.reluD.Forward(b.bnD.Forward(b.dw.Forward(h, train), train), train)
-	h = b.bnP.Forward(b.project.Forward(h, train), train)
+	h = r.fw(b.bnD, relu6, b.dw.Forward(h, train), nil, train)
+	var res *tensor.Tensor
 	if b.residual {
-		h.Add(x)
+		res = x
 	}
-	return h
+	return r.fw(b.bnP, linear, b.project.Forward(h, train), res, train)
 }
 
-func (b *InvertedResidual) refBackward(grad *tensor.Tensor) *tensor.Tensor {
-	dh := b.dw.Backward(b.bnD.Backward(b.reluD.Backward(
-		b.project.Backward(b.bnP.Backward(grad)))))
+func (b *InvertedResidual) refBackward(r *reference, grad *tensor.Tensor) *tensor.Tensor {
+	dh := b.dw.Backward(r.bw(b.bnD, b.project.Backward(r.bw(b.bnP, grad))))
 	if b.expand != nil {
-		dh = b.expand.Backward(b.bnE.Backward(b.reluE.Backward(dh)))
+		dh = b.expand.Backward(r.bw(b.bnE, dh))
 	}
 	if b.residual {
 		dh.Add(grad)
@@ -89,28 +167,34 @@ func (b *InvertedResidual) refBackward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 type refBlock interface {
-	refForward(x *tensor.Tensor, train bool) *tensor.Tensor
-	refBackward(grad *tensor.Tensor) *tensor.Tensor
+	refForward(r *reference, x *tensor.Tensor, train bool) *tensor.Tensor
+	refBackward(r *reference, grad *tensor.Tensor) *tensor.Tensor
 }
 
-func refForward(m *Model, x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range m.Net.(nn.Container).Children() {
-		if b, ok := l.(refBlock); ok {
-			x = b.refForward(x, train)
-		} else {
+func (r *reference) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	for _, l := range r.m.Net.(nn.Container).Children() {
+		switch l := l.(type) {
+		case refBlock:
+			x = l.refForward(r, x, train)
+		case *nn.BatchNorm2d:
+			x = r.fw(l, r.top, x, nil, train)
+		default:
 			x = l.Forward(x, train)
 		}
 	}
 	return x
 }
 
-func refBackward(m *Model, grad *tensor.Tensor) *tensor.Tensor {
-	ch := m.Net.(nn.Container).Children()
+func (r *reference) backward(grad *tensor.Tensor) *tensor.Tensor {
+	ch := r.m.Net.(nn.Container).Children()
 	for i := len(ch) - 1; i >= 0; i-- {
-		if b, ok := ch[i].(refBlock); ok {
-			grad = b.refBackward(grad)
-		} else {
-			grad = ch[i].Backward(grad)
+		switch l := ch[i].(type) {
+		case refBlock:
+			grad = l.refBackward(r, grad)
+		case *nn.BatchNorm2d:
+			grad = r.bw(l, grad)
+		default:
+			grad = l.Backward(grad)
 		}
 	}
 	return grad
@@ -130,11 +214,12 @@ func bitsEqual(a, b []float32) bool {
 
 // TestFusedBlocksMatchLayerByLayerReference: for each of the study's four
 // architectures, the model as it runs — blocks and top-level Sequential on
-// the fused BN(+residual)(+ReLU) pass — is bit-equal, in outputs, input
-// gradient, every parameter gradient and every running statistic, to a
-// clone driven one child layer at a time. Batch statistics and running
-// statistics are both covered; all three block types, identity and
-// projection shortcuts, ReLU and ReLU6 occur among the four.
+// the fused BN(+residual)(+rectifier) pass — is bit-equal, in outputs,
+// input gradient, every parameter gradient and every running statistic,
+// to a clone driven one child layer at a time with each rectifier a pass
+// of its own. Batch statistics and running statistics are both covered;
+// all three block types, identity and projection shortcuts, ReLU and ReLU6
+// occur among the four.
 func TestFusedBlocksMatchLayerByLayerReference(t *testing.T) {
 	for _, build := range []Builder{PreActResNet18, WideResNet402, ResNeXt29, MobileNetV2} {
 		for _, train := range []bool{true, false} {
@@ -147,39 +232,48 @@ func TestFusedBlocksMatchLayerByLayerReference(t *testing.T) {
 					bn.Beta.Data[c] = float32(0.3 * rng.NormFloat64())
 				}
 			}
-			ref := m.Clone()
+			ref := newReference(m)
 			x := tensor.New(3, m.InC, m.InHW, m.InHW)
 			x.Uniform(rng, 0, 1)
 
-			y, yRef := m.Forward(x, train), refForward(ref, x, train)
+			y, yRef := m.Forward(x, train), ref.forward(x, train)
 			if !bitsEqual(y.Data, yRef.Data) {
 				t.Fatalf("%s train=%v: logits differ from the layer-by-layer reference", m.Tag, train)
 			}
 			g := tensor.New(y.Shape()...)
 			g.Randn(rng, 1)
-			dx, dxRef := m.Backward(g), refBackward(ref, g)
+			dx, dxRef := m.Backward(g), ref.backward(g)
 			if !bitsEqual(dx.Data, dxRef.Data) {
 				t.Fatalf("%s train=%v: input gradient differs from the layer-by-layer reference", m.Tag, train)
 			}
-			pr := ref.Params()
-			for i, p := range m.Params() {
-				if !bitsEqual(p.Grad, pr[i].Grad) {
-					t.Fatalf("%s train=%v: %s gradient differs from the layer-by-layer reference", m.Tag, train, p.Name)
+			var leaves, refLeaves []nn.Layer
+			nn.Walk(m.Net, func(l nn.Layer) { leaves = append(leaves, l) })
+			nn.Walk(ref.m.Net, func(l nn.Layer) { refLeaves = append(refLeaves, l) })
+			for i, l := range leaves {
+				lr := ref.leaf(refLeaves[i])
+				pr := lr.Params()
+				for j, p := range l.Params() {
+					if !bitsEqual(p.Grad, pr[j].Grad) {
+						t.Fatalf("%s train=%v: %s gradient differs from the layer-by-layer reference", m.Tag, train, p.Name)
+					}
+				}
+				// Specs feed internal/device: a BatchNorm's records the
+				// twin's forward, its rectifier, and the output PyTorch
+				// saves for that.
+				want := lr.Spec()
+				if bn, ok := refLeaves[i].(*nn.BatchNorm2d); ok && ref.norms[bn].act.On {
+					want.Rectifies, want.SavedElems = true, want.SavedElems+want.OutElems
+				}
+				if l.Spec() != want {
+					t.Fatalf("%s train=%v: %s Spec %+v, the reference's %+v", m.Tag, train, l.Name(), l.Spec(), want)
 				}
 			}
-			br := ref.BatchNorms()
+			br := ref.m.BatchNorms()
 			for i, bn := range m.BatchNorms() {
-				if !bitsEqual(bn.RunningMean, br[i].RunningMean) || !bitsEqual(bn.RunningVar, br[i].RunningVar) {
+				twin := ref.norms[br[i]].bn
+				if !bitsEqual(bn.RunningMean, twin.RunningMean) || !bitsEqual(bn.RunningVar, twin.RunningVar) {
 					t.Fatalf("%s train=%v: %s running statistics differ from the reference", m.Tag, train, bn.Name())
 				}
-			}
-			// Specs feed internal/device: fused or not, every layer reports
-			// the forward it took part in.
-			var specs, specsRef []nn.Spec
-			nn.Walk(m.Net, func(l nn.Layer) { specs = append(specs, l.Spec()) })
-			nn.Walk(ref.Net, func(l nn.Layer) { specsRef = append(specsRef, l.Spec()) })
-			if !reflect.DeepEqual(specs, specsRef) {
-				t.Fatalf("%s train=%v: layer Specs differ from the layer-by-layer reference", m.Tag, train)
 			}
 		}
 	}

@@ -145,8 +145,7 @@ func PreActResNet18(rng *rand.Rand, scale Scale) *Model {
 		}
 	}
 	seq.Append(
-		nn.NewBatchNorm2d("bnFinal", in),
-		nn.NewReLU("reluFinal"),
+		nn.NewBatchNorm2d("bnFinal", in, relu),
 		nn.NewGlobalAvgPool("gap"),
 		nn.NewLinear("fc", rng, in, 10),
 	)
@@ -180,8 +179,7 @@ func WideResNet402(rng *rand.Rand, scale Scale) *Model {
 		}
 	}
 	seq.Append(
-		nn.NewBatchNorm2d("bnFinal", in),
-		nn.NewReLU("reluFinal"),
+		nn.NewBatchNorm2d("bnFinal", in, relu),
 		nn.NewGlobalAvgPool("gap"),
 		nn.NewLinear("fc", rng, in, 10),
 	)
@@ -198,8 +196,7 @@ func ResNeXt29(rng *rand.Rand, scale Scale) *Model {
 	}
 	seq := nn.NewSequential("resnext29",
 		nn.NewConv2d("conv1", rng, 3, stem, 3, 1, 1, 1),
-		nn.NewBatchNorm2d("bn1", stem),
-		nn.NewReLU("relu1"),
+		nn.NewBatchNorm2d("bn1", stem, relu),
 	)
 	in := stem
 	expansion := 2 // stage output = 2 × bottleneck width
@@ -252,8 +249,7 @@ func MobileNetV2(rng *rand.Rand, scale Scale) *Model {
 	}
 	seq := nn.NewSequential("mobilenetv2",
 		nn.NewConv2d("conv1", rng, 3, ch(stem), 3, 1, 1, 1),
-		nn.NewBatchNorm2d("bn1", ch(stem)),
-		nn.NewReLU6("relu1"),
+		nn.NewBatchNorm2d("bn1", ch(stem), relu6),
 	)
 	in := ch(stem)
 	for gi, cfg := range cfgs {
@@ -270,8 +266,7 @@ func MobileNetV2(rng *rand.Rand, scale Scale) *Model {
 	}
 	seq.Append(
 		nn.NewConv2d("conv2", rng, in, head, 1, 1, 0, 1),
-		nn.NewBatchNorm2d("bn2", head),
-		nn.NewReLU6("relu2"),
+		nn.NewBatchNorm2d("bn2", head, relu6),
 		nn.NewGlobalAvgPool("gap"),
 		nn.NewLinear("fc", rng, head, 10),
 	)

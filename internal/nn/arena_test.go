@@ -25,8 +25,8 @@ func TestLayersWriteEveryArenaElement(t *testing.T) {
 	}
 	chain := func(rng *rand.Rand) Layer {
 		return NewSequential("chain",
-			NewConv2d("c1", rng, 3, 4, 3, 2, 1, 1), NewBatchNorm2d("bn1", 4), NewReLU("r1"),
-			NewConv2d("c2", rng, 4, 4, 3, 1, 1, 2), NewReLU("r2"),
+			NewConv2d("c1", rng, 3, 4, 3, 2, 1, 1), NewBatchNorm2d("bn1", 4, relu),
+			NewConv2d("c2", rng, 4, 4, 3, 1, 1, 2), NewBatchNorm2d("bn2", 4, relu6),
 			NewGlobalAvgPool("gap"), NewLinear("fc", rng, 4, 3))
 	}
 	for _, tc := range []struct {
@@ -43,8 +43,8 @@ func TestLayersWriteEveryArenaElement(t *testing.T) {
 		{"conv 1×1 pad 1", conv(3, 5, 1, 1, 1, 1), []int{2, 3, 6, 6}, false},
 		{"conv depthwise stride 2", conv(4, 4, 3, 2, 1, 4), []int{2, 4, 7, 7}, false},
 		{"conv on the im2col oracle", conv(3, 5, 3, 1, 1, 1), []int{2, 3, 7, 7}, true},
-		{"batchnorm", func(*rand.Rand) Layer { return NewBatchNorm2d("bn", 3) }, []int{2, 3, 5, 5}, false},
-		{"relu", func(*rand.Rand) Layer { return NewReLU("r") }, []int{2, 3, 5, 5}, false},
+		{"batchnorm", func(*rand.Rand) Layer { return NewBatchNorm2d("bn", 3, tensor.Rect{}) }, []int{2, 3, 5, 5}, false},
+		{"batchnorm relu6", func(*rand.Rand) Layer { return NewBatchNorm2d("bn", 3, relu6) }, []int{2, 3, 5, 5}, false},
 		{"global avgpool", func(*rand.Rand) Layer { return NewGlobalAvgPool("gap") }, []int{2, 3, 5, 5}, false},
 		{"sequential", chain, []int{2, 3, 9, 9}, false},
 	} {
@@ -96,7 +96,7 @@ func TestLayersWriteEveryArenaElement(t *testing.T) {
 func TestSequentialReleasesOnlyWhatItMade(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	net := NewSequential("net",
-		NewConv2d("c1", rng, 4, 4, 3, 1, 1, 1), NewBatchNorm2d("bn", 4), NewReLU("r"),
+		NewConv2d("c1", rng, 4, 4, 3, 1, 1, 1), NewBatchNorm2d("bn", 4, relu),
 		NewConv2d("c2", rng, 4, 4, 3, 1, 1, 1), NewGlobalAvgPool("gap"), NewLinear("fc", rng, 4, 3))
 	// The input is the caller's even when it is the arena's; it has the
 	// size of every activation here, so a chain that released it would see
@@ -182,7 +182,7 @@ func TestConvReplansWhenTheInputShapeChanges(t *testing.T) {
 			fw, dxPlan := conv.fw, conv.dx
 			y := conv.Forward(x, false)
 			dx := conv.Backward(g)
-			if conv.ConvShape().H != hw || !float32BitsEqual(y.Data, yRef.Data) {
+			if conv.Spec().Conv.H != hw || !float32BitsEqual(y.Data, yRef.Data) {
 				t.Fatalf("%s at %d×%d: output differs from a layer that never saw another shape", conv.name, hw, hw)
 			}
 			if !float32BitsEqual(dx.Data, dxRef.Data) || !float32BitsEqual(conv.Weight.Grad, ref.Params()[0].Grad) {

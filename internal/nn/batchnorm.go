@@ -18,14 +18,19 @@ import (
 //     with running stats updated by Momentum (PyTorch train() semantics,
 //     which the paper's BN-Norm and BN-Opt both require).
 //
+// A rectifier, when the layer has one, is its epilogue: fixed at
+// construction (tensor.Rect: none, ReLU, or ReLU6 with Cap 6), it runs in
+// the same pass over the activation as the normalize, after the residual
+// a block may add (ForwardFused). No model applies a rectifier anywhere
+// else.
+//
 // Backward reads the layer input and nothing else the forward made: x̂,
-// and the value z = γ·x̂ + β a fused rectifier gated, are recomputed from
-// it in the forward's own rounding, with the γ and β that forward used.
-// So the input is all the layer holds for Backward (Scope) — and the
-// output, only after a forward that added a residual before the
-// rectifier, whose gate depends on the residual. γ and β must therefore
-// not change between a Forward and its Backward; an optimizer steps after
-// the Backward.
+// and the value z = γ·x̂ + β the rectifier gated, are recomputed from it
+// in the forward's own rounding, with the γ and β that forward used. So
+// the input is all the layer holds for Backward (Scope) — and the output,
+// only after a forward that added a residual before the rectifier, whose
+// gate depends on the residual. γ and β must therefore not change between
+// a Forward and its Backward; an optimizer steps after the Backward.
 type BatchNorm2d struct {
 	Scope
 	name     string
@@ -40,11 +45,12 @@ type BatchNorm2d struct {
 	// the switch internal/core flips to run BN-Norm / BN-Opt adaptation.
 	UseBatchStats bool
 
+	act tensor.Rect // the rectifier every forward ends in
+
 	// Saved by the last forward for Backward; the layer holds in and out
 	// (Scope) until its Backward has run.
 	in, out      *tensor.Tensor // out is kept only when act gates a residual sum
 	shape        []int          // in's shape
-	act          *ReLU          // rectifier fused into that forward, nil if none
 	hasRes       bool           // that forward added a residual
 	inPlace      bool           // that forward wrote over in, so Backward refuses
 	mean, invStd []float32      // per channel, as normalized with
@@ -53,10 +59,12 @@ type BatchNorm2d struct {
 }
 
 // NewBatchNorm2d constructs a BatchNorm over c channels with PyTorch
-// defaults (eps 1e-5, momentum 0.1, gamma=1, beta=0, running var=1).
-func NewBatchNorm2d(name string, c int) *BatchNorm2d {
+// defaults (eps 1e-5, momentum 0.1, gamma=1, beta=0, running var=1),
+// ending in the rectifier act: tensor.Rect{} for none, {On: true} for
+// ReLU, {On: true, Cap: 6} for ReLU6.
+func NewBatchNorm2d(name string, c int, act tensor.Rect) *BatchNorm2d {
 	bn := &BatchNorm2d{
-		name: name, C: c, Eps: 1e-5, Momentum: 0.1,
+		name: name, C: c, Eps: 1e-5, Momentum: 0.1, act: act,
 		Gamma: newParam(name+".gamma", c), Beta: newParam(name+".beta", c),
 		RunningMean: make([]float32, c), RunningVar: make([]float32, c),
 	}
@@ -76,20 +84,19 @@ func (b *BatchNorm2d) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 // Spec implements Layer.
 func (b *BatchNorm2d) Spec() Spec { return b.lastSpec }
 
-// Forward implements Layer.
+// Forward implements Layer: y = act(bn(x)).
 func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return b.ForwardFused(x, nil, nil, train)
+	return b.forward(x, nil, train, false)
 }
 
-// ForwardFused is Forward with what follows the normalization in a block
-// folded into the same pass over the activation: y = act(bn(x) + res), in
-// that order per element, each step optional (res and act may be nil).
-// Given equal statistics the result is bit-identical to bn.Forward, then
-// Tensor.Add, then act.Forward. act is recorded as run — its Spec is
-// updated, and a tracer sees one bn.fw span naming it — but it saves
-// nothing of its own: Backward/BackwardFused on b undo the whole pass.
-func (b *BatchNorm2d) ForwardFused(x, res *tensor.Tensor, act *ReLU, train bool) *tensor.Tensor {
-	return b.forward(x, res, act, train, false)
+// ForwardFused is Forward with a block's residual added before the
+// rectifier, in the same pass over the activation: y = act(bn(x) + res),
+// in that order per element, each step one rounding (res may be nil).
+// Given equal statistics the result is bit-identical to normalizing, then
+// Tensor.Add, then rectifying, each as a pass of its own.
+// Backward/BackwardFused undo the whole pass.
+func (b *BatchNorm2d) ForwardFused(x, res *tensor.Tensor, train bool) *tensor.Tensor {
+	return b.forward(x, res, train, false)
 }
 
 // ForwardFusedInPlace is ForwardFused writing its result over x, for a
@@ -98,15 +105,15 @@ func (b *BatchNorm2d) ForwardFused(x, res *tensor.Tensor, act *ReLU, train bool)
 // statistics are taken, so the result is bit-identical to ForwardFused's.
 // The layer's saved input then holds its output, so Backward panics until
 // its next forward that is not in place.
-func (b *BatchNorm2d) ForwardFusedInPlace(x, res *tensor.Tensor, act *ReLU, train bool) *tensor.Tensor {
-	return b.forward(x, res, act, train, true)
+func (b *BatchNorm2d) ForwardFusedInPlace(x, res *tensor.Tensor, train bool) *tensor.Tensor {
+	return b.forward(x, res, train, true)
 }
 
 // InPlace reports whether the layer's last forward wrote its result over
 // its input (ForwardFusedInPlace).
 func (b *BatchNorm2d) InPlace() bool { return b.inPlace }
 
-func (b *BatchNorm2d) forward(x, res *tensor.Tensor, act *ReLU, train, inPlace bool) *tensor.Tensor {
+func (b *BatchNorm2d) forward(x, res *tensor.Tensor, train, inPlace bool) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != b.C {
 		panic(shapeErr(b.name, x.Shape()))
 	}
@@ -121,7 +128,6 @@ func (b *BatchNorm2d) forward(x, res *tensor.Tensor, act *ReLU, train, inPlace b
 	if b.mean == nil {
 		b.mean, b.invStd = make([]float32, b.C), make([]float32, b.C)
 	}
-	rect := act.rect()
 	var resData []float32
 	if res != nil {
 		resData = res.Data
@@ -165,37 +171,39 @@ func (b *BatchNorm2d) forward(x, res *tensor.Tensor, act *ReLU, train, inPlace b
 		inv := float32(1.0 / math.Sqrt(float64(varv)+float64(b.Eps)))
 		b.mean[c], b.invStd[c] = mean, inv
 		a := tensor.Affine{Mean: mean, InvStd: inv, Gamma: b.Gamma.Data[c], Beta: b.Beta.Data[c]}
-		tensor.NormalizePlanes(y.Data[o:], xc, from(resData, o), ch, &a, rect)
+		tensor.NormalizePlanes(y.Data[o:], xc, from(resData, o), ch, a, b.act)
 	})
 
-	b.in, b.out, b.act, b.hasRes, b.inPlace = x, nil, act, res != nil, inPlace
+	b.in, b.out, b.hasRes, b.inPlace = x, nil, res != nil, inPlace
 	b.shape = append(b.shape[:0], x.Shape()...)
 	b.hold(x)
-	if act != nil {
-		if res != nil {
-			b.out = y
-			b.hold(y)
-		}
-		act.ran(y)
-		act.out = nil // the backward of both is b's now
+	if b.act.On && res != nil {
+		b.out = y
+		b.hold(y)
+	}
+	// PyTorch's graph saves the input for the normalize and, behind a
+	// rectifier, the output for its mask.
+	saved := int64(x.Numel())
+	if b.act.On {
+		saved += int64(y.Numel())
 	}
 	b.lastSpec = Spec{
 		Kind: KindBN, LayerName: b.name,
 		ParamCount: int64(2 * b.C),
 		BNChannels: int64(b.C),
 		OutElems:   int64(y.Numel()),
-		SavedElems: int64(x.Numel()),
-		Batch:      int64(n),
+		SavedElems: saved,
+		Rectifies:  b.act.On,
 	}
-	profEndFused(KindBN, b.name, act.fusedName(), false, t0)
+	profEnd(KindBN, b.name, false, t0)
 	return y
 }
 
 // Backward implements Layer. In batch-statistics mode it applies the full
 // BatchNorm gradient (statistics depend on the input); in running-stats
 // mode the statistics are constants and the gradient is a plain affine map.
-// After a ForwardFused it takes the gradient of the fused output and gates
-// it by the rectifier first.
+// It takes the gradient of the rectified output and gates it by the
+// rectifier first.
 func (b *BatchNorm2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dx, _ := b.BackwardFused(grad)
 	return dx
@@ -225,7 +233,7 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 	// the gated gradient is a result in its own right — it is what reaches
 	// the residual operand — so each channel writes it out first, gated by
 	// the saved output, and the batch-norm arithmetic reads it ungated.
-	gate, dy := b.act.rect(), grad
+	gate, dy := b.act, grad
 	if b.hasRes {
 		dres = grad
 		if gate.On {
@@ -259,7 +267,7 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 	})
 	b.Arena.Unhold(b.in)
 	b.Arena.Unhold(b.out)
-	profEndFused(KindBN, b.name, b.act.fusedName(), true, t0)
+	profEnd(KindBN, b.name, true, t0)
 	return dx, dres
 }
 

@@ -89,16 +89,6 @@ func (c *Conv2d) Params() []*Param { return []*Param{c.Weight} }
 // Spec implements Layer.
 func (c *Conv2d) Spec() Spec { return c.lastSpec }
 
-// ConvShape returns the geometry of the last Forward — what decides whether
-// the kernel reads the input in place or staged (tensor.ConvShape.InPlace) —
-// and the zero shape before the first.
-func (c *Conv2d) ConvShape() tensor.ConvShape {
-	if c.fw == nil {
-		return tensor.ConvShape{}
-	}
-	return c.fw.ConvShape
-}
-
 // rangeBuf returns row i of t [rows, size] — the share of a loop's range i
 // when t was drawn with a row per range — and nil when the loop drew none.
 func rangeBuf(t *tensor.Tensor, i int) []float32 {
@@ -139,10 +129,9 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		Kind: KindConv, LayerName: c.name,
 		MACs:       int64(y.Numel()) * int64(len(c.Weight.Data)/c.OutC), // one reduction row per weight of an output channel
 		ParamCount: int64(len(c.Weight.Data)),
-		Groups:     c.Groups,
+		Conv:       c.fw.ConvShape,
 		OutElems:   int64(y.Numel()),
 		SavedElems: int64(x.Numel()),
-		Batch:      int64(n),
 	}
 	profEnd(KindConv, c.name, false, t0)
 	return y

@@ -139,7 +139,7 @@ func TestBatchNormDeterministicAcrossWorkerCounts(t *testing.T) {
 		parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(0)
 		rng := rand.New(rand.NewSource(29))
-		bn := NewBatchNorm2d("bn", 16)
+		bn := NewBatchNorm2d("bn", 16, tensor.Rect{})
 		x := tensor.New(6, 16, 7, 7)
 		x.Randn(rng, 1)
 		y := bn.Forward(x, true)

@@ -45,7 +45,7 @@ func TestFrozenBackwardMatchesUnfrozen(t *testing.T) {
 		}
 		run := func(frozen bool) result {
 			rng := rand.New(rand.NewSource(41))
-			bn := NewBatchNorm2d("bn", tc.shape[1])
+			bn := NewBatchNorm2d("bn", tc.shape[1], tensor.Rect{})
 			layers := tc.build(rng)
 			net := NewSequential("net", append([]Layer{bn}, layers...)...)
 			var own []*Param
@@ -89,7 +89,7 @@ func TestFrozenBackwardMatchesUnfrozen(t *testing.T) {
 // whose dX needs the γ/β sums either way.
 func TestFrozenBatchNormGradUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	bn := NewBatchNorm2d("bn", 6)
+	bn := NewBatchNorm2d("bn", 6, tensor.Rect{})
 	x := tensor.New(4, 6, 5, 5)
 	x.Randn(rng, 1)
 	grad := tensor.New(4, 6, 5, 5)
@@ -158,12 +158,12 @@ func TestFreezeExceptBNAndUnfreeze(t *testing.T) {
 	// at the head of nested Sequentials is ever marked.
 	rng := rand.New(rand.NewSource(3))
 	inner := NewConv2d("inner", rng, 3, 4, 3, 1, 1, 1)
-	FreezeExceptBN(NewSequential("outer", NewSequential("stem", inner), NewReLU("r")))
+	FreezeExceptBN(NewSequential("outer", NewSequential("stem", inner), NewGlobalAvgPool("gap")))
 	if !inner.noInputGrad {
 		t.Error("head of a nested Sequential not marked")
 	}
 	behind := NewConv2d("behind", rng, 3, 4, 3, 1, 1, 1)
-	FreezeExceptBN(NewSequential("s", NewReLU("r"), behind))
+	FreezeExceptBN(NewSequential("s", NewBatchNorm2d("bn", 3, relu), behind))
 	if behind.noInputGrad {
 		t.Error("a layer behind the input layer was marked")
 	}
@@ -388,7 +388,7 @@ func TestBackwardRecordsNoForwardTime(t *testing.T) {
 	net := buildParityNet(7)
 	FreezeExceptBN(net)
 	y := net.Forward(parityInput(11), false)
-	conv2 := net.layers[3].(*Conv2d)
+	conv2 := net.layers[2].(*Conv2d)
 	spec, input := conv2.Spec(), conv2.input
 	if !StartProfiling() {
 		t.Skip("another profiler is active")

@@ -25,13 +25,43 @@ var bnModes = []bnMode{
 	{"running", false, func(*BatchNorm2d) {}},
 }
 
-// fusedCase builds a BatchNorm with non-trivial parameters and statistics
-// and the tensors of one forward/backward. 5×5 planes are no whole number
-// of vectors: the AVX-512 routines mask their remainder, and an AVX2-only
-// CPU hands them to the generic twins.
-func fusedCase(seed int64, mode bnMode) (bn *BatchNorm2d, x, res, grad *tensor.Tensor) {
+// The rectifiers a BatchNorm may end in.
+var (
+	relu  = tensor.Rect{On: true}
+	relu6 = tensor.Rect{On: true, Cap: 6}
+)
+
+// rectRef is the scalar reference the rectifier is held to, as tensor.Rect
+// documents it: max(0, v), clamped to Cap when there is one, with NaN
+// rectifying to 0 and −0 to +0. Off, it is the identity.
+func rectRef(v float32, r tensor.Rect) float32 {
+	switch {
+	case !r.On:
+		return v
+	case !(v > 0):
+		return 0
+	case r.Cap != 0 && v > r.Cap:
+		return r.Cap
+	}
+	return v
+}
+
+// rectGradRef is the reference's gradient, its gate taken from the output
+// out: dy where out lies strictly inside (0, Cap), +0 elsewhere.
+func rectGradRef(dy, out float32, r tensor.Rect) float32 {
+	if !r.On || out > 0 && (r.Cap == 0 || out < r.Cap) {
+		return dy
+	}
+	return 0
+}
+
+// fusedCase builds a BatchNorm ending in act with non-trivial parameters
+// and statistics and the tensors of one forward/backward. 5×5 planes are
+// no whole number of vectors: the AVX-512 routines mask their remainder,
+// and an AVX2-only CPU hands them to the generic twins.
+func fusedCase(seed int64, mode bnMode, act tensor.Rect) (bn *BatchNorm2d, x, res, grad *tensor.Tensor) {
 	rng := rand.New(rand.NewSource(seed))
-	bn = NewBatchNorm2d("bn", 6)
+	bn = NewBatchNorm2d("bn", 6, act)
 	for c := 0; c < bn.C; c++ {
 		bn.Gamma.Data[c] = float32(1 + rng.NormFloat64())
 		bn.Beta.Data[c] = float32(rng.NormFloat64())
@@ -73,34 +103,31 @@ func snapshot(bn *BatchNorm2d, y, dx, dres *tensor.Tensor) fusedResult {
 }
 
 // TestFusedMatchesLayerSequenceBitwise is the fused pass's contract: for
-// every statistics mode, rectifier and residual, at 1 and 8 workers,
-// ForwardFused/BackwardFused produce the bits of bn.Forward → Tensor.Add →
-// act.Forward and act.Backward → bn.Backward run one layer at a time.
+// every statistics mode, rectifier and residual, at 1 and 8 workers, a
+// BatchNorm's ForwardFused/BackwardFused produce the bits of the same
+// BatchNorm without a rectifier, then Tensor.Add, then the scalar
+// rectifier, and back through the rectifier's gate read from the output,
+// then that BatchNorm's Backward, each a pass of its own.
 func TestFusedMatchesLayerSequenceBitwise(t *testing.T) {
 	defer parallel.SetWorkers(0)
-	acts := map[string]func() *ReLU{
-		"none":  func() *ReLU { return nil },
-		"relu":  func() *ReLU { return NewReLU("act") },
-		"relu6": func() *ReLU { return NewReLU6("act") },
-	}
+	acts := map[string]tensor.Rect{"none": {}, "relu": relu, "relu6": relu6}
 	for _, mode := range bnModes {
-		for actName, newAct := range acts {
+		for actName, act := range acts {
 			for _, withRes := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/res=%v", mode.name, actName, withRes)
 				var byWorkers []fusedResult
 				for _, workers := range []int{1, 8} {
 					parallel.SetWorkers(workers)
 
-					bn, x, res, grad := fusedCase(41, mode)
-					act := newAct()
+					bn, x, res, grad := fusedCase(41, mode, tensor.Rect{})
 					y := bn.Forward(x, mode.train)
 					if withRes {
 						y.Add(res)
 					}
-					dsum := grad
-					if act != nil {
-						y = act.Forward(y, mode.train)
-						dsum = act.Backward(grad)
+					dsum := tensor.New(grad.Shape()...)
+					for i, v := range y.Data {
+						y.Data[i] = rectRef(v, act)
+						dsum.Data[i] = rectGradRef(grad.Data[i], y.Data[i], act)
 					}
 					var dres *tensor.Tensor
 					if withRes {
@@ -108,20 +135,23 @@ func TestFusedMatchesLayerSequenceBitwise(t *testing.T) {
 					}
 					want := snapshot(bn, y, bn.Backward(dsum), dres)
 
-					bn, x, res, grad = fusedCase(41, mode)
-					act = newAct()
+					bn, x, res, grad = fusedCase(41, mode, act)
 					if !withRes {
 						res = nil
 					}
-					y = bn.ForwardFused(x, res, act, mode.train)
+					y = bn.ForwardFused(x, res, mode.train)
 					dx, dres := bn.BackwardFused(grad)
 					got := snapshot(bn, y, dx, dres)
 
 					if d := got.diff(want); d != "" {
 						t.Errorf("%s, %d workers: fused %s differs from the layer sequence", name, workers, d)
 					}
-					if act != nil && (act.Spec().OutElems != int64(y.Numel()) || act.Spec().Kind != KindAct) {
-						t.Errorf("%s: fused rectifier's Spec not recorded: %+v", name, act.Spec())
+					saved := int64(x.Numel()) // PyTorch saves the input, and the output behind a ReLU
+					if act.On {
+						saved *= 2
+					}
+					if sp := bn.Spec(); sp.Rectifies != act.On || sp.SavedElems != saved {
+						t.Errorf("%s: Spec %+v does not record the rectifier", name, sp)
 					}
 					byWorkers = append(byWorkers, got)
 				}
@@ -133,42 +163,28 @@ func TestFusedMatchesLayerSequenceBitwise(t *testing.T) {
 	}
 }
 
-// TestSequentialFusesBatchNormReLUPairs: a Sequential runs its adjacent
-// BatchNorm2d, ReLU pairs fused, and that is invisible in the numbers —
-// bit-equal to calling every layer of the same net, rebuilt, one by one.
-func TestSequentialFusesBatchNormReLUPairs(t *testing.T) {
-	net, ref := buildParityNet(7), buildParityNet(7)
+// TestSequentialInferNormalizesInPlace: under Attach(…, infer) a
+// Sequential runs a BatchNorm whose input the chain made in place, and a
+// BatchNorm at the chain's input, which is the caller's, not; either way
+// the output has the bits of a pass that keeps every activation.
+func TestSequentialInferNormalizesInPlace(t *testing.T) {
+	net := buildParityNet(7)
+	net.layers = append([]Layer{NewBatchNorm2d("bn0", 3, relu6)}, net.layers...)
 	x := parityInput(11)
+	want := net.Forward(x, false)
 
-	y := net.Forward(x, true)
-	h := x
-	for _, l := range ref.layers {
-		h = l.Forward(h, true)
+	Attach(net, new(tensor.Arena), true)
+	x0 := append([]float32(nil), x.Data...)
+	got := net.Forward(x, false)
+	if !float32BitsEqual(got.Data, want.Data) {
+		t.Fatal("the in-place forward differs from the one that keeps its activations")
 	}
-	if !float32BitsEqual(y.Data, h.Data) {
-		t.Fatal("Sequential forward differs from the layer-by-layer forward")
+	if !float32BitsEqual(x.Data, x0) {
+		t.Fatal("a BatchNorm wrote over the chain's input")
 	}
-	g := tensor.New(y.Shape()...)
-	g.Randn(rand.New(rand.NewSource(3)), 1)
-	dx := net.Backward(g)
-	d := g
-	for i := len(ref.layers) - 1; i >= 0; i-- {
-		d = ref.layers[i].Backward(d)
-	}
-	if !float32BitsEqual(dx.Data, d.Data) {
-		t.Fatal("Sequential backward differs from the layer-by-layer backward")
-	}
-	pr := CollectParams(ref)
-	for i, p := range CollectParams(net) {
-		if !float32BitsEqual(p.Grad, pr[i].Grad) {
-			t.Fatalf("%s gradient differs from the layer-by-layer backward", p.Name)
-		}
-	}
-	// The fused rectifiers ran: their Specs say so, and they hold nothing.
-	for _, i := range []int{2, 5} {
-		r := net.layers[i].(*ReLU)
-		if r.Spec().OutElems == 0 || r.out != nil {
-			t.Errorf("%s: Spec %+v, saved output %v after a fused forward", r.Name(), r.Spec(), r.out != nil)
+	for _, l := range net.layers {
+		if bn, ok := l.(*BatchNorm2d); ok && bn.InPlace() != (bn.Name() != "bn0") {
+			t.Errorf("%s: in place = %v", bn.Name(), bn.InPlace())
 		}
 	}
 }
@@ -178,14 +194,15 @@ func TestSequentialFusesBatchNormReLUPairs(t *testing.T) {
 // rectifiers. The residual is nudged so that no pre-activation sits within
 // finite-difference reach of a kink.
 func TestFusedGradientCheck(t *testing.T) {
-	for _, act := range []*ReLU{NewReLU("relu"), NewReLU6("relu6")} {
+	for name, act := range map[string]tensor.Rect{"relu": relu, "relu6": relu6} {
 		rng := rand.New(rand.NewSource(17))
-		bn := NewBatchNorm2d("bn", 3)
+		bn, linear := NewBatchNorm2d("bn", 3, act), NewBatchNorm2d("bn", 3, tensor.Rect{})
 		bn.Gamma.Data[1], bn.Beta.Data[2] = 1.5, -0.5
+		CopyState(linear, bn)
 		x, res := tensor.New(4, 3, 2, 2), tensor.New(4, 3, 2, 2)
 		x.Randn(rng, 1)
 		res.Randn(rng, 2)
-		pre := bn.Forward(x, true)
+		pre := linear.Forward(x, true) // what the rectifier sees, less the residual
 		pre.Add(res)
 		for i, v := range pre.Data {
 			for _, kink := range []float32{0, act.Cap} {
@@ -198,44 +215,38 @@ func TestFusedGradientCheck(t *testing.T) {
 		restore := func() { copy(bn.RunningMean, rm); copy(bn.RunningVar, rv) }
 		restore()
 
-		y := bn.ForwardFused(x, res, act, true)
+		y := bn.ForwardFused(x, res, true)
 		loss := newProjLoss(rng, y.Numel())
 		forward := func() float64 {
 			defer restore()
-			return loss.value(bn.ForwardFused(x, res, act, true))
+			return loss.value(bn.ForwardFused(x, res, true))
 		}
 		bn.Gamma.ZeroGrad()
 		bn.Beta.ZeroGrad()
 		dx, dres := bn.BackwardFused(loss.grad(y.Shape()))
 		restore()
-		checkGrad(t, act.Name()+".gamma", forward, bn.Gamma.Data, bn.Gamma.Grad, 2e-2)
-		checkGrad(t, act.Name()+".beta", forward, bn.Beta.Data, bn.Beta.Grad, 2e-2)
-		checkGrad(t, act.Name()+".input", forward, x.Data, dx.Data, 3e-2)
-		checkGrad(t, act.Name()+".residual", forward, res.Data, dres.Data, 2e-2)
+		checkGrad(t, name+".gamma", forward, bn.Gamma.Data, bn.Gamma.Grad, 2e-2)
+		checkGrad(t, name+".beta", forward, bn.Beta.Data, bn.Beta.Grad, 2e-2)
+		checkGrad(t, name+".input", forward, x.Data, dx.Data, 3e-2)
+		checkGrad(t, name+".residual", forward, res.Data, dres.Data, 2e-2)
 	}
 }
 
 // TestNoLayerOwnsAnActivationSizedBuffer: after a forward and a backward,
-// no BatchNorm2d or ReLU holds a slice as large as an activation — x̂ is
-// recomputed, the rectifier's sign is read from the output, and what the
-// layers keep are references to tensors that exist anyway. (Before the
-// fused kernels BatchNorm2d owned xhat and ReLU a []bool mask.)
+// no BatchNorm2d holds a slice as large as an activation — x̂ and the
+// rectifier's gate are recomputed, and what the layer keeps are references
+// to tensors that exist anyway. (Before the fused kernels BatchNorm2d
+// owned xhat and a stand-alone ReLU a []bool mask.)
 func TestNoLayerOwnsAnActivationSizedBuffer(t *testing.T) {
 	net := buildParityNet(7)
 	x := parityInput(11)
 	net.Backward(net.Forward(x, true))
-	lone := NewReLU("lone") // a rectifier nobody fuses
-	lone.Backward(lone.Forward(x, true))
 
 	smallest := x.Numel() // every activation here has at least the input's elements
-	layers := []Layer{lone}
-	Walk(net, func(l Layer) { layers = append(layers, l) })
 	checked := 0
-	for _, l := range layers {
-		switch l.(type) {
-		case *BatchNorm2d, *ReLU:
-		default:
-			continue
+	Walk(net, func(l Layer) {
+		if _, ok := l.(*BatchNorm2d); !ok {
+			return
 		}
 		checked++
 		v := reflect.ValueOf(l).Elem()
@@ -245,9 +256,9 @@ func TestNoLayerOwnsAnActivationSizedBuffer(t *testing.T) {
 					l.Name(), v.Type().Field(i).Name, f.Cap(), smallest)
 			}
 		}
-	}
-	if checked != 5 {
-		t.Fatalf("checked %d layers, want 2 BatchNorms and 3 ReLUs", checked)
+	})
+	if checked != 2 {
+		t.Fatalf("checked %d layers, want 2 BatchNorms", checked)
 	}
 }
 
@@ -265,21 +276,17 @@ func wantPanic(t *testing.T, what, substr string, fn func()) {
 	fn()
 }
 
-// TestBackwardBeforeForwardPanics: BatchNorm2d and ReLU used to return an
-// empty or stale gradient here; like Conv2d they now say which layer.
+// TestBackwardBeforeForwardPanics: BatchNorm2d used to return an empty or
+// stale gradient here; like Conv2d it now says which layer.
 func TestBackwardBeforeForwardPanics(t *testing.T) {
 	g := tensor.New(1, 2, 2, 2)
-	wantPanic(t, "BatchNorm2d", "bnX: Backward before Forward", func() { NewBatchNorm2d("bnX", 2).Backward(g) })
-	wantPanic(t, "ReLU", "reluX: Backward before Forward", func() { NewReLU("reluX").Backward(g) })
-
-	// A rectifier whose forward ran inside a BatchNorm has nothing to undo
-	// on its own, even if an earlier stand-alone forward left an output.
-	bn, act := NewBatchNorm2d("bn", 2), NewReLU("reluY")
-	act.Forward(g, false)
-	bn.ForwardFused(g, nil, act, false)
-	wantPanic(t, "fused ReLU", "reluY", func() { act.Backward(g) })
-	if dx := bn.Backward(g); !dx.SameShape(g) {
-		t.Errorf("fused backward returned shape %v", dx.Shape())
+	for _, act := range []tensor.Rect{{}, relu} {
+		bn := NewBatchNorm2d("bnX", 2, act)
+		wantPanic(t, "BatchNorm2d", "bnX: Backward before Forward", func() { bn.Backward(g) })
+		bn.Forward(g, false)
+		if dx := bn.Backward(g); !dx.SameShape(g) {
+			t.Errorf("backward after a forward returned shape %v", dx.Shape())
+		}
 	}
 }
 
@@ -296,22 +303,22 @@ func TestForwardInPlaceMatchesAndRefusesBackward(t *testing.T) {
 				for _, workers := range []int{1, 8} {
 					parallel.SetWorkers(workers)
 					name := fmt.Sprintf("%s/act=%v/res=%v/workers=%d", mode.name, withAct, withRes, workers)
-					var act *ReLU
+					var act tensor.Rect
 					if withAct {
-						act = NewReLU6("act")
+						act = relu6
 					}
-					bn, x, res, grad := fusedCase(43, mode)
+					bn, x, res, grad := fusedCase(43, mode, act)
 					if !withRes {
 						res = nil
 					}
-					want := bn.ForwardFused(x, res, act, mode.train)
+					want := bn.ForwardFused(x, res, mode.train)
 					wantMean := append([]float32(nil), bn.RunningMean...)
 
-					bn, x, res, _ = fusedCase(43, mode)
+					bn, x, res, _ = fusedCase(43, mode, act)
 					if !withRes {
 						res = nil
 					}
-					y := bn.ForwardFusedInPlace(x, res, act, mode.train)
+					y := bn.ForwardFusedInPlace(x, res, mode.train)
 					if &y.Data[0] != &x.Data[0] || !bn.InPlace() {
 						t.Fatalf("%s: the result does not share the input's memory", name)
 					}
@@ -319,7 +326,7 @@ func TestForwardInPlaceMatchesAndRefusesBackward(t *testing.T) {
 						t.Errorf("%s: in place differs from ForwardFused", name)
 					}
 					wantPanic(t, name, "bn: Backward after an in-place forward", func() { bn.Backward(grad) })
-					bn.ForwardFused(x, res, act, mode.train)
+					bn.ForwardFused(x, res, mode.train)
 					if bn.InPlace() {
 						t.Fatalf("%s: a forward that is not in place left the layer marked in place", name)
 					}
@@ -348,14 +355,13 @@ func TestPoolIsProfiled(t *testing.T) {
 }
 
 // TestFusedPassIsOneProfilerInterval: the fused pass is credited to the
-// BatchNorm as one interval per direction, and the rectifier records none.
+// BatchNorm as one interval per direction, and its rectifier records none.
 func TestFusedPassIsOneProfilerInterval(t *testing.T) {
-	bn, x, res, grad := fusedCase(5, bnModes[0])
-	act := NewReLU("act")
+	bn, x, res, grad := fusedCase(5, bnModes[0], relu)
 	if !StartProfiling() {
 		t.Skip("another profiler is active")
 	}
-	bn.ForwardFused(x, res, act, true)
+	bn.ForwardFused(x, res, true)
 	bn.BackwardFused(grad)
 	got := StopProfiling()
 	if got.FwCalls[KindBN] != 1 || got.BwCalls[KindBN] != 1 || got.FwCalls[KindAct]+got.BwCalls[KindAct] != 0 {

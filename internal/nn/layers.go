@@ -7,87 +7,6 @@ import (
 	"edgetta/internal/tensor"
 )
 
-// ReLU is max(0, x); with a positive Cap it becomes ReLU6-style clamping
-// (used by MobileNetV2). It keeps no mask: Backward reads the rectifier's
-// sign back from the output it returned, which it holds.
-type ReLU struct {
-	Scope
-	name string
-	Cap  float32 // 0 means uncapped
-	// out is the output of the last stand-alone Forward, and shape its
-	// shape. out is nil after a forward fused into a BatchNorm2d
-	// (ForwardFused), which then owns the backward of both.
-	out      *tensor.Tensor
-	shape    []int
-	lastSpec Spec
-}
-
-// NewReLU returns an uncapped rectifier.
-func NewReLU(name string) *ReLU { return &ReLU{name: name} }
-
-// NewReLU6 returns a rectifier clamped to [0, 6], as in MobileNetV2.
-func NewReLU6(name string) *ReLU { return &ReLU{name: name, Cap: 6} }
-
-// Name implements Layer.
-func (r *ReLU) Name() string { return r.name }
-
-// Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
-
-// Spec implements Layer.
-func (r *ReLU) Spec() Spec { return r.lastSpec }
-
-// rect is the layer as the elementwise kernels take it; a nil *ReLU is no
-// rectifier.
-func (r *ReLU) rect() tensor.Rect {
-	if r == nil {
-		return tensor.Rect{}
-	}
-	return tensor.Rect{On: true, Cap: r.Cap}
-}
-
-// ran records a forward that produced y, stand-alone or fused.
-func (r *ReLU) ran(y *tensor.Tensor) {
-	r.lastSpec = Spec{Kind: KindAct, LayerName: r.name, OutElems: int64(y.Numel()),
-		SavedElems: int64(y.Numel()), Batch: int64(y.Dim(0))}
-}
-
-// fusedName is what the span of a pass r was fused into calls it.
-func (r *ReLU) fusedName() string {
-	if r == nil {
-		return ""
-	}
-	return r.name
-}
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	t0 := profStart()
-	y := r.Arena.New(x.Shape()...)
-	tensor.NormalizePlanes(y.Data, x.Data, nil, tensor.OnePlane(x.Numel()), nil, r.rect())
-	r.ran(y)
-	r.out, r.shape = y, append(r.shape[:0], y.Shape()...)
-	r.hold(y)
-	profEnd(KindAct, r.name, false, t0)
-	return y
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if r.out == nil {
-		panic("nn: " + r.name + ": Backward before Forward (a fused forward is undone by its BatchNorm2d)")
-	}
-	if !sameShape(grad, r.shape) {
-		panic(shapeErr(r.name, grad.Shape()))
-	}
-	t0 := profStart()
-	dx := r.Arena.New(r.shape...)
-	tensor.RectGradPlanes(dx.Data, grad.Data, r.out.Data, tensor.OnePlane(grad.Numel()), r.rect())
-	r.Arena.Unhold(r.out)
-	profEnd(KindAct, r.name, true, t0)
-	return dx
-}
-
 // Linear is a fully connected layer y = x·Wᵀ + b over [N, in] inputs.
 type Linear struct {
 	Scope
@@ -157,7 +76,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.lastSpec = Spec{Kind: KindLinear, LayerName: l.name,
 		MACs:       int64(n) * int64(l.In) * int64(l.Out),
 		ParamCount: int64(len(l.Weight.Data) + len(l.Bias.Data)),
-		OutElems:   int64(y.Numel()), SavedElems: int64(x.Numel()), Batch: int64(n)}
+		OutElems:   int64(y.Numel()), SavedElems: int64(x.Numel())}
 	return y
 }
 
@@ -225,7 +144,7 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		y.Data[i] = s * inv
 	}
-	p.lastSpec = Spec{Kind: KindPool, LayerName: p.name, OutElems: int64(n * c), Batch: int64(n)}
+	p.lastSpec = Spec{Kind: KindPool, LayerName: p.name, OutElems: int64(n * c)}
 	return y
 }
 

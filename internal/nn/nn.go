@@ -1,8 +1,8 @@
 // Package nn implements the neural-network layers, blocks and losses used by
 // the test-time-adaptation study: convolutions (with groups), batch
-// normalization with the three statistics modes the paper's algorithms need,
-// activations, pooling, linear layers, and the cross-entropy / Shannon
-// entropy losses with analytic gradients.
+// normalization with the three statistics modes the paper's algorithms need
+// and the rectifier that ends it, pooling, linear layers, and the
+// cross-entropy / Shannon entropy losses with analytic gradients.
 //
 // Autograd is layer-structured rather than tape-based: each layer implements
 // an explicit Backward and keeps from its Forward only what that reads.
@@ -10,12 +10,12 @@
 // profiles, which Spec.SavedElems keeps describing): a layer holds
 // references to its input or output tensor rather than copies, a conv or
 // linear layer whose weight is frozen keeps no input at all (its dX needs
-// the weights alone), BatchNorm recomputes x̂ — and the value a fused
-// rectifier saw — from its input and per-channel μ, σ⁻¹, γ, β, and a
-// stand-alone rectifier's sign is read back from its output. A BatchNorm
-// directly followed by a ReLU — in a Sequential or in the models' blocks —
-// runs as one fused pass (BatchNorm2d.ForwardFused) over the same
-// elementwise kernels the layers use on their own.
+// the weights alone), and BatchNorm recomputes x̂ — and the value its
+// rectifier saw — from its input and per-channel μ, σ⁻¹, γ, β. The
+// rectifier (ReLU or ReLU6) is no layer of its own: it is the epilogue of
+// the BatchNorm before it, fixed when that layer is built, and runs in the
+// BatchNorm's one pass over the activation, after the residual a block
+// may add (BatchNorm2d.ForwardFused).
 //
 // Those references are only as good as the memory behind them. A layer
 // built on its own allocates every activation and gradient, and what it
@@ -280,29 +280,20 @@ func NewSequential(name string, layers ...Layer) *Sequential {
 // Append adds layers to the end of the chain.
 func (s *Sequential) Append(layers ...Layer) { s.layers = append(s.layers, layers...) }
 
-// Forward implements Layer. A BatchNorm2d directly followed by a ReLU runs
-// as one fused pass (BatchNorm2d.ForwardFused); which layers pair up is a
-// property of the chain alone, so Backward finds the same pairs.
-//
-// The chain frees what it made once the next layer has read it — never
-// its input, which is its caller's, nor its result. Under Infer, a fused
-// pair whose input the chain made writes its result over that input, which
-// has no other reader.
+// Forward implements Layer. The chain frees what it made once the next
+// layer has read it — never its input, which is its caller's, nor its
+// result. Under Infer, a BatchNorm whose input the chain made writes its
+// result over that input, which has no other reader.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	var made *tensor.Tensor // the chain's own tensor, once x is one
-	for i := 0; i < len(s.layers); i++ {
+	for _, l := range s.layers {
 		var y *tensor.Tensor
-		if bn, act := s.fusedPair(i); bn != nil {
-			if s.Infer && x == made {
-				y = bn.ForwardFusedInPlace(x, nil, act, train)
-			} else {
-				y = bn.ForwardFused(x, nil, act, train)
-			}
-			i++
+		if bn, ok := l.(*BatchNorm2d); ok && s.Infer && x == made {
+			y = bn.ForwardFusedInPlace(x, nil, train)
 		} else {
-			y = s.layers[i].Forward(x, train)
+			y = l.Forward(x, train)
 		}
-		if y != x { // an in-place pair returns its input
+		if y != x { // an in-place BatchNorm returns its input
 			s.Arena.Free(made)
 			made = y
 		}
@@ -316,35 +307,12 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	var made *tensor.Tensor
 	for i := len(s.layers) - 1; i >= 0; i-- {
-		var dx *tensor.Tensor
-		if bn, _ := s.fusedPair(i - 1); bn != nil {
-			dx = bn.Backward(grad)
-			i--
-		} else {
-			dx = s.layers[i].Backward(grad)
-		}
+		dx := s.layers[i].Backward(grad)
 		s.Arena.Free(made)
 		made = dx
 		grad = dx
 	}
 	return grad
-}
-
-// fusedPair returns layers i and i+1 when they are a BatchNorm2d and the
-// ReLU that follows it, else nils.
-func (s *Sequential) fusedPair(i int) (*BatchNorm2d, *ReLU) {
-	if i < 0 || i+1 >= len(s.layers) {
-		return nil, nil
-	}
-	bn, ok := s.layers[i].(*BatchNorm2d)
-	if !ok {
-		return nil, nil
-	}
-	act, ok := s.layers[i+1].(*ReLU)
-	if !ok {
-		return nil, nil
-	}
-	return bn, act
 }
 
 // Params implements Layer; composites report none of their own.

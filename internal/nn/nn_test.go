@@ -312,7 +312,7 @@ func TestConv2dGradients(t *testing.T) {
 
 func TestBatchNormNormalizesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	bn := NewBatchNorm2d("bn", 4)
+	bn := NewBatchNorm2d("bn", 4, tensor.Rect{})
 	x := tensor.New(8, 4, 3, 3)
 	x.Randn(rng, 2)
 	for i := range x.Data {
@@ -344,7 +344,7 @@ func TestBatchNormNormalizesBatch(t *testing.T) {
 
 func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	bn := NewBatchNorm2d("bn", 2)
+	bn := NewBatchNorm2d("bn", 2, tensor.Rect{})
 	bn.RunningMean[0], bn.RunningVar[0] = 3, 4
 	x := tensor.New(1, 2, 2, 2)
 	x.Randn(rng, 1)
@@ -357,7 +357,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 
 func TestBatchNormUseBatchStatsFlag(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	bn := NewBatchNorm2d("bn", 2)
+	bn := NewBatchNorm2d("bn", 2, tensor.Rect{})
 	x := tensor.New(4, 2, 2, 2)
 	x.Randn(rng, 1)
 	for i := range x.Data {
@@ -372,7 +372,7 @@ func TestBatchNormUseBatchStatsFlag(t *testing.T) {
 
 func TestBatchNormGradientsBatchMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	bn := NewBatchNorm2d("bn", 3)
+	bn := NewBatchNorm2d("bn", 3, tensor.Rect{})
 	bn.Gamma.Data[1], bn.Beta.Data[2] = 1.5, -0.5
 	x := tensor.New(4, 3, 2, 2)
 	x.Randn(rng, 1)
@@ -394,7 +394,7 @@ func TestBatchNormGradientsBatchMode(t *testing.T) {
 
 func TestBatchNormGradientsEvalMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	bn := NewBatchNorm2d("bn", 2)
+	bn := NewBatchNorm2d("bn", 2, tensor.Rect{})
 	bn.RunningMean[0], bn.RunningVar[1] = 0.5, 2
 	x := tensor.New(2, 2, 3, 3)
 	x.Randn(rng, 1)
@@ -409,42 +409,44 @@ func TestBatchNormGradientsEvalMode(t *testing.T) {
 	checkGrad(t, "bn.eval.input", forward, x.Data, dx.Data, 2e-2)
 }
 
-func TestReLUForwardBackward(t *testing.T) {
-	r := NewReLU("relu")
-	x := tensor.FromSlice([]float32{-1, 0, 2, 5}, 1, 4)
-	y := r.Forward(x, false)
-	want := []float32{0, 0, 2, 5}
-	for i := range want {
-		if y.Data[i] != want[i] {
-			t.Fatalf("ReLU[%d] = %v", i, y.Data[i])
+// identityBN is a BatchNorm over one channel whose normalize, in running
+// mode, is the identity to the bit (mean 0, σ⁻¹ exactly 1, γ 1, β 0; only
+// −0 becomes +0, as any rectifier makes it): what it computes is its
+// rectifier alone.
+func identityBN(act tensor.Rect) *BatchNorm2d {
+	bn := NewBatchNorm2d("bn", 1, act)
+	bn.Eps = 0
+	return bn
+}
+
+// checkRectifier holds a BatchNorm's rectifier on x to the scalar
+// reference, forward and backward, bit for bit.
+func checkRectifier(t *testing.T, act tensor.Rect, x []float32) {
+	t.Helper()
+	bn := identityBN(act)
+	y := bn.Forward(tensor.FromSlice(x, 1, 1, 1, len(x)), false)
+	g := tensor.New(y.Shape()...)
+	g.Fill(1)
+	dx := bn.Backward(g)
+	for i, v := range x {
+		want := rectRef(v, act)
+		if math.Float32bits(y.Data[i]) != math.Float32bits(want) {
+			t.Errorf("rect %+v (%v) = %v, want %v", act, v, y.Data[i], want)
 		}
-	}
-	g := r.Backward(tensor.FromSlice([]float32{1, 1, 1, 1}, 1, 4))
-	wantG := []float32{0, 0, 1, 1}
-	for i := range wantG {
-		if g.Data[i] != wantG[i] {
-			t.Fatalf("dReLU[%d] = %v", i, g.Data[i])
+		if wantG := rectGradRef(1, want, act); math.Float32bits(dx.Data[i]) != math.Float32bits(wantG) {
+			t.Errorf("rect %+v: gradient at %v = %v, want %v", act, v, dx.Data[i], wantG)
 		}
 	}
 }
 
+func TestReLUForwardBackward(t *testing.T) {
+	inf := float32(math.Inf(1))
+	checkRectifier(t, relu, []float32{-1, 0, 2, 5, float32(math.NaN()), float32(math.Copysign(0, -1)), inf, -inf, 1e-40})
+}
+
 func TestReLU6Caps(t *testing.T) {
-	r := NewReLU6("relu6")
-	x := tensor.FromSlice([]float32{-1, 3, 6, 9}, 1, 4)
-	y := r.Forward(x, false)
-	want := []float32{0, 3, 6, 6}
-	for i := range want {
-		if y.Data[i] != want[i] {
-			t.Fatalf("ReLU6[%d] = %v, want %v", i, y.Data[i], want[i])
-		}
-	}
-	g := r.Backward(tensor.FromSlice([]float32{1, 1, 1, 1}, 1, 4))
-	wantG := []float32{0, 1, 0, 0}
-	for i := range wantG {
-		if g.Data[i] != wantG[i] {
-			t.Fatalf("dReLU6[%d] = %v, want %v", i, g.Data[i], wantG[i])
-		}
-	}
+	inf := float32(math.Inf(1))
+	checkRectifier(t, relu6, []float32{-1, 3, 6, 9, math.Nextafter32(6, 0), math.Nextafter32(6, 7), float32(math.NaN()), inf, -inf})
 }
 
 func TestLinearGradients(t *testing.T) {
@@ -538,8 +540,7 @@ func TestSequentialBackwardThroughStack(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	seq := NewSequential("net",
 		NewConv2d("c1", rng, 2, 3, 3, 1, 1, 1),
-		NewBatchNorm2d("bn1", 3),
-		NewReLU("r1"),
+		NewBatchNorm2d("bn1", 3, relu),
 		NewGlobalAvgPool("gap"),
 		NewLinear("fc", rng, 3, 4),
 	)
@@ -573,8 +574,8 @@ func TestSequentialBackwardThroughStack(t *testing.T) {
 
 func TestWalkAndBatchNorms(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	inner := NewSequential("inner", NewBatchNorm2d("bn2", 4))
-	seq := NewSequential("outer", NewConv2d("c", rng, 3, 4, 3, 1, 1, 1), NewBatchNorm2d("bn1", 4), inner)
+	inner := NewSequential("inner", NewBatchNorm2d("bn2", 4, tensor.Rect{}))
+	seq := NewSequential("outer", NewConv2d("c", rng, 3, 4, 3, 1, 1, 1), NewBatchNorm2d("bn1", 4, tensor.Rect{}), inner)
 	var names []string
 	Walk(seq, func(l Layer) { names = append(names, l.Name()) })
 	if len(names) != 5 {

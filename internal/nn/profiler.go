@@ -169,20 +169,7 @@ func timed(prof bool, sum *atomic.Int64, f func()) {
 // profEnd records a completed phase as a trace span carrying the layer's
 // name.
 func profEnd(kind Kind, name string, backward bool, t0 time.Time) {
-	profEndFused(kind, name, "", backward, t0)
-}
-
-// profEndFused is profEnd for a pass that also did the work of the layer
-// named fused (a batch-norm pass and the rectifier folded into it): one
-// interval, credited to kind, whose span names both layers.
-func profEndFused(kind Kind, name, fused string, backward bool, t0 time.Time) {
-	tr := telemetry.ActiveTracer()
-	if tr == nil || t0.IsZero() {
-		return
+	if tr := telemetry.ActiveTracer(); tr != nil && !t0.IsZero() {
+		tr.Complete("nn", spanName(kind, backward), 0, t0, time.Since(t0), telemetry.Arg{Key: "layer", Value: name})
 	}
-	args := []telemetry.Arg{{Key: "layer", Value: name}}
-	if fused != "" {
-		args = append(args, telemetry.Arg{Key: "fused", Value: fused})
-	}
-	tr.Complete("nn", spanName(kind, backward), 0, t0, time.Since(t0), args...)
 }

@@ -69,11 +69,11 @@ func TestBatchNormScaleInvariance(t *testing.T) {
 	f := func(seed int64, scaleRaw uint8) bool {
 		scale := 0.2 + float32(scaleRaw%40)/10
 		rng := rand.New(rand.NewSource(seed))
-		bn := NewBatchNorm2d("bn", 3)
+		bn := NewBatchNorm2d("bn", 3, tensor.Rect{})
 		x := tensor.New(4, 3, 4, 4)
 		x.Randn(rng, 1)
 		y1 := bn.Forward(x, true).Clone()
-		bn2 := NewBatchNorm2d("bn", 3)
+		bn2 := NewBatchNorm2d("bn", 3, tensor.Rect{})
 		xs := x.Clone()
 		xs.Scale(scale)
 		y2 := bn2.Forward(xs, true)
@@ -93,11 +93,11 @@ func TestBatchNormScaleInvariance(t *testing.T) {
 // shifts (brightness-style corruption).
 func TestBatchNormShiftInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	bn := NewBatchNorm2d("bn", 2)
+	bn := NewBatchNorm2d("bn", 2, tensor.Rect{})
 	x := tensor.New(4, 2, 3, 3)
 	x.Randn(rng, 1)
 	y1 := bn.Forward(x, true).Clone()
-	bn2 := NewBatchNorm2d("bn", 2)
+	bn2 := NewBatchNorm2d("bn", 2, tensor.Rect{})
 	xs := x.Clone()
 	for i := range xs.Data {
 		xs.Data[i] += 7.5

@@ -1,5 +1,7 @@
 package nn
 
+import "edgetta/internal/tensor"
+
 // Kind classifies layers for the profiler and the device cost model, which
 // charge convolution, batch-norm, and everything else at different rates
 // (the paper's Figs. 4, 7, 10 break time down along exactly these lines).
@@ -11,6 +13,10 @@ const (
 	KindConv
 	KindBN
 	KindLinear
+	// KindAct is activation work. No layer reports it as its Spec kind
+	// or records it as a span: every rectifier is a BatchNorm's epilogue
+	// (Spec.Rectifies), timed in that layer's bn spans. The profiler's
+	// tables keep the kind, and its rows read zero.
 	KindAct
 	KindPool
 	KindComposite
@@ -56,15 +62,19 @@ type Spec struct {
 	Kind      Kind
 	LayerName string
 
-	MACs       int64 // forward multiply-accumulate count
-	ParamCount int64 // learnable parameters
-	BNChannels int64 // channels, for KindBN only
-	Groups     int   // channel groups, for KindConv only: 1 dense, >1 grouped
-	OutElems   int64 // output tensor elements
+	MACs       int64            // forward multiply-accumulate count
+	ParamCount int64            // learnable parameters
+	BNChannels int64            // channels, for KindBN only
+	Conv       tensor.ConvShape // the geometry run, for KindConv only
+	OutElems   int64            // output tensor elements
 	// SavedElems is the number of elements PyTorch's dynamic graph would
 	// save for this layer's backward — the quantity internal/device is
-	// calibrated on — not what this implementation retains (BatchNorm and
-	// ReLU own no activation-sized buffer; see the package doc).
+	// calibrated on — not what this implementation retains (BatchNorm owns
+	// no activation-sized buffer; see the package doc). A rectifying
+	// BatchNorm counts the output PyTorch's ReLU saves with its input.
 	SavedElems int64
-	Batch      int64 // batch size of the recorded forward
+	// Rectifies is set, for KindBN only, when the layer ends in a
+	// rectifier: the activation function the simulator charges for
+	// OutElems more elements.
+	Rectifies bool
 }

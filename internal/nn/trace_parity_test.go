@@ -19,11 +19,9 @@ func buildParityNet(seed int64) *Sequential {
 	rng := rand.New(rand.NewSource(seed))
 	return NewSequential("parity",
 		NewConv2d("conv1", rng, 3, 8, 3, 1, 1, 1),
-		NewBatchNorm2d("bn1", 8),
-		NewReLU("relu1"),
+		NewBatchNorm2d("bn1", 8, relu),
 		NewConv2d("conv2", rng, 8, 8, 3, 1, 1, 1),
-		NewBatchNorm2d("bn2", 8),
-		NewReLU("relu2"),
+		NewBatchNorm2d("bn2", 8, relu),
 	)
 }
 
@@ -75,10 +73,9 @@ func TestTracingDoesNotPerturbOutputs(t *testing.T) {
 	outOn, dxOn, gradsOn := runParityPass(t)
 	telemetry.StopTracing()
 
-	// One forward and one backward span per layer as it ran: two convs,
-	// and two BatchNorms that each ran their ReLU inside their own fused
-	// pass — 8 spans where the unfused chain emitted 12 — plus the convs'
-	// contained pack (staging) spans on the direct kernel.
+	// One forward and one backward span per layer: two convs and two
+	// BatchNorms, each of which runs its ReLU in its own pass — plus the
+	// convs' contained pack (staging) spans on the direct kernel.
 	if n, want := tr.Len(), 8; n < want || (!tensor.PackedEnabled() && n != want) {
 		t.Fatalf("traced pass emitted %d spans, want %d layer spans (plus staging spans on the direct kernel)", n, want)
 	}

@@ -45,12 +45,12 @@ type Summary struct {
 	LinearMACs int64
 	BNElems    int64 // activation elements flowing through BN layers
 	BNParams   int64 // gamma+beta count
-	ActElems   int64 // activation-function elements
+	ActElems   int64 // activation-function elements: the rectifying BNs' outputs
 	SavedElems int64 // elements cached for backward (the dynamic graph)
 	Params     int64
 	ConvLayers int
 	BNLayers   int
-	ActLayers  int
+	ActLayers  int // BatchNorms that end in a rectifier
 	// BigBNElems is the subset of BNElems in layers with ≥ 1024 channels,
 	// which hit the modeled GPU batch-norm performance cliff (Fig. 10a).
 	BigBNElems int64
@@ -69,7 +69,7 @@ func (t Trace) Summarize() Summary {
 		switch l.Kind {
 		case nn.KindConv:
 			s.ConvMACs += l.MACs
-			if l.Groups > 1 {
+			if l.Conv.Groups > 1 {
 				s.GroupMACs += l.MACs
 			}
 			s.ConvLayers++
@@ -80,11 +80,12 @@ func (t Trace) Summarize() Summary {
 			if l.BNChannels >= bigBNChannelThreshold {
 				s.BigBNElems += l.OutElems
 			}
+			if l.Rectifies {
+				s.ActElems += l.OutElems
+				s.ActLayers++
+			}
 		case nn.KindLinear:
 			s.LinearMACs += l.MACs
-		case nn.KindAct:
-			s.ActElems += l.OutElems
-			s.ActLayers++
 		}
 	}
 	return s

@@ -60,10 +60,10 @@ func TestGroupedConvMACsOnlyForGroupedModels(t *testing.T) {
 		p := get(t, tag)
 		var want int64
 		for _, l := range p.Trace {
-			if l.Kind == nn.KindConv && l.Groups < 1 {
-				t.Errorf("%s: conv %s records %d groups", tag, l.LayerName, l.Groups)
+			if l.Kind == nn.KindConv && l.Conv.Groups < 1 {
+				t.Errorf("%s: conv %s records %d groups", tag, l.LayerName, l.Conv.Groups)
 			}
-			if l.Groups > 1 {
+			if l.Conv.Groups > 1 {
 				want += l.MACs
 			}
 		}
@@ -148,32 +148,41 @@ func TestBigBNOnlyResNeXt(t *testing.T) {
 }
 
 // TestFullScaleTraceTotals pins the single-image trace totals that the
-// whole cost model rests on (values from the real captured forwards).
+// whole cost model rests on (values from the real captured forwards). The
+// activation, saved-element and BN-layer counts are exact: a rectifier
+// counts once per BatchNorm that ends in one, with the output PyTorch
+// saves for it.
 func TestFullScaleTraceTotals(t *testing.T) {
 	cases := []struct {
-		tag        string
-		minGMAC    float64
-		maxGMAC    float64
-		minSavedMB float64
-		maxSavedMB float64
+		tag                  string
+		minGMAC, maxGMAC     float64
+		minSavedMB           float64
+		maxSavedMB           float64
+		actLayers, bnLayers  int
+		actElems, savedElems int64
 	}{
-		{"RXT-AM", 1.00, 1.10, 38, 44},
-		{"WRN-AM", 0.31, 0.35, 8, 10},
-		{"R18-AM-AT", 0.53, 0.58, 6, 8},
-		{"MBV2", 0.085, 0.10, 17, 21},
+		{"RXT-AM", 1.00, 1.10, 38, 44, 28, 31, 3_112_960, 10_194_944},
+		{"WRN-AM", 0.31, 0.35, 8, 10, 37, 37, 704_512, 2_174_080},
+		{"R18-AM-AT", 0.53, 0.58, 6, 8, 17, 17, 557_056, 1_781_248},
+		{"MBV2", 0.085, 0.10, 17, 21, 35, 52, 1_502_208, 4_765_952},
 	}
 	for _, c := range cases {
 		p, err := Get(c.tag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := float64(p.Summary.ConvMACs+p.Summary.LinearMACs) / 1e9
+		s := p.Summary
+		g := float64(s.ConvMACs+s.LinearMACs) / 1e9
 		if g < c.minGMAC || g > c.maxGMAC {
 			t.Errorf("%s: %.3f GMACs outside [%.2f, %.2f]", c.tag, g, c.minGMAC, c.maxGMAC)
 		}
-		mb := float64(p.Summary.SavedElems) * 4 / 1e6
+		mb := float64(s.SavedElems) * 4 / 1e6
 		if mb < c.minSavedMB || mb > c.maxSavedMB {
 			t.Errorf("%s: %.1f MB/img saved outside [%.0f, %.0f]", c.tag, mb, c.minSavedMB, c.maxSavedMB)
+		}
+		if s.ActLayers != c.actLayers || s.ActElems != c.actElems || s.SavedElems != c.savedElems || s.BNLayers != c.bnLayers {
+			t.Errorf("%s: ActLayers %d, ActElems %d, SavedElems %d, BNLayers %d; want %d, %d, %d, %d",
+				c.tag, s.ActLayers, s.ActElems, s.SavedElems, s.BNLayers, c.actLayers, c.actElems, c.savedElems, c.bnLayers)
 		}
 	}
 }

@@ -12,13 +12,13 @@ import (
 
 // TestModelsRunOnlyWhatTheKernelsServe is a tripwire on the traffic nn and
 // tensor keep code for. The four models, at full scale (Get's traces) and
-// at repro scale, build only conv, BatchNorm, ReLU, global-pool and linear
+// at repro scale, build only conv, BatchNorm, global-pool and linear
 // leaves; a conv takes the network's input, so it is the layer whose dX
 // FreezeExceptBN skips; every BatchNorm plane is a whole number of
-// StatLanes, so the AVX2 plane routines take each channel whole; and every
-// ReLU runs fused into its BatchNorm, so no algorithm's Process records an
-// act span. A model that breaks one of these needs code nn and tensor
-// do not carry.
+// StatLanes, so the AVX2 plane routines take each channel whole; and no
+// algorithm's Process records an act span, every rectifier being a
+// BatchNorm's epilogue. A model that breaks one of these needs code nn and
+// tensor do not carry.
 func TestModelsRunOnlyWhatTheKernelsServe(t *testing.T) {
 	for _, tag := range []string{"RXT-AM", "WRN-AM", "R18-AM-AT", "MBV2"} {
 		full, err := Get(tag)
@@ -38,7 +38,7 @@ func TestModelsRunOnlyWhatTheKernelsServe(t *testing.T) {
 
 		nn.Walk(m.Net, func(l nn.Layer) {
 			switch l.(type) {
-			case nn.Container, *nn.Conv2d, *nn.BatchNorm2d, *nn.ReLU, *nn.GlobalAvgPool, *nn.Linear:
+			case nn.Container, *nn.Conv2d, *nn.BatchNorm2d, *nn.GlobalAvgPool, *nn.Linear:
 			default:
 				t.Errorf("%s: leaf %s is a %T", tag, l.Name(), l)
 			}
@@ -68,14 +68,14 @@ func TestModelsRunOnlyWhatTheKernelsServe(t *testing.T) {
 				t.Fatalf("%s %v: the profile recorded no BatchNorm forward", tag, algo)
 			}
 			if n := got.FwCalls[nn.KindAct] + got.BwCalls[nn.KindAct]; n != 0 {
-				t.Errorf("%s %v: %d stand-alone act spans, want every ReLU fused", tag, algo, n)
+				t.Errorf("%s %v: %d act spans, want every rectifier inside a bn span", tag, algo, n)
 			}
 		}
 	}
 }
 
-// checkTraffic holds a trace to the layer kinds the models may run, a conv
-// first, and BatchNorm planes of whole StatLanes.
+// checkTraffic holds a single-image trace to the layer kinds the models
+// may run, a conv first, and BatchNorm planes of whole StatLanes.
 func checkTraffic(t *testing.T, what string, tr Trace) {
 	t.Helper()
 	if len(tr) == 0 || tr[0].Kind != nn.KindConv {
@@ -83,9 +83,9 @@ func checkTraffic(t *testing.T, what string, tr Trace) {
 	}
 	for _, l := range tr {
 		switch l.Kind {
-		case nn.KindConv, nn.KindAct, nn.KindPool, nn.KindLinear:
+		case nn.KindConv, nn.KindPool, nn.KindLinear:
 		case nn.KindBN:
-			if plane := l.OutElems / (l.Batch * l.BNChannels); plane%tensor.StatLanes != 0 {
+			if plane := l.OutElems / l.BNChannels; plane%tensor.StatLanes != 0 {
 				t.Errorf("%s: %s has planes of %d elements, not a multiple of %d", what, l.LayerName, plane, tensor.StatLanes)
 			}
 		default:

@@ -9,6 +9,7 @@ import (
 
 	"edgetta/internal/models"
 	"edgetta/internal/nn"
+	"edgetta/internal/tensor"
 )
 
 // tinyModel is a conv and a BatchNorm: its whole checkpoint is a few
@@ -17,7 +18,7 @@ import (
 func tinyModel(seed int64) *models.Model {
 	rng := rand.New(rand.NewSource(seed))
 	return &models.Model{Tag: "tiny", Net: nn.NewSequential("net",
-		nn.NewConv2d("conv", rng, 1, 2, 1, 1, 0, 1), nn.NewBatchNorm2d("bn", 2))}
+		nn.NewConv2d("conv", rng, 1, 2, 1, 1, 0, 1), nn.NewBatchNorm2d("bn", 2, tensor.Rect{}))}
 }
 
 // bits renders each tensor as its name followed by its raw float bits.

@@ -2,12 +2,10 @@ package study
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"edgetta/internal/core"
 	"edgetta/internal/device"
-	"edgetta/internal/models"
 	"edgetta/internal/nn"
 	"edgetta/internal/profile"
 	"edgetta/internal/tensor"
@@ -196,25 +194,22 @@ func Kernels() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %15s %13s %16s\n", "model", "in-place convs", "staged convs", "staged KB/image")
 	for _, tag := range ModelTags {
-		m, err := models.ByTag(tag, rand.New(rand.NewSource(1)), models.Full)
+		p, err := profile.Get(tag)
 		if err != nil {
 			return "", err
 		}
 		inPlace, staged, stagedFloats := 0, 0, 0
-		profile.Capture(m) // a real forward, so every conv has seen its input geometry
-		nn.Walk(m.Net, func(l nn.Layer) {
-			c, ok := l.(*nn.Conv2d)
-			if !ok {
-				return
-			}
-			if shape := c.ConvShape(); shape.InPlace() {
+		for _, l := range p.Trace {
+			switch {
+			case l.Kind != nn.KindConv:
+			case l.Conv.InPlace():
 				inPlace++
-			} else {
+			default:
 				staged++
-				stagedFloats += tensor.NewConvPlan(shape).StagedLen()
+				stagedFloats += tensor.NewConvPlan(l.Conv).StagedLen()
 			}
-		})
-		fmt.Fprintf(&b, "%-10s %15d %13d %16.1f\n", m.Tag, inPlace, staged, float64(4*stagedFloats)/1024)
+		}
+		fmt.Fprintf(&b, "%-10s %15d %13d %16.1f\n", p.Tag, inPlace, staged, float64(4*stagedFloats)/1024)
 	}
 	return b.String(), nil
 }

@@ -15,9 +15,8 @@ import "math"
 // The rectifier's backward gate. The gradient pair recomputes the value a
 // forward rectified, z = γ·x̂ + β, from the layer input in the forward's
 // own rounding, so a batch norm's backward reads dy and x and no saved
-// output. Only the rectifier's own backward (RectGradPlanes: a stand-alone
-// ReLU, and the gate behind a residual add, whose z the residual moved)
-// reads the output it gates by.
+// output. Only the gate behind a residual add (RectGradPlanes), whose z
+// the residual moved, reads the output it gates by.
 //
 // Reduction shape. The sums are float64 and run in StatLanes independent
 // lanes: element i of a plane is added to lane i mod StatLanes, in
@@ -55,9 +54,10 @@ type Affine struct {
 	Mean, InvStd, Gamma, Beta float32
 }
 
-// Mode bits of the kernels below.
+// Mode bits of the kernels below. The forward map always applies its
+// Affine and reads no opAffine bit.
 const (
-	opAffine   = 1 << iota // apply the Affine / batch-norm arithmetic
+	opAffine   = 1 << iota // backward: apply the batch-norm arithmetic
 	opResidual             // add a residual plane after the affine map
 	opRect                 // rectify last (forward) / gate the gradient (backward)
 	opVary                 // backward: the statistics depended on the input
@@ -85,9 +85,6 @@ func (r Rect) mode() int {
 // the one before (C·H·W for a channel of an N×C×H×W tensor). Every operand
 // of a call shares the one placement.
 type Planes struct{ N, Len, Stride int }
-
-// OnePlane is n contiguous elements taken as a single plane.
-func OnePlane(n int) Planes { return Planes{N: 1, Len: n, Stride: n} }
 
 func (p Planes) empty() bool { return p.N <= 0 || p.Len <= 0 }
 
@@ -133,20 +130,15 @@ func MergeLanes(acc *[StatLanes]float64) float64 {
 }
 
 // NormalizePlanes writes y = rect(a(x) + res) over the planes: the affine
-// map when a is non-nil, then the residual when res is non-nil, then the
-// rectifier — always in that order, each step one float32 rounding. y may
-// be x: each element is read once, before its result is written.
-func NormalizePlanes(y, x, res []float32, p Planes, a *Affine, rect Rect) {
+// map, then the residual when res is non-nil, then the rectifier — always
+// in that order, each step one float32 rounding. y may be x: each element
+// is read once, before its result is written.
+func NormalizePlanes(y, x, res []float32, p Planes, a Affine, rect Rect) {
 	mode := rect.mode()
-	var k Affine
-	if a != nil {
-		mode |= opAffine
-		k = *a
-	}
 	if res != nil {
 		mode |= opResidual
 	}
-	normalizePlanes(y, x, res, p, k.Mean, k.InvStd, k.Gamma, k.Beta, rect.hi(), mode)
+	normalizePlanes(y, x, res, p, a.Mean, a.InvStd, a.Gamma, a.Beta, rect.hi(), mode)
 }
 
 // GradSumsPlanes adds Σdy and Σdy·x̂ over the planes into the two lane
@@ -184,8 +176,10 @@ func GradInputPlanes(dx, dy, x []float32, p Planes, g BNGrad, rect Rect) {
 	gradInputPlanes(dx, dy, x, p, g.Mean, g.InvStd, g.Gamma, g.Beta, g.Scale, g.MeanDy, g.MeanDyXhat, rect.hi(), mode)
 }
 
-// RectGradPlanes is the rectifier's own backward over the planes: dx is dy
-// where the saved output out passed the rectifier and +0 elsewhere. dx may
+// RectGradPlanes is the rectifier's backward read from the saved output:
+// dx is dy where out passed the rectifier and +0 elsewhere. A batch norm
+// that added a residual before its rectifier gates the gradient with it,
+// since the residual moved the z the gradient pair would recompute. dx may
 // be dy.
 func RectGradPlanes(dx, dy, out []float32, p Planes, rect Rect) {
 	gradInputPlanes(dx, dy, out, p, 0, 0, 0, 0, 0, 0, 0, rect.hi(), rect.mode())

@@ -35,9 +35,9 @@ func specials(cap float32) []float32 {
 	return s
 }
 
-// oldReLU is the rectifier as nn.ReLU.Forward wrote it before the fused
-// kernels, kept as the oracle: a zeroed output that receives v where the
-// mask passes and Cap where v reached it.
+// oldReLU is the rectifier as a stand-alone layer wrote it before the
+// fused kernels, kept as the oracle: a zeroed output that receives v where
+// the mask passes and Cap where v reached it.
 func oldReLU(v, cap float32) (y float32, pass bool) {
 	pass = v > 0 && (cap == 0 || v < cap)
 	if pass {
@@ -108,7 +108,7 @@ func TestPlaneKernelsMatchGenericTwins(t *testing.T) {
 			for _, rect := range rects {
 				xs := plane(rng, n, off, rect.Cap)
 				res := plane(rng, n, (off+1)%4, rect.Cap)
-				for mode := 0; mode < 4; mode++ { // affine and residual bits
+				for _, mode := range []int{0, opResidual} {
 					m := mode | rect.mode()
 					got, want := make([]float32, n), make([]float32, n)
 					normalize(got, xs, res, 0.3, 1.7, -0.8, 0.1, rect.hi(), m)
@@ -169,39 +169,31 @@ func TestEpilogueMatchesThreePassOracle(t *testing.T) {
 				x[i] = sp[(i+rot)%len(sp)]
 				res[i] = sp[(i*7+rot)%len(sp)]
 			}
-			for _, withAffine := range []bool{false, true} {
-				for _, withRes := range []bool{false, true} {
-					for _, rect := range []Rect{{}, {On: true, Cap: cap}} {
-						want := make([]float32, n)
-						for i, v := range x {
-							if withAffine {
-								xh := (v - a.Mean) * a.InvStd
-								v = a.Gamma*xh + a.Beta
-							}
-							if withRes {
-								v += 1 * res[i] // Tensor.Add's expression
-							}
-							if rect.On {
-								v, _ = oldReLU(v, cap)
-							}
-							want[i] = v
-						}
-						got := make([]float32, n)
-						var ap *Affine
-						if withAffine {
-							ap = &a
-						}
-						var r []float32
+			for _, withRes := range []bool{false, true} {
+				for _, rect := range []Rect{{}, {On: true, Cap: cap}} {
+					want := make([]float32, n)
+					for i, v := range x {
+						xh := (v - a.Mean) * a.InvStd
+						v = a.Gamma*xh + a.Beta
 						if withRes {
-							r = res
+							v += 1 * res[i] // Tensor.Add's expression
 						}
-						NormalizePlanes(got, x, r, OnePlane(n), ap, rect)
-						for i := range got {
-							if !sameF32(got[i], want[i]) {
-								t.Fatalf("cap=%v affine=%v res=%v rect=%v: x=%v res=%v → %v (%#x), three-pass oracle %v (%#x)",
-									cap, withAffine, withRes, rect.On, x[i], res[i],
-									got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
-							}
+						if rect.On {
+							v, _ = oldReLU(v, cap)
+						}
+						want[i] = v
+					}
+					got := make([]float32, n)
+					var r []float32
+					if withRes {
+						r = res
+					}
+					NormalizePlanes(got, x, r, onePlane(n), a, rect)
+					for i := range got {
+						if !sameF32(got[i], want[i]) {
+							t.Fatalf("cap=%v res=%v rect=%v: x=%v res=%v → %v (%#x), three-pass oracle %v (%#x)",
+								cap, withRes, rect.On, x[i], res[i],
+								got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 						}
 					}
 				}
@@ -225,9 +217,11 @@ func TestRectifierGateReadsTheSavedOutput(t *testing.T) {
 				dy[i] = float32(i) - 14.5
 			}
 			dy[rot] = negZero
-			NormalizePlanes(out, v, nil, OnePlane(n), nil, rect)
+			// The identity map moves only −0, to the +0 the rectifier
+			// makes of it anyway: out is rect(v).
+			NormalizePlanes(out, v, nil, onePlane(n), Affine{InvStd: 1, Gamma: 1}, rect)
 			dx := make([]float32, n)
-			RectGradPlanes(dx, dy, out, OnePlane(n), rect)
+			RectGradPlanes(dx, dy, out, onePlane(n), rect)
 			for i := range dx {
 				_, pass := oldReLU(v[i], cap)
 				want := float32(0)
@@ -279,10 +273,10 @@ func TestRecomputedGateMatchesSavedOutput(t *testing.T) {
 				x[i] = tc.x[i%len(tc.x)]
 				dy[i] = float32(i) - 18.5
 			}
-			p := OnePlane(n)
+			p := onePlane(n)
 			a := Affine{Mean: 0, InvStd: 1, Gamma: tc.gamma, Beta: tc.beta}
 			out := make([]float32, n)
-			NormalizePlanes(out, x, nil, p, &a, rect)
+			NormalizePlanes(out, x, nil, p, a, rect)
 			want := make([]float32, n)
 			RectGradPlanes(want, dy, out, p, rect)
 			got, twin := make([]float32, n), make([]float32, n)
@@ -316,7 +310,7 @@ func TestPlaneStatisticsShape(t *testing.T) {
 	naive := 0.0
 	for p := 0; p < 3; p++ {
 		x := finitePlane(rng, 70+p, p)
-		SumPlanes(&acc, x, OnePlane(len(x)))
+		SumPlanes(&acc, x, onePlane(len(x)))
 		for i, v := range x {
 			want[i%StatLanes] += float64(v)
 			naive += float64(v)
@@ -341,7 +335,7 @@ func TestPlaneStatisticsShape(t *testing.T) {
 
 	x := finitePlane(rng, 64, 1)
 	var sq [StatLanes]float64
-	SumSqDevPlanes(&sq, x, OnePlane(len(x)), 0.5)
+	SumSqDevPlanes(&sq, x, onePlane(len(x)), 0.5)
 	ss := 0.0
 	for _, v := range x {
 		d := float64(v - 0.5)

@@ -930,8 +930,9 @@ il_next:
 // in — and with it the order of every addition — is fixed by the data's
 // position alone.
 //
-// Mode bits (elementwise.go): 1 affine, 2 residual, 4 rectifier, 8 the
-// statistics varied with the input. hi is the rectifier's cap, or NaN for
+// Mode bits (elementwise.go): 1 affine (read by the input gradient only:
+// the normalize always maps), 2 residual, 4 rectifier, 8 the statistics
+// varied with the input. hi is the rectifier's cap, or NaN for
 // none: VMINPS(hi, v) and the gate's hi <= v compare are both written so
 // that a NaN hi never clamps and never gates. The gradient pair takes the
 // forward's gamma and beta and recomputes the rectified z = gamma*xhat +
@@ -1031,8 +1032,8 @@ psq_loop16:
 	RET
 
 // func normalizeAVX2(y, x, res []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
-// y = rect(gamma*((x-mean)*inv) + beta + res), each step under its mode bit;
-// plen a positive multiple of 8. The mode tests are loop-invariant
+// y = rect(gamma*((x-mean)*inv) + beta + res), the residual and the
+// rectifier each under its mode bit; plen a positive multiple of 8. The mode tests are loop-invariant
 // branches: perfectly predicted, and cheaper than one loop per mode.
 //   DI y   SI x   DX res (plane starts)   BX byte offset   CX byte length
 //   AX mode   R9 planes left
@@ -1059,14 +1060,10 @@ norm_plane:
 
 norm_loop8:
 	VMOVUPS	(SI)(BX*1), Y0
-	TESTQ	$1, AX
-	JZ	norm_res
 	VSUBPS	Y8, Y0, Y0
 	VMULPS	Y9, Y0, Y0
 	VMULPS	Y10, Y0, Y0
 	VADDPS	Y11, Y0, Y0
-
-norm_res:
 	TESTQ	$2, AX
 	JZ	norm_rect
 	VADDPS	(DX)(BX*1), Y0, Y0
@@ -1393,21 +1390,22 @@ zsq_next:
 	VZEROUPPER
 	RET
 
-// NORM16 maps the 16 inputs in Z0 as normalizeAVX2 does, each step under
-// its mode mask (K1 affine, K3 rectifier), the residual added from
-// (DX)(BX*1) under kr (K2, or K2 and the tail).
+// NORM16 maps the 16 inputs in Z0 as normalizeAVX2 does, the rectifier
+// under its mode mask K3, the residual added from (DX)(BX*1) under kr
+// (K2, or K2 and the tail).
 #define NORM16(kr) \
-	VSUBPS	Z8, Z0, K1, Z0; \
-	VMULPS	Z9, Z0, K1, Z0; \
-	VMULPS	Z10, Z0, K1, Z0; \
-	VADDPS	Z11, Z0, K1, Z0; \
+	VSUBPS	Z8, Z0, Z0; \
+	VMULPS	Z9, Z0, Z0; \
+	VMULPS	Z10, Z0, Z0; \
+	VADDPS	Z11, Z0, Z0; \
 	VADDPS	(DX)(BX*1), Z0, kr, Z0; \
 	VMAXPS	Z13, Z0, K3, Z0; \
 	VMINPS	Z0, Z12, K3, Z0
 
 // func normalizePlanesAVX512(y, x, res []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
-// y = rect(gamma*((x-mean)*inv) + beta + res) over the planes, each step
-// under its mode bit; y may be x. res is read only under its bit.
+// y = rect(gamma*((x-mean)*inv) + beta + res) over the planes, the
+// residual and the rectifier each under its mode bit; y may be x. res is
+// read only under its bit.
 //   DI y   SI x   DX res (plane starts)   K4 residual lanes of the tail
 //   Z8 mean  Z9 inv  Z10 gamma  Z11 beta  Z12 hi  Z13 zero
 TEXT ·normalizePlanesAVX512(SB), NOSPLIT, $0-128
@@ -1424,7 +1422,6 @@ TEXT ·normalizePlanesAVX512(SB), NOSPLIT, $0-128
 	VBROADCASTSS	hi+112(FP), Z12
 	VPXORD	Z13, Z13, Z13
 	MOVQ	mode+120(FP), AX
-	MODEMASK(0, K1)
 	MODEMASK(1, K2)
 	MODEMASK(2, K3)
 	MOVQ	plen+72(FP), CX

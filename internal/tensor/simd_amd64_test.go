@@ -437,13 +437,13 @@ func bnChannels(x, res, grad []float32, n, ch, plane int, rect Rect) (y, dx []fl
 		a := Affine{Mean: mean, InvStd: inv, Gamma: 1.1, Beta: -0.2}
 		gate := rect
 		if res != nil {
-			NormalizePlanes(y[o:], x[o:], res[o:], p, &a, rect)
+			NormalizePlanes(y[o:], x[o:], res[o:], p, a, rect)
 			if rect.On {
 				RectGradPlanes(dy[o:], grad[o:], y[o:], p, rect)
 			}
 			gate = Rect{}
 		} else {
-			NormalizePlanes(y[o:], x[o:], nil, p, &a, rect)
+			NormalizePlanes(y[o:], x[o:], nil, p, a, rect)
 		}
 		var s1, s2 [StatLanes]float64
 		GradSumsPlanes(&s1, &s2, dy[o:], x[o:], p, a, gate)
@@ -502,7 +502,7 @@ func BenchmarkPlaneKernels(b *testing.B) {
 		name string
 		p    Planes
 	}{
-		{"1x1024", OnePlane(1024)},
+		{"1x1024", onePlane(1024)},
 		{"50x32x32", Planes{N: 50, Len: 1024, Stride: 64 * 1024}},
 		{"50x16x16", Planes{N: 50, Len: 256, Stride: 64 * 256}},
 		{"50x8x8", Planes{N: 50, Len: 64, Stride: 64 * 64}},

@@ -117,7 +117,7 @@ func rectify(v, hi float32) float32 {
 
 // passed reports whether the rectifier let v through unchanged, v being
 // the value it rectified (affine's z) or its saved output — the same test
-// on either: the old ReLU mask.
+// on either.
 func passed(v, hi float32) bool { return v > 0 && !(hi <= v) }
 
 // affine is the normalize step's arithmetic, shared by the forward and the
@@ -130,9 +130,7 @@ func affine(v, mean, inv, g, b float32) (xh, z float32) {
 
 func normalizeGeneric(y, x, res []float32, mean, inv, g, b, hi float32, mode int) {
 	for i, v := range x {
-		if mode&opAffine != 0 {
-			_, v = affine(v, mean, inv, g, b)
-		}
+		_, v = affine(v, mean, inv, g, b)
 		if mode&opResidual != 0 {
 			v += res[i]
 		}

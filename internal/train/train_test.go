@@ -9,6 +9,7 @@ import (
 	"edgetta/internal/data"
 	"edgetta/internal/models"
 	"edgetta/internal/nn"
+	"edgetta/internal/tensor"
 )
 
 // tinyNet is a micro CNN (two strided convolutions) so the training tests
@@ -17,11 +18,9 @@ func tinyNet(seed int64) *models.Model {
 	rng := rand.New(rand.NewSource(seed))
 	net := nn.NewSequential("micro",
 		nn.NewConv2d("c1", rng, 3, 8, 3, 2, 1, 1),
-		nn.NewBatchNorm2d("bn1", 8),
-		nn.NewReLU("r1"),
+		nn.NewBatchNorm2d("bn1", 8, tensor.Rect{On: true}),
 		nn.NewConv2d("c2", rng, 8, 16, 3, 2, 1, 1),
-		nn.NewBatchNorm2d("bn2", 16),
-		nn.NewReLU("r2"),
+		nn.NewBatchNorm2d("bn2", 16, tensor.Rect{On: true}),
 		nn.NewGlobalAvgPool("gap"),
 		nn.NewLinear("fc", rng, 16, 10),
 	)
