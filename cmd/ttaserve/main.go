@@ -11,12 +11,12 @@
 //	ttaserve -train                                      # robust-train first
 //	ttaserve -http :8080 -replicas 2 -admission shed
 //	ttaserve -http :8080 -watchdog 5s \
-//	         -checkpoint-every 4 -recover /var/lib/edgetta/ckpt
+//	         -recover /var/lib/edgetta/ckpt -checkpoint-every 4  # needs -recover
 //
 // The server exposes the serving wire API (POST /v1/streams,
 // POST /v1/streams/{session}/submit, DELETE /v1/streams/{session} — see
-// internal/serve/httpapi) alongside /metrics (Prometheus text; ?format=json
-// for JSON), /debug/streams (the server-wide serve.Snapshot as JSON), and
+// internal/serve/httpapi) alongside /metrics (Prometheus text),
+// /debug/streams (the server-wide serve.Snapshot as JSON), and
 // /debug/trace (records a Chrome trace for ?sec= seconds and streams it
 // back). It serves until it is killed.
 package main
@@ -54,9 +54,13 @@ func main() {
 	doTrain := flag.Bool("train", false, "robust-train the repro-scale model first (slower, meaningful error rates)")
 	httpAddr := flag.String("http", "127.0.0.1:8080", "serve the wire API, /metrics, /debug/streams and /debug/trace on this address")
 	watchdog := flag.Duration("watchdog", 0, "per-Process watchdog: a replica producing no result within this deadline is quarantined and replaced (0 = off)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint each named session's adaptation state every K applied batches (0 = off)")
-	recoverDir := flag.String("recover", "", "checkpoint spill directory: sessions checkpoint to disk here and resume from it across restarts")
+	ckptEvery := flag.Int("checkpoint-every", 0, "with -recover: checkpoint each named session's adaptation state every K applied batches (0 = 8)")
+	recoverDir := flag.String("recover", "", "checkpoint directory: named sessions checkpoint here and resume from it, also across restarts")
 	flag.Parse()
+
+	if *ckptEvery != 0 && *recoverDir == "" {
+		fatal(fmt.Errorf("-checkpoint-every needs -recover: without a checkpoint directory nothing is checkpointed"))
+	}
 
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
@@ -73,11 +77,6 @@ func main() {
 		MaxBatch: *maxBatch, MaxLinger: *linger, QueueCap: *queueCap,
 		Watchdog:   *watchdog,
 		Checkpoint: serve.CheckpointConfig{Every: *ckptEvery, Dir: *recoverDir},
-	}
-	if *recoverDir != "" && *ckptEvery == 0 {
-		// A spill directory without a cadence would scan but never write;
-		// default to a sensible cadence so -recover alone works.
-		cfg.Checkpoint.Every = 8
 	}
 	switch *admission {
 	case "block":
@@ -113,7 +112,7 @@ func main() {
 	}
 	fmt.Println()
 	if names := srv.CheckpointedSessions(); len(names) > 0 {
-		fmt.Printf("recovery: %d checkpointed session(s) resumable from %s\n", len(names), *recoverDir)
+		fmt.Printf("recovery: %d session checkpoint(s) in %s\n", len(names), *recoverDir)
 	}
 
 	ln, err := net.Listen("tcp", *httpAddr)

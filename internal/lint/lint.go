@@ -8,8 +8,8 @@
 //     not iterate maps (except to collect keys for sorting), read the
 //     clock outside profiler-gated code, use the global math/rand source,
 //     or start goroutines outside the worker pool.
-//   - nestedpar: parallel.For/ForChunked/ForGrain must not be called
-//     syntactically inside another parallel loop body literal.
+//   - nestedpar: parallel.For/ForGrain must not be called syntactically
+//     inside another parallel loop body literal.
 //   - panicsafe: every goroutine started in internal/serve must defer a
 //     recover barrier, so a replica panic is quarantined instead of
 //     killing the serving process.

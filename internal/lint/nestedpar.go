@@ -5,7 +5,7 @@ import (
 	"go/token"
 )
 
-// nestedPar flags parallel.For / ForChunked / ForGrain calls that sit
+// nestedPar flags parallel.For / ForGrain calls that sit
 // syntactically inside the body literal of another parallel loop. The
 // worker pool degrades nested loops to inline execution at runtime, so
 // such code is not incorrect — but the inner loop silently buys zero
@@ -19,7 +19,7 @@ var nestedPar = &Analyzer{
 	Run:  runNestedPar,
 }
 
-var parallelLoopFuncs = []string{"For", "ForChunked", "ForGrain"}
+var parallelLoopFuncs = []string{"For", "ForGrain"}
 
 func runNestedPar(p *Pass) {
 	info := p.Pkg.Info

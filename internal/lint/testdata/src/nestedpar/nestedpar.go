@@ -14,12 +14,12 @@ func nested(n int, out []float32) {
 	})
 }
 
-// deep nesting is reported once per inner call, across the loop variants.
+// deep nesting is reported once per inner call, across both loops.
 func deep(n int, out []float32) {
-	parallel.ForChunked(n, 8, func(lo, hi int) {
-		parallel.ForGrain(hi-lo, 4, func(i int) { // want "nested syntactically"
-			parallel.For(n, func(j int) { // want "nested syntactically"
-				out[(lo+i)*n+j] = 1
+	parallel.ForGrain(n, 8, func(lo, hi int) {
+		parallel.ForGrain(hi-lo, 4, func(a, b int) { // want "nested syntactically"
+			parallel.For(b-a, func(j int) { // want "nested syntactically"
+				out[(lo+a)*n+j] = 1
 			})
 		})
 	})

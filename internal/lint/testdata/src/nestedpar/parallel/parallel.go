@@ -9,14 +9,8 @@ func For(n int, body func(i int)) {
 	}
 }
 
-// ForChunked runs body over index ranges.
-func ForChunked(n, chunk int, body func(lo, hi int)) {
-	_ = chunk
-	body(0, n)
-}
-
-// ForGrain runs body per index with a minimum grain per task.
-func ForGrain(n, grain int, body func(i int)) {
+// ForGrain runs body over index ranges of at least grain indices.
+func ForGrain(n, grain int, body func(lo, hi int)) {
 	_ = grain
-	For(n, body)
+	body(0, n)
 }

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"edgetta/internal/tensor"
@@ -12,8 +11,9 @@ import (
 
 // goldenLogits are FNV-1a hashes of the eval-mode and batch-statistics
 // (train-mode) logits of every repro-scale model on one fixed batch,
-// recorded on amd64 with one fused multiply-add per conv step (acc = fma(w,
-// x, acc), rounded once). A conv kernel change must not move one bit of
+// recorded with one fused multiply-add per conv step (acc = fma(w, x, acc),
+// rounded once). Every generic twin gives its vector routine's bits, so
+// they hold on every GOARCH. A conv kernel change must not move one bit of
 // them; a change that re-pins arithmetic on purpose re-records them and
 // says so.
 var goldenLogits = map[string][2]uint64{
@@ -35,9 +35,6 @@ func logitsHash(x *tensor.Tensor) uint64 {
 }
 
 func TestGoldenLogits(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("the classifier's dot product reduces in a per-build lane order (tensor.dot); the hashes are amd64's")
-	}
 	for _, build := range append(Registry(), MobileNetV2) {
 		m := build(rand.New(rand.NewSource(101)), ReproScale)
 		x := tensor.New(5, m.InC, m.InHW, m.InHW)

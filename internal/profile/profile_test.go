@@ -82,10 +82,10 @@ func TestGroupedConvMACsOnlyForGroupedModels(t *testing.T) {
 
 // TestArchitectureFidelity pins the full-scale models against the counts
 // the paper reports in Sec III-B and IV-F. The BN-parameter counts are
-// exact; total parameters and GMACs are within rounding of the paper's
-// figures (the paper's RXT GMAC figure of 1.08 appears to use a different
-// op-counting convention; EXPERIMENTS.md's calibration anchors are those the
-// simulator is held to).
+// exact; total parameters and GMACs (conv plus linear MACs of one image,
+// pinned here and nowhere else) are within rounding of the paper's figures
+// (EXPERIMENTS.md's calibration anchors are those the simulator is held
+// to).
 func TestArchitectureFidelity(t *testing.T) {
 	cases := []struct {
 		tag       string
@@ -97,7 +97,7 @@ func TestArchitectureFidelity(t *testing.T) {
 	}{
 		{"R18-AM-AT", 7808, 11_000_000, 11_300_000, 0.54, 0.58},
 		{"WRN-AM", 5408, 2_200_000, 2_300_000, 0.31, 0.35},
-		{"RXT-AM", 25216, 6_700_000, 6_930_000, 0.80, 1.10},
+		{"RXT-AM", 25216, 6_700_000, 6_930_000, 1.00, 1.10},
 		{"MBV2", 34112, 2_200_000, 2_400_000, 0.085, 0.100},
 	}
 	for _, tc := range cases {
@@ -151,20 +151,19 @@ func TestBigBNOnlyResNeXt(t *testing.T) {
 // whole cost model rests on (values from the real captured forwards). The
 // activation, saved-element and BN-layer counts are exact: a rectifier
 // counts once per BatchNorm that ends in one, with the output PyTorch
-// saves for it.
+// saves for it. The MAC sum is TestArchitectureFidelity's.
 func TestFullScaleTraceTotals(t *testing.T) {
 	cases := []struct {
 		tag                  string
-		minGMAC, maxGMAC     float64
 		minSavedMB           float64
 		maxSavedMB           float64
 		actLayers, bnLayers  int
 		actElems, savedElems int64
 	}{
-		{"RXT-AM", 1.00, 1.10, 38, 44, 28, 31, 3_112_960, 10_194_944},
-		{"WRN-AM", 0.31, 0.35, 8, 10, 37, 37, 704_512, 2_174_080},
-		{"R18-AM-AT", 0.53, 0.58, 6, 8, 17, 17, 557_056, 1_781_248},
-		{"MBV2", 0.085, 0.10, 17, 21, 35, 52, 1_502_208, 4_765_952},
+		{"RXT-AM", 38, 44, 28, 31, 3_112_960, 10_194_944},
+		{"WRN-AM", 8, 10, 37, 37, 704_512, 2_174_080},
+		{"R18-AM-AT", 6, 8, 17, 17, 557_056, 1_781_248},
+		{"MBV2", 17, 21, 35, 52, 1_502_208, 4_765_952},
 	}
 	for _, c := range cases {
 		p, err := Get(c.tag)
@@ -172,10 +171,6 @@ func TestFullScaleTraceTotals(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := p.Summary
-		g := float64(s.ConvMACs+s.LinearMACs) / 1e9
-		if g < c.minGMAC || g > c.maxGMAC {
-			t.Errorf("%s: %.3f GMACs outside [%.2f, %.2f]", c.tag, g, c.minGMAC, c.maxGMAC)
-		}
 		mb := float64(s.SavedElems) * 4 / 1e6
 		if mb < c.minSavedMB || mb > c.maxSavedMB {
 			t.Errorf("%s: %.1f MB/img saved outside [%.0f, %.0f]", c.tag, mb, c.minSavedMB, c.maxSavedMB)

@@ -52,8 +52,8 @@ type FaultInjector interface {
 	// ProcessFault is consulted once per dispatched Process call.
 	ProcessFault(group string, replica int) Fault
 	// CheckpointFault is consulted before each checkpoint write; a non-nil
-	// error simulates a failed write (the store keeps the previous
-	// checkpoint, exactly like a failed disk write would).
+	// error simulates a failed write (the previous checkpoint file stays,
+	// exactly as a failed disk write leaves it).
 	CheckpointFault(session string, seq uint64) error
 }
 

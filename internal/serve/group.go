@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"os"
 	"slices"
 	"sync"
 	"time"
@@ -175,10 +176,9 @@ type group struct {
 	closed        bool
 	nextStreamID  int
 	streams       map[int]*streamState
-	// names indexes the open named sessions; store is the server-wide
-	// checkpoint store (nil when checkpointing is disabled).
+	// names indexes the open named sessions; a name is held here from
+	// before its checkpoint is read until after it is deleted.
 	names map[string]*streamState
-	store *ckptStore
 
 	// met holds the lifetime counts and live gauges; the plain fields below
 	// are the figures that have no registered metric.
@@ -202,23 +202,12 @@ type group struct {
 }
 
 // open adds a stream to the group. An empty name opens an anonymous
-// stream; a named session must be unique among the open ones and, when the
-// checkpoint store holds its name, resumes from that checkpoint (reported
-// by the second result).
+// stream; a named session must be unique among the open ones and, when its
+// checkpoint file parses, resumes from that checkpoint (reported by the
+// second result). The file is read under g.mu, after the duplicate check:
+// opens are rare, and holding the lock keeps the name reserved while its
+// checkpoint is read.
 func (g *group) open(name string) (*Stream, bool, error) {
-	var state *core.AdapterState
-	var seq uint64
-	every := 0
-	if name != "" && g.stateful && g.store != nil {
-		every = g.cfg.Checkpoint.Every
-		if e := g.store.get(name); e != nil {
-			var err error
-			if state, seq, err = g.resumeState(e); err != nil {
-				return nil, false, err
-			}
-		}
-	}
-
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
@@ -226,6 +215,18 @@ func (g *group) open(name string) (*Stream, bool, error) {
 	}
 	if _, dup := g.names[name]; dup {
 		return nil, false, errBadRequest("%s: session %q already open", g.key, name)
+	}
+	var state *core.AdapterState
+	var seq uint64
+	every := 0
+	if path := g.ckptFile(name); path != "" {
+		every = g.cfg.Checkpoint.Every
+		if h, tensors, ok := readCheckpoint(path); ok {
+			var err error
+			if state, seq, err = g.resumeState(h, tensors); err != nil {
+				return nil, false, err
+			}
+		}
 	}
 	st := &streamState{id: g.nextStreamID, name: name, cur: lifecycle.Open[Response](every)}
 	g.nextStreamID++
@@ -272,17 +273,17 @@ func (g *group) closeStream(st *streamState) {
 	for !st.cur.Drained() {
 		g.cond.Wait()
 	}
+	// An explicitly closed session ended its episode: its checkpoint is
+	// deleted before the name is released, so a reopen starts fresh.
+	if path := g.ckptFile(st.name); path != "" {
+		os.Remove(path)
+	}
 	delete(g.streams, st.id)
 	delete(g.names, st.name) // no entry for an anonymous stream
 	st.state = nil
 	g.met.openStreams.Set(int64(len(g.streams)))
 	g.cond.Broadcast()
 	g.mu.Unlock()
-	// An explicitly closed session ended its episode; its checkpoint is no
-	// longer a recovery target (disk I/O happens off the group lock).
-	if st.name != "" && g.store != nil {
-		g.store.remove(st.name)
-	}
 }
 
 // newReplica builds a replica not yet in the pool: a deep clone of the

@@ -260,8 +260,8 @@ func sessionToken(name string) string { return "n" + hex.EncodeToString([]byte(n
 
 // lookupOrResume resolves a session token, attempting checkpoint resume for
 // unknown named-session tokens — the restart recovery path: the handler's
-// in-memory session table died with the old process, but the checkpoint
-// store survived on disk.
+// in-memory session table died with the old process, but the session's
+// checkpoint file survived.
 func (h *Handler) lookupOrResume(token string) (*serve.Stream, bool) {
 	if st, ok := h.lookup(token); ok {
 		return st, true

@@ -69,6 +69,7 @@ package serve
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -132,7 +133,7 @@ type Config struct {
 	// 0 disables the watchdog (a Process call may take arbitrarily long).
 	Watchdog time.Duration
 	// Checkpoint tunes per-session adaptation-state checkpointing (see
-	// CheckpointConfig). The zero value disables it.
+	// CheckpointConfig). Its Dir turns it on; empty disables it.
 	Checkpoint CheckpointConfig
 	// Injector, when non-nil, is consulted before every Process call and
 	// checkpoint write — the seeded chaos hook (see FaultInjector and
@@ -148,30 +149,32 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
+	if c.Checkpoint.Every <= 0 {
+		c.Checkpoint.Every = 8
+	}
 	return c
 }
 
 // Server multiplexes adaptation streams over replica groups.
 type Server struct {
-	cfg   Config
-	store *ckptStore
+	cfg Config
 
 	mu     sync.Mutex
 	groups map[GroupKey]*group
 	closed bool
 }
 
-// New constructs an empty server; add replica groups with AddGroup. When
-// checkpointing is configured with a spill directory, the directory is
-// scanned here and any valid checkpoints it holds become resumable
-// sessions (the ttaserve -recover path).
+// New constructs an empty server; add replica groups with AddGroup. It
+// creates Checkpoint.Dir when one is set and reads nothing from it: a
+// checkpoint there is read when its session name is opened (the ttaserve
+// -recover path).
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg.withDefaults(), groups: make(map[GroupKey]*group)}
 	if s.cfg.Registry == nil {
 		s.cfg.Registry = telemetry.NewRegistry()
 	}
-	if s.cfg.Checkpoint.enabled() {
-		s.store = newCkptStore(s.cfg.Checkpoint.Dir)
+	if dir := s.cfg.Checkpoint.Dir; dir != "" {
+		os.MkdirAll(dir, 0o755)
 	}
 	return s
 }
@@ -203,7 +206,6 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		inHW:         m.InHW,
 		streams:      make(map[int]*streamState),
 		names:        make(map[string]*streamState),
-		store:        s.store,
 		batchHist:    &telemetry.Hist{},
 		e2eHist:      &telemetry.Hist{},
 		recoveryHist: &telemetry.Hist{},

@@ -7,15 +7,9 @@ import (
 	"time"
 )
 
-// MetricsHandler serves a registry in Prometheus text format, or as JSON
-// with ?format=json.
+// MetricsHandler serves a registry in Prometheus text format.
 func MetricsHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			r.WriteJSON(w)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		r.WritePrometheus(w)
 	})

@@ -216,35 +216,3 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteJSON renders the registry as a JSON object keyed by metric name in
-// sorted order. Built by hand so that output bytes are deterministic and
-// the package stays free of ranged-over maps.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("{")
-	for i, e := range r.snapshot() {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		fmt.Fprintf(&b, "%s:{%q:%q,", strconv.Quote(e.key()), "type", e.typ)
-		switch e.typ {
-		case "counter":
-			fmt.Fprintf(&b, "%q:%d}", "value", e.c.Value())
-		case "gauge":
-			fmt.Fprintf(&b, "%q:%d}", "value", e.g.Value())
-		case "gaugefunc":
-			fmt.Fprintf(&b, "%q:%g}", "value", e.fn())
-		case "histogram":
-			s := e.h.Summary()
-			fmt.Fprintf(&b, "%q:%d,%q:%g,%q:%g,%q:%g,%q:%g,%q:%g}",
-				"count", s.Count,
-				"mean_s", s.Mean.Seconds(), "p50_s", s.P50.Seconds(),
-				"p95_s", s.P95.Seconds(), "p99_s", s.P99.Seconds(),
-				"max_s", s.Max.Seconds())
-		}
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}

@@ -53,26 +53,6 @@ func TestRegistryPrometheusDeterministic(t *testing.T) {
 	}
 }
 
-func TestRegistryJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total").Inc()
-	r.Gauge("b").Set(-4)
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, `"a_total":{"type":"counter","value":1}`) {
-		t.Errorf("JSON missing counter: %s", out)
-	}
-	if !strings.Contains(out, `"b":{"type":"gauge","value":-4}`) {
-		t.Errorf("JSON missing gauge: %s", out)
-	}
-	if !strings.HasPrefix(out, "{") || !strings.HasSuffix(strings.TrimSpace(out), "}") {
-		t.Errorf("not a JSON object: %s", out)
-	}
-}
-
 func TestRegistryIdempotentRegistration(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("x_total", "k", "v")
@@ -128,9 +108,6 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	for s := 0; s < 50; s++ {
 		var b strings.Builder
 		if err := r.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.WriteJSON(&b); err != nil {
 			t.Fatal(err)
 		}
 		// Registration during scraping must also be safe.

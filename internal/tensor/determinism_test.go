@@ -96,8 +96,27 @@ func TestAxpyMatchesGenericBitwise(t *testing.T) {
 // TestDotDeterministicAndAccurate: dot's lane-reduction order differs from
 // the scalar left-to-right sum, so it is compared against a float64
 // reference within float32 tolerance — but repeated calls must agree
-// exactly, as must any worker count (dot has no parallel substructure).
+// exactly, as must any worker count (dot has no parallel substructure),
+// and the vector path must give dotGeneric's bits at every length: every
+// block shape, tail and reduction step up to 130, and 1000.
 func TestDotDeterministicAndAccurate(t *testing.T) {
+	twin := rand.New(rand.NewSource(17))
+	lengths := []int{1000}
+	for n := 0; n <= 130; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		x := make([]float32, n)
+		y := make([]float32, n)
+		for i := range x {
+			x[i] = float32(twin.NormFloat64() * math.Exp(4*twin.NormFloat64()))
+			y[i] = float32(twin.NormFloat64())
+		}
+		if got, want := dot(x, y), dotGeneric(x, y); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("n=%d: dot = %g (%#x), dotGeneric = %g (%#x)", n, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+	}
+
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 100, 1000} {
 		x := make([]float32, n)

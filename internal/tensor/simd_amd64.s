@@ -9,9 +9,8 @@
 // The plane kernels and dotAVX2 never fuse.
 //
 // dotAVX2 accumulates in four independent 8-lane registers and reduces at
-// the end; the reduction order is fixed by the kernel, so results are
-// deterministic for any worker count (they differ from the scalar
-// fallback's left-to-right order, which only non-amd64 builds use).
+// the end in a fixed order, which dotGeneric repeats step for step, so
+// dot's bits are the same on every architecture and worker count.
 
 #include "textflag.h"
 

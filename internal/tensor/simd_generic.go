@@ -2,10 +2,9 @@ package tensor
 
 import "math"
 
-// Scalar reference kernels. axpyGeneric is bit-identical to the AVX2 path
-// (both perform one fused multiply-add per element, rounded once);
-// dotGeneric accumulates left-to-right, which the vector path does not,
-// so dot results are deterministic per build rather than per architecture.
+// Scalar reference kernels, each bit-identical to its vector routine:
+// axpyGeneric performs one fused multiply-add per element, rounded once,
+// and dotGeneric reduces in dotAVX2's lane order.
 
 // fma32 returns a·b+c rounded once to float32: the bits of one
 // VFMADD231SS on finite operands, and its Inf or NaN otherwise. It is the
@@ -74,11 +73,36 @@ func roundOdd(p, c, s float64) float64 {
 	return math.Float64frombits(bits - 1)
 }
 
+// dotGeneric is dotAVX2's twin: four 8-lane accumulators over 32-element
+// blocks, each 8-element block after them into accumulator 0, the
+// accumulators summed as (0+1)+(2+3), the high four lanes added onto the
+// low four, those summed as (l0+l1)+(l2+l3), then the scalar tail left to
+// right. Every product is rounded on its own (float32(...)), as VMULPS
+// rounds it, so a compiler that fuses x*y+z cannot change a bit.
 func dotGeneric(x, y []float32) float32 {
-	_ = y[len(x)-1]
-	s := float32(0)
-	for i, xv := range x {
-		s += xv * y[i]
+	var acc [4][8]float32
+	n, i := len(x), 0
+	for ; i+32 <= n; i += 32 {
+		xs, ys := x[i:i+32], y[i:i+32]
+		for a := range acc {
+			for l := range acc[a] {
+				acc[a][l] += float32(xs[8*a+l] * ys[8*a+l])
+			}
+		}
+	}
+	for ; i+8 <= n; i += 8 {
+		xs, ys := x[i:i+8], y[i:i+8]
+		for l := range acc[0] {
+			acc[0][l] += float32(xs[l] * ys[l])
+		}
+	}
+	var v [8]float32
+	for l := range v {
+		v[l] = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l])
+	}
+	s := ((v[0] + v[4]) + (v[1] + v[5])) + ((v[2] + v[6]) + (v[3] + v[7]))
+	for ; i < n; i++ {
+		s += float32(x[i] * y[i])
 	}
 	return s
 }
