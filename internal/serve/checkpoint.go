@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/hex"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,15 +17,17 @@ import (
 // state is flattened (core.FlattenState) into the serialize state container
 // together with the stream's routing and last applied sequence number, and
 // written whole over Dir/<hex(name)>.ckpt. That file is the checkpoint's
-// only copy. Opening the name reads it back: the session resumes
-// mid-episode, in the same process or in a new one pointed at the same
-// directory (ttaserve -recover). A resumed session replays
-// byte-identically to the original run truncated at the checkpoint — state
-// flattening is exact and Process is deterministic — which is the recovery
-// parity contract pinned by the tests.
+// only copy. Opening the name, or looking up its token (Server.Stream),
+// reads it back: the session resumes mid-episode, in the same process or
+// in a new one pointed at the same directory (ttaserve -recover). A
+// resumed session replays byte-identically to the original run truncated
+// at the checkpoint — state flattening is exact and Process is
+// deterministic — which is the recovery parity contract pinned by the
+// tests.
 //
-// The session name owns its file: open reserves the name before it reads
-// the file, and Close deletes the file before it releases the name, so no
+// The session name owns its file: names are unique server-wide, the
+// server's session table reserves the name's token before the file is
+// read, and Close deletes the file before the token is released, so no
 // reopen can resume an episode its client closed.
 
 // CheckpointConfig tunes per-session adaptation-state checkpointing.
@@ -115,76 +116,6 @@ func (g *group) writeCheckpoint(name string, state *core.AdapterState, seq uint6
 		return err
 	}
 	return replaceFile(g.ckptFile(name), buf.Bytes())
-}
-
-// resumeState validates a parsed checkpoint against the group: the routing
-// must match and the tensors must be exactly the ones the group's state
-// layout generates (same architecture, same algorithm, same format), so a
-// stale or foreign checkpoint fails loudly instead of mis-restoring.
-func (g *group) resumeState(h serialize.StateHeader, tensors []serialize.Tensor) (*core.AdapterState, uint64, error) {
-	if h.Model != g.key.ModelTag || h.Algo != g.key.Algo.String() {
-		return nil, 0, errBadRequest("%s: checkpoint belongs to %s/%s", g.key, h.Model, h.Algo)
-	}
-	state, err := core.UnflattenState(g.initial, h.Kind, tensors)
-	if err != nil {
-		return nil, 0, errBadRequest("%s: checkpoint: %v", g.key, err)
-	}
-	return state, h.Seq, nil
-}
-
-// OpenSession opens a named, recoverable stream in the group. If
-// Checkpoint.Dir holds a checkpoint for the name (written by a previous
-// stream of this name, possibly in a previous process), the session
-// resumes from it: the stream's state and sequence position continue where
-// the checkpoint left off, and the returned resumed flag is true. Session
-// names must be unique among open streams of the group.
-func (s *Server) OpenSession(key GroupKey, name string) (*Stream, bool, error) {
-	if name == "" {
-		return nil, false, errBadRequest("empty session name")
-	}
-	g, err := s.group(key)
-	if err != nil {
-		return nil, false, err
-	}
-	return g.open(name)
-}
-
-// ResumeSession reopens a checkpointed session by name alone, deriving the
-// group from the checkpoint's routing header — the path the HTTP front-end
-// takes when a request arrives for a session token it does not know (the
-// process restarted under the client). Fails with CodeNoGroup when no
-// checkpoint exists or its group is not registered.
-func (s *Server) ResumeSession(name string) (*Stream, error) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if s.cfg.Checkpoint.Dir == "" {
-		return nil, &Error{Code: CodeNoGroup, Msg: "serve: checkpointing disabled, cannot resume sessions"}
-	}
-	h, _, ok := readCheckpoint(ckptPath(s.cfg.Checkpoint.Dir, name))
-	if !ok {
-		return nil, &Error{Code: CodeNoGroup, Msg: fmt.Sprintf("no checkpoint for session %q", name)}
-	}
-	algo, err := core.ParseAlgorithm(h.Algo)
-	if err != nil {
-		return nil, errBadRequest("checkpoint for session %q: %v", name, err)
-	}
-	key := GroupKey{Algo: algo, ModelTag: h.Model}
-	st, resumed, err := s.OpenSession(key, name)
-	if err != nil {
-		return nil, err
-	}
-	if !resumed {
-		// The file was there but the group did not resume from it; treat
-		// it as not recoverable rather than silently starting a fresh
-		// episode.
-		st.Close()
-		return nil, &Error{Code: CodeNoGroup, Msg: fmt.Sprintf("session %q checkpoint not resumable", name)}
-	}
-	return st, nil
 }
 
 // CheckpointedSessions lists the session names with a checkpoint file in

@@ -94,7 +94,7 @@ func TestCheckpointDirIsTheSwitch(t *testing.T) {
 }
 
 // TestUnparseableCheckpointStartsFresh: a checkpoint file that does not
-// parse is no recovery point. ResumeSession refuses the name with
+// parse is no recovery point. Server.Stream refuses the name's token with
 // CodeNoGroup, and OpenSession starts the session fresh.
 func TestUnparseableCheckpointStartsFresh(t *testing.T) {
 	dir := t.TempDir()
@@ -107,10 +107,10 @@ func TestUnparseableCheckpointStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddGroup: %v", err)
 	}
-	_, err = srv.ResumeSession("sess")
+	_, err = srv.Stream(sessionToken("sess"))
 	var se *Error
 	if !errors.As(err, &se) || se.Code != CodeNoGroup {
-		t.Fatalf("ResumeSession over an unparseable checkpoint: err = %v, want CodeNoGroup", err)
+		t.Fatalf("Stream over an unparseable checkpoint: err = %v, want CodeNoGroup", err)
 	}
 	st, resumed, err := srv.OpenSession(key, "sess")
 	if err != nil || resumed {

@@ -29,7 +29,8 @@ const (
 	// CodeBadRequest: the submitted batch is malformed (wrong rank or
 	// shape for the group's model).
 	CodeBadRequest
-	// CodeNoGroup: no replica group is registered under the requested key.
+	// CodeNoGroup: no replica group is registered under the requested key,
+	// or a token names no open stream and no checkpoint to resume.
 	CodeNoGroup
 	// CodeDeadline: the request's context deadline expired while the
 	// request was queued (or while blocked on admission).
@@ -152,6 +153,12 @@ func errBadRequest(format string, args ...any) *Error {
 // errNoGroup builds a CodeNoGroup instance.
 func errNoGroup(key GroupKey) *Error {
 	return &Error{Code: CodeNoGroup, Msg: fmt.Sprintf("no group %s", key)}
+}
+
+// errNoSession builds the CodeNoGroup instance for a token that names no
+// open stream and no checkpoint to resume.
+func errNoSession(token string) *Error {
+	return &Error{Code: CodeNoGroup, Msg: fmt.Sprintf("no open session or checkpoint for token %q", token)}
 }
 
 // errOverloaded builds a CodeOverloaded instance carrying the observed

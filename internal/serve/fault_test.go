@@ -374,9 +374,9 @@ func checkpointResumeParity(t *testing.T, algo core.Algorithm) {
 	if _, err := srvB.AddGroup(base, algo, core.Config{}, 1); err != nil {
 		t.Fatalf("AddGroup: %v", err)
 	}
-	stB, err := srvB.ResumeSession("sess")
+	stB, err := srvB.Stream(sessionToken("sess"))
 	if err != nil {
-		t.Fatalf("ResumeSession: %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
 	if got := stB.Snapshot().AppliedSeq; got != 4 {
 		t.Fatalf("resumed AppliedSeq = %d, want 4 (the last checkpoint)", got)
@@ -401,11 +401,11 @@ func checkpointResumeParity(t *testing.T, algo core.Algorithm) {
 		t.Errorf("post-resume gap: err = %v, want CodeSequence with ExpectSeq %d", err, len(inputs)+1)
 	}
 
-	// ResumeSession for a name with no checkpoint fails typed.
-	if _, err := srvB.ResumeSession("never-seen"); err == nil {
-		t.Errorf("ResumeSession on unknown name succeeded")
+	// The token of a name with no checkpoint fails typed.
+	if _, err := srvB.Stream(sessionToken("never-seen")); err == nil {
+		t.Errorf("Stream on unknown name succeeded")
 	} else if !errors.As(err, &se) || se.Code != CodeNoGroup {
-		t.Errorf("ResumeSession unknown: err = %v, want CodeNoGroup", err)
+		t.Errorf("Stream unknown: err = %v, want CodeNoGroup", err)
 	}
 
 	// An explicit Close ends the episode and retires the checkpoint.
@@ -459,9 +459,9 @@ func TestCheckpointWriteFailureKeepsPrevious(t *testing.T) {
 	if _, err := srvB.AddGroup(base, core.BNNorm, core.Config{}, 1); err != nil {
 		t.Fatalf("AddGroup: %v", err)
 	}
-	stB, err := srvB.ResumeSession("sess")
+	stB, err := srvB.Stream(sessionToken("sess"))
 	if err != nil {
-		t.Fatalf("ResumeSession: %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
 	if got := stB.Snapshot().AppliedSeq; got != 2 {
 		t.Fatalf("resumed AppliedSeq = %d, want 2 (the surviving checkpoint; write at 4 failed)", got)
@@ -528,10 +528,10 @@ func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 	if _, err := srvB.AddGroup(base, core.BNOpt, core.Config{}, 1); err != nil {
 		t.Fatalf("AddGroup: %v", err)
 	}
-	_, err = srvB.ResumeSession("sess")
+	_, err = srvB.Stream(sessionToken("sess"))
 	var se *Error
 	if !errors.As(err, &se) || se.Code != CodeBadRequest || !strings.Contains(err.Error(), `"bn.usebatch"`) {
-		t.Fatalf("ResumeSession on an older-format checkpoint: err = %v, want CodeBadRequest naming bn.usebatch", err)
+		t.Fatalf("Stream on an older-format checkpoint: err = %v, want CodeBadRequest naming bn.usebatch", err)
 	}
 }
 

@@ -176,9 +176,6 @@ type group struct {
 	closed        bool
 	nextStreamID  int
 	streams       map[int]*streamState
-	// names indexes the open named sessions; a name is held here from
-	// before its checkpoint is read until after it is deleted.
-	names map[string]*streamState
 
 	// met holds the lifetime counts and live gauges; the plain fields below
 	// are the figures that have no registered metric.
@@ -201,32 +198,19 @@ type group struct {
 	wg sync.WaitGroup
 }
 
-// open adds a stream to the group. An empty name opens an anonymous
-// stream; a named session must be unique among the open ones and, when its
-// checkpoint file parses, resumes from that checkpoint (reported by the
-// second result). The file is read under g.mu, after the duplicate check:
-// opens are rare, and holding the lock keeps the name reserved while its
-// checkpoint is read.
-func (g *group) open(name string) (*Stream, bool, error) {
+// open adds a stream to the group under a name the server's session
+// table holds ("" for an anonymous stream). A non-nil state is the
+// checkpoint the stream resumes from, applied through seq; nil starts the
+// episode fresh.
+func (g *group) open(name string, state *core.AdapterState, seq uint64) (*streamState, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return nil, false, ErrClosed
+		return nil, ErrClosed
 	}
-	if _, dup := g.names[name]; dup {
-		return nil, false, errBadRequest("%s: session %q already open", g.key, name)
-	}
-	var state *core.AdapterState
-	var seq uint64
 	every := 0
-	if path := g.ckptFile(name); path != "" {
+	if g.ckptFile(name) != "" {
 		every = g.cfg.Checkpoint.Every
-		if h, tensors, ok := readCheckpoint(path); ok {
-			var err error
-			if state, seq, err = g.resumeState(h, tensors); err != nil {
-				return nil, false, err
-			}
-		}
 	}
 	st := &streamState{id: g.nextStreamID, name: name, cur: lifecycle.Open[Response](every)}
 	g.nextStreamID++
@@ -242,11 +226,8 @@ func (g *group) open(name string) (*Stream, bool, error) {
 		}
 	}
 	g.streams[st.id] = st
-	if name != "" {
-		g.names[name] = st
-	}
 	g.met.openStreams.Set(int64(len(g.streams)))
-	return &Stream{g: g, st: st}, state != nil, nil
+	return st, nil
 }
 
 // close shuts the group down: new submissions fail, queued requests drain
@@ -262,28 +243,29 @@ func (g *group) close() {
 // the stream closing (later submissions fail with ErrStreamClosed), wait
 // for every already-admitted request to finish — a queued or in-flight
 // request still references the stream's adaptation state — and only then
-// drop the stream record and release the state.
-func (g *group) closeStream(st *streamState) {
+// drop the stream record and release the state. It reports false when an
+// earlier Close got there first.
+func (g *group) closeStream(st *streamState) bool {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if !st.cur.Close() {
-		g.mu.Unlock()
-		return
+		return false
 	}
 	g.cond.Broadcast() // wake submitters blocked on admission for this stream
 	for !st.cur.Drained() {
 		g.cond.Wait()
 	}
 	// An explicitly closed session ended its episode: its checkpoint is
-	// deleted before the name is released, so a reopen starts fresh.
+	// deleted before the caller releases the name, so a reopen starts
+	// fresh.
 	if path := g.ckptFile(st.name); path != "" {
 		os.Remove(path)
 	}
 	delete(g.streams, st.id)
-	delete(g.names, st.name) // no entry for an anonymous stream
 	st.state = nil
 	g.met.openStreams.Set(int64(len(g.streams)))
 	g.cond.Broadcast()
-	g.mu.Unlock()
+	return true
 }
 
 // newReplica builds a replica not yet in the pool: a deep clone of the

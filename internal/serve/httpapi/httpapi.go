@@ -1,10 +1,13 @@
 // Package httpapi is the HTTP front-end over a serve.Server: it takes the
 // in-process serving API off-box. Sessions map one-to-one onto serve
-// streams — opening a stream returns an unguessable session token, and
+// streams — opening a stream returns its token (serve.Stream.Token), and
 // every later call names the token — so a remote client gets exactly the
 // in-process contract: per-stream adaptation state, submission-order
 // processing, drain-then-release close, and byte-identical outputs (the
-// wire carries float32 exactly in both codecs).
+// wire carries float32 exactly in both codecs). The handler holds no
+// state: every call resolves its token in the server's session table
+// (serve.Server.Stream), which also resumes a checkpointed session whose
+// token outlived the process that issued it.
 //
 // Endpoints (Go 1.22 pattern routing):
 //
@@ -32,9 +35,7 @@ package httpapi
 
 import (
 	"context"
-	"crypto/rand"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,7 +44,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"edgetta/internal/core"
@@ -95,19 +95,11 @@ type Handler struct {
 	srv *serve.Server
 	cfg Config
 	mux *http.ServeMux
-
-	mu       sync.Mutex
-	sessions map[string]*serve.Stream
 }
 
 // New builds the front-end over the server.
 func New(srv *serve.Server, cfg Config) *Handler {
-	h := &Handler{
-		srv:      srv,
-		cfg:      cfg.withDefaults(),
-		mux:      http.NewServeMux(),
-		sessions: make(map[string]*serve.Stream),
-	}
+	h := &Handler{srv: srv, cfg: cfg.withDefaults(), mux: http.NewServeMux()}
 	h.mux.HandleFunc("POST /v1/streams", h.handleOpen)
 	h.mux.HandleFunc("POST /v1/streams/{session}/submit", h.handleSubmit)
 	h.mux.HandleFunc("GET /v1/streams/{session}", h.handleStreamSnapshot)
@@ -125,12 +117,13 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.Serv
 type openRequest struct {
 	Model string `json:"model"`
 	Algo  string `json:"algo"`
-	// Session, when non-empty, opens a named recoverable session via
-	// serve.OpenSession instead of an anonymous stream: its state is
-	// checkpointed server-side, and reopening the same name resumes from
-	// the last checkpoint. Named-session tokens are derived from the name
-	// (stable across server restarts), not minted randomly — the name is
-	// the credential, so clients should pick unguessable ones.
+	// Session, when non-empty, opens a named recoverable session
+	// (serve.Server.OpenSession) instead of an anonymous stream: its state
+	// is checkpointed server-side, and reopening the same name resumes
+	// from the last checkpoint. A name is unique among the server's open
+	// sessions. Named-session tokens are derived from the name (stable
+	// across server restarts), not minted randomly — the name is the
+	// credential, so clients should pick unguessable ones.
 	Session string `json:"session,omitempty"`
 }
 
@@ -196,22 +189,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// newToken mints an unguessable session token.
-func newToken() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("httpapi: crypto/rand failed: " + err.Error())
-	}
-	return hex.EncodeToString(b[:])
-}
-
-func (h *Handler) lookup(token string) (*serve.Stream, bool) {
-	h.mu.Lock()
-	st, ok := h.sessions[token]
-	h.mu.Unlock()
-	return st, ok
-}
-
 func (h *Handler) handleOpen(w http.ResponseWriter, r *http.Request) {
 	var req openRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
@@ -223,76 +200,19 @@ func (h *Handler) handleOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := serve.GroupKey{ModelTag: req.Model, Algo: algo}
-	if req.Session != "" {
-		st, resumed, err := h.srv.OpenSession(key, req.Session)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		token := sessionToken(req.Session)
-		h.mu.Lock()
-		h.sessions[token] = st
-		h.mu.Unlock()
-		writeJSON(w, http.StatusOK, openResponse{
-			Session: token, StreamID: st.ID(),
-			Resumed: resumed, AppliedSeq: st.Snapshot().AppliedSeq,
-		})
-		return
-	}
-	st, err := h.srv.OpenStream(key)
+	st, resumed, err := h.srv.OpenSession(serve.GroupKey{ModelTag: req.Model, Algo: algo}, req.Session)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	token := newToken()
-	h.mu.Lock()
-	h.sessions[token] = st
-	h.mu.Unlock()
-	writeJSON(w, http.StatusOK, openResponse{Session: token, StreamID: st.ID()})
+	writeJSON(w, http.StatusOK, openResponse{
+		Session: st.Token(), StreamID: st.ID(),
+		Resumed: resumed, AppliedSeq: st.Snapshot().AppliedSeq,
+	})
 }
 
-// sessionToken derives the wire token of a named session. Deterministic by
-// design: it survives a server restart, so a client holding the token can
-// keep submitting and the new process resumes the session underneath it.
-// The "n" prefix keeps the namespace disjoint from random 32-hex tokens.
-func sessionToken(name string) string { return "n" + hex.EncodeToString([]byte(name)) }
-
-// lookupOrResume resolves a session token, attempting checkpoint resume for
-// unknown named-session tokens — the restart recovery path: the handler's
-// in-memory session table died with the old process, but the session's
-// checkpoint file survived.
-func (h *Handler) lookupOrResume(token string) (*serve.Stream, bool) {
-	if st, ok := h.lookup(token); ok {
-		return st, true
-	}
-	raw, ok := strings.CutPrefix(token, "n")
-	if !ok {
-		return nil, false
-	}
-	name, err := hex.DecodeString(raw)
-	if err != nil {
-		return nil, false
-	}
-	st, err := h.srv.ResumeSession(string(name))
-	if err != nil {
-		// A concurrent request may have resumed the session first (the
-		// second OpenSession fails as a duplicate); serve whatever won.
-		return h.lookup(token)
-	}
-	h.mu.Lock()
-	if prior, dup := h.sessions[token]; dup {
-		h.mu.Unlock()
-		st.Close()
-		return prior, true
-	}
-	h.sessions[token] = st
-	h.mu.Unlock()
-	return st, true
-}
-
-// sessionError is the payload for an unknown session token: deliberately
-// outside the serve taxonomy (the serve layer never saw the request).
+// unknownSession is the payload for a token the server's session table
+// does not resolve: deliberately outside the serve taxonomy.
 func unknownSession(w http.ResponseWriter) {
 	writeJSON(w, http.StatusNotFound, errorPayload{Error: wireError{
 		Code: "unknown_session", Message: "unknown or closed session token",
@@ -300,8 +220,8 @@ func unknownSession(w http.ResponseWriter) {
 }
 
 func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	st, ok := h.lookupOrResume(r.PathValue("session"))
-	if !ok {
+	st, err := h.srv.Stream(r.PathValue("session"))
+	if err != nil {
 		unknownSession(w)
 		return
 	}
@@ -441,21 +361,19 @@ func tensorFrom(data []float32, shape []int) (*tensor.Tensor, error) {
 }
 
 func (h *Handler) handleStreamSnapshot(w http.ResponseWriter, r *http.Request) {
-	st, ok := h.lookupOrResume(r.PathValue("session"))
-	if !ok {
+	st, err := h.srv.Stream(r.PathValue("session"))
+	if err != nil {
 		unknownSession(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, st.Snapshot())
 }
 
+// handleClose ends the episode, also one whose token outlived a restart:
+// the lookup resumes it, so the close deletes its checkpoint.
 func (h *Handler) handleClose(w http.ResponseWriter, r *http.Request) {
-	token := r.PathValue("session")
-	h.mu.Lock()
-	st, ok := h.sessions[token]
-	delete(h.sessions, token)
-	h.mu.Unlock()
-	if !ok {
+	st, err := h.srv.Stream(r.PathValue("session"))
+	if err != nil {
 		unknownSession(w)
 		return
 	}

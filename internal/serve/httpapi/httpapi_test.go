@@ -224,7 +224,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Errorf("rank-2 submit: err = %v, want CodeBadRequest", err)
 	}
 	// Closed session: 410 Gone with the typed stream_closed code — the
-	// handler forgets the token, so in practice a reused token is 404;
+	// server forgets the token, so in practice a reused token is 404;
 	// exercise the serve-level path via a race-free double close.
 	if _, err := cs.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -524,7 +524,6 @@ func FuzzSeqHeader(f *testing.F) {
 		f.Fatal(err)
 	}
 	h := New(srv, Config{})
-	h.sessions["s"] = st
 	batch := http.Header{}
 	body, err := encodeBatch(batch, genBatches(1, 1, 1, data.GaussianNoise, 1)[0], true)
 	if err != nil {
@@ -549,7 +548,7 @@ func FuzzSeqHeader(f *testing.F) {
 		case wantErr == nil:
 			t.Fatalf("refused %q (%v), which ParseUint reads as %d", v, err, want)
 		}
-		req := httptest.NewRequest(http.MethodPost, "/v1/streams/s/submit", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v1/streams/"+st.Token()+"/submit", bytes.NewReader(body))
 		for k, vs := range batch {
 			req.Header[k] = vs
 		}

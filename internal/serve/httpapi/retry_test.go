@@ -247,6 +247,93 @@ func TestHTTPRestartAutoResume(t *testing.T) {
 			t.Fatalf("post-resume logit %d: %v, serial %v", i, logits.Data[i], want[2][i])
 		}
 	}
+
+	// Stale close: after one more restart, DELETE with the old token ends
+	// the episode: the lookup resumes the session from its checkpoint (seq
+	// 2), the close deletes the file and answers the final snapshot, and
+	// the token is unknown from then on.
+	tsC.Close()
+	srvC.Close()
+	srvD := serve.New(cfg)
+	defer srvD.Close()
+	if _, err := srvD.AddGroup(base, core.BNNorm, core.Config{}, 1); err != nil {
+		t.Fatalf("AddGroup: %v", err)
+	}
+	tsD := httptest.NewServer(New(srvD, Config{}))
+	defer tsD.Close()
+	stale := &ClientStream{c: NewClient(tsD.URL, nil), Session: csD.Session}
+	ss, err = stale.Close()
+	if err != nil {
+		t.Fatalf("DELETE with a stale token: %v", err)
+	}
+	if ss.Name != "restart-sess2" || ss.AppliedSeq != 2 {
+		t.Errorf("stale DELETE snapshot = %q seq %d, want restart-sess2 seq 2", ss.Name, ss.AppliedSeq)
+	}
+	if names := srvD.CheckpointedSessions(); len(names) != 0 {
+		t.Errorf("checkpoints after a stale DELETE: %v, want none", names)
+	}
+	if _, err := stale.Close(); err == nil || !strings.Contains(err.Error(), "unknown_session") {
+		t.Errorf("second DELETE: err = %v, want 404 unknown_session", err)
+	}
+}
+
+// TestConcurrentStaleTokenResumesOnce: on a freshly restarted server,
+// concurrent first touches of one stale named token all reach the one
+// stream the first of them resumes.
+func TestConcurrentStaleTokenResumesOnce(t *testing.T) {
+	base := testModel()
+	inputs := genBatches(33, 8, 4, data.Fog, 3)
+	cfg := serve.Config{QueueCap: 8, Checkpoint: serve.CheckpointConfig{Every: 1, Dir: t.TempDir()}}
+
+	srvA := serve.New(cfg)
+	if _, err := srvA.AddGroup(base, core.BNNorm, core.Config{}, 1); err != nil {
+		t.Fatalf("AddGroup: %v", err)
+	}
+	tsA := httptest.NewServer(New(srvA, Config{}))
+	csA, _, err := NewClient(tsA.URL, nil).OpenSession(base.Tag, "bnnorm", "touch")
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	for b, x := range inputs {
+		if _, err := csA.ProcessSeq(x, uint64(b+1)); err != nil {
+			t.Fatalf("seq %d: %v", b+1, err)
+		}
+	}
+	tsA.Close()
+	srvA.Close()
+
+	srvB := serve.New(cfg)
+	defer srvB.Close()
+	key, err := srvB.AddGroup(base, core.BNNorm, core.Config{}, 1)
+	if err != nil {
+		t.Fatalf("AddGroup: %v", err)
+	}
+	tsB := httptest.NewServer(New(srvB, Config{}))
+	defer tsB.Close()
+	const touches = 8
+	ids := make([]int, touches)
+	errs := make([]error, touches)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range touches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			ss, err := (&ClientStream{c: NewClient(tsB.URL, nil), Session: csA.Session}).Snapshot()
+			ids[i], errs[i] = ss.ID, err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range touches {
+		if errs[i] != nil || ids[i] != ids[0] {
+			t.Errorf("touch %d: stream_id %d, err %v; want every touch on stream %d", i, ids[i], errs[i], ids[0])
+		}
+	}
+	if s, _ := srvB.GroupSnapshot(key); len(s.Streams) != 1 || s.Streams[0].AppliedSeq != uint64(len(inputs)) {
+		t.Errorf("restarted group streams = %+v, want the one resumed at seq %d", s.Streams, len(inputs))
+	}
 }
 
 // TestChaosExactlyOnce is the serving tier's end-to-end exactly-once check.

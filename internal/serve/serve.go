@@ -62,21 +62,29 @@
 // shell around it: group.go, fault.go, checkpoint.go and stream.go hold the
 // group mutex, move requests between the queue and the replicas, feed the
 // cursor events and deliver responses; they never do arithmetic on what
-// the cursor holds. A group's lifetime counts live in one store, its
-// telemetry handles (a server without Config.Registry registers them into
-// a private registry), which Snapshot reads back.
+// the cursor holds. Which stream a wire token means is decided in one
+// place as well: the Server's session table (Server.Stream), one map from
+// token to open stream across every group, so a session name is unique
+// server-wide and the HTTP front-end holds no state of its own. A
+// group's lifetime counts live in one store, its telemetry handles (a
+// server without Config.Registry registers them into a private registry),
+// which Snapshot reads back.
 package serve
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"edgetta/internal/core"
 	"edgetta/internal/models"
 	"edgetta/internal/parallel"
+	"edgetta/internal/serialize"
 	"edgetta/internal/telemetry"
 )
 
@@ -161,6 +169,14 @@ type Server struct {
 
 	mu     sync.Mutex
 	groups map[GroupKey]*group
+	// streams is the session table: every open stream of every group by
+	// its wire token (Stream.Token). A token maps to nil while its stream
+	// is being opened: it is reserved before the checkpoint is read and
+	// deleted only after Close deleted the checkpoint, so a session name
+	// has one open stream server-wide and its file one owner.
+	streams map[string]*Stream
+	// opened wakes lookups waiting on a reserved token.
+	opened *sync.Cond
 	closed bool
 }
 
@@ -169,7 +185,8 @@ type Server struct {
 // checkpoint there is read when its session name is opened (the ttaserve
 // -recover path).
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg.withDefaults(), groups: make(map[GroupKey]*group)}
+	s := &Server{cfg: cfg.withDefaults(), groups: make(map[GroupKey]*group), streams: make(map[string]*Stream)}
+	s.opened = sync.NewCond(&s.mu)
 	if s.cfg.Registry == nil {
 		s.cfg.Registry = telemetry.NewRegistry()
 	}
@@ -205,7 +222,6 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 		inC:          m.InC,
 		inHW:         m.InHW,
 		streams:      make(map[int]*streamState),
-		names:        make(map[string]*streamState),
 		batchHist:    &telemetry.Hist{},
 		e2eHist:      &telemetry.Hist{},
 		recoveryHist: &telemetry.Hist{},
@@ -253,26 +269,153 @@ func (s *Server) AddGroup(m *models.Model, algo core.Algorithm, acfg core.Config
 // For stateful groups the stream begins from the episode-start state, as
 // if it had a freshly Reset private adapter.
 func (s *Server) OpenStream(key GroupKey) (*Stream, error) {
-	g, err := s.group(key)
-	if err != nil {
-		return nil, err
-	}
-	st, _, err := g.open("")
+	st, _, err := s.OpenSession(key, "")
 	return st, err
 }
 
-// group resolves a routing key on a server that is still open.
-func (s *Server) group(key GroupKey) (*group, error) {
+// OpenSession opens a stream in the group; an empty name opens an
+// anonymous one, as OpenStream does. A session name is unique among the
+// open streams of the whole server, and when Checkpoint.Dir holds a
+// checkpoint for it (from an earlier stream of the name, possibly in an
+// earlier process) the session resumes from it — state and sequence
+// position — and resumed is true.
+func (s *Server) OpenSession(key GroupKey, name string) (*Stream, bool, error) {
+	token := sessionToken(name)
+	if name == "" {
+		token = newToken()
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	err := s.reserveLocked(token, name)
+	s.mu.Unlock()
+	if err != nil {
+		return nil, false, err
+	}
+	return s.open(token, name, key, false)
+}
+
+// Stream returns the open stream a wire token names. A named session's
+// token that no open stream holds resumes the session from its
+// checkpoint, in the group the checkpoint's header names: the path a
+// request takes when the server restarted under its client. Concurrent
+// first touches of one token wait for one resume and share its stream. An
+// unknown token, or a named one with no checkpoint, fails with
+// CodeNoGroup.
+func (s *Server) Stream(token string) (*Stream, error) {
+	s.mu.Lock()
+	st, held := s.streams[token]
+	for held && st == nil {
+		s.opened.Wait()
+		st, held = s.streams[token]
+	}
+	if held {
+		s.mu.Unlock()
+		return st, nil
+	}
+	name, named := tokenName(token)
+	if !named || s.cfg.Checkpoint.Dir == "" {
+		s.mu.Unlock()
+		return nil, errNoSession(token)
+	}
+	err := s.reserveLocked(token, name)
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	st, _, err = s.open(token, name, GroupKey{}, true)
+	return st, err
+}
+
+// newToken mints an anonymous stream's token: 16 random bytes in hex.
+func newToken() string {
+	var b [16]byte
+	rand.Read(b[:]) // never fails, by its contract
+	return hex.EncodeToString(b[:])
+}
+
+// sessionToken is a named session's token. It is derived, so it survives
+// a restart: the new process resumes the session under a client that kept
+// its token. The "n" keeps it apart from the 32-hex minted tokens.
+func sessionToken(name string) string { return "n" + hex.EncodeToString([]byte(name)) }
+
+// tokenName inverts sessionToken. Only the spelling sessionToken writes
+// names a session, so a name has one token ("n7A" is not "n7a").
+func tokenName(token string) (string, bool) {
+	name, _ := hex.DecodeString(strings.TrimPrefix(token, "n"))
+	return string(name), len(name) > 0 && sessionToken(string(name)) == token
+}
+
+// reserveLocked holds token in the session table for an open in progress.
+// The caller holds s.mu.
+func (s *Server) reserveLocked(token, name string) error {
 	if s.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	g, ok := s.groups[key]
-	if !ok {
-		return nil, errNoGroup(key)
+	if _, held := s.streams[token]; held {
+		return errBadRequest("session %q already open", name)
 	}
-	return g, nil
+	s.streams[token] = nil
+	return nil
+}
+
+// open opens the stream token is reserved for, then publishes it in the
+// session table or, on failure, releases the token. The reservation keeps
+// the name, so the checkpoint is read under no lock. With route set the
+// group is the one the checkpoint's header names, and only a resumed
+// session opens.
+func (s *Server) open(token, name string, key GroupKey, route bool) (st *Stream, resumed bool, err error) {
+	defer func() {
+		s.mu.Lock()
+		delete(s.streams, token)
+		if err == nil {
+			s.streams[token] = st
+		}
+		s.opened.Broadcast()
+		s.mu.Unlock()
+	}()
+	var h serialize.StateHeader
+	var tensors []serialize.Tensor
+	found := false
+	if route {
+		if h, tensors, found = readCheckpoint(ckptPath(s.cfg.Checkpoint.Dir, name)); !found {
+			return nil, false, errNoSession(token)
+		}
+		algo, err := core.ParseAlgorithm(h.Algo)
+		if err != nil {
+			return nil, false, errBadRequest("checkpoint for session %q: %v", name, err)
+		}
+		key = GroupKey{Algo: algo, ModelTag: h.Model}
+	}
+	s.mu.Lock()
+	g := s.groups[key]
+	s.mu.Unlock()
+	if g == nil {
+		return nil, false, errNoGroup(key)
+	}
+	path := g.ckptFile(name)
+	if path != "" && !route {
+		h, tensors, found = readCheckpoint(path)
+	}
+	// A checkpoint must be one of this group's states, routing and layout
+	// alike, so a stale or foreign one fails loudly instead of
+	// mis-restoring.
+	var state *core.AdapterState
+	switch {
+	case path == "" || !found:
+		if route { // a stateless group keeps no checkpoint to resume from
+			return nil, false, errNoSession(token)
+		}
+	case h.Model != g.key.ModelTag || h.Algo != g.key.Algo.String():
+		return nil, false, errBadRequest("%s: checkpoint belongs to %s/%s", g.key, h.Model, h.Algo)
+	default:
+		if state, err = core.UnflattenState(g.initial, h.Kind, tensors); err != nil {
+			return nil, false, errBadRequest("%s: checkpoint: %v", g.key, err)
+		}
+	}
+	gst, err := g.open(name, state, h.Seq)
+	if err != nil {
+		return nil, false, err
+	}
+	return &Stream{srv: s, g: g, st: gst, token: token}, state != nil, nil
 }
 
 // Close drains the server: requests already submitted are served, new

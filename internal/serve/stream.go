@@ -11,12 +11,19 @@ import (
 // algorithms its requests are served in submission order with its own
 // adaptation state, no matter which replica runs them.
 type Stream struct {
-	g  *group
-	st *streamState
+	srv   *Server
+	g     *group
+	st    *streamState
+	token string
 }
 
 // ID returns the stream's identifier within its group.
 func (s *Stream) ID() int { return s.st.id }
+
+// Token returns the stream's wire token, its key in the server's session
+// table (Server.Stream): "n"+hex(name) for a named session, so it outlives
+// the process, and 32 random hex characters for an anonymous stream.
+func (s *Stream) Token() string { return s.token }
 
 // SubmitCtx enqueues one batch and returns immediately; the response
 // arrives on the returned buffered channel. The context governs the
@@ -71,9 +78,9 @@ func (s *Stream) ProcessSeq(ctx context.Context, x *tensor.Tensor, seq uint64) (
 	}
 }
 
-// Name returns the stream's session name (empty for anonymous streams
-// opened with OpenStream). Named streams are the recoverable ones: their
-// state is checkpointed and they can be reopened with OpenSession.
+// Name returns the stream's session name (empty for anonymous streams).
+// Named streams are the recoverable ones: their state is checkpointed and
+// they can be reopened with OpenSession or resumed by Server.Stream.
 func (s *Stream) Name() string { return s.st.name }
 
 // Snapshot reports the stream's serving metrics so far. The group lock
@@ -101,7 +108,12 @@ func (st *streamState) countsLocked() StreamSnapshot {
 // fail with ErrStreamClosed, requests already admitted are still served,
 // and Close blocks until the last of them has finished before releasing
 // the stream's adaptation state (a queued request references that state,
-// so releasing early would race the worker that dispatches it).
+// so releasing early would race the worker that dispatches it). The token
+// leaves the server's session table last, after the checkpoint is deleted.
 func (s *Stream) Close() {
-	s.g.closeStream(s.st)
+	if s.g.closeStream(s.st) {
+		s.srv.mu.Lock()
+		delete(s.srv.streams, s.token)
+		s.srv.mu.Unlock()
+	}
 }
