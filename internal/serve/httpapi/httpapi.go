@@ -211,18 +211,29 @@ func (h *Handler) handleOpen(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// unknownSession is the payload for a token the server's session table
-// does not resolve: deliberately outside the serve taxonomy.
-func unknownSession(w http.ResponseWriter) {
-	writeJSON(w, http.StatusNotFound, errorPayload{Error: wireError{
-		Code: "unknown_session", Message: "unknown or closed session token",
-	}})
+// stream resolves the request's session token. A token that names no
+// session and no checkpoint answers 404 unknown_session, a payload
+// deliberately outside the serve taxonomy; any other failure of the
+// lookup goes through the status table: the server closed is 503, a
+// checkpoint for another group 400.
+func (h *Handler) stream(w http.ResponseWriter, r *http.Request) (*serve.Stream, bool) {
+	st, err := h.srv.Stream(r.PathValue("session"))
+	if err == nil {
+		return st, true
+	}
+	if se := (*serve.Error)(nil); errors.As(err, &se) && se.Code == serve.CodeNoGroup {
+		writeJSON(w, http.StatusNotFound, errorPayload{Error: wireError{
+			Code: "unknown_session", Message: "unknown or closed session token",
+		}})
+	} else {
+		writeError(w, http.StatusInternalServerError, err)
+	}
+	return nil, false
 }
 
 func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	st, err := h.srv.Stream(r.PathValue("session"))
-	if err != nil {
-		unknownSession(w)
+	st, ok := h.stream(w, r)
+	if !ok {
 		return
 	}
 	seq, err := seqHeader(r.Header)
@@ -349,7 +360,7 @@ func tensorFrom(data []float32, shape []int) (*tensor.Tensor, error) {
 		if d <= 0 {
 			return nil, fmt.Errorf("non-positive dimension in shape %v", shape)
 		}
-		if n > (1<<31)/d {
+		if int64(n) > (1<<31)/int64(d) {
 			return nil, fmt.Errorf("shape %v overflows", shape)
 		}
 		n *= d
@@ -361,9 +372,8 @@ func tensorFrom(data []float32, shape []int) (*tensor.Tensor, error) {
 }
 
 func (h *Handler) handleStreamSnapshot(w http.ResponseWriter, r *http.Request) {
-	st, err := h.srv.Stream(r.PathValue("session"))
-	if err != nil {
-		unknownSession(w)
+	st, ok := h.stream(w, r)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, st.Snapshot())
@@ -372,9 +382,8 @@ func (h *Handler) handleStreamSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleClose ends the episode, also one whose token outlived a restart:
 // the lookup resumes it, so the close deletes its checkpoint.
 func (h *Handler) handleClose(w http.ResponseWriter, r *http.Request) {
-	st, err := h.srv.Stream(r.PathValue("session"))
-	if err != nil {
-		unknownSession(w)
+	st, ok := h.stream(w, r)
+	if !ok {
 		return
 	}
 	st.Close() // drains admitted requests, then releases the state

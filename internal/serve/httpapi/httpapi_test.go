@@ -234,6 +234,33 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
+// TestHTTPLookupAfterServerCloseIs503: a named token the session table
+// does not hold is resumed from its checkpoint on first touch, so once the
+// server is closed the lookup fails with the typed closed error, 503 — not
+// the 404 of a token that names nothing.
+func TestHTTPLookupAfterServerCloseIs503(t *testing.T) {
+	ts, srv := newTestServer(t, serve.Config{QueueCap: 4, Checkpoint: serve.CheckpointConfig{Dir: t.TempDir()}}, Config{})
+	cs, _, err := NewClient(ts.URL, nil).OpenSession(testModel().Tag, "bnnorm", "after-close")
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	if _, err := cs.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	srv.Close()
+	resp, err := http.Get(ts.URL + cs.path())
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("GET on a named token after Server.Close: status %d, want 503", resp.StatusCode)
+	}
+	if _, err := cs.Snapshot(); !errors.Is(err, serve.ErrClosed) {
+		t.Errorf("GET on a named token after Server.Close: err = %v, want ErrClosed", err)
+	}
+}
+
 // TestHTTPOverloadSheds floods a shed-admission server through the front
 // end and pins the 429 contract: status 429, a Retry-After header of at
 // least one second, and a client-side typed error matching ErrOverloaded

@@ -177,22 +177,19 @@ func (p *ConvPlan) StagedLen() int {
 
 // Stage copies one image src [InC, H, W] into dst in the layout the kernel
 // addresses: zero border baked in, rows and columns split by residue
-// modulo the stride. Every element of dst[:StagedLen()] is written, so dst
-// may arrive with arbitrary contents. A sub-plane is laid out like one row
-// of the im2col lowering, so lowerRows fills both, one block move per
-// (channel, residue) sub-plane.
+// modulo the stride. Every element of dst[:StagedLen()] is written once, so
+// dst may arrive with arbitrary contents. A sub-plane is laid out like one
+// row of the im2col lowering, so lowerPlanes fills both: one call per
+// residue, walking every channel's sub-plane of that residue.
 func (p *ConvPlan) Stage(dst, src []float32) {
 	if len(dst) < p.StagedLen() || len(src) < p.InC*p.H*p.W {
 		panic("tensor: ConvPlan.Stage slice too short")
 	}
 	sub := p.subH * p.subW
-	for ic := 0; ic < p.InC; ic++ {
-		plane := src[ic*p.H*p.W : (ic+1)*p.H*p.W]
-		for py := 0; py < p.res; py++ {
-			for px := 0; px < p.res; px++ {
-				lowerRows(dst[:sub], p.subW, plane, py-p.Pad, px-p.Pad, p.Stride, p.H, p.W)
-				dst = dst[sub:]
-			}
+	for py := 0; py < p.res; py++ {
+		for px := 0; px < p.res; px++ {
+			l := newLowering(p.subH, p.subW, py-p.Pad, px-p.Pad, p.Stride, p.H, p.W)
+			lowerPlanes(dst[(py*p.res+px)*sub:], p.res*p.res*sub, src, p.H*p.W, p.InC, l)
 		}
 	}
 }

@@ -143,12 +143,12 @@ func (p *ConvGradPlan) Run(out, dy, w []float32) {
 }
 
 // Unstage interleaves one image's residue outputs split into dx [InC, H, W],
-// the inverse of Stage's residue split, one block of rows per call. At
-// stride 2 a row residue's rows are zipped in one pass from the column
-// residue holding column 0 and the one holding column 1 — zero where there
-// is none (K = 1) — so each element is written once; any other residue is
-// scattered on its own. Every element of dx is written: those no tap
-// reaches (K < Stride) are zeroed first.
+// the inverse of Stage's residue split, one call per row residue across
+// every channel. At stride 2 a row residue's rows are zipped in one pass
+// from the column residue holding column 0 and the one holding column 1 —
+// zero where there is none (K = 1) — so each element is written once; any
+// other residue is scattered on its own. Every element of dx is written:
+// those no tap reaches (K < Stride) are zeroed first.
 func (p *ConvGradPlan) Unstage(dx, split []float32) {
 	plane := p.H * p.W
 	if len(dx) < p.InC*plane || len(split) < p.splitLen {
@@ -165,21 +165,17 @@ func (p *ConvGradPlan) Unstage(dx, split []float32) {
 				a, b = b, a
 			}
 		}
-		n, y0, x0 := a.y.cnt*a.x.cnt, a.y.first(p.Stride, p.Pad), a.x.first(p.Stride, p.Pad)
-		for ic := 0; ic < p.InC; ic++ {
-			src := split[a.at+ic*n:][:n]
-			if p.Stride != 2 || x0 != 0 {
-				scatterRows(dx[ic*plane+y0*p.W+x0:], p.Stride*p.W, src, a.x.cnt, a.y.cnt, a.x.cnt, p.Stride)
-				continue
-			}
-			var odd []float32 // none: zero
-			oddStride := 0
-			if b != nil {
-				nb := b.y.cnt * b.x.cnt
-				odd, oddStride = split[b.at+ic*nb:][:nb], b.x.cnt
-			}
-			interleaveRows(dx[ic*plane+y0*p.W:], 2*p.W, src, a.x.cnt, odd, oddStride, a.y.cnt, p.W)
+		y0, x0 := a.y.first(p.Stride, p.Pad), a.x.first(p.Stride, p.Pad)
+		if p.Stride != 2 || x0 != 0 {
+			scatterRows(dx[y0*p.W+x0:], p.Stride*p.W, plane, split[a.at:], a.x.cnt, a.y.cnt, p.InC, a.x.cnt, p.Stride)
+			continue
 		}
+		var odd []float32 // none: zero
+		oddStride := 0
+		if b != nil {
+			odd, oddStride = split[b.at:], b.x.cnt
+		}
+		interleaveRows(dx[y0*p.W:], 2*p.W, plane, split[a.at:], a.x.cnt, odd, oddStride, a.y.cnt, p.InC, p.W)
 	}
 }
 
@@ -195,7 +191,7 @@ func (p *ConvGradPlan) AddWeightGrad(dw, x, dy, row []float32) {
 	for g := 0; g < p.Groups; g++ {
 		for r := 0; r < inCg*kk; r++ {
 			ic := g*inCg + r/kk
-			lowerRows(row[:cols], p.OutW(), x[ic*plane:(ic+1)*plane], r%kk/p.K-p.Pad, r%p.K-p.Pad, p.Stride, p.H, p.W)
+			lowerPlanes(row[:cols], cols, x[ic*plane:(ic+1)*plane], plane, 1, newLowering(p.OutH(), p.OutW(), r%kk/p.K-p.Pad, r%p.K-p.Pad, p.Stride, p.H, p.W))
 			for oc := g * outCg; oc < (g+1)*outCg; oc++ {
 				dw[oc*inCg*kk+r] += dot(dy[oc*cols:(oc+1)*cols], row[:cols])
 			}

@@ -9,42 +9,57 @@ import (
 	"testing"
 )
 
-// TestRowKernelsStayInsideTheirOperands places every operand of the row
-// kernels flush against a guard page — all at their front, then all at
-// their back — sized to exactly the extent the wrapper admits, and runs each
-// kernel over generated extents through its wrapper and directly: a load
-// or store one element outside an operand faults.
+// TestRowKernelsStayInsideTheirOperands places every operand of the
+// plane-stack kernels flush against a guard page — all at their front, then
+// all at their back — sized to exactly the extent the wrapper admits, and
+// runs each kernel over generated blocks, one plane and a stack of three,
+// through its wrapper and directly: a load or store one element outside
+// an operand faults. A lowering's source starts at the first value it
+// reads, so a read before that faults too.
 func TestRowKernelsStayInsideTheirOperands(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("no AVX2: the wrappers run the generic twins")
 	}
 	for _, back := range []bool{false, true} {
-		for rows := 1; rows <= 3; rows++ {
-			for cols := 1; cols <= 35; cols++ {
-				for _, slack := range []int{0, 3} {
-					for step := 1; step <= 2; step++ {
-						dstStride, srcStride := cols+slack, (cols-1)*step+1+slack
-						dst := guardPaged(t, (rows-1)*dstStride+cols, back)
-						src := guardPaged(t, (rows-1)*srcStride+(cols-1)*step+1, back)
-						noFault(t, fmt.Sprintf("gatherRows back=%v rows=%d cols=%d step=%d slack=%d", back, rows, cols, step, slack), func() {
-							gatherRows(dst, dstStride, src, srcStride, rows, cols, step)
-							gatherRowsAVX2(dst, dstStride, src, srcStride, rows, cols, step)
+		for _, planes := range []int{1, 3} {
+			for wout := 1; wout <= 35; wout++ {
+				for step := 1; step <= 2; step++ {
+					for _, pad := range []int{0, 1, 3} {
+						// The window overhangs the plane by pad on every side.
+						h, w := 3, max(1, (wout-1)*step+1-2*pad)
+						l := newLowering(3+2*pad, wout, -pad, -pad, step, h, w)
+						l.at = 0 // the source below starts at the first value read
+						for _, slack := range []int{0, 3} {
+							dstPlane, srcPlane := l.dstLen()+slack, l.srcLen()+slack
+							dst := guardPaged(t, (planes-1)*dstPlane+l.dstLen(), back)
+							src := guardPaged(t, max(1, (planes-1)*srcPlane+l.srcLen()), back)
+							for _, r := range allLowerRoutines() {
+								noFault(t, fmt.Sprintf("%s back=%v planes=%d %+v slack=%d", r.name, back, planes, l, slack), func() {
+									r.run(dst, dstPlane, src, srcPlane, planes, l)
+								})
+							}
+						}
+					}
+				}
+			}
+			for rows := 1; rows <= 3; rows++ {
+				for n := 1; n <= 35; n++ {
+					for _, slack := range []int{0, 3} {
+						dstStride, aStride, bStride := n+slack, (n+1)/2+slack, n/2+slack
+						dstPlane := (rows-1)*dstStride + n + slack
+						dst := guardPaged(t, (planes-1)*dstPlane+(rows-1)*dstStride+n, back)
+						a := guardPaged(t, (planes*rows-1)*aStride+(n+1)/2, back)
+						b := a[:0] // the odd elements zero: b is never read
+						if n > 1 {
+							b = guardPaged(t, (planes*rows-1)*bStride+n/2, back)
+						}
+						noFault(t, fmt.Sprintf("interleaveRows back=%v planes=%d rows=%d n=%d slack=%d", back, planes, rows, n, slack), func() {
+							interleaveRows(dst, dstStride, dstPlane, a, aStride, b, bStride, rows, planes, n)
+							interleaveRowsAVX2(dst, dstStride, dstPlane, a, aStride, b, bStride, rows, planes, n)
+							interleaveRows(dst, dstStride, dstPlane, a, aStride, nil, 0, rows, planes, n)
+							interleaveRowsAVX2(dst, dstStride, dstPlane, a, aStride, a[:0], 0, rows, planes, n)
 						})
 					}
-					n := cols
-					aStride, bStride := (n+1)/2+slack, n/2+slack
-					dst := guardPaged(t, (rows-1)*(n+slack)+n, back)
-					a := guardPaged(t, (rows-1)*aStride+(n+1)/2, back)
-					b := a[:0] // the odd elements zero: b is never read
-					if n > 1 {
-						b = guardPaged(t, (rows-1)*bStride+n/2, back)
-					}
-					noFault(t, fmt.Sprintf("interleaveRows back=%v rows=%d n=%d slack=%d", back, rows, n, slack), func() {
-						interleaveRows(dst, n+slack, a, aStride, b, bStride, rows, n)
-						interleaveRowsAVX2(dst, n+slack, a, aStride, b, bStride, rows, n)
-						interleaveRows(dst, n+slack, a, aStride, nil, 0, rows, n)
-						interleaveRowsAVX2(dst, n+slack, a, aStride, a[:0], 0, rows, n)
-					})
 				}
 			}
 		}
@@ -141,14 +156,6 @@ func FuzzConvSpan(f *testing.F) {
 			runGuardedSpan(t, rng, c, back)
 		}
 	})
-}
-
-// noFault reports a fault in f as a failure of the case named what.
-func noFault(t *testing.T, what string, f func()) {
-	t.Helper()
-	if faults(f) {
-		t.Errorf("%s: touched memory outside its operands", what)
-	}
 }
 
 // TestPlaneKernelsStayInsideTheirOperands lays every operand of the plane

@@ -39,31 +39,50 @@ func Im2Col(dst, x []float32, c, h, w, k, stride, pad int) (hout, wout int) {
 	if len(dst) < c*kk*cols {
 		panic("tensor: Im2Col dst too short")
 	}
-	for r := 0; r < c*kk; r++ {
-		ch, ky, kx := r/kk, r%kk/k, r%k
-		lowerRows(dst[r*cols:(r+1)*cols], wout, x[ch*h*w:(ch+1)*h*w], ky-pad, kx-pad, stride, h, w)
+	for tap := 0; tap < kk; tap++ {
+		lowerPlanes(dst[tap*cols:], kk*cols, x, h*w, c, newLowering(hout, wout, tap/k-pad, tap%k-pad, stride, h, w))
 	}
 	return hout, wout
 }
 
-// lowerRows fills dst, a block of rows wout long, with row i holding
-// dst[i][ox] = plane[iy0+i*stride][ox*stride+off] for every ox, positions
-// outside the h×w plane read as zero. The block is clipped once on each
-// axis: if any of it is padding the whole block is cleared, and then the
-// rectangle inside the plane moves in one gatherRows call — a copy at
-// stride 1, a strided gather above.
-func lowerRows(dst []float32, wout int, plane []float32, iy0, off, stride, h, w int) {
-	n := len(dst) / wout
+// lowering is how lowerPlanes fills one plane of its destination: a block
+// of n rows of wout outputs, output (i, o) the input at row iy0+i·stride,
+// column ix0+o·stride of an h×w plane, zero outside it. Laid end to end,
+// the block is head zeros, then rows runs of cols input values, each
+// followed by gap zeros — the last by tail zeros instead. Run i reads the
+// plane from at+i·srcRow, every step-th value; with no run (the window
+// misses the plane) the block is all head.
+type lowering struct {
+	head, rows, cols, gap, tail int
+	at, srcRow, step            int
+}
+
+// newLowering clips the block once on each axis (see lowering).
+func newLowering(n, wout, iy0, ix0, stride, h, w int) lowering {
+	l := lowering{head: n * wout, srcRow: stride * w, step: stride}
 	r0, r1 := clip(n, stride, iy0, h)
-	c0, c1 := clip(wout, stride, off, w)
-	if r0 > 0 || r1 < n || c0 > 0 || c1 < wout {
-		clear(dst[:n*wout])
-	}
+	c0, c1 := clip(wout, stride, ix0, w)
 	if r0 == r1 || c0 == c1 {
-		// Every row or every column hits padding (kernel wider than the
-		// padded image), and the source index could point outside the
-		// plane.
-		return
+		return l
 	}
-	gatherRows(dst[r0*wout+c0:], wout, plane[(iy0+r0*stride)*w+off+c0*stride:], stride*w, r1-r0, c1-c0, stride)
+	l.head, l.rows, l.cols = r0*wout+c0, r1-r0, c1-c0
+	l.gap, l.tail = wout-l.cols, (n-r1)*wout+wout-c1
+	l.at = (iy0+r0*stride)*w + ix0 + c0*stride
+	return l
+}
+
+// dstLen is the length of the block in one destination plane.
+func (l lowering) dstLen() int {
+	if l.rows == 0 {
+		return l.head
+	}
+	return l.head + l.rows*l.cols + (l.rows-1)*l.gap + l.tail
+}
+
+// srcLen is the extent the runs read in one source plane, from at.
+func (l lowering) srcLen() int {
+	if l.rows == 0 {
+		return 0
+	}
+	return (l.rows-1)*l.srcRow + (l.cols-1)*l.step + 1
 }

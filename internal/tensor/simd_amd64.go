@@ -7,10 +7,11 @@ package tensor
 // bits 28/27), FMA (leaf 1 ECX bit 12: axpy and the span kernels fuse every
 // multiply-add, so no AVX2 path runs without it), and the OS saving
 // XMM+YMM state (XCR0 bits 1 and 2).
-// AVX-512 (the span kernel convTileAVX512 and the plane kernels'
-// *PlanesAVX512 routines, AVX512F instructions only) further requires
-// leaf 7 EBX bit 16 and the OS saving the opmask, ZMM_Hi256 and Hi16_ZMM
-// state (XCR0 bits 5, 6 and 7).
+// AVX-512 (the span kernel convTileAVX512, the plane kernels'
+// *PlanesAVX512 routines and the staging routine lowerPlanesAVX512)
+// further requires AVX512F (leaf 7 EBX bit 16), AVX512VL (bit 31: a masked
+// YMM store), BMI2 (bit 8: BZHI builds the masks) and the OS saving the
+// opmask, ZMM_Hi256 and Hi16_ZMM state (XCR0 bits 5, 6 and 7).
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -53,8 +54,8 @@ var hasAVX2 = func() bool {
 
 var hasAVX512 = hasAVX2 && func() bool {
 	_, b7, _, _ := cpuid(7, 0)
-	const avx512f = 1 << 16
-	if b7&avx512f == 0 {
+	const avx512 = 1<<16 | 1<<31 | 1<<8 // AVX512F, AVX512VL, BMI2
+	if b7&avx512 != avx512 {
 		return false
 	}
 	const state = 0xE6 // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
@@ -133,49 +134,57 @@ func convSpanAVX512(y []float32, yStride int, x, w []float32, wStride int, off [
 }
 
 //go:noescape
-func gatherRowsAVX2(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int)
+func lowerPlanesAVX512(dst []float32, dstPlane int, src []float32, srcPlane, planes, head, rows, cols, gap, tail, srcRow, step int)
 
 //go:noescape
-func interleaveRowsAVX2(dst []float32, dstStride int, a []float32, aStride int, b []float32, bStride, rows, n int)
+func lowerPlanesAVX2(dst []float32, dstPlane int, src []float32, srcPlane, planes, head, rows, cols, gap, tail, srcRow, step int)
 
-// gatherRows sets dst[r*dstStride+c] = src[r*srcStride+c*step] for every
-// row r < rows and column c < cols: a block copy at step 1, a gather above.
-// The AVX2 routine takes steps 1 and 2 and checks no lengths, so the
-// extent of each operand is checked here.
-func gatherRows(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int) {
-	if rows <= 0 || cols <= 0 {
+//go:noescape
+func interleaveRowsAVX2(dst []float32, dstStride, dstPlane int, a []float32, aStride int, b []float32, bStride, rows, planes, n int)
+
+// lowerPlanes fills planes planes of dst, plane k at k·dstPlane, with the
+// block l lowers from src's plane k at k·srcPlane (see lowerPlanesGeneric):
+// one call for a whole stack of channels. The vector routines take steps 1
+// and 2 and check no lengths, so the extent of each operand is checked
+// here.
+func lowerPlanes(dst []float32, dstPlane int, src []float32, srcPlane, planes int, l lowering) {
+	if planes <= 0 {
 		return
 	}
-	checkRows(len(dst), dstStride, rows, cols)
-	checkRows(len(src), srcStride, rows, (cols-1)*step+1)
-	if hasAVX2 && (step == 1 || step == 2) {
-		gatherRowsAVX2(dst, dstStride, src, srcStride, rows, cols, step)
-		return
+	checkRows(len(dst), dstPlane, planes, l.dstLen())
+	if l.rows > 0 {
+		checkRows(len(src)-l.at, srcPlane, planes, l.srcLen())
 	}
-	gatherRowsGeneric(dst, dstStride, src, srcStride, rows, cols, step)
+	switch {
+	case hasAVX512 && l.step <= 2:
+		lowerPlanesAVX512(dst, dstPlane, src[l.at:], srcPlane, planes, l.head, l.rows, l.cols, l.gap, l.tail, l.srcRow, l.step)
+	case hasAVX2 && l.step <= 2:
+		lowerPlanesAVX2(dst, dstPlane, src[l.at:], srcPlane, planes, l.head, l.rows, l.cols, l.gap, l.tail, l.srcRow, l.step)
+	default:
+		lowerPlanesGeneric(dst, dstPlane, src, srcPlane, planes, l)
+	}
 }
 
-// interleaveRows fills rows rows of n elements of dst, row r starting at
-// r*dstStride, from a and b alternately: its even elements are row r of a
-// (at r*aStride) and its odd ones row r of b, or zero when b is empty. The
-// extents are checked here, as for gatherRows.
-func interleaveRows(dst []float32, dstStride int, a []float32, aStride int, b []float32, bStride, rows, n int) {
-	if rows <= 0 || n <= 0 {
+// interleaveRows fills rows rows of n elements in each of planes planes of
+// dst from a and b alternately (see interleaveRowsGeneric). The extents
+// are checked here, as for lowerPlanes.
+func interleaveRows(dst []float32, dstStride, dstPlane int, a []float32, aStride int, b []float32, bStride, rows, planes, n int) {
+	if rows <= 0 || planes <= 0 || n <= 0 {
 		return
 	}
-	checkRows(len(dst), dstStride, rows, n)
-	checkRows(len(a), aStride, rows, (n+1)/2)
+	checkRows(len(dst), dstPlane, planes, (rows-1)*dstStride+n)
+	checkRows(len(a), aStride, planes*rows, (n+1)/2)
 	if len(b) > 0 && n > 1 {
-		checkRows(len(b), bStride, rows, n/2)
+		checkRows(len(b), bStride, planes*rows, n/2)
 	}
 	if hasAVX2 {
 		if len(b) == 0 {
 			b = a[:0] // never read, but an address inside a mapped slice
 		}
-		interleaveRowsAVX2(dst, dstStride, a, aStride, b, bStride, rows, n)
+		interleaveRowsAVX2(dst, dstStride, dstPlane, a, aStride, b, bStride, rows, planes, n)
 		return
 	}
-	interleaveRowsGeneric(dst, dstStride, a, aStride, b, bStride, rows, n)
+	interleaveRowsGeneric(dst, dstStride, dstPlane, a, aStride, b, bStride, rows, planes, n)
 }
 
 // axpy computes y[i] = fma(a, x[i], y[i]) over len(x) elements, rounded

@@ -1,5 +1,6 @@
 // AVX2 kernels for the inner loops every figure benchmark sits on, and
-// AVX-512 bodies for the conv span kernel and four of the plane kernels.
+// AVX-512 bodies for the conv span kernel, four of the plane kernels and
+// the staging lowering.
 //
 // axpyAVX2 and the conv span kernels take one fused multiply-add per step
 // (VFMADD213PS / VFMADD231PS): each y[i] += a*x[i] is a*x[i]+y[i] rounded
@@ -746,15 +747,11 @@ cz_done:
 	VZEROUPPER
 	RET
 
-// Row-block moves for staging (im2col.go, conv_grad.go): one call moves a
-// whole block of rows, row r of an operand starting r·stride elements past
-// its first. The last vector of a row is loaded and stored under a mask, so
-// no access leaves the extent (rows−1)·stride + row length the Go wrapper
+// Plane-stack moves for staging (im2col.go, conv_grad.go): one call walks
+// a stack of planes, plane k of an operand starting k times its plane
+// stride past its first element. The last vector of a run is loaded and
+// stored under a mask, so no access leaves the extent the Go wrapper
 // checked for each operand.
-//
-// Registers: DI dst row, SI source row, R8/R9/R11 row strides in bytes, DX
-// rows left, AX row length, CX elements of the row left, R10 cursor, R12-R13
-// lane counts, R14 convMask+64; Y12-Y15 masks.
 
 // LANES loads into y the mask of n leading lanes (clamped, see convMask),
 // leaving n as it was; R14 holds convMask<>+64.
@@ -776,99 +773,476 @@ cz_done:
 	VPERM2F128	$0x20, Y3, Y2, Y0; \
 	VPERM2F128	$0x31, Y3, Y2, Y1
 
-// func gatherRowsAVX2(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int)
-// dst[r*dstStride+c] = src[r*srcStride+c*step] for r < rows, c < cols;
-// rows, cols >= 1, step 1 (a copy) or 2.
-TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-88
-	MOVQ	dst_base+0(FP), DI
-	MOVQ	dstStride+24(FP), R8
-	SHLQ	$2, R8
-	MOVQ	src_base+32(FP), SI
-	MOVQ	srcStride+56(FP), R9
-	SHLQ	$2, R9
-	MOVQ	rows+64(FP), DX
-	MOVQ	cols+72(FP), AX
-	LEAQ	convMask<>+64(SB), R14
+// lpEvens indexes the even elements of a pair of ZMM registers for
+// VPERMT2PS.
+DATA lpEvens<>+0(SB)/8, $0x0000000200000000
+DATA lpEvens<>+8(SB)/8, $0x0000000600000004
+DATA lpEvens<>+16(SB)/8, $0x0000000a00000008
+DATA lpEvens<>+24(SB)/8, $0x0000000e0000000c
+DATA lpEvens<>+32(SB)/8, $0x0000001200000010
+DATA lpEvens<>+40(SB)/8, $0x0000001600000014
+DATA lpEvens<>+48(SB)/8, $0x0000001a00000018
+DATA lpEvens<>+56(SB)/8, $0x0000001e0000001c
+GLOBL lpEvens<>(SB), RODATA|NOPTR, $64
 
-gr_row:
-	MOVQ	SI, R11
-	MOVQ	DI, R10
+// func lowerPlanesAVX512(dst []float32, dstPlane int, src []float32, srcPlane, planes, head, rows, cols, gap, tail, srcRow, step int)
+// Writes each of planes >= 1 planes of dst as head zeros, then rows runs of
+// cols values, the source row of run r starting r*srcRow past the plane's
+// first and read every step-th value (step 1 or 2), each run followed by
+// gap zeros and the last by tail zeros. A run is nfull whole vectors and a
+// last one of dl = cols − 16·nfull values, stored together with the first
+// zeros after it: masks K1 and K2 load it (its two source vectors at step
+// 2, whose even elements VPERMT2PS gathers), K3 stores it with the gap
+// zeros and K4 with the tail zeros, and a lane past the loaded ones is
+// zero, so the run and those zeros are one store. K5 stores what the gap
+// leaves over a whole number of vectors, from a YMM register when it fits
+// one: a narrower store crosses fewer cache lines. A run of one vector
+// whose gap leaves at most 8 zeros over takes the short loops, one taken
+// branch per run; the last run of a plane always takes the general one.
+//
+// Registers: R8/R10 the plane's first dst/src element, DI dst cursor, R9
+// run source, SI its cursor, R11 srcRow in bytes, AX nfull, BX runs left,
+// CX count, DX planes left, R12 bytes of the last store with the gap zeros,
+// R13 bytes of gap zeros after it, R14 temp; Z30 zero, Z31 lpEvens.
+TEXT ·lowerPlanesAVX512(SB), NOSPLIT, $24-128
+	MOVQ	dst_base+0(FP), R8
+	MOVQ	src_base+32(FP), R10
+	MOVQ	srcRow+112(FP), R11
+	SHLQ	$2, R11
+	MOVQ	planes+64(FP), DX
+	VPXORD	Z30, Z30, Z30
+	VMOVDQU32	lpEvens<>(SB), Z31
+
+	// AX = nfull, CX = dl; then the load masks.
+	MOVQ	cols+88(FP), AX
+	DECQ	AX
 	MOVQ	AX, CX
-	CMPQ	step+80(FP), $2
-	JEQ	gr_step2
+	ANDQ	$15, CX
+	INCQ	CX
+	SHRQ	$4, AX
+	MOVQ	$-1, R14
+	CMPQ	step+120(FP), $2
+	JEQ	lp5_mask2
+	BZHIQ	CX, R14, R14
+	KMOVW	R14, K1
+	JMP	lp5_stores
 
-gr_copy8:
-	CMPQ	CX, $8
-	JLT	gr_copytail
-	VMOVUPS	(R11), Y0
-	VMOVUPS	Y0, (R10)
-	ADDQ	$32, R11
-	ADDQ	$32, R10
-	SUBQ	$8, CX
-	JMP	gr_copy8
-
-gr_copytail:
-	TESTQ	CX, CX
-	JZ	gr_next
-	LANES(CX, Y15)
-	VMASKMOVPS	(R11), Y15, Y0
-	VMASKMOVPS	Y0, Y15, (R10)
-	JMP	gr_next
-
-gr_step2:
-	CMPQ	CX, $8
-	JLE	gr_step2tail
-	VMOVUPS	(R11), Y0
-	VMOVUPS	32(R11), Y1
-	EVENS
-	VMOVUPS	Y0, (R10)
-	ADDQ	$64, R11
-	ADDQ	$32, R10
-	SUBQ	$8, CX
-	JMP	gr_step2
-
-gr_step2tail:
-	// The last 1 <= CX <= 8 outputs read 2*CX-1 sources.
+lp5_mask2:
 	LEAQ	-1(CX)(CX*1), R12
-	LEAQ	-8(R12), R13
-	LANES(R12, Y13)
-	LANES(R13, Y14)
-	LANES(CX, Y15)
-	VMASKMOVPS	(R11), Y13, Y0
-	VMASKMOVPS	32(R11), Y14, Y1
-	EVENS
-	VMASKMOVPS	Y0, Y15, (R10)
+	BZHIQ	R12, R14, R14
+	KMOVW	R14, K1
+	SHRQ	$16, R14
+	KMOVW	R14, K2
 
-gr_next:
-	ADDQ	R8, DI
-	ADDQ	R9, SI
+lp5_stores:
+	// The last store of a run with the gap zeros: R12 bytes under K3, R13
+	// bytes after it, the last partial vector of those under K5.
+	MOVQ	gap+96(FP), R13
+	ADDQ	CX, R13
+	MOVQ	$16, R12
+	CMPQ	R13, R12
+	CMOVQLT	R13, R12
+	SUBQ	R12, R13
+	MOVQ	$-1, R14
+	BZHIQ	R12, R14, R14
+	KMOVW	R14, K3
+	MOVQ	R13, BX
+	ANDQ	$15, BX
+	MOVQ	$-1, R14
+	BZHIQ	BX, R14, R14
+	KMOVW	R14, K5
+	SHLQ	$2, R12
+	SHLQ	$2, R13
+	// The short loops: mode 1 or 2 (the step) when nfull = 0 and R13 <= 32.
+	XORQ	BX, BX
+	CMPQ	R13, $32
+	JGT	lp5_tailstore
+	TESTQ	AX, AX
+	JNZ	lp5_tailstore
+	MOVQ	step+120(FP), BX
+
+lp5_tailstore:
+	MOVQ	BX, mode-24(SP)
+	// With the tail zeros: tadv bytes under K4, trem zeros after it.
+	ADDQ	tail+104(FP), CX
+	MOVQ	$16, BX
+	CMPQ	CX, BX
+	CMOVQLT	CX, BX
+	SUBQ	BX, CX
+	MOVQ	CX, trem-16(SP)
+	MOVQ	$-1, R14
+	BZHIQ	BX, R14, R14
+	KMOVW	R14, K4
+	SHLQ	$2, BX
+	MOVQ	BX, tadv-8(SP)
+
+lp5_plane:
+	MOVQ	R8, DI
+	MOVQ	R10, R9
+	MOVQ	head+72(FP), CX
+
+lp5_head:
+	CMPQ	CX, $16
+	JLT	lp5_headpart
+	VMOVUPS	Z30, (DI)
+	ADDQ	$64, DI
+	SUBQ	$16, CX
+	JMP	lp5_head
+
+lp5_headpart:
+	TESTQ	CX, CX
+	JZ	lp5_runs
+	MOVQ	$-1, R14
+	BZHIQ	CX, R14, R14
+	KMOVW	R14, K6
+	VMOVUPS	Z30, K6, (DI)
+	LEAQ	(DI)(CX*4), DI
+
+lp5_runs:
+	MOVQ	rows+80(FP), BX
+	CMPQ	BX, $1
+	JLT	lp5_nextplane
+	JEQ	lp5_run
+	MOVQ	mode-24(SP), CX
+	CMPQ	CX, $1
+	JEQ	lp5_short1
+	JGT	lp5_short2
+
+lp5_run:
+	MOVQ	R9, SI
+	MOVQ	AX, CX
+	CMPQ	step+120(FP), $2
+	JEQ	lp5_full2
+
+lp5_full1:
+	TESTQ	CX, CX
+	JZ	lp5_last1
+	VMOVUPS	(SI), Z0
+	VMOVUPS	Z0, (DI)
+	ADDQ	$64, SI
+	ADDQ	$64, DI
+	DECQ	CX
+	JMP	lp5_full1
+
+lp5_last1:
+	VMOVUPS.Z	(SI), K1, Z0
+	JMP	lp5_store
+
+lp5_full2:
+	TESTQ	CX, CX
+	JZ	lp5_last2
+	VMOVUPS	(SI), Z0
+	VPERMT2PS	64(SI), Z31, Z0
+	VMOVUPS	Z0, (DI)
+	ADDQ	$128, SI
+	ADDQ	$64, DI
+	DECQ	CX
+	JMP	lp5_full2
+
+lp5_last2:
+	VMOVUPS.Z	(SI), K1, Z0
+	VMOVUPS.Z	64(SI), K2, Z1
+	VPERMT2PS	Z1, Z31, Z0
+
+lp5_store:
+	ADDQ	R11, R9
+	DECQ	BX
+	JZ	lp5_lastrun
+	VMOVUPS	Z0, K3, (DI)
+	ADDQ	R12, DI
+	MOVQ	R13, CX
+
+lp5_gap:
+	CMPQ	CX, $64
+	JLT	lp5_gappart
+	VMOVUPS	Z30, (DI)
+	ADDQ	$64, DI
+	SUBQ	$64, CX
+	JMP	lp5_gap
+
+lp5_gappart:
+	TESTQ	CX, CX
+	JZ	lp5_run
+	CMPQ	CX, $32
+	JGT	lp5_gapzmm
+	VMOVUPS	Y30, K5, (DI)
+	ADDQ	CX, DI
+	JMP	lp5_run
+
+lp5_gapzmm:
+	VMOVUPS	Z30, K5, (DI)
+	ADDQ	CX, DI
+	JMP	lp5_run
+
+lp5_short1:
+	// Runs of one vector at step 1, all but the last.
+	DECQ	BX
+	LEAQ	(R12)(R13*1), CX
+
+lp5_short1run:
+	VMOVUPS.Z	(R9), K1, Z0
+	VMOVUPS	Z0, K3, (DI)
+	VMOVUPS	Y30, K5, (DI)(R12*1)
+	ADDQ	R11, R9
+	ADDQ	CX, DI
+	DECQ	BX
+	JNZ	lp5_short1run
+	INCQ	BX
+	JMP	lp5_run
+
+lp5_short2:
+	// Runs of one vector at step 2, all but the last.
+	DECQ	BX
+	LEAQ	(R12)(R13*1), CX
+
+lp5_short2run:
+	VMOVUPS.Z	(R9), K1, Z0
+	VMOVUPS.Z	64(R9), K2, Z1
+	VPERMT2PS	Z1, Z31, Z0
+	VMOVUPS	Z0, K3, (DI)
+	VMOVUPS	Y30, K5, (DI)(R12*1)
+	ADDQ	R11, R9
+	ADDQ	CX, DI
+	DECQ	BX
+	JNZ	lp5_short2run
+	INCQ	BX
+	JMP	lp5_run
+
+lp5_lastrun:
+	VMOVUPS	Z0, K4, (DI)
+	ADDQ	tadv-8(SP), DI
+	MOVQ	trem-16(SP), CX
+
+lp5_tail:
+	CMPQ	CX, $16
+	JLT	lp5_tailpart
+	VMOVUPS	Z30, (DI)
+	ADDQ	$64, DI
+	SUBQ	$16, CX
+	JMP	lp5_tail
+
+lp5_tailpart:
+	TESTQ	CX, CX
+	JZ	lp5_nextplane
+	MOVQ	$-1, R14
+	BZHIQ	CX, R14, R14
+	KMOVW	R14, K6
+	VMOVUPS	Z30, K6, (DI)
+
+lp5_nextplane:
+	MOVQ	dstPlane+24(FP), R14
+	LEAQ	(R8)(R14*4), R8
+	MOVQ	srcPlane+56(FP), R14
+	LEAQ	(R10)(R14*4), R10
 	DECQ	DX
-	JNZ	gr_row
+	JNZ	lp5_plane
 	VZEROUPPER
 	RET
 
-// func interleaveRowsAVX2(dst []float32, dstStride int, a []float32, aStride int, b []float32, bStride, rows, n int)
-// dst[r*dstStride+2i] = a[r*aStride+i] and dst[r*dstStride+2i+1] =
-// b[r*bStride+i] for the n elements of each of rows >= 1 rows, or 0 where
-// b is empty: b is read only under Y11, set when it is not. a and b
-// advance by R10, dst by twice that.
-TEXT ·interleaveRowsAVX2(SB), NOSPLIT, $0-112
+// func lowerPlanesAVX2(dst []float32, dstPlane int, src []float32, srcPlane, planes, head, rows, cols, gap, tail, srcRow, step int)
+// lowerPlanesAVX512 on 8-lane vectors: masks Y11 and Y12 load a run's last
+// vector (its two source vectors at step 2, whose even elements EVENS
+// packs), Y13 stores it with the gap zeros and Y10 with the tail zeros, Y9
+// stores what the gap leaves over a whole number of vectors.
+//
+// Registers as in lowerPlanesAVX512, without its short loops, but R13
+// counts the gap zeros after the last store and R14 holds convMask+64; Y14
+// zero, Y8 a zero run's last mask.
+TEXT ·lowerPlanesAVX2(SB), NOSPLIT, $16-128
+	MOVQ	dst_base+0(FP), R8
+	MOVQ	src_base+32(FP), R10
+	MOVQ	srcRow+112(FP), R11
+	SHLQ	$2, R11
+	MOVQ	planes+64(FP), DX
+	LEAQ	convMask<>+64(SB), R14
+	VXORPS	Y14, Y14, Y14
+
+	// AX = nfull, CX = dl; then the load masks.
+	MOVQ	cols+88(FP), AX
+	DECQ	AX
+	MOVQ	AX, CX
+	ANDQ	$7, CX
+	INCQ	CX
+	SHRQ	$3, AX
+	CMPQ	step+120(FP), $2
+	JEQ	lp2_mask2
+	LANES(CX, Y11)
+	JMP	lp2_stores
+
+lp2_mask2:
+	LEAQ	-1(CX)(CX*1), R12
+	LANES(R12, Y11)
+	SUBQ	$8, R12
+	LANES(R12, Y12)
+
+lp2_stores:
+	MOVQ	gap+96(FP), R13
+	ADDQ	CX, R13
+	MOVQ	$8, R12
+	CMPQ	R13, R12
+	CMOVQLT	R13, R12
+	SUBQ	R12, R13
+	LANES(R12, Y13)
+	SHLQ	$2, R12
+	MOVQ	R13, BX
+	ANDQ	$7, BX
+	LANES(BX, Y9)
+	ADDQ	tail+104(FP), CX
+	MOVQ	$8, BX
+	CMPQ	CX, BX
+	CMOVQLT	CX, BX
+	SUBQ	BX, CX
+	MOVQ	CX, trem-16(SP)
+	LANES(BX, Y10)
+	SHLQ	$2, BX
+	MOVQ	BX, tadv-8(SP)
+
+lp2_plane:
+	MOVQ	R8, DI
+	MOVQ	R10, R9
+	MOVQ	head+72(FP), CX
+
+lp2_head:
+	CMPQ	CX, $8
+	JLT	lp2_headpart
+	VMOVUPS	Y14, (DI)
+	ADDQ	$32, DI
+	SUBQ	$8, CX
+	JMP	lp2_head
+
+lp2_headpart:
+	TESTQ	CX, CX
+	JZ	lp2_runs
+	LANES(CX, Y8)
+	VMASKMOVPS	Y14, Y8, (DI)
+	LEAQ	(DI)(CX*4), DI
+
+lp2_runs:
+	MOVQ	rows+80(FP), BX
+	TESTQ	BX, BX
+	JZ	lp2_nextplane
+
+lp2_run:
+	MOVQ	R9, SI
+	MOVQ	AX, CX
+	CMPQ	step+120(FP), $2
+	JEQ	lp2_full2
+
+lp2_full1:
+	TESTQ	CX, CX
+	JZ	lp2_last1
+	VMOVUPS	(SI), Y0
+	VMOVUPS	Y0, (DI)
+	ADDQ	$32, SI
+	ADDQ	$32, DI
+	DECQ	CX
+	JMP	lp2_full1
+
+lp2_last1:
+	VMASKMOVPS	(SI), Y11, Y0
+	JMP	lp2_store
+
+lp2_full2:
+	TESTQ	CX, CX
+	JZ	lp2_last2
+	VMOVUPS	(SI), Y0
+	VMOVUPS	32(SI), Y1
+	EVENS
+	VMOVUPS	Y0, (DI)
+	ADDQ	$64, SI
+	ADDQ	$32, DI
+	DECQ	CX
+	JMP	lp2_full2
+
+lp2_last2:
+	VMASKMOVPS	(SI), Y11, Y0
+	VMASKMOVPS	32(SI), Y12, Y1
+	EVENS
+
+lp2_store:
+	ADDQ	R11, R9
+	DECQ	BX
+	JZ	lp2_lastrun
+	VMASKMOVPS	Y0, Y13, (DI)
+	ADDQ	R12, DI
+	MOVQ	R13, CX
+
+lp2_gap:
+	CMPQ	CX, $8
+	JLT	lp2_gappart
+	VMOVUPS	Y14, (DI)
+	ADDQ	$32, DI
+	SUBQ	$8, CX
+	JMP	lp2_gap
+
+lp2_gappart:
+	TESTQ	CX, CX
+	JZ	lp2_run
+	VMASKMOVPS	Y14, Y9, (DI)
+	LEAQ	(DI)(CX*4), DI
+	JMP	lp2_run
+
+lp2_lastrun:
+	VMASKMOVPS	Y0, Y10, (DI)
+	ADDQ	tadv-8(SP), DI
+	MOVQ	trem-16(SP), CX
+
+lp2_tail:
+	CMPQ	CX, $8
+	JLT	lp2_tailpart
+	VMOVUPS	Y14, (DI)
+	ADDQ	$32, DI
+	SUBQ	$8, CX
+	JMP	lp2_tail
+
+lp2_tailpart:
+	TESTQ	CX, CX
+	JZ	lp2_nextplane
+	LANES(CX, Y8)
+	VMASKMOVPS	Y14, Y8, (DI)
+
+lp2_nextplane:
+	MOVQ	dstPlane+24(FP), CX
+	LEAQ	(R8)(CX*4), R8
+	MOVQ	srcPlane+56(FP), CX
+	LEAQ	(R10)(CX*4), R10
+	DECQ	DX
+	JNZ	lp2_plane
+	VZEROUPPER
+	RET
+
+// func interleaveRowsAVX2(dst []float32, dstStride, dstPlane int, a []float32, aStride int, b []float32, bStride, rows, planes, n int)
+// dst[k*dstPlane+r*dstStride+2i] = a[(k*rows+r)*aStride+i] and the odd
+// element after it b[(k*rows+r)*bStride+i] for the n elements of each of
+// rows >= 1 rows of planes >= 1 planes, or 0 where b is empty: b is read
+// only under Y11, set when it is not. a and b run on across planes; within
+// a row they advance by R10, dst by twice that.
+TEXT ·interleaveRowsAVX2(SB), NOSPLIT, $16-128
 	MOVQ	dst_base+0(FP), DI
+	MOVQ	DI, plane-8(SP)
+	MOVQ	planes+112(FP), CX
+	MOVQ	CX, left-16(SP)
 	MOVQ	dstStride+24(FP), R8
 	SHLQ	$2, R8
-	MOVQ	a_base+32(FP), SI
-	MOVQ	aStride+56(FP), R9
+	MOVQ	a_base+40(FP), SI
+	MOVQ	aStride+64(FP), R9
 	SHLQ	$2, R9
-	MOVQ	b_base+64(FP), BX
-	MOVQ	bStride+88(FP), R11
+	MOVQ	b_base+72(FP), BX
+	MOVQ	bStride+96(FP), R11
 	SHLQ	$2, R11
-	MOVQ	rows+96(FP), DX
-	MOVQ	n+104(FP), AX
+	MOVQ	n+120(FP), AX
 	LEAQ	convMask<>+64(SB), R14
 	MOVQ	$8, R12
-	CMPQ	b_len+72(FP), $0
-	CMOVQEQ	b_len+72(FP), R12
+	CMPQ	b_len+80(FP), $0
+	CMOVQEQ	b_len+80(FP), R12
 	LANES(R12, Y11)
+
+il_plane:
+	MOVQ	plane-8(SP), DI
+	MOVQ	dstPlane+32(FP), DX
+	LEAQ	(DI)(DX*4), DX
+	MOVQ	DX, plane-8(SP)
+	MOVQ	rows+104(FP), DX
 
 il_row:
 	XORQ	R10, R10
@@ -912,6 +1286,8 @@ il_next:
 	ADDQ	R11, BX
 	DECQ	DX
 	JNZ	il_row
+	DECQ	left-16(SP)
+	JNZ	il_plane
 	VZEROUPPER
 	RET
 

@@ -36,6 +36,20 @@ func spanRoutines() []spanRoutine {
 	}
 }
 
+// lowerRoutines lists the vector lowering routines, each called directly
+// on the lowering's first source value, as lowerPlanes calls it.
+func lowerRoutines() []lowerRoutine {
+	direct := func(f func(dst []float32, dstPlane int, src []float32, srcPlane, planes, head, rows, cols, gap, tail, srcRow, step int)) func([]float32, int, []float32, int, int, lowering) {
+		return func(dst []float32, dstPlane int, src []float32, srcPlane, planes int, l lowering) {
+			f(dst, dstPlane, src[l.at:], srcPlane, planes, l.head, l.rows, l.cols, l.gap, l.tail, l.srcRow, l.step)
+		}
+	}
+	return []lowerRoutine{
+		{"lowerPlanesAVX512", hasAVX512, direct(lowerPlanesAVX512)},
+		{"lowerPlanesAVX2", hasAVX2, direct(lowerPlanesAVX2)},
+	}
+}
+
 // convTileRoutine calls convTileAVX512's body of tile channels directly,
 // once per whole tile of noc. It is named as the AVX2 routines are, by
 // tile height: convSpan8AVX512 and convSpan4AVX512.
@@ -540,6 +554,38 @@ func BenchmarkPlaneKernels(b *testing.B) {
 					b.SetBytes(int64(4 * p.N * p.Len))
 					for i := 0; i < b.N; i++ {
 						k.run()
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkConvStagePaths times each staged repro shape's forward Stage
+// and the dX Stage of dY on the AVX-512 and the AVX2 lowering routine side
+// by side: Stage calls no other dispatched kernel, so the pair differs in
+// that routine alone.
+func BenchmarkConvStagePaths(b *testing.B) {
+	for _, c := range stagedShapes() {
+		g := NewConvGradPlan(c.s)
+		for _, pl := range []struct {
+			name string
+			p    *ConvPlan
+		}{{"fw", NewConvPlan(c.s)}, {"dx", &g.ConvPlan}} {
+			if pl.p.StagedLen() == 0 {
+				continue
+			}
+			src := randSlice(rand.New(rand.NewSource(1)), pl.p.InC*pl.p.H*pl.p.W)
+			dst := make([]float32, pl.p.StagedLen())
+			for _, path := range []string{"avx512", "avx2"} {
+				b.Run(c.name+"/"+pl.name+"/"+path, func(b *testing.B) {
+					if path == "avx512" && !hasAVX512 || !hasAVX2 {
+						b.Skip("the CPU lacks the path")
+					}
+					defer func(on bool) { hasAVX512 = on }(hasAVX512)
+					hasAVX512 = path == "avx512"
+					for b.Loop() {
+						pl.p.Stage(dst, src)
 					}
 				})
 			}

@@ -237,47 +237,68 @@ func gradInputPlanesGeneric(dx, dy, x []float32, p Planes, mean, inv, g, b, scal
 	}
 }
 
-// Row-block moves (im2col.go, conv_grad.go): one call moves rows rows, row
-// r of an operand starting r·stride elements past its first. The generic
-// twins of the AVX2 routines are plain indexed moves, so every path writes
-// the same bits.
+// Plane-stack moves (im2col.go, conv_grad.go): one call walks planes
+// planes, plane k of an operand starting k times its plane stride past its
+// first element. The generic twins of the vector routines are plain
+// indexed moves, so every path writes the same bits.
 
-func gatherRowsGeneric(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int) {
-	for r := 0; r < rows; r++ {
-		d, s := dst[r*dstStride:][:cols], src[r*srcStride:]
-		if step == 1 {
-			copy(d, s[:cols])
-			continue
-		}
-		for c := range d {
-			d[c] = s[c*step]
+// lowerPlanesGeneric is the reference for the lowering routines: plane k of
+// dst, at k·dstPlane, is the block l describes, read from src's plane k at
+// k·srcPlane. Every element of the block is written once, the zeros in the
+// same pass as the values.
+func lowerPlanesGeneric(dst []float32, dstPlane int, src []float32, srcPlane, planes int, l lowering) {
+	for k := 0; k < planes; k++ {
+		d := dst[k*dstPlane:][:l.dstLen()]
+		clear(d[:l.head])
+		d = d[l.head:]
+		for r := 0; r < l.rows; r++ {
+			s := src[k*srcPlane+l.at+r*l.srcRow:]
+			for c := range d[:l.cols] {
+				d[c] = s[c*l.step]
+			}
+			z := l.gap
+			if r == l.rows-1 {
+				z = l.tail
+			}
+			clear(d[l.cols:][:z])
+			d = d[l.cols+z:]
 		}
 	}
 }
 
-func interleaveRowsGeneric(dst []float32, dstStride int, a []float32, aStride int, b []float32, bStride, rows, n int) {
-	for r := 0; r < rows; r++ {
-		d := dst[r*dstStride:][:n]
-		for i := range d {
-			switch {
-			case i%2 == 0:
-				d[i] = a[r*aStride+i/2]
-			case len(b) == 0:
-				d[i] = 0
-			default:
-				d[i] = b[r*bStride+i/2]
+// interleaveRowsGeneric fills rows rows of n elements in each of planes
+// planes of dst, row r of plane k starting at k·dstPlane + r·dstStride,
+// from a and b alternately: its even elements are row k·rows+r of a (at
+// (k·rows+r)·aStride) and its odd ones that row of b, or zero when b is
+// empty.
+func interleaveRowsGeneric(dst []float32, dstStride, dstPlane int, a []float32, aStride int, b []float32, bStride, rows, planes, n int) {
+	for k := 0; k < planes; k++ {
+		for r := 0; r < rows; r++ {
+			d, i := dst[k*dstPlane+r*dstStride:][:n], k*rows+r
+			for j := range d {
+				switch {
+				case j%2 == 0:
+					d[j] = a[i*aStride+j/2]
+				case len(b) == 0:
+					d[j] = 0
+				default:
+					d[j] = b[i*bStride+j/2]
+				}
 			}
 		}
 	}
 }
 
-// scatterRows is gatherRows' inverse, dst[r*dstStride+c*step] =
-// src[r*srcStride+c], for the shapes interleaveRows does not cover; it has
-// no vector twin.
-func scatterRows(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int) {
-	for r := 0; r < rows; r++ {
-		for c, v := range src[r*srcStride:][:cols] {
-			dst[r*dstStride+c*step] = v
+// scatterRows places rows rows of cols elements of src in each of planes
+// planes of dst, step apart: dst[k·dstPlane + r·dstStride + c·step] =
+// src[(k·rows+r)·srcStride + c], for the shapes interleaveRows does not
+// cover; it has no vector twin.
+func scatterRows(dst []float32, dstStride, dstPlane int, src []float32, srcStride, rows, planes, cols, step int) {
+	for k := 0; k < planes; k++ {
+		for r := 0; r < rows; r++ {
+			for c, v := range src[(k*rows+r)*srcStride:][:cols] {
+				dst[k*dstPlane+r*dstStride+c*step] = v
+			}
 		}
 	}
 }

@@ -20,12 +20,12 @@ func dot(x, y []float32) float32 {
 	return dotGeneric(x, y)
 }
 
-func gatherRows(dst []float32, dstStride int, src []float32, srcStride, rows, cols, step int) {
-	gatherRowsGeneric(dst, dstStride, src, srcStride, rows, cols, step)
+func lowerPlanes(dst []float32, dstPlane int, src []float32, srcPlane, planes int, l lowering) {
+	lowerPlanesGeneric(dst, dstPlane, src, srcPlane, planes, l)
 }
 
-func interleaveRows(dst []float32, dstStride int, a []float32, aStride int, b []float32, bStride, rows, n int) {
-	interleaveRowsGeneric(dst, dstStride, a, aStride, b, bStride, rows, n)
+func interleaveRows(dst []float32, dstStride, dstPlane int, a []float32, aStride int, b []float32, bStride, rows, planes, n int) {
+	interleaveRowsGeneric(dst, dstStride, dstPlane, a, aStride, b, bStride, rows, planes, n)
 }
 
 // SpanKernel names the vector kernels this process dispatches to: the

@@ -155,75 +155,116 @@ func TestIm2ColLowersByDefinition(t *testing.T) {
 	}
 }
 
-// TestRowKernelsMatchGenericTwins pins each row-block kernel the build
-// dispatches to against its generic twin, bit for bit, over random row
-// counts, row lengths, strides, steps and operand offsets; the gaps
-// between destination rows belong to nobody and must keep their canaries.
+// lowerRoutine is a way to run lowerPlanes: its wrapper, or one vector
+// routine called directly (steps 1 and 2 only).
+type lowerRoutine struct {
+	name string
+	has  bool
+	run  func(dst []float32, dstPlane int, src []float32, srcPlane, planes int, l lowering)
+}
+
+// allLowerRoutines is the dispatching wrapper and every vector lowering
+// routine of this architecture (lowerRoutines).
+func allLowerRoutines() []lowerRoutine {
+	return append([]lowerRoutine{{"lowerPlanes", true, lowerPlanes}}, lowerRoutines()...)
+}
+
+// randLowering draws a block of 1–6 rows of 1–40 outputs over an h×w plane
+// (each 1–20) at stride 1–3, its origin anywhere from 6 before the plane
+// to past its end: inside the plane, padded on any side, or all padding.
+func randLowering(rng *rand.Rand) (l lowering, h, w int) {
+	h, w = 1+rng.Intn(20), 1+rng.Intn(20)
+	n, wout, stride := 1+rng.Intn(6), 1+rng.Intn(40), 1+rng.Intn(3)
+	return newLowering(n, wout, rng.Intn(h+7)-6, rng.Intn(w+7)-6, stride, h, w), h, w
+}
+
+// TestRowKernelsMatchGenericTwins pins each plane-stack kernel — the
+// dispatcher and every vector routine — against its generic twin, bit for
+// bit, over random blocks, stacks of one to four planes, plane strides and
+// operand offsets; the gaps between destination planes belong to nobody
+// and must keep their canaries.
 func TestRowKernelsMatchGenericTwins(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 3000; trial++ {
-		rows, cols, step := 1+rng.Intn(5), 1+rng.Intn(40), 1+rng.Intn(3)
-		dstStride, srcStride := cols+rng.Intn(4), (cols-1)*step+1+rng.Intn(4)
-		dOff, sOff := rng.Intn(9), rng.Intn(9)
-		src := randSlice(rng, sOff+(rows-1)*srcStride+(cols-1)*step+1)
-		got, gotOK := nanFilled(dOff + (rows-1)*dstStride + cols)
-		want, _ := nanFilled(len(got))
-		gatherRows(got[dOff:], dstStride, src[sOff:], srcStride, rows, cols, step)
-		gatherRowsGeneric(want[dOff:], dstStride, src[sOff:], srcStride, rows, cols, step)
-		if !bitsEqual(got, want) || !gotOK() {
-			t.Fatalf("gatherRows rows=%d cols=%d step=%d strides %d/%d offsets %d/%d differs from its twin", rows, cols, step, dstStride, srcStride, dOff, sOff)
+		l, h, w := randLowering(rng)
+		planes, dOff := 1+rng.Intn(4), rng.Intn(9)
+		dstPlane, srcPlane := l.dstLen()+rng.Intn(4), h*w+rng.Intn(4)
+		src := randSlice(rng, (planes-1)*srcPlane+h*w)
+		want, _ := nanFilled(dOff + (planes-1)*dstPlane + l.dstLen())
+		lowerPlanesGeneric(want[dOff:], dstPlane, src, srcPlane, planes, l)
+		for _, r := range allLowerRoutines() {
+			if !r.has || r.name != "lowerPlanes" && l.step > 2 {
+				continue
+			}
+			got, gotOK := nanFilled(len(want))
+			r.run(got[dOff:], dstPlane, src, srcPlane, planes, l)
+			if !bitsEqual(got, want) || !gotOK() {
+				t.Fatalf("%s %+v planes=%d strides %d/%d offset %d differs from its twin", r.name, l, planes, dstPlane, srcPlane, dOff)
+			}
 		}
 
-		n := cols
+		rows, n := 1+rng.Intn(5), 1+rng.Intn(40)
+		dstStride := n + rng.Intn(4)
+		dstPlane = (rows-1)*dstStride + n + rng.Intn(4)
 		aStride, bStride := (n+1)/2+rng.Intn(4), n/2+rng.Intn(4)
-		a := randSlice(rng, sOff+(rows-1)*aStride+(n+1)/2)[sOff:]
-		b := randSlice(rng, (rows-1)*bStride+n/2)
+		a := randSlice(rng, dOff+(planes*rows-1)*aStride+(n+1)/2)[dOff:]
+		b := randSlice(rng, (planes*rows-1)*bStride+n/2)
 		if trial%4 == 0 {
 			b, bStride = nil, 0 // odd elements zero
 		}
-		got, gotOK = nanFilled(dOff + (rows-1)*dstStride + n)
+		got, gotOK := nanFilled(dOff + (planes-1)*dstPlane + (rows-1)*dstStride + n)
 		want, _ = nanFilled(len(got))
-		interleaveRows(got[dOff:], dstStride, a, aStride, b, bStride, rows, n)
-		interleaveRowsGeneric(want[dOff:], dstStride, a, aStride, b, bStride, rows, n)
+		interleaveRows(got[dOff:], dstStride, dstPlane, a, aStride, b, bStride, rows, planes, n)
+		interleaveRowsGeneric(want[dOff:], dstStride, dstPlane, a, aStride, b, bStride, rows, planes, n)
 		if !bitsEqual(got, want) || !gotOK() {
-			t.Fatalf("interleaveRows rows=%d n=%d strides %d/%d/%d b=%v differs from its twin", rows, n, dstStride, aStride, bStride, b != nil)
+			t.Fatalf("interleaveRows rows=%d planes=%d n=%d strides %d/%d/%d/%d b=%v differs from its twin", rows, planes, n, dstStride, dstPlane, aStride, bStride, b != nil)
 		}
 	}
 }
 
-// stagedShapes are the distinct staged forward convolutions of the WRN-AM
-// and RXT-AM repro models on a 32×32 input (OutC and groups do not change
-// what Stage copies, so each shape appears once), named after a layer that
-// runs them.
-var stagedShapes = []struct {
+// stagedShapes are the convRunShapes that Stage copies, one per distinct
+// input geometry (OutC and groups do not change what Stage copies).
+func stagedShapes() (out []struct {
 	name string
 	s    ConvShape
-}{
-	{"stem_3x32_k3s1", ConvShape{InC: 3, OutC: 8, H: 32, W: 32, K: 3, Stride: 1, Pad: 1, Groups: 1}},
-	{"wrn_group1_8x32_k3s1", ConvShape{InC: 8, OutC: 8, H: 32, W: 32, K: 3, Stride: 1, Pad: 1, Groups: 1}},
-	{"wrn_group2.conv1_8x32_k3s2", ConvShape{InC: 8, OutC: 16, H: 32, W: 32, K: 3, Stride: 2, Pad: 1, Groups: 1}},
-	{"wrn_group2.shortcut_8x32_k1s2", ConvShape{InC: 8, OutC: 16, H: 32, W: 32, K: 1, Stride: 2, Pad: 0, Groups: 1}},
-	{"wrn_group2.conv2_16x16_k3s1", ConvShape{InC: 16, OutC: 16, H: 16, W: 16, K: 3, Stride: 1, Pad: 1, Groups: 1}},
-	{"wrn_group3.conv1_16x16_k3s2", ConvShape{InC: 16, OutC: 32, H: 16, W: 16, K: 3, Stride: 2, Pad: 1, Groups: 1}},
-	{"wrn_group3.shortcut_16x16_k1s2", ConvShape{InC: 16, OutC: 32, H: 16, W: 16, K: 1, Stride: 2, Pad: 0, Groups: 1}},
-	{"wrn_group3.conv2_32x8_k3s1", ConvShape{InC: 32, OutC: 32, H: 8, W: 8, K: 3, Stride: 1, Pad: 1, Groups: 1}},
-	{"rxt_stage2.conv2_16x32_k3s2", ConvShape{InC: 16, OutC: 16, H: 32, W: 32, K: 3, Stride: 2, Pad: 1, Groups: 2}},
-	{"rxt_stage2.shortcut_16x32_k1s2", ConvShape{InC: 16, OutC: 32, H: 32, W: 32, K: 1, Stride: 2, Pad: 0, Groups: 1}},
-	{"rxt_stage3.conv2_32x16_k3s2", ConvShape{InC: 32, OutC: 32, H: 16, W: 16, K: 3, Stride: 2, Pad: 1, Groups: 2}},
-	{"rxt_stage3.shortcut_32x16_k1s2", ConvShape{InC: 32, OutC: 64, H: 16, W: 16, K: 1, Stride: 2, Pad: 0, Groups: 1}},
+}) {
+	seen := map[ConvShape]bool{}
+	for _, c := range convRunShapes {
+		in := c.s
+		in.OutC, in.Groups = 0, 0
+		if NewConvPlan(c.s).StagedLen() > 0 && !seen[in] {
+			seen[in] = true
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
-// BenchmarkConvStage times one image's Stage per staged repro-model shape.
+// BenchmarkConvStage times one image's Stage per staged repro-model shape
+// (fw), the Stage of dY its input gradient makes (dx, stride 1), and a
+// copy of as many floats as the forward's staged buffer holds (copy): the
+// speed staging would have if it were a plain copy.
 func BenchmarkConvStage(b *testing.B) {
-	for _, c := range stagedShapes {
-		b.Run(c.name, func(b *testing.B) {
-			p := NewConvPlan(c.s)
-			src := randSlice(rand.New(rand.NewSource(1)), c.s.InC*c.s.H*c.s.W)
-			dst := make([]float32, p.StagedLen())
-			b.SetBytes(int64(4 * len(src)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Stage(dst, src)
+	stage := func(b *testing.B, p *ConvPlan) {
+		src := randSlice(rand.New(rand.NewSource(1)), p.InC*p.H*p.W)
+		dst := make([]float32, p.StagedLen())
+		b.SetBytes(int64(4 * len(src)))
+		for b.Loop() {
+			p.Stage(dst, src)
+		}
+	}
+	for _, c := range stagedShapes() {
+		p, g := NewConvPlan(c.s), NewConvGradPlan(c.s)
+		b.Run(c.name+"/fw", func(b *testing.B) { stage(b, p) })
+		if g.StagedLen() > 0 {
+			b.Run(c.name+"/dx", func(b *testing.B) { stage(b, &g.ConvPlan) })
+		}
+		b.Run(c.name+"/copy", func(b *testing.B) {
+			src := randSlice(rand.New(rand.NewSource(1)), p.StagedLen())
+			dst := make([]float32, len(src))
+			b.SetBytes(int64(4 * c.s.InC * c.s.H * c.s.W))
+			for b.Loop() {
+				copy(dst, src)
 			}
 		})
 	}
@@ -233,7 +274,7 @@ func BenchmarkConvStage(b *testing.B) {
 // gradients of the WRN-AM repro model: the two 3×3 stride-2 convs and
 // their 1×1 stride-2 shortcuts.
 func BenchmarkConvUnstage(b *testing.B) {
-	for _, c := range stagedShapes {
+	for _, c := range stagedShapes() {
 		if c.s.Stride == 1 || !strings.HasPrefix(c.name, "wrn") {
 			continue
 		}
@@ -242,8 +283,7 @@ func BenchmarkConvUnstage(b *testing.B) {
 			split := randSlice(rand.New(rand.NewSource(1)), p.SplitLen())
 			dx := make([]float32, c.s.InC*c.s.H*c.s.W)
 			b.SetBytes(int64(4 * len(dx)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				p.Unstage(dx, split)
 			}
 		})
