@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"edgetta/internal/models"
@@ -114,9 +115,13 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 		}
 		convs++
 		// A dX copies when its plan stages dY or interleaves residues;
-		// conv1 is the graph input: no dX.
+		// conv1 is the graph input: no dX. A block's strided 1×1 shortcut
+		// hands its dX over on the stride grid (BackwardSampled), where the
+		// branch conv's dX takes it before its own interleave: no copy.
 		copies := 0
-		if p := tensor.NewConvGradPlan(c.Spec().Conv); p.StagedLen()+p.SplitLen() > 0 && c.Name() != "conv1" {
+		p := tensor.NewConvGradPlan(c.Spec().Conv)
+		interleaves := p.SplitLen() > 0 && !strings.HasSuffix(c.Name(), ".shortcut")
+		if (p.StagedLen() > 0 || interleaves) && c.Name() != "conv1" {
 			stagedDX, copies = stagedDX+1, 1
 		}
 		if n := spans["pack.bw"][c.Name()]; tensor.PackedEnabled() && n != copies {

@@ -34,11 +34,13 @@ func convBN(s *nn.Scope, conv *nn.Conv2d, bn *nn.BatchNorm2d, x, res *tensor.Ten
 	return y
 }
 
-// convBNBackward takes grad back through a convBN to its x (what reaches
-// a res is BatchNorm2d.BackwardFused's to give).
-func convBNBackward(s *nn.Scope, conv *nn.Conv2d, bn *nn.BatchNorm2d, grad *tensor.Tensor) *tensor.Tensor {
+// convBNBackward takes grad back through a convBN to its x, plus res when
+// that is non-nil: the gradient that reaches x by the block's other path,
+// an operand of the conv's dX (what reaches a forward res is
+// BatchNorm2d.BackwardFused's to give).
+func convBNBackward(s *nn.Scope, conv *nn.Conv2d, bn *nn.BatchNorm2d, grad, res *tensor.Tensor) *tensor.Tensor {
 	d := bn.Backward(grad)
-	dx := conv.Backward(d)
+	dx := conv.BackwardFused(d, res)
 	s.Arena.Free(d)
 	return dx
 }
@@ -48,6 +50,13 @@ func convBNBackward(s *nn.Scope, conv *nn.Conv2d, bn *nn.BatchNorm2d, grad *tens
 // shortcut. When the shape changes, the shortcut is a 1×1 convolution of
 // the *activated* input (so the shortcut has no BatchNorm — this is what
 // makes the paper's 7808 BN-parameter count for ResNet-18 come out).
+//
+// A residual sum is an operand of the layer that makes one of its addends,
+// never a pass of its own: forward, conv2 adds the shortcut to each image
+// it writes; backward, conv1's dX adds the shortcut conv's dX — to the
+// one residue output of its own that lies where the strided 1×1 shortcut's
+// taps do, before un-staging, so the shortcut's dX is never un-staged — or
+// bn1's backward adds the block's gradient on the identity path.
 type PreActBlock struct {
 	nn.Scope
 	name         string
@@ -99,9 +108,8 @@ func (b *PreActBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	a2 := convBN(&b.Scope, b.conv1, b.bn2, a, nil, train)
 	b.Arena.Free(a)
-	h := b.conv2.Forward(a2, train)
+	h := b.conv2.ForwardFused(a2, sc, train)
 	b.Arena.Free(a2)
-	h.Add(sc)
 	if b.convSC != nil {
 		b.Arena.Free(sc)
 	}
@@ -114,24 +122,26 @@ func (b *PreActBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d2 := b.conv2.Backward(grad)
 	d1 := b.bn2.Backward(d2)
 	b.Arena.Free(d2)
-	dh := b.conv1.Backward(d1)
-	b.Arena.Free(d1)
-	if b.convSC != nil {
-		dsc := b.convSC.Backward(grad)
-		dh.Add(dsc)
-		b.Arena.Free(dsc)
+	if b.convSC == nil { // identity shortcut: grad reaches x itself
+		dh := b.conv1.Backward(d1)
+		b.Arena.Free(d1)
+		dx, _ := b.bn1.BackwardFused(dh, grad)
+		b.Arena.Free(dh)
+		return dx
 	}
+	dsc := b.convSC.BackwardSampled(grad) // given on the stride grid alone: zero off it
+	dh := b.conv1.BackwardFused(d1, dsc)
+	b.Arena.Free(d1)
+	b.Arena.Free(dsc)
 	dx := b.bn1.Backward(dh)
 	b.Arena.Free(dh)
-	if b.convSC == nil {
-		dx.Add(grad) // identity shortcut
-	}
 	return dx
 }
 
 // ResNeXtBlock is the aggregated-transform bottleneck:
 // conv1×1→bn→relu→conv3×3(grouped)→bn→relu→conv1×1→bn, plus a projection
 // shortcut (conv1×1+bn) when the shape changes, with ReLU after the sum.
+// The sum is bn3's operand forward and conv1's dX's backward.
 type ResNeXtBlock struct {
 	nn.Scope
 	name                string
@@ -196,21 +206,22 @@ func (b *ResNeXtBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements nn.Layer. The gradient of the sum has two readers,
-// the residual branch (through bn3) and the shortcut.
+// the residual branch (through bn3) and the shortcut; the shortcut runs
+// first, so that what it gives x is an operand of conv1's dX.
 func (b *ResNeXtBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	d3, dsum := b.bn3.BackwardFused(grad)
+	d3, dsum := b.bn3.BackwardFused(grad, nil)
+	dsc := dsum // what reaches x by the shortcut
+	if b.convSC != nil {
+		dsc = convBNBackward(&b.Scope, b.convSC, b.bnSC, dsum, nil)
+	}
 	d2 := b.conv3.Backward(d3)
 	b.Arena.Free(d3)
-	d1 := convBNBackward(&b.Scope, b.conv2, b.bn2, d2)
+	d1 := convBNBackward(&b.Scope, b.conv2, b.bn2, d2, nil)
 	b.Arena.Free(d2)
-	dx := convBNBackward(&b.Scope, b.conv1, b.bn1, d1)
+	dx := convBNBackward(&b.Scope, b.conv1, b.bn1, d1, dsc)
 	b.Arena.Free(d1)
 	if b.convSC != nil {
-		dsc := convBNBackward(&b.Scope, b.convSC, b.bnSC, dsum)
-		dx.Add(dsc)
 		b.Arena.Free(dsc)
-	} else {
-		dx.Add(dsum)
 	}
 	if dsum != grad { // bn3 made it (a rectifier gated grad); otherwise it is the caller's
 		b.Arena.Free(dsum)
@@ -291,18 +302,22 @@ func (b *InvertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor 
 	return y
 }
 
-// Backward implements nn.Layer.
+// Backward implements nn.Layer. The residual passes grad through
+// unchanged, an operand of the first conv's dX.
 func (b *InvertedResidual) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dp := convBNBackward(&b.Scope, b.project, b.bnP, grad)
-	dx := convBNBackward(&b.Scope, b.dw, b.bnD, dp)
-	b.Arena.Free(dp)
-	if b.expand != nil {
-		dh := dx
-		dx = convBNBackward(&b.Scope, b.expand, b.bnE, dh)
-		b.Arena.Free(dh)
-	}
+	var res *tensor.Tensor
 	if b.residual {
-		dx.Add(grad) // the residual passes grad through unchanged
+		res = grad
 	}
+	dp := convBNBackward(&b.Scope, b.project, b.bnP, grad, nil)
+	if b.expand == nil {
+		dx := convBNBackward(&b.Scope, b.dw, b.bnD, dp, res)
+		b.Arena.Free(dp)
+		return dx
+	}
+	dh := convBNBackward(&b.Scope, b.dw, b.bnD, dp, nil)
+	b.Arena.Free(dp)
+	dx := convBNBackward(&b.Scope, b.expand, b.bnE, dh, res)
+	b.Arena.Free(dh)
 	return dx
 }

@@ -1,20 +1,34 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"edgetta/internal/nn"
+	"edgetta/internal/parallel"
 	"edgetta/internal/tensor"
 )
 
 // The reference: every block as the chain of its child layers, one Forward
-// and one Backward call per layer, residual adds as Tensor.Add, and each
-// BatchNorm's rectifier a scalar pass of its own after the add. A
+// and one Backward call per layer, each residual sum a scalar pass of its
+// own (addRef), and each BatchNorm's rectifier a scalar pass of its own
+// after the add. A
 // reference runs a clone of the model whose BatchNorms stand in for
 // twins built without a rectifier; refForward/refBackward walk its
 // top-level Sequential the same way.
+
+// addRef is a residual sum of the reference: y += x, a scalar float32 add
+// per element, one rounding each.
+func addRef(y, x *tensor.Tensor) {
+	if !y.SameShape(x) {
+		panic("addRef: shapes differ")
+	}
+	for i, v := range x.Data {
+		y.Data[i] += v
+	}
+}
 
 // rectRef is the rectifier as tensor.Rect documents it: max(0, v),
 // clamped to Cap when there is one, NaN → 0 and −0 → +0.
@@ -63,7 +77,7 @@ func (r *reference) fw(bn *nn.BatchNorm2d, act tensor.Rect, x, res *tensor.Tenso
 	}
 	y := n.bn.Forward(x, train)
 	if res != nil {
-		y.Add(res)
+		addRef(y, res)
 	}
 	for i, v := range y.Data {
 		y.Data[i] = rectRef(v, act)
@@ -105,18 +119,18 @@ func (b *PreActBlock) refForward(r *reference, x *tensor.Tensor, train bool) *te
 	}
 	h := b.conv1.Forward(a, train)
 	h = b.conv2.Forward(r.fw(b.bn2, relu, h, nil, train), train)
-	h.Add(sc)
+	addRef(h, sc)
 	return h
 }
 
 func (b *PreActBlock) refBackward(r *reference, grad *tensor.Tensor) *tensor.Tensor {
 	dh := b.conv1.Backward(r.bw(b.bn2, b.conv2.Backward(grad)))
 	if b.convSC != nil {
-		dh.Add(b.convSC.Backward(grad))
+		addRef(dh, b.convSC.Backward(grad))
 		return r.bw(b.bn1, dh)
 	}
 	dx := r.bw(b.bn1, dh)
-	dx.Add(grad)
+	addRef(dx, grad)
 	return dx
 }
 
@@ -135,9 +149,9 @@ func (b *ResNeXtBlock) refBackward(r *reference, grad *tensor.Tensor) *tensor.Te
 	dx := b.conv1.Backward(r.bw(b.bn1, b.conv2.Backward(r.bw(b.bn2,
 		b.conv3.Backward(r.norms[b.bn3].bn.Backward(dsum))))))
 	if b.convSC != nil {
-		dx.Add(b.convSC.Backward(r.bw(b.bnSC, dsum)))
+		addRef(dx, b.convSC.Backward(r.bw(b.bnSC, dsum)))
 	} else {
-		dx.Add(dsum)
+		addRef(dx, dsum)
 	}
 	return dx
 }
@@ -161,7 +175,7 @@ func (b *InvertedResidual) refBackward(r *reference, grad *tensor.Tensor) *tenso
 		dh = b.expand.Backward(r.bw(b.bnE, dh))
 	}
 	if b.residual {
-		dh.Add(grad)
+		addRef(dh, grad)
 	}
 	return dh
 }
@@ -274,6 +288,85 @@ func TestFusedBlocksMatchLayerByLayerReference(t *testing.T) {
 				if !bitsEqual(bn.RunningMean, twin.RunningMean) || !bitsEqual(bn.RunningVar, twin.RunningVar) {
 					t.Fatalf("%s train=%v: %s running statistics differ from the reference", m.Tag, train, bn.Name())
 				}
+			}
+		}
+	}
+}
+
+// TestResidualOperandsMatchSeparateAdd is the residual operand's contract:
+// every block kind, with an identity and with a projection shortcut, is
+// bit-equal in output, input gradient and every parameter gradient to a
+// twin built from the same seed and run layer by layer with each residual
+// sum a scalar pass of its own after the layer that made its addend —
+// forward the conv, backward the conv's dX or the batch norm's. The block
+// runs on an arena that is filled with NaN before each of two passes and
+// fills each buffer it takes back, at 1, 2 and 8 workers (three images:
+// uneven ranges). A sum skipped or taken twice moves the output or dX.
+func TestResidualOperandsMatchSeparateAdd(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	blocks := []struct {
+		name  string
+		in    int
+		build func(rng *rand.Rand) nn.Layer
+	}{
+		{"preact/identity", 8, func(rng *rand.Rand) nn.Layer { return NewPreActBlock("b", rng, 8, 8, 1) }},
+		{"preact/projection", 8, func(rng *rand.Rand) nn.Layer { return NewPreActBlock("b", rng, 8, 16, 2) }},
+		{"preact/projection-stride1", 8, func(rng *rand.Rand) nn.Layer { return NewPreActBlock("b", rng, 8, 16, 1) }},
+		{"resnext/identity", 16, func(rng *rand.Rand) nn.Layer { return NewResNeXtBlock("b", rng, 16, 8, 16, 2, 1) }},
+		{"resnext/projection", 8, func(rng *rand.Rand) nn.Layer { return NewResNeXtBlock("b", rng, 8, 8, 16, 2, 2) }},
+		{"inverted/expand", 8, func(rng *rand.Rand) nn.Layer { return NewInvertedResidual("b", rng, 8, 8, 1, 6) }},
+		{"inverted/depthwise", 8, func(rng *rand.Rand) nn.Layer { return NewInvertedResidual("b", rng, 8, 8, 1, 1) }},
+	}
+	build := func(c int) nn.Layer {
+		b := blocks[c].build(rand.New(rand.NewSource(21)))
+		rng := rand.New(rand.NewSource(22))
+		nn.Walk(b, func(l nn.Layer) {
+			if bn, ok := l.(*nn.BatchNorm2d); ok {
+				for i := range bn.Gamma.Data {
+					bn.Gamma.Data[i] = float32(1 + 0.3*rng.NormFloat64())
+					bn.Beta.Data[i] = float32(0.3 * rng.NormFloat64())
+				}
+			}
+		})
+		return b
+	}
+	for c, blk := range blocks {
+		for _, workers := range []int{1, 2, 8} {
+			parallel.SetWorkers(workers)
+			at := fmt.Sprintf("%s, %d workers", blk.name, workers)
+			fused, twin := build(c), build(c)
+			arena := new(tensor.Arena)
+			nn.Attach(fused, arena, false)
+			ref := &reference{norms: map[*nn.BatchNorm2d]*refNorm{}}
+			rng := rand.New(rand.NewSource(23))
+			for pass := 0; pass < 2; pass++ {
+				arena.Reset()
+				poison(arena)
+				x := tensor.New(3, blk.in, 8, 8)
+				x.Uniform(rng, -1, 1)
+				y, yRef := fused.Forward(x, true), twin.(refBlock).refForward(ref, x, true)
+				if !bitsEqual(y.Data, yRef.Data) {
+					t.Fatalf("%s, pass %d: the output differs from the separate add", at, pass)
+				}
+				g := tensor.New(y.Shape()...)
+				g.Randn(rng, 1)
+				dx, dxRef := fused.Backward(g), twin.(refBlock).refBackward(ref, g)
+				if !bitsEqual(dx.Data, dxRef.Data) {
+					t.Fatalf("%s, pass %d: the input gradient differs from the separate add", at, pass)
+				}
+				var leaves, refLeaves []nn.Layer
+				nn.Walk(fused, func(l nn.Layer) { leaves = append(leaves, l) })
+				nn.Walk(twin, func(l nn.Layer) { refLeaves = append(refLeaves, l) })
+				for i, l := range leaves {
+					pr := ref.leaf(refLeaves[i]).Params()
+					for j, p := range l.Params() {
+						if !bitsEqual(p.Grad, pr[j].Grad) {
+							t.Fatalf("%s, pass %d: %s gradient differs from the separate add", at, pass, p.Name)
+						}
+					}
+				}
+				arena.Free(y)
+				arena.Free(dx)
 			}
 		}
 	}

@@ -93,7 +93,7 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // rectifier, in the same pass over the activation: y = act(bn(x) + res),
 // in that order per element, each step one rounding (res may be nil).
 // Given equal statistics the result is bit-identical to normalizing, then
-// Tensor.Add, then rectifying, each as a pass of its own.
+// adding res, then rectifying, each as a pass of its own.
 // Backward/BackwardFused undo the whole pass.
 func (b *BatchNorm2d) ForwardFused(x, res *tensor.Tensor, train bool) *tensor.Tensor {
 	return b.forward(x, res, train, false)
@@ -205,15 +205,19 @@ func (b *BatchNorm2d) forward(x, res *tensor.Tensor, train, inPlace bool) *tenso
 // It takes the gradient of the rectified output and gates it by the
 // rectifier first.
 func (b *BatchNorm2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx, _ := b.BackwardFused(grad)
+	dx, _ := b.BackwardFused(grad, nil)
 	return dx
 }
 
-// BackwardFused is Backward for a block that fused a residual: beside dx
-// it returns the gradient that reaches the residual operand — grad gated
-// by the rectifier, or grad itself when there was none — and nil when the
+// BackwardFused is Backward for a block that fuses a residual into either
+// pass. res, when non-nil, is the gradient that reaches the layer's input
+// by another path of the block: it is added to each channel of dx right
+// after that channel is written, one rounding per element, bit-identical
+// to Backward followed by an add of its own. Beside dx it returns the
+// gradient that reaches the forward's residual operand — grad gated by
+// the rectifier, or grad itself when there was none — and nil when the
 // forward had no residual.
-func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tensor) {
+func (b *BatchNorm2d) BackwardFused(grad, res *tensor.Tensor) (dx, dres *tensor.Tensor) {
 	x := b.in
 	if x == nil {
 		panic("nn: " + b.name + ": Backward before Forward")
@@ -223,6 +227,13 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 	}
 	if !sameShape(grad, b.shape) {
 		panic(shapeErr(b.name, grad.Shape()))
+	}
+	var resData []float32
+	if res != nil {
+		if !sameShape(res, b.shape) {
+			panic(fmt.Sprintf("nn: %s: residual shape %v does not match input %v", b.name, res.Shape(), b.shape))
+		}
+		resData = res.Data
 	}
 	t0 := profStart()
 	n, plane := b.shape[0], b.shape[2]*b.shape[3]
@@ -264,6 +275,9 @@ func (b *BatchNorm2d) BackwardFused(grad *tensor.Tensor) (dx, dres *tensor.Tenso
 		g := tensor.BNGrad{Affine: a, Scale: a.Gamma * a.InvStd,
 			MeanDy: float32(sDy) / cnt, MeanDyXhat: float32(sDyXhat) / cnt, Vary: b.batchMode}
 		tensor.GradInputPlanes(dx.Data[o:], dyc, xc, ch, g, rect)
+		if resData != nil {
+			tensor.AddPlanes(dx.Data[o:], resData[o:], ch)
+		}
 	})
 	b.Arena.Unhold(b.in)
 	b.Arena.Unhold(b.out)

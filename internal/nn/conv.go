@@ -101,6 +101,14 @@ func rangeBuf(t *tensor.Tensor, i int) []float32 {
 
 // Forward implements Layer. The batch dimension is processed in parallel.
 func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return c.ForwardFused(x, nil, train)
+}
+
+// ForwardFused is Forward with a block's residual as an operand: y = w ⊛ x
+// + res, each image's sum taken right after that image is convolved, while
+// its output is still in cache, one rounding per element (res may be nil).
+// The result is bit-identical to Forward followed by an add of its own.
+func (c *Conv2d) ForwardFused(x, res *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != c.InC {
 		panic(shapeErr(c.name, x.Shape()))
 	}
@@ -123,7 +131,7 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !tensor.PackedEnabled() {
 		k = im2col{c.fw.ConvShape}
 	}
-	c.conv(y.Data, x.Data, c.Weight.Data, n, k, false)
+	c.conv(y.Data, x.Data, c.Weight.Data, c.residual(res, y.Shape()), 0, n, k, false)
 
 	c.lastSpec = Spec{
 		Kind: KindConv, LayerName: c.name,
@@ -166,12 +174,26 @@ func (k im2col) Run(y, x, w []float32) {
 	}
 }
 
+// residual returns res's data after checking that it has shape, nil for a
+// nil res.
+func (c *Conv2d) residual(res *tensor.Tensor, shape []int) []float32 {
+	if res == nil {
+		return nil
+	}
+	if !sameShape(res, shape) {
+		// A copy is formatted so that shape itself does not escape.
+		panic(fmt.Sprintf("nn: %s: residual shape %v does not match %v", c.name, res.Shape(), append([]int(nil), shape...)))
+	}
+	return res.Data
+}
+
 // conv runs n images src → dst through k under the weight matrix w: stage
-// an image if k reads a copy, convolve it, and interleave a gradient's
-// residue outputs into dst unless k writes dst itself. The copies are
-// credited to KindPack in the calling direction, within the layer's
-// KindConv interval.
-func (c *Conv2d) conv(dst, src, w []float32, n int, k kernel, backward bool) {
+// an image if k reads a copy, convolve it, interleave a gradient's residue
+// outputs into dst unless k writes dst itself, and add the image's share
+// of res (when non-nil) to what it wrote — or, when it interleaves, to the
+// residue output at resAt before that. The copies are credited to KindPack
+// in the calling direction, within the layer's KindConv interval.
+func (c *Conv2d) conv(dst, src, w, res []float32, resAt, n int, k kernel, backward bool) {
 	ranges, span := parallel.Split(n, 1)
 	var staged, split *tensor.Tensor // nil for an image read in place, for an output written in place
 	if size := k.StagedLen(); size > 0 {
@@ -183,7 +205,8 @@ func (c *Conv2d) conv(dst, src, w []float32, n int, k kernel, backward bool) {
 	}
 	prof := profActive() && (staged != nil || split != nil)
 	var copyNanos atomic.Int64
-	inLen, outLen := len(src)/max(n, 1), len(dst)/max(n, 1)
+	inLen, outLen, resLen := len(src)/max(n, 1), len(dst)/max(n, 1), len(res)/max(n, 1)
+	one := tensor.Planes{N: 1, Len: resLen} // an image's share of res; empty for none
 	parallel.ForGrain(n, 1, func(lo, hi int) {
 		sbuf, obuf := rangeBuf(staged, lo/span), rangeBuf(split, lo/span)
 		for img := lo; img < hi; img++ {
@@ -192,11 +215,14 @@ func (c *Conv2d) conv(dst, src, w []float32, n int, k kernel, backward bool) {
 				timed(prof, &copyNanos, func() { k.Stage(sbuf, x) })
 				x = sbuf
 			}
+			r := res[img*resLen:][:resLen]
 			if obuf == nil {
 				k.Run(y, x, w)
+				tensor.AddPlanes(y, r, one)
 				continue
 			}
 			k.Run(obuf, x, w)
+			tensor.AddPlanes(obuf[resAt:], r, one)
 			timed(prof, &copyNanos, func() { grad.Unstage(y, obuf) })
 		}
 	})
@@ -219,7 +245,41 @@ func (c *Conv2d) conv(dst, src, w []float32, n int, k kernel, backward bool) {
 //
 // It calls the kernels, never Forward, so the profiler sees one conv.bw
 // span and no forward time.
-func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.backward(grad, nil, false) }
+
+// BackwardFused is Backward with a residual as an operand of dX. res (nil:
+// none) is the gradient that reaches the same input by another path of the
+// block. It is zero off the rows and columns ≡ 0 mod Stride and given on
+// those alone, [N, InC, ⌈H/Stride⌉, ⌈W/Stride⌉]: at stride 1 the input's
+// shape, at a larger one what a shortcut's BackwardSampled returns. Each
+// image's share is added while the image is in cache, one rounding per
+// element: at stride 1 to the dX just written, otherwise to the residue
+// output that lies on that grid, before the un-staging. Off the grid dX is
+// left as it is, which is dX + 0 to the bit, since a dX accumulator starts
+// at +0 and so is never −0: the result is bit-identical to Backward
+// followed by an add of its own. A strided conv with no residue on the
+// grid (K ≤ Pad mod Stride) refuses a res. Without a dX (noInputGrad) it
+// returns nil and res goes unread.
+func (c *Conv2d) BackwardFused(grad, res *tensor.Tensor) *tensor.Tensor {
+	return c.backward(grad, res, false)
+}
+
+// BackwardSampled is Backward for a 1×1 convolution without padding, whose
+// dX is zero off the rows and columns ≡ 0 mod Stride: it returns dX on
+// those alone, [N, InC, ⌈H/Stride⌉, ⌈W/Stride⌉] — its one residue output,
+// never un-staged — for BackwardFused of a conv with the same stride.
+func (c *Conv2d) BackwardSampled(grad *tensor.Tensor) *tensor.Tensor {
+	if c.K != 1 || c.Pad != 0 {
+		panic(fmt.Sprintf("nn: %s: BackwardSampled of a %d×%d conv padded by %d: only a 1×1 unpadded conv's dX lies on its stride grid", c.name, c.K, c.K, c.Pad))
+	}
+	return c.backward(grad, nil, true)
+}
+
+// sampledGrad is an input-gradient plan whose residue output conv keeps as
+// it is: no SplitLen, so Run writes the image's share of dx itself.
+type sampledGrad struct{ *tensor.ConvGradPlan }
+
+func (c *Conv2d) backward(grad, res *tensor.Tensor, sampled bool) *tensor.Tensor {
 	if c.fw == nil {
 		panic("nn: " + c.name + ": Backward before Forward")
 	}
@@ -239,10 +299,21 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	var dx *tensor.Tensor
 	if !c.noInputGrad {
-		dx = c.Arena.New(c.inShape...)
+		s := c.Stride
+		grid := []int{n, c.InC, (c.inShape[2] + s - 1) / s, (c.inShape[3] + s - 1) / s}
+		resAt, ok := c.dx.GridResidue()
+		if res != nil && s > 1 && !ok {
+			panic(fmt.Sprintf("nn: %s: no residue of its dX lies on the stride grid that a residual is given on", c.name))
+		}
+		var k kernel = c.dx
+		shape := c.inShape
+		if sampled {
+			k, shape = sampledGrad{c.dx}, grid
+		}
+		dx = c.Arena.New(shape...)
 		taps := c.Arena.New(len(c.Weight.Data))
 		c.dx.Weights(taps.Data, c.Weight.Data)
-		c.conv(dx.Data, grad.Data, taps.Data, n, c.dx, true)
+		c.conv(dx.Data, grad.Data, taps.Data, c.residual(res, grid), resAt, n, k, true)
 		c.Arena.Free(taps)
 	}
 	if !c.Weight.Frozen {

@@ -102,10 +102,18 @@ func snapshot(bn *BatchNorm2d, y, dx, dres *tensor.Tensor) fusedResult {
 	return r
 }
 
+// addRef is a residual sum outside any layer: y += x, a scalar float32
+// add per element, one rounding each.
+func addRef(y, x *tensor.Tensor) {
+	for i, v := range x.Data {
+		y.Data[i] += v
+	}
+}
+
 // TestFusedMatchesLayerSequenceBitwise is the fused pass's contract: for
 // every statistics mode, rectifier and residual, at 1 and 8 workers, a
 // BatchNorm's ForwardFused/BackwardFused produce the bits of the same
-// BatchNorm without a rectifier, then Tensor.Add, then the scalar
+// BatchNorm without a rectifier, then a scalar add, then the scalar
 // rectifier, and back through the rectifier's gate read from the output,
 // then that BatchNorm's Backward, each a pass of its own.
 func TestFusedMatchesLayerSequenceBitwise(t *testing.T) {
@@ -122,7 +130,7 @@ func TestFusedMatchesLayerSequenceBitwise(t *testing.T) {
 					bn, x, res, grad := fusedCase(41, mode, tensor.Rect{})
 					y := bn.Forward(x, mode.train)
 					if withRes {
-						y.Add(res)
+						addRef(y, res)
 					}
 					dsum := tensor.New(grad.Shape()...)
 					for i, v := range y.Data {
@@ -140,7 +148,7 @@ func TestFusedMatchesLayerSequenceBitwise(t *testing.T) {
 						res = nil
 					}
 					y = bn.ForwardFused(x, res, mode.train)
-					dx, dres := bn.BackwardFused(grad)
+					dx, dres := bn.BackwardFused(grad, nil)
 					got := snapshot(bn, y, dx, dres)
 
 					if d := got.diff(want); d != "" {
@@ -203,7 +211,7 @@ func TestFusedGradientCheck(t *testing.T) {
 		x.Randn(rng, 1)
 		res.Randn(rng, 2)
 		pre := linear.Forward(x, true) // what the rectifier sees, less the residual
-		pre.Add(res)
+		addRef(pre, res)
 		for i, v := range pre.Data {
 			for _, kink := range []float32{0, act.Cap} {
 				if d := v - kink; d > -0.4 && d < 0.4 {
@@ -223,7 +231,7 @@ func TestFusedGradientCheck(t *testing.T) {
 		}
 		bn.Gamma.ZeroGrad()
 		bn.Beta.ZeroGrad()
-		dx, dres := bn.BackwardFused(loss.grad(y.Shape()))
+		dx, dres := bn.BackwardFused(loss.grad(y.Shape()), nil)
 		restore()
 		checkGrad(t, name+".gamma", forward, bn.Gamma.Data, bn.Gamma.Grad, 2e-2)
 		checkGrad(t, name+".beta", forward, bn.Beta.Data, bn.Beta.Grad, 2e-2)
@@ -362,7 +370,7 @@ func TestFusedPassIsOneProfilerInterval(t *testing.T) {
 		t.Skip("another profiler is active")
 	}
 	bn.ForwardFused(x, res, true)
-	bn.BackwardFused(grad)
+	bn.BackwardFused(grad, nil)
 	got := StopProfiling()
 	if got.FwCalls[KindBN] != 1 || got.BwCalls[KindBN] != 1 || got.FwCalls[KindAct]+got.BwCalls[KindAct] != 0 {
 		t.Errorf("intervals: bn %d/%d, act %d/%d; want 1/1 and 0/0",
@@ -403,5 +411,71 @@ func TestBackwardRejectsAGradientOfAnotherShape(t *testing.T) {
 	}
 	if dx := fc.Backward(tensor.New(2, 3)); dx.Dim(0) != 2 || dx.Dim(1) != 5 {
 		t.Errorf("linear Backward over the forward's output shape returned %v", dx.Shape())
+	}
+}
+
+// TestConvResidualOperandMatchesSeparateAdd holds a conv's residual
+// operands bitwise to Forward or Backward followed by a scalar add, at 1, 2
+// and 8 workers, over stride-1 and strided geometries: the forward sum,
+// and the dX sum with res given on the stride grid — added to the residue
+// output that lies there, before un-staging, and nowhere else, which
+// matches a dense add of the grid's values because dX off the grid is
+// never −0. BackwardSampled of a strided 1×1 conv is Backward on that grid,
+// and zero off it; a conv with no residue on the grid refuses a res.
+func TestConvResidualOperandMatchesSeparateAdd(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	same := float32BitsEqual
+	geoms := []struct{ k, stride, pad, hw int }{
+		{3, 1, 1, 8}, {1, 1, 0, 8}, {3, 2, 1, 8}, {3, 2, 1, 9}, {1, 2, 0, 9}, {2, 2, 0, 8}, {5, 3, 2, 10}, {1, 3, 0, 7}, {1, 2, 1, 8},
+	}
+	for _, geo := range geoms {
+		for _, workers := range []int{1, 2, 8} {
+			parallel.SetWorkers(workers)
+			at := fmt.Sprintf("k%d s%d p%d %d×%d, %d workers", geo.k, geo.stride, geo.pad, geo.hw, geo.hw, workers)
+			rng := rand.New(rand.NewSource(31))
+			c := NewConv2d("c", rng, 4, 8, geo.k, geo.stride, geo.pad, 1)
+			x := tensor.New(3, 4, geo.hw, geo.hw)
+			x.Randn(rng, 1)
+			y := c.Forward(x, true)
+			res := tensor.New(y.Shape()...)
+			res.Randn(rng, 1)
+			want := y.Clone()
+			addRef(want, res)
+			if got := c.ForwardFused(x, res, true); !same(got.Data, want.Data) {
+				t.Fatalf("%s: ForwardFused differs from Forward and a separate add", at)
+			}
+			g := tensor.New(y.Shape()...)
+			g.Randn(rng, 1)
+			s, h := geo.stride, geo.hw
+			grid := tensor.New(3, 4, (h+s-1)/s, (h+s-1)/s)
+			grid.Randn(rng, 1)
+			dx := c.Backward(g)
+			want = dx.Clone()
+			rows := grid.Dim(2)
+			for i, v := range grid.Data { // a dense add of the grid's values
+				ic, gy, gx := i/(rows*rows), i/rows%rows, i%rows
+				want.Data[(ic*h+gy*s)*h+gx*s] += v
+			}
+			_, ok := tensor.NewConvGradPlan(c.Spec().Conv).GridResidue()
+			if s > 1 && !ok {
+				wantPanic(t, at+": BackwardFused with no residue on the grid", "stride grid", func() { c.BackwardFused(g, grid) })
+			} else if got := c.BackwardFused(g, grid); !same(got.Data, want.Data) {
+				t.Fatalf("%s: BackwardFused differs from Backward and a separate add", at)
+			}
+			if geo.k != 1 || geo.pad != 0 {
+				continue
+			}
+			sampled := c.BackwardSampled(g)
+			for i := range dx.Data {
+				ic, yy, xx := i/(h*h), i/h%h, i%h
+				v := float32(0)
+				if yy%s == 0 && xx%s == 0 {
+					v = sampled.At(ic/4, ic%4, yy/s, xx/s)
+				}
+				if math.Float32bits(dx.Data[i]) != math.Float32bits(v) {
+					t.Fatalf("%s: Backward at %d is %v, BackwardSampled on the grid gives %v", at, i, dx.Data[i], v)
+				}
+			}
+		}
 	}
 }

@@ -108,13 +108,19 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// GlobalAvgPool reduces [N,C,H,W] to [N,C] by spatial averaging.
+// GlobalAvgPool reduces [N,C,H,W] to [N,C] by spatial averaging: each
+// plane's float32 sum in ascending order from +0, times 1/(H·W).
 type GlobalAvgPool struct {
 	Scope
 	name     string
 	h, w     int
 	lastSpec Spec
 }
+
+// poolChains is how many planes the forward sums side by side: each plane
+// is still one dependent chain of adds, but that many independent chains
+// keep the adder busy where one would wait on its own latency.
+const poolChains = 8
 
 // NewGlobalAvgPool constructs the pooling layer.
 func NewGlobalAvgPool(name string) *GlobalAvgPool { return &GlobalAvgPool{name: name} }
@@ -137,10 +143,30 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := p.Arena.New(n, c)
 	plane := h * w
 	inv := 1 / float32(plane)
-	for i := 0; i < n*c; i++ {
+	i := 0
+	for ; i+poolChains <= n*c; i += poolChains {
+		xs := x.Data[i*plane:][:poolChains*plane]
+		x0, x1, x2, x3 := xs[:plane], xs[plane:][:plane], xs[2*plane:][:plane], xs[3*plane:][:plane]
+		x4, x5, x6, x7 := xs[4*plane:][:plane], xs[5*plane:][:plane], xs[6*plane:][:plane], xs[7*plane:][:plane]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		for j := range x0 {
+			s0 += x0[j]
+			s1 += x1[j]
+			s2 += x2[j]
+			s3 += x3[j]
+			s4 += x4[j]
+			s5 += x5[j]
+			s6 += x6[j]
+			s7 += x7[j]
+		}
+		out := y.Data[i:][:poolChains]
+		out[0], out[1], out[2], out[3] = s0*inv, s1*inv, s2*inv, s3*inv
+		out[4], out[5], out[6], out[7] = s4*inv, s5*inv, s6*inv, s7*inv
+	}
+	for ; i < n*c; i++ {
 		s := float32(0)
-		for j := 0; j < plane; j++ {
-			s += x.Data[i*plane+j]
+		for _, v := range x.Data[i*plane:][:plane] {
+			s += v
 		}
 		y.Data[i] = s * inv
 	}
@@ -156,11 +182,20 @@ func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	plane := p.h * p.w
 	inv := 1 / float32(plane)
 	dx := p.Arena.New(n, c, p.h, p.w)
-	for i := 0; i < n*c; i++ {
-		g := grad.Data[i] * inv
-		for j := 0; j < plane; j++ {
-			dx.Data[i*plane+j] = g
-		}
+	for i, g := range grad.Data[:n*c] {
+		fill(dx.Data[i*plane:][:plane], g*inv)
 	}
 	return dx
+}
+
+// fill sets every element of d to v, eight stores per loop trip.
+func fill(d []float32, v float32) {
+	j := 0
+	for ; j+8 <= len(d); j += 8 {
+		e := d[j:][:8]
+		e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7] = v, v, v, v, v, v, v, v
+	}
+	for ; j < len(d); j++ {
+		d[j] = v
+	}
 }

@@ -15,7 +15,11 @@
 // rectifier (ReLU or ReLU6) is no layer of its own: it is the epilogue of
 // the BatchNorm before it, fixed when that layer is built, and runs in the
 // BatchNorm's one pass over the activation, after the residual a block
-// may add (BatchNorm2d.ForwardFused).
+// may add (BatchNorm2d.ForwardFused). Every residual sum is such an
+// operand of the layer that makes one of its addends, added to what that
+// layer just wrote while it is in cache — a BatchNorm's forward or
+// backward (BatchNorm2d.BackwardFused), a convolution's forward or dX
+// (Conv2d.ForwardFused, Conv2d.BackwardFused) — never a pass of its own.
 //
 // Those references are only as good as the memory behind them. A layer
 // built on its own allocates every activation and gradient, and what it

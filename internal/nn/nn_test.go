@@ -477,6 +477,58 @@ func TestGlobalAvgPool(t *testing.T) {
 	}
 }
 
+// TestGlobalAvgPoolMatchesSequentialSums holds the pool, whose forward
+// sums several planes side by side, bitwise to its definition: each
+// plane's float32 sum in ascending order from +0, times 1/(H·W), and back,
+// every element of a plane its output's gradient times 1/(H·W). Plane
+// lengths run 1–70; the plane counts include ones the chain width does
+// not divide, and -0, NaN and ±Inf among the values.
+func TestGlobalAvgPoolMatchesSequentialSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e30}
+	value := func() float32 {
+		if rng.Intn(40) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return float32(rng.NormFloat64() * 3)
+	}
+	same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b) }
+	for plane := 1; plane <= 70; plane++ {
+		h, w := 1, plane // the pool reads a plane flat
+		if plane == 64 {
+			h, w = 8, 8
+		}
+		for _, shape := range [][2]int{{1, 1}, {1, poolChains}, {2, 3}, {3, poolChains + 5}, {2, 2 * poolChains}} {
+			n, c := shape[0], shape[1]
+			x := tensor.New(n, c, h, w)
+			for i := range x.Data {
+				x.Data[i] = value()
+			}
+			p := NewGlobalAvgPool("gap")
+			y := p.Forward(x, false)
+			inv := 1 / float32(plane)
+			for i := 0; i < n*c; i++ {
+				s := float32(0)
+				for _, v := range x.Data[i*plane : (i+1)*plane] {
+					s += v
+				}
+				if !same(y.Data[i], s*inv) {
+					t.Fatalf("%d×%d planes of %d: forward plane %d = %v, sequential sum %v", n, c, plane, i, y.Data[i], s*inv)
+				}
+			}
+			g := tensor.New(n, c)
+			for i := range g.Data {
+				g.Data[i] = value()
+			}
+			for i, v := range p.Backward(g).Data {
+				if want := g.Data[i/plane] * inv; !same(v, want) {
+					t.Fatalf("%d×%d planes of %d: backward element %d = %v, want %v", n, c, plane, i, v, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := tensor.New(5, 7)

@@ -151,14 +151,19 @@ func (c *Client) do(fn func() error) error {
 	return err
 }
 
-// call is the one round trip every client method makes: send body (nil for
-// none) under the headers h, turn any status but 200 into the typed error,
-// and hand the response to read — which must bound what it takes (readBody,
-// readBatch).
-func (c *Client) call(method, path string, h http.Header, body []byte, read func(*http.Response) error) error {
-	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
+// call is the one round trip every client method makes: send body under
+// the headers h, turn any status but 200 into the typed error, and hand the
+// response to read — which must bound what it takes (readBody, readBatch).
+// body is a *bytes.Reader or an *f32Reader, unread: the transport may send
+// it again from its start (Request.GetBody).
+func (c *Client) call(method, path string, h http.Header, body io.Reader, read func(*http.Response) error) error {
+	req, err := http.NewRequest(method, c.base+path, body)
 	if err != nil {
 		return err
+	}
+	if f, ok := body.(*f32Reader); ok { // NewRequest sizes only the standard readers
+		req.ContentLength = int64(f.Len())
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(&f32Reader{src: f.src}), nil }
 	}
 	req.Header = h
 	resp, err := c.http.Do(req)
@@ -184,7 +189,7 @@ func (c *Client) callJSON(method, path string, in, out any) error {
 		}
 		h.Set("Content-Type", "application/json")
 	}
-	return c.call(method, path, h, body, func(resp *http.Response) error {
+	return c.call(method, path, h, bytes.NewReader(body), func(resp *http.Response) error {
 		raw, err := readBody(resp.Body, resp.ContentLength)
 		if err != nil {
 			return err
@@ -248,16 +253,24 @@ func (s *ClientStream) Process(x *tensor.Tensor) (*tensor.Tensor, error) {
 // Code=CodeSequence whose ExpectSeq says where to rewind.
 func (s *ClientStream) ProcessSeq(x *tensor.Tensor, seq uint64) (*tensor.Tensor, error) {
 	h := http.Header{}
-	body, err := encodeBatch(h, x, s.c.Binary)
-	if err != nil {
-		return nil, err
+	var body func() io.Reader // a fresh reader per attempt
+	if s.c.Binary {
+		// Encoded as the transport reads it: no byte copy of the batch.
+		setBinary(h, x)
+		body = func() io.Reader { return &f32Reader{src: x.Data} }
+	} else {
+		raw, err := encodeBatch(h, x, false)
+		if err != nil {
+			return nil, err
+		}
+		body = func() io.Reader { return bytes.NewReader(raw) }
 	}
 	if seq > 0 {
 		h.Set("X-Edgetta-Seq", strconv.FormatUint(seq, 10))
 	}
 	var out *tensor.Tensor
-	err = s.c.do(func() error {
-		return s.c.call(http.MethodPost, s.path()+"/submit", h, body, func(resp *http.Response) error {
+	err := s.c.do(func() error {
+		return s.c.call(http.MethodPost, s.path()+"/submit", h, body(), func(resp *http.Response) error {
 			var err error
 			out, err = readBatch(resp.Header, resp.Body, resp.ContentLength)
 			return err

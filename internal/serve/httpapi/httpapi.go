@@ -42,8 +42,10 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"edgetta/internal/core"
@@ -289,7 +291,8 @@ const maxBodyBytes = 64 << 20
 
 // readBody reads a body of at most maxBodyBytes. declared is the peer's
 // Content-Length (-1 when unknown): one past the bound is refused before a
-// byte is read, an undeclared one after maxBodyBytes+1 of them.
+// byte is read, an undeclared one after maxBodyBytes+1 of them, and a body
+// of another length than declared once read.
 func readBody(body io.Reader, declared int64) ([]byte, error) {
 	if declared > maxBodyBytes {
 		return nil, fmt.Errorf("body of %d bytes exceeds %d", declared, maxBodyBytes)
@@ -300,6 +303,9 @@ func readBody(body io.Reader, declared int64) ([]byte, error) {
 	}
 	if len(raw) > maxBodyBytes {
 		return nil, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
+	}
+	if declared >= 0 && int64(len(raw)) != declared {
+		return nil, fmt.Errorf("body of %d bytes, %d declared", len(raw), declared)
 	}
 	return raw, nil
 }
@@ -317,31 +323,36 @@ func isBinary(h http.Header) bool {
 // describe the body.
 func encodeBatch(h http.Header, x *tensor.Tensor, binaryCodec bool) ([]byte, error) {
 	if binaryCodec {
-		h.Set("Content-Type", "application/octet-stream")
-		h.Set("X-Edgetta-Shape", shapeHeader(x.Shape()))
+		setBinary(h, x)
 		return encodeF32(x.Data), nil
 	}
 	h.Set("Content-Type", "application/json")
 	return json.Marshal(batchJSON{Shape: x.Shape(), Data: x.Data})
 }
 
+// setBinary sets the headers of a binary body carrying x.
+func setBinary(h http.Header, x *tensor.Tensor) {
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("X-Edgetta-Shape", shapeHeader(x.Shape()))
+}
+
 // readBatch reads a bounded body and decodes it, in the codec its headers
 // name, into a tensor.
 func readBatch(h http.Header, body io.Reader, declared int64) (*tensor.Tensor, error) {
-	raw, err := readBody(body, declared)
-	if err != nil {
-		return nil, err
-	}
 	if isBinary(h) {
 		shape, err := parseShapeHeader(h.Get("X-Edgetta-Shape"))
 		if err != nil {
 			return nil, err
 		}
-		data, err := decodeF32(raw)
+		data, err := readF32(body, declared)
 		if err != nil {
 			return nil, err
 		}
 		return tensorFrom(data, shape)
+	}
+	raw, err := readBody(body, declared)
+	if err != nil {
+		return nil, err
 	}
 	var b batchJSON
 	if err := json.Unmarshal(raw, &b); err != nil {
@@ -398,10 +409,22 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func encodeF32(src []float32) []byte {
 	out := make([]byte, 4*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-	}
+	putF32(out, src)
 	return out
+}
+
+// putF32 encodes src into the first 4·len(src) bytes of dst.
+func putF32(dst []byte, src []float32) {
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+}
+
+// getF32 decodes the first 4·len(dst) bytes of src into dst.
+func getF32(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
 }
 
 func decodeF32(raw []byte) ([]float32, error) {
@@ -409,10 +432,85 @@ func decodeF32(raw []byte) ([]float32, error) {
 		return nil, fmt.Errorf("binary body length %d is not a multiple of 4", len(raw))
 	}
 	out := make([]float32, len(raw)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	getF32(out, raw)
+	return out, nil
+}
+
+// chunks lends readF32 the buffer it reads a body through.
+var chunks = sync.Pool{New: func() any { return new([16 << 10]byte) }}
+
+// eagerBytes bounds what readF32 allocates for a declared length before
+// the bytes arrive: past it the floats grow as they are read, so a
+// Content-Length alone cannot make the server allocate maxBodyBytes.
+const eagerBytes = 1 << 20
+
+// readF32 reads a binary body. One of declared length is read in one pass
+// straight into floats of that length (allocated once up to eagerBytes), a
+// pooled chunk at a time, and must be a multiple of 4 bytes, at most
+// maxBodyBytes, and end where declared; an undeclared one is read whole
+// (readBody), then decoded.
+func readF32(body io.Reader, declared int64) ([]float32, error) {
+	if declared < 0 {
+		raw, err := readBody(body, declared)
+		if err != nil {
+			return nil, err
+		}
+		return decodeF32(raw)
+	}
+	if declared > maxBodyBytes {
+		return nil, fmt.Errorf("body of %d bytes exceeds %d", declared, maxBodyBytes)
+	}
+	if declared%4 != 0 {
+		return nil, fmt.Errorf("binary body length %d is not a multiple of 4", declared)
+	}
+	chunk := chunks.Get().(*[16 << 10]byte)
+	defer chunks.Put(chunk)
+	floats := int(declared / 4)
+	out := make([]float32, 0, min(declared, eagerBytes)/4)
+	for len(out) < floats {
+		n := min(floats-len(out), len(chunk)/4)
+		if _, err := io.ReadFull(body, chunk[:4*n]); err != nil {
+			return nil, fmt.Errorf("read body of %d declared bytes: %w", declared, err)
+		}
+		m := len(out)
+		out = slices.Grow(out, n)[:m+n]
+		getF32(out[m:], chunk[:])
+	}
+	if n, _ := io.ReadFull(body, chunk[:1]); n > 0 {
+		return nil, fmt.Errorf("body longer than its declared %d bytes", declared)
 	}
 	return out, nil
+}
+
+// f32Reader reads src as the binary codec's bytes, encoding the floats as
+// they are read, so a submit goes out with no byte copy of its batch.
+type f32Reader struct {
+	src []float32
+	off int // bytes read
+}
+
+// Len returns the number of bytes not yet read.
+func (r *f32Reader) Len() int { return 4*len(r.src) - r.off }
+
+func (r *f32Reader) Read(p []byte) (int, error) {
+	if r.Len() == 0 {
+		return 0, io.EOF
+	}
+	n := 0
+	for n < len(p) && r.Len() > 0 {
+		i, k := r.off/4, r.off%4
+		if k == 0 && len(p)-n >= 4 { // whole floats
+			m := min((len(p)-n)/4, len(r.src)-i)
+			putF32(p[n:], r.src[i:i+m])
+			n, r.off = n+4*m, r.off+4*m
+			continue
+		}
+		var w [4]byte // a float split across reads
+		putF32(w[:], r.src[i:i+1])
+		c := copy(p[n:], w[k:])
+		n, r.off = n+c, r.off+c
+	}
+	return n, nil
 }
 
 func shapeHeader(shape []int) string {

@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"edgetta/internal/core"
@@ -483,22 +486,61 @@ func TestClientBoundsSuccessBodies(t *testing.T) {
 	}
 }
 
+// TestReadBatchDeclaredLengthPastEagerBound: a binary body declared longer
+// than eagerBytes is read bit for bit, and a declared length the body does
+// not carry is refused without the server allocating it — a
+// Content-Length of maxBodyBytes over 8 bytes costs under 2 MiB.
+func TestReadBatchDeclaredLengthPastEagerBound(t *testing.T) {
+	x := tensor.New(3, 3, 256, 256) // 2.25 MiB
+	x.Randn(rand.New(rand.NewSource(7)), 1)
+	h := http.Header{}
+	raw, err := encodeBatch(h, x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := readBatch(h, bytes.NewReader(raw), int64(len(raw)))
+	if err != nil || !bitEqual(y.Data, x.Data) {
+		t.Fatalf("a %d-byte binary body did not round-trip (err %v)", len(raw), err)
+	}
+	h.Set("X-Edgetta-Shape", shapeHeader([]int{maxBodyBytes / 4}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = readBatch(h, bytes.NewReader(raw[:8]), maxBodyBytes)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted 8 bytes declared as maxBodyBytes")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Errorf("refusing a short body declared as %d bytes allocated %d bytes", maxBodyBytes, got)
+	}
+}
+
 // FuzzReadBatch feeds the wire decoder hostile bytes in either codec: a
-// Content-Type, an X-Edgetta-Shape value and a body. readBatch must never
-// panic; a tensor it accepts holds exactly as many values as its shape;
-// and that tensor survives encodeBatch then readBatch bit for bit, in the
-// binary codec always and in JSON whenever its values are finite (JSON
-// has no spelling for NaN or Inf). The seed corpus is in
-// testdata/fuzz/FuzzReadBatch.
+// Content-Type, an X-Edgetta-Shape value, a body and the length declared
+// for it — exact, unknown (−1), one short or one long (declared % 4).
+// readBatch must never panic and must refuse a body whose length is not
+// the one declared; a tensor it accepts holds exactly as many values as
+// its shape; and that tensor survives encodeBatch then readBatch bit for
+// bit, in the binary codec always and in JSON whenever its values are
+// finite (JSON has no spelling for NaN or Inf), as does a binary submit
+// the client streams (f32Reader) read back a byte and half a buffer at a
+// time. The seed corpus is in testdata/fuzz/FuzzReadBatch.
 func FuzzReadBatch(f *testing.F) {
-	f.Fuzz(func(t *testing.T, binary bool, shape string, body []byte) {
+	f.Fuzz(func(t *testing.T, binary bool, shape string, body []byte, declared uint8) {
 		h := http.Header{}
 		h.Set("Content-Type", "application/json")
 		if binary {
 			h.Set("Content-Type", "application/octet-stream")
 		}
 		h.Set("X-Edgetta-Shape", shape)
-		x, err := readBatch(h, bytes.NewReader(body), int64(len(body)))
+		length := []int64{int64(len(body)), -1, int64(len(body)) - 1, int64(len(body)) + 1}[declared%4]
+		x, err := readBatch(h, bytes.NewReader(body), length)
+		if length >= 0 && length != int64(len(body)) {
+			if err == nil {
+				t.Fatalf("accepted a body of %d bytes declared as %d", len(body), length)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}
@@ -528,6 +570,12 @@ func FuzzReadBatch(f *testing.F) {
 			}
 			if shapeHeader(y.Shape()) != shapeHeader(x.Shape()) || !bitEqual(y.Data, x.Data) {
 				t.Fatalf("round trip (binary=%v) changed the batch: shape %v -> %v", codec, x.Shape(), y.Shape())
+			}
+		}
+		for _, r := range []func(io.Reader) io.Reader{iotest.OneByteReader, iotest.HalfReader} {
+			streamed, err := io.ReadAll(r(&f32Reader{src: x.Data}))
+			if err != nil || !bytes.Equal(streamed, encodeF32(x.Data)) {
+				t.Fatalf("the streamed submit differs from its encoding (err %v)", err)
 			}
 		}
 	})

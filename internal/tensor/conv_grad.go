@@ -105,6 +105,24 @@ func (p *ConvGradPlan) SplitLen() int {
 	return max(p.splitLen, 1)
 }
 
+// GridResidue returns where in Run's output the residue lies whose
+// positions are the rows and columns ≡ 0 mod Stride, all ⌈H/Stride⌉ ×
+// ⌈W/Stride⌉ of them per channel ([InC, ⌈H/Stride⌉, ⌈W/Stride⌉] from
+// there), and false when there is none — when no tap reaches that grid
+// (K ≤ Pad mod Stride), and at stride 1, where Run writes dX itself. A
+// 1×1 unpadded convolution's one residue is its grid.
+func (p *ConvGradPlan) GridResidue() (at int, ok bool) {
+	if p.Stride == 1 {
+		return 0, false
+	}
+	for _, r := range p.subs {
+		if r.y.first(p.Stride, p.Pad) == 0 && r.x.first(p.Stride, p.Pad) == 0 {
+			return r.at, true
+		}
+	}
+	return 0, false
+}
+
 // Weights gathers into dst [len(w)] the taps the residues convolve dY with
 // out of the forward's weights w [OutC, InC/Groups·K·K]: per residue, row ic
 // holds the residue's taps of w[oc][ic] reversed for each oc of ic's group —

@@ -108,6 +108,23 @@ func checkRows(n, stride, rows, span int) {
 	}
 }
 
+// AddPlanes adds x to y over the planes: y = y + x, one float32 rounding
+// per element (the axpy kernel at a = 1, whose fused multiply-add by 1 is
+// that one rounded add on every path). A layer adds a block's residual
+// with it to what it just wrote, while that is still in cache: a
+// convolution one image at a time, a batch norm's backward one channel at
+// a time.
+func AddPlanes(y, x []float32, p Planes) {
+	if p.empty() {
+		return
+	}
+	p.check(len(y))
+	p.check(len(x))
+	for k := 0; k < p.N; k++ {
+		axpy(1, p.at(x, k), p.at(y, k))
+	}
+}
+
 // SumPlanes adds the elements of the planes of x, widened to float64, into
 // acc.
 func SumPlanes(acc *[StatLanes]float64, x []float32, p Planes) { sumPlanes(acc, x, p) }

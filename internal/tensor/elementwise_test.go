@@ -176,7 +176,7 @@ func TestEpilogueMatchesThreePassOracle(t *testing.T) {
 						xh := (v - a.Mean) * a.InvStd
 						v = a.Gamma*xh + a.Beta
 						if withRes {
-							v += 1 * res[i] // Tensor.Add's expression
+							v += res[i] // a residual sum: one rounded add
 						}
 						if rect.On {
 							v, _ = oldReLU(v, cap)
@@ -346,22 +346,26 @@ func TestPlaneStatisticsShape(t *testing.T) {
 	}
 }
 
-// TestAddScaledMatchesScalarLoop holds Tensor.AddScaled, on the axpy
-// kernel, to a scalar loop of fma32: one rounding per element.
-func TestAddScaledMatchesScalarLoop(t *testing.T) {
+// TestAddPlanesMatchesScalarAdd holds AddPlanes, on the axpy kernel at
+// a = 1, to a scalar float32 add, one rounding per element, over plane
+// lengths 1–67 and plane strides that leave gaps, which it must not
+// touch.
+func TestAddPlanesMatchesScalarAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for n := 1; n <= 67; n++ {
-		for _, alpha := range []float32{1, -0.37} {
-			a, b := FromSlice(plane(rng, n, n%4, 6), n), FromSlice(plane(rng, n, (n+1)%4, 6), n)
-			want := make([]float32, n)
-			for i, v := range b.Data {
-				want[i] = fma32(alpha, v, a.Data[i])
+		p := Planes{N: 3, Len: n, Stride: n + n%5}
+		size := (p.N-1)*p.Stride + p.Len
+		y, x := plane(rng, size, n%4, 6), plane(rng, size, (n+1)%4, 6)
+		want := append([]float32(nil), y...)
+		for k := 0; k < p.N; k++ {
+			for i := k * p.Stride; i < k*p.Stride+p.Len; i++ {
+				want[i] += x[i]
 			}
-			a.AddScaled(b, alpha)
-			for i := range want {
-				if !sameF32(a.Data[i], want[i]) {
-					t.Fatalf("n=%d alpha=%v at %d: %v vs scalar %v", n, alpha, i, a.Data[i], want[i])
-				}
+		}
+		AddPlanes(y, x, p)
+		for i := range want {
+			if !sameF32(y[i], want[i]) {
+				t.Fatalf("n=%d at %d: %v vs scalar %v", n, i, y[i], want[i])
 			}
 		}
 	}

@@ -125,19 +125,6 @@ func (t *Tensor) Uniform(rng *rand.Rand, lo, hi float64) {
 	}
 }
 
-// AddScaled computes t += alpha*o elementwise. Shapes must match. It runs
-// on the axpy kernel: one fused multiply-add per element, alpha*o+t rounded
-// once, the same bits on every path (at alpha = 1, a plain rounded add).
-func (t *Tensor) AddScaled(o *Tensor, alpha float32) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor: AddScaled shape mismatch %v vs %v", t.shape, o.shape))
-	}
-	axpy(alpha, o.Data, t.Data)
-}
-
-// Add computes t += o elementwise.
-func (t *Tensor) Add(o *Tensor) { t.AddScaled(o, 1) }
-
 // Scale multiplies every element by alpha.
 func (t *Tensor) Scale(alpha float32) {
 	for i := range t.Data {
