@@ -3,61 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"edgetta/internal/models"
 	"edgetta/internal/nn"
 	"edgetta/internal/telemetry"
 	"edgetta/internal/tensor"
 )
-
-// TestBNOptFrozenMatchesFullBackward is the frozen-aware backward's
-// contract at the adapter level: BN-Opt over a frozen model adapts bit for
-// bit like the reference that runs the same backward with every gradient
-// computed and simply never reads the conv/linear ones — logits and the
-// captured state, batch after batch.
-func TestBNOptFrozenMatchesFullBackward(t *testing.T) {
-	for _, build := range models.Registry() {
-		m := build(rand.New(rand.NewSource(17)), models.ReproScale)
-		ref := m.Clone()
-		frozen, err := New(BNOpt, m, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := New(BNOpt, ref, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nn.Unfreeze(ref.Net) // the reference computes dW and the input's dX, and discards them
-		rng := rand.New(rand.NewSource(19))
-		for batch := 0; batch < 5; batch++ {
-			x := tensor.New(6, 3, 32, 32)
-			x.Uniform(rng, 0, 1)
-			got, want := frozen.Process(x), full.Process(x)
-			for i := range want.Data {
-				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("%s batch %d: logit %d differs from the full-backward reference", m.Tag, batch, i)
-				}
-			}
-			if !stateEqual(frozen.(Stateful).CaptureState(), full.(Stateful).CaptureState()) {
-				t.Fatalf("%s batch %d: adapter state differs from the full-backward reference", m.Tag, batch)
-			}
-		}
-		for _, p := range m.Params() {
-			if !p.Frozen {
-				continue
-			}
-			for _, g := range p.Grad {
-				if g != 0 {
-					t.Fatalf("%s: BN-Opt wrote the gradient of frozen %s", m.Tag, p.Name)
-				}
-			}
-		}
-	}
-}
 
 // TestBNOptStepSpansOncePerConv guards the profiler's attribution now that
 // the input gradient runs on the forward kernels: one BN-Opt step is one
@@ -124,7 +77,7 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 		if (p.StagedLen() > 0 || interleaves) && c.Name() != "conv1" {
 			stagedDX, copies = stagedDX+1, 1
 		}
-		if n := spans["pack.bw"][c.Name()]; tensor.PackedEnabled() && n != copies {
+		if n := spans["pack.bw"][c.Name()]; n != copies {
 			t.Errorf("%s: %d pack.bw spans in one step, want %d", c.Name(), n, copies)
 		}
 		if fw, bw := spans["conv.fw"][c.Name()], spans["conv.bw"][c.Name()]; fw != 1 || bw != 1 {
@@ -138,7 +91,7 @@ func TestBNOptStepSpansOncePerConv(t *testing.T) {
 	for _, n := range spans["pack.bw"] {
 		packs += n
 	}
-	if tensor.PackedEnabled() && packs != stagedDX {
+	if packs != stagedDX {
 		t.Errorf("pack.bw spans = %d, want one per staged input-gradient conv (%d)", packs, stagedDX)
 	}
 	// Every rectifier of this model is the epilogue of a BatchNorm, so the

@@ -115,44 +115,6 @@ func TestFlattenRoundTrip(t *testing.T) {
 	}
 }
 
-// The round-tripped state must also restore onto an adapter and drive
-// Process byte-identically to the original state — the flattened form is
-// the recovery path, and recovery promises bitwise replay parity.
-func TestUnflattenedStateRestores(t *testing.T) {
-	m := tinyModel(8)
-	a, err := New(BNOpt, m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa := a.(Stateful)
-	rng := rand.New(rand.NewSource(21))
-	x := tensor.New(4, 3, 32, 32)
-	x.Randn(rng, 1)
-	a.Process(x)
-	s := sa.CaptureState()
-
-	probe := tensor.New(4, 3, 32, 32)
-	probe.Randn(rng, 1)
-	sa.RestoreState(s)
-	ref := append([]float32(nil), a.Process(probe).Data...)
-
-	kind, tensors, err := FlattenState(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnflattenState(s, kind, tensors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa.RestoreState(back)
-	got := a.Process(probe)
-	for i := range ref {
-		if math.Float32bits(ref[i]) != math.Float32bits(got.Data[i]) {
-			t.Fatalf("restored state diverges at %d: %v vs %v", i, ref[i], got.Data[i])
-		}
-	}
-}
-
 // Adam's step count must survive exactly even where float32(t) would
 // round: through the flattened form, and through a restore into the
 // optimizer and the next capture out of it.

@@ -1,47 +1,14 @@
 package models
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"edgetta/internal/nn"
-	"edgetta/internal/parallel"
 	"edgetta/internal/tensor"
 )
-
-// poison fills every buffer the arena holds, handed out or not, with NaN,
-// and arms the arena to do the same to each buffer the moment it is
-// released during the passes that follow: a layer that reads an
-// activation after it went back — one it should have held — reads NaN at
-// once, not only after the buffer is handed out again. The arena keeps no
-// walk of its own for this; the test reads its one list and sets its one
-// hook by name and fails loudly if either is renamed.
-func poison(a *tensor.Arena) (buffers int) {
-	if a == nil { // before the model's first pass
-		return 0
-	}
-	arena := reflect.ValueOf(a).Elem()
-	hook := arena.FieldByName("onRelease")
-	reflect.NewAt(hook.Type(), unsafe.Pointer(hook.UnsafeAddr())).Elem().Set(reflect.ValueOf(fillNaN))
-	bufs := arena.FieldByName("bufs")
-	for i := 0; i < bufs.Len(); i++ {
-		data := bufs.Index(i).Elem().FieldByName("Data")
-		fillNaN(unsafe.Slice((*float32)(data.UnsafePointer()), data.Len()))
-	}
-	return bufs.Len()
-}
-
-func fillNaN(s []float32) {
-	nan := float32(math.NaN())
-	for j := range s {
-		s[j] = nan
-	}
-}
 
 // held returns the arena's buffers that some layer holds, by address, with
 // their hold counts, read by name as poison reads the buffers.
@@ -54,88 +21,6 @@ func held(a *tensor.Arena) map[uintptr]int {
 		}
 	}
 	return out
-}
-
-// arenaModels is every block type and both shortcut kinds: the registry
-// plus MobileNetV2.
-var arenaModels = append(Registry(), MobileNetV2)
-
-// TestArenaPoisonParity: a model on its arena is bit-equal — logits, every
-// parameter gradient, the input gradient — to a clone whose layers were
-// never attached to one and so allocate zeroed tensors, with every arena
-// buffer filled with NaN between passes: nothing reads memory it did not
-// write in the same pass, nothing is released before its last reader, and a
-// change of batch size finds no stale buffer. The convs' transient buffers
-// are arena memory like any other — the staged image, the rotated dX
-// kernel, the strips of the grouped and strided dX (ResNeXt, MobileNetV2,
-// every downsampling block), the dW partials of the unfrozen backward — one
-// per range of the loop that uses them; nine images on eight workers make
-// ranges of two, so a body must find its own. Covered: unfrozen and BN-only
-// backward, the no-backward pass, one and eight workers.
-func TestArenaPoisonParity(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	modes := []struct {
-		name            string
-		freeze, noBackw bool
-	}{{"full", false, false}, {"frozen", true, false}, {"infer", false, true}}
-	for _, build := range arenaModels {
-		for _, mode := range modes {
-			for _, workers := range []int{1, 8} {
-				parallel.SetWorkers(workers)
-				m := build(rand.New(rand.NewSource(5)), ReproScale)
-				rng := rand.New(rand.NewSource(6))
-				for _, bn := range m.BatchNorms() {
-					bn.UseBatchStats = true
-					for c := range bn.Gamma.Data {
-						bn.Gamma.Data[c] = float32(1 + 0.3*rng.NormFloat64())
-						bn.Beta.Data[c] = float32(0.3 * rng.NormFloat64())
-					}
-				}
-				if mode.freeze {
-					nn.FreezeExceptBN(m.Net)
-				}
-				ref := m.Clone()
-				for pass, n := range []int{2, 9, 2} {
-					at := fmt.Sprintf("%s %s workers=%d pass %d (batch %d)", m.Tag, mode.name, workers, pass, n)
-					x := tensor.New(n, m.InC, m.InHW, m.InHW)
-					x.Uniform(rng, 0, 1)
-					if got := poison(m.arena); pass > 0 && got == 0 {
-						t.Fatalf("%s: the arena holds no buffer to poison", at)
-					}
-					var y *tensor.Tensor
-					if mode.noBackw {
-						y = m.Infer(x)
-					} else {
-						y = m.Forward(x, false)
-					}
-					yRef := ref.Net.Forward(x, false)
-					if !bitsEqual(y.Data, yRef.Data) {
-						t.Fatalf("%s: logits differ from the model without an arena", at)
-					}
-					if mode.noBackw {
-						continue
-					}
-					g := tensor.New(y.Shape()...)
-					g.Randn(rng, 1)
-					nn.ZeroGrads(m.Net)
-					nn.ZeroGrads(ref.Net)
-					dx, dxRef := m.Backward(g), ref.Net.Backward(g)
-					if (dx == nil) != mode.freeze || (dxRef == nil) != mode.freeze {
-						t.Fatalf("%s: input gradient nil = %v/%v, want %v", at, dx == nil, dxRef == nil, mode.freeze)
-					}
-					if dx != nil && !bitsEqual(dx.Data, dxRef.Data) {
-						t.Fatalf("%s: input gradient differs from the model without an arena", at)
-					}
-					pr := ref.Params()
-					for i, p := range m.Params() {
-						if !bitsEqual(p.Grad, pr[i].Grad) {
-							t.Fatalf("%s: %s gradient differs from the model without an arena", at, p.Name)
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestBNOptHoldsOnlyWhatBackwardReads: after a BN-Opt forward — every
@@ -151,7 +36,7 @@ func TestBNOptHoldsOnlyWhatBackwardReads(t *testing.T) {
 	saved := func(bn *nn.BatchNorm2d, field string) uintptr {
 		return reflect.ValueOf(bn).Elem().FieldByName(field).Pointer()
 	}
-	for _, build := range arenaModels {
+	for _, build := range append(Registry(), MobileNetV2) {
 		m := build(rand.New(rand.NewSource(7)), ReproScale)
 		nn.FreezeExceptBN(m.Net)
 		for _, bn := range m.BatchNorms() {
