@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"edgetta/internal/nn"
+	"edgetta/internal/tensor"
 )
 
 // mutableSlices gathers every mutable backing array of the model: parameter
@@ -90,6 +91,62 @@ func TestCloneParamNamesAndStructure(t *testing.T) {
 	nn.Walk(c.Net, func(nn.Layer) { nc++ })
 	if no != nc {
 		t.Fatalf("layer count %d vs %d", no, nc)
+	}
+}
+
+// TestClonePackedWeightCacheSharedUntilUpdate: a clone's outputs and input
+// gradients are bit-identical to the original's until one side's weights
+// are written, and a write on one side — nobody is told — moves that side
+// only. (No layer keeps a copy derived from its weights, so there is
+// nothing to share or invalidate; the name is kept for the test ledger.)
+func TestClonePackedWeightCacheSharedUntilUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	m := WideResNet402(rng, ReproScale)
+	x := tensor.New(2, m.InC, m.InHW, m.InHW)
+	x.Uniform(rand.New(rand.NewSource(72)), 0, 1)
+	pass := func(m *Model) (y, dx []float32) {
+		out := m.Forward(x, false)
+		return out.Data, m.Backward(out).Data
+	}
+	pass(m)
+	c := m.Clone()
+
+	y0, dx0 := pass(m)
+	y1, dx1 := pass(c)
+	if !bitsEqual(y0, y1) || !bitsEqual(dx0, dx1) {
+		t.Fatal("clone forward or input gradient differs before any update")
+	}
+
+	// Scale one conv weight on the clone — a conv whose input gradient runs
+	// on the rotated kernel. The clone must diverge; the original must not
+	// move.
+	var conv *nn.Conv2d
+	nn.Walk(c.Net, func(l nn.Layer) {
+		if cv, ok := l.(*nn.Conv2d); ok && conv == nil && cv.Groups == 1 && cv.Stride == 1 && cv.Name() != "conv1" {
+			conv = cv
+		}
+	})
+	if conv == nil {
+		t.Fatal("no stride-1 ungrouped conv found")
+	}
+	for i := range conv.Weight.Data {
+		conv.Weight.Data[i] *= 2
+	}
+
+	y0b, dx0b := pass(m)
+	y1b, dx1b := pass(c)
+	if !bitsEqual(y0b, y0) || !bitsEqual(dx0b, dx0) {
+		t.Fatal("original moved after clone-side update")
+	}
+	if bitsEqual(y1b, y1) {
+		t.Fatal("clone forward unchanged despite weight update")
+	}
+	// The same gradient through the updated clone, on the kernel and on the
+	// oracle: a rotated kernel that outlived the update would separate them.
+	defer tensor.SetPacked(tensor.PackedEnabled())
+	tensor.SetPacked(false)
+	if _, oracle := pass(c); !bitsEqual(dx1b, oracle) {
+		t.Fatal("clone input gradient served a stale rotated kernel after the update")
 	}
 }
 
