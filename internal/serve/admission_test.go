@@ -92,42 +92,3 @@ func TestAdmitShedOverloadProperties(t *testing.T) {
 		t.Errorf("e2e latency samples = %d, want %d (shed requests must not be timed as served)", s.E2E.Count, served)
 	}
 }
-
-// TestAdmitShedOutputsStayCorrect checks shedding does not perturb the
-// determinism contract: the requests that ARE admitted produce logits
-// byte-identical to a serial run over the same accepted subset.
-func TestAdmitShedOutputsStayCorrect(t *testing.T) {
-	base := testModel()
-	inputs := streamInputs(1, 12, 4, 3)[0]
-
-	srv := New(Config{QueueCap: 2, Admission: AdmitShed})
-	defer srv.Close()
-	key, err := srv.AddGroup(base, core.NoAdapt, core.Config{}, 1)
-	if err != nil {
-		t.Fatalf("AddGroup: %v", err)
-	}
-	st, _ := srv.OpenStream(key)
-
-	chans := make([]<-chan Response, len(inputs))
-	for i, x := range inputs {
-		chans[i] = st.SubmitCtx(context.Background(), x)
-	}
-	var accepted []*tensor.Tensor
-	var got [][]float32
-	for i, ch := range chans {
-		r := <-ch
-		if errors.Is(r.Err, ErrOverloaded) {
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("batch %d: %v", i, r.Err)
-		}
-		accepted = append(accepted, inputs[i])
-		got = append(got, append([]float32(nil), r.Logits.Data...))
-	}
-	if len(accepted) == 0 {
-		t.Fatal("every submission was shed; nothing to compare")
-	}
-	want := serialLogits(t, base, core.NoAdapt, core.Config{}, accepted)
-	compareLogits(t, 0, want, got)
-}

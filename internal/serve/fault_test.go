@@ -115,71 +115,6 @@ func pollSnapshot(t *testing.T, srv *Server, key GroupKey, cond func(GroupSnapsh
 	}
 }
 
-// TestReplicaPanicQuarantineRetryParity injects panics mid-stream and
-// checks the full recovery contract on one replica: the faulted dispatches
-// fail with the retryable typed error, retries with the same sequence
-// numbers succeed on the respawned replica, and the stream's outputs stay
-// byte-identical to a serial run — the faults never half-applied state.
-func TestReplicaPanicQuarantineRetryParity(t *testing.T) {
-	base := testModel()
-	inputs := genBatches(11, 24, 4, data.GaussianNoise, 3)
-
-	inj := &scriptInjector{faults: map[uint64]Fault{
-		2: {Kind: FaultPanic},
-		5: {Kind: FaultPanic},
-	}}
-	srv := New(Config{QueueCap: 8, Injector: inj})
-	defer srv.Close()
-	key, err := srv.AddGroup(base, core.BNNorm, core.Config{}, 1)
-	if err != nil {
-		t.Fatalf("AddGroup: %v", err)
-	}
-	st, err := srv.OpenStream(key)
-	if err != nil {
-		t.Fatalf("OpenStream: %v", err)
-	}
-
-	sawFault := false
-	var got [][]float32
-	for b, x := range inputs {
-		seq := uint64(b + 1)
-		logits, err := st.ProcessSeq(context.Background(), x, seq)
-		if err != nil {
-			if !errors.Is(err, ErrReplicaFault) {
-				t.Fatalf("batch %d: %v, want ErrReplicaFault", b, err)
-			}
-			sawFault = true
-			got = append(got, processRetry(t, st, x, seq))
-			continue
-		}
-		got = append(got, append([]float32(nil), logits.Data...))
-	}
-	if !sawFault {
-		t.Fatalf("no injected fault surfaced; the schedule did not fire")
-	}
-	want := serialLogits(t, base, core.BNNorm, core.Config{}, inputs)
-	compareLogits(t, 0, want, got)
-
-	s := pollSnapshot(t, srv, key, func(s GroupSnapshot) bool {
-		return s.Respawns == 2 && s.Respawning == 0
-	})
-	if s.Faults != 2 {
-		t.Errorf("Faults = %d, want 2", s.Faults)
-	}
-	if s.Respawns != 2 {
-		t.Errorf("Respawns = %d, want 2", s.Respawns)
-	}
-	if len(s.QuarantinedIDs) != 2 {
-		t.Errorf("QuarantinedIDs = %v, want 2 entries", s.QuarantinedIDs)
-	}
-	if s.Replicas != 1 {
-		t.Errorf("Replicas = %d, want 1 after recovery", s.Replicas)
-	}
-	if s.Recovery.Count < 1 {
-		t.Errorf("Recovery.Count = %d, want >= 1 (fault-to-first-served must be observed)", s.Recovery.Count)
-	}
-}
-
 // TestWatchdogQuarantinesWedgedReplica wedges the only replica far past the
 // watchdog deadline: the dispatch must fail with the typed replica fault
 // naming the watchdog, and a retry must be served by the replacement.
@@ -316,102 +251,6 @@ func TestSequenceProtocol(t *testing.T) {
 	slst, _ := srv.OpenStream(slKey)
 	if _, err := slst.ProcessSeq(ctx, inputs[0], 42); err != nil {
 		t.Fatalf("stateless sequenced submit: %v", err)
-	}
-}
-
-// TestCheckpointResumeParity is the recovery parity contract across a full
-// server restart: a session resumed from its on-disk checkpoint must replay
-// byte-identically to the original run truncated at the checkpoint — the
-// acceptance pin for the checkpoint/recovery subsystem. BN-Opt's checkpoint
-// is BN-Norm's plus Adam's moments and step count, so both go through disk.
-func TestCheckpointResumeParity(t *testing.T) {
-	for _, algo := range []core.Algorithm{core.BNNorm, core.BNOpt} {
-		t.Run(algo.String(), func(t *testing.T) { checkpointResumeParity(t, algo) })
-	}
-}
-
-func checkpointResumeParity(t *testing.T, algo core.Algorithm) {
-	base := testModel()
-	inputs := genBatches(17, 28, 4, data.GaussianNoise, 3)
-	want := serialLogits(t, base, algo, core.Config{}, inputs)
-	ctx := context.Background()
-
-	cfg := Config{QueueCap: 8, Checkpoint: CheckpointConfig{Every: 2, Dir: t.TempDir()}}
-	srvA := New(cfg)
-	keyA, err := srvA.AddGroup(base, algo, core.Config{}, 1)
-	if err != nil {
-		t.Fatalf("AddGroup: %v", err)
-	}
-	stA, resumed, err := srvA.OpenSession(keyA, "sess")
-	if err != nil {
-		t.Fatalf("OpenSession: %v", err)
-	}
-	if resumed {
-		t.Fatalf("fresh session reported resumed")
-	}
-	if _, _, err := srvA.OpenSession(keyA, "sess"); err == nil {
-		t.Errorf("duplicate OpenSession succeeded; session names must be unique while open")
-	}
-
-	// Serve 5 of 7 batches, then die without closing: checkpoints exist for
-	// seq 2 and 4, so the on-disk recovery point is seq 4.
-	for b := 0; b < 5; b++ {
-		logits, err := stA.ProcessSeq(ctx, inputs[b], uint64(b+1))
-		if err != nil {
-			t.Fatalf("phase A batch %d: %v", b, err)
-		}
-		compareLogits(t, b, want[b:b+1], [][]float32{logits.Data})
-	}
-	if names := srvA.CheckpointedSessions(); len(names) != 1 || names[0] != "sess" {
-		t.Fatalf("CheckpointedSessions = %v, want [sess]", names)
-	}
-	srvA.Close()
-
-	// Restart: a new server over the same directory resumes the session by
-	// name alone (the checkpoint header carries the routing).
-	srvB := New(cfg)
-	defer srvB.Close()
-	if _, err := srvB.AddGroup(base, algo, core.Config{}, 1); err != nil {
-		t.Fatalf("AddGroup: %v", err)
-	}
-	stB, err := srvB.Stream(sessionToken("sess"))
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	if got := stB.Snapshot().AppliedSeq; got != 4 {
-		t.Fatalf("resumed AppliedSeq = %d, want 4 (the last checkpoint)", got)
-	}
-
-	// Replay from the checkpoint: batch 5 again (applied on A but past the
-	// checkpoint), then the rest. Every response must match the uninterrupted
-	// serial reference — the resumed state equals the reference state at
-	// seq 4 exactly.
-	for b := 4; b < len(inputs); b++ {
-		logits, err := stB.ProcessSeq(ctx, inputs[b], uint64(b+1))
-		if err != nil {
-			t.Fatalf("phase B batch %d: %v", b, err)
-		}
-		compareLogits(t, b, want[b:b+1], [][]float32{logits.Data})
-	}
-
-	// An out-of-date position after resume tells the client where to rewind.
-	_, err = stB.ProcessSeq(ctx, inputs[0], 42)
-	var se *Error
-	if !errors.As(err, &se) || se.Code != CodeSequence || se.ExpectSeq != uint64(len(inputs)+1) {
-		t.Errorf("post-resume gap: err = %v, want CodeSequence with ExpectSeq %d", err, len(inputs)+1)
-	}
-
-	// The token of a name with no checkpoint fails typed.
-	if _, err := srvB.Stream(sessionToken("never-seen")); err == nil {
-		t.Errorf("Stream on unknown name succeeded")
-	} else if !errors.As(err, &se) || se.Code != CodeNoGroup {
-		t.Errorf("Stream unknown: err = %v, want CodeNoGroup", err)
-	}
-
-	// An explicit Close ends the episode and retires the checkpoint.
-	stB.Close()
-	if names := srvB.CheckpointedSessions(); len(names) != 0 {
-		t.Errorf("CheckpointedSessions after Close = %v, want none", names)
 	}
 }
 

@@ -44,7 +44,8 @@ func genBatches(seed int64, total, batch int, c data.Corruption, severity int) [
 }
 
 // serialLogits is the byte-parity reference: a private adapter over its
-// own model copy, exactly as in the serve package's tests.
+// own model copy: the same serial run every cell of TestServeEquivalence
+// (internal/serve) is held to.
 func serialLogits(t *testing.T, base *models.Model, algo core.Algorithm, cfg core.Config, batches []*tensor.Tensor) [][]float32 {
 	t.Helper()
 	a, err := core.New(algo, base.Clone(), cfg)
@@ -75,118 +76,6 @@ func newTestServer(t *testing.T, scfg serve.Config, hcfg Config) (*httptest.Serv
 	ts := httptest.NewServer(New(srv, hcfg))
 	t.Cleanup(ts.Close)
 	return ts, srv
-}
-
-// TestHTTPServingMatchesSerial is the off-box determinism pin: for every
-// study algorithm and both wire codecs, logits fetched over HTTP are
-// byte-identical to a serial in-process run over the same batches — the
-// wire adds zero numeric perturbation, stateless or stateful.
-func TestHTTPServingMatchesSerial(t *testing.T) {
-	ts, _ := newTestServer(t, serve.Config{QueueCap: 32}, Config{})
-	base := testModel()
-
-	for _, algo := range core.Algorithms {
-		for _, binary := range []bool{false, true} {
-			codec := "json"
-			if binary {
-				codec = "binary"
-			}
-			t.Run(algo.String()+"/"+codec, func(t *testing.T) {
-				inputs := genBatches(7, 12, 4, data.GaussianNoise, 3)
-				c := NewClient(ts.URL, nil)
-				c.Binary = binary
-				cs, err := c.Open(base.Tag, algo.String())
-				if err != nil {
-					t.Fatalf("Open: %v", err)
-				}
-				var got [][]float32
-				for b, x := range inputs {
-					logits, err := cs.Process(x)
-					if err != nil {
-						t.Fatalf("batch %d: %v", b, err)
-					}
-					if logits.Dim(0) != x.Dim(0) || logits.Dim(1) != base.Classes {
-						t.Fatalf("batch %d: logits shape %v", b, logits.Shape())
-					}
-					got = append(got, append([]float32(nil), logits.Data...))
-				}
-				ss, err := cs.Close()
-				if err != nil {
-					t.Fatalf("Close: %v", err)
-				}
-				if ss.Requests != len(inputs) {
-					t.Errorf("final snapshot Requests = %d, want %d", ss.Requests, len(inputs))
-				}
-				want := serialLogits(t, base, algo, core.Config{}, inputs)
-				for b := range want {
-					if len(want[b]) != len(got[b]) {
-						t.Fatalf("batch %d: %d logits, want %d", b, len(got[b]), len(want[b]))
-					}
-					for i := range want[b] {
-						if want[b][i] != got[b][i] {
-							t.Fatalf("batch %d logit %d: HTTP %v, serial %v (wire must be byte-identical)",
-								b, i, got[b][i], want[b][i])
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestHTTPConcurrentStatefulSessions drives several stateful sessions over
-// HTTP at once: per-session isolation must hold exactly as in-process.
-func TestHTTPConcurrentStatefulSessions(t *testing.T) {
-	ts, _ := newTestServer(t, serve.Config{QueueCap: 64}, Config{})
-	base := testModel()
-	const nSessions = 4
-
-	type result struct {
-		inputs []*tensor.Tensor
-		got    [][]float32
-		err    error
-	}
-	results := make([]result, nSessions)
-	done := make(chan int, nSessions)
-	for i := 0; i < nSessions; i++ {
-		go func(i int) {
-			defer func() { done <- i }()
-			r := &results[i]
-			r.inputs = genBatches(int64(100+i), 8, 4, data.AllCorruptions[i%len(data.AllCorruptions)], 3)
-			c := NewClient(ts.URL, nil)
-			c.Binary = i%2 == 0
-			cs, err := c.Open(base.Tag, "bnnorm")
-			if err != nil {
-				r.err = err
-				return
-			}
-			defer cs.Close()
-			for _, x := range r.inputs {
-				logits, err := cs.Process(x)
-				if err != nil {
-					r.err = err
-					return
-				}
-				r.got = append(r.got, append([]float32(nil), logits.Data...))
-			}
-		}(i)
-	}
-	for range results {
-		<-done
-	}
-	for i, r := range results {
-		if r.err != nil {
-			t.Fatalf("session %d: %v", i, r.err)
-		}
-		want := serialLogits(t, base, core.BNNorm, core.Config{}, r.inputs)
-		for b := range want {
-			for j := range want[b] {
-				if want[b][j] != r.got[b][j] {
-					t.Fatalf("session %d batch %d logit %d: HTTP %v, serial %v", i, b, j, r.got[b][j], want[b][j])
-				}
-			}
-		}
-	}
 }
 
 // TestHTTPErrorMapping pins the table-driven status mapping and the error

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -75,68 +74,6 @@ func TestRetryClassification(t *testing.T) {
 		if got := retryable(c.err); got != c.want {
 			t.Errorf("retryable(%v) = %v, want %v", c.err, got, c.want)
 		}
-	}
-}
-
-// TestHTTPDroppedConnectionsExactlyOnce runs sequenced submits through a
-// transport that drops connections at both stages — before the request is
-// sent, and after the server processed it but before the client read the
-// response. With seeded retries and sequence numbers, every batch must be
-// adapted exactly once and every response must match the serial reference:
-// the dropped-response case in particular forces the server's cached-replay
-// path, since its batch was already applied when the retry arrives.
-func TestHTTPDroppedConnectionsExactlyOnce(t *testing.T) {
-	base := testModel()
-	inputs := genBatches(29, 16, 4, data.GaussianNoise, 3)
-	want := serialLogits(t, base, core.BNNorm, core.Config{}, inputs)
-
-	srv := serve.New(serve.Config{QueueCap: 8})
-	defer srv.Close()
-	key, err := srv.AddGroup(base, core.BNNorm, core.Config{}, 1)
-	if err != nil {
-		t.Fatalf("AddGroup: %v", err)
-	}
-	ts := httptest.NewServer(New(srv, Config{}))
-	defer ts.Close()
-
-	// Round trips are counted 1-based and the client is sequential, so the
-	// schedule is exact: 1 = open, 2 = seq1, 3 = seq2 (response dropped),
-	// 4 = seq2 retry, 5 = seq3 (request dropped), 6 = seq3 retry, 7 = seq4.
-	drop := chaos.NewDropRoundTripper(nil, chaos.Plan{
-		DropResponseAt: []uint64{3},
-		DropRequestAt:  []uint64{5},
-	})
-	c := NewClient(ts.URL, &http.Client{Transport: drop}).WithRetry(RetryPolicy{
-		MaxAttempts: 4, Base: time.Millisecond, Cap: 50 * time.Millisecond, Seed: 7,
-	})
-	cs, _, err := c.OpenSession(base.Tag, "bnnorm", "drop-sess")
-	if err != nil {
-		t.Fatalf("OpenSession: %v", err)
-	}
-	for b, x := range inputs {
-		logits, err := cs.ProcessSeq(x, uint64(b+1))
-		if err != nil {
-			t.Fatalf("seq %d: %v", b+1, err)
-		}
-		for i := range want[b] {
-			if want[b][i] != logits.Data[i] {
-				t.Fatalf("seq %d logit %d: %v, serial %v", b+1, i, logits.Data[i], want[b][i])
-			}
-		}
-	}
-	if fired := drop.Injected(); len(fired) != 2 {
-		t.Fatalf("drops fired = %v, want both stages", fired)
-	}
-
-	// Exactly-once: the dropped-response batch was adapted once (its retry
-	// replayed the cache), the dropped-request batch was adapted once (its
-	// first attempt never reached the server).
-	s, err := srv.GroupSnapshot(key)
-	if err != nil {
-		t.Fatalf("GroupSnapshot: %v", err)
-	}
-	if wantImages := len(inputs) * 4; s.Images != wantImages {
-		t.Errorf("server adapted %d images, want exactly %d", s.Images, wantImages)
 	}
 }
 
