@@ -1,8 +1,9 @@
 package edgetta_test
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: each
-// reports, as custom metrics, how a headline simulated quantity moves when
-// one modeling ingredient is removed, and how the real adaptation kernels
+// Ablation benchmarks for the simulator's modeling ingredients (ROADMAP.md
+// item 16 plans them as a table in EXPERIMENTS.md instead): each reports,
+// as custom metrics, how a headline simulated quantity moves when one
+// modeling ingredient is removed, and how the real adaptation kernels
 // respond to algorithm knobs.
 
 import (

@@ -230,17 +230,25 @@ func BenchmarkBNReLUBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkCorruptions measures the full CIFAR-10-C corruption suite on
-// one image at severity 5.
+// BenchmarkCorruptions times one CIFAR-10-C corruption family per
+// sub-benchmark on one image at severity 5, and drawing one clean image
+// (Generator.Sample), so ns/op is the cost per image of each.
 func BenchmarkCorruptions(b *testing.B) {
 	gen := data.NewGenerator(1)
-	rng := rand.New(rand.NewSource(2))
-	img := gen.Sample(rng, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range data.AllCorruptions {
-			data.Apply(c, img, data.ImageSize, data.ImageSize, 5, rng)
+	img := gen.Sample(rand.New(rand.NewSource(2)), 0)
+	b.Run("sample", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(2))
+		for b.Loop() {
+			gen.Sample(rng, 0)
 		}
+	})
+	for _, c := range data.AllCorruptions {
+		b.Run(c.String(), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			for b.Loop() {
+				data.Apply(c, img, data.ImageSize, data.ImageSize, 5, rng)
+			}
+		})
 	}
 }
 

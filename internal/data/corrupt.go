@@ -10,6 +10,7 @@ package data
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Corruption enumerates the 15 CIFAR-10-C corruption families
@@ -66,13 +67,19 @@ const MaxSeverity = 5
 // given severity in [1, MaxSeverity]. Stochastic corruptions draw from rng,
 // so results are reproducible for a fixed seed.
 func Apply(c Corruption, img []float32, h, w, severity int, rng *rand.Rand) []float32 {
+	out := slices.Clone(img)
+	corrupt(c, out, h, w, severity, rng)
+	return out
+}
+
+// corrupt is Apply in place: it overwrites out with its corrupted self.
+func corrupt(c Corruption, out []float32, h, w, severity int, rng *rand.Rand) {
 	if severity < 1 {
 		severity = 1
 	}
 	if severity > MaxSeverity {
 		severity = MaxSeverity
 	}
-	out := append([]float32(nil), img...)
 	s := severity - 1
 	switch c {
 	case GaussianNoise:
@@ -106,37 +113,37 @@ func Apply(c Corruption, img []float32, h, w, severity int, rng *rand.Rand) []fl
 		}
 	case DefocusBlur:
 		radius := [5]float64{0.8, 1.2, 1.6, 2.2, 2.8}[s]
-		out = convolveEach(out, h, w, diskKernel(radius))
+		convolve(out, out, h, w, diskKernel(radius))
 	case GlassBlur:
 		iters := [5]int{1, 1, 2, 3, 4}[s]
 		delta := [5]int{1, 2, 2, 2, 3}[s]
 		plane := h * w
+		r, g, b := out[:plane], out[plane:2*plane], out[2*plane:3*plane]
 		for it := 0; it < iters; it++ {
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
 					dy, dx := rng.Intn(2*delta+1)-delta, rng.Intn(2*delta+1)-delta
-					ny, nx := clampInt(y+dy, 0, h-1), clampInt(x+dx, 0, w-1)
-					for ch := 0; ch < 3; ch++ {
-						a, b := ch*plane+y*w+x, ch*plane+ny*w+nx
-						out[a], out[b] = out[b], out[a]
-					}
+					i, j := y*w+x, clampInt(y+dy, 0, h-1)*w+clampInt(x+dx, 0, w-1)
+					r[i], r[j] = r[j], r[i]
+					g[i], g[j] = g[j], g[i]
+					b[i], b[j] = b[j], b[i]
 				}
 			}
 		}
-		out = convolveEach(out, h, w, diskKernel(0.7))
+		convolve(out, out, h, w, diskKernel(0.7))
 	case MotionBlur:
 		length := [5]int{3, 5, 7, 9, 11}[s]
 		angle := rng.Float64() * math.Pi
-		out = convolveEach(out, h, w, motionKernel(length, angle))
+		convolve(out, out, h, w, motionKernel(length, angle))
 	case ZoomBlur:
 		maxZoom := [5]float64{1.06, 1.11, 1.16, 1.21, 1.26}[s]
-		out = zoomBlur(out, h, w, maxZoom)
+		zoomBlur(out, h, w, maxZoom)
 	case Snow:
 		amount := [5]float32{0.10, 0.15, 0.22, 0.28, 0.35}[s]
-		out = snow(out, h, w, amount, rng)
+		snow(out, h, w, amount, rng)
 	case Frost:
 		strength := [5]float32{0.25, 0.33, 0.42, 0.52, 0.62}[s]
-		out = frost(out, h, w, strength, rng)
+		frost(out, h, w, strength, rng)
 	case Fog:
 		t := [5]float32{0.25, 0.35, 0.45, 0.55, 0.65}[s]
 		f := plasma(h, w, rng)
@@ -164,18 +171,17 @@ func Apply(c Corruption, img []float32, h, w, severity int, rng *rand.Rand) []fl
 		}
 	case ElasticTransform:
 		amp := [5]float64{1.0, 1.6, 2.2, 2.8, 3.5}[s]
-		out = elastic(out, h, w, amp, rng)
+		elastic(out, h, w, amp, rng)
 	case Pixelate:
 		factor := [5]int{2, 2, 3, 4, 5}[s]
-		out = pixelate(out, h, w, factor)
+		pixelate(out, h, w, factor)
 	case JPEG:
 		quant := [5]float32{6, 10, 14, 20, 28}[s]
-		out = jpegQuantize(out, h, w, quant)
+		jpegQuantize(out, h, w, quant)
 	default:
 		panic("data: unknown corruption")
 	}
 	clamp01(out)
-	return out
 }
 
 func clamp01(v []float32) {
@@ -243,80 +249,115 @@ func motionKernel(length int, angle float64) kernel {
 	return k
 }
 
-// convolveEach applies the kernel to each channel with edge clamping.
-func convolveEach(img []float32, h, w int, k kernel) []float32 {
-	out := make([]float32, len(img))
+// convolve writes to dst the convolution of every h×w plane of src with k,
+// clamping reads at the edges; dst may be src. Each output is the sum,
+// from +0 and in the kernel's row-major order, of its nonzero weights
+// times their pixels, as in a dense loop over the kernel that skips zero
+// weights. The zeros are dropped once. Each plane is copied with its rows
+// padded by as many copies of their edge pixels as the widest tap reaches,
+// so no read clamps a column, and each tap adds its weighted source row,
+// clamped once, to a whole output row of accumulators.
+func convolve(dst, src []float32, h, w int, k kernel) {
+	type tap struct {
+		dy, dx int
+		w      float32
+	}
 	r := k.side / 2
-	plane := h * w
-	for ch := 0; ch < 3; ch++ {
-		src := img[ch*plane : (ch+1)*plane]
-		dst := out[ch*plane : (ch+1)*plane]
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				s := float32(0)
-				for ky := -r; ky <= r; ky++ {
-					for kx := -r; kx <= r; kx++ {
-						wv := k.w[(ky+r)*k.side+(kx+r)]
-						if wv == 0 {
-							continue
-						}
-						sy, sx := clampInt(y+ky, 0, h-1), clampInt(x+kx, 0, w-1)
-						s += wv * src[sy*w+sx]
-					}
-				}
-				dst[y*w+x] = s
+	var taps []tap
+	rx := 0
+	for ky := -r; ky <= r; ky++ {
+		for kx := -r; kx <= r; kx++ {
+			if wv := k.w[(ky+r)*k.side+(kx+r)]; wv != 0 {
+				taps = append(taps, tap{ky, kx, wv})
+				rx = max(rx, kx, -kx)
 			}
 		}
 	}
-	return out
+	pw := w + 2*rx
+	pad := make([]float32, h*pw)
+	plane := h * w
+	for p := 0; p < len(src); p += plane {
+		in, out := src[p:p+plane], dst[p:p+plane]
+		for y := 0; y < h; y++ {
+			row, from := pad[y*pw:(y+1)*pw], in[y*w:(y+1)*w]
+			copy(row[rx:], from)
+			for x := 0; x < rx; x++ {
+				row[x], row[rx+w+x] = from[0], from[w-1]
+			}
+		}
+		for y := 0; y < h; y++ {
+			o := out[y*w : (y+1)*w]
+			clear(o)
+			for _, t := range taps {
+				row := pad[clampInt(y+t.dy, 0, h-1)*pw+rx+t.dx:][:w]
+				for x, v := range row {
+					o[x] += t.w * v
+				}
+			}
+		}
+	}
 }
 
-// bilinear samples channel plane src (h×w) at fractional (y, x) with edge
-// clamping.
-func bilinear(src []float32, h, w int, y, x float64) float32 {
-	y0 := clampInt(int(math.Floor(y)), 0, h-1)
-	x0 := clampInt(int(math.Floor(x)), 0, w-1)
-	y1, x1 := clampInt(y0+1, 0, h-1), clampInt(x0+1, 0, w-1)
-	fy, fx := float32(y-float64(y0)), float32(x-float64(x0))
-	if fy < 0 {
-		fy = 0
-	}
-	if fx < 0 {
-		fx = 0
-	}
-	top := src[y0*w+x0]*(1-fx) + src[y0*w+x1]*fx
-	bot := src[y1*w+x0]*(1-fx) + src[y1*w+x1]*fx
-	return top*(1-fy) + bot*fy
+// lerpAxis is one axis of a bilinear sample: the two neighbours' indices
+// and the far one's weight.
+type lerpAxis struct {
+	i0, i1 int
+	f      float32
 }
 
-func zoomBlur(img []float32, h, w int, maxZoom float64) []float32 {
+// axisAt places fractional coordinate v on an n-long axis, clamped at the
+// edges.
+func axisAt(v float64, n int) lerpAxis {
+	i0 := clampInt(int(math.Floor(v)), 0, n-1)
+	f := float32(v - float64(i0))
+	if f < 0 {
+		f = 0
+	}
+	return lerpAxis{i0, clampInt(i0+1, 0, n-1), f}
+}
+
+// bilerp samples channel plane src (w wide) bilinearly at the point whose
+// axes are ay and ax.
+func bilerp(src []float32, w int, ay, ax lerpAxis) float32 {
+	top := src[ay.i0*w+ax.i0]*(1-ax.f) + src[ay.i0*w+ax.i1]*ax.f
+	bot := src[ay.i1*w+ax.i0]*(1-ax.f) + src[ay.i1*w+ax.i1]*ax.f
+	return top*(1-ay.f) + bot*ay.f
+}
+
+// zoomBlur averages img with six zoomed-in copies of itself, in place. A
+// zoom's sample point separates into a row and a column axis, placed once
+// per zoom for every channel.
+func zoomBlur(img []float32, h, w int, maxZoom float64) {
 	const steps = 6
-	out := make([]float32, len(img))
-	copy(out, img)
+	src := slices.Clone(img)
 	plane := h * w
 	cy, cx := float64(h-1)/2, float64(w-1)/2
+	rows, cols := make([]lerpAxis, h), make([]lerpAxis, w)
 	for step := 1; step <= steps; step++ {
 		z := 1 + (maxZoom-1)*float64(step)/steps
+		for y := range rows {
+			rows[y] = axisAt(cy+(float64(y)-cy)/z, h)
+		}
+		for x := range cols {
+			cols[x] = axisAt(cx+(float64(x)-cx)/z, w)
+		}
 		for ch := 0; ch < 3; ch++ {
-			src := img[ch*plane : (ch+1)*plane]
-			dst := out[ch*plane : (ch+1)*plane]
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					sy := cy + (float64(y)-cy)/z
-					sx := cx + (float64(x)-cx)/z
-					dst[y*w+x] += bilinear(src, h, w, sy, sx)
+			in, out := src[ch*plane:(ch+1)*plane], img[ch*plane:(ch+1)*plane]
+			for y, ay := range rows {
+				o := out[y*w : (y+1)*w]
+				for x, ax := range cols {
+					o[x] += bilerp(in, w, ay, ax)
 				}
 			}
 		}
 	}
 	inv := float32(1.0 / (steps + 1))
-	for i := range out {
-		out[i] *= inv
+	for i := range img {
+		img[i] *= inv
 	}
-	return out
 }
 
-func snow(img []float32, h, w int, amount float32, rng *rand.Rand) []float32 {
+func snow(img []float32, h, w int, amount float32, rng *rand.Rand) {
 	plane := h * w
 	// Sparse bright seeds, streaked diagonally to look like falling snow.
 	layer := make([]float32, plane)
@@ -325,25 +366,23 @@ func snow(img []float32, h, w int, amount float32, rng *rand.Rand) []float32 {
 			layer[i] = 0.8 + 0.2*rng.Float32()
 		}
 	}
-	streak := convolveEach(append(append(append([]float32(nil), layer...), layer...), layer...),
-		h, w, motionKernel(5, math.Pi/3))[:plane]
-	out := append([]float32(nil), img...)
+	streak := make([]float32, plane)
+	convolve(streak, layer, h, w, motionKernel(5, math.Pi/3))
 	for ch := 0; ch < 3; ch++ {
 		for i := 0; i < plane; i++ {
 			sv := streak[i] * 3 // undo kernel averaging so flakes stay bright
 			if sv > 1 {
 				sv = 1
 			}
-			v := out[ch*plane+i]
+			v := img[ch*plane+i]
 			// Whiten the scene slightly and composite the flakes on top.
 			v = v*(1-0.3*amount) + 0.3*amount
-			out[ch*plane+i] = v*(1-sv) + sv
+			img[ch*plane+i] = v*(1-sv) + sv
 		}
 	}
-	return out
 }
 
-func frost(img []float32, h, w int, strength float32, rng *rand.Rand) []float32 {
+func frost(img []float32, h, w int, strength float32, rng *rand.Rand) {
 	plane := h * w
 	f := plasma(h, w, rng)
 	// Threshold the plasma into crystalline patches.
@@ -354,15 +393,13 @@ func frost(img []float32, h, w int, strength float32, rng *rand.Rand) []float32 
 			f[i] = 0
 		}
 	}
-	out := append([]float32(nil), img...)
 	for ch := 0; ch < 3; ch++ {
 		tint := [3]float32{0.85, 0.9, 1.0}[ch] // icy blue-white
 		for i := 0; i < plane; i++ {
 			a := strength * f[i]
-			out[ch*plane+i] = out[ch*plane+i]*(1-a) + a*tint
+			img[ch*plane+i] = img[ch*plane+i]*(1-a) + a*tint
 		}
 	}
-	return out
 }
 
 // plasma generates an h×w diamond-square fractal field in [0,1], the
@@ -442,7 +479,7 @@ func plasma(h, w int, rng *rand.Rand) []float32 {
 	return out
 }
 
-func elastic(img []float32, h, w int, amp float64, rng *rand.Rand) []float32 {
+func elastic(img []float32, h, w int, amp float64, rng *rand.Rand) {
 	// Coarse 4×4 displacement grid, bilinearly upsampled — a smooth random
 	// warp field.
 	const grid = 4
@@ -452,57 +489,54 @@ func elastic(img []float32, h, w int, amp float64, rng *rand.Rand) []float32 {
 		dyg[i] = (rng.Float64()*2 - 1) * amp
 		dxg[i] = (rng.Float64()*2 - 1) * amp
 	}
-	sample := func(g []float64, y, x int) float64 {
-		gy := float64(y) / float64(h-1) * (grid - 1)
-		gx := float64(x) / float64(w-1) * (grid - 1)
-		y0, x0 := int(gy), int(gx)
-		y1, x1 := clampInt(y0+1, 0, grid-1), clampInt(x0+1, 0, grid-1)
-		fy, fx := gy-float64(y0), gx-float64(x0)
-		top := g[y0*grid+x0]*(1-fx) + g[y0*grid+x1]*fx
-		bot := g[y1*grid+x0]*(1-fx) + g[y1*grid+x1]*fx
-		return top*(1-fy) + bot*fy
-	}
-	out := make([]float32, len(img))
+	// A pixel reads both grids at one point and moves every channel alike.
+	src := slices.Clone(img)
 	plane := h * w
-	for ch := 0; ch < 3; ch++ {
-		src := img[ch*plane : (ch+1)*plane]
-		dst := out[ch*plane : (ch+1)*plane]
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				sy := float64(y) + sample(dyg, y, x)
-				sx := float64(x) + sample(dxg, y, x)
-				dst[y*w+x] = bilinear(src, h, w, sy, sx)
+	for y := 0; y < h; y++ {
+		gy := float64(y) / float64(h-1) * (grid - 1)
+		y0 := int(gy)
+		y1, fy := clampInt(y0+1, 0, grid-1), gy-float64(y0)
+		for x := 0; x < w; x++ {
+			gx := float64(x) / float64(w-1) * (grid - 1)
+			x0 := int(gx)
+			x1, fx := clampInt(x0+1, 0, grid-1), gx-float64(x0)
+			sample := func(g []float64) float64 {
+				top := g[y0*grid+x0]*(1-fx) + g[y0*grid+x1]*fx
+				bot := g[y1*grid+x0]*(1-fx) + g[y1*grid+x1]*fx
+				return top*(1-fy) + bot*fy
+			}
+			ay := axisAt(float64(y)+sample(dyg), h)
+			ax := axisAt(float64(x)+sample(dxg), w)
+			for ch := 0; ch < 3; ch++ {
+				img[ch*plane+y*w+x] = bilerp(src[ch*plane:], w, ay, ax)
 			}
 		}
 	}
-	return out
 }
 
-func pixelate(img []float32, h, w, factor int) []float32 {
-	out := make([]float32, len(img))
+// pixelate replaces every factor×factor block of img by its mean, in place.
+func pixelate(img []float32, h, w, factor int) {
 	plane := h * w
 	for ch := 0; ch < 3; ch++ {
-		src := img[ch*plane : (ch+1)*plane]
-		dst := out[ch*plane : (ch+1)*plane]
+		p := img[ch*plane : (ch+1)*plane]
 		for by := 0; by < h; by += factor {
 			for bx := 0; bx < w; bx += factor {
 				s, n := float32(0), float32(0)
 				for y := by; y < by+factor && y < h; y++ {
 					for x := bx; x < bx+factor && x < w; x++ {
-						s += src[y*w+x]
+						s += p[y*w+x]
 						n++
 					}
 				}
 				avg := s / n
 				for y := by; y < by+factor && y < h; y++ {
 					for x := bx; x < bx+factor && x < w; x++ {
-						dst[y*w+x] = avg
+						p[y*w+x] = avg
 					}
 				}
 			}
 		}
 	}
-	return out
 }
 
 // dct8 holds the 8-point DCT-II basis used by the JPEG-style corruption.
@@ -516,74 +550,97 @@ func init() {
 	}
 }
 
-// jpegQuantize applies a real 8×8 blockwise DCT, quantizes the
-// coefficients (more coarsely at higher frequency, like a JPEG table),
-// and inverts — reproducing blocky JPEG artifacts.
-func jpegQuantize(img []float32, h, w int, quant float32) []float32 {
-	out := make([]float32, len(img))
+// dctScale is the DCT-II normalization of frequency k.
+func dctScale(k int) float64 {
+	if k == 0 {
+		return math.Sqrt2 / 2
+	}
+	return 1
+}
+
+// jpegQuantize applies a real 8×8 blockwise DCT to img in place, quantizes
+// the coefficients (more coarsely at higher frequency, like a JPEG table),
+// and inverts — reproducing blocky JPEG artifacts. A block reads only its
+// own pixels, clamped at the image's edges.
+//
+// Every coefficient and pixel is the dense sum, from +0 in (y, x) or
+// (u, v) order, of the same products as the textbook quadruple loop; the
+// loops run eight independent sums at once. The inverse leaves out the
+// quantized-away coefficients, whose ±0 terms would leave every sum as it
+// is: a sum that starts at +0 never becomes −0.
+func jpegQuantize(img []float32, h, w int, quant float32) {
 	plane := h * w
-	var block, coef [8][8]float64
+	var block [8][8]float64
+	type term struct {
+		u, v int
+		c    float64 // (cu·cv)·coef
+	}
+	var terms [64]term
 	for ch := 0; ch < 3; ch++ {
-		src := img[ch*plane : (ch+1)*plane]
-		dst := out[ch*plane : (ch+1)*plane]
+		p := img[ch*plane : (ch+1)*plane]
 		for by := 0; by < h; by += 8 {
 			for bx := 0; bx < w; bx += 8 {
 				for y := 0; y < 8; y++ {
 					for x := 0; x < 8; x++ {
 						sy, sx := clampInt(by+y, 0, h-1), clampInt(bx+x, 0, w-1)
-						block[y][x] = float64(src[sy*w+sx])*255 - 128
+						block[y][x] = float64(p[sy*w+sx])*255 - 128
 					}
 				}
-				// Forward 2-D DCT-II.
+				// Forward 2-D DCT-II: coefficient (u, v) sums
+				// (block[y][x]·dct8[u][y])·dct8[v][x] over y, then x.
+				// It is quantized at once, with a step that grows with
+				// frequency, scaled by quant; the nonzero ones are kept
+				// in (u, v) order.
+				n := 0
 				for u := 0; u < 8; u++ {
-					for v := 0; v < 8; v++ {
-						s := 0.0
-						for y := 0; y < 8; y++ {
-							for x := 0; x < 8; x++ {
-								s += block[y][x] * dct8[u][y] * dct8[v][x]
-							}
+					var s0, s1, s2, s3, s4, s5, s6, s7 float64
+					for y := 0; y < 8; y++ {
+						du := dct8[u][y]
+						for x := 0; x < 8; x++ {
+							b := block[y][x] * du
+							s0 += b * dct8[0][x]
+							s1 += b * dct8[1][x]
+							s2 += b * dct8[2][x]
+							s3 += b * dct8[3][x]
+							s4 += b * dct8[4][x]
+							s5 += b * dct8[5][x]
+							s6 += b * dct8[6][x]
+							s7 += b * dct8[7][x]
 						}
-						cu, cv := 1.0, 1.0
-						if u == 0 {
-							cu = math.Sqrt2 / 2
-						}
-						if v == 0 {
-							cv = math.Sqrt2 / 2
-						}
-						coef[u][v] = s * cu * cv / 4
 					}
-				}
-				// Quantize: step grows with frequency, scaled by quant.
-				for u := 0; u < 8; u++ {
-					for v := 0; v < 8; v++ {
+					for v, s := range [8]float64{s0, s1, s2, s3, s4, s5, s6, s7} {
+						coef := s * dctScale(u) * dctScale(v) / 4
 						step := float64(quant) * (1 + float64(u+v)/2)
-						coef[u][v] = math.Round(coef[u][v]/step) * step
+						if q := math.Round(coef/step) * step; q != 0 {
+							terms[n] = term{u, v, dctScale(u) * dctScale(v) * q}
+							n++
+						}
 					}
 				}
-				// Inverse DCT.
-				for y := 0; y < 8; y++ {
-					for x := 0; x < 8; x++ {
-						s := 0.0
-						for u := 0; u < 8; u++ {
-							for v := 0; v < 8; v++ {
-								cu, cv := 1.0, 1.0
-								if u == 0 {
-									cu = math.Sqrt2 / 2
-								}
-								if v == 0 {
-									cv = math.Sqrt2 / 2
-								}
-								s += cu * cv * coef[u][v] * dct8[u][y] * dct8[v][x]
-							}
-						}
-						sy, sx := by+y, bx+x
-						if sy < h && sx < w {
-							dst[sy*w+sx] = float32((s/4 + 128) / 255)
+				// Inverse DCT: pixel (y, x) sums
+				// (((cu·cv)·coef)·dct8[u][y])·dct8[v][x] over u, then v.
+				for y := 0; y < 8 && by+y < h; y++ {
+					var s0, s1, s2, s3, s4, s5, s6, s7 float64
+					for _, t := range terms[:n] {
+						a := t.c * dct8[t.u][y]
+						d := &dct8[t.v]
+						s0 += a * d[0]
+						s1 += a * d[1]
+						s2 += a * d[2]
+						s3 += a * d[3]
+						s4 += a * d[4]
+						s5 += a * d[5]
+						s6 += a * d[6]
+						s7 += a * d[7]
+					}
+					row := p[(by+y)*w:]
+					for x, s := range [8]float64{s0, s1, s2, s3, s4, s5, s6, s7} {
+						if bx+x < w {
+							row[bx+x] = float32((s/4 + 128) / 255)
 						}
 					}
 				}
 			}
 		}
 	}
-	return out
 }

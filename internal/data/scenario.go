@@ -286,17 +286,17 @@ func (s *ScheduledStream) Next(n int) (x *tensor.Tensor, labels []int, ok bool) 
 			}
 		}
 		labels[i] = s.rng.Intn(NumClasses)
-		img := s.gen.Sample(s.rng, labels[i])
+		img := x.Data[i*plane : (i+1)*plane]
+		s.gen.sampleInto(img, s.rng, labels[i])
 		switch {
 		case len(p.Mix) > 0:
 			e := drawMix(p.Mix, s.rng)
-			img = Apply(e.Corruption, img, h, w, e.Severity, s.rng)
+			corrupt(e.Corruption, img, h, w, e.Severity, s.rng)
 		case p.Clean:
 			// source-distribution phase: no corruption
 		default:
-			img = Apply(p.Corruption, img, h, w, p.Severity, s.rng)
+			corrupt(p.Corruption, img, h, w, p.Severity, s.rng)
 		}
-		copy(x.Data[i*plane:(i+1)*plane], img)
 		s.pos++
 	}
 	return x, labels, true

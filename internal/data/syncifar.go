@@ -14,10 +14,11 @@ const ImageSize = 32
 const NumClasses = 10
 
 // Generator produces SynCIFAR images: a deterministic synthetic 10-class
-// 3×32×32 dataset standing in for CIFAR-10 (which is not available in this
-// environment; see DESIGN.md). Each class is defined by a fixed mixture of
-// oriented sinusoidal gratings plus a class-specific color tint and blob;
-// instances add translation jitter, gain variation and pixel noise. The
+// 3×32×32 dataset standing in for CIFAR-10, which the repository does not
+// download (ROADMAP.md item 14 discusses the task's difficulty). Each class
+// is defined by a fixed mixture of oriented sinusoidal gratings plus a
+// class-specific color tint and blob; instances add translation jitter,
+// gain variation and pixel noise. The
 // structure is rich enough that corruptions cause genuine covariate shift
 // in a trained model's features, which is the mechanism BN adaptation
 // exploits.
@@ -79,23 +80,33 @@ func makeTemplate(rng *rand.Rand, h, w int) []float32 {
 // Sample draws one instance of the given class: the template with circular
 // translation jitter, multiplicative gain, and additive pixel noise.
 func (g *Generator) Sample(rng *rand.Rand, class int) []float32 {
+	out := make([]float32, 3*g.h*g.w)
+	g.sampleInto(out, rng, class)
+	return out
+}
+
+// sampleInto draws Sample's image into out.
+func (g *Generator) sampleInto(out []float32, rng *rand.Rand, class int) {
 	tpl := g.templates[class]
 	plane := g.h * g.w
-	out := make([]float32, 3*plane)
 	sy, sx := rng.Intn(7)-3, rng.Intn(7)-3
 	gain := 0.9 + rng.Float32()*0.2
+	k := (sx + g.w) % g.w // output column x shows template column (x+k) mod w
 	for c := 0; c < 3; c++ {
 		for y := 0; y < g.h; y++ {
 			yy := (y + sy + g.h) % g.h
-			for x := 0; x < g.w; x++ {
-				xx := (x + sx + g.w) % g.w
-				v := tpl[c*plane+yy*g.w+xx]*gain + float32(rng.NormFloat64())*0.06
-				out[c*plane+y*g.w+x] = v
+			src := tpl[c*plane+yy*g.w : c*plane+(yy+1)*g.w]
+			dst := out[c*plane+y*g.w : c*plane+(y+1)*g.w]
+			// The row rotated left by k: its tail, then its head.
+			for x, t := range src[k:] {
+				dst[x] = t*gain + float32(rng.NormFloat64())*0.06
+			}
+			for x, t := range src[:k] {
+				dst[g.w-k+x] = t*gain + float32(rng.NormFloat64())*0.06
 			}
 		}
 	}
 	clamp01(out)
-	return out
 }
 
 // Batch assembles n samples with uniform-random classes into an NCHW
@@ -106,7 +117,7 @@ func (g *Generator) Batch(rng *rand.Rand, n int) (*tensor.Tensor, []int) {
 	plane := 3 * g.h * g.w
 	for i := 0; i < n; i++ {
 		labels[i] = rng.Intn(NumClasses)
-		copy(x.Data[i*plane:(i+1)*plane], g.Sample(rng, labels[i]))
+		g.sampleInto(x.Data[i*plane:(i+1)*plane], rng, labels[i])
 	}
 	return x, labels
 }
@@ -117,8 +128,7 @@ func (g *Generator) CorruptedBatch(rng *rand.Rand, n int, c Corruption, severity
 	x, labels := g.Batch(rng, n)
 	plane := 3 * g.h * g.w
 	for i := 0; i < n; i++ {
-		img := Apply(c, x.Data[i*plane:(i+1)*plane], g.h, g.w, severity, rng)
-		copy(x.Data[i*plane:(i+1)*plane], img)
+		corrupt(c, x.Data[i*plane:(i+1)*plane], g.h, g.w, severity, rng)
 	}
 	return x, labels
 }

@@ -94,8 +94,12 @@ func TrainedModel(tag string, cfg MeasuredConfig) (*models.Model, *data.Generato
 // MeasuredCells lists one model's measured grid: for every algorithm, the
 // Fig.-2 streams at each of the paper's batch sizes, then one adapted clean
 // stream (seed Seed) at batch 50 — the leaderboard's clean column.
-// Corruption i draws stream seed Seed+1+i at every batch size, so, as in
-// the paper, each batch size scores the same images.
+// Corruption i draws stream seed Seed+1+i at every batch size. Each batch
+// size scores the same images, as in the paper, only for the six families
+// that draw no random numbers (defocus, zoom, brightness, contrast,
+// pixelate, JPEG): a stream draws a whole batch's clean images before it
+// corrupts them, so for the other nine the images depend on the batch size.
+// ROADMAP.md item 24 gives each image its own draws.
 func MeasuredCells(cfg MeasuredConfig) []Cell {
 	cfg = cfg.withDefaults()
 	var cells []Cell
