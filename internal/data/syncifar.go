@@ -18,10 +18,9 @@ const NumClasses = 10
 // download (ROADMAP.md item 14 discusses the task's difficulty). Each class
 // is defined by a fixed mixture of oriented sinusoidal gratings plus a
 // class-specific color tint and blob; instances add translation jitter,
-// gain variation and pixel noise. The
-// structure is rich enough that corruptions cause genuine covariate shift
-// in a trained model's features, which is the mechanism BN adaptation
-// exploits.
+// gain variation and pixel noise. The structure is rich enough that
+// corruptions cause genuine covariate shift in a trained model's features,
+// which is the mechanism BN adaptation exploits.
 type Generator struct {
 	templates [][]float32 // one 3×H×W template per class
 	h, w      int
