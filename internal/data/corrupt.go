@@ -493,11 +493,11 @@ func elastic(img []float32, h, w int, amp float64, rng *rand.Rand) {
 	src := slices.Clone(img)
 	plane := h * w
 	for y := 0; y < h; y++ {
-		gy := float64(y) / float64(h-1) * (grid - 1)
+		gy := gridAt(y, h, grid)
 		y0 := int(gy)
 		y1, fy := clampInt(y0+1, 0, grid-1), gy-float64(y0)
 		for x := 0; x < w; x++ {
-			gx := float64(x) / float64(w-1) * (grid - 1)
+			gx := gridAt(x, w, grid)
 			x0 := int(gx)
 			x1, fx := clampInt(x0+1, 0, grid-1), gx-float64(x0)
 			sample := func(g []float64) float64 {
@@ -512,6 +512,16 @@ func elastic(img []float32, h, w int, amp float64, rng *rand.Rand) {
 			}
 		}
 	}
+}
+
+// gridAt maps pixel i of an axis n pixels long onto [0, grid-1], the
+// axis's first pixel to 0 and its last to grid-1; a one-pixel axis sits at
+// 0.
+func gridAt(i, n, grid int) float64 {
+	if n == 1 {
+		return 0
+	}
+	return float64(i) / float64(n-1) * float64(grid-1)
 }
 
 // pixelate replaces every factor×factor block of img by its mean, in place.

@@ -103,6 +103,27 @@ func TestGlassBlurPreservesMean(t *testing.T) {
 	}
 }
 
+// TestElasticOnOnePixelAxes applies ElasticTransform to images one pixel
+// wide, tall or both, whose axis maps onto the displacement grid's first
+// point: every output value is finite and in range.
+func TestElasticOnOnePixelAxes(t *testing.T) {
+	for _, hw := range [][2]int{{8, 1}, {1, 8}, {1, 1}} {
+		h, w := hw[0], hw[1]
+		img := make([]float32, 3*h*w)
+		for i := range img {
+			img[i] = float32(i%7) / 7
+		}
+		for s := 1; s <= 5; s++ {
+			out := Apply(ElasticTransform, img, h, w, s, rand.New(rand.NewSource(int64(s))))
+			for i, v := range out {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) || v < 0 || v > 1 {
+					t.Fatalf("%d×%d severity %d: value %d is %v", h, w, s, i, v)
+				}
+			}
+		}
+	}
+}
+
 // Blur-family corruptions are smoothing operators: total variation must
 // decrease.
 func TestBlursReduceTotalVariation(t *testing.T) {

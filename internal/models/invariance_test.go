@@ -103,21 +103,21 @@ func TestInvariance(t *testing.T) {
 // purpose re-pins here, and says so.
 var pinnedDigests = map[string][3]uint64{
 	"RXT-AM/No-Adapt":           {0xca2752069a811ef9, 0xdc490fdc4340597e, 0x1af994c03d67d5ff},
-	"RXT-AM/BN-Norm":            {0x0a26227810d24ad3, 0xb04a59098cb0c30c, 0x5b11f59d59a9eafe},
-	"RXT-AM/BN-Opt":             {0xe650c4bfcf19c8b8, 0x3bbc5c0915704293, 0xca52d7ca8c795dfa},
-	"RXT-AM/BN-Opt+unfrozen":    {0x06038ed84157aa6f, 0xdb0e4af7ea2dfa43, 0x935a87d6a164d0d0},
+	"RXT-AM/BN-Norm":            {0xbfd7ae5b88779eaf, 0x1c779333e4552b8f, 0x3eb27dcd3e2ae755},
+	"RXT-AM/BN-Opt":             {0x156766fd7ad8cd64, 0x6d2963ff8b87612b, 0x9830b5e8218fc088},
+	"RXT-AM/BN-Opt+unfrozen":    {0x2b07c0e868a89106, 0xa913bebd90cd62ce, 0x4aebfc53ab3b5602},
 	"WRN-AM/No-Adapt":           {0xf98533eb5c088655, 0x8ce39af9acef020d, 0x1535793b5f1f0567},
-	"WRN-AM/BN-Norm":            {0xdb9a44f20ef55469, 0xbfc7993d77270204, 0xc3c6c174f23e9ce4},
-	"WRN-AM/BN-Opt":             {0x1c79f119f86fce6c, 0x67d615c840caa6a6, 0xd8124806a949e778},
-	"WRN-AM/BN-Opt+unfrozen":    {0xea28e5ec72eb81a8, 0x4a2a582ba079cda7, 0xe40dd8eeb39c2747},
+	"WRN-AM/BN-Norm":            {0x3ed23a02047b0b30, 0xf55021e52b86145e, 0x905d0d1c209b6c04},
+	"WRN-AM/BN-Opt":             {0xd9c960f7c07db90c, 0x3c64c84e2f6d956c, 0x4261cf40f3349efb},
+	"WRN-AM/BN-Opt+unfrozen":    {0xc6e939cafd53de26, 0x2d09511de29fdef4, 0x983c4ff059e4d635},
 	"R18-AM-AT/No-Adapt":        {0x6e130a0f490d993d, 0x0812797bd08388ee, 0x003bf985ad406912},
-	"R18-AM-AT/BN-Norm":         {0xa08fbdfa084fbd3b, 0x2ed710ffddddbd72, 0x319b4021c6462f47},
-	"R18-AM-AT/BN-Opt":          {0x4f9c12113d26b4f1, 0x87a51495a86cceca, 0x51bb40e07ff7ae32},
-	"R18-AM-AT/BN-Opt+unfrozen": {0x720a8478b05c7f9f, 0x42a6e748947ea26d, 0xd17ee42cba34427b},
+	"R18-AM-AT/BN-Norm":         {0xd32b0cf697990ced, 0x4b30a51dc32a5178, 0xc8d37350125b1318},
+	"R18-AM-AT/BN-Opt":          {0x6aab6b620562ec22, 0x012bd5534fb13029, 0xdf5d00c0399e7db7},
+	"R18-AM-AT/BN-Opt+unfrozen": {0xbd63489fce6ee855, 0x1a8703ca6c9c89d7, 0xceb281ccae35118d},
 	"MBV2/No-Adapt":             {0xe9954125a7fb072d, 0x85daa9e736bcfe58, 0x8b6a0e79ef6b5d0f},
-	"MBV2/BN-Norm":              {0x0c8313db97881dcc, 0x4716ad7e2ad43b7f, 0x1230acc52bb939f5},
-	"MBV2/BN-Opt":               {0xa0a2f4f6dc3064f8, 0xc810f5ca790dd427, 0x7b034c73220592dd},
-	"MBV2/BN-Opt+unfrozen":      {0x9c56a480a9f2bb3c, 0x76242fc84081472d, 0x45d428ed03f69192},
+	"MBV2/BN-Norm":              {0x4f8bc8448571fb61, 0x2813f34bece2d711, 0xc8e913ebad7e20bd},
+	"MBV2/BN-Opt":               {0xfe889a6fb417d7cd, 0xd7572fdf037a848f, 0xcea8d2048cd945ef},
+	"MBV2/BN-Opt+unfrozen":      {0x773eb5d2bebf9331, 0x00438cff68f20bad, 0xb86855cb12ac2485},
 }
 
 type row struct {

@@ -19,14 +19,19 @@ import "math"
 // the residual moved, reads the output it gates by.
 //
 // Reduction shape. The sums are float64 and run in StatLanes independent
-// lanes: element i of a plane is added to lane i mod StatLanes, in
-// ascending i, plane after plane, and the lanes are carried across the
-// planes of a channel (and across calls, for a caller that sums one plane
-// at a time) and folded once with MergeLanes. Lane count, element-to-lane
-// map and merge order are constants of this file — not of the worker
-// count, the pool width, the vector width, the plane length, the conv
-// dispatch switches or tracing — so a statistic is a function of the data
-// alone.
+// lanes: element i of a plane goes to lane i mod StatLanes, in ascending
+// i, plane after plane, and the lanes are carried across the planes of a
+// channel (and across calls, for a caller that sums one plane at a time)
+// and folded once with MergeLanes. A plane is walked in blocks of 64
+// elements, four vectors of StatLanes v0…v3: lane l of a block is the
+// float32 sum (v0+v2)+(v1+v3) of its elements l, l+16, l+32 and l+48, a
+// squared deviation or a product dy·x̂ rounded to float32 first, widened
+// and added to the lane once. The elements after the last whole block are
+// widened and added one at a time, a square or a product taken in float64.
+// Lane count, block order, element-to-lane map and merge order are
+// constants of this file — not of the worker count, the pool width, the
+// vector width, the conv dispatch switches or tracing — so a statistic is
+// a function of the data and the plane length alone.
 //
 // Every kernel has a generic Go twin (simd_generic.go) and vector routines
 // (simd_amd64.s) that agree with it bit for bit: same lanes, same order,
@@ -35,9 +40,12 @@ import "math"
 // plane under a mask; the AVX2 routines take a whole channel when its
 // planes are whole vectors, and the generic twins take it otherwise, one
 // plane at a time. StatLanes = 16 float64 is two zmm or four ymm, so both
-// widths keep the one lane map.
+// widths keep the one lane map, and a block of 64 float32 is four zmm or
+// eight ymm.
 
-// StatLanes is the number of float64 partial sums a plane reduction keeps.
+// StatLanes is the number of float64 partial sums a plane reduction keeps:
+// element i of a plane goes to lane i mod StatLanes, each 64-element block
+// of a plane summed in float32 per lane first (see Reduction shape above).
 const StatLanes = 16
 
 // Rect is the rectifier at the end of an elementwise pass: none (the zero
@@ -125,12 +133,14 @@ func AddPlanes(y, x []float32, p Planes) {
 	}
 }
 
-// SumPlanes adds the elements of the planes of x, widened to float64, into
-// acc.
+// SumPlanes adds the elements of the planes of x into acc, each 64-element
+// block summed in float32 per lane and widened once, the rest widened
+// element by element.
 func SumPlanes(acc *[StatLanes]float64, x []float32, p Planes) { sumPlanes(acc, x, p) }
 
-// SumSqDevPlanes adds float64(x[i]−mean)², the difference taken in
-// float32, over the planes of x into acc.
+// SumSqDevPlanes adds (x[i]−mean)², the difference taken in float32, over
+// the planes of x into acc: squared and block-summed in float32 inside a
+// 64-element block, squared in float64 after the last one.
 func SumSqDevPlanes(acc *[StatLanes]float64, x []float32, p Planes, mean float32) {
 	sumSqDevPlanes(acc, x, p, mean)
 }

@@ -301,23 +301,41 @@ func TestRecomputedGateMatchesSavedOutput(t *testing.T) {
 	}
 }
 
-// TestPlaneStatisticsShape pins the reduction shape itself: element i goes
-// to lane i mod StatLanes, lanes persist across planes, and MergeLanes
-// folds them pairwise — and the result is the mean and variance.
+// TestPlaneStatisticsShape pins the reduction shape itself: lane l of each
+// 64-element block is the float32 sum (v0+v2)+(v1+v3) of the block's
+// elements l, l+16, l+32, l+48 (squared deviations rounded to float32
+// first), widened and added once; every element after the last block goes
+// to lane i mod StatLanes on its own, in float64; lanes persist across
+// planes, and MergeLanes folds them pairwise — and the result is the mean
+// and variance, within the error of the float32 block sums (two rounded
+// additions per element, and a rounded square).
 func TestPlaneStatisticsShape(t *testing.T) {
+	const u = 0x1p-24 // float32's unit roundoff
+	blocks := func(want *[StatLanes]float64, x []float32, f func(v float32) float32, wide func(v float32) float64) {
+		i := 0
+		for ; i+4*StatLanes <= len(x); i += 4 * StatLanes {
+			for l := range want {
+				want[l] += float64((f(x[i+l]) + f(x[i+l+32])) + (f(x[i+l+16]) + f(x[i+l+48])))
+			}
+		}
+		for ; i < len(x); i++ {
+			want[i%StatLanes] += wide(x[i])
+		}
+	}
 	rng := rand.New(rand.NewSource(3))
 	var acc, want [StatLanes]float64
-	naive := 0.0
+	naive, abs := 0.0, 0.0
 	for p := 0; p < 3; p++ {
-		x := finitePlane(rng, 70+p, p)
+		x := finitePlane(rng, 150+p, p) // two blocks, one whole vector, a tail
 		SumPlanes(&acc, x, onePlane(len(x)))
-		for i, v := range x {
-			want[i%StatLanes] += float64(v)
+		blocks(&want, x, func(v float32) float32 { return v }, func(v float32) float64 { return float64(v) })
+		for _, v := range x {
 			naive += float64(v)
+			abs += math.Abs(float64(v))
 		}
 	}
 	if acc != want {
-		t.Fatalf("lanes %v, want element i in lane i mod %d: %v", acc, StatLanes, want)
+		t.Fatalf("lanes %v, want the block order: %v", acc, want)
 	}
 	m := want
 	for step := StatLanes / 2; step > 0; step /= 2 {
@@ -329,19 +347,24 @@ func TestPlaneStatisticsShape(t *testing.T) {
 	if got != m[0] {
 		t.Fatalf("MergeLanes = %v, want the pairwise fold %v", got, m[0])
 	}
-	if math.Abs(got-naive) > 1e-9*math.Abs(naive)+1e-9 {
+	if math.Abs(got-naive) > (2*u+1e-12)*abs {
 		t.Fatalf("MergeLanes = %v, serial float64 sum %v", got, naive)
 	}
 
-	x := finitePlane(rng, 64, 1)
-	var sq [StatLanes]float64
+	x := finitePlane(rng, 150, 1)
+	var sq, wantSq [StatLanes]float64
 	SumSqDevPlanes(&sq, x, onePlane(len(x)), 0.5)
+	blocks(&wantSq, x, func(v float32) float32 { d := v - 0.5; return float32(d * d) },
+		func(v float32) float64 { d := float64(v - 0.5); return d * d })
+	if sq != wantSq {
+		t.Fatalf("squared deviations: lanes %v, want the block order: %v", sq, wantSq)
+	}
 	ss := 0.0
 	for _, v := range x {
 		d := float64(v - 0.5)
 		ss += d * d
 	}
-	if got := MergeLanes(&sq); math.Abs(got-ss) > 1e-9*ss {
+	if got := MergeLanes(&sq); math.Abs(got-ss) > (3*u+1e-12)*ss {
 		t.Fatalf("sum of squared deviations %v, serial %v", got, ss)
 	}
 }

@@ -193,7 +193,10 @@ func TestPlaneKernelsStayInsideTheirOperands(t *testing.T) {
 
 // FuzzPlaneKernels decodes a channel from the fuzz bytes — plane length,
 // plane count, the gap between planes, an offset of the first plane into
-// its operand, the mode bits and the rectifier's cap — and holds every
+// its operand, the mode bits, the rectifier's cap and, when there is a
+// seventh byte, the plane length's high byte (lengths 1–1024, so that the
+// reductions' 64-element blocks and every tail after them are reached) —
+// and holds every
 // plane routine this CPU has to the generic twins, bit for bit, on
 // guard-paged operands laid against the page at their front and at their
 // back.
@@ -202,7 +205,11 @@ func FuzzPlaneKernels(f *testing.F) {
 		if len(data) < 6 {
 			return
 		}
-		plen, n, gap, off := 1+int(data[0])%80, 1+int(data[1])%5, int(data[2])%20, int(data[3])%16
+		hi := 0
+		if len(data) > 6 {
+			hi = int(data[6])
+		}
+		plen, n, gap, off := 1+(int(data[0])|hi<<8)%1024, 1+int(data[1])%5, int(data[2])%20, int(data[3])%16
 		mode := int(data[4]) & (opAffine | opResidual | opVary)
 		var rect Rect
 		if data[4]&opRect != 0 {

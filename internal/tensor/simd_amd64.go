@@ -66,8 +66,8 @@ var hasAVX512 = hasAVX2 && func() bool {
 // SpanKernel names the vector kernels this process dispatches to —
 // "avx512", "avx2" or "generic" — for the conv span kernel and the
 // elementwise plane kernels alike: both are chosen by the same CPUID
-// flags. On "avx512" the leftover channels of a conv tile and planeSum
-// still run their AVX2 routines.
+// flags. On "avx512" the leftover channels of a conv tile still run their
+// AVX2 routine.
 func SpanKernel() string {
 	switch {
 	case hasAVX512:
@@ -220,13 +220,10 @@ func dot(x, y []float32) float32 {
 // the remainder of each plane under a mask. An AVX2 routine takes planes
 // of a whole number of vectors — StatLanes elements for the reductions, 8
 // for the maps — so a channel whose planes are not goes to the generic
-// twins, bit-identical by construction. planeSum has no AVX-512 routine:
-// its lanes are chains of float64 additions, which run no faster at 16
-// lanes than at 8 (slower on a core whose 256-bit adder is the quicker
-// one). Either routine reads an optional operand (res, or the gradient's
-// x) only under the mode bits that need it; an AVX-512 one is handed
-// another operand of the call in place of an absent one, so every address
-// it forms lies inside a checked extent.
+// twins, bit-identical by construction. Either routine reads an optional
+// operand (res, or the gradient's x) only under the mode bits that need
+// it; an AVX-512 one is handed another operand of the call in place of an
+// absent one, so every address it forms lies inside a checked extent.
 
 //go:noescape
 func planeSumAVX2(acc *[StatLanes]float64, x []float32, plen, n, stride int)
@@ -242,6 +239,9 @@ func gradSumsAVX2(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, plen, n
 
 //go:noescape
 func gradInputAVX2(dx, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, scale, mDy, mDyXhat, hi float32, mode int)
+
+//go:noescape
+func sumPlanesAVX512(acc *[StatLanes]float64, x []float32, plen, n, stride int)
 
 //go:noescape
 func sumSqDevPlanesAVX512(acc *[StatLanes]float64, x []float32, plen, n, stride int, mean float32)
@@ -264,7 +264,11 @@ func sumPlanes(acc *[StatLanes]float64, x []float32, p Planes) {
 		return
 	}
 	p.check(len(x))
-	if hasAVX2 && p.Len%StatLanes == 0 {
+	switch {
+	case hasAVX512:
+		sumPlanesAVX512(acc, x, p.Len, p.N, p.Stride)
+		return
+	case hasAVX2 && p.Len%StatLanes == 0:
 		planeSumAVX2(acc, x, p.Len, p.N, p.Stride)
 		return
 	}

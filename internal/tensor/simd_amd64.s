@@ -1303,8 +1303,15 @@ il_next:
 // The reductions keep StatLanes = 16 float64 lanes in four registers;
 // element i of the plane goes to lane i mod 16, so the lane a value lands
 // in — and with it the order of every addition — is fixed by the data's
-// position alone.
-//
+// position alone. A plane is walked in blocks of 64 elements, four vectors
+// of 16 (v0-v3): the block is summed in float32 as (v0+v2)+(v1+v3), a
+// squared deviation or a product dy*xhat rounded to float32 first, and the
+// 16 sums are widened and added to the lanes once. The whole 16-element
+// vectors after the last block, and an AVX-512 routine's masked tail, are
+// widened element by element and added to the lanes as they are, a square
+// or a product taken in float64. So the bits depend on the data and the
+// plane length only, never on the vector width.
+
 // Mode bits (elementwise.go): 1 affine (read by the input gradient only:
 // the normalize always maps), 2 residual, 4 rectifier, 8 the statistics
 // varied with the input. hi is the rectifier's cap, or NaN for
@@ -1314,14 +1321,37 @@ il_next:
 // beta with the forward's instruction sequence (VSUBPS, VMULPS, VMULPS,
 // VADDPS), so its gate is the forward's bit for bit.
 
+// WIDEN8ADD widens the 8 float32 in ys (xs its low half) to float64 and
+// adds elements 0-3 to the lanes in a0 and 4-7 to those in a1. Clobbers
+// yt (xt its low half).
+#define WIDEN8ADD(ys, xs, yt, xt, a0, a1) \
+	VEXTRACTF128	$1, ys, xt; \
+	VCVTPS2PD	xs, ys; \
+	VCVTPS2PD	xt, yt; \
+	VADDPD	ys, a0, a0; \
+	VADDPD	yt, a1, a1
+
+// BLOCKCOUNTS splits the plane length in CX into R11 = plen/64 blocks and
+// R12 = (plen mod 64)/16 vectors after them.
+#define BLOCKCOUNTS \
+	MOVQ	CX, R11; \
+	SHRQ	$6, R11; \
+	MOVQ	CX, R12; \
+	SHRQ	$4, R12; \
+	ANDQ	$3, R12
+
 // func planeSumAVX2(acc *[16]float64, x []float32, plen, n, stride int)
 // plen must be a positive multiple of 16, n positive.
+//   SI plane start   BX cursor   CX blocks or vectors left
+//   Y0-Y3 lanes 0-3, 4-7, 8-11, 12-15
 TEXT ·planeSumAVX2(SB), NOSPLIT, $0-56
 	MOVQ	acc+0(FP), DI
 	MOVQ	x_base+8(FP), SI
+	MOVQ	plen+32(FP), CX
 	MOVQ	n+40(FP), R9
 	MOVQ	stride+48(FP), R10
 	SHLQ	$2, R10
+	BLOCKCOUNTS
 	VMOVUPD	(DI), Y0
 	VMOVUPD	32(DI), Y1
 	VMOVUPD	64(DI), Y2
@@ -1329,7 +1359,32 @@ TEXT ·planeSumAVX2(SB), NOSPLIT, $0-56
 
 psum_plane:
 	MOVQ	SI, BX
-	MOVQ	plen+32(FP), CX
+	MOVQ	R11, CX
+	TESTQ	CX, CX
+	JZ	psum_rest
+
+psum_loop64:
+	// lanes 0-7 from the low halves of v0-v3, then lanes 8-15
+	VMOVUPS	(BX), Y4
+	VMOVUPS	64(BX), Y5
+	VADDPS	128(BX), Y4, Y4
+	VADDPS	192(BX), Y5, Y5
+	VADDPS	Y5, Y4, Y4
+	VMOVUPS	32(BX), Y6
+	VMOVUPS	96(BX), Y7
+	VADDPS	160(BX), Y6, Y6
+	VADDPS	224(BX), Y7, Y7
+	VADDPS	Y7, Y6, Y6
+	WIDEN8ADD(Y4, X4, Y5, X5, Y0, Y1)
+	WIDEN8ADD(Y6, X6, Y7, X7, Y2, Y3)
+	ADDQ	$256, BX
+	DECQ	CX
+	JNZ	psum_loop64
+
+psum_rest:
+	MOVQ	R12, CX
+	TESTQ	CX, CX
+	JZ	psum_next
 
 psum_loop16:
 	VCVTPS2PD	(BX), Y4
@@ -1341,8 +1396,10 @@ psum_loop16:
 	VADDPD	Y6, Y2, Y2
 	VADDPD	Y7, Y3, Y3
 	ADDQ	$64, BX
-	SUBQ	$16, CX
+	DECQ	CX
 	JNZ	psum_loop16
+
+psum_next:
 	ADDQ	R10, SI
 	DECQ	R9
 	JNZ	psum_plane
@@ -1354,15 +1411,32 @@ psum_loop16:
 	VZEROUPPER
 	RET
 
+// SQDEV4X8 sets a to (a'^2+c'^2)+(b'^2+d'^2) in float32, v' being v-mean
+// and Y8 = mean: the block sum of one lane half, a-d holding v0-v3.
+#define SQDEV4X8(a, b, c, d) \
+	VSUBPS	Y8, a, a; \
+	VSUBPS	Y8, b, b; \
+	VSUBPS	Y8, c, c; \
+	VSUBPS	Y8, d, d; \
+	VMULPS	a, a, a; \
+	VMULPS	b, b, b; \
+	VMULPS	c, c, c; \
+	VMULPS	d, d, d; \
+	VADDPS	c, a, a; \
+	VADDPS	d, b, b; \
+	VADDPS	b, a, a
+
 // func planeSumSqDevAVX2(acc *[16]float64, x []float32, plen, n, stride int, mean float32)
-// acc[i mod 16] += float64(x[i] - mean)^2 over the planes; plen a positive
-// multiple of 16.
+// acc[i mod 16] += (x[i] - mean)^2 over the planes, in the block order
+// above; plen a positive multiple of 16.
 TEXT ·planeSumSqDevAVX2(SB), NOSPLIT, $0-60
 	MOVQ	acc+0(FP), DI
 	MOVQ	x_base+8(FP), SI
+	MOVQ	plen+32(FP), CX
 	MOVQ	n+40(FP), R9
 	MOVQ	stride+48(FP), R10
 	SHLQ	$2, R10
+	BLOCKCOUNTS
 	VBROADCASTSS	mean+56(FP), Y8
 	VMOVUPD	(DI), Y0
 	VMOVUPD	32(DI), Y1
@@ -1371,7 +1445,31 @@ TEXT ·planeSumSqDevAVX2(SB), NOSPLIT, $0-60
 
 psq_plane:
 	MOVQ	SI, BX
-	MOVQ	plen+32(FP), CX
+	MOVQ	R11, CX
+	TESTQ	CX, CX
+	JZ	psq_rest
+
+psq_loop64:
+	VMOVUPS	(BX), Y4
+	VMOVUPS	64(BX), Y5
+	VMOVUPS	128(BX), Y6
+	VMOVUPS	192(BX), Y7
+	SQDEV4X8(Y4, Y5, Y6, Y7)
+	VMOVUPS	32(BX), Y9
+	VMOVUPS	96(BX), Y10
+	VMOVUPS	160(BX), Y11
+	VMOVUPS	224(BX), Y12
+	SQDEV4X8(Y9, Y10, Y11, Y12)
+	WIDEN8ADD(Y4, X4, Y5, X5, Y0, Y1)
+	WIDEN8ADD(Y9, X9, Y10, X10, Y2, Y3)
+	ADDQ	$256, BX
+	DECQ	CX
+	JNZ	psq_loop64
+
+psq_rest:
+	MOVQ	R12, CX
+	TESTQ	CX, CX
+	JZ	psq_next
 
 psq_loop16:
 	VMOVUPS	(BX), Y4
@@ -1393,8 +1491,10 @@ psq_loop16:
 	VADDPD	Y6, Y2, Y2
 	VADDPD	Y7, Y3, Y3
 	ADDQ	$64, BX
-	SUBQ	$16, CX
+	DECQ	CX
 	JNZ	psq_loop16
+
+psq_next:
 	ADDQ	R10, SI
 	DECQ	R9
 	JNZ	psq_plane
@@ -1464,13 +1564,18 @@ norm_store:
 	VZEROUPPER
 	RET
 
-// GATE8 zeroes (to +0) the lanes of DY whose value in V did not pass the
-// rectifier: pass = v > 0 && !(hi <= v), v being the recomputed z or the
-// saved output. Clobbers V and T; expects Y14 = hi, Y15 = zero.
-#define GATE8(V, T, DY) \
+// PASS8 sets V to the lanes whose value in V passed the rectifier: pass
+// = v > 0 && !(hi <= v), v being the recomputed z or the saved output.
+// Clobbers T; expects Y14 = hi, Y15 = zero.
+#define PASS8(V, T) \
 	VCMPPS	$0x12, V, Y14, T; \
 	VCMPPS	$0x1E, Y15, V, V; \
-	VANDNPS	V, T, V; \
+	VANDNPS	V, T, V
+
+// GATE8 zeroes (to +0) the lanes of DY whose value in V did not pass the
+// rectifier. Clobbers V and T.
+#define GATE8(V, T, DY) \
+	PASS8(V, T); \
 	VANDPS	V, DY, DY
 
 // XHAT8 sets Y9 to the 8 inputs at OFF(SI) as xhat = (x-mean)*inv;
@@ -1504,15 +1609,54 @@ norm_store:
 	VADDPD	Y9, P0, P0; \
 	VADDPD	Y11, P1, P1
 
+// TERM8(OFF) sets Y8 to the 8 gradients at OFF(R8), gated as GATE8 gates
+// them unless the frame's norect lanes (all set without the rectifier)
+// pass them all, and Y9 to their products dy*xhat, rounded to float32.
+// Clobbers Y10, Y11.
+#define TERM8(OFF) \
+	VMOVUPS	OFF(R8), Y8; \
+	XHAT8(OFF); \
+	VMULPS	gamma-64(SP), Y9, Y10; \
+	VADDPS	beta-32(SP), Y10, Y10; \
+	PASS8(Y10, Y11); \
+	VORPS	norect-96(SP), Y10, Y10; \
+	VANDPS	Y10, Y8, Y8; \
+	VMULPS	Y8, Y9, Y9
+
+// HALF64 folds one lane half of a 64-element block, its four 8-element
+// parts at o0-o3 (v0-v3), into the lanes S0:S1 (sum dy) and P0:P1 (sum
+// dy*xhat): both float32 sums are (v0+v2)+(v1+v3), v0+v2 kept in the
+// frame while v1+v3 is made.
+#define HALF64(o0, o1, o2, o3, S0, S1, P0, P1) \
+	TERM8(o0); \
+	VMOVUPS	Y8, ad-128(SP); \
+	VMOVUPS	Y9, ap-160(SP); \
+	TERM8(o2); \
+	VADDPS	ad-128(SP), Y8, Y8; \
+	VADDPS	ap-160(SP), Y9, Y9; \
+	VMOVUPS	Y8, ad-128(SP); \
+	VMOVUPS	Y9, ap-160(SP); \
+	TERM8(o1); \
+	VMOVUPS	Y8, bd-192(SP); \
+	VMOVUPS	Y9, bp-224(SP); \
+	TERM8(o3); \
+	VADDPS	bd-192(SP), Y8, Y8; \
+	VADDPS	bp-224(SP), Y9, Y9; \
+	VADDPS	ad-128(SP), Y8, Y8; \
+	VADDPS	ap-160(SP), Y9, Y9; \
+	WIDEN8ADD(Y8, X8, Y10, X10, S0, S1); \
+	WIDEN8ADD(Y9, X9, Y11, X11, P0, P1)
+
 // func gradSumsAVX2(sumDy, sumDyXhat *[16]float64, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
 // plen a positive multiple of 16. Under the rectifier bit dy is gated by
 // z = gamma*xhat + beta, the value the forward rectified, recomputed in
-// the forward's rounding. Every ymm register is taken, so gamma and beta
-// are broadcast into the frame and read from there.
+// the forward's rounding. Every ymm register is taken, so gamma, beta, the
+// block's partial sums and the norect lanes (the gate's bypass, tested
+// without a branch in a block) live in the frame.
 //   R8 dy   SI x (cursors)   R11-R12 their plane starts
-//   CX remaining   R14 planes left   AX mode   DI, DX lane sets
+//   CX blocks or vectors left   R14 planes left   AX mode   DI, DX lane sets
 //   Y0-Y3 sum dy   Y4-Y7 sum dy*xhat   Y12 mean  Y13 inv  Y14 hi  Y15 zero
-TEXT ·gradSumsAVX2(SB), NOSPLIT, $64-120
+TEXT ·gradSumsAVX2(SB), NOSPLIT, $224-120
 	MOVQ	sumDy+0(FP), DI
 	MOVQ	sumDyXhat+8(FP), DX
 	MOVQ	dy_base+16(FP), R11
@@ -1525,6 +1669,13 @@ TEXT ·gradSumsAVX2(SB), NOSPLIT, $64-120
 	VMOVUPS	Y8, gamma-64(SP)
 	VBROADCASTSS	beta+100(FP), Y8
 	VMOVUPS	Y8, beta-32(SP)
+	MOVQ	AX, BX
+	SHRQ	$2, BX
+	ANDQ	$1, BX
+	DECQ	BX
+	VMOVQ	BX, X8
+	VPBROADCASTD	X8, Y8
+	VMOVUPS	Y8, norect-96(SP)
 	VBROADCASTSS	mean+88(FP), Y12
 	VBROADCASTSS	inv+92(FP), Y13
 	VBROADCASTSS	hi+104(FP), Y14
@@ -1542,6 +1693,22 @@ gsum_plane:
 	MOVQ	R11, R8
 	MOVQ	R12, SI
 	MOVQ	plen+64(FP), CX
+	SHRQ	$6, CX
+	JZ	gsum_rest
+
+gsum_loop64:
+	HALF64(0, 64, 128, 192, Y0, Y1, Y4, Y5)
+	HALF64(32, 96, 160, 224, Y2, Y3, Y6, Y7)
+	ADDQ	$256, R8
+	ADDQ	$256, SI
+	DECQ	CX
+	JNZ	gsum_loop64
+
+gsum_rest:
+	MOVQ	plen+64(FP), CX
+	SHRQ	$4, CX
+	ANDQ	$3, CX
+	JZ	gsum_next
 
 gsum_loop16:
 	VMOVUPS	(R8), Y8
@@ -1562,8 +1729,10 @@ gsum_hi:
 	SUMS8(Y2, Y3, Y6, Y7)
 	ADDQ	$64, R8
 	ADDQ	$64, SI
-	SUBQ	$16, CX
+	DECQ	CX
 	JNZ	gsum_loop16
+
+gsum_next:
 	ADDQ	R10, R11
 	ADDQ	R10, R12
 	DECQ	R14
@@ -1667,8 +1836,8 @@ gin_store:
 // float64 lanes are exactly two zmm, so lane i mod 16 of a plane's element
 // i is lane i mod 8 of Z0 (i mod 16 < 8) or of Z1, as the AVX2 bodies'
 // four ymm hold them, and every lane receives the same additions in the
-// same order. A plane is walked in blocks of 16 elements, then a tail of
-// plen mod 16 under a mask: its loads are zero-masked, its stores and its
+// same order. A plane is walked in vectors of 16 elements (the reductions
+// first take whole blocks of 64), then a tail of plen mod 16 under a mask: its loads are zero-masked, its stores and its
 // lane additions merge-masked, so no access leaves a plane and no lane
 // outside the tail changes (not even a -0 to +0). Mode bits become opmasks
 // of all or no lanes, so the map kernels test no mode inside the loop: a
@@ -1694,6 +1863,14 @@ gin_store:
 	SHRL	$8, BX; \
 	KMOVW	BX, K6
 
+// BLOCKMASKS is TAILMASKS for the reductions: R11 = plen/64 blocks, then
+// R12 = (plen mod 64)/16 vectors, then the tail under K5-K7.
+#define BLOCKMASKS \
+	TAILMASKS; \
+	MOVQ	R11, R12; \
+	ANDQ	$3, R12; \
+	SHRQ	$2, R11
+
 // MODEMASK sets k to all lanes when bit number b of AX is set, else to
 // none; clobbers BX.
 #define MODEMASK(b, k) \
@@ -1710,6 +1887,73 @@ gin_store:
 	VEXTRACTF64X4	$1, zs, yhi; \
 	VCVTPS2PD	yhi, zhi
 
+// ADD16 widens the 16 float32 in Z4 and adds them to the lanes Z0:Z1 under
+// masks k0, k1. Clobbers Z2, Z3.
+#define ADD16(k0, k1) \
+	WIDEN(Z4, Y4, Z2, Z3, Y3); \
+	VADDPD	Z2, Z0, k0, Z0; \
+	VADDPD	Z3, Z1, k1, Z1
+
+// func sumPlanesAVX512(acc *[16]float64, x []float32, plen, n, stride int)
+// acc[i mod 16] += x[k*stride+i] for each plane k < n, i < plen, in the
+// block order above; n, plen >= 1. K4 is all lanes.
+//   SI plane   Z0, Z1 lanes   Z2-Z5 temps
+TEXT ·sumPlanesAVX512(SB), NOSPLIT, $0-56
+	MOVQ	acc+0(FP), DI
+	MOVQ	x_base+8(FP), SI
+	MOVQ	plen+32(FP), CX
+	MOVQ	n+40(FP), R9
+	MOVQ	stride+48(FP), R10
+	SHLQ	$2, R10
+	BLOCKMASKS
+	KXNORW	K4, K4, K4
+	VMOVUPD	(DI), Z0
+	VMOVUPD	64(DI), Z1
+
+zsum_plane:
+	XORQ	BX, BX
+	MOVQ	R11, CX
+	TESTQ	CX, CX
+	JZ	zsum_rest
+
+zsum_block:
+	VMOVUPS	(SI)(BX*1), Z4
+	VMOVUPS	64(SI)(BX*1), Z5
+	VADDPS	128(SI)(BX*1), Z4, Z4
+	VADDPS	192(SI)(BX*1), Z5, Z5
+	VADDPS	Z5, Z4, Z4
+	ADD16(K4, K4)
+	ADDQ	$256, BX
+	DECQ	CX
+	JNZ	zsum_block
+
+zsum_rest:
+	MOVQ	R12, CX
+	TESTQ	CX, CX
+	JZ	zsum_tail
+
+zsum_vec:
+	VMOVUPS	(SI)(BX*1), Z4
+	ADD16(K4, K4)
+	ADDQ	$64, BX
+	DECQ	CX
+	JNZ	zsum_vec
+
+zsum_tail:
+	KORTESTW	K7, K7
+	JZ	zsum_next
+	VMOVUPS.Z	(SI)(BX*1), K7, Z4
+	ADD16(K5, K6)
+
+zsum_next:
+	ADDQ	R10, SI
+	DECQ	R9
+	JNZ	zsum_plane
+	VMOVUPD	Z0, (DI)
+	VMOVUPD	Z1, 64(DI)
+	VZEROUPPER
+	RET
+
 // SQDEV16 adds float64(v-mean)^2 of the 16 float32 in Z4 into Z0:Z1 under
 // masks k0, k1; Z8 = mean.
 #define SQDEV16(k0, k1) \
@@ -1721,9 +1965,9 @@ gin_store:
 	VADDPD	Z3, Z1, k1, Z1
 
 // func sumSqDevPlanesAVX512(acc *[16]float64, x []float32, plen, n, stride int, mean float32)
-// acc[i mod 16] += float64(x[k*stride+i] - mean)^2 for each plane k < n,
-// i < plen; n, plen >= 1. K4 is all lanes.
-//   SI plane   Z0, Z1 lanes   Z2-Z4 temps   Z8 mean
+// acc[i mod 16] += (x[k*stride+i] - mean)^2 for each plane k < n, i <
+// plen, in the block order above; n, plen >= 1. K4 is all lanes.
+//   SI plane   Z0, Z1 lanes   Z2-Z7 temps   Z8 mean
 TEXT ·sumSqDevPlanesAVX512(SB), NOSPLIT, $0-60
 	MOVQ	acc+0(FP), DI
 	MOVQ	x_base+8(FP), SI
@@ -1732,7 +1976,7 @@ TEXT ·sumSqDevPlanesAVX512(SB), NOSPLIT, $0-60
 	MOVQ	stride+48(FP), R10
 	SHLQ	$2, R10
 	VBROADCASTSS	mean+56(FP), Z8
-	TAILMASKS
+	BLOCKMASKS
 	KXNORW	K4, K4, K4
 	VMOVUPD	(DI), Z0
 	VMOVUPD	64(DI), Z1
@@ -1741,14 +1985,40 @@ zsq_plane:
 	XORQ	BX, BX
 	MOVQ	R11, CX
 	TESTQ	CX, CX
-	JZ	zsq_tail
+	JZ	zsq_rest
 
 zsq_block:
+	VMOVUPS	(SI)(BX*1), Z4
+	VMOVUPS	64(SI)(BX*1), Z5
+	VMOVUPS	128(SI)(BX*1), Z6
+	VMOVUPS	192(SI)(BX*1), Z7
+	VSUBPS	Z8, Z4, Z4
+	VSUBPS	Z8, Z5, Z5
+	VSUBPS	Z8, Z6, Z6
+	VSUBPS	Z8, Z7, Z7
+	VMULPS	Z4, Z4, Z4
+	VMULPS	Z5, Z5, Z5
+	VMULPS	Z6, Z6, Z6
+	VMULPS	Z7, Z7, Z7
+	VADDPS	Z6, Z4, Z4
+	VADDPS	Z7, Z5, Z5
+	VADDPS	Z5, Z4, Z4
+	ADD16(K4, K4)
+	ADDQ	$256, BX
+	DECQ	CX
+	JNZ	zsq_block
+
+zsq_rest:
+	MOVQ	R12, CX
+	TESTQ	CX, CX
+	JZ	zsq_tail
+
+zsq_vec:
 	VMOVUPS	(SI)(BX*1), Z4
 	SQDEV16(K4, K4)
 	ADDQ	$64, BX
 	DECQ	CX
-	JNZ	zsq_block
+	JNZ	zsq_vec
 
 zsq_tail:
 	KORTESTW	K7, K7
@@ -1863,11 +2133,25 @@ znorm_next:
 	VADDPD	Z6, Z2, k0, Z2; \
 	VADDPD	Z7, Z3, k1, Z3
 
+// GTERM16(off, zd, zp) sets zd to the 16 gradients at off(R8)(BX*1),
+// gated as GSUMS16 gates them, and zp to their products dy*xhat, rounded
+// to float32. Clobbers Z7, K1, K2.
+#define GTERM16(off, zd, zp) \
+	VMOVUPS	off(R8)(BX*1), zd; \
+	VMOVUPS	off(SI)(BX*1), zp; \
+	VSUBPS	Z12, zp, zp; \
+	VMULPS	Z13, zp, zp; \
+	VMULPS	Z16, zp, Z7; \
+	VADDPS	Z17, Z7, Z7; \
+	ZGATE16(Z7, zd); \
+	VMULPS	zd, zp, zp
+
 // func gradSumsPlanesAVX512(sumDy, sumDyXhat *[16]float64, dy, x []float32, plen, n, stride int, mean, inv, gamma, beta, hi float32, mode int)
-// The sums of gradSumsAVX2 over the planes. K4 is all lanes.
+// The sums of gradSumsAVX2 over the planes, in the block order above. K4
+// is all lanes.
 //   R8 dy   SI x (plane starts)   DI, DX lane sets
 //   Z0:Z1 sum dy   Z2:Z3 sum dy*xhat   Z12 mean  Z13 inv  Z14 hi  Z15 zero
-//   Z16 gamma  Z17 beta
+//   Z16 gamma  Z17 beta   Z18-Z21 a block's gradients, Z22-Z25 products
 TEXT ·gradSumsPlanesAVX512(SB), NOSPLIT, $0-120
 	MOVQ	sumDy+0(FP), DI
 	MOVQ	sumDyXhat+8(FP), DX
@@ -1886,7 +2170,7 @@ TEXT ·gradSumsPlanesAVX512(SB), NOSPLIT, $0-120
 	XORQ	$4, AX
 	MODEMASK(2, K3)
 	MOVQ	plen+64(FP), CX
-	TAILMASKS
+	BLOCKMASKS
 	KXNORW	K4, K4, K4
 	VMOVUPD	(DI), Z0
 	VMOVUPD	64(DI), Z1
@@ -1897,14 +2181,40 @@ zgs_plane:
 	XORQ	BX, BX
 	MOVQ	R11, CX
 	TESTQ	CX, CX
-	JZ	zgs_tail
+	JZ	zgs_rest
 
 zgs_block:
+	GTERM16(0, Z18, Z22)
+	GTERM16(64, Z19, Z23)
+	GTERM16(128, Z20, Z24)
+	GTERM16(192, Z21, Z25)
+	VADDPS	Z20, Z18, Z18
+	VADDPS	Z21, Z19, Z19
+	VADDPS	Z19, Z18, Z18
+	VADDPS	Z24, Z22, Z22
+	VADDPS	Z25, Z23, Z23
+	VADDPS	Z23, Z22, Z22
+	WIDEN(Z18, Y18, Z4, Z5, Y5)
+	WIDEN(Z22, Y22, Z6, Z7, Y7)
+	VADDPD	Z4, Z0, Z0
+	VADDPD	Z5, Z1, Z1
+	VADDPD	Z6, Z2, Z2
+	VADDPD	Z7, Z3, Z3
+	ADDQ	$256, BX
+	DECQ	CX
+	JNZ	zgs_block
+
+zgs_rest:
+	MOVQ	R12, CX
+	TESTQ	CX, CX
+	JZ	zgs_tail
+
+zgs_vec:
 	VMOVUPS	(R8)(BX*1), Z8
 	GSUMS16(K4, K4, K4)
 	ADDQ	$64, BX
 	DECQ	CX
-	JNZ	zgs_block
+	JNZ	zgs_vec
 
 zgs_tail:
 	KORTESTW	K7, K7

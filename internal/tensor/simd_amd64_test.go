@@ -67,13 +67,9 @@ func convTileRoutine(tile int) spanRoutine {
 // the feature flags the dispatch reads, and those flags against each
 // other: no AVX2 path runs without the FMA bit.
 func TestSpanKernelDispatch(t *testing.T) {
-	plane := SpanKernel()
-	if hasAVX512 {
-		plane += " (planeSum avx2)"
-	}
 	_, _, c1, _ := cpuid(1, 0)
 	fma := c1&cpuidFMA != 0
-	t.Logf("span kernel: %s, plane kernels: %s (AVX2 %v, AVX-512 %v, FMA bit %v)", SpanKernel(), plane, hasAVX2, hasAVX512, fma)
+	t.Logf("span and plane kernels: %s (AVX2 %v, AVX-512 %v, FMA bit %v)", SpanKernel(), hasAVX2, hasAVX512, fma)
 	want := "generic"
 	switch {
 	case hasAVX512:
@@ -353,9 +349,8 @@ func runPlanesAVX2(c *planeCall, r *planeResult) {
 	}
 }
 
-// runPlanesAVX512 calls the AVX-512 routines as their dispatch does — an
-// absent operand is replaced by another operand of the call — and the
-// AVX2 planeSum, which has no AVX-512 twin, the same way.
+// runPlanesAVX512 calls the AVX-512 routines as their dispatch does: an
+// absent operand is replaced by another operand of the call.
 func runPlanesAVX512(c *planeCall, r *planeResult) {
 	hi, p := c.rect.hi(), c.p
 	res, src := c.res, c.src
@@ -365,7 +360,7 @@ func runPlanesAVX512(c *planeCall, r *planeResult) {
 	if c.mode&(opRect|opVary) == 0 {
 		src = c.dy
 	}
-	sumPlanes(&r.sum, c.x, p)
+	sumPlanesAVX512(&r.sum, c.x, p.Len, p.N, p.Stride)
 	sumSqDevPlanesAVX512(&r.sq, c.x, p.Len, p.N, p.Stride, pcMean)
 	normalizePlanesAVX512(r.y, c.xs, res, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)
 	gradSumsPlanesAVX512(&r.sDy, &r.sDyXhat, c.dy, c.x, p.Len, p.N, p.Stride, pcMean, pcInv, c.gamma, c.beta, hi, c.mode)

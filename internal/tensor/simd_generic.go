@@ -112,16 +112,39 @@ func dotGeneric(x, y []float32) float32 {
 // it on its own, so a compiler that may fuse x*y+z into one instruction
 // (arm64, ppc64, s390x, riscv64, amd64 at GOAMD64=v3) produces the same
 // bits as the AVX2 and AVX-512 plane routines, which never fuse.
+//
+// The three reductions walk a plane in blocks of statBlock elements: lane
+// l of a block is the float32 sum (v0+v2)+(v1+v3) of its elements l, l+16,
+// l+32 and l+48, widened and added to acc[l] once. The elements after the
+// last block go to their lanes one at a time, widened first.
+
+// statBlock is the length of a reduction block: four vectors of StatLanes.
+const statBlock = 4 * StatLanes
 
 func planeSumGeneric(acc *[StatLanes]float64, x []float32) {
-	for i, v := range x {
-		acc[i%StatLanes] += float64(v)
+	i := 0
+	for ; i+statBlock <= len(x); i += statBlock {
+		v := (*[statBlock]float32)(x[i:])
+		for l := range acc {
+			acc[l] += float64((v[l] + v[l+32]) + (v[l+16] + v[l+48]))
+		}
+	}
+	for ; i < len(x); i++ {
+		acc[i%StatLanes] += float64(x[i])
 	}
 }
 
 func planeSumSqDevGeneric(acc *[StatLanes]float64, x []float32, mean float32) {
-	for i, v := range x {
-		d := float64(v - mean)
+	i := 0
+	for ; i+statBlock <= len(x); i += statBlock {
+		v := (*[statBlock]float32)(x[i:])
+		for l := range acc {
+			d0, d1, d2, d3 := v[l]-mean, v[l+16]-mean, v[l+32]-mean, v[l+48]-mean
+			acc[l] += float64((float32(d0*d0) + float32(d2*d2)) + (float32(d1*d1) + float32(d3*d3)))
+		}
+	}
+	for ; i < len(x); i++ {
+		d := float64(x[i] - mean)
 		acc[i%StatLanes] += float64(d * d)
 	}
 }
@@ -165,14 +188,35 @@ func normalizeGeneric(y, x, res []float32, mean, inv, g, b, hi float32, mode int
 	}
 }
 
-// gradSumsGeneric gates dy, under opRect, by the z that the forward
-// rectified, recomputed from x; the sums are always of the affine map.
+// gradTerm is one element of the gradient sums: dy gated, under opRect,
+// by the z that the forward rectified, recomputed from x, and x̂.
+func gradTerm(d, v, mean, inv, g, b, hi float32, mode int) (float32, float32) {
+	xh, z := affine(v, mean, inv, g, b)
+	if mode&opRect != 0 && !passed(z, hi) {
+		d = 0
+	}
+	return d, xh
+}
+
+// gradSumsGeneric sums the gated dy and dy·x̂, the sums always of the
+// affine map. In a block the product is rounded to float32; after the
+// last block it is taken in float64 from the widened factors.
 func gradSumsGeneric(sumDy, sumDyXhat *[StatLanes]float64, dy, x []float32, mean, inv, g, b, hi float32, mode int) {
-	for i, d := range dy {
-		xh, z := affine(x[i], mean, inv, g, b)
-		if mode&opRect != 0 && !passed(z, hi) {
-			d = 0
+	i := 0
+	for ; i+statBlock <= len(dy); i += statBlock {
+		d, v := (*[statBlock]float32)(dy[i:]), (*[statBlock]float32)(x[i:])
+		for l := range sumDy {
+			var s, p [4]float32
+			for j := range s {
+				dj, xh := gradTerm(d[l+16*j], v[l+16*j], mean, inv, g, b, hi, mode)
+				s[j], p[j] = dj, float32(dj*xh)
+			}
+			sumDy[l] += float64((s[0] + s[2]) + (s[1] + s[3]))
+			sumDyXhat[l] += float64((p[0] + p[2]) + (p[1] + p[3]))
 		}
+	}
+	for ; i < len(dy); i++ {
+		d, xh := gradTerm(dy[i], x[i], mean, inv, g, b, hi, mode)
 		sumDy[i%StatLanes] += float64(d)
 		sumDyXhat[i%StatLanes] += float64(float64(d) * float64(xh))
 	}
