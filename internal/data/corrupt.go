@@ -5,6 +5,15 @@
 // test-time adaptation.
 //
 // Images are float32 CHW planes in [0, 1] with 3 channels.
+//
+// An image is the same bits on every architecture and CPU. Each product is
+// rounded before it is added — by an explicit conversion, as in
+// float32(a*b) + c, wherever a compiler could fuse the two into one
+// instruction (arm64's does; amd64's does not) — and the AVX-512 bodies of
+// the hot loops (vector_amd64.s) repeat their generic twins' operations in
+// the same order. math.Sin, math.Cos and math.Exp, behind the class
+// templates, the DCT basis and the motion kernels, are outside this
+// guarantee on arm64.
 package data
 
 import (
@@ -85,7 +94,7 @@ func corrupt(c Corruption, out []float32, h, w, severity int, rng *rand.Rand) {
 	case GaussianNoise:
 		sigma := [5]float32{0.06, 0.10, 0.14, 0.20, 0.26}[s]
 		for i := range out {
-			out[i] += float32(rng.NormFloat64()) * sigma
+			out[i] += float32(float32(rng.NormFloat64()) * sigma)
 		}
 	case ShotNoise:
 		// Gaussian approximation of Poisson photon noise: variance ∝ signal.
@@ -95,7 +104,7 @@ func corrupt(c Corruption, out []float32, h, w, severity int, rng *rand.Rand) {
 			if v < 0 {
 				v = 0
 			}
-			out[i] += float32(rng.NormFloat64()) * scale * float32(math.Sqrt(float64(v)+0.01))
+			out[i] += float32(float32(rng.NormFloat64()) * scale * float32(math.Sqrt(float64(v)+0.01)))
 		}
 	case ImpulseNoise:
 		p := [5]float32{0.01, 0.03, 0.06, 0.10, 0.17}[s]
@@ -150,8 +159,8 @@ func corrupt(c Corruption, out []float32, h, w, severity int, rng *rand.Rand) {
 		plane := h * w
 		for ch := 0; ch < 3; ch++ {
 			for i := 0; i < plane; i++ {
-				fogv := 0.7 + 0.3*f[i]
-				out[ch*plane+i] = out[ch*plane+i]*(1-t) + t*fogv
+				fogv := 0.7 + float32(0.3*f[i])
+				out[ch*plane+i] = float32(out[ch*plane+i]*(1-t)) + float32(t*fogv)
 			}
 		}
 	case Brightness:
@@ -167,7 +176,7 @@ func corrupt(c Corruption, out []float32, h, w, severity int, rng *rand.Rand) {
 		}
 		mean /= float32(len(out))
 		for i := range out {
-			out[i] = (out[i]-mean)*cf + mean
+			out[i] = float32((out[i]-mean)*cf) + mean
 		}
 	case ElasticTransform:
 		amp := [5]float64{1.0, 1.6, 2.2, 2.8, 3.5}[s]
@@ -184,7 +193,9 @@ func corrupt(c Corruption, out []float32, h, w, severity int, rng *rand.Rand) {
 	clamp01(out)
 }
 
-func clamp01(v []float32) {
+// clamp01Generic sets each element below 0 to 0 and each above 1 to 1;
+// NaN and −0 stay as they are.
+func clamp01Generic(v []float32) {
 	for i, x := range v {
 		if x < 0 {
 			v[i] = 0
@@ -217,7 +228,7 @@ func diskKernel(radius float64) kernel {
 	sum := float32(0)
 	for y := -r; y <= r; y++ {
 		for x := -r; x <= r; x++ {
-			if float64(x*x+y*y) <= radius*radius+0.5 {
+			if float64(x*x+y*y) <= float64(radius*radius)+0.5 {
 				k.w[(y+r)*side+(x+r)] = 1
 				sum++
 			}
@@ -255,23 +266,22 @@ func motionKernel(length int, angle float64) kernel {
 // times their pixels, as in a dense loop over the kernel that skips zero
 // weights. The zeros are dropped once. Each plane is copied with its rows
 // padded by as many copies of their edge pixels as the widest tap reaches,
-// so no read clamps a column, and each tap adds its weighted source row,
-// clamped once, to a whole output row of accumulators.
+// so no read clamps a column, and tapPlane adds each tap's weighted source
+// row, clamped once, to a whole output row of accumulators.
 func convolve(dst, src []float32, h, w int, k kernel) {
-	type tap struct {
-		dy, dx int
-		w      float32
-	}
 	r := k.side / 2
-	var taps []tap
+	taps, wts := make([]tap, 0, len(k.w)), make([]float32, 0, len(k.w))
 	rx := 0
 	for ky := -r; ky <= r; ky++ {
 		for kx := -r; kx <= r; kx++ {
 			if wv := k.w[(ky+r)*k.side+(kx+r)]; wv != 0 {
-				taps = append(taps, tap{ky, kx, wv})
+				taps, wts = append(taps, tap{int32(ky), int32(kx)}), append(wts, wv)
 				rx = max(rx, kx, -kx)
 			}
 		}
+	}
+	for i := range taps { // col held dx until rx, the widest reach, was known
+		taps[i].col += int32(rx)
 	}
 	pw := w + 2*rx
 	pad := make([]float32, h*pw)
@@ -285,14 +295,27 @@ func convolve(dst, src []float32, h, w int, k kernel) {
 				row[x], row[rx+w+x] = from[0], from[w-1]
 			}
 		}
-		for y := 0; y < h; y++ {
-			o := out[y*w : (y+1)*w]
-			clear(o)
-			for _, t := range taps {
-				row := pad[clampInt(y+t.dy, 0, h-1)*pw+rx+t.dx:][:w]
-				for x, v := range row {
-					o[x] += t.w * v
-				}
+		tapPlane(out, pad, h, w, pw, taps, wts)
+	}
+}
+
+// tap places one kernel weight's source row: dy rows from the output row,
+// starting at column col of the padded plane.
+type tap struct{ dy, col int32 }
+
+// tapPlaneGeneric sets each row y of the h×w plane o to the sum over the
+// taps of wts[t] times the w pixels that start at column taps[t].col of
+// row clamp(y+taps[t].dy, 0, h-1) of pad, an h×pw plane: from +0, in tap
+// order, each product rounded before it is added.
+func tapPlaneGeneric(o, pad []float32, h, w, pw int, taps []tap, wts []float32) {
+	for y := 0; y < h; y++ {
+		row := o[y*w : (y+1)*w]
+		clear(row)
+		for i, wt := range wts {
+			t := taps[i]
+			src := pad[clampInt(y+int(t.dy), 0, h-1)*pw+int(t.col):][:w]
+			for x, v := range src {
+				row[x] += float32(wt * v)
 			}
 		}
 	}
@@ -319,9 +342,9 @@ func axisAt(v float64, n int) lerpAxis {
 // bilerp samples channel plane src (w wide) bilinearly at the point whose
 // axes are ay and ax.
 func bilerp(src []float32, w int, ay, ax lerpAxis) float32 {
-	top := src[ay.i0*w+ax.i0]*(1-ax.f) + src[ay.i0*w+ax.i1]*ax.f
-	bot := src[ay.i1*w+ax.i0]*(1-ax.f) + src[ay.i1*w+ax.i1]*ax.f
-	return top*(1-ay.f) + bot*ay.f
+	top := float32(src[ay.i0*w+ax.i0]*(1-ax.f)) + float32(src[ay.i0*w+ax.i1]*ax.f)
+	bot := float32(src[ay.i1*w+ax.i0]*(1-ax.f)) + float32(src[ay.i1*w+ax.i1]*ax.f)
+	return float32(top*(1-ay.f)) + float32(bot*ay.f)
 }
 
 // zoomBlur averages img with six zoomed-in copies of itself, in place. A
@@ -331,7 +354,7 @@ func zoomBlur(img []float32, h, w int, maxZoom float64) {
 	const steps = 6
 	src := slices.Clone(img)
 	plane := h * w
-	cy, cx := float64(h-1)/2, float64(w-1)/2
+	cy, cx := float64(float64(h-1)/2), float64(float64(w-1)/2)
 	rows, cols := make([]lerpAxis, h), make([]lerpAxis, w)
 	for step := 1; step <= steps; step++ {
 		z := 1 + (maxZoom-1)*float64(step)/steps
@@ -363,9 +386,10 @@ func snow(img []float32, h, w int, amount float32, rng *rand.Rand) {
 	layer := make([]float32, plane)
 	for i := range layer {
 		if rng.Float32() < amount*0.08 {
-			layer[i] = 0.8 + 0.2*rng.Float32()
+			layer[i] = 0.8 + float32(0.2*rng.Float32())
 		}
 	}
+	whiten := float32(0.3 * amount)
 	streak := make([]float32, plane)
 	convolve(streak, layer, h, w, motionKernel(5, math.Pi/3))
 	for ch := 0; ch < 3; ch++ {
@@ -376,8 +400,8 @@ func snow(img []float32, h, w int, amount float32, rng *rand.Rand) {
 			}
 			v := img[ch*plane+i]
 			// Whiten the scene slightly and composite the flakes on top.
-			v = v*(1-0.3*amount) + 0.3*amount
-			img[ch*plane+i] = v*(1-sv) + sv
+			v = float32(v*(1-whiten)) + whiten
+			img[ch*plane+i] = float32(v*(1-sv)) + sv
 		}
 	}
 }
@@ -396,8 +420,8 @@ func frost(img []float32, h, w int, strength float32, rng *rand.Rand) {
 	for ch := 0; ch < 3; ch++ {
 		tint := [3]float32{0.85, 0.9, 1.0}[ch] // icy blue-white
 		for i := 0; i < plane; i++ {
-			a := strength * f[i]
-			img[ch*plane+i] = img[ch*plane+i]*(1-a) + a*tint
+			a := float32(strength * f[i])
+			img[ch*plane+i] = float32(img[ch*plane+i]*(1-a)) + float32(a*tint)
 		}
 	}
 }
@@ -419,9 +443,9 @@ func plasma(h, w int, rng *rand.Rand) []float32 {
 		// Diamond step.
 		for y := half; y < n; y += step {
 			for x := half; x < n; x += step {
-				avg := (g[(y-half)*n+x-half] + g[(y-half)*n+x+half] +
-					g[(y+half)*n+x-half] + g[(y+half)*n+x+half]) / 4
-				g[y*n+x] = avg + (rng.Float64()-0.5)*scale
+				avg := float64((g[(y-half)*n+x-half] + g[(y-half)*n+x+half] +
+					g[(y+half)*n+x-half] + g[(y+half)*n+x+half]) / 4)
+				g[y*n+x] = avg + float64((float64(rng.Float64())-0.5)*scale)
 			}
 		}
 		// Square step.
@@ -448,7 +472,7 @@ func plasma(h, w int, rng *rand.Rand) []float32 {
 					sum += g[y*n+x+half]
 					cnt++
 				}
-				g[y*n+x] = sum/cnt + (rng.Float64()-0.5)*scale
+				g[y*n+x] = sum/cnt + float64((float64(rng.Float64())-0.5)*scale)
 			}
 		}
 		scale *= 0.55
@@ -486,8 +510,8 @@ func elastic(img []float32, h, w int, amp float64, rng *rand.Rand) {
 	dyg := make([]float64, grid*grid)
 	dxg := make([]float64, grid*grid)
 	for i := range dyg {
-		dyg[i] = (rng.Float64()*2 - 1) * amp
-		dxg[i] = (rng.Float64()*2 - 1) * amp
+		dyg[i] = signedUniform(rng) * amp
+		dxg[i] = signedUniform(rng) * amp
 	}
 	// A pixel reads both grids at one point and moves every channel alike.
 	src := slices.Clone(img)
@@ -501,9 +525,9 @@ func elastic(img []float32, h, w int, amp float64, rng *rand.Rand) {
 			x0 := int(gx)
 			x1, fx := clampInt(x0+1, 0, grid-1), gx-float64(x0)
 			sample := func(g []float64) float64 {
-				top := g[y0*grid+x0]*(1-fx) + g[y0*grid+x1]*fx
-				bot := g[y1*grid+x0]*(1-fx) + g[y1*grid+x1]*fx
-				return top*(1-fy) + bot*fy
+				top := float64(g[y0*grid+x0]*(1-fx)) + float64(g[y0*grid+x1]*fx)
+				bot := float64(g[y1*grid+x0]*(1-fx)) + float64(g[y1*grid+x1]*fx)
+				return float64(top*(1-fy)) + float64(bot*fy)
 			}
 			ay := axisAt(float64(y)+sample(dyg), h)
 			ax := axisAt(float64(x)+sample(dxg), w)
@@ -512,6 +536,13 @@ func elastic(img []float32, h, w int, amp float64, rng *rand.Rand) {
 			}
 		}
 	}
+}
+
+// signedUniform is rng.Float64()·2 − 1, a draw in [−1, 1). The draw and
+// its double are each rounded explicitly, so that no build fuses either
+// into the next operation.
+func signedUniform(rng *rand.Rand) float64 {
+	return float64(float64(rng.Float64())*2) - 1
 }
 
 // gridAt maps pixel i of an axis n pixels long onto [0, grid-1], the
@@ -550,15 +581,14 @@ func pixelate(img []float32, h, w, factor int) {
 }
 
 // dct8 holds the 8-point DCT-II basis used by the JPEG-style corruption.
-var dct8 [8][8]float64
-
-func init() {
+var dct8 = func() (d [8][8]float64) {
 	for k := 0; k < 8; k++ {
 		for i := 0; i < 8; i++ {
-			dct8[k][i] = math.Cos(math.Pi * float64(k) * (2*float64(i) + 1) / 16)
+			d[k][i] = math.Cos(math.Pi * float64(k) * (2*float64(i) + 1) / 16)
 		}
 	}
-}
+	return d
+}()
 
 // dctScale is the DCT-II normalization of frequency k.
 func dctScale(k int) float64 {
@@ -572,84 +602,105 @@ func dctScale(k int) float64 {
 // the coefficients (more coarsely at higher frequency, like a JPEG table),
 // and inverts — reproducing blocky JPEG artifacts. A block reads only its
 // own pixels, clamped at the image's edges.
+func jpegQuantize(img []float32, h, w int, quant float32) {
+	var f jpegFrame
+	for v := range f.step {
+		for u := range f.step[v] {
+			f.step[v][u] = float64(quant) * (1 + float64(float64(u+v)/2))
+		}
+	}
+	plane := h * w
+	for ch := 0; ch < 3; ch++ {
+		p := img[ch*plane : (ch+1)*plane]
+		for by := 0; by < h; by += 8 {
+			for bx := 0; bx < w; bx += 8 {
+				jpegBlock(p[by*w+bx:], w, min(8, h-by), min(8, w-bx), &f)
+			}
+		}
+	}
+}
+
+// jpegFrame is one jpegQuantize call's quantization steps, which grow
+// with frequency, scaled by quant, and scratch for the vector body: the
+// block, its quantized terms and one term's column. Tables indexed [v][u]
+// hold coefficient (u, v).
+type jpegFrame struct {
+	step  [8][8]float64 // [v][u]
+	block [8][8]float64 // [y][x], the pixels scaled to ±128
+	coef  [8][8]float64 // [v][u], (cu·cv)·q
+	col   [8]float64    // c·dct8[u][y] over y
+}
+
+// jpegBlockGeneric transforms one 8×8 block in place: its top-left pixel
+// is p[0], its rows lie w apart, and only its first rows rows and cols
+// columns exist; reads of the others clamp to the last one that does.
 //
 // Every coefficient and pixel is the dense sum, from +0 in (y, x) or
 // (u, v) order, of the same products as the textbook quadruple loop; the
 // loops run eight independent sums at once. The inverse leaves out the
 // quantized-away coefficients, whose ±0 terms would leave every sum as it
 // is: a sum that starts at +0 never becomes −0.
-func jpegQuantize(img []float32, h, w int, quant float32) {
-	plane := h * w
+func jpegBlockGeneric(p []float32, w, rows, cols int, f *jpegFrame) {
 	var block [8][8]float64
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 8; x++ {
+			block[y][x] = float64(float64(p[min(y, rows-1)*w+min(x, cols-1)])*255) - 128
+		}
+	}
 	type term struct {
 		u, v int
 		c    float64 // (cu·cv)·coef
 	}
 	var terms [64]term
-	for ch := 0; ch < 3; ch++ {
-		p := img[ch*plane : (ch+1)*plane]
-		for by := 0; by < h; by += 8 {
-			for bx := 0; bx < w; bx += 8 {
-				for y := 0; y < 8; y++ {
-					for x := 0; x < 8; x++ {
-						sy, sx := clampInt(by+y, 0, h-1), clampInt(bx+x, 0, w-1)
-						block[y][x] = float64(p[sy*w+sx])*255 - 128
-					}
-				}
-				// Forward 2-D DCT-II: coefficient (u, v) sums
-				// (block[y][x]·dct8[u][y])·dct8[v][x] over y, then x.
-				// It is quantized at once, with a step that grows with
-				// frequency, scaled by quant; the nonzero ones are kept
-				// in (u, v) order.
-				n := 0
-				for u := 0; u < 8; u++ {
-					var s0, s1, s2, s3, s4, s5, s6, s7 float64
-					for y := 0; y < 8; y++ {
-						du := dct8[u][y]
-						for x := 0; x < 8; x++ {
-							b := block[y][x] * du
-							s0 += b * dct8[0][x]
-							s1 += b * dct8[1][x]
-							s2 += b * dct8[2][x]
-							s3 += b * dct8[3][x]
-							s4 += b * dct8[4][x]
-							s5 += b * dct8[5][x]
-							s6 += b * dct8[6][x]
-							s7 += b * dct8[7][x]
-						}
-					}
-					for v, s := range [8]float64{s0, s1, s2, s3, s4, s5, s6, s7} {
-						coef := s * dctScale(u) * dctScale(v) / 4
-						step := float64(quant) * (1 + float64(u+v)/2)
-						if q := math.Round(coef/step) * step; q != 0 {
-							terms[n] = term{u, v, dctScale(u) * dctScale(v) * q}
-							n++
-						}
-					}
-				}
-				// Inverse DCT: pixel (y, x) sums
-				// (((cu·cv)·coef)·dct8[u][y])·dct8[v][x] over u, then v.
-				for y := 0; y < 8 && by+y < h; y++ {
-					var s0, s1, s2, s3, s4, s5, s6, s7 float64
-					for _, t := range terms[:n] {
-						a := t.c * dct8[t.u][y]
-						d := &dct8[t.v]
-						s0 += a * d[0]
-						s1 += a * d[1]
-						s2 += a * d[2]
-						s3 += a * d[3]
-						s4 += a * d[4]
-						s5 += a * d[5]
-						s6 += a * d[6]
-						s7 += a * d[7]
-					}
-					row := p[(by+y)*w:]
-					for x, s := range [8]float64{s0, s1, s2, s3, s4, s5, s6, s7} {
-						if bx+x < w {
-							row[bx+x] = float32((s/4 + 128) / 255)
-						}
-					}
-				}
+	// Forward 2-D DCT-II: coefficient (u, v) sums
+	// (block[y][x]·dct8[u][y])·dct8[v][x] over y, then x. It is quantized
+	// at once; the nonzero ones are kept in (u, v) order.
+	n := 0
+	for u := 0; u < 8; u++ {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for y := 0; y < 8; y++ {
+			du := dct8[u][y]
+			for x := 0; x < 8; x++ {
+				b := block[y][x] * du
+				s0 += float64(b * dct8[0][x])
+				s1 += float64(b * dct8[1][x])
+				s2 += float64(b * dct8[2][x])
+				s3 += float64(b * dct8[3][x])
+				s4 += float64(b * dct8[4][x])
+				s5 += float64(b * dct8[5][x])
+				s6 += float64(b * dct8[6][x])
+				s7 += float64(b * dct8[7][x])
+			}
+		}
+		for v, s := range [8]float64{s0, s1, s2, s3, s4, s5, s6, s7} {
+			coef := s * dctScale(u) * dctScale(v) / 4
+			step := f.step[v][u]
+			if q := math.Round(coef/step) * step; q != 0 {
+				terms[n] = term{u, v, dctScale(u) * dctScale(v) * q}
+				n++
+			}
+		}
+	}
+	// Inverse DCT: pixel (y, x) sums
+	// (((cu·cv)·coef)·dct8[u][y])·dct8[v][x] over u, then v.
+	for y := 0; y < rows; y++ {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for _, t := range terms[:n] {
+			a := t.c * dct8[t.u][y]
+			d := &dct8[t.v]
+			s0 += float64(a * d[0])
+			s1 += float64(a * d[1])
+			s2 += float64(a * d[2])
+			s3 += float64(a * d[3])
+			s4 += float64(a * d[4])
+			s5 += float64(a * d[5])
+			s6 += float64(a * d[6])
+			s7 += float64(a * d[7])
+		}
+		row := p[y*w : y*w+cols]
+		for x, s := range [8]float64{s0, s1, s2, s3, s4, s5, s6, s7} {
+			if x < cols {
+				row[x] = float32((float64(s/4) + 128) / 255)
 			}
 		}
 	}

@@ -212,7 +212,7 @@ func MixedTraffic(name string, seed int64, nPhases, perPhase, severity int) Scen
 			}
 			used[c] = true
 			sev := clampInt(severity+rng.Intn(3)-1, 1, MaxSeverity)
-			mix = append(mix, MixEntry{Corruption: c, Severity: sev, Weight: 0.2 + rng.Float64()})
+			mix = append(mix, MixEntry{Corruption: c, Severity: sev, Weight: 0.2 + float64(rng.Float64())})
 		}
 		sc.Phases = append(sc.Phases, Phase{Length: perPhase, Mix: mix})
 	}

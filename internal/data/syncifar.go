@@ -45,28 +45,28 @@ func makeTemplate(rng *rand.Rand, h, w int) []float32 {
 	gs := make([]grating, 3)
 	for i := range gs {
 		gs[i] = grating{
-			fy:    (rng.Float64()*2 - 1) * 0.9,
-			fx:    (rng.Float64()*2 - 1) * 0.9,
-			phase: rng.Float64() * 2 * math.Pi,
-			amp:   0.12 + rng.Float64()*0.10,
+			fy:    signedUniform(rng) * 0.9,
+			fx:    signedUniform(rng) * 0.9,
+			phase: float64(rng.Float64()) * 2 * math.Pi,
+			amp:   0.12 + float64(rng.Float64()*0.10),
 		}
 	}
 	// A soft class blob.
-	by, bx := rng.Float64()*float64(h), rng.Float64()*float64(w)
-	br := 4 + rng.Float64()*6
+	by, bx := float64(rng.Float64()*float64(h)), float64(rng.Float64()*float64(w))
+	br := 4 + float64(rng.Float64()*6)
 	// Class color tint.
 	var tint [3]float64
 	for c := range tint {
-		tint[c] = 0.35 + rng.Float64()*0.3
+		tint[c] = 0.35 + float64(rng.Float64()*0.3)
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			lum := 0.0
 			for _, gr := range gs {
-				lum += gr.amp * math.Sin(gr.fy*float64(y)+gr.fx*float64(x)+gr.phase)
+				lum += float64(gr.amp * math.Sin(float64(gr.fy*float64(y))+float64(gr.fx*float64(x))+gr.phase))
 			}
 			dy, dx := float64(y)-by, float64(x)-bx
-			lum += 0.25 * math.Exp(-(dy*dy+dx*dx)/(2*br*br))
+			lum += float64(0.25 * math.Exp(-(float64(dy*dy)+float64(dx*dx))/(2*br*br)))
 			for c := 0; c < 3; c++ {
 				t[c*plane+y*w+x] = float32(tint[c] + lum)
 			}
@@ -89,7 +89,7 @@ func (g *Generator) sampleInto(out []float32, rng *rand.Rand, class int) {
 	tpl := g.templates[class]
 	plane := g.h * g.w
 	sy, sx := rng.Intn(7)-3, rng.Intn(7)-3
-	gain := 0.9 + rng.Float32()*0.2
+	gain := 0.9 + float32(rng.Float32()*0.2)
 	k := (sx + g.w) % g.w // output column x shows template column (x+k) mod w
 	for c := 0; c < 3; c++ {
 		for y := 0; y < g.h; y++ {
@@ -98,10 +98,10 @@ func (g *Generator) sampleInto(out []float32, rng *rand.Rand, class int) {
 			dst := out[c*plane+y*g.w : c*plane+(y+1)*g.w]
 			// The row rotated left by k: its tail, then its head.
 			for x, t := range src[k:] {
-				dst[x] = t*gain + float32(rng.NormFloat64())*0.06
+				dst[x] = float32(t*gain) + float32(float32(rng.NormFloat64())*0.06)
 			}
 			for x, t := range src[:k] {
-				dst[g.w-k+x] = t*gain + float32(rng.NormFloat64())*0.06
+				dst[g.w-k+x] = float32(t*gain) + float32(float32(rng.NormFloat64())*0.06)
 			}
 		}
 	}
@@ -207,7 +207,7 @@ func AugMixLite(rng *rand.Rand, img []float32, h, w int) []float32 {
 		}
 		wgt := weights[chain+1] / sum
 		for i, v := range aug {
-			out[i] += v * wgt
+			out[i] += float32(v * wgt)
 		}
 	}
 	clamp01(out)

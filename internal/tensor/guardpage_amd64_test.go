@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"edgetta/internal/guardpage"
 )
 
 // TestRowKernelsStayInsideTheirOperands places every operand of the
@@ -31,10 +33,10 @@ func TestRowKernelsStayInsideTheirOperands(t *testing.T) {
 						l.at = 0 // the source below starts at the first value read
 						for _, slack := range []int{0, 3} {
 							dstPlane, srcPlane := l.dstLen()+slack, l.srcLen()+slack
-							dst := guardPaged(t, (planes-1)*dstPlane+l.dstLen(), back)
-							src := guardPaged(t, max(1, (planes-1)*srcPlane+l.srcLen()), back)
+							dst := guardpage.Floats(t, (planes-1)*dstPlane+l.dstLen(), back)
+							src := guardpage.Floats(t, max(1, (planes-1)*srcPlane+l.srcLen()), back)
 							for _, r := range allLowerRoutines() {
-								noFault(t, fmt.Sprintf("%s back=%v planes=%d %+v slack=%d", r.name, back, planes, l, slack), func() {
+								guardpage.NoFault(t, fmt.Sprintf("%s back=%v planes=%d %+v slack=%d", r.name, back, planes, l, slack), func() {
 									r.run(dst, dstPlane, src, srcPlane, planes, l)
 								})
 							}
@@ -47,13 +49,13 @@ func TestRowKernelsStayInsideTheirOperands(t *testing.T) {
 					for _, slack := range []int{0, 3} {
 						dstStride, aStride, bStride := n+slack, (n+1)/2+slack, n/2+slack
 						dstPlane := (rows-1)*dstStride + n + slack
-						dst := guardPaged(t, (planes-1)*dstPlane+(rows-1)*dstStride+n, back)
-						a := guardPaged(t, (planes*rows-1)*aStride+(n+1)/2, back)
+						dst := guardpage.Floats(t, (planes-1)*dstPlane+(rows-1)*dstStride+n, back)
+						a := guardpage.Floats(t, (planes*rows-1)*aStride+(n+1)/2, back)
 						b := a[:0] // the odd elements zero: b is never read
 						if n > 1 {
-							b = guardPaged(t, (planes*rows-1)*bStride+n/2, back)
+							b = guardpage.Floats(t, (planes*rows-1)*bStride+n/2, back)
 						}
-						noFault(t, fmt.Sprintf("interleaveRows back=%v planes=%d rows=%d n=%d slack=%d", back, planes, rows, n, slack), func() {
+						guardpage.NoFault(t, fmt.Sprintf("interleaveRows back=%v planes=%d rows=%d n=%d slack=%d", back, planes, rows, n, slack), func() {
 							interleaveRows(dst, dstStride, dstPlane, a, aStride, b, bStride, rows, planes, n)
 							interleaveRowsAVX2(dst, dstStride, dstPlane, a, aStride, b, bStride, rows, planes, n)
 							interleaveRows(dst, dstStride, dstPlane, a, aStride, nil, 0, rows, planes, n)
@@ -115,10 +117,10 @@ func TestSpanKernelsStayInsideTheirOperands(t *testing.T) {
 // and held to the generic kernel bit for bit.
 func runGuardedSpan(t *testing.T, rng *rand.Rand, c spanCase, back bool) {
 	t.Helper()
-	c.x, c.w = guardPaged(t, c.xLen(), back), guardPaged(t, (c.noc-1)*c.wStride+len(c.off), back)
+	c.x, c.w = guardpage.Floats(t, c.xLen(), back), guardpage.Floats(t, (c.noc-1)*c.wStride+len(c.off), back)
 	copy(c.x, randSlice(rng, len(c.x)))
 	copy(c.w, randSlice(rng, len(c.w)))
-	y, want := guardPaged(t, c.yLen(), back), c.want()
+	y, want := guardpage.Floats(t, c.yLen(), back), c.want()
 	for _, r := range allSpanRoutines() {
 		if !r.has {
 			continue
@@ -127,7 +129,7 @@ func runGuardedSpan(t *testing.T, rng *rand.Rand, c spanCase, back bool) {
 			y[i] = float32(math.NaN())
 		}
 		what := fmt.Sprintf("%s back=%v %+v", r.name, back, c.dims())
-		noFault(t, what, func() { r.run(y, c.yStride, c.x, c.w, c.wStride, c.off, c.noc, c.npix, c.nspan, c.xStep) })
+		guardpage.NoFault(t, what, func() { r.run(y, c.yStride, c.x, c.w, c.wStride, c.off, c.noc, c.npix, c.nspan, c.xStep) })
 		c.check(t, what, y, want, c.noc/r.tile*r.tile)
 	}
 }
@@ -172,18 +174,18 @@ func TestPlaneKernelsStayInsideTheirOperands(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(38))
 	for _, back := range []bool{false, true} {
-		alloc := func(n int) []float32 { return guardPaged(t, n, back) }
+		alloc := func(n int) []float32 { return guardpage.Floats(t, n, back) }
 		for plen := 1; plen <= 40; plen++ {
 			for n := 1; n <= 3; n++ {
 				for _, gap := range []int{0, 5} {
 					mode, rect := rng.Intn(16)&^opRect, rects[rng.Intn(len(rects))]
 					c := newPlaneCall(rng, Planes{N: n, Len: plen, Stride: plen + gap}, mode, rect, alloc)
-					c.check(t, alloc, func(what string, f func()) { noFault(t, fmt.Sprintf("back=%v %s", back, what), f) })
+					c.check(t, alloc, func(what string, f func()) { guardpage.NoFault(t, fmt.Sprintf("back=%v %s", back, what), f) })
 				}
 			}
-			x, y := guardPaged(t, plen, back), guardPaged(t, plen, back)
+			x, y := guardpage.Floats(t, plen, back), guardpage.Floats(t, plen, back)
 			copy(x, randSlice(rng, plen))
-			noFault(t, fmt.Sprintf("axpyAVX2/dotAVX2 back=%v n=%d", back, plen), func() {
+			guardpage.NoFault(t, fmt.Sprintf("axpyAVX2/dotAVX2 back=%v n=%d", back, plen), func() {
 				axpyAVX2(0.5, x, y)
 				dotAVX2(x, y)
 			})
@@ -217,9 +219,11 @@ func FuzzPlaneKernels(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		for _, back := range []bool{false, true} {
-			alloc := func(n int) []float32 { return guardPaged(t, off+n, back)[off:] }
+			alloc := func(n int) []float32 { return guardpage.Floats(t, off+n, back)[off:] }
 			c := newPlaneCall(rng, Planes{N: n, Len: plen, Stride: plen + gap}, mode, rect, alloc)
-			c.check(t, alloc, func(what string, f func()) { noFault(t, fmt.Sprintf("back=%v off=%d %s", back, off, what), f) })
+			c.check(t, alloc, func(what string, f func()) {
+				guardpage.NoFault(t, fmt.Sprintf("back=%v off=%d %s", back, off, what), f)
+			})
 		}
 	})
 }

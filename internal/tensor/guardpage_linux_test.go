@@ -6,77 +6,25 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"runtime/debug"
-	"syscall"
 	"testing"
 	"unsafe"
+
+	"edgetta/internal/guardpage"
 )
-
-// guardPaged returns n ≥ 1 float32s laid flush against a page no access
-// is allowed to: the slice ends where that page begins when back is set,
-// and starts where one ends otherwise, so touching the element just past
-// its end (or just before its start) faults. The mapping lives until t
-// ends.
-func guardPaged(t testing.TB, n int, back bool) []float32 {
-	t.Helper()
-	page := os.Getpagesize()
-	data := (4*n + page - 1) / page * page
-	mem, err := syscall.Mmap(-1, 0, data+2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { syscall.Munmap(mem) })
-	for _, g := range [][]byte{mem[:page], mem[page+data:]} {
-		if err := syscall.Mprotect(g, syscall.PROT_NONE); err != nil {
-			t.Fatal(err)
-		}
-	}
-	off := page
-	if back {
-		off = page + data - 4*n
-	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[off])), n)
-}
-
-// faults runs f and reports whether it touched an address the hardware
-// refused, recovered as a panic rather than a crash of the test binary;
-// any other panic propagates.
-func faults(f func()) (faulted bool) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(interface{ Addr() uintptr }); !ok {
-				panic(r)
-			}
-			faulted = true
-		}
-	}()
-	f()
-	return false
-}
-
-// noFault reports a fault in f as a failure of the case named what.
-func noFault(t *testing.T, what string, f func()) {
-	t.Helper()
-	if faults(f) {
-		t.Errorf("%s: touched memory outside its operands", what)
-	}
-}
 
 // TestGuardPagesFault checks the harness itself: one element past either
 // end of a guard-paged slice is out of bounds for the hardware too.
 func TestGuardPagesFault(t *testing.T) {
 	for _, back := range []bool{false, true} {
-		s := guardPaged(t, 3, back)
+		s := guardpage.Floats(t, 3, back)
 		past := unsafe.Add(unsafe.Pointer(&s[0]), -4)
 		if back {
 			past = unsafe.Add(unsafe.Pointer(&s[0]), 4*len(s))
 		}
-		if !faults(func() { _ = *(*float32)(past) }) {
+		if !guardpage.Faults(func() { _ = *(*float32)(past) }) {
 			t.Errorf("back=%v: reading past the slice did not fault", back)
 		}
-		if faults(func() { s[0], s[len(s)-1] = 1, 2 }) {
+		if guardpage.Faults(func() { s[0], s[len(s)-1] = 1, 2 }) {
 			t.Errorf("back=%v: writing inside the slice faulted", back)
 		}
 	}
@@ -111,9 +59,10 @@ func FuzzStage(f *testing.F) {
 	})
 }
 
-// nanPaged returns n ≥ 1 NaNs laid flush against a guard page (guardPaged).
+// nanPaged returns n ≥ 1 NaNs laid flush against a guard page
+// (guardpage.Floats).
 func nanPaged(t *testing.T, n int, back bool) []float32 {
-	buf := guardPaged(t, max(n, 1), back)[:n]
+	buf := guardpage.Floats(t, max(n, 1), back)[:n]
 	for i := range buf {
 		buf[i] = float32(math.NaN())
 	}
@@ -128,11 +77,11 @@ func checkStage(t *testing.T, p *ConvPlan, rng *rand.Rand, back bool) {
 	if p.StagedLen() == 0 {
 		return
 	}
-	src := guardPaged(t, p.InC*p.H*p.W, back)
+	src := guardpage.Floats(t, p.InC*p.H*p.W, back)
 	copy(src, randSlice(rng, len(src)))
 	dst := nanPaged(t, p.StagedLen(), back)
 	what := fmt.Sprintf("Stage %+v back=%v", p.ConvShape, back)
-	noFault(t, what, func() { p.Stage(dst, src) })
+	guardpage.NoFault(t, what, func() { p.Stage(dst, src) })
 	i := 0
 	for ic := 0; ic < p.InC; ic++ {
 		for py := 0; py < p.res; py++ {
@@ -163,13 +112,13 @@ func checkUnstage(t *testing.T, p *ConvGradPlan, back bool) {
 	if p.SplitLen() == 0 {
 		return
 	}
-	split := guardPaged(t, p.SplitLen(), back)
+	split := guardpage.Floats(t, p.SplitLen(), back)
 	for i := range split {
 		split[i] = float32(i + 1)
 	}
 	dx := nanPaged(t, p.InC*p.H*p.W, back)
 	what := fmt.Sprintf("Unstage %+v back=%v", p.ConvShape, back)
-	noFault(t, what, func() { p.Unstage(dx, split) })
+	guardpage.NoFault(t, what, func() { p.Unstage(dx, split) })
 	want := make([]float32, len(dx))
 	for _, r := range p.subs {
 		for ic := 0; ic < p.InC; ic++ {

@@ -78,6 +78,13 @@ func SpanKernel() string {
 	return "generic"
 }
 
+// HasAVX512 reports whether this process dispatches to the AVX-512
+// kernels: AVX512F, AVX512VL, BMI2 and the OS saving the ZMM and opmask
+// state, as detected once at start-up. Other packages with AVX-512 bodies
+// of their own (internal/data's corruption loops) dispatch on it, so one
+// CPUID decision covers the whole program.
+func HasAVX512() bool { return hasAVX512 }
+
 // convSpan computes noc output channels × nspan spans of npix pixels (see
 // convSpanGeneric for the arithmetic, ConvPlan.Run for the operands). The
 // vector routines fuse each multiply-add, as the generic kernel's fma32

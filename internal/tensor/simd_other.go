@@ -32,6 +32,10 @@ func interleaveRows(dst []float32, dstStride, dstPlane int, a []float32, aStride
 // conv span kernel and the plane kernels run their generic twins here.
 func SpanKernel() string { return "generic" }
 
+// HasAVX512 reports whether this process dispatches to the AVX-512
+// kernels: never on this architecture.
+func HasAVX512() bool { return false }
+
 func convSpan(y []float32, yStride int, x, w []float32, wStride int, o offsets, noc, npix, nspan, xStep int) {
 	convSpanGeneric(y, yStride, x, w, wStride, o.off, noc, npix, nspan, xStep)
 }

@@ -118,10 +118,11 @@ func (t *Tensor) Randn(rng *rand.Rand, std float64) {
 	}
 }
 
-// Uniform fills the tensor with U[lo, hi) samples from rng.
+// Uniform fills the tensor with U[lo, hi) samples from rng. The product
+// is rounded before the sum, so no build fuses the two.
 func (t *Tensor) Uniform(rng *rand.Rand, lo, hi float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(lo + rng.Float64()*(hi-lo))
+		t.Data[i] = float32(lo + float64(rng.Float64()*(hi-lo)))
 	}
 }
 
