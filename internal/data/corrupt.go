@@ -269,20 +269,7 @@ func motionKernel(length int, angle float64) kernel {
 // so no read clamps a column, and tapPlane adds each tap's weighted source
 // row, clamped once, to a whole output row of accumulators.
 func convolve(dst, src []float32, h, w int, k kernel) {
-	r := k.side / 2
-	taps, wts := make([]tap, 0, len(k.w)), make([]float32, 0, len(k.w))
-	rx := 0
-	for ky := -r; ky <= r; ky++ {
-		for kx := -r; kx <= r; kx++ {
-			if wv := k.w[(ky+r)*k.side+(kx+r)]; wv != 0 {
-				taps, wts = append(taps, tap{int32(ky), int32(kx)}), append(wts, wv)
-				rx = max(rx, kx, -kx)
-			}
-		}
-	}
-	for i := range taps { // col held dx until rx, the widest reach, was known
-		taps[i].col += int32(rx)
-	}
+	taps, wts, rx := kernelTaps(k)
 	pw := w + 2*rx
 	pad := make([]float32, h*pw)
 	plane := h * w
@@ -302,6 +289,26 @@ func convolve(dst, src []float32, h, w int, k kernel) {
 // tap places one kernel weight's source row: dy rows from the output row,
 // starting at column col of the padded plane.
 type tap struct{ dy, col int32 }
+
+// kernelTaps lists k's nonzero weights in row-major order with their taps,
+// for rows padded on each side by rx, the widest column reach of a
+// nonzero weight.
+func kernelTaps(k kernel) (taps []tap, wts []float32, rx int) {
+	r := k.side / 2
+	taps, wts = make([]tap, 0, len(k.w)), make([]float32, 0, len(k.w))
+	for ky := -r; ky <= r; ky++ {
+		for kx := -r; kx <= r; kx++ {
+			if wv := k.w[(ky+r)*k.side+(kx+r)]; wv != 0 {
+				taps, wts = append(taps, tap{int32(ky), int32(kx)}), append(wts, wv)
+				rx = max(rx, kx, -kx)
+			}
+		}
+	}
+	for i := range taps { // col held dx until rx, the widest reach, was known
+		taps[i].col += int32(rx)
+	}
+	return taps, wts, rx
+}
 
 // tapPlaneGeneric sets each row y of the h×w plane o to the sum over the
 // taps of wts[t] times the w pixels that start at column taps[t].col of

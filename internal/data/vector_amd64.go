@@ -69,17 +69,15 @@ func jpegBlock(p []float32, w, rows, cols int, f *jpegFrame) {
 	jpegBlockGeneric(p, w, rows, cols, f)
 }
 
-// jpegConsts holds the tables jpegBlockAVX512 reads besides the frame:
-// the DCT basis both ways round and the coefficients' scales.
+// jpegConsts holds the tables jpegBlockAVX512 derives from dct8, which it
+// reads as it is: the DCT basis transposed and the coefficients' scales.
 type jpegConsts struct {
-	dct   [8][8]float64 // dct8
 	dctT  [8][8]float64 // [i][k]: dct8[k][i]
 	scale [8]float64    // dctScale(k)
 	cucv  [8][8]float64 // [v][u]: dctScale(u)·dctScale(v)
 }
 
 var jpegBasis = func() (c jpegConsts) {
-	c.dct = dct8
 	for a := 0; a < 8; a++ {
 		c.scale[a] = dctScale(a)
 		for b := 0; b < 8; b++ {

@@ -159,17 +159,17 @@ tap_done:
 
 // FWDX adds column x of block row y (BX) to the eight forward chains Z0–Z7
 // (chain v, lane u): Z9 = block[y][x]·dct8[u][y] (Z8), then each chain
-// adds Z9·dct8[v][x], the product rounded first.
+// adds Z9·dct8[v][x] (R14 holds dct8), the product rounded first.
 #define FWDX(x) \
 	VMULPD.BCST	(x*8)(BX), Z8, Z9; \
-	VMULPD.BCST	(jpegConsts_dct+0*64+x*8)(R11), Z9, Z10; \
-	VMULPD.BCST	(jpegConsts_dct+1*64+x*8)(R11), Z9, Z11; \
-	VMULPD.BCST	(jpegConsts_dct+2*64+x*8)(R11), Z9, Z12; \
-	VMULPD.BCST	(jpegConsts_dct+3*64+x*8)(R11), Z9, Z13; \
-	VMULPD.BCST	(jpegConsts_dct+4*64+x*8)(R11), Z9, Z14; \
-	VMULPD.BCST	(jpegConsts_dct+5*64+x*8)(R11), Z9, Z15; \
-	VMULPD.BCST	(jpegConsts_dct+6*64+x*8)(R11), Z9, Z16; \
-	VMULPD.BCST	(jpegConsts_dct+7*64+x*8)(R11), Z9, Z17; \
+	VMULPD.BCST	(0*64+x*8)(R14), Z9, Z10; \
+	VMULPD.BCST	(1*64+x*8)(R14), Z9, Z11; \
+	VMULPD.BCST	(2*64+x*8)(R14), Z9, Z12; \
+	VMULPD.BCST	(3*64+x*8)(R14), Z9, Z13; \
+	VMULPD.BCST	(4*64+x*8)(R14), Z9, Z14; \
+	VMULPD.BCST	(5*64+x*8)(R14), Z9, Z15; \
+	VMULPD.BCST	(6*64+x*8)(R14), Z9, Z16; \
+	VMULPD.BCST	(7*64+x*8)(R14), Z9, Z17; \
 	VADDPD	Z10, Z0, Z0; \
 	VADDPD	Z11, Z1, Z1; \
 	VADDPD	Z12, Z2, Z2; \
@@ -238,6 +238,7 @@ TEXT ·jpegBlockAVX512(SB), NOSPLIT, $0-64
 	MOVQ	cols+40(FP), R10
 	MOVQ	c+48(FP), R11
 	MOVQ	f+56(FP), R12
+	LEAQ	·dct8(SB), R14 // dct8[k] at 64k(R14)
 
 	// K1: the first cols lanes; Y30: lane x reads column min(x, cols-1).
 	MOVL	$0xff, AX
@@ -336,10 +337,10 @@ jpeg_inverse:
 	LEAQ	(AX)(DX*8), CX
 	VBROADCASTSD	(BX)(CX*8), Z8
 	SHLQ	$6, AX
-	VMULPD	jpegConsts_dct(R11)(AX*1), Z8, Z8
+	VMULPD	(R14)(AX*1), Z8, Z8
 	VMOVUPD	Z8, jpegFrame_col(R12)
 	SHLQ	$6, DX
-	VMOVUPD	jpegConsts_dct(R11)(DX*1), Z9
+	VMOVUPD	(R14)(DX*1), Z9
 	INVY(0, Z0, Z10)
 	INVY(1, Z1, Z11)
 	INVY(2, Z2, Z12)

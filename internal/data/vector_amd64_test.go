@@ -272,18 +272,8 @@ func TestVectorBodiesStayInsideTheirOperands(t *testing.T) {
 		for w := 1; w <= 70; w += 3 {
 			for _, h := range []int{1, 4} {
 				for _, name := range []string{"disk(2.8)", "disk(0.7)", "snow"} {
-					k := ks[name]
-					r := k.side / 2
-					var taps []tap
-					var wts []float32
-					for ky := -r; ky <= r; ky++ {
-						for kx := -r; kx <= r; kx++ {
-							if wv := k.w[(ky+r)*k.side+kx+r]; wv != 0 {
-								taps, wts = append(taps, tap{int32(ky), int32(kx + r)}), append(wts, wv)
-							}
-						}
-					}
-					pw := w + 2*r
+					taps, wts, rx := kernelTaps(ks[name])
+					pw := w + 2*rx
 					o := guardpage.Floats(t, h*w, back)
 					pad := fill(guardpage.Floats(t, h*pw, back))
 					gw := guardpage.Floats(t, len(wts), back)
